@@ -74,10 +74,20 @@ if current["columnar_bytes"] > limit:
     )
 if current["ratio"] < 4.0:
     sys.exit(f"columnar/rows ratio {current['ratio']} fell below 4x")
+# The same server with every feedback from a new issuer (what a
+# million-client population produces): the per-issuer cost, which the
+# 24-issuer figure above cannot see.
+if current["columnar_distinct_bytes"] > baseline["columnar_distinct_bytes"] * 1.10:
+    sys.exit(
+        f"resident-bytes regression, all-distinct issuers: columnar "
+        f"{current['columnar_distinct_bytes']} B > 110% of baseline "
+        f"{baseline['columnar_distinct_bytes']} B"
+    )
 print(
     f"    resident: columnar {current['columnar_bytes']} B per 10k-feedback "
     f"server ({current['ratio']}x smaller than rows; baseline "
-    f"{baseline['columnar_bytes']} B)"
+    f"{baseline['columnar_bytes']} B), {current['columnar_distinct_bytes']} B "
+    f"with 10k distinct issuers (baseline {baseline['columnar_distinct_bytes']} B)"
 )
 
 # Two-sided tiered gate at 10x history length: the compacted active set
@@ -350,5 +360,15 @@ print(
     f"all exactly accounted"
 )
 PYEOF
+
+echo "==> repo benchmark crate (benchmark/: BENCHMARK.json contract + --quick smoke)"
+if [ "$QUICK" -eq 0 ]; then
+    # benchmark/ is a workspace of its own with path dependencies on
+    # crates/*, so nothing above compiles it: an API change that breaks it
+    # would otherwise surface only when the benchmark driver runs.
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+else
+    echo "    (skipped: --quick)"
+fi
 
 echo "==> OK"

@@ -4,14 +4,17 @@
 //! rows print to stdout and land in `experiments/out/bench_history.json`
 //! (override the directory with `HP_BENCH_OUT`). The JSON carries an
 //! extra `resident` object — bytes per 10 000-feedback server in each
-//! representation — which `ci.sh` compares against the committed baseline
-//! in `experiments/baselines/bench_history_baseline.json`.
+//! representation, for 24 issuers and for 10 000 distinct ones — which
+//! `ci.sh` compares against the committed baseline in
+//! `experiments/baselines/bench_history_baseline.json`.
 //!
 //! Shapes to look for:
 //!
 //! * `ingest_10k/*` — per-feedback append cost; the columnar push
 //!   (bit set + dictionary code + prefix maintenance) should stay within
-//!   a small constant of the row push;
+//!   a small constant of the row push. `columnar_distinct` is the shape
+//!   a million-client population produces — every feedback from a new
+//!   issuer, so every push also mints a dictionary entry;
 //! * `window_counts/*` — the phase-1 hot loop over both representations;
 //!   identical O(1)-per-window arithmetic, so the columns must not lose;
 //! * `collusion_reorder/cold` vs `/cached` — building the issuer-frequency
@@ -144,14 +147,27 @@ fn stream(n: usize) -> Vec<Feedback> {
         .collect()
 }
 
-fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback]) {
-    rows.push(measure("ingest_10k/columnar", 100, N as u64, || {
-        let mut h = ColumnarHistory::new();
-        for &f in feedbacks {
-            h.push(f);
-        }
-        h
-    }));
+/// The same server with every feedback from a different issuer (ids
+/// spread over the 64-bit space, as `hp-load`'s populations draw them).
+fn distinct_stream(n: usize) -> Vec<Feedback> {
+    stream(n)
+        .into_iter()
+        .map(|f| Feedback {
+            client: ClientId::new(f.time.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            ..f
+        })
+        .collect()
+}
+
+fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback], distinct: &[Feedback]) {
+    for (name, stream) in [
+        ("ingest_10k/columnar", feedbacks),
+        ("ingest_10k/columnar_distinct", distinct),
+    ] {
+        rows.push(measure(name, 100, N as u64, || {
+            stream.iter().copied().collect::<ColumnarHistory>()
+        }));
+    }
     rows.push(measure("ingest_10k/reference", 100, N as u64, || {
         let mut h = TransactionHistory::with_capacity(feedbacks.len());
         for &f in feedbacks {
@@ -312,6 +328,7 @@ fn bench_tiered(rows: &mut Vec<Row>, out_dir: &Path) -> Tiered {
 
 fn main() {
     let feedbacks = stream(N);
+    let distinct = distinct_stream(N);
     let mut cols = ColumnarHistory::new();
     let mut reference = TransactionHistory::with_capacity(N);
     for &f in &feedbacks {
@@ -330,7 +347,7 @@ fn main() {
 
     let mut rows = Vec::new();
     println!("history-engine benchmarks (columnar vs row storage)\n");
-    bench_ingest(&mut rows, &feedbacks);
+    bench_ingest(&mut rows, &feedbacks, &distinct);
     bench_window_counts(&mut rows, &cols, &reference);
     bench_window_counts_small(&mut rows);
     bench_reorder(&mut rows, &cols);
@@ -352,6 +369,15 @@ fn main() {
     assert!(
         ratio >= 4.0,
         "columnar form must be >= 4x smaller ({ratio:.2}x)"
+    );
+    let columnar_distinct_bytes = distinct
+        .iter()
+        .copied()
+        .collect::<ColumnarHistory>()
+        .resident_bytes();
+    println!(
+        "resident bytes per {N}-feedback server, every issuer distinct: \
+         columnar {columnar_distinct_bytes}"
     );
 
     // The tiered claim at 10× length: resident bytes must track the
@@ -379,6 +405,7 @@ fn main() {
     let out = out_dir.join("bench_history.json");
     let payload = format!(
         "{{\"rows\":{},\n\"resident\":{{\"columnar_bytes\":{columnar_bytes},\
+         \"columnar_distinct_bytes\":{columnar_distinct_bytes},\
          \"reference_bytes\":{reference_bytes},\"ratio\":{ratio:.3}}},\n\
          \"tiered\":{{\"history_len\":{N10},\"horizon\":{HORIZON},\
          \"tiered_bytes\":{},\"columnar_bytes\":{},\"resident_fraction\":{tiered_fraction:.4},\

@@ -1,12 +1,15 @@
 //! The bit-packed columnar history engine.
 //!
-//! One transaction costs ~8.2 bytes here instead of the reference row
-//! store's ~48 (a 32-byte `Feedback` plus prefix sums and a per-client
-//! index): outcomes live in a [`BitColumn`] (1 bit each, plus one `u64`
-//! prefix popcount per 64 outcomes), issuers in an [`IssuerColumn`]
-//! (a `u32` dictionary code plus a `u32` posting per transaction), and
+//! Outcomes live in a [`BitColumn`], issuers in an [`IssuerColumn`], and
 //! timestamps are optional — the online service drops them entirely
-//! because its trust configuration never reads wall-clock time.
+//! because its trust configuration never reads wall-clock time. The cost
+//! model, against ~48 B per transaction for the reference row store:
+//! per transaction 1 outcome bit + 1 prefix-popcount bit + a 4 B issuer
+//! code; per distinct issuer an 8 B id + 8 B of counts + a 4 B index slot
+//! at load 3/8–3/4 (5–11 B). Long columns grow by a quarter, so measured
+//! heap is 5.2 B/feedback for a 10 000-feedback server with 24 issuers
+//! and 30.2 B/feedback when all 20 000 issuers are distinct (108 B with
+//! the per-issuer posting `Vec`s and keyed `HashMap` this layout replaced).
 //!
 //! [`ColumnarHistory`] glues the columns together behind
 //! [`HistoryView`], with the §4 issuer-frequency reordering cached and
@@ -17,8 +20,9 @@
 use crate::feedback::{Feedback, Rating};
 use crate::id::{ClientId, ServerId};
 use hp_stats::StatsError;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use super::view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
 use super::TransactionHistory;
@@ -356,9 +360,9 @@ impl BitColumn {
         Ok(out)
     }
 
-    /// Approximate heap bytes held by this column.
+    /// Heap bytes held by this column (both allocations at capacity).
     pub fn resident_bytes(&self) -> usize {
-        (self.words.len() + self.word_prefix.len()) * 8
+        (self.words.capacity() + self.word_prefix.capacity()) * 8
     }
 
     /// The packed outcome words (least significant bit first within each
@@ -400,25 +404,62 @@ impl BitColumn {
     }
 }
 
-/// A dictionary-encoded issuer column with per-issuer postings.
+/// A dictionary-encoded issuer column: four flat columns and an
+/// index-only hash table.
 ///
-/// Each transaction stores one `u32` code; per code the column keeps the
-/// issuing [`ClientId`], the transaction indexes it issued (the posting
-/// list, in transaction order — exactly the §4 grouping), and a running
-/// count of its positive feedback.
+/// Each transaction stores one `u32` dictionary code; each distinct
+/// issuer its [`ClientId`] and two counts over the live transactions
+/// (feedbacks, positive feedbacks). Client → code goes through an
+/// open-addressing table that holds `code + 1` and no keys — a probe
+/// compares against `clients[code]` — so a first-seen issuer costs 16 B
+/// of columns and one 4 B slot (load 3/8–3/4), with no allocation of its
+/// own. The §4 grouping is not stored: [`IssuerColumn::frequency_order`]
+/// rebuilds it from `codes` with a counting sort.
 #[derive(Debug, Clone, Default)]
 pub struct IssuerColumn {
     /// Per-transaction dictionary code.
     codes: Vec<u32>,
-    /// Client → code. Codes are stable: never recycled, even if a client's
-    /// postings later empty out.
-    dict: HashMap<ClientId, u32>,
-    /// Code → client (dictionary decode).
+    /// Code → client (dictionary decode). Codes are stable: never
+    /// recycled, even if a client's live count later drops to zero.
     clients: Vec<ClientId>,
-    /// Code → transaction indexes issued by that client, ascending.
-    postings: Vec<Vec<u32>>,
-    /// Code → number of positive feedbacks issued.
+    /// Code → number of live feedbacks issued.
+    counts: Vec<u32>,
+    /// Code → number of live positive feedbacks issued.
     good_counts: Vec<u32>,
+    /// Client → code: linear-probed slots of `code + 1` (0 = empty), a
+    /// power of two long, at most 3/4 full. Slot order depends on the
+    /// process's hash key and is never observable.
+    index: Vec<u32>,
+}
+
+/// Home slot hash of a client. Ids arrive from the socket, so the hash is
+/// SipHash under a key drawn once per process — the HashDoS resistance of
+/// a default `HashMap` — and every index shares the key.
+fn slot_hash(client: ClientId) -> usize {
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    KEY.get_or_init(RandomState::new).hash_one(client) as usize
+}
+
+/// The smallest index (a power of two at load ≤ 3/4) for `clients` entries.
+fn slots_for(clients: usize) -> usize {
+    if clients == 0 {
+        0
+    } else {
+        (clients * 4).div_ceil(3).next_power_of_two()
+    }
+}
+
+/// Appends, growing a full column by `Vec`'s doubling while it is short
+/// and by a quarter from 1024 elements on. Doubling keeps the many short
+/// histories on power-of-two allocation sizes, which the allocator
+/// recycles between servers (quarter steps from the start cost 6 % RSS on
+/// the benchmark's 4096 × 256-feedback population); past a few KiB a
+/// doubled column would leave up to half of its allocation unused.
+fn push_tight<T>(column: &mut Vec<T>, value: T) {
+    if column.len() == column.capacity() && column.len() >= 1024 {
+        column.reserve_exact(column.len() / 4);
+    }
+    column.push(value);
 }
 
 impl IssuerColumn {
@@ -427,25 +468,62 @@ impl IssuerColumn {
         IssuerColumn::default()
     }
 
+    /// Looks `client` up in the index: its code, or the empty slot that
+    /// ends its probe sequence (unused while no table is allocated).
+    fn probe(&self, client: ClientId) -> Result<u32, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = slot_hash(client) & mask;
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                tagged if self.clients[(tagged - 1) as usize] == client => return Ok(tagged - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Rebuilds the index over `clients` with `slots` slots; `None` if a
+    /// client repeats.
+    fn reindex(&mut self, slots: usize) -> Option<()> {
+        self.index = vec![0; slots];
+        for code in 0..self.clients.len() {
+            let slot = self.probe(self.clients[code]).err()?;
+            self.index[slot] = code as u32 + 1;
+        }
+        Some(())
+    }
+
+    /// Adds a first-seen `client`, whose probe ended at `slot`, to the
+    /// dictionary and returns its code.
+    fn mint(&mut self, client: ClientId, mut slot: usize) -> u32 {
+        let entries = self.clients.len() + 1;
+        assert!(entries < u32::MAX as usize, "issuer dictionary is full");
+        if entries * 4 > self.index.len() * 3 {
+            self.reindex(slots_for(entries))
+                .expect("dictionary clients are distinct");
+            slot = self
+                .probe(client)
+                .expect_err("a first-seen client is not indexed");
+        }
+        self.index[slot] = entries as u32;
+        push_tight(&mut self.clients, client);
+        push_tight(&mut self.counts, 0);
+        push_tight(&mut self.good_counts, 0);
+        entries as u32 - 1
+    }
+
     /// Appends the issuer of the next transaction.
     pub fn push(&mut self, client: ClientId, good: bool) {
-        let code = match self.dict.get(&client) {
-            Some(&code) => code,
-            None => {
-                let code = self.clients.len() as u32;
-                self.dict.insert(client, code);
-                self.clients.push(client);
-                self.postings.push(Vec::new());
-                self.good_counts.push(0);
-                code
-            }
+        let code = match self.probe(client) {
+            Ok(code) => code,
+            Err(slot) => self.mint(client, slot),
         };
-        let idx = self.codes.len() as u32;
-        self.codes.push(code);
-        self.postings[code as usize].push(idx);
-        if good {
-            self.good_counts[code as usize] += 1;
-        }
+        push_tight(&mut self.codes, code);
+        self.counts[code as usize] += 1;
+        self.good_counts[code as usize] += u32::from(good);
     }
 
     /// Number of transactions recorded.
@@ -469,62 +547,92 @@ impl IssuerColumn {
 
     /// Number of distinct issuers with at least one feedback.
     pub fn distinct_clients(&self) -> usize {
-        self.postings.iter().filter(|p| !p.is_empty()).count()
+        self.counts.iter().filter(|&&n| n > 0).count()
     }
 
     /// Number of feedbacks issued by `client`.
     pub fn client_count(&self, client: ClientId) -> usize {
-        self.dict
-            .get(&client)
-            .map_or(0, |&code| self.postings[code as usize].len())
+        self.probe(client)
+            .map_or(0, |code| self.counts[code as usize] as usize)
     }
 
     /// All issuers with at least one feedback, most frequent first, ties
     /// broken by ascending client id — the §4 ordering.
     pub fn issuer_groups(&self) -> Vec<IssuerGroup> {
-        let mut groups: Vec<IssuerGroup> = self
-            .postings
-            .iter()
-            .enumerate()
-            .filter(|(_, postings)| !postings.is_empty())
-            .map(|(code, postings)| IssuerGroup {
-                client: self.clients[code],
-                count: postings.len(),
-                good: self.good_counts[code] as usize,
+        self.issuer_groups_with(&[])
+    }
+
+    /// [`IssuerColumn::issuer_groups`] with `folded[code] = (good, total)`
+    /// added to each issuer's live counts (codes past its end add nothing).
+    pub(super) fn issuer_groups_with(&self, folded: &[(u32, u32)]) -> Vec<IssuerGroup> {
+        let mut groups: Vec<IssuerGroup> = (0..self.clients.len())
+            .map(|code| {
+                let (good, total) = folded.get(code).copied().unwrap_or((0, 0));
+                IssuerGroup {
+                    client: self.clients[code],
+                    count: (self.counts[code] + total) as usize,
+                    good: (self.good_counts[code] + good) as usize,
+                }
             })
+            .filter(|group| group.count > 0)
             .collect();
         groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.client.cmp(&b.client)));
         groups
+    }
+
+    /// The counting sort behind the §4 order: live codes sorted most
+    /// frequent first (ties by ascending client id), their counts
+    /// prefix-summed into group offsets, then `place(destination, idx)`
+    /// called once per transaction `idx` in one pass over `codes`.
+    fn scatter(&self, mut place: impl FnMut(usize, usize)) {
+        let mut live: Vec<u32> = (0..self.clients.len() as u32)
+            .filter(|&code| self.counts[code as usize] > 0)
+            .collect();
+        live.sort_by(|&a, &b| {
+            self.counts[b as usize]
+                .cmp(&self.counts[a as usize])
+                .then(self.clients[a as usize].cmp(&self.clients[b as usize]))
+        });
+        let mut next = vec![0u32; self.clients.len()];
+        let mut offset = 0;
+        for code in live {
+            next[code as usize] = offset;
+            offset += self.counts[code as usize];
+        }
+        for (idx, &code) in self.codes.iter().enumerate() {
+            place(next[code as usize] as usize, idx);
+            next[code as usize] += 1;
+        }
     }
 
     /// The §4 issuer-frequency permutation: transaction indexes grouped by
     /// issuer, most frequent issuers first, transaction order preserved
     /// inside each group.
     pub fn frequency_order(&self) -> Vec<u32> {
-        let mut codes: Vec<u32> = (0..self.postings.len() as u32)
-            .filter(|&code| !self.postings[code as usize].is_empty())
-            .collect();
-        codes.sort_by(|&a, &b| {
-            self.postings[b as usize]
-                .len()
-                .cmp(&self.postings[a as usize].len())
-                .then(self.clients[a as usize].cmp(&self.clients[b as usize]))
-        });
-        let mut order = Vec::with_capacity(self.codes.len());
-        for code in codes {
-            order.extend_from_slice(&self.postings[code as usize]);
-        }
+        let mut order = vec![0u32; self.codes.len()];
+        self.scatter(|destination, idx| order[destination] = idx as u32);
         order
     }
 
-    /// Approximate heap bytes held by this column (hash-map entries
-    /// estimated at 48 bytes each).
+    /// `outcomes` (one per transaction of this column) permuted into
+    /// [`IssuerColumn::frequency_order`], scattered bit by bit without
+    /// materializing the permutation.
+    pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
+        let mut words = vec![0u64; self.codes.len().div_ceil(64)];
+        self.scatter(|destination, idx| {
+            words[destination / 64] |= u64::from(outcomes.get(idx)) << (destination % 64);
+        });
+        BitColumn::from_words(words, self.codes.len()).expect("one bit per transaction")
+    }
+
+    /// Heap bytes held by this column: every allocation at its capacity,
+    /// index included.
     pub fn resident_bytes(&self) -> usize {
-        self.codes.len() * 4
-            + self.clients.len() * 8
-            + self.postings.iter().map(|p| p.len() * 4).sum::<usize>()
-            + self.good_counts.len() * 4
-            + self.dict.len() * 48
+        let words = self.codes.capacity()
+            + self.counts.capacity()
+            + self.good_counts.capacity()
+            + self.index.capacity();
+        words * 4 + self.clients.capacity() * 8
     }
 
     /// The dictionary decode table, code order (snapshot payload).
@@ -537,48 +645,61 @@ impl IssuerColumn {
         &self.codes
     }
 
+    /// Folds the oldest `n` transactions out of the column: their
+    /// per-issuer `(good, total)` counts move into `folded` (indexed by
+    /// code) and later positions shift down by `n`. The dictionary and its
+    /// index are kept — codes are stable — so a fold costs O(`n`) plus
+    /// the move of the retained codes, whatever the dictionary holds.
+    pub(super) fn fold_prefix(
+        &mut self,
+        n: usize,
+        outcomes: &BitColumn,
+        folded: &mut Vec<(u32, u32)>,
+    ) {
+        folded.resize(self.clients.len(), (0, 0));
+        for (i, &code) in self.codes[..n].iter().enumerate() {
+            let good = u32::from(outcomes.get(i));
+            let (folded_good, folded_total) = &mut folded[code as usize];
+            *folded_good += good;
+            *folded_total += 1;
+            self.good_counts[code as usize] -= good;
+            self.counts[code as usize] -= 1;
+        }
+        self.codes.drain(..n);
+        if self.codes.capacity() > 2 * self.codes.len() {
+            self.codes.shrink_to_fit();
+        }
+    }
+
     /// Rebuilds a column from its dictionary and per-transaction codes,
-    /// restoring the posting lists and per-issuer good counts from
-    /// `outcomes` in one pass. The result is structurally identical to
-    /// pushing the same `(client, good)` sequence one at a time — but
-    /// without the per-push hash lookups, which is what makes snapshot
-    /// boot cheaper than journal replay.
+    /// restoring the index and the per-issuer counts from `outcomes` in
+    /// one pass each. The result answers every query exactly like a
+    /// column fed the same `(client, good)` sequence one push at a time.
     ///
     /// Returns `None` when the parts are inconsistent: a code out of
     /// dictionary range, a repeated client, or `codes.len()` differing
     /// from `outcomes.len()`.
-    pub fn from_parts(clients: Vec<ClientId>, codes: Vec<u32>, outcomes: &BitColumn) -> Option<Self> {
+    pub fn from_parts(
+        clients: Vec<ClientId>,
+        codes: Vec<u32>,
+        outcomes: &BitColumn,
+    ) -> Option<Self> {
         if codes.len() != outcomes.len() {
             return None;
         }
-        let mut dict = HashMap::with_capacity(clients.len());
-        for (code, &client) in clients.iter().enumerate() {
-            if dict.insert(client, code as u32).is_some() {
-                return None;
-            }
-        }
-        let mut sizes = vec![0u32; clients.len()];
-        for &code in &codes {
-            *sizes.get_mut(code as usize)? += 1;
-        }
-        let mut postings: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        let mut good_counts = vec![0u32; clients.len()];
-        for (idx, &code) in codes.iter().enumerate() {
-            postings[code as usize].push(idx as u32);
-            if outcomes.get(idx) {
-                good_counts[code as usize] += 1;
-            }
-        }
-        Some(IssuerColumn {
+        let mut column = IssuerColumn {
+            counts: vec![0; clients.len()],
+            good_counts: vec![0; clients.len()],
             codes,
-            dict,
             clients,
-            postings,
-            good_counts,
-        })
+            index: Vec::new(),
+        };
+        column.reindex(slots_for(column.clients.len()))?;
+        for (idx, &code) in column.codes.iter().enumerate() {
+            *column.counts.get_mut(code as usize)? += 1;
+            column.good_counts[code as usize] += u32::from(outcomes.get(idx));
+        }
+        Some(column)
     }
 }
 
@@ -702,53 +823,11 @@ impl ColumnarHistory {
         self.reorder.lock().expect("reorder cache lock poisoned").recomputes()
     }
 
-    /// Approximate heap bytes held by this history.
+    /// Heap bytes held by this history.
     pub fn resident_bytes(&self) -> usize {
         self.outcomes.resident_bytes()
             + self.issuers.resident_bytes()
-            + self.times.as_ref().map_or(0, |t| t.len() * 8)
-    }
-
-    /// The packed outcome column (snapshot payload; round-trips through
-    /// [`ColumnarHistory::from_columns`]).
-    pub fn outcome_bits(&self) -> &BitColumn {
-        &self.outcomes
-    }
-
-    /// The issuer dictionary column (snapshot payload).
-    pub fn issuer_column(&self) -> &IssuerColumn {
-        &self.issuers
-    }
-
-    /// Reassembles a single-server history from snapshot columns,
-    /// without a timestamp column. The version stamp is restored to the
-    /// transaction count — exactly where a history built by `len` plain
-    /// pushes lands — so version-keyed caches behave identically on a
-    /// snapshot-booted replica.
-    ///
-    /// Returns `None` when the columns disagree on length or a non-empty
-    /// history arrives without its server.
-    pub fn from_columns(
-        server: Option<ServerId>,
-        outcomes: BitColumn,
-        issuers: IssuerColumn,
-    ) -> Option<Self> {
-        if outcomes.len() != issuers.len() {
-            return None;
-        }
-        if server.is_none() && !outcomes.is_empty() {
-            return None;
-        }
-        let version = outcomes.len() as u64;
-        Some(ColumnarHistory {
-            server: if outcomes.is_empty() { None } else { server },
-            outcomes,
-            issuers,
-            times: None,
-            mixed: false,
-            version,
-            reorder: Mutex::new(ReorderCache::default()),
-        })
+            + self.times.as_ref().map_or(0, |t| t.capacity() * 8)
     }
 
     /// Rebuilds the exact feedback records this history was fed.
@@ -812,11 +891,7 @@ impl HistoryView for ColumnarHistory {
             .lock()
             .expect("reorder cache lock poisoned")
             .get_or_build(self.version, || {
-                let mut bits = BitColumn::new();
-                for idx in self.issuers.frequency_order() {
-                    bits.push(self.outcomes.get(idx as usize));
-                }
-                OwnedColumn::Bits(Arc::new(bits))
+                OwnedColumn::Bits(Arc::new(self.issuers.reordered_outcomes(&self.outcomes)))
             })
     }
 
@@ -847,10 +922,83 @@ impl Extend<Feedback> for ColumnarHistory {
     }
 }
 
+/// The posting-list layout this column replaced — a keyed `HashMap`, and
+/// per issuer a `Vec` of the transaction indexes it issued — kept as the
+/// differential oracle for the flat columns.
+#[cfg(test)]
+#[derive(Default)]
+struct PostingReference {
+    dict: std::collections::HashMap<ClientId, u32>,
+    clients: Vec<ClientId>,
+    postings: Vec<Vec<u32>>,
+    good_counts: Vec<u32>,
+    len: u32,
+}
+
+#[cfg(test)]
+impl PostingReference {
+    fn push(&mut self, client: ClientId, good: bool) {
+        let code = *self.dict.entry(client).or_insert_with(|| {
+            self.clients.push(client);
+            self.postings.push(Vec::new());
+            self.good_counts.push(0);
+            self.clients.len() as u32 - 1
+        });
+        self.postings[code as usize].push(self.len);
+        self.good_counts[code as usize] += u32::from(good);
+        self.len += 1;
+    }
+
+    fn distinct_clients(&self) -> usize {
+        self.postings.iter().filter(|p| !p.is_empty()).count()
+    }
+
+    fn client_count(&self, client: ClientId) -> usize {
+        self.dict
+            .get(&client)
+            .map_or(0, |&code| self.postings[code as usize].len())
+    }
+
+    fn issuer_groups(&self) -> Vec<IssuerGroup> {
+        let mut groups: Vec<IssuerGroup> = self
+            .postings
+            .iter()
+            .enumerate()
+            .filter(|(_, postings)| !postings.is_empty())
+            .map(|(code, postings)| IssuerGroup {
+                client: self.clients[code],
+                count: postings.len(),
+                good: self.good_counts[code] as usize,
+            })
+            .collect();
+        groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.client.cmp(&b.client)));
+        groups
+    }
+
+    fn frequency_order(&self) -> Vec<u32> {
+        let mut codes: Vec<u32> = (0..self.postings.len() as u32)
+            .filter(|&code| !self.postings[code as usize].is_empty())
+            .collect();
+        codes.sort_by(|&a, &b| {
+            self.postings[b as usize]
+                .len()
+                .cmp(&self.postings[a as usize].len())
+                .then(self.clients[a as usize].cmp(&self.clients[b as usize]))
+        });
+        let mut order = Vec::with_capacity(self.len as usize);
+        for code in codes {
+            order.extend_from_slice(&self.postings[code as usize]);
+        }
+        order
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::super::TieredHistory;
     use super::*;
     use hp_stats::PrefixSums;
+    use proptest::prelude::*;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
         Feedback::new(t, ServerId::new(1), ClientId::new(client), Rating::from_good(good))
@@ -988,6 +1136,134 @@ mod tests {
         );
         // Same permutation the reference issuer_frequency_order produces.
         assert_eq!(col.frequency_order(), vec![0, 2, 3, 1, 4]);
+    }
+
+    /// Every issuer query of `column` against the posting-list oracle fed
+    /// the same live `(client, good)` sequence.
+    fn assert_matches_postings(column: &IssuerColumn, live: &[(u64, bool)], pool: u64) {
+        let mut oracle = PostingReference::default();
+        for &(client, good) in live {
+            oracle.push(ClientId::new(client), good);
+        }
+        assert_eq!(column.len(), live.len());
+        assert_eq!(column.frequency_order(), oracle.frequency_order());
+        let outcomes = BitColumn::from_bools(live.iter().map(|&(_, good)| good));
+        let reordered = oracle
+            .frequency_order()
+            .into_iter()
+            .map(|idx| live[idx as usize].1);
+        assert_eq!(
+            column.reordered_outcomes(&outcomes),
+            BitColumn::from_bools(reordered)
+        );
+        assert_eq!(column.issuer_groups(), oracle.issuer_groups());
+        assert_eq!(column.distinct_clients(), oracle.distinct_clients());
+        for client in (0..=pool).map(ClientId::new) {
+            assert_eq!(
+                column.client_count(client),
+                oracle.client_count(client),
+                "{client:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat columns answer exactly like the posting lists they
+        /// replaced: as pushed, after a fold (the dictionary keeps issuers
+        /// whose live count dropped to zero), after more pushes, and
+        /// after an encode → decode round trip.
+        #[test]
+        fn flat_columns_answer_like_posting_lists(
+            pool in 1u64..=40,
+            raw in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..500),
+            horizon in 0usize..=200,
+            split in 0usize..=500,
+        ) {
+            let stream: Vec<(u64, bool)> =
+                raw.iter().map(|&(c, good)| (u64::from(c) % pool, good)).collect();
+            let split = split.min(stream.len());
+            let mut history = TieredHistory::new();
+            for (t, &(client, good)) in stream[..split].iter().enumerate() {
+                history.push(fb(t as u64, client, good));
+            }
+            assert_matches_postings(history.issuer_column(), &stream[..split], pool);
+
+            history.compact(horizon);
+            assert_matches_postings(
+                history.issuer_column(),
+                &stream[history.retained_start()..split],
+                pool,
+            );
+
+            for (t, &(client, good)) in stream.iter().enumerate().skip(split) {
+                history.push(fb(t as u64, client, good));
+            }
+            let live = &stream[history.retained_start()..];
+            assert_matches_postings(history.issuer_column(), live, pool);
+
+            let decoded = TieredHistory::decode(&history.encode()).expect("round trip");
+            assert_matches_postings(decoded.issuer_column(), live, pool);
+            prop_assert_eq!(
+                HistoryView::issuer_groups(&decoded),
+                HistoryView::issuer_groups(&history)
+            );
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_each_malformed_input() {
+        let outcomes = BitColumn::from_bools([true, false, true]);
+        let clients = || vec![ClientId::new(7), ClientId::new(9)];
+        let rebuilt = IssuerColumn::from_parts(clients(), vec![0, 1, 0], &outcomes)
+            .expect("consistent parts");
+        assert_matches_postings(&rebuilt, &[(7, true), (9, false), (7, true)], 9);
+        assert!(
+            IssuerColumn::from_parts(clients(), vec![0, 2, 0], &outcomes).is_none(),
+            "code out of range"
+        );
+        let repeated = vec![ClientId::new(7), ClientId::new(7)];
+        assert!(
+            IssuerColumn::from_parts(repeated, vec![0, 1, 0], &outcomes).is_none(),
+            "repeated client"
+        );
+        assert!(
+            IssuerColumn::from_parts(clients(), vec![0, 1], &outcomes).is_none(),
+            "length mismatch"
+        );
+    }
+
+    #[test]
+    fn ids_sharing_their_low_bits_do_not_cluster_in_the_index() {
+        // 10 000 ids that differ only above bit 20: an index hashing by
+        // low bits would put them all in one probe run (quadratic pushes).
+        const IDS: usize = 10_000;
+        let mut column = IssuerColumn::new();
+        for i in 0..IDS as u64 {
+            column.push(ClientId::new(i << 20), true);
+        }
+        assert_eq!(column.distinct_clients(), IDS);
+        let mask = column.index.len() - 1;
+        assert!(IDS * 4 <= column.index.len() * 3, "load above 3/4");
+        // Total displacement from home slots = probes beyond the first,
+        // summed over every issuer; linear probing at load ≤ 3/4 expects
+        // about 1.5 per entry.
+        let displaced: usize = (0..column.index.len())
+            .filter(|&slot| column.index[slot] != 0)
+            .map(|slot| {
+                let client = column.clients[(column.index[slot] - 1) as usize];
+                slot.wrapping_sub(slot_hash(client)) & mask
+            })
+            .sum();
+        assert!(
+            displaced < 8 * IDS,
+            "{displaced} extra probes for {IDS} ids"
+        );
+        for i in (0..IDS as u64).step_by(97) {
+            assert_eq!(column.client_count(ClientId::new(i << 20)), 1);
+        }
+        assert_eq!(column.client_count(ClientId::new(1)), 0);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!   plus prefix sums of good transactions and a per-client index. Keeps
 //!   full records, supports pop (append–test–revert), and anchors the
 //!   bit-identity property tests.
-//! * [`ColumnarHistory`] — the bit-packed columnar engine (~8 bytes per
-//!   transaction instead of ~48): outcomes in a [`BitColumn`], issuers
-//!   in an [`IssuerColumn`], timestamps optional.
+//! * [`ColumnarHistory`] — the bit-packed columnar engine (~4.3 B per
+//!   transaction + ~21–27 B per distinct issuer, instead of ~48 B per
+//!   transaction): outcomes in a [`BitColumn`], issuers in an
+//!   [`IssuerColumn`], timestamps optional.
 //!
 //! Every assessment path — the three behavior-testing schemes, the trust
 //! functions, and [`crate::TwoPhaseAssessor`] — consumes either through

@@ -11,13 +11,13 @@
 //!   transaction index:  0 ............ folded_len ............. len
 //!                       [  folded prefix  ][   retained suffix    ]
 //!                        summary counts      full-resolution bits
-//!                        (good, total) per    + issuer postings
+//!                        (good, total) per    + issuer codes
 //!                        issuer, exact
 //! ```
 //!
 //! Every query that fits the retained suffix — any end-aligned window
 //! count, any suffix rate, the totals every trust function consumes, and
-//! the issuer groups (merged exactly from summaries + postings) — is
+//! the issuer groups (summary counts + live suffix counts, per code) — is
 //! bit-identical to the untiered [`super::ColumnarHistory`]. A query that
 //! reaches into the folded prefix degrades to a typed
 //! [`StatsError::HorizonExceeded`] (or panics where the untiered path
@@ -29,7 +29,6 @@
 use crate::feedback::Feedback;
 use crate::id::{ClientId, ServerId};
 use hp_stats::StatsError;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use super::columnar::{BitColumn, IssuerColumn};
@@ -58,15 +57,6 @@ pub struct TieredColumn {
 }
 
 impl TieredColumn {
-    /// An uncompacted column over `suffix` (nothing folded yet).
-    pub fn from_suffix(suffix: BitColumn) -> Self {
-        TieredColumn {
-            folded_len: 0,
-            folded_good: 0,
-            suffix,
-        }
-    }
-
     /// Total number of outcomes (folded + retained).
     pub fn len(&self) -> usize {
         self.folded_len + self.suffix.len()
@@ -85,16 +75,6 @@ impl TieredColumn {
     /// First position still held at full bit resolution.
     pub fn retained_start(&self) -> usize {
         self.folded_len
-    }
-
-    /// Good outcomes among the folded prefix.
-    pub fn folded_good(&self) -> u64 {
-        self.folded_good
-    }
-
-    /// The retained full-resolution suffix.
-    pub fn suffix(&self) -> &BitColumn {
-        &self.suffix
     }
 
     /// Number of good outcomes in `[start, end)`.
@@ -214,7 +194,7 @@ impl TieredColumn {
 #[derive(Debug, Default)]
 pub struct TieredHistory {
     column: TieredColumn,
-    /// Issuer dictionary + postings for the retained suffix. The
+    /// Issuer dictionary + codes for the retained suffix. The
     /// dictionary spans the *whole* history (codes are stable and never
     /// recycled), so folded summary codes stay decodable.
     issuers: IssuerColumn,
@@ -271,31 +251,18 @@ impl TieredHistory {
         let drop = target - self.column.folded_len;
         debug_assert!(drop.is_multiple_of(64));
 
-        // Migrate the dropped positions' issuer counts into the summary.
-        self.folded_by_code.resize(self.issuers.clients().len(), (0, 0));
-        for (i, &code) in self.issuers.codes()[..drop].iter().enumerate() {
-            let (good, total) = &mut self.folded_by_code[code as usize];
-            *total += 1;
-            if self.column.suffix.get(i) {
-                *good += 1;
-                self.column.folded_good += 1;
-            }
-        }
+        // Migrate the dropped positions' issuer counts into the summary;
+        // the dictionary and its index stay as they are.
+        self.column.folded_good += self.column.suffix.count_range(0, drop);
+        self.issuers
+            .fold_prefix(drop, &self.column.suffix, &mut self.folded_by_code);
 
         // Rebuild the retained suffix from its surviving whole words.
         let words = self.column.suffix.words()[drop / 64..].to_vec();
         let new_len = self.column.suffix.len() - drop;
-        let suffix = BitColumn::from_words(words, new_len)
+        self.column.suffix = BitColumn::from_words(words, new_len)
             .expect("word-aligned fold preserves the suffix invariants");
-        let issuers = IssuerColumn::from_parts(
-            self.issuers.clients().to_vec(),
-            self.issuers.codes()[drop..].to_vec(),
-            &suffix,
-        )
-        .expect("the full dictionary decodes every retained code");
-        self.column.suffix = suffix;
         self.column.folded_len = target;
-        self.issuers = issuers;
         drop
     }
 
@@ -339,7 +306,7 @@ impl TieredHistory {
         &self.column
     }
 
-    /// The issuer dictionary + suffix postings (snapshot payload; the
+    /// The issuer dictionary + suffix codes (snapshot payload; the
     /// dictionary spans the whole history).
     pub fn issuer_column(&self) -> &IssuerColumn {
         &self.issuers
@@ -352,49 +319,20 @@ impl TieredHistory {
         &self.folded_by_code
     }
 
-    /// Approximate heap bytes held by the full-resolution tier (suffix
-    /// bits + issuer dictionary and postings).
+    /// Heap bytes held by the full-resolution tier (suffix bits, issuer
+    /// codes, and the dictionary with its counts and index).
     pub fn suffix_resident_bytes(&self) -> usize {
         self.column.suffix.resident_bytes() + self.issuers.resident_bytes()
     }
 
-    /// Approximate heap bytes held by the folded summary tier.
+    /// Heap bytes held by the folded summary tier.
     pub fn summary_resident_bytes(&self) -> usize {
-        self.folded_by_code.len() * std::mem::size_of::<(u32, u32)>()
+        self.folded_by_code.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 
-    /// Approximate heap bytes held by this history (both resident tiers).
+    /// Heap bytes held by this history (both resident tiers).
     pub fn resident_bytes(&self) -> usize {
         self.suffix_resident_bytes() + self.summary_resident_bytes()
-    }
-
-    /// Reassembles an *untiered* history from snapshot columns — the
-    /// [`super::ColumnarHistory::from_columns`] equivalent, with the
-    /// version stamp restored to the transaction count.
-    ///
-    /// Returns `None` when the columns disagree on length or a non-empty
-    /// history arrives without its server.
-    pub fn from_columns(
-        server: Option<ServerId>,
-        outcomes: BitColumn,
-        issuers: IssuerColumn,
-    ) -> Option<Self> {
-        if outcomes.len() != issuers.len() {
-            return None;
-        }
-        if server.is_none() && !outcomes.is_empty() {
-            return None;
-        }
-        let version = outcomes.len() as u64;
-        Some(TieredHistory {
-            server: if outcomes.is_empty() { None } else { server },
-            column: TieredColumn::from_suffix(outcomes),
-            issuers,
-            folded_by_code: Vec::new(),
-            mixed: false,
-            version,
-            reorder: Mutex::new(ReorderCache::default()),
-        })
     }
 
     /// Serializes the full tiered state to a little-endian byte payload —
@@ -570,27 +508,10 @@ impl HistoryView for TieredHistory {
     }
 
     fn issuer_groups(&self) -> Vec<IssuerGroup> {
-        // Merge folded summaries with suffix postings per client. Both
-        // sides are exact per-issuer counts, so the merged groups equal
-        // the untiered history's groups exactly (same sort, same ties).
-        let mut by_client: HashMap<ClientId, (usize, usize)> = HashMap::new();
-        for g in self.issuers.issuer_groups() {
-            by_client.insert(g.client, (g.count, g.good));
-        }
-        let clients = self.issuers.clients();
-        for (code, &(good, total)) in self.folded_by_code.iter().enumerate() {
-            if total > 0 {
-                let entry = by_client.entry(clients[code]).or_insert((0, 0));
-                entry.0 += total as usize;
-                entry.1 += good as usize;
-            }
-        }
-        let mut groups: Vec<IssuerGroup> = by_client
-            .into_iter()
-            .map(|(client, (count, good))| IssuerGroup { client, count, good })
-            .collect();
-        groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.client.cmp(&b.client)));
-        groups
+        // Folded summaries and live suffix counts are both exact and both
+        // indexed by code, so their sums equal the untiered history's
+        // groups exactly (same sort, same ties).
+        self.issuers.issuer_groups_with(&self.folded_by_code)
     }
 
     fn reordered_column(&self) -> OwnedColumn {
@@ -610,11 +531,9 @@ impl HistoryView for TieredHistory {
             .lock()
             .expect("reorder cache lock poisoned")
             .get_or_build(self.version, || {
-                let mut bits = BitColumn::new();
-                for idx in self.issuers.frequency_order() {
-                    bits.push(self.column.suffix.get(idx as usize));
-                }
-                OwnedColumn::Bits(Arc::new(bits))
+                OwnedColumn::Bits(Arc::new(
+                    self.issuers.reordered_outcomes(&self.column.suffix),
+                ))
             })
     }
 
@@ -802,6 +721,31 @@ mod tests {
         assert_eq!(back.server(), None);
     }
 
+    /// FNV-1a over a payload (the pinned-bytes test's fingerprint).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encode_bytes_are_those_of_the_posting_list_layout() {
+        // Length and fingerprint of `encode()` for this fixed stream as
+        // produced by the per-issuer posting-list layout (PR 12): storage
+        // changes behind `IssuerColumn` must not move a byte on disk.
+        let mut history = TieredHistory::new();
+        for t in 0..1500u64 {
+            let client = (t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 300;
+            history.push(fb(t, client, (t * 11 + t / 5) % 3 != 0));
+            if t == 700 {
+                history.compact(200);
+            }
+        }
+        history.compact(256);
+        let bytes = history.encode();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (6025, 0xcc82_b3ef_93b1_adfe));
+    }
+
     #[test]
     fn decode_rejects_corruption() {
         let mut tiered: TieredHistory = mixed_history(300).into_iter().collect();
@@ -833,23 +777,5 @@ mod tests {
             "compacted {after} bytes should be well under a quarter of {before}"
         );
         assert!(tiered.summary_resident_bytes() > 0);
-    }
-
-    #[test]
-    fn from_columns_matches_columnar_semantics() {
-        let records = mixed_history(130);
-        let columnar: ColumnarHistory = records.iter().copied().collect();
-        let tiered = TieredHistory::from_columns(
-            Some(ServerId::new(1)),
-            columnar.outcome_bits().clone(),
-            columnar.issuer_column().clone(),
-        )
-        .expect("valid columns");
-        assert_eq!(tiered.len(), 130);
-        assert_eq!(tiered.version(), 130);
-        assert_eq!(tiered.server(), Some(ServerId::new(1)));
-        assert_eq!(tiered.good_count(), columnar.good_count());
-        // Length mismatch and missing server are rejected.
-        assert!(TieredHistory::from_columns(None, columnar.outcome_bits().clone(), IssuerColumn::new()).is_none());
     }
 }
