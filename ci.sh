@@ -252,7 +252,7 @@ PYEOF
 
 echo "==> calibration bench (writes experiments/out/bench_calibration.json)"
 if [ "$QUICK" -eq 0 ]; then
-    # The bench binary itself asserts bit-identical thresholds across
+    # The bench binary itself asserts bit-identical surface builds across
     # calibration thread counts, surface error within tolerance, and
     # zero decisive verdict flips between the surface-backed and
     # oracle services; a violation fails this step directly.
@@ -283,7 +283,14 @@ if gate["surface_max_error"] > gate["tolerance"]:
 if gate["verdict_flips"] != 0:
     sys.exit(f"surface flipped {gate['verdict_flips']} decisive verdicts")
 if not gate["crn_identical"]:
-    sys.exit("calibrated thresholds depend on the thread count")
+    sys.exit("the built surface depends on the calibration thread count")
+if gate["surface_build_ms"] > base["max_surface_build_ms"]:
+    sys.exit(
+        f"cold-boot regression: the default surface builds in "
+        f"{gate['surface_build_ms']} ms on one thread "
+        f"> {base['max_surface_build_ms']} ms (the sort-free trial kernel "
+        f"or the partial quantile ordering was lost)"
+    )
 boot_speedup = gate["boot_oracle_ms"] / gate["boot_surface_ms"]
 if boot_speedup < base["min_boot_speedup"]:
     sys.exit(
@@ -304,7 +311,10 @@ print(
     f"{gate['surface_max_error']} <= tolerance {gate['tolerance']}; "
     f"{gate['verdict_flips']} flips / {gate['knife_edge']} knife-edge "
     f"of {gate['verdicts_compared']}; boot {boot_speedup:.1f}x, "
-    f"growth assess {growth_speedup:.0f}x over the oracle wall"
+    f"growth assess {growth_speedup:.0f}x over the oracle wall; surface "
+    f"build {gate['surface_build_ms']} ms serial, "
+    f"{gate['surface_build_2t_ms']} ms on two threads "
+    f"(ceiling {base['max_surface_build_ms']} ms)"
 )
 PYEOF
 

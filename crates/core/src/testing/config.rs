@@ -87,7 +87,6 @@ pub struct BehaviorTestConfig {
     correction: Correction,
     calibration_trials: usize,
     calibration_threads: usize,
-    calibration_serial_cutoff: usize,
     calibration_surface: Option<SurfaceParams>,
     large_k_cutoff: usize,
     p_bucket: f64,
@@ -108,7 +107,6 @@ impl Default for BehaviorTestConfig {
             correction: Correction::default(),
             calibration_trials: 2000,
             calibration_threads: 1,
-            calibration_serial_cutoff: 1 << 16,
             calibration_surface: None,
             large_k_cutoff: 2048,
             p_bucket: 0.005,
@@ -197,23 +195,19 @@ impl BehaviorTestConfig {
         self.calibration_trials
     }
 
-    /// Calibration worker threads (1 = serial). Thread count never changes
-    /// thresholds: calibration draws from fixed per-chunk RNG streams, so
-    /// any value here yields bit-identical verdicts.
+    /// Workers the threshold-surface build spreads its row jobs over
+    /// (1 = serial); a live threshold miss always calibrates its one row on
+    /// the calling thread. Thread count never changes thresholds: a row's
+    /// samples depend on the seed and the row alone, so any value here
+    /// yields bit-identical verdicts.
     pub fn calibration_threads(&self) -> usize {
         self.calibration_threads
     }
 
-    /// Calibration jobs with `trials * k` below this stay serial even with
-    /// multiple threads configured (a pure performance knob).
-    pub fn calibration_serial_cutoff(&self) -> usize {
-        self.calibration_serial_cutoff
-    }
-
     /// Returns a copy with the calibration thread count replaced. Safe to
-    /// apply at deployment time (the hp-service pre-warm path defaults it
-    /// to the machine's available parallelism): thresholds are
-    /// bit-identical at every thread count.
+    /// apply at deployment time (hp-service defaults it to the machine's
+    /// available parallelism for its boot-time surface build): thresholds
+    /// are bit-identical at every thread count.
     #[must_use]
     pub fn with_calibration_threads(mut self, threads: usize) -> Self {
         self.calibration_threads = threads;
@@ -246,7 +240,6 @@ impl BehaviorTestConfig {
             distance: self.distance,
             large_k_cutoff: self.large_k_cutoff,
             threads: self.calibration_threads,
-            serial_cutoff: self.calibration_serial_cutoff,
             surface: self.calibration_surface,
         }
     }
@@ -375,16 +368,10 @@ impl BehaviorTestConfigBuilder {
         self
     }
 
-    /// Sets the number of calibration worker threads.
+    /// Sets the number of workers for the threshold-surface build's row
+    /// fan-out.
     pub fn calibration_threads(mut self, threads: usize) -> Self {
         self.config.calibration_threads = threads;
-        self
-    }
-
-    /// Sets the `trials * k` size below which calibration jobs stay serial
-    /// regardless of the thread count.
-    pub fn calibration_serial_cutoff(mut self, cutoff: usize) -> Self {
-        self.config.calibration_serial_cutoff = cutoff;
         self
     }
 
@@ -486,16 +473,13 @@ mod tests {
             .confidence(0.9)
             .calibration_trials(123)
             .calibration_threads(3)
-            .calibration_serial_cutoff(512)
             .build()
             .unwrap();
         assert_eq!(c.calibration_threads(), 3);
-        assert_eq!(c.calibration_serial_cutoff(), 512);
         let cal = c.calibration_config();
         assert_eq!(cal.trials, 123);
         assert_eq!(cal.confidence, 0.9);
         assert_eq!(cal.threads, 3);
-        assert_eq!(cal.serial_cutoff, 512);
     }
 
     #[test]

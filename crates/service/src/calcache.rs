@@ -392,6 +392,12 @@ mod tests {
         assert_eq!(loaded.surface_layers, 0);
         assert!(loaded.installed > 0);
         assert!(reconfigured.surface().is_none());
+        assert!(reconfigured.ensure_surface_for(10).unwrap());
+        assert_eq!(
+            reconfigured.cache_stats(),
+            (0, 0),
+            "the rebuild reads the loaded rows: no Monte Carlo, and no hits charged to traffic"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -255,10 +255,13 @@ pub struct ServiceConfig {
     short_history: ShortHistoryPolicy,
     prewarm_lengths: Vec<usize>,
     prewarm_p_hats: Vec<f64>,
-    /// Calibration worker threads for the shared calibrator; `None` means
-    /// "use the machine's available parallelism" (resolved at service
-    /// start). Safe to vary per deployment: chunked calibration RNG makes
-    /// thresholds bit-identical at every thread count.
+    /// Workers the shared calibrator spreads the boot-time threshold-surface
+    /// build's row jobs over; `None` means "use the machine's available
+    /// parallelism" (resolved at service start). A live threshold miss
+    /// (and every pre-warm grid row) calibrates serially on the thread
+    /// that asked. Safe to vary per deployment: a row's samples depend on
+    /// the seed and the row alone, so thresholds are bit-identical at
+    /// every thread count.
     calibration_threads: Option<usize>,
     /// Where the calibration cache is persisted across restarts (`None`
     /// disables persistence). Loaded before pre-warm at boot, written on
@@ -359,14 +362,16 @@ impl ServiceConfig {
         self
     }
 
-    /// Calibration worker threads for the shared calibrator (builder
-    /// style). `None` (the default) resolves to the machine's available
-    /// parallelism when the service starts; `Some(n)` pins the count.
+    /// Workers for the shared calibrator's threshold-surface build
+    /// (builder style). `None` (the default) resolves to the machine's
+    /// available parallelism when the service starts; `Some(n)` pins the
+    /// count.
     ///
-    /// This only changes how fast the pre-warm grid and cold threshold
-    /// misses calibrate — never what they calibrate to: the calibrator's
-    /// chunked RNG streams produce bit-identical thresholds at every
-    /// thread count, so online verdicts stay exactly equal to the offline
+    /// This only changes how fast a cold boot builds the surface (its row
+    /// jobs run `n` at a time; the pre-warm grid and cold threshold misses
+    /// calibrate one row at a time regardless) — never what anything
+    /// calibrates to: a row's samples depend on the seed and the row
+    /// alone, so online verdicts stay exactly equal to the offline
     /// (serial) assessor's.
     #[must_use]
     pub fn with_calibration_threads(mut self, threads: Option<usize>) -> Self {

@@ -304,9 +304,9 @@ impl ReputationService {
             boot.set_shards(config.shards() as u64);
         }
         // The effective test resolves the calibration thread count (auto =
-        // available parallelism) so the pre-warm grid below calibrates in
-        // parallel; chunked calibration RNG keeps the resulting thresholds
-        // bit-identical to a serial (offline) calibrator's.
+        // available parallelism) so the surface build below runs its row
+        // jobs in parallel; per-row calibration RNG keeps the resulting
+        // thresholds bit-identical to a serial (offline) calibrator's.
         let effective_test = config.effective_test();
         let calibrator = Arc::new(
             ThresholdCalibrator::new(effective_test.calibration_config())

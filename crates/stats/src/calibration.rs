@@ -6,10 +6,13 @@
 //! and picks ε at the 95% confidence point. [`ThresholdCalibrator`]
 //! implements exactly that, plus the engineering the paper glosses over:
 //!
-//! * **common random numbers** — one batch of `k` sorted uniform draws per
+//! * **common random numbers** — one batch of `k` uniform draws per
 //!   `(m, k)` is pushed through every p̂ bucket's binomial inverse cdf, so
 //!   a single Monte-Carlo job calibrates the *entire p̂ row* of the cache
-//!   (every bucket × a ladder of confidence levels) instead of one key,
+//!   (every bucket × a ladder of confidence levels) instead of one key.
+//!   The batch is never sorted: each draw is dropped into its slot of the
+//!   row's sorted cdf bounds and one prefix sum yields every bucket's bin
+//!   counts (see `BoundIndex`),
 //! * **single-flight dedup** — concurrent misses on the same `(m, k)` row
 //!   wait for one in-flight job instead of each running their own,
 //! * **an interpolated threshold surface** ([`crate::surface`]) consulted
@@ -17,10 +20,11 @@
 //! * **caching** keyed by `(m, k, p̂-bucket, confidence)` so that the
 //!   strategic attacker loop and the multi-test (which call this thousands
 //!   of times with nearly identical parameters) stay fast,
-//! * **parallel** Monte Carlo via crossbeam scoped threads for large jobs
-//!   (jobs below [`CalibrationConfig::serial_cutoff`] stay serial), with
-//!   trials drawn from fixed per-chunk RNG streams so thresholds are
-//!   bit-identical at every thread count,
+//! * **a row-level fan-out** for the surface build: its cold `(m, k)` rows
+//!   are spread over [`CalibrationConfig::threads`] workers, each row job
+//!   running whole on one worker. A job draws its trials from fixed
+//!   per-chunk RNG streams seeded by `(seed, m, k)` alone, so thresholds
+//!   are bit-identical at every thread count,
 //! * **asymptotic extrapolation** for very large sample counts `k`: the L¹
 //!   statistic scales as `Θ(1/√k)`, so beyond a cutoff we calibrate at the
 //!   cutoff and scale by `√(k₀/k)` instead of simulating hundreds of
@@ -28,7 +32,6 @@
 
 use crate::binomial::Binomial;
 use crate::distance::DistanceKind;
-use crate::empirical::Histogram;
 use crate::error::StatsError;
 use crate::quantile::quantile_sorted;
 use crate::rng::{derive_seed, seeded_rng};
@@ -37,7 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::RngExt;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
@@ -61,17 +64,17 @@ pub struct CalibrationConfig {
     /// calibration at the cutoff using the `1/√k` law instead of simulated
     /// directly (default 2048).
     pub large_k_cutoff: usize,
-    /// Number of worker threads for large Monte-Carlo jobs (1 = serial).
+    /// Number of workers the surface build
+    /// ([`ThresholdCalibrator::ensure_surface_for`]) spreads its cold rows
+    /// over (1 = serial); each row job runs whole on one worker. Every
+    /// other Monte-Carlo job — a live single-row miss,
+    /// [`ThresholdCalibrator::distance_samples`] — runs serially on the
+    /// calling thread whatever this is set to.
     ///
-    /// Thread count never changes results: trials are drawn from fixed
-    /// per-chunk RNG streams (see [`ThresholdCalibrator`]), so any
-    /// `threads` value produces bit-identical thresholds.
+    /// Thread count never changes results: a row's samples depend on
+    /// `(seed, m, k)` alone, so any `threads` value produces bit-identical
+    /// thresholds.
     pub threads: usize,
-    /// Jobs with `trials · k · buckets` below this run serially regardless
-    /// of `threads` — thread spawn/join overhead dwarfs small jobs (default
-    /// `1 << 16`; `0` parallelizes everything). A pure performance knob:
-    /// chunked RNG streams make the output identical either way.
-    pub serial_cutoff: usize,
     /// When set, an interpolated threshold surface is built over the
     /// oracle (see [`ThresholdCalibrator::ensure_surface_for`]) and
     /// consulted before the cache. `None` (the default) serves every
@@ -93,7 +96,6 @@ impl Default for CalibrationConfig {
             distance: DistanceKind::L1,
             large_k_cutoff: 2048,
             threads: 1,
-            serial_cutoff: 1 << 16,
             surface: None,
         }
     }
@@ -375,11 +377,11 @@ impl ThresholdCalibrator {
     ///
     /// Two calibrators with equal fingerprints produce bit-identical
     /// thresholds for every key, so a persisted cache is valid exactly
-    /// when its recorded fingerprint matches. Thread count, the serial
-    /// cutoff, and the surface parameters are deliberately excluded:
-    /// chunked RNG streams make the first two pure performance knobs,
-    /// and the surface is an error-bounded view over the oracle, not a
-    /// change to it (persisted surfaces additionally record their own
+    /// when its recorded fingerprint matches. Thread count and the
+    /// surface parameters are deliberately excluded: row jobs are seeded
+    /// by `(seed, m, k)` alone, which makes the first a pure performance
+    /// knob, and the surface is an error-bounded view over the oracle, not
+    /// a change to it (persisted surfaces additionally record their own
     /// parameters).
     pub fn fingerprint(&self) -> u64 {
         let c = &self.config;
@@ -585,16 +587,29 @@ impl ThresholdCalibrator {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((eps, ThresholdProvenance::Cache));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let result = self.calibrate_row(m, k, key, confidence);
-        add_calibration_nanos(start.elapsed().as_nanos() as u64);
-        result.map(|eps| (eps, ThresholdProvenance::MonteCarlo))
+        self.calibrate_row(m, k, key, confidence)
+            .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
     }
 
     /// The miss path: join or lead the single-flight row job for `(m, k)`
-    /// until the requested key is cached.
+    /// until the requested key is cached, counting one miss and charging
+    /// the wall time to the calling thread.
     fn calibrate_row(
+        &self,
+        m: u32,
+        k: usize,
+        key: CacheKey,
+        confidence: f64,
+    ) -> Result<f64, StatsError> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
+        let result = self.lead_or_join_row_job(m, k, key, confidence);
+        add_calibration_nanos(start.elapsed().as_nanos() as u64);
+        result
+    }
+
+    /// Runs the `(m, k)` row job, or sleeps on whoever is running it.
+    fn lead_or_join_row_job(
         &self,
         m: u32,
         k: usize,
@@ -654,17 +669,24 @@ impl ThresholdCalibrator {
             confidences.push((requested_millis, requested_confidence));
         }
 
-        // Quantiles for every confidence come from one sorted copy per
-        // bucket; mean/variance are taken in draw order first so each
-        // value is bit-identical to `tail_quantile` on the raw samples.
+        // Quantiles for every confidence come from one partially ordered
+        // copy per bucket — only the order statistics from the lowest one
+        // any confidence reads upward are put in place; mean/variance are
+        // taken in draw order first so each value is bit-identical to
+        // `tail_quantile` on the raw samples.
+        let lowest = confidences
+            .iter()
+            .map(|&(_, confidence)| lowest_rank_read(self.config.trials, confidence))
+            .min()
+            .expect("the ladder has a base rung");
         let mut computed: Vec<(CacheKey, f64)> =
             Vec::with_capacity(per_bucket.len() * confidences.len());
-        for (index, samples) in per_bucket.into_iter().enumerate() {
+        for (index, mut samples) in per_bucket.into_iter().enumerate() {
             let var = variance(&samples);
-            let mut sorted = samples;
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            samples.select_nth_unstable_by(lowest, f64::total_cmp);
+            samples[lowest..].sort_unstable_by(f64::total_cmp);
             for &(millis, confidence) in &confidences {
-                let eps = tail_quantile_sorted(&sorted, var, confidence)?;
+                let eps = tail_quantile_sorted(&samples, var, confidence)?;
                 computed.push((
                     CacheKey {
                         m,
@@ -711,7 +733,7 @@ impl ThresholdCalibrator {
     }
 
     /// The common-random-number sampler: draws `trials` batches of `k`
-    /// sorted uniforms from RNG streams seeded by `(seed, m, k)` alone and
+    /// uniforms from RNG streams seeded by `(seed, m, k)` alone and
     /// thresholds each batch through every bucket's binomial inverse cdf.
     /// Returns one distance-sample vector per entry of `ps`, each in trial
     /// order.
@@ -722,16 +744,19 @@ impl ThresholdCalibrator {
         ps: &[f64],
         trials: usize,
     ) -> Result<Vec<Vec<f64>>, StatsError> {
-        if k == 0 {
+        // Bin counts are held as `u32`; a batch that could overflow one is
+        // far beyond what a Monte-Carlo job can draw anyway.
+        if k == 0 || u32::try_from(k).is_err() {
             return Err(StatsError::InvalidCount {
                 what: "sample-set size k",
-                value: 0,
+                value: k,
             });
         }
         let models = ps
             .iter()
             .map(|&p| BucketModel::new(m, p))
             .collect::<Result<Vec<_>, _>>()?;
+        let index = BoundIndex::new(&models)?;
         // The job seed deliberately ignores p: every bucket is carved from
         // the same uniform batch (common random numbers), which is what
         // lets one job fill a whole row and keeps the threshold-vs-p̂
@@ -739,63 +764,24 @@ impl ThresholdCalibrator {
         let job_seed = derive_seed(self.seed, derive_seed(m as u64, k as u64));
 
         // Trials are drawn in fixed chunks, each from its own RNG stream
-        // derived from (job_seed, chunk index). Serial evaluation walks the
-        // chunks in order; parallel evaluation hands each worker a
-        // *contiguous* chunk range and concatenates in worker order — the
-        // same chunk sequence either way, so the sample vectors (and thus
-        // every threshold) are bit-identical at any thread count.
-        let chunks = trials.div_ceil(CHUNK_TRIALS);
-        let distance = self.config.distance;
-        let run_chunk = |c: usize, outs: &mut [Vec<f64>]| {
-            let count = CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS);
-            run_crn_trials(
-                &models,
-                distance,
-                m,
-                k,
-                count,
-                derive_seed(job_seed, c as u64 + 1),
-                outs,
-            );
-        };
-
-        let threads = self.config.threads.min(chunks).max(1);
+        // derived from (job_seed, chunk index): the chunk sequence, not a
+        // schedule, defines the sample sequence.
+        let mut slots = vec![0u32; index.sorted.len()];
         let mut outs: Vec<Vec<f64>> = ps.iter().map(|_| Vec::with_capacity(trials)).collect();
-        if threads == 1 || trials * k * ps.len().max(1) < self.config.serial_cutoff {
-            for c in 0..chunks {
-                run_chunk(c, &mut outs);
+        for c in 0..trials.div_ceil(CHUNK_TRIALS) {
+            let mut rng = seeded_rng(derive_seed(job_seed, c as u64 + 1));
+            for _ in 0..CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS) {
+                let uniforms = (0..k).map(|_| rng.random::<f64>());
+                run_crn_trial(
+                    &index,
+                    &models,
+                    self.config.distance,
+                    uniforms,
+                    &mut slots,
+                    |bucket, d| outs[bucket].push(d),
+                );
             }
-            return Ok(outs);
         }
-
-        let per = chunks.div_ceil(threads);
-        let buckets = ps.len();
-        crossbeam::scope(|scope| {
-            let run_chunk = &run_chunk;
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * per;
-                let hi = chunks.min(lo + per);
-                if lo >= hi {
-                    continue;
-                }
-                handles.push(scope.spawn(move |_| {
-                    let mut part: Vec<Vec<f64>> =
-                        (0..buckets).map(|_| Vec::with_capacity((hi - lo) * CHUNK_TRIALS)).collect();
-                    for c in lo..hi {
-                        run_chunk(c, &mut part);
-                    }
-                    part
-                }));
-            }
-            for h in handles {
-                let part = h.join().expect("calibration worker panicked");
-                for (bucket, partial) in part.into_iter().enumerate() {
-                    outs[bucket].extend(partial);
-                }
-            }
-        })
-        .expect("calibration scope panicked");
         Ok(outs)
     }
 
@@ -803,7 +789,9 @@ impl ThresholdCalibrator {
     /// rows on the geometric k-grid (plus the midpoints used for error
     /// measurement), reads the grid values from the cache, and measures
     /// the interpolation error exhaustively along p̂ and at the geometric
-    /// k midpoints.
+    /// k midpoints. The reads are the build's own bookkeeping, not
+    /// traffic: they leave the hit counter alone (the row jobs still count
+    /// as misses).
     fn build_layers(&self, m: u32, params: SurfaceParams) -> Result<Vec<SurfaceLayer>, StatsError> {
         params.validate()?;
         let cutoff = self.config.large_k_cutoff;
@@ -829,19 +817,46 @@ impl ThresholdCalibrator {
         let confidences = confidence_ladder(self.config.confidence);
 
         // Warm every needed row: one single-flight Monte-Carlo job per k
-        // (cache hits when a persisted file or live traffic already
-        // filled it).
-        for &k in k_grid.iter().chain(k_mids.iter()) {
-            self.threshold_at(m, k, 0.0, self.config.confidence)?;
-        }
+        // that a persisted file or live traffic has not already filled.
+        let key = |k: usize, p_bucket_index: u32, confidence_millis: u32| CacheKey {
+            m,
+            k,
+            p_bucket_index,
+            confidence_millis,
+        };
+        let mut cold: Vec<usize> = {
+            let cache = self.cache.read();
+            k_grid
+                .iter()
+                .chain(k_mids.iter())
+                .copied()
+                .filter(|&k| {
+                    !(0..=max_index).all(|index| {
+                        confidences
+                            .iter()
+                            .all(|&(millis, _)| cache.contains_key(&key(k, index, millis)))
+                    })
+                })
+                .collect()
+        };
+        // Largest k first: the costliest jobs start while every worker is
+        // still busy, the cheap ones fill the gaps at the end.
+        cold.sort_unstable_by(|a, b| b.cmp(a));
+        self.fill_rows(m, &cold)?;
 
+        // One guard for every read below; nothing evicts, so each warmed
+        // entry is there.
+        let cache = self.cache.read();
+        let oracle = |k: usize, index: u32, millis: u32| -> f64 {
+            *cache
+                .get(&key(k, index, millis))
+                .expect("row was warmed above and the cache never evicts")
+        };
         let mut layers = Vec::with_capacity(confidences.len());
-        for &(millis, confidence) in &confidences {
+        for &(millis, _) in &confidences {
             let mut values = Vec::with_capacity(k_grid.len() * p_nodes.len());
             for &k in &k_grid {
-                for &node in &p_nodes {
-                    values.push(self.threshold_at(m, k, self.p_bucket_center(node), confidence)?);
-                }
+                values.extend(p_nodes.iter().map(|&node| oracle(k, node, millis)));
             }
             let mut layer = SurfaceLayer {
                 m,
@@ -854,12 +869,10 @@ impl ThresholdCalibrator {
             let mut worst = 0.0f64;
             for &k in k_grid.iter().chain(k_mids.iter()) {
                 for index in 0..=max_index {
-                    let oracle =
-                        self.threshold_at(m, k, self.p_bucket_center(index), confidence)?;
                     let interpolated = layer
                         .interpolate(k, index)
                         .expect("measurement point inside the grid span");
-                    worst = worst.max((interpolated - oracle).abs());
+                    worst = worst.max((interpolated - oracle(k, index, millis)).abs());
                 }
             }
             // 1.5× headroom over the worst measured point: the error
@@ -869,6 +882,43 @@ impl ThresholdCalibrator {
             layers.push(layer);
         }
         Ok(layers)
+    }
+
+    /// Runs the row jobs for `ks` (window size `m`) on up to
+    /// [`CalibrationConfig::threads`] workers, the caller included. Workers
+    /// take rows in slice order; a row job, post-processing included, runs
+    /// whole on the worker that took it, through the same single-flight
+    /// miss path as live traffic.
+    fn fill_rows(&self, m: u32, ks: &[usize]) -> Result<(), StatsError> {
+        let confidence = self.config.confidence;
+        let confidence_millis = quantize_confidence(confidence);
+        let next = AtomicUsize::new(0);
+        let work = || -> Result<(), StatsError> {
+            // Relaxed: the counter only hands out distinct indices.
+            while let Some(&k) = ks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let key = CacheKey {
+                    m,
+                    k,
+                    p_bucket_index: 0,
+                    confidence_millis,
+                };
+                self.calibrate_row(m, k, key, confidence)?;
+            }
+            Ok(())
+        };
+        let helpers = self.config.threads.min(ks.len()).saturating_sub(1);
+        if helpers == 0 {
+            return work();
+        }
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
+            let mine = work();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("calibration worker panicked"))
+                .fold(mine, Result::and)
+        })
+        .expect("calibration scope panicked")
     }
 
     fn p_bucket_index(&self, p: f64) -> u32 {
@@ -882,8 +932,8 @@ impl ThresholdCalibrator {
 
 /// One p̂ bucket's binomial model, ready for inverse-cdf thresholding: the
 /// cdf table mirrors `Binomial::table_sampler`'s construction (pmf prefix
-/// sums with the last entry forced to 1.0), so carving a sorted uniform
-/// batch at the cdf steps draws the same distribution the sampler would.
+/// sums with the last entry forced to 1.0), so carving a uniform batch at
+/// the cdf steps draws the same distribution the sampler would.
 struct BucketModel {
     cdf: Vec<f64>,
     pmf: Vec<f64>,
@@ -926,16 +976,17 @@ fn tail_quantile(samples: &[f64], confidence: f64) -> Result<f64, StatsError> {
 }
 
 /// The row-fill fast path of [`tail_quantile`]: callers that take many
-/// quantiles of one sample sort once and pass the variance computed in the
-/// original draw order, which keeps every value bit-identical to
+/// quantiles of one sample order it once and pass the variance computed in
+/// the original draw order, which keeps every value bit-identical to
 /// `tail_quantile` on the unsorted samples (summation order matters in
-/// floating point).
+/// floating point). `sorted` need only hold its order statistics from
+/// [`lowest_rank_read`] of the lowest confidence asked upward.
 fn tail_quantile_sorted(sorted: &[f64], var: f64, confidence: f64) -> Result<f64, StatsError> {
     let n = sorted.len();
     if n == 0 {
         return Err(StatsError::EmptyInput { what: "quantile" });
     }
-    let achievable = 1.0 - (10.0 / n as f64).min(0.5);
+    let achievable = resolvable_confidence(n);
     if confidence <= achievable {
         return Ok(quantile_sorted(sorted, confidence));
     }
@@ -947,6 +998,18 @@ fn tail_quantile_sorted(sorted: &[f64], var: f64, confidence: f64) -> Result<f64
     let z_anchor = crate::ci::standard_normal_quantile(achievable);
     let z_conf = crate::ci::standard_normal_quantile(confidence);
     Ok(anchor + (z_conf - z_anchor) * sigma)
+}
+
+/// The highest quantile `n` samples resolve (leaving ~10 in the tail).
+fn resolvable_confidence(n: usize) -> f64 {
+    1.0 - (10.0 / n as f64).min(0.5)
+}
+
+/// The lowest order statistic [`tail_quantile_sorted`] reads for
+/// `confidence` over `n` samples (`quantile_sorted`'s lower neighbour).
+fn lowest_rank_read(n: usize, confidence: f64) -> usize {
+    let q = confidence.min(resolvable_confidence(n));
+    (q * n.saturating_sub(1) as f64).floor() as usize
 }
 
 /// `(n−1)`-denominator variance, summed in input order (bit-stability
@@ -965,56 +1028,259 @@ fn variance(samples: &[f64]) -> f64 {
 }
 
 /// Trials per independent RNG stream. Each chunk of this many trials is
-/// seeded by `(job_seed, chunk index)` alone, which is what makes serial
-/// and parallel schedules emit the same sample sequence: the partition of
-/// chunks over threads can change, the chunks themselves cannot.
+/// seeded by `(job_seed, chunk index)` alone: the chunk sequence defines a
+/// row's sample sequence, whichever worker runs the job.
 const CHUNK_TRIALS: usize = 64;
 
-/// Draws `trials` sorted uniform batches and thresholds each through every
-/// bucket model, appending one distance per trial to each bucket's output
-/// vector (common random numbers: every bucket sees the same batch).
-fn run_crn_trials(
+/// A row job's cdf bounds — the `m + 1` inverse-cdf steps of every bucket
+/// model — in one sorted array, so a uniform batch answers
+/// `#{u ≤ bound}` for all of them in one pass: each draw increments the
+/// slot of the first bound `≥ u`, and the prefix sum through a bound's
+/// slot counts exactly the draws `≤` it. That count is an integer, so it
+/// equals what sorting the batch and bisecting per bound would give, ties
+/// and duplicate bounds (p̂ = 0, p̂ = 1) included.
+struct BoundIndex {
+    /// Every bound, ascending, then an `INFINITY` sentinel that ends the
+    /// scan in [`Self::slot`].
+    sorted: Vec<f64>,
+    /// `rank[bucket · (m + 1) + c]`: where that bucket's c-th cdf step
+    /// sits in `sorted`.
+    rank: Vec<u32>,
+    /// Direct-address table over `[0, 1]`: `cell_start[i]` is the number
+    /// of bounds below `i / cells`, where a draw in cell `i` starts its
+    /// scan.
+    cell_start: Vec<u32>,
+    /// Cell count; a power of two, so `u · cells` and `i / cells` are
+    /// exact and a draw never lands in a cell whose lower edge exceeds it.
+    cells: f64,
+}
+
+impl BoundIndex {
+    fn new(models: &[BucketModel]) -> Result<Self, StatsError> {
+        let mut order: Vec<(f64, usize)> = models
+            .iter()
+            .flat_map(|model| &model.cdf)
+            .copied()
+            .zip(0..)
+            .collect();
+        if u32::try_from(order.len()).is_err() {
+            return Err(StatsError::InvalidCount {
+                what: "cdf bounds in one calibration row",
+                value: order.len(),
+            });
+        }
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut rank = vec![0u32; order.len()];
+        for (position, &(_, id)) in order.iter().enumerate() {
+            rank[id] = position as u32;
+        }
+        let mut sorted: Vec<f64> = order.iter().map(|&(bound, _)| bound).collect();
+        // Four or more cells per bound: most cells then hold none, and a
+        // draw's scan ends at its first comparison.
+        let cells = (4 * sorted.len()).next_power_of_two();
+        let cell_start = (0..=cells)
+            .map(|i| sorted.partition_point(|&b| b < i as f64 / cells as f64) as u32)
+            .collect();
+        sorted.push(f64::INFINITY);
+        Ok(BoundIndex {
+            sorted,
+            rank,
+            cell_start,
+            cells: cells as f64,
+        })
+    }
+
+    /// Index in `sorted` of the first bound `≥ u`, for `u ∈ [0, 1]`.
+    #[inline]
+    fn slot(&self, u: f64) -> usize {
+        let mut slot = self.cell_start[(u * self.cells) as usize] as usize;
+        while self.sorted[slot] < u {
+            slot += 1;
+        }
+        slot
+    }
+}
+
+/// One Monte-Carlo trial: thresholds one uniform batch through every
+/// bucket model and hands `emit` each bucket's distance between the
+/// resulting bin counts and its pmf (common random numbers: every bucket
+/// sees the same batch). `slots` is scratch, one per entry of
+/// `index.sorted`.
+fn run_crn_trial(
+    index: &BoundIndex,
     models: &[BucketModel],
     distance: DistanceKind,
-    m: u32,
-    k: usize,
-    trials: usize,
-    seed: u64,
-    outs: &mut [Vec<f64>],
+    uniforms: impl Iterator<Item = f64>,
+    slots: &mut [u32],
+    mut emit: impl FnMut(usize, f64),
 ) {
-    let mut rng = seeded_rng(seed);
-    let mut uniforms = vec![0.0f64; k];
-    let mut counts = vec![0u64; m as usize + 1];
-    let mut hist = Histogram::new(m).expect("support construction cannot fail");
-    for _ in 0..trials {
-        for u in uniforms.iter_mut() {
-            *u = rng.random();
-        }
-        uniforms.sort_by(|a, b| a.partial_cmp(b).expect("uniform draws are finite"));
-        for (bucket, model) in models.iter().enumerate() {
-            // Bin counts by cumulative partition: #{u ≤ cdf[c]} is the
-            // number of draws the inverse cdf maps into 0..=c, so
-            // adjacent differences are the per-value counts — O(m log k)
-            // per bucket instead of O(k log m) resampling.
-            let mut prev = 0usize;
-            for (slot, &bound) in counts.iter_mut().zip(&model.cdf) {
-                let cum = uniforms.partition_point(|&u| u <= bound);
-                *slot = (cum - prev) as u64;
-                prev = cum;
-            }
-            hist.set_counts(&counts)
-                .expect("counts vector matches the support by construction");
-            let d = distance
-                .distance(&hist, &model.pmf)
-                .expect("non-empty histogram with matching support");
-            outs[bucket].push(d);
-        }
+    slots.fill(0);
+    for u in uniforms {
+        slots[index.slot(u)] += 1;
+    }
+    let mut at_or_below = 0u32;
+    for slot in slots.iter_mut() {
+        at_or_below += *slot;
+        *slot = at_or_below;
+    }
+    // `slots[rank]` is now #{u ≤ bound}: the number of draws the inverse
+    // cdf maps into 0..=c, so adjacent differences along a bucket's cdf
+    // are its per-value counts.
+    let support = models.first().map_or(1, |model| model.cdf.len());
+    let per_bucket = models.iter().zip(index.rank.chunks_exact(support));
+    for (bucket, (model, ranks)) in per_bucket.enumerate() {
+        // The counts telescope, so their sum is the last cumulative one.
+        let total = f64::from(slots[ranks[support - 1] as usize]);
+        let mut prev = 0u32;
+        let masses = ranks.iter().map(|&rank| {
+            let cumulative = slots[rank as usize];
+            let count = cumulative - prev;
+            prev = cumulative;
+            f64::from(count) / total
+        });
+        emit(bucket, distance.of_masses(masses, &model.pmf));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::empirical::Histogram;
+    use proptest::prelude::*;
+
+    /// The differential oracle for [`run_crn_trial`]: the kernel this
+    /// file shipped before — sort the batch, bisect it at every cdf step,
+    /// build a [`Histogram`] per bucket.
+    fn reference_crn_trial(
+        models: &[BucketModel],
+        distance: DistanceKind,
+        uniforms: &mut [f64],
+    ) -> Vec<f64> {
+        uniforms.sort_by(|a, b| a.partial_cmp(b).expect("uniform draws are finite"));
+        models
+            .iter()
+            .map(|model| {
+                let mut counts = vec![0u64; model.cdf.len()];
+                let mut prev = 0usize;
+                for (slot, &bound) in counts.iter_mut().zip(&model.cdf) {
+                    let cum = uniforms.partition_point(|&u| u <= bound);
+                    *slot = (cum - prev) as u64;
+                    prev = cum;
+                }
+                let hist = Histogram::from_counts(counts).unwrap();
+                distance.distance(&hist, &model.pmf).unwrap()
+            })
+            .collect()
+    }
+
+    /// [`ThresholdCalibrator::crn_samples`] over the reference kernel: the
+    /// same chunk streams, the same draw order.
+    fn reference_crn_samples(
+        cal: &ThresholdCalibrator,
+        m: u32,
+        k: usize,
+        ps: &[f64],
+    ) -> Vec<Vec<f64>> {
+        let models: Vec<BucketModel> =
+            ps.iter().map(|&p| BucketModel::new(m, p).unwrap()).collect();
+        let job_seed = derive_seed(cal.seed, derive_seed(m as u64, k as u64));
+        let trials = cal.config.trials;
+        let mut outs = vec![Vec::with_capacity(trials); ps.len()];
+        let mut uniforms = vec![0.0f64; k];
+        for c in 0..trials.div_ceil(CHUNK_TRIALS) {
+            let mut rng = seeded_rng(derive_seed(job_seed, c as u64 + 1));
+            for _ in 0..CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS) {
+                for u in uniforms.iter_mut() {
+                    *u = rng.random();
+                }
+                let distances =
+                    reference_crn_trial(&models, cal.config.distance, &mut uniforms);
+                for (out, d) in outs.iter_mut().zip(distances) {
+                    out.push(d);
+                }
+            }
+        }
+        outs
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| row.iter().map(|d| d.to_bits()).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The slot kernel reproduces the sort-and-bisect kernel bit for
+        /// bit, sample by sample, for every metric — degenerate buckets
+        /// (p = 0, p = 1: eleven coincident bounds each) always included.
+        #[test]
+        fn kernel_matches_the_sort_and_bisect_reference(
+            seed in any::<u64>(),
+            m in 1u32..=32,
+            k in 1usize..=3000,
+            kind in 0usize..5,
+            inner in proptest::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let cal = ThresholdCalibrator::new(CalibrationConfig {
+                trials: 70, // two chunk streams, the second one partial
+                distance: DistanceKind::all()[kind],
+                ..CalibrationConfig::default()
+            })
+            .unwrap()
+            .with_seed(seed);
+            let mut ps = vec![0.0, 1.0];
+            ps.extend(inner);
+            let got = cal.crn_samples(m, k, &ps, cal.config.trials).unwrap();
+            let want = reference_crn_samples(&cal, m, k, &ps);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn draws_on_a_bound_count_as_at_or_below_it() {
+        // B(2, ½) has cdf steps ¼, ¾, 1 — exactly representable, so draws
+        // can sit exactly on them; p = 0 and p = 1 add coincident bounds
+        // at 0 and 1, and a second B(2, ½) duplicates the inner steps.
+        let models: Vec<BucketModel> = [0.5, 0.0, 1.0, 0.5]
+            .iter()
+            .map(|&p| BucketModel::new(2, p).unwrap())
+            .collect();
+        assert_eq!(models[0].cdf, [0.25, 0.75, 1.0]);
+        assert_eq!(models[1].cdf, [1.0, 1.0, 1.0]);
+        assert_eq!(models[2].cdf, [0.0, 0.0, 1.0]);
+        let index = BoundIndex::new(&models).unwrap();
+        let batch = [0.75, 0.0, 0.25, 0.25, 0.5, 0.75 - f64::EPSILON, 0.25 + f64::EPSILON];
+        let kernel = |distance: DistanceKind| -> Vec<f64> {
+            let mut slots = vec![0u32; index.sorted.len()];
+            let mut got = vec![f64::NAN; models.len()];
+            let uniforms = batch.iter().copied();
+            run_crn_trial(&index, &models, distance, uniforms, &mut slots, |bucket, d| {
+                got[bucket] = d
+            });
+            got
+        };
+        for distance in DistanceKind::all() {
+            let want = reference_crn_trial(&models, distance, &mut batch.clone());
+            assert_eq!(bits(&[kernel(distance)]), bits(&[want]), "{distance:?}");
+        }
+        // And the counts themselves, for the metric-free part: 0, ¼, ¼ are
+        // ≤ ¼ (three draws map to value 0); ¼+ε, ½, ¾−ε, ¾ are ≤ ¾.
+        let l1 = kernel(DistanceKind::L1);
+        let by_hand = Histogram::from_counts(vec![3, 4, 0]).unwrap();
+        assert_eq!(
+            l1[0].to_bits(),
+            DistanceKind::L1.distance(&by_hand, &models[0].pmf).unwrap().to_bits()
+        );
+        assert_eq!(l1[3].to_bits(), l1[0].to_bits(), "duplicate bucket, same counts");
+        // Only the draw at exactly 0 is ≤ the p = 1 bucket's bound at 0.
+        let at_zero = Histogram::from_counts(vec![1, 0, 6]).unwrap();
+        assert_eq!(
+            l1[2].to_bits(),
+            DistanceKind::L1.distance(&at_zero, &models[2].pmf).unwrap().to_bits()
+        );
+    }
 
     fn calibrator(trials: usize) -> ThresholdCalibrator {
         ThresholdCalibrator::new(CalibrationConfig {
@@ -1285,73 +1551,68 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_distribution() {
-        // Chunked RNG streams make the thread count irrelevant to the
-        // output: every thread layout must produce the *bit-identical*
-        // threshold, not merely a statistically close one.
-        let serial = ThresholdCalibrator::new(CalibrationConfig {
-            trials: 4000,
-            threads: 1,
-            p_bucket: 0.05,
-            ..Default::default()
-        })
-        .unwrap()
-        .with_seed(3);
-        let reference = serial.threshold(10, 64, 0.9).unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel = ThresholdCalibrator::new(CalibrationConfig {
-                trials: 4000,
-                threads,
-                p_bucket: 0.05,
-                ..Default::default()
-            })
-            .unwrap()
-            .with_seed(3);
-            let got = parallel.threshold(10, 64, 0.9).unwrap();
+    fn a_confidence_below_the_ladder_gets_the_full_sort_quantile() {
+        // 0.5 reads order statistics far below the ladder's 0.95 base
+        // rung: the partial ordering in `run_row_job` must reach down to
+        // it, and still serve the ladder from the same ordered copy.
+        let cal = coarse_calibrator(401);
+        let samples = cal.distance_samples(10, 25, 0.9).unwrap();
+        for confidence in [0.5, 0.013, 0.95, 0.999] {
+            let eps = cal.threshold_at(10, 25, 0.9, confidence).unwrap();
             assert_eq!(
-                got.to_bits(),
-                reference.to_bits(),
-                "threads={threads}: {got} vs serial {reference}"
+                eps.to_bits(),
+                tail_quantile(&samples, confidence).unwrap().to_bits(),
+                "confidence {confidence}"
             );
         }
+        // The off-ladder request that ran the job also filled the ladder.
+        let fresh = coarse_calibrator(401);
+        let _ = fresh.threshold_at(10, 25, 0.9, 0.5).unwrap();
+        assert_eq!(
+            fresh.threshold(10, 25, 0.9).unwrap().to_bits(),
+            tail_quantile(&samples, 0.95).unwrap().to_bits()
+        );
+        assert_eq!(fresh.stats().oracle_jobs, 1);
     }
 
     #[test]
-    fn parallel_samples_are_bit_identical_to_serial() {
-        // The raw sample *sequence* — not just its quantile — must be
-        // independent of the thread count and of the serial cutoff.
-        let base = CalibrationConfig {
-            trials: 1000,
-            serial_cutoff: 0, // force the parallel dispatch path
-            ..Default::default()
+    fn surface_build_counts_its_row_jobs_and_none_of_its_reads() {
+        let config = CalibrationConfig {
+            trials: 200,
+            p_bucket: 0.05,
+            large_k_cutoff: 64,
+            threads: 2,
+            surface: Some(SurfaceParams {
+                tolerance: 10.0,
+                ..Default::default()
+            }),
+            ..CalibrationConfig::default()
         };
-        let serial = ThresholdCalibrator::new(CalibrationConfig {
-            threads: 1,
-            ..base
-        })
-        .unwrap()
-        .with_seed(11);
-        let reference = serial.distance_samples(10, 80, 0.9).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel = ThresholdCalibrator::new(CalibrationConfig {
-                threads,
-                ..base
-            })
-            .unwrap()
-            .with_seed(11);
-            let got = parallel.distance_samples(10, 80, 0.9).unwrap();
-            assert_eq!(got, reference, "threads={threads}");
-        }
-        // A high serial cutoff routes the same job serially; output is
-        // unchanged because the chunk sequence is.
-        let cutoff = ThresholdCalibrator::new(CalibrationConfig {
-            threads: 8,
-            serial_cutoff: usize::MAX,
-            ..base
-        })
-        .unwrap()
-        .with_seed(11);
-        assert_eq!(cutoff.distance_samples(10, 80, 0.9).unwrap(), reference);
+        let cold = ThresholdCalibrator::new(config).unwrap();
+        assert!(cold.ensure_surface_for(10).unwrap());
+        let rows = cold.stats().oracle_jobs;
+        assert!(rows >= 3, "grid rows plus midpoints: {rows}");
+        assert_eq!(cold.cache_stats(), (0, rows), "one miss per row job, no hits");
+
+        // A warm boot that preloaded the rows (but no layers) rebuilds
+        // the identical surface without a job and without touching the
+        // traffic counters.
+        let warm = ThresholdCalibrator::new(config).unwrap();
+        warm.preload_cache(cold.export_cache());
+        assert!(warm.ensure_surface_for(10).unwrap());
+        assert_eq!(warm.stats().oracle_jobs, 0);
+        assert_eq!(warm.cache_stats(), (0, 0));
+        assert_eq!(warm.surface().unwrap().layers(), cold.surface().unwrap().layers());
+
+        // A row the file held only part of is completed by one job.
+        let partial = ThresholdCalibrator::new(config).unwrap();
+        let mut entries = cold.export_cache();
+        let dropped = entries.pop().expect("rows were exported");
+        partial.preload_cache(entries);
+        assert!(partial.ensure_surface_for(10).unwrap());
+        assert_eq!(partial.cache_stats(), (0, 1));
+        assert_eq!(partial.cache_len(), cold.cache_len());
+        assert!(partial.export_cache().contains(&dropped));
     }
 
     #[test]
@@ -1407,12 +1668,9 @@ mod tests {
             fp(CalibrationConfig { confidence: 0.99, ..base }, 1),
             reference
         );
-        // Pure performance knobs never invalidate a persisted cache —
-        // and neither does the error-gated surface view.
-        assert_eq!(
-            fp(CalibrationConfig { threads: 8, serial_cutoff: 0, ..base }, 1),
-            reference
-        );
+        // The thread count never invalidates a persisted cache — and
+        // neither does the error-gated surface view.
+        assert_eq!(fp(CalibrationConfig { threads: 8, ..base }, 1), reference);
         assert_eq!(
             fp(
                 CalibrationConfig {

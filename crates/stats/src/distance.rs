@@ -34,34 +34,37 @@ impl DistanceKind {
     /// and [`StatsError::OutOfSupport`] if the supports disagree.
     pub fn distance(&self, hist: &Histogram, pmf: &[f64]) -> Result<f64, StatsError> {
         check_inputs(hist, pmf)?;
-        let emp = hist.pmf_table();
-        Ok(match self {
-            DistanceKind::L1 => l1(&emp, pmf),
-            DistanceKind::TotalVariation => l1(&emp, pmf) / 2.0,
-            DistanceKind::L2 => emp
-                .iter()
-                .zip(pmf)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt(),
+        let total = hist.len() as f64;
+        Ok(self.of_masses(hist.counts().iter().map(|&c| c as f64 / total), pmf))
+    }
+
+    /// This distance between an empirical pmf, given as its masses in
+    /// support order, and the reference `pmf`: the one definition of the
+    /// arithmetic, shared by [`Self::distance`] and the calibration kernel
+    /// (which derives the masses from bin counts without materializing a
+    /// [`Histogram`]). The caller guarantees matching supports.
+    pub(crate) fn of_masses(&self, emp: impl Iterator<Item = f64>, pmf: &[f64]) -> f64 {
+        let pairs = emp.zip(pmf);
+        match self {
+            DistanceKind::L1 => l1(pairs),
+            DistanceKind::TotalVariation => l1(pairs) / 2.0,
+            DistanceKind::L2 => pairs.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt(),
             DistanceKind::KolmogorovSmirnov => {
                 let mut acc_e = 0.0;
                 let mut acc_p = 0.0;
                 let mut worst: f64 = 0.0;
-                for (a, b) in emp.iter().zip(pmf) {
+                for (a, b) in pairs {
                     acc_e += a;
                     acc_p += b;
                     worst = worst.max((acc_e - acc_p).abs());
                 }
                 worst
             }
-            DistanceKind::ChiSquare => emp
-                .iter()
-                .zip(pmf)
+            DistanceKind::ChiSquare => pairs
                 .filter(|(_, &p)| p > 0.0)
                 .map(|(a, &p)| (a - p) * (a - p) / p)
                 .sum(),
-        })
+        }
     }
 
     /// All supported metrics, for sweeps and ablations.
@@ -102,8 +105,8 @@ fn check_inputs(hist: &Histogram, pmf: &[f64]) -> Result<(), StatsError> {
     Ok(())
 }
 
-fn l1(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+fn l1<'a>(pairs: impl Iterator<Item = (f64, &'a f64)>) -> f64 {
+    pairs.map(|(x, y)| (x - y).abs()).sum()
 }
 
 /// L¹ distance between an empirical histogram and a reference pmf —

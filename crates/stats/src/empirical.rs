@@ -189,10 +189,10 @@ impl Histogram {
 
     /// Builds a histogram directly from per-value counts (index = value).
     ///
-    /// The common-random-numbers calibration path computes bin counts by
-    /// partitioning one sorted uniform batch through a cdf table; this
-    /// constructor turns those counts into a histogram without replaying
-    /// individual samples.
+    /// For callers that already hold bin counts (the calibration kernel's
+    /// reference implementation bisects a sorted uniform batch at the cdf
+    /// steps): turns them into a histogram without replaying individual
+    /// samples.
     ///
     /// # Errors
     ///
@@ -204,28 +204,6 @@ impl Histogram {
         }
         let total = counts.iter().sum();
         Ok(Histogram { counts, total })
-    }
-
-    /// Replaces the recorded counts wholesale, keeping the support.
-    ///
-    /// O(support) and allocation-free — the hot-loop counterpart of
-    /// [`Histogram::from_counts`] for callers that reuse one histogram
-    /// across many trials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::OutOfSupport`] if `counts` does not match the
-    /// support length exactly.
-    pub fn set_counts(&mut self, counts: &[u64]) -> Result<(), StatsError> {
-        if counts.len() != self.counts.len() {
-            return Err(StatsError::OutOfSupport {
-                value: counts.len() as u64,
-                max: self.max_value() as u64,
-            });
-        }
-        self.counts.copy_from_slice(counts);
-        self.total = counts.iter().sum();
-        Ok(())
     }
 
     /// Merges another histogram over the same support into this one.
@@ -338,17 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_and_set_counts_match_sampled_construction() {
+    fn from_counts_matches_sampled_construction() {
         let sampled = Histogram::from_samples(3, [0u32, 1, 1, 2, 2, 2, 3, 3]).unwrap();
         let built = Histogram::from_counts(vec![1, 2, 3, 2]).unwrap();
         assert_eq!(built, sampled);
-        let mut reused = Histogram::new(3).unwrap();
-        reused.add(0).unwrap();
-        reused.set_counts(&[1, 2, 3, 2]).unwrap();
-        assert_eq!(reused, sampled);
-        assert_eq!(reused.len(), 8);
+        assert_eq!(built.len(), 8);
         assert!(Histogram::from_counts(vec![]).is_err());
-        assert!(reused.set_counts(&[1, 2]).is_err());
     }
 
     #[test]

@@ -111,31 +111,6 @@ proptest! {
             );
         }
     }
-
-    /// Common-random-number sample streams are bit-identical at any
-    /// thread count and for any seed — the thread layout only partitions
-    /// fixed per-chunk RNG streams.
-    #[test]
-    fn crn_samples_are_bit_identical_across_thread_counts(
-        seed in any::<u64>(),
-        threads in 2usize..=8,
-        k in 1usize..=60,
-    ) {
-        let config = CalibrationConfig {
-            trials: 200,
-            serial_cutoff: 0, // force the parallel dispatch path
-            ..CalibrationConfig::default()
-        };
-        let serial = ThresholdCalibrator::new(CalibrationConfig { threads: 1, ..config })
-            .unwrap()
-            .with_seed(seed);
-        let parallel = ThresholdCalibrator::new(CalibrationConfig { threads, ..config })
-            .unwrap()
-            .with_seed(seed);
-        let reference = serial.distance_samples(M, k, 0.9).unwrap();
-        let got = parallel.distance_samples(M, k, 0.9).unwrap();
-        prop_assert_eq!(got, reference);
-    }
 }
 
 /// The serving gate: a surface whose measured bound exceeds the
@@ -161,5 +136,45 @@ fn lookups_at_grid_nodes_are_oracle_exact() {
                 "grid node k={k} p={p} must be oracle-exact"
             );
         }
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn default_surface_build_is_bit_identical_to_the_sorting_kernel_at_every_thread_count() {
+    // Length and fingerprint of every cache entry the default surface
+    // build leaves behind (13 row jobs: 201 p̂ buckets × 14 confidence
+    // rungs each, exported sorted by key) as computed by the kernel that
+    // sorted every uniform batch and bisected it per cdf step (PR 13). A
+    // faster kernel or a cheaper quantile selection must not move a bit
+    // of any threshold (threads = 1), and neither may which worker ran a
+    // row or the order rows finished in (threads > 1).
+    for threads in [1usize, 2, 4, 8] {
+        let cal = ThresholdCalibrator::new(CalibrationConfig {
+            threads,
+            surface: Some(SurfaceParams::default()),
+            ..CalibrationConfig::default()
+        })
+        .unwrap();
+        assert!(cal.ensure_surface_for(M).unwrap());
+        let entries = cal.export_cache();
+        let mut bytes = Vec::with_capacity(entries.len() * 28);
+        for e in &entries {
+            bytes.extend_from_slice(&e.m.to_le_bytes());
+            bytes.extend_from_slice(&(e.k as u64).to_le_bytes());
+            bytes.extend_from_slice(&e.p_bucket_index.to_le_bytes());
+            bytes.extend_from_slice(&e.confidence_millis.to_le_bytes());
+            bytes.extend_from_slice(&e.epsilon.to_bits().to_le_bytes());
+        }
+        assert_eq!(
+            (entries.len(), fnv1a(&bytes)),
+            (36_582, 0xe2a0_583b_f539_a6b6),
+            "threads={threads}"
+        );
     }
 }
