@@ -24,7 +24,7 @@ use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use super::view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
+use super::view::{lock_reorder, ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
 use super::TransactionHistory;
 
 /// A boolean outcome column packed 64 per `u64`, with an incrementally
@@ -402,6 +402,23 @@ impl BitColumn {
             len,
         })
     }
+
+    /// This column cut back to its first `len` outcomes. Only the packed
+    /// words are read: the tail bits are cleared and the prefix popcounts
+    /// recounted by [`BitColumn::from_words`], so a column a panic left
+    /// half-pushed comes back whole. `None` when the words hold fewer
+    /// than `len` outcomes.
+    pub(super) fn truncated(self, len: usize) -> Option<Self> {
+        let mut words = self.words;
+        if words.len() < len.div_ceil(64) {
+            return None;
+        }
+        words.truncate(len.div_ceil(64));
+        if !len.is_multiple_of(64) {
+            *words.last_mut().expect("len > 0 implies a word") &= (1u64 << (len % 64)) - 1;
+        }
+        BitColumn::from_words(words, len)
+    }
 }
 
 /// A dictionary-encoded issuer column: four flat columns and an
@@ -701,6 +718,37 @@ impl IssuerColumn {
         }
         Some(column)
     }
+
+    /// This column cut back to its first `len` transactions and first
+    /// `dict_len` dictionary entries. Only the append-only primaries
+    /// (`codes`, `clients`) are read; counts and index are rebuilt from
+    /// them and `outcomes` by [`IssuerColumn::from_parts`]. `None` when a
+    /// primary is shorter than asked or the cut parts are inconsistent.
+    pub(super) fn truncated(self, len: usize, dict_len: usize, outcomes: &BitColumn) -> Option<Self> {
+        let IssuerColumn {
+            mut codes,
+            mut clients,
+            ..
+        } = self;
+        if codes.len() < len || clients.len() < dict_len {
+            return None;
+        }
+        codes.truncate(len);
+        clients.truncate(dict_len);
+        IssuerColumn::from_parts(clients, codes, outcomes)
+    }
+
+    /// Test seam: the dictionary half of a push with no `codes` entry —
+    /// mints `client` if it is new and, with `bump`, counts a feedback
+    /// for it. What a panic inside [`IssuerColumn::push`] could leave.
+    #[cfg(test)]
+    pub(super) fn push_without_code(&mut self, client: ClientId, bump: bool) {
+        let code = match self.probe(client) {
+            Ok(code) => code,
+            Err(slot) => self.mint(client, slot),
+        };
+        self.counts[code as usize] += u32::from(bump);
+    }
 }
 
 /// A server's transaction history in columnar form — the single storage
@@ -820,7 +868,7 @@ impl ColumnarHistory {
     /// How many times this instance actually rebuilt the §4 reordering
     /// (cache-miss count; see [`HistoryView::reordered_column`]).
     pub fn reorder_recomputes(&self) -> u64 {
-        self.reorder.lock().expect("reorder cache lock poisoned").recomputes()
+        lock_reorder(&self.reorder).recomputes()
     }
 
     /// Heap bytes held by this history.
@@ -868,7 +916,7 @@ impl Clone for ColumnarHistory {
             version: self.version,
             // Keep the warm column (it is an Arc bump); the recompute
             // counter describes work done by *this* instance and resets.
-            reorder: Mutex::new(self.reorder.lock().expect("reorder cache lock poisoned").cloned()),
+            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
         }
     }
 }
@@ -887,9 +935,7 @@ impl HistoryView for ColumnarHistory {
     }
 
     fn reordered_column(&self) -> OwnedColumn {
-        self.reorder
-            .lock()
-            .expect("reorder cache lock poisoned")
+        lock_reorder(&self.reorder)
             .get_or_build(self.version, || {
                 OwnedColumn::Bits(Arc::new(self.issuers.reordered_outcomes(&self.outcomes)))
             })

@@ -27,7 +27,7 @@ mod tiered;
 mod view;
 
 pub use columnar::{BitColumn, ColumnarHistory, IssuerColumn};
-pub use tiered::{TieredColumn, TieredHistory};
+pub use tiered::{HistoryMark, TieredColumn, TieredHistory, TruncateError};
 pub use view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn};
 
 use crate::feedback::{Feedback, Rating};
@@ -35,7 +35,7 @@ use crate::id::{ClientId, ServerId};
 use hp_stats::{PrefixSums, StatsError};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use view::ReorderCache;
+use view::{lock_reorder, ReorderCache};
 
 /// A server's transaction history, in transaction order.
 ///
@@ -273,7 +273,7 @@ impl TransactionHistory {
     /// How many times this instance actually rebuilt the §4 reordering
     /// (cache-miss count; see [`HistoryView::reordered_column`]).
     pub fn reorder_recomputes(&self) -> u64 {
-        self.reorder.lock().expect("reorder cache lock poisoned").recomputes()
+        lock_reorder(&self.reorder).recomputes()
     }
 
     /// Approximate heap bytes held by this history (hash-map entries
@@ -314,7 +314,7 @@ impl Clone for TransactionHistory {
             version: self.version,
             // Keep the warm column (an Arc bump); the recompute counter
             // describes work done by *this* instance and resets.
-            reorder: Mutex::new(self.reorder.lock().expect("reorder cache lock poisoned").cloned()),
+            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
         }
     }
 }
@@ -343,9 +343,7 @@ impl HistoryView for TransactionHistory {
     }
 
     fn reordered_column(&self) -> OwnedColumn {
-        self.reorder
-            .lock()
-            .expect("reorder cache lock poisoned")
+        lock_reorder(&self.reorder)
             .get_or_build(self.version, || {
                 OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools(self.reordered_outcomes())))
             })

@@ -29,10 +29,11 @@
 use crate::feedback::Feedback;
 use crate::id::{ClientId, ServerId};
 use hp_stats::StatsError;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use super::columnar::{BitColumn, IssuerColumn};
-use super::view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
+use super::view::{lock_reorder, ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
 
 /// The outcome column of a tiered history: an exact folded-prefix summary
 /// (`folded_len` outcomes, `folded_good` of them good) plus a
@@ -212,10 +213,137 @@ pub struct TieredHistory {
     reorder: Mutex<ReorderCache>,
 }
 
+/// A point in a history's append sequence that
+/// [`TieredHistory::truncate_to`] can cut back to: the lengths of the
+/// append-only primaries and the scalar header, as
+/// [`TieredHistory::mark`] found them. `Copy` and allocation-free — the
+/// online service takes one before every record it applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryMark {
+    len: usize,
+    dict_len: usize,
+    version: u64,
+    server: Option<ServerId>,
+    mixed: bool,
+}
+
+/// Why [`TieredHistory::truncate_to`] refused a mark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TruncateError {
+    /// A [`TieredHistory::compact`] since the mark folded records the
+    /// mark still counts as retained: the bits that would have to come
+    /// back are gone. The history is unchanged.
+    AcrossFold {
+        /// Transactions the mark asks to keep.
+        mark_len: usize,
+        /// First transaction still held at full resolution.
+        retained_start: usize,
+    },
+    /// A primary column is shorter than the mark, or the cut columns
+    /// contradict each other — the mark is not of this history, or the
+    /// history is damaged beyond what its primaries can repair. When the
+    /// contradiction only shows while the derived columns are rebuilt
+    /// the history is left empty-columned and must be discarded.
+    Inconsistent,
+}
+
+impl fmt::Display for TruncateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TruncateError::AcrossFold {
+                mark_len,
+                retained_start,
+            } => write!(
+                f,
+                "cannot truncate to {mark_len} transactions: the prefix was folded \
+                 since the mark (retained suffix starts at {retained_start})"
+            ),
+            TruncateError::Inconsistent => {
+                write!(f, "history columns are inconsistent with the mark")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TruncateError {}
+
 impl TieredHistory {
     /// Creates an empty history (nothing folded, nothing retained).
     pub fn new() -> Self {
         TieredHistory::default()
+    }
+
+    /// The current end of the append sequence, for a later
+    /// [`TieredHistory::truncate_to`].
+    pub fn mark(&self) -> HistoryMark {
+        HistoryMark {
+            len: self.len(),
+            dict_len: self.issuers.clients().len(),
+            version: self.version,
+            server: self.server,
+            mixed: self.mixed,
+        }
+    }
+
+    /// Cuts the history back to `mark`, undoing every push since —
+    /// including one a panic interrupted half-way. Afterwards the history
+    /// answers every query, and encodes to the same bytes, as one that
+    /// never saw the tail.
+    ///
+    /// Only the append-only primaries are read (outcome words, issuer
+    /// codes, the dictionary's clients), each cut to the mark; counts,
+    /// index and prefix popcounts are rebuilt from them through the
+    /// validating [`BitColumn::from_words`] / [`IssuerColumn::from_parts`]
+    /// path, so nothing a half-finished push may have left stale is
+    /// trusted. Costs O(retained suffix + dictionary).
+    ///
+    /// # Errors
+    ///
+    /// [`TruncateError::AcrossFold`] when a compaction since the mark
+    /// folded past it, [`TruncateError::Inconsistent`] when the columns
+    /// cannot honor the mark.
+    pub fn truncate_to(&mut self, mark: &HistoryMark) -> Result<(), TruncateError> {
+        let folded = self.column.folded_len;
+        if mark.len < folded || mark.dict_len < self.folded_by_code.len() {
+            return Err(TruncateError::AcrossFold {
+                mark_len: mark.len,
+                retained_start: folded,
+            });
+        }
+        let keep = mark.len - folded;
+        // Everything that can be checked is checked before the first cut,
+        // so a refusal leaves the history as it was.
+        let codes = self.issuers.codes();
+        if self.column.suffix.words().len() < keep.div_ceil(64)
+            || codes.len() < keep
+            || self.issuers.clients().len() < mark.dict_len
+            || codes[..keep].iter().any(|&code| code as usize >= mark.dict_len)
+        {
+            return Err(TruncateError::Inconsistent);
+        }
+        let suffix = std::mem::take(&mut self.column.suffix)
+            .truncated(keep)
+            .ok_or(TruncateError::Inconsistent)?;
+        self.issuers = std::mem::take(&mut self.issuers)
+            .truncated(keep, mark.dict_len, &suffix)
+            .ok_or(TruncateError::Inconsistent)?;
+        self.column.suffix = suffix;
+        self.version = mark.version;
+        self.server = mark.server;
+        self.mixed = mark.mixed;
+        // A column cached for a version the cut re-opens would be served
+        // for whatever is pushed there next.
+        lock_reorder(&self.reorder).clear();
+        Ok(())
+    }
+
+    /// Appends only the outcome bit of a push: the state a panic between
+    /// the two column appends of [`TieredHistory::push`] leaves behind.
+    /// A seam for rollback tests (this crate's torn-input cases and the
+    /// service's `fault-injection` plan); nothing else calls it.
+    #[doc(hidden)]
+    pub fn push_outcome_only(&mut self, good: bool) {
+        self.column.suffix.push(good);
     }
 
     /// Appends a feedback record (decomposed into the columns).
@@ -493,7 +621,7 @@ impl Clone for TieredHistory {
             version: self.version,
             // Keep the warm column (it is an Arc bump); the recompute
             // counter describes work done by *this* instance and resets.
-            reorder: Mutex::new(self.reorder.lock().expect("reorder cache lock poisoned").cloned()),
+            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
         }
     }
 }
@@ -527,9 +655,7 @@ impl HistoryView for TieredHistory {
              at {})",
             self.column.folded_len
         );
-        self.reorder
-            .lock()
-            .expect("reorder cache lock poisoned")
+        lock_reorder(&self.reorder)
             .get_or_build(self.version, || {
                 OwnedColumn::Bits(Arc::new(
                     self.issuers.reordered_outcomes(&self.column.suffix),
@@ -764,6 +890,90 @@ mod tests {
         bad_sum[9 + 16] ^= 1; // folded_good no longer matches summary sums
         assert!(TieredHistory::decode(&bad_sum).is_none(), "summary sum mismatch");
         assert!(TieredHistory::decode(&[]).is_none(), "empty payload");
+    }
+
+    /// Every torn shape a panic inside `push` could leave — and one no
+    /// current push order produces — is repaired to the bytes of the
+    /// history that never saw the record.
+    #[test]
+    fn truncate_to_repairs_torn_pushes_to_the_same_bytes() {
+        type Tear = fn(&mut TieredHistory);
+        let tears: [(&str, Tear); 4] = [
+            ("bit pushed without code", |h| h.push_outcome_only(true)),
+            ("code minted without a codes entry", |h| {
+                h.push_outcome_only(false);
+                h.issuers.push_without_code(ClientId::new(9_999), false);
+            }),
+            ("count bumped without code", |h| {
+                h.push_outcome_only(true);
+                h.issuers.push_without_code(ClientId::new(3), true);
+            }),
+            ("a whole push", |h| h.push(fb(300, 9_999, true))),
+        ];
+        for compacted in [false, true] {
+            let mut clean: TieredHistory = mixed_history(300).into_iter().collect();
+            if compacted {
+                clean.compact(100);
+            }
+            for (what, tear) in tears {
+                let mut torn = clean.clone();
+                let mark = torn.mark();
+                tear(&mut torn);
+                torn.truncate_to(&mark).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(torn.encode(), clean.encode(), "{what}, compacted={compacted}");
+                assert_eq!(
+                    HistoryView::issuer_groups(&torn),
+                    HistoryView::issuer_groups(&clean),
+                    "{what}"
+                );
+                // And it is a working history again.
+                torn.push(fb(300, 9_999, false));
+                let mut grown = clean.clone();
+                grown.push(fb(300, 9_999, false));
+                assert_eq!(torn.encode(), grown.encode(), "{what}: push after the repair");
+            }
+        }
+    }
+
+    #[test]
+    fn truncate_to_refuses_a_mark_behind_the_fold() {
+        let mut history: TieredHistory = mixed_history(100).into_iter().collect();
+        let mark = history.mark();
+        history.extend((100..400).map(|t| fb(t, t % 7, true)));
+        history.compact(100);
+        assert_eq!(history.retained_start(), 256);
+        let before = history.encode();
+        assert_eq!(
+            history.truncate_to(&mark),
+            Err(TruncateError::AcrossFold {
+                mark_len: 100,
+                retained_start: 256
+            })
+        );
+        assert_eq!(history.encode(), before, "a refusal changes nothing");
+        // A mark of some other, longer history is refused too.
+        let longer: TieredHistory = mixed_history(500).into_iter().collect();
+        assert_eq!(
+            history.truncate_to(&longer.mark()),
+            Err(TruncateError::Inconsistent)
+        );
+        assert_eq!(history.encode(), before);
+    }
+
+    #[test]
+    fn truncate_to_drops_a_reordering_cached_for_the_tail() {
+        let mut history: TieredHistory = mixed_history(50).into_iter().collect();
+        let mark = history.mark();
+        history.push(fb(50, 1, true));
+        let stale = history.reordered_column();
+        history.truncate_to(&mark).unwrap();
+        history.push(fb(50, 2, false));
+        let fresh = history.reordered_column();
+        assert_ne!(
+            stale.as_col().total_good(),
+            fresh.as_col().total_good(),
+            "version 51 was re-opened with different content"
+        );
     }
 
     #[test]

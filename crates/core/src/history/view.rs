@@ -15,7 +15,7 @@
 
 use crate::id::{ClientId, ServerId};
 use hp_stats::{PrefixSums, StatsError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::columnar::BitColumn;
 use super::tiered::TieredColumn;
@@ -187,6 +187,11 @@ impl ReorderCache {
         self.recomputes
     }
 
+    /// Drops the cached column (the recompute counter stays).
+    pub fn clear(&mut self) {
+        self.cached = None;
+    }
+
     /// A warm copy of this cache for a cloned history (the recompute
     /// counter starts over — it describes work done *by that instance*).
     pub fn cloned(&self) -> Self {
@@ -195,6 +200,20 @@ impl ReorderCache {
             recomputes: 0,
         }
     }
+}
+
+/// Locks a history's reorder cache. A poisoned lock means a `build`
+/// closure panicked under it — a history that outlives the panic (the
+/// service keeps per-server state across a worker crash) must not be
+/// wedged by that, so poison is read as "cache lost": the column is
+/// dropped and the next call recomputes it.
+pub(crate) fn lock_reorder(cache: &Mutex<ReorderCache>) -> MutexGuard<'_, ReorderCache> {
+    cache.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        cache.clear_poison();
+        guard
+    })
 }
 
 /// The borrowed view of a transaction history that phase 1 (all three
@@ -352,5 +371,22 @@ mod tests {
         let _ = cache.get_or_build(2, build);
         assert_eq!(cache.recomputes(), 2);
         assert_eq!(cache.cloned().recomputes(), 0);
+    }
+
+    #[test]
+    fn a_panicking_build_costs_one_recompute_not_the_cache() {
+        let cache = Mutex::new(ReorderCache::default());
+        let build = || OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools([true, false, true])));
+        let _ = lock_reorder(&cache).get_or_build(1, build);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lock_reorder(&cache).get_or_build(2, || panic!("reordering failed"))
+        }));
+        assert!(crashed.is_err());
+        assert!(cache.is_poisoned());
+        let before = lock_reorder(&cache).recomputes();
+        assert!(!cache.is_poisoned(), "poison is cleared with the cache");
+        let column = lock_reorder(&cache).get_or_build(2, build);
+        assert_eq!(column.as_col().count_range(0, 3), 2);
+        assert_eq!(lock_reorder(&cache).recomputes(), before + 1);
     }
 }

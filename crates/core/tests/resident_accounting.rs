@@ -8,7 +8,9 @@
 //! a new issuer (the million-client populations of `benchmark/`), a young
 //! server, and a compacted one.
 
+use hp_core::history::HistoryView;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
+use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -122,4 +124,83 @@ fn compacted_history_over_a_small_dictionary() {
         live,
     );
     assert!(history.summary_resident_bytes() > 0);
+}
+
+fn feedback(t: usize, client: u64, good: bool) -> Feedback {
+    Feedback::new(
+        t as u64,
+        ServerId::new(1),
+        ClientId::new(client),
+        Rating::from_good(good),
+    )
+}
+
+/// Every query the assessment paths issue, plus the serialized bytes.
+fn assert_same_history(cut: &TieredHistory, never: &TieredHistory) {
+    assert_eq!(cut.encode(), never.encode());
+    assert_eq!(
+        cut.issuer_column().frequency_order(),
+        never.issuer_column().frequency_order()
+    );
+    assert_eq!(
+        HistoryView::issuer_groups(cut),
+        HistoryView::issuer_groups(never)
+    );
+    let (start, end) = (never.retained_start(), never.len());
+    for m in [1usize, 7, 8, 10, 64] {
+        assert_eq!(
+            cut.window_counts(start, end, m),
+            never.window_counts(start, end, m),
+            "m = {m}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Rolling back to a mark leaves the history that only saw the
+    /// records before it — bytes, orderings, counts and heap — whether the
+    /// tail brought new issuers or repeated old ones, and whether or not
+    /// the prefix was folded before the mark.
+    #[test]
+    fn truncate_to_is_the_history_that_never_saw_the_tail(
+        raw in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..600),
+        pool in (any::<bool>(), 1u64..=8, 9u64..=2000).prop_map(|(few, a, b)| if few { a } else { b }),
+        split in 0usize..600,
+        fold_before in (any::<bool>(), 0usize..300).prop_map(|(fold, horizon)| fold.then_some(horizon)),
+        fold_after in 0usize..300,
+    ) {
+        let stream: Vec<Feedback> = raw
+            .iter()
+            .enumerate()
+            .map(|(t, &(client, good))| feedback(t, u64::from(client) % pool, good))
+            .collect();
+        let (head, tail) = stream.split_at(split.min(stream.len()));
+        let head_only = || {
+            let mut history: TieredHistory = head.iter().copied().collect();
+            if let Some(horizon) = fold_before {
+                history.compact(horizon);
+            }
+            history
+        };
+        let mut never = head_only();
+        let (mut cut, live) = measured(|| {
+            let mut history = head_only();
+            let mark = history.mark();
+            history.extend(tail.iter().copied());
+            history.truncate_to(&mark).expect("no fold since the mark");
+            history
+        });
+        assert_same_history(&cut, &never);
+        prop_assert_eq!(cut.resident_bytes(), live, "reported vs heap after the cut");
+
+        let next = feedback(stream.len(), 4242, true);
+        cut.push(next);
+        never.push(next);
+        assert_same_history(&cut, &never);
+        cut.compact(fold_after);
+        never.compact(fold_after);
+        assert_same_history(&cut, &never);
+    }
 }

@@ -5,7 +5,7 @@
 mod support;
 
 use hp_edge::{wire, EdgeConfig};
-use hp_service::{FaultPlan, IngestPolicy};
+use hp_service::{Durability, FaultPlan, FsyncPolicy, IngestPolicy};
 use std::time::Duration;
 use support::{boot, fast_service_config, TestClient};
 
@@ -138,10 +138,17 @@ fn trace_ids_survive_worker_respawn_into_crash_forensics() {
     // A request whose poisoned feedback panics the shard worker must
     // still be reconstructible from the one ID the client saw: the
     // supervisor stamps the worker_restart and replay events with the
-    // trace ID of the in-flight request that crashed it.
+    // trace ID of the in-flight request that crashed it. Durable, so the
+    // write path has a journal append to stamp.
+    let dir = std::env::temp_dir().join(format!("hp-edge-chaos-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let service_config = fast_service_config()
         .with_shards(1)
         .with_tracing(true)
+        .with_durability(Durability::Durable {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+        })
         .with_fault_plan(FaultPlan::default().with_poison(7, 3));
     let (edge, addr) = boot(service_config, EdgeConfig::default().with_workers(2));
 
@@ -210,6 +217,7 @@ fn trace_ids_survive_worker_respawn_into_crash_forensics() {
     assert_eq!(status, 200, "{tree}");
     assert!(tree.contains("\"endpoint\":\"/ingest\""), "{tree}");
     edge.drain();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

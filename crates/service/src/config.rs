@@ -63,17 +63,27 @@ pub enum IngestPolicy {
     ),
 }
 
-/// Where the per-shard feedback journals live.
+/// What a shard has besides its in-memory state, and so how a crashed
+/// worker is recovered.
 ///
-/// Shard state is always a pure fold over the shard's journal: the
-/// supervisor replays it to rebuild a crashed worker. `Ephemeral` keeps
-/// the journal in process memory (worker crashes are survivable, process
-/// crashes are not); `Durable` writes framed, checksummed records to
-/// `dir/shard-<i>.hpj` before every in-memory apply, so a service
-/// restarted on the same directory recovers every acknowledged feedback.
+/// `Durable` writes framed, checksummed records to `dir/shard-<i>.hpj`
+/// before every in-memory apply: shard state is a pure fold over that
+/// journal, the supervisor replays it to rebuild a crashed worker, and a
+/// service restarted on the same directory recovers every acknowledged
+/// feedback. `Ephemeral` keeps no journal and no second copy of what it
+/// accepted: the per-server state *is* the record.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// In-memory journal: survives worker panics, not process exits.
+    /// No journal. The per-server state outlives a worker panic in place:
+    /// the supervisor rolls the one record that was mid-apply back to the
+    /// mark written before it (trusting only the append-only history
+    /// columns up to the mark), applies the rest of that batch, and
+    /// resumes — no accepted feedback is lost and a respawn costs one
+    /// server plus one batch, whatever the shard holds. Nothing survives
+    /// the process; and a panic inside a tiering fold, which cannot be
+    /// rolled back, fails the shard
+    /// ([`ServiceError::ShardUnavailable`](crate::ServiceError)) rather
+    /// than serve from a torn state.
     #[default]
     Ephemeral,
     /// On-disk write-ahead journal, one file per shard.
@@ -192,8 +202,10 @@ pub struct SupervisionConfig {
     /// Consecutive restarts after which the shard is declared failed
     /// (sends to it then report `ShardUnavailable`).
     pub max_restarts: u32,
-    /// Replay crashes at the *same* journal record before that record is
-    /// quarantined (skipped and counted) instead of retried.
+    /// Crashes of the supervisor's fold at the *same* accepted record
+    /// (a journal record on a durable shard, a record of the in-flight
+    /// batch on an ephemeral one) before that record is quarantined
+    /// (skipped and counted) instead of retried.
     pub quarantine_after: u32,
 }
 

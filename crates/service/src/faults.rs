@@ -13,6 +13,14 @@
 //! * **poison feedback record**: applying a specific `(server, time)`
 //!   feedback panics every time — including during replay — until the
 //!   supervisor quarantines it;
+//! * **mid-apply tear**: applying a specific `(server, time)` feedback
+//!   panics *inside* the apply — after the history push and before the
+//!   trust update, or between the history's two column appends — once, or
+//!   every time until quarantined: the crash the rollback of an ephemeral
+//!   shard's retained state exists for;
+//! * **panic in an assessment / in a tiering pass**, each fired once: a
+//!   crash with no record in flight, and a crash inside the one mutation
+//!   that is not append-only;
 //! * **delayed assessment replies**: the worker sleeps before answering,
 //!   driving the deadline/degraded-answer path.
 //!
@@ -28,6 +36,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[cfg(feature = "fault-injection")]
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Where a mid-apply panic leaves the record's server state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TearPoint {
+    /// The history holds the record, the trust state does not.
+    AfterHistoryPush,
+    /// The outcome column holds the record's bit, the issuer column
+    /// nothing of it.
+    BetweenColumnPushes,
+}
 
 /// A deterministic plan of faults to inject into shard workers.
 ///
@@ -47,6 +65,18 @@ pub struct FaultPlan {
     /// Sleep this long before serving each `Assess`/`AssessMany` command
     /// (stalling the whole shard, not just the reply).
     pub assess_delay: Option<Duration>,
+    /// Applying the feedback with this `(server raw id, time)` panics
+    /// part-way through, leaving its server's state torn at the
+    /// [`TearPoint`].
+    pub mid_apply: Option<(u64, u64, TearPoint)>,
+    /// Whether [`FaultPlan::mid_apply`] fires on every application of the
+    /// record (until it is quarantined) instead of only the first.
+    pub mid_apply_persistent: bool,
+    /// Panic inside the first assessment a worker computes, once.
+    pub panic_in_assess: bool,
+    /// Panic inside the first tiering pass that has a history to fold
+    /// (compaction), once.
+    pub panic_in_tiering: bool,
 }
 
 impl FaultPlan {
@@ -62,6 +92,34 @@ impl FaultPlan {
     #[must_use]
     pub fn with_poison(mut self, server: u64, time: u64) -> Self {
         self.poison = Some((server, time));
+        self
+    }
+
+    /// Plan that panics once in the middle of applying `(server, time)`.
+    #[must_use]
+    pub fn with_mid_apply_panic(mut self, server: u64, time: u64, point: TearPoint) -> Self {
+        self.mid_apply = Some((server, time, point));
+        self
+    }
+
+    /// Makes the mid-apply panic fire on every application of its record.
+    #[must_use]
+    pub fn persistently(mut self) -> Self {
+        self.mid_apply_persistent = true;
+        self
+    }
+
+    /// Plan that panics once inside an assessment.
+    #[must_use]
+    pub fn with_assess_panic(mut self) -> Self {
+        self.panic_in_assess = true;
+        self
+    }
+
+    /// Plan that panics once inside a tiering pass.
+    #[must_use]
+    pub fn with_tiering_panic(mut self) -> Self {
+        self.panic_in_tiering = true;
         self
     }
 
@@ -88,6 +146,19 @@ pub(crate) struct FaultRuntime {
     shard: usize,
     commands_seen: AtomicU64,
     panic_fired: AtomicBool,
+    mid_apply_fired: AtomicBool,
+    assess_fired: AtomicBool,
+    tiering_fired: AtomicBool,
+}
+
+#[cfg(feature = "fault-injection")]
+impl FaultRuntime {
+    /// Panics the first time it is reached with `armed` set.
+    fn panic_once(&self, armed: bool, fired: &AtomicBool, place: &str) {
+        if armed && !fired.swap(true, Ordering::Relaxed) {
+            panic!("fault injection: shard {} panicking in {place}", self.shard);
+        }
+    }
 }
 
 impl Clone for ShardFaults {
@@ -110,6 +181,9 @@ impl ShardFaults {
                     shard,
                     commands_seen: AtomicU64::new(0),
                     panic_fired: AtomicBool::new(false),
+                    mid_apply_fired: AtomicBool::new(false),
+                    assess_fired: AtomicBool::new(false),
+                    tiering_fired: AtomicBool::new(false),
                 })
             }),
         }
@@ -169,6 +243,46 @@ impl ShardFaults {
         }
     }
 
+    /// Called as a feedback is pushed onto its server's history: where
+    /// the plan wants this application torn, if it does. The caller
+    /// leaves the state at that point and panics.
+    #[inline]
+    pub fn mid_apply(&self, feedback: &Feedback) -> Option<TearPoint> {
+        #[cfg(not(feature = "fault-injection"))]
+        let _ = feedback;
+        #[cfg(feature = "fault-injection")]
+        if let Some(rt) = &self.inner {
+            if let Some((server, time, point)) = rt.plan.mid_apply {
+                if (server, time) == (feedback.server.value(), feedback.time)
+                    && (!rt.mid_apply_fired.swap(true, Ordering::Relaxed)
+                        || rt.plan.mid_apply_persistent)
+                {
+                    return Some(point);
+                }
+            }
+        }
+        None
+    }
+
+    /// Called inside each computed assessment; panics once per the plan.
+    #[inline]
+    pub fn in_assess(&self) {
+        #[cfg(feature = "fault-injection")]
+        if let Some(rt) = &self.inner {
+            rt.panic_once(rt.plan.panic_in_assess, &rt.assess_fired, "an assessment");
+        }
+    }
+
+    /// Called before each history a tiering pass folds; panics once per
+    /// the plan.
+    #[inline]
+    pub fn in_tiering(&self) {
+        #[cfg(feature = "fault-injection")]
+        if let Some(rt) = &self.inner {
+            rt.panic_once(rt.plan.panic_in_tiering, &rt.tiering_fired, "a tiering pass");
+        }
+    }
+
     /// Called before an assessment command is served; sleeps per the
     /// plan, stalling the worker with the command already dequeued.
     #[inline]
@@ -200,6 +314,21 @@ mod tests {
         let other = ShardFaults::new(Some(&plan), 0);
         for _ in 0..5 {
             other.after_journal();
+        }
+    }
+
+    #[test]
+    fn mid_apply_fires_once_unless_persistent() {
+        let record = Feedback::new(3, ServerId::new(7), ClientId::new(0), Rating::Positive);
+        let other = Feedback::new(4, ServerId::new(7), ClientId::new(0), Rating::Positive);
+        let plan = FaultPlan::default().with_mid_apply_panic(7, 3, TearPoint::AfterHistoryPush);
+        let faults = ShardFaults::new(Some(&plan), 0);
+        assert_eq!(faults.mid_apply(&other), None);
+        assert_eq!(faults.mid_apply(&record), Some(TearPoint::AfterHistoryPush));
+        assert_eq!(faults.mid_apply(&record), None, "one-shot");
+        let faults = ShardFaults::new(Some(&plan.persistently()), 0);
+        for _ in 0..3 {
+            assert_eq!(faults.mid_apply(&record), Some(TearPoint::AfterHistoryPush));
         }
     }
 

@@ -1,10 +1,13 @@
 //! Per-shard append-only feedback journal.
 //!
-//! Every shard writes each ingested batch to its journal **before**
-//! applying it to in-memory state, so a shard's state is always a pure
-//! fold over its journal: the supervisor rebuilds a crashed worker by
-//! replaying the journal from the top, and a service restarted on the
-//! same journal directory warm-starts with no feedback lost.
+//! A durable shard writes each ingested batch to its journal **before**
+//! applying it to in-memory state, so its state is always a pure fold
+//! over its journal: the supervisor rebuilds a crashed worker by
+//! replaying the journal (past the newest snapshot), and a service
+//! restarted on the same journal directory warm-starts with no feedback
+//! lost. An ephemeral shard has no journal at all — its per-server state
+//! is the only copy and survives a worker crash in place (see
+//! the supervision section of DESIGN.md).
 //!
 //! # On-disk format
 //!
@@ -630,6 +633,24 @@ impl FileJournal {
         self.records_since_sync = 0;
         Ok(dropped)
     }
+
+    /// Re-reads the durable sequence starting at absolute record
+    /// `from_records`, returning `(start, feedbacks)` where `start` is
+    /// the absolute index of `feedbacks[0]` — the offset actually
+    /// honored. `start > from_records` means the journal begins past the
+    /// requested point (compacted away); `start < from_records` means
+    /// the request overshot the file and the scan fell back to the
+    /// earliest retained record. Callers must check `start` before
+    /// folding the tail onto anything.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] if the file cannot be synced or re-read.
+    pub fn replay_from(&mut self, from_records: u64) -> Result<(u64, Vec<Feedback>), JournalError> {
+        self.sync()?;
+        let recovered = read_journal_from(&self.path, None, from_records)?;
+        Ok((recovered.first_record, recovered.feedbacks))
+    }
 }
 
 /// Fsyncs the directory containing `path`, making a just-renamed file's
@@ -641,126 +662,6 @@ pub(crate) fn fsync_dir(path: &Path) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// The journal a supervised shard folds its state from.
-///
-/// `Memory` keeps the durable sequence in process memory — enough for the
-/// supervisor to rebuild a crashed worker, but lost with the process.
-/// `File` adds crash-persistent recovery via [`FileJournal`].
-#[derive(Debug)]
-pub enum JournalStore {
-    /// In-process journal: supports worker respawn, not process restart.
-    Memory(
-        /// The retained feedback sequence, in apply order.
-        Vec<Feedback>,
-    ),
-    /// On-disk journal with framed, checksummed records.
-    File(FileJournal),
-}
-
-impl JournalStore {
-    /// Appends a batch, returning append accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] from the file backend; the memory backend is
-    /// infallible.
-    pub fn append_batch(&mut self, batch: &[Feedback]) -> Result<AppendInfo, JournalError> {
-        match self {
-            JournalStore::Memory(log) => {
-                log.extend_from_slice(batch);
-                Ok(AppendInfo {
-                    records: batch.len() as u64,
-                    bytes: (batch.len() * (FRAME_LEN + RECORD_PAYLOAD_LEN)) as u64,
-                    synced: false,
-                    sync_ns: 0,
-                })
-            }
-            JournalStore::File(journal) => journal.append_batch(batch),
-        }
-    }
-
-    /// Flushes any buffered writes to durable storage.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] from the file backend.
-    pub fn flush(&mut self) -> Result<(), JournalError> {
-        match self {
-            JournalStore::Memory(_) => Ok(()),
-            JournalStore::File(journal) => journal.sync(),
-        }
-    }
-
-    /// The retained durable feedback sequence, in apply order — what a
-    /// rebuilt worker's state is a fold of. For a compacted file journal
-    /// this is only the tail past the compaction base; recovery paths
-    /// that must know where the sequence starts use
-    /// [`JournalStore::replay_from`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the file backend cannot be re-read.
-    pub fn replay(&mut self) -> Result<Vec<Feedback>, JournalError> {
-        self.replay_from(0).map(|(_, feedbacks)| feedbacks)
-    }
-
-    /// Replays the durable sequence starting at absolute record
-    /// `from_records`, returning `(start, feedbacks)` where `start` is
-    /// the absolute index of `feedbacks[0]` — the offset actually
-    /// honored. `start > from_records` means the journal begins past the
-    /// requested point (compacted away); `start < from_records` means
-    /// the request overshot the file and the scan fell back to the
-    /// earliest retained record. Callers must check `start` before
-    /// folding the tail onto anything.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the file backend cannot be re-read.
-    pub fn replay_from(
-        &mut self,
-        from_records: u64,
-    ) -> Result<(u64, Vec<Feedback>), JournalError> {
-        match self {
-            JournalStore::Memory(log) => {
-                let start = (from_records as usize).min(log.len());
-                Ok((start as u64, log[start..].to_vec()))
-            }
-            JournalStore::File(journal) => {
-                journal.sync()?;
-                let recovered = read_journal_from(journal.path(), None, from_records)?;
-                Ok((recovered.first_record, recovered.feedbacks))
-            }
-        }
-    }
-
-    /// Compacts a file journal up to absolute record `upto` (no-op for
-    /// the memory backend, which the supervisor can always replay in
-    /// full). See [`FileJournal::compact_to`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] from the file backend.
-    pub fn compact_to(&mut self, upto: u64) -> Result<u64, JournalError> {
-        match self {
-            JournalStore::Memory(_) => Ok(0),
-            JournalStore::File(journal) => journal.compact_to(upto),
-        }
-    }
-
-    /// Records appended so far (including any recovered at open).
-    pub fn len(&self) -> u64 {
-        match self {
-            JournalStore::Memory(log) => log.len() as u64,
-            JournalStore::File(journal) => journal.records(),
-        }
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -1000,34 +901,17 @@ mod tests {
     #[test]
     fn replay_from_reports_the_honored_start() {
         let batch: Vec<Feedback> = (0..30).map(|t| feedback(t, t % 2 == 0)).collect();
-        let mut store = JournalStore::Memory(batch.clone());
-        assert_eq!(store.replay_from(10).unwrap(), (10, batch[10..].to_vec()));
-        assert_eq!(store.replay_from(99).unwrap(), (30, Vec::new()));
-
         let path = temp_path("replay-from");
         let _ = std::fs::remove_file(&path);
-        let (journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
-        let mut store = JournalStore::File(journal);
-        store.append_batch(&batch).unwrap();
-        assert_eq!(store.replay_from(10).unwrap(), (10, batch[10..].to_vec()));
-        store.compact_to(20).unwrap();
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+        journal.append_batch(&batch).unwrap();
+        assert_eq!(journal.replay_from(10).unwrap(), (10, batch[10..].to_vec()));
+        journal.compact_to(20).unwrap();
         // Tail past the base replays; a from-zero request now starts at
         // the base, which recovery treats as "snapshot required".
-        assert_eq!(store.replay_from(25).unwrap(), (25, batch[25..].to_vec()));
-        assert_eq!(store.replay_from(0).unwrap(), (20, batch[20..].to_vec()));
-        drop(store);
+        assert_eq!(journal.replay_from(25).unwrap(), (25, batch[25..].to_vec()));
+        assert_eq!(journal.replay_from(0).unwrap(), (20, batch[20..].to_vec()));
+        drop(journal);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn memory_store_replays_in_order() {
-        let mut store = JournalStore::Memory(Vec::new());
-        let batch: Vec<Feedback> = (0..20).map(|t| feedback(t, t % 3 != 0)).collect();
-        store.append_batch(&batch[..10]).unwrap();
-        store.append_batch(&batch[10..]).unwrap();
-        assert_eq!(store.replay().unwrap(), batch);
-        assert_eq!(store.len(), 20);
-        assert!(!store.is_empty());
-        store.flush().unwrap();
     }
 }

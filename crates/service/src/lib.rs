@@ -68,7 +68,7 @@ pub use config::{
     TrustModel,
 };
 #[cfg(feature = "fault-injection")]
-pub use faults::FaultPlan;
+pub use faults::{FaultPlan, TearPoint};
 pub use journal::FsyncPolicy;
 pub use metrics::ServiceStats;
 pub use obs::{AssessmentTrace, MetricsRegistry, TracedAssessment};

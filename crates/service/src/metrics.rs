@@ -18,7 +18,7 @@ pub(crate) struct Counters {
     pub degraded: AtomicU64,
     /// Shard worker restarts performed by supervisors.
     pub restarts: AtomicU64,
-    /// Journal records quarantined after repeated crash-on-replay.
+    /// Accepted records quarantined after repeated crash-on-replay.
     pub quarantined: AtomicU64,
     /// Shards declared permanently failed (restart budget exhausted).
     pub shards_failed: AtomicU64,
@@ -171,14 +171,16 @@ pub struct ServiceStats {
     pub degraded_answers: u64,
     /// Shard worker restarts performed by supervisors.
     pub shard_restarts: u64,
-    /// Journal records quarantined after repeated crash-on-replay.
+    /// Accepted records quarantined after repeatedly crashing the
+    /// supervisor's fold.
     pub quarantined_records: u64,
     /// Shards declared permanently failed.
     pub failed_shards: u64,
     /// Records in shard journals (appended since start plus recovered
-    /// from disk at open).
+    /// from disk at open); 0 on an ephemeral service, which has none.
     pub journal_records: u64,
-    /// Bytes in shard journals (appended plus recovered).
+    /// Bytes in shard journals (appended plus recovered); 0 on an
+    /// ephemeral service.
     pub journal_bytes: u64,
     /// Journal fsyncs performed since start.
     pub journal_syncs: u64,

@@ -139,7 +139,7 @@ pub struct ShardSnapshot {
     pub degraded: u64,
     /// Worker restarts performed by this shard's supervisor.
     pub restarts: u64,
-    /// Journal records quarantined on this shard.
+    /// Accepted records quarantined on this shard.
     pub quarantined: u64,
     /// 1 once this shard is declared permanently failed.
     pub failed: u64,
@@ -449,7 +449,7 @@ const SHARD_COUNTERS: [(&str, &str, ShardField); 21] = [
     ("hp_feedbacks_shed_total", "Feedbacks dropped by the shed/try-for policies", |s| s.shed),
     ("hp_degraded_answers_total", "Stale published verdicts served past a deadline", |s| s.degraded),
     ("hp_shard_restarts_total", "Worker restarts performed by supervisors", |s| s.restarts),
-    ("hp_quarantined_records_total", "Journal records quarantined after crash-on-replay", |s| s.quarantined),
+    ("hp_quarantined_records_total", "Accepted records quarantined after crash-on-replay", |s| s.quarantined),
     ("hp_shards_failed_total", "Shards declared permanently failed", |s| s.failed),
     ("hp_journal_records_total", "Records in shard journals", |s| s.journal_records),
     ("hp_journal_bytes_total", "Bytes in shard journals", |s| s.journal_bytes),

@@ -44,16 +44,20 @@ pub enum TraceKind {
         /// Restart count for this shard so far, including this one.
         restart: u64,
     },
-    /// Journal replay began during a worker rebuild.
+    /// State recovery began after a worker crash or at a durable boot: a
+    /// journal replay, or an ephemeral shard's in-place refold.
     ReplayStart,
-    /// Journal replay finished; state is rebuilt.
+    /// Recovery finished; the state is whole again.
     ReplayComplete {
-        /// Records folded back into state.
+        /// Records folded (back) into state: the journal tail replayed,
+        /// or what the in-flight batch still owed (0 when the crash had
+        /// no record in flight).
         records: u64,
     },
-    /// A poison record was quarantined after repeated crash-on-replay.
+    /// A poison record was quarantined after repeatedly crashing the fold.
     RecordQuarantined {
-        /// Index of the offending record in the journal.
+        /// Ordinal of the offending record among those the shard
+        /// accepted (its journal index on a durable shard).
         index: u64,
     },
     /// A durable state snapshot was written (checkpoint).

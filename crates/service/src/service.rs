@@ -2,7 +2,7 @@
 
 use crate::config::{Durability, IngestPolicy, ServiceConfig};
 use crate::faults::ShardFaults;
-use crate::journal::{FileJournal, JournalStore};
+use crate::journal::FileJournal;
 use crate::metrics::{Counters, ServiceStats};
 use crate::obs::{
     AssessmentTrace, CalibrationGauges, LatencyPath, MetricsRegistry, TraceEvent, TraceKind,
@@ -73,8 +73,8 @@ pub enum ServiceError {
         /// Index of the shard that missed the deadline.
         shard: usize,
     },
-    /// The shard worker restarted while holding this request; the
-    /// request was not lost from the journal, only its reply. Retry.
+    /// The shard worker restarted while holding this request; no
+    /// accepted feedback was lost, only this reply. Retry.
     Interrupted {
         /// Index of the restarting shard.
         shard: usize,
@@ -227,12 +227,15 @@ impl AssessOutcome {
 ///
 /// # Fault tolerance
 ///
-/// Every ingest batch is appended to its shard's journal *before* it is
-/// applied, so shard state is a pure fold over the journal. A panicking
-/// worker is respawned by its supervisor (capped exponential backoff) and
-/// rebuilt by replaying the journal; with
-/// [`Durability::Durable`](crate::Durability) the journal lives on disk
-/// and a whole process restart recovers every acknowledged feedback.
+/// A panicking worker is respawned by its supervisor (capped exponential
+/// backoff) with no accepted feedback lost. With
+/// [`Durability::Durable`](crate::Durability) every ingest batch is
+/// appended to its shard's on-disk journal *before* it is applied, so
+/// shard state is a pure fold over the journal: the respawn replays it,
+/// and a whole process restart recovers every acknowledged feedback. The
+/// default [`Durability::Ephemeral`](crate::Durability) keeps no journal:
+/// the per-server state survives the panic, the one record that was
+/// mid-apply is rolled back and the rest of its batch retried.
 /// Bounded queues apply backpressure per the configured
 /// [`IngestPolicy`](crate::IngestPolicy), and [`Self::assess_within`]
 /// trades freshness for latency by answering from the last published
@@ -372,8 +375,8 @@ impl ReputationService {
                 .and_then(|s| s.store.lock().newest_offset())
                 .unwrap_or(0);
             let journal = open_journal(&config, shard, trusted, &obs.shard(shard).counters)?;
-            if let Some(boot) = &progress {
-                boot.add_journal_records(journal.len());
+            if let (Some(boot), Some(journal)) = (&progress, &journal) {
+                boot.add_journal_records(journal.records());
             }
             let tiering = open_tiering(&config, shard)?;
             let ctx = ShardContext {
@@ -382,7 +385,7 @@ impl ReputationService {
                 model: config.trust(),
                 policy: config.short_history(),
                 obs: Arc::clone(&obs),
-                journal: Arc::new(Mutex::new(journal)),
+                journal: journal.map(Mutex::new),
                 published: Published::default(),
                 faults: ShardFaults::for_config(&config, shard),
                 snapshots,
@@ -1017,18 +1020,18 @@ fn open_tiering(
     Ok(Some(ShardTiering::new(*policy, cold)))
 }
 
-/// Opens (and recovers) the journal for one shard per the configured
-/// durability, crediting torn bytes to the counters. `trusted` is an
-/// absolute record offset known durable (from the snapshot manifest);
-/// the open skips CRC-scanning that prefix.
+/// Opens (and recovers) the journal for one shard of a durable service,
+/// crediting torn bytes to the counters; an ephemeral service has none.
+/// `trusted` is an absolute record offset known durable (from the
+/// snapshot manifest); the open skips CRC-scanning that prefix.
 fn open_journal(
     config: &ServiceConfig,
     shard: usize,
     trusted: u64,
     counters: &Counters,
-) -> Result<JournalStore, ServiceError> {
+) -> Result<Option<FileJournal>, ServiceError> {
     match config.durability() {
-        Durability::Ephemeral => Ok(JournalStore::Memory(Vec::new())),
+        Durability::Ephemeral => Ok(None),
         Durability::Durable { dir, fsync } => {
             std::fs::create_dir_all(dir).map_err(|e| ServiceError::Journal {
                 reason: format!("create {}: {e}", dir.display()),
@@ -1054,7 +1057,7 @@ fn open_journal(
                 false,
             );
             counters.add_torn_bytes(recovered.torn_bytes);
-            Ok(JournalStore::File(journal))
+            Ok(Some(journal))
         }
     }
 }
@@ -1117,7 +1120,7 @@ mod tests {
         assert_eq!(stats.ingested_feedbacks, 300);
         assert_eq!(stats.assessments_served, 1);
         assert_eq!(stats.tracked_servers, 1);
-        assert_eq!(stats.journal_records, 300, "every feedback is journaled");
+        assert_eq!(stats.journal_records, 0, "an ephemeral service has no journal");
         assert_eq!(stats.shard_restarts, 0);
     }
 

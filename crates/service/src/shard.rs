@@ -8,29 +8,36 @@
 //!
 //! Fault tolerance (see [`crate::supervisor`]):
 //!
-//! * every ingest batch is appended to the shard's journal **before** it
-//!   touches in-memory state, so the state is a pure fold over the
-//!   journal and a crashed worker can be rebuilt by replay;
+//! * on a durable shard every ingest batch is appended to the shard's
+//!   journal **before** it touches in-memory state, so the state is a
+//!   pure fold over the journal and a crashed worker can be rebuilt by
+//!   replay;
+//! * every ingest batch is moved into the supervisor's [`InFlight`]
+//!   buffer and each record writes a [`Mark`] before it touches its
+//!   server, so an ephemeral shard — whose per-server state is the only
+//!   copy — can roll one record back after a crash and apply the rest;
 //! * each assessment the worker computes is *published* to a shared map
 //!   readable without the worker thread, which is what lets the front end
 //!   answer a typed degraded assessment when the worker is saturated or
 //!   restarting;
 //! * on `Shutdown` the worker drains commands that are already queued
-//!   (journaling and answering them) and flushes the journal before
-//!   exiting, so acknowledged feedback is never lost to a shutdown.
+//!   (journaling and answering them) and flushes the journal, if there
+//!   is one, before exiting, so acknowledged feedback is never lost to a
+//!   shutdown.
 
 use crate::config::{SnapshotPolicy, TieringPolicy, TrustModel};
 use crate::faults::ShardFaults;
-use crate::journal::JournalStore;
+use crate::journal::FileJournal;
 use crate::metrics::Counters;
 use crate::obs::{LatencyPath, MetricsRegistry, TraceKind};
 use crate::snapshot::{BootProgress, SnapshotStore};
-use crate::state::ServerState;
+use crate::state::{ServerState, TrustState};
 use crossbeam::channel::{
     Receiver, SendError, SendTimeoutError, Sender, TrySendError,
 };
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
+use hp_core::history::HistoryMark;
 use hp_core::{CoreError, Feedback, ServerId, TieredHistory};
 use hp_store::ColdStore;
 use parking_lot::Mutex;
@@ -313,7 +320,9 @@ pub(crate) struct ShardContext {
     pub model: TrustModel,
     pub policy: ShortHistoryPolicy,
     pub obs: Arc<MetricsRegistry>,
-    pub journal: Arc<Mutex<JournalStore>>,
+    /// The write-ahead journal of a durable shard; `None` on an
+    /// ephemeral one, whose state survives a worker crash in place.
+    pub journal: Option<Mutex<FileJournal>>,
     pub published: Published,
     pub faults: ShardFaults,
     /// Snapshot store + checkpoint policy, when snapshots are enabled.
@@ -337,28 +346,172 @@ impl ShardContext {
     }
 }
 
+#[cfg(test)]
+impl ShardContext {
+    /// An ephemeral, untiered context for shard 0 of `obs` (unit tests).
+    pub(crate) fn ephemeral(obs: Arc<MetricsRegistry>) -> Self {
+        let test = hp_core::testing::BehaviorTestConfig::builder()
+            .calibration_trials(200)
+            .build()
+            .unwrap();
+        ShardContext {
+            shard: 0,
+            test: MultiBehaviorTest::new(test).unwrap(),
+            model: TrustModel::Average,
+            policy: ShortHistoryPolicy::Review,
+            obs,
+            journal: None,
+            published: Published::default(),
+            faults: ShardFaults::default(),
+            snapshots: None,
+            tiering: None,
+            boot: None,
+            active_trace: Arc::default(),
+        }
+    }
+}
+
 #[derive(PartialEq, Eq)]
 pub(crate) enum Flow {
     Continue,
     Stop,
 }
 
+/// What one record is about to change, written before it changes it: the
+/// server and the append marks its state can be cut back to.
+pub(crate) struct Mark {
+    server: ServerId,
+    /// The server's state before the record; `None` when the record is
+    /// the first the shard sees for it.
+    prior: Option<(HistoryMark, TrustState)>,
+}
+
+impl Mark {
+    /// Puts the marked server back as the mark found it (removing it if
+    /// the record created it). False when its state cannot honor the
+    /// mark.
+    pub(crate) fn roll_back(self, states: &mut HashMap<ServerId, ServerState>) -> bool {
+        match self.prior {
+            None => {
+                states.remove(&self.server);
+                true
+            }
+            Some(prior) => states
+                .get_mut(&self.server)
+                .is_some_and(|state| state.roll_back(prior)),
+        }
+    }
+}
+
+/// Records accepted but not yet folded into the shard's state, with the
+/// position of the fold. It lives in the supervisor, outside the worker's
+/// `catch_unwind`, so after a panic it says exactly what the state still
+/// owes: `pending[applied..]`, the first of them possibly half-applied
+/// behind `mark`. The live worker moves each ingest batch in here (no
+/// copy; the buffer is the batch's own allocation); a journal replay puts
+/// the journal tail here.
+#[derive(Default)]
+pub(crate) struct InFlight {
+    pending: Vec<Feedback>,
+    /// Ordinal of `pending[0]` among the records the shard has accepted
+    /// (on a durable shard: its absolute journal index) — what quarantine
+    /// bookkeeping and `RecordQuarantined` events call the record.
+    base: u64,
+    /// Leading records of `pending` fully applied.
+    applied: usize,
+    /// Pre-image of the server `pending[applied]` is being applied to;
+    /// `None` while no record is part-way.
+    pub(crate) mark: Option<Mark>,
+    /// Set while a tiering pass folds histories — the one mutation of an
+    /// ephemeral shard's state that is not an append, so the one a panic
+    /// cannot be rolled back out of.
+    pub(crate) folding: bool,
+}
+
+impl InFlight {
+    /// The fold of a journal tail whose first record has absolute index
+    /// `base`.
+    pub(crate) fn replaying(records: Vec<Feedback>, base: u64) -> Self {
+        InFlight {
+            pending: records,
+            base,
+            ..InFlight::default()
+        }
+    }
+
+    /// Takes ownership of a freshly accepted batch.
+    fn begin(&mut self, batch: Vec<Feedback>) {
+        debug_assert!(self.pending.is_empty() && self.applied == 0);
+        self.pending = batch;
+    }
+
+    /// Applies `pending[applied..]` in order; a record whose ordinal
+    /// `admit` turns down is skipped for good.
+    pub(crate) fn apply_rest(
+        &mut self,
+        states: &mut HashMap<ServerId, ServerState>,
+        ctx: &ShardContext,
+        mut admit: impl FnMut(u64) -> bool,
+    ) {
+        while let Some(&feedback) = self.pending.get(self.applied) {
+            if admit(self.next_index()) {
+                apply_feedback(states, feedback, ctx, &mut self.mark);
+                self.mark = None;
+            }
+            self.applied += 1;
+        }
+    }
+
+    /// Records still owed to the state.
+    pub(crate) fn owed(&self) -> usize {
+        self.pending.len() - self.applied
+    }
+
+    /// Ordinal of the next record to apply (the one part-way, if any).
+    pub(crate) fn next_index(&self) -> u64 {
+        self.base + self.applied as u64
+    }
+
+    /// Starts the fold of `pending` over (a replay retried from its
+    /// initial state).
+    pub(crate) fn rewind(&mut self) {
+        self.applied = 0;
+        self.mark = None;
+    }
+
+    /// Closes a fully applied batch: the buffer empties (its ordinals are
+    /// spent) and nothing is owed.
+    pub(crate) fn finish(&mut self) {
+        debug_assert!(self.owed() == 0 && self.mark.is_none());
+        self.base += self.pending.len() as u64;
+        self.pending.clear();
+        self.applied = 0;
+    }
+
+    /// Forgets everything: the state was rebuilt from a journal that
+    /// already holds whatever was pending.
+    pub(crate) fn reset(&mut self) {
+        *self = InFlight::default();
+    }
+}
+
 /// The worker loop proper. Runs until `Shutdown` (drain, flush, return)
 /// or until every sender is gone (flush, return). Panics unwind to the
-/// supervisor, which rebuilds `states` from the journal and calls back
-/// in.
+/// supervisor, which repairs `states` — from the journal, or in place
+/// from `inflight` — and calls back in.
 pub(crate) fn worker_loop(
     rx: &Receiver<Command>,
     states: &mut HashMap<ServerId, ServerState>,
+    inflight: &mut InFlight,
     ctx: &ShardContext,
 ) {
     while let Ok(command) = rx.recv() {
-        if handle_command(command, states, ctx) == Flow::Stop {
+        if handle_command(command, states, inflight, ctx) == Flow::Stop {
             // Graceful shutdown: serve everything already queued, then
             // flush. Commands arriving after the drain observes an empty
             // queue are dropped (their senders see a closed channel).
             while let Ok(command) = rx.try_recv() {
-                let _ = handle_command(command, states, ctx);
+                let _ = handle_command(command, states, inflight, ctx);
             }
             break;
         }
@@ -369,12 +522,15 @@ pub(crate) fn worker_loop(
     if ctx.snapshots.is_some() {
         let _ = take_checkpoint(states, ctx);
     }
-    let _ = ctx.journal.lock().flush();
+    if let Some(journal) = &ctx.journal {
+        let _ = journal.lock().sync();
+    }
 }
 
 pub(crate) fn handle_command(
     command: Command,
     states: &mut HashMap<ServerId, ServerState>,
+    inflight: &mut InFlight,
     ctx: &ShardContext,
 ) -> Flow {
     // Publish the trace before doing any work: if this command panics
@@ -383,7 +539,7 @@ pub(crate) fn handle_command(
     ctx.active_trace
         .store(command.trace(), std::sync::atomic::Ordering::Relaxed);
     let busy_t0 = Instant::now();
-    let flow = dispatch_command(command, states, ctx);
+    let flow = dispatch_command(command, states, inflight, ctx);
     ctx.obs
         .add_busy_ns(ctx.shard, busy_t0.elapsed().as_nanos() as u64);
     ctx.active_trace
@@ -394,6 +550,7 @@ pub(crate) fn handle_command(
 fn dispatch_command(
     command: Command,
     states: &mut HashMap<ServerId, ServerState>,
+    inflight: &mut InFlight,
     ctx: &ShardContext,
 ) -> Flow {
     match command {
@@ -406,43 +563,47 @@ fn dispatch_command(
             ctx.obs
                 .record_queue_wait(ctx.shard, enqueued_at.elapsed().as_nanos() as u64);
             // Journal first: after this point the batch is durable and
-            // any crash during apply is recovered by replay. The append
-            // is timed unconditionally (the histogram write is two
-            // relaxed atomic adds); trace events only when enabled.
-            let append_t0 = Instant::now();
-            match ctx.journal.lock().append_batch(&batch) {
-                Ok(info) => {
-                    let append_ns = append_t0.elapsed().as_nanos() as u64;
-                    ctx.obs.record_latency(LatencyPath::JournalAppend, append_ns);
-                    if info.synced {
-                        ctx.obs.record_latency(LatencyPath::JournalFsync, info.sync_ns);
+            // any crash during apply is recovered by replay. Trace
+            // events only when enabled; the latency sample is two relaxed
+            // atomic adds. A shard with no journal records neither.
+            if let Some(journal) = &ctx.journal {
+                let append_t0 = Instant::now();
+                match journal.lock().append_batch(&batch) {
+                    Ok(info) => {
+                        let append_ns = append_t0.elapsed().as_nanos() as u64;
+                        ctx.obs.record_latency(LatencyPath::JournalAppend, append_ns);
+                        if info.synced {
+                            ctx.obs.record_latency(LatencyPath::JournalFsync, info.sync_ns);
+                        }
+                        ctx.counters()
+                            .record_journal_append(info.records, info.bytes, info.synced);
+                        ctx.obs.tracer().emit_traced(
+                            ctx.shard,
+                            append_ns,
+                            TraceKind::JournalAppend {
+                                records: info.records,
+                            },
+                            trace,
+                        );
                     }
-                    ctx.counters()
-                        .record_journal_append(info.records, info.bytes, info.synced);
-                    ctx.obs.tracer().emit_traced(
-                        ctx.shard,
-                        append_ns,
-                        TraceKind::JournalAppend {
-                            records: info.records,
-                        },
-                        trace,
-                    );
-                }
-                Err(e) => {
-                    // The journal is the source of truth; a worker that
-                    // cannot write it must not apply either. Unwind to
-                    // the supervisor, which replays what *is* durable.
-                    panic!("shard journal append failed: {e}");
+                    Err(e) => {
+                        // The journal is the source of truth; a worker
+                        // that cannot write it must not apply either.
+                        // Unwind to the supervisor, which replays what
+                        // *is* durable.
+                        panic!("shard journal append failed: {e}");
+                    }
                 }
             }
+            // From here the batch is the supervisor's: whatever happens
+            // to this worker, `inflight` says which records the state
+            // still owes.
+            inflight.begin(batch);
             ctx.faults.after_journal();
             let apply_t0 = Instant::now();
-            let mut touched = Vec::new();
-            for feedback in batch {
-                ctx.faults.before_apply(&feedback);
-                apply_feedback(states, feedback, ctx);
-                touched.push(feedback.server);
-            }
+            inflight.apply_rest(states, ctx, |_| true);
+            let mut touched: Vec<ServerId> = inflight.pending.iter().map(|f| f.server).collect();
+            inflight.finish();
             touched.sort_unstable();
             touched.dedup();
             {
@@ -478,7 +639,9 @@ fn dispatch_command(
             // this batch captures the compacted/spilled form (snapshots
             // shrink with compaction, and segment references are covered
             // by the snapshot that might reclaim their predecessors).
+            inflight.folding = true;
             maybe_tier(states, &touched, ctx);
+            inflight.folding = false;
             maybe_checkpoint(states, ctx);
             Flow::Continue
         }
@@ -563,6 +726,7 @@ fn maybe_tier(
     let mut folded = 0u64;
     for server in touched {
         if let Some(state) = states.get_mut(server) {
+            ctx.faults.in_tiering();
             state.last_touch = tiering.tick();
             folded += state.compact(tiering.policy.horizon) as u64;
         }
@@ -576,7 +740,7 @@ fn maybe_tier(
 }
 
 /// Re-tiers every server: compaction for all, then the spill budget.
-/// Used after a supervisor rebuild — journal replay produces fully hot
+/// Used after a supervisor recovery — journal replay produces fully hot
 /// states, so recovery must re-bound residency before the shard serves.
 pub(crate) fn tier_all(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardContext) {
     if ctx.tiering.is_none() {
@@ -707,7 +871,8 @@ fn maybe_checkpoint(states: &HashMap<ServerId, ServerState>, ctx: &ShardContext)
     if interval == 0 {
         return;
     }
-    let records = ctx.journal.lock().len();
+    let Some(journal) = &ctx.journal else { return };
+    let records = journal.lock().records();
     let last = snaps.store.lock().newest_offset().unwrap_or(0);
     if records.saturating_sub(last) >= interval {
         let _ = take_checkpoint(states, ctx);
@@ -722,18 +887,20 @@ pub(crate) fn take_checkpoint(
     ctx: &ShardContext,
 ) -> Option<CheckpointInfo> {
     let snaps = ctx.snapshots.as_ref()?;
+    // Snapshots are validated to need a durable journal.
+    let journal = ctx.journal.as_ref()?;
     let t0 = Instant::now();
     // Log-force before checkpoint: the snapshot claims to cover journal
     // offset N, so every record up to N must be durable *first* —
     // otherwise a crash right after the snapshot could leave a snapshot
     // that covers records the journal lost.
     let journal_records = {
-        let mut journal = ctx.journal.lock();
-        if journal.flush().is_err() {
+        let mut journal = journal.lock();
+        if journal.sync().is_err() {
             ctx.counters().add_snapshot_failures(1);
             return None;
         }
-        journal.len()
+        journal.records()
     };
     let mut store = snaps.store.lock();
     match store.write(states, journal_records) {
@@ -744,7 +911,7 @@ pub(crate) fn take_checkpoint(
                 // chain keeps a replayable tail.
                 store
                     .compact_floor()
-                    .and_then(|floor| ctx.journal.lock().compact_to(floor).ok())
+                    .and_then(|floor| journal.lock().compact_to(floor).ok())
                     .unwrap_or(0)
             } else {
                 0
@@ -782,24 +949,38 @@ pub(crate) fn take_checkpoint(
 }
 
 /// Applies one feedback to its server's state (creating it on first
-/// sight, faulting it back in when spilled). Shared by the live ingest
-/// path and journal replay so both are the same fold.
+/// sight, faulting it back in when spilled), writing `mark` before the
+/// state changes. Shared by the live ingest path and every replay so all
+/// are the same fold.
 pub(crate) fn apply_feedback(
     states: &mut HashMap<ServerId, ServerState>,
     feedback: Feedback,
     ctx: &ShardContext,
+    mark: &mut Option<Mark>,
 ) {
     let server = feedback.server;
     let state = match states.entry(server) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+        std::collections::hash_map::Entry::Occupied(e) => {
+            let state = e.into_mut();
+            ensure_hot(server, state, ctx);
+            *mark = Some(Mark {
+                server,
+                prior: Some(state.mark().expect("resident after ensure_hot")),
+            });
+            state
+        }
         std::collections::hash_map::Entry::Vacant(e) => {
+            *mark = Some(Mark {
+                server,
+                prior: None,
+            });
             // The model was validated at service start, so construction
             // cannot fail here.
             e.insert(ServerState::new(ctx.model).expect("validated trust model"))
         }
     };
-    ensure_hot(server, state, ctx);
-    state.ingest(feedback);
+    ctx.faults.before_apply(&feedback);
+    state.ingest(feedback, &ctx.faults);
 }
 
 fn assess_one(
@@ -814,6 +995,7 @@ fn assess_one(
     let t0 = Instant::now();
     let reply = match states.get_mut(&server) {
         Some(state) => {
+            ctx.faults.in_assess();
             // A version-current cached verdict answers without the bits;
             // only a miss needs the history resident. The fault time (if
             // any) counts toward this assessment's compute latency.
@@ -887,35 +1069,11 @@ mod tests {
     use crate::config::SupervisionConfig;
     use crate::supervisor::spawn_supervised_shard;
     use crossbeam::channel;
-    use hp_core::testing::BehaviorTestConfig;
     use hp_core::{ClientId, Rating};
-
-    fn fast_test() -> MultiBehaviorTest {
-        MultiBehaviorTest::new(
-            BehaviorTestConfig::builder()
-                .calibration_trials(200)
-                .build()
-                .unwrap(),
-        )
-        .unwrap()
-    }
 
     fn spawn() -> (ShardHandle, Arc<MetricsRegistry>) {
         let obs = Arc::new(MetricsRegistry::new(1, 64, false));
-        let ctx = ShardContext {
-            shard: 0,
-            test: fast_test(),
-            model: TrustModel::Average,
-            policy: ShortHistoryPolicy::Review,
-            obs: Arc::clone(&obs),
-            journal: Arc::new(Mutex::new(JournalStore::Memory(Vec::new()))),
-            published: Published::default(),
-            faults: ShardFaults::default(),
-            snapshots: None,
-            tiering: None,
-            boot: None,
-            active_trace: Arc::default(),
-        };
+        let ctx = ShardContext::ephemeral(Arc::clone(&obs));
         let handle = spawn_supervised_shard(0, ctx, SupervisionConfig::default(), 0);
         (handle, obs)
     }
@@ -954,9 +1112,9 @@ mod tests {
         // every feedback and the compute path recorded one serve.
         let snap = obs.snapshot();
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 250);
-        assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 1);
+        assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 0, "no journal");
         assert_eq!(snap.latency(LatencyPath::AssessCompute).count, 1);
-        assert_eq!(snap.shards[0].journal_records, 250);
+        assert_eq!(snap.shards[0].journal_records, 0);
         assert_eq!(snap.shards[0].last_apply_version, 250);
         // Queue-wait attribution: the ingest and the assess both waited
         // (however briefly) in the shard queue, and the worker's busy

@@ -814,7 +814,7 @@ mod tests {
             states
                 .entry(server)
                 .or_insert_with(|| ServerState::new(model).unwrap())
-                .ingest(f);
+                .ingest(f, &crate::faults::ShardFaults::default());
         }
         states
     }

@@ -28,6 +28,8 @@
 //! [`TwoPhaseAssessor`]: hp_core::twophase::TwoPhaseAssessor
 
 use crate::config::TrustModel;
+use crate::faults::{ShardFaults, TearPoint};
+use hp_core::history::HistoryMark;
 use hp_core::testing::{MultiBehaviorTest, TestOutcome, TestReport};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
@@ -128,21 +130,58 @@ impl ServerState {
     }
 
     /// Absorbs one feedback: O(1) history push + O(1) trust update.
+    /// `faults` may tear it part-way (fault-injection builds only).
     ///
     /// # Panics
     ///
     /// The history must be resident — the worker faults spilled states in
     /// ([`Residency`]) before applying feedback.
-    pub fn ingest(&mut self, feedback: Feedback) {
+    pub fn ingest(&mut self, feedback: Feedback, faults: &ShardFaults) {
         match &mut self.residency {
             Residency::Hot(history) => {
-                self.trust.update(feedback.is_good());
+                let tear = faults.mid_apply(&feedback);
+                if tear == Some(TearPoint::BetweenColumnPushes) {
+                    history.push_outcome_only(feedback.is_good());
+                    panic!("fault injection: torn between the column pushes");
+                }
                 history.push(feedback);
+                if tear.is_some() {
+                    panic!("fault injection: torn after the history push");
+                }
+                self.trust.update(feedback.is_good());
             }
             Residency::Spilled { .. } => {
                 panic!("ingest into a spilled history without fault-in")
             }
         }
+    }
+
+    /// What [`ServerState::roll_back`] needs to undo the next ingest:
+    /// the history's append mark and the trust state. `None` while
+    /// spilled.
+    pub fn mark(&self) -> Option<(HistoryMark, TrustState)> {
+        self.history().map(|history| (history.mark(), self.trust))
+    }
+
+    /// Undoes every ingest since `mark` was taken — a half-finished one
+    /// included: the history is cut back to the mark
+    /// ([`TieredHistory::truncate_to`], which rebuilds everything derived
+    /// from the append-only columns) and the trust state restored. False
+    /// when the history cannot honor the mark; the state is then not to
+    /// be served from.
+    pub fn roll_back(&mut self, (history_mark, trust): (HistoryMark, TrustState)) -> bool {
+        let Residency::Hot(history) = &mut self.residency else {
+            return false;
+        };
+        if history.truncate_to(&history_mark).is_err() {
+            return false;
+        }
+        self.trust = trust;
+        // A verdict cached for a version the rollback re-opens would be
+        // served for whatever is ingested there next.
+        let version = history.version();
+        self.cached.take_if(|(cached_at, _)| *cached_at > version);
+        true
     }
 
     /// The resident history, or `None` while spilled.
@@ -354,14 +393,14 @@ mod tests {
         let test = fast_test();
         let mut s = ServerState::new(TrustModel::Average).unwrap();
         for t in 0..150 {
-            s.ingest(feedback(t, t % 11 != 0));
+            s.ingest(feedback(t, t % 11 != 0), &ShardFaults::default());
         }
         let (a, from_cache) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
         assert!(!from_cache);
         let (b, from_cache) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
         assert!(from_cache);
         assert_eq!(a, b);
-        s.ingest(feedback(150, true));
+        s.ingest(feedback(150, true), &ShardFaults::default());
         let (_, from_cache) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
         assert!(!from_cache, "ingest must invalidate the cache");
     }
@@ -380,11 +419,35 @@ mod tests {
     #[test]
     fn trust_state_tracks_ingest_order() {
         let mut s = ServerState::new(TrustModel::Weighted { lambda: 0.5 }).unwrap();
-        s.ingest(feedback(0, true));
-        s.ingest(feedback(1, false));
+        s.ingest(feedback(0, true), &ShardFaults::default());
+        s.ingest(feedback(1, false), &ShardFaults::default());
         // R0 = 0.5 → 0.75 → 0.375.
         assert!((s.trust.current().value() - 0.375).abs() < 1e-15);
         assert_eq!(s.history().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn roll_back_restores_history_and_trust_and_drops_a_newer_verdict() {
+        let test = fast_test();
+        let mut s = ServerState::new(TrustModel::Weighted { lambda: 0.5 }).unwrap();
+        for t in 0..150 {
+            s.ingest(feedback(t, t % 11 != 0), &ShardFaults::default());
+        }
+        let (before, _) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
+        let (bytes, trust) = (s.history().unwrap().encode(), *s.trust());
+        let mark = s.mark().expect("resident");
+        s.ingest(feedback(150, false), &ShardFaults::default());
+        s.assess(&test, ShortHistoryPolicy::Review).unwrap(); // cached at version 151
+        assert!(s.roll_back(mark));
+        assert_eq!(s.version(), 150);
+        assert_eq!(s.history().unwrap().encode(), bytes);
+        assert_eq!(*s.trust(), trust);
+        // The verdict cached at version 151 went with the record (that
+        // version is open again for whatever is ingested next); version
+        // 150 recomputes to what it served before.
+        let (again, from_cache) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
+        assert!(!from_cache);
+        assert_eq!(again, before);
     }
 
     #[test]
@@ -393,8 +456,8 @@ mod tests {
         let mut plain = ServerState::new(TrustModel::Average).unwrap();
         for t in 0..400 {
             let f = feedback(t, t % 13 != 0);
-            tiered.ingest(f);
-            plain.ingest(f);
+            tiered.ingest(f, &ShardFaults::default());
+            plain.ingest(f, &ShardFaults::default());
         }
         let folded = tiered.compact(150);
         assert!(folded > 0, "400 outcomes with horizon 150 must fold");
@@ -424,7 +487,7 @@ mod tests {
     fn evict_restore_round_trip() {
         let mut s = ServerState::new(TrustModel::Average).unwrap();
         for t in 0..100 {
-            s.ingest(feedback(t, true));
+            s.ingest(feedback(t, true), &ShardFaults::default());
         }
         let history = s.history().unwrap().clone();
         let payload = history.encode();
@@ -453,7 +516,7 @@ mod tests {
         let test = fast_test();
         let mut s = ServerState::new(TrustModel::Average).unwrap();
         for t in 0..150 {
-            s.ingest(feedback(t, t % 11 != 0));
+            s.ingest(feedback(t, t % 11 != 0), &ShardFaults::default());
         }
         let (a, _) = s.assess(&test, ShortHistoryPolicy::Review).unwrap();
         s.evict(

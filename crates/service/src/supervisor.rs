@@ -1,24 +1,42 @@
 //! Shard supervision: crash containment, respawn with capped exponential
-//! backoff, journal-replay state rebuild, and poison-record quarantine.
+//! backoff, state recovery, and poison-record quarantine.
 //!
 //! Each shard thread runs a *supervisor* loop rather than the worker loop
-//! directly. The supervisor
+//! directly. The supervisor owns the shard's per-server state and its
+//! [`InFlight`] record buffer, both outside the worker's `catch_unwind`,
+//! and
 //!
-//! 1. rebuilds the shard's in-memory state as a pure fold over its
-//!    journal (which is exactly what the live ingest path maintains,
-//!    because batches are journaled before they are applied),
+//! 1. produces the shard's initial state — a fold over the journal a
+//!    previous process left (durable), or nothing (ephemeral),
 //! 2. runs [`worker_loop`] under `catch_unwind`,
-//! 3. on panic: waits a capped exponential backoff, replays the journal,
+//! 3. on panic: waits a capped exponential backoff, recovers the state,
 //!    and re-enters the worker loop with the command channel — and every
 //!    command still queued on it — intact.
+//!
+//! How step 3 recovers depends on what the shard has besides its memory:
+//!
+//! * **Durable** shards have a trusted external copy. The state is
+//!   thrown away and rebuilt as a pure fold over the journal (which is
+//!   exactly what the live ingest path maintains, because batches are
+//!   journaled before they are applied), starting from the newest valid
+//!   snapshot.
+//! * **Ephemeral** shards have only the state, so it is kept. The
+//!   worker writes a [`Mark`] before each record touches its server;
+//!   after a panic the supervisor rolls that one server back to the mark
+//!   — trusting only the append-only columns up to the mark, rebuilding
+//!   everything derived from them — and folds the rest of the in-flight
+//!   batch onto the retained states. A panic with no record in flight
+//!   (assessing, replying) folds nothing. A panic inside a tiering pass,
+//!   the one mutation that is not an append, cannot be rolled back: the
+//!   shard is failed rather than served from a torn fold.
 //!
 //! Two safeguards bound the damage a bad record or a persistent bug can
 //! do:
 //!
-//! * **Quarantine.** If the replay fold itself panics repeatedly at the
-//!   same journal index (`SupervisionConfig::quarantine_after` times),
-//!   that single record is quarantined — skipped from this and all later
-//!   replays — instead of wedging the shard forever. The journal on disk
+//! * **Quarantine.** If the fold itself panics repeatedly at the same
+//!   accepted record (`SupervisionConfig::quarantine_after` times), that
+//!   single record is quarantined — skipped from this and all later
+//!   folds — instead of wedging the shard forever. The journal on disk
 //!   is never rewritten; quarantine is an in-memory skip set, and the
 //!   count is visible as `ServiceStats::quarantined_records`.
 //! * **Restart budget.** After `max_restarts` respawns the shard is
@@ -29,16 +47,16 @@
 use crate::config::SupervisionConfig;
 use crate::obs::TraceKind;
 use crate::shard::{
-    apply_feedback, take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command,
+    take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight,
     ShardContext, ShardHandle,
 };
 use crate::snapshot::ManifestEntry;
 use crate::state::ServerState;
 use crossbeam::channel::{self, Receiver};
-use hp_core::{Feedback, ServerId};
+use hp_core::ServerId;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -72,75 +90,84 @@ pub(crate) fn spawn_supervised_shard(
     }
 }
 
-/// The supervisor loop: rebuild, run, contain, repeat.
+/// The supervisor loop: recover, run, contain, repeat. Every exit that
+/// is not a clean shutdown counts the shard failed and drops `rx`, so
+/// senders see `ShardUnavailable`.
 fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &SupervisionConfig) {
     let mut quarantine = Quarantine::new(supervision.quarantine_after);
-    // Cold start is itself a replay: a durable journal left by a previous
-    // process incarnation is folded here before the first command.
-    let Some(mut states) = rebuild(ctx, &mut quarantine) else {
+    let mut inflight = InFlight::default();
+    // Cold start: a durable journal left by a previous process
+    // incarnation is folded here before the first command; an ephemeral
+    // shard starts empty.
+    let cold = match &ctx.journal {
+        Some(_) => rebuild(ctx, &mut quarantine),
+        None => Some(HashMap::new()),
+    };
+    let cold = cold.and_then(|mut states| retier(&mut states, ctx).then_some(states));
+    if let Some(boot) = &ctx.boot {
+        boot.note_shard_ready(); // serving or failed, but no longer booting
+    }
+    let Some(mut states) = cold else {
         ctx.counters().add_shard_failed();
-        if let Some(boot) = &ctx.boot {
-            boot.note_shard_ready(); // failed, but no longer booting
-        }
         return;
     };
-    // Re-tier the rebuilt state before serving: journal replay produces
-    // fully hot histories, so recovery must re-bound resident bytes.
-    tier_all(&mut states, ctx);
-    if let Some(boot) = &ctx.boot {
-        boot.note_shard_ready();
-    }
     let mut restarts: u32 = 0;
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| worker_loop(rx, &mut states, ctx)));
-        match run {
-            Ok(()) => return, // clean shutdown or all senders gone
-            Err(_) => {
-                restarts += 1;
-                if restarts > supervision.max_restarts {
-                    ctx.counters().add_shard_failed();
-                    return;
-                }
-                ctx.counters().add_restart();
-                // The worker leaves its in-flight trace ID published when
-                // it panics: stamp the restart (and the replay below, via
-                // the same slot) so crash forensics reconstruct from one
-                // request ID.
-                let crashed_trace = ctx.active_trace.load(Ordering::Relaxed);
-                ctx.obs
-                    .tracer()
-                    .emit_traced(
-                        ctx.shard,
-                        0,
-                        TraceKind::WorkerRestart {
-                            restart: u64::from(restarts),
-                        },
-                        crashed_trace,
-                    );
-                thread::sleep(backoff_delay(supervision, restarts));
-                match rebuild(ctx, &mut quarantine) {
-                    Some(rebuilt) => {
-                        states = rebuilt;
-                        tier_all(&mut states, ctx);
-                        // The crashed request is fully accounted for:
-                        // clear the slot so later restarts aren't
-                        // misattributed to it.
-                        ctx.active_trace.store(0, Ordering::Relaxed);
-                        // Checkpoint the freshly rebuilt state: the next
-                        // crash (or process restart) then recovers from
-                        // here instead of re-folding this replay again.
-                        if ctx.snapshots.is_some() {
-                            let _ = take_checkpoint(&states, ctx);
-                        }
-                    }
-                    None => {
-                        ctx.counters().add_shard_failed();
-                        return;
-                    }
-                }
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            worker_loop(rx, &mut states, &mut inflight, ctx)
+        }));
+        if run.is_ok() {
+            return; // clean shutdown or all senders gone
+        }
+        restarts += 1;
+        if restarts > supervision.max_restarts {
+            ctx.counters().add_shard_failed();
+            return;
+        }
+        ctx.counters().add_restart();
+        // The worker leaves its in-flight trace ID published when it
+        // panics: stamp the restart (and the replay below, via the same
+        // slot) so crash forensics reconstruct from one request ID.
+        let crashed_trace = ctx.active_trace.load(Ordering::Relaxed);
+        ctx.obs.tracer().emit_traced(
+            ctx.shard,
+            0,
+            TraceKind::WorkerRestart {
+                restart: u64::from(restarts),
+            },
+            crashed_trace,
+        );
+        thread::sleep(backoff_delay(supervision, restarts));
+        let recovered = match &ctx.journal {
+            Some(_) => {
+                // The journal already holds whatever was in flight.
+                inflight.reset();
+                rebuild(ctx, &mut quarantine).map(|rebuilt| states = rebuilt).is_some()
             }
+            None => refold(ctx, &mut quarantine, &mut states, &mut inflight),
+        };
+        if !(recovered && retier(&mut states, ctx)) {
+            ctx.counters().add_shard_failed();
+            return;
+        }
+        // The crashed request is fully accounted for: clear the slot so
+        // later restarts aren't misattributed to it.
+        ctx.active_trace.store(0, Ordering::Relaxed);
+        // Checkpoint the freshly rebuilt state: the next crash (or
+        // process restart) then recovers from here instead of re-folding
+        // this replay again.
+        if ctx.snapshots.is_some() {
+            let _ = take_checkpoint(&states, ctx);
         }
     }
+}
+
+/// Re-tiers recovered state before it serves: journal replay produces
+/// fully hot histories, so recovery must re-bound resident bytes. A
+/// panic in the fold is contained; false means the states are torn and
+/// the shard must not serve from them.
+fn retier(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardContext) -> bool {
+    catch_unwind(AssertUnwindSafe(|| tier_all(states, ctx))).is_ok()
 }
 
 /// Backoff before the `restart`-th respawn (1-based): `base * 2^(n-1)`,
@@ -153,7 +180,8 @@ pub(crate) fn backoff_delay(supervision: &SupervisionConfig, restart: u32) -> Du
     delay.min(supervision.backoff_cap)
 }
 
-/// Rebuilds shard state, trying the fastest sound path first:
+/// Rebuilds a durable shard's state, trying the fastest sound path
+/// first:
 ///
 /// 1. each retained snapshot, newest first — load + validate, then fold
 ///    only the journal tail past its offset;
@@ -165,6 +193,7 @@ pub(crate) fn backoff_delay(supervision: &SupervisionConfig, restart: u32) -> Du
 /// compacted journal whose snapshots are all invalid, where a partial
 /// fold would silently produce wrong verdicts.
 fn rebuild(ctx: &ShardContext, quarantine: &mut Quarantine) -> Option<HashMap<ServerId, ServerState>> {
+    let journal = ctx.journal.as_ref()?;
     let replay_t0 = std::time::Instant::now();
     // Still set when a panicking request triggered this rebuild; 0 on
     // cold start.
@@ -185,14 +214,21 @@ fn rebuild(ctx: &ShardContext, quarantine: &mut Quarantine) -> Option<HashMap<Se
         }
     }
     // Fallback floor: fold the whole journal from record 0.
-    let (start, feedbacks) = ctx.journal.lock().replay_from(0).ok()?;
+    let (start, feedbacks) = journal.lock().replay_from(0).ok()?;
     if start > 0 {
         // The journal was compacted (its head is gone) and no snapshot
         // was usable: a full rebuild would be missing the first `start`
         // records. Never serve from partial state — fail the shard.
         return None;
     }
-    fold_tail(ctx, quarantine, &feedbacks, 0, replay_t0, || Some(HashMap::new()))
+    let mut states = HashMap::new();
+    let mut fold = InFlight::replaying(feedbacks, 0);
+    fold_tail(ctx, quarantine, &mut states, &mut fold, replay_t0, |states, fold| {
+        states.clear();
+        fold.rewind();
+        true
+    })
+    .then_some(states)
 }
 
 /// One step of the fallback chain: load + validate `entry`, check the
@@ -214,7 +250,7 @@ fn recover_from_snapshot(
         return None;
     }
     let offset = loaded.journal_records;
-    let (start, tail) = ctx.journal.lock().replay_from(offset).ok()?;
+    let (start, tail) = ctx.journal.as_ref()?.lock().replay_from(offset).ok()?;
     if start != offset {
         // `start > offset`: the journal was compacted past this
         // snapshot's coverage, its tail is gone. `start < offset`: the
@@ -232,39 +268,78 @@ fn recover_from_snapshot(
     // copy is pristine (the previous attempt only mutated its in-memory
     // clone), and the quarantine budget bounds the number of reloads.
     let mut first = Some(loaded);
-    fold_tail(ctx, quarantine, &tail, offset, replay_t0, move || match first.take() {
-        Some(l) => Some(l.states),
-        None => snaps.store.lock().load(entry, ctx.model).ok().map(|l| l.states),
+    let mut states = HashMap::new();
+    let mut fold = InFlight::replaying(tail, offset);
+    fold_tail(ctx, quarantine, &mut states, &mut fold, replay_t0, |states, fold| {
+        let loaded = first
+            .take()
+            .or_else(|| snaps.store.lock().load(entry, ctx.model).ok());
+        let Some(loaded) = loaded else { return false };
+        *states = loaded.states;
+        fold.rewind();
+        true
     })
+    .then_some(states)
 }
 
-/// Folds `feedbacks` (whose first record has absolute journal index
-/// `base`) onto states produced by `init`, quarantining records that
-/// repeatedly crash the fold. `init` runs once per attempt — a fresh
-/// empty map for full replay, a freshly loaded snapshot for tail replay.
+/// Recovers an ephemeral shard in place: `states` is kept, the record
+/// the panic interrupted (if any) is rolled back to its mark, and what
+/// `inflight` still owes is folded on. False when the retained state
+/// cannot be trusted — the panic was inside a tiering fold, or a
+/// history cannot honor its mark.
+fn refold(
+    ctx: &ShardContext,
+    quarantine: &mut Quarantine,
+    states: &mut HashMap<ServerId, ServerState>,
+    inflight: &mut InFlight,
+) -> bool {
+    let replay_t0 = std::time::Instant::now();
+    ctx.obs.tracer().emit_traced(
+        ctx.shard,
+        0,
+        TraceKind::ReplayStart,
+        ctx.active_trace.load(Ordering::Relaxed),
+    );
+    if inflight.folding {
+        return false;
+    }
+    let folded = fold_tail(ctx, quarantine, states, inflight, replay_t0, |states, fold| {
+        fold.mark.take().is_none_or(|mark| mark.roll_back(states))
+    });
+    if folded {
+        inflight.finish();
+    }
+    folded
+}
+
+/// Folds the records `fold` owes onto `states`, quarantining records
+/// that repeatedly crash the fold. `reset` runs before each attempt and
+/// puts `states` and `fold` where the attempt starts: the initial state
+/// and the top of the tail for a journal replay (a fresh empty map, a
+/// freshly loaded snapshot), the mark of the interrupted record for an
+/// in-place refold. False when `reset` gives up or the fold crashed
+/// outside any record.
 fn fold_tail(
     ctx: &ShardContext,
     quarantine: &mut Quarantine,
-    feedbacks: &[Feedback],
-    base: u64,
+    states: &mut HashMap<ServerId, ServerState>,
+    fold: &mut InFlight,
     replay_t0: std::time::Instant,
-    mut init: impl FnMut() -> Option<HashMap<ServerId, ServerState>>,
-) -> Option<HashMap<ServerId, ServerState>> {
+    mut reset: impl FnMut(&mut HashMap<ServerId, ServerState>, &mut InFlight) -> bool,
+) -> bool {
+    let records = fold.owed() as u64;
     loop {
-        let mut states = init()?;
-        // `progress` is written before each apply so a panic can be
-        // attributed to the exact journal index that caused it.
-        let progress = AtomicUsize::new(usize::MAX);
+        if !reset(states, fold) {
+            return false;
+        }
+        // `fold` advances past each record it completes, so after a
+        // panic it names the exact record that caused it.
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut replayed_in_chunk = 0u64;
-            for (i, feedback) in feedbacks.iter().enumerate() {
-                let index = base as usize + i;
+            fold.apply_rest(states, ctx, |index| {
                 if quarantine.is_skipped(index) {
-                    continue;
+                    return false;
                 }
-                progress.store(index, Ordering::Relaxed);
-                ctx.faults.before_apply(feedback);
-                apply_feedback(&mut states, *feedback, ctx);
                 if let Some(boot) = &ctx.boot {
                     replayed_in_chunk += 1;
                     if replayed_in_chunk == PROGRESS_CHUNK {
@@ -272,61 +347,53 @@ fn fold_tail(
                         replayed_in_chunk = 0;
                     }
                 }
-            }
+                true
+            });
             if let Some(boot) = &ctx.boot {
                 boot.add_replayed(replayed_in_chunk);
             }
-            states
         }));
-        match attempt {
-            Ok(states) => {
-                // Keep staleness accounting truthful for verdicts
-                // published before the crash.
-                let mut published = ctx.published.lock();
-                for (server, state) in &states {
-                    if let Some(pv) = published.get_mut(server) {
-                        pv.latest_version = state.version();
-                    }
+        if attempt.is_ok() {
+            // Keep staleness accounting truthful for verdicts published
+            // before the crash.
+            let mut published = ctx.published.lock();
+            for (server, state) in states.iter() {
+                if let Some(pv) = published.get_mut(server) {
+                    pv.latest_version = state.version();
                 }
-                drop(published);
-                ctx.obs.tracer().emit_traced(
-                    ctx.shard,
-                    replay_t0.elapsed().as_nanos() as u64,
-                    TraceKind::ReplayComplete {
-                        records: feedbacks.len() as u64,
-                    },
-                    ctx.active_trace.load(Ordering::Relaxed),
-                );
-                return Some(states);
             }
-            Err(_) => {
-                let index = progress.load(Ordering::Relaxed);
-                if index == usize::MAX {
-                    return None; // crashed outside any record: hopeless
-                }
-                if quarantine.note_crash(index) {
-                    ctx.counters().add_quarantined();
-                    ctx.obs.tracer().emit_traced(
-                        ctx.shard,
-                        0,
-                        TraceKind::RecordQuarantined {
-                            index: index as u64,
-                        },
-                        ctx.active_trace.load(Ordering::Relaxed),
-                    );
-                }
-                // Retry immediately: either the record is now skipped or
-                // its crash count moved toward the quarantine threshold.
-            }
+            drop(published);
+            ctx.obs.tracer().emit_traced(
+                ctx.shard,
+                replay_t0.elapsed().as_nanos() as u64,
+                TraceKind::ReplayComplete { records },
+                ctx.active_trace.load(Ordering::Relaxed),
+            );
+            return true;
         }
+        if fold.owed() == 0 {
+            return false; // crashed outside any record: hopeless
+        }
+        let index = fold.next_index();
+        if quarantine.note_crash(index) {
+            ctx.counters().add_quarantined();
+            ctx.obs.tracer().emit_traced(
+                ctx.shard,
+                0,
+                TraceKind::RecordQuarantined { index },
+                ctx.active_trace.load(Ordering::Relaxed),
+            );
+        }
+        // Retry immediately: either the record is now skipped or its
+        // crash count moved toward the quarantine threshold.
     }
 }
 
 /// Tracks per-record replay crashes and the resulting skip set.
 struct Quarantine {
     threshold: u32,
-    crashes: HashMap<usize, u32>,
-    skipped: HashSet<usize>,
+    crashes: HashMap<u64, u32>,
+    skipped: HashSet<u64>,
 }
 
 impl Quarantine {
@@ -338,13 +405,13 @@ impl Quarantine {
         }
     }
 
-    fn is_skipped(&self, index: usize) -> bool {
+    fn is_skipped(&self, index: u64) -> bool {
         self.skipped.contains(&index)
     }
 
     /// Records a crash at `index`; returns true when this crash crosses
     /// the threshold and quarantines the record.
-    fn note_crash(&mut self, index: usize) -> bool {
+    fn note_crash(&mut self, index: u64) -> bool {
         let count = self.crashes.entry(index).or_insert(0);
         *count += 1;
         if *count >= self.threshold && self.skipped.insert(index) {
@@ -357,6 +424,66 @@ impl Quarantine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MetricsRegistry;
+    use crate::shard::apply_feedback;
+    use hp_core::{ClientId, Feedback, Rating};
+
+    /// 40 records interleaving two servers, some issuers repeating.
+    fn batch() -> Vec<Feedback> {
+        (0..40u64)
+            .map(|t| {
+                let server = ServerId::new(t % 2);
+                Feedback::new(t, server, ClientId::new(t % 7), Rating::from_good(t % 5 != 0))
+            })
+            .collect()
+    }
+
+    fn fingerprint(states: &HashMap<ServerId, ServerState>) -> Vec<(ServerId, Vec<u8>, String)> {
+        let mut all: Vec<_> = states
+            .iter()
+            .map(|(id, s)| (*id, s.history().unwrap().encode(), format!("{:?}", s.trust())))
+            .collect();
+        all.sort();
+        all
+    }
+
+    /// The worker died with record 17 applied in full but its mark still
+    /// standing — the worst a mid-apply panic can leave: the refold must
+    /// undo it once and apply it once.
+    #[test]
+    fn refold_rolls_the_marked_record_back_and_applies_the_rest() {
+        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1, 64, false)));
+        let mut expected = HashMap::new();
+        InFlight::replaying(batch(), 0).apply_rest(&mut expected, &ctx, |_| true);
+
+        let mut states = HashMap::new();
+        let mut inflight = InFlight::replaying(batch(), 0);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            inflight.apply_rest(&mut states, &ctx, |index| {
+                assert_ne!(index, 17, "the worker dies reaching record 17");
+                true
+            })
+        }));
+        assert!(crashed.is_err());
+        assert_eq!(inflight.owed(), 23);
+        apply_feedback(&mut states, batch()[17], &ctx, &mut inflight.mark);
+        assert_ne!(fingerprint(&states), fingerprint(&expected));
+
+        let mut quarantine = Quarantine::new(2);
+        assert!(refold(&ctx, &mut quarantine, &mut states, &mut inflight));
+        assert_eq!(fingerprint(&states), fingerprint(&expected));
+        assert_eq!(inflight.owed(), 0);
+        assert_eq!(inflight.next_index(), 40, "the batch's ordinals are spent");
+    }
+
+    #[test]
+    fn refold_refuses_a_state_torn_inside_a_tiering_fold() {
+        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1, 64, false)));
+        let mut states = HashMap::new();
+        let mut inflight = InFlight::default();
+        inflight.folding = true;
+        assert!(!refold(&ctx, &mut Quarantine::new(2), &mut states, &mut inflight));
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

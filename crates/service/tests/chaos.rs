@@ -1,11 +1,18 @@
 //! Chaos tests: deterministic fault injection against the live service.
 //!
 //! Every test asserts the fault-tolerance invariant end to end: whatever
-//! the injected failure (crash between journal write and memory apply, a
-//! poison record that kills every replay until quarantined, a stalled
+//! the injected failure (crash between accepting a batch and applying it,
+//! a record torn half-way through its apply, a poison record that kills
+//! every fold until quarantined, a panic while assessing, a stalled
 //! worker), the verdicts the recovered service serves are **bit-identical**
-//! to the offline `TwoPhaseAssessor` folded over the durable feedback
-//! sequence.
+//! to the offline `TwoPhaseAssessor` folded over the accepted (minus
+//! quarantined) feedback sequence.
+//!
+//! The default configuration is ephemeral: no journal, the per-server
+//! state survives the worker's panic and one record is rolled back. The
+//! write-ahead assertions (records journaled before the crash, replay of
+//! the whole journal) run on a `Durable` scratch-directory variant of the
+//! same scenarios.
 //!
 //! Compiled only with `--features fault-injection` (ci.sh runs it).
 
@@ -16,10 +23,13 @@ use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
 use hp_service::obs::{LatencyPath, TraceKind};
 use hp_service::replay::{restamp, OfflineReference};
 use hp_service::{
-    AssessOutcome, DegradedReason, FaultPlan, IngestOutcome, IngestPolicy, ReputationService,
-    ServiceConfig,
+    AssessOutcome, BootProgress, DegradedReason, Durability, FaultPlan, FsyncPolicy,
+    IngestOutcome, IngestPolicy, ReputationService, ServiceConfig, ServiceError, TearPoint,
+    TieringPolicy,
 };
 use hp_sim::workload;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,6 +46,28 @@ fn fast_config() -> ServiceConfig {
         .with_prewarm_grid(vec![], vec![])
 }
 
+/// A unique scratch directory per call, removed by the caller on success.
+fn temp_dir(name: &str) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "hp-service-chaos-{}-{name}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// `config` with a write-ahead journal in a fresh scratch directory.
+fn durable(config: ServiceConfig, name: &str) -> (ServiceConfig, PathBuf) {
+    let dir = temp_dir(name);
+    let config = config.with_durability(Durability::Durable {
+        dir: dir.clone(),
+        fsync: FsyncPolicy::Never,
+    });
+    (config, dir)
+}
+
 fn offline_verdict(
     config: &ServiceConfig,
     feedbacks: impl IntoIterator<Item = Feedback>,
@@ -48,13 +80,12 @@ fn offline_verdict(
     reference.assess(&history).expect("offline assess")
 }
 
-#[test]
-fn crash_between_journal_and_apply_recovers_equivalently() {
+/// The third ingest command is accepted (and, with a journal, journaled),
+/// then the worker dies before applying any of it.
+fn crash_before_apply(config: ServiceConfig, journaled: bool) {
     let server = ServerId::new(42);
     let feedbacks = restamp(&workload::honest_history(600, 0.9, 0xC0FFEE), server);
-    // The third ingest command journals its batch, then the worker dies
-    // before applying it — the worst ordering: durable, not in memory.
-    let config = fast_config().with_fault_plan(FaultPlan::default().panic_at(0, 3));
+    let config = config.with_fault_plan(FaultPlan::default().panic_at(0, 3));
     let service = ReputationService::new(config.clone()).unwrap();
     for chunk in feedbacks.chunks(100) {
         let outcome = service.ingest_batch(chunk.to_vec()).unwrap();
@@ -67,24 +98,328 @@ fn crash_between_journal_and_apply_recovers_equivalently() {
     assert_eq!(stats.quarantined_records, 0);
     assert_eq!(stats.failed_shards, 0);
     assert_eq!(stats.ingested_feedbacks, 600);
-    assert_eq!(stats.journal_records, 600, "the crashed batch was journaled");
-
     // The per-shard block attributes the whole fault plan to shard 0.
     assert_eq!(stats.per_shard.len(), 1);
     assert_eq!(stats.per_shard[0].restarts, 1);
     assert_eq!(stats.per_shard[0].ingested, 600);
-    assert_eq!(stats.per_shard[0].journal_records, 600);
 
-    // Histograms match the plan exactly: all 6 batches were journaled,
-    // but the crashed batch (100 feedbacks) reached state via replay, not
-    // the measured live-apply path.
+    // Histograms match the plan exactly: the crashed batch (100
+    // feedbacks) reached state through the supervisor's fold, not the
+    // measured live-apply path.
     let snap = service.metrics().snapshot();
-    assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 6);
     assert_eq!(snap.latency(LatencyPath::IngestApply).count, 500);
     assert_eq!(
         snap.latency(LatencyPath::AssessCompute).count,
         stats.assessments_served
     );
+    if journaled {
+        assert_eq!(stats.journal_records, 600, "the crashed batch was journaled");
+        assert_eq!(stats.per_shard[0].journal_records, 600);
+        assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 6);
+    } else {
+        // No journal, and the counters say so: nothing framed, nothing
+        // timed.
+        assert_eq!(stats.journal_records, 0);
+        assert_eq!(stats.journal_bytes, 0);
+        assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 0);
+    }
+}
+
+#[test]
+fn crash_before_apply_keeps_the_state_and_retries_the_batch() {
+    crash_before_apply(fast_config(), false);
+}
+
+#[test]
+fn crash_between_journal_and_apply_recovers_equivalently() {
+    let (config, dir) = durable(fast_config(), "crash-before-apply");
+    crash_before_apply(config, true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two servers interleaved record by record, so every batch touches both.
+fn two_servers(len: usize) -> (Vec<Feedback>, [Vec<Feedback>; 2]) {
+    let a = restamp(&workload::honest_history(len, 0.9, 0xA11CE), ServerId::new(1));
+    let b = restamp(&workload::honest_history(len, 0.8, 0xB0B), ServerId::new(2));
+    let mixed = a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect();
+    (mixed, [a, b])
+}
+
+const HORIZON: usize = 256;
+
+/// Ephemeral with horizon compaction: the torn history has a folded
+/// prefix, and the offline reference sweeps the same capped suffixes.
+fn tiered_config() -> ServiceConfig {
+    ServiceConfig::default()
+        .with_shards(1)
+        .with_test(
+            BehaviorTestConfig::builder()
+                .calibration_trials(300)
+                .max_suffix(Some(HORIZON))
+                .build()
+                .unwrap(),
+        )
+        .with_prewarm_grid(vec![], vec![])
+        .with_tiering(TieringPolicy {
+            horizon: HORIZON,
+            spill_budget_bytes: None,
+        })
+}
+
+#[test]
+fn mid_apply_crash_rolls_one_record_back_and_loses_nothing() {
+    for point in [TearPoint::AfterHistoryPush, TearPoint::BetweenColumnPushes] {
+        for base in [fast_config(), tiered_config()] {
+            let (mixed, per_server) = two_servers(600);
+            let torn = per_server[0][437];
+            let config = base.with_fault_plan(FaultPlan::default().with_mid_apply_panic(
+                torn.server.value(),
+                torn.time,
+                point,
+            ));
+            let service = ReputationService::new(config.clone()).unwrap();
+            for chunk in mixed.chunks(150) {
+                service.ingest_batch(chunk.to_vec()).unwrap();
+            }
+            // Every accepted record is in the verdict.
+            assert_verdicts_match_offline(&service, &config, &per_server);
+            let stats = service.stats();
+            assert_eq!(stats.shard_restarts, 1, "{point:?}");
+            assert_eq!(stats.quarantined_records, 0, "{point:?}");
+            assert_eq!(stats.failed_shards, 0, "{point:?}");
+            assert_eq!(stats.tracked_feedbacks, 1200, "{point:?}: nothing lost, nothing doubled");
+        }
+    }
+}
+
+#[test]
+fn persistent_mid_apply_crash_is_quarantined() {
+    let (mixed, per_server) = two_servers(400);
+    let torn = per_server[1][250];
+    let config = fast_config().with_fault_plan(
+        FaultPlan::default()
+            .with_mid_apply_panic(torn.server.value(), torn.time, TearPoint::AfterHistoryPush)
+            .persistently(),
+    );
+    let service = ReputationService::new(config.clone()).unwrap();
+    for chunk in mixed.chunks(100) {
+        service.ingest_batch(chunk.to_vec()).unwrap();
+    }
+    let survivors = per_server.map(|history| {
+        history.into_iter().filter(|f| *f != torn).collect::<Vec<Feedback>>()
+    });
+    assert_verdicts_match_offline(&service, &config, &survivors);
+    let stats = service.stats();
+    assert_eq!(stats.quarantined_records, 1);
+    assert_eq!(stats.shard_restarts, 1, "one live crash, then the refold retries");
+    assert_eq!(stats.failed_shards, 0);
+    assert_eq!(stats.tracked_feedbacks, 799);
+}
+
+#[test]
+fn half_made_server_is_removed_by_the_rollback() {
+    for point in [TearPoint::AfterHistoryPush, TearPoint::BetweenColumnPushes] {
+        let known = ServerId::new(1);
+        let newcomer = ServerId::new(77);
+        let config = fast_config().with_fault_plan(
+            FaultPlan::default()
+                .with_mid_apply_panic(newcomer.value(), 0, point)
+                .persistently(),
+        );
+        let service = ReputationService::new(config.clone()).unwrap();
+        let head = restamp(&workload::honest_history(200, 0.9, 5), known);
+        service.ingest_batch(head.clone()).unwrap();
+        // The newcomer's first record tears every time it is applied: the
+        // state the first attempt created must not outlive the rollback.
+        let mut batch = vec![Feedback::new(0, newcomer, ClientId::new(3), Rating::Positive)];
+        let tail: Vec<Feedback> = (200..260)
+            .map(|t| Feedback::new(t, known, ClientId::new(t % 5), Rating::Positive))
+            .collect();
+        batch.extend(&tail);
+        service.ingest_batch(batch).unwrap();
+        let online = service.assess(known).expect("assess after quarantine");
+        assert_eq!(*online, offline_verdict(&config, head.into_iter().chain(tail)));
+        let stats = service.stats();
+        assert_eq!(stats.quarantined_records, 1, "{point:?}");
+        assert_eq!(stats.tracked_servers, 1, "{point:?}: the newcomer is gone");
+        assert_eq!(stats.tracked_feedbacks, 260, "{point:?}");
+    }
+}
+
+const DEEP_SERVERS: u64 = 200;
+const DEEP_BATCH: usize = 1000;
+
+/// 200 000 feedbacks over 200 servers in 1000-record batches, every
+/// batch touching every server; returns each server's history.
+fn ingest_200k(service: &ReputationService) -> Vec<Vec<Feedback>> {
+    let histories: Vec<Vec<Feedback>> = (0..DEEP_SERVERS)
+        .map(|s| restamp(&workload::honest_history(1000, 0.9, 0xD0 + s), ServerId::new(s)))
+        .collect();
+    let mut batch = Vec::with_capacity(DEEP_BATCH);
+    for t in 0..1000 {
+        for history in &histories {
+            batch.push(history[t]);
+            if batch.len() == DEEP_BATCH {
+                service.ingest_batch(std::mem::take(&mut batch)).unwrap();
+            }
+        }
+    }
+    assert!(batch.is_empty());
+    histories
+}
+
+/// Every given server's online verdict against one offline reference
+/// (one calibrator, warmed once, for the whole sweep).
+fn assert_verdicts_match_offline<'a>(
+    service: &ReputationService,
+    config: &ServiceConfig,
+    histories: impl IntoIterator<Item = &'a Vec<Feedback>>,
+) {
+    let reference = OfflineReference::from_config(config).expect("reference builds");
+    for feedbacks in histories {
+        let server = feedbacks[0].server;
+        let mut history = TransactionHistory::new();
+        for f in feedbacks {
+            history.push(*f);
+        }
+        let online = service.assess(server).expect("assess");
+        assert_eq!(*online, reference.assess(&history).expect("offline assess"), "{server}");
+    }
+}
+
+/// Records the fold after the (only) worker restart reports.
+fn replayed_after_restart(service: &ReputationService) -> u64 {
+    let events = service.trace_events();
+    let restart = events
+        .iter()
+        .position(|e| matches!(e.kind, TraceKind::WorkerRestart { .. }))
+        .unwrap_or_else(|| panic!("no restart traced in {events:?}"));
+    events[restart..]
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceKind::ReplayComplete { records } => Some(records),
+            _ => None,
+        })
+        .expect("replay completion traced")
+}
+
+#[test]
+fn assess_panic_after_200k_records_folds_nothing() {
+    let config = fast_config()
+        .with_tracing(true)
+        .with_fault_plan(FaultPlan::default().with_assess_panic());
+    let service = ReputationService::new(config.clone()).unwrap();
+    let histories = ingest_200k(&service);
+    assert_eq!(service.stats().tracked_feedbacks, 200_000);
+    let _ = service.trace_events(); // drain: only the crash is of interest
+    assert!(
+        matches!(service.assess(ServerId::new(0)), Err(ServiceError::Interrupted { .. })),
+        "the assessment that panicked is lost, typed"
+    );
+    // The next one is served from the state the panic left in place.
+    let online = service.assess(ServerId::new(0)).expect("assess after the panic");
+    assert_eq!(*online, offline_verdict(&config, histories[0].iter().copied()));
+    assert_eq!(replayed_after_restart(&service), 0, "no record was in flight");
+    let stats = service.stats();
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.tracked_feedbacks, 200_000);
+    assert_verdicts_match_offline(&service, &config, &histories);
+}
+
+#[test]
+fn crash_before_apply_at_200k_records_folds_one_batch() {
+    // The 201st ingest command dies before its first record.
+    let config = fast_config()
+        .with_tracing(true)
+        .with_fault_plan(FaultPlan::default().panic_at(0, 201));
+    let service = ReputationService::new(config.clone()).unwrap();
+    let mut histories = ingest_200k(&service);
+    let _ = service.stats(); // barrier: all 200 batches applied
+    let _ = service.trace_events();
+    let extra: Vec<Feedback> = (0..DEEP_BATCH as u64)
+        .map(|i| {
+            let server = ServerId::new(i % DEEP_SERVERS);
+            Feedback::new(1000 + i / DEEP_SERVERS, server, ClientId::new(i % 9), Rating::Positive)
+        })
+        .collect();
+    for f in &extra {
+        histories[f.server.value() as usize].push(*f);
+    }
+    service.ingest_batch(extra).unwrap();
+    let stats = service.stats(); // barrier: the respawned worker answers
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.tracked_feedbacks, 201_000);
+    // A count, not a timer: the respawn folded the batch in flight and
+    // none of the 200 000 records before it.
+    assert_eq!(replayed_after_restart(&service), DEEP_BATCH as u64);
+    assert_verdicts_match_offline(&service, &config, histories.iter().step_by(20));
+}
+
+/// A panic inside a tiering pass: the one mutation that is not an append.
+#[test]
+fn tiering_panic_fails_an_ephemeral_shard_typed() {
+    let server = ServerId::new(4);
+    let config = tiered_config().with_fault_plan(FaultPlan::default().with_tiering_panic());
+    let service = ReputationService::new(config).unwrap();
+    service
+        .ingest_batch(restamp(&workload::honest_history(600, 0.9, 3), server))
+        .unwrap();
+    let mut failed = false;
+    for _ in 0..500 {
+        match service.assess(server) {
+            Err(ServiceError::ShardUnavailable { shard: 0 }) => {
+                failed = true;
+                break;
+            }
+            Err(ServiceError::Interrupted { .. }) | Ok(_) => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(failed, "a torn fold is never served from");
+    let stats = service.stats();
+    assert_eq!(stats.failed_shards, 1);
+    assert_eq!(stats.quarantined_records, 0);
+}
+
+/// The same panic on a durable shard costs one replay: it has a trusted
+/// copy to rebuild from. At cold start the fold runs in the supervisor
+/// itself; a panic there must fail the shard and finish its boot, not
+/// kill the thread with `/healthz` warming for ever.
+#[test]
+fn tiering_panic_on_a_durable_shard_replays_or_fails_at_boot() {
+    let server = ServerId::new(4);
+    let feedbacks = restamp(&workload::honest_history(600, 0.9, 3), server);
+    let (plain, dir) = durable(tiered_config(), "tiering-panic");
+    let config = plain.clone().with_fault_plan(FaultPlan::default().with_tiering_panic());
+    {
+        let service = ReputationService::new(config.clone()).unwrap();
+        service.ingest_batch(feedbacks.clone()).unwrap();
+        let online = service.assess(server).expect("assess after the replay");
+        assert_eq!(*online, offline_verdict(&config, feedbacks));
+        let stats = service.stats();
+        assert_eq!(stats.shard_restarts, 1);
+        assert_eq!(stats.failed_shards, 0);
+        service.shutdown();
+    }
+    // Reboot on the same journal: the cold-start re-tiering panics.
+    let boot = Arc::new(BootProgress::new());
+    let service = ReputationService::new_with_progress(config, Some(Arc::clone(&boot))).unwrap();
+    let mut failed = false;
+    for _ in 0..500 {
+        if matches!(service.assess(server), Err(ServiceError::ShardUnavailable { shard: 0 })) {
+            failed = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(failed, "the shard is failed, typed");
+    assert_eq!(service.stats().failed_shards, 1);
+    let status = boot.status();
+    assert_eq!(status.shards_ready, status.shards_total, "boot finished: {status:?}");
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -101,7 +436,7 @@ fn poison_record_is_quarantined_and_skipped() {
         .with_fault_plan(FaultPlan::default().with_poison(poison.server.value(), poison.time));
     let service = ReputationService::new(config.clone()).unwrap();
     // Live apply crashes on the poison record; the default supervision
-    // quarantines it after two replay crashes at the same journal index.
+    // quarantines it after two fold crashes at the same accepted record.
     service.ingest_batch(feedbacks.clone()).unwrap();
     let online = service.assess(server).expect("assess after quarantine");
     let survivors = feedbacks.iter().copied().filter(|f| f.time != poison.time);
@@ -238,14 +573,14 @@ fn try_for_policy_sheds_after_bounded_wait() {
 
 #[test]
 fn restart_budget_exhaustion_fails_the_shard_typed() {
-    use hp_service::{ServiceError, SupervisionConfig};
+    use hp_service::SupervisionConfig;
     let server = ServerId::new(11);
     let config = fast_config()
         .with_supervision(SupervisionConfig {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(2),
             max_restarts: 2,
-            quarantine_after: 1, // quarantine immediately: replay recovers fast
+            quarantine_after: 1, // quarantine immediately: the fold recovers fast
         })
         .with_fault_plan(FaultPlan::default().with_poison(server.value(), 999));
     let service = ReputationService::new(config).unwrap();
@@ -253,8 +588,9 @@ fn restart_budget_exhaustion_fails_the_shard_typed() {
         .ingest_batch(restamp(&workload::honest_history(100, 0.9, 77), server))
         .unwrap();
     // Three separate poison ingests: each crashes the live worker once
-    // (the journal copy is quarantined on replay), so the third crash
-    // exceeds max_restarts = 2 and the shard is declared failed.
+    // (the in-flight copy is quarantined by the supervisor's fold), so the
+    // third crash exceeds max_restarts = 2 and the shard is declared
+    // failed.
     let poison = Feedback::new(999, server, ClientId::new(1), Rating::Negative);
     for _ in 0..3 {
         let _ = service.ingest_batch(vec![poison]);
@@ -281,20 +617,20 @@ fn restart_budget_exhaustion_fails_the_shard_typed() {
     assert_eq!(stats.per_shard[0].failed, 1);
 }
 
-#[test]
-fn trace_ring_reconstructs_crash_causality() {
+/// The second ingest command is accepted, then the worker dies pre-apply;
+/// the trace ring must tell that story in order.
+fn crash_causality(config: ServiceConfig, journaled: bool) {
     let server = ServerId::new(23);
     let feedbacks = restamp(&workload::honest_history(200, 0.9, 0xACE), server);
-    // Second ingest command: journaled, then the worker dies pre-apply.
-    let config = fast_config()
+    let config = config
         .with_tracing(true)
         .with_fault_plan(FaultPlan::default().panic_at(0, 2));
     let service = ReputationService::new(config).unwrap();
     for chunk in feedbacks.chunks(100) {
         service.ingest_batch(chunk.to_vec()).unwrap();
     }
-    // Recovery barrier: a served assessment proves the rebuilt worker is
-    // back and has folded the journal.
+    // Recovery barrier: a served assessment proves the respawned worker
+    // is back and holds both batches.
     service.assess(server).expect("assess after recovery");
 
     let events = service.trace_events();
@@ -311,12 +647,7 @@ fn trace_ring_reconstructs_crash_causality() {
         .iter()
         .filter(|e| matches!(e.kind, TraceKind::BatchApplied { .. }))
         .count();
-    // Both batches were journaled before the crash, but only the first
-    // was applied — the dangling append is the write-ahead invariant made
-    // visible.
-    assert_eq!(appends_before, 2, "{events:?}");
     assert_eq!(applies_before, 1, "{events:?}");
-    // After the restart: the replay folds both durable batches back.
     let replay = events[restart..]
         .iter()
         .find_map(|e| match e.kind {
@@ -324,11 +655,37 @@ fn trace_ring_reconstructs_crash_causality() {
             _ => None,
         })
         .expect("replay completion traced");
-    assert_eq!(replay, 200, "replay folds every journaled record");
+    if journaled {
+        // Both batches were journaled before the crash, but only the
+        // first was applied — the dangling append is the write-ahead
+        // invariant made visible — and the replay folds both back.
+        assert_eq!(appends_before, 2, "{events:?}");
+        assert_eq!(replay, 200, "replay folds every journaled record");
+    } else {
+        // Nothing is journaled, the first batch is still in the state:
+        // the respawn folds only the batch that was in flight.
+        assert!(
+            events.iter().all(|e| !matches!(e.kind, TraceKind::JournalAppend { .. })),
+            "{events:?}"
+        );
+        assert_eq!(replay, 100, "the respawn folds the in-flight batch only");
+    }
     // And the assessment that proved recovery was traced after it.
     let served = events
         .iter()
         .rposition(|e| matches!(e.kind, TraceKind::AssessServed { .. }))
         .expect("assessment traced");
     assert!(served > restart);
+}
+
+#[test]
+fn trace_ring_reconstructs_crash_causality() {
+    crash_causality(fast_config(), false);
+}
+
+#[test]
+fn trace_ring_shows_the_write_ahead_order_on_a_durable_shard() {
+    let (config, dir) = durable(fast_config(), "crash-causality");
+    crash_causality(config, true);
+    let _ = std::fs::remove_dir_all(&dir);
 }

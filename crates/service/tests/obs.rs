@@ -6,7 +6,7 @@
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::obs::LatencyPath;
-use hp_service::{ReputationService, ServiceConfig, TrustModel};
+use hp_service::{Durability, FsyncPolicy, ReputationService, ServiceConfig, TrustModel};
 use proptest::prelude::*;
 
 fn fast_config(shards: usize) -> ServiceConfig {
@@ -259,7 +259,15 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
 
 #[test]
 fn tracing_orders_journal_before_apply() {
-    let service = ReputationService::new(fast_config(1).with_tracing(true)).unwrap();
+    let dir = std::env::temp_dir().join(format!("hp-service-obs-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = fast_config(1)
+        .with_tracing(true)
+        .with_durability(Durability::Durable {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+        });
+    let service = ReputationService::new(config).unwrap();
     let server = ServerId::new(4);
     service.ingest_batch(feedbacks_for(server, 150, 9)).unwrap();
     service.assess(server).unwrap(); // FIFO barrier: the ingest is applied
@@ -283,6 +291,38 @@ fn tracing_orders_journal_before_apply() {
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
     // Drained: a second drain is empty until new events arrive.
     assert!(service.trace_events().is_empty());
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without a journal there is nothing to append, time or count: the
+/// journal series stay exported (dashboards and the benchmark scrape
+/// them) and read zero.
+#[test]
+fn an_ephemeral_service_reports_no_journal_activity() {
+    let service = ReputationService::new(fast_config(1).with_tracing(true)).unwrap();
+    let server = ServerId::new(4);
+    service.ingest_batch(feedbacks_for(server, 150, 9)).unwrap();
+    service.assess(server).unwrap();
+    let events = service.trace_events();
+    assert!(
+        events.iter().all(|e| e.kind.label() != "journal_append"),
+        "{events:?}"
+    );
+    assert!(events.iter().any(|e| e.kind.label() == "batch_applied"));
+    let stats = service.stats();
+    assert_eq!((stats.journal_records, stats.journal_bytes), (0, 0));
+    let text = service.render_prometheus();
+    assert_eq!(metric_value(&text, "hp_journal_append_latency_seconds_count"), 0.0);
+    for series in ["hp_journal_records_total", "hp_journal_bytes_total"] {
+        let total: f64 = text
+            .lines()
+            .filter(|line| line.starts_with(series))
+            .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+            .sum();
+        assert_eq!(total, 0.0, "{series}");
+        assert!(text.contains(series), "{series} stays exported");
+    }
 }
 
 #[test]
