@@ -164,12 +164,42 @@ if current["multi_fused_over_naive"] < baseline["multi_fused_over_naive"]:
         f"fused/per-suffix multi-test ratio {current['multi_fused_over_naive']}x "
         f"fell below {baseline['multi_fused_over_naive']}x"
     )
+# The ratio above rises when the step the two evaluations share gets
+# cheaper, so it cannot see a per-suffix allocation, logarithm or lock
+# coming back; the fused path's absolute cost per suffix can (same 25%
+# headroom as the kernel rows).
+if current["multi_fused_ns_per_suffix"] > baseline["multi_fused_ns_per_suffix"] * 1.25:
+    sys.exit(
+        f"fused multi-test regression: {current['multi_fused_ns_per_suffix']} ns "
+        f"per suffix > 125% of baseline {baseline['multi_fused_ns_per_suffix']} ns"
+    )
 npw = ", ".join(f"{m} {ns}ns" for m, ns in current["kernel_ns_per_window"].items())
 print(
     f"    kernel: {npw} per window; >= {current['min_speedup']}x over scalar; "
-    f"fused multi-test {current['multi_fused_over_naive']}x over per-suffix"
+    f"fused multi-test {current['multi_fused_over_naive']}x over per-suffix, "
+    f"{current['multi_fused_ns_per_suffix']} ns per suffix "
+    f"(baseline {baseline['multi_fused_ns_per_suffix']} ns)"
 )
 PYEOF
+
+echo "==> figures gate (Figs. 3-8 --fast, byte-compared with experiments/baselines/fast)"
+# A --fast run is deterministic, so any byte that moves is a changed
+# distance, threshold or verdict somewhere in phase 1 or the simulator.
+# Fig. 9 is a stopwatch and stays out. Regenerate the baselines, when a
+# change is meant to move them, with the loop below and
+# `--out experiments/baselines/fast`.
+FIG_OUT="$(mktemp -d)"
+trap 'rm -rf "$FIG_OUT"' EXIT
+FIG_PROFILE="--release"
+[ "$QUICK" -eq 1 ] && FIG_PROFILE=""
+for fig in fig3 fig4 fig5 fig6 fig7 fig8; do
+    # shellcheck disable=SC2086  # the profile flag is empty or one word
+    cargo run --offline --quiet $FIG_PROFILE -p hp-experiments --bin "$fig" -- \
+        --fast --out "$FIG_OUT" >/dev/null
+done
+diff -r experiments/baselines/fast "$FIG_OUT" \
+    || { echo "a --fast figure CSV differs from experiments/baselines/fast"; exit 1; }
+echo "    $(ls "$FIG_OUT" | wc -l) CSVs byte-identical to the committed baselines"
 
 echo "==> tracing-overhead bench (writes experiments/out/bench_obs.json)"
 if [ "$QUICK" -eq 0 ]; then

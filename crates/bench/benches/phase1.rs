@@ -5,9 +5,10 @@
 //! Hand-rolled like `history.rs` so the results are machine-readable:
 //! rows print to stdout and land in `experiments/out/bench_phase1.json`
 //! (override the directory with `HP_BENCH_OUT`). The JSON carries an
-//! extra `gate` object — kernel ns/window per window size, computed from
-//! the minimum sample for stability — which `ci.sh` compares against the
-//! committed baseline in `experiments/baselines/bench_phase1_baseline.json`.
+//! extra `gate` object — kernel ns/window per window size and fused
+//! multi-test ns per suffix tested, computed from the minimum sample for
+//! stability — which `ci.sh` compares against the committed baseline in
+//! `experiments/baselines/bench_phase1_baseline.json`.
 //!
 //! Shapes to look for:
 //!
@@ -19,7 +20,11 @@
 //! * `multi_test/fused` vs `multi_test/per_suffix` — the end-to-end
 //!   multi-suffix test. The fused sweep reads the column once for all
 //!   suffixes; the per-suffix oracle re-derives counts for each, so the
-//!   fused path must not lose.
+//!   fused path must not lose. Their ratio *rises* when the step both
+//!   share (model table, distance, threshold lookup) gets cheaper and
+//!   falls when it gets dearer, so the gate also pins the fused path's
+//!   absolute cost per suffix: that is the number a per-suffix allocation
+//!   or a per-suffix lock would move.
 
 use hp_core::history::BitColumn;
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest, MultiTestMode};
@@ -185,7 +190,8 @@ fn bench_kernel(rows: &mut Vec<Row>, col: &BitColumn) {
     }
 }
 
-fn bench_multi(rows: &mut Vec<Row>, history: &ColumnarHistory) {
+/// Returns the number of suffixes one evaluation tests.
+fn bench_multi(rows: &mut Vec<Row>, history: &ColumnarHistory) -> usize {
     // Small calibration budget: the calibrator warms once before timing,
     // so the measured cost is the sweep + threshold lookups only.
     let config = BehaviorTestConfig::builder()
@@ -204,6 +210,7 @@ fn bench_multi(rows: &mut Vec<Row>, history: &ColumnarHistory) {
     rows.push(measure("multi_test/per_suffix", 50, N as u64, || {
         naive.evaluate_detailed(history).unwrap()
     }));
+    fused.evaluate_detailed(history).unwrap().suffixes.len()
 }
 
 fn main() {
@@ -213,7 +220,7 @@ fn main() {
     let mut rows = Vec::new();
     println!("phase-1 kernel benchmarks (word-parallel vs scalar)\n");
     bench_kernel(&mut rows, &col);
-    bench_multi(&mut rows, &hist);
+    let suffixes = bench_multi(&mut rows, &hist);
     println!();
     for row in &rows {
         print_row(row);
@@ -251,8 +258,10 @@ fn main() {
     let fused = row_named("multi_test/fused");
     let per_suffix = row_named("multi_test/per_suffix");
     let multi_ratio = per_suffix.min_ns as f64 / fused.min_ns as f64;
+    let fused_ns_per_suffix = fused.min_ns as f64 / suffixes as f64;
     println!(
-        "multi-test: fused {} vs per-suffix {}  ({multi_ratio:.1}x)",
+        "multi-test: fused {} vs per-suffix {}  ({multi_ratio:.1}x); fused \
+         {fused_ns_per_suffix:.1}ns per suffix over {suffixes} suffixes",
         fmt_ns(fused.min_ns),
         fmt_ns(per_suffix.min_ns),
     );
@@ -273,7 +282,8 @@ fn main() {
     let out = out_dir.join("bench_phase1.json");
     let payload = format!(
         "{{\"rows\":{},\n\"gate\":{{\"kernel_ns_per_window\":{{{gate_entries}}},\
-         \"min_speedup\":{min_speedup:.3},\"multi_fused_over_naive\":{multi_ratio:.3}}}}}\n",
+         \"min_speedup\":{min_speedup:.3},\"multi_fused_over_naive\":{multi_ratio:.3},\
+         \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}}}\n",
         rows_json(&rows)
     );
     std::fs::write(&out, payload).expect("write bench json");

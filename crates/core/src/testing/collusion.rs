@@ -159,13 +159,17 @@ impl CollusionResilientTest {
         let reordered = history.reordered_column();
         let reordered = reordered.as_col();
         let multi = match self.depth {
-            CollusionTestDepth::Multi => {
-                if self.config.step().is_multiple_of(self.config.window_size() as usize) {
-                    run_multi_optimized(reordered, &self.config, &self.calibrator)?
+            CollusionTestDepth::Multi => MultiReport::collect(|suffixes| {
+                if self
+                    .config
+                    .step()
+                    .is_multiple_of(self.config.window_size() as usize)
+                {
+                    run_multi_optimized(reordered, &self.config, &self.calibrator, suffixes)
                 } else {
-                    run_multi_naive(reordered, &self.config, &self.calibrator)?
+                    run_multi_naive(reordered, &self.config, &self.calibrator, suffixes)
                 }
-            }
+            })?,
             CollusionTestDepth::Single => {
                 let report = run_range_test(
                     reordered,

@@ -8,8 +8,8 @@
 use crate::error::CoreError;
 use crate::history::ColumnRef;
 use crate::testing::config::{BehaviorTestConfig, Correction, SuffixSchedule, WindowAlignment};
-use crate::testing::report::{MultiReport, SuffixReport, TestOutcome, WindowTestReport};
-use hp_stats::{Binomial, Histogram, ThresholdCalibrator};
+use crate::testing::report::{SuffixReport, SuffixSink, TestOutcome, WindowTestReport};
+use hp_stats::{Binomial, Histogram, ThresholdCalibrator, ThresholdView};
 
 /// Runs one distribution test over the transactions `[start, end)`.
 ///
@@ -29,57 +29,91 @@ pub(crate) fn run_range_test(
     confidence: f64,
     alignment: WindowAlignment,
 ) -> Result<WindowTestReport, CoreError> {
-    debug_assert!(start <= end && end <= prefix.len());
-    let m = config.window_size() as usize;
-    let len = end - start;
-    let k = len / m;
-    if k < config.min_windows() {
-        return Ok(WindowTestReport::inconclusive(len, k, confidence));
-    }
-    let (cov_start, cov_end) = match alignment {
-        WindowAlignment::Start => (start, start + k * m),
-        WindowAlignment::End => (end - k * m, end),
-    };
-    let counts = prefix.window_counts(cov_start, cov_end, m)?;
-    let histogram = Histogram::from_samples(config.window_size(), counts)?;
-    let p_hat = prefix.rate_range(cov_start, cov_end)?;
-    finish_test(p_hat, len, &histogram, config, calibrator, confidence)
+    RangeTester::new(config, calibrator, confidence)?.run(prefix, start, end, alignment)
 }
 
-/// Final step shared between the per-suffix and fused evaluations: given
-/// the covered windows' histogram and the (exactly computed) p̂, derive
-/// model, distance, threshold and verdict. Pure function of its inputs —
-/// the caller owns how the histogram and p̂ were produced, which is what
-/// lets the fused sweep feed it without touching the outcome column.
-pub(crate) fn finish_test(
-    p_hat: f64,
-    transactions: usize,
-    histogram: &Histogram,
-    config: &BehaviorTestConfig,
-    calibrator: &ThresholdCalibrator,
+/// What every range test of one verdict shares — the configuration, the
+/// calibrator as seen at the verdict's `(m, confidence)`, and one buffer
+/// for the model table — so a multi-test's per-suffix step allocates
+/// nothing, takes no lock and writes nothing shared.
+pub(crate) struct RangeTester<'a> {
+    config: &'a BehaviorTestConfig,
     confidence: f64,
-) -> Result<WindowTestReport, CoreError> {
-    let m = config.window_size();
-    let k = histogram.len() as usize;
-    let model = Binomial::new(m, p_hat)?;
-    let distance = config.distance().distance(histogram, &model.pmf_table())?;
-    let (threshold, provenance) =
-        calibrator.threshold_with_provenance(m, k, p_hat, confidence)?;
-    let outcome = if distance <= threshold {
-        TestOutcome::Honest
-    } else {
-        TestOutcome::Suspicious
-    };
-    Ok(WindowTestReport {
-        outcome,
-        transactions,
-        windows: k,
-        p_hat: Some(p_hat),
-        distance: Some(distance),
-        threshold: Some(threshold),
-        confidence,
-        threshold_provenance: Some(provenance),
-    })
+    thresholds: ThresholdView<'a>,
+    model: Vec<f64>,
+}
+
+impl<'a> RangeTester<'a> {
+    pub(crate) fn new(
+        config: &'a BehaviorTestConfig,
+        calibrator: &'a ThresholdCalibrator,
+        confidence: f64,
+    ) -> Result<Self, CoreError> {
+        Ok(RangeTester {
+            config,
+            confidence,
+            thresholds: calibrator.view(config.window_size(), confidence)?,
+            model: Vec::with_capacity(config.window_size() as usize + 1),
+        })
+    }
+
+    /// [`run_range_test`] for one range of the verdict.
+    pub(crate) fn run(
+        &mut self,
+        prefix: ColumnRef<'_>,
+        start: usize,
+        end: usize,
+        alignment: WindowAlignment,
+    ) -> Result<WindowTestReport, CoreError> {
+        debug_assert!(start <= end && end <= prefix.len());
+        let m = self.config.window_size() as usize;
+        let len = end - start;
+        let k = len / m;
+        if k < self.config.min_windows() {
+            return Ok(WindowTestReport::inconclusive(len, k, self.confidence));
+        }
+        let (cov_start, cov_end) = match alignment {
+            WindowAlignment::Start => (start, start + k * m),
+            WindowAlignment::End => (end - k * m, end),
+        };
+        let counts = prefix.window_counts(cov_start, cov_end, m)?;
+        let histogram = Histogram::from_samples(self.config.window_size(), counts)?;
+        let p_hat = prefix.rate_range(cov_start, cov_end)?;
+        self.finish(p_hat, len, &histogram)
+    }
+
+    /// Final step shared between the per-suffix and fused evaluations:
+    /// given the covered windows' histogram and the (exactly computed) p̂,
+    /// derive model, distance, threshold and verdict. A function of its
+    /// arguments alone — the caller owns how the histogram and p̂ were
+    /// produced, which is what lets the fused sweep feed it without
+    /// touching the outcome column.
+    pub(crate) fn finish(
+        &mut self,
+        p_hat: f64,
+        transactions: usize,
+        histogram: &Histogram,
+    ) -> Result<WindowTestReport, CoreError> {
+        let k = histogram.len() as usize;
+        Binomial::new(self.config.window_size(), p_hat)?.fill_pmf(&mut self.model);
+        let distance = self.config.distance().distance(histogram, &self.model)?;
+        let (threshold, provenance) = self.thresholds.threshold(k, p_hat)?;
+        let outcome = if distance <= threshold {
+            TestOutcome::Honest
+        } else {
+            TestOutcome::Suspicious
+        };
+        Ok(WindowTestReport {
+            outcome,
+            transactions,
+            windows: k,
+            p_hat: Some(p_hat),
+            distance: Some(distance),
+            threshold: Some(threshold),
+            confidence: self.confidence,
+            threshold_provenance: Some(provenance),
+        })
+    }
 }
 
 /// The suffix lengths a multi-test will examine for a history of `n`
@@ -152,6 +186,35 @@ pub(crate) fn per_test_confidence(config: &BehaviorTestConfig, tests: usize) -> 
     }
 }
 
+/// The loop every multi-test evaluation runs: `test` each suffix length,
+/// longest first, hand the report to `sink`, and aggregate the verdict —
+/// suspicious if any suffix fails, inconclusive if none could be tested.
+/// Returns the verdict and the per-test confidence it was reached at.
+fn run_suffixes(
+    lens: &[usize],
+    confidence: f64,
+    sink: &mut impl SuffixSink,
+    mut test: impl FnMut(usize) -> Result<WindowTestReport, CoreError>,
+) -> Result<(TestOutcome, f64), CoreError> {
+    sink.reserve(lens.len());
+    let mut outcome = TestOutcome::Inconclusive;
+    for &len in lens {
+        let report = test(len)?;
+        match report.outcome {
+            TestOutcome::Suspicious => outcome = TestOutcome::Suspicious,
+            TestOutcome::Honest if outcome == TestOutcome::Inconclusive => {
+                outcome = TestOutcome::Honest;
+            }
+            _ => {}
+        }
+        sink.push(SuffixReport {
+            suffix_len: len,
+            report,
+        });
+    }
+    Ok((outcome, confidence))
+}
+
 /// Runs the full multi-test (naive evaluation: every suffix from scratch).
 ///
 /// Windows are end-aligned so the suffix tests agree with the optimized
@@ -160,7 +223,8 @@ pub(crate) fn run_multi_naive(
     prefix: ColumnRef<'_>,
     config: &BehaviorTestConfig,
     calibrator: &ThresholdCalibrator,
-) -> Result<MultiReport, CoreError> {
+    sink: &mut impl SuffixSink,
+) -> Result<(TestOutcome, f64), CoreError> {
     let n = prefix.len();
     let lens = suffix_lengths(
         n,
@@ -170,38 +234,9 @@ pub(crate) fn run_multi_naive(
         config.schedule(),
     );
     let confidence = per_test_confidence(config, lens.len());
-    let mut suffixes = Vec::with_capacity(lens.len());
-    let mut outcome = if lens.is_empty() {
-        TestOutcome::Inconclusive
-    } else {
-        TestOutcome::Honest
-    };
-    for &len in &lens {
-        let report = run_range_test(
-            prefix,
-            n - len,
-            n,
-            config,
-            calibrator,
-            confidence,
-            WindowAlignment::End,
-        )?;
-        if report.outcome == TestOutcome::Suspicious {
-            outcome = TestOutcome::Suspicious;
-        }
-        suffixes.push(SuffixReport {
-            suffix_len: len,
-            report,
-        });
-    }
-    if outcome == TestOutcome::Honest && suffixes.iter().all(|s| s.report.outcome == TestOutcome::Inconclusive)
-    {
-        outcome = TestOutcome::Inconclusive;
-    }
-    Ok(MultiReport {
-        outcome,
-        suffixes,
-        per_test_confidence: confidence,
+    let mut tester = RangeTester::new(config, calibrator, confidence)?;
+    run_suffixes(&lens, confidence, sink, |len| {
+        tester.run(prefix, n - len, n, WindowAlignment::End)
     })
 }
 
@@ -289,7 +324,8 @@ pub(crate) fn run_multi_optimized(
     prefix: ColumnRef<'_>,
     config: &BehaviorTestConfig,
     calibrator: &ThresholdCalibrator,
-) -> Result<MultiReport, CoreError> {
+    sink: &mut impl SuffixSink,
+) -> Result<(TestOutcome, f64), CoreError> {
     let m = config.window_size() as usize;
     if !config.step().is_multiple_of(m) {
         return Err(CoreError::MisalignedStep {
@@ -309,14 +345,8 @@ pub(crate) fn run_multi_optimized(
     if lens.is_empty() {
         // Nothing admissible to test; don't touch the column at all (it
         // may be horizon-compacted with no retained window to read).
-        return Ok(MultiReport {
-            outcome: TestOutcome::Inconclusive,
-            suffixes: Vec::new(),
-            per_test_confidence: confidence,
-        });
+        return Ok((TestOutcome::Inconclusive, confidence));
     }
-    let mut suffixes = Vec::with_capacity(lens.len());
-    let mut outcome = TestOutcome::Honest;
 
     // The single pass over the column; shorter suffixes use strict
     // suffixes of the shared grid. The grid is capped at the longest
@@ -328,45 +358,46 @@ pub(crate) fn run_multi_optimized(
         Histogram::from_samples(config.window_size(), sweep.counts.iter().copied())?;
     // Grid index of the oldest window still in the histogram.
     let mut oldest = 0usize;
+    let mut tester = RangeTester::new(config, calibrator, confidence)?;
 
-    for &len in &lens {
+    run_suffixes(&lens, confidence, sink, |len| {
         let k = len / m;
         // Remove windows that fall outside this suffix.
         while total_windows - oldest > k {
             histogram.remove(sweep.count(oldest))?;
             oldest += 1;
         }
-        let report = if k < config.min_windows() {
-            WindowTestReport::inconclusive(len, k, confidence)
-        } else {
-            let p_hat = sweep.good_in_newest(k) as f64 / (k * m) as f64;
-            finish_test(p_hat, len, &histogram, config, calibrator, confidence)?
-        };
-        if report.outcome == TestOutcome::Suspicious {
-            outcome = TestOutcome::Suspicious;
+        if k < config.min_windows() {
+            return Ok(WindowTestReport::inconclusive(len, k, confidence));
         }
-        suffixes.push(SuffixReport {
-            suffix_len: len,
-            report,
-        });
-    }
-    if outcome == TestOutcome::Honest
-        && suffixes.iter().all(|s| s.report.outcome == TestOutcome::Inconclusive)
-    {
-        outcome = TestOutcome::Inconclusive;
-    }
-    Ok(MultiReport {
-        outcome,
-        suffixes,
-        per_test_confidence: confidence,
+        let p_hat = sweep.good_in_newest(k) as f64 / (k * m) as f64;
+        tester.finish(p_hat, len, &histogram)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::report::MultiReport;
     use hp_stats::PrefixSums;
 
+    fn naive(
+        prefix: &PrefixSums,
+        config: &BehaviorTestConfig,
+        cal: &ThresholdCalibrator,
+    ) -> Result<MultiReport, CoreError> {
+        MultiReport::collect(|sink| run_multi_naive(ColumnRef::Prefix(prefix), config, cal, sink))
+    }
+
+    fn optimized(
+        prefix: &PrefixSums,
+        config: &BehaviorTestConfig,
+        cal: &ThresholdCalibrator,
+    ) -> Result<MultiReport, CoreError> {
+        MultiReport::collect(|sink| {
+            run_multi_optimized(ColumnRef::Prefix(prefix), config, cal, sink)
+        })
+    }
 
     fn calibrator(config: &BehaviorTestConfig) -> ThresholdCalibrator {
         ThresholdCalibrator::new(config.calibration_config()).unwrap()
@@ -532,8 +563,8 @@ mod tests {
                     prefix.push(false);
                 }
             }
-            let naive = run_multi_naive(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
-            let optimized = run_multi_optimized(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
+            let naive = naive(&prefix, &config, &cal).unwrap();
+            let optimized = optimized(&prefix, &config, &cal).unwrap();
             assert_eq!(naive, optimized, "seed {seed}");
         }
     }
@@ -549,8 +580,8 @@ mod tests {
             let n = 480 + seed as usize * 37;
             let p = if seed % 2 == 0 { 0.9 } else { 0.75 };
             let prefix = honest_prefix(n, p, seed + 300);
-            let naive = run_multi_naive(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
-            let optimized = run_multi_optimized(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
+            let naive = naive(&prefix, &config, &cal).unwrap();
+            let optimized = optimized(&prefix, &config, &cal).unwrap();
             assert_eq!(naive, optimized, "seed {seed}");
             assert!(naive.suffixes.iter().all(|s| s.suffix_len <= 200));
             assert!(!naive.suffixes.is_empty());
@@ -562,10 +593,10 @@ mod tests {
         let config = BehaviorTestConfig::builder().step(15).build().unwrap();
         let cal = calibrator(&config);
         let prefix = honest_prefix(300, 0.9, 3);
-        let err = run_multi_optimized(ColumnRef::Prefix(&prefix), &config, &cal).unwrap_err();
+        let err = optimized(&prefix, &config, &cal).unwrap_err();
         assert!(matches!(err, CoreError::MisalignedStep { step: 15, window: 10 }));
         // Naive handles any step.
-        assert!(run_multi_naive(ColumnRef::Prefix(&prefix), &config, &cal).is_ok());
+        assert!(naive(&prefix, &config, &cal).is_ok());
     }
 
     #[test]
@@ -581,7 +612,7 @@ mod tests {
         for _ in 0..70 {
             prefix.push(true);
         }
-        let multi = run_multi_naive(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
+        let multi = naive(&prefix, &config, &cal).unwrap();
         assert_eq!(multi.outcome, TestOutcome::Suspicious);
         assert!(multi.first_failure().is_some());
     }
@@ -591,10 +622,10 @@ mod tests {
         let config = BehaviorTestConfig::default();
         let cal = calibrator(&config);
         let prefix = honest_prefix(50, 0.9, 5);
-        let multi = run_multi_naive(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
+        let multi = naive(&prefix, &config, &cal).unwrap();
         assert_eq!(multi.outcome, TestOutcome::Inconclusive);
         assert!(multi.suffixes.is_empty());
-        let optimized = run_multi_optimized(ColumnRef::Prefix(&prefix), &config, &cal).unwrap();
+        let optimized = optimized(&prefix, &config, &cal).unwrap();
         assert_eq!(multi, optimized);
     }
 }

@@ -35,8 +35,8 @@ pub use config::{
 pub use multi::{MultiBehaviorTest, MultiTestMode};
 pub use multivalue::{MultiValueBehaviorTest, MultiValueReport};
 pub use report::{
-    CollusionReport, MultiReport, SuffixReport, SupporterBaseStats, TestOutcome, TestReport,
-    WindowTestReport,
+    CollusionReport, MultiReport, MultiSummary, SuffixReport, SupporterBaseStats, TestOutcome,
+    TestReport, WindowTestReport,
 };
 pub use single::SingleBehaviorTest;
 

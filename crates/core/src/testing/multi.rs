@@ -4,7 +4,9 @@ use crate::error::CoreError;
 use crate::history::HistoryView;
 use crate::testing::config::BehaviorTestConfig;
 use crate::testing::engine::{run_multi_naive, run_multi_optimized};
-use crate::testing::report::{MultiReport, TestReport};
+use crate::testing::report::{
+    MultiFold, MultiReport, MultiSummary, SuffixSink, TestOutcome, TestReport,
+};
 use crate::testing::{shared_calibrator, BehaviorTest};
 use hp_stats::ThresholdCalibrator;
 use std::sync::Arc;
@@ -114,7 +116,31 @@ impl MultiBehaviorTest {
         self.mode
     }
 
-    /// The full typed report.
+    /// Runs the configured evaluation, handing every suffix's report to
+    /// `sink`; returns the verdict and the per-test confidence.
+    fn run(
+        &self,
+        history: &dyn HistoryView,
+        sink: &mut impl SuffixSink,
+    ) -> Result<(TestOutcome, f64), CoreError> {
+        let prefix = history.outcome_prefix();
+        let optimized = match self.mode {
+            MultiTestMode::Naive => false,
+            MultiTestMode::Optimized => true,
+            MultiTestMode::Auto => self
+                .config
+                .step()
+                .is_multiple_of(self.config.window_size() as usize),
+        };
+        if optimized {
+            run_multi_optimized(prefix, &self.config, &self.calibrator, sink)
+        } else {
+            run_multi_naive(prefix, &self.config, &self.calibrator, sink)
+        }
+    }
+
+    /// The full typed report: every suffix's result, O(history / step)
+    /// bytes. What experiments and forensics read.
     ///
     /// # Errors
     ///
@@ -125,20 +151,21 @@ impl MultiBehaviorTest {
         &self,
         history: &dyn HistoryView,
     ) -> Result<MultiReport, CoreError> {
-        let prefix = history.outcome_prefix();
-        match self.mode {
-            MultiTestMode::Naive => run_multi_naive(prefix, &self.config, &self.calibrator),
-            MultiTestMode::Optimized => {
-                run_multi_optimized(prefix, &self.config, &self.calibrator)
-            }
-            MultiTestMode::Auto => {
-                if self.config.step().is_multiple_of(self.config.window_size() as usize) {
-                    run_multi_optimized(prefix, &self.config, &self.calibrator)
-                } else {
-                    run_multi_naive(prefix, &self.config, &self.calibrator)
-                }
-            }
-        }
+        MultiReport::collect(|suffixes| self.run(history, suffixes))
+    }
+
+    /// The same evaluation folded as it runs: equal, field for field, to
+    /// [`MultiReport::summarize`] of [`Self::evaluate_detailed`], in O(1)
+    /// bytes whatever the history length. What a service that re-assesses
+    /// on every change of behaviour keeps per server.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate_detailed`].
+    pub fn evaluate_summary(&self, history: &dyn HistoryView) -> Result<MultiSummary, CoreError> {
+        let mut fold = MultiFold::default();
+        let (outcome, per_test_confidence) = self.run(history, &mut fold)?;
+        Ok(fold.finish(outcome, per_test_confidence))
     }
 }
 

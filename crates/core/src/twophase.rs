@@ -52,6 +52,50 @@ pub enum Assessment {
 }
 
 impl Assessment {
+    /// The assessment a phase-1 `report` leads to under `policy`; `trust`
+    /// is phase 2, asked only where a trust value is produced.
+    pub fn from_report(
+        report: TestReport,
+        policy: ShortHistoryPolicy,
+        trust: impl FnOnce() -> TrustValue,
+    ) -> Assessment {
+        match (report.outcome(), policy) {
+            (TestOutcome::Suspicious, _)
+            | (TestOutcome::Inconclusive, ShortHistoryPolicy::Reject) => {
+                Assessment::Rejected { report }
+            }
+            (TestOutcome::Honest, _) | (TestOutcome::Inconclusive, ShortHistoryPolicy::Trust) => {
+                Assessment::Accepted {
+                    trust: trust(),
+                    report,
+                }
+            }
+            (TestOutcome::Inconclusive, ShortHistoryPolicy::Review) => Assessment::NeedsReview {
+                trust: trust(),
+                report,
+            },
+        }
+    }
+
+    /// This assessment with its report [`TestReport::summarized`]: what a
+    /// service that keeps no per-suffix detail serves for the same
+    /// history.
+    pub fn summarized(self) -> Assessment {
+        match self {
+            Assessment::Accepted { trust, report } => Assessment::Accepted {
+                trust,
+                report: report.summarized(),
+            },
+            Assessment::Rejected { report } => Assessment::Rejected {
+                report: report.summarized(),
+            },
+            Assessment::NeedsReview { trust, report } => Assessment::NeedsReview {
+                trust,
+                report: report.summarized(),
+            },
+        }
+    }
+
     /// Whether the server was accepted.
     pub fn is_accepted(&self) -> bool {
         matches!(self, Assessment::Accepted { .. })
@@ -158,24 +202,9 @@ impl<B: BehaviorTest, T: TrustFunction> TwoPhaseAssessor<B, T> {
     /// [`Assessment::Rejected`].
     pub fn assess(&self, history: &impl HistoryView) -> Result<Assessment, CoreError> {
         let report = self.behavior.evaluate(history)?;
-        match report.outcome() {
-            TestOutcome::Suspicious => Ok(Assessment::Rejected { report }),
-            TestOutcome::Honest => Ok(Assessment::Accepted {
-                trust: self.trust.trust(history),
-                report,
-            }),
-            TestOutcome::Inconclusive => match self.short_history {
-                ShortHistoryPolicy::Reject => Ok(Assessment::Rejected { report }),
-                ShortHistoryPolicy::Trust => Ok(Assessment::Accepted {
-                    trust: self.trust.trust(history),
-                    report,
-                }),
-                ShortHistoryPolicy::Review => Ok(Assessment::NeedsReview {
-                    trust: self.trust.trust(history),
-                    report,
-                }),
-            },
-        }
+        Ok(Assessment::from_report(report, self.short_history, || {
+            self.trust.trust(history)
+        }))
     }
 }
 

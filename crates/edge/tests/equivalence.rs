@@ -1,8 +1,9 @@
 //! End-to-end equivalence: a verdict served over the socket must be
 //! **bit-identical** to the offline `TwoPhaseAssessor` on the same
-//! history — same verdict variant, same trust bits. The wire format
-//! carries raw IEEE-754 bits (`trust_bits`) precisely so this suite can
-//! check equality without a lossy decimal round-trip.
+//! history — same verdict variant, same trust bits, and on the traced
+//! route the same audit record byte for byte. The wire format carries raw
+//! IEEE-754 bits (`trust_bits`) precisely so this suite can check equality
+//! without a lossy decimal round-trip.
 
 mod support;
 
@@ -10,7 +11,9 @@ use hp_core::twophase::Assessment;
 use hp_core::{ServerId, TransactionHistory};
 use hp_edge::{wire, EdgeConfig};
 use hp_service::replay::{restamp, OfflineReference};
+use hp_service::{AssessmentTrace, TracedAssessment};
 use hp_sim::workload;
+use std::sync::Arc;
 use support::{boot, fast_service_config, TestClient};
 
 fn verdict_name(assessment: &Assessment) -> &'static str {
@@ -99,8 +102,15 @@ fn socket_verdicts_are_bit_identical_to_the_offline_assessor() {
         let (status, traced) = client.get(&format!("/assess_traced/{}", server.value()));
         assert_eq!(status, 200, "{label}: {traced}");
         assert_matches_offline(&traced, offline, &format!("{label} (traced)"));
-        assert!(traced.contains("\"scheme\":"), "{traced}");
-        assert!(traced.contains("\"from_cache\":"), "{traced}");
+        // The whole audit record — both counts, the binding suffix, the
+        // p̂ / distance / threshold / margin bits — is what the offline
+        // report gives; only the cache flag is the server's to say.
+        let from_cache = traced.contains("\"from_cache\":true");
+        let expected = wire::render_traced(&TracedAssessment {
+            assessment: Arc::new(offline.clone()),
+            trace: AssessmentTrace::from_assessment(*server, offline, from_cache),
+        });
+        assert_eq!(traced, expected, "{label}");
     }
 
     // Batch assess: one request, every server, the same bits.

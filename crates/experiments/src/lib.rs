@@ -16,7 +16,10 @@
 //!
 //! Run everything with `cargo run --release -p hp-experiments --bin all`.
 //! Each binary accepts `--fast` for a smoke-test-sized run (also used by
-//! the integration tests) and writes a CSV next to its stdout table.
+//! the integration tests) and writes a CSV next to its stdout table, under
+//! `experiments/out` or the directory given after `--out`. A `--fast` run
+//! is deterministic: `ci.sh` compares the CSVs of Figs. 3–8 byte for byte
+//! with `experiments/baselines/fast/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,19 @@
 //! Verdict audit trail: a flat, printable record of *why* phase 1 decided.
 //!
-//! An [`crate::Assessment`] already carries the full structured
-//! [`TestReport`], but operators auditing a rejection want the one number
-//! that decided it: which scheme ran, which suffix bound, the measured L¹
-//! distance, the calibrated threshold, and the margin between them. The
-//! [`AssessmentTrace`] extracts exactly that — it is *derived* from the
-//! report embedded in the assessment, never recomputed, so a traced
+//! Operators auditing a rejection want the one number that decided it:
+//! which scheme ran, which suffix bound, the measured L¹ distance, the
+//! calibrated threshold, and the margin between them. The
+//! [`AssessmentTrace`] is exactly that, *derived* from the report embedded
+//! in the [`crate::Assessment`] and never recomputed, so a traced
 //! assessment is bit-identical to an untraced one by construction.
+//!
+//! Which suffix binds is hp-core's rule
+//! ([`hp_core::testing::MultiSummary::binding`]), not this module's: the
+//! service's assessments carry the summary already, an offline
+//! assessment's full report is summarized through the same fold, and the
+//! two give equal traces.
 
-use hp_core::testing::{MultiReport, TestOutcome, TestReport, WindowTestReport};
+use hp_core::testing::{MultiSummary, TestOutcome, TestReport, WindowTestReport};
 use hp_core::{Assessment, ServerId};
 use hp_stats::ThresholdProvenance;
 use std::fmt;
@@ -116,26 +121,6 @@ pub struct TracedAssessment {
     pub trace: AssessmentTrace,
 }
 
-/// The suffix that decided a multi-test: the longest failure if the test
-/// failed, else the conclusive pass with the smallest margin, else the
-/// longest (inconclusive) suffix.
-fn binding_suffix(multi: &MultiReport) -> Option<(usize, &WindowTestReport)> {
-    if let Some(failure) = multi.first_failure() {
-        return Some((failure.suffix_len, &failure.report));
-    }
-    multi
-        .suffixes
-        .iter()
-        .filter(|s| s.report.outcome != TestOutcome::Inconclusive)
-        .min_by(|a, b| {
-            let ma = a.report.margin().unwrap_or(f64::INFINITY);
-            let mb = b.report.margin().unwrap_or(f64::INFINITY);
-            ma.partial_cmp(&mb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .or_else(|| multi.suffixes.first())
-        .map(|s| (s.suffix_len, &s.report))
-}
-
 impl AssessmentTrace {
     /// Derives the audit record from a finished assessment.
     pub fn from_assessment(server: ServerId, assessment: &Assessment, from_cache: bool) -> Self {
@@ -145,26 +130,31 @@ impl AssessmentTrace {
             Assessment::NeedsReview { .. } => TraceVerdict::NeedsReview,
         };
         let report = assessment.report();
-        let (scheme, multi) = match report {
-            TestReport::Single(_) => (AssessScheme::Single, None),
-            TestReport::Multi(m) => (AssessScheme::Multi, Some(m)),
-            TestReport::Collusion(c) => (AssessScheme::CollusionResilient, Some(&c.reordered)),
+        let multi = |scheme, summary: MultiSummary| {
+            let binding_suffix_len = summary.binding.as_ref().map(|s| s.suffix_len);
+            (
+                scheme,
+                summary.binding.map(|s| s.report),
+                binding_suffix_len,
+                summary.conclusive_tests,
+                summary.longest_transactions,
+            )
         };
-        let (binding, binding_suffix_len, suffixes_tested, transactions) = match (report, multi) {
-            (TestReport::Single(w), _) => (Some(w), None, 1, w.transactions),
-            (_, Some(m)) => {
-                let longest = m
-                    .suffixes
-                    .first()
-                    .map(|s| s.report.transactions)
-                    .unwrap_or(0);
-                match binding_suffix(m) {
-                    Some((len, w)) => (Some(w), Some(len), m.conclusive_tests(), longest),
-                    None => (None, None, 0, longest),
-                }
+        let (scheme, binding, binding_suffix_len, suffixes_tested, transactions) = match report {
+            TestReport::Single(w) => (
+                AssessScheme::Single,
+                Some(w.clone()),
+                None,
+                1,
+                w.transactions,
+            ),
+            TestReport::Multi(m) => multi(AssessScheme::Multi, m.summarize()),
+            TestReport::MultiSummary(s) => multi(AssessScheme::Multi, s.clone()),
+            TestReport::Collusion(c) => {
+                multi(AssessScheme::CollusionResilient, c.reordered.summarize())
             }
-            _ => unreachable!("multi is Some for Multi/Collusion reports"),
         };
+        let binding = binding.as_ref();
         AssessmentTrace {
             server,
             scheme,
@@ -229,8 +219,25 @@ impl fmt::Display for AssessmentTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hp_core::testing::SuffixReport;
+    use hp_core::testing::{MultiReport, SuffixReport};
     use hp_core::trust::TrustValue;
+
+    /// The trace of a full-report assessment, which must also be the
+    /// trace of its summarized form (what the service caches).
+    fn trace_of_both_forms(
+        server: ServerId,
+        assessment: Assessment,
+        from_cache: bool,
+    ) -> AssessmentTrace {
+        let full = AssessmentTrace::from_assessment(server, &assessment, from_cache);
+        let summarized = assessment.summarized();
+        assert!(matches!(summarized.report(), TestReport::MultiSummary(_)));
+        assert_eq!(
+            AssessmentTrace::from_assessment(server, &summarized, from_cache),
+            full
+        );
+        full
+    }
 
     fn window(outcome: TestOutcome, distance: f64, threshold: f64) -> WindowTestReport {
         WindowTestReport {
@@ -287,7 +294,7 @@ mod tests {
         let assessment = Assessment::Rejected {
             report: TestReport::Multi(multi),
         };
-        let trace = AssessmentTrace::from_assessment(ServerId::new(1), &assessment, false);
+        let trace = trace_of_both_forms(ServerId::new(1), assessment, false);
         assert_eq!(trace.verdict, TraceVerdict::Rejected);
         assert_eq!(trace.binding_suffix_len, Some(200));
         assert!((trace.distance.unwrap() - 0.7).abs() < 1e-12);
@@ -322,7 +329,7 @@ mod tests {
             trust: TrustValue::new(0.8).unwrap(),
             report: TestReport::Multi(multi),
         };
-        let trace = AssessmentTrace::from_assessment(ServerId::new(2), &assessment, true);
+        let trace = trace_of_both_forms(ServerId::new(2), assessment, true);
         assert_eq!(trace.binding_suffix_len, Some(200), "closest call binds");
         assert!((trace.margin.unwrap() - 0.05).abs() < 1e-12);
         assert_eq!(trace.suffixes_tested, 2, "inconclusive suffix excluded");
@@ -344,7 +351,7 @@ mod tests {
             trust: TrustValue::new(0.5).unwrap(),
             report: TestReport::Multi(multi),
         };
-        let trace = AssessmentTrace::from_assessment(ServerId::new(3), &assessment, false);
+        let trace = trace_of_both_forms(ServerId::new(3), assessment, false);
         assert_eq!(trace.verdict, TraceVerdict::NeedsReview);
         assert_eq!(trace.outcome, TestOutcome::Inconclusive);
         assert_eq!(trace.distance, None);

@@ -47,16 +47,21 @@ impl OfflineReference {
         })
     }
 
-    /// Assesses a full history from scratch.
+    /// Assesses a full history from scratch — every suffix's report
+    /// collected — and then summarizes that report, which is the form a
+    /// service keeps: `==` against an online verdict compares the verdict,
+    /// the trust value, the per-test confidence, both counts and the
+    /// binding suffix's p̂, distance and threshold.
     ///
     /// # Errors
     ///
     /// Propagates assessment errors from the core pipeline.
     pub fn assess(&self, history: &TransactionHistory) -> Result<Assessment, CoreError> {
-        match self {
+        let full = match self {
             OfflineReference::Average(a) => a.assess(history),
             OfflineReference::Weighted(a) => a.assess(history),
-        }
+        }?;
+        Ok(full.summarized())
     }
 }
 

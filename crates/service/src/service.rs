@@ -538,6 +538,12 @@ impl ReputationService {
     /// answered from the versioned cache when the history is unchanged.
     /// Blocks until the shard answers.
     ///
+    /// The assessment's report is a
+    /// [`TestReport::MultiSummary`](hp_core::testing::TestReport::MultiSummary)
+    /// — verdict, counts and the binding suffix, the same few hundred
+    /// bytes at any history length. The per-suffix record is
+    /// `MultiBehaviorTest::evaluate_detailed` on an offline history.
+    ///
     /// # Errors
     ///
     /// [`ServiceError::Core`] for assessment failures,

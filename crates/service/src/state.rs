@@ -1,36 +1,46 @@
 //! Per-server incremental assessment state.
 //!
-//! The state a shard worker keeps for each server makes the online path
-//! cheap without changing any verdict:
+//! What a shard worker keeps for one server, and what each piece costs:
 //!
-//! * **ingest** is O(1) amortized — push onto the history (which maintains
-//!   its prefix sums incrementally) and advance the streaming trust state;
-//! * **assess** recomputes phase 1 only when the history changed since the
-//!   cached assessment (version check), and that recompute is the
-//!   multi-test's O(n/m)-per-suffix optimized path over prefix sums, never
-//!   a raw rescan; phase 2 reads the maintained trust state in O(1).
+//! * **the history**, tiered ([`TieredHistory`]): outcomes older than the
+//!   configured assessment horizon fold into exact per-issuer summary
+//!   counts, the newest stay at full bit resolution — ≈ 30 B per retained
+//!   feedback when every issuer is new, ≈ 5 B when a small crowd repeats,
+//!   all of it counted by `resident_bytes()`, the
+//!   `hp_history_resident_bytes` gauges, `/healthz` and the spill budget. A whole cold history can be
+//!   spilled to an on-disk segment ([`Residency::Spilled`]), leaving a
+//!   [`SegmentRef`] and its vital statistics;
+//! * **the streaming trust state**, a few words, so phase 2 is O(1) at
+//!   ingest and at assess;
+//! * **the last verdict**, keyed by the history version it was computed
+//!   at: an [`Assessment`] whose report is a [`MultiSummary`] — verdict,
+//!   counts and the binding suffix, under 200 B whatever the history
+//!   length. Phase 1 runs through the summary sink
+//!   ([`MultiBehaviorTest::evaluate_summary`]), so the per-suffix report
+//!   (88 B × history / step) is never built on this path. The verdict
+//!   stays resident when the history is spilled, so a version-current
+//!   assess never faults the segment in — which is only affordable
+//!   because it is O(1).
 //!
-//! Histories are stored *tiered* ([`TieredHistory`]): outcomes older than
-//! the configured assessment horizon fold into exact per-issuer summary
-//! counts while the newest outcomes stay at full bit resolution, and a
-//! whole cold history can be spilled to an on-disk segment
-//! ([`Residency::Spilled`]) keeping only a [`SegmentRef`] plus vital
-//! statistics resident. The trust state and the verdict cache always stay
-//! resident, so version-current assessments are served without faulting
-//! the history back in.
+//! Ingest is O(1) amortized (a history push and a trust update); assess
+//! recomputes phase 1 only when the version moved, and that recompute is
+//! the fused sweep, never a raw rescan.
 //!
 //! Verdict equivalence with the offline [`TwoPhaseAssessor`] is exact:
-//! phase 1 runs the same `MultiBehaviorTest` against the same history, and
-//! both trust models' streaming updates perform bit-identical arithmetic
-//! to their batch counterparts (asserted by the property tests in
+//! phase 1 is the same `MultiBehaviorTest` over the same history (the fold
+//! equals the summary of the full report, see hp-core's
+//! `the_fold_is_the_summary_of_the_full_report`), and both trust models'
+//! streaming updates perform bit-identical arithmetic to their batch
+//! counterparts (asserted by the property tests in
 //! `tests/equivalence.rs`).
 //!
 //! [`TwoPhaseAssessor`]: hp_core::twophase::TwoPhaseAssessor
+//! [`MultiSummary`]: hp_core::testing::MultiSummary
 
 use crate::config::TrustModel;
 use crate::faults::{ShardFaults, TearPoint};
 use hp_core::history::HistoryMark;
-use hp_core::testing::{MultiBehaviorTest, TestOutcome, TestReport};
+use hp_core::testing::{MultiBehaviorTest, TestReport};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
 use hp_core::{CoreError, Feedback, TieredHistory, TrustValue};
@@ -105,14 +115,14 @@ pub(crate) enum Residency {
 /// Everything a shard worker holds for one server.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerState {
-    /// Tiered outcome + issuer columns (~4.3 B per retained transaction;
-    /// per distinct issuer ever seen ~21–27 B of dictionary plus 8 B of
-    /// folded summary), or a segment reference when spilled.
+    /// Tiered outcome + issuer columns, or a segment reference when
+    /// spilled.
     residency: Residency,
     trust: TrustState,
     /// One shared instance per computed verdict: the versioned cache, the
-    /// published-verdict map and every reply hold the same allocation.
-    /// Survives eviction, so a version-current assess never faults.
+    /// published-verdict map and every reply hold the same allocation —
+    /// O(1) bytes (its report is a summary). Survives eviction, so a
+    /// version-current assess never faults.
     cached: Option<(u64, Arc<Assessment>)>,
     /// Shard-local logical-clock tick of the last command that touched
     /// this server; the spill policy evicts the smallest ticks first.
@@ -341,27 +351,10 @@ impl ServerState {
                 panic!("assess cache miss on a spilled history without fault-in")
             }
         };
-        let report = TestReport::Multi(test.evaluate_detailed(history)?);
-        // Mirrors TwoPhaseAssessor::assess, with phase 2 answered by the
-        // streaming trust state instead of a history replay.
-        let assessment = match report.outcome() {
-            TestOutcome::Suspicious => Assessment::Rejected { report },
-            TestOutcome::Honest => Assessment::Accepted {
-                trust: self.trust.current(),
-                report,
-            },
-            TestOutcome::Inconclusive => match policy {
-                ShortHistoryPolicy::Reject => Assessment::Rejected { report },
-                ShortHistoryPolicy::Trust => Assessment::Accepted {
-                    trust: self.trust.current(),
-                    report,
-                },
-                ShortHistoryPolicy::Review => Assessment::NeedsReview {
-                    trust: self.trust.current(),
-                    report,
-                },
-            },
-        };
+        let report = TestReport::MultiSummary(test.evaluate_summary(history)?);
+        // TwoPhaseAssessor::assess, with phase 2 answered by the streaming
+        // trust state instead of a history replay.
+        let assessment = Assessment::from_report(report, policy, || self.trust.current());
         let assessment = Arc::new(assessment);
         self.cached = Some((self.version(), Arc::clone(&assessment)));
         Ok((assessment, false))

@@ -257,6 +257,96 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
     );
 }
 
+/// A verdict counts its threshold lookups locally and adds them to the
+/// shared counters once: the sum must still be exact — one per conclusive
+/// suffix test, none lost, none doubled — with two workers on one
+/// calibrator, rows below the surface, rows on it and rows past the
+/// large-`k` cutoff. (`hp-stats.lookups_per_assess` in the benchmark is
+/// this delta over the cache misses.)
+#[test]
+fn calibration_hit_counters_advance_by_one_per_conclusive_suffix_test() {
+    let config = ServiceConfig::default()
+        .with_shards(2)
+        .with_test(
+            BehaviorTestConfig::builder()
+                .calibration_trials(300)
+                .large_k_cutoff(256)
+                .calibration_surface(Some(hp_service::SurfaceParams {
+                    tolerance: 0.5,
+                    ..hp_service::SurfaceParams::default()
+                }))
+                .build()
+                .unwrap(),
+        )
+        .with_prewarm_grid(vec![], vec![]);
+    let service = ReputationService::new(config).unwrap();
+    let servers: Vec<ServerId> = (1..=4).map(ServerId::new).collect();
+    // 3 000 feedbacks: k runs from 300 (past the cutoff: the anchor row,
+    // one lookup) through the surface's span down to 10 (below its k_min:
+    // the row cache).
+    for (&server, bad_every) in servers.iter().zip([7, 11, 13, 400]) {
+        service
+            .ingest_batch(feedbacks_for(server, 3000, bad_every))
+            .unwrap();
+    }
+    // Cold verdicts run the row jobs for the rows below the surface.
+    for (_, verdict) in service.assess_many(&servers).unwrap() {
+        verdict.unwrap();
+    }
+    let cold = service.stats();
+    assert!(cold.calibration_cache_misses > 0);
+
+    // One more feedback each: the same rows, all warm, every verdict
+    // recomputed.
+    for &server in &servers {
+        let next = Feedback::new(3000, server, ClientId::new(1), Rating::Positive);
+        service.ingest_batch(vec![next]).unwrap();
+    }
+    let mut conclusive = 0u64;
+    let service = &service;
+    std::thread::scope(|scope| {
+        let traced: Vec<_> = servers
+            .iter()
+            .map(|&server| scope.spawn(move || service.assess_traced(server).unwrap()))
+            .collect();
+        for handle in traced {
+            let traced = handle.join().expect("assess thread");
+            assert!(!traced.trace.from_cache);
+            assert!(traced.trace.suffixes_tested > 250, "{}", traced.trace);
+            conclusive += traced.trace.suffixes_tested as u64;
+        }
+    });
+    let warm = service.stats();
+    let answered = |stats: &hp_service::ServiceStats| {
+        (stats.calibration_surface_hits, stats.calibration_cache_hits)
+    };
+    let (surface, cache) = (
+        answered(&warm).0 - answered(&cold).0,
+        answered(&warm).1 - answered(&cold).1,
+    );
+    assert_eq!(
+        surface + cache,
+        conclusive,
+        "surface {surface} + cache {cache}"
+    );
+    assert!(
+        surface > 0 && cache > 0,
+        "both tiers served: {surface}, {cache}"
+    );
+    assert_eq!(warm.calibration_cache_misses, cold.calibration_cache_misses);
+    assert_eq!(warm.calibration_oracle_jobs, cold.calibration_oracle_jobs);
+    assert_eq!(
+        warm.calibration_singleflight_waits,
+        cold.calibration_singleflight_waits
+    );
+
+    // A verdict served from the versioned cache asks the calibrator nothing.
+    for &server in &servers {
+        assert!(service.assess_traced(server).unwrap().trace.from_cache);
+    }
+    assert_eq!(answered(&service.stats()), answered(&warm));
+}
+
 #[test]
 fn tracing_orders_journal_before_apply() {
     let dir = std::env::temp_dir().join(format!("hp-service-obs-wal-{}", std::process::id()));

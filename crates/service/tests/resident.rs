@@ -1,25 +1,33 @@
-//! No service-side term grows with accepted feedback.
+//! No service-side term grows with accepted feedback, or with the depth
+//! of the histories assessed.
 //!
 //! The per-server histories are the one thing an ephemeral service is
 //! meant to keep per feedback, and they report their own heap bytes
 //! exactly (`crates/core/tests/resident_accounting.rs`). A counting global
 //! allocator measures everything the process holds; what is left after
 //! subtracting the histories — queues, the in-flight batch, counters, the
-//! state map — must be the same after 200 000 accepted feedbacks as after
-//! 100 000. A second copy of the accepted records anywhere in the service
-//! (the in-memory journal this guard was written against kept 32 B each:
-//! 3.2 MB per 100 000) fails it.
+//! state map, the cached verdicts — must be the same after 200 000
+//! accepted feedbacks as after 100 000, and the same after assessing
+//! 20 000-feedback servers as after assessing 2 000-feedback ones. A
+//! second copy of the accepted records anywhere in the service (the
+//! in-memory journal this guard was written against kept 32 B each:
+//! 3.2 MB per 100 000) fails the first; a cached verdict that keeps one
+//! report per suffix tested (88 B × history / step, which no gauge and no
+//! spill budget counted: 1.27 MB here) fails the second.
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::{ReputationService, ServiceConfig};
+use hp_stats::SurfaceParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
 
 /// Heap bytes live in the whole process (allocated − freed): the shard
-/// worker allocates on its own thread, so the count is global. This file
-/// holds a single test, so nothing else runs beside it.
+/// worker allocates on its own thread, so the count is global, and the
+/// tests of this file take [`ALONE`] so that none runs beside another.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static ALONE: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -68,9 +76,8 @@ fn feedback(t: u64) -> Feedback {
     )
 }
 
-#[test]
-fn service_overhead_does_not_grow_with_accepted_feedback() {
-    let config = ServiceConfig::default()
+fn config() -> ServiceConfig {
+    ServiceConfig::default()
         .with_shards(1)
         .with_test(
             BehaviorTestConfig::builder()
@@ -78,8 +85,26 @@ fn service_overhead_does_not_grow_with_accepted_feedback() {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![]);
-    let service = ReputationService::new(config).unwrap();
+        .with_prewarm_grid(vec![], vec![])
+}
+
+/// Live heap minus what the histories account for, once every batch sent
+/// so far is applied.
+fn overhead_beside_histories(service: &ReputationService, feedbacks: u64) -> isize {
+    // The stats round-trip is a FIFO barrier (every batch sent before it
+    // is applied) and samples Σ `TieredHistory::resident_bytes()`.
+    let stats = service.stats();
+    assert_eq!(stats.tracked_feedbacks as u64, feedbacks);
+    assert_eq!(stats.tracked_servers as u64, SERVERS);
+    let histories = stats.tier_hot_suffix_bytes + stats.tier_summary_bytes;
+    assert!(histories > 0);
+    LIVE.load(Ordering::Relaxed) - histories as isize
+}
+
+#[test]
+fn service_overhead_does_not_grow_with_accepted_feedback() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let service = ReputationService::new(config()).unwrap();
     let mut overhead = Vec::new();
     for round in 0..2 {
         for batch in 0..ROUND / BATCH {
@@ -88,20 +113,52 @@ fn service_overhead_does_not_grow_with_accepted_feedback() {
                 .ingest_batch((from..from + BATCH).map(feedback))
                 .unwrap();
         }
-        // The stats round-trip is a FIFO barrier (every batch above is
-        // applied) and samples Σ `TieredHistory::resident_bytes()`.
-        let stats = service.stats();
-        assert_eq!(stats.tracked_feedbacks as u64, (round + 1) * ROUND);
-        assert_eq!(stats.tracked_servers as u64, SERVERS);
-        let histories = stats.tier_hot_suffix_bytes + stats.tier_summary_bytes;
-        assert!(histories > 0);
-        overhead.push(LIVE.load(Ordering::Relaxed) - histories as isize);
+        overhead.push(overhead_beside_histories(&service, (round + 1) * ROUND));
     }
     let growth = overhead[1] - overhead[0];
     assert!(
         growth.abs() < 64 * 1024,
         "service heap beside the histories moved by {growth} B over {ROUND} more \
          accepted feedbacks ({} B after the first {ROUND}, {} B after the second)",
+        overhead[0],
+        overhead[1]
+    );
+}
+
+#[test]
+fn a_cached_verdict_does_not_grow_with_the_history_it_was_computed_from() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    // With the surface on, as every deployment runs: the row cache then
+    // holds the rows below the surface's k_min, which both depths visit.
+    // The tolerance is wide because 200 trials measure a wide error bound
+    // and a bypassed layer would send every k to a row job.
+    let service = ReputationService::new(config().with_calibration_surface(Some(SurfaceParams {
+        tolerance: 10.0,
+        ..SurfaceParams::default()
+    })))
+    .unwrap();
+    let servers: Vec<ServerId> = (0..SERVERS).map(ServerId::new).collect();
+    let mut overhead = Vec::new();
+    let mut sent = 0;
+    for per_server in [2_000, 20_000] {
+        while sent < per_server * SERVERS {
+            service
+                .ingest_batch((sent..sent + BATCH).map(feedback))
+                .unwrap();
+            sent += BATCH;
+        }
+        // Every server's verdict is computed — ≈ per_server / 10 suffix
+        // tests each — and cached, in the state and the published map.
+        for (_, verdict) in service.assess_many(&servers).unwrap() {
+            verdict.unwrap();
+        }
+        overhead.push(overhead_beside_histories(&service, sent));
+    }
+    let growth = overhead[1] - overhead[0];
+    assert!(
+        growth.abs() < 64 * 1024,
+        "service heap beside the histories moved by {growth} B between assessing {SERVERS} \
+         servers at 2 000 and at 20 000 feedbacks ({} B, then {} B)",
         overhead[0],
         overhead[1]
     );

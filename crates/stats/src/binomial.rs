@@ -147,7 +147,31 @@ impl Binomial {
     /// This is the reference distribution the behavior tests compare
     /// empirical window-count histograms against.
     pub fn pmf_table(&self) -> Vec<f64> {
-        (0..=self.n).map(|k| self.pmf(k)).collect()
+        let mut table = Vec::with_capacity(self.n as usize + 1);
+        self.fill_pmf(&mut table);
+        table
+    }
+
+    /// Overwrites `table` with `[P(X=0), …, P(X=n)]`, reusing its
+    /// allocation: what a caller that needs one table per tested range
+    /// (the multi-test needs thousands per verdict) calls with one buffer.
+    ///
+    /// Every entry is bit-identical to [`Self::pmf`]: the same expression,
+    /// with `ln p` and `ln(1−p)` taken once instead of once per entry.
+    pub fn fill_pmf(&self, table: &mut Vec<f64>) {
+        table.clear();
+        let n = self.n;
+        // The degenerate endpoints keep their exact masses, as in
+        // `ln_pmf` (0·ln 0 would be NaN).
+        if self.p == 0.0 || self.p == 1.0 {
+            let at = if self.p == 0.0 { 0 } else { n };
+            table.extend((0..=n).map(|k| if k == at { 1.0 } else { 0.0 }));
+            return;
+        }
+        let (ln_p, ln_q) = (self.p.ln(), (-self.p).ln_1p());
+        table.extend((0..=n).map(|k| {
+            (ln_choose(n as u64, k as u64) + k as f64 * ln_p + (n - k) as f64 * ln_q).exp()
+        }));
     }
 
     /// Draws one sample.

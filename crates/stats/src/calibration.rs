@@ -20,6 +20,11 @@
 //! * **caching** keyed by `(m, k, p̂-bucket, confidence)` so that the
 //!   strategic attacker loop and the multi-test (which call this thousands
 //!   of times with nearly identical parameters) stay fast,
+//! * **a per-verdict view** ([`ThresholdView`]) — a multi-test asks for
+//!   ≈ history / step thresholds at one `(m, confidence)`, so what depends
+//!   on that pair alone (validation, the surface snapshot, the layer and
+//!   its tolerance gate) is resolved once and the surface then answers
+//!   with no lock and no shared write; a lone lookup is a view asked once,
 //! * **a row-level fan-out** for the surface build: its cold `(m, k)` rows
 //!   are spread over [`CalibrationConfig::threads`] workers, each row job
 //!   running whole on one worker. A job draws its trials from fixed
@@ -539,6 +544,9 @@ impl ThresholdCalibrator {
     /// waited on) by this call. Large-`k` extrapolations inherit the
     /// provenance of their anchor lookup.
     ///
+    /// One question asked of a one-shot [`ThresholdView`]; a caller with
+    /// many `(k, p̂)` at one `(m, confidence)` keeps the view instead.
+    ///
     /// # Errors
     ///
     /// As [`Self::threshold_at`].
@@ -549,46 +557,40 @@ impl ThresholdCalibrator {
         p_hat: f64,
         confidence: f64,
     ) -> Result<(f64, ThresholdProvenance), StatsError> {
-        if k == 0 {
-            return Err(StatsError::InvalidCount {
-                what: "sample-set size k",
-                value: 0,
-            });
-        }
-        if !(0.0..=1.0).contains(&p_hat) || !p_hat.is_finite() {
-            return Err(StatsError::InvalidProbability { value: p_hat });
-        }
+        self.view(m, confidence)?.threshold(k, p_hat)
+    }
+
+    /// Resolves everything a lookup owes to `(m, confidence)` alone, once:
+    /// the returned view answers any number of `(k, p̂)` questions for that
+    /// pair — what one multi-test verdict asks, about two thousand times.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::InvalidLevel`] for a confidence outside `(0, 1)`.
+    // `#[inline]` here and on `ThresholdView::threshold`: a lone lookup
+    // builds and drops a view around one call, which costs ≈ 20 % more
+    // per lookup when the pair is not inlined into it.
+    #[inline]
+    pub fn view(&self, m: u32, confidence: f64) -> Result<ThresholdView<'_>, StatsError> {
         if !(confidence > 0.0 && confidence < 1.0) {
             return Err(StatsError::InvalidLevel { value: confidence });
         }
-
-        // Beyond the cutoff, use the 1/√k law anchored at the cutoff.
-        if k > self.config.large_k_cutoff {
-            let k0 = self.config.large_k_cutoff;
-            let (base, provenance) = self.threshold_with_provenance(m, k0, p_hat, confidence)?;
-            return Ok((base * (k0 as f64 / k as f64).sqrt(), provenance));
-        }
-
-        let p_index = self.p_bucket_index(p_hat);
         let confidence_millis = quantize_confidence(confidence);
-        if let Some(surface) = self.surface.read().as_ref() {
-            if let Some(eps) = surface.lookup(m, k, p_index, confidence_millis) {
-                self.surface_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((eps, ThresholdProvenance::Surface));
-            }
-        }
-        let key = CacheKey {
+        // The guard is a temporary of this statement: the lock is held to
+        // find the layer and clone one `Arc`, and no lookup ever takes it.
+        let layer = self.surface.read().as_ref().and_then(|surface| {
+            let layer = surface.serving_layer(m, confidence_millis)?;
+            Some((Arc::clone(surface), layer))
+        });
+        Ok(ThresholdView {
+            calibrator: self,
             m,
-            k,
-            p_bucket_index: p_index,
+            confidence,
             confidence_millis,
-        };
-        if let Some(&eps) = self.cache.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((eps, ThresholdProvenance::Cache));
-        }
-        self.calibrate_row(m, k, key, confidence)
-            .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
+            layer,
+            surface_hits: 0,
+            cache_hits: 0,
+        })
     }
 
     /// The miss path: join or lead the single-flight row job for `(m, k)`
@@ -927,6 +929,104 @@ impl ThresholdCalibrator {
 
     fn p_bucket_center(&self, index: u32) -> f64 {
         (index as f64 * self.config.p_bucket).clamp(0.0, 1.0)
+    }
+}
+
+/// A [`ThresholdCalibrator`] as seen for one `(m, confidence)`, made by
+/// [`ThresholdCalibrator::view`]: the confidence is validated and
+/// quantized, and the installed surface is held as a snapshot with the one
+/// layer that serves the pair already found and its tolerance gate already
+/// checked. A `(k, p̂)` the layer covers is then answered with no lock and
+/// no shared write; rows below the surface's `k_min`, and every row when
+/// no layer serves, go to the keyed row cache and from there to the
+/// single-flight miss path, exactly as a lone lookup does.
+///
+/// Hits are counted locally and added to the calibrator's lifetime
+/// counters when the view is dropped — one add per counter however many
+/// lookups it answered, and none lost if its owner stops half-way.
+#[derive(Debug)]
+pub struct ThresholdView<'a> {
+    calibrator: &'a ThresholdCalibrator,
+    m: u32,
+    confidence: f64,
+    confidence_millis: u32,
+    /// The surface snapshot and the index of its serving layer. `None`
+    /// when no surface is installed, it has no layer for the pair, or the
+    /// layer's error bound exceeds the tolerance.
+    layer: Option<(Arc<ThresholdSurface>, usize)>,
+    surface_hits: u64,
+    cache_hits: u64,
+}
+
+impl ThresholdView<'_> {
+    /// The threshold ε for `k` window counts at `p_hat`, and where it
+    /// came from. Large-`k` extrapolations inherit the provenance of
+    /// their anchor lookup.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::InvalidCount`] if `k == 0`,
+    /// [`StatsError::InvalidProbability`] for a bad `p_hat`.
+    #[inline]
+    pub fn threshold(
+        &mut self,
+        k: usize,
+        p_hat: f64,
+    ) -> Result<(f64, ThresholdProvenance), StatsError> {
+        if k == 0 {
+            return Err(StatsError::InvalidCount {
+                what: "sample-set size k",
+                value: 0,
+            });
+        }
+        if !(0.0..=1.0).contains(&p_hat) || !p_hat.is_finite() {
+            return Err(StatsError::InvalidProbability { value: p_hat });
+        }
+        let calibrator = self.calibrator;
+
+        // Beyond the cutoff, use the 1/√k law anchored at the cutoff.
+        let k0 = calibrator.config.large_k_cutoff;
+        if k > k0 {
+            let (base, provenance) = self.threshold(k0, p_hat)?;
+            return Ok((base * (k0 as f64 / k as f64).sqrt(), provenance));
+        }
+
+        let p_index = calibrator.p_bucket_index(p_hat);
+        if let Some((surface, layer)) = &self.layer {
+            if let Some(eps) = surface.layers()[*layer].interpolate(k, p_index) {
+                self.surface_hits += 1;
+                return Ok((eps, ThresholdProvenance::Surface));
+            }
+        }
+        let key = CacheKey {
+            m: self.m,
+            k,
+            p_bucket_index: p_index,
+            confidence_millis: self.confidence_millis,
+        };
+        if let Some(&eps) = calibrator.cache.read().get(&key) {
+            self.cache_hits += 1;
+            return Ok((eps, ThresholdProvenance::Cache));
+        }
+        calibrator
+            .calibrate_row(self.m, k, key, self.confidence)
+            .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
+    }
+}
+
+impl Drop for ThresholdView<'_> {
+    fn drop(&mut self) {
+        // Relaxed: statistics, read by `stats()` alone.
+        if self.surface_hits > 0 {
+            self.calibrator
+                .surface_hits
+                .fetch_add(self.surface_hits, Ordering::Relaxed);
+        }
+        if self.cache_hits > 0 {
+            self.calibrator
+                .hits
+                .fetch_add(self.cache_hits, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1507,6 +1607,169 @@ mod tests {
         // Beyond the cutoff the extrapolation inherits its anchor's tier.
         let (_, far) = cal.threshold_with_provenance(10, 1000, 0.9, 0.95).unwrap();
         assert_eq!(far, ThresholdProvenance::Surface);
+    }
+
+    /// The differential oracle for [`ThresholdView`]: the lookup body this
+    /// file shipped before the view — every call validates, takes the
+    /// surface lock, searches the layers and bumps a shared counter.
+    fn reference_threshold_with_provenance(
+        cal: &ThresholdCalibrator,
+        m: u32,
+        k: usize,
+        p_hat: f64,
+        confidence: f64,
+    ) -> Result<(f64, ThresholdProvenance), StatsError> {
+        if k == 0 {
+            return Err(StatsError::InvalidCount {
+                what: "sample-set size k",
+                value: 0,
+            });
+        }
+        if !(0.0..=1.0).contains(&p_hat) || !p_hat.is_finite() {
+            return Err(StatsError::InvalidProbability { value: p_hat });
+        }
+        if !(confidence > 0.0 && confidence < 1.0) {
+            return Err(StatsError::InvalidLevel { value: confidence });
+        }
+        if k > cal.config.large_k_cutoff {
+            let k0 = cal.config.large_k_cutoff;
+            let (base, provenance) =
+                reference_threshold_with_provenance(cal, m, k0, p_hat, confidence)?;
+            return Ok((base * (k0 as f64 / k as f64).sqrt(), provenance));
+        }
+        let p_index = cal.p_bucket_index(p_hat);
+        let confidence_millis = quantize_confidence(confidence);
+        if let Some(surface) = cal.surface.read().as_ref() {
+            if let Some(eps) = surface.lookup(m, k, p_index, confidence_millis) {
+                cal.surface_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((eps, ThresholdProvenance::Surface));
+            }
+        }
+        let key = CacheKey {
+            m,
+            k,
+            p_bucket_index: p_index,
+            confidence_millis,
+        };
+        if let Some(&eps) = cal.cache.read().get(&key) {
+            cal.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((eps, ThresholdProvenance::Cache));
+        }
+        cal.calibrate_row(m, k, key, confidence)
+            .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
+    }
+
+    /// Two calibrators with one history — same configuration, same build,
+    /// same questions in the same order — so the tier that answers, not
+    /// just the value, has to agree between the view and the reference.
+    fn view_matches_reference(
+        tolerance: f64,
+        ks: impl Iterator<Item = usize> + Clone,
+    ) -> HashSet<ThresholdProvenance> {
+        let config = CalibrationConfig {
+            trials: 120,
+            p_bucket: 0.05,
+            large_k_cutoff: 256,
+            surface: Some(SurfaceParams {
+                tolerance,
+                p_stride: 1,
+                k_min: 8,
+            }),
+            ..CalibrationConfig::default()
+        };
+        let viewed = ThresholdCalibrator::new(config).unwrap();
+        let reference = ThresholdCalibrator::new(config).unwrap();
+        assert!(viewed.ensure_surface_for(10).unwrap());
+        assert!(reference.ensure_surface_for(10).unwrap());
+        let mut confidences: Vec<f64> = confidence_ladder(config.confidence)
+            .into_iter()
+            .map(|(_, exact)| exact)
+            .collect();
+        assert!(confidences.len() > 10, "the ladder has rungs to visit");
+        confidences.extend([0.9, 0.5]); // off the ladder: no layer
+        let ps = [0.0, 0.42, 0.9, 0.9249, 1.0];
+        let mut provenances = HashSet::new();
+        for &confidence in &confidences {
+            let before = viewed.stats();
+            let mut view = viewed.view(10, confidence).unwrap();
+            let mut answered = 0u64;
+            for k in ks.clone() {
+                for &p in &ps {
+                    let got = view.threshold(k, p).unwrap();
+                    let want =
+                        reference_threshold_with_provenance(&reference, 10, k, p, confidence)
+                            .unwrap();
+                    assert_eq!(
+                        (got.0.to_bits(), got.1),
+                        (want.0.to_bits(), want.1),
+                        "k={k} p={p} confidence={confidence}"
+                    );
+                    provenances.insert(got.1);
+                    answered += 1;
+                }
+            }
+            assert_eq!(
+                viewed.stats().hits,
+                before.hits,
+                "nothing added while the view lives"
+            );
+            assert_eq!(viewed.stats().surface_hits, before.surface_hits);
+            drop(view);
+            let after = viewed.stats();
+            assert_eq!(
+                (after.surface_hits - before.surface_hits)
+                    + (after.hits - before.hits)
+                    + (after.misses - before.misses),
+                answered,
+                "every lookup is counted once, in one tier"
+            );
+            assert_eq!(after, reference.stats(), "confidence={confidence}");
+        }
+        // Bad arguments are refused.
+        assert!(viewed.view(10, 1.0).is_err() && viewed.view(10, 0.0).is_err());
+        let mut view = viewed.view(10, 0.95).unwrap();
+        assert!(view.threshold(0, 0.9).is_err());
+        assert!(view.threshold(10, 1.5).is_err() && view.threshold(10, f64::NAN).is_err());
+        provenances
+    }
+
+    #[test]
+    fn the_view_answers_like_the_per_call_lookup_it_replaced() {
+        // k_min = 8, grid 8, 16, …, 256 = the cutoff: 1..=4096 covers rows
+        // below the surface, on its grid, between grid rows and past the
+        // cutoff (the 1/√k law over the anchor row).
+        let tiers = view_matches_reference(10.0, 1..=4096);
+        assert_eq!(tiers.len(), 3, "all three tiers answered: {tiers:?}");
+    }
+
+    #[test]
+    fn a_view_over_bypassed_layers_goes_to_the_row_cache() {
+        // No layer is within this tolerance, so every lookup is a keyed
+        // probe (a row job the first time a row is asked for).
+        let tiers = view_matches_reference(1e-9, (1..=40).chain([255, 256, 257, 1000]));
+        assert!(!tiers.contains(&ThresholdProvenance::Surface), "{tiers:?}");
+    }
+
+    #[test]
+    fn a_dropped_view_loses_no_hit() {
+        let cal = coarse_calibrator(200);
+        let _ = cal.threshold(10, 30, 0.9).unwrap(); // the row job
+        let before = cal.stats();
+        {
+            let mut view = cal.view(10, 0.95).unwrap();
+            for _ in 0..5 {
+                assert_eq!(
+                    view.threshold(30, 0.9).unwrap().1,
+                    ThresholdProvenance::Cache
+                );
+            }
+            // Stopping on an error, as a verdict that fails half-way does.
+            assert!(view.threshold(0, 0.9).is_err());
+        }
+        assert_eq!(cal.stats().hits, before.hits + 5);
+        // A view that answered nothing adds nothing.
+        drop(cal.view(10, 0.95).unwrap());
+        assert_eq!(cal.stats().hits, before.hits + 5);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use beta_dist::BetaDist;
 pub use binomial::Binomial;
 pub use calibration::{
     thread_calibration_nanos, CalibrationConfig, CalibrationEntry, CalibrationStats,
-    ThresholdCalibrator, ThresholdProvenance,
+    ThresholdCalibrator, ThresholdProvenance, ThresholdView,
 };
 pub use chisq::ChiSquared;
 pub use ci::{binomial_test, wilson_interval, TestSide};

@@ -308,15 +308,22 @@ impl ThresholdSurface {
     /// layer's grid span, or the layer's error bound exceeds the
     /// configured tolerance (callers then fall back to the oracle).
     pub fn lookup(&self, m: u32, k: usize, p_index: u32, confidence_millis: u32) -> Option<f64> {
-        let row = self
+        let layer = self.serving_layer(m, confidence_millis)?;
+        self.layers[layer].interpolate(k, p_index)
+    }
+
+    /// Index in [`Self::layers`] of the layer that matches
+    /// `(m, confidence)` exactly, if its error bound is within tolerance —
+    /// the part of a lookup that does not depend on `(k, p̂)`.
+    pub(crate) fn serving_layer(&self, m: u32, confidence_millis: u32) -> Option<usize> {
+        let layer = self
             .layers
             .binary_search_by_key(&(m, confidence_millis), |l| (l.m, l.confidence_millis))
             .ok()?;
-        let layer = &self.layers[row];
-        if layer.error_bound > self.params.tolerance {
+        if self.layers[layer].error_bound > self.params.tolerance {
             return None;
         }
-        layer.interpolate(k, p_index)
+        Some(layer)
     }
 }
 

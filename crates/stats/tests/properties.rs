@@ -26,6 +26,37 @@ proptest! {
         }
     }
 
+    /// The hoisted table is `pmf(k)` entry for entry, by bits — at the
+    /// degenerate endpoints too, which keep their exact 0/1 masses, and
+    /// into a buffer that held something else.
+    #[test]
+    fn fill_pmf_matches_pmf_entry_by_entry(
+        n in 1u32..=64,
+        p in (0usize..8, prob()).prop_map(|(pick, p)| match pick {
+            0 => 0.0,
+            1 => 1.0,
+            2 => f64::MIN_POSITIVE,
+            3 => 1.0 - f64::EPSILON,
+            _ => p,
+        }),
+        stale in proptest::collection::vec(any::<f64>(), 0..80),
+    ) {
+        let b = Binomial::new(n, p).unwrap();
+        let mut table = stale;
+        b.fill_pmf(&mut table);
+        let want: Vec<u64> = (0..=n).map(|k| b.pmf(k).to_bits()).collect();
+        let got: Vec<u64> = table.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert!(table.iter().all(|v| !v.is_nan()));
+        if p == 0.0 || p == 1.0 {
+            let at = if p == 0.0 { 0 } else { n as usize };
+            prop_assert_eq!(table[at], 1.0);
+            prop_assert_eq!(table.iter().filter(|&&v| v == 0.0).count(), n as usize);
+        }
+        let fresh: Vec<u64> = b.pmf_table().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&fresh, &want);
+    }
+
     #[test]
     fn binomial_cdf_monotone(n in 1u32..60, p in prob()) {
         let b = Binomial::new(n, p).unwrap();
