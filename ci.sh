@@ -142,11 +142,10 @@ python3 - "$P1_JSON" "$P1_BASE" <<'PYEOF'
 import json, sys
 current = json.load(open(sys.argv[1]))["gate"]
 baseline = json.load(open(sys.argv[2]))["gate"]
-# 25% headroom on the absolute per-window figures: the baselines pin the
+# 25% headroom on the absolute per-window figure: the baseline pins the
 # min-of-samples on a quiet box, which wobbles ~10% under CI's own load
-# (this gate flapped at 110% with no code change). The regression this
-# guards against — losing the word-parallel kernel to the scalar path —
-# costs 4-6x and is caught independently by the ratio floors below.
+# (this gate flapped at 110% with no code change). The bench times m = 10,
+# the paper's window size (§5) and the only one anything runs.
 for m, base_ns in baseline["kernel_ns_per_window"].items():
     got = current["kernel_ns_per_window"][m]
     if got > base_ns * 1.25:
@@ -154,11 +153,6 @@ for m, base_ns in baseline["kernel_ns_per_window"].items():
             f"phase-1 kernel regression at {m}: {got} ns/window "
             f"> 125% of baseline {base_ns} ns/window"
         )
-if current["min_speedup"] < baseline["min_speedup"]:
-    sys.exit(
-        f"kernel/scalar speedup {current['min_speedup']}x fell below "
-        f"{baseline['min_speedup']}x"
-    )
 if current["multi_fused_over_naive"] < baseline["multi_fused_over_naive"]:
     sys.exit(
         f"fused/per-suffix multi-test ratio {current['multi_fused_over_naive']}x "
@@ -175,7 +169,7 @@ if current["multi_fused_ns_per_suffix"] > baseline["multi_fused_ns_per_suffix"] 
     )
 npw = ", ".join(f"{m} {ns}ns" for m, ns in current["kernel_ns_per_window"].items())
 print(
-    f"    kernel: {npw} per window; >= {current['min_speedup']}x over scalar; "
+    f"    kernel: {npw} per window; "
     f"fused multi-test {current['multi_fused_over_naive']}x over per-suffix, "
     f"{current['multi_fused_ns_per_suffix']} ns per suffix "
     f"(baseline {baseline['multi_fused_ns_per_suffix']} ns)"

@@ -15,8 +15,9 @@
 //!   a small constant of the row push. `columnar_distinct` is the shape
 //!   a million-client population produces — every feedback from a new
 //!   issuer, so every push also mints a dictionary entry;
-//! * `window_counts/*` — the phase-1 hot loop over both representations;
-//!   identical O(1)-per-window arithmetic, so the columns must not lose;
+//! * `window_counts/*` — the phase-1 hot loop over both representations
+//!   at m = 10: one prefix read and one masked popcount per window on the
+//!   1 bit/outcome column, one subtraction on the 8 B/outcome prefix array;
 //! * `collusion_reorder/cold` vs `/cached` — building the issuer-frequency
 //!   permutation once vs. re-serving it from the version-stamped cache;
 //!   the cached path is an `Arc` clone and must be orders of magnitude
@@ -191,27 +192,6 @@ fn bench_window_counts(
     }));
 }
 
-/// Young-server shape: the whole history fits one backing word, where
-/// the columnar side takes the single-word fast path (shift + mask +
-/// popcount per window) instead of the word walk.
-fn bench_window_counts_small(rows: &mut Vec<Row>) {
-    const SMALL: usize = 48;
-    let feedbacks = stream(SMALL);
-    let mut cols = ColumnarHistory::new();
-    let mut reference = TransactionHistory::with_capacity(SMALL);
-    for &f in &feedbacks {
-        cols.push(f);
-        reference.push(f);
-    }
-    let k = (SMALL / 6) as u64;
-    rows.push(measure("window_counts_small/columnar", 200, k, || {
-        cols.window_counts(0, SMALL, 6).unwrap()
-    }));
-    rows.push(measure("window_counts_small/reference", 200, k, || {
-        reference.window_counts(0, SMALL, 6).unwrap()
-    }));
-}
-
 fn bench_reorder(rows: &mut Vec<Row>, cols: &ColumnarHistory) {
     // Cold: a clone of a never-reordered history has an empty cache, so
     // every sample pays the full permutation build.
@@ -349,7 +329,6 @@ fn main() {
     println!("history-engine benchmarks (columnar vs row storage)\n");
     bench_ingest(&mut rows, &feedbacks, &distinct);
     bench_window_counts(&mut rows, &cols, &reference);
-    bench_window_counts_small(&mut rows);
     bench_reorder(&mut rows, &cols);
     let tiered = bench_tiered(&mut rows, &out_dir);
     println!();

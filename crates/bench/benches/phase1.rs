@@ -1,22 +1,19 @@
-//! Phase-1 kernel benchmarks: the word-parallel `window_counts` sweep vs
-//! the per-window scalar oracle, and the fused multi-suffix sweep vs
+//! Phase-1 kernel benchmarks: the `window_counts` sweep at the window
+//! size everything runs (m = 10), and the fused multi-suffix sweep vs
 //! per-suffix evaluation.
 //!
 //! Hand-rolled like `history.rs` so the results are machine-readable:
 //! rows print to stdout and land in `experiments/out/bench_phase1.json`
 //! (override the directory with `HP_BENCH_OUT`). The JSON carries an
-//! extra `gate` object — kernel ns/window per window size and fused
-//! multi-test ns per suffix tested, computed from the minimum sample for
-//! stability — which `ci.sh` compares against the committed baseline in
+//! extra `gate` object — kernel ns/window and fused multi-test ns per
+//! suffix tested, computed from the minimum sample for stability — which
+//! `ci.sh` compares against the committed baseline in
 //! `experiments/baselines/bench_phase1_baseline.json`.
 //!
 //! Shapes to look for:
 //!
-//! * `window_counts_kernel/m*` vs `window_counts_scalar/m*` — the phase-1
-//!   hot loop on a 10 000-outcome column. The scalar loop pays two prefix
-//!   reads and two masked popcounts per window; the kernel walks each u64
-//!   word once and splits its popcount across straddled windows, so it
-//!   must be ≥ 3x faster for m ∈ [8, 64] (asserted at the bottom);
+//! * `window_counts/m10` — the phase-1 hot loop on a 10 000-outcome
+//!   column: one prefix read and one masked popcount per window;
 //! * `multi_test/fused` vs `multi_test/per_suffix` — the end-to-end
 //!   multi-suffix test. The fused sweep reads the column once for all
 //!   suffixes; the per-suffix oracle re-derives counts for each, so the
@@ -34,7 +31,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const N: usize = 10_000;
-const WINDOW_SIZES: [usize; 4] = [8, 16, 32, 64];
+/// The paper's window size (§5), and the only one anything here runs.
+const M: usize = 10;
 
 struct Row {
     name: String,
@@ -163,31 +161,18 @@ fn history(n: usize) -> ColumnarHistory {
 
 fn bench_kernel(rows: &mut Vec<Row>, col: &BitColumn) {
     // Each sample runs the sweep BATCH times so the ~50ns timer cost is
-    // amortized below 0.1ns/window even for the fastest configuration.
+    // amortized below 0.1ns/window.
     const BATCH: usize = 8;
-    for m in WINDOW_SIZES {
-        let windows = (N / m * BATCH) as u64;
-        rows.push(measure(
-            &format!("window_counts_kernel/m{m}"),
-            400,
-            windows,
-            || {
-                for _ in 0..BATCH {
-                    black_box(col.window_counts(0, N, m).unwrap());
-                }
-            },
-        ));
-        rows.push(measure(
-            &format!("window_counts_scalar/m{m}"),
-            400,
-            windows,
-            || {
-                for _ in 0..BATCH {
-                    black_box(col.window_counts_scalar(0, N, m).unwrap());
-                }
-            },
-        ));
-    }
+    rows.push(measure(
+        &format!("window_counts/m{M}"),
+        400,
+        (N / M * BATCH) as u64,
+        || {
+            for _ in 0..BATCH {
+                black_box(col.window_counts(0, N, M).unwrap());
+            }
+        },
+    ));
 }
 
 /// Returns the number of suffixes one evaluation tests.
@@ -218,7 +203,7 @@ fn main() {
     let hist = history(N);
 
     let mut rows = Vec::new();
-    println!("phase-1 kernel benchmarks (word-parallel vs scalar)\n");
+    println!("phase-1 kernel benchmarks\n");
     bench_kernel(&mut rows, &col);
     let suffixes = bench_multi(&mut rows, &hist);
     println!();
@@ -227,33 +212,8 @@ fn main() {
     }
 
     let row_named = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
-
-    // The speedup claim: the kernel must beat the scalar loop >= 3x for
-    // every benchmarked window size (min-sample based, so noise on a
-    // shared box does not mask a real regression).
-    let mut gate_entries = String::new();
-    let mut min_speedup = f64::INFINITY;
-    println!();
-    for m in WINDOW_SIZES {
-        let kernel = row_named(&format!("window_counts_kernel/m{m}"));
-        let scalar = row_named(&format!("window_counts_scalar/m{m}"));
-        let speedup = scalar.min_ns_per_record() / kernel.min_ns_per_record();
-        min_speedup = min_speedup.min(speedup);
-        println!(
-            "m={m:<3} kernel {:.2}ns/window  scalar {:.2}ns/window  ({speedup:.1}x)",
-            kernel.min_ns_per_record(),
-            scalar.min_ns_per_record(),
-        );
-        gate_entries.push_str(&format!(
-            "\"m{m}\":{:.3},",
-            kernel.min_ns_per_record()
-        ));
-    }
-    gate_entries.pop(); // trailing comma
-    assert!(
-        min_speedup >= 3.0,
-        "word-parallel kernel must be >= 3x faster than scalar ({min_speedup:.2}x)"
-    );
+    let kernel_ns = row_named(&format!("window_counts/m{M}")).min_ns_per_record();
+    println!("\nm={M} kernel {kernel_ns:.2}ns/window");
 
     let fused = row_named("multi_test/fused");
     let per_suffix = row_named("multi_test/per_suffix");
@@ -281,8 +241,8 @@ fn main() {
     std::fs::create_dir_all(&out_dir).expect("create bench output dir");
     let out = out_dir.join("bench_phase1.json");
     let payload = format!(
-        "{{\"rows\":{},\n\"gate\":{{\"kernel_ns_per_window\":{{{gate_entries}}},\
-         \"min_speedup\":{min_speedup:.3},\"multi_fused_over_naive\":{multi_ratio:.3},\
+        "{{\"rows\":{},\n\"gate\":{{\"kernel_ns_per_window\":{{\"m{M}\":{kernel_ns:.3}}},\
+         \"multi_fused_over_naive\":{multi_ratio:.3},\
          \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}}}\n",
         rows_json(&rows)
     );

@@ -1,8 +1,7 @@
 //! Durability benchmarks: journal append overhead and time-to-recover.
 //!
-//! Unlike the criterion benches, this harness hand-rolls its measurement
-//! loop so it can emit machine-readable results: every row is printed and
-//! also written as JSON to `experiments/out/bench_recovery.json` (override
+//! The harness hand-rolls its measurement loop so it can emit
+//! machine-readable results: every row is printed and also written as JSON to `experiments/out/bench_recovery.json` (override
 //! the directory with `HP_BENCH_OUT`).
 //!
 //! Shapes to look for:

@@ -86,25 +86,6 @@ impl BitColumn {
         self.len += 1;
     }
 
-    /// Removes and returns the most recent outcome, or `None` when empty.
-    pub fn pop(&mut self) -> Option<bool> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        let (w, r) = (self.len / 64, self.len % 64);
-        let was_good = (self.words[w] >> r) & 1 == 1;
-        self.words[w] &= !(1u64 << r);
-        if was_good {
-            self.total -= 1;
-        }
-        if r == 0 {
-            self.words.pop();
-            self.word_prefix.pop();
-        }
-        Some(was_good)
-    }
-
     /// Number of outcomes recorded.
     pub fn len(&self) -> usize {
         self.len
@@ -168,17 +149,12 @@ impl BitColumn {
     /// Window counts of size `m` covering `[start, end)`, aligned to
     /// `start`; a trailing partial window is dropped (paper semantics).
     ///
-    /// This is the word-parallel phase-1 kernel: the covered range is
-    /// walked one `u64` word at a time and each word's popcount is split
-    /// across the windows it straddles, so the cost is one load per 64
-    /// outcomes plus one split per window boundary — instead of the two
-    /// prefix reads and two masked popcounts per window the scalar loop
-    /// pays. When `m` divides 64 the split is a SWAR partial-popcount:
-    /// the bitstream is realigned to the window grid with shifted loads
-    /// and one tree reduction yields all `64 / m` counts of a word at
-    /// once. Results are bit-identical to
-    /// [`BitColumn::window_counts_scalar`] (the differential oracle;
-    /// property-tested in `tests/columnar_equivalence.rs`).
+    /// The phase-1 kernel, one path for every `m`, alignment and length:
+    /// each window is the difference of two ranks (good outcomes before a
+    /// position), and a window's upper rank is the next one's lower, so the
+    /// cost is one prefix read and one masked popcount per window. Results
+    /// are bit-identical to [`hp_stats::PrefixSums::window_counts`]
+    /// (property-tested in `tests/columnar_equivalence.rs`).
     ///
     /// # Errors
     ///
@@ -192,170 +168,12 @@ impl BitColumn {
         }
         assert!(start <= end && end <= self.len, "range [{start},{end}) out of bounds");
         let k = (end - start) / m;
-        let mut out = vec![0u32; k];
-        if k == 0 {
-            return Ok(out);
-        }
-        let cov_end = start + k * m;
-        // Small-history fast path: when the whole column fits one word,
-        // every window is a shift + mask + popcount on that word — no
-        // word walk, no realignment, no prefix reads. This is the common
-        // shape for young servers (and the reason the columnar form must
-        // not lose to the prefix-sum scan on short histories).
-        if self.len <= 64 {
-            let word = self.words.first().copied().unwrap_or(0);
-            let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = ((word >> (start + i * m)) & mask).count_ones();
-            }
-            return Ok(out);
-        }
-        match m {
-            8 | 16 | 32 | 64 => self.sweep_swar(start, cov_end, m, &mut out),
-            _ => self.sweep_generic(start, cov_end, m, &mut out),
-        }
-        Ok(out)
-    }
-
-    /// SWAR sweep for `m` dividing 64: each loaded word is realigned to
-    /// the window grid (`lo >> offset | hi << (64 - offset)`), so every
-    /// window sits in one aligned `m`-bit field. A tree reduction then
-    /// computes all per-field popcounts of the word simultaneously:
-    /// pairwise bit sums, then nibble sums, then byte sums — the
-    /// classic SWAR popcount stopped at field width instead of folded to
-    /// a single total.
-    fn sweep_swar(&self, start: usize, cov_end: usize, m: usize, out: &mut [u32]) {
-        let total = cov_end - start;
-        let offset = start % 64;
-        let full = total / 64; // grid-aligned whole words
-        let per = 64 / m; // windows per word
-        let p0 = start / 64;
-        // The high word's contributing bits all lie below `cov_end`, so
-        // bits past `len` never enter the realigned value.
-        let load = |j: usize| -> u64 {
-            if offset == 0 {
-                self.words[p0 + j]
-            } else {
-                (self.words[p0 + j] >> offset) | (self.words[p0 + j + 1] << (64 - offset))
-            }
-        };
-        // One tight loop per width, so the hot path carries no per-word
-        // dispatch and the store index is the loop counter.
-        match m {
-            64 => {
-                // Whole-word windows: one hardware popcount each, no
-                // bounds checks in the loop.
-                if offset == 0 {
-                    for (slot, &w) in out.iter_mut().zip(&self.words[p0..p0 + full]) {
-                        *slot = w.count_ones();
-                    }
-                } else {
-                    for (slot, pair) in out.iter_mut().zip(self.words[p0..].windows(2).take(full))
-                    {
-                        *slot = ((pair[0] >> offset) | (pair[1] << (64 - offset))).count_ones();
-                    }
-                }
-            }
-            32 => {
-                for j in 0..full {
-                    let v = load(j);
-                    out[2 * j] = (v as u32).count_ones();
-                    out[2 * j + 1] = ((v >> 32) as u32).count_ones();
-                }
-            }
-            _ => {
-                for j in 0..full {
-                    // Per-byte partial popcounts of the word, all at once.
-                    let v = load(j);
-                    let mut c = v - ((v >> 1) & 0x5555_5555_5555_5555);
-                    c = (c & 0x3333_3333_3333_3333) + ((c >> 2) & 0x3333_3333_3333_3333);
-                    c = (c + (c >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
-                    if m == 16 {
-                        c = (c + (c >> 8)) & 0x00ff_00ff_00ff_00ff;
-                    }
-                    for (i, slot) in out[j * per..(j + 1) * per].iter_mut().enumerate() {
-                        *slot = ((c >> (i * m)) & 0xff) as u32;
-                    }
-                }
-            }
-        }
-        // The last `total % 64` outcomes are a whole number of windows
-        // (m | 64); finish them with the generic word walk.
-        let done = full * 64;
-        if done < total {
-            self.sweep_generic(start + done, cov_end, m, &mut out[full * per..]);
-        }
-    }
-
-    /// Generic single-pass word walk for any `m`: splits each word's
-    /// popcount across the windows it straddles with shift/mask splits.
-    fn sweep_generic(&self, start: usize, cov_end: usize, m: usize, out: &mut [u32]) {
-        debug_assert_eq!((cov_end - start) % m, 0);
-        if start == cov_end {
-            return;
-        }
-        let mut idx = 0;
-        let mut acc: u32 = 0; // good outcomes in the window being filled
-        let mut rem = m; // outcomes the current window still needs
-        let mut bit = start; // next uncounted position
-        for w in start / 64..=(cov_end - 1) / 64 {
-            let base = w * 64;
-            let hi = (base + 64).min(cov_end);
-            // Drop bits below `bit` (only non-zero for the first word).
-            let mut word = self.words[w] >> (bit - base);
-            let mut avail = hi - bit;
-            while avail > 0 {
-                let take = rem.min(avail);
-                if take == 64 {
-                    // A window swallowing the whole word: one popcount.
-                    acc += word.count_ones();
-                    word = 0;
-                } else {
-                    acc += (word & ((1u64 << take) - 1)).count_ones();
-                    word >>= take;
-                }
-                avail -= take;
-                rem -= take;
-                if rem == 0 {
-                    out[idx] = acc;
-                    idx += 1;
-                    acc = 0;
-                    rem = m;
-                }
-            }
-            bit = hi;
-        }
-        debug_assert_eq!(idx, out.len());
-    }
-
-    /// The reference per-window implementation of
-    /// [`BitColumn::window_counts`]: one masked range count per window.
-    ///
-    /// Kept as the differential oracle for the word-parallel kernel (and
-    /// as the slow side of `benches/phase1.rs`); semantics — including
-    /// the panic and error behavior — are identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidCount`] if `m == 0`.
-    pub fn window_counts_scalar(
-        &self,
-        start: usize,
-        end: usize,
-        m: usize,
-    ) -> Result<Vec<u32>, StatsError> {
-        if m == 0 {
-            return Err(StatsError::InvalidCount {
-                what: "window size",
-                value: 0,
-            });
-        }
-        assert!(start <= end && end <= self.len, "range [{start},{end}) out of bounds");
-        let k = (end - start) / m;
         let mut out = Vec::with_capacity(k);
-        for w in 0..k {
-            let s = start + w * m;
-            out.push(self.count_range(s, s + m) as u32);
+        let mut below = self.count(start);
+        for w in 1..=k {
+            let upto = self.count(start + w * m);
+            out.push((upto - below) as u32);
+            below = upto;
         }
         Ok(out)
     }
@@ -1066,27 +884,10 @@ mod tests {
                 prefix.window_counts(3, 197, m).unwrap(),
                 "m={m}"
             );
-            assert_eq!(
-                bits.window_counts(3, 197, m).unwrap(),
-                bits.window_counts_scalar(3, 197, m).unwrap(),
-                "kernel vs scalar oracle, m={m}"
-            );
         }
         for (i, &good) in outcomes.iter().enumerate() {
             assert_eq!(bits.get(i), good, "bit {i}");
         }
-    }
-
-    #[test]
-    fn bit_column_pop_reverses_push() {
-        let outcomes: Vec<bool> = (0..130).map(|i| i % 5 == 0).collect();
-        let mut bits = BitColumn::from_bools(outcomes.iter().copied());
-        for &good in outcomes.iter().rev() {
-            assert_eq!(bits.pop(), Some(good));
-        }
-        assert_eq!(bits.pop(), None);
-        assert!(bits.is_empty());
-        assert_eq!(bits, BitColumn::new());
     }
 
     #[test]
@@ -1102,36 +903,39 @@ mod tests {
         let prefix = PrefixSums::from_bools([true, false]);
         assert_eq!(bits.rate_range(1, 1), prefix.rate_range(1, 1));
         assert_eq!(bits.window_counts(0, 2, 0), prefix.window_counts(0, 2, 0));
-        assert_eq!(bits.window_counts_scalar(0, 2, 0), prefix.window_counts(0, 2, 0));
     }
 
     #[test]
-    fn window_counts_kernel_straddles_word_boundaries() {
+    fn window_counts_straddle_word_boundaries() {
         // 5 words' worth of outcomes with an irregular pattern, windows
         // deliberately misaligned with the u64 grid.
         let outcomes: Vec<bool> = (0..320).map(|i| (i * 7 + i / 13) % 5 < 3).collect();
         let bits = BitColumn::from_bools(outcomes.iter().copied());
+        let prefix = PrefixSums::from_bools(outcomes.iter().copied());
         for &(start, end, m) in &[
             (0usize, 320usize, 63usize), // window boundary one short of a word
             (0, 320, 65),                // one past a word
             (1, 320, 64),                // word-sized windows, shifted grid
             (61, 317, 3),                // many tiny windows across words
+            (0, 320, 1),                 // one outcome per window
             (0, 320, 128),               // windows swallowing whole words
             (0, 320, 320),               // single window covering everything
             (5, 5, 1),                   // empty range → no windows
             (0, 10, 11),                 // m > len → no windows
-            // SWAR path (m | 64): aligned, misaligned, and tail windows.
+            // m | 64: aligned, misaligned, and a ragged tail.
             (0, 320, 8),
-            (3, 320, 8),                 // offset grid + 5 tail windows
-            (0, 313, 16),                // 3 tail windows
+            (3, 320, 8),
+            (0, 313, 16),
             (17, 319, 16),
+            (0, 320, 32),
             (9, 320, 32),
-            (63, 320, 64),               // offset 63 → maximal realign shift
-            (40, 56, 8),                 // entirely inside one word
+            (0, 320, 64),
+            (63, 320, 64), // start on a word's last bit
+            (40, 56, 8),   // entirely inside one word
         ] {
             assert_eq!(
                 bits.window_counts(start, end, m).unwrap(),
-                bits.window_counts_scalar(start, end, m).unwrap(),
+                prefix.window_counts(start, end, m).unwrap(),
                 "[{start},{end}) m={m}"
             );
         }
@@ -1139,24 +943,24 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn window_counts_kernel_out_of_bounds_panics() {
+    fn window_counts_out_of_bounds_panics() {
         let bits = BitColumn::from_bools([true; 10]);
         let _ = bits.window_counts(0, 11, 2);
     }
 
     #[test]
-    fn window_counts_small_history_fast_path_matches_scalar() {
-        // Histories at or under one word take the single-word fast path;
-        // sweep every (len, start, m) shape against the scalar oracle,
-        // including the 64-bit boundary and m == len.
-        for len in [0usize, 1, 7, 10, 63, 64] {
+    fn window_counts_on_columns_around_one_word() {
+        // Every (start, m) shape — m == len included — on columns that
+        // are empty, shorter than, exactly and just past one word.
+        for len in [0usize, 1, 7, 10, 63, 64, 65] {
             let outcomes: Vec<bool> = (0..len).map(|i| (i * 11 + 3) % 4 != 0).collect();
             let bits = BitColumn::from_bools(outcomes.iter().copied());
+            let prefix = PrefixSums::from_bools(outcomes.iter().copied());
             for start in 0..=len {
                 for m in 1..=len.max(1) {
                     assert_eq!(
                         bits.window_counts(start, len, m).unwrap(),
-                        bits.window_counts_scalar(start, len, m).unwrap(),
+                        prefix.window_counts(start, len, m).unwrap(),
                         "len={len} [{start},{len}) m={m}"
                     );
                 }

@@ -246,10 +246,10 @@ pub(crate) fn run_multi_naive(
 /// When the step is a multiple of the window size `m`, every suffix's
 /// end-aligned coverage `[n − k·m, n)` starts on the same grid of window
 /// boundaries counted from the end — so a single
-/// [`ColumnRef::window_counts`] sweep (word-parallel on the bit-packed
-/// column) yields each suffix's window counts as a *suffix of one shared
-/// vector*, and a prefix-sum over those counts answers each suffix's good
-/// total (its p̂ numerator) without ever touching the column again.
+/// [`ColumnRef::window_counts`] sweep yields each suffix's window counts
+/// as a *suffix of one shared vector*, and a prefix-sum over those counts
+/// answers each suffix's good total (its p̂ numerator) without ever
+/// touching the column again.
 pub(crate) struct FusedSuffixSweep {
     /// End-aligned window counts for the longest suffix, oldest first.
     counts: Vec<u32>,

@@ -21,6 +21,7 @@ use hp_core::{
     ClientId, ColumnarHistory, Feedback, HistoryView, Rating, ServerId, TransactionHistory,
     TwoPhaseAssessor,
 };
+use hp_stats::PrefixSums;
 use proptest::prelude::*;
 
 /// A generated feedback stream: monotone times, issuers drawn from a small
@@ -129,33 +130,30 @@ proptest! {
         prop_assert_eq!(windowed.trust(&rows), windowed.trust(&cols));
     }
 
-    /// The word-parallel `window_counts` kernel is an exact drop-in for the
-    /// per-window scalar loop: same counts for every `(start, m)`, including
-    /// unaligned starts, windows straddling several u64 words, `m` longer
-    /// than the whole history, and empty ranges.
+    /// `BitColumn::window_counts` answers exactly like the prefix-sum
+    /// reference for every `(start, m)`: unaligned starts, windows
+    /// straddling several u64 words, `m` dividing 64, `m` longer than the
+    /// whole history, and empty ranges.
     #[test]
-    fn window_counts_kernel_matches_scalar_oracle(
+    fn window_counts_match_the_prefix_sum_reference(
         bits in proptest::collection::vec(any::<bool>(), 0..420),
         start_frac in 0.0f64..1.0,
         m in 1usize..=192,
     ) {
         let col = BitColumn::from_bools(bits.iter().copied());
+        let reference = PrefixSums::from_bools(bits.iter().copied());
         let n = col.len();
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let start = ((n as f64) * start_frac) as usize;
-        prop_assert_eq!(
-            col.window_counts(start, n, m).unwrap(),
-            col.window_counts_scalar(start, n, m).unwrap()
-        );
-        // Empty range and m > remaining length both yield an empty grid.
-        prop_assert_eq!(
-            col.window_counts(start, start, m).unwrap(),
-            col.window_counts_scalar(start, start, m).unwrap()
-        );
-        prop_assert_eq!(
-            col.window_counts(start, n, n - start + 1).unwrap(),
-            col.window_counts_scalar(start, n, n - start + 1).unwrap()
-        );
+        // The drawn width, the widths a u64 divides into, an empty range
+        // and a width past the remaining length (both an empty grid).
+        for (end, m) in [(n, m), (n, 8), (n, 16), (n, 32), (n, 64), (start, m), (n, n - start + 1)] {
+            prop_assert_eq!(
+                col.window_counts(start, end, m).unwrap(),
+                reference.window_counts(start, end, m).unwrap(),
+                "[{start},{end}) m={m}"
+            );
+        }
     }
 
     /// The fused multi-suffix sweep is bit-identical to the per-suffix
@@ -231,13 +229,14 @@ fn collusion_reordering_agrees_on_skewed_issuers() {
         rows.reordered_column().as_col().window_counts(0, 400, 10).unwrap(),
         cols.reordered_column().as_col().window_counts(0, 400, 10).unwrap()
     );
-    // The frequency-reordered column goes through the same word-parallel
-    // kernel; pin it against the scalar oracle on this skewed stream.
-    let reordered = BitColumn::from_bools((0..400).map(|i| cols.outcome(i)));
+    // The same kernel against the prefix-sum reference on this skewed
+    // stream's outcomes.
+    let outcomes = || (0..400).map(|i| cols.outcome(i));
+    let (column, reference) = (BitColumn::from_bools(outcomes()), PrefixSums::from_bools(outcomes()));
     for m in [3usize, 10, 64, 100] {
         assert_eq!(
-            reordered.window_counts(7, 400, m).unwrap(),
-            reordered.window_counts_scalar(7, 400, m).unwrap()
+            column.window_counts(7, 400, m).unwrap(),
+            reference.window_counts(7, 400, m).unwrap()
         );
     }
 }

@@ -11,41 +11,42 @@
 //! so a configuration change silently falls back to online calibration
 //! instead of serving thresholds from a different distribution.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! Line-oriented text, one header then one tagged record per line:
 //!
 //! ```text
-//! hpcal 2 <fingerprint as 16 hex digits>
+//! hpcal 3 <fingerprint as 16 hex digits>
 //! E <m> <k> <p_bucket_index> <confidence_millis> <epsilon as f64 bits, 16 hex digits>
-//! P <tolerance as f64 bits> <p_stride> <k_min>
-//! S <m> <confidence_millis> <error_bound as f64 bits> <k_grid csv> <p_nodes csv> <values as f64-bits csv>
+//! P <tolerance as f64 bits> <k_min>
+//! S <m> <confidence_millis> <error_bound as f64 bits> <k_grid csv> <values as f64-bits csv>
 //! ```
 //!
 //! `E` records are oracle cache entries; `P` records the surface
 //! parameters the `S` layers were built under (a surface is only
 //! installed when those parameters match the live configuration — the
 //! fingerprint deliberately excludes them, since the surface is an
-//! error-bounded view over the oracle, not a change to it). All floats
-//! are stored as raw IEEE-754 bits, so a load → save → load round trip is
+//! error-bounded view over the oracle, not a change to it). An `S` layer
+//! holds one value per p̂ bucket per grid `k`, row-major. All floats are
+//! stored as raw IEEE-754 bits, so a load → save → load round trip is
 //! bit-exact and warm verdicts stay bit-identical to cold ones.
 //!
-//! Version-1 files (bare five-field entry lines, no tags, no surface) are
-//! still read, so an upgrade keeps its warm oracle cache and simply
-//! rebuilds the surface from it at boot. Writes go through a temporary
-//! file renamed into place, so a crash mid-save leaves the previous cache
-//! intact. Individually malformed entry lines are skipped (and counted),
-//! never fatal: losing one cache line costs one recalibration, not a
-//! boot.
+//! This is the only version read: a file with any other header is
+//! `stale` like one with another fingerprint, and costs one rebuild.
+//! Writes go through [`hp_store::durable::publish`], so a crash mid-save
+//! leaves the previous cache intact. Individually malformed record lines
+//! are skipped (and counted), never fatal: losing one cache line costs
+//! one recalibration, not a boot.
 
 use hp_stats::{CalibrationEntry, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface};
+use hp_store::durable::publish;
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// File format version this module writes.
-const VERSION: u32 = 2;
+/// The file format version this module writes, and the only one it reads.
+const VERSION: u32 = 3;
 
 /// What loading a persisted cache found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +60,8 @@ pub struct CacheLoad {
     /// layers failed validation).
     pub surface_layers: usize,
     /// The file existed but was recorded under a different fingerprint
-    /// (configuration or seed changed) and was ignored wholesale.
+    /// (configuration or seed changed) or format version, and was ignored
+    /// wholesale.
     pub stale: bool,
 }
 
@@ -83,12 +85,12 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
         Some(line) => line?,
         None => return Ok(CacheLoad::default()),
     };
-    let Some(version) = header_version(&header, calibrator.fingerprint()) else {
+    if !header_matches(&header, calibrator.fingerprint()) {
         return Ok(CacheLoad {
             stale: true,
             ..CacheLoad::default()
         });
-    };
+    }
     let mut entries = Vec::new();
     let mut params: Option<SurfaceParams> = None;
     let mut layers: Vec<SurfaceLayer> = Vec::new();
@@ -98,12 +100,7 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
         if line.is_empty() {
             continue;
         }
-        let parsed = if version == 1 {
-            parse_entry(&line).map(Record::Entry)
-        } else {
-            parse_record(&line)
-        };
-        match parsed {
+        match parse_record(&line) {
             Some(Record::Entry(entry)) => entries.push(entry),
             Some(Record::Params(p)) => params = Some(p),
             Some(Record::Layer(layer)) => layers.push(layer),
@@ -120,11 +117,10 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
     if let (Some(file_params), false) = (params, layers.is_empty()) {
         if calibrator.config().surface == Some(file_params) {
             let count = layers.len();
-            match ThresholdSurface::from_parts(file_params, layers) {
-                Ok(surface) => {
-                    calibrator.install_surface(Arc::new(surface));
-                    surface_layers = count;
-                }
+            let installed = ThresholdSurface::from_parts(file_params, layers)
+                .and_then(|surface| calibrator.install_surface(Arc::new(surface)));
+            match installed {
+                Ok(()) => surface_layers = count,
                 Err(_) => skipped += count,
             }
         }
@@ -139,12 +135,12 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
 
 /// Saves `calibrator`'s cache — and its installed surface, when the live
 /// configuration carries surface parameters — to `path` (creating parent
-/// directories), atomically via a temporary sibling file. Returns the
-/// entry count.
+/// directories), atomically and durably via a temporary sibling file.
+/// Returns the entry count.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from create/write/rename.
+/// Propagates I/O failures from create/write/fsync/rename.
 pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -152,9 +148,8 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
         }
     }
     let entries = calibrator.export_cache();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+    publish(&path.with_extension("tmp"), path, |file| {
+        let mut out = BufWriter::new(file);
         writeln!(out, "hpcal {VERSION} {:016x}", calibrator.fingerprint())?;
         for e in &entries {
             writeln!(
@@ -169,29 +164,21 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
         }
         if let (Some(params), Some(surface)) = (calibrator.config().surface, calibrator.surface())
         {
-            writeln!(
-                out,
-                "P {:016x} {} {}",
-                params.tolerance.to_bits(),
-                params.p_stride,
-                params.k_min
-            )?;
+            writeln!(out, "P {:016x} {}", params.tolerance.to_bits(), params.k_min)?;
             for layer in surface.layers() {
                 writeln!(
                     out,
-                    "S {} {} {:016x} {} {} {}",
+                    "S {} {} {:016x} {} {}",
                     layer.m,
                     layer.confidence_millis,
                     layer.error_bound.to_bits(),
                     csv(layer.k_grid.iter()),
-                    csv(layer.p_nodes.iter()),
                     csv(layer.values.iter().map(|v| format!("{:016x}", v.to_bits()))),
                 )?;
             }
         }
-        out.flush()?;
-    }
-    fs::rename(&tmp, path)?;
+        out.flush()
+    })?;
     Ok(entries.len())
 }
 
@@ -203,19 +190,14 @@ fn csv<I: IntoIterator<Item = T>, T: ToString>(items: I) -> String {
         .join(",")
 }
 
-/// Parses the header; returns the format version if the magic matches and
-/// the recorded fingerprint equals `fingerprint`, `None` otherwise.
-fn header_version(header: &str, fingerprint: u64) -> Option<u32> {
+/// Whether `header` is this module's: the magic, the one version it
+/// writes, and a recorded fingerprint equal to `fingerprint`.
+fn header_matches(header: &str, fingerprint: u64) -> bool {
     let mut parts = header.split_ascii_whitespace();
-    if parts.next() != Some("hpcal") {
-        return None;
-    }
-    let version = parts.next().and_then(|v| v.parse::<u32>().ok())?;
-    if !(1..=VERSION).contains(&version) {
-        return None;
-    }
-    let recorded = parts.next().and_then(|f| u64::from_str_radix(f, 16).ok())?;
-    (recorded == fingerprint && parts.next().is_none()).then_some(version)
+    parts.next() == Some("hpcal")
+        && parts.next().and_then(|v| v.parse().ok()) == Some(VERSION)
+        && parts.next().and_then(|f| u64::from_str_radix(f, 16).ok()) == Some(fingerprint)
+        && parts.next().is_none()
 }
 
 enum Record {
@@ -253,7 +235,6 @@ fn parse_params(rest: &str) -> Option<SurfaceParams> {
     let mut parts = rest.split_ascii_whitespace();
     let params = SurfaceParams {
         tolerance: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-        p_stride: parts.next()?.parse().ok()?,
         k_min: parts.next()?.parse().ok()?,
     };
     if parts.next().is_some() || params.validate().is_err() {
@@ -269,7 +250,6 @@ fn parse_layer(rest: &str) -> Option<SurfaceLayer> {
         confidence_millis: parts.next()?.parse().ok()?,
         error_bound: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
         k_grid: parse_csv(parts.next()?, |v| v.parse().ok())?,
-        p_nodes: parse_csv(parts.next()?, |v| v.parse().ok())?,
         values: parse_csv(parts.next()?, |v| {
             u64::from_str_radix(v, 16).ok().map(f64::from_bits)
         })?,
@@ -402,32 +382,50 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load_as_plain_entries() {
-        let dir = tmp_dir("v1compat");
-        let path = dir.join("cal.hpcal");
-        let cold = calibrator(300);
-        let a = cold.threshold(10, 30, 0.9).unwrap();
-        // Hand-write a version-1 file: bare entry lines, no tags.
-        let mut text = format!("hpcal 1 {:016x}\n", cold.fingerprint());
-        for e in cold.export_cache() {
-            text.push_str(&format!(
-                "{} {} {} {} {:016x}\n",
-                e.m,
-                e.k,
-                e.p_bucket_index,
-                e.confidence_millis,
-                e.epsilon.to_bits()
-            ));
-        }
-        fs::write(&path, text).unwrap();
+    fn save_load_save_is_byte_identical() {
+        let dir = tmp_dir("resave");
+        let (first, second) = (dir.join("first.hpcal"), dir.join("second.hpcal"));
+        let cold = surfaced_calibrator(200);
+        assert!(cold.ensure_surface_for(10).unwrap());
+        cold.threshold(10, 5, 0.9).unwrap(); // a row below the surface too
+        save(&first, &cold).unwrap();
 
-        let warm = calibrator(300);
-        let loaded = load(&path, &warm).unwrap();
+        let warm = surfaced_calibrator(200);
+        let loaded = load(&first, &warm).unwrap();
         assert_eq!(loaded.installed, cold.cache_len());
-        assert_eq!(loaded.surface_layers, 0);
-        assert!(!loaded.stale);
-        assert_eq!(warm.threshold(10, 30, 0.9).unwrap().to_bits(), a.to_bits());
-        assert_eq!(warm.cache_stats(), (1, 0));
+        assert_eq!(loaded.skipped, 0);
+        save(&second, &warm).unwrap();
+        let text = fs::read(&first).unwrap();
+        assert!(text.starts_with(b"hpcal 3 "));
+        assert!(text == fs::read(&second).unwrap(), "a reloaded cache saves the same bytes");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_layer_of_another_bucket_count_is_skipped_not_served() {
+        let dir = tmp_dir("width");
+        let path = dir.join("cal.hpcal");
+        // A two-row layer with `buckets` values per row; the calibrator's
+        // 0.05-wide buckets make 21 the only width it may serve.
+        let file = |cal: &ThresholdCalibrator, buckets: usize| {
+            let params = cal.config().surface.unwrap();
+            format!(
+                "hpcal 3 {:016x}\nP {:016x} {}\nS 10 95000 {:016x} 8,16 {}\n",
+                cal.fingerprint(),
+                params.tolerance.to_bits(),
+                params.k_min,
+                0.0f64.to_bits(),
+                csv(vec![format!("{:016x}", 0.5f64.to_bits()); 2 * buckets]),
+            )
+        };
+        for (buckets, layers) in [(20, 0), (42, 0), (21, 1)] {
+            let cal = surfaced_calibrator(200);
+            fs::write(&path, file(&cal, buckets)).unwrap();
+            let loaded = load(&path, &cal).unwrap();
+            assert_eq!(loaded.surface_layers, layers, "{buckets} values per row");
+            assert_eq!(loaded.skipped, 1 - layers, "{buckets} values per row");
+            assert_eq!(cal.surface().is_some(), layers == 1);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -453,9 +451,34 @@ mod tests {
         assert!(loaded.stale);
         assert_eq!(loaded.installed, 0);
         assert_eq!(reconfigured.cache_len(), 0);
-        // Unknown future versions are stale too, not a parse attempt.
-        fs::write(&path, format!("hpcal 99 {:016x}\n", cold.fingerprint())).unwrap();
-        assert!(load(&path, &cold).unwrap().stale);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn any_other_version_is_stale_whatever_its_fingerprint() {
+        let dir = tmp_dir("version");
+        let path = dir.join("cal.hpcal");
+        let cold = calibrator(300);
+        cold.threshold(10, 30, 0.9).unwrap();
+        save(&path, &cold).unwrap();
+        let current = fs::read_to_string(&path).unwrap();
+        // The formats this module used to write, and one it never has:
+        // same fingerprint, same (parseable) records, another version.
+        for version in [1, 2, 99] {
+            let other = current.replacen("hpcal 3 ", &format!("hpcal {version} "), 1);
+            assert_ne!(other, current);
+            fs::write(&path, other).unwrap();
+            let warm = calibrator(300);
+            assert_eq!(
+                load(&path, &warm).unwrap(),
+                CacheLoad {
+                    stale: true,
+                    ..CacheLoad::default()
+                },
+                "hpcal {version}"
+            );
+            assert_eq!(warm.cache_len(), 0, "hpcal {version}: nothing installed");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

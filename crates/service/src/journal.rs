@@ -43,6 +43,10 @@
 //! later record is also discarded, which is what truncation does.
 
 use hp_core::{ClientId, Feedback, Rating, ServerId};
+/// CRC-32 (IEEE) of the record frames and snapshot bodies: the
+/// workspace's one implementation, in `hp-store`.
+pub use hp_store::durable::crc32;
+use hp_store::durable::publish;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -167,79 +171,6 @@ pub struct AppendInfo {
     pub synced: bool,
     /// Time the fsync took, in nanoseconds (`0` when `!synced`).
     pub sync_ns: u64,
-}
-
-// CRC-32 (IEEE 802.3), slicing-by-8: eight tables built at compile
-// time let the hot loop fold 8 input bytes per iteration instead of 1.
-// The polynomial and bit order are the classic ones, so the digest is
-// identical to the byte-at-a-time form (asserted in tests) — this is a
-// speed change only, not an on-disk format change. It matters because
-// snapshot bodies are megabytes: a whole-body CRC at ~3 ns/byte was the
-// single largest term in snapshot-boot recovery.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC-32 (IEEE) of `data`, as used by the record frames and snapshot
-/// bodies.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes(c[0..4].try_into().expect("4 bytes")) ^ crc;
-        let hi = u32::from_le_bytes(c[4..8].try_into().expect("4 bytes"));
-        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// Byte-at-a-time reference CRC, kept as the differential oracle for the
-/// sliced fast path above.
-#[cfg(test)]
-pub(crate) fn crc32_scalar(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
 }
 
 fn encode_payload(f: &Feedback) -> [u8; RECORD_PAYLOAD_LEN] {
@@ -615,14 +546,10 @@ impl FileJournal {
             file.read_to_end(&mut tail)?;
         }
         let tmp = self.path.with_extension("hpj.compact");
-        {
-            let mut file = File::create(&tmp)?;
+        publish(&tmp, &self.path, |file| {
             file.write_all(&encode_compacted_header(self.shard, self.shards, upto))?;
-            file.write_all(&tail)?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        fsync_dir(&self.path)?;
+            file.write_all(&tail)
+        })?;
 
         // Point the writer at the rewritten file.
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
@@ -653,39 +580,9 @@ impl FileJournal {
     }
 }
 
-/// Fsyncs the directory containing `path`, making a just-renamed file's
-/// directory entry durable (rename alone orders data, not metadata).
-pub(crate) fn fsync_dir(path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            File::open(parent)?.sync_all()?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sliced_crc_matches_bytewise_reference() {
-        // Known-answer ("123456789" → 0xCBF43926 for CRC-32/IEEE), then
-        // every length 0..64 to cover all chunk remainders, then a few
-        // larger pseudo-random bodies.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        let mut data = Vec::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for len in 0..4096usize {
-            if len < 64 || len % 97 == 0 {
-                assert_eq!(crc32(&data), crc32_scalar(&data), "len {len}");
-            }
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            data.push(x as u8);
-        }
-    }
 
     fn feedback(t: u64, good: bool) -> Feedback {
         Feedback::new(t, ServerId::new(3), ClientId::new(t % 5), Rating::from_good(good))
@@ -700,13 +597,6 @@ mod tests {
             std::thread::current().id()
         );
         dir.join(unique)
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

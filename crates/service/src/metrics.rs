@@ -242,50 +242,6 @@ impl ServiceStats {
         }
     }
 
-    /// Direct fold of one counter block (unit tests; the service itself
-    /// goes through [`Self::from_registry`]).
-    #[cfg(test)]
-    pub(crate) fn from_counters(counters: &Counters) -> Self {
-        ServiceStats {
-            ingested_feedbacks: counters.ingested.load(Ordering::Relaxed),
-            assessments_served: counters.served.load(Ordering::Relaxed),
-            cache_hits: counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: counters.cache_misses.load(Ordering::Relaxed),
-            shard_queue_depths: Vec::new(),
-            tracked_servers: 0,
-            tracked_feedbacks: 0,
-            calibration_cache_entries: 0,
-            calibration_cache_hits: 0,
-            calibration_cache_misses: 0,
-            calibration_surface_hits: 0,
-            calibration_oracle_jobs: 0,
-            calibration_crn_row_fills: 0,
-            calibration_singleflight_waits: 0,
-            shed_feedbacks: counters.shed.load(Ordering::Relaxed),
-            degraded_answers: counters.degraded.load(Ordering::Relaxed),
-            shard_restarts: counters.restarts.load(Ordering::Relaxed),
-            quarantined_records: counters.quarantined.load(Ordering::Relaxed),
-            failed_shards: counters.shards_failed.load(Ordering::Relaxed),
-            journal_records: counters.journal_records.load(Ordering::Relaxed),
-            journal_bytes: counters.journal_bytes.load(Ordering::Relaxed),
-            journal_syncs: counters.journal_syncs.load(Ordering::Relaxed),
-            torn_journal_bytes: counters.torn_bytes.load(Ordering::Relaxed),
-            snapshots_written: counters.snapshots_written.load(Ordering::Relaxed),
-            snapshot_bytes: counters.snapshot_bytes.load(Ordering::Relaxed),
-            snapshot_failures: counters.snapshot_failures.load(Ordering::Relaxed),
-            snapshot_fallbacks: counters.snapshot_fallbacks.load(Ordering::Relaxed),
-            tier_compacted_records: counters.tier_compacted.load(Ordering::Relaxed),
-            tier_evictions: counters.tier_evictions.load(Ordering::Relaxed),
-            tier_faults: counters.tier_faults.load(Ordering::Relaxed),
-            tier_hot_suffix_bytes: 0,
-            tier_summary_bytes: 0,
-            tier_spilled_bytes: 0,
-            per_shard: Vec::new(),
-            shard_queue_wait_p99_ns: Vec::new(),
-            shard_utilization: Vec::new(),
-        }
-    }
-
     /// Folds a registry snapshot into the service-level totals. The
     /// queue depths, tracked-server/feedback counts, and calibration
     /// gauges are sampled by the caller before the snapshot is taken.
@@ -341,10 +297,11 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MetricsRegistry;
 
     #[test]
     fn hit_rate_handles_zero_and_counts() {
-        let mut s = ServiceStats::from_counters(&Counters::default());
+        let mut s = ServiceStats::from_registry(&MetricsRegistry::new(1, 16, false).snapshot());
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.shed_rate(), 0.0);
         s.cache_hits = 3;
@@ -357,7 +314,8 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let c = Counters::default();
+        let registry = MetricsRegistry::new(1, 16, false);
+        let c = &registry.shard(0).counters;
         c.add_ingested(5);
         c.add_ingested(2);
         c.add_served(1);
@@ -375,7 +333,7 @@ mod tests {
         c.add_tier_compacted(128);
         c.add_tier_evictions(2);
         c.add_tier_faults(1);
-        let s = ServiceStats::from_counters(&c);
+        let s = ServiceStats::from_registry(&registry.snapshot());
         assert_eq!(s.ingested_feedbacks, 7);
         assert_eq!(s.assessments_served, 1);
         assert_eq!(s.cache_hits, 1);

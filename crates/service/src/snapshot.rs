@@ -67,14 +67,14 @@
 //! leaves a recovery path.
 
 use crate::config::{SnapshotPolicy, TrustModel};
-use crate::journal::{crc32, fsync_dir};
 use crate::state::{Residency, ServerState, SpilledMeta, TrustState};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
 use hp_core::{ServerId, TieredHistory};
+use hp_store::durable::{crc32, publish};
 use hp_store::SegmentRef;
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{self, File};
+use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,13 +275,7 @@ impl SnapshotStore {
         let name = snapshot_file_name(self.shard, seq);
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        fsync_dir(&path)?;
+        publish(&tmp, &path, |file| file.write_all(&bytes))?;
         self.next_seq = seq + 1;
         self.entries.insert(
             0,
@@ -343,13 +337,7 @@ impl SnapshotStore {
             text.push_str(&format!("{crc:08x} {body}\n"));
         }
         let tmp = path.with_extension("manifest.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        fsync_dir(&path)?;
+        publish(&tmp, &path, |file| file.write_all(text.as_bytes()))?;
         Ok(())
     }
 }

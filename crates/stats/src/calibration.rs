@@ -462,8 +462,23 @@ impl ThresholdCalibrator {
     /// calibration cache), replacing any current one. The caller owns
     /// compatibility: the surface must have been built by a calibrator
     /// with the same [`Self::fingerprint`] and surface parameters.
-    pub fn install_surface(&self, surface: Arc<ThresholdSurface>) {
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::InvalidCount`] when a layer's rows do not hold one
+    /// value per p̂ bucket of this calibrator — a row is indexed by bucket,
+    /// so any other width would serve a neighbouring bucket's threshold.
+    /// Nothing is installed then.
+    pub fn install_surface(&self, surface: Arc<ThresholdSurface>) -> Result<(), StatsError> {
+        let buckets = self.p_bucket_index(1.0) as usize + 1;
+        if let Some(layer) = surface.layers().iter().find(|l| l.p_buckets() != buckets) {
+            return Err(StatsError::InvalidCount {
+                what: "surface layer p̂ buckets",
+                value: layer.p_buckets(),
+            });
+        }
         *self.surface.write() = Some(surface);
+        Ok(())
     }
 
     /// Builds (or verifies) the interpolated threshold surface for window
@@ -814,8 +829,6 @@ impl ThresholdCalibrator {
             })
             .collect();
         let max_index = self.p_bucket_index(1.0);
-        let mut p_nodes: Vec<u32> = (0..max_index).step_by(params.p_stride as usize).collect();
-        p_nodes.push(max_index);
         let confidences = confidence_ladder(self.config.confidence);
 
         // Warm every needed row: one single-flight Monte-Carlo job per k
@@ -856,16 +869,15 @@ impl ThresholdCalibrator {
         };
         let mut layers = Vec::with_capacity(confidences.len());
         for &(millis, _) in &confidences {
-            let mut values = Vec::with_capacity(k_grid.len() * p_nodes.len());
+            let mut values = Vec::with_capacity(k_grid.len() * (max_index as usize + 1));
             for &k in &k_grid {
-                values.extend(p_nodes.iter().map(|&node| oracle(k, node, millis)));
+                values.extend((0..=max_index).map(|index| oracle(k, index, millis)));
             }
             let mut layer = SurfaceLayer {
                 m,
                 confidence_millis: millis,
                 error_bound: f64::INFINITY,
                 k_grid: k_grid.clone(),
-                p_nodes: p_nodes.clone(),
                 values,
             };
             let mut worst = 0.0f64;
@@ -1590,7 +1602,6 @@ mod tests {
             large_k_cutoff: 64,
             surface: Some(SurfaceParams {
                 tolerance: 10.0, // generous: provenance, not accuracy, under test
-                p_stride: 4,
                 k_min: 8,
             }),
             ..CalibrationConfig::default()
@@ -1672,7 +1683,6 @@ mod tests {
             large_k_cutoff: 256,
             surface: Some(SurfaceParams {
                 tolerance,
-                p_stride: 1,
                 k_min: 8,
             }),
             ..CalibrationConfig::default()
@@ -1797,6 +1807,26 @@ mod tests {
         assert!(cal.ensure_surface_for(6).unwrap());
         let surface = cal.surface().unwrap();
         assert!(surface.covers(10) && surface.covers(6));
+    }
+
+    #[test]
+    fn install_surface_refuses_rows_of_another_bucket_count() {
+        let cal = coarse_calibrator(200); // 21 p̂ buckets
+        let surface = |buckets: usize| {
+            let layer = SurfaceLayer {
+                m: 10,
+                confidence_millis: 95_000,
+                error_bound: 0.0,
+                k_grid: vec![8, 16],
+                values: vec![0.5; 2 * buckets],
+            };
+            Arc::new(ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer]).unwrap())
+        };
+        assert!(cal.install_surface(surface(20)).is_err());
+        assert!(cal.install_surface(surface(42)).is_err());
+        assert!(cal.surface().is_none(), "a refused surface is not installed");
+        assert!(cal.install_surface(surface(21)).is_ok());
+        assert!(cal.surface().is_some());
     }
 
     #[test]
@@ -2001,7 +2031,6 @@ mod tests {
             large_k_cutoff: 128,
             surface: Some(SurfaceParams {
                 tolerance: 10.0, // serve everything; we check the bound itself
-                p_stride: 3,
                 k_min: 8,
             }),
             ..CalibrationConfig::default()

@@ -4,11 +4,10 @@
 //! one quantized key at a time; a [`ThresholdSurface`] answers *any* key
 //! inside its span from a small precomputed grid:
 //!
-//! * **p̂ axis** — thresholds vary smoothly in the bucket center (under
-//!   common random numbers the same uniform batch is thresholded through
-//!   every bucket's cdf, so the curve has no sampling jitter between
-//!   buckets); nodes every [`SurfaceParams::p_stride`] buckets are joined
-//!   by monotone (overshoot-free) linear interpolation.
+//! * **p̂ axis** — never interpolated: a grid row stores the oracle
+//!   threshold of every p̂ bucket (a common-random-number row job computes
+//!   them all anyway), so a lookup indexes its bucket and a grid-`k`
+//!   answer is bit-identical to the oracle's.
 //! * **k axis** — the L¹ statistic scales as `Θ(1/√k)`, so the surface
 //!   stores a geometric k-grid and interpolates `y(k) = ε·√k` linearly in
 //!   `ln k`, where `y` is slowly varying by construction.
@@ -45,13 +44,6 @@ pub struct SurfaceParams {
     /// separately by the equivalence suite and the calibration bench's
     /// zero-flip gate.
     pub tolerance: f64,
-    /// Grid-node spacing along the p̂ axis, in cache-bucket indices.
-    /// Default 1 — every bucket is a node. This is free: a
-    /// common-random-number row job computes *every* bucket of a `(m, k)`
-    /// row anyway, so denser p̂ nodes cost no extra Monte Carlo, make
-    /// grid-`k` lookups bit-identical to the oracle, and leave
-    /// interpolation error only along the `k` axis.
-    pub p_stride: u32,
     /// Smallest `k` the surface serves (default 32). Below it thresholds
     /// curve too fast in `k` for the geometric grid (measured error more
     /// than doubles); the oracle row cache is cheap there anyway — a
@@ -63,7 +55,6 @@ impl Default for SurfaceParams {
     fn default() -> Self {
         SurfaceParams {
             tolerance: 0.08,
-            p_stride: 1,
             k_min: 32,
         }
     }
@@ -75,17 +66,11 @@ impl SurfaceParams {
     /// # Errors
     ///
     /// Returns the first violated constraint: tolerance finite and > 0,
-    /// p_stride ≥ 1, k_min ≥ 1.
+    /// k_min ≥ 1.
     pub fn validate(&self) -> Result<(), StatsError> {
         if !(self.tolerance.is_finite() && self.tolerance > 0.0) {
             return Err(StatsError::InvalidLevel {
                 value: self.tolerance,
-            });
-        }
-        if self.p_stride == 0 {
-            return Err(StatsError::InvalidCount {
-                what: "surface p-stride",
-                value: 0,
             });
         }
         if self.k_min == 0 {
@@ -113,77 +98,63 @@ pub struct SurfaceLayer {
     pub error_bound: f64,
     /// Ascending sample-set sizes the grid was calibrated at.
     pub k_grid: Vec<usize>,
-    /// Ascending p̂ grid nodes, as cache-bucket indices.
-    pub p_nodes: Vec<u32>,
-    /// Oracle thresholds, row-major: `values[a * p_nodes.len() + t]` is
-    /// the threshold at `(k_grid[a], p_nodes[t])`.
+    /// Oracle thresholds, row-major, one per p̂ cache bucket:
+    /// `values[a * p_buckets() + i]` is the threshold at
+    /// `(k_grid[a], bucket i)`.
     pub values: Vec<f64>,
 }
 
 impl SurfaceLayer {
+    /// Values per grid row: the number of p̂ buckets the layer covers
+    /// (0 for a layer with no grid rows, which never validates).
+    pub fn p_buckets(&self) -> usize {
+        self.values.len().checked_div(self.k_grid.len()).unwrap_or(0)
+    }
+
     /// Interpolated threshold at `(k, p̂-bucket index)`, or `None` when
-    /// `k` lies outside the grid span or the index beyond the last node.
-    /// Exact (bit-identical to the stored oracle value) when both
-    /// coordinates sit on grid nodes.
+    /// `k` lies outside the grid span or the index past the last bucket.
+    /// Exact (bit-identical to the stored oracle value) when `k` sits on a
+    /// grid row.
     ///
     /// This is raw interpolation — the error-bound/tolerance gate lives
     /// in [`ThresholdSurface::lookup`].
     pub fn interpolate(&self, k: usize, p_index: u32) -> Option<f64> {
         let (&k_lo, &k_hi) = (self.k_grid.first()?, self.k_grid.last()?);
-        if k < k_lo || k > k_hi || p_index > *self.p_nodes.last()? {
+        let (cols, bucket) = (self.p_buckets(), p_index as usize);
+        if k < k_lo || k > k_hi || bucket >= cols {
             return None;
         }
+        let at = |row: usize| self.values[row * cols + bucket];
         match self.k_grid.binary_search(&k) {
-            Ok(row) => Some(self.interpolate_p(row, p_index)),
+            Ok(row) => Some(at(row)),
             Err(pos) => {
                 // Bounds guarantee 1 <= pos <= len-1: bracket and
                 // interpolate y = ε·√k linearly in ln k (y is slowly
                 // varying under the Θ(1/√k) law, so the geometric grid
                 // keeps the residual small).
                 let (k0, k1) = (self.k_grid[pos - 1] as f64, self.k_grid[pos] as f64);
-                let y0 = self.interpolate_p(pos - 1, p_index) * k0.sqrt();
-                let y1 = self.interpolate_p(pos, p_index) * k1.sqrt();
+                let y0 = at(pos - 1) * k0.sqrt();
+                let y1 = at(pos) * k1.sqrt();
                 let t = ((k as f64).ln() - k0.ln()) / (k1.ln() - k0.ln());
                 Some((y0 + (y1 - y0) * t) / (k as f64).sqrt())
             }
         }
     }
 
-    /// Linear interpolation along the p̂ axis at one grid row. Linear
-    /// interpolation never overshoots its endpoints, so values between
-    /// nodes stay inside the enclosing node interval (monotone where the
-    /// oracle curve is).
-    fn interpolate_p(&self, row: usize, p_index: u32) -> f64 {
-        let cols = self.p_nodes.len();
-        let at = |t: usize| self.values[row * cols + t];
-        match self.p_nodes.binary_search(&p_index) {
-            Ok(t) => at(t),
-            Err(pos) => {
-                // Node 0 is always index 0 and the last node the maximum
-                // index, so 1 <= pos <= len-1 here.
-                let (n0, n1) = (self.p_nodes[pos - 1] as f64, self.p_nodes[pos] as f64);
-                let w = (p_index as f64 - n0) / (n1 - n0);
-                at(pos - 1) * (1.0 - w) + at(pos) * w
-            }
-        }
-    }
-
     /// Shape and value sanity for one layer.
     fn validate(&self) -> Result<(), StatsError> {
-        if self.k_grid.is_empty() || self.p_nodes.is_empty() {
+        if self.k_grid.is_empty() || self.values.is_empty() {
             return Err(StatsError::EmptyInput {
                 what: "surface layer grid",
             });
         }
-        if self.values.len() != self.k_grid.len() * self.p_nodes.len() {
+        if !self.values.len().is_multiple_of(self.k_grid.len()) {
             return Err(StatsError::InvalidCount {
                 what: "surface layer values",
                 value: self.values.len(),
             });
         }
-        let ascending_k = self.k_grid.windows(2).all(|w| w[0] < w[1]);
-        let ascending_p = self.p_nodes.windows(2).all(|w| w[0] < w[1]);
-        if !ascending_k || !ascending_p {
+        if !self.k_grid.windows(2).all(|w| w[0] < w[1]) {
             return Err(StatsError::EmptyInput {
                 what: "surface layer grid order",
             });
@@ -210,21 +181,21 @@ impl SurfaceLayer {
 /// ```
 /// use hp_stats::{SurfaceLayer, SurfaceParams, ThresholdSurface};
 ///
-/// // A hand-built 2×2 layer: thresholds at k ∈ {8, 32}, p̂ nodes {0, 200}.
+/// // A hand-built 2×2 layer: thresholds at k ∈ {8, 32}, two p̂ buckets.
 /// let layer = SurfaceLayer {
 ///     m: 10,
 ///     confidence_millis: 95_000,
 ///     error_bound: 0.01,
 ///     k_grid: vec![8, 32],
-///     p_nodes: vec![0, 200],
 ///     values: vec![0.9, 0.4, 0.45, 0.2],
 /// };
 /// let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer])?;
-/// // Exact at a grid node:
+/// // Exact on a grid row:
 /// assert_eq!(surface.lookup(10, 8, 0, 95_000), Some(0.9));
-/// // Interpolated between nodes, absent outside the span:
-/// assert!(surface.lookup(10, 16, 100, 95_000).is_some());
+/// // Interpolated between rows, absent outside the span:
+/// assert!(surface.lookup(10, 16, 1, 95_000).is_some());
 /// assert_eq!(surface.lookup(10, 4, 0, 95_000), None);
+/// assert_eq!(surface.lookup(10, 8, 2, 95_000), None);
 /// assert_eq!(surface.lookup(11, 8, 0, 95_000), None);
 /// # Ok::<(), hp_stats::StatsError>(())
 /// ```
@@ -337,7 +308,6 @@ mod tests {
             confidence_millis: 95_000,
             error_bound: 0.01,
             k_grid: vec![8, 32, 128],
-            p_nodes: vec![0, 100, 200],
             values: vec![
                 0.90, 0.70, 0.10, // k = 8
                 0.45, 0.35, 0.05, // k = 32
@@ -356,10 +326,6 @@ mod tests {
         }));
         assert!(bad(SurfaceParams {
             tolerance: f64::NAN,
-            ..Default::default()
-        }));
-        assert!(bad(SurfaceParams {
-            p_stride: 0,
             ..Default::default()
         }));
         assert!(bad(SurfaceParams {
@@ -385,32 +351,31 @@ mod tests {
     }
 
     #[test]
-    fn lookup_is_exact_at_grid_nodes() {
+    fn lookup_is_exact_at_every_bucket_of_every_grid_row() {
         let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
         let l = layer();
+        assert_eq!(l.p_buckets(), 3);
         for (a, &k) in l.k_grid.iter().enumerate() {
-            for (t, &node) in l.p_nodes.iter().enumerate() {
-                let got = surface.lookup(10, k, node, 95_000).unwrap();
-                assert_eq!(got.to_bits(), l.values[a * 3 + t].to_bits(), "k={k} node={node}");
+            for bucket in 0..3u32 {
+                let got = surface.lookup(10, k, bucket, 95_000).unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    l.values[a * 3 + bucket as usize].to_bits(),
+                    "k={k} bucket={bucket}"
+                );
             }
         }
     }
 
     #[test]
-    fn interpolation_stays_inside_node_intervals() {
+    fn interpolation_stays_inside_the_bracketing_rows() {
         let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
-        // Between p nodes at a grid k: linear interpolation cannot
-        // overshoot its endpoints.
-        for p_index in 0..=200u32 {
-            let v = surface.lookup(10, 32, p_index, 95_000).unwrap();
-            assert!((0.05..=0.45).contains(&v), "p_index={p_index}: {v}");
-        }
         // Between grid ks: ε stays inside the bracketing rows' range.
         for k in 8..=128usize {
             let v = surface.lookup(10, k, 0, 95_000).unwrap();
             assert!((0.22..=0.90).contains(&v), "k={k}: {v}");
-            // and ε·√k interpolation keeps ε decreasing in k here.
         }
+        // and ε·√k interpolation keeps ε decreasing in k here.
         let coarse = surface.lookup(10, 9, 0, 95_000).unwrap();
         let fine = surface.lookup(10, 100, 0, 95_000).unwrap();
         assert!(coarse > fine);
@@ -421,7 +386,8 @@ mod tests {
         let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
         assert_eq!(surface.lookup(10, 7, 0, 95_000), None, "k below grid");
         assert_eq!(surface.lookup(10, 129, 0, 95_000), None, "k above grid");
-        assert_eq!(surface.lookup(10, 32, 201, 95_000), None, "p̂ beyond last node");
+        assert_eq!(surface.lookup(10, 32, 3, 95_000), None, "p̂ past the last bucket");
+        assert_eq!(surface.lookup(10, 33, u32::MAX, 95_000), None, "p̂ far past it");
         assert_eq!(surface.lookup(10, 32, 0, 99_000), None, "unknown confidence");
         assert_eq!(surface.lookup(9, 32, 0, 95_000), None, "unknown m");
     }

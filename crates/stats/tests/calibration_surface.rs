@@ -36,7 +36,6 @@ fn fixture() -> &'static (Arc<ThresholdCalibrator>, Arc<ThresholdCalibrator>) {
             // Generous tolerance: these tests check the *measured* bound,
             // not the serving gate.
             tolerance: 10.0,
-            p_stride: 3,
             k_min: 8,
         })))
         .unwrap();
@@ -113,11 +112,10 @@ proptest! {
     }
 }
 
-/// The serving gate: a surface whose measured bound exceeds the
-/// configured tolerance must refuse to serve (oracle fallback), and the
-/// fixture surface must agree with the oracle *exactly* at grid nodes.
+/// The fixture surface agrees with the oracle *exactly* at every p̂
+/// bucket of every grid row, and refuses the bucket past the last.
 #[test]
-fn lookups_at_grid_nodes_are_oracle_exact() {
+fn lookups_on_grid_rows_are_oracle_exact_at_every_bucket() {
     let (_, oracle) = fixture();
     let s = surface();
     let layer = s
@@ -125,17 +123,20 @@ fn lookups_at_grid_nodes_are_oracle_exact() {
         .iter()
         .find(|l| l.m == M && l.confidence_millis == 95_000)
         .expect("base-confidence layer exists");
+    let buckets = layer.p_buckets() as u32;
+    assert_eq!(buckets, 21, "one value per 0.05-wide bucket of [0, 1]");
     for &k in &layer.k_grid {
-        for &node in &layer.p_nodes {
-            let p = (node as f64 * P_BUCKET).clamp(0.0, 1.0);
+        for bucket in 0..buckets {
+            let p = (bucket as f64 * P_BUCKET).clamp(0.0, 1.0);
             let truth = oracle.threshold_at(M, k, p, 0.95).unwrap();
-            let served = s.lookup(M, k, node, 95_000).expect("node is on the grid");
+            let served = s.lookup(M, k, bucket, 95_000).expect("bucket is on the grid");
             assert_eq!(
                 served.to_bits(),
                 truth.to_bits(),
-                "grid node k={k} p={p} must be oracle-exact"
+                "grid row k={k} p={p} must be oracle-exact"
             );
         }
+        assert_eq!(s.lookup(M, k, buckets, 95_000), None, "k={k}");
     }
 }
 

@@ -19,7 +19,9 @@
 //! bit-packed per server and materialized to rows only at the query edge.
 //!
 //! Feedback logs can be checkpointed to and replayed from a flat CSV
-//! format via [`persist`].
+//! format via [`persist`]. Evicted histories spill to [`segment`] files;
+//! [`durable`] holds the CRC-32 and the atomic publish every on-disk
+//! format of the workspace shares.
 //!
 //! ## Example
 //!
@@ -44,6 +46,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 mod engine;
 mod memory;
 mod partial;

@@ -24,9 +24,10 @@
 //! record in segments below a sequence floor, [`ColdStore::remove_below`]
 //! deletes those files whole.
 
+use crate::durable::{crc32, fsync_dir, publish};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File};
+use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -190,27 +191,22 @@ impl ColdStore {
         body.extend_from_slice(&seq.to_le_bytes());
         let mut refs = Vec::with_capacity(records.len());
         for (server, payload) in records {
-            refs.push(SegmentRef {
+            let record = SegmentRef {
                 seq,
                 offset: body.len() as u64,
                 len: payload.len() as u32,
                 crc: crc32(payload),
-            });
+            };
             body.extend_from_slice(&server.to_le_bytes());
-            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(&crc32(payload).to_le_bytes());
+            body.extend_from_slice(&record.len.to_le_bytes());
+            body.extend_from_slice(&record.crc.to_le_bytes());
             body.extend_from_slice(payload);
+            refs.push(record);
         }
 
         let tmp = self.dir.join(format!(".tmp-seg-{seq:016x}"));
         let path = self.dir.join(segment_name(seq));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&body)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        fsync_dir(&self.dir)?;
+        publish(&tmp, &path, |file| file.write_all(&body))?;
         self.next_seq = seq + 1;
         self.segments.insert(
             seq,
@@ -351,27 +347,6 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
-}
-
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    // Directory fsync is what makes the rename itself durable on linux;
-    // harmless elsewhere.
-    File::open(dir)?.sync_all()
-}
-
-/// CRC-32 (IEEE 802.3), bitwise-reflected — the same polynomial and
-/// framing convention as the journal and snapshot stores
-/// (`crc32(b"123456789") == 0xCBF4_3926`).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Read-only file mapping. On linux this is a real `mmap` through raw
@@ -545,12 +520,6 @@ mod tests {
 
     fn payload(seed: u8, len: usize) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
