@@ -10,8 +10,8 @@
 //!
 //! Shapes to look for:
 //!
-//! * `oracle_cold/row_fill` — one cache miss runs one Monte-Carlo job
-//!   that fills the *entire* `(m, k)` row (every p̂ bucket × the
+//! * `oracle_cold/row_fill` — one miss runs one Monte-Carlo job
+//!   that writes the *entire* `(m, k)` row (every p̂ bucket × the
 //!   confidence ladder) from a single common-random-number batch. The
 //!   per-entry column is the amortized cost; a whole-job price spread
 //!   across thousands of entries is what makes the row strategy win. A
@@ -21,19 +21,16 @@
 //!   time. The thread count must not change results (asserted below),
 //!   only wall time;
 //! * `oracle_warm/cache_hit` and `surface/hit` — the two warm tiers: a
-//!   hash lookup vs a bilinear interpolation. Both are nanoseconds;
-//! * `service_cold_assess/*` — a default-config service assessing
-//!   servers it has never assessed before. The arithmetic suffix
-//!   schedule requests a threshold at every k ∈ {10, 11, …, n/10}, so a
-//!   cold oracle row is a Monte-Carlo stall. At service defaults the
-//!   boot-time pre-warm grid absorbs that wall for k ≤ 200 — which is
-//!   exactly where the calibration wall shows up twice in the gate:
-//!   `boot_oracle_ms` (the pre-warm pays every row the hard way) vs
-//!   `boot_surface_ms` (one surface build covers k up to the large-k
-//!   cutoff), and `growth_assess_oracle_ms` vs
-//!   `growth_assess_surface_ms` (a server whose history outgrows the
-//!   pre-warm grid: the oracle service stalls on fresh rows, the
-//!   surface service stays inside the cold-assess SLO);
+//!   row read vs an interpolation between two rows. Both are nanoseconds;
+//! * `service_cold_assess/*` — a service assessing servers it has never
+//!   assessed before, at its defaults (the surface) and with
+//!   `with_calibration_surface(None)` (oracle rows on demand). The
+//!   arithmetic suffix schedule requests a threshold at every
+//!   k ∈ {10, 11, …, n/10}, so a cold oracle row is a Monte-Carlo stall.
+//!   The gate reads that wall off one server: `growth_assess_oracle_ms`
+//!   vs `growth_assess_surface_ms` (a history deeper than any assessed
+//!   so far: the oracle service stalls on fresh rows, the surface service
+//!   stays inside the cold-assess SLO);
 //! * surface vs oracle: thresholds may differ by at most the configured
 //!   tolerance wherever the surface serves, and the two services must
 //!   return identical verdicts for every server whose oracle margin
@@ -337,9 +334,9 @@ fn workload(servers: u64) -> Vec<Feedback> {
     out
 }
 
-/// One server whose history has outgrown the boot pre-warm grid
-/// (lengths ≤ 2000, i.e. suffix rows k ≤ 200): its assessment needs
-/// rows the pre-warm never touched.
+/// One server whose history is deeper than any of [`workload`]'s
+/// (lengths ≤ 1600, i.e. suffix rows k ≤ 160): its assessment needs rows
+/// no earlier assessment asked for.
 fn growth_history(server: u64) -> Vec<Feedback> {
     const N: u64 = 2050;
     (0..N)
@@ -359,22 +356,17 @@ struct ServiceRun {
     /// Signed binding-test margin ε − d per server (`None` when the
     /// verdict had no binding threshold comparison).
     margins: Vec<Option<f64>>,
-    /// Service construction: calibration-cache load, surface build (when
-    /// enabled), and the pre-warm grid all happen here.
-    boot_ns: u128,
-    /// Assessment of the growth server — the rows beyond the pre-warm
-    /// grid are paid here (oracle) or already covered (surface).
+    /// Assessment of the growth server — its fresh rows are paid here
+    /// (oracle) or already covered (surface).
     growth_assess_ns: u128,
     growth_verdict: bool,
     cold_ns: Vec<u128>,
 }
 
 fn run_service(servers: u64, surface: Option<SurfaceParams>) -> ServiceRun {
-    let t0 = Instant::now();
     let service =
         ReputationService::new(ServiceConfig::default().with_calibration_surface(surface))
             .unwrap();
-    let boot_ns = t0.elapsed().as_nanos();
     service.ingest_batch(workload(servers)).unwrap();
     service.ingest_batch(growth_history(servers)).unwrap();
     // Drain: the stats snapshot round-trips every shard queue (FIFO), so
@@ -404,7 +396,6 @@ fn run_service(servers: u64, surface: Option<SurfaceParams>) -> ServiceRun {
     ServiceRun {
         verdicts,
         margins,
-        boot_ns,
         growth_assess_ns,
         growth_verdict: growth.is_accepted(),
         cold_ns,
@@ -468,11 +459,7 @@ fn main() {
         with_surface.cold_ns.clone(),
         0,
     ));
-    rows.push(row_from_ns(
-        "service_cold_assess/oracle_warmed",
-        oracle.cold_ns,
-        0,
-    ));
+    rows.push(row_from_ns("service_cold_assess/oracle", oracle.cold_ns, 0));
 
     println!();
     for row in &rows {
@@ -506,17 +493,11 @@ fn main() {
     let cold = row_named("service_cold_assess/surface");
     let cold_p99_ms = cold.p99_ns as f64 / 1e6;
     let cold_p50_ms = cold.p50_ns as f64 / 1e6;
-    let boot_oracle_ms = oracle.boot_ns as f64 / 1e6;
-    let boot_surface_ms = with_surface.boot_ns as f64 / 1e6;
     let growth_oracle_ms = oracle.growth_assess_ns as f64 / 1e6;
     let growth_surface_ms = with_surface.growth_assess_ns as f64 / 1e6;
+    println!("service: cold assess with surface p50 {cold_p50_ms:.3}ms p99 {cold_p99_ms:.3}ms");
     println!(
-        "service: boot {boot_oracle_ms:.0}ms (oracle pre-warm wall) vs \
-         {boot_surface_ms:.0}ms (surface build); cold assess with surface \
-         p50 {cold_p50_ms:.3}ms p99 {cold_p99_ms:.3}ms"
-    );
-    println!(
-        "growth beyond pre-warm (n=2050): oracle assess stalled \
+        "growth past every row asked for (n=2050): oracle assess stalled \
          {growth_oracle_ms:.0}ms on fresh rows, surface assess \
          {growth_surface_ms:.3}ms; verdict flips {flips}/{SERVERS} \
          ({knife_edge} knife-edge inside the {error_bound:.4} error bound)"
@@ -530,7 +511,7 @@ fn main() {
     assert_eq!(flips, 0, "surface must not change any decisive verdict");
     assert!(
         growth_surface_ms < growth_oracle_ms,
-        "the surface must beat the oracle on post-pre-warm growth"
+        "the surface must beat the oracle on rows nothing has asked for"
     );
 
     let out_dir = std::env::var("HP_BENCH_OUT")
@@ -542,8 +523,6 @@ fn main() {
         "{{\"rows\":{},\n\"gate\":{{\
          \"cold_assess_p99_ms\":{cold_p99_ms:.4},\
          \"cold_assess_p50_ms\":{cold_p50_ms:.4},\
-         \"boot_oracle_ms\":{boot_oracle_ms:.1},\
-         \"boot_surface_ms\":{boot_surface_ms:.1},\
          \"growth_assess_oracle_ms\":{growth_oracle_ms:.1},\
          \"growth_assess_surface_ms\":{growth_surface_ms:.3},\
          \"surface_build_ms\":{:.1},\

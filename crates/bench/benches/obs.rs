@@ -140,7 +140,7 @@ fn warm_service() -> ReputationService {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![]);
+        .with_calibration_surface(None);
     let service = ReputationService::new(config).unwrap();
     let feedbacks: Vec<Feedback> = (0..4_096u64)
         .map(|t| {

@@ -178,7 +178,7 @@ fn fast_config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 /// Raw journal append cost per 1 024-record batch, by backend.

@@ -3,8 +3,7 @@
 //! ```text
 //! hp-edge [--addr HOST:PORT] [--workers N] [--shards N]
 //!         [--calibration-cache PATH] [--assess-deadline-ms N]
-//!         [--calibration-trials N]
-//!         [--calibration-surface] [--calibration-tolerance F]
+//!         [--calibration-trials N] [--calibration-tolerance F]
 //!         [--journal-dir PATH] [--fsync never|batch|every:N]
 //!         [--snapshot-interval-records N] [--snapshot-retain N]
 //!         [--snapshot-no-compact] [--checkpoint-interval-ms N]
@@ -14,11 +13,12 @@
 //!
 //! The listener binds immediately; `/healthz` reports `warming` (with
 //! recovery progress: snapshot loaded, records replayed / journal
-//! total) until shard spawn, journal recovery, and calibration pre-warm
-//! finish. SIGTERM or SIGINT triggers the graceful drain: stop
-//! accepting, finish in-flight requests, shut the shards down (taking a
-//! final snapshot when snapshots are enabled), persist the calibration
-//! cache.
+//! total) until shard spawn, journal recovery, and boot calibration (the
+//! threshold surface and the rows below it, built or loaded from
+//! `--calibration-cache`) finish. SIGTERM or SIGINT triggers the graceful
+//! drain: stop accepting, finish in-flight requests, shut the shards down
+//! (taking a final snapshot when snapshots are enabled), persist the
+//! calibration cache.
 
 use hp_edge::{signals, EdgeConfig, EdgeServer};
 use hp_service::{
@@ -31,8 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: hp-edge [--addr HOST:PORT] [--workers N] [--shards N]\n\
          \x20              [--calibration-cache PATH] [--assess-deadline-ms N]\n\
-         \x20              [--calibration-trials N]\n\
-         \x20              [--calibration-surface] [--calibration-tolerance F]\n\
+         \x20              [--calibration-trials N] [--calibration-tolerance F]\n\
          \x20              [--journal-dir PATH] [--fsync never|batch|every:N]\n\
          \x20              [--snapshot-interval-records N] [--snapshot-retain N]\n\
          \x20              [--snapshot-no-compact] [--checkpoint-interval-ms N]\n\
@@ -60,7 +59,6 @@ fn main() {
     let mut fsync = FsyncPolicy::default();
     let mut snapshot_policy: Option<SnapshotPolicy> = None;
     let mut tiering: Option<TieringPolicy> = None;
-    let mut surface: Option<SurfaceParams> = None;
 
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -78,9 +76,8 @@ fn main() {
             "--calibration-cache" => {
                 service_config = service_config.with_calibration_cache(value());
             }
-            // Cheaper calibration (and no pre-warm grid) for soak tests
-            // that need fast boots; verdicts stay deterministic for a
-            // given trial count.
+            // Cheaper calibration for soak tests that need fast boots;
+            // verdicts stay deterministic for a given trial count.
             "--calibration-trials" => {
                 let trials: usize = value().parse().unwrap_or_else(|_| usage());
                 let test = hp_core::testing::BehaviorTestConfig::builder()
@@ -90,27 +87,17 @@ fn main() {
                         eprintln!("hp-edge: bad calibration trials: {e}");
                         std::process::exit(2);
                     });
-                service_config = service_config
-                    .with_test(test)
-                    .with_prewarm_grid(vec![], vec![]);
+                service_config = service_config.with_test(test);
             }
-            // Build the interpolated threshold surface at boot (or load
-            // it from --calibration-cache): cold assessments then serve
-            // thresholds in O(1) instead of waiting on Monte Carlo.
-            // Applied after the flag loop — --calibration-trials
-            // replaces the whole test config, and the surface must
-            // survive that in either flag order.
-            "--calibration-surface" => {
-                surface = Some(surface.unwrap_or_default());
-            }
-            // Surface error tolerance (absolute, on the threshold).
-            // Implies --calibration-surface.
+            // Error tolerance (absolute, on the threshold) of the
+            // threshold surface built at boot: a layer whose measured
+            // error exceeds it is bypassed for the Monte-Carlo oracle.
             "--calibration-tolerance" => {
                 let tolerance: f64 = value().parse().unwrap_or_else(|_| usage());
-                surface = Some(SurfaceParams {
+                service_config = service_config.with_calibration_surface(Some(SurfaceParams {
                     tolerance,
-                    ..surface.unwrap_or_default()
-                });
+                    ..SurfaceParams::default()
+                }));
             }
             "--assess-deadline-ms" => {
                 let millis: u64 = value().parse().unwrap_or_else(|_| usage());
@@ -188,9 +175,6 @@ fn main() {
         }
     }
 
-    if surface.is_some() {
-        service_config = service_config.with_calibration_surface(surface);
-    }
     if let Some(dir) = journal_dir {
         service_config = service_config.with_durability(Durability::Durable { dir, fsync });
         if let Some(policy) = snapshot_policy {

@@ -44,7 +44,7 @@
 //!             .calibration_trials(200)
 //!             .build()?,
 //!     )
-//!     .with_prewarm_grid(vec![], vec![]);
+//!     .with_calibration_surface(None);
 //! let service = Arc::new(ReputationService::new(service_config)?);
 //! let edge = EdgeServer::serve(service, EdgeConfig::default().with_workers(2))?;
 //!

@@ -18,7 +18,7 @@
 //! # Lifecycle
 //!
 //! `start` binds the listener *first*, then builds the service (shard
-//! spawn + calibration pre-warm) on a builder thread. Until the service
+//! spawn + boot calibration) on a builder thread. Until the service
 //! is ready the edge answers `/healthz` with `503 {"status":"warming"}`
 //! and refuses work with the same body, so orchestration can point
 //! traffic at the port immediately and gate on health. `serve` skips
@@ -142,7 +142,7 @@ impl EdgeServer {
 
     /// Binds the listener immediately and builds the service on a
     /// background thread. Until construction (shard spawn, journal
-    /// recovery, calibration pre-warm — possibly served from the
+    /// recovery, boot calibration — possibly served from the
     /// persisted cache) finishes, `/healthz` answers
     /// `503 {"status":"warming"}`.
     ///

@@ -259,7 +259,7 @@ pub fn render_error(error: &str, detail: &str) -> String {
 /// (spilled counts fault-in cost, not disk usage). `calibration`
 /// (absent while draining) reports whether the interpolated threshold
 /// surface is configured and serving — the runbook signal for
-/// `--calibration-surface` deployments: `surface_configured` true with
+/// `--calibration-tolerance`: `surface_configured` true with
 /// `surface_ready` false means thresholds fall back to the oracle path.
 pub fn render_health(
     status: &str,

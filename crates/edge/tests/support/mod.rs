@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A fast service config for edge tests: 2 shards, cheap calibration,
-/// no pre-warm.
+/// rows on demand.
 pub fn fast_service_config() -> ServiceConfig {
     ServiceConfig::default()
         .with_shards(2)
@@ -24,7 +24,7 @@ pub fn fast_service_config() -> ServiceConfig {
                 .build()
                 .expect("valid test config"),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 /// Boots an edge over a fresh service with the given configs.

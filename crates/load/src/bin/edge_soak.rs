@@ -73,7 +73,7 @@ fn main() {
                 .build()
                 .expect("static test config"),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
         .with_ingest_policy(IngestPolicy::TryFor(Duration::from_millis(50)))
         .with_calibration_cache(calibration_cache);
     let edge_config = EdgeConfig::default()

@@ -11,34 +11,37 @@
 //! so a configuration change silently falls back to online calibration
 //! instead of serving thresholds from a different distribution.
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! Line-oriented text, one header then one tagged record per line:
 //!
 //! ```text
-//! hpcal 3 <fingerprint as 16 hex digits>
-//! E <m> <k> <p_bucket_index> <confidence_millis> <epsilon as f64 bits, 16 hex digits>
+//! hpcal 4 <fingerprint as 16 hex digits>
+//! R <m> <k> <confidence_millis csv> <values as f64-bits csv>
 //! P <tolerance as f64 bits> <k_min>
 //! S <m> <confidence_millis> <error_bound as f64 bits> <k_grid csv> <values as f64-bits csv>
 //! ```
 //!
-//! `E` records are oracle cache entries; `P` records the surface
-//! parameters the `S` layers were built under (a surface is only
-//! installed when those parameters match the live configuration — the
-//! fingerprint deliberately excludes them, since the surface is an
-//! error-bounded view over the oracle, not a change to it). An `S` layer
-//! holds one value per p̂ bucket per grid `k`, row-major. All floats are
-//! stored as raw IEEE-754 bits, so a load → save → load round trip is
-//! bit-exact and warm verdicts stay bit-identical to cold ones.
+//! An `R` record is one oracle row as the calibrator holds it
+//! ([`CalibrationRow`]): one value per p̂ bucket per confidence, column by
+//! column. `P` records the surface parameters the `S` layers were built
+//! under (a surface is only installed when those parameters match the
+//! live configuration — the fingerprint deliberately excludes them, since
+//! the surface is an error-bounded view over the oracle, not a change to
+//! it). An `S` layer holds one value per p̂ bucket per grid `k`, row-major.
+//! All floats are stored as raw IEEE-754 bits, so a load → save → load
+//! round trip is bit-exact and warm verdicts stay bit-identical to cold
+//! ones.
 //!
 //! This is the only version read: a file with any other header is
 //! `stale` like one with another fingerprint, and costs one rebuild.
 //! Writes go through [`hp_store::durable::publish`], so a crash mid-save
 //! leaves the previous cache intact. Individually malformed record lines
-//! are skipped (and counted), never fatal: losing one cache line costs
-//! one recalibration, not a boot.
+//! — and rows the calibrator refuses: another width, a value that is no
+//! threshold — are skipped (and counted), never fatal: losing one cache
+//! line costs one recalibration, not a boot.
 
-use hp_stats::{CalibrationEntry, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface};
+use hp_stats::{CalibrationRow, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface};
 use hp_store::durable::publish;
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -46,14 +49,14 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// The file format version this module writes, and the only one it reads.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// What loading a persisted cache found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLoad {
-    /// Entries installed into the live calibrator.
+    /// Rows installed into the live calibrator.
     pub installed: usize,
-    /// Malformed or rejected entry lines skipped.
+    /// Malformed or rejected record lines skipped.
     pub skipped: usize,
     /// Precomputed surface layers installed (0 when the file carried no
     /// surface, its parameters differ from the live configuration, or the
@@ -91,7 +94,7 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
             ..CacheLoad::default()
         });
     }
-    let mut entries = Vec::new();
+    let mut rows = Vec::new();
     let mut params: Option<SurfaceParams> = None;
     let mut layers: Vec<SurfaceLayer> = Vec::new();
     let mut skipped = 0usize;
@@ -100,15 +103,18 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
         if line.is_empty() {
             continue;
         }
-        match parse_record(&line) {
-            Some(Record::Entry(entry)) => entries.push(entry),
-            Some(Record::Params(p)) => params = Some(p),
-            Some(Record::Layer(layer)) => layers.push(layer),
-            None => skipped += 1,
+        let parsed = match line.split_once(' ') {
+            Some(("R", rest)) => parse_row(rest).map(|row| rows.push(row)),
+            Some(("P", rest)) => parse_params(rest).map(|p| params = Some(p)),
+            Some(("S", rest)) => parse_layer(rest).map(|layer| layers.push(layer)),
+            _ => None,
+        };
+        if parsed.is_none() {
+            skipped += 1;
         }
     }
-    let offered = entries.len();
-    let installed = calibrator.preload_cache(entries);
+    let offered = rows.len();
+    let installed = calibrator.preload_rows(rows);
 
     // Install the persisted surface only when the live configuration asks
     // for the exact parameters it was built under; otherwise boot rebuilds
@@ -133,10 +139,10 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
     })
 }
 
-/// Saves `calibrator`'s cache — and its installed surface, when the live
+/// Saves `calibrator`'s rows — and its installed surface, when the live
 /// configuration carries surface parameters — to `path` (creating parent
 /// directories), atomically and durably via a temporary sibling file.
-/// Returns the entry count.
+/// Returns how many thresholds the rows hold.
 ///
 /// # Errors
 ///
@@ -147,19 +153,18 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
             fs::create_dir_all(parent)?;
         }
     }
-    let entries = calibrator.export_cache();
+    let rows = calibrator.export_rows();
     publish(&path.with_extension("tmp"), path, |file| {
         let mut out = BufWriter::new(file);
         writeln!(out, "hpcal {VERSION} {:016x}", calibrator.fingerprint())?;
-        for e in &entries {
+        for row in &rows {
             writeln!(
                 out,
-                "E {} {} {} {} {:016x}",
-                e.m,
-                e.k,
-                e.p_bucket_index,
-                e.confidence_millis,
-                e.epsilon.to_bits()
+                "R {} {} {} {}",
+                row.m,
+                row.k,
+                csv(&row.confidences),
+                bits_csv(&row.values)
             )?;
         }
         if let (Some(params), Some(surface)) = (calibrator.config().surface, calibrator.surface())
@@ -172,14 +177,18 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
                     layer.m,
                     layer.confidence_millis,
                     layer.error_bound.to_bits(),
-                    csv(layer.k_grid.iter()),
-                    csv(layer.values.iter().map(|v| format!("{:016x}", v.to_bits()))),
+                    csv(&layer.k_grid),
+                    bits_csv(&layer.values),
                 )?;
             }
         }
         out.flush()
     })?;
-    Ok(entries.len())
+    Ok(rows.iter().map(|row| row.values.len()).sum())
+}
+
+fn bits_csv(values: &[f64]) -> String {
+    csv(values.iter().map(|v| format!("{:016x}", v.to_bits())))
 }
 
 fn csv<I: IntoIterator<Item = T>, T: ToString>(items: I) -> String {
@@ -200,35 +209,18 @@ fn header_matches(header: &str, fingerprint: u64) -> bool {
         && parts.next().is_none()
 }
 
-enum Record {
-    Entry(CalibrationEntry),
-    Params(SurfaceParams),
-    Layer(SurfaceLayer),
-}
-
-fn parse_record(line: &str) -> Option<Record> {
-    let (tag, rest) = line.split_once(' ')?;
-    match tag {
-        "E" => parse_entry(rest).map(Record::Entry),
-        "P" => parse_params(rest).map(Record::Params),
-        "S" => parse_layer(rest).map(Record::Layer),
-        _ => None,
-    }
-}
-
-fn parse_entry(line: &str) -> Option<CalibrationEntry> {
-    let mut parts = line.split_ascii_whitespace();
-    let entry = CalibrationEntry {
+fn parse_row(rest: &str) -> Option<CalibrationRow> {
+    let mut parts = rest.split_ascii_whitespace();
+    let row = CalibrationRow {
         m: parts.next()?.parse().ok()?,
         k: parts.next()?.parse().ok()?,
-        p_bucket_index: parts.next()?.parse().ok()?,
-        confidence_millis: parts.next()?.parse().ok()?,
-        epsilon: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
+        confidences: parse_csv(parts.next()?, |v| v.parse().ok())?,
+        values: parse_bits_csv(parts.next()?)?,
     };
     if parts.next().is_some() {
         return None;
     }
-    Some(entry)
+    Some(row)
 }
 
 fn parse_params(rest: &str) -> Option<SurfaceParams> {
@@ -250,9 +242,7 @@ fn parse_layer(rest: &str) -> Option<SurfaceLayer> {
         confidence_millis: parts.next()?.parse().ok()?,
         error_bound: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
         k_grid: parse_csv(parts.next()?, |v| v.parse().ok())?,
-        values: parse_csv(parts.next()?, |v| {
-            u64::from_str_radix(v, 16).ok().map(f64::from_bits)
-        })?,
+        values: parse_bits_csv(parts.next()?)?,
     };
     if parts.next().is_some() {
         return None;
@@ -262,6 +252,10 @@ fn parse_layer(rest: &str) -> Option<SurfaceLayer> {
 
 fn parse_csv<T>(field: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
     field.split(',').map(parse).collect()
+}
+
+fn parse_bits_csv(field: &str) -> Option<Vec<f64>> {
+    parse_csv(field, |v| u64::from_str_radix(v, 16).ok().map(f64::from_bits))
 }
 
 #[cfg(test)]
@@ -306,33 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip_is_bit_exact() {
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("cal.hpcal");
-        let cold = calibrator(300);
-        let a = cold.threshold(10, 30, 0.9).unwrap();
-        let b = cold.threshold(10, 60, 0.95).unwrap();
-        let entries = cold.cache_len();
-        assert_eq!(save(&path, &cold).unwrap(), entries);
-
-        let warm = calibrator(300);
-        let loaded = load(&path, &warm).unwrap();
-        assert_eq!(
-            loaded,
-            CacheLoad {
-                installed: entries,
-                skipped: 0,
-                surface_layers: 0,
-                stale: false
-            }
-        );
-        assert_eq!(warm.threshold(10, 30, 0.9).unwrap().to_bits(), a.to_bits());
-        assert_eq!(warm.threshold(10, 60, 0.95).unwrap().to_bits(), b.to_bits());
-        assert_eq!(warm.cache_stats(), (2, 0), "no Monte-Carlo on a warm boot");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn surface_round_trips_and_skips_on_param_mismatch() {
         let dir = tmp_dir("surface");
         let path = dir.join("cal.hpcal");
@@ -357,7 +324,7 @@ mod tests {
             cold.threshold(10, 20, p).unwrap().to_bits()
         );
 
-        // Different tolerance ⇒ persisted layers are ignored (entries
+        // Different tolerance ⇒ persisted layers are ignored (rows
         // still load; the surface rebuilds from them at boot).
         let reconfigured = ThresholdCalibrator::new(CalibrationConfig {
             large_k_cutoff: 64,
@@ -382,22 +349,28 @@ mod tests {
     }
 
     #[test]
-    fn save_load_save_is_byte_identical() {
+    fn save_load_save_is_byte_identical_and_a_warm_boot_runs_no_monte_carlo() {
         let dir = tmp_dir("resave");
         let (first, second) = (dir.join("first.hpcal"), dir.join("second.hpcal"));
         let cold = surfaced_calibrator(200);
         assert!(cold.ensure_surface_for(10).unwrap());
-        cold.threshold(10, 5, 0.9).unwrap(); // a row below the surface too
-        save(&first, &cold).unwrap();
+        let below = cold.threshold(10, 5, 0.9).unwrap(); // a row below the surface too
+        let off = cold.threshold_at(10, 5, 0.9, 0.5).unwrap(); // and a column off the ladder
+        assert_eq!(save(&first, &cold).unwrap(), cold.cache_len());
 
         let warm = surfaced_calibrator(200);
         let loaded = load(&first, &warm).unwrap();
-        assert_eq!(loaded.installed, cold.cache_len());
-        assert_eq!(loaded.skipped, 0);
+        assert_eq!(loaded.installed, cold.export_rows().len());
+        assert_eq!((loaded.skipped, loaded.stale), (0, false));
+        assert_eq!(warm.export_cache(), cold.export_cache());
         save(&second, &warm).unwrap();
         let text = fs::read(&first).unwrap();
-        assert!(text.starts_with(b"hpcal 3 "));
+        assert!(text.starts_with(b"hpcal 4 "));
         assert!(text == fs::read(&second).unwrap(), "a reloaded cache saves the same bytes");
+
+        assert_eq!(warm.threshold(10, 5, 0.9).unwrap().to_bits(), below.to_bits());
+        assert_eq!(warm.threshold_at(10, 5, 0.9, 0.5).unwrap().to_bits(), off.to_bits());
+        assert_eq!(warm.cache_stats(), (2, 0), "no Monte-Carlo on a warm boot");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -410,7 +383,7 @@ mod tests {
         let file = |cal: &ThresholdCalibrator, buckets: usize| {
             let params = cal.config().surface.unwrap();
             format!(
-                "hpcal 3 {:016x}\nP {:016x} {}\nS 10 95000 {:016x} 8,16 {}\n",
+                "hpcal 4 {:016x}\nP {:016x} {}\nS 10 95000 {:016x} 8,16 {}\n",
                 cal.fingerprint(),
                 params.tolerance.to_bits(),
                 params.k_min,
@@ -438,71 +411,72 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_mismatch_ignores_the_file() {
+    fn another_fingerprint_or_version_is_stale() {
         let dir = tmp_dir("stale");
         let path = dir.join("cal.hpcal");
         let cold = calibrator(300);
         cold.threshold(10, 30, 0.9).unwrap();
         save(&path, &cold).unwrap();
-
+        let current = fs::read_to_string(&path).unwrap();
+        let stale = CacheLoad {
+            stale: true,
+            ..CacheLoad::default()
+        };
         // Different trial count ⇒ different thresholds ⇒ stale file.
         let reconfigured = calibrator(400);
-        let loaded = load(&path, &reconfigured).unwrap();
-        assert!(loaded.stale);
-        assert_eq!(loaded.installed, 0);
+        assert_eq!(load(&path, &reconfigured).unwrap(), stale);
         assert_eq!(reconfigured.cache_len(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn any_other_version_is_stale_whatever_its_fingerprint() {
-        let dir = tmp_dir("version");
-        let path = dir.join("cal.hpcal");
-        let cold = calibrator(300);
-        cold.threshold(10, 30, 0.9).unwrap();
-        save(&path, &cold).unwrap();
-        let current = fs::read_to_string(&path).unwrap();
         // The formats this module used to write, and one it never has:
         // same fingerprint, same (parseable) records, another version.
-        for version in [1, 2, 99] {
-            let other = current.replacen("hpcal 3 ", &format!("hpcal {version} "), 1);
+        for version in [1, 2, 3, 99] {
+            let other = current.replacen("hpcal 4 ", &format!("hpcal {version} "), 1);
             assert_ne!(other, current);
             fs::write(&path, other).unwrap();
             let warm = calibrator(300);
-            assert_eq!(
-                load(&path, &warm).unwrap(),
-                CacheLoad {
-                    stale: true,
-                    ..CacheLoad::default()
-                },
-                "hpcal {version}"
-            );
+            assert_eq!(load(&path, &warm).unwrap(), stale, "hpcal {version}");
             assert_eq!(warm.cache_len(), 0, "hpcal {version}: nothing installed");
         }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_entry_lines_are_skipped_not_fatal() {
+    fn corrupt_lines_and_rows_that_are_not_whole_are_skipped_and_cost_one_job() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("cal.hpcal");
         let cold = calibrator(300);
-        cold.threshold(10, 30, 0.9).unwrap();
+        let truth = cold.threshold(10, 30, 0.9).unwrap();
         cold.threshold(10, 60, 0.9).unwrap();
-        let entries = cold.cache_len();
         save(&path, &cold).unwrap();
+        let saved = fs::read_to_string(&path).unwrap();
 
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("totally not an entry\n");
-        text.push_str("E 1 2 3\n"); // too few fields
-        text.push_str("S 10 95000 bogus\n"); // malformed layer
-        fs::write(&path, text).unwrap();
+        // Lines that are no record of this version: too few fields, a
+        // version-3 entry, a malformed layer.
+        let junk = "not a record\nR 1 2 3\nE 10 30 18 95000 3fd0000000000000\nS 10 95000 bogus\n";
+        fs::write(&path, format!("{saved}{junk}")).unwrap();
+        let loaded = load(&path, &calibrator(300)).unwrap();
+        assert_eq!((loaded.installed, loaded.skipped, loaded.stale), (2, 4, false));
 
-        let warm = calibrator(300);
-        let loaded = load(&path, &warm).unwrap();
-        assert_eq!(loaded.installed, entries);
-        assert_eq!(loaded.skipped, 3);
-        assert!(!loaded.stale);
+        // A record that parses but is no whole row of this calibrator.
+        let row = saved.lines().nth(1).unwrap();
+        assert!(row.starts_with("R 10 30 95000,"), "{}", &row[..40]);
+        let value = format!(",{:016x}", cold.export_rows()[0].values[7].to_bits());
+        let with = |eps: f64| row.replacen(&value, &format!(",{:016x}", eps.to_bits()), 1);
+        for (what, broken) in [
+            ("a value short", row.rsplit_once(',').unwrap().0.to_string()),
+            ("a value long", format!("{row}{value}")),
+            ("NaN", with(f64::NAN)),
+            ("negative", with(-0.5)),
+        ] {
+            assert_ne!(broken, row, "{what}");
+            fs::write(&path, saved.replacen(row, &broken, 1)).unwrap();
+            let warm = calibrator(300);
+            let loaded = load(&path, &warm).unwrap();
+            assert_eq!((loaded.installed, loaded.skipped), (1, 1), "{what}");
+            // The lost row is one recalibration away, bit for bit.
+            assert_eq!(warm.threshold(10, 30, 0.9).unwrap().to_bits(), truth.to_bits());
+            assert_eq!(warm.stats().oracle_jobs, 1, "{what}");
+            assert_eq!(warm.export_cache(), cold.export_cache(), "{what}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -517,7 +491,8 @@ mod tests {
         assert_eq!(save(&path, &cal).unwrap(), cal.cache_len());
         assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
         let warm = calibrator(300);
-        assert_eq!(load(&path, &warm).unwrap().installed, cal.cache_len());
+        assert_eq!(load(&path, &warm).unwrap().installed, 2);
+        assert_eq!(warm.cache_len(), cal.cache_len());
         let _ = fs::remove_dir_all(&dir);
     }
 }

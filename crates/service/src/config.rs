@@ -265,28 +265,25 @@ pub struct ServiceConfig {
     test: BehaviorTestConfig,
     trust: TrustModel,
     short_history: ShortHistoryPolicy,
-    prewarm_lengths: Vec<usize>,
-    prewarm_p_hats: Vec<f64>,
-    /// Workers the shared calibrator spreads the boot-time threshold-surface
-    /// build's row jobs over; `None` means "use the machine's available
-    /// parallelism" (resolved at service start). A live threshold miss
-    /// (and every pre-warm grid row) calibrates serially on the thread
-    /// that asked. Safe to vary per deployment: a row's samples depend on
-    /// the seed and the row alone, so thresholds are bit-identical at
-    /// every thread count.
+    /// Workers the shared calibrator spreads the boot-time row jobs over
+    /// (the threshold-surface build, then the rows below the surface);
+    /// `None` means "use the machine's available parallelism" (resolved
+    /// at service start). A live threshold miss calibrates serially on
+    /// the thread that asked. Safe to vary per deployment: a row's
+    /// samples depend on the seed and the row alone, so thresholds are
+    /// bit-identical at every thread count.
     calibration_threads: Option<usize>,
     /// Where the calibration cache is persisted across restarts (`None`
-    /// disables persistence). Loaded before pre-warm at boot, written on
+    /// disables persistence). Loaded first thing at boot, written on
     /// graceful shutdown, keyed by the calibrator fingerprint so a
     /// configuration change invalidates the file instead of serving
     /// thresholds calibrated under different knobs.
     calibration_cache: Option<PathBuf>,
     /// Interpolated threshold-surface parameters applied on top of the
-    /// test configuration (`None` leaves the test's own setting — by
-    /// default no surface, every threshold served by the Monte-Carlo
-    /// oracle cache). The surface is gated by its measured error bound
-    /// and falls back to the oracle, so enabling it is a deployment-time
-    /// latency knob, not a semantics change.
+    /// test configuration (`None` leaves the test's own setting; see
+    /// [`Self::with_calibration_surface`]). The surface is gated by its
+    /// measured error bound and falls back to the oracle, so it is a
+    /// deployment-time latency knob, not a semantics change.
     calibration_surface: Option<SurfaceParams>,
     ingest_policy: IngestPolicy,
     durability: Durability,
@@ -294,7 +291,6 @@ pub struct ServiceConfig {
     tiering: Option<TieringPolicy>,
     supervision: SupervisionConfig,
     tracing: bool,
-    trace_capacity: usize,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<FaultPlan>,
 }
@@ -307,21 +303,15 @@ impl Default for ServiceConfig {
             test: BehaviorTestConfig::default(),
             trust: TrustModel::default(),
             short_history: ShortHistoryPolicy::default(),
-            // Cover short, typical and long histories at market-realistic
-            // quality levels; the calibrator buckets p̂, so these warm the
-            // buckets real traffic will hit.
-            prewarm_lengths: vec![200, 800, 2000],
-            prewarm_p_hats: vec![0.8, 0.9, 0.95],
             calibration_threads: None,
             calibration_cache: None,
-            calibration_surface: None,
+            calibration_surface: Some(SurfaceParams::default()),
             ingest_policy: IngestPolicy::default(),
             durability: Durability::default(),
             snapshots: None,
             tiering: None,
             supervision: SupervisionConfig::default(),
             tracing: false,
-            trace_capacity: 4096,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -365,25 +355,15 @@ impl ServiceConfig {
         self
     }
 
-    /// Threshold pre-warm grid: history lengths × honest p̂ values
-    /// (builder style). Empty vectors disable pre-warming.
-    #[must_use]
-    pub fn with_prewarm_grid(mut self, lengths: Vec<usize>, p_hats: Vec<f64>) -> Self {
-        self.prewarm_lengths = lengths;
-        self.prewarm_p_hats = p_hats;
-        self
-    }
-
-    /// Workers for the shared calibrator's threshold-surface build
-    /// (builder style). `None` (the default) resolves to the machine's
-    /// available parallelism when the service starts; `Some(n)` pins the
-    /// count.
+    /// Workers for the shared calibrator's boot-time row jobs (builder
+    /// style). `None` (the default) resolves to the machine's available
+    /// parallelism when the service starts; `Some(n)` pins the count.
     ///
-    /// This only changes how fast a cold boot builds the surface (its row
-    /// jobs run `n` at a time; the pre-warm grid and cold threshold misses
-    /// calibrate one row at a time regardless) — never what anything
-    /// calibrates to: a row's samples depend on the seed and the row
-    /// alone, so online verdicts stay exactly equal to the offline
+    /// This only changes how fast a cold boot calibrates (the rows of the
+    /// surface build and the rows below it run `n` at a time; a cold
+    /// threshold miss calibrates its one row regardless) — never what
+    /// anything calibrates to: a row's samples depend on the seed and the
+    /// row alone, so online verdicts stay exactly equal to the offline
     /// (serial) assessor's.
     #[must_use]
     pub fn with_calibration_threads(mut self, threads: Option<usize>) -> Self {
@@ -392,24 +372,28 @@ impl ServiceConfig {
     }
 
     /// Persists the calibration cache at this path (builder style):
-    /// loaded before pre-warm when the service starts, written when it
-    /// shuts down gracefully (or via
+    /// loaded before anything is calibrated when the service starts,
+    /// written when it shuts down gracefully (or via
     /// [`crate::ReputationService::save_calibration`]). A warm restart
-    /// then never repeats a Monte-Carlo calibration this deployment has
-    /// already run — and because cached thresholds round-trip bit-exactly,
-    /// warm verdicts stay bit-identical to cold ones.
+    /// then never repeats a Monte-Carlo row job this deployment has
+    /// already run — and because the rows round-trip bit-exactly, warm
+    /// verdicts stay bit-identical to cold ones.
     #[must_use]
     pub fn with_calibration_cache(mut self, path: impl Into<PathBuf>) -> Self {
         self.calibration_cache = Some(path.into());
         self
     }
 
-    /// Enables the interpolated threshold surface with these parameters
-    /// (builder style); `None` reverts to serving every threshold from
-    /// the Monte-Carlo oracle cache. Built at boot (or loaded from the
-    /// persisted calibration cache) for the configured window size, and
-    /// consulted before the cache — with oracle fallback whenever the
-    /// measured error bound exceeds the configured tolerance.
+    /// Replaces the interpolated threshold surface's parameters (builder
+    /// style; the default is [`SurfaceParams::default`]). `None` leaves
+    /// the test configuration's own setting, which unless it names a
+    /// surface means none: boot warms nothing and every oracle row is
+    /// calibrated the first time it is asked for. A surface is built at
+    /// boot (or loaded from the persisted calibration cache) for the
+    /// configured window size, with the oracle rows below its `k_min`
+    /// that the test can ask for, and consulted before the rows — with
+    /// oracle fallback whenever the measured error bound exceeds the
+    /// configured tolerance.
     #[must_use]
     pub fn with_calibration_surface(mut self, surface: Option<SurfaceParams>) -> Self {
         self.calibration_surface = surface;
@@ -471,14 +455,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Capacity of each shard's trace event ring (builder style). When a
-    /// ring is full the oldest event is evicted and counted dropped.
-    #[must_use]
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Deterministic fault plan for chaos testing (builder style).
     ///
     /// Only available with the `fault-injection` feature.
@@ -512,11 +488,6 @@ impl ServiceConfig {
     /// Policy for histories too short to test.
     pub fn short_history(&self) -> ShortHistoryPolicy {
         self.short_history
-    }
-
-    /// The pre-warm grid as (lengths, p̂ values).
-    pub fn prewarm_grid(&self) -> (&[usize], &[f64]) {
-        (&self.prewarm_lengths, &self.prewarm_p_hats)
     }
 
     /// The configured calibration thread count (`None` = auto-detect at
@@ -554,7 +525,8 @@ impl ServiceConfig {
         self.calibration_cache.as_deref()
     }
 
-    /// The configured threshold-surface override, if any.
+    /// The configured threshold-surface parameters (`None` = the test
+    /// configuration's own setting).
     pub fn calibration_surface(&self) -> Option<SurfaceParams> {
         self.calibration_surface
     }
@@ -589,11 +561,6 @@ impl ServiceConfig {
         self.tracing
     }
 
-    /// Capacity of each shard's trace event ring.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_capacity
-    }
-
     /// The configured fault plan, if any.
     ///
     /// Only available with the `fault-injection` feature.
@@ -607,7 +574,7 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for zero shards, an invalid
-    /// trust model, a bad pre-warm grid, or an invalid behavior-test
+    /// trust model, bad surface parameters, or an invalid behavior-test
     /// configuration.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.shards == 0 {
@@ -622,20 +589,10 @@ impl ServiceConfig {
                 });
             }
         }
-        for &p in &self.prewarm_p_hats {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!("pre-warm p̂ must lie in [0, 1], got {p}"),
-                });
-            }
-        }
         if self.calibration_threads == Some(0) {
             return Err(CoreError::InvalidConfig {
                 reason: "calibration threads must be at least 1 (or None for auto)".into(),
             });
-        }
-        if let Some(surface) = self.calibration_surface {
-            surface.validate()?;
         }
         if let IngestPolicy::Shed | IngestPolicy::TryFor(_) = self.ingest_policy {
             if self.queue_capacity == 0 {
@@ -678,14 +635,11 @@ impl ServiceConfig {
             }
         }
         self.supervision.validate()?;
-        self.test.validate()?;
-        if self.tiering.is_some() {
-            // The horizon cap must still leave a valid suffix grid
-            // (e.g. a horizon below the test's minimum suffix is
-            // unusable: every history long enough to tier would be
-            // untestable).
-            self.effective_test().validate()?;
-        }
+        // The test as the service runs it: the surface applied, and the
+        // suffix grid capped at the tiering horizon, which must still
+        // leave one (a horizon below the test's minimum suffix would make
+        // every history long enough to tier untestable).
+        self.effective_test().validate()?;
         Ok(())
     }
 }
@@ -711,12 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_prewarm_p_rejected() {
-        let c = ServiceConfig::default().with_prewarm_grid(vec![100], vec![1.2]);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn calibration_threads_resolve_and_validate() {
         let auto = ServiceConfig::default();
         assert_eq!(auto.calibration_threads(), None);
@@ -737,7 +685,14 @@ mod tests {
 
     #[test]
     fn calibration_surface_flows_into_effective_test() {
-        let off = ServiceConfig::default();
+        let default = ServiceConfig::default();
+        assert_eq!(default.calibration_surface(), Some(SurfaceParams::default()));
+        assert_eq!(
+            default.effective_test().calibration_surface(),
+            Some(SurfaceParams::default())
+        );
+        // `None` is "the test's own setting", which by default is none.
+        let off = ServiceConfig::default().with_calibration_surface(None);
         assert_eq!(off.calibration_surface(), None);
         assert_eq!(off.effective_test().calibration_surface(), None);
 
@@ -749,6 +704,8 @@ mod tests {
         assert_eq!(on.calibration_surface(), Some(params));
         assert_eq!(on.effective_test().calibration_surface(), Some(params));
         on.validate().unwrap();
+        let own = off.clone().with_test(off.test().clone().with_calibration_surface(Some(params)));
+        assert_eq!(own.effective_test().calibration_surface(), Some(params));
 
         let bad = ServiceConfig::default().with_calibration_surface(Some(SurfaceParams {
             tolerance: f64::NAN,
@@ -759,13 +716,11 @@ mod tests {
 
     #[test]
     fn builders_round_trip() {
-        let c = ServiceConfig::default()
-            .with_shards(8)
-            .with_queue_capacity(0)
-            .with_prewarm_grid(vec![500], vec![0.9]);
-        assert_eq!(c.shards(), 8);
-        assert_eq!(c.queue_capacity(), 0);
-        assert_eq!(c.prewarm_grid(), (&[500usize][..], &[0.9][..]));
+        let c = ServiceConfig::default();
+        assert!(!c.tracing(), "tracing is off by default");
+        let c = c.with_shards(8).with_queue_capacity(0).with_tracing(true);
+        assert_eq!((c.shards(), c.queue_capacity(), c.tracing()), (8, 0, true));
+        c.validate().unwrap();
     }
 
     #[test]
@@ -783,17 +738,6 @@ mod tests {
         assert_eq!(c.ingest_policy(), IngestPolicy::Shed);
         assert!(matches!(c.durability(), Durability::Durable { .. }));
         assert_eq!(c.supervision().max_restarts, 3);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn tracing_builders_round_trip() {
-        let c = ServiceConfig::default();
-        assert!(!c.tracing(), "tracing is off by default");
-        assert_eq!(c.trace_capacity(), 4096);
-        let c = c.with_tracing(true).with_trace_capacity(128);
-        assert!(c.tracing());
-        assert_eq!(c.trace_capacity(), 128);
         c.validate().unwrap();
     }
 

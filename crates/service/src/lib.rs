@@ -15,11 +15,11 @@
 //!
 //! Verdicts are exactly those of the offline
 //! [`TwoPhaseAssessor`](hp_core::twophase::TwoPhaseAssessor): phase-1
-//! thresholds come from a deterministic shared calibrator (pre-warmed at
-//! start-up over a configurable grid) and the streaming trust states are
-//! bit-exact counterparts of the batch trust functions. The property
-//! tests in `tests/equivalence.rs` and the [`replay`] driver both enforce
-//! this.
+//! thresholds come from a deterministic shared calibrator (its surface
+//! and the rows below it made ready at start-up) and the streaming trust
+//! states are bit-exact counterparts of the batch trust functions. The
+//! property tests in `tests/equivalence.rs` and the [`replay`] driver both
+//! enforce this.
 //!
 //! # Quick start
 //!
@@ -34,7 +34,7 @@
 //!             .calibration_trials(200)
 //!             .build()?,
 //!     )
-//!     .with_prewarm_grid(vec![], vec![]);
+//!     .with_calibration_surface(None);
 //! let service = ReputationService::new(config)?;
 //!
 //! let server = ServerId::new(1);

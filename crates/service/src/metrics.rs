@@ -254,7 +254,7 @@ impl ServiceStats {
             shard_queue_depths: snap.shards.iter().map(|s| s.queue_depth as usize).collect(),
             tracked_servers: 0,
             tracked_feedbacks: 0,
-            calibration_cache_entries: snap.calibration.entries as usize,
+            calibration_cache_entries: snap.calibration_entries as usize,
             calibration_cache_hits: snap.calibration.hits,
             calibration_cache_misses: snap.calibration.misses,
             calibration_surface_hits: snap.calibration.surface_hits,

@@ -37,7 +37,7 @@ pub use audit::{AssessScheme, AssessmentTrace, TraceVerdict, TracedAssessment};
 pub use histogram::{LatencyHistogram, LatencySnapshot, BUCKETS};
 pub use lint::lint_prometheus;
 pub use registry::{
-    explain_assessment, render_json, render_latency_family, render_prometheus, CalibrationGauges,
+    explain_assessment, render_json, render_latency_family, render_prometheus,
     LatencyPath, MetricsRegistry, RegistrySnapshot, ShardSnapshot,
 };
 pub use slo::{SloBurns, SloMonitor, SloObjectives, ASSESS_BREACH_BUDGET};

@@ -13,6 +13,7 @@ use super::histogram::{LatencyHistogram, LatencySnapshot};
 use super::span::format_trace_id;
 use super::trace::Tracer;
 use crate::metrics::Counters;
+use hp_stats::CalibrationStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -214,26 +215,6 @@ impl ShardSnapshot {
     }
 }
 
-/// Sampled threshold-calibration statistics (cache tiers plus the
-/// common-random-number Monte-Carlo engine behind them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CalibrationGauges {
-    /// Entries resident in the shared calibration cache.
-    pub entries: u64,
-    /// Threshold lookups answered from the cache.
-    pub hits: u64,
-    /// Threshold lookups that fell through every warm tier.
-    pub misses: u64,
-    /// Threshold lookups served by the interpolated surface.
-    pub surface_hits: u64,
-    /// Monte-Carlo row jobs executed (each fills a whole p̂ row).
-    pub oracle_jobs: u64,
-    /// Cache entries inserted by common-random-number row fills.
-    pub crn_row_fills: u64,
-    /// Lookups that blocked on another thread's in-flight row job.
-    pub singleflight_waits: u64,
-}
-
 /// A coherent point-in-time copy of the whole registry.
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
@@ -241,8 +222,10 @@ pub struct RegistrySnapshot {
     pub shards: Vec<ShardSnapshot>,
     /// One latency snapshot per [`LatencyPath`], in `ALL` order.
     pub latencies: Vec<(LatencyPath, LatencySnapshot)>,
-    /// Calibration cache gauges at sample time.
-    pub calibration: CalibrationGauges,
+    /// The shared calibrator's lifetime counters at sample time.
+    pub calibration: CalibrationStats,
+    /// Thresholds the calibrator held at sample time.
+    pub calibration_entries: u64,
     /// Trace events evicted from full rings.
     pub trace_dropped: u64,
     /// Per-shard queue-wait latency snapshots, indexed by shard.
@@ -272,7 +255,7 @@ impl RegistrySnapshot {
 pub struct MetricsRegistry {
     shards: Vec<ShardMetrics>,
     hists: [LatencyHistogram; 6],
-    calibration: Mutex<CalibrationGauges>,
+    calibration: Mutex<(CalibrationStats, u64)>,
     tracer: Tracer,
     started: Instant,
     build_info: Mutex<String>,
@@ -285,7 +268,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
             hists: Default::default(),
-            calibration: Mutex::new(CalibrationGauges::default()),
+            calibration: Mutex::default(),
             tracer: Tracer::new(shards, trace_capacity, tracing),
             started: Instant::now(),
             build_info: Mutex::new(format!(
@@ -361,13 +344,14 @@ impl MetricsRegistry {
         self.hists[path.index()].snapshot()
     }
 
-    /// Stores sampled calibration statistics (set by the service front
-    /// end before snapshots/exposition are taken).
-    pub fn set_calibration(&self, gauges: CalibrationGauges) {
+    /// Stores the calibrator's sampled counters and how many thresholds
+    /// it holds (set by the service front end before snapshots/exposition
+    /// are taken).
+    pub fn set_calibration(&self, stats: CalibrationStats, entries: u64) {
         *self
             .calibration
             .lock()
-            .unwrap_or_else(|e| e.into_inner()) = gauges;
+            .unwrap_or_else(|e| e.into_inner()) = (stats, entries);
     }
 
     /// Stores a sampled queue depth for `shard`.
@@ -390,6 +374,8 @@ impl MetricsRegistry {
     /// Takes a coherent snapshot of everything in the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let wall_ns = self.started.elapsed().as_nanos().max(1) as u64;
+        let (calibration, calibration_entries) =
+            *self.calibration.lock().unwrap_or_else(|e| e.into_inner());
         RegistrySnapshot {
             shards: self
                 .shards
@@ -401,10 +387,8 @@ impl MetricsRegistry {
                 .iter()
                 .map(|&p| (p, self.hists[p.index()].snapshot()))
                 .collect(),
-            calibration: *self
-                .calibration
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
+            calibration,
+            calibration_entries,
             trace_dropped: self.tracer.dropped(),
             queue_waits: self.shards.iter().map(|m| m.queue_wait.snapshot()).collect(),
             utilizations: self
@@ -573,7 +557,7 @@ pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
         (
             "hp_calibration_cache_entries",
             "Entries in the threshold-calibration cache (sampled)",
-            cal.entries,
+            snap.calibration_entries,
         ),
         (
             "hp_calibration_cache_hits_total",
@@ -710,7 +694,7 @@ pub fn render_json(snap: &RegistrySnapshot) -> String {
         out,
         "  \"calibration\": {{\"entries\":{},\"hits\":{},\"misses\":{},\"surface_hits\":{},\
          \"oracle_jobs\":{},\"crn_row_fills\":{},\"singleflight_waits\":{}}},\n  \"shards\": {}",
-        snap.calibration.entries,
+        snap.calibration_entries,
         snap.calibration.hits,
         snap.calibration.misses,
         snap.calibration.surface_hits,
@@ -749,15 +733,15 @@ mod tests {
         reg.set_queue_depth(1, 7);
         reg.shard(0).last_apply_version.store(10, Ordering::Relaxed);
         reg.record_latency(LatencyPath::AssessE2e, 1_000);
-        reg.set_calibration(CalibrationGauges {
-            entries: 3,
+        let calibration = CalibrationStats {
             hits: 40,
             misses: 2,
             surface_hits: 17,
             oracle_jobs: 2,
             crn_row_fills: 402,
             singleflight_waits: 1,
-        });
+        };
+        reg.set_calibration(calibration, 3);
 
         let snap = reg.snapshot();
         assert_eq!(snap.shards.len(), 2);
@@ -768,11 +752,7 @@ mod tests {
         assert_eq!(snap.shards[0].last_apply_version, 10);
         assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 1);
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 0);
-        assert_eq!(snap.calibration.hits, 40);
-        assert_eq!(snap.calibration.surface_hits, 17);
-        assert_eq!(snap.calibration.oracle_jobs, 2);
-        assert_eq!(snap.calibration.crn_row_fills, 402);
-        assert_eq!(snap.calibration.singleflight_waits, 1);
+        assert_eq!((snap.calibration, snap.calibration_entries), (calibration, 3));
     }
 
     #[test]

@@ -16,9 +16,10 @@ use hp_core::twophase::{Assessment, TwoPhaseAssessor};
 use hp_core::{CoreError, Feedback, ServerId, TransactionHistory};
 use hp_sim::workload;
 
-/// The offline reference wired exactly like a service: same behavior-test
-/// configuration (hence the same deterministic calibration), same trust
-/// model, same short-history policy.
+/// The offline reference wired exactly like a service: the behavior test
+/// the service effectively runs (threshold surface and tiering horizon
+/// included, hence the same deterministic calibration), same trust model,
+/// same short-history policy.
 #[derive(Debug)]
 pub enum OfflineReference {
     /// Reference for [`TrustModel::Average`].
@@ -34,7 +35,7 @@ impl OfflineReference {
     ///
     /// Propagates configuration errors from the core pipeline.
     pub fn from_config(config: &ServiceConfig) -> Result<Self, CoreError> {
-        let test = MultiBehaviorTest::new(config.test().clone())?;
+        let test = MultiBehaviorTest::new(config.effective_test())?;
         Ok(match config.trust() {
             TrustModel::Average => OfflineReference::Average(
                 TwoPhaseAssessor::new(test, AverageTrust::default())
@@ -288,7 +289,7 @@ mod tests {
                         .build()
                         .unwrap(),
                 )
-                .with_prewarm_grid(vec![], vec![]),
+                .with_calibration_surface(None),
         )
         .unwrap()
     }
@@ -310,6 +311,38 @@ mod tests {
         assert_eq!(outcome.mismatches, 0, "online and offline verdicts diverged");
         assert!(outcome.detection_rate() > 0.5, "outcome: {outcome:?}");
         assert!(outcome.false_positive_rate() < 0.5, "outcome: {outcome:?}");
+    }
+
+    #[test]
+    fn the_reference_of_a_default_shaped_service_runs_its_surface_and_horizon() {
+        // Everything at its default but the trial count (and the tolerance
+        // so few trials need for a layer to serve), plus a horizon: 250
+        // windows is deep enough for the surface to answer, and for the
+        // horizon to cut suffixes a reference without it would test.
+        let surface = hp_stats::SurfaceParams {
+            tolerance: 10.0,
+            ..Default::default()
+        };
+        let tiering = crate::TieringPolicy {
+            horizon: 1500,
+            spill_budget_bytes: None,
+        };
+        let config = ServiceConfig::default()
+            .with_shards(2)
+            .with_test(BehaviorTestConfig::builder().calibration_trials(200).build().unwrap())
+            .with_calibration_surface(Some(surface))
+            .with_tiering(tiering);
+        let service = ReputationService::new(config).unwrap();
+        let replay = ReplayConfig {
+            honest_servers: 4,
+            hibernating_attackers: 1,
+            periodic_attackers: 1,
+            history_len: 2500,
+            ..ReplayConfig::default()
+        };
+        let outcome = run_replay(&service, &replay).unwrap();
+        assert_eq!(outcome.mismatches, 0, "outcome: {outcome:?}");
+        assert!(service.stats().calibration_surface_hits > 0);
     }
 
     #[test]

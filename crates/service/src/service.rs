@@ -5,8 +5,7 @@ use crate::faults::ShardFaults;
 use crate::journal::FileJournal;
 use crate::metrics::{Counters, ServiceStats};
 use crate::obs::{
-    AssessmentTrace, CalibrationGauges, LatencyPath, MetricsRegistry, TraceEvent, TraceKind,
-    TracedAssessment,
+    AssessmentTrace, LatencyPath, MetricsRegistry, TraceEvent, TraceKind, TracedAssessment,
 };
 use crate::shard::{
     AssessTimings, Command, Published, ShardContext, ShardHandle, ShardSnapshot, ShardSnapshots,
@@ -23,6 +22,7 @@ use hp_store::{ColdStore, FeedbackStore};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,10 @@ pub struct CheckpointSummary {
     /// Calibration thresholds persisted alongside the checkpoint.
     pub calibration_entries: usize,
 }
+
+/// Events each shard's trace ring keeps; a full ring evicts its oldest
+/// event and counts it dropped.
+const TRACE_CAPACITY: usize = 4096;
 
 /// Calibration serving readiness, reported by
 /// [`ReputationService::calibration_readiness`] for health endpoints: a
@@ -221,9 +225,9 @@ impl AssessOutcome {
 ///
 /// Verdicts are exactly those of the offline
 /// [`TwoPhaseAssessor`](hp_core::twophase::TwoPhaseAssessor) over the same
-/// feedback sequence: phase-1 thresholds come from a deterministic, shared,
-/// pre-warmed calibrator and phase-2 trust states are bit-exact streaming
-/// counterparts of the batch trust functions.
+/// feedback sequence: phase-1 thresholds come from a deterministic, shared
+/// calibrator, warmed at boot, and phase-2 trust states are bit-exact
+/// streaming counterparts of the batch trust functions.
 ///
 /// # Fault tolerance
 ///
@@ -254,7 +258,7 @@ impl AssessOutcome {
 ///             .calibration_trials(200)
 ///             .build()?,
 ///     )
-///     .with_prewarm_grid(vec![], vec![]); // skip pre-warm in doctests
+///     .with_calibration_surface(None); // calibrate on demand in doctests
 /// let service = ReputationService::new(config)?;
 ///
 /// let server = ServerId::new(7);
@@ -272,19 +276,22 @@ pub struct ReputationService {
     shards: Vec<ShardHandle>,
     obs: Arc<MetricsRegistry>,
     calibrator: Arc<ThresholdCalibrator>,
+    /// Row jobs the calibrator had run at the last save of its cache,
+    /// plus one (0: not saved by this process yet).
+    calibration_saved: AtomicU64,
 }
 
 impl ReputationService {
-    /// Starts the service: validates the configuration, pre-warms the
-    /// shared threshold-calibration cache over the configured grid, opens
-    /// (and recovers) the per-shard journals, and spawns one supervised
-    /// worker thread per shard.
+    /// Starts the service: validates the configuration, readies the
+    /// shared threshold calibrator (persisted cache, surface, the rows
+    /// below it), opens (and recovers) the per-shard journals, and spawns
+    /// one supervised worker thread per shard.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Core`] for an invalid configuration or a
-    /// calibration failure during pre-warm, and [`ServiceError::Journal`]
-    /// when a durable journal cannot be opened or recovered.
+    /// calibration failure at boot, and [`ServiceError::Journal`] when a
+    /// durable journal cannot be opened or recovered.
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
         Self::new_with_progress(config, None)
     }
@@ -307,9 +314,9 @@ impl ReputationService {
             boot.set_shards(config.shards() as u64);
         }
         // The effective test resolves the calibration thread count (auto =
-        // available parallelism) so the surface build below runs its row
-        // jobs in parallel; per-row calibration RNG keeps the resulting
-        // thresholds bit-identical to a serial (offline) calibrator's.
+        // available parallelism) so the row jobs below run in parallel;
+        // per-row calibration RNG keeps the resulting thresholds
+        // bit-identical to a serial (offline) calibrator's.
         let effective_test = config.effective_test();
         let calibrator = Arc::new(
             ThresholdCalibrator::new(effective_test.calibration_config())
@@ -317,12 +324,11 @@ impl ReputationService {
         );
 
         // Load the persisted calibration cache (if configured) *before*
-        // building the surface or pre-warming: on a warm restart the
-        // surface installs straight from the file (or rebuilds from the
-        // preloaded rows without Monte Carlo) and the grid below answers
-        // from the loaded entries. A missing, stale, or partly corrupt
-        // file degrades to online calibration — the file is a cache,
-        // never a source of truth.
+        // anything calibrates: on a warm restart the surface installs
+        // straight from the file (or rebuilds from the loaded rows without
+        // Monte Carlo) and the rows below it are already held. A missing,
+        // stale, or partly corrupt file degrades to online calibration —
+        // the file is a cache, never a source of truth.
         if let Some(path) = config.calibration_cache() {
             let _ = crate::calcache::load(path, &calibrator);
         }
@@ -331,28 +337,23 @@ impl ReputationService {
         // window size this deployment tests at. A no-op when the persisted
         // cache already installed matching layers, cheap when it preloaded
         // the oracle rows, a full grid calibration on a true cold boot.
-        calibrator
-            .ensure_surface_for(effective_test.window_size())
-            .map_err(CoreError::from)?;
+        let m = effective_test.window_size();
+        calibrator.ensure_surface_for(m).map_err(CoreError::from)?;
 
-        // Pre-warm: evaluating a synthetic honest history of length n at
-        // quality p requests exactly the (m, k, p̂-bucket, confidence)
-        // threshold entries that live traffic with similar histories will
-        // need, through the same public code path.
-        let warm_test =
-            MultiBehaviorTest::with_calibrator(effective_test.clone(), Arc::clone(&calibrator))?;
-        let (lengths, p_hats) = config.prewarm_grid();
-        for (i, &len) in lengths.iter().enumerate() {
-            for (j, &p) in p_hats.iter().enumerate() {
-                let seed = hp_stats::derive_seed(0x5EED_5E2F, (i * p_hats.len() + j) as u64);
-                let history = hp_sim::workload::honest_history(len, p, seed);
-                warm_test.evaluate_detailed(&history)?;
-            }
+        // The surface interpolates from its `k_min` up; a suffix of fewer
+        // windows is answered by the oracle's own row. Fill every such row
+        // the test can ask for now, through the same fan-out, so that no
+        // first assessment waits on a Monte-Carlo job. (Without a surface
+        // every row is calibrated when first asked for.)
+        if let Some(surface) = effective_test.calibration_surface() {
+            let k_lo = (effective_test.min_suffix() / m as usize).max(effective_test.min_windows());
+            let below: Vec<usize> = (k_lo..surface.k_min).collect();
+            calibrator.fill_rows(m, &below).map_err(CoreError::from)?;
         }
 
         let obs = Arc::new(MetricsRegistry::new(
             config.shards(),
-            config.trace_capacity(),
+            TRACE_CAPACITY,
             config.tracing(),
         ));
         obs.set_build_info(format!(
@@ -405,6 +406,7 @@ impl ReputationService {
             shards,
             obs,
             calibrator,
+            calibration_saved: AtomicU64::new(0),
         })
     }
 
@@ -872,16 +874,8 @@ impl ReputationService {
         for (shard, handle) in self.shards.iter().enumerate() {
             self.obs.set_queue_depth(shard, handle.queue_depth() as u64);
         }
-        let stats = self.calibrator.stats();
-        self.obs.set_calibration(CalibrationGauges {
-            entries: self.calibrator.cache_len() as u64,
-            hits: stats.hits,
-            misses: stats.misses,
-            surface_hits: stats.surface_hits,
-            oracle_jobs: stats.oracle_jobs,
-            crn_row_fills: stats.crn_row_fills,
-            singleflight_waits: stats.singleflight_waits,
-        });
+        self.obs
+            .set_calibration(self.calibrator.stats(), self.calibrator.cache_len() as u64);
     }
 
     /// Calibration serving readiness, for health endpoints: whether an
@@ -903,7 +897,10 @@ impl ReputationService {
 
     /// Writes the calibration cache to the configured
     /// [`ServiceConfig::with_calibration_cache`] path, returning how many
-    /// thresholds were persisted (`Ok(0)` when no path is configured).
+    /// thresholds it holds (`Ok(0)` when no path is configured). Only a
+    /// row job makes something the file lacks, so a call that follows no
+    /// job since this process last saved — most periodic checkpoints —
+    /// leaves the file as it is.
     ///
     /// [`Self::shutdown`] calls this automatically; exposing it lets an
     /// edge front-end (or an operator endpoint) checkpoint the cache
@@ -913,16 +910,22 @@ impl ReputationService {
     ///
     /// Returns [`ServiceError::Journal`] when the file cannot be written.
     pub fn save_calibration(&self) -> Result<usize, ServiceError> {
-        match self.config.calibration_cache() {
-            Some(path) => {
-                crate::calcache::save(path, &self.calibrator).map_err(|e| {
-                    ServiceError::Journal {
-                        reason: format!("save calibration cache {}: {e}", path.display()),
-                    }
-                })
-            }
-            None => Ok(0),
+        let Some(path) = self.config.calibration_cache() else {
+            return Ok(0);
+        };
+        // Read before the save: a job that lands meanwhile may miss the
+        // file, and then the next call saves again.
+        let jobs = self.calibrator.stats().oracle_jobs + 1;
+        if self.calibration_saved.load(Ordering::Relaxed) == jobs {
+            return Ok(self.calibrator.cache_len());
         }
+        let saved = crate::calcache::save(path, &self.calibrator).map_err(|e| {
+            ServiceError::Journal {
+                reason: format!("save calibration cache {}: {e}", path.display()),
+            }
+        })?;
+        self.calibration_saved.store(jobs, Ordering::Relaxed); // a statistic
+        Ok(saved)
     }
 
     /// Takes a checkpoint across the whole service: every shard writes a
@@ -1097,7 +1100,7 @@ mod tests {
                     .build()
                     .unwrap(),
             )
-            .with_prewarm_grid(vec![], vec![])
+            .with_calibration_surface(None)
     }
 
     fn feedbacks_for(server: ServerId, n: u64, bad_every: u64) -> Vec<Feedback> {

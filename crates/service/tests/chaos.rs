@@ -43,7 +43,7 @@ fn fast_config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 /// A unique scratch directory per call, removed by the caller on success.
@@ -159,7 +159,7 @@ fn tiered_config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
         .with_tiering(TieringPolicy {
             horizon: HORIZON,
             spill_budget_bytes: None,

@@ -31,7 +31,7 @@ fn service_config(shards: usize, model: TrustModel, policy: ShortHistoryPolicy) 
         .with_test(fast_test_config())
         .with_trust(model)
         .with_short_history(policy)
-        .with_prewarm_grid(vec![], vec![]) // keep property cases fast
+        .with_calibration_surface(None) // keep property cases fast
 }
 
 fn model_from(selector: u8, lambda: f64) -> TrustModel {

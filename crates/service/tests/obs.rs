@@ -18,7 +18,7 @@ fn fast_config(shards: usize) -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 fn feedbacks_for(server: ServerId, n: u64, bad_every: u64) -> Vec<Feedback> {
@@ -242,7 +242,7 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![]);
+        .with_calibration_surface(None);
     let service = ReputationService::new(config).unwrap();
     let readiness = service.calibration_readiness();
     assert!(readiness.surface_configured);
@@ -278,7 +278,7 @@ fn calibration_hit_counters_advance_by_one_per_conclusive_suffix_test() {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![]);
+        .with_calibration_surface(None);
     let service = ReputationService::new(config).unwrap();
     let servers: Vec<ServerId> = (1..=4).map(ServerId::new).collect();
     // 3 000 feedbacks: k runs from 300 (past the cutoff: the anchor row,

@@ -4,7 +4,7 @@
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
-use hp_service::{ReputationService, ServiceConfig};
+use hp_service::{ReputationService, ServiceConfig, SurfaceParams};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -26,7 +26,6 @@ fn config(cache: PathBuf) -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![200, 400], vec![0.9])
         .with_calibration_threads(Some(1))
         .with_calibration_cache(cache)
 }
@@ -44,7 +43,8 @@ fn warm_restart_never_recalibrates_and_verdicts_are_bit_identical() {
     let dir = tmp_dir("warm");
     let cache = dir.join("calibration.hpcal");
 
-    // Cold boot: pre-warm calibrates online and the shutdown persists it.
+    // Cold boot: the surface build and the rows below it calibrate online
+    // and the shutdown persists them.
     let cold = ReputationService::new(config(cache.clone())).unwrap();
     let server = ServerId::new(77);
     cold.ingest_batch(feedbacks(server, 500)).unwrap();
@@ -59,8 +59,8 @@ fn warm_restart_never_recalibrates_and_verdicts_are_bit_identical() {
     cold.shutdown();
     assert!(cache.exists(), "shutdown persists the calibration cache");
 
-    // Warm boot: the same pre-warm grid and the same assessments answer
-    // entirely from the persisted cache — zero Monte-Carlo jobs.
+    // Warm boot: the same boot and the same assessments answer entirely
+    // from the persisted cache — zero Monte-Carlo jobs.
     let warm = ReputationService::new(config(cache.clone())).unwrap();
     warm.ingest_batch(feedbacks(server, 500)).unwrap();
     let warm_verdict = warm.assess(server).unwrap();
@@ -84,8 +84,13 @@ fn save_calibration_checkpoints_without_shutdown() {
     let cache = dir.join("calibration.hpcal");
     let service = ReputationService::new(config(cache.clone())).unwrap();
     let persisted = service.save_calibration().unwrap();
-    assert!(persisted > 0, "pre-warm populated entries to persist");
+    assert!(persisted > 0, "boot calibrated rows to persist");
     assert!(cache.exists());
+    // No row job since: the next checkpoint has nothing to add and leaves
+    // the file alone (here: does not even bring it back).
+    std::fs::remove_file(&cache).unwrap();
+    assert_eq!(service.save_calibration().unwrap(), persisted);
+    assert!(!cache.exists());
     // The service keeps serving after a checkpoint.
     let server = ServerId::new(5);
     service.ingest_batch(feedbacks(server, 300)).unwrap();
@@ -127,7 +132,61 @@ fn unconfigured_service_saves_nothing() {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![]);
+        .with_calibration_surface(None);
     let service = ReputationService::new(plain).unwrap();
     assert_eq!(service.save_calibration().unwrap(), 0);
+}
+
+#[test]
+fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
+    let dir = tmp_dir("rows");
+    // Few trials and coarse p̂ buckets keep 35 row jobs quick; the
+    // tolerance is wide because so few trials measure a wide error bound,
+    // and a bypassed layer would send every k to a row job.
+    let test = BehaviorTestConfig::builder()
+        .calibration_trials(200)
+        .p_bucket(0.05)
+        .build()
+        .unwrap();
+    let surface = SurfaceParams {
+        tolerance: 10.0,
+        ..SurfaceParams::default()
+    };
+    // The surface build runs 13 rows (7 on its grid from k_min = 32 to the
+    // cutoff 2048, the 6 midpoints between them); below k_min a verdict
+    // can ask for every window count from min_suffix / m = 10 upward.
+    let k_lo = test.min_suffix() / test.window_size() as usize;
+    let rows = (13 + surface.k_min - k_lo) as u64;
+    assert_eq!(rows, 35);
+    let config = ServiceConfig::default()
+        .with_shards(1)
+        .with_test(test)
+        .with_calibration_surface(Some(surface))
+        .with_calibration_cache(dir.join("calibration.hpcal"));
+    // (row jobs, misses) so far, and the thresholds held.
+    let counts = |service: &ReputationService| {
+        let stats = service.stats();
+        let jobs = (stats.calibration_oracle_jobs, stats.calibration_cache_misses);
+        (jobs, stats.calibration_cache_entries)
+    };
+    let first_assessments = |service: &ReputationService| {
+        for (id, depth) in [(1, 100), (2, 310), (3, 2_000), (4, 20_000)] {
+            let server = ServerId::new(id);
+            service.ingest_batch(feedbacks(server, depth)).unwrap();
+            service.assess(server).unwrap();
+        }
+    };
+
+    let cold = ReputationService::new(config.clone()).unwrap();
+    let (jobs, entries) = counts(&cold);
+    assert_eq!(jobs, (rows, rows), "one miss per job, one job per row");
+    first_assessments(&cold);
+    assert_eq!(counts(&cold), ((rows, rows), entries), "no verdict waited on a job");
+    cold.shutdown();
+
+    let warm = ReputationService::new(config).unwrap();
+    assert_eq!(counts(&warm), ((0, 0), entries));
+    first_assessments(&warm);
+    assert_eq!(counts(&warm), ((0, 0), entries));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,7 +51,7 @@ fn synth_feedbacks(len: usize, seed: u64) -> Vec<Feedback> {
         .collect()
 }
 
-/// One shard, small calibration, no prewarm: fast but real assessments.
+/// One shard, small calibration, rows on demand: fast but real assessments.
 fn fast_config() -> ServiceConfig {
     ServiceConfig::default()
         .with_shards(1)
@@ -61,7 +61,7 @@ fn fast_config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 fn offline_verdict(

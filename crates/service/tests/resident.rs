@@ -85,7 +85,7 @@ fn config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 /// Live heap minus what the histories account for, once every batch sent

@@ -43,7 +43,7 @@ fn tiered_config(dir: PathBuf) -> ServiceConfig {
     ServiceConfig::default()
         .with_shards(1)
         .with_test(fast_test())
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
         .with_durability(Durability::Durable {
             dir,
             fsync: FsyncPolicy::Never,
@@ -71,7 +71,7 @@ fn control_config() -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_prewarm_grid(vec![], vec![])
+        .with_calibration_surface(None)
 }
 
 fn feedbacks(servers: u64, per_server: u64, time_base: u64) -> Vec<Feedback> {

@@ -8,26 +8,29 @@
 //!
 //! * **common random numbers** — one batch of `k` uniform draws per
 //!   `(m, k)` is pushed through every p̂ bucket's binomial inverse cdf, so
-//!   a single Monte-Carlo job calibrates the *entire p̂ row* of the cache
-//!   (every bucket × a ladder of confidence levels) instead of one key.
+//!   a single Monte-Carlo job calibrates the *entire `(m, k)` row* (every
+//!   bucket × a ladder of confidence levels) instead of one threshold.
 //!   The batch is never sorted: each draw is dropped into its slot of the
 //!   row's sorted cdf bounds and one prefix sum yields every bucket's bin
 //!   counts (see `BoundIndex`),
 //! * **single-flight dedup** — concurrent misses on the same `(m, k)` row
 //!   wait for one in-flight job instead of each running their own,
 //! * **an interpolated threshold surface** ([`crate::surface`]) consulted
-//!   before the cache, with a measured error bound and oracle fallback,
-//! * **caching** keyed by `(m, k, p̂-bucket, confidence)` so that the
-//!   strategic attacker loop and the multi-test (which call this thousands
-//!   of times with nearly identical parameters) stay fast,
+//!   before the row store, with a measured error bound and oracle fallback,
+//! * **a row store** — each job's [`CalibrationRow`] is kept whole, shared
+//!   and immutable under its `(m, k)`, so that the strategic attacker loop
+//!   and the multi-test (which call this thousands of times with nearly
+//!   identical parameters) stay fast; p̂ and the confidence are quantized
+//!   to a bucket and a column so floating-point jitter still finds them,
 //! * **a per-verdict view** ([`ThresholdView`]) — a multi-test asks for
 //!   ≈ history / step thresholds at one `(m, confidence)`, so what depends
 //!   on that pair alone (validation, the surface snapshot, the layer and
 //!   its tolerance gate) is resolved once and the surface then answers
 //!   with no lock and no shared write; a lone lookup is a view asked once,
-//! * **a row-level fan-out** for the surface build: its cold `(m, k)` rows
-//!   are spread over [`CalibrationConfig::threads`] workers, each row job
-//!   running whole on one worker. A job draws its trials from fixed
+//! * **a row-level fan-out** ([`ThresholdCalibrator::fill_rows`]) for the
+//!   surface build and the rows a service warms below it: the `(m, k)` rows
+//!   not yet held are spread over [`CalibrationConfig::threads`] workers,
+//!   each row job running whole on one worker. A job draws its trials from fixed
 //!   per-chunk RNG streams seeded by `(seed, m, k)` alone, so thresholds
 //!   are bit-identical at every thread count,
 //! * **asymptotic extrapolation** for very large sample counts `k`: the L¹
@@ -44,7 +47,7 @@ use crate::surface::{SurfaceLayer, SurfaceParams, ThresholdSurface};
 use parking_lot::{Mutex, RwLock};
 use rand::RngExt;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
@@ -69,12 +72,12 @@ pub struct CalibrationConfig {
     /// calibration at the cutoff using the `1/√k` law instead of simulated
     /// directly (default 2048).
     pub large_k_cutoff: usize,
-    /// Number of workers the surface build
-    /// ([`ThresholdCalibrator::ensure_surface_for`]) spreads its cold rows
-    /// over (1 = serial); each row job runs whole on one worker. Every
-    /// other Monte-Carlo job — a live single-row miss,
-    /// [`ThresholdCalibrator::distance_samples`] — runs serially on the
-    /// calling thread whatever this is set to.
+    /// Number of workers [`ThresholdCalibrator::fill_rows`] — and through
+    /// it the surface build ([`ThresholdCalibrator::ensure_surface_for`])
+    /// — spreads its cold rows over (1 = serial); each row job runs whole
+    /// on one worker. Every other Monte-Carlo job — a live single-row
+    /// miss, [`ThresholdCalibrator::distance_samples`] — runs serially on
+    /// the calling thread whatever this is set to.
     ///
     /// Thread count never changes results: a row's samples depend on
     /// `(seed, m, k)` alone, so any `threads` value produces bit-identical
@@ -82,8 +85,9 @@ pub struct CalibrationConfig {
     pub threads: usize,
     /// When set, an interpolated threshold surface is built over the
     /// oracle (see [`ThresholdCalibrator::ensure_surface_for`]) and
-    /// consulted before the cache. `None` (the default) serves every
-    /// threshold from the oracle row cache.
+    /// consulted before the row store. `None` (the default here; a
+    /// service configures one unless told otherwise) serves every
+    /// threshold from the oracle's rows.
     ///
     /// Deliberately excluded from [`ThresholdCalibrator::fingerprint`]:
     /// the surface is gated by its own measured error bound and falls
@@ -150,23 +154,46 @@ impl CalibrationConfig {
     }
 }
 
-/// Cache key: everything a threshold depends on, with `p̂` and confidence
-/// quantized to buckets so floating-point jitter still hits the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    m: u32,
-    k: usize,
-    p_bucket_index: u32,
-    confidence_millis: u32,
-}
-
-/// One exported threshold-cache entry: the quantized key a threshold was
-/// calibrated under plus the threshold itself, bit-exact.
+/// One calibrated `(m, k)` row — the unit the oracle stores, shares and
+/// persists: the threshold of every p̂ bucket at every confidence column,
+/// bit-exact. A Monte-Carlo job writes a row whole and nothing changes it
+/// afterwards (a job that adds a column publishes a new row), so a row is
+/// either complete or absent.
 ///
-/// Exported by [`ThresholdCalibrator::export_cache`] and accepted back by
-/// [`ThresholdCalibrator::preload_cache`], so a calibration cache can be
+/// Exported by [`ThresholdCalibrator::export_rows`] and accepted back by
+/// [`ThresholdCalibrator::preload_rows`], so a calibration cache can be
 /// persisted across process restarts and a warm restart never repeats a
 /// Monte-Carlo job it has already run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CalibrationRow {
+    /// Window size `m` of the binomial model.
+    pub m: u32,
+    /// Sample-set size `k` (complete windows).
+    pub k: usize,
+    /// Quantized confidence (`round(confidence · 100000)`) of each column:
+    /// the Bonferroni ladder rungs first, then every off-ladder confidence
+    /// in the order it was first asked for.
+    pub confidences: Vec<u32>,
+    /// One threshold ε per p̂ bucket per column, column by column:
+    /// `values[column · buckets + bucket]`.
+    pub values: Vec<f64>,
+}
+
+impl CalibrationRow {
+    /// Each column's confidence and its thresholds, one per p̂ bucket.
+    fn columns(&self) -> impl Iterator<Item = (u32, &[f64])> {
+        let buckets = self.values.len() / self.confidences.len();
+        self.confidences.iter().copied().zip(self.values.chunks_exact(buckets))
+    }
+
+    /// The thresholds of one confidence, if the row has a column for it.
+    fn column(&self, confidence_millis: u32) -> Option<&[f64]> {
+        self.columns().find_map(|(c, column)| (c == confidence_millis).then_some(column))
+    }
+}
+
+/// One threshold of a [`CalibrationRow`] with everything it was calibrated
+/// under, as listed by [`ThresholdCalibrator::export_cache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationEntry {
     /// Window size `m` of the binomial model.
@@ -183,13 +210,13 @@ pub struct CalibrationEntry {
 
 /// Where a served threshold came from, tagged into the audit trail so
 /// every verdict records whether its ε was interpolated (surface), read
-/// back (cache), or freshly simulated (Monte Carlo).
+/// back from a held row (cache), or freshly simulated (Monte Carlo).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThresholdProvenance {
     /// Interpolated from the precomputed threshold surface (within its
     /// measured error bound).
     Surface,
-    /// Answered from the oracle row cache (an earlier job calibrated it).
+    /// Answered from a row the oracle holds (an earlier job calibrated it).
     Cache,
     /// A Monte-Carlo row job ran (or was waited on) for this request.
     MonteCarlo,
@@ -208,16 +235,16 @@ impl std::fmt::Display for ThresholdProvenance {
 /// Lifetime counters for one [`ThresholdCalibrator`] (all monotone).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalibrationStats {
-    /// Lookups answered from the row cache.
+    /// Lookups answered from a held row.
     pub hits: u64,
-    /// Lookups that missed both surface and cache (a row job ran, or was
-    /// waited on).
+    /// Lookups that missed both surface and row store (a row job ran, or
+    /// was waited on).
     pub misses: u64,
     /// Lookups answered by the interpolated surface.
     pub surface_hits: u64,
     /// Monte-Carlo row jobs actually executed (single-flight leaders).
     pub oracle_jobs: u64,
-    /// Cache entries inserted by common-random-number row fills.
+    /// Thresholds written by common-random-number row jobs.
     pub crn_row_fills: u64,
     /// Lookups that slept on another thread's in-flight row job instead
     /// of running their own.
@@ -248,7 +275,7 @@ fn add_calibration_nanos(ns: u64) {
 /// bucket at `1 − (1 − confidence)/2^j` for `j ∈ 0..=LADDER_LEVELS`,
 /// which is exactly the Bonferroni-corrected per-test confidence the
 /// multi-test requests for up to `2^LADDER_LEVELS` simultaneous tests —
-/// so multi-test lookups land on prefilled keys.
+/// so multi-test lookups land on prefilled columns.
 const LADDER_LEVELS: u32 = 16;
 
 /// The `(quantized, exact)` confidence ladder for a base confidence,
@@ -290,7 +317,8 @@ fn quantize_confidence(confidence: f64) -> u32 {
 pub struct ThresholdCalibrator {
     config: CalibrationConfig,
     seed: u64,
-    cache: RwLock<HashMap<CacheKey, f64>>,
+    /// The oracle's rows by `(m, k)`, ordered so an export needs no sort.
+    rows: RwLock<BTreeMap<(u32, usize), Arc<CalibrationRow>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     surface_hits: AtomicU64,
@@ -320,7 +348,7 @@ impl ThresholdCalibrator {
         Ok(ThresholdCalibrator {
             config,
             seed: 0x5EED_CA1B,
-            cache: RwLock::new(HashMap::new()),
+            rows: RwLock::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             surface_hits: AtomicU64::new(0),
@@ -345,13 +373,13 @@ impl ThresholdCalibrator {
         &self.config
     }
 
-    /// Number of cached thresholds (diagnostics).
+    /// Number of thresholds held, over all rows (diagnostics).
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        self.rows.read().values().map(|row| row.values.len()).sum()
     }
 
-    /// Lifetime `(hits, misses)` of the threshold cache. A hit answered a
-    /// [`Self::threshold_at`] lookup from the cache; a miss ran (or
+    /// Lifetime `(hits, misses)` of the row store. A hit answered a
+    /// [`Self::threshold_at`] lookup from a held row; a miss ran (or
     /// waited on) a Monte-Carlo row job. Surface answers count in
     /// neither — see [`Self::stats`]. Large-`k` extrapolations count as
     /// the anchor lookup they recurse into.
@@ -402,53 +430,65 @@ impl ThresholdCalibrator {
         fp
     }
 
-    /// Exports every cached threshold, sorted by key so the output is
-    /// deterministic regardless of insertion order.
+    /// Lists every held threshold one by one, sorted by
+    /// `(m, k, p̂ bucket, confidence)` whatever order the rows were
+    /// calibrated or their columns added in.
     pub fn export_cache(&self) -> Vec<CalibrationEntry> {
-        let cache = self.cache.read();
-        let mut entries: Vec<CalibrationEntry> = cache
-            .iter()
-            .map(|(key, &epsilon)| CalibrationEntry {
-                m: key.m,
-                k: key.k,
-                p_bucket_index: key.p_bucket_index,
-                confidence_millis: key.confidence_millis,
-                epsilon,
-            })
-            .collect();
+        let mut entries = Vec::with_capacity(self.cache_len());
+        for row in self.rows.read().values() {
+            for (confidence_millis, column) in row.columns() {
+                entries.extend(column.iter().zip(0..).map(|(&epsilon, p_bucket_index)| {
+                    CalibrationEntry {
+                        m: row.m,
+                        k: row.k,
+                        p_bucket_index,
+                        confidence_millis,
+                        epsilon,
+                    }
+                }));
+            }
+        }
         entries.sort_by_key(|e| (e.m, e.k, e.p_bucket_index, e.confidence_millis));
         entries
     }
 
-    /// Seeds the cache with previously exported entries (e.g. loaded from
-    /// disk at boot), returning how many were installed. Entries with a
-    /// non-finite or negative ε are rejected; an entry already present is
-    /// left untouched (the live value was calibrated by this process and
-    /// is equally authoritative).
+    /// Every held row, in `(m, k)` order — what a calibration cache
+    /// persists. The rows are shared with the store, not copied.
+    pub fn export_rows(&self) -> Vec<Arc<CalibrationRow>> {
+        self.rows.read().values().cloned().collect()
+    }
+
+    /// Installs previously exported rows (e.g. loaded from disk at boot),
+    /// returning how many were installed. A row is refused whole unless
+    /// its columns begin with this calibrator's confidence ladder, it
+    /// holds one value per p̂ bucket per column, and every value is finite
+    /// and non-negative; a row already held is left untouched (the live
+    /// one was calibrated by this process and is equally authoritative).
     ///
     /// Preloading only makes sense from a calibrator with the same
-    /// [`Self::fingerprint`]; callers own that check — this method trusts
-    /// its input.
-    pub fn preload_cache(
-        &self,
-        entries: impl IntoIterator<Item = CalibrationEntry>,
-    ) -> usize {
-        let mut cache = self.cache.write();
+    /// [`Self::fingerprint`]; callers own that check — beyond the shape
+    /// of a row this method trusts its input.
+    pub fn preload_rows(&self, rows: impl IntoIterator<Item = CalibrationRow>) -> usize {
+        let ladder: Vec<u32> = confidence_ladder(self.config.confidence)
+            .into_iter()
+            .map(|(millis, _)| millis)
+            .collect();
+        let buckets = self.p_buckets();
+        let mut held = self.rows.write();
         let mut installed = 0;
-        for e in entries {
-            if !e.epsilon.is_finite() || e.epsilon < 0.0 {
-                continue;
-            }
-            let key = CacheKey {
-                m: e.m,
-                k: e.k,
-                p_bucket_index: e.p_bucket_index,
-                confidence_millis: e.confidence_millis,
-            };
-            cache.entry(key).or_insert_with(|| {
+        for mut row in rows {
+            let columns = &row.confidences;
+            let whole = columns.starts_with(&ladder)
+                && row.values.len() == buckets * columns.len()
+                && row.values.iter().all(|eps| eps.is_finite() && *eps >= 0.0);
+            if whole && !held.contains_key(&(row.m, row.k)) {
+                // A parsed row may carry spare capacity; a held one is
+                // held for the life of the process.
+                row.confidences.shrink_to_fit();
+                row.values.shrink_to_fit();
+                held.insert((row.m, row.k), Arc::new(row));
                 installed += 1;
-                e.epsilon
-            });
+            }
         }
         installed
     }
@@ -470,7 +510,7 @@ impl ThresholdCalibrator {
     /// so any other width would serve a neighbouring bucket's threshold.
     /// Nothing is installed then.
     pub fn install_surface(&self, surface: Arc<ThresholdSurface>) -> Result<(), StatsError> {
-        let buckets = self.p_bucket_index(1.0) as usize + 1;
+        let buckets = self.p_buckets();
         if let Some(layer) = surface.layers().iter().find(|l| l.p_buckets() != buckets) {
             return Err(StatsError::InvalidCount {
                 what: "surface layer p̂ buckets",
@@ -486,9 +526,9 @@ impl ThresholdCalibrator {
     /// Returns whether a surface now covers `m` (`Ok(false)` when no
     /// surface is configured).
     ///
-    /// Idempotent and cheap when warm: rows already in the cache (from a
+    /// Idempotent and cheap when warm: rows already held (from a
     /// persisted calibration file or earlier traffic) are reused, so a
-    /// warm rebuild is hash lookups plus interpolation arithmetic. Builds
+    /// warm rebuild is row reads plus interpolation arithmetic. Builds
     /// for distinct `m` accumulate layers into one surface.
     ///
     /// # Errors
@@ -555,7 +595,7 @@ impl ThresholdCalibrator {
     }
 
     /// [`Self::threshold_at`] plus where the answer came from: the
-    /// interpolated surface, the row cache, or a Monte-Carlo job run (or
+    /// interpolated surface, a held row, or a Monte-Carlo job run (or
     /// waited on) by this call. Large-`k` extrapolations inherit the
     /// provenance of their anchor lookup.
     ///
@@ -608,83 +648,86 @@ impl ThresholdCalibrator {
         })
     }
 
-    /// The miss path: join or lead the single-flight row job for `(m, k)`
-    /// until the requested key is cached, counting one miss and charging
-    /// the wall time to the calling thread.
+    /// The held row's threshold for one p̂ bucket and confidence, if the
+    /// row is held and has that column.
+    fn held(&self, m: u32, k: usize, p_index: u32, confidence_millis: u32) -> Option<f64> {
+        let rows = self.rows.read();
+        Some(rows.get(&(m, k))?.column(confidence_millis)?[p_index as usize])
+    }
+
+    /// The miss path: lead the single-flight row job for `(m, k)`, or
+    /// sleep on whoever is running it, until the row holds the requested
+    /// confidence — counting one miss and charging the wall time to the
+    /// calling thread.
     fn calibrate_row(
         &self,
         m: u32,
         k: usize,
-        key: CacheKey,
+        p_index: u32,
         confidence: f64,
     ) -> Result<f64, StatsError> {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let result = self.lead_or_join_row_job(m, k, key, confidence);
+        let confidence_millis = quantize_confidence(confidence);
+        let result = loop {
+            {
+                let mut inflight = self.inflight.lock().expect("in-flight lock poisoned");
+                // Asked under the lock: a leader publishes its row before it
+                // gives up its claim, so a column missing here is either
+                // being computed (the row is claimed) or for us to compute.
+                if let Some(eps) = self.held(m, k, p_index, confidence_millis) {
+                    break Ok(eps);
+                }
+                if !inflight.insert((m, k)) {
+                    self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
+                    let _woken = self
+                        .inflight_done
+                        .wait(inflight)
+                        .expect("in-flight lock poisoned");
+                    // The leader's job may not have asked for our confidence
+                    // (off the precomputed ladder): then the next round
+                    // leads a job for it.
+                    continue;
+                }
+            }
+            let job = self.run_row_job(m, k, confidence);
+            self.inflight
+                .lock()
+                .expect("in-flight lock poisoned")
+                .remove(&(m, k));
+            self.inflight_done.notify_all();
+            if let Err(failed) = job {
+                break Err(failed);
+            }
+        };
         add_calibration_nanos(start.elapsed().as_nanos() as u64);
         result
     }
 
-    /// Runs the `(m, k)` row job, or sleeps on whoever is running it.
-    fn lead_or_join_row_job(
-        &self,
-        m: u32,
-        k: usize,
-        key: CacheKey,
-        confidence: f64,
-    ) -> Result<f64, StatsError> {
-        loop {
-            let leader = {
-                let mut inflight = self.inflight.lock().expect("in-flight lock poisoned");
-                if inflight.insert((m, k)) {
-                    true
-                } else {
-                    self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-                    let _guard = self
-                        .inflight_done
-                        .wait(inflight)
-                        .expect("in-flight lock poisoned");
-                    false
-                }
-            };
-            if leader {
-                let job = self.run_row_job(m, k, key.confidence_millis, confidence);
-                self.inflight
-                    .lock()
-                    .expect("in-flight lock poisoned")
-                    .remove(&(m, k));
-                self.inflight_done.notify_all();
-                job?;
-            }
-            if let Some(&eps) = self.cache.read().get(&key) {
-                return Ok(eps);
-            }
-            // Only reachable as a waiter whose confidence the leader's job
-            // did not request (off the precomputed ladder): loop and lead
-            // a job for it ourselves.
-        }
-    }
-
     /// One common-random-number Monte-Carlo job for the `(m, k)` row:
-    /// samples every p̂ bucket from one shared uniform batch and fills the
-    /// cache at the whole confidence ladder (plus the requested
-    /// confidence) for every bucket.
-    fn run_row_job(
-        &self,
-        m: u32,
-        k: usize,
-        requested_millis: u32,
-        requested_confidence: f64,
-    ) -> Result<(), StatsError> {
-        self.oracle_jobs.fetch_add(1, Ordering::Relaxed);
-        let max_index = self.p_bucket_index(1.0);
-        let centers: Vec<f64> = (0..=max_index).map(|i| self.p_bucket_center(i)).collect();
-        let per_bucket = self.crn_samples(m, k, &centers, self.config.trials)?;
-
-        let mut confidences = confidence_ladder(self.config.confidence);
-        if !confidences.iter().any(|&(q, _)| q == requested_millis) {
-            confidences.push((requested_millis, requested_confidence));
+    /// samples every p̂ bucket from one shared uniform batch and publishes
+    /// the row — the whole confidence ladder, plus the requested confidence
+    /// when that is off it, for every bucket. A row already held keeps its
+    /// columns and gains the requested one.
+    fn run_row_job(&self, m: u32, k: usize, requested: f64) -> Result<(), StatsError> {
+        let (mut columns, mut values) = match self.rows.read().get(&(m, k)) {
+            Some(row) => (row.confidences.clone(), row.values.clone()),
+            None => Default::default(),
+        };
+        let mut confidences = Vec::new();
+        if columns.is_empty() {
+            confidences = confidence_ladder(self.config.confidence);
         }
+        // The miss that led here found no column for the requested
+        // confidence, so only the ladder can already name it.
+        let requested_millis = quantize_confidence(requested);
+        if !confidences.iter().any(|&(q, _)| q == requested_millis) {
+            confidences.push((requested_millis, requested));
+        }
+        self.oracle_jobs.fetch_add(1, Ordering::Relaxed);
+        let buckets = self.p_buckets();
+        let centers: Vec<f64> = (0..buckets as u32).map(|i| self.p_bucket_center(i)).collect();
+        let per_bucket = self.crn_samples(m, k, &centers, self.config.trials)?;
 
         // Quantiles for every confidence come from one partially ordered
         // copy per bucket — only the order statistics from the lowest one
@@ -695,40 +738,30 @@ impl ThresholdCalibrator {
             .iter()
             .map(|&(_, confidence)| lowest_rank_read(self.config.trials, confidence))
             .min()
-            .expect("the ladder has a base rung");
-        let mut computed: Vec<(CacheKey, f64)> =
-            Vec::with_capacity(per_bucket.len() * confidences.len());
+            .expect("the miss that led this job asked for a column the row lacks");
+        let (kept, filled) = (values.len(), buckets * confidences.len());
+        values.reserve_exact(filled);
+        values.resize(kept + filled, 0.0);
         for (index, mut samples) in per_bucket.into_iter().enumerate() {
             let var = variance(&samples);
             samples.select_nth_unstable_by(lowest, f64::total_cmp);
             samples[lowest..].sort_unstable_by(f64::total_cmp);
-            for &(millis, confidence) in &confidences {
-                let eps = tail_quantile_sorted(&samples, var, confidence)?;
-                computed.push((
-                    CacheKey {
-                        m,
-                        k,
-                        p_bucket_index: index as u32,
-                        confidence_millis: millis,
-                    },
-                    eps,
-                ));
+            for (column, &(_, confidence)) in confidences.iter().enumerate() {
+                values[kept + column * buckets + index] =
+                    tail_quantile_sorted(&samples, var, confidence)?;
             }
         }
-
-        let mut filled = 0u64;
-        {
-            let mut cache = self.cache.write();
-            for (key, eps) in computed {
-                // A live entry (same deterministic value) wins, matching
-                // `preload_cache` semantics.
-                cache.entry(key).or_insert_with(|| {
-                    filled += 1;
-                    eps
-                });
-            }
-        }
-        self.crn_row_fills.fetch_add(filled, Ordering::Relaxed);
+        columns.extend(confidences.iter().map(|&(millis, _)| millis));
+        let row = CalibrationRow {
+            m,
+            k,
+            confidences: columns,
+            values,
+        };
+        // One writer per row (single flight), one write per job: readers
+        // see the old row or the new one, never part of either.
+        self.rows.write().insert((m, k), Arc::new(row));
+        self.crn_row_fills.fetch_add(filled as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -802,13 +835,13 @@ impl ThresholdCalibrator {
         Ok(outs)
     }
 
-    /// Builds the surface layers for window size `m`: warms the oracle
+    /// Builds the surface layers for window size `m`: fills the oracle
     /// rows on the geometric k-grid (plus the midpoints used for error
-    /// measurement), reads the grid values from the cache, and measures
-    /// the interpolation error exhaustively along p̂ and at the geometric
-    /// k midpoints. The reads are the build's own bookkeeping, not
-    /// traffic: they leave the hit counter alone (the row jobs still count
-    /// as misses).
+    /// measurement), reads the grid values from them, and measures the
+    /// interpolation error exhaustively along p̂ and at the geometric k
+    /// midpoints. The reads are the build's own bookkeeping, not traffic:
+    /// they leave the hit counter alone (the row jobs still count as
+    /// misses).
     fn build_layers(&self, m: u32, params: SurfaceParams) -> Result<Vec<SurfaceLayer>, StatsError> {
         params.validate()?;
         let cutoff = self.config.large_k_cutoff;
@@ -828,50 +861,23 @@ impl ThresholdCalibrator {
                 (mid > w[0] && mid < w[1]).then_some(mid)
             })
             .collect();
-        let max_index = self.p_bucket_index(1.0);
+        let measured: Vec<usize> = k_grid.iter().chain(&k_mids).copied().collect();
+        self.fill_rows(m, &measured)?;
+
+        // One guard for every read below. A held row carries the whole
+        // ladder, and nothing evicts, so each column is there.
+        let rows = self.rows.read();
+        let oracle = |k: usize, millis: u32| -> &[f64] {
+            rows.get(&(m, k))
+                .and_then(|row| row.column(millis))
+                .expect("row was filled above and the store never evicts")
+        };
         let confidences = confidence_ladder(self.config.confidence);
-
-        // Warm every needed row: one single-flight Monte-Carlo job per k
-        // that a persisted file or live traffic has not already filled.
-        let key = |k: usize, p_bucket_index: u32, confidence_millis: u32| CacheKey {
-            m,
-            k,
-            p_bucket_index,
-            confidence_millis,
-        };
-        let mut cold: Vec<usize> = {
-            let cache = self.cache.read();
-            k_grid
-                .iter()
-                .chain(k_mids.iter())
-                .copied()
-                .filter(|&k| {
-                    !(0..=max_index).all(|index| {
-                        confidences
-                            .iter()
-                            .all(|&(millis, _)| cache.contains_key(&key(k, index, millis)))
-                    })
-                })
-                .collect()
-        };
-        // Largest k first: the costliest jobs start while every worker is
-        // still busy, the cheap ones fill the gaps at the end.
-        cold.sort_unstable_by(|a, b| b.cmp(a));
-        self.fill_rows(m, &cold)?;
-
-        // One guard for every read below; nothing evicts, so each warmed
-        // entry is there.
-        let cache = self.cache.read();
-        let oracle = |k: usize, index: u32, millis: u32| -> f64 {
-            *cache
-                .get(&key(k, index, millis))
-                .expect("row was warmed above and the cache never evicts")
-        };
         let mut layers = Vec::with_capacity(confidences.len());
         for &(millis, _) in &confidences {
-            let mut values = Vec::with_capacity(k_grid.len() * (max_index as usize + 1));
+            let mut values = Vec::with_capacity(k_grid.len() * self.p_buckets());
             for &k in &k_grid {
-                values.extend((0..=max_index).map(|index| oracle(k, index, millis)));
+                values.extend_from_slice(oracle(k, millis));
             }
             let mut layer = SurfaceLayer {
                 m,
@@ -881,12 +887,12 @@ impl ThresholdCalibrator {
                 values,
             };
             let mut worst = 0.0f64;
-            for &k in k_grid.iter().chain(k_mids.iter()) {
-                for index in 0..=max_index {
+            for &k in &measured {
+                for (index, truth) in oracle(k, millis).iter().enumerate() {
                     let interpolated = layer
-                        .interpolate(k, index)
+                        .interpolate(k, index as u32)
                         .expect("measurement point inside the grid span");
-                    worst = worst.max((interpolated - oracle(k, index, millis)).abs());
+                    worst = worst.max((interpolated - truth).abs());
                 }
             }
             // 1.5× headroom over the worst measured point: the error
@@ -898,29 +904,34 @@ impl ThresholdCalibrator {
         Ok(layers)
     }
 
-    /// Runs the row jobs for `ks` (window size `m`) on up to
-    /// [`CalibrationConfig::threads`] workers, the caller included. Workers
-    /// take rows in slice order; a row job, post-processing included, runs
-    /// whole on the worker that took it, through the same single-flight
-    /// miss path as live traffic.
-    fn fill_rows(&self, m: u32, ks: &[usize]) -> Result<(), StatsError> {
-        let confidence = self.config.confidence;
-        let confidence_millis = quantize_confidence(confidence);
+    /// Runs the row job of every `k` in `ks` (window size `m`) whose row
+    /// is not held yet — one miss and one job each, none for a row a
+    /// persisted file or live traffic already brought — on up to
+    /// [`CalibrationConfig::threads`] workers, the caller included. A row
+    /// job, post-processing included, runs whole on the worker that took
+    /// it, through the same single-flight miss path as live traffic.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::InvalidCount`] if a cold `k` is 0; otherwise
+    /// propagates oracle calibration failures.
+    pub fn fill_rows(&self, m: u32, ks: &[usize]) -> Result<(), StatsError> {
+        let mut cold: Vec<usize> = {
+            let rows = self.rows.read();
+            ks.iter().copied().filter(|&k| !rows.contains_key(&(m, k))).collect()
+        };
+        // Largest k first: the costliest jobs start while every worker is
+        // still busy, the cheap ones fill the gaps at the end.
+        cold.sort_unstable_by(|a, b| b.cmp(a));
         let next = AtomicUsize::new(0);
         let work = || -> Result<(), StatsError> {
             // Relaxed: the counter only hands out distinct indices.
-            while let Some(&k) = ks.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let key = CacheKey {
-                    m,
-                    k,
-                    p_bucket_index: 0,
-                    confidence_millis,
-                };
-                self.calibrate_row(m, k, key, confidence)?;
+            while let Some(&k) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
+                self.calibrate_row(m, k, 0, self.config.confidence)?;
             }
             Ok(())
         };
-        let helpers = self.config.threads.min(ks.len()).saturating_sub(1);
+        let helpers = self.config.threads.min(cold.len()).saturating_sub(1);
         if helpers == 0 {
             return work();
         }
@@ -939,6 +950,11 @@ impl ThresholdCalibrator {
         (p / self.config.p_bucket).round() as u32
     }
 
+    /// How many p̂ buckets cover `[0, 1]`: the width of every row.
+    fn p_buckets(&self) -> usize {
+        self.p_bucket_index(1.0) as usize + 1
+    }
+
     fn p_bucket_center(&self, index: u32) -> f64 {
         (index as f64 * self.config.p_bucket).clamp(0.0, 1.0)
     }
@@ -950,7 +966,7 @@ impl ThresholdCalibrator {
 /// layer that serves the pair already found and its tolerance gate already
 /// checked. A `(k, p̂)` the layer covers is then answered with no lock and
 /// no shared write; rows below the surface's `k_min`, and every row when
-/// no layer serves, go to the keyed row cache and from there to the
+/// no layer serves, go to the row store and from there to the
 /// single-flight miss path, exactly as a lone lookup does.
 ///
 /// Hits are counted locally and added to the calibrator's lifetime
@@ -1010,18 +1026,12 @@ impl ThresholdView<'_> {
                 return Ok((eps, ThresholdProvenance::Surface));
             }
         }
-        let key = CacheKey {
-            m: self.m,
-            k,
-            p_bucket_index: p_index,
-            confidence_millis: self.confidence_millis,
-        };
-        if let Some(&eps) = calibrator.cache.read().get(&key) {
+        if let Some(eps) = calibrator.held(self.m, k, p_index, self.confidence_millis) {
             self.cache_hits += 1;
             return Ok((eps, ThresholdProvenance::Cache));
         }
         calibrator
-            .calibrate_row(self.m, k, key, self.confidence)
+            .calibrate_row(self.m, k, p_index, self.confidence)
             .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
     }
 }
@@ -1512,15 +1522,19 @@ mod tests {
     }
 
     #[test]
-    fn one_job_fills_the_whole_p_row() {
+    fn one_job_writes_one_whole_row() {
         let cal = calibrator(200);
+        assert_eq!(cal.cache_stats(), (0, 0));
         let _ = cal.threshold(10, 30, 0.9001).unwrap();
+        assert_eq!(cal.cache_stats(), (0, 1), "first lookup calibrates");
         let len_after_first = cal.cache_len();
-        // 201 p̂ buckets × the confidence ladder, from one Monte-Carlo job.
-        assert!(
-            len_after_first >= 201,
-            "row fill must cover every bucket: {len_after_first}"
-        );
+        // 201 p̂ buckets × the confidence ladder, from one Monte-Carlo job,
+        // in one row.
+        let rows = cal.export_rows();
+        assert_eq!(rows.iter().map(|row| (row.m, row.k)).collect::<Vec<_>>(), [(10, 30)]);
+        let ladder: Vec<u32> = confidence_ladder(0.95).into_iter().map(|(q, _)| q).collect();
+        assert_eq!(rows[0].confidences, ladder);
+        assert_eq!(len_after_first, 201 * ladder.len(), "thresholds, not rows");
         assert_eq!(cal.stats().oracle_jobs, 1);
         assert_eq!(cal.stats().crn_row_fills, len_after_first as u64);
         let _ = cal.threshold(10, 30, 0.9002).unwrap();
@@ -1550,31 +1564,6 @@ mod tests {
             misses_after, misses_before,
             "every Bonferroni confidence must hit the prefilled ladder"
         );
-    }
-
-    #[test]
-    fn threshold_is_a_tail_quantile_of_its_distance_samples() {
-        let cal = coarse_calibrator(400);
-        // 0.9 sits exactly on a 0.05 bucket center.
-        let eps = cal.threshold(10, 25, 0.9).unwrap();
-        let samples = cal.distance_samples(10, 25, 0.9).unwrap();
-        let expected = tail_quantile(&samples, 0.95).unwrap();
-        assert_eq!(
-            eps.to_bits(),
-            expected.to_bits(),
-            "row-filled threshold must equal the single-bucket quantile"
-        );
-    }
-
-    #[test]
-    fn cache_stats_count_hits_and_misses() {
-        let cal = coarse_calibrator(200);
-        assert_eq!(cal.cache_stats(), (0, 0));
-        let _ = cal.threshold(10, 30, 0.9).unwrap();
-        assert_eq!(cal.cache_stats(), (0, 1), "first lookup calibrates");
-        let _ = cal.threshold(10, 30, 0.9).unwrap();
-        let _ = cal.threshold(10, 30, 0.9001).unwrap();
-        assert_eq!(cal.cache_stats(), (2, 1), "same bucket hits");
     }
 
     #[test]
@@ -1656,17 +1645,11 @@ mod tests {
                 return Ok((eps, ThresholdProvenance::Surface));
             }
         }
-        let key = CacheKey {
-            m,
-            k,
-            p_bucket_index: p_index,
-            confidence_millis,
-        };
-        if let Some(&eps) = cal.cache.read().get(&key) {
+        if let Some(eps) = cal.held(m, k, p_index, confidence_millis) {
             cal.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((eps, ThresholdProvenance::Cache));
         }
-        cal.calibrate_row(m, k, key, confidence)
+        cal.calibrate_row(m, k, p_index, confidence)
             .map(|eps| (eps, ThresholdProvenance::MonteCarlo))
     }
 
@@ -1753,9 +1736,9 @@ mod tests {
     }
 
     #[test]
-    fn a_view_over_bypassed_layers_goes_to_the_row_cache() {
-        // No layer is within this tolerance, so every lookup is a keyed
-        // probe (a row job the first time a row is asked for).
+    fn a_view_over_bypassed_layers_goes_to_the_row_store() {
+        // No layer is within this tolerance, so every lookup is a row
+        // read (a row job the first time a row is asked for).
         let tiers = view_matches_reference(1e-9, (1..=40).chain([255, 256, 257, 1000]));
         assert!(!tiers.contains(&ThresholdProvenance::Surface), "{tiers:?}");
     }
@@ -1844,12 +1827,13 @@ mod tests {
     }
 
     #[test]
-    fn a_confidence_below_the_ladder_gets_the_full_sort_quantile() {
+    fn a_confidence_off_the_ladder_gets_the_full_sort_quantile_in_a_column_of_its_own() {
         // 0.5 reads order statistics far below the ladder's 0.95 base
         // rung: the partial ordering in `run_row_job` must reach down to
         // it, and still serve the ladder from the same ordered copy.
         let cal = coarse_calibrator(401);
         let samples = cal.distance_samples(10, 25, 0.9).unwrap();
+        let mut rows = Vec::new();
         for confidence in [0.5, 0.013, 0.95, 0.999] {
             let eps = cal.threshold_at(10, 25, 0.9, confidence).unwrap();
             assert_eq!(
@@ -1857,15 +1841,25 @@ mod tests {
                 tail_quantile(&samples, confidence).unwrap().to_bits(),
                 "confidence {confidence}"
             );
+            rows.push(cal.export_rows().pop().unwrap());
         }
-        // The off-ladder request that ran the job also filled the ladder.
-        let fresh = coarse_calibrator(401);
-        let _ = fresh.threshold_at(10, 25, 0.9, 0.5).unwrap();
-        assert_eq!(
-            fresh.threshold(10, 25, 0.9).unwrap().to_bits(),
-            tail_quantile(&samples, 0.95).unwrap().to_bits()
-        );
-        assert_eq!(fresh.stats().oracle_jobs, 1);
+        // Each confidence off the ladder cost one job — the first of them
+        // filled the ladder too, which is why 0.95 cost none — and added
+        // one column of 21 buckets behind the ladder, in the order asked;
+        // no job moved a bit of the columns before it.
+        let ladder: Vec<u32> = confidence_ladder(0.95).into_iter().map(|(q, _)| q).collect();
+        let last = &rows[3];
+        assert_eq!(last.confidences, [&ladder[..], &[50_000, 1_300, 99_900]].concat());
+        assert_eq!(cal.stats().oracle_jobs, 3);
+        assert_eq!(cal.cache_len(), 21 * last.confidences.len(), "thresholds, not rows");
+        assert_eq!(cal.stats().crn_row_fills as usize, cal.cache_len());
+        let as_bits = |values: &[f64]| values.iter().map(|eps| eps.to_bits()).collect::<Vec<_>>();
+        for earlier in &rows {
+            assert_eq!(as_bits(&last.values[..earlier.values.len()]), as_bits(&earlier.values));
+        }
+        // The flat listing sorts the late columns in by confidence.
+        let entries = cal.export_cache();
+        assert_eq!((entries.len(), entries[0].confidence_millis), (cal.cache_len(), 1_300));
     }
 
     #[test]
@@ -1890,57 +1884,78 @@ mod tests {
         // A warm boot that preloaded the rows (but no layers) rebuilds
         // the identical surface without a job and without touching the
         // traffic counters.
+        let exported = || cold.export_rows().into_iter().map(|row| (*row).clone());
         let warm = ThresholdCalibrator::new(config).unwrap();
-        warm.preload_cache(cold.export_cache());
+        assert_eq!(warm.preload_rows(exported()) as u64, rows);
         assert!(warm.ensure_surface_for(10).unwrap());
         assert_eq!(warm.stats().oracle_jobs, 0);
         assert_eq!(warm.cache_stats(), (0, 0));
         assert_eq!(warm.surface().unwrap().layers(), cold.surface().unwrap().layers());
 
-        // A row the file held only part of is completed by one job.
+        // A row the file lacked costs one job, and only that one.
         let partial = ThresholdCalibrator::new(config).unwrap();
-        let mut entries = cold.export_cache();
-        let dropped = entries.pop().expect("rows were exported");
-        partial.preload_cache(entries);
+        partial.preload_rows(exported().skip(1));
         assert!(partial.ensure_surface_for(10).unwrap());
         assert_eq!(partial.cache_stats(), (0, 1));
-        assert_eq!(partial.cache_len(), cold.cache_len());
-        assert!(partial.export_cache().contains(&dropped));
+        assert_eq!(partial.export_cache(), cold.export_cache());
     }
 
     #[test]
-    fn export_preload_round_trip_is_bit_exact() {
-        let cal = coarse_calibrator(300).with_seed(5);
-        let a = cal.threshold(10, 30, 0.9).unwrap();
-        let b = cal.threshold(12, 50, 0.85).unwrap();
-        let exported = cal.export_cache();
-        assert_eq!(exported.len(), cal.cache_len(), "export covers the row fills");
-
-        let warm = coarse_calibrator(300).with_seed(5);
-        assert_eq!(warm.preload_cache(exported.clone()), exported.len());
-        assert_eq!(warm.cache_len(), exported.len());
-        // Preloaded thresholds answer without a Monte-Carlo run and are
-        // bit-identical to the originals.
-        assert_eq!(warm.threshold(10, 30, 0.9).unwrap().to_bits(), a.to_bits());
-        assert_eq!(warm.threshold(12, 50, 0.85).unwrap().to_bits(), b.to_bits());
-        assert_eq!(warm.cache_stats(), (2, 0), "warm lookups never calibrate");
-
-        // Export order is deterministic (sorted by key).
-        let again = warm.export_cache();
-        assert_eq!(again, exported);
+    fn a_waiter_the_leader_did_not_serve_leads_its_own_job() {
+        let cal = coarse_calibrator(300);
+        // Stand in for a leader that is running the ladder job for (10, 30).
+        cal.inflight.lock().unwrap().insert((10, 30));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cal.threshold_at(10, 30, 0.9, 0.5).unwrap());
+            // The waiter counts itself under the in-flight lock and gives
+            // the lock up only by sleeping on the condition variable, so
+            // once the count is seen and the lock taken, it is asleep.
+            while cal.stats().singleflight_waits == 0 {
+                std::thread::yield_now();
+            }
+            cal.run_row_job(10, 30, 0.95).unwrap();
+            cal.inflight.lock().unwrap().remove(&(10, 30));
+            cal.inflight_done.notify_all();
+            let off = waiter.join().unwrap();
+            let samples = cal.distance_samples(10, 30, 0.9).unwrap();
+            assert_eq!(off.to_bits(), tail_quantile(&samples, 0.5).unwrap().to_bits());
+        });
+        let stats = cal.stats();
+        assert_eq!((stats.oracle_jobs, stats.misses, stats.singleflight_waits), (2, 1, 1));
+        assert_eq!(cal.export_rows()[0].confidences.last(), Some(&50_000));
     }
 
     #[test]
-    fn preload_rejects_garbage_and_keeps_live_entries() {
+    fn preload_refuses_a_row_that_is_not_whole_and_keeps_live_rows() {
         let cal = coarse_calibrator(300);
         let live = cal.threshold(10, 30, 0.9).unwrap();
-        let exported = cal.export_cache();
-        let mut tampered = exported[0];
-        tampered.epsilon = f64::NAN;
-        assert_eq!(cal.preload_cache(vec![tampered]), 0, "NaN rejected");
-        let mut stale = exported[0];
-        stale.epsilon = live + 1.0;
-        assert_eq!(cal.preload_cache(vec![stale]), 0, "live entry wins");
+        let good = (*cal.export_rows()[0]).clone();
+        let tampered = |edit: fn(&mut CalibrationRow)| {
+            let mut row = good.clone();
+            edit(&mut row);
+            row
+        };
+        let fresh = coarse_calibrator(300);
+        for (what, row) in [
+            ("NaN", tampered(|row| row.values[3] = f64::NAN)),
+            ("negative", tampered(|row| row.values[3] = -0.25)),
+            ("a value short", tampered(|row| row.values.truncate(100))),
+            ("a rung missing", tampered(|row| {
+                row.confidences.remove(0);
+                row.values.drain(..21);
+            })),
+        ] {
+            assert_eq!(fresh.preload_rows([row]), 0, "{what}");
+        }
+        assert_eq!(fresh.cache_len(), 0);
+        // The row as exported answers without Monte Carlo, bit for bit.
+        assert_eq!(fresh.preload_rows([good.clone()]), 1);
+        assert_eq!(fresh.threshold(10, 30, 0.9).unwrap().to_bits(), live.to_bits());
+        assert_eq!(fresh.cache_stats(), (1, 0));
+        assert_eq!(fresh.export_cache(), cal.export_cache());
+
+        let stale = tampered(|row| row.values.iter_mut().for_each(|eps| *eps += 1.0));
+        assert_eq!(cal.preload_rows([stale]), 0, "the live row wins");
         assert_eq!(cal.threshold(10, 30, 0.9).unwrap().to_bits(), live.to_bits());
     }
 

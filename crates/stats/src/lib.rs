@@ -54,8 +54,8 @@ pub use bernoulli::Bernoulli;
 pub use beta_dist::BetaDist;
 pub use binomial::Binomial;
 pub use calibration::{
-    thread_calibration_nanos, CalibrationConfig, CalibrationEntry, CalibrationStats,
-    ThresholdCalibrator, ThresholdProvenance, ThresholdView,
+    thread_calibration_nanos, CalibrationConfig, CalibrationEntry, CalibrationRow,
+    CalibrationStats, ThresholdCalibrator, ThresholdProvenance, ThresholdView,
 };
 pub use chisq::ChiSquared;
 pub use ci::{binomial_test, wilson_interval, TestSide};

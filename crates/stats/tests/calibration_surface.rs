@@ -179,3 +179,32 @@ fn default_surface_build_is_bit_identical_to_the_sorting_kernel_at_every_thread_
         );
     }
 }
+
+#[test]
+fn the_rows_a_default_boot_holds_fit_in_a_mebibyte() {
+    // What a service with default settings holds once it is ready: the 13
+    // rows the surface build leaves (pinned above) and the 22 below its
+    // k_min that a multi-test can ask for, k = 10..32 — 35 jobs, 35 rows
+    // of 201 × 14 thresholds. As one hash entry per threshold the same
+    // 98 490 values took ≈ 4.1 MiB.
+    let cal = ThresholdCalibrator::new(CalibrationConfig {
+        threads: 2,
+        surface: Some(SurfaceParams::default()),
+        ..CalibrationConfig::default()
+    })
+    .unwrap();
+    assert!(cal.ensure_surface_for(M).unwrap());
+    let below: Vec<usize> = (10..SurfaceParams::default().k_min).collect();
+    cal.fill_rows(M, &below).unwrap();
+    cal.fill_rows(M, &below).unwrap(); // every row is held by now: no job
+    assert_eq!((cal.stats().oracle_jobs, cal.cache_stats()), (35, (0, 35)));
+    let rows = cal.export_rows();
+    assert_eq!((rows.len(), cal.cache_len()), (35, 98_490));
+    // Each row's two heap blocks by capacity, plus 128 B for the row
+    // itself, its reference counts and its slot in the map.
+    let bytes: usize = rows
+        .iter()
+        .map(|row| 128 + row.confidences.capacity() * 4 + row.values.capacity() * 8)
+        .sum();
+    assert!(bytes <= 1 << 20, "{bytes} B in 35 rows");
+}

@@ -24,7 +24,7 @@ fn main() -> Result<(), ServiceError> {
     let service = ReputationService::new(config)?;
     let startup = start.elapsed();
     println!(
-        "service up: {} shards, calibration cache pre-warmed with {} entries in {:.2?}",
+        "service up: {} shards, calibration warmed with {} thresholds in {:.2?}",
         service.config().shards(),
         service.stats().calibration_cache_entries,
         startup,
