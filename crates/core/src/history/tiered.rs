@@ -291,8 +291,8 @@ impl TieredHistory {
     /// never saw the tail.
     ///
     /// Only the append-only primaries are read (outcome words, issuer
-    /// codes, the dictionary's clients), each cut to the mark; counts,
-    /// index and prefix popcounts are rebuilt from them through the
+    /// codes, the dictionary's clients), each cut to the mark; the index
+    /// and the prefix popcounts are rebuilt from them through the
     /// validating [`BitColumn::from_words`] / [`IssuerColumn::from_parts`]
     /// path, so nothing a half-finished push may have left stale is
     /// trusted. Costs O(retained suffix + dictionary).
@@ -355,7 +355,7 @@ impl TieredHistory {
             self.mixed = true;
         }
         self.column.suffix.push(feedback.is_good());
-        self.issuers.push(feedback.client, feedback.is_good());
+        self.issuers.push(feedback.client);
         self.version += 1;
     }
 
@@ -448,7 +448,7 @@ impl TieredHistory {
     }
 
     /// Heap bytes held by the full-resolution tier (suffix bits, issuer
-    /// codes, and the dictionary with its counts and index).
+    /// codes, and the dictionary with its index).
     pub fn suffix_resident_bytes(&self) -> usize {
         self.column.suffix.resident_bytes() + self.issuers.resident_bytes()
     }
@@ -535,7 +535,10 @@ impl TieredHistory {
             return None;
         }
         let suffix_len = total_len - folded_len;
+        // A count the payload claims is held against the bytes that are
+        // left before anything is allocated for it.
         let client_count = usize::try_from(r.u64()?).ok()?;
+        let client_count = r.fits(client_count, 16)?;
         let mut clients = Vec::with_capacity(client_count);
         for _ in 0..client_count {
             clients.push(ClientId::new(r.u64()?));
@@ -555,12 +558,13 @@ impl TieredHistory {
         if sum_good != folded_good || sum_total != folded_len as u64 {
             return None;
         }
-        let mut codes = Vec::with_capacity(suffix_len);
+        let mut codes = Vec::with_capacity(r.fits(suffix_len, 4)?);
         for _ in 0..suffix_len {
             codes.push(r.u32()?);
         }
-        let mut words = Vec::with_capacity(suffix_len.div_ceil(64));
-        for _ in 0..suffix_len.div_ceil(64) {
+        let word_count = r.fits(suffix_len.div_ceil(64), 8)?;
+        let mut words = Vec::with_capacity(word_count);
+        for _ in 0..word_count {
             words.push(r.u64()?);
         }
         if r.pos != bytes.len() {
@@ -591,6 +595,11 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    /// `count`, if that many items of `width` bytes are still unread.
+    fn fits(&self, count: usize, width: usize) -> Option<usize> {
+        (count <= (self.bytes.len() - self.pos) / width).then_some(count)
+    }
+
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         let slice = self.bytes.get(self.pos..self.pos + n)?;
         self.pos += n;
@@ -636,10 +645,11 @@ impl HistoryView for TieredHistory {
     }
 
     fn issuer_groups(&self) -> Vec<IssuerGroup> {
-        // Folded summaries and live suffix counts are both exact and both
-        // indexed by code, so their sums equal the untiered history's
-        // groups exactly (same sort, same ties).
-        self.issuers.issuer_groups_with(&self.folded_by_code)
+        // Folded summaries and the suffix's recounted live counts are both
+        // exact and both indexed by code, so their sums equal the untiered
+        // history's groups exactly (same sort, same ties).
+        self.issuers
+            .issuer_groups_with(&self.folded_by_code, &self.column.suffix)
     }
 
     fn reordered_column(&self) -> OwnedColumn {
@@ -701,6 +711,7 @@ mod tests {
     use super::super::ColumnarHistory;
     use super::*;
     use crate::feedback::Rating;
+    use proptest::prelude::*;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
         Feedback::new(t, ServerId::new(1), ClientId::new(client), Rating::from_good(good))
@@ -892,21 +903,72 @@ mod tests {
         assert!(TieredHistory::decode(&[]).is_none(), "empty payload");
     }
 
-    /// Every torn shape a panic inside `push` could leave — and one no
-    /// current push order produces — is repaired to the bytes of the
-    /// history that never saw the record.
+    #[test]
+    fn decode_refuses_a_count_the_payload_cannot_hold() {
+        // A 49-byte payload: the header of an empty history, claiming a
+        // dictionary no allocation could hold (`capacity overflow`) or one
+        // the allocator would abort on.
+        for claimed in [1u64 << 60, 1 << 42] {
+            let mut bytes = TieredHistory::new().encode();
+            assert_eq!(bytes.len(), 49);
+            bytes[41..49].copy_from_slice(&claimed.to_le_bytes());
+            assert!(
+                TieredHistory::decode(&bytes).is_none(),
+                "client_count {claimed}"
+            );
+        }
+        // The suffix length (total − folded) is bounded the same way.
+        let history: TieredHistory = mixed_history(10).into_iter().collect();
+        let mut bytes = history.encode();
+        bytes[9..17].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(TieredHistory::decode(&bytes).is_none(), "suffix_len 2^60");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Truncating a valid payload, or overwriting one of its 8-byte
+        /// counts (total length, folded length, folded good, dictionary
+        /// size) with anything, decodes to `None` or to the same history
+        /// — never to a panic or an allocation sized by the lie.
+        #[test]
+        fn decode_survives_any_length_field(
+            n in 0u64..400,
+            horizon in (any::<bool>(), 0usize..200).prop_map(|(fold, horizon)| fold.then_some(horizon)),
+            field in (0usize..4).prop_map(|i| [9usize, 17, 25, 41][i]),
+            value in (0u8..3, any::<u64>(), 0u32..64).prop_map(|(kind, raw, shift)| match kind {
+                0 => raw,
+                1 => 1u64 << shift,
+                _ => raw % 1024,
+            }),
+            keep in (any::<bool>(), 0usize..4096).prop_map(|(cut, keep)| cut.then_some(keep)),
+        ) {
+            let mut history: TieredHistory = mixed_history(n).into_iter().collect();
+            if let Some(horizon) = horizon {
+                history.compact(horizon);
+            }
+            let bytes = history.encode();
+            let mut mangled = bytes.clone();
+            mangled[field..field + 8].copy_from_slice(&value.to_le_bytes());
+            if let Some(keep) = keep {
+                mangled.truncate(keep);
+            }
+            if let Some(decoded) = TieredHistory::decode(&mangled) {
+                prop_assert_eq!(decoded.encode(), bytes);
+            }
+        }
+    }
+
+    /// Every torn shape a panic inside `push` could leave is repaired to
+    /// the bytes of the history that never saw the record.
     #[test]
     fn truncate_to_repairs_torn_pushes_to_the_same_bytes() {
         type Tear = fn(&mut TieredHistory);
-        let tears: [(&str, Tear); 4] = [
+        let tears: [(&str, Tear); 3] = [
             ("bit pushed without code", |h| h.push_outcome_only(true)),
             ("code minted without a codes entry", |h| {
                 h.push_outcome_only(false);
-                h.issuers.push_without_code(ClientId::new(9_999), false);
-            }),
-            ("count bumped without code", |h| {
-                h.push_outcome_only(true);
-                h.issuers.push_without_code(ClientId::new(3), true);
+                h.issuers.push_without_code(ClientId::new(9_999));
             }),
             ("a whole push", |h| h.push(fb(300, 9_999, true))),
         ];

@@ -100,15 +100,21 @@ fn deep_history_of_all_distinct_issuers() {
     assert_accounted("20000 pushes, all distinct", &history, live);
     let per_feedback = live as f64 / PUSHES as f64;
     assert!(
-        per_feedback <= 32.0,
-        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 32)"
+        per_feedback <= 22.0,
+        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 22)"
     );
 }
 
 #[test]
 fn young_history_of_all_distinct_issuers() {
-    let (history, live) = measured(|| pushed(256, 256));
+    const PUSHES: u64 = 256;
+    let (history, live) = measured(|| pushed(PUSHES, PUSHES));
     assert_accounted("256 pushes, all distinct", &history, live);
+    let per_feedback = live as f64 / PUSHES as f64;
+    assert!(
+        per_feedback <= 21.0,
+        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 21)"
+    );
 }
 
 #[test]

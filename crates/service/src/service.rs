@@ -401,13 +401,20 @@ impl ReputationService {
                 config.queue_capacity(),
             ));
         }
-        Ok(ReputationService {
+        let service = ReputationService {
             config,
             shards,
             obs,
             calibrator,
             calibration_saved: AtomicU64::new(0),
-        })
+        };
+        // A boot that ran row jobs holds thresholds no file has yet. Save
+        // them now (best-effort, as `shutdown` does) rather than at the
+        // first drain, so a SIGKILL before it costs no second surface build.
+        if service.calibrator.stats().oracle_jobs > 0 {
+            let _ = service.save_calibration();
+        }
+        Ok(service)
     }
 
     /// The active configuration.
@@ -902,9 +909,9 @@ impl ReputationService {
     /// job since this process last saved — most periodic checkpoints —
     /// leaves the file as it is.
     ///
-    /// [`Self::shutdown`] calls this automatically; exposing it lets an
-    /// edge front-end (or an operator endpoint) checkpoint the cache
-    /// while the service keeps running.
+    /// A boot that calibrated and [`Self::shutdown`] call this
+    /// automatically; exposing it lets an edge front-end (or an operator
+    /// endpoint) checkpoint the cache while the service keeps running.
     ///
     /// # Errors
     ///

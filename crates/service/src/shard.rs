@@ -716,7 +716,7 @@ fn tier_bytes(states: &HashMap<ServerId, ServerState>) -> (u64, u64, u64) {
 /// The tiering pass at an ingest-batch boundary: folds the touched
 /// servers' histories past the horizon (only touched servers can newly
 /// cross it — untouched ones don't grow), then enforces the spill budget
-/// and refreshes the per-tier residency gauges.
+/// and publishes the per-tier residency sums it leaves.
 fn maybe_tier(
     states: &mut HashMap<ServerId, ServerState>,
     touched: &[ServerId],
@@ -734,8 +734,8 @@ fn maybe_tier(
     if folded > 0 {
         ctx.counters().add_tier_compacted(folded);
     }
-    enforce_spill_budget(states, ctx);
-    let (hot, summary, spilled) = tier_bytes(states);
+    let (hot, summary, spilled) = enforce_spill_budget(states, ctx);
+    debug_assert_eq!((hot, summary, spilled), tier_bytes(states));
     ctx.obs.set_tier_bytes(ctx.shard, hot, summary, spilled);
 }
 
@@ -753,16 +753,24 @@ pub(crate) fn tier_all(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardC
 /// Evicts the coldest hot histories until the hot tier fits the spill
 /// budget, writing all victims' payloads as one sealed segment. A failed
 /// segment write is counted and skipped — the shard stays over budget
-/// but correct, and the next batch boundary retries.
-fn enforce_spill_budget(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardContext) {
-    let Some(tiering) = &ctx.tiering else { return };
+/// but correct, and the next batch boundary retries. Returns
+/// [`tier_bytes`] as the evictions leave it, from the one walk over the
+/// states this pass makes.
+fn enforce_spill_budget(
+    states: &mut HashMap<ServerId, ServerState>,
+    ctx: &ShardContext,
+) -> (u64, u64, u64) {
+    let unchanged = tier_bytes(states);
+    let (hot_total, summary_total, spilled_total) = unchanged;
+    let Some(tiering) = &ctx.tiering else {
+        return unchanged;
+    };
     let (Some(budget), Some(cold)) = (tiering.policy.spill_budget_bytes, tiering.cold.as_ref())
     else {
-        return;
+        return unchanged;
     };
-    let hot_total: u64 = states.values().map(|s| s.suffix_bytes()).sum();
     if hot_total <= budget {
-        return;
+        return unchanged;
     }
     // Victim order: smallest last-touch tick first (least recently used).
     let mut victims: Vec<(u64, ServerId)> = states
@@ -773,24 +781,25 @@ fn enforce_spill_budget(states: &mut HashMap<ServerId, ServerState>, ctx: &Shard
     victims.sort_unstable();
     let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut chosen: Vec<ServerId> = Vec::new();
-    let mut freed = 0u64;
+    let (mut freed, mut freed_summary, mut written) = (0u64, 0u64, 0u64);
     for (_, id) in victims {
         if hot_total - freed <= budget {
             break;
         }
         let state = &states[&id];
         freed += state.suffix_bytes();
+        freed_summary += state.summary_bytes();
         records.push((id.value(), state.history().expect("victims are hot").encode()));
         chosen.push(id);
     }
     if records.is_empty() {
-        return;
+        return unchanged;
     }
     let refs = match cold.lock().write_segment(&records) {
         Ok(refs) => refs,
         Err(_) => {
             ctx.counters().add_tier_spill_failures(1);
-            return;
+            return unchanged;
         }
     };
     debug_assert_eq!(refs.len(), chosen.len());
@@ -799,8 +808,14 @@ fn enforce_spill_budget(states: &mut HashMap<ServerId, ServerState>, ctx: &Shard
             .get_mut(&id)
             .expect("victim still in map")
             .evict(segment, payload.len() as u64);
+        written += payload.len() as u64;
         ctx.counters().add_tier_evictions(1);
     }
+    (
+        hot_total - freed,
+        summary_total - freed_summary,
+        spilled_total + written,
+    )
 }
 
 /// Faults a spilled history back into memory before it is read or

@@ -4,7 +4,7 @@
 //!
 //! * **the history**, tiered ([`TieredHistory`]): outcomes older than the
 //!   configured assessment horizon fold into exact per-issuer summary
-//!   counts, the newest stay at full bit resolution — ≈ 30 B per retained
+//!   counts, the newest stay at full bit resolution — ≈ 21 B per retained
 //!   feedback when every issuer is new, ≈ 5 B when a small crowd repeats,
 //!   all of it counted by `resident_bytes()`, the
 //!   `hp_history_resident_bytes` gauges, `/healthz` and the spill budget. A whole cold history can be

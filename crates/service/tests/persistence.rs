@@ -99,6 +99,43 @@ fn save_calibration_checkpoints_without_shutdown() {
 }
 
 #[test]
+fn a_boot_killed_before_its_first_drain_left_its_calibration_behind() {
+    let dir = tmp_dir("killed");
+    let cache = dir.join("calibration.hpcal");
+    // `drop` stops the shards but, like a SIGKILL, never reaches the save
+    // in `shutdown`: what the file holds, the boot itself wrote.
+    let cold = ReputationService::new(config(cache.clone())).unwrap();
+    assert!(
+        cold.stats().calibration_oracle_jobs > 0,
+        "cold boot calibrates"
+    );
+    drop(cold);
+    assert!(cache.exists(), "a boot that ran row jobs saves them");
+
+    // The next boot finds everything, so it has nothing to write either.
+    let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+    let file = std::fs::File::options().write(true).open(&cache).unwrap();
+    file.set_modified(long_ago).unwrap();
+    drop(file);
+    let warm = ReputationService::new(config(cache.clone())).unwrap();
+    let stats = warm.stats();
+    assert_eq!(
+        (
+            stats.calibration_oracle_jobs,
+            stats.calibration_cache_misses
+        ),
+        (0, 0),
+        "the second boot answers from the first one's file"
+    );
+    assert_eq!(
+        std::fs::metadata(&cache).unwrap().modified().unwrap(),
+        long_ago,
+        "a boot that ran no job leaves the file alone"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn reconfigured_service_ignores_a_stale_cache() {
     let dir = tmp_dir("stale");
     let cache = dir.join("calibration.hpcal");
