@@ -11,7 +11,7 @@
 //! truth — the edge does not duplicate those counters, it only adds the
 //! network-visible ones.
 
-use hp_service::obs::{render_latency_family, LatencyHistogram};
+use hp_service::obs::{render_latency_family, render_scalar_family, Family, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Status codes the edge can emit, in exposition order.
@@ -21,6 +21,24 @@ pub const STATUSES: [u16; 12] = [200, 400, 404, 405, 408, 413, 422, 429, 431, 50
 /// order. `/assess` is the single-server GET, `/assess_batch` the POST
 /// batch endpoint.
 pub const ROUTES: [&str; 4] = ["/ingest", "/assess", "/assess_traced", "/assess_batch"];
+
+/// Every family the edge itself adds to `/metrics`, in exposition order:
+/// [`EdgeMetrics::render_prometheus`] writes the first eight, then come
+/// the SLO monitor's own, then the server appends the two span-store
+/// counters that close the list.
+#[rustfmt::skip]
+pub const FAMILIES: [Family; 10] = [
+    Family::counter("hp_edge_connections_accepted_total", "Connections accepted and served."),
+    Family::counter("hp_edge_connections_refused_total", "Connections refused by admission control."),
+    Family::counter("hp_edge_responses_total", "Responses sent, by status code."),
+    Family::counter("hp_edge_protocol_rejects_total", "Requests refused by a protocol defense (timeout, size cap, malformed)."),
+    Family::counter("hp_edge_served_while_draining_total", "Requests answered after drain began."),
+    Family::histogram("hp_edge_request_duration_seconds", "Client-observed request duration by route, first header byte to last response byte"),
+    Family::gauge("hp_edge_build_info", "Edge build information (constant 1)."),
+    Family::gauge("hp_edge_state", "Edge lifecycle state (0=warming, 1=ready, 2=draining)."),
+    Family::counter("hp_edge_spans_recorded_total", "Completed span trees recorded."),
+    Family::counter("hp_edge_spans_evicted_total", "Span trees evicted from the recent ring."),
+];
 
 /// Socket-level counters. All relaxed atomics: they are monotone
 /// counters scraped for trends, not synchronization points.
@@ -83,71 +101,32 @@ impl EdgeMetrics {
     /// Renders the edge counters in Prometheus text exposition format
     /// (appended after the service's own `render_prometheus` output).
     pub fn render_prometheus(&self, state: &str) -> String {
-        use std::fmt::Write;
+        let [accepted, refused, responses, rejects, draining, duration, build, lifecycle, ..] =
+            &FAMILIES;
         let mut out = String::with_capacity(1024);
-        out.push_str("# HELP hp_edge_connections_accepted_total Connections accepted and served.\n# TYPE hp_edge_connections_accepted_total counter\n");
-        let _ = writeln!(
-            out,
-            "hp_edge_connections_accepted_total {}",
-            self.connections_accepted.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP hp_edge_connections_refused_total Connections refused by admission control.\n# TYPE hp_edge_connections_refused_total counter\n");
-        let _ = writeln!(
-            out,
-            "hp_edge_connections_refused_total {}",
-            self.connections_refused.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP hp_edge_responses_total Responses sent, by status code.\n# TYPE hp_edge_responses_total counter\n");
-        for (idx, status) in STATUSES.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "hp_edge_responses_total{{status=\"{status}\"}} {}",
-                self.responses[idx].load(Ordering::Relaxed)
-            );
-        }
-        out.push_str("# HELP hp_edge_protocol_rejects_total Requests refused by a protocol defense (timeout, size cap, malformed).\n# TYPE hp_edge_protocol_rejects_total counter\n");
-        let _ = writeln!(
-            out,
-            "hp_edge_protocol_rejects_total {}",
-            self.protocol_rejects.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP hp_edge_served_while_draining_total Requests answered after drain began.\n# TYPE hp_edge_served_while_draining_total counter\n");
-        let _ = writeln!(
-            out,
-            "hp_edge_served_while_draining_total {}",
-            self.served_while_draining.load(Ordering::Relaxed)
-        );
+        let one = |counter: &AtomicU64| [("", counter.load(Ordering::Relaxed))];
+        render_scalar_family(&mut out, accepted, one(&self.connections_accepted));
+        render_scalar_family(&mut out, refused, one(&self.connections_refused));
+        let by_status = STATUSES.iter().zip(&self.responses);
+        let by_status = by_status.map(|(s, n)| (format!("status=\"{s}\""), n.load(Ordering::Relaxed)));
+        render_scalar_family(&mut out, responses, by_status);
+        render_scalar_family(&mut out, rejects, one(&self.protocol_rejects));
+        render_scalar_family(&mut out, draining, one(&self.served_while_draining));
         let snapshots: Vec<_> = self.route_latency.iter().map(LatencyHistogram::snapshot).collect();
-        let labels: Vec<String> = ROUTES.iter().map(|r| format!("route=\"{r}\"")).collect();
-        let series: Vec<(&str, &hp_service::obs::LatencySnapshot)> = labels
-            .iter()
-            .map(String::as_str)
-            .zip(snapshots.iter())
-            .collect();
-        render_latency_family(
-            &mut out,
-            "hp_edge_request_duration_seconds",
-            "Client-observed request duration by route, first header byte to last response byte",
-            &series,
-        );
-        out.push_str(
-            "# HELP hp_edge_build_info Edge build information (constant 1).\n# TYPE hp_edge_build_info gauge\n",
-        );
-        let _ = writeln!(
-            out,
-            "hp_edge_build_info{{version=\"{}\",git=\"{}\"}} 1",
+        let by_route = ROUTES.iter().zip(&snapshots).map(|(r, h)| (format!("route=\"{r}\""), h));
+        render_latency_family(&mut out, duration, by_route);
+        let labels = format!(
+            "version=\"{}\",git=\"{}\"",
             env!("CARGO_PKG_VERSION"),
             option_env!("HP_GIT_HASH").unwrap_or("unknown"),
         );
-        out.push_str(
-            "# HELP hp_edge_state Edge lifecycle state (0=warming, 1=ready, 2=draining).\n# TYPE hp_edge_state gauge\n",
-        );
+        render_scalar_family(&mut out, build, [(labels, 1)]);
         let numeric = match state {
             "warming" => 0,
             "ready" => 1,
             _ => 2,
         };
-        let _ = writeln!(out, "hp_edge_state {numeric}");
+        render_scalar_family(&mut out, lifecycle, [("", numeric)]);
         out
     }
 }
@@ -181,6 +160,60 @@ mod tests {
         assert!(text.contains("hp_edge_state 1"));
         assert!(m.render_prometheus("warming").contains("hp_edge_state 0"));
         assert!(m.render_prometheus("draining").contains("hp_edge_state 2"));
+    }
+
+    /// FNV-1a (the pinned-bytes fingerprint).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and fingerprint of the edge + SLO exposition over a fixed
+    /// script of writes (the `hp_edge_build_info{` sample, which names the
+    /// build, dropped), as computed at the commit that still wrote every
+    /// `# HELP` / `# TYPE` line by hand (PR 21's parent): declaring the
+    /// families as rows must not move a byte of what a scraper reads.
+    #[test]
+    fn edge_and_slo_exposition_bytes_are_pinned() {
+        use hp_service::obs::{SloMonitor, SloObjectives};
+        use std::time::Duration;
+        let m = EdgeMetrics::default();
+        m.connections_accepted.store(11, Ordering::Relaxed);
+        m.connections_refused.store(12, Ordering::Relaxed);
+        m.protocol_rejects.store(13, Ordering::Relaxed);
+        m.served_while_draining.store(14, Ordering::Relaxed);
+        for (i, status) in STATUSES.into_iter().enumerate() {
+            for _ in 0..=i {
+                m.record_response(status);
+            }
+        }
+        for (i, route) in ROUTES.into_iter().enumerate() {
+            m.record_route(route, 9_000 * (i as u64 + 1), 0xe0 + i as u64);
+        }
+        let slo = SloMonitor::new(SloObjectives {
+            assess_p99: Duration::from_millis(10),
+            max_shed_ratio: 0.2,
+        });
+        for _ in 0..97 {
+            slo.record_assess(Duration::from_millis(1));
+        }
+        for _ in 0..3 {
+            slo.record_assess(Duration::from_millis(50));
+        }
+        slo.record_ingest(900, 100);
+        let mut text = m.render_prometheus("ready");
+        slo.render_prometheus(&mut text);
+        let pinned: String = text
+            .lines()
+            .filter(|line| !line.starts_with("hp_edge_build_info{"))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        assert_eq!(
+            (pinned.len(), fnv1a(pinned.as_bytes())),
+            (9_006, 0xa64f_a09c_cb81_43b6),
+            "{pinned}"
+        );
     }
 
     #[test]

@@ -42,17 +42,18 @@
 //! trace events and latency-histogram exemplars. Completed trees land in
 //! the [`SpanStore`] behind `GET /debug/slow` and
 //! `GET /debug/trace/{id}`. With spans disabled, the per-request cost of
-//! the subsystem is one relaxed atomic load.
+//! the subsystem is one branch.
 
 use crate::config::EdgeConfig;
 use crate::http::{self, Method, ReadLimits, RecvError, Request};
-use crate::metrics::{EdgeMetrics, ROUTES};
+use crate::metrics::{EdgeMetrics, FAMILIES, ROUTES};
 use crate::wire;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use hp_core::twophase::Assessment;
 use hp_core::ServerId;
 use hp_service::obs::{
-    format_trace_id, next_trace_id, parse_trace_id, SloMonitor, SpanBuilder, SpanStore,
+    format_trace_id, next_trace_id, parse_trace_id, render_scalar_family, SloMonitor, SpanBuilder,
+    SpanStore,
 };
 use hp_service::{
     AssessOutcome, AssessTimings, AssessmentTrace, BootProgress, ReputationService, ServiceConfig,
@@ -148,9 +149,9 @@ impl EdgeServer {
     ///
     /// # Errors
     ///
-    /// Configuration validation and bind errors. Service construction
-    /// errors surface later through [`EdgeServer::warming_error`] and a
-    /// permanently-warming health endpoint.
+    /// Configuration validation and bind errors. A service construction
+    /// error surfaces later: the builder thread prints it to stderr and
+    /// the health endpoint stays `warming` for good.
     pub fn start(service_config: ServiceConfig, config: EdgeConfig) -> io::Result<EdgeServer> {
         let mut server = EdgeServer::bind(config)?;
         let shared = Arc::clone(&server.shared);
@@ -765,21 +766,15 @@ fn health(shared: &Shared) -> Reply {
 }
 
 fn metrics(shared: &Shared) -> Reply {
-    use std::fmt::Write;
     let mut text = shared
         .service()
         .map(|s| s.render_prometheus())
         .unwrap_or_default();
     text.push_str(&shared.metrics.render_prometheus(shared.state_name()));
     shared.slo.render_prometheus(&mut text);
-    text.push_str(
-        "# HELP hp_edge_spans_recorded_total Completed span trees recorded.\n# TYPE hp_edge_spans_recorded_total counter\n",
-    );
-    let _ = writeln!(text, "hp_edge_spans_recorded_total {}", shared.spans.recorded());
-    text.push_str(
-        "# HELP hp_edge_spans_evicted_total Span trees evicted from the recent ring.\n# TYPE hp_edge_spans_evicted_total counter\n",
-    );
-    let _ = writeln!(text, "hp_edge_spans_evicted_total {}", shared.spans.evicted());
+    let [.., recorded, evicted] = &FAMILIES;
+    render_scalar_family(&mut text, recorded, [("", shared.spans.recorded())]);
+    render_scalar_family(&mut text, evicted, [("", shared.spans.evicted())]);
     Reply {
         status: 200,
         body: text,

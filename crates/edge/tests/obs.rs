@@ -7,7 +7,7 @@
 mod support;
 
 use hp_edge::{wire, EdgeConfig};
-use hp_service::obs::lint_prometheus;
+use hp_service::obs::{lint_catalogue, lint_prometheus, Family, SloMonitor, METRIC_TABLE};
 use std::time::Instant;
 use support::{boot, boot_default, fast_service_config, response_header, TestClient};
 
@@ -124,6 +124,16 @@ fn merged_exposition_is_lint_clean_with_tracing_families() {
     let problems = lint_prometheus(&metrics);
     assert!(problems.is_empty(), "exposition lint: {problems:?}");
 
+    // What the socket serves is the three tables and nothing else: the
+    // service's metric table, the edge's families and the SLO monitor's,
+    // every row with its HELP, TYPE and a sample — build identity of
+    // both layers and the span-store counters among them.
+    let service = METRIC_TABLE.iter().map(|row| row.family);
+    let edge_side = hp_edge::metrics::FAMILIES.into_iter().chain(SloMonitor::FAMILIES);
+    let catalogue: Vec<Family> = service.chain(edge_side).collect();
+    let problems = lint_catalogue(&metrics, &catalogue);
+    assert!(problems.is_empty(), "tables vs exposition: {problems:?}\n{metrics}");
+
     // Queue-wait attribution per shard (tentpole acceptance).
     assert!(
         metrics.contains("hp_shard_queue_wait_seconds_bucket{shard=\"0\""),
@@ -136,12 +146,8 @@ fn merged_exposition_is_lint_clean_with_tracing_families() {
         metrics.contains("trace_id=\"000000000000beef\""),
         "no exemplar for the traced assess in the exposition"
     );
-    // SLO burn rates, build identity (both layers), span ring counters.
+    // SLO burn rates per objective and window.
     assert!(metrics.contains("hp_slo_burn_rate{objective=\"assess_latency\",window=\"5m\"}"));
-    assert!(metrics.contains("hp_slo_assess_latency_objective_seconds"));
-    assert!(metrics.contains("hp_build_info{"));
-    assert!(metrics.contains("hp_edge_build_info{"));
-    assert!(metrics.contains("hp_edge_spans_recorded_total"));
     edge.drain();
 }
 

@@ -1,137 +1,11 @@
-//! Operational counters exposed through [`crate::ReputationService::stats`].
+//! Operational totals exposed through [`crate::ReputationService::stats`].
 
-use crate::obs::{RegistrySnapshot, ShardSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::obs::{RegistrySnapshot, ShardMetric, ShardSnapshot, METRIC_TABLE};
 
-/// Shared atomic counters, incremented by the front end, the shard
-/// workers, and the supervisors. Relaxed ordering everywhere: these are
-/// monotone statistics, not synchronization points.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub ingested: AtomicU64,
-    pub served: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// Feedbacks dropped by the shed / try-for ingest policies.
-    pub shed: AtomicU64,
-    /// Assessments answered from the last-published (degraded) cache.
-    pub degraded: AtomicU64,
-    /// Shard worker restarts performed by supervisors.
-    pub restarts: AtomicU64,
-    /// Accepted records quarantined after repeated crash-on-replay.
-    pub quarantined: AtomicU64,
-    /// Shards declared permanently failed (restart budget exhausted).
-    pub shards_failed: AtomicU64,
-    /// Records in shard journals (appended plus recovered at open).
-    pub journal_records: AtomicU64,
-    /// Bytes in shard journals (frames + payloads, appended + recovered).
-    pub journal_bytes: AtomicU64,
-    /// Journal fsyncs performed.
-    pub journal_syncs: AtomicU64,
-    /// Bytes discarded from torn journal tails during recovery.
-    pub torn_bytes: AtomicU64,
-    /// State snapshots written (checkpoints completed).
-    pub snapshots_written: AtomicU64,
-    /// Serialized snapshot bytes written.
-    pub snapshot_bytes: AtomicU64,
-    /// Snapshot writes that failed (journal still intact).
-    pub snapshot_failures: AtomicU64,
-    /// Recovery candidates rejected (corrupt/torn/mismatched snapshot),
-    /// falling down the chain toward full journal replay.
-    pub snapshot_fallbacks: AtomicU64,
-    /// Outcomes folded from full-resolution bits into per-issuer summary
-    /// counts by windowed compaction.
-    pub tier_compacted: AtomicU64,
-    /// Server histories evicted from the hot tier to cold segments.
-    pub tier_evictions: AtomicU64,
-    /// Spilled histories faulted back into memory on access.
-    pub tier_faults: AtomicU64,
-    /// Cold-segment writes that failed (the shard stays over its spill
-    /// budget until the next batch boundary retries).
-    pub tier_spill_failures: AtomicU64,
-}
-
-impl Counters {
-    pub fn add_ingested(&self, n: u64) {
-        self.ingested.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_served(&self, n: u64) {
-        self.served.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn add_shed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_degraded(&self, n: u64) {
-        self.degraded.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_quarantined(&self) {
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_shard_failed(&self) {
-        self.shards_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_journal_append(&self, records: u64, bytes: u64, synced: bool) {
-        self.journal_records.fetch_add(records, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if synced {
-            self.journal_syncs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub fn add_torn_bytes(&self, n: u64) {
-        self.torn_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_snapshot(&self, bytes: u64) {
-        self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        self.snapshot_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub fn add_snapshot_failures(&self, n: u64) {
-        self.snapshot_failures.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_snapshot_fallback(&self) {
-        self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_tier_compacted(&self, n: u64) {
-        self.tier_compacted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_tier_evictions(&self, n: u64) {
-        self.tier_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_tier_faults(&self, n: u64) {
-        self.tier_faults.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_tier_spill_failures(&self, n: u64) {
-        self.tier_spill_failures.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time snapshot of service health.
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time snapshot of service health. The `u64` totals are the
+/// service-wide sums of the [`METRIC_TABLE`] rows that name them; every
+/// other series is on `/metrics` and in `per_shard[i].get(..)`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Feedbacks accepted by `ingest_batch` since start.
     pub ingested_feedbacks: u64,
@@ -160,8 +34,6 @@ pub struct ServiceStats {
     /// Monte-Carlo row jobs executed (each fills a whole p̂ row of the
     /// cache via common random numbers).
     pub calibration_oracle_jobs: u64,
-    /// Cache entries inserted by common-random-number row fills.
-    pub calibration_crn_row_fills: u64,
     /// Threshold lookups that blocked on another thread's in-flight row
     /// job instead of duplicating it.
     pub calibration_singleflight_waits: u64,
@@ -182,16 +54,10 @@ pub struct ServiceStats {
     /// Bytes in shard journals (appended plus recovered); 0 on an
     /// ephemeral service.
     pub journal_bytes: u64,
-    /// Journal fsyncs performed since start.
-    pub journal_syncs: u64,
-    /// Bytes discarded from torn journal tails during recovery.
-    pub torn_journal_bytes: u64,
     /// State snapshots written (checkpoints completed).
     pub snapshots_written: u64,
     /// Serialized snapshot bytes written.
     pub snapshot_bytes: u64,
-    /// Snapshot writes that failed (journal still intact).
-    pub snapshot_failures: u64,
     /// Recovery candidates rejected, falling down the recovery chain.
     pub snapshot_fallbacks: u64,
     /// Outcomes folded into summary counts by windowed compaction.
@@ -201,20 +67,20 @@ pub struct ServiceStats {
     /// Spilled histories faulted back into memory on access.
     pub tier_faults: u64,
     /// Resident bytes of full-resolution history suffixes (hot tier),
-    /// summed over shards. Sampled with the tracked-server counts.
+    /// summed over shards: what each worker published when it answered
+    /// this call's occupancy request. A failed shard, which no longer
+    /// answers, contributes the sums it last published, not zero.
     pub tier_hot_suffix_bytes: u64,
     /// Resident bytes of folded per-issuer summary counts, summed over
-    /// shards.
+    /// shards (a failed shard: its last published sum).
     pub tier_summary_bytes: u64,
     /// Bytes of histories spilled to cold segments (what a full fault-in
-    /// would read back), summed over shards.
+    /// would read back), summed over shards (a failed shard: its last
+    /// published sum).
     pub tier_spilled_bytes: u64,
     /// Per-shard metric blocks (counters plus sampled gauges), indexed
     /// by shard.
     pub per_shard: Vec<ShardSnapshot>,
-    /// p99 queue wait (enqueue→dequeue) per shard, in nanoseconds,
-    /// indexed by shard.
-    pub shard_queue_wait_p99_ns: Vec<u64>,
     /// Worker utilization (busy time / wall time, in `[0, 1]`) per
     /// shard, indexed by shard.
     pub shard_utilization: Vec<f64>,
@@ -242,62 +108,32 @@ impl ServiceStats {
         }
     }
 
-    /// Folds a registry snapshot into the service-level totals. The
-    /// queue depths, tracked-server/feedback counts, and calibration
-    /// gauges are sampled by the caller before the snapshot is taken.
+    /// Folds a registry snapshot into the service-level totals: each
+    /// table row that names a total adds its service-wide sum to it. The
+    /// tracked-server and feedback counts are filled by the caller from
+    /// the shards' occupancy replies.
     pub(crate) fn from_registry(snap: &RegistrySnapshot) -> Self {
-        ServiceStats {
-            ingested_feedbacks: snap.total(|s| s.ingested),
-            assessments_served: snap.total(|s| s.served),
-            cache_hits: snap.total(|s| s.cache_hits),
-            cache_misses: snap.total(|s| s.cache_misses),
-            shard_queue_depths: snap.shards.iter().map(|s| s.queue_depth as usize).collect(),
-            tracked_servers: 0,
-            tracked_feedbacks: 0,
+        let queue_depth = |s: &ShardSnapshot| s.get(ShardMetric::QueueDepth) as usize;
+        let mut stats = ServiceStats {
+            shard_queue_depths: snap.shards.iter().map(queue_depth).collect(),
             calibration_cache_entries: snap.calibration_entries as usize,
-            calibration_cache_hits: snap.calibration.hits,
-            calibration_cache_misses: snap.calibration.misses,
-            calibration_surface_hits: snap.calibration.surface_hits,
-            calibration_oracle_jobs: snap.calibration.oracle_jobs,
-            calibration_crn_row_fills: snap.calibration.crn_row_fills,
-            calibration_singleflight_waits: snap.calibration.singleflight_waits,
-            shed_feedbacks: snap.total(|s| s.shed),
-            degraded_answers: snap.total(|s| s.degraded),
-            shard_restarts: snap.total(|s| s.restarts),
-            quarantined_records: snap.total(|s| s.quarantined),
-            failed_shards: snap.total(|s| s.failed),
-            journal_records: snap.total(|s| s.journal_records),
-            journal_bytes: snap.total(|s| s.journal_bytes),
-            journal_syncs: snap.total(|s| s.journal_syncs),
-            torn_journal_bytes: snap.total(|s| s.torn_bytes),
-            snapshots_written: snap.total(|s| s.snapshots_written),
-            snapshot_bytes: snap.total(|s| s.snapshot_bytes),
-            snapshot_failures: snap.total(|s| s.snapshot_failures),
-            snapshot_fallbacks: snap.total(|s| s.snapshot_fallbacks),
-            tier_compacted_records: snap.total(|s| s.tier_compacted),
-            tier_evictions: snap.total(|s| s.tier_evictions),
-            tier_faults: snap.total(|s| s.tier_faults),
-            // Filled from fresh per-shard state snapshots by the caller
-            // (like the tracked-server counts); the registry gauges lag
-            // by one sampling pass.
-            tier_hot_suffix_bytes: 0,
-            tier_summary_bytes: 0,
-            tier_spilled_bytes: 0,
             per_shard: snap.shards.clone(),
-            shard_queue_wait_p99_ns: snap
-                .queue_waits
-                .iter()
-                .map(|w| w.quantile_ns(0.99))
-                .collect(),
             shard_utilization: snap.utilizations.clone(),
+            ..ServiceStats::default()
+        };
+        for row in METRIC_TABLE {
+            if let (Some(field), Some(total)) = (row.stat, row.total(snap)) {
+                *field(&mut stats) += total;
+            }
         }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::MetricsRegistry;
+    use crate::obs::{MetricsRegistry, Source};
 
     #[test]
     fn hit_rate_handles_zero_and_counts() {
@@ -312,43 +148,40 @@ mod tests {
         assert!((s.shed_rate() - 0.1).abs() < 1e-12);
     }
 
+    /// Every table row that names a total feeds it with its sum over the
+    /// shards (the calibration rows with the sampled value). The values
+    /// are distinct and nonzero, so a field fed by two rows, or by the
+    /// wrong one, cannot read what its row sums to.
     #[test]
-    fn counters_accumulate() {
-        let registry = MetricsRegistry::new(1, 16, false);
-        let c = &registry.shard(0).counters;
-        c.add_ingested(5);
-        c.add_ingested(2);
-        c.add_served(1);
-        c.record_cache(true);
-        c.record_cache(false);
-        c.add_shed(4);
-        c.add_degraded(1);
-        c.add_restart();
-        c.add_quarantined();
-        c.add_shard_failed();
-        c.record_journal_append(3, 99, true);
-        c.record_journal_append(1, 33, false);
-        c.add_torn_bytes(7);
-        c.add_tier_compacted(64);
-        c.add_tier_compacted(128);
-        c.add_tier_evictions(2);
-        c.add_tier_faults(1);
-        let s = ServiceStats::from_registry(&registry.snapshot());
-        assert_eq!(s.ingested_feedbacks, 7);
-        assert_eq!(s.assessments_served, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.shed_feedbacks, 4);
-        assert_eq!(s.degraded_answers, 1);
-        assert_eq!(s.shard_restarts, 1);
-        assert_eq!(s.quarantined_records, 1);
-        assert_eq!(s.failed_shards, 1);
-        assert_eq!(s.journal_records, 4);
-        assert_eq!(s.journal_bytes, 132);
-        assert_eq!(s.journal_syncs, 1);
-        assert_eq!(s.torn_journal_bytes, 7);
-        assert_eq!(s.tier_compacted_records, 192);
-        assert_eq!(s.tier_evictions, 2);
-        assert_eq!(s.tier_faults, 1);
+    fn every_named_total_is_the_sum_of_its_row() {
+        let registry = MetricsRegistry::new(2, 16, false);
+        let calibration = hp_stats::CalibrationStats {
+            hits: 9001,
+            misses: 9002,
+            surface_hits: 9003,
+            oracle_jobs: 9004,
+            crn_row_fills: 9005,
+            singleflight_waits: 9006,
+        };
+        registry.set_calibration(calibration, 9007);
+        for (i, row) in METRIC_TABLE.iter().enumerate() {
+            if let Source::Shard(metric, _) = row.source {
+                registry.shard(0).add(metric, 100 + i as u64);
+                registry.shard(1).set(metric, 5000 + 3 * i as u64);
+            }
+        }
+        let snap = registry.snapshot();
+        let mut stats = ServiceStats::from_registry(&snap);
+        for row in METRIC_TABLE {
+            if let Some(field) = row.stat {
+                assert_eq!(Some(*field(&mut stats)), row.total(&snap), "{}", row.family.name);
+            }
+        }
+        assert_eq!(stats.ingested_feedbacks, 100 + 5000);
+        assert_eq!(stats.tier_spilled_bytes, 125 + 5075);
+        assert_eq!(stats.calibration_cache_misses, 9002);
+        assert_eq!(stats.calibration_cache_entries, 9007);
+        assert_eq!(stats.shard_queue_depths, vec![121, 5063]);
+        assert_eq!(stats.per_shard[1].get(ShardMetric::JournalSyncs), 5033);
     }
 }

@@ -1,8 +1,9 @@
 //! Fixed-bucket log-scale latency histograms.
 //!
 //! One [`LatencyHistogram`] records durations in nanoseconds into 64
-//! power-of-two buckets (bucket `i` covers `[2^(i-1), 2^i)` ns), so the
-//! whole dynamic range from 1 ns to ~580 years fits in a fixed array of
+//! power-of-two buckets (bucket `i` covers `(2^(i-1), 2^i]` ns — upper
+//! edge inclusive, as a Prometheus `le` label promises), so the whole
+//! dynamic range from 1 ns to ~580 years fits in a fixed array of
 //! atomics. Recording is lock-free — three relaxed atomic adds and one
 //! atomic max — which is what lets every shard worker and the front end
 //! share one histogram per latency path without contention.
@@ -61,18 +62,16 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Bucket index for a duration: `0` holds exactly 0 ns, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)` ns. The last bucket absorbs everything from
-/// `2^62` ns (~146 years) up, so no duration can index out of range.
+/// Bucket index for a duration: `0` holds 0 and 1 ns, bucket `i ≥ 1`
+/// holds `(2^(i-1), 2^i]` ns, so a sample of exactly `2^i` ns counts
+/// under the `le` bound that names it. The last bucket absorbs everything
+/// above `2^62` ns (~146 years), so no duration can index out of range.
 fn bucket_of(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
+    ((u64::BITS - ns.saturating_sub(1).leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
-/// Upper bound (exclusive) of bucket `i` in nanoseconds.
+/// Upper bound (inclusive) of bucket `i` in nanoseconds.
 fn bucket_upper(i: usize) -> u64 {
-    if i == 0 {
-        return 1;
-    }
     1u64.checked_shl(i as u32).unwrap_or(u64::MAX)
 }
 
@@ -151,7 +150,7 @@ impl LatencyHistogram {
 /// A point-in-time, mergeable copy of a [`LatencyHistogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySnapshot {
-    /// Per-bucket event counts (bucket `i` covers `[2^(i-1), 2^i)` ns).
+    /// Per-bucket event counts (bucket `i` covers `(2^(i-1), 2^i]` ns).
     pub buckets: [u64; BUCKETS],
     /// Total events recorded.
     pub count: u64,
@@ -225,7 +224,7 @@ impl LatencySnapshot {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The upper bound (exclusive, in seconds) of bucket `i` — the
+    /// The upper bound (inclusive, in seconds) of bucket `i` — the
     /// Prometheus `le` label for that bucket.
     pub fn bucket_upper_seconds(i: usize) -> f64 {
         bucket_upper(i) as f64 / 1e9
@@ -239,12 +238,19 @@ mod tests {
     #[test]
     fn buckets_cover_powers_of_two() {
         assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
+        assert_eq!(bucket_of(1), 0);
+        assert_eq!(bucket_of(2), 1);
         assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(4), 2);
+        assert_eq!(bucket_of(5), 3);
         assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
+        assert_eq!(bucket_of(1024), 10);
+        assert_eq!(bucket_of(1025), 11);
+        // Every bucket's own upper edge lands in it, the next value above.
+        for i in 1..BUCKETS - 1 {
+            assert_eq!(bucket_of(bucket_upper(i)), i);
+            assert_eq!(bucket_of(bucket_upper(i) + 1), i + 1);
+        }
         // The top bucket is saturating: every value lands in range.
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
@@ -322,7 +328,7 @@ mod tests {
         assert!(snap.exemplar_trace.iter().all(|&t| t == 0));
 
         hist.record_ns_traced(900, 0xab);
-        hist.record_ns_traced(1_000, 0xcd); // same bucket [512, 1024): newest wins
+        hist.record_ns_traced(1_000, 0xcd); // same bucket (512, 1024]: newest wins
         hist.record_ns_traced(1_000_000, 0xef);
         let snap = hist.snapshot();
         let b = bucket_of(1_000);

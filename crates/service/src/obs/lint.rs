@@ -20,6 +20,7 @@
 //! exemplars, and this keeps the convention honest: exemplars may
 //! decorate a sample but never replace or corrupt it.
 
+use super::registry::{Family, Kind};
 use std::collections::{HashMap, HashSet};
 
 /// Lints `text`; returns one message per violation (empty = clean).
@@ -207,6 +208,37 @@ pub fn lint_prometheus(text: &str) -> Vec<String> {
         }
     }
 
+    errors
+}
+
+/// Holds `text` against the families it should consist of, both ways:
+/// every catalogue row appears with its `# HELP`, its `# TYPE` and at
+/// least one sample, and every family `text` declares is a row (rows
+/// sharing a name are one family). Returns one message per violation.
+pub fn lint_catalogue(text: &str, catalogue: &[Family]) -> Vec<String> {
+    let mut errors = Vec::new();
+    for Family { name, help, kind } in catalogue {
+        for header in [format!("# HELP {name} {help}"), format!("# TYPE {name} {kind}")] {
+            if !text.lines().any(|line| line == header) {
+                errors.push(format!("missing `{header}`"));
+            }
+        }
+        let bucket = format!("{name}_bucket");
+        let stem = if *kind == Kind::Histogram { bucket.as_str() } else { name };
+        let sample = |line: &str| {
+            let rest = line.strip_prefix(stem);
+            rest.is_some_and(|rest| rest.starts_with(['{', ' ']))
+        };
+        if !text.lines().any(sample) {
+            errors.push(format!("family `{name}` has no sample"));
+        }
+    }
+    for declared in text.lines().filter_map(|line| line.strip_prefix("# TYPE ")) {
+        let name = declared.split(' ').next().unwrap_or(declared);
+        if !catalogue.iter().any(|family| family.name == name) {
+            errors.push(format!("family `{name}` is not in the catalogue"));
+        }
+    }
     errors
 }
 

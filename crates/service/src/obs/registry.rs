@@ -1,10 +1,14 @@
-//! The unified metrics registry: per-shard counters, path latency
-//! histograms, gauges, and the tracer under one roof.
+//! The unified metrics registry: one declarative metric table, per-shard
+//! scalar storage indexed by it, path latency histograms, and the tracer
+//! under one roof.
 //!
 //! Shard workers, supervisors, and the service front end all hold an
 //! `Arc<MetricsRegistry>` and write through it; readers pull a coherent
 //! [`RegistrySnapshot`] or render the whole state as Prometheus text
-//! exposition. Everything here is lock-free on the write path (atomic
+//! exposition. [`METRIC_TABLE`] is the catalogue: storage, snapshot,
+//! exposition, the JSON snapshot and [`ServiceStats`]'s totals all iterate
+//! it, so a new per-shard series is one row plus one write site.
+//! Everything here is lock-free on the write path (atomic
 //! counters and histogram buckets); the only lock is inside the trace
 //! rings, which are off by default.
 
@@ -12,206 +16,275 @@ use super::audit::AssessmentTrace;
 use super::histogram::{LatencyHistogram, LatencySnapshot};
 use super::span::format_trace_id;
 use super::trace::Tracer;
-use crate::metrics::Counters;
+use crate::metrics::ServiceStats;
 use hp_stats::CalibrationStats;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The instrumented latency paths, one histogram each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LatencyPath {
-    /// Ingest enqueue→apply: from `ingest_batch` accepting a batch to the
-    /// shard worker folding it into state (includes queue wait and the
-    /// journal append).
-    IngestApply,
-    /// Journal `append_batch` wall time (buffered write + flush + any
-    /// fsync).
-    JournalAppend,
-    /// The fsync portion of a journal append alone.
-    JournalFsync,
-    /// Phase-1 + phase-2 assessment compute inside the shard worker
-    /// (cache hits included — they are real served latency).
-    AssessCompute,
-    /// End-to-end assess as the caller sees it: send, queue wait,
-    /// compute, reply (degraded answers included).
-    AssessE2e,
-    /// Calibration wall time inside an assessment: Monte-Carlo row jobs
-    /// plus single-flight waits on another thread's job, attributed to
-    /// the serving thread. Recorded only when nonzero — warm serves
-    /// (cache or surface hits) contribute nothing here.
-    AssessCalibration,
+/// What a family's `TYPE` line says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone since process start.
+    Counter,
+    /// A sampled or settable value.
+    Gauge,
+    /// Cumulative `le` buckets plus `_sum` and `_count`.
+    Histogram,
 }
 
-impl LatencyPath {
-    /// Every path, in exposition order.
-    pub const ALL: [LatencyPath; 6] = [
-        LatencyPath::IngestApply,
-        LatencyPath::JournalAppend,
-        LatencyPath::JournalFsync,
-        LatencyPath::AssessCompute,
-        LatencyPath::AssessE2e,
-        LatencyPath::AssessCalibration,
-    ];
-
-    /// Stable metric-name stem (`hp_<stem>_latency_seconds`).
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyPath::IngestApply => "ingest_apply",
-            LatencyPath::JournalAppend => "journal_append",
-            LatencyPath::JournalFsync => "journal_fsync",
-            LatencyPath::AssessCompute => "assess_compute",
-            LatencyPath::AssessE2e => "assess_e2e",
-            LatencyPath::AssessCalibration => "assess_calibration",
-        }
-    }
-
-    fn help(self) -> &'static str {
-        match self {
-            LatencyPath::IngestApply => "Per-feedback latency from ingest accept to state apply",
-            LatencyPath::JournalAppend => "Journal append_batch wall time per batch",
-            LatencyPath::JournalFsync => "Journal fsync time per synced batch",
-            LatencyPath::AssessCompute => {
-                "In-worker assessment compute time per served verdict (calibration excluded)"
-            }
-            LatencyPath::AssessE2e => "End-to-end assessment latency as seen by the caller",
-            LatencyPath::AssessCalibration => {
-                "Calibration wall time (Monte-Carlo jobs and single-flight waits) per assessment"
-            }
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            LatencyPath::IngestApply => 0,
-            LatencyPath::JournalAppend => 1,
-            LatencyPath::JournalFsync => 2,
-            LatencyPath::AssessCompute => 3,
-            LatencyPath::AssessE2e => 4,
-            LatencyPath::AssessCalibration => 5,
-        }
+impl Display for Kind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        })
     }
 }
 
-/// One shard's metric block: the event counters plus sampled gauges.
-#[derive(Debug, Default)]
+/// One exposition family as its `HELP` / `TYPE` header declares it.
+/// Every family any layer serves on `/metrics` is a `const` one of these,
+/// rendered by [`render_scalar_family`] or [`render_latency_family`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Family {
+    /// Metric name, `hp_` prefixed.
+    pub name: &'static str,
+    /// Help text, verbatim after the name on the `HELP` line.
+    pub help: &'static str,
+    /// Counter, gauge or histogram.
+    pub kind: Kind,
+}
+
+impl Family {
+    /// A counter family.
+    pub const fn counter(name: &'static str, help: &'static str) -> Family {
+        Family { name, help, kind: Kind::Counter }
+    }
+
+    /// A gauge family.
+    pub const fn gauge(name: &'static str, help: &'static str) -> Family {
+        Family { name, help, kind: Kind::Gauge }
+    }
+
+    /// A histogram family.
+    pub const fn histogram(name: &'static str, help: &'static str) -> Family {
+        Family { name, help, kind: Kind::Histogram }
+    }
+}
+
+/// Where a table row's samples come from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    /// One series per shard from its metric block, with an extra label
+    /// suffix (`,tier="…"` or none); rows sharing a family name render
+    /// under one header.
+    Shard(ShardMetric, &'static str),
+    /// One path's histogram.
+    Latency(LatencyPath),
+    /// The same path's pre-computed quantile gauges (Prometheus cannot
+    /// derive exact quantiles from log buckets without recording rules).
+    LatencyQuantiles(LatencyPath),
+    /// The per-shard queue-wait histograms.
+    QueueWait,
+    /// Per-shard busy time / wall time.
+    Utilization,
+    /// The constant-1 gauge carrying the build labels.
+    BuildInfo,
+    /// One unlabeled service-wide value.
+    Global(fn(&RegistrySnapshot) -> u64),
+}
+
+/// One row of [`METRIC_TABLE`].
+#[derive(Debug, Clone, Copy)]
+pub struct MetricRow {
+    /// The exposition family the row renders under.
+    pub family: Family,
+    pub(crate) source: Source,
+    /// Key in the JSON snapshot (`""` = not in it).
+    pub(crate) json: &'static str,
+    /// The [`ServiceStats`] total the row's service-wide sum feeds.
+    pub(crate) stat: Option<fn(&mut ServiceStats) -> &mut u64>,
+}
+
+impl MetricRow {
+    const fn new(family: Family, source: Source) -> MetricRow {
+        MetricRow { family, source, json: "", stat: None }
+    }
+
+    const fn json(mut self, key: &'static str) -> MetricRow {
+        self.json = key;
+        self
+    }
+
+    const fn stat(mut self, field: fn(&mut ServiceStats) -> &mut u64) -> MetricRow {
+        self.stat = Some(field);
+        self
+    }
+
+    /// The row's service-wide scalar — a per-shard series summed over the
+    /// shards — or `None` for histograms and labelled gauges.
+    pub(crate) fn total(&self, snap: &RegistrySnapshot) -> Option<u64> {
+        match self.source {
+            Source::Shard(metric, _) => Some(snap.total(metric)),
+            Source::Global(value) => Some(value(snap)),
+            _ => None,
+        }
+    }
+}
+
+/// Declares the metric set in exposition order, and with it the two
+/// enums that index its storage. A `shard` row — `Variant = kind(name[,
+/// tier]), help[, json key][, stat ServiceStats field]` — is one per-shard
+/// series; a `latency` row — `Variant = stem, help` — one path's
+/// `hp_<stem>_latency_seconds` histogram and its quantile gauges.
+macro_rules! metric_table {
+    (shard { $($variant:ident = $kind:ident($name:literal $(, $tier:literal)?), $help:literal
+               $(, json $json:literal)? $(, stat $stat:ident)?;)* }
+     latency { $($(#[$doc:meta])* $path:ident = $stem:literal, $path_help:literal;)* }
+     service [ $($row:expr,)* ]) => {
+        /// The per-shard scalar series (each documented by its help
+        /// text): the index into a shard's metric block and into
+        /// [`ShardSnapshot`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum ShardMetric { $(#[doc = $help] $variant,)* }
+
+        /// The instrumented latency paths, one histogram each.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum LatencyPath { $($(#[$doc])* $path,)* }
+
+        const SCALARS: usize = [$(ShardMetric::$variant),*].len();
+        const PATHS: usize = [$(LatencyPath::$path),*].len();
+
+        /// Every family the service exposes, in exposition order — the
+        /// one declaration of the metric set. The exposition, the JSON
+        /// snapshot, [`ServiceStats`] and the catalogue tests iterate it.
+        pub const METRIC_TABLE: &[MetricRow] = &[
+            $(MetricRow::new(
+                Family::$kind($name, $help),
+                Source::Shard(ShardMetric::$variant, concat!($(",tier=\"", $tier, "\"")?)),
+            ) $(.json($json))? $(.stat(|s| &mut s.$stat))?,)*
+            $(MetricRow::new(
+                Family::histogram(concat!("hp_", $stem, "_latency_seconds"), $path_help),
+                Source::Latency(LatencyPath::$path),
+            ).json($stem),
+            MetricRow::new(
+                Family::gauge(concat!("hp_", $stem, "_latency_quantile_seconds"), "Pre-computed latency quantiles"),
+                Source::LatencyQuantiles(LatencyPath::$path),
+            ),)*
+            $($row,)*
+        ];
+    };
+}
+
+#[rustfmt::skip]
+metric_table! {
+    shard {
+        Ingested = counter("hp_feedbacks_ingested_total"), "Feedbacks accepted by ingest", json "ingested", stat ingested_feedbacks;
+        Served = counter("hp_assessments_served_total"), "Assessments served by shard workers", json "served", stat assessments_served;
+        CacheHits = counter("hp_assess_cache_hits_total"), "Assessments answered from the versioned cache", stat cache_hits;
+        CacheMisses = counter("hp_assess_cache_misses_total"), "Assessments that recomputed phase 1", stat cache_misses;
+        Shed = counter("hp_feedbacks_shed_total"), "Feedbacks dropped by the shed/try-for policies", json "shed", stat shed_feedbacks;
+        Degraded = counter("hp_degraded_answers_total"), "Stale published verdicts served past a deadline", json "degraded", stat degraded_answers;
+        Restarts = counter("hp_shard_restarts_total"), "Worker restarts performed by supervisors", json "restarts", stat shard_restarts;
+        Quarantined = counter("hp_quarantined_records_total"), "Accepted records quarantined after crash-on-replay", json "quarantined", stat quarantined_records;
+        Failed = counter("hp_shards_failed_total"), "Shards declared permanently failed", stat failed_shards;
+        JournalRecords = counter("hp_journal_records_total"), "Records in shard journals", json "journal_records", stat journal_records;
+        JournalBytes = counter("hp_journal_bytes_total"), "Bytes in shard journals", json "journal_bytes", stat journal_bytes;
+        JournalSyncs = counter("hp_journal_syncs_total"), "Journal fsyncs performed";
+        TornBytes = counter("hp_journal_torn_bytes_total"), "Torn-tail bytes discarded during recovery";
+        SnapshotsWritten = counter("hp_snapshots_written_total"), "State snapshots written (checkpoints)", json "snapshots_written", stat snapshots_written;
+        SnapshotBytes = counter("hp_snapshot_bytes_total"), "Serialized snapshot bytes written", stat snapshot_bytes;
+        SnapshotFailures = counter("hp_snapshot_failures_total"), "Snapshot writes that failed";
+        SnapshotFallbacks = counter("hp_snapshot_fallbacks_total"), "Recovery candidates rejected during recovery", json "snapshot_fallbacks", stat snapshot_fallbacks;
+        TierCompacted = counter("hp_tier_compacted_records_total"), "Outcomes folded into summary counts by compaction", stat tier_compacted_records;
+        TierEvictions = counter("hp_tier_evictions_total"), "Server histories spilled to cold segments", stat tier_evictions;
+        TierFaults = counter("hp_tier_faults_total"), "Spilled histories faulted back into memory", stat tier_faults;
+        TierSpillFailures = counter("hp_tier_spill_failures_total"), "Cold-segment writes that failed";
+        QueueDepth = gauge("hp_shard_queue_depth"), "Commands queued at the shard (sampled)";
+        LastApplyVersion = gauge("hp_shard_last_apply_version"), "State version after the last batch apply";
+        TierHotBytes = gauge("hp_history_resident_bytes", "hot_suffix"), "History bytes per storage tier (sampled)", stat tier_hot_suffix_bytes;
+        TierSummaryBytes = gauge("hp_history_resident_bytes", "summary"), "History bytes per storage tier (sampled)", stat tier_summary_bytes;
+        TierSpilledBytes = gauge("hp_history_resident_bytes", "spilled"), "History bytes per storage tier (sampled)", stat tier_spilled_bytes;
+    }
+    latency {
+        /// Ingest enqueue→apply: from `ingest_batch` accepting a batch to the
+        /// shard worker folding it into state (includes queue wait and the
+        /// journal append).
+        IngestApply = "ingest_apply", "Per-feedback latency from ingest accept to state apply";
+        /// Journal `append_batch` wall time (buffered write + flush + any
+        /// fsync).
+        JournalAppend = "journal_append", "Journal append_batch wall time per batch";
+        /// The fsync portion of a journal append alone.
+        JournalFsync = "journal_fsync", "Journal fsync time per synced batch";
+        /// Phase-1 + phase-2 assessment compute inside the shard worker
+        /// (cache hits included — they are real served latency).
+        AssessCompute = "assess_compute", "In-worker assessment compute time per served verdict (calibration excluded)";
+        /// End-to-end assess as the caller sees it: send, queue wait,
+        /// compute, reply (degraded answers included).
+        AssessE2e = "assess_e2e", "End-to-end assessment latency as seen by the caller";
+        /// Calibration wall time inside an assessment: Monte-Carlo row jobs
+        /// plus single-flight waits on another thread's job, attributed to
+        /// the serving thread. Recorded only when nonzero — warm serves
+        /// (cache or surface hits) contribute nothing here.
+        AssessCalibration = "assess_calibration", "Calibration wall time (Monte-Carlo jobs and single-flight waits) per assessment";
+    }
+    service [
+        MetricRow::new(Family::histogram("hp_shard_queue_wait_seconds", "Time commands waited in the shard queue before dequeue"), Source::QueueWait),
+        MetricRow::new(Family::gauge("hp_shard_utilization", "Worker busy time / wall time since start"), Source::Utilization),
+        MetricRow::new(Family::gauge("hp_build_info", "Build metadata carried as labels (value is always 1)"), Source::BuildInfo),
+        MetricRow::new(Family::gauge("hp_calibration_cache_entries", "Entries in the threshold-calibration cache (sampled)"), Source::Global(|s| s.calibration_entries)).json("entries"),
+        MetricRow::new(Family::counter("hp_calibration_cache_hits_total", "Threshold lookups answered from the calibration cache"), Source::Global(|s| s.calibration.hits)).json("hits").stat(|s| &mut s.calibration_cache_hits),
+        MetricRow::new(Family::counter("hp_calibration_cache_misses_total", "Threshold lookups that fell through every warm tier"), Source::Global(|s| s.calibration.misses)).json("misses").stat(|s| &mut s.calibration_cache_misses),
+        MetricRow::new(Family::counter("hp_calibration_surface_hits_total", "Threshold lookups served by the interpolated surface"), Source::Global(|s| s.calibration.surface_hits)).json("surface_hits").stat(|s| &mut s.calibration_surface_hits),
+        MetricRow::new(Family::counter("hp_calibration_oracle_jobs_total", "Monte-Carlo row jobs executed by the calibrator"), Source::Global(|s| s.calibration.oracle_jobs)).json("oracle_jobs").stat(|s| &mut s.calibration_oracle_jobs),
+        MetricRow::new(Family::counter("hp_calibration_crn_row_fills_total", "Cache entries filled by common-random-number row jobs"), Source::Global(|s| s.calibration.crn_row_fills)).json("crn_row_fills"),
+        MetricRow::new(Family::counter("hp_calibration_singleflight_waits_total", "Lookups that waited on another thread's in-flight row job"), Source::Global(|s| s.calibration.singleflight_waits)).json("singleflight_waits").stat(|s| &mut s.calibration_singleflight_waits),
+        MetricRow::new(Family::counter("hp_trace_events_dropped_total", "Trace events evicted from full rings"), Source::Global(|s| s.trace_dropped)),
+    ]
+}
+
+/// One shard's metric block: a slot per [`ShardMetric`] plus the
+/// waiting-vs-working instruments.
+#[derive(Debug)]
 pub(crate) struct ShardMetrics {
-    /// Monotone event counters (writes from the worker, supervisor, and
-    /// front end for this shard).
-    pub counters: Counters,
-    /// Commands queued at the shard at last sample time (set by the
-    /// front end when a snapshot or exposition is taken).
-    pub queue_depth: AtomicU64,
-    /// State version (applied feedback count) after the last batch apply.
-    pub last_apply_version: AtomicU64,
+    scalars: [AtomicU64; SCALARS],
     /// Time commands spent waiting in this shard's queue before the
     /// worker dequeued them (the "waiting" half of waiting-vs-working).
-    pub queue_wait: LatencyHistogram,
+    pub(crate) queue_wait: LatencyHistogram,
     /// Nanoseconds this shard's worker spent processing commands (the
     /// "working" half; utilization = busy_ns / wall time).
-    pub busy_ns: AtomicU64,
-    /// Resident bytes of full-resolution history suffixes (hot tier),
-    /// refreshed at tiering passes and state snapshots.
-    pub tier_hot_bytes: AtomicU64,
-    /// Resident bytes of folded per-issuer summary counts.
-    pub tier_summary_bytes: AtomicU64,
-    /// Bytes of histories spilled to cold segments (fault-in cost, not
-    /// disk usage).
-    pub tier_spilled_bytes: AtomicU64,
+    pub(crate) busy_ns: AtomicU64,
 }
 
-/// Point-in-time copy of one shard's metrics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+impl ShardMetrics {
+    /// Adds `n` to `metric`. Relaxed, like every write here: these are
+    /// statistics, not synchronization points.
+    #[inline]
+    pub(crate) fn add(&self, metric: ShardMetric, n: u64) {
+        self.scalars[metric as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Stores a sampled value for `metric`.
+    #[inline]
+    pub(crate) fn set(&self, metric: ShardMetric, value: u64) {
+        self.scalars[metric as usize].store(value, Ordering::Relaxed);
+    }
+}
+
+/// Point-in-time copy of one shard's scalar metrics.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
-    /// Feedbacks accepted for this shard.
-    pub ingested: u64,
-    /// Assessments served by this shard's worker.
-    pub served: u64,
-    /// Worker cache hits.
-    pub cache_hits: u64,
-    /// Worker cache misses (recomputes).
-    pub cache_misses: u64,
-    /// Feedbacks shed at this shard's queue.
-    pub shed: u64,
-    /// Degraded answers served for servers of this shard.
-    pub degraded: u64,
-    /// Worker restarts performed by this shard's supervisor.
-    pub restarts: u64,
-    /// Accepted records quarantined on this shard.
-    pub quarantined: u64,
-    /// 1 once this shard is declared permanently failed.
-    pub failed: u64,
-    /// Records in this shard's journal.
-    pub journal_records: u64,
-    /// Bytes in this shard's journal.
-    pub journal_bytes: u64,
-    /// Fsyncs performed by this shard's journal.
-    pub journal_syncs: u64,
-    /// Torn-tail bytes discarded during this shard's recovery.
-    pub torn_bytes: u64,
-    /// State snapshots written by this shard (checkpoints).
-    pub snapshots_written: u64,
-    /// Serialized snapshot bytes written by this shard.
-    pub snapshot_bytes: u64,
-    /// Snapshot writes that failed on this shard.
-    pub snapshot_failures: u64,
-    /// Recovery candidates this shard rejected and fell past.
-    pub snapshot_fallbacks: u64,
-    /// Outcomes folded into summary counts by windowed compaction.
-    pub tier_compacted: u64,
-    /// Server histories evicted from the hot tier to cold segments.
-    pub tier_evictions: u64,
-    /// Spilled histories faulted back into memory on access.
-    pub tier_faults: u64,
-    /// Cold-segment writes that failed.
-    pub tier_spill_failures: u64,
-    /// Sampled queue depth.
-    pub queue_depth: u64,
-    /// State version after the last batch apply.
-    pub last_apply_version: u64,
-    /// Resident bytes of full-resolution history suffixes (sampled).
-    pub tier_hot_bytes: u64,
-    /// Resident bytes of folded summary counts (sampled).
-    pub tier_summary_bytes: u64,
-    /// Bytes of histories spilled to cold segments (sampled).
-    pub tier_spilled_bytes: u64,
+    scalars: [u64; SCALARS],
 }
 
 impl ShardSnapshot {
-    fn from_metrics(shard: usize, m: &ShardMetrics) -> Self {
-        let c = &m.counters;
-        ShardSnapshot {
-            shard,
-            ingested: c.ingested.load(Ordering::Relaxed),
-            served: c.served.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed),
-            restarts: c.restarts.load(Ordering::Relaxed),
-            quarantined: c.quarantined.load(Ordering::Relaxed),
-            failed: c.shards_failed.load(Ordering::Relaxed),
-            journal_records: c.journal_records.load(Ordering::Relaxed),
-            journal_bytes: c.journal_bytes.load(Ordering::Relaxed),
-            journal_syncs: c.journal_syncs.load(Ordering::Relaxed),
-            torn_bytes: c.torn_bytes.load(Ordering::Relaxed),
-            snapshots_written: c.snapshots_written.load(Ordering::Relaxed),
-            snapshot_bytes: c.snapshot_bytes.load(Ordering::Relaxed),
-            snapshot_failures: c.snapshot_failures.load(Ordering::Relaxed),
-            snapshot_fallbacks: c.snapshot_fallbacks.load(Ordering::Relaxed),
-            tier_compacted: c.tier_compacted.load(Ordering::Relaxed),
-            tier_evictions: c.tier_evictions.load(Ordering::Relaxed),
-            tier_faults: c.tier_faults.load(Ordering::Relaxed),
-            tier_spill_failures: c.tier_spill_failures.load(Ordering::Relaxed),
-            queue_depth: m.queue_depth.load(Ordering::Relaxed),
-            last_apply_version: m.last_apply_version.load(Ordering::Relaxed),
-            tier_hot_bytes: m.tier_hot_bytes.load(Ordering::Relaxed),
-            tier_summary_bytes: m.tier_summary_bytes.load(Ordering::Relaxed),
-            tier_spilled_bytes: m.tier_spilled_bytes.load(Ordering::Relaxed),
-        }
+    /// The value of `metric` on this shard.
+    pub fn get(&self, metric: ShardMetric) -> u64 {
+        self.scalars[metric as usize]
     }
 }
 
@@ -220,8 +293,7 @@ impl ShardSnapshot {
 pub struct RegistrySnapshot {
     /// Per-shard metric blocks, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
-    /// One latency snapshot per [`LatencyPath`], in `ALL` order.
-    pub latencies: Vec<(LatencyPath, LatencySnapshot)>,
+    latencies: [LatencySnapshot; PATHS],
     /// The shared calibrator's lifetime counters at sample time.
     pub calibration: CalibrationStats,
     /// Thresholds the calibrator held at sample time.
@@ -240,12 +312,12 @@ pub struct RegistrySnapshot {
 impl RegistrySnapshot {
     /// The latency snapshot for one path.
     pub fn latency(&self, path: LatencyPath) -> &LatencySnapshot {
-        &self.latencies[path.index()].1
+        &self.latencies[path as usize]
     }
 
-    /// Sums a per-shard field over all shards.
-    pub fn total(&self, field: impl Fn(&ShardSnapshot) -> u64) -> u64 {
-        self.shards.iter().map(field).sum()
+    /// Sums one per-shard series over all shards.
+    pub fn total(&self, metric: ShardMetric) -> u64 {
+        self.shards.iter().map(|s| s.get(metric)).sum()
     }
 }
 
@@ -254,7 +326,7 @@ impl RegistrySnapshot {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     shards: Vec<ShardMetrics>,
-    hists: [LatencyHistogram; 6],
+    hists: [LatencyHistogram; PATHS],
     calibration: Mutex<(CalibrationStats, u64)>,
     tracer: Tracer,
     started: Instant,
@@ -266,7 +338,13 @@ impl MetricsRegistry {
     /// `trace_capacity` events, tracing initially on per `tracing`.
     pub fn new(shards: usize, trace_capacity: usize, tracing: bool) -> Self {
         MetricsRegistry {
-            shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
+            shards: (0..shards)
+                .map(|_| ShardMetrics {
+                    scalars: std::array::from_fn(|_| AtomicU64::new(0)),
+                    queue_wait: LatencyHistogram::default(),
+                    busy_ns: AtomicU64::new(0),
+                })
+                .collect(),
             hists: Default::default(),
             calibration: Mutex::default(),
             tracer: Tracer::new(shards, trace_capacity, tracing),
@@ -277,11 +355,6 @@ impl MetricsRegistry {
                 option_env!("HP_GIT_HASH").unwrap_or("unknown"),
             )),
         }
-    }
-
-    /// Number of shards the registry tracks.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// One shard's metric block (panics on out-of-range index, which is
@@ -298,36 +371,20 @@ impl MetricsRegistry {
     /// Records one duration on `path`.
     #[inline]
     pub fn record_latency(&self, path: LatencyPath, ns: u64) {
-        self.hists[path.index()].record_ns(ns);
+        self.hists[path as usize].record_ns(ns);
     }
 
     /// Records `n` events of `ns` each on `path` (batch attribution).
     #[inline]
     pub fn record_latency_n(&self, path: LatencyPath, ns: u64, n: u64) {
-        self.hists[path.index()].record_n(ns, n);
+        self.hists[path as usize].record_n(ns, n);
     }
 
     /// Records one duration on `path` and, when `trace` is nonzero, pins
     /// it as the exemplar of the bucket it lands in.
     #[inline]
     pub fn record_latency_traced(&self, path: LatencyPath, ns: u64, trace: u64) {
-        self.hists[path.index()].record_ns_traced(ns, trace);
-    }
-
-    /// Records one command's queue wait (enqueue→dequeue) on `shard`.
-    #[inline]
-    pub fn record_queue_wait(&self, shard: usize, ns: u64) {
-        if let Some(m) = self.shards.get(shard) {
-            m.queue_wait.record_ns(ns);
-        }
-    }
-
-    /// Adds `ns` of worker busy time to `shard`'s utilization account.
-    #[inline]
-    pub fn add_busy_ns(&self, shard: usize, ns: u64) {
-        if let Some(m) = self.shards.get(shard) {
-            m.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        }
+        self.hists[path as usize].record_ns_traced(ns, trace);
     }
 
     /// Sets the label body rendered on the `hp_build_info` gauge (the
@@ -337,11 +394,6 @@ impl MetricsRegistry {
             .build_info
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = labels;
-    }
-
-    /// Latency snapshot for one path.
-    pub fn latency(&self, path: LatencyPath) -> LatencySnapshot {
-        self.hists[path.index()].snapshot()
     }
 
     /// Stores the calibrator's sampled counters and how many thresholds
@@ -354,23 +406,6 @@ impl MetricsRegistry {
             .unwrap_or_else(|e| e.into_inner()) = (stats, entries);
     }
 
-    /// Stores a sampled queue depth for `shard`.
-    pub fn set_queue_depth(&self, shard: usize, depth: u64) {
-        if let Some(m) = self.shards.get(shard) {
-            m.queue_depth.store(depth, Ordering::Relaxed);
-        }
-    }
-
-    /// Stores sampled per-tier resident byte gauges for `shard` (set by
-    /// the shard worker at tiering passes and state snapshots).
-    pub fn set_tier_bytes(&self, shard: usize, hot: u64, summary: u64, spilled: u64) {
-        if let Some(m) = self.shards.get(shard) {
-            m.tier_hot_bytes.store(hot, Ordering::Relaxed);
-            m.tier_summary_bytes.store(summary, Ordering::Relaxed);
-            m.tier_spilled_bytes.store(spilled, Ordering::Relaxed);
-        }
-    }
-
     /// Takes a coherent snapshot of everything in the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let wall_ns = self.started.elapsed().as_nanos().max(1) as u64;
@@ -381,12 +416,12 @@ impl MetricsRegistry {
                 .shards
                 .iter()
                 .enumerate()
-                .map(|(i, m)| ShardSnapshot::from_metrics(i, m))
+                .map(|(shard, m)| ShardSnapshot {
+                    shard,
+                    scalars: std::array::from_fn(|i| m.scalars[i].load(Ordering::Relaxed)),
+                })
                 .collect(),
-            latencies: LatencyPath::ALL
-                .iter()
-                .map(|&p| (p, self.hists[p.index()].snapshot()))
-                .collect(),
+            latencies: std::array::from_fn(|i| self.hists[i].snapshot()),
             calibration,
             calibration_entries,
             trace_dropped: self.tracer.dropped(),
@@ -408,199 +443,116 @@ impl MetricsRegistry {
     }
 
     /// Renders the registry as Prometheus text exposition (format 0.0.4):
-    /// per-shard counters and gauges, one histogram per latency path with
-    /// cumulative `le` buckets, and `_quantile_seconds` summary lines for
-    /// p50/p90/p99.
+    /// every [`METRIC_TABLE`] family in table order — per-shard counters
+    /// and gauges, one histogram per latency path with cumulative `le`
+    /// buckets, and `_quantile_seconds` gauges for p50/p90/p99/max.
     pub fn render_prometheus(&self) -> String {
-        render_prometheus(&self.snapshot())
+        let snap = self.snapshot();
+        let mut out = String::with_capacity(16 * 1024);
+        let by_shard = |i: usize| format!("shard=\"{i}\"");
+        for rows in METRIC_TABLE.chunk_by(|a, b| a.family.name == b.family.name) {
+            let family = &rows[0].family;
+            match rows[0].source {
+                Source::Shard(..) => {
+                    let series = snap.shards.iter().flat_map(|s| {
+                        rows.iter().filter_map(move |row| match row.source {
+                            Source::Shard(metric, extra) => {
+                                Some((format!("shard=\"{}\"{extra}", s.shard), s.get(metric)))
+                            }
+                            _ => None,
+                        })
+                    });
+                    render_scalar_family(&mut out, family, series);
+                }
+                Source::Latency(path) => {
+                    render_latency_family(&mut out, family, [("", snap.latency(path))]);
+                }
+                Source::LatencyQuantiles(path) => {
+                    let hist = snap.latency(path);
+                    let series = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (1.0, "1")]
+                        .map(|(q, label)| {
+                            (format!("quantile=\"{label}\""), hist.quantile_ns(q) as f64 / 1e9)
+                        });
+                    render_scalar_family(&mut out, family, series);
+                }
+                Source::QueueWait => {
+                    let series = snap.queue_waits.iter().enumerate();
+                    render_latency_family(&mut out, family, series.map(|(i, h)| (by_shard(i), h)));
+                }
+                Source::Utilization => {
+                    let series = snap.utilizations.iter().enumerate();
+                    let series = series.map(|(i, u)| (by_shard(i), format!("{u:.6}")));
+                    render_scalar_family(&mut out, family, series);
+                }
+                Source::BuildInfo => {
+                    render_scalar_family(&mut out, family, [(&snap.build_info, 1)]);
+                }
+                Source::Global(value) => {
+                    render_scalar_family(&mut out, family, [("", value(&snap))]);
+                }
+            }
+        }
+        out
     }
 
     /// Renders the registry's latency quantiles and shard totals as a
-    /// JSON object (the bench harness's machine-readable snapshot).
+    /// JSON object (the machine-readable snapshot
+    /// `examples/online_service.rs` writes): every table row with a JSON
+    /// key, grouped by where its value comes from.
     pub fn render_json(&self) -> String {
-        render_json(&self.snapshot())
-    }
-}
-
-/// Per-shard counter catalogue: (metric name, help, field accessor).
-type ShardField = fn(&ShardSnapshot) -> u64;
-
-const SHARD_COUNTERS: [(&str, &str, ShardField); 21] = [
-    ("hp_feedbacks_ingested_total", "Feedbacks accepted by ingest", |s| s.ingested),
-    ("hp_assessments_served_total", "Assessments served by shard workers", |s| s.served),
-    ("hp_assess_cache_hits_total", "Assessments answered from the versioned cache", |s| s.cache_hits),
-    ("hp_assess_cache_misses_total", "Assessments that recomputed phase 1", |s| s.cache_misses),
-    ("hp_feedbacks_shed_total", "Feedbacks dropped by the shed/try-for policies", |s| s.shed),
-    ("hp_degraded_answers_total", "Stale published verdicts served past a deadline", |s| s.degraded),
-    ("hp_shard_restarts_total", "Worker restarts performed by supervisors", |s| s.restarts),
-    ("hp_quarantined_records_total", "Accepted records quarantined after crash-on-replay", |s| s.quarantined),
-    ("hp_shards_failed_total", "Shards declared permanently failed", |s| s.failed),
-    ("hp_journal_records_total", "Records in shard journals", |s| s.journal_records),
-    ("hp_journal_bytes_total", "Bytes in shard journals", |s| s.journal_bytes),
-    ("hp_journal_syncs_total", "Journal fsyncs performed", |s| s.journal_syncs),
-    ("hp_journal_torn_bytes_total", "Torn-tail bytes discarded during recovery", |s| s.torn_bytes),
-    ("hp_snapshots_written_total", "State snapshots written (checkpoints)", |s| s.snapshots_written),
-    ("hp_snapshot_bytes_total", "Serialized snapshot bytes written", |s| s.snapshot_bytes),
-    ("hp_snapshot_failures_total", "Snapshot writes that failed", |s| s.snapshot_failures),
-    ("hp_snapshot_fallbacks_total", "Recovery candidates rejected during recovery", |s| s.snapshot_fallbacks),
-    ("hp_tier_compacted_records_total", "Outcomes folded into summary counts by compaction", |s| s.tier_compacted),
-    ("hp_tier_evictions_total", "Server histories spilled to cold segments", |s| s.tier_evictions),
-    ("hp_tier_faults_total", "Spilled histories faulted back into memory", |s| s.tier_faults),
-    ("hp_tier_spill_failures_total", "Cold-segment writes that failed", |s| s.tier_spill_failures),
-];
-
-/// Per-tier residency accessors for the `hp_history_resident_bytes`
-/// family (one series per shard × tier).
-const TIER_BYTES: [(&str, ShardField); 3] = [
-    ("hot_suffix", |s| s.tier_hot_bytes),
-    ("summary", |s| s.tier_summary_bytes),
-    ("spilled", |s| s.tier_spilled_bytes),
-];
-
-const SHARD_GAUGES: [(&str, &str, ShardField); 2] = [
-    ("hp_shard_queue_depth", "Commands queued at the shard (sampled)", |s| s.queue_depth),
-    ("hp_shard_last_apply_version", "State version after the last batch apply", |s| {
-        s.last_apply_version
-    }),
-];
-
-const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
-
-/// Renders a snapshot as Prometheus text exposition.
-pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
-    let mut out = String::with_capacity(16 * 1024);
-    for (name, help, field) in SHARD_COUNTERS {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for shard in &snap.shards {
-            let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", shard.shard, field(shard));
-        }
-    }
-    for (name, help, field) in SHARD_GAUGES {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for shard in &snap.shards {
-            let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", shard.shard, field(shard));
-        }
-    }
-    // Per-tier history residency: two labels (shard × tier), so it gets
-    // its own block rather than a SHARD_GAUGES entry.
-    let _ = writeln!(
-        out,
-        "# HELP hp_history_resident_bytes History bytes per storage tier (sampled)"
-    );
-    let _ = writeln!(out, "# TYPE hp_history_resident_bytes gauge");
-    for shard in &snap.shards {
-        for (tier, field) in TIER_BYTES {
-            let _ = writeln!(
-                out,
-                "hp_history_resident_bytes{{shard=\"{}\",tier=\"{tier}\"}} {}",
-                shard.shard,
-                field(shard)
-            );
-        }
-    }
-
-    for (path, hist) in &snap.latencies {
-        let name = format!("hp_{}_latency_seconds", path.name());
-        render_latency_family(&mut out, &name, path.help(), &[("", hist)]);
-        // Quantile summary lines (pre-computed; Prometheus can't derive
-        // exact quantiles from log buckets without recording rules).
-        let qname = format!("hp_{}_latency_quantile_seconds", path.name());
-        let _ = writeln!(out, "# HELP {qname} Pre-computed latency quantiles");
-        let _ = writeln!(out, "# TYPE {qname} gauge");
-        for (q, label) in QUANTILES {
-            let v = hist.quantile_ns(q) as f64 / 1e9;
-            let _ = writeln!(out, "{qname}{{quantile=\"{label}\"}} {v}");
+        let snap = self.snapshot();
+        let mut out = String::from("{\n");
+        let (mut totals, mut calibration) = (Vec::new(), Vec::new());
+        for row in METRIC_TABLE.iter().filter(|row| !row.json.is_empty()) {
+            let key = row.json;
+            match (row.source, row.total(&snap)) {
+                (Source::Latency(path), _) => {
+                    let hist = snap.latency(path);
+                    let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| hist.quantile_ns(q));
+                    let _ = writeln!(
+                        out,
+                        "  \"{key}\": {{\"count\":{},\"p50_ns\":{p50},\"p90_ns\":{p90},\
+                         \"p99_ns\":{p99},\"max_ns\":{},\"mean_ns\":{}}},",
+                        hist.count,
+                        hist.max_ns,
+                        hist.mean_ns(),
+                    );
+                }
+                (Source::Shard(..), Some(total)) => totals.push(format!("\"{key}\":{total}")),
+                (_, Some(value)) => calibration.push(format!("\"{key}\":{value}")),
+                _ => {}
+            }
         }
         let _ = writeln!(
             out,
-            "{qname}{{quantile=\"1\"}} {}",
-            hist.max_ns as f64 / 1e9
+            "  \"totals\": {{{}}},\n  \"calibration\": {{{}}},\n  \"shards\": {}\n}}",
+            totals.join(","),
+            calibration.join(","),
+            snap.shards.len(),
         );
+        out
     }
+}
 
-    // Per-shard queue-wait histograms: the "waiting" attribution the span
-    // subsystem stamps at enqueue/dequeue.
-    let shard_labels: Vec<String> = (0..snap.queue_waits.len())
-        .map(|i| format!("shard=\"{i}\""))
-        .collect();
-    let series: Vec<(&str, &LatencySnapshot)> = shard_labels
-        .iter()
-        .map(String::as_str)
-        .zip(snap.queue_waits.iter())
-        .collect();
-    render_latency_family(
-        &mut out,
-        "hp_shard_queue_wait_seconds",
-        "Time commands waited in the shard queue before dequeue",
-        &series,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP hp_shard_utilization Worker busy time / wall time since start"
-    );
-    let _ = writeln!(out, "# TYPE hp_shard_utilization gauge");
-    for (i, u) in snap.utilizations.iter().enumerate() {
-        let _ = writeln!(out, "hp_shard_utilization{{shard=\"{i}\"}} {u:.6}");
+/// Renders one counter or gauge family: its `HELP` / `TYPE` header,
+/// then one sample per `(label body, value)` — `""` for an unlabeled
+/// series, `shard="3"` style otherwise. With [`render_latency_family`]
+/// the only code that writes a family header, for every layer's
+/// exposition.
+pub fn render_scalar_family<L: AsRef<str>, V: Display>(
+    out: &mut String,
+    family: &Family,
+    series: impl IntoIterator<Item = (L, V)>,
+) {
+    let Family { name, help, kind } = family;
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (labels, value) in series {
+        let _ = match labels.as_ref() {
+            "" => writeln!(out, "{name} {value}"),
+            labels => writeln!(out, "{name}{{{labels}}} {value}"),
+        };
     }
-
-    let _ = writeln!(
-        out,
-        "# HELP hp_build_info Build metadata carried as labels (value is always 1)"
-    );
-    let _ = writeln!(out, "# TYPE hp_build_info gauge");
-    let _ = writeln!(out, "hp_build_info{{{}}} 1", snap.build_info);
-
-    let cal = snap.calibration;
-    for (name, help, value) in [
-        (
-            "hp_calibration_cache_entries",
-            "Entries in the threshold-calibration cache (sampled)",
-            snap.calibration_entries,
-        ),
-        (
-            "hp_calibration_cache_hits_total",
-            "Threshold lookups answered from the calibration cache",
-            cal.hits,
-        ),
-        (
-            "hp_calibration_cache_misses_total",
-            "Threshold lookups that fell through every warm tier",
-            cal.misses,
-        ),
-        (
-            "hp_calibration_surface_hits_total",
-            "Threshold lookups served by the interpolated surface",
-            cal.surface_hits,
-        ),
-        (
-            "hp_calibration_oracle_jobs_total",
-            "Monte-Carlo row jobs executed by the calibrator",
-            cal.oracle_jobs,
-        ),
-        (
-            "hp_calibration_crn_row_fills_total",
-            "Cache entries filled by common-random-number row jobs",
-            cal.crn_row_fills,
-        ),
-        (
-            "hp_calibration_singleflight_waits_total",
-            "Lookups that waited on another thread's in-flight row job",
-            cal.singleflight_waits,
-        ),
-        (
-            "hp_trace_events_dropped_total",
-            "Trace events evicted from full rings",
-            snap.trace_dropped,
-        ),
-    ] {
-        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
-    }
-    out
 }
 
 /// Renders one Prometheus histogram family with any number of label-body
@@ -611,107 +563,46 @@ pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
 /// (`# {trace_id="…"} <seconds>`) linking the bucket to a concrete
 /// request. Shared by the service registry and the edge's per-route
 /// request histograms so both expositions render identically.
-pub fn render_latency_family(
+pub fn render_latency_family<'a, L: AsRef<str>>(
     out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(&str, &LatencySnapshot)],
+    family: &Family,
+    series: impl IntoIterator<Item = (L, &'a LatencySnapshot)>,
 ) {
+    let Family { name, help, kind } = family;
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
     for (labels, hist) in series {
-        let with_le = |le: &str| {
-            if labels.is_empty() {
-                format!("{{le=\"{le}\"}}")
-            } else {
-                format!("{{{labels},le=\"{le}\"}}")
-            }
-        };
-        let plain = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
+        let (labels, plain) = match labels.as_ref() {
+            "" => (String::new(), String::new()),
+            labels => (format!("{labels},"), format!("{{{labels}}}")),
         };
         let hi = hist.buckets.iter().rposition(|&n| n > 0);
         let mut cumulative = 0u64;
-        if let Some(hi) = hi {
-            for (i, &n) in hist.buckets.iter().take(hi + 1).enumerate() {
-                cumulative += n;
-                let le = LatencySnapshot::bucket_upper_seconds(i);
-                let _ = write!(out, "{name}_bucket{} {cumulative}", with_le(&le.to_string()));
-                if hist.exemplar_trace[i] != 0 {
-                    let _ = write!(
-                        out,
-                        " # {{trace_id=\"{}\"}} {}",
-                        format_trace_id(hist.exemplar_trace[i]),
-                        hist.exemplar_ns[i] as f64 / 1e9,
-                    );
-                }
-                out.push('\n');
+        for (i, &n) in hist.buckets.iter().enumerate().take(hi.map_or(0, |hi| hi + 1)) {
+            cumulative += n;
+            let le = LatencySnapshot::bucket_upper_seconds(i);
+            let _ = write!(out, "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}");
+            if hist.exemplar_trace[i] != 0 {
+                let _ = write!(
+                    out,
+                    " # {{trace_id=\"{}\"}} {}",
+                    format_trace_id(hist.exemplar_trace[i]),
+                    hist.exemplar_ns[i] as f64 / 1e9,
+                );
             }
+            out.push('\n');
         }
-        let _ = writeln!(out, "{name}_bucket{} {}", with_le("+Inf"), hist.count);
+        let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {}", hist.count);
         let _ = writeln!(out, "{name}_sum{plain} {}", hist.sum_ns as f64 / 1e9);
         let _ = writeln!(out, "{name}_count{plain} {}", hist.count);
     }
-}
-
-/// Renders a snapshot as a flat JSON object: per-path quantiles plus
-/// service totals (consumed by the bench harness and `ci.sh`).
-pub fn render_json(snap: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\n");
-    for (path, hist) in &snap.latencies {
-        let _ = writeln!(
-            out,
-            "  \"{}\": {{\"count\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\
-             \"max_ns\":{},\"mean_ns\":{}}},",
-            path.name(),
-            hist.count,
-            hist.quantile_ns(0.5),
-            hist.quantile_ns(0.9),
-            hist.quantile_ns(0.99),
-            hist.max_ns,
-            hist.mean_ns(),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"ingested\":{},\"served\":{},\"shed\":{},\"degraded\":{},\
-         \"restarts\":{},\"quarantined\":{},\"journal_records\":{},\"journal_bytes\":{},\
-         \"snapshots_written\":{},\"snapshot_fallbacks\":{}}},",
-        snap.total(|s| s.ingested),
-        snap.total(|s| s.served),
-        snap.total(|s| s.shed),
-        snap.total(|s| s.degraded),
-        snap.total(|s| s.restarts),
-        snap.total(|s| s.quarantined),
-        snap.total(|s| s.journal_records),
-        snap.total(|s| s.journal_bytes),
-        snap.total(|s| s.snapshots_written),
-        snap.total(|s| s.snapshot_fallbacks),
-    );
-    let _ = writeln!(
-        out,
-        "  \"calibration\": {{\"entries\":{},\"hits\":{},\"misses\":{},\"surface_hits\":{},\
-         \"oracle_jobs\":{},\"crn_row_fills\":{},\"singleflight_waits\":{}}},\n  \"shards\": {}",
-        snap.calibration_entries,
-        snap.calibration.hits,
-        snap.calibration.misses,
-        snap.calibration.surface_hits,
-        snap.calibration.oracle_jobs,
-        snap.calibration.crn_row_fills,
-        snap.calibration.singleflight_waits,
-        snap.shards.len(),
-    );
-    out.push_str("}\n");
-    out
 }
 
 /// Formats an [`AssessmentTrace`] alongside the registry's assess-path
 /// latencies — the "one verdict, fully explained" operator view the
 /// example prints.
 pub fn explain_assessment(registry: &MetricsRegistry, trace: &AssessmentTrace) -> String {
-    let e2e = registry.latency(LatencyPath::AssessE2e);
+    let e2e = registry.hists[LatencyPath::AssessE2e as usize].snapshot();
     format!(
         "{trace}\n  service: assess e2e p50={}ns p99={}ns over {} served",
         e2e.quantile_ns(0.5),
@@ -723,15 +614,16 @@ pub fn explain_assessment(registry: &MetricsRegistry, trace: &AssessmentTrace) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::lint_prometheus;
 
     #[test]
     fn snapshot_reflects_writes() {
         let reg = MetricsRegistry::new(2, 16, false);
-        reg.shard(0).counters.add_ingested(10);
-        reg.shard(1).counters.add_ingested(5);
-        reg.shard(1).counters.add_served(2);
-        reg.set_queue_depth(1, 7);
-        reg.shard(0).last_apply_version.store(10, Ordering::Relaxed);
+        reg.shard(0).add(ShardMetric::Ingested, 10);
+        reg.shard(1).add(ShardMetric::Ingested, 5);
+        reg.shard(1).add(ShardMetric::Served, 2);
+        reg.shard(1).set(ShardMetric::QueueDepth, 7);
+        reg.shard(0).add(ShardMetric::LastApplyVersion, 10);
         reg.record_latency(LatencyPath::AssessE2e, 1_000);
         let calibration = CalibrationStats {
             hits: 40,
@@ -745,11 +637,11 @@ mod tests {
 
         let snap = reg.snapshot();
         assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.shards[0].ingested, 10);
-        assert_eq!(snap.shards[1].ingested, 5);
-        assert_eq!(snap.total(|s| s.ingested), 15);
-        assert_eq!(snap.shards[1].queue_depth, 7);
-        assert_eq!(snap.shards[0].last_apply_version, 10);
+        assert_eq!(snap.shards[0].get(ShardMetric::Ingested), 10);
+        assert_eq!(snap.shards[1].get(ShardMetric::Ingested), 5);
+        assert_eq!(snap.total(ShardMetric::Ingested), 15);
+        assert_eq!(snap.shards[1].get(ShardMetric::QueueDepth), 7);
+        assert_eq!(snap.shards[0].get(ShardMetric::LastApplyVersion), 10);
         assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 1);
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 0);
         assert_eq!((snap.calibration, snap.calibration_entries), (calibration, 3));
@@ -758,7 +650,7 @@ mod tests {
     #[test]
     fn prometheus_exposition_contains_all_required_metrics() {
         let reg = MetricsRegistry::new(2, 16, false);
-        reg.shard(0).counters.add_ingested(100);
+        reg.shard(0).add(ShardMetric::Ingested, 100);
         reg.record_latency_n(LatencyPath::IngestApply, 2_000, 100);
         reg.record_latency(LatencyPath::JournalAppend, 40_000);
         reg.record_latency(LatencyPath::JournalFsync, 900_000);
@@ -766,8 +658,10 @@ mod tests {
         reg.record_latency(LatencyPath::AssessE2e, 15_000);
         reg.record_latency(LatencyPath::AssessCalibration, 3_000_000);
 
-        reg.shard(1).counters.add_tier_compacted(640);
-        reg.set_tier_bytes(1, 4096, 512, 8192);
+        reg.shard(1).add(ShardMetric::TierCompacted, 640);
+        reg.shard(1).set(ShardMetric::TierHotBytes, 4096);
+        reg.shard(1).set(ShardMetric::TierSummaryBytes, 512);
+        reg.shard(1).set(ShardMetric::TierSpilledBytes, 8192);
         let text = reg.render_prometheus();
         for required in [
             "hp_feedbacks_ingested_total{shard=\"0\"} 100",
@@ -801,6 +695,60 @@ mod tests {
         }
     }
 
+    /// FNV-1a (the pinned-bytes fingerprint, as in `hp-core`'s `tiered.rs`).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and fingerprint of both renderings over a fixed script of
+    /// writes — two shards, every per-shard series a distinct value, one
+    /// exemplar-carrying sample per latency path, queue waits, fixed
+    /// build labels, no busy time (utilization prints `0.000000`) and no
+    /// duration an exact power of two — as computed at the commit before
+    /// the metric table existed (PR 21's parent), when the exposition was
+    /// seven hand-written blocks: deriving it from the table must not
+    /// move a byte of what a scraper reads.
+    #[test]
+    fn exposition_and_json_bytes_are_pinned() {
+        let reg = MetricsRegistry::new(2, 16, false);
+        for shard in 0..2u64 {
+            let slots = METRIC_TABLE.iter().filter_map(|row| match row.source {
+                Source::Shard(metric, _) => Some(metric),
+                _ => None,
+            });
+            for (i, metric) in slots.enumerate() {
+                reg.shard(shard as usize).set(metric, 1000 * (shard + 1) + i as u64);
+            }
+            reg.shard(shard as usize).queue_wait.record_ns(700 + 5000 * shard);
+        }
+        let paths = METRIC_TABLE.iter().filter_map(|row| match row.source {
+            Source::Latency(path) => Some(path),
+            _ => None,
+        });
+        for (i, path) in paths.enumerate() {
+            let i = i as u64;
+            reg.record_latency_traced(path, 3_000 * (i + 1) * (i + 1), 0xa0 + i);
+        }
+        reg.record_latency_n(LatencyPath::IngestApply, 77_777, 5);
+        reg.set_build_info("version=\"9.9.9\",git=\"pinned\",trust=\"average\",shards=\"2\"".into());
+        let calibration = CalibrationStats {
+            hits: 41,
+            misses: 42,
+            surface_hits: 43,
+            oracle_jobs: 44,
+            crn_row_fills: 45,
+            singleflight_waits: 46,
+        };
+        reg.set_calibration(calibration, 47);
+        let text = reg.render_prometheus();
+        assert_eq!((text.len(), fnv1a(text.as_bytes())), (19_437, 0xe360_b003_951b_b0b4), "{text}");
+        assert_eq!(lint_prometheus(&text), Vec::<String>::new());
+        let json = reg.render_json();
+        assert_eq!((json.len(), fnv1a(json.as_bytes())), (1_007, 0xfb23_1130_3b89_748d), "{json}");
+    }
+
     #[test]
     fn prometheus_buckets_are_cumulative_and_end_at_inf() {
         let reg = MetricsRegistry::new(1, 16, false);
@@ -821,10 +769,27 @@ mod tests {
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
     }
 
+    /// Prometheus `le` is inclusive: a sample of exactly the bound counts
+    /// under the bucket that names it, one nanosecond more in the next.
+    #[test]
+    fn a_sample_on_a_bucket_edge_counts_under_its_own_le() {
+        let reg = MetricsRegistry::new(1, 16, false);
+        reg.record_latency(LatencyPath::AssessE2e, 1_024);
+        reg.record_latency(LatencyPath::AssessE2e, 1_025);
+        let text = reg.render_prometheus();
+        for line in [
+            "hp_assess_e2e_latency_seconds_bucket{le=\"0.000000512\"} 0",
+            "hp_assess_e2e_latency_seconds_bucket{le=\"0.000001024\"} 1",
+            "hp_assess_e2e_latency_seconds_bucket{le=\"0.000002048\"} 2",
+        ] {
+            assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+        }
+    }
+
     #[test]
     fn json_snapshot_has_per_path_quantiles_and_totals() {
         let reg = MetricsRegistry::new(1, 16, false);
-        reg.shard(0).counters.add_ingested(42);
+        reg.shard(0).add(ShardMetric::Ingested, 42);
         reg.record_latency_n(LatencyPath::IngestApply, 3_000, 42);
         let json = reg.render_json();
         assert!(json.contains("\"ingest_apply\""), "{json}");
@@ -836,8 +801,8 @@ mod tests {
     #[test]
     fn queue_wait_utilization_and_build_info_are_exposed() {
         let reg = MetricsRegistry::new(2, 16, false);
-        reg.record_queue_wait(1, 50_000);
-        reg.add_busy_ns(1, 1_000_000);
+        reg.shard(1).queue_wait.record_ns(50_000);
+        reg.shard(1).busy_ns.fetch_add(1_000_000, Ordering::Relaxed);
         reg.set_build_info("version=\"0.1.0\",git=\"abc\",trust=\"average\",shards=\"2\"".into());
 
         let snap = reg.snapshot();
@@ -863,13 +828,13 @@ mod tests {
     fn traced_latencies_render_exemplars_and_lint_clean() {
         let reg = MetricsRegistry::new(2, 16, false);
         reg.record_latency_traced(LatencyPath::AssessE2e, 100_000, 0xab);
-        reg.record_queue_wait(0, 10_000);
+        reg.shard(0).queue_wait.record_ns(10_000);
         let text = reg.render_prometheus();
         assert!(
             text.contains("# {trace_id=\"00000000000000ab\"} 0.0001"),
             "{text}"
         );
-        let errors = super::super::lint::lint_prometheus(&text);
+        let errors = lint_prometheus(&text);
         assert!(errors.is_empty(), "{errors:?}");
     }
 

@@ -24,6 +24,7 @@
 //! boundary can at worst misplace a handful of observations by one
 //! 10-second bucket.
 
+use super::registry::{render_scalar_family, Family};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -186,11 +187,6 @@ impl SloMonitor {
         }
     }
 
-    /// The objectives this monitor enforces.
-    pub fn objectives(&self) -> SloObjectives {
-        self.objectives
-    }
-
     fn epoch(&self) -> u64 {
         self.started.elapsed().as_secs() / BUCKET_SECS
     }
@@ -233,77 +229,42 @@ impl SloMonitor {
         }
     }
 
+    /// The `hp_slo_*` families, in the order [`Self::render_prometheus`]
+    /// writes them.
+    #[rustfmt::skip]
+    pub const FAMILIES: [Family; 5] = [
+        Family::gauge("hp_slo_assess_latency_objective_seconds", "The assess-latency objective (at most 1% of assessments may exceed it)."),
+        Family::gauge("hp_slo_shed_ratio_objective", "The largest acceptable shed fraction of offered feedbacks."),
+        Family::gauge("hp_slo_burn_rate", "Error-budget burn rate per objective and window (1.0 = budget consumed exactly as fast as it accrues)."),
+        Family::counter("hp_slo_assess_observations_total", "Assessments observed by the SLO monitor, by objective outcome."),
+        Family::counter("hp_slo_ingest_observations_total", "Feedbacks observed by the SLO monitor, accepted vs shed."),
+    ];
+
     /// Renders the `hp_slo_*` metric families (appended to the edge
     /// exposition).
     pub fn render_prometheus(&self, out: &mut String) {
-        use std::fmt::Write;
+        let [assess_objective, shed_objective, burn_rate, assess_seen, ingest_seen] =
+            &Self::FAMILIES;
+        let objectives = self.objectives;
+        render_scalar_family(out, assess_objective, [("", objectives.assess_p99.as_secs_f64())]);
+        render_scalar_family(out, shed_objective, [("", objectives.max_shed_ratio)]);
         let burns = self.burns();
-        out.push_str(
-            "# HELP hp_slo_assess_latency_objective_seconds The assess-latency objective (at most 1% of assessments may exceed it).\n\
-             # TYPE hp_slo_assess_latency_objective_seconds gauge\n",
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_assess_latency_objective_seconds {}",
-            self.objectives.assess_p99.as_secs_f64()
-        );
-        out.push_str(
-            "# HELP hp_slo_shed_ratio_objective The largest acceptable shed fraction of offered feedbacks.\n\
-             # TYPE hp_slo_shed_ratio_objective gauge\n",
-        );
-        let _ = writeln!(out, "hp_slo_shed_ratio_objective {}", self.objectives.max_shed_ratio);
-        out.push_str(
-            "# HELP hp_slo_burn_rate Error-budget burn rate per objective and window (1.0 = budget consumed exactly as fast as it accrues).\n\
-             # TYPE hp_slo_burn_rate gauge\n",
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_burn_rate{{objective=\"assess_latency\",window=\"5m\"}} {:.6}",
-            burns.assess_fast
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_burn_rate{{objective=\"assess_latency\",window=\"1h\"}} {:.6}",
-            burns.assess_slow
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_burn_rate{{objective=\"shed_ratio\",window=\"5m\"}} {:.6}",
-            burns.shed_fast
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_burn_rate{{objective=\"shed_ratio\",window=\"1h\"}} {:.6}",
-            burns.shed_slow
-        );
-        out.push_str(
-            "# HELP hp_slo_assess_observations_total Assessments observed by the SLO monitor, by objective outcome.\n\
-             # TYPE hp_slo_assess_observations_total counter\n",
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_assess_observations_total{{result=\"ok\"}} {}",
-            self.assess.total_good.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_assess_observations_total{{result=\"breach\"}} {}",
-            self.assess.total_bad.load(Ordering::Relaxed)
-        );
-        out.push_str(
-            "# HELP hp_slo_ingest_observations_total Feedbacks observed by the SLO monitor, accepted vs shed.\n\
-             # TYPE hp_slo_ingest_observations_total counter\n",
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_ingest_observations_total{{result=\"accepted\"}} {}",
-            self.shed.total_good.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "hp_slo_ingest_observations_total{{result=\"shed\"}} {}",
-            self.shed.total_bad.load(Ordering::Relaxed)
-        );
+        let burns = [
+            ("assess_latency", "5m", burns.assess_fast),
+            ("assess_latency", "1h", burns.assess_slow),
+            ("shed_ratio", "5m", burns.shed_fast),
+            ("shed_ratio", "1h", burns.shed_slow),
+        ];
+        let burns = burns.map(|(objective, window, burn)| {
+            (format!("objective=\"{objective}\",window=\"{window}\""), format!("{burn:.6}"))
+        });
+        render_scalar_family(out, burn_rate, burns);
+        let outcomes = |counts: &WindowedCounts, good: &str, bad: &str| {
+            [(good, &counts.total_good), (bad, &counts.total_bad)]
+                .map(|(result, n)| (format!("result=\"{result}\""), n.load(Ordering::Relaxed)))
+        };
+        render_scalar_family(out, assess_seen, outcomes(&self.assess, "ok", "breach"));
+        render_scalar_family(out, ingest_seen, outcomes(&self.shed, "accepted", "shed"));
     }
 }
 

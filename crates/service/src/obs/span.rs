@@ -14,9 +14,9 @@
 //!   forensics buffer.
 //!
 //! Discipline is the same as the trace rings: when spans are disabled
-//! the per-request cost is a single relaxed atomic load
-//! ([`SpanStore::enabled`]); when enabled, recording takes one short
-//! mutex on the recent ring and — only for requests slower than the
+//! the per-request cost is a single branch on a flag fixed at
+//! construction ([`SpanStore::enabled`]); when enabled, recording takes
+//! one short mutex on the recent ring and — only for requests slower than the
 //! current floor — one on the endpoint's slow ring. Span trees reuse the
 //! tracer's monotone sequence ([`super::Tracer::stamp`]) so trees and
 //! shard trace events interleave on one clock, and shard-side stages are
@@ -25,7 +25,7 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -211,7 +211,7 @@ impl SlowRing {
 /// ring per endpoint.
 #[derive(Debug)]
 pub struct SpanStore {
-    enabled: AtomicBool,
+    enabled: bool,
     recent_capacity: usize,
     recent: Mutex<VecDeque<std::sync::Arc<SpanTree>>>,
     endpoints: Vec<(&'static str, SlowRing)>,
@@ -230,7 +230,7 @@ impl SpanStore {
         enabled: bool,
     ) -> SpanStore {
         SpanStore {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             recent_capacity: recent_capacity.max(1),
             recent: Mutex::new(VecDeque::new()),
             endpoints: endpoints
@@ -242,16 +242,11 @@ impl SpanStore {
         }
     }
 
-    /// Whether spans are being collected — one relaxed load, the entire
-    /// disabled-path cost.
+    /// Whether spans are being collected (fixed at construction) — the
+    /// entire disabled-path cost.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables collection at runtime.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Records a completed tree (no-op while disabled).
@@ -458,8 +453,5 @@ mod tests {
         store.record(tree(1, "/assess", 100));
         assert_eq!(store.recorded(), 0);
         assert!(store.find(1).is_none());
-        store.set_enabled(true);
-        store.record(tree(1, "/assess", 100));
-        assert_eq!(store.recorded(), 1);
     }
 }

@@ -1,16 +1,16 @@
 //! Structured tracing: bounded per-shard event rings.
 //!
-//! Each shard owns a [`TraceRing`] — a fixed-capacity buffer of
-//! [`TraceEvent`]s stamped with a *global* monotonic sequence number, so
+//! Each shard owns a ring — a fixed-capacity buffer of [`TraceEvent`]s
+//! stamped with a *global* monotonic sequence number, so
 //! draining the rings after a run reconstructs the causal order of
 //! operations across the whole service (chaos tests use this to prove
 //! journal-before-apply without println debugging). When a ring is full
 //! the oldest event is evicted and a drop counter incremented; tracing
 //! never blocks or allocates unboundedly on the hot path.
 //!
-//! Tracing is **off by default**. Every emission path — including the
-//! [`crate::span!`] macro — first checks one relaxed atomic load, so the
-//! disabled cost is a branch, not an event construction or a clock read.
+//! Tracing is **off by default**. Every emission first checks one relaxed
+//! atomic load, so the disabled cost is a branch, not an event
+//! construction.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,7 +128,7 @@ impl std::fmt::Display for TraceEvent {
 
 /// A bounded event buffer for one shard.
 #[derive(Debug)]
-pub struct TraceRing {
+struct TraceRing {
     events: Mutex<VecDeque<TraceEvent>>,
     capacity: usize,
     dropped: AtomicU64,
@@ -153,7 +153,7 @@ impl TraceRing {
     }
 
     /// Removes and returns all buffered events, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
+    fn drain(&self) -> Vec<TraceEvent> {
         self.events
             .lock()
             .expect("trace ring poisoned")
@@ -162,7 +162,7 @@ impl TraceRing {
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
@@ -236,11 +236,6 @@ impl Tracer {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Drains one shard's ring, oldest first.
-    pub fn drain(&self, shard: usize) -> Vec<TraceEvent> {
-        self.rings.get(shard).map_or_else(Vec::new, TraceRing::drain)
-    }
-
     /// Drains every ring and interleaves the events in global sequence
     /// order.
     pub fn drain_all(&self) -> Vec<TraceEvent> {
@@ -253,40 +248,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.rings.iter().map(TraceRing::dropped).sum()
     }
-}
-
-/// Times an expression and records a [`TraceKind`] span for it.
-///
-/// Expands to just the expression when tracing is disabled: the guard is
-/// a single relaxed atomic load, so the disabled overhead is one branch
-/// (no clock read, no event construction).
-///
-/// ```
-/// use hp_service::obs::{TraceKind, Tracer};
-///
-/// let tracer = Tracer::new(1, 64, true);
-/// let sum = hp_service::span!(tracer, 0, TraceKind::BatchApplied { feedbacks: 3 }, {
-///     (1..=3).sum::<u64>()
-/// });
-/// assert_eq!(sum, 6);
-/// assert_eq!(tracer.drain(0).len(), 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($tracer:expr, $shard:expr, $kind:expr, $body:expr) => {{
-        if $tracer.enabled() {
-            let __span_t0 = std::time::Instant::now();
-            let __span_out = $body;
-            $tracer.emit(
-                $shard,
-                __span_t0.elapsed().as_nanos() as u64,
-                $kind,
-            );
-            __span_out
-        } else {
-            $body
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -324,7 +285,7 @@ mod tests {
             tracer.emit(0, 0, TraceKind::JournalAppend { records: i });
         }
         assert_eq!(tracer.dropped(), 2);
-        let events = tracer.drain(0);
+        let events = tracer.drain_all();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, TraceKind::JournalAppend { records: 2 });
     }
@@ -334,28 +295,6 @@ mod tests {
         let tracer = Tracer::new(1, 4, true);
         tracer.emit(9, 0, TraceKind::ReplayStart);
         assert!(tracer.drain_all().is_empty());
-        assert!(tracer.drain(9).is_empty());
-    }
-
-    #[test]
-    fn span_macro_times_the_body() {
-        let tracer = Tracer::new(1, 4, true);
-        let out = crate::span!(tracer, 0, TraceKind::ReplayComplete { records: 1 }, {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(out, 42);
-        let events = tracer.drain(0);
-        assert_eq!(events.len(), 1);
-        assert!(events[0].duration_ns >= 1_000_000, "timed the body");
-    }
-
-    #[test]
-    fn span_macro_is_transparent_when_disabled() {
-        let tracer = Tracer::new(1, 4, false);
-        let out = crate::span!(tracer, 0, TraceKind::ReplayStart, 7);
-        assert_eq!(out, 7);
-        assert!(tracer.drain(0).is_empty());
     }
 
     #[test]
@@ -365,7 +304,7 @@ mod tests {
         tracer.emit(0, 0, TraceKind::DegradedServed);
         tracer.set_enabled(false);
         tracer.emit(0, 0, TraceKind::DegradedServed);
-        assert_eq!(tracer.drain(0).len(), 1);
+        assert_eq!(tracer.drain_all().len(), 1);
     }
 
     #[test]
@@ -393,7 +332,7 @@ mod tests {
         let tracer = Tracer::new(1, 8, true);
         tracer.emit_traced(0, 5, TraceKind::JournalAppend { records: 2 }, 0xbeef);
         tracer.emit(0, 0, TraceKind::ReplayStart);
-        let events = tracer.drain(0);
+        let events = tracer.drain_all();
         assert_eq!(events[0].trace, 0xbeef);
         assert_eq!(events[1].trace, 0, "emit delegates with the untraced sentinel");
     }
@@ -404,7 +343,7 @@ mod tests {
         tracer.emit(0, 0, TraceKind::ReplayStart);
         let stamped = tracer.stamp();
         tracer.emit(0, 0, TraceKind::DegradedServed);
-        let events = tracer.drain(0);
+        let events = tracer.drain_all();
         assert!(events[0].seq < stamped && stamped < events[1].seq);
         // The stamp is live even when event recording is off.
         let off = Tracer::new(1, 8, false);

@@ -3,12 +3,13 @@
 use crate::config::{Durability, IngestPolicy, ServiceConfig};
 use crate::faults::ShardFaults;
 use crate::journal::FileJournal;
-use crate::metrics::{Counters, ServiceStats};
+use crate::metrics::ServiceStats;
 use crate::obs::{
-    AssessmentTrace, LatencyPath, MetricsRegistry, TraceEvent, TraceKind, TracedAssessment,
+    AssessmentTrace, LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TraceEvent,
+    TraceKind, TracedAssessment,
 };
 use crate::shard::{
-    AssessTimings, Command, Published, ShardContext, ShardHandle, ShardSnapshot, ShardSnapshots,
+    AssessTimings, Command, Published, ShardContext, ShardHandle, ShardOccupancy, ShardSnapshots,
     ShardTiering,
 };
 use crate::snapshot::{BootProgress, SnapshotStore};
@@ -375,7 +376,7 @@ impl ReputationService {
                 .as_ref()
                 .and_then(|s| s.store.lock().newest_offset())
                 .unwrap_or(0);
-            let journal = open_journal(&config, shard, trusted, &obs.shard(shard).counters)?;
+            let journal = open_journal(&config, shard, trusted, obs.shard(shard))?;
             if let (Some(boot), Some(journal)) = (&progress, &journal) {
                 boot.add_journal_records(journal.records());
             }
@@ -513,9 +514,9 @@ impl ReputationService {
                     }
                 }
             };
-            let counters = &self.obs.shard(shard).counters;
-            counters.add_ingested(accepted as u64);
-            counters.add_shed(shed as u64);
+            let metrics = self.obs.shard(shard);
+            metrics.add(ShardMetric::Ingested, accepted as u64);
+            metrics.add(ShardMetric::Shed, shed as u64);
             outcome.accepted += accepted;
             outcome.shed += shed;
         }
@@ -715,11 +716,11 @@ impl ReputationService {
         let published = self.shards[shard].published.lock().get(&server).cloned();
         match published {
             Some(pv) => {
-                let counters = &self.obs.shard(shard).counters;
-                counters.add_degraded(1);
+                let metrics = self.obs.shard(shard);
+                metrics.add(ShardMetric::Degraded, 1);
                 // A degraded answer is served from the published-verdict
                 // cache — it is a cache event like any other serve.
-                counters.record_cache(true);
+                metrics.add(ShardMetric::CacheHits, 1);
                 let e2e_ns = start.elapsed().as_nanos() as u64;
                 self.obs
                     .record_latency_traced(LatencyPath::AssessE2e, e2e_ns, trace);
@@ -818,29 +819,27 @@ impl ReputationService {
     /// A snapshot of operational counters and shard occupancy.
     pub fn stats(&self) -> ServiceStats {
         self.sample_gauges();
-        // Collect the per-shard state snapshots *before* reading the
-        // registry: the snapshot round-trip is a barrier (each worker
-        // drains its queue first), so worker-side counters for commands
-        // enqueued before this call are visible in the registry read.
-        let snapshots: Vec<ShardSnapshot> = self
+        // Ask every shard for its occupancy *before* reading the
+        // registry: the round-trip is a barrier (each worker drains its
+        // queue first, and publishes its tier byte sums before it
+        // replies), so worker-side counters for commands enqueued before
+        // this call are visible in the registry read.
+        let occupancies: Vec<ShardOccupancy> = self
             .shards
             .iter()
             .map(|handle| {
                 let (reply_tx, reply_rx) = channel::bounded(1);
-                if handle.send(Command::Snapshot { reply: reply_tx }).is_ok() {
+                if handle.send(Command::Occupancy { reply: reply_tx }).is_ok() {
                     reply_rx.recv().unwrap_or_default()
                 } else {
-                    ShardSnapshot::default()
+                    ShardOccupancy::default()
                 }
             })
             .collect();
         let mut stats = ServiceStats::from_registry(&self.obs.snapshot());
-        for snapshot in snapshots {
-            stats.tracked_servers += snapshot.servers;
-            stats.tracked_feedbacks += snapshot.feedbacks;
-            stats.tier_hot_suffix_bytes += snapshot.hot_suffix_bytes;
-            stats.tier_summary_bytes += snapshot.summary_bytes;
-            stats.tier_spilled_bytes += snapshot.spilled_bytes;
+        for occupancy in occupancies {
+            stats.tracked_servers += occupancy.servers;
+            stats.tracked_feedbacks += occupancy.feedbacks;
         }
         stats
     }
@@ -879,7 +878,8 @@ impl ReputationService {
     /// into the registry so snapshots and expositions are current.
     fn sample_gauges(&self) {
         for (shard, handle) in self.shards.iter().enumerate() {
-            self.obs.set_queue_depth(shard, handle.queue_depth() as u64);
+            let depth = handle.queue_depth() as u64;
+            self.obs.shard(shard).set(ShardMetric::QueueDepth, depth);
         }
         self.obs
             .set_calibration(self.calibrator.stats(), self.calibrator.cache_len() as u64);
@@ -943,7 +943,7 @@ impl ReputationService {
     ///
     /// Requires [`ServiceConfig::with_snapshots`]; without it the shard
     /// side is a no-op and only the calibration cache is written. Shard
-    /// snapshot failures are counted (`snapshot_failures`), not errored:
+    /// snapshot failures are counted (`hp_snapshot_failures_total`), not errored:
     /// the journal remains the source of truth either way.
     ///
     /// # Errors
@@ -1037,14 +1037,14 @@ fn open_tiering(
 }
 
 /// Opens (and recovers) the journal for one shard of a durable service,
-/// crediting torn bytes to the counters; an ephemeral service has none.
+/// crediting torn bytes to the shard's metric block; an ephemeral service has none.
 /// `trusted` is an absolute record offset known durable (from the
 /// snapshot manifest); the open skips CRC-scanning that prefix.
 fn open_journal(
     config: &ServiceConfig,
     shard: usize,
     trusted: u64,
-    counters: &Counters,
+    metrics: &ShardMetrics,
 ) -> Result<Option<FileJournal>, ServiceError> {
     match config.durability() {
         Durability::Ephemeral => Ok(None),
@@ -1067,12 +1067,10 @@ fn open_journal(
             // stats describe the durable sequence, not just this process's
             // appends. `records()` is absolute: it includes the trusted
             // prefix that the open did not re-scan and any compacted base.
-            counters.record_journal_append(
-                journal.records(),
-                journal.records() * crate::journal::RECORD_LEN,
-                false,
-            );
-            counters.add_torn_bytes(recovered.torn_bytes);
+            let recovered_bytes = journal.records() * crate::journal::RECORD_LEN;
+            metrics.add(ShardMetric::JournalRecords, journal.records());
+            metrics.add(ShardMetric::JournalBytes, recovered_bytes);
+            metrics.add(ShardMetric::TornBytes, recovered.torn_bytes);
             Ok(Some(journal))
         }
     }

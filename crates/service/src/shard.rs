@@ -28,8 +28,7 @@
 use crate::config::{SnapshotPolicy, TieringPolicy, TrustModel};
 use crate::faults::ShardFaults;
 use crate::journal::FileJournal;
-use crate::metrics::Counters;
-use crate::obs::{LatencyPath, MetricsRegistry, TraceKind};
+use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TraceKind};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
 use crossbeam::channel::{
@@ -74,18 +73,12 @@ pub struct AssessTimings {
 /// this reply all hold the same allocation.
 pub(crate) type AssessReply = Result<(Arc<Assessment>, AssessTimings), CoreError>;
 
-/// A point-in-time view of one shard's contents.
+/// How much one shard holds right now. (Its per-tier byte sums travel
+/// through the registry gauges, published before this is sent.)
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardSnapshot {
+pub(crate) struct ShardOccupancy {
     pub servers: usize,
     pub feedbacks: usize,
-    /// Resident bytes of full-resolution history suffixes (hot tier).
-    pub hot_suffix_bytes: u64,
-    /// Resident bytes of folded per-issuer summary counts.
-    pub summary_bytes: u64,
-    /// Bytes of histories spilled to cold segments (what a full fault-in
-    /// would read back; excludes dead segment space awaiting reclaim).
-    pub spilled_bytes: u64,
 }
 
 /// The last verdict a shard published for one server, readable by the
@@ -131,8 +124,8 @@ pub(crate) enum Command {
         /// Request trace ID (0 = untraced).
         trace: u64,
     },
-    Snapshot {
-        reply: Sender<ShardSnapshot>,
+    Occupancy {
+        reply: Sender<ShardOccupancy>,
     },
     /// Take a durable state snapshot now (and compact the journal when
     /// the policy allows). Answers what was written, or `None` when
@@ -163,7 +156,7 @@ impl std::fmt::Debug for Command {
             Command::AssessMany { servers, .. } => {
                 write!(f, "AssessMany({} servers)", servers.len())
             }
-            Command::Snapshot { .. } => write!(f, "Snapshot"),
+            Command::Occupancy { .. } => write!(f, "Occupancy"),
             Command::Checkpoint { .. } => write!(f, "Checkpoint"),
             Command::Shutdown => write!(f, "Shutdown"),
         }
@@ -340,9 +333,9 @@ pub(crate) struct ShardContext {
 }
 
 impl ShardContext {
-    /// This shard's counter block in the registry.
-    pub(crate) fn counters(&self) -> &Counters {
-        &self.obs.shard(self.shard).counters
+    /// This shard's metric block in the registry.
+    pub(crate) fn metrics(&self) -> &ShardMetrics {
+        self.obs.shard(self.shard)
     }
 }
 
@@ -540,8 +533,8 @@ pub(crate) fn handle_command(
         .store(command.trace(), std::sync::atomic::Ordering::Relaxed);
     let busy_t0 = Instant::now();
     let flow = dispatch_command(command, states, inflight, ctx);
-    ctx.obs
-        .add_busy_ns(ctx.shard, busy_t0.elapsed().as_nanos() as u64);
+    let busy_ns = busy_t0.elapsed().as_nanos() as u64;
+    ctx.metrics().busy_ns.fetch_add(busy_ns, std::sync::atomic::Ordering::Relaxed);
     ctx.active_trace
         .store(0, std::sync::atomic::Ordering::Relaxed);
     flow
@@ -560,8 +553,8 @@ fn dispatch_command(
             trace,
         } => {
             let batch_len = batch.len() as u64;
-            ctx.obs
-                .record_queue_wait(ctx.shard, enqueued_at.elapsed().as_nanos() as u64);
+            let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
+            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
             // Journal first: after this point the batch is durable and
             // any crash during apply is recovered by replay. Trace
             // events only when enabled; the latency sample is two relaxed
@@ -575,8 +568,12 @@ fn dispatch_command(
                         if info.synced {
                             ctx.obs.record_latency(LatencyPath::JournalFsync, info.sync_ns);
                         }
-                        ctx.counters()
-                            .record_journal_append(info.records, info.bytes, info.synced);
+                        let metrics = ctx.metrics();
+                        metrics.add(ShardMetric::JournalRecords, info.records);
+                        metrics.add(ShardMetric::JournalBytes, info.bytes);
+                        if info.synced {
+                            metrics.add(ShardMetric::JournalSyncs, 1);
+                        }
                         ctx.obs.tracer().emit_traced(
                             ctx.shard,
                             append_ns,
@@ -616,10 +613,7 @@ fn dispatch_command(
                     }
                 }
             }
-            let metrics = ctx.obs.shard(ctx.shard);
-            metrics
-                .last_apply_version
-                .fetch_add(batch_len, std::sync::atomic::Ordering::Relaxed);
+            ctx.metrics().add(ShardMetric::LastApplyVersion, batch_len);
             // Enqueue→apply latency, attributed to every feedback in the
             // batch so the histogram count matches the `ingested` counter.
             ctx.obs.record_latency_n(
@@ -652,7 +646,7 @@ fn dispatch_command(
             trace,
         } => {
             let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
-            ctx.obs.record_queue_wait(ctx.shard, queue_wait_ns);
+            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
             ctx.faults.before_reply();
             let answer = assess_one(states, server, ctx, queue_wait_ns, trace);
             let _ = reply.send(answer);
@@ -665,7 +659,7 @@ fn dispatch_command(
             trace,
         } => {
             let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
-            ctx.obs.record_queue_wait(ctx.shard, queue_wait_ns);
+            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
             ctx.faults.before_reply();
             let answers = servers
                 .into_iter()
@@ -674,19 +668,16 @@ fn dispatch_command(
             let _ = reply.send(answers);
             Flow::Continue
         }
-        Command::Snapshot { reply } => {
-            let (hot, summary, spilled) = tier_bytes(states);
-            // Refresh the registry gauges while we have the sums: without
-            // tiering they are otherwise never published.
-            ctx.obs.set_tier_bytes(ctx.shard, hot, summary, spilled);
-            let snapshot = ShardSnapshot {
+        Command::Occupancy { reply } => {
+            // Publish the tier sums before replying: the reply is the
+            // barrier `stats()` reads the gauges behind, and without
+            // tiering nothing else ever publishes them.
+            publish_tier_bytes(ctx, tier_bytes(states));
+            let occupancy = ShardOccupancy {
                 servers: states.len(),
                 feedbacks: states.values().map(|s| s.len() as usize).sum(),
-                hot_suffix_bytes: hot,
-                summary_bytes: summary,
-                spilled_bytes: spilled,
             };
-            let _ = reply.send(snapshot);
+            let _ = reply.send(occupancy);
             Flow::Continue
         }
         Command::Checkpoint { reply } => {
@@ -695,6 +686,15 @@ fn dispatch_command(
         }
         Command::Shutdown => Flow::Stop,
     }
+}
+
+/// Stores `(hot suffix, folded summary, spilled payload)` byte sums in
+/// the shard's `hp_history_resident_bytes` gauges.
+fn publish_tier_bytes(ctx: &ShardContext, (hot, summary, spilled): (u64, u64, u64)) {
+    let metrics = ctx.metrics();
+    metrics.set(ShardMetric::TierHotBytes, hot);
+    metrics.set(ShardMetric::TierSummaryBytes, summary);
+    metrics.set(ShardMetric::TierSpilledBytes, spilled);
 }
 
 /// Per-tier resident byte sums over a shard's states: `(hot suffix,
@@ -732,11 +732,11 @@ fn maybe_tier(
         }
     }
     if folded > 0 {
-        ctx.counters().add_tier_compacted(folded);
+        ctx.metrics().add(ShardMetric::TierCompacted, folded);
     }
-    let (hot, summary, spilled) = enforce_spill_budget(states, ctx);
-    debug_assert_eq!((hot, summary, spilled), tier_bytes(states));
-    ctx.obs.set_tier_bytes(ctx.shard, hot, summary, spilled);
+    let sums = enforce_spill_budget(states, ctx);
+    debug_assert_eq!(sums, tier_bytes(states));
+    publish_tier_bytes(ctx, sums);
 }
 
 /// Re-tiers every server: compaction for all, then the spill budget.
@@ -798,7 +798,7 @@ fn enforce_spill_budget(
     let refs = match cold.lock().write_segment(&records) {
         Ok(refs) => refs,
         Err(_) => {
-            ctx.counters().add_tier_spill_failures(1);
+            ctx.metrics().add(ShardMetric::TierSpillFailures, 1);
             return unchanged;
         }
     };
@@ -809,7 +809,7 @@ fn enforce_spill_budget(
             .expect("victim still in map")
             .evict(segment, payload.len() as u64);
         written += payload.len() as u64;
-        ctx.counters().add_tier_evictions(1);
+        ctx.metrics().add(ShardMetric::TierEvictions, 1);
     }
     (
         hot_total - freed,
@@ -848,7 +848,7 @@ fn ensure_hot(server: ServerId, state: &mut ServerState, ctx: &ShardContext) {
     let history = TieredHistory::decode(&payload)
         .unwrap_or_else(|| panic!("cold segment payload for {server} failed validation"));
     state.restore(history);
-    ctx.counters().add_tier_faults(1);
+    ctx.metrics().add(ShardMetric::TierFaults, 1);
 }
 
 /// Faults and checksum-verifies every spilled segment reference in
@@ -912,7 +912,7 @@ pub(crate) fn take_checkpoint(
     let journal_records = {
         let mut journal = journal.lock();
         if journal.sync().is_err() {
-            ctx.counters().add_snapshot_failures(1);
+            ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
             return None;
         }
         journal.records()
@@ -931,7 +931,8 @@ pub(crate) fn take_checkpoint(
             } else {
                 0
             };
-            ctx.counters().record_snapshot(info.bytes);
+            ctx.metrics().add(ShardMetric::SnapshotsWritten, 1);
+            ctx.metrics().add(ShardMetric::SnapshotBytes, info.bytes);
             // Reclaim cold segments nothing references any more: every
             // live segment reference is covered by the snapshot just
             // written (tiering runs before checkpointing), so segments
@@ -957,7 +958,7 @@ pub(crate) fn take_checkpoint(
             })
         }
         Err(_) => {
-            ctx.counters().add_snapshot_failures(1);
+            ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
             None
         }
     }
@@ -1005,7 +1006,7 @@ fn assess_one(
     queue_wait_ns: u64,
     trace: u64,
 ) -> AssessReply {
-    ctx.counters().add_served(1);
+    ctx.metrics().add(ShardMetric::Served, 1);
     let cal0 = hp_stats::thread_calibration_nanos();
     let t0 = Instant::now();
     let reply = match states.get_mut(&server) {
@@ -1018,7 +1019,8 @@ fn assess_one(
                 ensure_hot(server, state, ctx);
             }
             let (assessment, from_cache) = state.assess(&ctx.test, ctx.policy)?;
-            ctx.counters().record_cache(from_cache);
+            let outcome = if from_cache { ShardMetric::CacheHits } else { ShardMetric::CacheMisses };
+            ctx.metrics().add(outcome, 1);
             let version = state.version();
             ctx.published.lock().insert(
                 server,
@@ -1034,7 +1036,7 @@ fn assess_one(
             // Unknown server: assess an empty history without permanently
             // allocating state for it (queries must not grow the map, and
             // must not grow the published cache either).
-            ctx.counters().record_cache(false);
+            ctx.metrics().add(ShardMetric::CacheMisses, 1);
             let mut state = ServerState::new(ctx.model)?;
             state.assess(&ctx.test, ctx.policy).map(|(a, _)| (a, false))
         }
@@ -1111,7 +1113,7 @@ mod tests {
         assert!(timings.compute_ns > 0, "compute time is measured");
 
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Snapshot { reply: snap_tx }).unwrap();
+        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
         let snap = snap_rx.recv().unwrap();
         assert_eq!(snap.servers, 1);
         assert_eq!(snap.feedbacks, 250);
@@ -1129,8 +1131,8 @@ mod tests {
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 250);
         assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 0, "no journal");
         assert_eq!(snap.latency(LatencyPath::AssessCompute).count, 1);
-        assert_eq!(snap.shards[0].journal_records, 0);
-        assert_eq!(snap.shards[0].last_apply_version, 250);
+        assert_eq!(snap.shards[0].get(ShardMetric::JournalRecords), 0);
+        assert_eq!(snap.shards[0].get(ShardMetric::LastApplyVersion), 250);
         // Queue-wait attribution: the ingest and the assess both waited
         // (however briefly) in the shard queue, and the worker's busy
         // time is accounted toward utilization.
@@ -1147,7 +1149,7 @@ mod tests {
             .unwrap();
         assert!(reply_rx.recv().unwrap().is_ok());
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Snapshot { reply: snap_tx }).unwrap();
+        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
         assert_eq!(snap_rx.recv().unwrap().servers, 0);
         assert!(handle.published.lock().is_empty());
     }
@@ -1175,7 +1177,7 @@ mod tests {
         handle.send(Command::ingest(batch(120, 30))).unwrap();
         // Round-trip a snapshot so the ingest is surely applied.
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Snapshot { reply: snap_tx }).unwrap();
+        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
         snap_rx.recv().unwrap();
         let published = handle.published.lock();
         let pv = published.get(&server).unwrap();

@@ -45,7 +45,7 @@
 //!   `ServiceError::ShardUnavailable`) and `failed_shards` is bumped.
 
 use crate::config::SupervisionConfig;
-use crate::obs::TraceKind;
+use crate::obs::{ShardMetric, TraceKind};
 use crate::shard::{
     take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight,
     ShardContext, ShardHandle,
@@ -108,7 +108,7 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
         boot.note_shard_ready(); // serving or failed, but no longer booting
     }
     let Some(mut states) = cold else {
-        ctx.counters().add_shard_failed();
+        ctx.metrics().add(ShardMetric::Failed, 1);
         return;
     };
     let mut restarts: u32 = 0;
@@ -121,10 +121,10 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
         }
         restarts += 1;
         if restarts > supervision.max_restarts {
-            ctx.counters().add_shard_failed();
+            ctx.metrics().add(ShardMetric::Failed, 1);
             return;
         }
-        ctx.counters().add_restart();
+        ctx.metrics().add(ShardMetric::Restarts, 1);
         // The worker leaves its in-flight trace ID published when it
         // panics: stamp the restart (and the replay below, via the same
         // slot) so crash forensics reconstruct from one request ID.
@@ -147,7 +147,7 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
             None => refold(ctx, &mut quarantine, &mut states, &mut inflight),
         };
         if !(recovered && retier(&mut states, ctx)) {
-            ctx.counters().add_shard_failed();
+            ctx.metrics().add(ShardMetric::Failed, 1);
             return;
         }
         // The crashed request is fully accounted for: clear the slot so
@@ -207,7 +207,7 @@ fn rebuild(ctx: &ShardContext, quarantine: &mut Quarantine) -> Option<HashMap<Se
             if let Some(states) = recover_from_snapshot(ctx, quarantine, &entry, replay_t0) {
                 return Some(states);
             }
-            ctx.counters().add_snapshot_fallback();
+            ctx.metrics().add(ShardMetric::SnapshotFallbacks, 1);
             ctx.obs
                 .tracer()
                 .emit_traced(ctx.shard, 0, TraceKind::SnapshotFallback, trace);
@@ -376,7 +376,7 @@ fn fold_tail(
         }
         let index = fold.next_index();
         if quarantine.note_crash(index) {
-            ctx.counters().add_quarantined();
+            ctx.metrics().add(ShardMetric::Quarantined, 1);
             ctx.obs.tracer().emit_traced(
                 ctx.shard,
                 0,

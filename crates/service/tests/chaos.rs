@@ -20,7 +20,7 @@
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
-use hp_service::obs::{LatencyPath, TraceKind};
+use hp_service::obs::{LatencyPath, ShardMetric, TraceKind};
 use hp_service::replay::{restamp, OfflineReference};
 use hp_service::{
     AssessOutcome, BootProgress, DegradedReason, Durability, FaultPlan, FsyncPolicy,
@@ -100,8 +100,8 @@ fn crash_before_apply(config: ServiceConfig, journaled: bool) {
     assert_eq!(stats.ingested_feedbacks, 600);
     // The per-shard block attributes the whole fault plan to shard 0.
     assert_eq!(stats.per_shard.len(), 1);
-    assert_eq!(stats.per_shard[0].restarts, 1);
-    assert_eq!(stats.per_shard[0].ingested, 600);
+    assert_eq!(stats.per_shard[0].get(ShardMetric::Restarts), 1);
+    assert_eq!(stats.per_shard[0].get(ShardMetric::Ingested), 600);
 
     // Histograms match the plan exactly: the crashed batch (100
     // feedbacks) reached state through the supervisor's fold, not the
@@ -114,7 +114,7 @@ fn crash_before_apply(config: ServiceConfig, journaled: bool) {
     );
     if journaled {
         assert_eq!(stats.journal_records, 600, "the crashed batch was journaled");
-        assert_eq!(stats.per_shard[0].journal_records, 600);
+        assert_eq!(stats.per_shard[0].get(ShardMetric::JournalRecords), 600);
         assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 6);
     } else {
         // No journal, and the counters say so: nothing framed, nothing
@@ -445,8 +445,8 @@ fn poison_record_is_quarantined_and_skipped() {
     assert_eq!(stats.quarantined_records, 1);
     assert_eq!(stats.shard_restarts, 1, "one live crash, then replay retries");
     assert_eq!(stats.failed_shards, 0);
-    assert_eq!(stats.per_shard[0].quarantined, 1, "attributed to shard 0");
-    assert_eq!(stats.per_shard[0].restarts, 1);
+    assert_eq!(stats.per_shard[0].get(ShardMetric::Quarantined), 1, "attributed to shard 0");
+    assert_eq!(stats.per_shard[0].get(ShardMetric::Restarts), 1);
 }
 
 #[test]
@@ -614,7 +614,7 @@ fn restart_budget_exhaustion_fails_the_shard_typed() {
     assert_eq!(stats.failed_shards, 1);
     assert_eq!(stats.shard_restarts, 2, "the budget of 2 respawns was spent");
     assert_eq!(stats.quarantined_records, 2, "one per completed rebuild");
-    assert_eq!(stats.per_shard[0].failed, 1);
+    assert_eq!(stats.per_shard[0].get(ShardMetric::Failed), 1);
 }
 
 /// The second ingest command is accepted, then the worker dies pre-apply;

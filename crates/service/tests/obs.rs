@@ -1,11 +1,11 @@
 //! Observability integration tests: traced assessments are bit-identical
 //! to untraced ones, histogram totals agree with the event counters in
-//! fault-free runs, the Prometheus exposition carries the full metric
-//! catalogue, and the trace rings reconstruct journal-before-apply order.
+//! fault-free runs, the Prometheus exposition is the metric table and
+//! nothing else, and the trace rings reconstruct journal-before-apply order.
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
-use hp_service::obs::LatencyPath;
+use hp_service::obs::{lint_catalogue, Family, LatencyPath, ShardMetric, METRIC_TABLE};
 use hp_service::{Durability, FsyncPolicy, ReputationService, ServiceConfig, TrustModel};
 use proptest::prelude::*;
 
@@ -124,51 +124,39 @@ fn histogram_totals_match_counters() {
     // Per-shard blocks fold to the same totals.
     assert_eq!(stats.per_shard.len(), 3);
     assert_eq!(
-        stats.per_shard.iter().map(|s| s.ingested).sum::<u64>(),
+        stats.per_shard.iter().map(|s| s.get(ShardMetric::Ingested)).sum::<u64>(),
         total
     );
     assert_eq!(
-        stats.per_shard.iter().map(|s| s.journal_records).sum::<u64>(),
+        stats.per_shard.iter().map(|s| s.get(ShardMetric::JournalRecords)).sum::<u64>(),
         stats.journal_records
     );
 }
 
+/// The live exposition and the metric table are one set: every row is
+/// served with its `HELP`, its `TYPE` and at least one sample, and every
+/// family served is a row — so a family cannot be added, dropped or
+/// re-described in one place only. What the table cannot know (per-shard
+/// series, counts that follow the traffic) is asserted beside it.
 #[test]
-fn prometheus_exposition_covers_the_catalogue() {
+fn prometheus_exposition_is_the_metric_table() {
     let service = ReputationService::new(fast_config(2)).unwrap();
     let server = ServerId::new(17);
     service.ingest_batch(feedbacks_for(server, 200, 11)).unwrap();
     service.assess(server).unwrap();
 
     let text = service.render_prometheus();
+    let catalogue: Vec<Family> = METRIC_TABLE.iter().map(|row| row.family).collect();
+    let problems = lint_catalogue(&text, &catalogue);
+    assert!(problems.is_empty(), "table vs exposition: {problems:?}\n{text}");
     for required in [
         "hp_feedbacks_ingested_total{shard=\"0\"}",
         "hp_feedbacks_ingested_total{shard=\"1\"}",
-        "hp_assessments_served_total",
-        "hp_assess_cache_hits_total",
-        "hp_assess_cache_misses_total",
-        "hp_shard_restarts_total",
-        "hp_quarantined_records_total",
-        "hp_journal_records_total",
-        "hp_shard_queue_depth",
-        "hp_shard_last_apply_version",
-        "hp_ingest_apply_latency_seconds_bucket",
         "hp_ingest_apply_latency_seconds_count 200",
-        "hp_journal_append_latency_seconds_count",
-        "hp_journal_fsync_latency_seconds_count",
         "hp_assess_compute_latency_seconds_count 1",
         "hp_assess_e2e_latency_seconds_count 1",
         "hp_ingest_apply_latency_quantile_seconds{quantile=\"0.5\"}",
         "hp_assess_e2e_latency_quantile_seconds{quantile=\"0.99\"}",
-        "hp_calibration_cache_entries",
-        "hp_calibration_cache_hits_total",
-        "hp_calibration_cache_misses_total",
-        "hp_calibration_surface_hits_total",
-        "hp_calibration_oracle_jobs_total",
-        "hp_calibration_crn_row_fills_total",
-        "hp_calibration_singleflight_waits_total",
-        "hp_assess_calibration_latency_seconds_count",
-        "hp_trace_events_dropped_total",
     ] {
         assert!(text.contains(required), "missing `{required}` in:\n{text}");
     }
