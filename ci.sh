@@ -62,6 +62,13 @@ else
     echo "    (skipped: --quick)"
 fi
 
+echo "==> history-engine bench (writes experiments/out/bench_history.json)"
+if [ "$QUICK" -eq 0 ]; then
+    cargo bench --offline -p hp-bench --bench history >/dev/null
+else
+    echo "    (skipped: --quick; gate checks the existing json)"
+fi
+
 echo "==> history-engine memory gate (bench json vs committed baseline)"
 HIST_JSON=experiments/out/bench_history.json
 HIST_BASE=experiments/baselines/bench_history_baseline.json

@@ -2,9 +2,8 @@
 //! the interpolated threshold surface, and the service-level cold-assess
 //! path they exist to accelerate.
 //!
-//! Hand-rolled like `phase1.rs` so the results are machine-readable:
-//! rows print to stdout and land in `experiments/out/bench_calibration.json`
-//! (override the directory with `HP_BENCH_OUT`). The JSON carries a
+//! Timed and written by the shared `hp_bench` harness into
+//! `experiments/out/bench_calibration.json`. The JSON carries a
 //! `gate` object which `ci.sh` compares against the committed baseline in
 //! `experiments/baselines/bench_calibration_baseline.json`.
 //!
@@ -39,114 +38,15 @@
 //!   statistically defensible, and the bench reports how many such
 //!   servers the workload produced instead of gating on them.
 
+use hp_bench::{fmt_ns, measure, print_rows, write_json, Row};
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::{ReputationService, ServiceConfig};
 use hp_stats::{CalibrationConfig, SurfaceParams, ThresholdCalibrator, ThresholdProvenance};
-use std::hint::black_box;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The paper's window size (and the service default).
 const M: u32 = 10;
 const SEED: u64 = 7;
-
-struct Row {
-    name: String,
-    samples: usize,
-    /// Work units handled per sample (0 = not a per-unit metric).
-    records: u64,
-    mean_ns: u128,
-    p50_ns: u128,
-    p99_ns: u128,
-    min_ns: u128,
-}
-
-impl Row {
-    fn min_ns_per_record(&self) -> f64 {
-        self.min_ns as f64 / self.records as f64
-    }
-}
-
-fn row_from_ns(name: &str, mut ns: Vec<u128>, records: u64) -> Row {
-    ns.sort_unstable();
-    let p = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
-    Row {
-        name: name.to_string(),
-        samples: ns.len(),
-        records,
-        mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
-        p50_ns: p(0.50),
-        p99_ns: p(0.99),
-        min_ns: ns[0],
-    }
-}
-
-/// Times `routine` `samples` times (after one warm-up call) and collects
-/// percentile stats.
-fn measure<O>(name: &str, samples: usize, records: u64, mut routine: impl FnMut() -> O) -> Row {
-    black_box(routine());
-    let ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(routine());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    row_from_ns(name, ns, records)
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_row(row: &Row) {
-    let per_record = if row.records > 0 {
-        format!("  ({:.2}ns/entry min)", row.min_ns_per_record())
-    } else {
-        String::new()
-    };
-    println!(
-        "{:<36} {:>4} samples  mean {}  p50 {}  p99 {}{per_record}",
-        row.name,
-        row.samples,
-        fmt_ns(row.mean_ns),
-        fmt_ns(row.p50_ns),
-        fmt_ns(row.p99_ns),
-    );
-}
-
-fn rows_json(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let per_record = if row.records > 0 {
-            format!(",\"min_ns_per_record\":{:.3}", row.min_ns_per_record())
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {{\"name\":\"{}\",\"samples\":{},\"records\":{},\"mean_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{}{per_record}}}{}\n",
-            row.name,
-            row.samples,
-            row.records,
-            row.mean_ns,
-            row.p50_ns,
-            row.p99_ns,
-            row.min_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
-}
 
 fn config(threads: usize, surface: Option<SurfaceParams>) -> CalibrationConfig {
     CalibrationConfig {
@@ -454,17 +354,13 @@ fn main() {
         with_surface.growth_verdict, oracle.growth_verdict,
         "growth-server verdict must not depend on the calibration tier"
     );
-    rows.push(row_from_ns(
+    rows.push(Row::from_samples(
         "service_cold_assess/surface",
-        with_surface.cold_ns.clone(),
         0,
+        with_surface.cold_ns.clone(),
     ));
-    rows.push(row_from_ns("service_cold_assess/oracle", oracle.cold_ns, 0));
-
-    println!();
-    for row in &rows {
-        print_row(row);
-    }
+    rows.push(Row::from_samples("service_cold_assess/oracle", 0, oracle.cold_ns));
+    print_rows(&rows);
     let row_named = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
 
     let amortized_ns = row_named("oracle_cold/row_fill").min_ns_per_record();
@@ -514,13 +410,8 @@ fn main() {
         "the surface must beat the oracle on rows nothing has asked for"
     );
 
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out"));
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-    let out = out_dir.join("bench_calibration.json");
-    let payload = format!(
-        "{{\"rows\":{},\n\"gate\":{{\
+    let gate = format!(
+        "\"gate\":{{\
          \"cold_assess_p99_ms\":{cold_p99_ms:.4},\
          \"cold_assess_p50_ms\":{cold_p50_ms:.4},\
          \"growth_assess_oracle_ms\":{growth_oracle_ms:.1},\
@@ -536,11 +427,9 @@ fn main() {
          \"verdicts_compared\":{SERVERS},\
          \"crn_identical\":{crn_identical},\
          \"row_fill_entries\":{row_entries},\
-         \"row_fill_amortized_ns\":{amortized_ns:.1}}}}}\n",
-        rows_json(&rows),
+         \"row_fill_amortized_ns\":{amortized_ns:.1}}}",
         surface_build_ns as f64 / 1e6,
         surface_build_2t_ns as f64 / 1e6,
     );
-    std::fs::write(&out, payload).expect("write bench json");
-    println!("wrote {}", out.display());
+    write_json("calibration", &rows, &gate);
 }

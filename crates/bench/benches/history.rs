@@ -1,12 +1,14 @@
 //! History-engine benchmarks: columnar vs. row-oriented storage.
 //!
-//! Hand-rolled like `recovery.rs` so the results are machine-readable:
-//! rows print to stdout and land in `experiments/out/bench_history.json`
-//! (override the directory with `HP_BENCH_OUT`). The JSON carries an
-//! extra `resident` object — bytes per 10 000-feedback server in each
+//! Timed and written by the shared `hp_bench` harness into
+//! `experiments/out/bench_history.json`. The JSON carries an extra
+//! `resident` object — bytes per 10 000-feedback server in each
 //! representation, for 24 issuers and for 10 000 distinct ones — which
 //! `ci.sh` compares against the committed baseline in
-//! `experiments/baselines/bench_history_baseline.json`.
+//! `experiments/baselines/bench_history_baseline.json`. `columnar` in a
+//! row name or JSON key is the layout — a `BitColumn` beside an
+//! `IssuerColumn`, what an uncompacted `TieredHistory` holds — and
+//! `reference` the row store.
 //!
 //! Shapes to look for:
 //!
@@ -24,15 +26,16 @@
 //!   cheaper;
 //! * `resident` — the memory claim itself, asserted ≥ 4× at the bottom.
 
+use hp_bench::{fmt_ns, measure, print_rows, write_json, Row};
+use hp_core::history::OwnedColumn;
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest};
 use hp_core::{
-    ClientId, ColumnarHistory, Feedback, HistoryView, Rating, ServerId, TieredHistory,
-    TransactionHistory,
+    ClientId, Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory,
 };
 use hp_store::ColdStore;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::Path;
+use std::sync::Arc;
 
 const N: usize = 10_000;
 /// The tiered claim is made at 10× the classic bench length: memory must
@@ -40,97 +43,6 @@ const N: usize = 10_000;
 const N10: usize = 10 * N;
 /// Paper-default assessment horizon (ServiceConfig's default).
 const HORIZON: usize = 2048;
-
-struct Row {
-    name: String,
-    samples: usize,
-    /// Records handled per sample (0 = not a per-record metric).
-    records: u64,
-    mean_ns: u128,
-    p50_ns: u128,
-    p99_ns: u128,
-    min_ns: u128,
-}
-
-/// Times `routine` `samples` times (after one warm-up call) and collects
-/// percentile stats.
-fn measure<O>(name: &str, samples: usize, records: u64, mut routine: impl FnMut() -> O) -> Row {
-    black_box(routine());
-    let mut ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(routine());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    ns.sort_unstable();
-    let p = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
-    Row {
-        name: name.to_string(),
-        samples,
-        records,
-        mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
-        p50_ns: p(0.50),
-        p99_ns: p(0.99),
-        min_ns: ns[0],
-    }
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_row(row: &Row) {
-    let per_record = if row.records > 0 {
-        format!("  ({}/record)", fmt_ns(row.mean_ns / u128::from(row.records)))
-    } else {
-        String::new()
-    };
-    println!(
-        "{:<40} {:>4} samples  mean {}  p50 {}  p99 {}{per_record}",
-        row.name,
-        row.samples,
-        fmt_ns(row.mean_ns),
-        fmt_ns(row.p50_ns),
-        fmt_ns(row.p99_ns),
-    );
-}
-
-fn rows_json(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let per_record = if row.records > 0 {
-            format!(
-                ",\"per_record_ns\":{:.1}",
-                row.mean_ns as f64 / row.records as f64
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {{\"name\":\"{}\",\"samples\":{},\"records\":{},\"mean_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{}{per_record}}}{}\n",
-            row.name,
-            row.samples,
-            row.records,
-            row.mean_ns,
-            row.p50_ns,
-            row.p99_ns,
-            row.min_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
-}
 
 /// One server's worth of feedback: skewed issuers (one heavy client, a
 /// small honest pool) so the collusion reorder has real work to do.
@@ -166,7 +78,7 @@ fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback], distinct: &[Feedbac
         ("ingest_10k/columnar_distinct", distinct),
     ] {
         rows.push(measure(name, 100, N as u64, || {
-            stream.iter().copied().collect::<ColumnarHistory>()
+            stream.iter().copied().collect::<TieredHistory>()
         }));
     }
     rows.push(measure("ingest_10k/reference", 100, N as u64, || {
@@ -180,7 +92,7 @@ fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback], distinct: &[Feedbac
 
 fn bench_window_counts(
     rows: &mut Vec<Row>,
-    cols: &ColumnarHistory,
+    cols: &TieredHistory,
     reference: &TransactionHistory,
 ) {
     let k = (N / 10) as u64;
@@ -192,7 +104,7 @@ fn bench_window_counts(
     }));
 }
 
-fn bench_reorder(rows: &mut Vec<Row>, cols: &ColumnarHistory) {
+fn bench_reorder(rows: &mut Vec<Row>, cols: &TieredHistory) {
     // Cold: a clone of a never-reordered history has an empty cache, so
     // every sample pays the full permutation build.
     rows.push(measure("collusion_reorder/cold", 100, N as u64, || {
@@ -202,13 +114,15 @@ fn bench_reorder(rows: &mut Vec<Row>, cols: &ColumnarHistory) {
     // Cached: the version-stamped cache serves an Arc clone; no rebuild,
     // no allocation of a new column.
     let warm = cols.clone();
-    black_box(warm.reordered_column());
+    let first = black_box(warm.reordered_column());
     rows.push(measure("collusion_reorder/cached", 100, N as u64, || {
         warm.reordered_column()
     }));
-    assert_eq!(
-        warm.reorder_recomputes(),
-        1,
+    assert!(
+        matches!(
+            (&first, &warm.reordered_column()),
+            (OwnedColumn::Bits(a), OwnedColumn::Bits(b)) if Arc::ptr_eq(a, b)
+        ),
         "cached reorders must not recompute"
     );
 }
@@ -243,7 +157,7 @@ fn bench_tiered(rows: &mut Vec<Row>, out_dir: &Path) -> Tiered {
     }));
 
     let mut tiered = TieredHistory::new();
-    let mut cols = ColumnarHistory::new();
+    let mut cols = TieredHistory::new();
     for &f in &feedbacks {
         tiered.push(f);
         cols.push(f);
@@ -309,32 +223,20 @@ fn bench_tiered(rows: &mut Vec<Row>, out_dir: &Path) -> Tiered {
 fn main() {
     let feedbacks = stream(N);
     let distinct = distinct_stream(N);
-    let mut cols = ColumnarHistory::new();
+    let mut cols = TieredHistory::new();
     let mut reference = TransactionHistory::with_capacity(N);
     for &f in &feedbacks {
         cols.push(f);
         reference.push(f);
     }
 
-    // Cargo runs benches with the package as cwd; anchor the default
-    // output at the workspace's experiments/out like the figure binaries.
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out")
-        });
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-
     let mut rows = Vec::new();
     println!("history-engine benchmarks (columnar vs row storage)\n");
     bench_ingest(&mut rows, &feedbacks, &distinct);
     bench_window_counts(&mut rows, &cols, &reference);
     bench_reorder(&mut rows, &cols);
-    let tiered = bench_tiered(&mut rows, &out_dir);
-    println!();
-    for row in &rows {
-        print_row(row);
-    }
+    let tiered = bench_tiered(&mut rows, &hp_bench::out_dir());
+    print_rows(&rows);
 
     // The memory claim: resident bytes per 10k-feedback server, service
     // form (no per-feedback times) vs the materialized row form.
@@ -352,7 +254,7 @@ fn main() {
     let columnar_distinct_bytes = distinct
         .iter()
         .copied()
-        .collect::<ColumnarHistory>()
+        .collect::<TieredHistory>()
         .resident_bytes();
     println!(
         "resident bytes per {N}-feedback server, every issuer distinct: \
@@ -381,20 +283,17 @@ fn main() {
         fmt_ns(tiered.hot_p99_ns)
     );
 
-    let out = out_dir.join("bench_history.json");
-    let payload = format!(
-        "{{\"rows\":{},\n\"resident\":{{\"columnar_bytes\":{columnar_bytes},\
+    let sections = format!(
+        "\"resident\":{{\"columnar_bytes\":{columnar_bytes},\
          \"columnar_distinct_bytes\":{columnar_distinct_bytes},\
          \"reference_bytes\":{reference_bytes},\"ratio\":{ratio:.3}}},\n\
          \"tiered\":{{\"history_len\":{N10},\"horizon\":{HORIZON},\
          \"tiered_bytes\":{},\"columnar_bytes\":{},\"resident_fraction\":{tiered_fraction:.4},\
-         \"hot_p99_ns\":{},\"cold_p99_ns\":{},\"cold_over_hot\":{cold_over_hot:.2}}}}}\n",
-        rows_json(&rows),
+         \"hot_p99_ns\":{},\"cold_p99_ns\":{},\"cold_over_hot\":{cold_over_hot:.2}}}",
         tiered.tiered_bytes,
         tiered.columnar_bytes,
         tiered.hot_p99_ns,
         tiered.cold_p99_ns,
     );
-    std::fs::write(&out, payload).expect("write bench json");
-    println!("wrote {}", out.display());
+    write_json("history", &rows, &sections);
 }

@@ -1,10 +1,8 @@
 //! Tracing-overhead benchmarks: what span-tree collection costs on the
 //! assess path, and what it costs when switched off.
 //!
-//! Like `benches/recovery.rs` this harness hand-rolls its measurement
-//! loop so it can emit machine-readable results: every row is printed
-//! and also written as JSON to `experiments/out/bench_obs.json`
-//! (override the directory with `HP_BENCH_OUT`). The JSON carries a
+//! Timed and written by the shared `hp_bench` harness into
+//! `experiments/out/bench_obs.json`. The JSON carries a
 //! `gate` object with the spans-disabled and spans-enabled overhead over
 //! the plain-assess baseline, which `ci.sh` compares against
 //! `experiments/baselines/bench_obs_baseline.json`.
@@ -28,12 +26,12 @@
 //! * `span/disabled_check` — the disabled-path check on its own: one
 //!   relaxed load, nanoseconds.
 
+use hp_bench::{measure, print_rows, write_json, Row};
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::obs::{next_trace_id, SpanBuilder, SpanStore};
 use hp_service::{ReputationService, ServiceConfig};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Assess calls folded into one timed sample, smoothing channel jitter.
@@ -44,92 +42,6 @@ const BATCHES_PER_SAMPLE: usize = 4;
 const INGEST_BATCH: usize = 1_024;
 const SAMPLES: usize = 60;
 const SERVERS: u64 = 64;
-
-struct Row {
-    name: String,
-    samples: usize,
-    /// Operations per sample (per-op figures divide by this).
-    ops: u64,
-    mean_ns: u128,
-    p50_ns: u128,
-    p99_ns: u128,
-    min_ns: u128,
-}
-
-fn row_from(name: &str, ops: u64, mut ns: Vec<u128>) -> Row {
-    ns.sort_unstable();
-    let p = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
-    Row {
-        name: name.to_string(),
-        samples: ns.len(),
-        ops,
-        mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
-        p50_ns: p(0.50),
-        p99_ns: p(0.99),
-        min_ns: ns[0],
-    }
-}
-
-fn measure<O>(name: &str, ops: u64, mut routine: impl FnMut() -> O) -> Row {
-    black_box(routine()); // warm-up
-    let ns: Vec<u128> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(routine());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    row_from(name, ops, ns)
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_row(row: &Row) {
-    let per_op = if row.ops > 0 {
-        format!("  ({}/op)", fmt_ns(row.p50_ns / u128::from(row.ops)))
-    } else {
-        String::new()
-    };
-    println!(
-        "{:<28} {:>4} samples  mean {}  p50 {}  p99 {}{per_op}",
-        row.name,
-        row.samples,
-        fmt_ns(row.mean_ns),
-        fmt_ns(row.p50_ns),
-        fmt_ns(row.p99_ns),
-    );
-}
-
-fn json(rows: &[Row], gate: &str) -> String {
-    let mut out = String::from("{\"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"name\":\"{}\",\"samples\":{},\"ops\":{},\"mean_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{}}}{}\n",
-            row.name,
-            row.samples,
-            row.ops,
-            row.mean_ns,
-            row.p50_ns,
-            row.p99_ns,
-            row.min_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("\"gate\": {gate}}}\n"));
-    out
-}
 
 fn warm_service() -> ReputationService {
     let config = ServiceConfig::default()
@@ -276,9 +188,9 @@ fn main() {
     }
     let ingest_ops = BATCHES_PER_SAMPLE as u64;
     let ingest_pairs = (ingest_base_ns.clone(), ingest_on_ns.clone());
-    rows.push(row_from("ingest/baseline", ingest_ops, ingest_base_ns));
-    rows.push(row_from("ingest/spans_disabled", ingest_ops, ingest_off_ns));
-    rows.push(row_from("ingest/spans_enabled", ingest_ops, ingest_on_ns));
+    rows.push(Row::from_samples("ingest/baseline", ingest_ops, ingest_base_ns));
+    rows.push(Row::from_samples("ingest/spans_disabled", ingest_ops, ingest_off_ns));
+    rows.push(Row::from_samples("ingest/spans_enabled", ingest_ops, ingest_on_ns));
 
     // Assess trio: single cache-hit assessments, the worst-case
     // denominator for per-request span cost.
@@ -309,12 +221,12 @@ fn main() {
         enabled_ns.push(time_sample(&mut run_enabled));
     }
     let assess_pairs = (baseline_ns.clone(), disabled_ns.clone(), enabled_ns.clone());
-    rows.push(row_from("assess/baseline", ops, baseline_ns));
-    rows.push(row_from("assess/spans_disabled", ops, disabled_ns));
-    rows.push(row_from("assess/spans_enabled", ops, enabled_ns));
+    rows.push(Row::from_samples("assess/baseline", ops, baseline_ns));
+    rows.push(Row::from_samples("assess/spans_disabled", ops, disabled_ns));
+    rows.push(Row::from_samples("assess/spans_enabled", ops, enabled_ns));
 
     // The span subsystem in isolation, no service call inside the loop.
-    rows.push(measure("span/build_record", ops, || {
+    rows.push(measure("span/build_record", SAMPLES, ops, || {
         for _ in 0..CALLS_PER_SAMPLE {
             let trace = next_trace_id();
             let t0 = Instant::now();
@@ -328,7 +240,7 @@ fn main() {
             enabled.record(builder.finish(0, "verdict=accepted"));
         }
     }));
-    rows.push(measure("span/disabled_check", ops, || {
+    rows.push(measure("span/disabled_check", SAMPLES, ops, || {
         let mut hits = 0u32;
         for _ in 0..CALLS_PER_SAMPLE {
             hits += u32::from(black_box(&disabled).enabled());
@@ -336,10 +248,7 @@ fn main() {
         hits
     }));
 
-    println!();
-    for row in &rows {
-        print_row(row);
-    }
+    print_rows(&rows);
 
     // Overhead over baseline from the median of pairwise sample
     // overheads: the variants of a trio are sampled round-robin, so
@@ -372,20 +281,11 @@ fn main() {
          enabled-vs-bare-assess {assess_enabled_pct:.2}% (informational)"
     );
     let gate = format!(
-        "{{\"calls_per_sample\": {CALLS_PER_SAMPLE}, \
+        "\"gate\": {{\"calls_per_sample\": {CALLS_PER_SAMPLE}, \
          \"ingest_batch\": {INGEST_BATCH}, \
          \"disabled_overhead_pct\": {disabled_pct:.2}, \
          \"enabled_overhead_pct\": {enabled_pct:.2}, \
          \"assess_enabled_overhead_pct\": {assess_enabled_pct:.2}}}"
     );
-
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out")
-        });
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-    let out = out_dir.join("bench_obs.json");
-    std::fs::write(&out, json(&rows, &gate)).expect("write bench json");
-    println!("\nwrote {}", out.display());
+    write_json("obs", &rows, &gate);
 }

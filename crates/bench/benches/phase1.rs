@@ -2,9 +2,8 @@
 //! size everything runs (m = 10), and the fused multi-suffix sweep vs
 //! per-suffix evaluation.
 //!
-//! Hand-rolled like `history.rs` so the results are machine-readable:
-//! rows print to stdout and land in `experiments/out/bench_phase1.json`
-//! (override the directory with `HP_BENCH_OUT`). The JSON carries an
+//! Timed and written by the shared `hp_bench` harness into
+//! `experiments/out/bench_phase1.json`. The JSON carries an
 //! extra `gate` object — kernel ns/window and fused multi-test ns per
 //! suffix tested, computed from the minimum sample for stability — which
 //! `ci.sh` compares against the committed baseline in
@@ -23,112 +22,15 @@
 //!   absolute cost per suffix: that is the number a per-suffix allocation
 //!   or a per-suffix lock would move.
 
+use hp_bench::{fmt_ns, measure, print_rows, write_json, Row};
 use hp_core::history::BitColumn;
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest, MultiTestMode};
-use hp_core::{ClientId, ColumnarHistory, Feedback, Rating, ServerId};
+use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 const N: usize = 10_000;
 /// The paper's window size (§5), and the only one anything here runs.
 const M: usize = 10;
-
-struct Row {
-    name: String,
-    samples: usize,
-    /// Records handled per sample (0 = not a per-record metric).
-    records: u64,
-    mean_ns: u128,
-    p50_ns: u128,
-    p99_ns: u128,
-    min_ns: u128,
-}
-
-impl Row {
-    /// Nanoseconds per record from the *minimum* sample — the least noisy
-    /// estimate on a shared box, and what the CI gate keys on.
-    fn min_ns_per_record(&self) -> f64 {
-        self.min_ns as f64 / self.records as f64
-    }
-}
-
-/// Times `routine` `samples` times (after one warm-up call) and collects
-/// percentile stats.
-fn measure<O>(name: &str, samples: usize, records: u64, mut routine: impl FnMut() -> O) -> Row {
-    black_box(routine());
-    let mut ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(routine());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    ns.sort_unstable();
-    let p = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
-    Row {
-        name: name.to_string(),
-        samples,
-        records,
-        mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
-        p50_ns: p(0.50),
-        p99_ns: p(0.99),
-        min_ns: ns[0],
-    }
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_row(row: &Row) {
-    let per_record = if row.records > 0 {
-        format!("  ({:.2}ns/record min)", row.min_ns_per_record())
-    } else {
-        String::new()
-    };
-    println!(
-        "{:<40} {:>4} samples  mean {}  p50 {}  p99 {}{per_record}",
-        row.name,
-        row.samples,
-        fmt_ns(row.mean_ns),
-        fmt_ns(row.p50_ns),
-        fmt_ns(row.p99_ns),
-    );
-}
-
-fn rows_json(rows: &[Row]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        let per_record = if row.records > 0 {
-            format!(",\"min_ns_per_record\":{:.3}", row.min_ns_per_record())
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {{\"name\":\"{}\",\"samples\":{},\"records\":{},\"mean_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{}{per_record}}}{}\n",
-            row.name,
-            row.samples,
-            row.records,
-            row.mean_ns,
-            row.p50_ns,
-            row.p99_ns,
-            row.min_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
-}
 
 /// A 10k-outcome column with a mixed bit pattern (roughly 80% good, no
 /// short period) so popcounts see realistic word contents.
@@ -145,9 +47,9 @@ fn outcome_column(n: usize) -> BitColumn {
 }
 
 /// One server's worth of feedback sharing the column's outcome pattern.
-fn history(n: usize) -> ColumnarHistory {
+fn history(n: usize) -> TieredHistory {
     let col = outcome_column(n);
-    let mut h = ColumnarHistory::new();
+    let mut h = TieredHistory::new();
     for t in 0..n {
         h.push(Feedback::new(
             t as u64,
@@ -176,16 +78,15 @@ fn bench_kernel(rows: &mut Vec<Row>, col: &BitColumn) {
 }
 
 /// Returns the number of suffixes one evaluation tests.
-fn bench_multi(rows: &mut Vec<Row>, history: &ColumnarHistory) -> usize {
+fn bench_multi(rows: &mut Vec<Row>, history: &TieredHistory) -> usize {
     // Small calibration budget: the calibrator warms once before timing,
     // so the measured cost is the sweep + threshold lookups only.
     let config = BehaviorTestConfig::builder()
         .calibration_trials(200)
         .build()
         .unwrap();
-    let fused = MultiBehaviorTest::new(config.clone())
-        .unwrap()
-        .with_mode(MultiTestMode::Optimized);
+    // The default mode runs the fused sweep at the default, aligned step.
+    let fused = MultiBehaviorTest::new(config.clone()).unwrap();
     let naive = MultiBehaviorTest::new(config)
         .unwrap()
         .with_mode(MultiTestMode::Naive);
@@ -206,10 +107,7 @@ fn main() {
     println!("phase-1 kernel benchmarks\n");
     bench_kernel(&mut rows, &col);
     let suffixes = bench_multi(&mut rows, &hist);
-    println!();
-    for row in &rows {
-        print_row(row);
-    }
+    print_rows(&rows);
 
     let row_named = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
     let kernel_ns = row_named(&format!("window_counts/m{M}")).min_ns_per_record();
@@ -231,21 +129,10 @@ fn main() {
          ({multi_ratio:.2}x)"
     );
 
-    // Cargo runs benches with the package as cwd; anchor the default
-    // output at the workspace's experiments/out like the figure binaries.
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out")
-        });
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-    let out = out_dir.join("bench_phase1.json");
-    let payload = format!(
-        "{{\"rows\":{},\n\"gate\":{{\"kernel_ns_per_window\":{{\"m{M}\":{kernel_ns:.3}}},\
+    let gate = format!(
+        "\"gate\":{{\"kernel_ns_per_window\":{{\"m{M}\":{kernel_ns:.3}}},\
          \"multi_fused_over_naive\":{multi_ratio:.3},\
-         \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}}}\n",
-        rows_json(&rows)
+         \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}"
     );
-    std::fs::write(&out, payload).expect("write bench json");
-    println!("wrote {}", out.display());
+    write_json("phase1", &rows, &gate);
 }

@@ -1,8 +1,7 @@
 //! Durability benchmarks: journal append overhead and time-to-recover.
 //!
-//! The harness hand-rolls its measurement loop so it can emit
-//! machine-readable results: every row is printed and also written as JSON to `experiments/out/bench_recovery.json` (override
-//! the directory with `HP_BENCH_OUT`).
+//! Timed and written by the shared `hp_bench` harness into
+//! `experiments/out/bench_recovery.json`.
 //!
 //! Shapes to look for:
 //!
@@ -25,6 +24,7 @@
 //!   `ci.sh` compares against
 //!   `experiments/baselines/bench_recovery_baseline.json`.
 
+use hp_bench::{measure, measure_span, print_rows, write_json, Row};
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::journal::{read_journal, FileJournal, FsyncPolicy};
@@ -37,116 +37,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const APPEND_BATCH: usize = 1_024;
-
-struct Row {
-    name: String,
-    samples: usize,
-    /// Records handled per sample (0 = not a per-record metric).
-    records: u64,
-    mean_ns: u128,
-    p50_ns: u128,
-    p99_ns: u128,
-    min_ns: u128,
-}
-
-fn row_from(name: &str, records: u64, mut ns: Vec<u128>) -> Row {
-    ns.sort_unstable();
-    let p = |q: f64| ns[((ns.len() - 1) as f64 * q).round() as usize];
-    Row {
-        name: name.to_string(),
-        samples: ns.len(),
-        records,
-        mean_ns: ns.iter().sum::<u128>() / ns.len() as u128,
-        p50_ns: p(0.50),
-        p99_ns: p(0.99),
-        min_ns: ns[0],
-    }
-}
-
-/// Times `routine` `samples` times (after one warm-up call) and collects
-/// percentile stats.
-fn measure<O>(name: &str, samples: usize, records: u64, mut routine: impl FnMut() -> O) -> Row {
-    black_box(routine());
-    let ns: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(routine());
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    row_from(name, records, ns)
-}
-
-/// Like [`measure`], but the routine times its own interesting span, so
-/// per-sample teardown (service drain, which with snapshots enabled
-/// writes a checkpoint) stays outside the measurement.
-fn measure_span(
-    name: &str,
-    samples: usize,
-    records: u64,
-    mut routine: impl FnMut() -> std::time::Duration,
-) -> Row {
-    routine();
-    let ns: Vec<u128> = (0..samples).map(|_| routine().as_nanos()).collect();
-    row_from(name, records, ns)
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn print_row(row: &Row) {
-    let per_record = if row.records > 0 {
-        format!("  ({}/record)", fmt_ns(row.mean_ns / u128::from(row.records)))
-    } else {
-        String::new()
-    };
-    println!(
-        "{:<40} {:>4} samples  mean {}  p50 {}  p99 {}{per_record}",
-        row.name,
-        row.samples,
-        fmt_ns(row.mean_ns),
-        fmt_ns(row.p50_ns),
-        fmt_ns(row.p99_ns),
-    );
-}
-
-fn json(rows: &[Row], gate: &str) -> String {
-    let mut out = String::from("{\"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let per_record = if row.records > 0 {
-            format!(
-                ",\"per_record_ns\":{:.1}",
-                row.mean_ns as f64 / row.records as f64
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {{\"name\":\"{}\",\"samples\":{},\"records\":{},\"mean_ns\":{},\
-             \"p50_ns\":{},\"p99_ns\":{},\"min_ns\":{}{per_record}}}{}\n",
-            row.name,
-            row.samples,
-            row.records,
-            row.mean_ns,
-            row.p50_ns,
-            row.p99_ns,
-            row.min_ns,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("\"gate\": {gate}}}\n"));
-    out
-}
 
 fn batch(start_t: u64, len: usize) -> Vec<Feedback> {
     (0..len as u64)
@@ -420,10 +310,7 @@ fn main() {
     bench_recovery(&mut rows);
     bench_snapshot_restart(&mut rows);
     bench_spill_restart(&mut rows);
-    println!();
-    for row in &rows {
-        print_row(row);
-    }
+    print_rows(&rows);
 
     // Snapshot-boot speedup over full replay at the largest journal —
     // the number ci.sh gates against the committed baseline.
@@ -439,7 +326,7 @@ fn main() {
     let speedup = full as f64 / snap as f64;
     let spill_speedup = full as f64 / spill as f64;
     let gate = format!(
-        "{{\"len\": 400000, \"full_replay_ms\": {:.2}, \"snapshot_boot_ms\": {:.2}, \
+        "\"gate\": {{\"len\": 400000, \"full_replay_ms\": {:.2}, \"snapshot_boot_ms\": {:.2}, \
          \"snapshot_restart_speedup\": {:.2}, \"spill_boot_ms\": {:.2}, \
          \"spill_restart_speedup\": {:.2}}}",
         full as f64 / 1e6,
@@ -458,16 +345,5 @@ fn main() {
         spill as f64 / 1e6,
         full as f64 / 1e6,
     );
-
-    // Cargo runs benches with the package as cwd; anchor the default
-    // output at the workspace's experiments/out like the figure binaries.
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out")
-        });
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-    let out = out_dir.join("bench_recovery.json");
-    std::fs::write(&out, json(&rows, &gate)).expect("write bench json");
-    println!("\nwrote {}", out.display());
+    write_json("recovery", &rows, &gate);
 }

@@ -19,14 +19,6 @@ pub enum CoreError {
         /// The offending value.
         value: f64,
     },
-    /// The optimized multi-test was asked to run with a step that is not a
-    /// multiple of the window size (the O(n) reuse needs aligned windows).
-    MisalignedStep {
-        /// Configured step `k`.
-        step: usize,
-        /// Configured window size `m`.
-        window: u32,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -37,10 +29,6 @@ impl fmt::Display for CoreError {
             CoreError::InvalidTrustValue { value } => {
                 write!(f, "trust value must lie in [0, 1], got {value}")
             }
-            CoreError::MisalignedStep { step, window } => write!(
-                f,
-                "optimized multi-testing requires step ({step}) to be a multiple of the window size ({window})"
-            ),
         }
     }
 }
@@ -66,9 +54,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = CoreError::MisalignedStep { step: 7, window: 10 };
-        let msg = e.to_string();
-        assert!(msg.contains('7') && msg.contains("10"));
         let e = CoreError::InvalidConfig {
             reason: "window size must be positive".into(),
         };

@@ -7,7 +7,7 @@ use std::fmt;
 /// A client's one-dimensional rating of a transaction.
 ///
 /// The paper restricts ratings to `{positive, negative}`; multi-valued
-/// feedback is handled by the multinomial extension in `hp-stats`.
+/// feedback is handled by [`crate::testing::MultiValueBehaviorTest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Rating {
     /// The transaction was satisfactory ("good transaction").

@@ -1,32 +1,30 @@
-//! The bit-packed columnar history engine.
+//! The bit-packed columns of the production history.
 //!
-//! Outcomes live in a [`BitColumn`], issuers in an [`IssuerColumn`], and
-//! timestamps are optional — the online service drops them entirely
-//! because its trust configuration never reads wall-clock time. The cost
-//! model, against ~48 B per transaction for the reference row store:
-//! per transaction 1 outcome bit + 1 prefix-popcount bit + a 4 B issuer
-//! code; per distinct issuer an 8 B id + a 4 B index slot at load 3/8–3/4
-//! (5–11 B) — the counts §4 groups by are recounted when asked for, never
-//! stored. Long columns grow by a quarter, so measured heap is
+//! Outcomes live in a [`BitColumn`], issuers in an [`IssuerColumn`];
+//! [`super::TieredHistory`] holds one of each behind
+//! [`super::HistoryView`]. Timestamps are not stored here — the online
+//! service's trust configuration never reads wall-clock time, and
+//! `hp-store`, which does hand records back, keeps its own time column.
+//! The cost model, against ~48 B per transaction for the reference row
+//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + a 4 B
+//! issuer code; per distinct issuer an 8 B id + a 4 B index slot at load
+//! 3/8–3/4 (5–11 B) — the counts §4 groups by are recounted when asked
+//! for, never stored. Long columns grow by a quarter, so measured heap is
 //! 5.2 B/feedback for a 10 000-feedback server with 24 issuers and
 //! ≈ 21 B/feedback when all 20 000 issuers are distinct (30.2 B with two
 //! stored counters per issuer, 108 B with posting `Vec`s before that).
 //!
-//! [`ColumnarHistory`] glues the columns together behind
-//! [`HistoryView`], with the §4 issuer-frequency reordering cached and
-//! invalidated on ingest. Every statistic is bit-identical to the
-//! reference [`crate::TransactionHistory`] path; see
+//! Every statistic is bit-identical to the reference
+//! [`crate::TransactionHistory`] path; see
 //! `tests/columnar_equivalence.rs`.
 
-use crate::feedback::{Feedback, Rating};
-use crate::id::{ClientId, ServerId};
+use crate::id::ClientId;
 use hp_stats::StatsError;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use super::view::{lock_reorder, ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
-use super::TransactionHistory;
+use super::view::IssuerGroup;
 
 /// A boolean outcome column packed 64 per `u64`, with an incrementally
 /// maintained prefix popcount per word.
@@ -556,223 +554,6 @@ impl IssuerColumn {
     }
 }
 
-/// A server's transaction history in columnar form — the single storage
-/// representation behind every assessment path.
-///
-/// Compared with the reference [`TransactionHistory`] this drops the
-/// `Vec<Feedback>` row store entirely; timestamps are kept only when
-/// constructed via [`ColumnarHistory::with_times`] (the feedback store
-/// does, so it can [`ColumnarHistory::materialize`] exact records; the
-/// online service does not, saving 8 bytes per transaction).
-///
-/// # Examples
-///
-/// ```
-/// use hp_core::history::{ColumnarHistory, HistoryView};
-/// use hp_core::{ClientId, Feedback, Rating, ServerId};
-///
-/// let mut h = ColumnarHistory::new();
-/// h.push(Feedback::new(0, ServerId::new(1), ClientId::new(5), Rating::Positive));
-/// h.push(Feedback::new(1, ServerId::new(1), ClientId::new(6), Rating::Negative));
-/// assert_eq!(h.len(), 2);
-/// assert_eq!(h.good_count(), 1);
-/// assert_eq!(h.server(), Some(ServerId::new(1)));
-/// ```
-#[derive(Debug, Default)]
-pub struct ColumnarHistory {
-    outcomes: BitColumn,
-    issuers: IssuerColumn,
-    /// Per-transaction timestamps; `None` when the representation was
-    /// built without them (index order still defines recency).
-    times: Option<Vec<u64>>,
-    /// The uniform server, while one exists.
-    server: Option<ServerId>,
-    /// Set once feedback for a second server is ingested; `server` then
-    /// stays `None` forever (mirrors `TransactionHistory::server`).
-    mixed: bool,
-    /// Bumped on every ingest; stamps the reorder cache.
-    version: u64,
-    reorder: Mutex<ReorderCache>,
-}
-
-impl ColumnarHistory {
-    /// Creates an empty history without a timestamp column.
-    pub fn new() -> Self {
-        ColumnarHistory::default()
-    }
-
-    /// Creates an empty history that keeps per-transaction timestamps
-    /// (costs 8 bytes per transaction; required for
-    /// [`ColumnarHistory::materialize`] and for time-decayed trust).
-    pub fn with_times() -> Self {
-        ColumnarHistory {
-            times: Some(Vec::new()),
-            ..ColumnarHistory::default()
-        }
-    }
-
-    /// Appends a feedback record (decomposed into the columns).
-    pub fn push(&mut self, feedback: Feedback) {
-        if let Some(times) = &mut self.times {
-            times.push(feedback.time);
-        }
-        if self.outcomes.is_empty() && !self.mixed {
-            self.server = Some(feedback.server);
-        } else if self.server.is_some_and(|s| s != feedback.server) {
-            self.server = None;
-            self.mixed = true;
-        }
-        self.outcomes.push(feedback.is_good());
-        self.issuers.push(feedback.client);
-        self.version += 1;
-    }
-
-    /// Number of transactions.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Whether the history is empty.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Total number of good transactions.
-    pub fn good_count(&self) -> u64 {
-        self.outcomes.total_good()
-    }
-
-    /// The outcome of transaction `i` (`true` = good).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn outcome(&self, i: usize) -> bool {
-        self.outcomes.get(i)
-    }
-
-    /// The issuer of transaction `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn client_at(&self, i: usize) -> ClientId {
-        self.issuers.client_at(i)
-    }
-
-    /// The server this history belongs to (`None` if empty or mixed).
-    pub fn server(&self) -> Option<ServerId> {
-        self.server
-    }
-
-    /// The ingest version — bumped on every [`ColumnarHistory::push`].
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// How many times this instance actually rebuilt the §4 reordering
-    /// (cache-miss count; see [`HistoryView::reordered_column`]).
-    pub fn reorder_recomputes(&self) -> u64 {
-        lock_reorder(&self.reorder).recomputes()
-    }
-
-    /// Heap bytes held by this history.
-    pub fn resident_bytes(&self) -> usize {
-        self.outcomes.resident_bytes()
-            + self.issuers.resident_bytes()
-            + self.times.as_ref().map_or(0, |t| t.capacity() * 8)
-    }
-
-    /// Rebuilds the exact feedback records this history was fed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the history was built without timestamps
-    /// ([`ColumnarHistory::new`]) or mixes servers — the feedback store
-    /// guarantees both, so a panic here is a caller bug.
-    pub fn materialize(&self) -> TransactionHistory {
-        let times = self
-            .times
-            .as_ref()
-            .expect("materialize requires a timestamped history (ColumnarHistory::with_times)");
-        assert!(!self.mixed, "materialize requires a single-server history");
-        let mut history = TransactionHistory::with_capacity(self.len());
-        for (i, &time) in times.iter().enumerate() {
-            let server = self.server.expect("non-empty uniform history has a server");
-            history.push(Feedback::new(
-                time,
-                server,
-                self.issuers.client_at(i),
-                Rating::from_good(self.outcomes.get(i)),
-            ));
-        }
-        history
-    }
-}
-
-impl Clone for ColumnarHistory {
-    fn clone(&self) -> Self {
-        ColumnarHistory {
-            outcomes: self.outcomes.clone(),
-            issuers: self.issuers.clone(),
-            times: self.times.clone(),
-            server: self.server,
-            mixed: self.mixed,
-            version: self.version,
-            // Keep the warm column (it is an Arc bump); the recompute
-            // counter describes work done by *this* instance and resets.
-            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
-        }
-    }
-}
-
-impl HistoryView for ColumnarHistory {
-    fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    fn outcome_prefix(&self) -> ColumnRef<'_> {
-        ColumnRef::Bits(&self.outcomes)
-    }
-
-    fn issuer_groups(&self) -> Vec<IssuerGroup> {
-        self.issuers.issuer_groups(&self.outcomes)
-    }
-
-    fn reordered_column(&self) -> OwnedColumn {
-        lock_reorder(&self.reorder)
-            .get_or_build(self.version, || {
-                OwnedColumn::Bits(Arc::new(self.issuers.reordered_outcomes(&self.outcomes)))
-            })
-    }
-
-    fn time(&self, i: usize) -> Option<u64> {
-        self.times.as_ref().and_then(|t| t.get(i).copied())
-    }
-
-    fn server(&self) -> Option<ServerId> {
-        self.server
-    }
-}
-
-impl FromIterator<Feedback> for ColumnarHistory {
-    fn from_iter<I: IntoIterator<Item = Feedback>>(iter: I) -> Self {
-        let mut h = ColumnarHistory::new();
-        for f in iter {
-            h.push(f);
-        }
-        h
-    }
-}
-
-impl Extend<Feedback> for ColumnarHistory {
-    fn extend<I: IntoIterator<Item = Feedback>>(&mut self, iter: I) {
-        for f in iter {
-            self.push(f);
-        }
-    }
-}
-
 /// The posting-list layout this column replaced — a keyed `HashMap`, and
 /// per issuer a `Vec` of the transaction indexes it issued — kept as the
 /// differential oracle for the flat columns.
@@ -836,8 +617,10 @@ impl PostingReference {
 
 #[cfg(test)]
 mod tests {
-    use super::super::TieredHistory;
+    use super::super::{HistoryView, TieredHistory};
     use super::*;
+    use crate::feedback::{Feedback, Rating};
+    use crate::id::ServerId;
     use hp_stats::PrefixSums;
     use proptest::prelude::*;
 
@@ -1142,80 +925,5 @@ mod tests {
             assert_eq!(column.probe(ClientId::new(i << 20)), Ok(i as u32));
         }
         assert!(column.probe(ClientId::new(1)).is_err());
-    }
-
-    #[test]
-    fn columnar_tracks_server_and_detects_mixing() {
-        let mut h = ColumnarHistory::new();
-        assert_eq!(h.server(), None);
-        h.push(fb(0, 1, true));
-        assert_eq!(h.server(), Some(ServerId::new(1)));
-        h.push(Feedback::new(1, ServerId::new(2), ClientId::new(1), Rating::Positive));
-        assert_eq!(h.server(), None);
-        // Mixing is permanent, matching TransactionHistory::server.
-        h.push(fb(2, 1, true));
-        assert_eq!(h.server(), None);
-    }
-
-    #[test]
-    fn materialize_round_trips_exact_records() {
-        let records: Vec<Feedback> = (0..150)
-            .map(|t| fb(t * 3 + 1, t % 7, t % 4 != 0))
-            .collect();
-        let mut h = ColumnarHistory::with_times();
-        h.extend(records.iter().copied());
-        assert_eq!(h.materialize().feedbacks(), records.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "timestamped")]
-    fn materialize_requires_times() {
-        let mut h = ColumnarHistory::new();
-        h.push(fb(0, 1, true));
-        let _ = h.materialize();
-    }
-
-    #[test]
-    fn reordered_column_is_cached_until_ingest() {
-        let mut h = ColumnarHistory::new();
-        for t in 0..20 {
-            h.push(fb(t, t % 3, t % 4 != 0));
-        }
-        let a = h.reordered_column();
-        let b = h.reordered_column();
-        assert_eq!(h.reorder_recomputes(), 1, "second call must hit the cache");
-        match (&a, &b) {
-            (OwnedColumn::Bits(x), OwnedColumn::Bits(y)) => assert!(Arc::ptr_eq(x, y)),
-            _ => unreachable!("columnar reordering is bit-backed"),
-        }
-        h.push(fb(20, 0, true));
-        let _ = h.reordered_column();
-        assert_eq!(h.reorder_recomputes(), 2, "ingest must invalidate");
-    }
-
-    #[test]
-    fn clone_keeps_warm_reorder_cache() {
-        let mut h = ColumnarHistory::new();
-        for t in 0..10 {
-            h.push(fb(t, t % 2, true));
-        }
-        let _ = h.reordered_column();
-        let clone = h.clone();
-        let _ = clone.reordered_column();
-        assert_eq!(clone.reorder_recomputes(), 0, "clone inherits the warm column");
-    }
-
-    #[test]
-    fn resident_bytes_tracks_column_growth() {
-        let mut h = ColumnarHistory::new();
-        let empty = h.resident_bytes();
-        for t in 0..10_000 {
-            h.push(fb(t, t % 97, t % 5 != 0));
-        }
-        let grown = h.resident_bytes();
-        assert!(grown > empty);
-        // The headline number: well under 16 bytes per transaction even
-        // with postings and dictionary overhead.
-        assert!(grown / 10_000 < 16, "resident {grown} bytes for 10k transactions");
     }
 }

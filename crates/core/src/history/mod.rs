@@ -6,10 +6,11 @@
 //!   plus prefix sums of good transactions and a per-client index. Keeps
 //!   full records, supports pop (append–test–revert), and anchors the
 //!   bit-identity property tests.
-//! * [`ColumnarHistory`] — the bit-packed columnar engine (~4.3 B per
+//! * [`TieredHistory`] — the production columnar engine (~4.3 B per
 //!   transaction + ~21–27 B per distinct issuer, instead of ~48 B per
 //!   transaction): outcomes in a [`BitColumn`], issuers in an
-//!   [`IssuerColumn`], timestamps optional.
+//!   [`IssuerColumn`], no timestamps, and a prefix older than the
+//!   assessment horizon foldable into exact per-issuer summary counts.
 //!
 //! Every assessment path — the three behavior-testing schemes, the trust
 //! functions, and [`crate::TwoPhaseAssessor`] — consumes either through
@@ -26,7 +27,7 @@ mod columnar;
 mod tiered;
 mod view;
 
-pub use columnar::{BitColumn, ColumnarHistory, IssuerColumn};
+pub use columnar::{BitColumn, IssuerColumn};
 pub use tiered::{HistoryMark, TieredColumn, TieredHistory, TruncateError};
 pub use view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn};
 

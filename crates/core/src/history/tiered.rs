@@ -2,7 +2,7 @@
 //!
 //! The behavior tests only ever scan a bounded, end-aligned suffix of a
 //! history (the assessment horizon — `max_suffix` on
-//! [`crate::testing::BehaviorTestConfig`]), yet the columnar engine keeps
+//! [`crate::testing::BehaviorTestConfig`]), yet an append-only column keeps
 //! every outcome bit forever. [`TieredHistory`] folds windows older than
 //! the horizon into *exact* per-issuer `(good, total)` summary counts
 //! kept alongside a full-resolution [`BitColumn`] suffix:
@@ -18,7 +18,7 @@
 //! Every query that fits the retained suffix — any end-aligned window
 //! count, any suffix rate, the totals every trust function consumes, and
 //! the issuer groups (summary counts + live suffix counts, per code) — is
-//! bit-identical to the untiered [`super::ColumnarHistory`]. A query that
+//! bit-identical to the reference [`super::TransactionHistory`]. A query that
 //! reaches into the folded prefix degrades to a typed
 //! [`StatsError::HorizonExceeded`] (or panics where the untiered path
 //! would panic): never a silently wrong count.
@@ -169,12 +169,23 @@ impl TieredColumn {
 /// a folded prefix kept as exact per-issuer summary counts, and a
 /// full-resolution columnar suffix.
 ///
-/// Drop-in for [`super::ColumnarHistory`] behind [`HistoryView`]: before
-/// any [`TieredHistory::compact`] call the two are bit-identical on every
-/// query; after compaction they remain bit-identical on every query that
-/// fits the retained suffix (which is all the assessment engine issues
-/// when its `max_suffix` horizon is at most the compaction horizon), and
-/// anything deeper degrades to a typed [`StatsError::HorizonExceeded`].
+/// The production implementation of [`HistoryView`], beside the reference
+/// [`super::TransactionHistory`]: before any [`TieredHistory::compact`]
+/// call the two are bit-identical on every query; after compaction they
+/// remain bit-identical on every query that fits the retained suffix
+/// (which is all the multi-test issues when its `max_suffix` horizon is at
+/// most the compaction horizon) and on the totals.
+///
+/// What stops working after [`TieredHistory::compact`] folds a prefix:
+///
+/// * the §4 reorder — [`crate::testing::CollusionResilientTest`] answers a
+///   typed [`StatsError::HorizonExceeded`], as does any window or rate
+///   query that reaches into the folded prefix;
+/// * any *batch* trust function that reads [`HistoryView::outcome`]
+///   across the folded prefix ([`crate::trust::WeightedTrust`],
+///   [`crate::trust::DecayTrust`]) — a panic, by
+///   [`TieredColumn::count_range`]'s contract. The service computes those
+///   with [`crate::trust::incremental`], one update per feedback.
 ///
 /// # Examples
 ///
@@ -708,7 +719,7 @@ impl Extend<Feedback> for TieredHistory {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ColumnarHistory;
+    use super::super::TransactionHistory;
     use super::*;
     use crate::feedback::Rating;
     use proptest::prelude::*;
@@ -722,25 +733,25 @@ mod tests {
     }
 
     #[test]
-    fn uncompacted_matches_columnar_everywhere() {
+    fn uncompacted_matches_the_row_oracle_everywhere() {
         let records = mixed_history(200);
         let tiered: TieredHistory = records.iter().copied().collect();
-        let columnar: ColumnarHistory = records.iter().copied().collect();
-        assert_eq!(tiered.len(), columnar.len());
-        assert_eq!(tiered.good_count(), columnar.good_count());
+        let rows: TransactionHistory = records.iter().copied().collect();
+        assert_eq!(tiered.len(), rows.len());
+        assert_eq!(tiered.good_count(), rows.good_count());
         assert_eq!(tiered.retained_start(), 0);
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&columnar));
+        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
         for &(s, e) in &[(0usize, 200usize), (0, 64), (63, 65), (5, 5), (150, 200)] {
-            assert_eq!(tiered.count_range(s, e), columnar.count_range(s, e));
-            assert_eq!(tiered.rate_range(s, e).ok(), columnar.rate_range(s, e).ok());
+            assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
+            assert_eq!(tiered.rate_range(s, e).ok(), rows.rate_range(s, e).ok());
         }
         for m in [1usize, 8, 30, 64] {
             assert_eq!(
                 tiered.window_counts(3, 197, m).unwrap(),
-                columnar.window_counts(3, 197, m).unwrap()
+                rows.window_counts(3, 197, m).unwrap()
             );
         }
-        let (a, b) = (tiered.reordered_column(), columnar.reordered_column());
+        let (a, b) = (tiered.reordered_column(), rows.reordered_column());
         let (a, b) = (a.as_col(), b.as_col());
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
@@ -749,32 +760,59 @@ mod tests {
     }
 
     #[test]
+    fn tracks_server_and_detects_mixing() {
+        let mut h = TieredHistory::new();
+        assert_eq!(h.server(), None);
+        h.push(fb(0, 1, true));
+        assert_eq!(h.server(), Some(ServerId::new(1)));
+        h.push(Feedback::new(1, ServerId::new(2), ClientId::new(1), Rating::Positive));
+        assert_eq!(h.server(), None);
+        // Mixing is permanent, matching TransactionHistory::server.
+        h.push(fb(2, 1, true));
+        assert_eq!(h.server(), None);
+    }
+
+    #[test]
+    fn reordered_column_is_cached_until_ingest_and_across_clone() {
+        let shared = |a: &OwnedColumn, b: &OwnedColumn| match (a, b) {
+            (OwnedColumn::Bits(x), OwnedColumn::Bits(y)) => Arc::ptr_eq(x, y),
+            _ => unreachable!("tiered reordering is bit-backed"),
+        };
+        let mut h: TieredHistory = mixed_history(20).into_iter().collect();
+        let first = h.reordered_column();
+        assert!(shared(&first, &h.reordered_column()), "second call must hit the cache");
+        assert!(shared(&first, &h.clone().reordered_column()), "clone inherits the warm column");
+        h.push(fb(20, 0, true));
+        assert!(!shared(&first, &h.reordered_column()), "ingest must invalidate");
+    }
+
+    #[test]
     fn compaction_folds_whole_words_and_keeps_suffix_exact() {
         let records = mixed_history(300);
         let mut tiered: TieredHistory = records.iter().copied().collect();
-        let columnar: ColumnarHistory = records.iter().copied().collect();
+        let rows: TransactionHistory = records.iter().copied().collect();
         let folded = tiered.compact(100);
         // 300 - 100 = 200 foldable -> 192 (3 whole words).
         assert_eq!(folded, 192);
         assert_eq!(tiered.retained_start(), 192);
         assert_eq!(tiered.suffix_len(), 108);
         assert_eq!(tiered.len(), 300);
-        assert_eq!(tiered.good_count(), columnar.good_count());
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&columnar));
+        assert_eq!(tiered.good_count(), rows.good_count());
+        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
         // Every suffix-resident query is bit-identical.
         for &(s, e) in &[(192usize, 300usize), (200, 300), (250, 251), (299, 300)] {
-            assert_eq!(tiered.count_range(s, e), columnar.count_range(s, e));
-            assert_eq!(tiered.rate_range(s, e), columnar.rate_range(s, e));
+            assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
+            assert_eq!(tiered.rate_range(s, e), rows.rate_range(s, e));
         }
         for m in [1usize, 8, 17, 64] {
             assert_eq!(
                 tiered.window_counts(195, 300, m).unwrap(),
-                columnar.window_counts(195, 300, m).unwrap()
+                rows.window_counts(195, 300, m).unwrap()
             );
         }
         // Whole-prefix coverage is still exact (totals path).
-        assert_eq!(tiered.count_range(0, 300), columnar.count_range(0, 300));
-        assert_eq!(tiered.rate_range(0, 300), columnar.rate_range(0, 300));
+        assert_eq!(tiered.count_range(0, 300), rows.count_range(0, 300));
+        assert_eq!(tiered.rate_range(0, 300), rows.rate_range(0, 300));
         // A second compact at the same horizon is a no-op.
         assert_eq!(tiered.compact(100), 0);
     }
@@ -816,22 +854,22 @@ mod tests {
     fn ingest_after_compaction_stays_exact() {
         let records = mixed_history(500);
         let mut tiered = TieredHistory::new();
-        let mut columnar = ColumnarHistory::new();
+        let mut rows = TransactionHistory::new();
         for (i, f) in records.iter().enumerate() {
             tiered.push(*f);
-            columnar.push(*f);
+            rows.push(*f);
             if i % 128 == 0 {
                 tiered.compact(150);
             }
         }
-        assert_eq!(tiered.len(), columnar.len());
-        assert_eq!(tiered.good_count(), columnar.good_count());
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&columnar));
+        assert_eq!(tiered.len(), rows.len());
+        assert_eq!(tiered.good_count(), rows.good_count());
+        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
         let start = tiered.retained_start();
         assert!(tiered.suffix_len() >= 150);
         assert_eq!(
             tiered.window_counts(start, 500, 25).unwrap(),
-            columnar.window_counts(start, 500, 25).unwrap()
+            rows.window_counts(start, 500, 25).unwrap()
         );
     }
 

@@ -7,11 +7,15 @@
 //!
 //! * [`crate::TransactionHistory`] — the reference row store
 //!   (`Vec<Feedback>` plus prefix sums and a per-client index),
-//! * [`crate::history::ColumnarHistory`] — the bit-packed columnar engine.
+//! * [`crate::history::TieredHistory`] — the bit-packed columnar engine
+//!   the service and the stores run, optionally folded past the
+//!   assessment horizon.
 //!
 //! The contract between them is bit-identity: every behavior test and
 //! trust function must produce the same verdict through either view
-//! (property-tested in `tests/columnar_equivalence.rs`).
+//! (property-tested in `tests/columnar_equivalence.rs`, and in
+//! `tests/tiered_equivalence.rs` for every query that fits the retained
+//! suffix of a folded history).
 
 use crate::id::{ClientId, ServerId};
 use hp_stats::{PrefixSums, StatsError};

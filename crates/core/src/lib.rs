@@ -61,7 +61,7 @@ pub mod twophase;
 
 pub use error::CoreError;
 pub use feedback::{Feedback, Rating};
-pub use history::{ColumnarHistory, HistoryView, TieredHistory, TransactionHistory};
+pub use history::{HistoryView, TieredHistory, TransactionHistory};
 pub use id::{ClientId, ServerId};
 pub use testing::{BehaviorTest, BehaviorTestConfig, TestOutcome};
 pub use trust::{TrustFunction, TrustValue};

@@ -3,7 +3,7 @@
 use crate::error::CoreError;
 use crate::history::HistoryView;
 use crate::testing::config::BehaviorTestConfig;
-use crate::testing::engine::{run_multi_naive, run_multi_optimized, run_range_test};
+use crate::testing::engine::{run_multi, run_range_test};
 use crate::testing::report::{
     CollusionReport, MultiReport, SuffixReport, SupporterBaseStats, TestReport,
 };
@@ -160,15 +160,7 @@ impl CollusionResilientTest {
         let reordered = reordered.as_col();
         let multi = match self.depth {
             CollusionTestDepth::Multi => MultiReport::collect(|suffixes| {
-                if self
-                    .config
-                    .step()
-                    .is_multiple_of(self.config.window_size() as usize)
-                {
-                    run_multi_optimized(reordered, &self.config, &self.calibrator, suffixes)
-                } else {
-                    run_multi_naive(reordered, &self.config, &self.calibrator, suffixes)
-                }
+                run_multi(reordered, &self.config, &self.calibrator, suffixes)
             })?,
             CollusionTestDepth::Single => {
                 let report = run_range_test(

@@ -215,10 +215,28 @@ fn run_suffixes(
     Ok((outcome, confidence))
 }
 
+/// Runs the full multi-test, choosing the evaluation from the
+/// configuration: the fused O(n) sweep needs every suffix on one
+/// end-aligned window grid, which holds exactly when the step is a
+/// multiple of the window size; any other step is tested suffix by
+/// suffix. Both produce the same reports bit for bit.
+pub(crate) fn run_multi(
+    prefix: ColumnRef<'_>,
+    config: &BehaviorTestConfig,
+    calibrator: &ThresholdCalibrator,
+    sink: &mut impl SuffixSink,
+) -> Result<(TestOutcome, f64), CoreError> {
+    if config.step().is_multiple_of(config.window_size() as usize) {
+        run_multi_fused(prefix, config, calibrator, sink)
+    } else {
+        run_multi_naive(prefix, config, calibrator, sink)
+    }
+}
+
 /// Runs the full multi-test (naive evaluation: every suffix from scratch).
 ///
-/// Windows are end-aligned so the suffix tests agree with the optimized
-/// incremental evaluation bit-for-bit.
+/// Windows are end-aligned so the suffix tests agree with the fused
+/// evaluation bit-for-bit.
 pub(crate) fn run_multi_naive(
     prefix: ColumnRef<'_>,
     config: &BehaviorTestConfig,
@@ -314,25 +332,17 @@ impl FusedSuffixSweep {
 /// every suffix, each step removes the `step/m` oldest windows from the
 /// running histogram (incremental deltas), and p̂ comes from the sweep's
 /// count prefix-sums — the column is read exactly once regardless of how
-/// many suffixes the schedule visits.
-///
-/// # Errors
-///
-/// Returns [`CoreError::MisalignedStep`] unless `step` is a multiple of
-/// the window size (the precondition for window reuse).
-pub(crate) fn run_multi_optimized(
+/// many suffixes the schedule visits. Only [`run_multi`] calls it, with a
+/// step that is a multiple of the window size (the precondition for
+/// window reuse).
+fn run_multi_fused(
     prefix: ColumnRef<'_>,
     config: &BehaviorTestConfig,
     calibrator: &ThresholdCalibrator,
     sink: &mut impl SuffixSink,
 ) -> Result<(TestOutcome, f64), CoreError> {
     let m = config.window_size() as usize;
-    if !config.step().is_multiple_of(m) {
-        return Err(CoreError::MisalignedStep {
-            step: config.step(),
-            window: config.window_size(),
-        });
-    }
+    debug_assert!(config.step().is_multiple_of(m));
     let n = prefix.len();
     let lens = suffix_lengths(
         n,
@@ -389,14 +399,12 @@ mod tests {
         MultiReport::collect(|sink| run_multi_naive(ColumnRef::Prefix(prefix), config, cal, sink))
     }
 
-    fn optimized(
+    fn selected(
         prefix: &PrefixSums,
         config: &BehaviorTestConfig,
         cal: &ThresholdCalibrator,
     ) -> Result<MultiReport, CoreError> {
-        MultiReport::collect(|sink| {
-            run_multi_optimized(ColumnRef::Prefix(prefix), config, cal, sink)
-        })
+        MultiReport::collect(|sink| run_multi(ColumnRef::Prefix(prefix), config, cal, sink))
     }
 
     fn calibrator(config: &BehaviorTestConfig) -> ThresholdCalibrator {
@@ -564,7 +572,7 @@ mod tests {
                 }
             }
             let naive = naive(&prefix, &config, &cal).unwrap();
-            let optimized = optimized(&prefix, &config, &cal).unwrap();
+            let optimized = selected(&prefix, &config, &cal).unwrap();
             assert_eq!(naive, optimized, "seed {seed}");
         }
     }
@@ -581,7 +589,7 @@ mod tests {
             let p = if seed % 2 == 0 { 0.9 } else { 0.75 };
             let prefix = honest_prefix(n, p, seed + 300);
             let naive = naive(&prefix, &config, &cal).unwrap();
-            let optimized = optimized(&prefix, &config, &cal).unwrap();
+            let optimized = selected(&prefix, &config, &cal).unwrap();
             assert_eq!(naive, optimized, "seed {seed}");
             assert!(naive.suffixes.iter().all(|s| s.suffix_len <= 200));
             assert!(!naive.suffixes.is_empty());
@@ -589,14 +597,13 @@ mod tests {
     }
 
     #[test]
-    fn optimized_rejects_misaligned_step() {
+    fn a_misaligned_step_is_tested_suffix_by_suffix() {
         let config = BehaviorTestConfig::builder().step(15).build().unwrap();
         let cal = calibrator(&config);
         let prefix = honest_prefix(300, 0.9, 3);
-        let err = optimized(&prefix, &config, &cal).unwrap_err();
-        assert!(matches!(err, CoreError::MisalignedStep { step: 15, window: 10 }));
-        // Naive handles any step.
-        assert!(naive(&prefix, &config, &cal).is_ok());
+        let report = selected(&prefix, &config, &cal).unwrap();
+        assert_eq!(report, naive(&prefix, &config, &cal).unwrap());
+        assert!(!report.suffixes.is_empty());
     }
 
     #[test]
@@ -625,7 +632,7 @@ mod tests {
         let multi = naive(&prefix, &config, &cal).unwrap();
         assert_eq!(multi.outcome, TestOutcome::Inconclusive);
         assert!(multi.suffixes.is_empty());
-        let optimized = optimized(&prefix, &config, &cal).unwrap();
+        let optimized = selected(&prefix, &config, &cal).unwrap();
         assert_eq!(multi, optimized);
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::CoreError;
 use crate::history::HistoryView;
 use crate::testing::config::BehaviorTestConfig;
-use crate::testing::engine::{run_multi_naive, run_multi_optimized};
+use crate::testing::engine::{run_multi, run_multi_naive};
 use crate::testing::report::{
     MultiFold, MultiReport, MultiSummary, SuffixSink, TestOutcome, TestReport,
 };
@@ -21,9 +21,6 @@ pub enum MultiTestMode {
     /// Always re-test every suffix from scratch — O(n²). Kept for the
     /// Fig. 9 performance comparison and as a differential-testing oracle.
     Naive,
-    /// Always use the incremental evaluation; errors if the step is not a
-    /// multiple of the window size.
-    Optimized,
 }
 
 /// The paper's multi-testing scheme: check the whole history, then the
@@ -124,18 +121,9 @@ impl MultiBehaviorTest {
         sink: &mut impl SuffixSink,
     ) -> Result<(TestOutcome, f64), CoreError> {
         let prefix = history.outcome_prefix();
-        let optimized = match self.mode {
-            MultiTestMode::Naive => false,
-            MultiTestMode::Optimized => true,
-            MultiTestMode::Auto => self
-                .config
-                .step()
-                .is_multiple_of(self.config.window_size() as usize),
-        };
-        if optimized {
-            run_multi_optimized(prefix, &self.config, &self.calibrator, sink)
-        } else {
-            run_multi_naive(prefix, &self.config, &self.calibrator, sink)
+        match self.mode {
+            MultiTestMode::Auto => run_multi(prefix, &self.config, &self.calibrator, sink),
+            MultiTestMode::Naive => run_multi_naive(prefix, &self.config, &self.calibrator, sink),
         }
     }
 
@@ -144,9 +132,7 @@ impl MultiBehaviorTest {
     ///
     /// # Errors
     ///
-    /// [`CoreError::MisalignedStep`] in [`MultiTestMode::Optimized`] with a
-    /// step that is not a multiple of the window size; statistical errors
-    /// as [`CoreError::Stats`].
+    /// Statistical errors as [`CoreError::Stats`].
     pub fn evaluate_detailed(
         &self,
         history: &dyn HistoryView,
@@ -230,9 +216,7 @@ mod tests {
         let naive = MultiBehaviorTest::with_calibrator(config.clone(), Arc::clone(&cal))
             .unwrap()
             .with_mode(MultiTestMode::Naive);
-        let optimized = MultiBehaviorTest::with_calibrator(config, cal)
-            .unwrap()
-            .with_mode(MultiTestMode::Optimized);
+        let optimized = MultiBehaviorTest::with_calibrator(config, cal).unwrap();
         for seed in 0..4 {
             let h = hibernating_history(600 + seed as usize * 53, 25, seed);
             assert_eq!(
@@ -241,19 +225,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    fn optimized_mode_rejects_misaligned_step() {
-        let config = BehaviorTestConfig::builder().step(7).build().unwrap();
-        let test = MultiBehaviorTest::new(config)
-            .unwrap()
-            .with_mode(MultiTestMode::Optimized);
-        let h = honest_history(300, 0.9, 2);
-        assert!(matches!(
-            test.evaluate_detailed(&h),
-            Err(CoreError::MisalignedStep { .. })
-        ));
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //!
 //! The invariant the refactor rests on: for any feedback sequence —
 //! duplicate issuers, skewed issuer distributions, arbitrary outcome
-//! patterns, arbitrary (monotone) times — feeding the sequence through
-//! [`ColumnarHistory`] must produce the same verdicts, reports and trust
-//! values as feeding it through [`TransactionHistory`]. The service-side
-//! half of this invariant (torn-tail journal recovery replaying into
-//! columns) is property-tested in `crates/service/tests/recovery.rs`.
+//! patterns, arbitrary (monotone) times — feeding the sequence through an
+//! uncompacted [`TieredHistory`] must produce the same verdicts, reports
+//! and trust values as feeding it through [`TransactionHistory`]. The
+//! columns keep no timestamps, so the one time-reading trust function is
+//! compared on the clock it falls back to (the transaction index). The
+//! compacted half is `tiered_equivalence.rs`; the service-side half
+//! (torn-tail journal recovery replaying into columns) is property-tested
+//! in `crates/service/tests/recovery.rs`.
 
 use hp_core::history::BitColumn;
 use hp_core::testing::{
@@ -18,7 +21,7 @@ use hp_core::trust::{
     AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust, WindowedAverageTrust,
 };
 use hp_core::{
-    ClientId, ColumnarHistory, Feedback, HistoryView, Rating, ServerId, TransactionHistory,
+    ClientId, Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory,
     TwoPhaseAssessor,
 };
 use hp_stats::PrefixSums;
@@ -47,14 +50,8 @@ fn feedback_stream() -> impl Strategy<Value = Vec<Feedback>> {
         })
 }
 
-fn both(stream: &[Feedback]) -> (TransactionHistory, ColumnarHistory) {
-    let mut rows = TransactionHistory::with_capacity(stream.len());
-    let mut cols = ColumnarHistory::with_times();
-    for &f in stream {
-        rows.push(f);
-        cols.push(f);
-    }
-    (rows, cols)
+fn both(stream: &[Feedback]) -> (TransactionHistory, TieredHistory) {
+    (stream.iter().copied().collect(), stream.iter().copied().collect())
 }
 
 fn fast_config() -> BehaviorTestConfig {
@@ -76,7 +73,7 @@ proptest! {
         prop_assert_eq!(HistoryView::server(&rows), HistoryView::server(&cols));
         for i in 0..rows.len() {
             prop_assert_eq!(rows.outcome(i), cols.outcome(i));
-            prop_assert_eq!(rows.time(i), cols.time(i));
+            prop_assert_eq!(cols.time(i), None);
         }
         let n = rows.len();
         prop_assert_eq!(rows.count_range(n / 3, n), cols.count_range(n / 3, n));
@@ -87,12 +84,6 @@ proptest! {
             );
         }
         prop_assert_eq!(rows.issuer_groups(), cols.issuer_groups());
-    }
-
-    #[test]
-    fn materialize_round_trips(stream in feedback_stream()) {
-        let (rows, cols) = both(&stream);
-        prop_assert_eq!(cols.materialize().feedbacks(), rows.feedbacks());
     }
 
     #[test]
@@ -122,8 +113,29 @@ proptest! {
         prop_assert_eq!(average.trust(&rows), average.trust(&cols));
         let weighted = WeightedTrust::new(0.6).unwrap();
         prop_assert_eq!(weighted.trust(&rows), weighted.trust(&cols));
+        // The columns have no clock but the transaction index; rows timed
+        // by their index must decay identically.
         let decay = DecayTrust::new(25.0).unwrap();
-        prop_assert_eq!(decay.trust(&rows), decay.trust(&cols));
+        let indexed: TransactionHistory = stream
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| Feedback { time: i as u64, ..f })
+            .collect();
+        prop_assert_eq!(decay.trust(&indexed), decay.trust(&cols));
+        // Rows alone read their real, gapped times.
+        let now = stream.last().map_or(0, |f| f.time);
+        let weight =
+            |f: &Feedback| (-((now - f.time) as f64) / 25.0 * std::f64::consts::LN_2).exp();
+        let (mut good, mut all) = (0.0, 0.0);
+        for f in &stream {
+            all += weight(f);
+            if f.is_good() {
+                good += weight(f);
+            }
+        }
+        if !stream.is_empty() {
+            prop_assert_eq!(decay.trust(&rows).value(), good / all);
+        }
         let beta = BetaTrust::new(1.0, 1.0).unwrap();
         prop_assert_eq!(beta.trust(&rows), beta.trust(&cols));
         let windowed = WindowedAverageTrust::new(40).unwrap();
@@ -156,7 +168,8 @@ proptest! {
         }
     }
 
-    /// The fused multi-suffix sweep is bit-identical to the per-suffix
+    /// The fused multi-suffix sweep (what the default mode runs at the
+    /// default, window-aligned step) is bit-identical to the per-suffix
     /// oracle: same verdicts, same suffix reports, on rows and columns
     /// alike — so `MultiTestMode` is purely a performance knob.
     #[test]
@@ -165,15 +178,11 @@ proptest! {
         let naive = MultiBehaviorTest::new(fast_config())
             .unwrap()
             .with_mode(MultiTestMode::Naive);
-        let fused = MultiBehaviorTest::new(fast_config())
-            .unwrap()
-            .with_mode(MultiTestMode::Optimized);
-        let auto = MultiBehaviorTest::new(fast_config()).unwrap();
+        let fused = MultiBehaviorTest::new(fast_config()).unwrap();
         let reference = naive.evaluate_detailed(&rows).unwrap();
         prop_assert_eq!(&fused.evaluate_detailed(&rows).unwrap(), &reference);
         prop_assert_eq!(&naive.evaluate_detailed(&cols).unwrap(), &reference);
         prop_assert_eq!(&fused.evaluate_detailed(&cols).unwrap(), &reference);
-        prop_assert_eq!(&auto.evaluate_detailed(&cols).unwrap(), &reference);
     }
 
     /// End-to-end: two-phase verdicts are unchanged by the kernel choice.
@@ -187,7 +196,7 @@ proptest! {
             )
         };
         let naive = via(MultiTestMode::Naive);
-        let fused = via(MultiTestMode::Optimized);
+        let fused = via(MultiTestMode::Auto);
         let reference = naive.assess(&rows).unwrap();
         prop_assert_eq!(&fused.assess(&rows).unwrap(), &reference);
         prop_assert_eq!(&naive.assess(&cols).unwrap(), &reference);
@@ -210,7 +219,7 @@ proptest! {
 #[test]
 fn collusion_reordering_agrees_on_skewed_issuers() {
     let mut rows = TransactionHistory::new();
-    let mut cols = ColumnarHistory::with_times();
+    let mut cols = TieredHistory::new();
     for t in 0..400u64 {
         let (client, good) = if t % 3 == 0 {
             (ClientId::new(99), true) // the colluder

@@ -14,8 +14,7 @@ use hp_core::testing::{
     BehaviorTestConfig, Correction, MultiBehaviorTest, MultiSummary, SuffixReport, SuffixSchedule,
 };
 use hp_core::{
-    ClientId, ColumnarHistory, Feedback, HistoryView, Rating, ServerId, TieredHistory,
-    TransactionHistory,
+    ClientId, Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory,
 };
 use proptest::prelude::*;
 use rand::RngExt;
@@ -123,8 +122,8 @@ proptest! {
 
         let stream = feedbacks(&outcomes(kind, len, p, seed));
         let rows: TransactionHistory = stream.iter().copied().collect();
-        let columnar: ColumnarHistory = stream.iter().copied().collect();
-        let mut tiered: TieredHistory = stream.iter().copied().collect();
+        let columnar: TieredHistory = stream.iter().copied().collect();
+        let mut tiered = columnar.clone();
         if let Some(horizon) = max_suffix {
             // Folded past the horizon, as a service keeps it.
             tiered.compact(horizon);

@@ -1,5 +1,5 @@
 //! Property tests: tiered (horizon-compacted) histories are *bit-identical*
-//! to untiered columns whenever the queries fit the retained suffix, and
+//! to the row reference whenever the queries fit the retained suffix, and
 //! degrade with a **typed** error — never a silently wrong answer — when
 //! they do not.
 //!
@@ -7,7 +7,7 @@
 //! sequence, any compaction horizon and any interleaving of compaction
 //! with ingest, a multi-test capped at `max_suffix ≤ horizon` must produce
 //! the same verdicts and reports against the [`TieredHistory`] as against
-//! an untiered [`ColumnarHistory`] fed the same stream. Queries that would
+//! a [`TransactionHistory`] fed the same stream. Queries that would
 //! need bits from the folded prefix surface
 //! [`StatsError::HorizonExceeded`] instead of an approximation. The
 //! service-side half (eviction to cold segments and fault-in) is covered
@@ -15,7 +15,8 @@
 
 use hp_core::testing::{BehaviorTestConfig, CollusionResilientTest, MultiBehaviorTest};
 use hp_core::{
-    ClientId, ColumnarHistory, CoreError, Feedback, HistoryView, Rating, ServerId, TieredHistory,
+    ClientId, CoreError, Feedback, HistoryView, Rating, ServerId, TieredHistory,
+    TransactionHistory,
 };
 use hp_stats::StatsError;
 use proptest::prelude::*;
@@ -47,18 +48,18 @@ fn feedback_stream() -> impl Strategy<Value = Vec<Feedback>> {
 /// Feeds the same stream into both layouts, compacting the tiered copy
 /// every `cadence` pushes (compaction interleaved with ingest, not just a
 /// single terminal pass).
-fn both(stream: &[Feedback], horizon: usize, cadence: usize) -> (ColumnarHistory, TieredHistory) {
-    let mut cols = ColumnarHistory::new();
+fn both(stream: &[Feedback], horizon: usize, cadence: usize) -> (TransactionHistory, TieredHistory) {
+    let mut rows = TransactionHistory::new();
     let mut tiered = TieredHistory::new();
     for (i, &f) in stream.iter().enumerate() {
-        cols.push(f);
+        rows.push(f);
         tiered.push(f);
         if (i + 1) % cadence == 0 {
             tiered.compact(horizon);
         }
     }
     tiered.compact(horizon);
-    (cols, tiered)
+    (rows, tiered)
 }
 
 fn capped_config(max_suffix: usize) -> BehaviorTestConfig {
@@ -80,17 +81,17 @@ proptest! {
         horizon in 100usize..=200,
         cadence in 1usize..=97,
     ) {
-        let (cols, tiered) = both(&stream, horizon, cadence);
+        let (rows, tiered) = both(&stream, horizon, cadence);
         let test = MultiBehaviorTest::new(capped_config(horizon)).unwrap();
         prop_assert_eq!(
             test.evaluate_detailed(&tiered).unwrap(),
-            test.evaluate_detailed(&cols).unwrap()
+            test.evaluate_detailed(&rows).unwrap()
         );
         // A cap *below* the horizon still fits the retained suffix.
         let tighter = MultiBehaviorTest::new(capped_config(100)).unwrap();
         prop_assert_eq!(
             tighter.evaluate_detailed(&tiered).unwrap(),
-            tighter.evaluate_detailed(&cols).unwrap()
+            tighter.evaluate_detailed(&rows).unwrap()
         );
     }
 
@@ -102,27 +103,27 @@ proptest! {
         horizon in 100usize..=200,
         cadence in 1usize..=97,
     ) {
-        let (cols, tiered) = both(&stream, horizon, cadence);
-        prop_assert_eq!(cols.len(), tiered.len());
-        prop_assert_eq!(cols.good_count(), tiered.good_count());
-        prop_assert_eq!(cols.p_hat(), tiered.p_hat());
+        let (rows, tiered) = both(&stream, horizon, cadence);
+        prop_assert_eq!(rows.len(), tiered.len());
+        prop_assert_eq!(rows.good_count(), tiered.good_count());
+        prop_assert_eq!(rows.p_hat(), tiered.p_hat());
         let start = tiered.retained_start();
-        let n = cols.len();
+        let n = rows.len();
         for i in start..n {
-            prop_assert_eq!(cols.outcome(i), tiered.outcome(i));
+            prop_assert_eq!(rows.outcome(i), tiered.outcome(i));
         }
         prop_assert_eq!(
-            cols.count_range(start, n),
+            rows.count_range(start, n),
             tiered.count_range(start, n)
         );
         for m in [1usize, 3, 10] {
             prop_assert_eq!(
-                cols.window_counts(start, n, m).unwrap(),
+                rows.window_counts(start, n, m).unwrap(),
                 tiered.window_counts(start, n, m).unwrap()
             );
         }
         // The whole-prefix range stitches folded_good onto suffix counts.
-        prop_assert_eq!(cols.count_range(0, n), tiered.count_range(0, n));
+        prop_assert_eq!(rows.count_range(0, n), tiered.count_range(0, n));
     }
 
     /// The retained suffix stays word-aligned and inside
@@ -155,7 +156,7 @@ proptest! {
         stream in feedback_stream(),
         cadence in 1usize..=97,
     ) {
-        let (cols, tiered) = both(&stream, 100, cadence);
+        let (rows, tiered) = both(&stream, 100, cadence);
         // Streams too short to fold a word have nothing to degrade.
         let start = tiered.retained_start();
         if start > 0 {
@@ -166,7 +167,7 @@ proptest! {
                 Err(StatsError::HorizonExceeded { .. })
             ));
             let collusion = CollusionResilientTest::new(capped_config(100)).unwrap();
-            prop_assert!(collusion.evaluate_detailed(&cols).is_ok());
+            prop_assert!(collusion.evaluate_detailed(&rows).is_ok());
             prop_assert!(matches!(
                 collusion.evaluate_detailed(&tiered),
                 Err(CoreError::Stats(StatsError::HorizonExceeded { .. }))

@@ -37,8 +37,7 @@ pub fn run(mode: RunMode) -> Result<Vec<Table>, CoreError> {
     let single = SingleBehaviorTest::with_calibrator(config.clone(), Arc::clone(&calibrator))?;
     let naive = MultiBehaviorTest::with_calibrator(config.clone(), Arc::clone(&calibrator))?
         .with_mode(MultiTestMode::Naive);
-    let optimized = MultiBehaviorTest::with_calibrator(config, calibrator)?
-        .with_mode(MultiTestMode::Optimized);
+    let optimized = MultiBehaviorTest::with_calibrator(config, calibrator)?;
 
     let mut table = Table::new(
         "Fig. 9: time cost vs initial history size",

@@ -1117,8 +1117,8 @@ fn tail_quantile_sorted(sorted: &[f64], var: f64, confidence: f64) -> Result<f64
     if sigma == 0.0 {
         return Ok(anchor);
     }
-    let z_anchor = crate::ci::standard_normal_quantile(achievable);
-    let z_conf = crate::ci::standard_normal_quantile(confidence);
+    let z_anchor = crate::special::standard_normal_quantile(achievable);
+    let z_conf = crate::special::standard_normal_quantile(confidence);
     Ok(anchor + (z_conf - z_anchor) * sigma)
 }
 

@@ -4,16 +4,16 @@
 //! reputation assessment of Zhang, Wei & Yu (*On the Modeling of Honest
 //! Players in Reputation Systems*, ICDCS'08 / JCST'09):
 //!
-//! * exact discrete distributions ([`Binomial`], [`Bernoulli`],
-//!   [`Multinomial`]) with numerically stable log-space evaluation,
+//! * exact discrete distributions ([`Binomial`], [`Bernoulli`]) with
+//!   numerically stable log-space evaluation,
 //! * empirical [`Histogram`]s over a bounded integer support,
 //! * distribution [`distance`]s (L¹, total variation, L², KS, χ²),
 //! * Monte-Carlo [`calibration`] of goodness-of-fit thresholds for the case
 //!   the paper cares about: *the distribution parameter p is unknown* and is
 //!   estimated from the same data that is being tested,
-//! * streaming helpers ([`PrefixSums`], [`Welford`]) that make the paper's
-//!   O(n) multi-testing optimization possible,
-//! * quantiles and binomial confidence intervals / exact tests.
+//! * the streaming [`PrefixSums`] that make the paper's O(n)
+//!   multi-testing optimization possible,
+//! * quantiles and the χ² goodness-of-fit comparator ([`chisq`]).
 //!
 //! Everything is deterministic given a seed; see [`rng`].
 //!
@@ -39,11 +39,9 @@ pub mod beta_dist;
 pub mod binomial;
 pub mod calibration;
 pub mod chisq;
-pub mod ci;
 pub mod distance;
 pub mod empirical;
 pub mod error;
-pub mod multinomial;
 pub mod quantile;
 pub mod rng;
 pub mod special;
@@ -58,12 +56,10 @@ pub use calibration::{
     CalibrationStats, ThresholdCalibrator, ThresholdProvenance, ThresholdView,
 };
 pub use chisq::ChiSquared;
-pub use ci::{binomial_test, wilson_interval, TestSide};
 pub use distance::DistanceKind;
 pub use empirical::Histogram;
 pub use error::StatsError;
-pub use multinomial::Multinomial;
 pub use quantile::quantile;
 pub use rng::{derive_seed, seeded_rng};
-pub use stream::{PrefixSums, Welford};
+pub use stream::PrefixSums;
 pub use surface::{SurfaceLayer, SurfaceParams, ThresholdSurface};

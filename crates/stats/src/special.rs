@@ -1,4 +1,5 @@
-//! Special functions: log-gamma, log-factorial, log-binomial-coefficient.
+//! Special functions: log-gamma, log-factorial, log-binomial-coefficient,
+//! the standard normal quantile.
 //!
 //! The behavior tests evaluate binomial probability mass functions for
 //! window sizes that are usually small (m ≈ 10) but may legitimately be in
@@ -99,6 +100,58 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
+/// Quantile of the standard normal distribution
+/// (Acklam's rational approximation; |ε| < 1.15e-9).
+pub fn standard_normal_quantile(p: f64) -> f64 {
+    assert!(p > 0.0 && p < 1.0, "quantile level must be in (0,1), got {p}");
+    // Coefficients for the central and tail regions.
+    const A: [f64; 6] = [
+        -3.969_683_028_665_376e1,
+        2.209_460_984_245_205e2,
+        -2.759_285_104_469_687e2,
+        1.383_577_518_672_69e2,
+        -3.066_479_806_614_716e1,
+        2.506_628_277_459_239,
+    ];
+    const B: [f64; 5] = [
+        -5.447_609_879_822_406e1,
+        1.615_858_368_580_409e2,
+        -1.556_989_798_598_866e2,
+        6.680_131_188_771_972e1,
+        -1.328_068_155_288_572e1,
+    ];
+    const C: [f64; 6] = [
+        -7.784_894_002_430_293e-3,
+        -3.223_964_580_411_365e-1,
+        -2.400_758_277_161_838,
+        -2.549_732_539_343_734,
+        4.374_664_141_464_968,
+        2.938_163_982_698_783,
+    ];
+    const D: [f64; 4] = [
+        7.784_695_709_041_462e-3,
+        3.224_671_290_700_398e-1,
+        2.445_134_137_142_996,
+        3.754_408_661_907_416,
+    ];
+    const P_LOW: f64 = 0.02425;
+
+    if p < P_LOW {
+        let q = (-2.0 * p.ln()).sqrt();
+        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
+            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    } else if p <= 1.0 - P_LOW {
+        let q = p - 0.5;
+        let r = q * q;
+        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
+            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
+    } else {
+        let q = (-2.0 * (1.0 - p).ln()).sqrt();
+        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
+            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +242,20 @@ mod tests {
     fn ln_choose_out_of_range_is_neg_infinity() {
         assert_eq!(ln_choose(5, 6), f64::NEG_INFINITY);
         assert_eq!(ln_choose(0, 1), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn normal_quantile_known_values() {
+        let cases = [
+            (0.5, 0.0),
+            (0.975, 1.959_963_984_540_054),
+            (0.025, -1.959_963_984_540_054),
+            (0.95, 1.644_853_626_951_472),
+            (0.001, -3.090_232_306_167_813),
+        ];
+        for (p, expected) in cases {
+            let z = standard_normal_quantile(p);
+            assert!((z - expected).abs() < 1e-7, "p={p}: {z} vs {expected}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Streaming statistics: prefix sums and Welford running moments.
+//! Streaming statistics: prefix sums.
 //!
 //! [`PrefixSums`] is the backbone of the O(n) multi-testing optimization
 //! (§5.5 of the paper): the number of good transactions in *any* contiguous
@@ -129,93 +129,6 @@ impl Default for PrefixSums {
     }
 }
 
-/// Welford's online algorithm for running mean and variance.
-///
-/// Used by the sweep runner to aggregate replicated experiment measurements
-/// without storing them all.
-///
-/// # Examples
-///
-/// ```
-/// use hp_stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.push(x);
-/// }
-/// assert!((w.mean() - 5.0).abs() < 1e-12);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (divides by `n`; 0 when fewer than 2 samples).
-    pub fn population_variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        self.m2 / self.count as f64
-    }
-
-    /// Sample variance (divides by `n-1`; 0 when fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        self.m2 / (self.count - 1) as f64
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Merges another accumulator (Chan et al. parallel formula).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,62 +204,5 @@ mod tests {
         assert_eq!(ps.total_good(), 1);
         assert_eq!(ps.pop(), Some(true));
         assert_eq!(ps.pop(), None);
-    }
-
-    #[test]
-    fn welford_single_value() {
-        let mut w = Welford::new();
-        w.push(42.0);
-        assert_eq!(w.count(), 1);
-        assert!((w.mean() - 42.0).abs() < 1e-12);
-        assert_eq!(w.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var =
-            xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((w.mean() - mean).abs() < 1e-10);
-        assert!((w.sample_variance() - var).abs() < 1e-10);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64 * 1.3).collect();
-        let mut seq = Welford::new();
-        for &x in &xs {
-            seq.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - seq.sample_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn welford_merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use hp_stats::distance::{l1_distance, DistanceKind};
-use hp_stats::{quantile, Bernoulli, Binomial, Histogram, Multinomial, PrefixSums, Welford};
+use hp_stats::{quantile, Bernoulli, Binomial, Histogram, PrefixSums};
 use proptest::prelude::*;
 
 fn prob() -> impl Strategy<Value = f64> {
@@ -183,44 +183,6 @@ proptest! {
     }
 
     #[test]
-    fn welford_mean_within_sample_range(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..200)
-    ) {
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(w.mean() >= min - 1e-6 && w.mean() <= max + 1e-6);
-        prop_assert!(w.sample_variance() >= 0.0);
-    }
-
-    #[test]
-    fn welford_merge_any_split(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..100),
-        split_frac in 0.0f64..1.0
-    ) {
-        let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..split] {
-            left.push(x);
-        }
-        for &x in &xs[split..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-4);
-    }
-
-    #[test]
     fn quantile_within_range(
         xs in proptest::collection::vec(-1e4f64..1e4, 1..200),
         q in 0.0f64..=1.0
@@ -229,31 +191,5 @@ proptest! {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
-    }
-
-    #[test]
-    fn multinomial_samples_sum_to_n(
-        n in 0u32..40,
-        split in 0.01f64..0.99,
-        seed in any::<u64>()
-    ) {
-        let m = Multinomial::new(n, vec![split, 1.0 - split]).unwrap();
-        let mut rng = hp_stats::seeded_rng(seed);
-        let counts = m.sample(&mut rng);
-        prop_assert_eq!(counts.iter().sum::<u32>(), n);
-    }
-
-    #[test]
-    fn wilson_interval_ordered_and_bounded(
-        successes in 0u32..100,
-        extra in 0u32..100
-    ) {
-        let trials = successes + extra.max(1);
-        let (lo, hi) = hp_stats::wilson_interval(successes, trials, 0.95).unwrap();
-        prop_assert!((0.0..=1.0).contains(&lo));
-        prop_assert!((0.0..=1.0).contains(&hi));
-        prop_assert!(lo <= hi);
-        let phat = successes as f64 / trials as f64;
-        prop_assert!(lo <= phat + 1e-9 && phat <= hi + 1e-9);
     }
 }

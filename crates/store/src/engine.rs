@@ -3,14 +3,24 @@
 //! [`MemoryStore`](crate::MemoryStore) and
 //! [`ShardedStore`](crate::ShardedStore) differ only in *which* servers are
 //! retrievable at a given moment (all of them, vs. those with a live
-//! replica). The feedback bits themselves live here, once, in
-//! [`ColumnarHistory`] form: a bit-packed outcome column plus a
-//! dictionary-encoded issuer column — per transaction an 8 B time, a 4 B
-//! issuer code and 2 bits, plus ~21–27 B per distinct issuer — instead of
-//! the 48 B per transaction of a materialized `Vec<Feedback>`.
+//! replica). The feedback bits themselves live here, once: per server a
+//! never-compacted [`TieredHistory`] — the bit-packed outcome column and
+//! dictionary-encoded issuer column the online service runs — beside a
+//! time column this engine owns, because a store hands back exact records
+//! and the service's histories keep no timestamps. Per transaction an 8 B
+//! time, a 4 B issuer code and 2 bits, plus ~21–27 B per distinct issuer —
+//! instead of the 48 B per transaction of a materialized `Vec<Feedback>`.
 
-use hp_core::{ColumnarHistory, Feedback, ServerId, TransactionHistory};
+use hp_core::{Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory};
 use std::collections::BTreeMap;
+
+/// One server's columns: outcomes and issuers, and the feedback times in
+/// the same order.
+#[derive(Debug, Clone, Default)]
+struct ServerColumns {
+    history: TieredHistory,
+    times: Vec<u64>,
+}
 
 /// One columnar history per server, shared by every retention policy.
 ///
@@ -29,7 +39,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HistoryEngine {
-    histories: BTreeMap<ServerId, ColumnarHistory>,
+    servers: BTreeMap<ServerId, ServerColumns>,
     total: usize,
 }
 
@@ -41,26 +51,30 @@ impl HistoryEngine {
 
     /// Appends one feedback to its server's columns.
     pub fn ingest(&mut self, feedback: Feedback) {
-        self.histories
-            .entry(feedback.server)
-            .or_insert_with(ColumnarHistory::with_times)
-            .push(feedback);
+        let columns = self.servers.entry(feedback.server).or_default();
+        columns.history.push(feedback);
+        columns.times.push(feedback.time);
         self.total += 1;
-    }
-
-    /// Borrowed (zero-copy) access to a server's columns, if any.
-    pub fn history(&self, server: ServerId) -> Option<&ColumnarHistory> {
-        self.histories.get(&server)
     }
 
     /// Reconstructs a server's history as the row-oriented
     /// [`TransactionHistory`], exactly as ingested. An unknown server
     /// yields an empty history.
     pub fn materialize(&self, server: ServerId) -> TransactionHistory {
-        self.histories
-            .get(&server)
-            .map(ColumnarHistory::materialize)
-            .unwrap_or_default()
+        let Some(ServerColumns { history, times }) = self.servers.get(&server) else {
+            return TransactionHistory::new();
+        };
+        let issuers = history.issuer_column();
+        let mut rows = TransactionHistory::with_capacity(times.len());
+        for (i, &time) in times.iter().enumerate() {
+            rows.push(Feedback::new(
+                time,
+                server,
+                issuers.client_at(i),
+                Rating::from_good(history.outcome(i)),
+            ));
+        }
+        rows
     }
 
     /// Total feedback records ingested.
@@ -75,14 +89,15 @@ impl HistoryEngine {
 
     /// All servers with at least one record, ascending.
     pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.histories.keys().copied()
+        self.servers.keys().copied()
     }
 
-    /// Approximate resident bytes across all servers' columns.
+    /// Approximate resident bytes across all servers' columns, the time
+    /// column included.
     pub fn resident_bytes(&self) -> usize {
-        self.histories
+        self.servers
             .values()
-            .map(ColumnarHistory::resident_bytes)
+            .map(|c| c.history.resident_bytes() + c.times.capacity() * 8)
             .sum()
     }
 }
@@ -90,7 +105,8 @@ impl HistoryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hp_core::{ClientId, HistoryView, Rating};
+    use hp_core::ClientId;
+    use proptest::prelude::*;
 
     fn fb(t: u64, server: u64, good: bool) -> Feedback {
         Feedback::new(
@@ -113,27 +129,47 @@ mod tests {
         assert!(engine.materialize(ServerId::new(3)).is_empty());
     }
 
-    #[test]
-    fn materialize_round_trips_exact_records() {
-        let mut engine = HistoryEngine::new();
-        let records: Vec<Feedback> = (0..130).map(|t| fb(t, 7, t % 3 != 0)).collect();
-        for &f in &records {
-            engine.ingest(f);
-        }
-        let history = engine.materialize(ServerId::new(7));
-        assert_eq!(history.feedbacks(), &records[..]);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
-    #[test]
-    fn borrowed_history_answers_queries_without_materializing() {
-        let mut engine = HistoryEngine::new();
-        for t in 0..200 {
-            engine.ingest(fb(t, 4, t % 4 != 0));
+        /// Each server's records come back exactly as ingested — times
+        /// with gaps and repeats, issuers from a small pool (so codes
+        /// repeat), servers interleaved — and a server the engine never
+        /// saw is an empty history.
+        #[test]
+        fn materialize_round_trips(
+            pool in 1u64..=8,
+            raw in proptest::collection::vec(
+                (any::<bool>(), any::<u8>(), any::<u8>(), 0u64..3),
+                0..300,
+            ),
+        ) {
+            let mut time = 0u64;
+            let stream: Vec<Feedback> = raw
+                .into_iter()
+                .map(|(good, client, gap, server)| {
+                    time += u64::from(gap % 4);
+                    Feedback::new(
+                        time,
+                        ServerId::new(server),
+                        ClientId::new(u64::from(client) % pool),
+                        Rating::from_good(good),
+                    )
+                })
+                .collect();
+            let mut engine = HistoryEngine::new();
+            for &f in &stream {
+                engine.ingest(f);
+            }
+            prop_assert_eq!(engine.len(), stream.len());
+            for server in (0..3).map(ServerId::new) {
+                let expected: Vec<Feedback> =
+                    stream.iter().copied().filter(|f| f.server == server).collect();
+                let rows = engine.materialize(server);
+                prop_assert_eq!(rows.feedbacks(), expected.as_slice());
+            }
+            prop_assert!(engine.materialize(ServerId::new(9)).is_empty());
         }
-        let cols = engine.history(ServerId::new(4)).unwrap();
-        assert_eq!(cols.len(), 200);
-        assert_eq!(cols.good_count(), 150);
-        assert_eq!(cols.count_range(0, 8), 6);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!
 //! [`MemoryStore`] and [`ShardedStore`] are thin retention/availability
 //! policies over one shared columnar [`HistoryEngine`]: feedback is held
-//! bit-packed per server and materialized to rows only at the query edge.
+//! bit-packed per server — the same [`hp_core::TieredHistory`] the online
+//! service runs, never compacted, beside a time column the engine owns —
+//! and materialized to rows only at the query edge.
 //!
 //! Feedback logs can be checkpointed to and replayed from a flat CSV
 //! format via [`persist`]. Evicted histories spill to [`segment`] files;

@@ -2,7 +2,7 @@
 
 use crate::engine::HistoryEngine;
 use crate::store::FeedbackStore;
-use hp_core::{ColumnarHistory, Feedback, ServerId, TransactionHistory};
+use hp_core::{Feedback, ServerId, TransactionHistory};
 
 /// An in-memory central feedback store — the "central server as in online
 /// auction communities" regime of §2.
@@ -33,15 +33,6 @@ impl MemoryStore {
         MemoryStore::default()
     }
 
-    /// Direct (zero-copy) access to a server's columnar history, if any.
-    ///
-    /// The returned [`ColumnarHistory`] implements
-    /// [`HistoryView`](hp_core::HistoryView), so assessments can run on it
-    /// without materializing rows.
-    pub fn history_ref(&self, server: ServerId) -> Option<&ColumnarHistory> {
-        self.engine.history(server)
-    }
-
     /// Approximate resident bytes of all stored columns.
     pub fn resident_bytes(&self) -> usize {
         self.engine.resident_bytes()
@@ -69,7 +60,7 @@ impl FeedbackStore for MemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hp_core::{ClientId, HistoryView, Rating};
+    use hp_core::{ClientId, Rating};
 
     fn fb(t: u64, server: u64, good: bool) -> Feedback {
         Feedback::new(
@@ -115,25 +106,6 @@ mod tests {
             store.servers(),
             vec![ServerId::new(2), ServerId::new(5)]
         );
-    }
-
-    #[test]
-    fn history_ref_avoids_clone() {
-        let mut store = MemoryStore::new();
-        store.append(fb(0, 1, true));
-        assert!(store.history_ref(ServerId::new(1)).is_some());
-        assert!(store.history_ref(ServerId::new(9)).is_none());
-    }
-
-    #[test]
-    fn history_ref_assesses_without_materializing() {
-        let mut store = MemoryStore::new();
-        for t in 0..64 {
-            store.append(fb(t, 1, t % 8 != 0));
-        }
-        let cols = store.history_ref(ServerId::new(1)).unwrap();
-        assert_eq!(cols.good_count(), 56);
-        assert_eq!(cols.p_hat(), Some(0.875));
     }
 
     #[test]

@@ -45,9 +45,7 @@ proptest! {
         let naive = MultiBehaviorTest::with_calibrator(config.clone(), Arc::clone(&cal))
             .unwrap()
             .with_mode(MultiTestMode::Naive);
-        let optimized = MultiBehaviorTest::with_calibrator(config, cal)
-            .unwrap()
-            .with_mode(MultiTestMode::Optimized);
+        let optimized = MultiBehaviorTest::with_calibrator(config, cal).unwrap();
         prop_assert_eq!(
             naive.evaluate_detailed(&h).unwrap(),
             optimized.evaluate_detailed(&h).unwrap()
@@ -67,9 +65,7 @@ proptest! {
         let naive = MultiBehaviorTest::with_calibrator(config.clone(), Arc::clone(&cal))
             .unwrap()
             .with_mode(MultiTestMode::Naive);
-        let optimized = MultiBehaviorTest::with_calibrator(config, cal)
-            .unwrap()
-            .with_mode(MultiTestMode::Optimized);
+        let optimized = MultiBehaviorTest::with_calibrator(config, cal).unwrap();
         prop_assert_eq!(
             naive.evaluate_detailed(&h).unwrap(),
             optimized.evaluate_detailed(&h).unwrap()
