@@ -6,13 +6,15 @@
 //! service's trust configuration never reads wall-clock time, and
 //! `hp-store`, which does hand records back, keeps its own time column.
 //! The cost model, against ~48 B per transaction for the reference row
-//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + a 4 B
-//! issuer code; per distinct issuer an 8 B id + a 4 B index slot at load
-//! 3/8–3/4 (5–11 B) — the counts §4 groups by are recounted when asked
-//! for, never stored. Long columns grow by a quarter, so measured heap is
-//! 5.2 B/feedback for a 10 000-feedback server with 24 issuers and
-//! ≈ 21 B/feedback when all 20 000 issuers are distinct (30.2 B with two
-//! stored counters per issuer, 108 B with posting `Vec`s before that).
+//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + a 2 B
+//! issuer code; per distinct issuer an 8 B id + a 2 B index slot at load
+//! 3/8–3/4 (2.7–5.3 B) — the counts §4 groups by are recounted when asked
+//! for, never stored. Codes and slots are 4 B only in a column that has
+//! met 65 535 issuers. Long columns grow by a quarter, so measured heap is
+//! 2.8 B/feedback for a 10 000-feedback server with 24 issuers and
+//! ≈ 15 B/feedback when all 20 000 issuers are distinct (20.9 B with 4 B
+//! codes and slots, 30.2 B with two stored counters per issuer, 108 B
+//! with posting `Vec`s before that).
 //!
 //! Every statistic is bit-identical to the reference
 //! [`crate::TransactionHistory`] path; see
@@ -241,27 +243,81 @@ impl BitColumn {
 /// A dictionary-encoded issuer column: two append-only columns and an
 /// index-only hash table.
 ///
-/// Each transaction stores one `u32` dictionary code; each distinct
-/// issuer its [`ClientId`]. Client → code goes through an open-addressing
-/// table that holds `code + 1` and no keys — a probe compares against
-/// `clients[code]` — so a first-seen issuer costs an 8 B id, a 4 B code
-/// and one 4 B slot at load 3/8–3/4 (5–11 B), with no allocation of its
-/// own: ≈ 21 B per feedback when every issuer is new. Nothing is counted
-/// per issuer as feedback arrives (no online request reads it); the §4
-/// readers recount: [`IssuerColumn::issuer_groups`] in one pass over
-/// `codes` and the outcome bits, [`IssuerColumn::frequency_order`] with a
+/// Each transaction stores one dictionary code; each distinct issuer its
+/// [`ClientId`]. Client → code goes through an open-addressing table that
+/// holds `code + 1` and no keys — a probe compares against
+/// `clients[code]`. Codes and slots are 16 bits wide while the dictionary
+/// holds fewer than 65 535 clients and 32 bits from then on: the width is
+/// a function of the dictionary's length alone, however the column was
+/// built, and no query can tell. So a first-seen issuer costs an 8 B id,
+/// a 2 B code and one 2 B slot at load 3/8–3/4 (2.7–5.3 B), with no
+/// allocation of its own: ≈ 15 B per feedback when every issuer is new
+/// (≈ 21 B in a column past its 65 534th issuer). Nothing is counted per
+/// issuer as feedback arrives (no online request reads it); the §4
+/// readers recount: [`IssuerColumn::issuer_groups`] in one pass over the
+/// codes and the outcome bits, [`IssuerColumn::frequency_order`] with a
 /// two-pass counting sort.
+#[derive(Debug, Clone)]
+pub struct IssuerColumn(Width);
+
+/// The columns, at the width their dictionary's length asks for.
+#[derive(Debug, Clone)]
+enum Width {
+    Narrow(Columns<u16>),
+    Wide(Columns<u32>),
+}
+
+/// `$body` with `$columns` bound to the [`Columns`] of either width.
+macro_rules! either_width {
+    ($column:expr, $columns:ident => $body:expr) => {
+        match $column {
+            Width::Narrow($columns) => $body,
+            Width::Wide($columns) => $body,
+        }
+    };
+}
+
+/// Whether a dictionary of `clients` entries needs 32-bit codes and
+/// slots: a 16-bit slot holds `code + 1` up to 65 534.
+fn is_wide(clients: usize) -> bool {
+    clients >= usize::from(u16::MAX)
+}
+
+/// What a column stores a dictionary code, or a `code + 1` slot, as.
+trait Code: Copy + Default + Into<u32> + TryFrom<u32> {
+    /// `value` at this width; [`is_wide`] is why it fits.
+    fn store(value: u32) -> Self {
+        Self::try_from(value)
+            .ok()
+            .expect("a code fits the width its dictionary's size chose")
+    }
+}
+
+impl Code for u16 {}
+impl Code for u32 {}
+
+/// `codes` at another width, capacity kept; `None` if one does not fit.
+fn recode<A: Code, B: Code>(codes: &Vec<A>) -> Option<Vec<B>> {
+    let mut recoded = Vec::with_capacity(codes.capacity());
+    for &code in codes {
+        recoded.push(B::try_from(code.into()).ok()?);
+    }
+    Some(recoded)
+}
+
+/// The three allocations of an [`IssuerColumn`], codes and slots held as
+/// `W`.
 #[derive(Debug, Clone, Default)]
-pub struct IssuerColumn {
+struct Columns<W> {
     /// Per-transaction dictionary code.
-    codes: Vec<u32>,
+    codes: Vec<W>,
     /// Code → client (dictionary decode). Codes are stable: never
     /// recycled, even when a fold leaves a client no live transaction.
     clients: Vec<ClientId>,
     /// Client → code: linear-probed slots of `code + 1` (0 = empty), a
     /// power of two long, at most 3/4 full. Slot order depends on the
     /// process's hash key and is never observable.
-    index: Vec<u32>,
+    index: Vec<W>,
 }
 
 /// Home slot hash of a client. Ids arrive from the socket, so the hash is
@@ -294,12 +350,11 @@ fn push_tight<T>(column: &mut Vec<T>, value: T) {
     column.push(value);
 }
 
-impl IssuerColumn {
-    /// Creates an empty column.
-    pub fn new() -> Self {
-        IssuerColumn::default()
-    }
+fn capacity_bytes<T>(column: &Vec<T>) -> usize {
+    column.capacity() * std::mem::size_of::<T>()
+}
 
+impl<W: Code> Columns<W> {
     /// Looks `client` up in the index: its code, or the empty slot that
     /// ends its probe sequence (unused while no table is allocated).
     fn probe(&self, client: ClientId) -> Result<u32, usize> {
@@ -309,7 +364,7 @@ impl IssuerColumn {
         let mask = self.index.len() - 1;
         let mut slot = slot_hash(client) & mask;
         loop {
-            match self.index[slot] {
+            match self.index[slot].into() {
                 0 => return Err(slot),
                 tagged if self.clients[(tagged - 1) as usize] == client => return Ok(tagged - 1),
                 _ => slot = (slot + 1) & mask,
@@ -320,10 +375,10 @@ impl IssuerColumn {
     /// Rebuilds the index over `clients` with `slots` slots; `None` if a
     /// client repeats.
     fn reindex(&mut self, slots: usize) -> Option<()> {
-        self.index = vec![0; slots];
+        self.index = vec![W::default(); slots];
         for code in 0..self.clients.len() {
             let slot = self.probe(self.clients[code]).err()?;
-            self.index[slot] = code as u32 + 1;
+            self.index[slot] = W::store(code as u32 + 1);
         }
         Some(())
     }
@@ -340,60 +395,37 @@ impl IssuerColumn {
                 .probe(client)
                 .expect_err("a first-seen client is not indexed");
         }
-        self.index[slot] = entries as u32;
+        self.index[slot] = W::store(entries as u32);
         push_tight(&mut self.clients, client);
         entries as u32 - 1
     }
 
-    /// Appends the issuer of the next transaction.
-    pub fn push(&mut self, client: ClientId) {
+    fn push(&mut self, client: ClientId) {
         let code = match self.probe(client) {
             Ok(code) => code,
             Err(slot) => self.mint(client, slot),
         };
-        push_tight(&mut self.codes, code);
+        push_tight(&mut self.codes, W::store(code));
     }
 
-    /// Number of transactions recorded.
-    pub fn len(&self) -> usize {
-        self.codes.len()
+    fn client_at(&self, i: usize) -> ClientId {
+        self.clients[self.codes[i].into() as usize]
     }
 
-    /// Whether no transactions are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The issuer of transaction `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn client_at(&self, i: usize) -> ClientId {
-        self.clients[self.codes[i] as usize]
-    }
-
-    /// All issuers with at least one feedback, most frequent first, ties
-    /// broken by ascending client id — the §4 ordering. `outcomes` holds
-    /// one bit per transaction of this column.
-    pub fn issuer_groups(&self, outcomes: &BitColumn) -> Vec<IssuerGroup> {
-        self.issuer_groups_with(&[], outcomes)
-    }
-
-    /// [`IssuerColumn::issuer_groups`] with `folded[code] = (good, total)`
-    /// added to each issuer's live counts (codes past its end add nothing).
-    pub(super) fn issuer_groups_with(
-        &self,
-        folded: &[(u32, u32)],
-        outcomes: &BitColumn,
-    ) -> Vec<IssuerGroup> {
-        let mut tally = folded.to_vec();
-        tally.resize(self.clients.len(), (0, 0));
-        for (idx, &code) in self.codes.iter().enumerate() {
-            let (good, total) = &mut tally[code as usize];
+    /// Adds transaction `idx`'s outcome to `tally[code]` as
+    /// `(good, total)`, for each `(idx, code)` of `codes`.
+    fn tally(codes: &[W], outcomes: &BitColumn, tally: &mut [(u32, u32)]) {
+        for (idx, &code) in codes.iter().enumerate() {
+            let (good, total) = &mut tally[code.into() as usize];
             *good += u32::from(outcomes.get(idx));
             *total += 1;
         }
+    }
+
+    fn issuer_groups_with(&self, folded: &[(u32, u32)], outcomes: &BitColumn) -> Vec<IssuerGroup> {
+        let mut tally = folded.to_vec();
+        tally.resize(self.clients.len(), (0, 0));
+        Self::tally(&self.codes, outcomes, &mut tally);
         let mut groups: Vec<IssuerGroup> = tally
             .iter()
             .zip(&self.clients)
@@ -417,7 +449,7 @@ impl IssuerColumn {
         // Per code: its count, then its group's next free destination.
         let mut next = vec![0u32; self.clients.len()];
         for &code in &self.codes {
-            next[code as usize] += 1;
+            next[code.into() as usize] += 1;
         }
         let mut live: Vec<u32> = (0..self.clients.len() as u32)
             .filter(|&code| next[code as usize] > 0)
@@ -434,24 +466,19 @@ impl IssuerColumn {
             offset += count;
         }
         for (idx, &code) in self.codes.iter().enumerate() {
-            place(next[code as usize] as usize, idx);
-            next[code as usize] += 1;
+            let code = code.into() as usize;
+            place(next[code] as usize, idx);
+            next[code] += 1;
         }
     }
 
-    /// The §4 issuer-frequency permutation: transaction indexes grouped by
-    /// issuer, most frequent issuers first, transaction order preserved
-    /// inside each group.
-    pub fn frequency_order(&self) -> Vec<u32> {
+    fn frequency_order(&self) -> Vec<u32> {
         let mut order = vec![0u32; self.codes.len()];
         self.scatter(|destination, idx| order[destination] = idx as u32);
         order
     }
 
-    /// `outcomes` (one per transaction of this column) permuted into
-    /// [`IssuerColumn::frequency_order`], scattered bit by bit without
-    /// materializing the permutation.
-    pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
+    fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
         let mut words = vec![0u64; self.codes.len().div_ceil(64)];
         self.scatter(|destination, idx| {
             words[destination / 64] |= u64::from(outcomes.get(idx)) << (destination % 64);
@@ -459,20 +486,160 @@ impl IssuerColumn {
         BitColumn::from_words(words, self.codes.len()).expect("one bit per transaction")
     }
 
+    fn resident_bytes(&self) -> usize {
+        capacity_bytes(&self.codes) + capacity_bytes(&self.index) + capacity_bytes(&self.clients)
+    }
+
+    fn fold_prefix(&mut self, n: usize, outcomes: &BitColumn, folded: &mut Vec<(u32, u32)>) {
+        folded.resize(self.clients.len(), (0, 0));
+        Self::tally(&self.codes[..n], outcomes, folded);
+        self.codes.drain(..n);
+        if self.codes.capacity() > 2 * self.codes.len() {
+            self.codes.shrink_to_fit();
+        }
+    }
+
+    /// The columns of a dictionary and per-transaction codes, index
+    /// restored; `None` when a code is out of dictionary range, a client
+    /// repeats, or there is not one code per outcome.
+    fn from_parts(clients: Vec<ClientId>, codes: Vec<W>, outcomes: &BitColumn) -> Option<Self> {
+        let in_range = |&code: &W| (code.into() as usize) < clients.len();
+        if codes.len() != outcomes.len() || !codes.iter().all(in_range) {
+            return None;
+        }
+        let mut columns = Columns {
+            codes,
+            clients,
+            index: Vec::new(),
+        };
+        columns.reindex(slots_for(columns.clients.len()))?;
+        Some(columns)
+    }
+
+    /// These columns at the width `V`: the `V` columns the same pushes
+    /// would have grown, capacities and slot positions included.
+    fn at_width<V: Code>(self) -> Option<Columns<V>> {
+        Some(Columns {
+            codes: recode(&self.codes)?,
+            clients: self.clients,
+            index: recode(&self.index)?,
+        })
+    }
+}
+
+impl Default for IssuerColumn {
+    fn default() -> Self {
+        IssuerColumn(Width::Narrow(Columns::default()))
+    }
+}
+
+impl IssuerColumn {
+    /// Creates an empty column.
+    pub fn new() -> Self {
+        IssuerColumn::default()
+    }
+
+    /// The column over a dictionary and its codes, at the width the
+    /// dictionary's length chooses.
+    fn rebuilt<W: Code>(
+        clients: Vec<ClientId>,
+        codes: &Vec<W>,
+        outcomes: &BitColumn,
+    ) -> Option<Self> {
+        let width = if is_wide(clients.len()) {
+            Width::Wide(Columns::from_parts(clients, recode(codes)?, outcomes)?)
+        } else {
+            Width::Narrow(Columns::from_parts(clients, recode(codes)?, outcomes)?)
+        };
+        Some(IssuerColumn(width))
+    }
+
+    /// Widens the column if minting `client` would take its dictionary
+    /// to the 65 535 entries whose slots no longer fit 16 bits.
+    fn make_room(&mut self, client: ClientId) {
+        if let Width::Narrow(columns) = &mut self.0 {
+            if is_wide(columns.clients.len() + 1) && columns.probe(client).is_err() {
+                let wide = std::mem::take(columns).at_width();
+                self.0 = Width::Wide(wide.expect("16 bits fit 32"));
+            }
+        }
+    }
+
+    /// Appends the issuer of the next transaction.
+    pub fn push(&mut self, client: ClientId) {
+        self.make_room(client);
+        either_width!(&mut self.0, columns => columns.push(client))
+    }
+
+    /// Number of transactions recorded.
+    pub fn len(&self) -> usize {
+        either_width!(&self.0, columns => columns.codes.len())
+    }
+
+    /// Whether no transactions are recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The issuer of transaction `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn client_at(&self, i: usize) -> ClientId {
+        either_width!(&self.0, columns => columns.client_at(i))
+    }
+
+    /// All issuers with at least one feedback, most frequent first, ties
+    /// broken by ascending client id — the §4 ordering. `outcomes` holds
+    /// one bit per transaction of this column.
+    pub fn issuer_groups(&self, outcomes: &BitColumn) -> Vec<IssuerGroup> {
+        self.issuer_groups_with(&[], outcomes)
+    }
+
+    /// [`IssuerColumn::issuer_groups`] with `folded[code] = (good, total)`
+    /// added to each issuer's live counts (codes past its end add nothing).
+    pub(super) fn issuer_groups_with(
+        &self,
+        folded: &[(u32, u32)],
+        outcomes: &BitColumn,
+    ) -> Vec<IssuerGroup> {
+        either_width!(&self.0, columns => columns.issuer_groups_with(folded, outcomes))
+    }
+
+    /// The §4 issuer-frequency permutation: transaction indexes grouped by
+    /// issuer, most frequent issuers first, transaction order preserved
+    /// inside each group.
+    pub fn frequency_order(&self) -> Vec<u32> {
+        either_width!(&self.0, columns => columns.frequency_order())
+    }
+
+    /// `outcomes` (one per transaction of this column) permuted into
+    /// [`IssuerColumn::frequency_order`], scattered bit by bit without
+    /// materializing the permutation.
+    pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
+        either_width!(&self.0, columns => columns.reordered_outcomes(outcomes))
+    }
+
     /// Heap bytes held by this column: every allocation at its capacity,
     /// index included.
     pub fn resident_bytes(&self) -> usize {
-        (self.codes.capacity() + self.index.capacity()) * 4 + self.clients.capacity() * 8
+        either_width!(&self.0, columns => columns.resident_bytes())
     }
 
     /// The dictionary decode table, code order (snapshot payload).
     pub fn clients(&self) -> &[ClientId] {
-        &self.clients
+        either_width!(&self.0, columns => &columns.clients)
     }
 
-    /// The per-transaction dictionary codes (snapshot payload).
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
+    /// The per-transaction dictionary codes (snapshot payload), as the
+    /// `u32`s the wire carries whichever width holds them.
+    pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
+        let (narrow, wide): (&[u16], &[u32]) = match &self.0 {
+            Width::Narrow(columns) => (&columns.codes, &[]),
+            Width::Wide(columns) => (&[], &columns.codes),
+        };
+        narrow.iter().map(|&code| u32::from(code)).chain(wide.iter().copied())
     }
 
     /// Folds the oldest `n` transactions out of the column: their
@@ -486,22 +653,13 @@ impl IssuerColumn {
         outcomes: &BitColumn,
         folded: &mut Vec<(u32, u32)>,
     ) {
-        folded.resize(self.clients.len(), (0, 0));
-        for (i, &code) in self.codes[..n].iter().enumerate() {
-            let good = u32::from(outcomes.get(i));
-            let (folded_good, folded_total) = &mut folded[code as usize];
-            *folded_good += good;
-            *folded_total += 1;
-        }
-        self.codes.drain(..n);
-        if self.codes.capacity() > 2 * self.codes.len() {
-            self.codes.shrink_to_fit();
-        }
+        either_width!(&mut self.0, columns => columns.fold_prefix(n, outcomes, folded))
     }
 
     /// Rebuilds a column from its dictionary and per-transaction codes,
     /// restoring the index. The result answers every query exactly like a
-    /// column fed the same client sequence one push at a time.
+    /// column fed the same client sequence one push at a time, and holds
+    /// its codes at the same width.
     ///
     /// Returns `None` when the parts are inconsistent: a code out of
     /// dictionary range, a repeated client, or `codes.len()` differing
@@ -511,36 +669,25 @@ impl IssuerColumn {
         codes: Vec<u32>,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        let in_range = |&code: &u32| (code as usize) < clients.len();
-        if codes.len() != outcomes.len() || !codes.iter().all(in_range) {
-            return None;
-        }
-        let mut column = IssuerColumn {
-            codes,
-            clients,
-            index: Vec::new(),
-        };
-        column.reindex(slots_for(column.clients.len()))?;
-        Some(column)
+        IssuerColumn::rebuilt(clients, &codes, outcomes)
     }
 
     /// This column cut back to its first `len` transactions and first
     /// `dict_len` dictionary entries. Only the append-only primaries
-    /// (`codes`, `clients`) are read; [`IssuerColumn::from_parts`] checks
-    /// them against `outcomes` and rebuilds the index. `None` when a
-    /// primary is shorter than asked or the cut parts are inconsistent.
+    /// (`codes`, `clients`) are read; [`IssuerColumn::from_parts`]'s
+    /// checks hold them against `outcomes` and the index is rebuilt.
+    /// `None` when a primary is shorter than asked or the cut parts are
+    /// inconsistent.
     pub(super) fn truncated(self, len: usize, dict_len: usize, outcomes: &BitColumn) -> Option<Self> {
-        let IssuerColumn {
-            mut codes,
-            mut clients,
-            ..
-        } = self;
-        if codes.len() < len || clients.len() < dict_len {
-            return None;
-        }
-        codes.truncate(len);
-        clients.truncate(dict_len);
-        IssuerColumn::from_parts(clients, codes, outcomes)
+        either_width!(self.0, columns => {
+            let Columns { mut codes, mut clients, .. } = columns;
+            if codes.len() < len || clients.len() < dict_len {
+                return None;
+            }
+            codes.truncate(len);
+            clients.truncate(dict_len);
+            IssuerColumn::rebuilt(clients, &codes, outcomes)
+        })
     }
 
     /// Test seam: the dictionary half of a push with no `codes` entry —
@@ -548,9 +695,12 @@ impl IssuerColumn {
     /// [`IssuerColumn::push`] could leave.
     #[cfg(test)]
     pub(super) fn push_without_code(&mut self, client: ClientId) {
-        if let Err(slot) = self.probe(client) {
-            self.mint(client, slot);
-        }
+        self.make_room(client);
+        either_width!(&mut self.0, columns => {
+            if let Err(slot) = columns.probe(client) {
+                columns.mint(client, slot);
+            }
+        })
     }
 }
 
@@ -900,11 +1050,11 @@ mod tests {
         // 10 000 ids that differ only above bit 20: an index hashing by
         // low bits would put them all in one probe run (quadratic pushes).
         const IDS: usize = 10_000;
-        let mut column = IssuerColumn::new();
+        let mut column = Columns::<u16>::default();
         for i in 0..IDS as u64 {
             column.push(ClientId::new(i << 20));
         }
-        assert_eq!(column.clients().len(), IDS);
+        assert_eq!(column.clients.len(), IDS);
         let mask = column.index.len() - 1;
         assert!(IDS * 4 <= column.index.len() * 3, "load above 3/4");
         // Total displacement from home slots = probes beyond the first,

@@ -324,11 +324,11 @@ impl TieredHistory {
         let keep = mark.len - folded;
         // Everything that can be checked is checked before the first cut,
         // so a refusal leaves the history as it was.
-        let codes = self.issuers.codes();
+        let issuers = &self.issuers;
         if self.column.suffix.words().len() < keep.div_ceil(64)
-            || codes.len() < keep
-            || self.issuers.clients().len() < mark.dict_len
-            || codes[..keep].iter().any(|&code| code as usize >= mark.dict_len)
+            || issuers.len() < keep
+            || issuers.clients().len() < mark.dict_len
+            || issuers.codes().take(keep).any(|code| code as usize >= mark.dict_len)
         {
             return Err(TruncateError::Inconsistent);
         }
@@ -480,9 +480,11 @@ impl TieredHistory {
     pub fn encode(&self) -> Vec<u8> {
         let suffix = &self.column.suffix;
         let clients = self.issuers.clients();
-        let codes = self.issuers.codes();
+        // A code goes out as the `u32` the column hands over, whichever
+        // width it is held at in memory.
+        let codes_bytes = self.issuers.len() * std::mem::size_of::<u32>();
         let mut out = Vec::with_capacity(
-            8 * 6 + 1 + clients.len() * 16 + codes.len() * 4 + suffix.words().len() * 8,
+            8 * 6 + 1 + clients.len() * 16 + codes_bytes + suffix.words().len() * 8,
         );
         match self.server {
             Some(s) => {
@@ -511,7 +513,7 @@ impl TieredHistory {
         for _ in self.folded_by_code.len()..clients.len() {
             out.extend_from_slice(&[0u8; 8]);
         }
-        for &code in codes {
+        for code in self.issuers.codes() {
             out.extend_from_slice(&code.to_le_bytes());
         }
         for &w in suffix.words() {
@@ -1010,17 +1012,30 @@ mod tests {
             }),
             ("a whole push", |h| h.push(fb(300, 9_999, true))),
         ];
-        for compacted in [false, true] {
-            let mut clean: TieredHistory = mixed_history(300).into_iter().collect();
-            if compacted {
-                clean.compact(100);
-            }
+        let plain: TieredHistory = mixed_history(300).into_iter().collect();
+        let mut folded = plain.clone();
+        folded.compact(100);
+        // Minting 9 999 here is the push that takes codes to 32 bits.
+        let last_narrow: TieredHistory =
+            (0..65_534).map(|t| fb(t, 100_000 + t, t % 3 != 0)).collect();
+        for (base, clean) in [
+            ("plain", plain),
+            ("folded", folded),
+            ("one issuer short of 32-bit codes", last_narrow),
+        ] {
             for (what, tear) in tears {
                 let mut torn = clean.clone();
                 let mark = torn.mark();
                 tear(&mut torn);
                 torn.truncate_to(&mark).unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_eq!(torn.encode(), clean.encode(), "{what}, compacted={compacted}");
+                assert_eq!(torn.encode(), clean.encode(), "{what}, {base}");
+                // Cut back under 65 535 issuers, codes are 16 bits again: a
+                // push grows a long column by a quarter at most, 32-bit
+                // codes and slots would leave this one 1.6 times the size.
+                if clean.len() >= 1024 {
+                    let (repaired, cloned) = (torn.resident_bytes(), clean.resident_bytes());
+                    assert!(repaired * 4 <= cloned * 5, "{what}, {base}: {repaired} B");
+                }
                 assert_eq!(
                     HistoryView::issuer_groups(&torn),
                     HistoryView::issuer_groups(&clean),

@@ -100,9 +100,25 @@ fn deep_history_of_all_distinct_issuers() {
     assert_accounted("20000 pushes, all distinct", &history, live);
     let per_feedback = live as f64 / PUSHES as f64;
     assert!(
-        per_feedback <= 22.0,
-        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 22)"
+        per_feedback <= 15.5,
+        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 15.5)"
     );
+}
+
+#[test]
+fn the_65_535th_issuer_costs_what_every_issuer_used_to() {
+    // One issuer short of 32-bit codes and index slots, then the mint
+    // that widens them: 22 B/feedback was the ceiling at any size before
+    // the narrow layout.
+    for (pushes, ceiling) in [(65_534u64, 15.5), (65_535, 22.0)] {
+        let (history, live) = measured(|| pushed(pushes, pushes));
+        assert_accounted(&format!("{pushes} pushes, all distinct"), &history, live);
+        let per_feedback = live as f64 / pushes as f64;
+        assert!(
+            per_feedback <= ceiling,
+            "{pushes} distinct issuers cost {per_feedback:.1} B/feedback (ceiling {ceiling})"
+        );
+    }
 }
 
 #[test]
@@ -112,8 +128,8 @@ fn young_history_of_all_distinct_issuers() {
     assert_accounted("256 pushes, all distinct", &history, live);
     let per_feedback = live as f64 / PUSHES as f64;
     assert!(
-        per_feedback <= 21.0,
-        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 21)"
+        per_feedback <= 15.0,
+        "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 15)"
     );
 }
 

@@ -163,7 +163,7 @@ mod tests {
             crn_row_fills: 9005,
             singleflight_waits: 9006,
         };
-        registry.set_calibration(calibration, 9007);
+        registry.set_calibration(calibration, 9007, 0);
         for (i, row) in METRIC_TABLE.iter().enumerate() {
             if let Source::Shard(metric, _) = row.source {
                 registry.shard(0).add(metric, 100 + i as u64);

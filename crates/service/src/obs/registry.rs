@@ -235,6 +235,7 @@ metric_table! {
         MetricRow::new(Family::gauge("hp_shard_utilization", "Worker busy time / wall time since start"), Source::Utilization),
         MetricRow::new(Family::gauge("hp_build_info", "Build metadata carried as labels (value is always 1)"), Source::BuildInfo),
         MetricRow::new(Family::gauge("hp_calibration_cache_entries", "Entries in the threshold-calibration cache (sampled)"), Source::Global(|s| s.calibration_entries)).json("entries"),
+        MetricRow::new(Family::gauge("hp_calibration_cache_bytes", "Heap bytes of the calibration rows held (sampled)"), Source::Global(|s| s.calibration_bytes)).json("bytes"),
         MetricRow::new(Family::counter("hp_calibration_cache_hits_total", "Threshold lookups answered from the calibration cache"), Source::Global(|s| s.calibration.hits)).json("hits").stat(|s| &mut s.calibration_cache_hits),
         MetricRow::new(Family::counter("hp_calibration_cache_misses_total", "Threshold lookups that fell through every warm tier"), Source::Global(|s| s.calibration.misses)).json("misses").stat(|s| &mut s.calibration_cache_misses),
         MetricRow::new(Family::counter("hp_calibration_surface_hits_total", "Threshold lookups served by the interpolated surface"), Source::Global(|s| s.calibration.surface_hits)).json("surface_hits").stat(|s| &mut s.calibration_surface_hits),
@@ -298,6 +299,8 @@ pub struct RegistrySnapshot {
     pub calibration: CalibrationStats,
     /// Thresholds the calibrator held at sample time.
     pub calibration_entries: u64,
+    /// Heap bytes of the rows the calibrator held at sample time.
+    pub calibration_bytes: u64,
     /// Trace events evicted from full rings.
     pub trace_dropped: u64,
     /// Per-shard queue-wait latency snapshots, indexed by shard.
@@ -327,7 +330,7 @@ impl RegistrySnapshot {
 pub struct MetricsRegistry {
     shards: Vec<ShardMetrics>,
     hists: [LatencyHistogram; PATHS],
-    calibration: Mutex<(CalibrationStats, u64)>,
+    calibration: Mutex<(CalibrationStats, u64, u64)>,
     tracer: Tracer,
     started: Instant,
     build_info: Mutex<String>,
@@ -396,20 +399,20 @@ impl MetricsRegistry {
             .unwrap_or_else(|e| e.into_inner()) = labels;
     }
 
-    /// Stores the calibrator's sampled counters and how many thresholds
-    /// it holds (set by the service front end before snapshots/exposition
-    /// are taken).
-    pub fn set_calibration(&self, stats: CalibrationStats, entries: u64) {
+    /// Stores the calibrator's sampled counters, how many thresholds it
+    /// holds and in how many heap bytes (set by the service front end
+    /// before snapshots/exposition are taken).
+    pub fn set_calibration(&self, stats: CalibrationStats, entries: u64, bytes: u64) {
         *self
             .calibration
             .lock()
-            .unwrap_or_else(|e| e.into_inner()) = (stats, entries);
+            .unwrap_or_else(|e| e.into_inner()) = (stats, entries, bytes);
     }
 
     /// Takes a coherent snapshot of everything in the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let wall_ns = self.started.elapsed().as_nanos().max(1) as u64;
-        let (calibration, calibration_entries) =
+        let (calibration, calibration_entries, calibration_bytes) =
             *self.calibration.lock().unwrap_or_else(|e| e.into_inner());
         RegistrySnapshot {
             shards: self
@@ -424,6 +427,7 @@ impl MetricsRegistry {
             latencies: std::array::from_fn(|i| self.hists[i].snapshot()),
             calibration,
             calibration_entries,
+            calibration_bytes,
             trace_dropped: self.tracer.dropped(),
             queue_waits: self.shards.iter().map(|m| m.queue_wait.snapshot()).collect(),
             utilizations: self
@@ -633,7 +637,7 @@ mod tests {
             crn_row_fills: 402,
             singleflight_waits: 1,
         };
-        reg.set_calibration(calibration, 3);
+        reg.set_calibration(calibration, 3, 4096);
 
         let snap = reg.snapshot();
         assert_eq!(snap.shards.len(), 2);
@@ -644,7 +648,10 @@ mod tests {
         assert_eq!(snap.shards[0].get(ShardMetric::LastApplyVersion), 10);
         assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 1);
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 0);
-        assert_eq!((snap.calibration, snap.calibration_entries), (calibration, 3));
+        assert_eq!(
+            (snap.calibration, snap.calibration_entries, snap.calibration_bytes),
+            (calibration, 3, 4096)
+        );
     }
 
     #[test]
@@ -683,6 +690,7 @@ mod tests {
             "hp_assess_calibration_latency_seconds_count 1",
             "# TYPE hp_assess_calibration_latency_seconds histogram",
             "hp_calibration_cache_entries 0",
+            "hp_calibration_cache_bytes 0",
             "hp_calibration_surface_hits_total 0",
             "hp_calibration_oracle_jobs_total 0",
             "hp_calibration_crn_row_fills_total 0",
@@ -708,8 +716,10 @@ mod tests {
     /// build labels, no busy time (utilization prints `0.000000`) and no
     /// duration an exact power of two — as computed at the commit before
     /// the metric table existed (PR 21's parent), when the exposition was
-    /// seven hand-written blocks: deriving it from the table must not
-    /// move a byte of what a scraper reads.
+    /// seven hand-written blocks, plus the one family added since
+    /// (`hp_calibration_cache_bytes`: 154 bytes of text, 11 of JSON):
+    /// deriving it from the table must not move a byte of what a scraper
+    /// reads.
     #[test]
     fn exposition_and_json_bytes_are_pinned() {
         let reg = MetricsRegistry::new(2, 16, false);
@@ -741,12 +751,12 @@ mod tests {
             crn_row_fills: 45,
             singleflight_waits: 46,
         };
-        reg.set_calibration(calibration, 47);
+        reg.set_calibration(calibration, 47, 48);
         let text = reg.render_prometheus();
-        assert_eq!((text.len(), fnv1a(text.as_bytes())), (19_437, 0xe360_b003_951b_b0b4), "{text}");
+        assert_eq!((text.len(), fnv1a(text.as_bytes())), (19_591, 0x2bd7_095c_4a62_20da), "{text}");
         assert_eq!(lint_prometheus(&text), Vec::<String>::new());
         let json = reg.render_json();
-        assert_eq!((json.len(), fnv1a(json.as_bytes())), (1_007, 0xfb23_1130_3b89_748d), "{json}");
+        assert_eq!((json.len(), fnv1a(json.as_bytes())), (1_018, 0x5c18_4b5b_75aa_4ee2), "{json}");
     }
 
     #[test]

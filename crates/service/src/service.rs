@@ -881,8 +881,11 @@ impl ReputationService {
             let depth = handle.queue_depth() as u64;
             self.obs.shard(shard).set(ShardMetric::QueueDepth, depth);
         }
-        self.obs
-            .set_calibration(self.calibrator.stats(), self.calibrator.cache_len() as u64);
+        self.obs.set_calibration(
+            self.calibrator.stats(),
+            self.calibrator.cache_len() as u64,
+            self.calibrator.cache_bytes() as u64,
+        );
     }
 
     /// Calibration serving readiness, for health endpoints: whether an

@@ -200,11 +200,19 @@ fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
         .with_test(test)
         .with_calibration_surface(Some(surface))
         .with_calibration_cache(dir.join("calibration.hpcal"));
-    // (row jobs, misses) so far, and the thresholds held.
+    // (row jobs, misses) so far, and (thresholds held, heap bytes of the
+    // rows they sit in — `hp_calibration_cache_bytes` as `/metrics` has it).
     let counts = |service: &ReputationService| {
         let stats = service.stats();
         let jobs = (stats.calibration_oracle_jobs, stats.calibration_cache_misses);
-        (jobs, stats.calibration_cache_entries)
+        let exposition = service.render_prometheus();
+        let row_bytes: usize = exposition
+            .lines()
+            .find_map(|line| line.strip_prefix("hp_calibration_cache_bytes "))
+            .expect("the row store's byte gauge is served")
+            .parse()
+            .unwrap();
+        (jobs, (stats.calibration_cache_entries, row_bytes))
     };
     let first_assessments = |service: &ReputationService| {
         for (id, depth) in [(1, 100), (2, 310), (3, 2_000), (4, 20_000)] {
@@ -215,15 +223,20 @@ fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
     };
 
     let cold = ReputationService::new(config.clone()).unwrap();
-    let (jobs, entries) = counts(&cold);
+    let (jobs, held) = counts(&cold);
     assert_eq!(jobs, (rows, rows), "one miss per job, one job per row");
+    // 35 rows of 21 buckets × 14 rungs: eight bytes a threshold and a
+    // row's fixed part, nothing per lookup.
+    let (entries, row_bytes) = held;
+    assert_eq!(entries, 35 * 21 * 14);
+    assert!((entries * 8..entries * 8 + 35 * 256).contains(&row_bytes), "{row_bytes} B");
     first_assessments(&cold);
-    assert_eq!(counts(&cold), ((rows, rows), entries), "no verdict waited on a job");
+    assert_eq!(counts(&cold), ((rows, rows), held), "no verdict waited on a job or added a row");
     cold.shutdown();
 
     let warm = ReputationService::new(config).unwrap();
-    assert_eq!(counts(&warm), ((0, 0), entries));
+    assert_eq!(counts(&warm), ((0, 0), held));
     first_assessments(&warm);
-    assert_eq!(counts(&warm), ((0, 0), entries));
+    assert_eq!(counts(&warm), ((0, 0), held));
     let _ = std::fs::remove_dir_all(&dir);
 }

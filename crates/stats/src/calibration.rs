@@ -378,6 +378,18 @@ impl ThresholdCalibrator {
         self.rows.read().values().map(|row| row.values.len()).sum()
     }
 
+    /// Heap bytes of the rows held: each [`CalibrationRow`] and its two
+    /// blocks at their capacity. The store never evicts, so this grows by
+    /// a row per distinct `(m, k)` asked for.
+    pub fn cache_bytes(&self) -> usize {
+        let row_bytes = |row: &Arc<CalibrationRow>| {
+            std::mem::size_of::<CalibrationRow>()
+                + row.confidences.capacity() * std::mem::size_of::<u32>()
+                + row.values.capacity() * std::mem::size_of::<f64>()
+        };
+        self.rows.read().values().map(row_bytes).sum()
+    }
+
     /// Lifetime `(hits, misses)` of the row store. A hit answered a
     /// [`Self::threshold_at`] lookup from a held row; a miss ran (or
     /// waited on) a Monte-Carlo row job. Surface answers count in

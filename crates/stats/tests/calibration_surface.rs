@@ -198,13 +198,10 @@ fn the_rows_a_default_boot_holds_fit_in_a_mebibyte() {
     cal.fill_rows(M, &below).unwrap();
     cal.fill_rows(M, &below).unwrap(); // every row is held by now: no job
     assert_eq!((cal.stats().oracle_jobs, cal.cache_stats()), (35, (0, 35)));
-    let rows = cal.export_rows();
-    assert_eq!((rows.len(), cal.cache_len()), (35, 98_490));
-    // Each row's two heap blocks by capacity, plus 128 B for the row
-    // itself, its reference counts and its slot in the map.
-    let bytes: usize = rows
-        .iter()
-        .map(|row| 128 + row.confidences.capacity() * 4 + row.values.capacity() * 8)
-        .sum();
+    assert_eq!((cal.export_rows().len(), cal.cache_len()), (35, 98_490));
+    // What `hp_calibration_cache_bytes` reports, with 64 B a row on top
+    // for its reference counts and its slot in the map.
+    let bytes = cal.cache_bytes() + 35 * 64;
     assert!(bytes <= 1 << 20, "{bytes} B in 35 rows");
+    assert!(bytes >= 98_490 * 8, "{bytes} B cannot hold 98 490 thresholds");
 }
