@@ -21,7 +21,13 @@ echo "==> cargo test -q (offline, workspace)"
 cargo test --offline --workspace -q
 
 echo "==> cargo test -q (service chaos + recovery, fault-injection)"
+FAULT_T0=$SECONDS
 cargo test --offline -p hp-service --features fault-injection -q
+# The decoder properties (journal, segment fault, snapshot + manifest,
+# hpcal, the bounded reader) at 10^5 hostile inputs each; tier-1 runs
+# the same properties at the default 256.
+PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service --lib survives_hostile
+echo "    fault-injection stage: $((SECONDS - FAULT_T0)) s"
 
 echo "==> cargo clippy -D warnings (offline, workspace, all targets)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -79,14 +79,12 @@ pub struct CacheLoad {
 /// be read; content problems degrade to `skipped`/`stale` instead.
 pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLoad> {
     let file = match fs::File::open(path) {
-        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CacheLoad::default()),
-        Err(e) => return Err(e),
+        file => file?,
     };
     let mut lines = BufReader::new(file).lines();
-    let header = match lines.next() {
-        Some(line) => line?,
-        None => return Ok(CacheLoad::default()),
+    let Some(header) = lines.next().transpose()? else {
+        return Ok(CacheLoad::default());
     };
     if !header_matches(&header, calibrator.fingerprint()) {
         return Ok(CacheLoad {
@@ -141,7 +139,7 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
 
 /// Saves `calibrator`'s rows — and its installed surface, when the live
 /// configuration carries surface parameters — to `path` (creating parent
-/// directories), atomically and durably via a temporary sibling file.
+/// directories), atomically and durably through [`publish`].
 /// Returns how many thresholds the rows hold.
 ///
 /// # Errors
@@ -154,7 +152,7 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
         }
     }
     let rows = calibrator.export_rows();
-    publish(&path.with_extension("tmp"), path, |file| {
+    publish(path, |file| {
         let mut out = BufWriter::new(file);
         writeln!(out, "hpcal {VERSION} {:016x}", calibrator.fingerprint())?;
         for row in &rows {
@@ -199,69 +197,61 @@ fn csv<I: IntoIterator<Item = T>, T: ToString>(items: I) -> String {
         .join(",")
 }
 
+/// The whitespace-separated fields of `line`, when there are exactly `N`.
+fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    line.split_ascii_whitespace().collect::<Vec<_>>().try_into().ok()
+}
+
 /// Whether `header` is this module's: the magic, the one version it
 /// writes, and a recorded fingerprint equal to `fingerprint`.
 fn header_matches(header: &str, fingerprint: u64) -> bool {
-    let mut parts = header.split_ascii_whitespace();
-    parts.next() == Some("hpcal")
-        && parts.next().and_then(|v| v.parse().ok()) == Some(VERSION)
-        && parts.next().and_then(|f| u64::from_str_radix(f, 16).ok()) == Some(fingerprint)
-        && parts.next().is_none()
+    fields(header).is_some_and(|[magic, version, recorded]| {
+        magic == "hpcal"
+            && version.parse() == Ok(VERSION)
+            && u64::from_str_radix(recorded, 16) == Ok(fingerprint)
+    })
 }
 
 fn parse_row(rest: &str) -> Option<CalibrationRow> {
-    let mut parts = rest.split_ascii_whitespace();
-    let row = CalibrationRow {
-        m: parts.next()?.parse().ok()?,
-        k: parts.next()?.parse().ok()?,
-        confidences: parse_csv(parts.next()?, |v| v.parse().ok())?,
-        values: parse_bits_csv(parts.next()?)?,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(row)
+    let [m, k, confidences, values] = fields(rest)?;
+    Some(CalibrationRow {
+        m: m.parse().ok()?,
+        k: k.parse().ok()?,
+        confidences: parse_csv(confidences, |v| v.parse().ok())?,
+        values: parse_csv(values, parse_bits)?,
+    })
 }
 
 fn parse_params(rest: &str) -> Option<SurfaceParams> {
-    let mut parts = rest.split_ascii_whitespace();
-    let params = SurfaceParams {
-        tolerance: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-        k_min: parts.next()?.parse().ok()?,
-    };
-    if parts.next().is_some() || params.validate().is_err() {
-        return None;
-    }
-    Some(params)
+    let [tolerance, k_min] = fields(rest)?;
+    let params = SurfaceParams { tolerance: parse_bits(tolerance)?, k_min: k_min.parse().ok()? };
+    params.validate().is_ok().then_some(params)
 }
 
 fn parse_layer(rest: &str) -> Option<SurfaceLayer> {
-    let mut parts = rest.split_ascii_whitespace();
-    let layer = SurfaceLayer {
-        m: parts.next()?.parse().ok()?,
-        confidence_millis: parts.next()?.parse().ok()?,
-        error_bound: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-        k_grid: parse_csv(parts.next()?, |v| v.parse().ok())?,
-        values: parse_bits_csv(parts.next()?)?,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(layer)
+    let [m, confidence_millis, error_bound, k_grid, values] = fields(rest)?;
+    Some(SurfaceLayer {
+        m: m.parse().ok()?,
+        confidence_millis: confidence_millis.parse().ok()?,
+        error_bound: parse_bits(error_bound)?,
+        k_grid: parse_csv(k_grid, |v| v.parse().ok())?,
+        values: parse_csv(values, parse_bits)?,
+    })
 }
 
 fn parse_csv<T>(field: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
     field.split(',').map(parse).collect()
 }
 
-fn parse_bits_csv(field: &str) -> Option<Vec<f64>> {
-    parse_csv(field, |v| u64::from_str_radix(v, 16).ok().map(f64::from_bits))
+fn parse_bits(field: &str) -> Option<f64> {
+    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hp_stats::{CalibrationConfig, ThresholdCalibrator};
+    use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -478,6 +468,86 @@ mod tests {
             assert_eq!(warm.export_cache(), cold.export_cache(), "{what}");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and FNV-1a of an `hpcal` file holding rows below and on a
+    /// surface plus its layers, as computed at PR 25's parent, before
+    /// `publish` chose its own temp name: not a byte may move.
+    #[test]
+    fn hpcal_bytes_are_pinned() {
+        let dir = tmp_dir("pinned");
+        let path = dir.join("cal.hpcal");
+        let cal = surfaced_calibrator(200);
+        assert!(cal.ensure_surface_for(10).unwrap());
+        cal.threshold(10, 5, 0.9).unwrap();
+        save(&path, &cal).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (30_883, 0x53c3_09c6_28d8_9880));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        /// Whatever happened to an `hpcal` file — cut, a byte flipped, any
+        /// field of any line replaced by a hostile number, a csv list one
+        /// value short or long — `load` returns a typed error (only for
+        /// bytes that are not text) or accounts for every record line,
+        /// and never panics. It cannot promise the *same* thresholds: the
+        /// format has no checksum (DESIGN.md, "On-disk formats").
+        #[test]
+        fn load_survives_hostile_bytes(
+            mangle in (0u8..4, any::<usize>(), any::<u64>()),
+            hex in any::<bool>(),
+        ) {
+            static GENUINE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+            let genuine = GENUINE.get_or_init(|| {
+                let dir = tmp_dir("hostile-genuine");
+                let cal = surfaced_calibrator(200);
+                cal.ensure_surface_for(10).unwrap();
+                cal.threshold(10, 5, 0.9).unwrap();
+                save(&dir.join("cal.hpcal"), &cal).unwrap();
+                let bytes = fs::read(dir.join("cal.hpcal")).unwrap();
+                let _ = fs::remove_dir_all(&dir);
+                bytes
+            });
+            let (kind, at, value) = mangle;
+            let mut bytes = genuine.clone();
+            let separators = |b: &u8| b" ,\n".contains(b);
+            let fields: Vec<usize> = (1..bytes.len())
+                .filter(|&i| separators(&bytes[i - 1]) && !separators(&bytes[i]))
+                .collect();
+            let start = fields[at % fields.len()];
+            let end = bytes[start..].iter().position(separators).map_or(bytes.len(), |n| start + n);
+            match kind {
+                0 => bytes.truncate(at % bytes.len()),
+                1 => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= (value as u8).max(1);
+                }
+                2 => {
+                    let field = if hex { format!("{value:016x}") } else { (value % 1_000).to_string() };
+                    bytes.splice(start..end, field.into_bytes()).for_each(drop);
+                }
+                _ if hex => bytes.splice(start..(end + 1).min(bytes.len()), []).for_each(drop),
+                _ => bytes.splice(start..start, b"3fd0000000000000,".iter().copied()).for_each(drop),
+            }
+            let dir = tmp_dir("hostile");
+            let path = dir.join("cal.hpcal");
+            fs::write(&path, &bytes).unwrap();
+            match load(&path, &surfaced_calibrator(200)) {
+                Ok(loaded) => {
+                    let records = bytes.split(|&b| b == b'\n').skip(1).filter(|l| !l.is_empty()).count();
+                    prop_assert!(loaded.stale || loaded.installed + loaded.skipped + loaded.surface_layers <= records);
+                }
+                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! payload:   time u64 LE | server u64 LE | client u64 LE | rating u8
 //! ```
 //!
+//! The header, the record frame, the torn-tail scan, the error and the
+//! durable create are [`hp_store::durable`]'s; this module owns the
+//! payload, the versions and the trusted-offset arithmetic.
+//!
 //! A fresh journal is always v1. The v2 header exists only for
 //! *compacted* journals ([`FileJournal::compact_to`]): once a snapshot
 //! durably covers a prefix of the sequence, the covered records are
@@ -34,7 +38,7 @@
 //! contents are partitioned by the service's shard hash: replaying a
 //! shard-3-of-8 journal into a 4-shard service would scatter feedback onto
 //! the wrong workers. Opening a journal whose header disagrees with the
-//! running topology is an explicit [`JournalError::ShardMismatch`].
+//! running topology is an explicit [`Error::Corrupt`].
 //!
 //! Recovery tolerates exactly one failure shape at the tail — a torn final
 //! record from a crash mid-write (short frame, short payload, or checksum
@@ -43,13 +47,9 @@
 //! later record is also discarded, which is what truncation does.
 
 use hp_core::{ClientId, Feedback, Rating, ServerId};
-/// CRC-32 (IEEE) of the record frames and snapshot bodies: the
-/// workspace's one implementation, in `hp-store`.
-pub use hp_store::durable::crc32;
-use hp_store::durable::publish;
-use std::fmt;
+use hp_store::durable::{self, publish, Error, Put, Reader};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"HPJL";
@@ -64,8 +64,7 @@ const FRAME_LEN: usize = 8;
 /// On-disk size of one framed record (frame + payload).
 pub const RECORD_LEN: u64 = (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64;
 
-/// When the journal flushes its buffer and asks the OS to make appended
-/// records durable.
+/// When the journal asks the OS to make appended records durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// Never fsync; rely on OS write-back. Survives process crashes (the
@@ -82,65 +81,6 @@ pub enum FsyncPolicy {
     ),
 }
 
-/// Errors from journal I/O and recovery.
-#[derive(Debug)]
-pub enum JournalError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
-    /// The file exists but its header is not a journal header.
-    BadHeader {
-        /// The offending journal path.
-        path: PathBuf,
-    },
-    /// The journal was written by a different shard topology.
-    ShardMismatch {
-        /// Shard index recorded in the journal header.
-        found_shard: u32,
-        /// Shard count recorded in the journal header.
-        found_shards: u32,
-        /// Shard index the service expected.
-        expected_shard: u32,
-        /// Shard count the service expected.
-        expected_shards: u32,
-    },
-}
-
-impl fmt::Display for JournalError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
-            JournalError::BadHeader { path } => {
-                write!(f, "not a feedback journal: {}", path.display())
-            }
-            JournalError::ShardMismatch {
-                found_shard,
-                found_shards,
-                expected_shard,
-                expected_shards,
-            } => write!(
-                f,
-                "journal belongs to shard {found_shard}/{found_shards}, \
-                 service expected {expected_shard}/{expected_shards}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
-
 /// What [`read_journal`] (and hence recovery) found on disk.
 #[derive(Debug, Default)]
 pub struct Recovered {
@@ -148,6 +88,9 @@ pub struct Recovered {
     pub feedbacks: Vec<Feedback>,
     /// Bytes discarded from a torn tail (`0` for a clean journal).
     pub torn_bytes: u64,
+    /// Where and why the scan stopped short of the end of the file
+    /// (`None` for a clean journal).
+    pub torn: Option<Error>,
     /// Absolute index of `feedbacks[0]` in the full durable sequence:
     /// the compaction base plus any records deliberately skipped by
     /// [`read_journal_from`].
@@ -183,60 +126,39 @@ fn encode_payload(f: &Feedback) -> [u8; RECORD_PAYLOAD_LEN] {
 }
 
 fn decode_payload(buf: &[u8]) -> Option<Feedback> {
-    if buf.len() != RECORD_PAYLOAD_LEN {
-        return None;
-    }
-    let time = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-    let server = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-    let client = u64::from_le_bytes(buf[16..24].try_into().ok()?);
+    let buf: &[u8; RECORD_PAYLOAD_LEN] = buf.try_into().ok()?;
+    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
     let rating = match buf[24] {
         0 => Rating::Negative,
         1 => Rating::Positive,
         _ => return None,
     };
-    Some(Feedback::new(
-        time,
-        ServerId::new(server),
-        ClientId::new(client),
-        rating,
-    ))
+    Some(Feedback::new(word(0), ServerId::new(word(8)), ClientId::new(word(16)), rating))
 }
 
-fn encode_header(shard: u32, shards: u32) -> [u8; HEADER_LEN as usize] {
-    let mut buf = [0u8; HEADER_LEN as usize];
-    buf[0..4].copy_from_slice(&MAGIC);
-    buf[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    buf[8..12].copy_from_slice(&shard.to_le_bytes());
-    buf[12..16].copy_from_slice(&shards.to_le_bytes());
-    buf
-}
-
-fn encode_compacted_header(
-    shard: u32,
-    shards: u32,
-    base_records: u64,
-) -> [u8; HEADER_LEN_COMPACTED as usize] {
-    let mut buf = [0u8; HEADER_LEN_COMPACTED as usize];
-    buf[0..4].copy_from_slice(&MAGIC);
-    buf[4..8].copy_from_slice(&VERSION_COMPACTED.to_le_bytes());
-    buf[8..12].copy_from_slice(&shard.to_le_bytes());
-    buf[12..16].copy_from_slice(&shards.to_le_bytes());
-    buf[16..24].copy_from_slice(&base_records.to_le_bytes());
-    buf
+/// The v1 header, or the v2 header of a journal compacted to `base`.
+fn header(shard: u32, shards: u32, base: Option<u64>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN_COMPACTED as usize);
+    out.put_header(&MAGIC, base.map_or(VERSION, |_| VERSION_COMPACTED), shard);
+    out.put_u32(shards);
+    if let Some(base) = base {
+        out.put_u64(base);
+    }
+    debug_assert_eq!(out.len() as u64, base.map_or(HEADER_LEN, |_| HEADER_LEN_COMPACTED));
+    out
 }
 
 /// Reads a journal file: header check, then every intact record; a torn
 /// tail (short frame/payload or checksum mismatch) ends the scan and is
-/// reported in [`Recovered::torn_bytes`] without being treated as an
-/// error. The file is not modified.
+/// reported in [`Recovered::torn_bytes`] and [`Recovered::torn`] without
+/// being treated as an error. The file is not modified.
 ///
 /// # Errors
 ///
-/// [`JournalError::Io`] on read failure, [`JournalError::BadHeader`] if
-/// the file is not a journal, [`JournalError::ShardMismatch`] if the
-/// header names a different shard topology than `expect` (pass `None` to
-/// skip the topology check).
-pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered, JournalError> {
+/// [`Error::Io`] on read failure; [`Error::Corrupt`] if the file is not
+/// a journal or its header names another shard topology than `expect`
+/// (pass `None` to skip the topology check).
+pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered, Error> {
     read_journal_from(path, expect, 0)
 }
 
@@ -248,104 +170,63 @@ pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered
 /// The skipped prefix is trusted blind: whoever supplies `from_records`
 /// (the snapshot manifest) vouches that the first `from_records` records
 /// were durably written. An offset the file cannot honor — before the
-/// compaction base, or past the end of the file — is clamped, and
-/// [`Recovered::first_record`] reports where the scan actually started,
-/// so a caller handing in a stale manifest offset sees the disagreement
-/// instead of a silently wrong tail.
-///
-/// # Errors
-///
-/// As for [`read_journal`].
+/// compaction base, past the end of the file, or past any offset a `u64`
+/// can address — falls back to the compaction base (a full in-file
+/// scan), and [`Recovered::first_record`] reports where the scan actually
+/// started, so a caller handing in a stale manifest offset sees the
+/// disagreement instead of a silently wrong tail. Errors as for
+/// [`read_journal`].
 pub fn read_journal_from(
     path: &Path,
     expect: Option<(u32, u32)>,
     from_records: u64,
-) -> Result<Recovered, JournalError> {
+) -> Result<Recovered, Error> {
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut head = [0u8; HEADER_LEN_COMPACTED as usize];
     let head_len = file_len.min(HEADER_LEN_COMPACTED) as usize;
     file.read_exact(&mut head[..head_len])?;
-    if file_len < HEADER_LEN || head[0..4] != MAGIC {
-        return Err(JournalError::BadHeader {
-            path: path.to_path_buf(),
-        });
+    let mut r = Reader::new(path, &head[..head_len], 0);
+    let version = r.header(&MAGIC, &[VERSION, VERSION_COMPACTED], expect.map(|e| e.0))?;
+    let shards = r.u32("truncated header")?;
+    if expect.is_some_and(|(_, expected)| expected != shards) {
+        return Err(r.corrupt("journal of another shard count"));
     }
-    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    let (header_bytes, base_records) = match version {
-        VERSION => (HEADER_LEN, 0),
-        VERSION_COMPACTED => {
-            if file_len < HEADER_LEN_COMPACTED {
-                return Err(JournalError::BadHeader {
-                    path: path.to_path_buf(),
-                });
-            }
-            (
-                HEADER_LEN_COMPACTED,
-                u64::from_le_bytes(head[16..24].try_into().expect("8 bytes")),
-            )
-        }
-        _ => {
-            return Err(JournalError::BadHeader {
-                path: path.to_path_buf(),
-            })
-        }
+    let base_records = match version {
+        VERSION => 0,
+        _ => r.u64("truncated header")?,
     };
-    let shard = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
-    let shards = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
-    if let Some((expected_shard, expected_shards)) = expect {
-        if (shard, shards) != (expected_shard, expected_shards) {
-            return Err(JournalError::ShardMismatch {
-                found_shard: shard,
-                found_shards: shards,
-                expected_shard,
-                expected_shards,
-            });
-        }
+    if base_records.checked_add(file_len).is_none() {
+        return Err(r.corrupt("compaction base past any record count"));
     }
+    let header_bytes = r.offset();
 
     // Seek past the trusted prefix without reading it, so a snapshot
     // boot pays I/O proportional to the journal *tail*, not the whole
-    // file. An offset the file cannot honor falls back to the
-    // compaction base (a full in-file scan); the caller detects that
-    // via `first_record`.
-    let mut skip = from_records.saturating_sub(base_records);
-    if header_bytes + skip * RECORD_LEN > file_len {
-        skip = 0;
-    }
-    let start = header_bytes + skip * RECORD_LEN;
+    // file.
+    let skip = from_records.saturating_sub(base_records);
+    let (skip, start) = skip
+        .checked_mul(RECORD_LEN)
+        .and_then(|bytes| bytes.checked_add(header_bytes))
+        .filter(|&start| start <= file_len)
+        .map_or((0, header_bytes), |start| (skip, start));
     file.seek(SeekFrom::Start(start))?;
     let mut data = Vec::with_capacity((file_len - start) as usize);
     file.read_to_end(&mut data)?;
-    let mut recovered = Recovered {
+    let mut records = Reader::new(path, &data, start);
+    let mut feedbacks = Vec::new();
+    let torn = records.scan_frames(|payload| {
+        feedbacks.push(decode_payload(payload).ok_or("checksummed but undecodable record")?);
+        Ok(())
+    });
+    Ok(Recovered {
+        feedbacks,
+        torn_bytes: records.remaining() as u64,
+        torn,
         first_record: base_records + skip,
         base_records,
         header_bytes,
-        ..Recovered::default()
-    };
-    let mut at = 0usize;
-    while at < data.len() {
-        let rest = &data[at..];
-        if rest.len() < FRAME_LEN {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len != RECORD_PAYLOAD_LEN || rest.len() < FRAME_LEN + len {
-            break; // impossible length or torn payload
-        }
-        let payload = &rest[FRAME_LEN..FRAME_LEN + len];
-        if crc32(payload) != crc {
-            break; // torn / corrupt record
-        }
-        let Some(feedback) = decode_payload(payload) else {
-            break; // checksummed but undecodable: treat as tail corruption
-        };
-        recovered.feedbacks.push(feedback);
-        at += FRAME_LEN + len;
-    }
-    recovered.torn_bytes = (data.len() - at) as u64;
-    Ok(recovered)
+    })
 }
 
 /// An append-only file journal for one shard.
@@ -356,7 +237,7 @@ pub fn read_journal_from(
 #[derive(Debug)]
 pub struct FileJournal {
     path: PathBuf,
-    writer: BufWriter<File>,
+    file: File,
     policy: FsyncPolicy,
     shard: u32,
     shards: u32,
@@ -374,18 +255,13 @@ impl FileJournal {
     ///
     /// Returns the journal positioned for appends plus everything
     /// recovered from disk; a torn tail is truncated so the next append
-    /// starts on a clean record boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`], [`JournalError::BadHeader`], or
-    /// [`JournalError::ShardMismatch`] as for [`read_journal`].
+    /// starts on a clean record boundary. Errors as for [`read_journal`].
     pub fn open(
         path: &Path,
         shard: u32,
         shards: u32,
         policy: FsyncPolicy,
-    ) -> Result<(Self, Recovered), JournalError> {
+    ) -> Result<(Self, Recovered), Error> {
         Self::open_from(path, shard, shards, policy, 0)
     }
 
@@ -394,56 +270,33 @@ impl FileJournal {
     /// CRC-scanned, so a snapshot boot pays O(journal tail) instead of
     /// O(journal). The torn-tail truncation still happens — only the
     /// scan's starting point moves. An offset the file cannot honor
-    /// degrades to a full scan (see [`read_journal_from`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`FileJournal::open`].
+    /// degrades to a full scan (see [`read_journal_from`]). A fresh
+    /// journal's header is published durably; the temp of a compaction
+    /// a crash interrupted is deleted.
     pub fn open_from(
         path: &Path,
         shard: u32,
         shards: u32,
         policy: FsyncPolicy,
         trusted_records: u64,
-    ) -> Result<(Self, Recovered), JournalError> {
-        let fresh = !path.exists();
-        let mut recovered = Recovered {
-            header_bytes: HEADER_LEN,
-            ..Recovered::default()
-        };
-        if !fresh {
-            recovered = read_journal_from(path, Some((shard, shards)), trusted_records)?;
+    ) -> Result<(Self, Recovered), Error> {
+        durable::remove([durable::temp_path(path)])?;
+        if !path.exists() {
+            publish(path, |file| file.write_all(&header(shard, shards, None)))?;
         }
-        // `truncate(false)`: existing records must survive the open; the
-        // torn tail (if any) is cut by the explicit `set_len` below.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(path)?;
-        if fresh {
-            file.write_all(&encode_header(shard, shards))?;
-            file.sync_all()?;
-            file.seek(SeekFrom::End(0))?;
-        } else {
-            // Truncate the torn tail so appends resume on a frame boundary.
-            let in_file = recovered.first_record - recovered.base_records
-                + recovered.feedbacks.len() as u64;
-            let keep = recovered.header_bytes + in_file * RECORD_LEN;
-            file.set_len(keep)?;
-            file.seek(SeekFrom::Start(keep))?;
-        }
-        let records = recovered.first_record + recovered.feedbacks.len() as u64;
+        let recovered = read_journal_from(path, Some((shard, shards)), trusted_records)?;
+        // Cut the torn tail so appends resume on a frame boundary.
+        let file = OpenOptions::new().append(true).open(path)?;
+        file.set_len(file.metadata()?.len() - recovered.torn_bytes)?;
         Ok((
             FileJournal {
                 path: path.to_path_buf(),
-                writer: BufWriter::new(file),
+                file,
                 policy,
                 shard,
                 shards,
                 records_since_sync: 0,
-                records,
+                records: recovered.first_record + recovered.feedbacks.len() as u64,
                 base_records: recovered.base_records,
                 header_bytes: recovered.header_bytes,
             },
@@ -451,28 +304,22 @@ impl FileJournal {
         ))
     }
 
-    /// Appends `batch` (frame + checksum per feedback), then flushes and
-    /// fsyncs per the policy.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the write or sync fails; the journal must
-    /// then be considered torn at the tail (recovery handles it).
-    pub fn append_batch(&mut self, batch: &[Feedback]) -> Result<AppendInfo, JournalError> {
-        let mut info = AppendInfo::default();
+    /// Appends `batch` (one frame per feedback) in one write, then fsyncs
+    /// per the policy. After an [`Error::Io`] the journal must be
+    /// considered torn at the tail (recovery handles it).
+    pub fn append_batch(&mut self, batch: &[Feedback]) -> Result<AppendInfo, Error> {
+        let mut frames = Vec::with_capacity(batch.len() * RECORD_LEN as usize);
         for feedback in batch {
-            let payload = encode_payload(feedback);
-            let mut frame = [0u8; FRAME_LEN];
-            frame[0..4].copy_from_slice(&(RECORD_PAYLOAD_LEN as u32).to_le_bytes());
-            frame[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-            self.writer.write_all(&frame)?;
-            self.writer.write_all(&payload)?;
-            info.records += 1;
-            info.bytes += (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64;
+            frames.put_frame(&encode_payload(feedback));
         }
+        self.file.write_all(&frames)?;
+        let mut info = AppendInfo {
+            records: batch.len() as u64,
+            bytes: frames.len() as u64,
+            ..AppendInfo::default()
+        };
         self.records += info.records;
         self.records_since_sync += info.records;
-        self.writer.flush()?;
         let due = match self.policy {
             FsyncPolicy::Never => false,
             FsyncPolicy::EveryBatch => true,
@@ -487,14 +334,9 @@ impl FileJournal {
         Ok(info)
     }
 
-    /// Flushes buffered writes and fsyncs, regardless of policy.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the flush or sync fails.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
+    /// Fsyncs, regardless of policy.
+    pub fn sync(&mut self) -> Result<(), Error> {
+        self.file.sync_all()?;
         self.records_since_sync = 0;
         Ok(())
     }
@@ -511,50 +353,29 @@ impl FileJournal {
         self.base_records
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Drops every record before absolute index `upto` by rewriting the
-    /// file with a v2 header whose base is `upto`. Callers must only
-    /// pass an `upto` that a durable snapshot covers — after this, the
-    /// journal alone can no longer rebuild the full sequence.
-    ///
-    /// Crash-safe: the compacted image is written to a temporary
-    /// sibling, fsynced, renamed over the journal, and the directory
-    /// fsynced — at every intermediate point the old or the new journal
-    /// is intact on disk. Returns the number of records dropped
-    /// (`0` when `upto` is at or below the current base).
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`]; the original journal is untouched on error
-    /// paths before the rename.
-    pub fn compact_to(&mut self, upto: u64) -> Result<u64, JournalError> {
+    /// Drops every record before absolute index `upto` by publishing
+    /// (see [`durable::publish`]) a copy of the file with a v2 header
+    /// whose base is `upto`. Callers must only pass an `upto` that a
+    /// durable snapshot covers — after this, the journal alone can no
+    /// longer rebuild the full sequence. Returns the number of records
+    /// dropped (`0` when `upto` is at or below the current base); on an
+    /// [`Error::Io`] before the rename the original journal is untouched.
+    pub fn compact_to(&mut self, upto: u64) -> Result<u64, Error> {
         self.sync()?;
         let upto = upto.min(self.records);
         if upto <= self.base_records {
             return Ok(0);
         }
         let dropped = upto - self.base_records;
-
         let mut tail = Vec::new();
-        {
-            let mut file = File::open(&self.path)?;
-            file.seek(SeekFrom::Start(self.header_bytes + dropped * RECORD_LEN))?;
-            file.read_to_end(&mut tail)?;
-        }
-        let tmp = self.path.with_extension("hpj.compact");
-        publish(&tmp, &self.path, |file| {
-            file.write_all(&encode_compacted_header(self.shard, self.shards, upto))?;
+        let mut file = File::open(&self.path)?;
+        file.seek(SeekFrom::Start(self.header_bytes + dropped * RECORD_LEN))?;
+        file.read_to_end(&mut tail)?;
+        publish(&self.path, |file| {
+            file.write_all(&header(self.shard, self.shards, Some(upto)))?;
             file.write_all(&tail)
         })?;
-
-        // Point the writer at the rewritten file.
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.writer = BufWriter::new(file);
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.base_records = upto;
         self.header_bytes = HEADER_LEN_COMPACTED;
         self.records_since_sync = 0;
@@ -569,11 +390,7 @@ impl FileJournal {
     /// the request overshot the file and the scan fell back to the
     /// earliest retained record. Callers must check `start` before
     /// folding the tail onto anything.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] if the file cannot be synced or re-read.
-    pub fn replay_from(&mut self, from_records: u64) -> Result<(u64, Vec<Feedback>), JournalError> {
+    pub fn replay_from(&mut self, from_records: u64) -> Result<(u64, Vec<Feedback>), Error> {
         self.sync()?;
         let recovered = read_journal_from(&self.path, None, from_records)?;
         Ok((recovered.first_record, recovered.feedbacks))
@@ -583,6 +400,7 @@ impl FileJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn feedback(t: u64, good: bool) -> Feedback {
         Feedback::new(t, ServerId::new(3), ClientId::new(t % 5), Rating::from_good(good))
@@ -686,11 +504,9 @@ mod tests {
             journal.sync().unwrap();
         }
         match FileJournal::open(&path, 2, 4, FsyncPolicy::Never) {
-            Err(JournalError::ShardMismatch {
-                found_shard: 2,
-                found_shards: 8,
-                expected_shard: 2,
-                expected_shards: 4,
+            Err(Error::Corrupt {
+                reason: "journal of another shard count",
+                ..
             }) => {}
             other => panic!("expected shard mismatch, got {other:?}"),
         }
@@ -703,7 +519,7 @@ mod tests {
         std::fs::write(&path, b"definitely not a journal header").unwrap();
         assert!(matches!(
             read_journal(&path, None),
-            Err(JournalError::BadHeader { .. })
+            Err(Error::Corrupt { .. })
         ));
         let _ = std::fs::remove_file(&path);
     }
@@ -786,6 +602,157 @@ mod tests {
         assert_eq!(journal.records(), 39);
         drop(journal);
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and FNV-1a of a v1 journal after a fixed append and of the
+    /// v2 file `compact_to` leaves, as computed at PR 25's parent, before
+    /// the journal was ported onto `hp_store::durable`: the port must not
+    /// move a byte on disk.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let path = temp_path("pinned");
+        let _ = std::fs::remove_file(&path);
+        let batch: Vec<Feedback> = (0..37u64)
+            .map(|t| {
+                let client = ClientId::new(t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20);
+                Feedback::new(1_000 + 3 * t, ServerId::new(t % 4), client, Rating::from_good(t % 5 != 2))
+            })
+            .collect();
+        let (mut journal, _) = FileJournal::open(&path, 1, 4, FsyncPolicy::Never).unwrap();
+        journal.append_batch(&batch).unwrap();
+        journal.sync().unwrap();
+        let v1 = std::fs::read(&path).unwrap();
+        assert_eq!((v1.len(), fnv1a(&v1)), (1_237, 0x0e5f_9a60_9d49_ee5e), "v1");
+        assert_eq!(journal.compact_to(29).unwrap(), 29);
+        journal.append_batch(&batch[..2]).unwrap();
+        journal.sync().unwrap();
+        let v2 = std::fs::read(&path).unwrap();
+        assert_eq!((v2.len(), fnv1a(&v2)), (354, 0x5ea9_ac38_1fd6_07f5), "v2");
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A manifest line whose CRC holds can carry any offset. One whose
+    /// product with `RECORD_LEN` wraps (here to 10 mod 2⁶⁴) used to pass
+    /// the bounds check, start the scan mid-record and cut the file to 26
+    /// bytes — 0 of 40 records left (a panic in debug). It falls back to
+    /// a full scan, as an overshooting offset always did.
+    #[test]
+    fn a_trusted_offset_that_wraps_leaves_the_journal_whole() {
+        let trusted = 11_179_844_893_157_304_010u64;
+        assert_eq!(trusted.wrapping_mul(RECORD_LEN), 10);
+        let path = temp_path("wrapping");
+        let _ = std::fs::remove_file(&path);
+        let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, t % 3 != 0)).collect();
+        {
+            let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+            journal.append_batch(&batch).unwrap();
+        }
+        let len = std::fs::metadata(&path).unwrap().len();
+        let (journal, recovered) =
+            FileJournal::open_from(&path, 0, 1, FsyncPolicy::Never, trusted).unwrap();
+        assert_eq!((recovered.first_record, journal.records()), (0, 40));
+        drop(journal);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(read_journal(&path, Some((0, 1))).unwrap().feedbacks, batch);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// 40 records as a fresh (v1) journal, and the same compacted to 17
+    /// (v2): the files `read_journal_from_survives_hostile_bytes` mangles.
+    fn genuine() -> &'static [(Vec<u8>, Vec<Feedback>); 2] {
+        static GENUINE: std::sync::OnceLock<[(Vec<u8>, Vec<Feedback>); 2]> =
+            std::sync::OnceLock::new();
+        GENUINE.get_or_init(|| {
+            let path = temp_path("genuine");
+            let _ = std::fs::remove_file(&path);
+            let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, t % 3 != 0)).collect();
+            let (mut journal, _) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never).unwrap();
+            journal.append_batch(&batch).unwrap();
+            let v1 = std::fs::read(&path).unwrap();
+            journal.compact_to(17).unwrap();
+            let v2 = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            [(v1, batch.clone()), (v2, batch[17..].to_vec())]
+        })
+    }
+
+    /// A length, offset or count the file cannot honour: any value, a
+    /// small one, or one just short of the type's end.
+    fn hostile() -> impl Strategy<Value = u64> {
+        (0u8..3, any::<u64>()).prop_map(|(kind, raw)| match kind {
+            0 => raw,
+            1 => raw % 64,
+            _ => u64::MAX - raw % 64,
+        })
+    }
+
+    proptest! {
+        /// Whatever happened to a journal — cut after any record or
+        /// anywhere, a byte flipped, any u32 or u64 overwritten (header
+        /// fields, the v2 base and frame lengths included) — and whatever
+        /// trusted offset a manifest hands in, `read_journal_from` returns
+        /// a typed corruption or a run of the records that were written,
+        /// at the index they were written under, with the rest of the file
+        /// counted torn; and `open_from` then cuts exactly that tail.
+        #[test]
+        fn read_journal_from_survives_hostile_bytes(
+            file in (0usize..2, 0usize..41, any::<bool>()),
+            mangle in (0u8..6, any::<usize>(), hostile()),
+            from in hostile(),
+            check in any::<bool>(),
+        ) {
+            let (version, keep, whole) = file;
+            let (bytes, records) = &genuine()[version];
+            let header = 16 + 8 * version;
+            let keep = keep.min(records.len());
+            let mut bytes = bytes[..if whole { bytes.len() } else { header + 33 * keep }].to_vec();
+            let (kind, at, value) = mangle;
+            let field = [4, 8, 12, 16, header + 33 * (at / 4 % (keep + 1))][at % 5];
+            match kind {
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                1 => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= (value as u8).max(1);
+                }
+                2 | 3 => {
+                    let width = 4 * kind as usize - 4;
+                    let at = if at % 2 == 0 { field } else { at % bytes.len() };
+                    let at = at.min(bytes.len().saturating_sub(width));
+                    let end = (at + width).min(bytes.len());
+                    bytes[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+                }
+                _ => {}
+            }
+            let path = temp_path("hostile");
+            std::fs::write(&path, &bytes).unwrap();
+            let expect = check.then_some((1, 2));
+            match read_journal_from(&path, expect, from) {
+                Err(e) => prop_assert!(matches!(e, Error::Corrupt { .. }), "{e}"),
+                Ok(rec) => {
+                    let index = (rec.first_record - rec.base_records) as usize;
+                    let written = records.get(index..index + rec.feedbacks.len());
+                    prop_assert_eq!(Some(&rec.feedbacks[..]), written);
+                    let intact = rec.header_bytes + (index + rec.feedbacks.len()) as u64 * RECORD_LEN;
+                    prop_assert_eq!(intact + rec.torn_bytes, bytes.len() as u64);
+                    prop_assert_eq!(rec.torn.is_some(), rec.torn_bytes > 0);
+                    if let Ok((journal, opened)) = FileJournal::open_from(&path, 1, 2, FsyncPolicy::Never, from) {
+                        prop_assert_eq!(journal.records(), opened.first_record + opened.feedbacks.len() as u64);
+                        drop(journal);
+                        let reread = read_journal_from(&path, None, from).unwrap();
+                        prop_assert_eq!((reread.feedbacks, reread.torn_bytes), (opened.feedbacks, 0));
+                        prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes.len() as u64 - opened.torn_bytes);
+                    }
+                }
+            }
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

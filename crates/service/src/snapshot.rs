@@ -15,14 +15,16 @@
 //! Each shard owns, inside the durability directory:
 //!
 //! * `shard-<i>-<seq:016x>.hps` — snapshot files, one per checkpoint,
-//!   newest `seq` wins. Written crash-safely: temp file → fsync →
-//!   atomic rename → directory fsync.
+//!   newest `seq` wins, published through [`durable::publish`].
 //! * `shard-<i>.manifest` — a small text file listing the retained
 //!   snapshots with the journal offset each one covers and the lowest
 //!   cold-segment sequence it references. Every entry line carries its
 //!   own CRC so a torn or bit-flipped manifest degrades to "fewer known
-//!   snapshots", never to a wrong offset. Rewritten atomically after
-//!   every checkpoint.
+//!   snapshots", never to a wrong offset. Republished after every
+//!   checkpoint.
+//!
+//! The header, the sealed body, the per-line CRC, the name scan, the
+//! bounded reader and the error are [`hp_store::durable`]'s.
 //!
 //! # Snapshot file format (version 2)
 //!
@@ -70,10 +72,9 @@ use crate::config::{SnapshotPolicy, TrustModel};
 use crate::state::{Residency, ServerState, SpilledMeta, TrustState};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
 use hp_core::{ServerId, TieredHistory};
-use hp_store::durable::{crc32, publish};
+use hp_store::durable::{self, publish, Error, Put, Reader};
 use hp_store::SegmentRef;
 use std::collections::HashMap;
-use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -82,6 +83,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAGIC: [u8; 4] = *b"HPSS";
 const VERSION: u32 = 2;
 const HEADER_LEN: usize = 40;
+/// The fewest bytes a server record takes: id, trust tag, the smaller
+/// trust state, residency tag and a payload length.
+const MIN_SERVER_LEN: usize = 8 + 1 + 16 + 1 + 8;
 const TRUST_AVERAGE: u8 = 0;
 const TRUST_WEIGHTED: u8 = 1;
 const RESIDENCY_HOT: u8 = 0;
@@ -91,40 +95,6 @@ const MANIFEST_VERSION: u32 = 2;
 /// `min_seg` sentinel: the snapshot references no cold segments, so
 /// every sealed segment is below its floor.
 const NO_SEGMENTS: u64 = u64::MAX;
-
-/// Why a snapshot operation failed.
-#[derive(Debug)]
-pub(crate) enum SnapshotError {
-    /// The underlying filesystem operation failed.
-    Io(std::io::Error),
-    /// The snapshot file exists but does not decode cleanly; the caller
-    /// should fall back to the next candidate.
-    Corrupt {
-        /// The offending file.
-        path: PathBuf,
-        /// What check rejected it.
-        reason: &'static str,
-    },
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::Corrupt { path, reason } => {
-                write!(f, "corrupt snapshot {}: {reason}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
 
 /// One retained snapshot the store knows about.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,9 +130,6 @@ pub(crate) struct LoadedSnapshot {
 /// What a completed checkpoint wrote.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SnapshotInfo {
-    /// Sequence number of the new snapshot.
-    #[allow(dead_code)]
-    pub seq: u64,
     /// Serialized size in bytes.
     pub bytes: u64,
     /// Absolute journal record count it covers.
@@ -189,7 +156,8 @@ impl SnapshotStore {
     /// Opens (creating the directory if needed) and indexes the shard's
     /// snapshots: the union of the manifest's valid lines and a
     /// directory scan for `shard-<i>-*.hps`, newest first. Unreadable
-    /// manifests degrade to the scan alone.
+    /// manifests degrade to the scan alone. The temps a crash left of
+    /// this shard's snapshots and manifest are deleted.
     pub fn open(
         dir: &Path,
         shard: u32,
@@ -197,8 +165,11 @@ impl SnapshotStore {
         policy: &SnapshotPolicy,
     ) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
-        let mut entries = read_manifest(&manifest_path(dir, shard), shard, shards);
-        for (seq, file) in scan_snapshots(dir, shard)? {
+        let manifest = manifest_path(dir, shard);
+        durable::remove([durable::temp_path(&manifest)])?;
+        let text = fs::read_to_string(&manifest).unwrap_or_default();
+        let mut entries = read_manifest(&text, shard, shards);
+        for (seq, file) in durable::scan_numbered(dir, &format!("shard-{shard}-"), ".hps")? {
             if !entries.iter().any(|e| e.seq == seq) {
                 entries.push(ManifestEntry {
                     seq,
@@ -261,21 +232,18 @@ impl SnapshotStore {
     }
 
     /// Serializes `states` covering the journal up to `journal_records`
-    /// and makes it durable: temp file → fsync → atomic rename →
-    /// directory fsync → manifest rewrite (same discipline) → retention
-    /// deletes. Old files are removed only *after* the new manifest no
-    /// longer names them.
+    /// and makes it durable: publish the snapshot, then the manifest,
+    /// then delete what retention dropped. Old files are removed only
+    /// *after* the new manifest no longer names them.
     pub fn write(
         &mut self,
         states: &HashMap<ServerId, ServerState>,
         journal_records: u64,
-    ) -> Result<SnapshotInfo, SnapshotError> {
+    ) -> Result<SnapshotInfo, Error> {
         let seq = self.next_seq;
         let (bytes, min_seg) = encode(self.shard, self.shards, seq, journal_records, states);
         let name = snapshot_file_name(self.shard, seq);
-        let path = self.dir.join(&name);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        publish(&tmp, &path, |file| file.write_all(&bytes))?;
+        publish(&self.dir.join(&name), |file| file.write_all(&bytes))?;
         self.next_seq = seq + 1;
         self.entries.insert(
             0,
@@ -286,59 +254,37 @@ impl SnapshotStore {
                 file: name,
             },
         );
-        let evicted = if self.entries.len() > self.retain {
-            self.entries.split_off(self.retain)
-        } else {
-            Vec::new()
-        };
+        let evicted = self.entries.split_off(self.retain.min(self.entries.len()));
         self.write_manifest()?;
-        for e in evicted {
-            let _ = fs::remove_file(self.dir.join(&e.file));
-        }
+        let _ = durable::remove(evicted.iter().map(|e| self.dir.join(&e.file)));
         Ok(SnapshotInfo {
-            seq,
             bytes: bytes.len() as u64,
             journal_records,
         })
     }
 
     /// Reads and fully validates one candidate. Any failed check
-    /// returns [`SnapshotError::Corrupt`] (or `Io` when the file is
-    /// unreadable) so the caller can fall down the chain.
-    pub fn load(
-        &self,
-        entry: &ManifestEntry,
-        model: TrustModel,
-    ) -> Result<LoadedSnapshot, SnapshotError> {
+    /// returns [`Error::Corrupt`] (or `Io` when the file is unreadable)
+    /// so the caller can fall down the chain.
+    pub fn load(&self, entry: &ManifestEntry, model: TrustModel) -> Result<LoadedSnapshot, Error> {
         let path = self.dir.join(&entry.file);
-        let data = fs::read(&path)?;
-        let loaded = decode(&data, &path, self.shard, self.shards, model)?;
+        let loaded = decode(&fs::read(&path)?, &path, self.shard, self.shards, model)?;
         if loaded.seq != entry.seq {
-            return Err(SnapshotError::Corrupt {
-                path,
-                reason: "sequence number does not match its name",
-            });
+            return Err(Error::corrupt(&path, 16, "sequence number does not match its name"));
         }
         Ok(loaded)
     }
 
-    fn write_manifest(&self) -> Result<(), SnapshotError> {
-        let path = manifest_path(&self.dir, self.shard);
-        let mut text = format!(
-            "{MANIFEST_MAGIC} {MANIFEST_VERSION} {} {}\n",
-            self.shard, self.shards
-        );
+    fn write_manifest(&self) -> std::io::Result<()> {
+        let mut text = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION} {} {}\n", self.shard, self.shards);
         for e in &self.entries {
-            let (Some(records), Some(min_seg)) = (e.journal_records, e.min_seg) else {
-                continue;
-            };
-            let body = format!("{:016x} {} {} {}", e.seq, records, min_seg, e.file);
-            let crc = crc32(body.as_bytes());
-            text.push_str(&format!("{crc:08x} {body}\n"));
+            if let (Some(records), Some(min_seg)) = (e.journal_records, e.min_seg) {
+                let line = format!("{:016x} {records} {min_seg} {}", e.seq, e.file);
+                text.push_str(&durable::seal_line(&line));
+                text.push('\n');
+            }
         }
-        let tmp = path.with_extension("manifest.tmp");
-        publish(&tmp, &path, |file| file.write_all(text.as_bytes()))?;
-        Ok(())
+        publish(&manifest_path(&self.dir, self.shard), |file| file.write_all(text.as_bytes()))
     }
 }
 
@@ -347,88 +293,32 @@ fn manifest_path(dir: &Path, shard: u32) -> PathBuf {
 }
 
 fn snapshot_file_name(shard: u32, seq: u64) -> String {
-    format!("shard-{shard}-{seq:016x}.hps")
+    durable::numbered(&format!("shard-{shard}-"), seq, ".hps")
 }
 
-/// Parses the manifest, dropping anything suspect: wrong magic, wrong
+/// Parses manifest `text`, dropping anything suspect: wrong magic, wrong
 /// shard identity, or any line whose CRC does not match. A manifest
 /// that lies about offsets is worse than no manifest — the per-line CRC
 /// makes a bit flip degrade to a forgotten entry instead.
-fn read_manifest(path: &Path, shard: u32, shards: u32) -> Vec<ManifestEntry> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
+fn read_manifest(text: &str, shard: u32, shards: u32) -> Vec<ManifestEntry> {
     let mut lines = text.lines();
-    let Some(header) = lines.next() else {
+    let header = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION} {shard} {shards}");
+    if !lines.next().is_some_and(|line| line.split_whitespace().eq(header.split(' '))) {
         return Vec::new();
+    }
+    let entry = |line: &str| {
+        let fields: Vec<&str> = durable::unseal_line(line)?.split_whitespace().collect();
+        let [seq, records, min_seg, file] = fields[..] else {
+            return None;
+        };
+        Some(ManifestEntry {
+            seq: u64::from_str_radix(seq, 16).ok()?,
+            journal_records: Some(records.parse().ok()?),
+            min_seg: Some(min_seg.parse().ok()?),
+            file: file.to_string(),
+        })
     };
-    let head: Vec<&str> = header.split_whitespace().collect();
-    if head.len() != 4
-        || head[0] != MANIFEST_MAGIC
-        || head[1].parse() != Ok(MANIFEST_VERSION)
-        || head[2].parse() != Ok(shard)
-        || head[3].parse() != Ok(shards)
-    {
-        return Vec::new();
-    }
-    let mut entries = Vec::new();
-    for line in lines {
-        let Some((crc_hex, body)) = line.split_once(' ') else {
-            continue;
-        };
-        let Ok(crc) = u32::from_str_radix(crc_hex, 16) else {
-            continue;
-        };
-        if crc != crc32(body.as_bytes()) {
-            continue;
-        }
-        let fields: Vec<&str> = body.split_whitespace().collect();
-        if fields.len() != 4 {
-            continue;
-        }
-        let (Ok(seq), Ok(records), Ok(min_seg)) = (
-            u64::from_str_radix(fields[0], 16),
-            fields[1].parse::<u64>(),
-            fields[2].parse::<u64>(),
-        ) else {
-            continue;
-        };
-        entries.push(ManifestEntry {
-            seq,
-            journal_records: Some(records),
-            min_seg: Some(min_seg),
-            file: fields[3].to_string(),
-        });
-    }
-    entries
-}
-
-/// Directory scan for this shard's snapshot files, returning
-/// `(seq, file_name)` pairs. Recovers candidates when the manifest is
-/// lost or truncated.
-fn scan_snapshots(dir: &Path, shard: u32) -> std::io::Result<Vec<(u64, String)>> {
-    let prefix = format!("shard-{shard}-");
-    let mut found = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name.strip_prefix(&prefix).and_then(|s| s.strip_suffix(".hps")) else {
-            continue;
-        };
-        if let Ok(seq) = u64::from_str_radix(stem, 16) {
-            found.push((seq, name.to_string()));
-        }
-    }
-    Ok(found)
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+    lines.filter_map(entry).collect()
 }
 
 /// Serializes the full state map. Servers are emitted in ascending id
@@ -460,193 +350,134 @@ fn encode(
     }).sum::<usize>();
     let mut out = Vec::with_capacity(cap);
     let mut min_seg = NO_SEGMENTS;
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, VERSION);
-    push_u32(&mut out, shard);
-    push_u32(&mut out, shards);
-    push_u64(&mut out, seq);
-    push_u64(&mut out, journal_records);
-    push_u64(&mut out, servers.len() as u64);
+    out.put_header(&MAGIC, VERSION, shard);
+    out.put_u32(shards);
+    out.put_u64(seq);
+    out.put_u64(journal_records);
+    out.put_u64(servers.len() as u64);
     for (id, state) in servers {
-        push_u64(&mut out, id.value());
+        out.put_u64(id.value());
         match state.trust() {
             TrustState::Average(s) => {
                 let (good, total) = s.raw_parts();
                 out.push(TRUST_AVERAGE);
-                push_u64(&mut out, good);
-                push_u64(&mut out, total);
+                out.put_u64(good);
+                out.put_u64(total);
             }
             TrustState::Weighted(s) => {
                 let (lambda, r, count) = s.raw_parts();
                 out.push(TRUST_WEIGHTED);
-                push_u64(&mut out, lambda.to_bits());
-                push_u64(&mut out, r.to_bits());
-                push_u64(&mut out, count);
+                out.put_u64(lambda.to_bits());
+                out.put_u64(r.to_bits());
+                out.put_u64(count);
             }
         }
         match state.residency() {
             Residency::Hot(history) => {
                 out.push(RESIDENCY_HOT);
                 let payload = history.encode();
-                push_u64(&mut out, payload.len() as u64);
+                out.put_u64(payload.len() as u64);
                 out.extend_from_slice(&payload);
             }
             Residency::Spilled { meta, segment } => {
                 out.push(RESIDENCY_SPILLED);
-                push_u64(&mut out, meta.len);
-                push_u64(&mut out, meta.version);
-                push_u64(&mut out, meta.bytes);
-                push_u64(&mut out, segment.seq);
-                push_u64(&mut out, segment.offset);
-                push_u32(&mut out, segment.len);
-                push_u32(&mut out, segment.crc);
+                for v in [meta.len, meta.version, meta.bytes, segment.seq, segment.offset] {
+                    out.put_u64(v);
+                }
+                out.put_u32(segment.len);
+                out.put_u32(segment.crc);
                 min_seg = min_seg.min(segment.seq);
             }
         }
     }
-    let crc = crc32(&out);
-    push_u32(&mut out, crc);
+    out.seal();
     (out, min_seg)
 }
 
-/// Bounded little-endian reader over the snapshot body.
-struct Reader<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let slice = self.data.get(self.at..end)?;
-        self.at = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-}
-
-fn corrupt(path: &Path, reason: &'static str) -> SnapshotError {
-    SnapshotError::Corrupt {
-        path: path.to_path_buf(),
-        reason,
-    }
-}
-
-/// Decodes and validates a snapshot image. Every length is bounds-checked
-/// against the buffer, the trailer CRC covers the whole body, and each
-/// server's trust state must be internally consistent with its history
-/// (same transaction count; for a hot average-model server, the same
-/// good count) and with the configured trust model — a snapshot taken
-/// under a different model is rejected, not misread. Spilled references
-/// are validated structurally here; whether the segment bytes they name
-/// still exist and decode is checked by the recovery path before the
-/// candidate is accepted (`validate_spilled_refs`), since that requires
-/// the cold store.
+/// Decodes and validates a snapshot image. The trailer CRC covers the
+/// whole body, every read and count is bounded by the bytes left, server
+/// ids must ascend (as `encode` writes them), and each server's trust state must be internally consistent with its
+/// history (same transaction count; for a hot average-model server, the
+/// same good count) and with the configured trust model — a snapshot
+/// taken under a different model is rejected, not misread. Spilled
+/// references are validated structurally here; whether the segment bytes
+/// they name still exist and decode is checked by the recovery path
+/// before the candidate is accepted (`validate_spilled_refs`), since that
+/// requires the cold store.
 fn decode(
     data: &[u8],
     path: &Path,
     shard: u32,
     shards: u32,
     model: TrustModel,
-) -> Result<LoadedSnapshot, SnapshotError> {
-    if data.len() < HEADER_LEN + 4 {
-        return Err(corrupt(path, "file shorter than header"));
+) -> Result<LoadedSnapshot, Error> {
+    let mut r = Reader::sealed(path, data)?;
+    r.header(&MAGIC, &[VERSION], Some(shard))?;
+    if r.u32("truncated header")? != shards {
+        return Err(r.corrupt("snapshot belongs to a different shard"));
     }
-    let (body, trailer) = data.split_at(data.len() - 4);
-    let stored_crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored_crc {
-        return Err(corrupt(path, "crc mismatch"));
-    }
-    let mut r = Reader { data: body, at: 0 };
-    if r.take(4) != Some(&MAGIC) {
-        return Err(corrupt(path, "bad magic"));
-    }
-    if r.u32() != Some(VERSION) {
-        return Err(corrupt(path, "unknown version"));
-    }
-    if r.u32() != Some(shard) || r.u32() != Some(shards) {
-        return Err(corrupt(path, "snapshot belongs to a different shard"));
-    }
-    let seq = r.u64().ok_or_else(|| corrupt(path, "truncated header"))?;
-    let journal_records = r.u64().ok_or_else(|| corrupt(path, "truncated header"))?;
-    let server_count = r.u64().ok_or_else(|| corrupt(path, "truncated header"))?;
-    let mut states = HashMap::with_capacity(server_count.min(1 << 20) as usize);
+    let seq = r.u64("truncated header")?;
+    let journal_records = r.u64("truncated header")?;
+    let server_count = r.count(MIN_SERVER_LEN, "server count past the end of the file")?;
+    let mut states = HashMap::with_capacity(server_count);
+    let mut last = None;
     for _ in 0..server_count {
-        let server = ServerId::new(r.u64().ok_or_else(|| corrupt(path, "truncated server"))?);
-        let trust = decode_trust(&mut r, path, model)?;
-        let state = match r.u8() {
-            Some(RESIDENCY_HOT) => {
-                let payload_len = r
-                    .u64()
-                    .ok_or_else(|| corrupt(path, "truncated history payload"))?
-                    as usize;
-                let payload = r
-                    .take(payload_len)
-                    .ok_or_else(|| corrupt(path, "truncated history payload"))?;
+        let id = r.u64("truncated server")?;
+        if last >= Some(id) {
+            return Err(r.corrupt("server ids not ascending"));
+        }
+        last = Some(id);
+        let server = ServerId::new(id);
+        let trust = decode_trust(&mut r, model)?;
+        let (len, version, residency) = match r.u8("truncated server")? {
+            RESIDENCY_HOT => {
+                const PAYLOAD: &str = "truncated history payload";
+                let len = r.u64(PAYLOAD)?;
+                let payload = r.take(usize::try_from(len).unwrap_or(usize::MAX), PAYLOAD)?;
                 // `TieredHistory::decode` revalidates every structural
                 // invariant (word alignment, summary totals, code ranges,
                 // bit padding); only the cross-checks against the record's
                 // identity and trust state remain ours.
                 let history = TieredHistory::decode(payload)
-                    .ok_or_else(|| corrupt(path, "inconsistent tiered history"))?;
+                    .ok_or_else(|| r.corrupt("inconsistent tiered history"))?;
                 if !history.is_empty() && history.server() != Some(server) {
-                    return Err(corrupt(path, "history belongs to a different server"));
+                    return Err(r.corrupt("history belongs to a different server"));
                 }
-                if trust.transactions() != history.len() as u64 {
-                    return Err(corrupt(path, "trust state disagrees with history length"));
+                if matches!(&trust, TrustState::Average(s) if s.raw_parts().0 != history.good_count()) {
+                    return Err(r.corrupt("trust state disagrees with good count"));
                 }
-                if history.version() != history.len() as u64 {
-                    return Err(corrupt(path, "history version disagrees with its length"));
-                }
-                if let TrustState::Average(s) = &trust {
-                    if s.raw_parts().0 != history.good_count() {
-                        return Err(corrupt(path, "trust state disagrees with good count"));
-                    }
-                }
-                ServerState::from_snapshot(history, trust)
+                (history.len() as u64, history.version(), Residency::Hot(history))
             }
-            Some(RESIDENCY_SPILLED) => {
-                let len = r.u64().ok_or_else(|| corrupt(path, "truncated spill metadata"))?;
-                let version =
-                    r.u64().ok_or_else(|| corrupt(path, "truncated spill metadata"))?;
-                let bytes = r.u64().ok_or_else(|| corrupt(path, "truncated spill metadata"))?;
+            RESIDENCY_SPILLED => {
+                const META: &str = "truncated spill metadata";
+                let meta = SpilledMeta { len: r.u64(META)?, version: r.u64(META)?, bytes: r.u64(META)? };
                 let segment = SegmentRef {
-                    seq: r.u64().ok_or_else(|| corrupt(path, "truncated segment ref"))?,
-                    offset: r.u64().ok_or_else(|| corrupt(path, "truncated segment ref"))?,
-                    len: r.u32().ok_or_else(|| corrupt(path, "truncated segment ref"))?,
-                    crc: r.u32().ok_or_else(|| corrupt(path, "truncated segment ref"))?,
+                    seq: r.u64(META)?,
+                    offset: r.u64(META)?,
+                    len: r.u32(META)?,
+                    crc: r.u32(META)?,
                 };
-                if trust.transactions() != len {
-                    return Err(corrupt(path, "trust state disagrees with history length"));
+                if meta.bytes != u64::from(segment.len) {
+                    return Err(r.corrupt("spill size disagrees with its segment ref"));
                 }
-                if version != len {
-                    return Err(corrupt(path, "history version disagrees with its length"));
-                }
-                if bytes != u64::from(segment.len) {
-                    return Err(corrupt(path, "spill size disagrees with its segment ref"));
-                }
-                let meta = SpilledMeta { len, version, bytes };
-                ServerState::from_snapshot_spilled(meta, segment, trust)
+                (meta.len, meta.version, Residency::Spilled { meta, segment })
             }
-            _ => return Err(corrupt(path, "unknown residency tag")),
+            _ => return Err(r.corrupt("unknown residency tag")),
         };
-        if states.insert(server, state).is_some() {
-            return Err(corrupt(path, "duplicate server record"));
+        let transactions = match &trust {
+            TrustState::Average(s) => s.transactions(),
+            TrustState::Weighted(s) => s.transactions(),
+        };
+        if transactions != len {
+            return Err(r.corrupt("trust state disagrees with history length"));
         }
+        if version != len {
+            return Err(r.corrupt("history version disagrees with its length"));
+        }
+        states.insert(server, ServerState::from_snapshot(residency, trust));
     }
-    if r.at != body.len() {
-        return Err(corrupt(path, "trailing bytes after last server"));
+    if r.remaining() != 0 {
+        return Err(r.corrupt("trailing bytes after last server"));
     }
     Ok(LoadedSnapshot {
         states,
@@ -655,45 +486,26 @@ fn decode(
     })
 }
 
-trait TrustTransactions {
-    fn transactions(&self) -> u64;
-}
-
-impl TrustTransactions for TrustState {
-    fn transactions(&self) -> u64 {
-        match self {
-            TrustState::Average(s) => IncrementalTrust::transactions(s),
-            TrustState::Weighted(s) => IncrementalTrust::transactions(s),
-        }
-    }
-}
-
-fn decode_trust(
-    r: &mut Reader<'_>,
-    path: &Path,
-    model: TrustModel,
-) -> Result<TrustState, SnapshotError> {
-    match r.u8() {
-        Some(TRUST_AVERAGE) => {
+fn decode_trust(r: &mut Reader<'_>, model: TrustModel) -> Result<TrustState, Error> {
+    const TRUST: &str = "truncated trust state";
+    match r.u8(TRUST)? {
+        TRUST_AVERAGE => {
             if !matches!(model, TrustModel::Average) {
-                return Err(corrupt(path, "trust model mismatch"));
+                return Err(r.corrupt("trust model mismatch"));
             }
-            let good = r.u64().ok_or_else(|| corrupt(path, "truncated trust state"))?;
-            let total = r.u64().ok_or_else(|| corrupt(path, "truncated trust state"))?;
+            let (good, total) = (r.u64(TRUST)?, r.u64(TRUST)?);
             AverageTrustState::from_raw_parts(good, total)
                 .map(TrustState::Average)
-                .ok_or_else(|| corrupt(path, "invalid average trust counters"))
+                .ok_or_else(|| r.corrupt("invalid average trust counters"))
         }
-        Some(TRUST_WEIGHTED) => {
-            let lambda_bits = r.u64().ok_or_else(|| corrupt(path, "truncated trust state"))?;
-            let r_bits = r.u64().ok_or_else(|| corrupt(path, "truncated trust state"))?;
-            let count = r.u64().ok_or_else(|| corrupt(path, "truncated trust state"))?;
+        TRUST_WEIGHTED => {
+            let (lambda_bits, r_bits, count) = (r.u64(TRUST)?, r.u64(TRUST)?, r.u64(TRUST)?);
             let matches_model = matches!(
                 model,
                 TrustModel::Weighted { lambda } if lambda.to_bits() == lambda_bits
             );
             if !matches_model {
-                return Err(corrupt(path, "trust model mismatch"));
+                return Err(r.corrupt("trust model mismatch"));
             }
             WeightedTrustState::from_raw_parts(
                 f64::from_bits(lambda_bits),
@@ -701,9 +513,9 @@ fn decode_trust(
                 count,
             )
             .map(TrustState::Weighted)
-            .map_err(|_| corrupt(path, "invalid weighted trust state"))
+            .map_err(|_| r.corrupt("invalid weighted trust state"))
         }
-        _ => Err(corrupt(path, "unknown trust tag")),
+        _ => Err(r.corrupt("unknown trust tag")),
     }
 }
 
@@ -780,6 +592,7 @@ impl BootProgress {
 mod tests {
     use super::*;
     use hp_core::{ClientId, Feedback, Rating};
+    use proptest::prelude::*;
 
     fn policy(retain: usize) -> SnapshotPolicy {
         SnapshotPolicy {
@@ -938,7 +751,7 @@ mod tests {
         let (bytes, _) = encode(0, 1, 0, 32, &states);
         let err = decode(&bytes, Path::new("x"), 0, 1, TrustModel::Weighted { lambda: 0.5 })
             .unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }));
+        assert!(matches!(err, Error::Corrupt { .. }));
         // Different lambda is a mismatch too.
         let states = build_states(TrustModel::Weighted { lambda: 0.5 }, 32);
         let (bytes, _) = encode(0, 1, 0, 32, &states);
@@ -955,13 +768,12 @@ mod tests {
         // well-formed file from the previous format era must fall down
         // the recovery chain, not decode as garbage.
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        bytes.truncate(bytes.len() - 4);
+        bytes.seal();
         let err = decode(&bytes, Path::new("x"), 0, 1, model).unwrap_err();
         assert!(matches!(
             err,
-            SnapshotError::Corrupt { reason: "unknown version", .. }
+            Error::Corrupt { reason: "unknown version", .. }
         ));
     }
 
@@ -983,7 +795,7 @@ mod tests {
         // below the floor.
         assert_eq!(store.segment_floor(), Some(NO_SEGMENTS));
         // Only `retain` files remain on disk.
-        let files = scan_snapshots(&dir, 0).unwrap();
+        let files = durable::scan_numbered(&dir, "shard-0-", ".hps").unwrap();
         assert_eq!(files.len(), 2);
         // A reopened store sees the same entries via the manifest.
         let reopened = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
@@ -1082,9 +894,219 @@ mod tests {
         assert_eq!(cand.seq, 9);
         assert!(matches!(
             reopened.load(cand, model),
-            Err(SnapshotError::Corrupt { .. })
+            Err(Error::Corrupt { .. })
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and FNV-1a of a snapshot holding hot (folded) and spilled
+    /// servers under each trust model, and of the manifest naming both, as
+    /// computed at PR 25's parent, before snapshots and manifests were
+    /// ported onto `hp_store::durable`: the port must not move a byte.
+    #[test]
+    fn snapshot_and_manifest_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let mut store = SnapshotStore::open(&dir, 2, 4, &policy(3)).unwrap();
+        let models = [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }];
+        let pins = [(2_457, 0xf69e_8ad5_8def_4bc2), (2_497, 0x5e5c_daea_3b51_fc78)];
+        for (i, (model, pin)) in models.into_iter().zip(pins).enumerate() {
+            let mut states = build_tiered_states(model, 1200, 64);
+            let seg = |seq, offset| SegmentRef { seq, offset, len: 77, crc: 0x0bad_cafe };
+            states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5 + i as u64, 20), 77);
+            states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9, 1 << 40), 77);
+            store.write(&states, 1200 + 300 * i as u64).unwrap();
+            let bytes = fs::read(dir.join(snapshot_file_name(2, i as u64))).unwrap();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), pin, "{model:?}");
+        }
+        let manifest = fs::read(manifest_path(&dir, 2)).unwrap();
+        assert_eq!((manifest.len(), fnv1a(&manifest)), (136, 0x05ea_f788_f395_e3e8));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Snapshots and the manifest are published through temps: the temps
+    /// a crash left of this shard's files are deleted by the next open,
+    /// another shard's are not.
+    #[test]
+    fn open_deletes_the_temps_a_crash_left() {
+        let dir = temp_dir("stale");
+        let mut store = SnapshotStore::open(&dir, 1, 2, &policy(2)).unwrap();
+        store.write(&build_states(TrustModel::Average, 30), 30).unwrap();
+        let ours = [snapshot_file_name(1, 1) + ".tmp", "shard-1.manifest.tmp".to_string()];
+        let theirs = [snapshot_file_name(0, 1) + ".tmp", snapshot_file_name(10, 1) + ".tmp"];
+        for name in ours.iter().chain(&theirs) {
+            fs::write(dir.join(name), b"half a file").unwrap();
+        }
+        let reopened = SnapshotStore::open(&dir, 1, 2, &policy(2)).unwrap();
+        assert_eq!(reopened.candidates(), store.candidates());
+        for name in &ours {
+            assert!(!dir.join(name).exists(), "{name} deleted");
+        }
+        for name in &theirs {
+            assert!(dir.join(name).exists(), "{name} kept");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A trust model, a snapshot's bytes, and its fields as `(offset, width)`.
+    type Genuine = (TrustModel, Vec<u8>, Vec<(usize, usize)>);
+
+    /// Hot and spilled servers under each trust model, encoded as shard 0
+    /// of 1: the snapshots `snapshot_decode_survives_hostile_bytes`
+    /// mangles, with the model and the `(offset, width)` of every length,
+    /// offset, count and tag field in them.
+    fn genuine() -> &'static [Genuine; 2] {
+        static GENUINE: std::sync::OnceLock<[Genuine; 2]> = std::sync::OnceLock::new();
+        GENUINE.get_or_init(|| {
+            [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }].map(|model| {
+                let mut states = build_tiered_states(model, 300, 32);
+                let seg = |seq| SegmentRef { seq, offset: 20, len: 77, crc: 0x0bad_cafe };
+                states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5), 77);
+                states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9), 77);
+                let (bytes, _) = encode(0, 1, 5, 300, &states);
+                let fields = snapshot_fields(&bytes);
+                (model, bytes, fields)
+            })
+        })
+    }
+
+    fn snapshot_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut fields = vec![(4, 4), (8, 4), (12, 4), (16, 8), (24, 8), (32, 8)];
+        let mut r = Reader::sealed(Path::new("walk"), bytes).unwrap();
+        r.take(32, "").unwrap();
+        let mut field = |r: &mut Reader<'_>, width: usize| {
+            fields.push((r.offset() as usize, width));
+            let bytes = r.take(width, "").unwrap();
+            bytes.iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b))
+        };
+        for _ in 0..field(&mut r, 8) {
+            field(&mut r, 8);
+            let trust = if field(&mut r, 1) == u64::from(TRUST_AVERAGE) { 2 } else { 3 };
+            for _ in 0..trust {
+                field(&mut r, 8);
+            }
+            if field(&mut r, 1) == u64::from(RESIDENCY_HOT) {
+                let len = field(&mut r, 8);
+                r.take(len as usize, "").unwrap();
+            } else {
+                for width in [8, 8, 8, 8, 8, 4, 4] {
+                    field(&mut r, width);
+                }
+            }
+        }
+        fields
+    }
+
+    /// A length, offset or count the file cannot honour: any value, a
+    /// small one, or one just short of the type's end.
+    fn hostile() -> impl Strategy<Value = u64> {
+        (0u8..3, any::<u64>()).prop_map(|(kind, raw)| match kind {
+            0 => raw,
+            1 => raw % 64,
+            _ => u64::MAX - raw % 64,
+        })
+    }
+
+    proptest! {
+        /// Whatever happened to a snapshot — cut or a byte flipped under
+        /// its CRC, or any length, offset, count or tag field overwritten
+        /// and the CRC restamped — `decode` returns a typed corruption or
+        /// states that encode back to exactly those bytes: never a panic,
+        /// and never a map reserved for more servers than the bytes hold
+        /// (an impossible server count is refused where it is read).
+        #[test]
+        fn snapshot_decode_survives_hostile_bytes(
+            which in 0usize..2,
+            mangle in (0u8..4, any::<usize>(), hostile()),
+        ) {
+            let (model, bytes, fields) = &genuine()[which];
+            let mut bytes = bytes.clone();
+            let (kind, at, value) = mangle;
+            let (field, width) = fields[at % fields.len()];
+            match kind {
+                0 => bytes.truncate(at % bytes.len()),
+                1 => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= (value as u8).max(1);
+                }
+                2 => {
+                    bytes[field..field + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                    bytes.truncate(bytes.len() - 4);
+                    bytes.seal();
+                }
+                _ => {
+                    bytes.truncate(4 + at % (bytes.len() - 4));
+                    bytes.truncate(bytes.len() - 4);
+                    bytes.seal();
+                }
+            }
+            match decode(&bytes, Path::new("x"), 0, 1, *model) {
+                Ok(loaded) => {
+                    let (again, _) = encode(0, 1, loaded.seq, loaded.journal_records, &loaded.states);
+                    prop_assert!(again == bytes, "{kind} at {field}: {value:#x} decodes to other bytes");
+                }
+                Err(Error::Corrupt { offset, reason, .. }) => {
+                    let room = bytes.len().saturating_sub(HEADER_LEN + 4) / MIN_SERVER_LEN;
+                    if kind == 2 && field == 32 && value > room as u64 {
+                        prop_assert_eq!((offset, reason), (40, "server count past the end of the file"));
+                    }
+                }
+                Err(e) => prop_assert!(false, "{e}"),
+            }
+        }
+
+        /// Whatever happened to a manifest — cut, a byte flipped, or any
+        /// token of a line (sequence, journal offset, segment floor, file
+        /// name) replaced by a hostile number — `read_manifest` returns
+        /// only entries that were written, in order: a line that lies
+        /// fails its CRC and is forgotten.
+        #[test]
+        fn read_manifest_survives_hostile_bytes(
+            mangle in (0u8..3, any::<usize>(), hostile()),
+            hex in any::<bool>(),
+        ) {
+            static GENUINE: std::sync::OnceLock<(String, Vec<ManifestEntry>)> = std::sync::OnceLock::new();
+            let (text, entries) = GENUINE.get_or_init(|| {
+                let dir = temp_dir("manifest-genuine");
+                let mut store = SnapshotStore::open(&dir, 0, 1, &policy(3)).unwrap();
+                for k in 1..=3 {
+                    store.write(&build_states(TrustModel::Average, 10 * k), 10 * k as u64).unwrap();
+                }
+                let text = fs::read_to_string(manifest_path(&dir, 0)).unwrap();
+                let _ = fs::remove_dir_all(&dir);
+                let entries = read_manifest(&text, 0, 1);
+                assert_eq!(entries.len(), 3);
+                (text, entries)
+            });
+            let (kind, at, value) = mangle;
+            let mut bytes = text.clone().into_bytes();
+            match kind {
+                0 => bytes.truncate(at % bytes.len()),
+                1 => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= (value as u8).max(1);
+                }
+                _ => {
+                    let tokens: Vec<usize> = (1..bytes.len())
+                        .filter(|&i| bytes[i - 1].is_ascii_whitespace() && !bytes[i].is_ascii_whitespace())
+                        .collect();
+                    let start = tokens[at % tokens.len()];
+                    let end = bytes[start..].iter().position(u8::is_ascii_whitespace).map_or(bytes.len(), |n| start + n);
+                    let token = if hex { format!("{value:016x}") } else { value.to_string() };
+                    bytes.splice(start..end, token.into_bytes()).for_each(drop);
+                }
+            }
+            let read = read_manifest(&String::from_utf8_lossy(&bytes), 0, 1);
+            let mut written = entries.iter();
+            for entry in &read {
+                prop_assert!(written.any(|w| w == entry), "{entry:?} was never written");
+            }
+        }
     }
 
     #[test]

@@ -223,24 +223,13 @@ impl ServerState {
         &self.trust
     }
 
-    /// Reassembles a resident state from snapshot parts. The verdict
-    /// cache starts empty — exactly where a journal-replayed state starts
-    /// — so the first assess after either recovery path computes the same
-    /// thing.
-    pub fn from_snapshot(history: TieredHistory, trust: TrustState) -> Self {
+    /// Reassembles a state from snapshot parts; a spilled history faults
+    /// in from its segment on first access. The verdict cache starts
+    /// empty — exactly where a journal-replayed state starts — so the
+    /// first assess after either recovery path computes the same thing.
+    pub fn from_snapshot(residency: Residency, trust: TrustState) -> Self {
         ServerState {
-            residency: Residency::Hot(history),
-            trust,
-            cached: None,
-            last_touch: 0,
-        }
-    }
-
-    /// Reassembles a still-spilled state from snapshot parts; the history
-    /// faults in from `segment` on first access.
-    pub fn from_snapshot_spilled(meta: SpilledMeta, segment: SegmentRef, trust: TrustState) -> Self {
-        ServerState {
-            residency: Residency::Spilled { meta, segment },
+            residency,
             trust,
             cached: None,
             last_touch: 0,

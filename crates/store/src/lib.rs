@@ -22,8 +22,9 @@
 //!
 //! Feedback logs can be checkpointed to and replayed from a flat CSV
 //! format via [`persist`]. Evicted histories spill to [`segment`] files;
-//! [`durable`] holds the CRC-32 and the atomic publish every on-disk
-//! format of the workspace shares.
+//! [`durable`] holds the record-format rules every on-disk format of the
+//! workspace shares: header, CRC frame, sealed body, bounded reader, the
+//! one corruption error, and the durable create and delete.
 //!
 //! ## Example
 //!
@@ -63,6 +64,6 @@ pub use memory::MemoryStore;
 pub use partial::PartialStore;
 pub use persist::{load_feedback, read_feedback, save_feedback, write_feedback, PersistError};
 pub use ring::{HashRing, NodeId};
-pub use segment::{ColdStore, SegmentError, SegmentRef};
+pub use segment::{ColdStore, SegmentRef};
 pub use sharded::{ShardedStore, ShardedStoreConfig};
 pub use store::FeedbackStore;

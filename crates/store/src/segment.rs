@@ -3,12 +3,11 @@
 //!
 //! The online service keeps hot servers' tiered histories resident and
 //! evicts cold ones to disk. A *segment* is a write-once file holding a
-//! batch of evicted payloads, built with the same crash discipline as
-//! the snapshot store: write to a temp file, `fsync`, rename into place,
-//! `fsync` the directory. Once sealed a segment is immutable — faulting
-//! a payload back never writes — so reads can go through a shared
-//! read-only memory map and cost one page fault per cold page instead of
-//! a buffered-read copy.
+//! batch of evicted payloads, published through [`durable::publish`]
+//! like every other record file. Once sealed a segment is immutable —
+//! faulting a payload back never writes — so reads can go through a
+//! shared read-only memory map and cost one page fault per cold page
+//! instead of a buffered-read copy.
 //!
 //! ```text
 //! segment file (seg-<seq:016x>):
@@ -17,16 +16,16 @@
 //!   ...more records...
 //! ```
 //!
-//! Every fault revalidates the record frame *and* the payload CRC, so a
-//! torn or corrupted segment surfaces as a typed
-//! [`SegmentError::Corrupt`] — never as silently wrong history bytes.
-//! Reclamation is coarse: once a checkpoint no longer references any
-//! record in segments below a sequence floor, [`ColdStore::remove_below`]
-//! deletes those files whole.
+//! The header and the `len | crc | payload` frame after each `server`
+//! are [`durable`]'s; so are the name scan and the error. Every fault
+//! revalidates the record frame *and* the payload CRC, so a torn or
+//! corrupted segment surfaces as a typed [`Error::Corrupt`] — never as
+//! silently wrong history bytes. Reclamation is coarse: once a
+//! checkpoint no longer references any record in segments below a
+//! sequence floor, [`ColdStore::remove_below`] deletes those files whole.
 
-use crate::durable::{crc32, fsync_dir, publish};
+use crate::durable::{self, numbered, publish, Error, Put, Reader};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -35,7 +34,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"HPSG";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 20;
-const RECORD_HEADER_LEN: usize = 16;
+const PREFIX: &str = "seg-";
 
 /// A durable pointer to one spilled payload inside a sealed segment.
 ///
@@ -53,50 +52,6 @@ pub struct SegmentRef {
     pub len: u32,
     /// CRC-32 (IEEE) of the payload.
     pub crc: u32,
-}
-
-/// Errors from the cold-segment store.
-#[derive(Debug)]
-pub enum SegmentError {
-    /// An underlying I/O failure.
-    Io(io::Error),
-    /// A segment file or record failed validation — torn write, bit rot,
-    /// or a reference into a reclaimed segment. The payload is never
-    /// returned in this case.
-    Corrupt {
-        /// Sequence number of the offending segment.
-        seq: u64,
-        /// Byte offset of the offending record (0 for header damage).
-        offset: u64,
-        /// What failed, in human terms.
-        reason: String,
-    },
-}
-
-impl fmt::Display for SegmentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SegmentError::Io(e) => write!(f, "segment i/o error: {e}"),
-            SegmentError::Corrupt { seq, offset, reason } => {
-                write!(f, "segment {seq:016x} corrupt at offset {offset}: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SegmentError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SegmentError::Io(e) => Some(e),
-            SegmentError::Corrupt { .. } => None,
-        }
-    }
-}
-
-impl From<io::Error> for SegmentError {
-    fn from(e: io::Error) -> Self {
-        SegmentError::Io(e)
-    }
 }
 
 /// The cold tier: a directory of sealed segment files plus the open
@@ -123,37 +78,26 @@ struct SegmentSlot {
 impl ColdStore {
     /// Opens (creating if needed) the segment directory for `shard`,
     /// scanning existing segments to restore the sequence counter and
-    /// byte accounting.
+    /// byte accounting, and deleting the temp of any segment a crash
+    /// interrupted.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; a file with a malformed name is ignored
-    /// (it is not a sealed segment).
+    /// Propagates I/O failures; a file with another name is ignored (it
+    /// is not a sealed segment).
     pub fn open(dir: &Path, shard: u32) -> io::Result<ColdStore> {
         fs::create_dir_all(dir)?;
         let mut segments = BTreeMap::new();
-        let mut next_seq = 0;
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(seq) = parse_segment_name(&name.to_string_lossy()) else {
-                continue;
-            };
-            let size = entry.metadata()?.len();
-            next_seq = next_seq.max(seq + 1);
+        for (seq, name) in durable::scan_numbered(dir, PREFIX, "")? {
+            let size = fs::metadata(dir.join(name))?.len();
             segments.insert(seq, SegmentSlot { size, map: None });
         }
         Ok(ColdStore {
             dir: dir.to_path_buf(),
             shard,
-            next_seq,
+            next_seq: segments.keys().next_back().map_or(0, |&seq| seq.saturating_add(1)),
             segments,
         })
-    }
-
-    /// The directory holding this store's segments.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Total bytes of sealed segment files on disk.
@@ -172,49 +116,31 @@ impl ColdStore {
     }
 
     /// Seals one new segment holding `records` (a `(server, payload)`
-    /// batch), with the snapshot store's crash discipline: temp file →
-    /// `fsync` → rename → directory `fsync`. Returns one [`SegmentRef`]
+    /// batch) through [`durable::publish`]. Returns one [`SegmentRef`]
     /// per record, in input order.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; on error no sealed segment appears (at
-    /// worst a leftover temp file, removed on the next open).
+    /// Propagates I/O failures; on error no sealed segment appears.
     pub fn write_segment(&mut self, records: &[(u64, Vec<u8>)]) -> io::Result<Vec<SegmentRef>> {
         let seq = self.next_seq;
         let mut body = Vec::with_capacity(
-            HEADER_LEN + records.iter().map(|(_, p)| RECORD_HEADER_LEN + p.len()).sum::<usize>(),
+            HEADER_LEN + records.iter().map(|(_, p)| 16 + p.len()).sum::<usize>(),
         );
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&VERSION.to_le_bytes());
-        body.extend_from_slice(&self.shard.to_le_bytes());
-        body.extend_from_slice(&seq.to_le_bytes());
-        let mut refs = Vec::with_capacity(records.len());
-        for (server, payload) in records {
-            let record = SegmentRef {
-                seq,
-                offset: body.len() as u64,
-                len: payload.len() as u32,
-                crc: crc32(payload),
-            };
-            body.extend_from_slice(&server.to_le_bytes());
-            body.extend_from_slice(&record.len.to_le_bytes());
-            body.extend_from_slice(&record.crc.to_le_bytes());
-            body.extend_from_slice(payload);
-            refs.push(record);
-        }
-
-        let tmp = self.dir.join(format!(".tmp-seg-{seq:016x}"));
-        let path = self.dir.join(segment_name(seq));
-        publish(&tmp, &path, |file| file.write_all(&body))?;
+        body.put_header(MAGIC, VERSION, self.shard);
+        body.put_u64(seq);
+        let refs = records
+            .iter()
+            .map(|(server, payload)| {
+                let offset = body.len() as u64;
+                body.put_u64(*server);
+                let crc = body.put_frame(payload);
+                SegmentRef { seq, offset, len: payload.len() as u32, crc }
+            })
+            .collect();
+        publish(&self.path(seq), |file| file.write_all(&body))?;
         self.next_seq = seq + 1;
-        self.segments.insert(
-            seq,
-            SegmentSlot {
-                size: body.len() as u64,
-                map: None,
-            },
-        );
+        self.segments.insert(seq, SegmentSlot { size: body.len() as u64, map: None });
         Ok(refs)
     }
 
@@ -224,129 +150,70 @@ impl ColdStore {
     ///
     /// # Errors
     ///
-    /// [`SegmentError::Corrupt`] on any mismatch (torn write, bit rot,
-    /// reclaimed or unknown segment); [`SegmentError::Io`] on map
-    /// failure.
-    pub fn fault(&mut self, server: u64, r: &SegmentRef) -> Result<Vec<u8>, SegmentError> {
-        let corrupt = |offset: u64, reason: String| SegmentError::Corrupt {
-            seq: r.seq,
-            offset,
-            reason,
-        };
-        let map = self.map_segment(r.seq)?;
-        let bytes = map.as_slice();
-        let start = usize::try_from(r.offset)
-            .ok()
-            .filter(|&s| s >= HEADER_LEN && s + RECORD_HEADER_LEN <= bytes.len())
-            .ok_or_else(|| corrupt(r.offset, format!("record offset out of range ({} file bytes)", bytes.len())))?;
-        let frame_server = u64::from_le_bytes(bytes[start..start + 8].try_into().expect("8 bytes"));
-        let frame_len = u32::from_le_bytes(bytes[start + 8..start + 12].try_into().expect("4 bytes"));
-        let frame_crc = u32::from_le_bytes(bytes[start + 12..start + 16].try_into().expect("4 bytes"));
-        if frame_server != server {
-            return Err(corrupt(r.offset, format!("record belongs to server {frame_server}, expected {server}")));
+    /// [`Error::Corrupt`] on any mismatch (torn write, bit rot, an
+    /// offset or length past the file, a reclaimed or unknown segment);
+    /// [`Error::Io`] on map failure.
+    pub fn fault(&mut self, server: u64, r: &SegmentRef) -> Result<Vec<u8>, Error> {
+        let path = self.path(r.seq);
+        let map = self.map_segment(r.seq, &path)?;
+        // `map_segment` checked the header; records follow it.
+        let record = usize::try_from(r.offset).ok().filter(|&at| at >= HEADER_LEN);
+        let record = record.and_then(|at| map.as_slice().get(at..));
+        let record = record.ok_or_else(|| Error::corrupt(&path, r.offset, "record offset out of range"))?;
+        let mut record = Reader::new(&path, record, r.offset);
+        if record.u64("torn record")? != server {
+            return Err(record.corrupt("record belongs to another server"));
         }
-        if frame_len != r.len || frame_crc != r.crc {
-            return Err(corrupt(
-                r.offset,
-                format!(
-                    "frame (len {frame_len}, crc {frame_crc:08x}) does not match reference (len {}, crc {:08x})",
-                    r.len, r.crc
-                ),
-            ));
-        }
-        let data_start = start + RECORD_HEADER_LEN;
-        let data_end = data_start + r.len as usize;
-        if data_end > bytes.len() {
-            return Err(corrupt(r.offset, format!("payload truncated: needs {data_end} bytes, file has {}", bytes.len())));
-        }
-        let payload = &bytes[data_start..data_end];
-        let actual = crc32(payload);
-        if actual != r.crc {
-            return Err(corrupt(r.offset, format!("payload crc {actual:08x}, expected {:08x}", r.crc)));
+        let (payload, crc) = record.frame()?;
+        if (payload.len(), crc) != (r.len as usize, r.crc) {
+            return Err(record.corrupt("frame does not match its reference"));
         }
         Ok(payload.to_vec())
     }
 
     /// Deletes every segment with sequence `< floor` (and drops its
-    /// map). Returns the bytes reclaimed. Called at checkpoint once no
-    /// retained snapshot references those segments.
+    /// map) through [`durable::remove`]. Returns the bytes reclaimed.
+    /// Called at checkpoint once no retained snapshot references those
+    /// segments.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures (accounting is only updated for files
-    /// actually removed).
+    /// Propagates I/O failures (a segment still on disk stays counted).
     pub fn remove_below(&mut self, floor: u64) -> io::Result<u64> {
-        let doomed: Vec<u64> = self.segments.range(..floor).map(|(&s, _)| s).collect();
+        let live = self.segments.split_off(&floor);
+        let doomed = std::mem::replace(&mut self.segments, live);
+        let removed = durable::remove(doomed.keys().map(|&seq| self.path(seq)));
         let mut freed = 0;
-        for seq in doomed {
-            fs::remove_file(self.dir.join(segment_name(seq)))?;
-            if let Some(slot) = self.segments.remove(&seq) {
+        for (seq, slot) in doomed {
+            if removed.is_err() && self.path(seq).exists() {
+                self.segments.insert(seq, slot);
+            } else {
                 freed += slot.size;
             }
         }
-        if freed > 0 {
-            fsync_dir(&self.dir)?;
-        }
-        Ok(freed)
+        removed.map(|()| freed)
     }
 
-    fn map_segment(&mut self, seq: u64) -> Result<Arc<mapped::Mapped>, SegmentError> {
-        let slot = self.segments.get_mut(&seq).ok_or(SegmentError::Corrupt {
-            seq,
-            offset: 0,
-            reason: "segment unknown or already reclaimed".into(),
-        })?;
+    fn path(&self, seq: u64) -> PathBuf {
+        self.dir.join(numbered(PREFIX, seq, ""))
+    }
+
+    fn map_segment(&mut self, seq: u64, path: &Path) -> Result<Arc<mapped::Mapped>, Error> {
+        let Some(slot) = self.segments.get_mut(&seq) else {
+            return Err(Error::corrupt(path, 0, "segment unknown or already reclaimed"));
+        };
         if let Some(map) = &slot.map {
             return Ok(Arc::clone(map));
         }
-        let path = self.dir.join(segment_name(seq));
-        let map = Arc::new(mapped::Mapped::open(&path)?);
-        let bytes = map.as_slice();
-        if bytes.len() < HEADER_LEN {
-            return Err(SegmentError::Corrupt {
-                seq,
-                offset: 0,
-                reason: format!("file too short for a header ({} bytes)", bytes.len()),
-            });
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(SegmentError::Corrupt { seq, offset: 0, reason: "bad magic".into() });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let shard = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let header_seq = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        if version != VERSION {
-            return Err(SegmentError::Corrupt { seq, offset: 0, reason: format!("unknown version {version}") });
-        }
-        if shard != self.shard {
-            return Err(SegmentError::Corrupt {
-                seq,
-                offset: 0,
-                reason: format!("segment belongs to shard {shard}, store is shard {}", self.shard),
-            });
-        }
-        if header_seq != seq {
-            return Err(SegmentError::Corrupt {
-                seq,
-                offset: 0,
-                reason: format!("header sequence {header_seq:016x} does not match file name"),
-            });
+        let map = Arc::new(mapped::Mapped::open(path)?);
+        let mut header = Reader::new(path, map.as_slice(), 0);
+        header.header(MAGIC, &[VERSION], Some(self.shard))?;
+        if header.u64("truncated header")? != seq {
+            return Err(header.corrupt("header sequence does not match the file name"));
         }
         slot.map = Some(Arc::clone(&map));
         Ok(map)
     }
-}
-
-fn segment_name(seq: u64) -> String {
-    format!("seg-{seq:016x}")
-}
-
-fn parse_segment_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("seg-")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
 }
 
 /// Read-only file mapping. On linux this is a real `mmap` through raw
@@ -511,6 +378,7 @@ mod mapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hp-store-segment-{name}-{}", std::process::id()));
@@ -534,7 +402,7 @@ mod tests {
         assert_eq!(store.fault(7, &refs[0]).unwrap(), records[0].1);
         assert_eq!(store.fault(9, &refs[1]).unwrap(), records[1].1);
         // Wrong server is a typed corruption, not a payload.
-        assert!(matches!(store.fault(8, &refs[0]), Err(SegmentError::Corrupt { .. })));
+        assert!(matches!(store.fault(8, &refs[0]), Err(Error::Corrupt { .. })));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -570,7 +438,7 @@ mod tests {
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 20]).unwrap();
         let mut reopened = ColdStore::open(&dir, 0).unwrap();
-        assert!(matches!(reopened.fault(5, &refs[0]), Err(SegmentError::Corrupt { .. })));
+        assert!(matches!(reopened.fault(5, &refs[0]), Err(Error::Corrupt { .. })));
 
         // A flipped payload byte fails the CRC.
         let mut flipped = full.clone();
@@ -586,7 +454,7 @@ mod tests {
         bad_magic[0] ^= 0xff;
         fs::write(&path, &bad_magic).unwrap();
         let mut reopened = ColdStore::open(&dir, 0).unwrap();
-        assert!(matches!(reopened.fault(5, &refs[0]), Err(SegmentError::Corrupt { .. })));
+        assert!(matches!(reopened.fault(5, &refs[0]), Err(Error::Corrupt { .. })));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -617,11 +485,148 @@ mod tests {
         assert_eq!(store.segment_count(), 1);
         assert_eq!(store.min_seq(), Some(2));
         // Reclaimed refs fault as typed errors; the survivor still reads.
-        assert!(matches!(store.fault(1, &r0[0]), Err(SegmentError::Corrupt { .. })));
-        assert!(matches!(store.fault(2, &r1[0]), Err(SegmentError::Corrupt { .. })));
+        assert!(matches!(store.fault(1, &r0[0]), Err(Error::Corrupt { .. })));
+        assert!(matches!(store.fault(2, &r1[0]), Err(Error::Corrupt { .. })));
         assert_eq!(store.fault(3, &r2[0]).unwrap(), payload(3, 100));
         assert!(!dir.join("seg-0000000000000000").exists());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Length and FNV-1a of a two-record segment as computed at PR 25's
+    /// parent, before segments were ported onto `durable`'s header and
+    /// frame codecs: the port must not move a byte on disk.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let dir = scratch("pinned");
+        let mut store = ColdStore::open(&dir, 3).unwrap();
+        store.write_segment(&[(0, Vec::new())]).unwrap();
+        let refs = store.write_segment(&[(7, payload(1, 100)), (u64::MAX - 2, payload(2, 333))]).unwrap();
+        assert_eq!((refs[1].seq, refs[1].offset), (1, 136));
+        let bytes = fs::read(dir.join("seg-0000000000000001")).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (485, 0xc3b4_d2c4_0f69_c7b1));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot can hand `fault` any reference. An offset within 16 of
+    /// `u64::MAX` used to overflow `offset + 16` (a panic in debug, an
+    /// out-of-bounds slice in release); it is a typed corruption.
+    #[test]
+    fn a_reference_near_u64_max_is_corrupt_not_a_panic() {
+        let dir = scratch("far");
+        let mut store = ColdStore::open(&dir, 0).unwrap();
+        let good = store.write_segment(&[(5, payload(6, 40))]).unwrap()[0];
+        for offset in [u64::MAX, u64::MAX - 7, u64::MAX - 15, u64::MAX - 16, 1 << 63, 21, 3] {
+            let err = store.fault(5, &SegmentRef { offset, ..good }).unwrap_err();
+            assert!(err.to_string().contains("corrupt"), "offset {offset}: {err}");
+        }
+        let err = store.fault(5, &SegmentRef { len: u32::MAX, ..good }).unwrap_err();
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        assert_eq!(store.fault(5, &good).unwrap(), payload(6, 40));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `write_segment` stages through a temp: the temp a crash left is
+    /// deleted by the next open, and nothing else is.
+    #[test]
+    fn open_deletes_the_temps_a_crash_left() {
+        let dir = scratch("stale");
+        let mut store = ColdStore::open(&dir, 0).unwrap();
+        store.write_segment(&[(1, payload(1, 10))]).unwrap();
+        let stale = dir.join("seg-0000000000000001.tmp");
+        let foreign = dir.join("seg-notes.tmp");
+        fs::write(&stale, b"half a segm").unwrap();
+        fs::write(&foreign, b"not ours").unwrap();
+        let store = ColdStore::open(&dir, 0).unwrap();
+        assert!(!stale.exists(), "stale temp deleted");
+        assert!(foreign.exists() && dir.join("seg-0000000000000000").exists());
+        assert_eq!(store.segment_count(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment's bytes, the `(server, payload)` records it holds and
+    /// their refs.
+    type Genuine = (Vec<u8>, Vec<(u64, Vec<u8>)>, Vec<SegmentRef>);
+
+    /// The segment `fault_survives_hostile_bytes` mangles.
+    fn genuine() -> &'static Genuine {
+        static GENUINE: std::sync::OnceLock<Genuine> = std::sync::OnceLock::new();
+        GENUINE.get_or_init(|| {
+            let dir = scratch("genuine");
+            let records = vec![(7, payload(1, 100)), (9, payload(2, 33)), (11, Vec::new())];
+            let refs = ColdStore::open(&dir, 1).unwrap().write_segment(&records).unwrap();
+            let bytes = fs::read(dir.join("seg-0000000000000000")).unwrap();
+            fs::remove_dir_all(&dir).ok();
+            (bytes, records, refs)
+        })
+    }
+
+    /// A length, offset or count the file cannot honour: any value, a
+    /// small one, or one just short of the type's end.
+    fn hostile() -> impl Strategy<Value = u64> {
+        (0u8..3, any::<u64>()).prop_map(|(kind, raw)| match kind {
+            0 => raw,
+            1 => raw % 600,
+            _ => u64::MAX - raw % 64,
+        })
+    }
+
+    proptest! {
+        /// Whatever the segment's bytes (truncated, a byte flipped, any
+        /// u32 or u64 overwritten) and whatever the reference (any
+        /// field replaced), `fault` returns the payload that was spilled
+        /// under exactly that reference or a typed corruption — never a
+        /// panic, never other bytes.
+        #[test]
+        fn fault_survives_hostile_bytes(
+            mangle in (0u8..5, any::<usize>(), hostile()),
+            pick in (0usize..3, 0u8..16, hostile(), hostile()),
+            server in (any::<bool>(), any::<u64>()),
+        ) {
+            let (bytes, records, refs) = genuine();
+            let mut bytes = bytes.clone();
+            let (kind, at, value) = mangle;
+            match kind {
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                1 => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= (value as u8).max(1);
+                }
+                2 => {
+                    let at = at % (bytes.len() - 3);
+                    bytes[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+                }
+                3 => {
+                    let at = at % (bytes.len() - 7);
+                    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                _ => {}
+            }
+            let (i, fields, a, b) = pick;
+            let mut r = refs[i];
+            if fields & 1 != 0 { r.seq = a % 3; }
+            if fields & 2 != 0 { r.offset = b; }
+            if fields & 4 != 0 { r.len = a as u32; }
+            if fields & 8 != 0 { r.crc = b as u32; }
+            let server = if server.0 { records[i].0 } else { server.1 };
+
+            let dir = scratch("hostile");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("seg-0000000000000000"), &bytes).unwrap();
+            match ColdStore::open(&dir, 1).unwrap().fault(server, &r) {
+                Ok(payload) => {
+                    let j = refs.iter().position(|g| *g == r).expect("only a genuine ref faults");
+                    prop_assert_eq!((server, &payload), (records[j].0, &records[j].1));
+                }
+                Err(e) => prop_assert!(matches!(e, Error::Corrupt { .. }), "{e}"),
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
