@@ -10,6 +10,28 @@ cd "$(dirname "$0")"
 QUICK=0
 [ "${1:-}" = "--quick" ] && QUICK=1
 
+# A ratchet on the `cargo fmt --check` backlog: these files are clean and
+# must stay so. A PR that edits a file formats it and adds it here, so
+# the backlog only shrinks.
+echo "==> rustfmt --check (files already clean)"
+FMT_CLEAN=(
+    crates/bench/benches/history.rs
+    crates/core/src/history/columnar.rs
+    crates/core/src/history/mod.rs
+    crates/core/src/history/tiered.rs
+    crates/core/src/history/view.rs
+    crates/core/src/id.rs
+    crates/core/tests/resident_accounting.rs
+    crates/core/tests/tiered_equivalence.rs
+    crates/service/src/calcache.rs
+    crates/service/src/snapshot.rs
+    crates/stats/tests/calibration_surface.rs
+    crates/store/src/durable.rs
+    crates/store/src/engine.rs
+)
+rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"
+echo "    ${#FMT_CLEAN[@]} files clean"
+
 echo "==> cargo build --release (offline, workspace)"
 if [ "$QUICK" -eq 0 ]; then
     cargo build --offline --release --workspace

@@ -7,14 +7,15 @@
 //! `hp-store`, which does hand records back, keeps its own time column.
 //! The cost model, against ~48 B per transaction for the reference row
 //! store: per transaction 1 outcome bit + 1 prefix-popcount bit + a 2 B
-//! issuer code; per distinct issuer an 8 B id + a 2 B index slot at load
+//! issuer code; per distinct issuer a 4 B id + a 2 B index slot at load
 //! 3/8–3/4 (2.7–5.3 B) — the counts §4 groups by are recounted when asked
 //! for, never stored. Codes and slots are 4 B only in a column that has
-//! met 65 535 issuers. Long columns grow by a quarter, so measured heap is
+//! met 65 535 issuers, ids 8 B only in one that has met an id above
+//! `u32::MAX`. Long columns grow by a quarter, so measured heap is
 //! 2.8 B/feedback for a 10 000-feedback server with 24 issuers and
-//! ≈ 15 B/feedback when all 20 000 issuers are distinct (20.9 B with 4 B
-//! codes and slots, 30.2 B with two stored counters per issuer, 108 B
-//! with posting `Vec`s before that).
+//! 10.7 B/feedback when all 20 000 issuers are distinct (15.3 B with 8 B
+//! ids, 20.9 B with 4 B codes and slots too, 30.2 B with two stored
+//! counters per issuer, 108 B with posting `Vec`s before that).
 //!
 //! Every statistic is bit-identical to the reference
 //! [`crate::TransactionHistory`] path; see
@@ -129,7 +130,10 @@ impl BitColumn {
     ///
     /// Panics if `start > end` or `end > len()`.
     pub fn count_range(&self, start: usize, end: usize) -> u64 {
-        assert!(start <= end && end <= self.len, "range [{start},{end}) out of bounds");
+        assert!(
+            start <= end && end <= self.len,
+            "range [{start},{end}) out of bounds"
+        );
         self.count(end) - self.count(start)
     }
 
@@ -160,14 +164,22 @@ impl BitColumn {
     /// # Errors
     ///
     /// Returns [`StatsError::InvalidCount`] if `m == 0`.
-    pub fn window_counts(&self, start: usize, end: usize, m: usize) -> Result<Vec<u32>, StatsError> {
+    pub fn window_counts(
+        &self,
+        start: usize,
+        end: usize,
+        m: usize,
+    ) -> Result<Vec<u32>, StatsError> {
         if m == 0 {
             return Err(StatsError::InvalidCount {
                 what: "window size",
                 value: 0,
             });
         }
-        assert!(start <= end && end <= self.len, "range [{start},{end}) out of bounds");
+        assert!(
+            start <= end && end <= self.len,
+            "range [{start},{end}) out of bounds"
+        );
         let k = (end - start) / m;
         let mut out = Vec::with_capacity(k);
         let mut below = self.count(start);
@@ -246,13 +258,16 @@ impl BitColumn {
 /// Each transaction stores one dictionary code; each distinct issuer its
 /// [`ClientId`]. Client → code goes through an open-addressing table that
 /// holds `code + 1` and no keys — a probe compares against
-/// `clients[code]`. Codes and slots are 16 bits wide while the dictionary
-/// holds fewer than 65 535 clients and 32 bits from then on: the width is
-/// a function of the dictionary's length alone, however the column was
-/// built, and no query can tell. So a first-seen issuer costs an 8 B id,
-/// a 2 B code and one 2 B slot at load 3/8–3/4 (2.7–5.3 B), with no
-/// allocation of its own: ≈ 15 B per feedback when every issuer is new
-/// (≈ 21 B in a column past its 65 534th issuer). Nothing is counted per
+/// `clients[code]`. Two widths follow the dictionary's contents, each on
+/// its own: codes and slots are 16 bits wide while the dictionary holds
+/// fewer than 65 535 clients and 32 bits from then on, and client ids are
+/// held in 32 bits while every id in it fits and in 64 from the first that
+/// does not. Both are functions of the dictionary alone, however the
+/// column was built, and no query can tell. So a first-seen issuer costs a
+/// 4 B id, a 2 B code and one 2 B slot at load 3/8–3/4 (2.7–5.3 B), with
+/// no allocation of its own: 10.7 B of heap per feedback over 20 000
+/// feedbacks from as many issuers (15.3 B with ids above `u32::MAX`;
+/// 16.9 B at 65 535 issuers, 21.3 B with both). Nothing is counted per
 /// issuer as feedback arrives (no online request reads it); the §4
 /// readers recount: [`IssuerColumn::issuer_groups`] in one pass over the
 /// codes and the outcome bits, [`IssuerColumn::frequency_order`] with a
@@ -260,60 +275,113 @@ impl BitColumn {
 #[derive(Debug, Clone)]
 pub struct IssuerColumn(Width);
 
-/// The columns, at the width their dictionary's length asks for.
+/// The columns, at the code and id widths their dictionary asks for.
 #[derive(Debug, Clone)]
 enum Width {
-    Narrow(Columns<u16>),
-    Wide(Columns<u32>),
+    /// 16-bit codes and slots, 32-bit ids: what every workload builds.
+    Narrow(Columns<u16, u32>),
+    /// 32-bit codes and slots: 65 535 issuers or more.
+    WideCodes(Columns<u32, u32>),
+    /// 64-bit ids: an id above `u32::MAX`.
+    LongIds(Columns<u16, u64>),
+    /// Both.
+    Wide(Columns<u32, u64>),
 }
 
-/// `$body` with `$columns` bound to the [`Columns`] of either width.
-macro_rules! either_width {
+/// `$body` with `$columns` bound to the [`Columns`] of any width.
+macro_rules! any_width {
     ($column:expr, $columns:ident => $body:expr) => {
         match $column {
             Width::Narrow($columns) => $body,
+            Width::WideCodes($columns) => $body,
+            Width::LongIds($columns) => $body,
             Width::Wide($columns) => $body,
         }
     };
 }
 
-/// Whether a dictionary of `clients` entries needs 32-bit codes and
-/// slots: a 16-bit slot holds `code + 1` up to 65 534.
-fn is_wide(clients: usize) -> bool {
-    clients >= usize::from(u16::MAX)
-}
-
-/// What a column stores a dictionary code, or a `code + 1` slot, as.
-trait Code: Copy + Default + Into<u32> + TryFrom<u32> {
-    /// `value` at this width; [`is_wide`] is why it fits.
-    fn store(value: u32) -> Self {
-        Self::try_from(value)
-            .ok()
-            .expect("a code fits the width its dictionary's size chose")
+impl Width {
+    /// `columns` with 32-bit codes and slots if `wide_codes` and 64-bit
+    /// ids if `long_ids`: the columns the same pushes would have grown,
+    /// capacities and slot positions included. `None` if a value does not
+    /// fit.
+    fn fitted<W: Unsigned, I: Unsigned>(
+        columns: Columns<W, I>,
+        wide_codes: bool,
+        long_ids: bool,
+    ) -> Option<Width> {
+        Some(match (wide_codes, long_ids) {
+            (false, false) => Width::Narrow(columns.at_width()?),
+            (true, false) => Width::WideCodes(columns.at_width()?),
+            (false, true) => Width::LongIds(columns.at_width()?),
+            (true, true) => Width::Wide(columns.at_width()?),
+        })
     }
 }
 
-impl Code for u16 {}
-impl Code for u32 {}
+/// Whether a dictionary of `clients` entries needs 32-bit codes and
+/// slots: a 16-bit slot holds `code + 1` up to 65 534.
+fn needs_wide_codes(clients: usize) -> bool {
+    clients >= usize::from(u16::MAX)
+}
 
-/// `codes` at another width, capacity kept; `None` if one does not fit.
-fn recode<A: Code, B: Code>(codes: &Vec<A>) -> Option<Vec<B>> {
-    let mut recoded = Vec::with_capacity(codes.capacity());
-    for &code in codes {
-        recoded.push(B::try_from(code.into()).ok()?);
+/// Whether a dictionary holding `client` needs 64-bit ids.
+fn needs_long_ids(client: u64) -> bool {
+    client > u64::from(u32::MAX)
+}
+
+/// What a column stores a dictionary code, a `code + 1` slot or a client
+/// id as.
+trait Unsigned: Copy + Default + Ord + Into<u64> + TryFrom<u64> {
+    /// `value` at this width; the dictionary's contents chose a width it
+    /// fits.
+    fn store(value: u64) -> Self {
+        Self::try_from(value)
+            .ok()
+            .expect("a value fits the width its dictionary chose")
+    }
+
+    /// `values` as the one of three slices, by width, that can be
+    /// non-empty.
+    fn split(values: &[Self]) -> (&[u16], &[u32], &[u64]);
+}
+
+impl Unsigned for u16 {
+    fn split(values: &[u16]) -> (&[u16], &[u32], &[u64]) {
+        (values, &[], &[])
+    }
+}
+
+impl Unsigned for u32 {
+    fn split(values: &[u32]) -> (&[u16], &[u32], &[u64]) {
+        (&[], values, &[])
+    }
+}
+
+impl Unsigned for u64 {
+    fn split(values: &[u64]) -> (&[u16], &[u32], &[u64]) {
+        (&[], &[], values)
+    }
+}
+
+/// `values` at another width, capacity kept; `None` if one does not fit.
+fn recode<A: Unsigned, B: Unsigned>(values: &Vec<A>) -> Option<Vec<B>> {
+    let mut recoded = Vec::with_capacity(values.capacity());
+    for &value in values {
+        recoded.push(B::try_from(value.into()).ok()?);
     }
     Some(recoded)
 }
 
 /// The three allocations of an [`IssuerColumn`], codes and slots held as
-/// `W`.
+/// `W`, client ids as `I`.
 #[derive(Debug, Clone, Default)]
-struct Columns<W> {
+struct Columns<W, I> {
     /// Per-transaction dictionary code.
     codes: Vec<W>,
-    /// Code → client (dictionary decode). Codes are stable: never
+    /// Code → client id (dictionary decode). Codes are stable: never
     /// recycled, even when a fold leaves a client no live transaction.
-    clients: Vec<ClientId>,
+    clients: Vec<I>,
     /// Client → code: linear-probed slots of `code + 1` (0 = empty), a
     /// power of two long, at most 3/4 full. Slot order depends on the
     /// process's hash key and is never observable.
@@ -354,7 +422,12 @@ fn capacity_bytes<T>(column: &Vec<T>) -> usize {
     column.capacity() * std::mem::size_of::<T>()
 }
 
-impl<W: Code> Columns<W> {
+impl<W: Unsigned, I: Unsigned> Columns<W, I> {
+    /// The client of dictionary code `code`.
+    fn client(&self, code: usize) -> ClientId {
+        ClientId::new(self.clients[code].into())
+    }
+
     /// Looks `client` up in the index: its code, or the empty slot that
     /// ends its probe sequence (unused while no table is allocated).
     fn probe(&self, client: ClientId) -> Result<u32, usize> {
@@ -366,7 +439,9 @@ impl<W: Code> Columns<W> {
         loop {
             match self.index[slot].into() {
                 0 => return Err(slot),
-                tagged if self.clients[(tagged - 1) as usize] == client => return Ok(tagged - 1),
+                tagged if self.client(tagged as usize - 1) == client => {
+                    return Ok(tagged as u32 - 1)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -377,8 +452,8 @@ impl<W: Code> Columns<W> {
     fn reindex(&mut self, slots: usize) -> Option<()> {
         self.index = vec![W::default(); slots];
         for code in 0..self.clients.len() {
-            let slot = self.probe(self.clients[code]).err()?;
-            self.index[slot] = W::store(code as u32 + 1);
+            let slot = self.probe(self.client(code)).err()?;
+            self.index[slot] = W::store(code as u64 + 1);
         }
         Some(())
     }
@@ -395,9 +470,25 @@ impl<W: Code> Columns<W> {
                 .probe(client)
                 .expect_err("a first-seen client is not indexed");
         }
-        self.index[slot] = W::store(entries as u32);
-        push_tight(&mut self.clients, client);
+        self.index[slot] = W::store(entries as u64);
+        push_tight(&mut self.clients, I::store(client.value()));
         entries as u32 - 1
+    }
+
+    /// These columns at the widths a dictionary that also holds `client`
+    /// asks for, when one of them is wider than now.
+    fn room_for(&mut self, client: ClientId) -> Option<Width> {
+        let wide_codes = std::mem::size_of::<W>() == 4;
+        let long_ids = std::mem::size_of::<I>() == 8;
+        let widen_codes =
+            !wide_codes && needs_wide_codes(self.clients.len() + 1) && self.probe(client).is_err();
+        // A dictionary of 32-bit ids cannot hold this one yet.
+        let widen_ids = !long_ids && needs_long_ids(client.value());
+        (widen_codes || widen_ids).then(|| {
+            let columns = std::mem::take(self);
+            Width::fitted(columns, wide_codes || widen_codes, long_ids || widen_ids)
+                .expect("a value fits a wider width")
+        })
     }
 
     fn push(&mut self, client: ClientId) {
@@ -405,11 +496,11 @@ impl<W: Code> Columns<W> {
             Ok(code) => code,
             Err(slot) => self.mint(client, slot),
         };
-        push_tight(&mut self.codes, W::store(code));
+        push_tight(&mut self.codes, W::store(code.into()));
     }
 
     fn client_at(&self, i: usize) -> ClientId {
-        self.clients[self.codes[i].into() as usize]
+        self.client(self.codes[i].into() as usize)
     }
 
     /// Adds transaction `idx`'s outcome to `tally[code]` as
@@ -431,7 +522,7 @@ impl<W: Code> Columns<W> {
             .zip(&self.clients)
             .filter(|((_, total), _)| *total > 0)
             .map(|(&(good, total), &client)| IssuerGroup {
-                client,
+                client: ClientId::new(client.into()),
                 count: total as usize,
                 good: good as usize,
             })
@@ -499,29 +590,13 @@ impl<W: Code> Columns<W> {
         }
     }
 
-    /// The columns of a dictionary and per-transaction codes, index
-    /// restored; `None` when a code is out of dictionary range, a client
-    /// repeats, or there is not one code per outcome.
-    fn from_parts(clients: Vec<ClientId>, codes: Vec<W>, outcomes: &BitColumn) -> Option<Self> {
-        let in_range = |&code: &W| (code.into() as usize) < clients.len();
-        if codes.len() != outcomes.len() || !codes.iter().all(in_range) {
-            return None;
-        }
-        let mut columns = Columns {
-            codes,
-            clients,
-            index: Vec::new(),
-        };
-        columns.reindex(slots_for(columns.clients.len()))?;
-        Some(columns)
-    }
-
-    /// These columns at the width `V`: the `V` columns the same pushes
-    /// would have grown, capacities and slot positions included.
-    fn at_width<V: Code>(self) -> Option<Columns<V>> {
+    /// These columns with codes and slots as `V` and ids as `J`: the
+    /// columns the same pushes would have grown, capacities and slot
+    /// positions included. `None` if a value does not fit.
+    fn at_width<V: Unsigned, J: Unsigned>(self) -> Option<Columns<V, J>> {
         Some(Columns {
             codes: recode(&self.codes)?,
-            clients: self.clients,
+            clients: recode(&self.clients)?,
             index: recode(&self.index)?,
         })
     }
@@ -539,41 +614,55 @@ impl IssuerColumn {
         IssuerColumn::default()
     }
 
-    /// The column over a dictionary and its codes, at the width the
-    /// dictionary's length chooses.
-    fn rebuilt<W: Code>(
-        clients: Vec<ClientId>,
-        codes: &Vec<W>,
+    /// The column over a dictionary and its codes, at the widths the
+    /// dictionary's contents choose, index restored; `None` when a code is
+    /// out of dictionary range, a client repeats, or there is not one code
+    /// per outcome.
+    fn rebuilt<W: Unsigned, I: Unsigned>(
+        codes: Vec<W>,
+        clients: Vec<I>,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        let width = if is_wide(clients.len()) {
-            Width::Wide(Columns::from_parts(clients, recode(codes)?, outcomes)?)
-        } else {
-            Width::Narrow(Columns::from_parts(clients, recode(codes)?, outcomes)?)
+        let in_range = |&code: &W| code.into() < clients.len() as u64;
+        if codes.len() != outcomes.len() || !codes.iter().all(in_range) {
+            return None;
+        }
+        let wide_codes = needs_wide_codes(clients.len());
+        let long_ids = clients.iter().any(|&client| needs_long_ids(client.into()));
+        let columns = Columns {
+            codes,
+            clients,
+            index: Vec::new(),
         };
-        Some(IssuerColumn(width))
+        let mut column = IssuerColumn(Width::fitted(columns, wide_codes, long_ids)?);
+        any_width!(&mut column.0, columns => columns.reindex(slots_for(columns.clients.len())))?;
+        Some(column)
     }
 
     /// Widens the column if minting `client` would take its dictionary
-    /// to the 65 535 entries whose slots no longer fit 16 bits.
+    /// to the 65 535 entries whose slots no longer fit 16 bits, or if
+    /// `client` is the first id that does not fit 32.
     fn make_room(&mut self, client: ClientId) {
-        if let Width::Narrow(columns) = &mut self.0 {
-            if is_wide(columns.clients.len() + 1) && columns.probe(client).is_err() {
-                let wide = std::mem::take(columns).at_width();
-                self.0 = Width::Wide(wide.expect("16 bits fit 32"));
-            }
+        if let Some(wider) = any_width!(&mut self.0, columns => columns.room_for(client)) {
+            self.0 = wider;
         }
     }
 
     /// Appends the issuer of the next transaction.
     pub fn push(&mut self, client: ClientId) {
         self.make_room(client);
-        either_width!(&mut self.0, columns => columns.push(client))
+        any_width!(&mut self.0, columns => columns.push(client))
     }
 
     /// Number of transactions recorded.
     pub fn len(&self) -> usize {
-        either_width!(&self.0, columns => columns.codes.len())
+        any_width!(&self.0, columns => columns.codes.len())
+    }
+
+    /// Number of clients in the dictionary: every issuer the history has
+    /// met, folded or live.
+    pub fn dict_len(&self) -> usize {
+        any_width!(&self.0, columns => columns.clients.len())
     }
 
     /// Whether no transactions are recorded.
@@ -587,7 +676,7 @@ impl IssuerColumn {
     ///
     /// Panics if `i >= len()`.
     pub fn client_at(&self, i: usize) -> ClientId {
-        either_width!(&self.0, columns => columns.client_at(i))
+        any_width!(&self.0, columns => columns.client_at(i))
     }
 
     /// All issuers with at least one feedback, most frequent first, ties
@@ -604,42 +693,51 @@ impl IssuerColumn {
         folded: &[(u32, u32)],
         outcomes: &BitColumn,
     ) -> Vec<IssuerGroup> {
-        either_width!(&self.0, columns => columns.issuer_groups_with(folded, outcomes))
+        any_width!(&self.0, columns => columns.issuer_groups_with(folded, outcomes))
     }
 
     /// The §4 issuer-frequency permutation: transaction indexes grouped by
     /// issuer, most frequent issuers first, transaction order preserved
     /// inside each group.
     pub fn frequency_order(&self) -> Vec<u32> {
-        either_width!(&self.0, columns => columns.frequency_order())
+        any_width!(&self.0, columns => columns.frequency_order())
     }
 
     /// `outcomes` (one per transaction of this column) permuted into
     /// [`IssuerColumn::frequency_order`], scattered bit by bit without
     /// materializing the permutation.
     pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
-        either_width!(&self.0, columns => columns.reordered_outcomes(outcomes))
+        any_width!(&self.0, columns => columns.reordered_outcomes(outcomes))
     }
 
     /// Heap bytes held by this column: every allocation at its capacity,
     /// index included.
     pub fn resident_bytes(&self) -> usize {
-        either_width!(&self.0, columns => columns.resident_bytes())
+        any_width!(&self.0, columns => columns.resident_bytes())
     }
 
-    /// The dictionary decode table, code order (snapshot payload).
-    pub fn clients(&self) -> &[ClientId] {
-        either_width!(&self.0, columns => &columns.clients)
+    /// The dictionary decode table in code order (snapshot payload), as
+    /// the [`ClientId`]s the wire carries whichever width holds them;
+    /// [`IssuerColumn::dict_len`] long.
+    pub fn clients(&self) -> impl Iterator<Item = ClientId> + '_ {
+        let (_, short, long) =
+            any_width!(&self.0, columns => Unsigned::split(columns.clients.as_slice()));
+        let ids = short
+            .iter()
+            .map(|&id| u64::from(id))
+            .chain(long.iter().copied());
+        ids.map(ClientId::new)
     }
 
     /// The per-transaction dictionary codes (snapshot payload), as the
     /// `u32`s the wire carries whichever width holds them.
     pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
-        let (narrow, wide): (&[u16], &[u32]) = match &self.0 {
-            Width::Narrow(columns) => (&columns.codes, &[]),
-            Width::Wide(columns) => (&[], &columns.codes),
-        };
-        narrow.iter().map(|&code| u32::from(code)).chain(wide.iter().copied())
+        let (narrow, wide, _) =
+            any_width!(&self.0, columns => Unsigned::split(columns.codes.as_slice()));
+        narrow
+            .iter()
+            .map(|&code| u32::from(code))
+            .chain(wide.iter().copied())
     }
 
     /// Folds the oldest `n` transactions out of the column: their
@@ -653,13 +751,13 @@ impl IssuerColumn {
         outcomes: &BitColumn,
         folded: &mut Vec<(u32, u32)>,
     ) {
-        either_width!(&mut self.0, columns => columns.fold_prefix(n, outcomes, folded))
+        any_width!(&mut self.0, columns => columns.fold_prefix(n, outcomes, folded))
     }
 
     /// Rebuilds a column from its dictionary and per-transaction codes,
     /// restoring the index. The result answers every query exactly like a
     /// column fed the same client sequence one push at a time, and holds
-    /// its codes at the same width.
+    /// its codes and ids at the same widths.
     ///
     /// Returns `None` when the parts are inconsistent: a code out of
     /// dictionary range, a repeated client, or `codes.len()` differing
@@ -669,7 +767,8 @@ impl IssuerColumn {
         codes: Vec<u32>,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        IssuerColumn::rebuilt(clients, &codes, outcomes)
+        let ids: Vec<u64> = clients.iter().map(|client| client.value()).collect();
+        IssuerColumn::rebuilt(codes, ids, outcomes)
     }
 
     /// This column cut back to its first `len` transactions and first
@@ -678,15 +777,20 @@ impl IssuerColumn {
     /// checks hold them against `outcomes` and the index is rebuilt.
     /// `None` when a primary is shorter than asked or the cut parts are
     /// inconsistent.
-    pub(super) fn truncated(self, len: usize, dict_len: usize, outcomes: &BitColumn) -> Option<Self> {
-        either_width!(self.0, columns => {
+    pub(super) fn truncated(
+        self,
+        len: usize,
+        dict_len: usize,
+        outcomes: &BitColumn,
+    ) -> Option<Self> {
+        any_width!(self.0, columns => {
             let Columns { mut codes, mut clients, .. } = columns;
             if codes.len() < len || clients.len() < dict_len {
                 return None;
             }
             codes.truncate(len);
             clients.truncate(dict_len);
-            IssuerColumn::rebuilt(clients, &codes, outcomes)
+            IssuerColumn::rebuilt(codes, clients, outcomes)
         })
     }
 
@@ -696,7 +800,7 @@ impl IssuerColumn {
     #[cfg(test)]
     pub(super) fn push_without_code(&mut self, client: ClientId) {
         self.make_room(client);
-        either_width!(&mut self.0, columns => {
+        any_width!(&mut self.0, columns => {
             if let Err(slot) = columns.probe(client) {
                 columns.mint(client, slot);
             }
@@ -775,7 +879,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(1), ClientId::new(client), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(client),
+            Rating::from_good(good),
+        )
     }
 
     #[test]
@@ -785,8 +894,20 @@ mod tests {
         let bits = BitColumn::from_bools(outcomes.iter().copied());
         assert_eq!(bits.len(), prefix.len());
         assert_eq!(bits.total_good(), prefix.total_good());
-        for &(start, end) in &[(0, 200), (0, 64), (64, 128), (63, 65), (1, 199), (127, 129), (200, 200)] {
-            assert_eq!(bits.count_range(start, end), prefix.count_range(start, end), "[{start},{end})");
+        for &(start, end) in &[
+            (0, 200),
+            (0, 64),
+            (64, 128),
+            (63, 65),
+            (1, 199),
+            (127, 129),
+            (200, 200),
+        ] {
+            assert_eq!(
+                bits.count_range(start, end),
+                prefix.count_range(start, end),
+                "[{start},{end})"
+            );
         }
         for m in [1usize, 7, 30, 64, 65] {
             assert_eq!(
@@ -888,8 +1009,16 @@ mod tests {
         assert_eq!(
             col.issuer_groups(&bits(&stream)),
             vec![
-                IssuerGroup { client: ClientId::new(5), count: 3, good: 2 },
-                IssuerGroup { client: ClientId::new(9), count: 2, good: 1 },
+                IssuerGroup {
+                    client: ClientId::new(5),
+                    count: 3,
+                    good: 2
+                },
+                IssuerGroup {
+                    client: ClientId::new(9),
+                    count: 2,
+                    good: 1
+                },
             ]
         );
         // Same permutation the reference issuer_frequency_order produces.
@@ -924,6 +1053,63 @@ mod tests {
             BitColumn::from_bools(reordered)
         );
         assert_eq!(column.issuer_groups(&outcomes), oracle.issuer_groups());
+    }
+
+    /// Which layout holds `column`: (32-bit codes, 64-bit ids).
+    fn widths(column: &IssuerColumn) -> (bool, bool) {
+        match column.0 {
+            Width::Narrow(_) => (false, false),
+            Width::WideCodes(_) => (true, false),
+            Width::LongIds(_) => (false, true),
+            Width::Wide(_) => (true, true),
+        }
+    }
+
+    /// `column` is held at the widths its dictionary's contents ask for,
+    /// and its wire parts (`outcomes` beside them) rebuild to those widths,
+    /// allocated to the byte.
+    fn assert_widths_follow_contents(column: &IssuerColumn, outcomes: &BitColumn) {
+        let clients: Vec<ClientId> = column.clients().collect();
+        assert_eq!(clients.len(), column.dict_len());
+        let long = clients.iter().any(|c| c.value() > u64::from(u32::MAX));
+        assert_eq!(widths(column), (clients.len() >= 65_535, long));
+        let rebuilt = IssuerColumn::from_parts(clients, column.codes().collect(), outcomes)
+            .expect("a column's own parts");
+        assert_eq!(widths(&rebuilt), widths(column));
+        assert_eq!(rebuilt.resident_bytes(), column.clone().resident_bytes());
+    }
+
+    #[test]
+    fn ids_are_32_bits_until_one_does_not_fit() {
+        let mut column = IssuerColumn::new();
+        for client in [7, 9, 7, u64::from(u32::MAX)] {
+            column.push(ClientId::new(client));
+        }
+        assert_eq!(widths(&column), (false, false), "u32::MAX fits");
+        column.push(ClientId::new(1 << 32));
+        column.push(ClientId::new(3));
+        assert_eq!(widths(&column), (false, true), "codes stay 16 bits");
+        let ids = [7, 9, u64::from(u32::MAX), 1 << 32, 3].map(ClientId::new);
+        assert!(column.clients().eq(ids));
+        assert_eq!(column.client_at(4), ids[3]);
+        let outcomes = BitColumn::from_bools([true, false, true, true, false, true]);
+        assert_widths_follow_contents(&column, &outcomes);
+
+        // Cut back before the long id, the ids are 32 bits again.
+        let head = BitColumn::from_bools([true, false, true, true]);
+        let cut = column
+            .truncated(4, 3, &head)
+            .expect("a mark of this column");
+        assert_eq!(widths(&cut), (false, false));
+        assert_matches_postings(
+            &cut,
+            &[
+                (7, true),
+                (9, false),
+                (7, true),
+                (u64::from(u32::MAX), true),
+            ],
+        );
     }
 
     proptest! {
@@ -974,9 +1160,12 @@ mod tests {
         /// interleaving of pushes, rollbacks to a mark and folds, with
         /// the folded summaries added (against the oracle fed everything
         /// kept) and without (against the oracle fed the live suffix).
+        /// With `long`, a third of the ids sit above `u32::MAX`, so a
+        /// rollback may cross back over the first of them.
         #[test]
         fn recounts_follow_pushes_rollbacks_and_folds(
             pool in 1u64..=40,
+            long in any::<bool>(),
             steps in proptest::collection::vec(
                 (
                     proptest::collection::vec((any::<u16>(), any::<bool>()), 0..40),
@@ -999,11 +1188,12 @@ mod tests {
                     column.issuer_groups_with(folded, &bits(live)),
                     postings(kept).issuer_groups()
                 );
+                assert_widths_follow_contents(column, &bits(live));
             };
             for (burst, roll_back, fold) in steps {
-                let (mark_len, mark_dict) = (column.len(), column.clients().len());
-                for (client, good) in burst {
-                    let client = u64::from(client) % pool;
+                let (mark_len, mark_dict) = (column.len(), column.dict_len());
+                for (raw, good) in burst {
+                    let client = u64::from(raw) % pool + u64::from(long && raw % 3 == 0) * (1 << 32);
                     column.push(ClientId::new(client));
                     kept.push((client, good));
                 }
@@ -1050,7 +1240,7 @@ mod tests {
         // 10 000 ids that differ only above bit 20: an index hashing by
         // low bits would put them all in one probe run (quadratic pushes).
         const IDS: usize = 10_000;
-        let mut column = Columns::<u16>::default();
+        let mut column = Columns::<u16, u64>::default();
         for i in 0..IDS as u64 {
             column.push(ClientId::new(i << 20));
         }
@@ -1063,7 +1253,7 @@ mod tests {
         let displaced: usize = (0..column.index.len())
             .filter(|&slot| column.index[slot] != 0)
             .map(|slot| {
-                let client = column.clients[(column.index[slot] - 1) as usize];
+                let client = column.client(usize::from(column.index[slot] - 1));
                 slot.wrapping_sub(slot_hash(client)) & mask
             })
             .sum();

@@ -7,7 +7,7 @@
 //!   full records, supports pop (append–test–revert), and anchors the
 //!   bit-identity property tests.
 //! * [`TieredHistory`] — the production columnar engine (~2.3 B per
-//!   transaction + ~11–13 B per distinct issuer, instead of ~48 B per
+//!   transaction + ~8 B per distinct issuer, instead of ~48 B per
 //!   transaction): outcomes in a [`BitColumn`], issuers in an
 //!   [`IssuerColumn`], no timestamps, and a prefix older than the
 //!   assessment horizon foldable into exact per-issuer summary counts.
@@ -88,7 +88,12 @@ impl TransactionHistory {
         let client = ClientId::new(0);
         let mut h = TransactionHistory::new();
         for (t, good) in outcomes.into_iter().enumerate() {
-            h.push(Feedback::new(t as u64, server, client, Rating::from_good(good)));
+            h.push(Feedback::new(
+                t as u64,
+                server,
+                client,
+                Rating::from_good(good),
+            ));
         }
         h
     }
@@ -336,7 +341,10 @@ impl HistoryView for TransactionHistory {
             .map(|(&client, idxs)| IssuerGroup {
                 client,
                 count: idxs.len(),
-                good: idxs.iter().filter(|&&i| self.feedbacks[i].is_good()).count(),
+                good: idxs
+                    .iter()
+                    .filter(|&&i| self.feedbacks[i].is_good())
+                    .count(),
             })
             .collect();
         groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.client.cmp(&b.client)));
@@ -344,10 +352,9 @@ impl HistoryView for TransactionHistory {
     }
 
     fn reordered_column(&self) -> OwnedColumn {
-        lock_reorder(&self.reorder)
-            .get_or_build(self.version, || {
-                OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools(self.reordered_outcomes())))
-            })
+        lock_reorder(&self.reorder).get_or_build(self.version, || {
+            OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools(self.reordered_outcomes())))
+        })
     }
 
     fn time(&self, i: usize) -> Option<u64> {
@@ -391,7 +398,12 @@ mod tests {
     use super::*;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(1), ClientId::new(client), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(client),
+            Rating::from_good(good),
+        )
     }
 
     #[test]
@@ -484,10 +496,7 @@ mod tests {
         let order = h.issuer_frequency_order();
         // client 5 (3 feedbacks) first, then client 9 (2), time order inside.
         assert_eq!(order, vec![0, 2, 3, 1, 4]);
-        assert_eq!(
-            h.reordered_outcomes(),
-            vec![true, true, false, false, true]
-        );
+        assert_eq!(h.reordered_outcomes(), vec![true, true, false, false, true]);
     }
 
     #[test]
@@ -501,8 +510,16 @@ mod tests {
         assert_eq!(
             h.issuer_groups(),
             vec![
-                IssuerGroup { client: ClientId::new(5), count: 3, good: 2 },
-                IssuerGroup { client: ClientId::new(9), count: 2, good: 1 },
+                IssuerGroup {
+                    client: ClientId::new(5),
+                    count: 3,
+                    good: 2
+                },
+                IssuerGroup {
+                    client: ClientId::new(9),
+                    count: 2,
+                    good: 1
+                },
             ]
         );
     }
@@ -546,8 +563,18 @@ mod tests {
     #[test]
     fn server_detects_mixed_histories() {
         let mut h = TransactionHistory::new();
-        h.push(Feedback::new(0, ServerId::new(1), ClientId::new(1), Rating::Positive));
-        h.push(Feedback::new(1, ServerId::new(2), ClientId::new(1), Rating::Positive));
+        h.push(Feedback::new(
+            0,
+            ServerId::new(1),
+            ClientId::new(1),
+            Rating::Positive,
+        ));
+        h.push(Feedback::new(
+            1,
+            ServerId::new(2),
+            ClientId::new(1),
+            Rating::Positive,
+        ));
         assert_eq!(h.server(), None);
         assert_eq!(TransactionHistory::new().server(), None);
     }

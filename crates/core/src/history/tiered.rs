@@ -140,7 +140,12 @@ impl TieredColumn {
     /// Returns [`StatsError::InvalidCount`] if `m == 0` and
     /// [`StatsError::HorizonExceeded`] when at least one window would
     /// need bits from the folded prefix.
-    pub fn window_counts(&self, start: usize, end: usize, m: usize) -> Result<Vec<u32>, StatsError> {
+    pub fn window_counts(
+        &self,
+        start: usize,
+        end: usize,
+        m: usize,
+    ) -> Result<Vec<u32>, StatsError> {
         if m == 0 {
             return Err(StatsError::InvalidCount {
                 what: "window size",
@@ -289,7 +294,7 @@ impl TieredHistory {
     pub fn mark(&self) -> HistoryMark {
         HistoryMark {
             len: self.len(),
-            dict_len: self.issuers.clients().len(),
+            dict_len: self.issuers.dict_len(),
             version: self.version,
             server: self.server,
             mixed: self.mixed,
@@ -327,8 +332,11 @@ impl TieredHistory {
         let issuers = &self.issuers;
         if self.column.suffix.words().len() < keep.div_ceil(64)
             || issuers.len() < keep
-            || issuers.clients().len() < mark.dict_len
-            || issuers.codes().take(keep).any(|code| code as usize >= mark.dict_len)
+            || issuers.dict_len() < mark.dict_len
+            || issuers
+                .codes()
+                .take(keep)
+                .any(|code| code as usize >= mark.dict_len)
         {
             return Err(TruncateError::Inconsistent);
         }
@@ -479,13 +487,12 @@ impl TieredHistory {
     /// persist. Round-trips through [`TieredHistory::decode`].
     pub fn encode(&self) -> Vec<u8> {
         let suffix = &self.column.suffix;
-        let clients = self.issuers.clients();
-        // A code goes out as the `u32` the column hands over, whichever
-        // width it is held at in memory.
+        let dict_len = self.issuers.dict_len();
+        // A code goes out as the `u32`, and a client as the `u64`, the
+        // column hands over, whichever width it is held at in memory.
         let codes_bytes = self.issuers.len() * std::mem::size_of::<u32>();
-        let mut out = Vec::with_capacity(
-            8 * 6 + 1 + clients.len() * 16 + codes_bytes + suffix.words().len() * 8,
-        );
+        let mut out =
+            Vec::with_capacity(8 * 6 + 1 + dict_len * 16 + codes_bytes + suffix.words().len() * 8);
         match self.server {
             Some(s) => {
                 out.push(1);
@@ -500,8 +507,8 @@ impl TieredHistory {
         out.extend_from_slice(&(self.column.folded_len as u64).to_le_bytes());
         out.extend_from_slice(&self.column.folded_good.to_le_bytes());
         out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(clients.len() as u64).to_le_bytes());
-        for c in clients {
+        out.extend_from_slice(&(dict_len as u64).to_le_bytes());
+        for c in self.issuers.clients() {
             out.extend_from_slice(&c.value().to_le_bytes());
         }
         for &(good, total) in &self.folded_by_code {
@@ -510,7 +517,7 @@ impl TieredHistory {
         }
         // Pad summaries to the dictionary length so the frame is
         // self-describing (codes minted after the last fold read (0,0)).
-        for _ in self.folded_by_code.len()..clients.len() {
+        for _ in self.folded_by_code.len()..dict_len {
             out.extend_from_slice(&[0u8; 8]);
         }
         for code in self.issuers.codes() {
@@ -678,12 +685,11 @@ impl HistoryView for TieredHistory {
              at {})",
             self.column.folded_len
         );
-        lock_reorder(&self.reorder)
-            .get_or_build(self.version, || {
-                OwnedColumn::Bits(Arc::new(
-                    self.issuers.reordered_outcomes(&self.column.suffix),
-                ))
-            })
+        lock_reorder(&self.reorder).get_or_build(self.version, || {
+            OwnedColumn::Bits(Arc::new(
+                self.issuers.reordered_outcomes(&self.column.suffix),
+            ))
+        })
     }
 
     fn time(&self, _i: usize) -> Option<u64> {
@@ -727,11 +733,18 @@ mod tests {
     use proptest::prelude::*;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(1), ClientId::new(client), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(client),
+            Rating::from_good(good),
+        )
     }
 
     fn mixed_history(n: u64) -> Vec<Feedback> {
-        (0..n).map(|t| fb(t, t % 7, (t * 11 + t / 5) % 3 != 0)).collect()
+        (0..n)
+            .map(|t| fb(t, t % 7, (t * 11 + t / 5) % 3 != 0))
+            .collect()
     }
 
     #[test]
@@ -742,7 +755,10 @@ mod tests {
         assert_eq!(tiered.len(), rows.len());
         assert_eq!(tiered.good_count(), rows.good_count());
         assert_eq!(tiered.retained_start(), 0);
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
+        assert_eq!(
+            HistoryView::issuer_groups(&tiered),
+            HistoryView::issuer_groups(&rows)
+        );
         for &(s, e) in &[(0usize, 200usize), (0, 64), (63, 65), (5, 5), (150, 200)] {
             assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
             assert_eq!(tiered.rate_range(s, e).ok(), rows.rate_range(s, e).ok());
@@ -757,7 +773,11 @@ mod tests {
         let (a, b) = (a.as_col(), b.as_col());
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
-            assert_eq!(a.count_range(0, i + 1), b.count_range(0, i + 1), "reorder pos {i}");
+            assert_eq!(
+                a.count_range(0, i + 1),
+                b.count_range(0, i + 1),
+                "reorder pos {i}"
+            );
         }
     }
 
@@ -767,7 +787,12 @@ mod tests {
         assert_eq!(h.server(), None);
         h.push(fb(0, 1, true));
         assert_eq!(h.server(), Some(ServerId::new(1)));
-        h.push(Feedback::new(1, ServerId::new(2), ClientId::new(1), Rating::Positive));
+        h.push(Feedback::new(
+            1,
+            ServerId::new(2),
+            ClientId::new(1),
+            Rating::Positive,
+        ));
         assert_eq!(h.server(), None);
         // Mixing is permanent, matching TransactionHistory::server.
         h.push(fb(2, 1, true));
@@ -782,10 +807,19 @@ mod tests {
         };
         let mut h: TieredHistory = mixed_history(20).into_iter().collect();
         let first = h.reordered_column();
-        assert!(shared(&first, &h.reordered_column()), "second call must hit the cache");
-        assert!(shared(&first, &h.clone().reordered_column()), "clone inherits the warm column");
+        assert!(
+            shared(&first, &h.reordered_column()),
+            "second call must hit the cache"
+        );
+        assert!(
+            shared(&first, &h.clone().reordered_column()),
+            "clone inherits the warm column"
+        );
         h.push(fb(20, 0, true));
-        assert!(!shared(&first, &h.reordered_column()), "ingest must invalidate");
+        assert!(
+            !shared(&first, &h.reordered_column()),
+            "ingest must invalidate"
+        );
     }
 
     #[test]
@@ -800,7 +834,10 @@ mod tests {
         assert_eq!(tiered.suffix_len(), 108);
         assert_eq!(tiered.len(), 300);
         assert_eq!(tiered.good_count(), rows.good_count());
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
+        assert_eq!(
+            HistoryView::issuer_groups(&tiered),
+            HistoryView::issuer_groups(&rows)
+        );
         // Every suffix-resident query is bit-identical.
         for &(s, e) in &[(192usize, 300usize), (200, 300), (250, 251), (299, 300)] {
             assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
@@ -825,11 +862,17 @@ mod tests {
         tiered.compact(100);
         assert_eq!(
             tiered.rate_range(10, 200),
-            Err(StatsError::HorizonExceeded { start: 10, retained_start: 192 })
+            Err(StatsError::HorizonExceeded {
+                start: 10,
+                retained_start: 192
+            })
         );
         assert_eq!(
             tiered.window_counts(0, 300, 10),
-            Err(StatsError::HorizonExceeded { start: 0, retained_start: 192 })
+            Err(StatsError::HorizonExceeded {
+                start: 0,
+                retained_start: 192
+            })
         );
         // Degenerate queries that need no bits still answer exactly.
         assert_eq!(tiered.count_range(10, 10), 0);
@@ -866,7 +909,10 @@ mod tests {
         }
         assert_eq!(tiered.len(), rows.len());
         assert_eq!(tiered.good_count(), rows.good_count());
-        assert_eq!(HistoryView::issuer_groups(&tiered), HistoryView::issuer_groups(&rows));
+        assert_eq!(
+            HistoryView::issuer_groups(&tiered),
+            HistoryView::issuer_groups(&rows)
+        );
         let start = tiered.retained_start();
         assert!(tiered.suffix_len() >= 150);
         assert_eq!(
@@ -886,7 +932,10 @@ mod tests {
         assert_eq!(back.retained_start(), tiered.retained_start());
         assert_eq!(back.version(), tiered.version());
         assert_eq!(back.server(), tiered.server());
-        assert_eq!(HistoryView::issuer_groups(&back), HistoryView::issuer_groups(&tiered));
+        assert_eq!(
+            HistoryView::issuer_groups(&back),
+            HistoryView::issuer_groups(&tiered)
+        );
         assert_eq!(
             back.window_counts(192, 300, 9).unwrap(),
             tiered.window_counts(192, 300, 9).unwrap()
@@ -928,18 +977,24 @@ mod tests {
         let mut tiered: TieredHistory = mixed_history(300).into_iter().collect();
         tiered.compact(100);
         let bytes = tiered.encode();
-        assert!(TieredHistory::decode(&bytes[..bytes.len() - 1]).is_none(), "truncated");
+        assert!(
+            TieredHistory::decode(&bytes[..bytes.len() - 1]).is_none(),
+            "truncated"
+        );
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x80; // a bit above suffix len in the last word
-        // Either the padding check or a summary-sum check must fire; the
-        // payload must never decode to different counts silently.
+                               // Either the padding check or a summary-sum check must fire; the
+                               // payload must never decode to different counts silently.
         if let Some(h) = TieredHistory::decode(&flipped) {
             assert_eq!(h.good_count(), tiered.good_count());
         }
         let mut bad_sum = bytes.clone();
         bad_sum[9 + 16] ^= 1; // folded_good no longer matches summary sums
-        assert!(TieredHistory::decode(&bad_sum).is_none(), "summary sum mismatch");
+        assert!(
+            TieredHistory::decode(&bad_sum).is_none(),
+            "summary sum mismatch"
+        );
         assert!(TieredHistory::decode(&[]).is_none(), "empty payload");
     }
 
@@ -1004,11 +1059,16 @@ mod tests {
     #[test]
     fn truncate_to_repairs_torn_pushes_to_the_same_bytes() {
         type Tear = fn(&mut TieredHistory);
-        let tears: [(&str, Tear); 3] = [
+        let tears: [(&str, Tear); 4] = [
             ("bit pushed without code", |h| h.push_outcome_only(true)),
             ("code minted without a codes entry", |h| {
                 h.push_outcome_only(false);
                 h.issuers.push_without_code(ClientId::new(9_999));
+            }),
+            // The mint that takes ids to 64 bits.
+            ("id above u32::MAX minted without a codes entry", |h| {
+                h.push_outcome_only(false);
+                h.issuers.push_without_code(ClientId::new(1 << 40));
             }),
             ("a whole push", |h| h.push(fb(300, 9_999, true))),
         ];
@@ -1016,8 +1076,9 @@ mod tests {
         let mut folded = plain.clone();
         folded.compact(100);
         // Minting 9 999 here is the push that takes codes to 32 bits.
-        let last_narrow: TieredHistory =
-            (0..65_534).map(|t| fb(t, 100_000 + t, t % 3 != 0)).collect();
+        let last_narrow: TieredHistory = (0..65_534)
+            .map(|t| fb(t, 100_000 + t, t % 3 != 0))
+            .collect();
         for (base, clean) in [
             ("plain", plain),
             ("folded", folded),
@@ -1027,11 +1088,13 @@ mod tests {
                 let mut torn = clean.clone();
                 let mark = torn.mark();
                 tear(&mut torn);
-                torn.truncate_to(&mark).unwrap_or_else(|e| panic!("{what}: {e}"));
+                torn.truncate_to(&mark)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(torn.encode(), clean.encode(), "{what}, {base}");
-                // Cut back under 65 535 issuers, codes are 16 bits again: a
-                // push grows a long column by a quarter at most, 32-bit
-                // codes and slots would leave this one 1.6 times the size.
+                // Cut back under 65 535 issuers and below the first long
+                // id, codes are 16 bits and ids 32 again: a push grows a
+                // long column by a quarter at most, 32-bit codes and slots
+                // would leave this one 1.6 times the size.
                 if clean.len() >= 1024 {
                     let (repaired, cloned) = (torn.resident_bytes(), clean.resident_bytes());
                     assert!(repaired * 4 <= cloned * 5, "{what}, {base}: {repaired} B");
@@ -1045,7 +1108,11 @@ mod tests {
                 torn.push(fb(300, 9_999, false));
                 let mut grown = clean.clone();
                 grown.push(fb(300, 9_999, false));
-                assert_eq!(torn.encode(), grown.encode(), "{what}: push after the repair");
+                assert_eq!(
+                    torn.encode(),
+                    grown.encode(),
+                    "{what}: push after the repair"
+                );
             }
         }
     }

@@ -116,7 +116,12 @@ impl ColumnRef<'_> {
     /// Returns [`StatsError::InvalidCount`] if `m == 0`, and
     /// [`StatsError::HorizonExceeded`] when a [`ColumnRef::Tiered`] range
     /// starts inside the folded prefix.
-    pub fn window_counts(&self, start: usize, end: usize, m: usize) -> Result<Vec<u32>, StatsError> {
+    pub fn window_counts(
+        &self,
+        start: usize,
+        end: usize,
+        m: usize,
+    ) -> Result<Vec<u32>, StatsError> {
         match self {
             ColumnRef::Prefix(p) => p.window_counts(start, end, m),
             ColumnRef::Bits(b) => b.window_counts(start, end, m),
@@ -175,7 +180,11 @@ pub(crate) struct ReorderCache {
 impl ReorderCache {
     /// Returns the cached column for `version`, or builds one with
     /// `build`, stamps it, and counts the recompute.
-    pub fn get_or_build(&mut self, version: u64, build: impl FnOnce() -> OwnedColumn) -> OwnedColumn {
+    pub fn get_or_build(
+        &mut self,
+        version: u64,
+        build: impl FnOnce() -> OwnedColumn,
+    ) -> OwnedColumn {
         if let Some((v, col)) = &self.cached {
             if *v == version {
                 return col.clone();

@@ -6,7 +6,8 @@
 //! keeps live, and the reported figure must sit within ±10 % of it on the
 //! shapes where an estimate used to go wrong: almost every feedback from
 //! a new issuer (the million-client populations of `benchmark/`), a young
-//! server, and a compacted one.
+//! server, and a compacted one — each with the ids `hp-load` sends, which
+//! fit 32 bits, and with ids over all 64.
 
 use hp_core::history::HistoryView;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
@@ -64,12 +65,36 @@ fn measured(build: impl FnOnce() -> TieredHistory) -> (TieredHistory, usize) {
     )
 }
 
-/// `pushes` feedbacks whose issuers cycle over `issuers` distinct ids
-/// (spread over the id space the way `hp-load`'s populations are).
-fn pushed(pushes: u64, issuers: u64) -> TieredHistory {
+/// How a test population's client ids are spread.
+#[derive(Debug, Clone, Copy)]
+enum Ids {
+    /// The way `hp-load` draws them (`crates/load/src/population.rs`):
+    /// `% clients`, with at most a million clients, so below 2^20.
+    Load,
+    /// Over all 64 bits, which no workload sends: the column with 64-bit
+    /// ids, held to the ceilings it met before ids had a 32-bit layout.
+    FullWidth,
+}
+
+impl Ids {
+    /// The id of the `issuer`-th client. An odd multiplier permutes the
+    /// `u64`s and, in its low 20 bits, the ids below 2^20: distinct
+    /// issuers below 2^20 get distinct ids either way.
+    fn of(self, issuer: u64) -> u64 {
+        let spread = issuer.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        match self {
+            Ids::Load => spread % (1 << 20),
+            Ids::FullWidth => spread,
+        }
+    }
+}
+
+/// `pushes` feedbacks whose issuers cycle over `issuers` distinct ids,
+/// spread as `ids` says.
+fn pushed(pushes: u64, issuers: u64, ids: Ids) -> TieredHistory {
     let mut history = TieredHistory::new();
     for t in 0..pushes {
-        let client = (t % issuers).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let client = ids.of(t % issuers);
         history.push(Feedback::new(
             t,
             ServerId::new(1),
@@ -93,15 +118,29 @@ fn assert_accounted(shape: &str, history: &TieredHistory, live: usize) {
     );
 }
 
+/// Pushes `pushes` feedbacks, each from a new issuer with an id spread
+/// as `ids` says, checks `resident_bytes()` against the heap, and returns
+/// the heap bytes per feedback.
+fn all_distinct(pushes: u64, ids: Ids) -> f64 {
+    let (history, live) = measured(|| pushed(pushes, pushes, ids));
+    let shape = format!("{pushes} pushes, all distinct, {ids:?} ids");
+    assert_accounted(&shape, &history, live);
+    live as f64 / pushes as f64
+}
+
 #[test]
 fn deep_history_of_all_distinct_issuers() {
     const PUSHES: u64 = 20_000;
-    let (history, live) = measured(|| pushed(PUSHES, PUSHES));
-    assert_accounted("20000 pushes, all distinct", &history, live);
-    let per_feedback = live as f64 / PUSHES as f64;
+    let per_feedback = all_distinct(PUSHES, Ids::FullWidth);
     assert!(
         per_feedback <= 15.5,
         "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 15.5)"
+    );
+    // The ids every workload sends fit 32 bits.
+    let per_feedback = all_distinct(PUSHES, Ids::Load);
+    assert!(
+        per_feedback <= 11.0,
+        "all-distinct load ids cost {per_feedback:.1} B/feedback of heap (ceiling 11)"
     );
 }
 
@@ -111,12 +150,19 @@ fn the_65_535th_issuer_costs_what_every_issuer_used_to() {
     // that widens them: 22 B/feedback was the ceiling at any size before
     // the narrow layout.
     for (pushes, ceiling) in [(65_534u64, 15.5), (65_535, 22.0)] {
-        let (history, live) = measured(|| pushed(pushes, pushes));
-        assert_accounted(&format!("{pushes} pushes, all distinct"), &history, live);
-        let per_feedback = live as f64 / pushes as f64;
+        let per_feedback = all_distinct(pushes, Ids::FullWidth);
         assert!(
             per_feedback <= ceiling,
             "{pushes} distinct issuers cost {per_feedback:.1} B/feedback (ceiling {ceiling})"
+        );
+    }
+    // Codes widen at the 65 535th issuer whatever the ids; 32-bit ids
+    // stay 32 bits.
+    for (pushes, ceiling) in [(65_534u64, 11.0), (65_535, 17.5)] {
+        let per_feedback = all_distinct(pushes, Ids::Load);
+        assert!(
+            per_feedback <= ceiling,
+            "{pushes} distinct load ids cost {per_feedback:.1} B/feedback (ceiling {ceiling})"
         );
     }
 }
@@ -124,28 +170,33 @@ fn the_65_535th_issuer_costs_what_every_issuer_used_to() {
 #[test]
 fn young_history_of_all_distinct_issuers() {
     const PUSHES: u64 = 256;
-    let (history, live) = measured(|| pushed(PUSHES, PUSHES));
-    assert_accounted("256 pushes, all distinct", &history, live);
-    let per_feedback = live as f64 / PUSHES as f64;
+    let per_feedback = all_distinct(PUSHES, Ids::FullWidth);
     assert!(
         per_feedback <= 15.0,
         "all-distinct issuers cost {per_feedback:.1} B/feedback of heap (ceiling 15)"
+    );
+    let per_feedback = all_distinct(PUSHES, Ids::Load);
+    assert!(
+        per_feedback <= 10.5,
+        "all-distinct load ids cost {per_feedback:.1} B/feedback of heap (ceiling 10.5)"
     );
 }
 
 #[test]
 fn compacted_history_over_a_small_dictionary() {
-    let (history, live) = measured(|| {
-        let mut history = pushed(4096, 256);
-        assert_eq!(history.compact(2048), 2048);
-        history
-    });
-    assert_accounted(
-        "4096 pushes over 256 issuers, compact(2048)",
-        &history,
-        live,
-    );
-    assert!(history.summary_resident_bytes() > 0);
+    for ids in [Ids::FullWidth, Ids::Load] {
+        let (history, live) = measured(|| {
+            let mut history = pushed(4096, 256, ids);
+            assert_eq!(history.compact(2048), 2048);
+            history
+        });
+        assert_accounted(
+            &format!("4096 pushes over 256 {ids:?} ids, compact(2048)"),
+            &history,
+            live,
+        );
+        assert!(history.summary_resident_bytes() > 0);
+    }
 }
 
 fn feedback(t: usize, client: u64, good: bool) -> Feedback {
@@ -176,15 +227,24 @@ fn assert_same_history(cut: &TieredHistory, never: &TieredHistory) {
             "m = {m}"
         );
     }
+    // Held at the widths the pushes chose: a clone cuts each allocation to
+    // its length, so equal columns at equal widths weigh the same. A
+    // decode (a snapshot load, a fault-in) allocates to the byte, so it
+    // weighs that too.
+    let at_length = |h: &TieredHistory| h.issuer_column().clone().resident_bytes();
+    assert_eq!(at_length(cut), at_length(never));
+    let decoded = TieredHistory::decode(&never.encode()).expect("round trip");
+    assert_eq!(decoded.issuer_column().resident_bytes(), at_length(never));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Rolling back to a mark leaves the history that only saw the
-    /// records before it — bytes, orderings, counts and heap — whether the
-    /// tail brought new issuers or repeated old ones, and whether or not
-    /// the prefix was folded before the mark.
+    /// records before it — bytes, orderings, counts, widths and heap —
+    /// whether the tail brought new issuers or repeated old ones, whether
+    /// or not the prefix was folded before the mark, and whether the mark
+    /// sits before or after the first id above `u32::MAX`.
     #[test]
     fn truncate_to_is_the_history_that_never_saw_the_tail(
         raw in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..600),
@@ -192,11 +252,17 @@ proptest! {
         split in 0usize..600,
         fold_before in (any::<bool>(), 0usize..300).prop_map(|(fold, horizon)| fold.then_some(horizon)),
         fold_after in 0usize..300,
+        long_from in (any::<bool>(), 0usize..600).prop_map(|(long, at)| long.then_some(at)),
     ) {
+        // From `long_from` on, an odd draw is an id at or above 2^32.
+        let long = |t: usize, raw: u16| long_from.is_some_and(|at| t >= at) && raw % 2 == 1;
         let stream: Vec<Feedback> = raw
             .iter()
             .enumerate()
-            .map(|(t, &(client, good))| feedback(t, u64::from(client) % pool, good))
+            .map(|(t, &(raw, good))| {
+                let client = u64::from(raw) % pool + u64::from(long(t, raw)) * (1 << 32);
+                feedback(t, client, good)
+            })
             .collect();
         let (head, tail) = stream.split_at(split.min(stream.len()));
         let head_only = || {
@@ -217,7 +283,8 @@ proptest! {
         assert_same_history(&cut, &never);
         prop_assert_eq!(cut.resident_bytes(), live, "reported vs heap after the cut");
 
-        let next = feedback(stream.len(), 4242, true);
+        // A long id after the cut widens what the cut may have narrowed.
+        let next = feedback(stream.len(), 4242 + (u64::from(long_from.is_some()) << 32), true);
         cut.push(next);
         never.push(next);
         assert_same_history(&cut, &never);

@@ -36,13 +36,16 @@
 //! This is the only version read: a file with any other header is
 //! `stale` like one with another fingerprint, and costs one rebuild.
 //! Writes go through [`hp_store::durable::publish`], so a crash mid-save
-//! leaves the previous cache intact. Individually malformed record lines
+//! leaves the previous cache intact, and the next [`load`] deletes the
+//! temp file such a crash leaves beside it. Individually malformed record lines
 //! — and rows the calibrator refuses: another width, a value that is no
 //! threshold — are skipped (and counted), never fatal: losing one cache
 //! line costs one recalibration, not a boot.
 
-use hp_stats::{CalibrationRow, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface};
-use hp_store::durable::publish;
+use hp_stats::{
+    CalibrationRow, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface,
+};
+use hp_store::durable::{publish, remove, temp_path};
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -69,15 +72,18 @@ pub struct CacheLoad {
 }
 
 /// Loads `path` into `calibrator` if it exists and its fingerprint
-/// matches. A missing file is a cold boot, not an error. A persisted
+/// matches, first deleting the temp file a crashed [`save`] may have left
+/// beside it. A missing file is a cold boot, not an error. A persisted
 /// surface is installed only when the calibrator is configured with the
 /// same [`SurfaceParams`] it was built under.
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error only when the file exists but cannot
-/// be read; content problems degrade to `skipped`/`stale` instead.
+/// Returns the underlying I/O error only when a stale temp file cannot be
+/// deleted or the file exists but cannot be read; content problems
+/// degrade to `skipped`/`stale` instead.
 pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLoad> {
+    remove([temp_path(path)])?;
     let file = match fs::File::open(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CacheLoad::default()),
         file => file?,
@@ -165,9 +171,13 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
                 bits_csv(&row.values)
             )?;
         }
-        if let (Some(params), Some(surface)) = (calibrator.config().surface, calibrator.surface())
-        {
-            writeln!(out, "P {:016x} {}", params.tolerance.to_bits(), params.k_min)?;
+        if let (Some(params), Some(surface)) = (calibrator.config().surface, calibrator.surface()) {
+            writeln!(
+                out,
+                "P {:016x} {}",
+                params.tolerance.to_bits(),
+                params.k_min
+            )?;
             for layer in surface.layers() {
                 writeln!(
                     out,
@@ -199,7 +209,10 @@ fn csv<I: IntoIterator<Item = T>, T: ToString>(items: I) -> String {
 
 /// The whitespace-separated fields of `line`, when there are exactly `N`.
 fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
-    line.split_ascii_whitespace().collect::<Vec<_>>().try_into().ok()
+    line.split_ascii_whitespace()
+        .collect::<Vec<_>>()
+        .try_into()
+        .ok()
 }
 
 /// Whether `header` is this module's: the magic, the one version it
@@ -224,7 +237,10 @@ fn parse_row(rest: &str) -> Option<CalibrationRow> {
 
 fn parse_params(rest: &str) -> Option<SurfaceParams> {
     let [tolerance, k_min] = fields(rest)?;
-    let params = SurfaceParams { tolerance: parse_bits(tolerance)?, k_min: k_min.parse().ok()? };
+    let params = SurfaceParams {
+        tolerance: parse_bits(tolerance)?,
+        k_min: k_min.parse().ok()?,
+    };
     params.validate().is_ok().then_some(params)
 }
 
@@ -356,10 +372,19 @@ mod tests {
         save(&second, &warm).unwrap();
         let text = fs::read(&first).unwrap();
         assert!(text.starts_with(b"hpcal 4 "));
-        assert!(text == fs::read(&second).unwrap(), "a reloaded cache saves the same bytes");
+        assert!(
+            text == fs::read(&second).unwrap(),
+            "a reloaded cache saves the same bytes"
+        );
 
-        assert_eq!(warm.threshold(10, 5, 0.9).unwrap().to_bits(), below.to_bits());
-        assert_eq!(warm.threshold_at(10, 5, 0.9, 0.5).unwrap().to_bits(), off.to_bits());
+        assert_eq!(
+            warm.threshold(10, 5, 0.9).unwrap().to_bits(),
+            below.to_bits()
+        );
+        assert_eq!(
+            warm.threshold_at(10, 5, 0.9, 0.5).unwrap().to_bits(),
+            off.to_bits()
+        );
         assert_eq!(warm.cache_stats(), (2, 0), "no Monte-Carlo on a warm boot");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -444,7 +469,10 @@ mod tests {
         let junk = "not a record\nR 1 2 3\nE 10 30 18 95000 3fd0000000000000\nS 10 95000 bogus\n";
         fs::write(&path, format!("{saved}{junk}")).unwrap();
         let loaded = load(&path, &calibrator(300)).unwrap();
-        assert_eq!((loaded.installed, loaded.skipped, loaded.stale), (2, 4, false));
+        assert_eq!(
+            (loaded.installed, loaded.skipped, loaded.stale),
+            (2, 4, false)
+        );
 
         // A record that parses but is no whole row of this calibrator.
         let row = saved.lines().nth(1).unwrap();
@@ -463,7 +491,10 @@ mod tests {
             let loaded = load(&path, &warm).unwrap();
             assert_eq!((loaded.installed, loaded.skipped), (1, 1), "{what}");
             // The lost row is one recalibration away, bit for bit.
-            assert_eq!(warm.threshold(10, 30, 0.9).unwrap().to_bits(), truth.to_bits());
+            assert_eq!(
+                warm.threshold(10, 30, 0.9).unwrap().to_bits(),
+                truth.to_bits()
+            );
             assert_eq!(warm.stats().oracle_jobs, 1, "{what}");
             assert_eq!(warm.export_cache(), cold.export_cache(), "{what}");
         }
@@ -488,7 +519,10 @@ mod tests {
         cal.threshold(10, 5, 0.9).unwrap();
         save(&path, &cal).unwrap();
         let bytes = fs::read(&path).unwrap();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (30_883, 0x53c3_09c6_28d8_9880));
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (30_883, 0x53c3_09c6_28d8_9880)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -551,6 +585,26 @@ mod tests {
     }
 
     #[test]
+    fn load_deletes_the_temp_a_crashed_save_left() {
+        let dir = tmp_dir("crashed-save");
+        let path = dir.join("cal.hpcal");
+        let temp = temp_path(&path);
+        let cal = calibrator(300);
+        cal.threshold(10, 30, 0.9).unwrap();
+        save(&path, &cal).unwrap();
+        // A crash after the temp's first write and before its rename.
+        fs::write(&temp, "hpcal 4 ").unwrap();
+        assert_eq!(load(&path, &calibrator(300)).unwrap().installed, 1);
+        assert!(!temp.exists(), "stale temp beside a published cache");
+        // The same crash during the first save a deployment ever ran.
+        fs::remove_file(&path).unwrap();
+        fs::write(&temp, "hpcal 4 ").unwrap();
+        assert_eq!(load(&path, &calibrator(300)).unwrap(), CacheLoad::default());
+        assert!(!temp.exists(), "stale temp and no cache");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn save_is_atomic_and_overwrites() {
         let dir = tmp_dir("atomic");
         let path = dir.join("cal.hpcal");
@@ -559,7 +613,7 @@ mod tests {
         save(&path, &cal).unwrap();
         cal.threshold(10, 60, 0.9).unwrap();
         assert_eq!(save(&path, &cal).unwrap(), cal.cache_len());
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
+        assert!(!temp_path(&path).exists(), "temp file renamed away");
         let warm = calibrator(300);
         assert_eq!(load(&path, &warm).unwrap().installed, 2);
         assert_eq!(warm.cache_len(), cal.cache_len());

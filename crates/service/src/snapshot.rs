@@ -270,13 +270,20 @@ impl SnapshotStore {
         let path = self.dir.join(&entry.file);
         let loaded = decode(&fs::read(&path)?, &path, self.shard, self.shards, model)?;
         if loaded.seq != entry.seq {
-            return Err(Error::corrupt(&path, 16, "sequence number does not match its name"));
+            return Err(Error::corrupt(
+                &path,
+                16,
+                "sequence number does not match its name",
+            ));
         }
         Ok(loaded)
     }
 
     fn write_manifest(&self) -> std::io::Result<()> {
-        let mut text = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION} {} {}\n", self.shard, self.shards);
+        let mut text = format!(
+            "{MANIFEST_MAGIC} {MANIFEST_VERSION} {} {}\n",
+            self.shard, self.shards
+        );
         for e in &self.entries {
             if let (Some(records), Some(min_seg)) = (e.journal_records, e.min_seg) {
                 let line = format!("{:016x} {records} {min_seg} {}", e.seq, e.file);
@@ -284,7 +291,9 @@ impl SnapshotStore {
                 text.push('\n');
             }
         }
-        publish(&manifest_path(&self.dir, self.shard), |file| file.write_all(text.as_bytes()))
+        publish(&manifest_path(&self.dir, self.shard), |file| {
+            file.write_all(text.as_bytes())
+        })
     }
 }
 
@@ -303,7 +312,10 @@ fn snapshot_file_name(shard: u32, seq: u64) -> String {
 fn read_manifest(text: &str, shard: u32, shards: u32) -> Vec<ManifestEntry> {
     let mut lines = text.lines();
     let header = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION} {shard} {shards}");
-    if !lines.next().is_some_and(|line| line.split_whitespace().eq(header.split(' '))) {
+    if !lines
+        .next()
+        .is_some_and(|line| line.split_whitespace().eq(header.split(' ')))
+    {
         return Vec::new();
     }
     let entry = |line: &str| {
@@ -338,16 +350,25 @@ fn encode(
     // Exact-size reservation (25 covers the larger trust encoding, 49 the
     // tiered payload's fixed fields): megabyte-scale bodies must not grow
     // through repeated reallocation.
-    let cap = HEADER_LEN + 4 + servers.iter().map(|(_, state)| {
-        8 + 25 + 1 + match state.residency() {
-            Residency::Hot(history) => {
-                let clients = history.issuer_column().clients().len();
-                8 + 49 + clients * 16 + history.suffix_len() * 4
-                    + history.suffix_len().div_ceil(64) * 8
-            }
-            Residency::Spilled { .. } => 24 + 24,
-        }
-    }).sum::<usize>();
+    let cap = HEADER_LEN
+        + 4
+        + servers
+            .iter()
+            .map(|(_, state)| {
+                8 + 25
+                    + 1
+                    + match state.residency() {
+                        Residency::Hot(history) => {
+                            let clients = history.issuer_column().dict_len();
+                            8 + 49
+                                + clients * 16
+                                + history.suffix_len() * 4
+                                + history.suffix_len().div_ceil(64) * 8
+                        }
+                        Residency::Spilled { .. } => 24 + 24,
+                    }
+            })
+            .sum::<usize>();
     let mut out = Vec::with_capacity(cap);
     let mut min_seg = NO_SEGMENTS;
     out.put_header(&MAGIC, VERSION, shard);
@@ -381,7 +402,13 @@ fn encode(
             }
             Residency::Spilled { meta, segment } => {
                 out.push(RESIDENCY_SPILLED);
-                for v in [meta.len, meta.version, meta.bytes, segment.seq, segment.offset] {
+                for v in [
+                    meta.len,
+                    meta.version,
+                    meta.bytes,
+                    segment.seq,
+                    segment.offset,
+                ] {
                     out.put_u64(v);
                 }
                 out.put_u32(segment.len);
@@ -443,14 +470,23 @@ fn decode(
                 if !history.is_empty() && history.server() != Some(server) {
                     return Err(r.corrupt("history belongs to a different server"));
                 }
-                if matches!(&trust, TrustState::Average(s) if s.raw_parts().0 != history.good_count()) {
+                if matches!(&trust, TrustState::Average(s) if s.raw_parts().0 != history.good_count())
+                {
                     return Err(r.corrupt("trust state disagrees with good count"));
                 }
-                (history.len() as u64, history.version(), Residency::Hot(history))
+                (
+                    history.len() as u64,
+                    history.version(),
+                    Residency::Hot(history),
+                )
             }
             RESIDENCY_SPILLED => {
                 const META: &str = "truncated spill metadata";
-                let meta = SpilledMeta { len: r.u64(META)?, version: r.u64(META)?, bytes: r.u64(META)? };
+                let meta = SpilledMeta {
+                    len: r.u64(META)?,
+                    version: r.u64(META)?,
+                    bytes: r.u64(META)?,
+                };
                 let segment = SegmentRef {
                     seq: r.u64(META)?,
                     offset: r.u64(META)?,
@@ -622,7 +658,11 @@ mod tests {
 
     /// Like [`build_states`] but compacted, so round-trips exercise the
     /// folded summaries, not just the full-resolution suffix.
-    fn build_tiered_states(model: TrustModel, n: usize, horizon: usize) -> HashMap<ServerId, ServerState> {
+    fn build_tiered_states(
+        model: TrustModel,
+        n: usize,
+        horizon: usize,
+    ) -> HashMap<ServerId, ServerState> {
         let mut states = build_states(model, n);
         for state in states.values_mut() {
             state.compact(horizon);
@@ -650,13 +690,12 @@ mod tests {
                     // length; codes past the in-memory list read (0, 0).
                     let pad = |s: &TieredHistory| {
                         let mut v = s.folded_by_code().to_vec();
-                        v.resize(s.issuer_column().clients().len(), (0, 0));
+                        v.resize(s.issuer_column().dict_len(), (0, 0));
                         v
                     };
                     assert_eq!(pad(h), pad(o), "server {id:?}");
-                    assert_eq!(
-                        h.issuer_column().clients(),
-                        o.issuer_column().clients(),
+                    assert!(
+                        h.issuer_column().clients().eq(o.issuer_column().clients()),
                         "server {id:?}"
                     );
                     assert!(
@@ -705,8 +744,18 @@ mod tests {
     fn spilled_states_round_trip_and_report_min_seg() {
         let model = TrustModel::Average;
         let mut states = build_tiered_states(model, 1200, 64);
-        let seg_a = SegmentRef { seq: 7, offset: 128, len: 333, crc: 0xdead_beef };
-        let seg_b = SegmentRef { seq: 3, offset: 64, len: 90, crc: 0x1 };
+        let seg_a = SegmentRef {
+            seq: 7,
+            offset: 128,
+            len: 333,
+            crc: 0xdead_beef,
+        };
+        let seg_b = SegmentRef {
+            seq: 3,
+            offset: 64,
+            len: 90,
+            crc: 0x1,
+        };
         states.get_mut(&ServerId::new(0)).unwrap().evict(seg_a, 333);
         states.get_mut(&ServerId::new(1)).unwrap().evict(seg_b, 90);
         let (bytes, min_seg) = encode(0, 1, 11, 1200, &states);
@@ -749,14 +798,26 @@ mod tests {
     fn model_mismatch_is_rejected() {
         let states = build_states(TrustModel::Average, 32);
         let (bytes, _) = encode(0, 1, 0, 32, &states);
-        let err = decode(&bytes, Path::new("x"), 0, 1, TrustModel::Weighted { lambda: 0.5 })
-            .unwrap_err();
+        let err = decode(
+            &bytes,
+            Path::new("x"),
+            0,
+            1,
+            TrustModel::Weighted { lambda: 0.5 },
+        )
+        .unwrap_err();
         assert!(matches!(err, Error::Corrupt { .. }));
         // Different lambda is a mismatch too.
         let states = build_states(TrustModel::Weighted { lambda: 0.5 }, 32);
         let (bytes, _) = encode(0, 1, 0, 32, &states);
-        assert!(decode(&bytes, Path::new("x"), 0, 1, TrustModel::Weighted { lambda: 0.25 })
-            .is_err());
+        assert!(decode(
+            &bytes,
+            Path::new("x"),
+            0,
+            1,
+            TrustModel::Weighted { lambda: 0.25 }
+        )
+        .is_err());
     }
 
     #[test]
@@ -773,7 +834,10 @@ mod tests {
         let err = decode(&bytes, Path::new("x"), 0, 1, model).unwrap_err();
         assert!(matches!(
             err,
-            Error::Corrupt { reason: "unknown version", .. }
+            Error::Corrupt {
+                reason: "unknown version",
+                ..
+            }
         ));
     }
 
@@ -858,7 +922,12 @@ mod tests {
         let model = TrustModel::Average;
         let mut store = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
         let mut states = build_states(model, 250);
-        let seg = |seq| SegmentRef { seq, offset: 0, len: 50, crc: 0 };
+        let seg = |seq| SegmentRef {
+            seq,
+            offset: 0,
+            len: 50,
+            crc: 0,
+        };
         states.get_mut(&ServerId::new(0)).unwrap().evict(seg(4), 50);
         store.write(&states, 250).unwrap();
         let mut newer = build_states(model, 250);
@@ -914,18 +983,35 @@ mod tests {
         let dir = temp_dir("pinned");
         let mut store = SnapshotStore::open(&dir, 2, 4, &policy(3)).unwrap();
         let models = [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }];
-        let pins = [(2_457, 0xf69e_8ad5_8def_4bc2), (2_497, 0x5e5c_daea_3b51_fc78)];
+        let pins = [
+            (2_457, 0xf69e_8ad5_8def_4bc2),
+            (2_497, 0x5e5c_daea_3b51_fc78),
+        ];
         for (i, (model, pin)) in models.into_iter().zip(pins).enumerate() {
             let mut states = build_tiered_states(model, 1200, 64);
-            let seg = |seq, offset| SegmentRef { seq, offset, len: 77, crc: 0x0bad_cafe };
-            states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5 + i as u64, 20), 77);
-            states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9, 1 << 40), 77);
+            let seg = |seq, offset| SegmentRef {
+                seq,
+                offset,
+                len: 77,
+                crc: 0x0bad_cafe,
+            };
+            states
+                .get_mut(&ServerId::new(1))
+                .unwrap()
+                .evict(seg(5 + i as u64, 20), 77);
+            states
+                .get_mut(&ServerId::new(3))
+                .unwrap()
+                .evict(seg(9, 1 << 40), 77);
             store.write(&states, 1200 + 300 * i as u64).unwrap();
             let bytes = fs::read(dir.join(snapshot_file_name(2, i as u64))).unwrap();
             assert_eq!((bytes.len(), fnv1a(&bytes)), pin, "{model:?}");
         }
         let manifest = fs::read(manifest_path(&dir, 2)).unwrap();
-        assert_eq!((manifest.len(), fnv1a(&manifest)), (136, 0x05ea_f788_f395_e3e8));
+        assert_eq!(
+            (manifest.len(), fnv1a(&manifest)),
+            (136, 0x05ea_f788_f395_e3e8)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -936,9 +1022,17 @@ mod tests {
     fn open_deletes_the_temps_a_crash_left() {
         let dir = temp_dir("stale");
         let mut store = SnapshotStore::open(&dir, 1, 2, &policy(2)).unwrap();
-        store.write(&build_states(TrustModel::Average, 30), 30).unwrap();
-        let ours = [snapshot_file_name(1, 1) + ".tmp", "shard-1.manifest.tmp".to_string()];
-        let theirs = [snapshot_file_name(0, 1) + ".tmp", snapshot_file_name(10, 1) + ".tmp"];
+        store
+            .write(&build_states(TrustModel::Average, 30), 30)
+            .unwrap();
+        let ours = [
+            snapshot_file_name(1, 1) + ".tmp",
+            "shard-1.manifest.tmp".to_string(),
+        ];
+        let theirs = [
+            snapshot_file_name(0, 1) + ".tmp",
+            snapshot_file_name(10, 1) + ".tmp",
+        ];
         for name in ours.iter().chain(&theirs) {
             fs::write(dir.join(name), b"half a file").unwrap();
         }
@@ -965,7 +1059,12 @@ mod tests {
         GENUINE.get_or_init(|| {
             [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }].map(|model| {
                 let mut states = build_tiered_states(model, 300, 32);
-                let seg = |seq| SegmentRef { seq, offset: 20, len: 77, crc: 0x0bad_cafe };
+                let seg = |seq| SegmentRef {
+                    seq,
+                    offset: 20,
+                    len: 77,
+                    crc: 0x0bad_cafe,
+                };
                 states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5), 77);
                 states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9), 77);
                 let (bytes, _) = encode(0, 1, 5, 300, &states);
@@ -986,7 +1085,11 @@ mod tests {
         };
         for _ in 0..field(&mut r, 8) {
             field(&mut r, 8);
-            let trust = if field(&mut r, 1) == u64::from(TRUST_AVERAGE) { 2 } else { 3 };
+            let trust = if field(&mut r, 1) == u64::from(TRUST_AVERAGE) {
+                2
+            } else {
+                3
+            };
             for _ in 0..trust {
                 field(&mut r, 8);
             }

@@ -129,7 +129,9 @@ fn lookups_on_grid_rows_are_oracle_exact_at_every_bucket() {
         for bucket in 0..buckets {
             let p = (bucket as f64 * P_BUCKET).clamp(0.0, 1.0);
             let truth = oracle.threshold_at(M, k, p, 0.95).unwrap();
-            let served = s.lookup(M, k, bucket, 95_000).expect("bucket is on the grid");
+            let served = s
+                .lookup(M, k, bucket, 95_000)
+                .expect("bucket is on the grid");
             assert_eq!(
                 served.to_bits(),
                 truth.to_bits(),
@@ -144,6 +146,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Entry count and FNV-1a of every threshold `cal` holds, exported
+/// sorted by key: 28 bytes an entry, `(m, k, p̂ bucket, confidence, ε)`.
+fn cache_fingerprint(cal: &ThresholdCalibrator) -> (usize, u64) {
+    let entries = cal.export_cache();
+    let mut bytes = Vec::with_capacity(entries.len() * 28);
+    for e in &entries {
+        bytes.extend_from_slice(&e.m.to_le_bytes());
+        bytes.extend_from_slice(&(e.k as u64).to_le_bytes());
+        bytes.extend_from_slice(&e.p_bucket_index.to_le_bytes());
+        bytes.extend_from_slice(&e.confidence_millis.to_le_bytes());
+        bytes.extend_from_slice(&e.epsilon.to_bits().to_le_bytes());
+    }
+    (entries.len(), fnv1a(&bytes))
 }
 
 #[test]
@@ -163,17 +180,8 @@ fn default_surface_build_is_bit_identical_to_the_sorting_kernel_at_every_thread_
         })
         .unwrap();
         assert!(cal.ensure_surface_for(M).unwrap());
-        let entries = cal.export_cache();
-        let mut bytes = Vec::with_capacity(entries.len() * 28);
-        for e in &entries {
-            bytes.extend_from_slice(&e.m.to_le_bytes());
-            bytes.extend_from_slice(&(e.k as u64).to_le_bytes());
-            bytes.extend_from_slice(&e.p_bucket_index.to_le_bytes());
-            bytes.extend_from_slice(&e.confidence_millis.to_le_bytes());
-            bytes.extend_from_slice(&e.epsilon.to_bits().to_le_bytes());
-        }
         assert_eq!(
-            (entries.len(), fnv1a(&bytes)),
+            cache_fingerprint(&cal),
             (36_582, 0xe2a0_583b_f539_a6b6),
             "threads={threads}"
         );
@@ -187,21 +195,33 @@ fn the_rows_a_default_boot_holds_fit_in_a_mebibyte() {
     // k_min that a multi-test can ask for, k = 10..32 — 35 jobs, 35 rows
     // of 201 × 14 thresholds. As one hash entry per threshold the same
     // 98 490 values took ≈ 4.1 MiB.
-    let cal = ThresholdCalibrator::new(CalibrationConfig {
-        threads: 2,
-        surface: Some(SurfaceParams::default()),
-        ..CalibrationConfig::default()
-    })
-    .unwrap();
-    assert!(cal.ensure_surface_for(M).unwrap());
-    let below: Vec<usize> = (10..SurfaceParams::default().k_min).collect();
-    cal.fill_rows(M, &below).unwrap();
-    cal.fill_rows(M, &below).unwrap(); // every row is held by now: no job
-    assert_eq!((cal.stats().oracle_jobs, cal.cache_stats()), (35, (0, 35)));
-    assert_eq!((cal.export_rows().len(), cal.cache_len()), (35, 98_490));
-    // What `hp_calibration_cache_bytes` reports, with 64 B a row on top
-    // for its reference counts and its slot in the map.
-    let bytes = cal.cache_bytes() + 35 * 64;
-    assert!(bytes <= 1 << 20, "{bytes} B in 35 rows");
-    assert!(bytes >= 98_490 * 8, "{bytes} B cannot hold 98 490 thresholds");
+    for threads in [1usize, 2] {
+        let cal = ThresholdCalibrator::new(CalibrationConfig {
+            threads,
+            surface: Some(SurfaceParams::default()),
+            ..CalibrationConfig::default()
+        })
+        .unwrap();
+        assert!(cal.ensure_surface_for(M).unwrap());
+        let below: Vec<usize> = (10..SurfaceParams::default().k_min).collect();
+        cal.fill_rows(M, &below).unwrap();
+        cal.fill_rows(M, &below).unwrap(); // every row is held by now: no job
+        assert_eq!((cal.stats().oracle_jobs, cal.cache_stats()), (35, (0, 35)));
+        assert_eq!((cal.export_rows().len(), cal.cache_len()), (35, 98_490));
+        // All 35 rows, bit for bit, as computed at PR 26's parent: the 22
+        // below k_min are what every short-history verdict reads.
+        assert_eq!(
+            cache_fingerprint(&cal),
+            (98_490, 0x5b5e_72de_5879_533a),
+            "threads={threads}"
+        );
+        // What `hp_calibration_cache_bytes` reports, with 64 B a row on top
+        // for its reference counts and its slot in the map.
+        let bytes = cal.cache_bytes() + 35 * 64;
+        assert!(bytes <= 1 << 20, "{bytes} B in 35 rows");
+        assert!(
+            bytes >= 98_490 * 8,
+            "{bytes} B cannot hold 98 490 thresholds"
+        );
+    }
 }

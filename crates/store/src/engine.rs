@@ -8,7 +8,7 @@
 //! dictionary-encoded issuer column the online service runs — beside a
 //! time column this engine owns, because a store hands back exact records
 //! and the service's histories keep no timestamps. Per transaction an 8 B
-//! time, a 4 B issuer code and 2 bits, plus ~21–27 B per distinct issuer —
+//! time, a 2 B issuer code and 2 bits, plus ~8 B per distinct issuer —
 //! instead of the 48 B per transaction of a materialized `Vec<Feedback>`.
 
 use hp_core::{Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory};
