@@ -88,7 +88,7 @@ fn batch(start_t: u64, len: usize) -> Vec<Feedback> {
 }
 
 /// One edge-shaped `/ingest` request: the store's enabled check, the
-/// traced batch ingest, and (spans on) a parse/dispatch tree recorded —
+/// batch ingest, and (spans on) a parse/dispatch tree recorded —
 /// the same stages the edge stitches around a real request body.
 fn edge_shaped_ingest(service: &ReputationService, store: &SpanStore, t: &mut u64) {
     let feedbacks = batch(*t, INGEST_BATCH);
@@ -96,13 +96,13 @@ fn edge_shaped_ingest(service: &ReputationService, store: &SpanStore, t: &mut u6
     let enabled = store.enabled();
     let trace = if enabled { next_trace_id() } else { 0 };
     let t0 = enabled.then(Instant::now);
-    let outcome = service.ingest_batch_traced(feedbacks, trace).unwrap();
+    let outcome = service.ingest_batch(feedbacks).unwrap();
     if let Some(t0) = t0 {
         let mut builder = SpanBuilder::new_at(trace, "/ingest", t0);
         let dispatched = builder.offset_ns(Instant::now());
         builder.add_ns("parse", 0, dispatched, "feedbacks=1024");
         builder.add_ns("dispatch", dispatched, 0, "shard channel send");
-        store.record(builder.finish(0, "accepted=1024 shed=0"));
+        store.record(builder.finish("accepted=1024 shed=0"));
     }
     black_box(outcome);
 }
@@ -130,10 +130,14 @@ fn edge_shaped_assess(service: &ReputationService, store: &SpanStore, server: u6
                 "compute",
                 start + t.queue_wait_ns,
                 t.compute_ns,
-                if t.from_cache { "cache_hit=true" } else { "cache_hit=false" },
+                if t.from_cache {
+                    "cache_hit=true"
+                } else {
+                    "cache_hit=false"
+                },
             );
         }
-        store.record(builder.finish(0, "verdict=bench"));
+        store.record(builder.finish("verdict=bench"));
     }
     black_box(outcome);
 }
@@ -188,9 +192,21 @@ fn main() {
     }
     let ingest_ops = BATCHES_PER_SAMPLE as u64;
     let ingest_pairs = (ingest_base_ns.clone(), ingest_on_ns.clone());
-    rows.push(Row::from_samples("ingest/baseline", ingest_ops, ingest_base_ns));
-    rows.push(Row::from_samples("ingest/spans_disabled", ingest_ops, ingest_off_ns));
-    rows.push(Row::from_samples("ingest/spans_enabled", ingest_ops, ingest_on_ns));
+    rows.push(Row::from_samples(
+        "ingest/baseline",
+        ingest_ops,
+        ingest_base_ns,
+    ));
+    rows.push(Row::from_samples(
+        "ingest/spans_disabled",
+        ingest_ops,
+        ingest_off_ns,
+    ));
+    rows.push(Row::from_samples(
+        "ingest/spans_enabled",
+        ingest_ops,
+        ingest_on_ns,
+    ));
 
     // Assess trio: single cache-hit assessments, the worst-case
     // denominator for per-request span cost.
@@ -237,7 +253,7 @@ fn main() {
             builder.add_ns("compute", start + 2_800, 5_000, "cache_hit=true");
             builder.add_ns("reply_path", start + 7_800, 900, "channel send/recv");
             builder.add_ns("write", start + 8_700, 1_200, "status=200");
-            enabled.record(builder.finish(0, "verdict=accepted"));
+            enabled.record(builder.finish("verdict=accepted"));
         }
     }));
     rows.push(measure("span/disabled_check", SAMPLES, ops, || {

@@ -111,9 +111,7 @@ pub fn wait_for_request(
             Ok(0) => return Err(RecvError::Closed),
             Ok(_) => return Ok(()),
             Err(e) if is_timeout(&e) => continue,
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                return Err(RecvError::Closed)
-            }
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Err(RecvError::Closed),
             Err(e) => return Err(RecvError::Io(e)),
         }
     }
@@ -191,15 +189,17 @@ fn read_some(
 }
 
 fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Index just past the head (before the blank-line terminator), if the
-/// terminator has arrived. Accepts `\r\n\r\n` and bare `\n\n`.
+/// terminator has arrived. Accepts `\r\n\r\n` and bare `\n\n`, whichever
+/// comes first: the body of a bare-LF head may hold a CRLF blank line.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n"))
+    (0..buf.len()).find(|&i| buf[i..].starts_with(b"\r\n\r\n") || buf[i..].starts_with(b"\n\n"))
 }
 
 fn head_terminator_len(buf: &[u8], end: usize) -> usize {
@@ -212,8 +212,7 @@ fn head_terminator_len(buf: &[u8], end: usize) -> usize {
 
 /// Parses the request line and the headers the edge understands.
 fn parse_head(head: &[u8]) -> Result<(Request, usize), RecvError> {
-    let head = std::str::from_utf8(head)
-        .map_err(|_| RecvError::Malformed("head is not UTF-8"))?;
+    let head = std::str::from_utf8(head).map_err(|_| RecvError::Malformed("head is not UTF-8"))?;
     let mut lines = head.split("\r\n").flat_map(|l| l.split('\n'));
     let request_line = lines.next().ok_or(RecvError::Malformed("empty head"))?;
     let mut parts = request_line.split(' ');
@@ -235,7 +234,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), RecvError> {
         return Err(RecvError::Malformed("bad request line"));
     }
 
-    let mut declared_len = 0usize;
+    let mut declared_len = None;
     let mut keep_alive = true;
     let mut trace = 0u64;
     for line in lines {
@@ -247,9 +246,14 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), RecvError> {
             .ok_or(RecvError::Malformed("bad header line"))?;
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            declared_len = value
-                .parse::<usize>()
-                .map_err(|_| RecvError::Malformed("bad content-length"))?;
+            // Digits only (RFC 9110: no sign), and a repeat must agree.
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            let len = value.parse::<usize>().ok().filter(|_| digits);
+            let len = len.ok_or(RecvError::Malformed("bad content-length"))?;
+            if declared_len.is_some_and(|seen| seen != len) {
+                return Err(RecvError::Malformed("conflicting content-length"));
+            }
+            declared_len = Some(len);
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("x-hp-trace") {
@@ -268,7 +272,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), RecvError> {
             keep_alive,
             trace,
         },
-        declared_len,
+        declared_len.unwrap_or(0),
     ))
 }
 
@@ -325,6 +329,8 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn parse(head: &str) -> Result<(Request, usize), RecvError> {
         parse_head(head.as_bytes())
@@ -367,6 +373,9 @@ mod tests {
             "POST /ingest HTTP/1.1\r\ncontent-length: banana",
             "POST /ingest HTTP/1.1\r\nno-colon-header",
             "POST /ingest HTTP/1.1\r\ntransfer-encoding: chunked",
+            "POST /ingest HTTP/1.1\r\ncontent-length: +5",
+            "POST /ingest HTTP/1.1\r\ncontent-length: -0",
+            "POST /ingest HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 6",
         ] {
             assert!(
                 matches!(parse(head), Err(RecvError::Malformed(_))),
@@ -380,7 +389,10 @@ mod tests {
         let (req, _) = parse("GET /assess/7 HTTP/1.1\r\nx-hp-trace: 00000000000000ab").unwrap();
         assert_eq!(req.trace, 0xab);
         let (req, _) = parse("GET /assess/7 HTTP/1.1\r\nX-HP-Trace: DEADBEEF").unwrap();
-        assert_eq!(req.trace, 0xdead_beef, "header name and hex are case-insensitive");
+        assert_eq!(
+            req.trace, 0xdead_beef,
+            "header name and hex are case-insensitive"
+        );
         // Malformed or zero trace IDs never reject the request.
         for bad in ["banana", "0", "", "00000000000000000ab"] {
             let (req, _) = parse(&format!("GET / HTTP/1.1\r\nx-hp-trace: {bad}")).unwrap();
@@ -397,9 +409,94 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_content_length_must_agree() {
+        let head = "POST /ingest HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 5";
+        assert_eq!(parse(head).unwrap().1, 5);
+    }
+
+    #[test]
     fn find_head_end_handles_both_terminators() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nBODY"), Some(14));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nBODY"), Some(14));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+        // The earliest terminator ends the head, whatever the body holds.
+        assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nA\r\n\r\nB"), Some(14));
+    }
+
+    /// A plausible head: one to six lines, each drawn from what the
+    /// parser understands or from arbitrary bytes, joined by CRLF or bare
+    /// LF. No line is empty or holds a CR or LF, so the head holds no
+    /// terminator of its own.
+    fn head() -> impl Strategy<Value = Vec<u8>> {
+        const LINES: [&str; 10] = [
+            "GET /assess/7 HTTP/1.1",
+            "POST /ingest HTTP/1.0",
+            "content-length: 5",
+            "Content-Length: +5",
+            "content-length: 18446744073709551616",
+            "connection: close",
+            "x-hp-trace: beef",
+            "transfer-encoding: chunked",
+            "host: x",
+            "no-colon",
+        ];
+        let line =
+            (0..LINES.len() + 2, vec(any::<u8>(), 0..12)).prop_map(|(pick, raw)| {
+                match LINES.get(pick) {
+                    Some(line) => line.as_bytes().to_vec(),
+                    None => {
+                        let raw = raw
+                            .into_iter()
+                            .map(|b| if b"\r\n".contains(&b) { b'~' } else { b });
+                        std::iter::once(b'~').chain(raw).collect()
+                    }
+                }
+            });
+        (vec(line, 1..7), any::<bool>())
+            .prop_map(|(lines, crlf)| lines.join(if crlf { &b"\r\n"[..] } else { &b"\n"[..] }))
+    }
+
+    proptest! {
+        /// A head ends at its own terminator whatever body bytes follow —
+        /// even a body holding the other terminator — so it parses the
+        /// same; and any bytes, or a head cut, flipped or grown anywhere,
+        /// read as a head give a request or `Malformed`, never a panic.
+        #[test]
+        fn parse_head_survives_hostile_bytes(
+            head in head(),
+            crlf in any::<bool>(),
+            body in (vec(any::<u8>(), 0..24), any::<usize>(), any::<bool>()),
+            mangle in (0u8..4, any::<usize>(), any::<u8>()),
+            raw in vec(any::<u8>(), 0..64),
+        ) {
+            let verdict = |bytes: &[u8]| format!("{:?}", parse_head(bytes));
+            let (term, other): (&[u8], &[u8]) =
+                if crlf { (b"\r\n\r\n", b"\n\n") } else { (b"\n\n", b"\r\n\r\n") };
+            let (mut body, at, blank) = body;
+            if blank {
+                let at = at % (body.len() + 1);
+                body.splice(at..at, other.iter().copied());
+            }
+            let mut buf = [&head[..], term, &body].concat();
+            prop_assert_eq!(find_head_end(&buf), Some(head.len()));
+            prop_assert_eq!(&buf[head.len() + head_terminator_len(&buf, head.len())..], &body[..]);
+
+            let (kind, at, byte) = mangle;
+            match kind {
+                0 => buf.truncate(at % (buf.len() + 1)),
+                1 => {
+                    let at = at % buf.len();
+                    buf[at] ^= byte.max(1);
+                }
+                _ => buf.insert(at % (buf.len() + 1), byte),
+            }
+            let head = &buf[..find_head_end(&buf).unwrap_or(buf.len())];
+            for bytes in [head, &buf[..], &raw[..]] {
+                prop_assert!(
+                    matches!(parse_head(bytes), Ok(_) | Err(RecvError::Malformed(_))),
+                    "{}", verdict(bytes)
+                );
+            }
+        }
     }
 }

@@ -23,11 +23,11 @@ pub const STATUSES: [u16; 12] = [200, 400, 404, 405, 408, 413, 422, 429, 431, 50
 pub const ROUTES: [&str; 4] = ["/ingest", "/assess", "/assess_traced", "/assess_batch"];
 
 /// Every family the edge itself adds to `/metrics`, in exposition order:
-/// [`EdgeMetrics::render_prometheus`] writes the first eight, then come
+/// [`EdgeMetrics::render_prometheus`] writes the first seven, then come
 /// the SLO monitor's own, then the server appends the two span-store
 /// counters that close the list.
 #[rustfmt::skip]
-pub const FAMILIES: [Family; 10] = [
+pub const FAMILIES: [Family; 9] = [
     Family::counter("hp_edge_connections_accepted_total", "Connections accepted and served."),
     Family::counter("hp_edge_connections_refused_total", "Connections refused by admission control."),
     Family::counter("hp_edge_responses_total", "Responses sent, by status code."),
@@ -35,7 +35,6 @@ pub const FAMILIES: [Family; 10] = [
     Family::counter("hp_edge_served_while_draining_total", "Requests answered after drain began."),
     Family::histogram("hp_edge_request_duration_seconds", "Client-observed request duration by route, first header byte to last response byte"),
     Family::gauge("hp_edge_build_info", "Edge build information (constant 1)."),
-    Family::gauge("hp_edge_state", "Edge lifecycle state (0=warming, 1=ready, 2=draining)."),
     Family::counter("hp_edge_spans_recorded_total", "Completed span trees recorded."),
     Family::counter("hp_edge_spans_evicted_total", "Span trees evicted from the recent ring."),
 ];
@@ -100,20 +99,27 @@ impl EdgeMetrics {
 
     /// Renders the edge counters in Prometheus text exposition format
     /// (appended after the service's own `render_prometheus` output).
-    pub fn render_prometheus(&self, state: &str) -> String {
-        let [accepted, refused, responses, rejects, draining, duration, build, lifecycle, ..] =
-            &FAMILIES;
+    pub fn render_prometheus(&self) -> String {
+        let [accepted, refused, responses, rejects, draining, duration, build, ..] = &FAMILIES;
         let mut out = String::with_capacity(1024);
         let one = |counter: &AtomicU64| [("", counter.load(Ordering::Relaxed))];
         render_scalar_family(&mut out, accepted, one(&self.connections_accepted));
         render_scalar_family(&mut out, refused, one(&self.connections_refused));
         let by_status = STATUSES.iter().zip(&self.responses);
-        let by_status = by_status.map(|(s, n)| (format!("status=\"{s}\""), n.load(Ordering::Relaxed)));
+        let by_status =
+            by_status.map(|(s, n)| (format!("status=\"{s}\""), n.load(Ordering::Relaxed)));
         render_scalar_family(&mut out, responses, by_status);
         render_scalar_family(&mut out, rejects, one(&self.protocol_rejects));
         render_scalar_family(&mut out, draining, one(&self.served_while_draining));
-        let snapshots: Vec<_> = self.route_latency.iter().map(LatencyHistogram::snapshot).collect();
-        let by_route = ROUTES.iter().zip(&snapshots).map(|(r, h)| (format!("route=\"{r}\""), h));
+        let snapshots: Vec<_> = self
+            .route_latency
+            .iter()
+            .map(LatencyHistogram::snapshot)
+            .collect();
+        let by_route = ROUTES
+            .iter()
+            .zip(&snapshots)
+            .map(|(r, h)| (format!("route=\"{r}\""), h));
         render_latency_family(&mut out, duration, by_route);
         let labels = format!(
             "version=\"{}\",git=\"{}\"",
@@ -121,12 +127,6 @@ impl EdgeMetrics {
             option_env!("HP_GIT_HASH").unwrap_or("unknown"),
         );
         render_scalar_family(&mut out, build, [(labels, 1)]);
-        let numeric = match state {
-            "warming" => 0,
-            "ready" => 1,
-            _ => 2,
-        };
-        render_scalar_family(&mut out, lifecycle, [("", numeric)]);
         out
     }
 }
@@ -152,14 +152,11 @@ mod tests {
     fn exposition_contains_every_status_series() {
         let m = EdgeMetrics::default();
         m.record_response(503);
-        let text = m.render_prometheus("ready");
+        let text = m.render_prometheus();
         for status in STATUSES {
             assert!(text.contains(&format!("status=\"{status}\"")));
         }
         assert!(text.contains("hp_edge_responses_total{status=\"503\"} 1"));
-        assert!(text.contains("hp_edge_state 1"));
-        assert!(m.render_prometheus("warming").contains("hp_edge_state 0"));
-        assert!(m.render_prometheus("draining").contains("hp_edge_state 2"));
     }
 
     /// FNV-1a (the pinned-bytes fingerprint).
@@ -174,6 +171,8 @@ mod tests {
     /// build, dropped), as computed at the commit that still wrote every
     /// `# HELP` / `# TYPE` line by hand (PR 21's parent): declaring the
     /// families as rows must not move a byte of what a scraper reads.
+    /// Re-derived since as that render (9 006 bytes) minus the
+    /// `hp_edge_state` block, the one family deleted.
     #[test]
     fn edge_and_slo_exposition_bytes_are_pinned() {
         use hp_service::obs::{SloMonitor, SloObjectives};
@@ -202,7 +201,7 @@ mod tests {
             slo.record_assess(Duration::from_millis(50));
         }
         slo.record_ingest(900, 100);
-        let mut text = m.render_prometheus("ready");
+        let mut text = m.render_prometheus();
         slo.render_prometheus(&mut text);
         let pinned: String = text
             .lines()
@@ -211,7 +210,7 @@ mod tests {
             .collect();
         assert_eq!(
             (pinned.len(), fnv1a(pinned.as_bytes())),
-            (9_006, 0xa64f_a09c_cb81_43b6),
+            (8_887, 0x89d2_526b_e531_dbc4),
             "{pinned}"
         );
     }
@@ -225,7 +224,7 @@ mod tests {
         assert_eq!(m.route_count("/assess"), 1);
         assert_eq!(m.route_count("/ingest"), 1);
         assert_eq!(m.route_count("/not-a-route"), 0);
-        let text = m.render_prometheus("ready");
+        let text = m.render_prometheus();
         assert!(
             text.contains("hp_edge_request_duration_seconds_bucket{route=\"/assess\""),
             "{text}"

@@ -38,9 +38,9 @@
 //! are enabled the worker assembles a [`hp_service::obs::SpanTree`] per
 //! request (admission wait, edge read, shard queue wait, compute, write)
 //! from instants it already holds plus the stage timings the shard sends
-//! back on the reply channel, and the same ID is stamped onto shard-side
-//! trace events and latency-histogram exemplars. Completed trees land in
-//! the [`SpanStore`] behind `GET /debug/slow` and
+//! back on the reply channel, and the same ID is stamped onto
+//! latency-histogram exemplars. Completed trees land in the
+//! [`SpanStore`] behind `GET /debug/slow` and
 //! `GET /debug/trace/{id}`. With spans disabled, the per-request cost of
 //! the subsystem is one branch.
 
@@ -329,11 +329,7 @@ impl EdgeServer {
 }
 
 /// Accepts connections and applies admission control.
-fn acceptor_loop(
-    listener: &TcpListener,
-    conn_tx: &Sender<(TcpStream, Instant)>,
-    shared: &Shared,
-) {
+fn acceptor_loop(listener: &TcpListener, conn_tx: &Sender<(TcpStream, Instant)>, shared: &Shared) {
     while !shared.stop_accepting.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -495,7 +491,12 @@ impl RequestObs {
         };
         if let Some(b) = builder.as_mut() {
             if let Some((accepted, dequeued)) = admitted {
-                b.add("admission_wait", accepted, dequeued, "bounded connection channel");
+                b.add(
+                    "admission_wait",
+                    accepted,
+                    dequeued,
+                    "bounded connection channel",
+                );
             }
             b.add(
                 "edge_read",
@@ -546,12 +547,19 @@ impl RequestObs {
         timings: Option<&AssessTimings>,
     ) {
         self.slo_assess = true;
-        let Some(b) = self.builder.as_mut() else { return };
+        let Some(b) = self.builder.as_mut() else {
+            return;
+        };
         match timings {
             Some(t) => {
                 let call_ns = call_end.saturating_duration_since(call_start).as_nanos() as u64;
                 let start = b.offset_ns(call_start);
-                b.add_ns("queue_wait", start, t.queue_wait_ns, format!("shard={shard}"));
+                b.add_ns(
+                    "queue_wait",
+                    start,
+                    t.queue_wait_ns,
+                    format!("shard={shard}"),
+                );
                 b.add_ns(
                     "compute",
                     start + t.queue_wait_ns,
@@ -589,12 +597,7 @@ impl RequestObs {
         }
         if let Some(mut builder) = self.builder.take() {
             builder.add("write", write_start, write_end, format!("status={status}"));
-            // The tracer's monotone sequence orders this tree against
-            // shard trace events carrying the same trace ID.
-            let seq = shared
-                .service()
-                .map_or(0, |service| service.metrics().tracer().stamp());
-            shared.spans.record(builder.finish(seq, self.verdict));
+            shared.spans.record(builder.finish(self.verdict));
         }
     }
 }
@@ -623,11 +626,9 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
             Err(e) => {
                 let reply = match e {
                     RecvError::Closed | RecvError::Idle | RecvError::Io(_) => return,
-                    RecvError::Timeout => Reply::error(
-                        408,
-                        "timeout",
-                        "request head or body not delivered in time",
-                    ),
+                    RecvError::Timeout => {
+                        Reply::error(408, "timeout", "request head or body not delivered in time")
+                    }
                     RecvError::HeadTooLarge => {
                         Reply::error(431, "head_too_large", "request head exceeds the cap")
                     }
@@ -636,13 +637,22 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
                     }
                     RecvError::Malformed(reason) => Reply::error(400, "malformed", reason),
                 };
-                shared.metrics.protocol_rejects.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .protocol_rejects
+                    .fetch_add(1, Ordering::Relaxed);
                 write_reply(&mut stream, shared, &reply, false, &[]);
                 return;
             }
         };
 
-        let mut obs = RequestObs::begin(&request, shared, admitted.take(), first_byte, Instant::now());
+        let mut obs = RequestObs::begin(
+            &request,
+            shared,
+            admitted.take(),
+            first_byte,
+            Instant::now(),
+        );
         let reply = route(&request, shared, &mut obs);
         let keep_alive = request.keep_alive && !draining();
         if draining() {
@@ -652,7 +662,7 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
                 .fetch_add(1, Ordering::Relaxed);
         }
         // Echo the trace ID so clients can correlate their observation
-        // with `/debug/trace/{id}` and the shard trace events.
+        // with `/debug/trace/{id}` and the histogram exemplars.
         let extra: Vec<(&str, String)> = if obs.trace != 0 {
             vec![("x-hp-trace", format_trace_id(obs.trace))]
         } else {
@@ -705,10 +715,18 @@ fn route(request: &Request, shared: &Shared, obs: &mut RequestObs) -> Reply {
         }
         // Known paths with the wrong method get 405, the rest 404.
         (_, "/healthz" | "/metrics" | "/ingest" | "/assess" | "/version" | "/debug/slow") => {
-            Reply::error(405, "method_not_allowed", "see the endpoint table in DESIGN.md")
+            Reply::error(
+                405,
+                "method_not_allowed",
+                "see the endpoint table in DESIGN.md",
+            )
         }
         (_, path) if path.starts_with("/assess") || path.starts_with("/debug/trace/") => {
-            Reply::error(405, "method_not_allowed", "assessments and traces are GET requests")
+            Reply::error(
+                405,
+                "method_not_allowed",
+                "assessments and traces are GET requests",
+            )
         }
         _ => Reply::error(404, "not_found", "unknown endpoint"),
     }
@@ -719,7 +737,11 @@ fn route(request: &Request, shared: &Shared, obs: &mut RequestObs) -> Reply {
 fn with_service(shared: &Shared, f: impl FnOnce(Arc<ReputationService>) -> Reply) -> Reply {
     match shared.service() {
         Some(service) => f(service),
-        None => Reply::error(503, "warming", "service is still calibrating; poll /healthz"),
+        None => Reply::error(
+            503,
+            "warming",
+            "service is still calibrating; poll /healthz",
+        ),
     }
 }
 
@@ -757,9 +779,10 @@ fn health(shared: &Shared) -> Reply {
         }
         // Warming: not ready, but say how far recovery has come so a
         // hung boot is distinguishable from a long journal replay.
-        _ if state == "warming" => {
-            Reply::json(503, wire::render_warming_health(state, &shared.boot.status()))
-        }
+        _ if state == "warming" => Reply::json(
+            503,
+            wire::render_warming_health(state, &shared.boot.status()),
+        ),
         // Draining: not ready for traffic, says so.
         _ => Reply::json(503, wire::render_health(state, 0, 0, 0, 0, (0, 0, 0), None)),
     }
@@ -770,7 +793,7 @@ fn metrics(shared: &Shared) -> Reply {
         .service()
         .map(|s| s.render_prometheus())
         .unwrap_or_default();
-    text.push_str(&shared.metrics.render_prometheus(shared.state_name()));
+    text.push_str(&shared.metrics.render_prometheus());
     shared.slo.render_prometheus(&mut text);
     let [.., recorded, evicted] = &FAMILIES;
     render_scalar_family(&mut text, recorded, [("", shared.spans.recorded())]);
@@ -791,7 +814,9 @@ fn version(shared: &Shared) -> Reply {
         200,
         wire::render_version(
             shared.state_name(),
-            labels.as_ref().map(|(trust, shards)| (trust.as_str(), *shards)),
+            labels
+                .as_ref()
+                .map(|(trust, shards)| (trust.as_str(), *shards)),
         ),
     )
 }
@@ -825,7 +850,10 @@ fn ingest(
     let feedbacks = match wire::parse_feedback_body(&request.body) {
         Ok(feedbacks) => feedbacks,
         Err(e) => {
-            shared.metrics.protocol_rejects.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .protocol_rejects
+                .fetch_add(1, Ordering::Relaxed);
             return Reply::error(
                 400,
                 "bad_feedback",
@@ -834,20 +862,25 @@ fn ingest(
         }
     };
     let parse_done = Instant::now();
-    obs.span("parse", parse_start, parse_done, format!("feedbacks={}", feedbacks.len()));
-    match service.ingest_batch_traced(feedbacks, obs.trace) {
+    obs.span(
+        "parse",
+        parse_start,
+        parse_done,
+        format!("feedbacks={}", feedbacks.len()),
+    );
+    match service.ingest_batch(feedbacks) {
         Ok(outcome) => {
             shared
                 .slo
                 .record_ingest(outcome.accepted as u64, outcome.shed as u64);
             // Journal append, fsync, and batch apply happen behind the
-            // shard channel after this span closes; they surface as
-            // shard trace events stamped with this request's trace ID.
+            // shard channel after this span closes; the ingest-side
+            // histograms time them.
             obs.span(
                 "dispatch",
                 parse_done,
                 Instant::now(),
-                "shard channel send; journal/fsync/apply are async under this trace id",
+                "shard channel send; journal/fsync/apply are async",
             );
             obs.verdict = format!("accepted={} shed={}", outcome.accepted, outcome.shed);
             // Shedding under Shed/TryFor backpressure is not an internal
@@ -999,7 +1032,12 @@ fn assess_batch(request: &Request, service: &ReputationService, obs: &mut Reques
         }
     }
     let parse_done = Instant::now();
-    obs.span("parse", parse_start, parse_done, format!("servers={}", servers.len()));
+    obs.span(
+        "parse",
+        parse_start,
+        parse_done,
+        format!("servers={}", servers.len()),
+    );
     match service.assess_many_traced(&servers, obs.trace) {
         Ok(answers) => {
             obs.span(

@@ -219,7 +219,10 @@ pub fn render_traced(traced: &TracedAssessment) -> String {
 /// objects, errors rendered in place so one failed server does not
 /// sink the batch.
 pub fn render_batch(
-    answers: &[(ServerId, Result<std::sync::Arc<Assessment>, hp_core::CoreError>)],
+    answers: &[(
+        ServerId,
+        Result<std::sync::Arc<Assessment>, hp_core::CoreError>,
+    )],
 ) -> String {
     let mut out = String::from("[");
     for (idx, (server, answer)) in answers.iter().enumerate() {
@@ -344,7 +347,10 @@ pub fn render_slow(slowest: &[(&'static str, Vec<Arc<SpanTree>>)]) -> String {
         if idx > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"endpoint\":\"{}\",\"slowest\":[", escape(endpoint)));
+        out.push_str(&format!(
+            "{{\"endpoint\":\"{}\",\"slowest\":[",
+            escape(endpoint)
+        ));
         for (tdx, tree) in trees.iter().enumerate() {
             if tdx > 0 {
                 out.push(',');
@@ -408,9 +414,7 @@ pub fn json_raw<'a>(body: &'a str, key: &str) -> Option<&'a str> {
         let end = stripped.find('"')?;
         Some(&stripped[..end])
     } else {
-        let end = rest
-            .find([',', '}', ']'])
-            .unwrap_or(rest.len());
+        let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
         Some(rest[..end].trim())
     }
 }
@@ -435,12 +439,24 @@ pub fn json_str<'a>(body: &'a str, key: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn feedback_body_round_trips() {
         let feedbacks = vec![
-            Feedback::new(0, ServerId::new(1), ClientId::new(2), Rating::from_good(true)),
-            Feedback::new(1, ServerId::new(1), ClientId::new(3), Rating::from_good(false)),
+            Feedback::new(
+                0,
+                ServerId::new(1),
+                ClientId::new(2),
+                Rating::from_good(true),
+            ),
+            Feedback::new(
+                1,
+                ServerId::new(1),
+                ClientId::new(3),
+                Rating::from_good(false),
+            ),
         ];
         let mut body = String::from("# header comment\n\n");
         for f in &feedbacks {
@@ -469,6 +485,49 @@ mod tests {
             assert_eq!(err.line, line, "body {:?}", std::str::from_utf8(body));
         }
         assert_eq!(parse_feedback_body(b"\xff\xfe").unwrap_err().line, 0);
+    }
+
+    proptest! {
+        /// A rendered body parses back to the feedbacks it was rendered
+        /// from; cut, flipped or grown anywhere, it parses, or its error
+        /// names a line the body has (0 for a body that is not UTF-8) —
+        /// and it never panics.
+        #[test]
+        fn parse_feedback_body_survives_hostile_bytes(
+            records in vec((any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()), 0..12),
+            small in any::<bool>(),
+            mangle in (0u8..3, any::<usize>(), any::<u8>()),
+        ) {
+            let feedbacks: Vec<Feedback> = records
+                .into_iter()
+                .map(|(time, server, client, good)| {
+                    // Short numbers too, so a cut or flip can leave a digit.
+                    let id = |raw: u64| if small { raw % 100 } else { raw };
+                    let (server, client) = (ServerId::new(id(server)), ClientId::new(id(client)));
+                    Feedback::new(id(time), server, client, Rating::from_good(good))
+                })
+                .collect();
+            let mut body = String::new();
+            for feedback in &feedbacks {
+                render_feedback_line(&mut body, feedback);
+            }
+            prop_assert_eq!(parse_feedback_body(body.as_bytes()), Ok(feedbacks));
+
+            let mut bytes = body.into_bytes();
+            let (kind, at, byte) = mangle;
+            match kind {
+                0 => bytes.truncate(at % (bytes.len() + 1)),
+                1 if !bytes.is_empty() => {
+                    let at = at % bytes.len();
+                    bytes[at] ^= byte.max(1);
+                }
+                _ => bytes.insert(at % (bytes.len() + 1), byte),
+            }
+            let lines = bytes.split(|&b| b == b'\n').count();
+            if let Err(e) = parse_feedback_body(&bytes) {
+                prop_assert!(e.line <= lines, "line {} of {lines}: {}", e.line, e.reason);
+            }
+        }
     }
 
     #[test]
@@ -534,7 +593,10 @@ mod tests {
             trust.to_bits()
         );
         assert_eq!(json_f64_bits(&body, "trust"), Some(trust));
-        assert_eq!(json_f64_bits(&body, "trust").unwrap().to_bits(), trust.to_bits());
+        assert_eq!(
+            json_f64_bits(&body, "trust").unwrap().to_bits(),
+            trust.to_bits()
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@ use support::{boot, boot_default, fast_service_config, response_header, TestClie
 fn trace_ids_echo_and_resolve_to_span_trees() {
     let (edge, addr) = boot_default();
     let mut client = TestClient::connect(addr);
-    assert_eq!(client.post("/ingest", b"0,5,1,+\n1,5,2,+\n2,5,3,-\n").0, 200);
+    assert_eq!(
+        client.post("/ingest", b"0,5,1,+\n1,5,2,+\n2,5,3,-\n").0,
+        200
+    );
 
     // A client-supplied trace ID wins and is echoed back zero-padded.
     let (status, head, body) =
@@ -34,7 +37,10 @@ fn trace_ids_echo_and_resolve_to_span_trees() {
     assert!(tree.contains("\"trace\":\"00000000feedcafe\""), "{tree}");
     assert_eq!(wire::json_str(&tree, "endpoint"), Some("/assess"));
     for stage in ["edge_read", "queue_wait", "compute", "write"] {
-        assert!(tree.contains(&format!("\"name\":\"{stage}\"")), "missing {stage}: {tree}");
+        assert!(
+            tree.contains(&format!("\"name\":\"{stage}\"")),
+            "missing {stage}: {tree}"
+        );
     }
     // The tree's detail carries verdict provenance.
     let detail = wire::json_str(&tree, "detail").expect("tree detail");
@@ -107,7 +113,7 @@ fn untraced_requests_get_generated_ids_that_resolve() {
 }
 
 #[test]
-fn merged_exposition_is_lint_clean_with_tracing_families() {
+fn merged_exposition_is_lint_clean_with_span_families() {
     let (edge, addr) = boot_default();
     let mut client = TestClient::connect(addr);
     assert_eq!(client.post("/ingest", b"0,4,1,+\n1,4,2,+\n").0, 200);
@@ -129,10 +135,15 @@ fn merged_exposition_is_lint_clean_with_tracing_families() {
     // every row with its HELP, TYPE and a sample — build identity of
     // both layers and the span-store counters among them.
     let service = METRIC_TABLE.iter().map(|row| row.family);
-    let edge_side = hp_edge::metrics::FAMILIES.into_iter().chain(SloMonitor::FAMILIES);
+    let edge_side = hp_edge::metrics::FAMILIES
+        .into_iter()
+        .chain(SloMonitor::FAMILIES);
     let catalogue: Vec<Family> = service.chain(edge_side).collect();
     let problems = lint_catalogue(&metrics, &catalogue);
-    assert!(problems.is_empty(), "tables vs exposition: {problems:?}\n{metrics}");
+    assert!(
+        problems.is_empty(),
+        "tables vs exposition: {problems:?}\n{metrics}"
+    );
 
     // Queue-wait attribution per shard (tentpole acceptance).
     assert!(
@@ -165,7 +176,10 @@ fn disabled_spans_still_echo_client_ids_but_record_nothing() {
     let (status, head, _body) =
         client.request_with_headers("GET", "/assess/6", &[("x-hp-trace", "aa55")], b"");
     assert_eq!(status, 200);
-    assert_eq!(response_header(&head, "x-hp-trace").as_deref(), Some("000000000000aa55"));
+    assert_eq!(
+        response_header(&head, "x-hp-trace").as_deref(),
+        Some("000000000000aa55")
+    );
 
     // ...but no tree is captured, and no IDs are generated for untraced
     // requests.
@@ -175,7 +189,10 @@ fn disabled_spans_still_echo_client_ids_but_record_nothing() {
     assert!(response_header(&head, "x-hp-trace").is_none());
 
     let (_, metrics) = client.get("/metrics");
-    assert!(metrics.contains("hp_edge_spans_recorded_total 0"), "span store must stay empty");
+    assert!(
+        metrics.contains("hp_edge_spans_recorded_total 0"),
+        "span store must stay empty"
+    );
     // Route latency histograms keep working with spans off.
     assert!(metrics.contains("hp_edge_request_duration_seconds_bucket{route=\"/assess\""));
     edge.drain();

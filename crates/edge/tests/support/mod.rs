@@ -37,10 +37,7 @@ pub fn boot(service_config: ServiceConfig, edge_config: EdgeConfig) -> (EdgeServ
 
 /// Boots an edge with default-ish test configs.
 pub fn boot_default() -> (EdgeServer, SocketAddr) {
-    boot(
-        fast_service_config(),
-        EdgeConfig::default().with_workers(2),
-    )
+    boot(fast_service_config(), EdgeConfig::default().with_workers(2))
 }
 
 /// Sends raw bytes on a fresh connection and returns everything the

@@ -290,7 +290,6 @@ pub struct ServiceConfig {
     snapshots: Option<SnapshotPolicy>,
     tiering: Option<TieringPolicy>,
     supervision: SupervisionConfig,
-    tracing: bool,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<FaultPlan>,
 }
@@ -311,7 +310,6 @@ impl Default for ServiceConfig {
             snapshots: None,
             tiering: None,
             supervision: SupervisionConfig::default(),
-            tracing: false,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -444,17 +442,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables structured tracing at start (builder style).
-    ///
-    /// Tracing is off by default; when off, every trace emission path is
-    /// a single relaxed atomic load. It can also be toggled at runtime
-    /// through [`crate::MetricsRegistry`]'s tracer.
-    #[must_use]
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
-        self
-    }
-
     /// Deterministic fault plan for chaos testing (builder style).
     ///
     /// Only available with the `fault-injection` feature.
@@ -504,9 +491,9 @@ impl ServiceConfig {
     /// has folded away. Exposed so replay/equivalence tooling can
     /// reproduce the exact service setup.
     pub fn effective_test(&self) -> BehaviorTestConfig {
-        let threads = self.calibration_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
+        let threads = self
+            .calibration_threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let mut test = self.test.clone().with_calibration_threads(threads);
         if self.calibration_surface.is_some() {
             test = test.with_calibration_surface(self.calibration_surface);
@@ -554,11 +541,6 @@ impl ServiceConfig {
     /// Worker restart/backoff/quarantine policy.
     pub fn supervision(&self) -> SupervisionConfig {
         self.supervision
-    }
-
-    /// Whether structured tracing starts enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
     }
 
     /// The configured fault plan, if any.
@@ -673,7 +655,10 @@ mod tests {
         let effective = auto.effective_test();
         assert!(effective.calibration_threads() >= 1);
         assert_eq!(effective.window_size(), auto.test().window_size());
-        assert_eq!(effective.calibration_trials(), auto.test().calibration_trials());
+        assert_eq!(
+            effective.calibration_trials(),
+            auto.test().calibration_trials()
+        );
 
         let pinned = ServiceConfig::default().with_calibration_threads(Some(3));
         assert_eq!(pinned.effective_test().calibration_threads(), 3);
@@ -686,7 +671,10 @@ mod tests {
     #[test]
     fn calibration_surface_flows_into_effective_test() {
         let default = ServiceConfig::default();
-        assert_eq!(default.calibration_surface(), Some(SurfaceParams::default()));
+        assert_eq!(
+            default.calibration_surface(),
+            Some(SurfaceParams::default())
+        );
         assert_eq!(
             default.effective_test().calibration_surface(),
             Some(SurfaceParams::default())
@@ -704,7 +692,9 @@ mod tests {
         assert_eq!(on.calibration_surface(), Some(params));
         assert_eq!(on.effective_test().calibration_surface(), Some(params));
         on.validate().unwrap();
-        let own = off.clone().with_test(off.test().clone().with_calibration_surface(Some(params)));
+        let own = off
+            .clone()
+            .with_test(off.test().clone().with_calibration_surface(Some(params)));
         assert_eq!(own.effective_test().calibration_surface(), Some(params));
 
         let bad = ServiceConfig::default().with_calibration_surface(Some(SurfaceParams {
@@ -716,10 +706,10 @@ mod tests {
 
     #[test]
     fn builders_round_trip() {
-        let c = ServiceConfig::default();
-        assert!(!c.tracing(), "tracing is off by default");
-        let c = c.with_shards(8).with_queue_capacity(0).with_tracing(true);
-        assert_eq!((c.shards(), c.queue_capacity(), c.tracing()), (8, 0, true));
+        let c = ServiceConfig::default()
+            .with_shards(8)
+            .with_queue_capacity(0);
+        assert_eq!((c.shards(), c.queue_capacity()), (8, 0));
         c.validate().unwrap();
     }
 
@@ -838,7 +828,10 @@ mod tests {
     #[test]
     fn tiering_caps_effective_suffix_grid() {
         let plain = ServiceConfig::default();
-        assert_eq!(plain.effective_test().max_suffix(), plain.test().max_suffix());
+        assert_eq!(
+            plain.effective_test().max_suffix(),
+            plain.test().max_suffix()
+        );
 
         let tiered = ServiceConfig::default().with_tiering(TieringPolicy {
             horizon: 1500,

@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn hit_rate_handles_zero_and_counts() {
-        let mut s = ServiceStats::from_registry(&MetricsRegistry::new(1, 16, false).snapshot());
+        let mut s = ServiceStats::from_registry(&MetricsRegistry::new(1).snapshot());
         assert_eq!(s.cache_hit_rate(), 0.0);
         assert_eq!(s.shed_rate(), 0.0);
         s.cache_hits = 3;
@@ -154,7 +154,7 @@ mod tests {
     /// wrong one, cannot read what its row sums to.
     #[test]
     fn every_named_total_is_the_sum_of_its_row() {
-        let registry = MetricsRegistry::new(2, 16, false);
+        let registry = MetricsRegistry::new(2);
         let calibration = hp_stats::CalibrationStats {
             hits: 9001,
             misses: 9002,
@@ -174,7 +174,12 @@ mod tests {
         let mut stats = ServiceStats::from_registry(&snap);
         for row in METRIC_TABLE {
             if let Some(field) = row.stat {
-                assert_eq!(Some(*field(&mut stats)), row.total(&snap), "{}", row.family.name);
+                assert_eq!(
+                    Some(*field(&mut stats)),
+                    row.total(&snap),
+                    "{}",
+                    row.family.name
+                );
             }
         }
         assert_eq!(stats.ingested_feedbacks, 100 + 5000);
@@ -182,6 +187,6 @@ mod tests {
         assert_eq!(stats.calibration_cache_misses, 9002);
         assert_eq!(stats.calibration_cache_entries, 9007);
         assert_eq!(stats.shard_queue_depths, vec![121, 5063]);
-        assert_eq!(stats.per_shard[1].get(ShardMetric::JournalSyncs), 5033);
+        assert_eq!(stats.per_shard[1].get(ShardMetric::ReplayedRecords), 5033);
     }
 }

@@ -298,7 +298,10 @@ mod tests {
         assert_eq!(trace.verdict, TraceVerdict::Rejected);
         assert_eq!(trace.binding_suffix_len, Some(200));
         assert!((trace.distance.unwrap() - 0.7).abs() < 1e-12);
-        assert!(trace.margin.unwrap() < 0.0, "failed test has negative margin");
+        assert!(
+            trace.margin.unwrap() < 0.0,
+            "failed test has negative margin"
+        );
         assert_eq!(trace.trust, None);
         assert_eq!(trace.suffixes_tested, 3);
     }
@@ -358,7 +361,11 @@ mod tests {
         assert_eq!(trace.margin, None);
         assert_eq!(trace.threshold_provenance, None);
         assert_eq!(trace.suffixes_tested, 0);
-        assert_eq!(trace.binding_suffix_len, Some(30), "longest suffix reported");
+        assert_eq!(
+            trace.binding_suffix_len,
+            Some(30),
+            "longest suffix reported"
+        );
     }
 
     #[test]

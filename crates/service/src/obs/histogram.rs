@@ -104,7 +104,8 @@ impl LatencyHistogram {
         }
         self.buckets[bucket_of(ns)].fetch_add(n, Ordering::Relaxed);
         self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns.saturating_mul(n), Ordering::Relaxed);
+        self.sum_ns
+            .fetch_add(ns.saturating_mul(n), Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -124,25 +125,15 @@ impl LatencyHistogram {
 
     /// A point-in-time copy of the histogram's contents.
     pub fn snapshot(&self) -> LatencySnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (out, bucket) in buckets.iter_mut().zip(&self.buckets) {
-            *out = bucket.load(Ordering::Relaxed);
-        }
-        let mut exemplar_trace = [0u64; BUCKETS];
-        for (out, slot) in exemplar_trace.iter_mut().zip(&self.exemplar_trace) {
-            *out = slot.load(Ordering::Relaxed);
-        }
-        let mut exemplar_ns = [0u64; BUCKETS];
-        for (out, slot) in exemplar_ns.iter_mut().zip(&self.exemplar_ns) {
-            *out = slot.load(Ordering::Relaxed);
-        }
+        let load =
+            |slots: &[AtomicU64; BUCKETS]| slots.each_ref().map(|n| n.load(Ordering::Relaxed));
         LatencySnapshot {
-            buckets,
+            buckets: load(&self.buckets),
             count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
             max_ns: self.max_ns.load(Ordering::Relaxed),
-            exemplar_trace,
-            exemplar_ns,
+            exemplar_trace: load(&self.exemplar_trace),
+            exemplar_ns: load(&self.exemplar_ns),
         }
     }
 }

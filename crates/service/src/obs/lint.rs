@@ -111,9 +111,7 @@ pub fn lint_prometheus(text: &str) -> Vec<String> {
             .find_map(|suffix| {
                 let base = name.strip_suffix(suffix)?;
                 match families.get(base) {
-                    Some((_, Some(kind))) if kind == "histogram" || kind == "summary" => {
-                        Some(base)
-                    }
+                    Some((_, Some(kind))) if kind == "histogram" || kind == "summary" => Some(base),
                     _ => None,
                 }
             })
@@ -194,9 +192,9 @@ pub fn lint_prometheus(text: &str) -> Vec<String> {
                     let count = counts.get(family).and_then(|c| c.get(key));
                     match count {
                         Some(count) if (count - total).abs() < 0.5 => {}
-                        Some(count) => errors.push(format!(
-                            "{label}: _count {count} != +Inf bucket {total}"
-                        )),
+                        Some(count) => {
+                            errors.push(format!("{label}: _count {count} != +Inf bucket {total}"))
+                        }
                         None => errors.push(format!("{label}: missing _count sample")),
                     }
                 }
@@ -218,13 +216,20 @@ pub fn lint_prometheus(text: &str) -> Vec<String> {
 pub fn lint_catalogue(text: &str, catalogue: &[Family]) -> Vec<String> {
     let mut errors = Vec::new();
     for Family { name, help, kind } in catalogue {
-        for header in [format!("# HELP {name} {help}"), format!("# TYPE {name} {kind}")] {
+        for header in [
+            format!("# HELP {name} {help}"),
+            format!("# TYPE {name} {kind}"),
+        ] {
             if !text.lines().any(|line| line == header) {
                 errors.push(format!("missing `{header}`"));
             }
         }
         let bucket = format!("{name}_bucket");
-        let stem = if *kind == Kind::Histogram { bucket.as_str() } else { name };
+        let stem = if *kind == Kind::Histogram {
+            bucket.as_str()
+        } else {
+            name
+        };
         let sample = |line: &str| {
             let rest = line.strip_prefix(stem);
             rest.is_some_and(|rest| rest.starts_with(['{', ' ']))
@@ -328,8 +333,14 @@ hp_a_total 1
 hp_a_total 2
 ";
         let errors = lint_prometheus(dup);
-        assert!(errors.iter().any(|e| e.contains("duplicate HELP")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("duplicate TYPE")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("duplicate HELP")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("duplicate TYPE")),
+            "{errors:?}"
+        );
     }
 
     #[test]
@@ -362,7 +373,10 @@ hp_h_seconds_sum 0.5
 hp_h_seconds_count 5
 ";
         let errors = lint_prometheus(decumulative);
-        assert!(errors.iter().any(|e| e.contains("not cumulative")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("not cumulative")),
+            "{errors:?}"
+        );
         assert!(errors.iter().any(|e| e.contains("_count")), "{errors:?}");
     }
 
@@ -381,6 +395,9 @@ hp_g banana
             errors.iter().any(|e| e.contains("does not end in _total")),
             "{errors:?}"
         );
-        assert!(errors.iter().any(|e| e.contains("not a float")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("not a float")),
+            "{errors:?}"
+        );
     }
 }

@@ -1,6 +1,6 @@
-//! Observability: latency histograms, per-shard metrics, structured
-//! tracing, request-scoped span trees, SLO burn-rate accounting, and the
-//! phase-1 verdict audit trail.
+//! Observability: latency histograms, per-shard metrics, request-scoped
+//! span trees, SLO burn-rate accounting, and the phase-1 verdict audit
+//! trail.
 //!
 //! Everything in this module is dependency-free and lock-free on the hot
 //! path. The pieces:
@@ -11,14 +11,11 @@
 //!   exposition family, which storage, snapshots, both renderings,
 //!   [`crate::ServiceStats`] and the catalogue tests iterate;
 //! * [`MetricsRegistry`] — per-shard counters and gauges unified with the
-//!   histograms and tracer; renders Prometheus text exposition
+//!   histograms; renders Prometheus text exposition
 //!   ([`MetricsRegistry::render_prometheus`]) and a JSON snapshot
 //!   ([`MetricsRegistry::render_json`]). [`render_scalar_family`] and
 //!   [`render_latency_family`] are the only writers of a `HELP` /
 //!   `TYPE` header, for this crate's families and `hp-edge`'s alike;
-//! * [`Tracer`] — bounded per-shard event rings with global sequence
-//!   numbers, off by default, drained on demand so chaos tests can assert
-//!   causal ordering (journal-before-apply);
 //! * [`AssessmentTrace`] — a flat audit record of *why* phase 1 decided,
 //!   derived from the report inside an
 //!   [`Assessment`](hp_core::twophase::Assessment) (never recomputed, so
@@ -38,7 +35,6 @@ mod lint;
 mod registry;
 mod slo;
 mod span;
-mod trace;
 
 pub use audit::{AssessScheme, AssessmentTrace, TraceVerdict, TracedAssessment};
 pub use histogram::{LatencyHistogram, LatencySnapshot, BUCKETS};
@@ -54,4 +50,3 @@ pub use slo::{SloBurns, SloMonitor, SloObjectives, ASSESS_BREACH_BUDGET};
 pub use span::{
     format_trace_id, next_trace_id, parse_trace_id, SpanBuilder, SpanRecord, SpanStore, SpanTree,
 };
-pub use trace::{TraceEvent, TraceKind, Tracer};

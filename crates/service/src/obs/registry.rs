@@ -1,6 +1,6 @@
 //! The unified metrics registry: one declarative metric table, per-shard
-//! scalar storage indexed by it, path latency histograms, and the tracer
-//! under one roof.
+//! scalar storage indexed by it, and path latency histograms under one
+//! roof.
 //!
 //! Shard workers, supervisors, and the service front end all hold an
 //! `Arc<MetricsRegistry>` and write through it; readers pull a coherent
@@ -8,19 +8,17 @@
 //! exposition. [`METRIC_TABLE`] is the catalogue: storage, snapshot,
 //! exposition, the JSON snapshot and [`ServiceStats`]'s totals all iterate
 //! it, so a new per-shard series is one row plus one write site.
-//! Everything here is lock-free on the write path (atomic
-//! counters and histogram buckets); the only lock is inside the trace
-//! rings, which are off by default.
+//! Everything here is lock-free on the write path (atomic counters and
+//! histogram buckets).
 
 use super::audit::AssessmentTrace;
 use super::histogram::{LatencyHistogram, LatencySnapshot};
 use super::span::format_trace_id;
-use super::trace::Tracer;
 use crate::metrics::ServiceStats;
 use hp_stats::CalibrationStats;
+use parking_lot::Mutex;
 use std::fmt::{self, Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// What a family's `TYPE` line says.
@@ -60,17 +58,29 @@ pub struct Family {
 impl Family {
     /// A counter family.
     pub const fn counter(name: &'static str, help: &'static str) -> Family {
-        Family { name, help, kind: Kind::Counter }
+        Family {
+            name,
+            help,
+            kind: Kind::Counter,
+        }
     }
 
     /// A gauge family.
     pub const fn gauge(name: &'static str, help: &'static str) -> Family {
-        Family { name, help, kind: Kind::Gauge }
+        Family {
+            name,
+            help,
+            kind: Kind::Gauge,
+        }
     }
 
     /// A histogram family.
     pub const fn histogram(name: &'static str, help: &'static str) -> Family {
-        Family { name, help, kind: Kind::Histogram }
+        Family {
+            name,
+            help,
+            kind: Kind::Histogram,
+        }
     }
 }
 
@@ -83,9 +93,6 @@ pub(crate) enum Source {
     Shard(ShardMetric, &'static str),
     /// One path's histogram.
     Latency(LatencyPath),
-    /// The same path's pre-computed quantile gauges (Prometheus cannot
-    /// derive exact quantiles from log buckets without recording rules).
-    LatencyQuantiles(LatencyPath),
     /// The per-shard queue-wait histograms.
     QueueWait,
     /// Per-shard busy time / wall time.
@@ -110,7 +117,12 @@ pub struct MetricRow {
 
 impl MetricRow {
     const fn new(family: Family, source: Source) -> MetricRow {
-        MetricRow { family, source, json: "", stat: None }
+        MetricRow {
+            family,
+            source,
+            json: "",
+            stat: None,
+        }
     }
 
     const fn json(mut self, key: &'static str) -> MetricRow {
@@ -138,7 +150,7 @@ impl MetricRow {
 /// enums that index its storage. A `shard` row — `Variant = kind(name[,
 /// tier]), help[, json key][, stat ServiceStats field]` — is one per-shard
 /// series; a `latency` row — `Variant = stem, help` — one path's
-/// `hp_<stem>_latency_seconds` histogram and its quantile gauges.
+/// `hp_<stem>_latency_seconds` histogram.
 macro_rules! metric_table {
     (shard { $($variant:ident = $kind:ident($name:literal $(, $tier:literal)?), $help:literal
                $(, json $json:literal)? $(, stat $stat:ident)?;)* }
@@ -168,11 +180,7 @@ macro_rules! metric_table {
             $(MetricRow::new(
                 Family::histogram(concat!("hp_", $stem, "_latency_seconds"), $path_help),
                 Source::Latency(LatencyPath::$path),
-            ).json($stem),
-            MetricRow::new(
-                Family::gauge(concat!("hp_", $stem, "_latency_quantile_seconds"), "Pre-computed latency quantiles"),
-                Source::LatencyQuantiles(LatencyPath::$path),
-            ),)*
+            ).json($stem),)*
             $($row,)*
         ];
     };
@@ -192,7 +200,7 @@ metric_table! {
         Failed = counter("hp_shards_failed_total"), "Shards declared permanently failed", stat failed_shards;
         JournalRecords = counter("hp_journal_records_total"), "Records in shard journals", json "journal_records", stat journal_records;
         JournalBytes = counter("hp_journal_bytes_total"), "Bytes in shard journals", json "journal_bytes", stat journal_bytes;
-        JournalSyncs = counter("hp_journal_syncs_total"), "Journal fsyncs performed";
+        ReplayedRecords = counter("hp_replayed_records_total"), "Records recovery folded back into state";
         TornBytes = counter("hp_journal_torn_bytes_total"), "Torn-tail bytes discarded during recovery";
         SnapshotsWritten = counter("hp_snapshots_written_total"), "State snapshots written (checkpoints)", json "snapshots_written", stat snapshots_written;
         SnapshotBytes = counter("hp_snapshot_bytes_total"), "Serialized snapshot bytes written", stat snapshot_bytes;
@@ -242,7 +250,6 @@ metric_table! {
         MetricRow::new(Family::counter("hp_calibration_oracle_jobs_total", "Monte-Carlo row jobs executed by the calibrator"), Source::Global(|s| s.calibration.oracle_jobs)).json("oracle_jobs").stat(|s| &mut s.calibration_oracle_jobs),
         MetricRow::new(Family::counter("hp_calibration_crn_row_fills_total", "Cache entries filled by common-random-number row jobs"), Source::Global(|s| s.calibration.crn_row_fills)).json("crn_row_fills"),
         MetricRow::new(Family::counter("hp_calibration_singleflight_waits_total", "Lookups that waited on another thread's in-flight row job"), Source::Global(|s| s.calibration.singleflight_waits)).json("singleflight_waits").stat(|s| &mut s.calibration_singleflight_waits),
-        MetricRow::new(Family::counter("hp_trace_events_dropped_total", "Trace events evicted from full rings"), Source::Global(|s| s.trace_dropped)),
     ]
 }
 
@@ -301,8 +308,6 @@ pub struct RegistrySnapshot {
     pub calibration_entries: u64,
     /// Heap bytes of the rows the calibrator held at sample time.
     pub calibration_bytes: u64,
-    /// Trace events evicted from full rings.
-    pub trace_dropped: u64,
     /// Per-shard queue-wait latency snapshots, indexed by shard.
     pub queue_waits: Vec<LatencySnapshot>,
     /// Per-shard worker utilization (busy time / wall time, in `[0, 1]`),
@@ -331,15 +336,13 @@ pub struct MetricsRegistry {
     shards: Vec<ShardMetrics>,
     hists: [LatencyHistogram; PATHS],
     calibration: Mutex<(CalibrationStats, u64, u64)>,
-    tracer: Tracer,
     started: Instant,
     build_info: Mutex<String>,
 }
 
 impl MetricsRegistry {
-    /// A registry for `shards` shards with trace rings of
-    /// `trace_capacity` events, tracing initially on per `tracing`.
-    pub fn new(shards: usize, trace_capacity: usize, tracing: bool) -> Self {
+    /// A registry for `shards` shards.
+    pub fn new(shards: usize) -> Self {
         MetricsRegistry {
             shards: (0..shards)
                 .map(|_| ShardMetrics {
@@ -349,8 +352,7 @@ impl MetricsRegistry {
                 })
                 .collect(),
             hists: Default::default(),
-            calibration: Mutex::default(),
-            tracer: Tracer::new(shards, trace_capacity, tracing),
+            calibration: Mutex::new(Default::default()),
             started: Instant::now(),
             build_info: Mutex::new(format!(
                 "version=\"{}\",git=\"{}\"",
@@ -366,54 +368,29 @@ impl MetricsRegistry {
         &self.shards[shard]
     }
 
-    /// The structured tracing facade.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Records one duration on `path`.
+    /// The histogram `path` records into.
     #[inline]
-    pub fn record_latency(&self, path: LatencyPath, ns: u64) {
-        self.hists[path as usize].record_ns(ns);
-    }
-
-    /// Records `n` events of `ns` each on `path` (batch attribution).
-    #[inline]
-    pub fn record_latency_n(&self, path: LatencyPath, ns: u64, n: u64) {
-        self.hists[path as usize].record_n(ns, n);
-    }
-
-    /// Records one duration on `path` and, when `trace` is nonzero, pins
-    /// it as the exemplar of the bucket it lands in.
-    #[inline]
-    pub fn record_latency_traced(&self, path: LatencyPath, ns: u64, trace: u64) {
-        self.hists[path as usize].record_ns_traced(ns, trace);
+    pub fn latency(&self, path: LatencyPath) -> &LatencyHistogram {
+        &self.hists[path as usize]
     }
 
     /// Sets the label body rendered on the `hp_build_info` gauge (the
     /// service front end adds its trust model and shard count here).
     pub fn set_build_info(&self, labels: String) {
-        *self
-            .build_info
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = labels;
+        *self.build_info.lock() = labels;
     }
 
     /// Stores the calibrator's sampled counters, how many thresholds it
     /// holds and in how many heap bytes (set by the service front end
     /// before snapshots/exposition are taken).
     pub fn set_calibration(&self, stats: CalibrationStats, entries: u64, bytes: u64) {
-        *self
-            .calibration
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = (stats, entries, bytes);
+        *self.calibration.lock() = (stats, entries, bytes);
     }
 
     /// Takes a coherent snapshot of everything in the registry.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let wall_ns = self.started.elapsed().as_nanos().max(1) as u64;
-        let (calibration, calibration_entries, calibration_bytes) =
-            *self.calibration.lock().unwrap_or_else(|e| e.into_inner());
+        let (calibration, calibration_entries, calibration_bytes) = *self.calibration.lock();
         RegistrySnapshot {
             shards: self
                 .shards
@@ -428,8 +405,11 @@ impl MetricsRegistry {
             calibration,
             calibration_entries,
             calibration_bytes,
-            trace_dropped: self.tracer.dropped(),
-            queue_waits: self.shards.iter().map(|m| m.queue_wait.snapshot()).collect(),
+            queue_waits: self
+                .shards
+                .iter()
+                .map(|m| m.queue_wait.snapshot())
+                .collect(),
             utilizations: self
                 .shards
                 .iter()
@@ -438,18 +418,14 @@ impl MetricsRegistry {
                     (busy as f64 / wall_ns as f64).min(1.0)
                 })
                 .collect(),
-            build_info: self
-                .build_info
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            build_info: self.build_info.lock().clone(),
         }
     }
 
     /// Renders the registry as Prometheus text exposition (format 0.0.4):
     /// every [`METRIC_TABLE`] family in table order — per-shard counters
-    /// and gauges, one histogram per latency path with cumulative `le`
-    /// buckets, and `_quantile_seconds` gauges for p50/p90/p99/max.
+    /// and gauges, and one histogram per latency path with cumulative
+    /// `le` buckets.
     pub fn render_prometheus(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::with_capacity(16 * 1024);
@@ -470,14 +446,6 @@ impl MetricsRegistry {
                 }
                 Source::Latency(path) => {
                     render_latency_family(&mut out, family, [("", snap.latency(path))]);
-                }
-                Source::LatencyQuantiles(path) => {
-                    let hist = snap.latency(path);
-                    let series = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (1.0, "1")]
-                        .map(|(q, label)| {
-                            (format!("quantile=\"{label}\""), hist.quantile_ns(q) as f64 / 1e9)
-                        });
-                    render_scalar_family(&mut out, family, series);
                 }
                 Source::QueueWait => {
                     let series = snap.queue_waits.iter().enumerate();
@@ -582,7 +550,12 @@ pub fn render_latency_family<'a, L: AsRef<str>>(
         };
         let hi = hist.buckets.iter().rposition(|&n| n > 0);
         let mut cumulative = 0u64;
-        for (i, &n) in hist.buckets.iter().enumerate().take(hi.map_or(0, |hi| hi + 1)) {
+        for (i, &n) in hist
+            .buckets
+            .iter()
+            .enumerate()
+            .take(hi.map_or(0, |hi| hi + 1))
+        {
             cumulative += n;
             let le = LatencySnapshot::bucket_upper_seconds(i);
             let _ = write!(out, "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}");
@@ -606,7 +579,7 @@ pub fn render_latency_family<'a, L: AsRef<str>>(
 /// latencies — the "one verdict, fully explained" operator view the
 /// example prints.
 pub fn explain_assessment(registry: &MetricsRegistry, trace: &AssessmentTrace) -> String {
-    let e2e = registry.hists[LatencyPath::AssessE2e as usize].snapshot();
+    let e2e = registry.latency(LatencyPath::AssessE2e).snapshot();
     format!(
         "{trace}\n  service: assess e2e p50={}ns p99={}ns over {} served",
         e2e.quantile_ns(0.5),
@@ -622,13 +595,13 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_writes() {
-        let reg = MetricsRegistry::new(2, 16, false);
+        let reg = MetricsRegistry::new(2);
         reg.shard(0).add(ShardMetric::Ingested, 10);
         reg.shard(1).add(ShardMetric::Ingested, 5);
         reg.shard(1).add(ShardMetric::Served, 2);
         reg.shard(1).set(ShardMetric::QueueDepth, 7);
         reg.shard(0).add(ShardMetric::LastApplyVersion, 10);
-        reg.record_latency(LatencyPath::AssessE2e, 1_000);
+        reg.latency(LatencyPath::AssessE2e).record_ns(1_000);
         let calibration = CalibrationStats {
             hits: 40,
             misses: 2,
@@ -649,23 +622,29 @@ mod tests {
         assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 1);
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 0);
         assert_eq!(
-            (snap.calibration, snap.calibration_entries, snap.calibration_bytes),
+            (
+                snap.calibration,
+                snap.calibration_entries,
+                snap.calibration_bytes
+            ),
             (calibration, 3, 4096)
         );
     }
 
     #[test]
     fn prometheus_exposition_contains_all_required_metrics() {
-        let reg = MetricsRegistry::new(2, 16, false);
+        let reg = MetricsRegistry::new(2);
         reg.shard(0).add(ShardMetric::Ingested, 100);
-        reg.record_latency_n(LatencyPath::IngestApply, 2_000, 100);
-        reg.record_latency(LatencyPath::JournalAppend, 40_000);
-        reg.record_latency(LatencyPath::JournalFsync, 900_000);
-        reg.record_latency(LatencyPath::AssessCompute, 8_000);
-        reg.record_latency(LatencyPath::AssessE2e, 15_000);
-        reg.record_latency(LatencyPath::AssessCalibration, 3_000_000);
+        reg.latency(LatencyPath::IngestApply).record_n(2_000, 100);
+        reg.latency(LatencyPath::JournalAppend).record_ns(40_000);
+        reg.latency(LatencyPath::JournalFsync).record_ns(900_000);
+        reg.latency(LatencyPath::AssessCompute).record_ns(8_000);
+        reg.latency(LatencyPath::AssessE2e).record_ns(15_000);
+        reg.latency(LatencyPath::AssessCalibration)
+            .record_ns(3_000_000);
 
         reg.shard(1).add(ShardMetric::TierCompacted, 640);
+        reg.shard(1).add(ShardMetric::ReplayedRecords, 90);
         reg.shard(1).set(ShardMetric::TierHotBytes, 4096);
         reg.shard(1).set(ShardMetric::TierSummaryBytes, 512);
         reg.shard(1).set(ShardMetric::TierSpilledBytes, 8192);
@@ -674,6 +653,7 @@ mod tests {
             "hp_feedbacks_ingested_total{shard=\"0\"} 100",
             "hp_feedbacks_ingested_total{shard=\"1\"} 0",
             "hp_tier_compacted_records_total{shard=\"1\"} 640",
+            "hp_replayed_records_total{shard=\"1\"} 90",
             "hp_tier_evictions_total{shard=\"0\"} 0",
             "hp_tier_faults_total{shard=\"0\"} 0",
             "hp_history_resident_bytes{shard=\"1\",tier=\"hot_suffix\"} 4096",
@@ -686,7 +666,7 @@ mod tests {
             "hp_journal_append_latency_seconds_bucket",
             "hp_journal_fsync_latency_seconds_sum 0.0009",
             "hp_assess_compute_latency_seconds_count 1",
-            "hp_assess_e2e_latency_quantile_seconds{quantile=\"0.99\"}",
+            "hp_assess_e2e_latency_seconds_count 1",
             "hp_assess_calibration_latency_seconds_count 1",
             "# TYPE hp_assess_calibration_latency_seconds histogram",
             "hp_calibration_cache_entries 0",
@@ -695,7 +675,6 @@ mod tests {
             "hp_calibration_oracle_jobs_total 0",
             "hp_calibration_crn_row_fills_total 0",
             "hp_calibration_singleflight_waits_total 0",
-            "hp_trace_events_dropped_total 0",
             "# TYPE hp_ingest_apply_latency_seconds histogram",
             "# TYPE hp_shard_queue_depth gauge",
         ] {
@@ -719,19 +698,27 @@ mod tests {
     /// seven hand-written blocks, plus the one family added since
     /// (`hp_calibration_cache_bytes`: 154 bytes of text, 11 of JSON):
     /// deriving it from the table must not move a byte of what a scraper
-    /// reads.
+    /// reads. The text pin was last re-derived from the previous commit's
+    /// render (19 591 bytes): the six `_quantile_seconds` blocks and the
+    /// trace-ring drop counter deleted, and the
+    /// `hp_journal_syncs_total` block replaced by
+    /// `hp_replayed_records_total`'s, which holds that slot and so the
+    /// same values. The JSON pin did not move.
     #[test]
     fn exposition_and_json_bytes_are_pinned() {
-        let reg = MetricsRegistry::new(2, 16, false);
+        let reg = MetricsRegistry::new(2);
         for shard in 0..2u64 {
             let slots = METRIC_TABLE.iter().filter_map(|row| match row.source {
                 Source::Shard(metric, _) => Some(metric),
                 _ => None,
             });
             for (i, metric) in slots.enumerate() {
-                reg.shard(shard as usize).set(metric, 1000 * (shard + 1) + i as u64);
+                reg.shard(shard as usize)
+                    .set(metric, 1000 * (shard + 1) + i as u64);
             }
-            reg.shard(shard as usize).queue_wait.record_ns(700 + 5000 * shard);
+            reg.shard(shard as usize)
+                .queue_wait
+                .record_ns(700 + 5000 * shard);
         }
         let paths = METRIC_TABLE.iter().filter_map(|row| match row.source {
             Source::Latency(path) => Some(path),
@@ -739,10 +726,13 @@ mod tests {
         });
         for (i, path) in paths.enumerate() {
             let i = i as u64;
-            reg.record_latency_traced(path, 3_000 * (i + 1) * (i + 1), 0xa0 + i);
+            reg.latency(path)
+                .record_ns_traced(3_000 * (i + 1) * (i + 1), 0xa0 + i);
         }
-        reg.record_latency_n(LatencyPath::IngestApply, 77_777, 5);
-        reg.set_build_info("version=\"9.9.9\",git=\"pinned\",trust=\"average\",shards=\"2\"".into());
+        reg.latency(LatencyPath::IngestApply).record_n(77_777, 5);
+        reg.set_build_info(
+            "version=\"9.9.9\",git=\"pinned\",trust=\"average\",shards=\"2\"".into(),
+        );
         let calibration = CalibrationStats {
             hits: 41,
             misses: 42,
@@ -753,17 +743,25 @@ mod tests {
         };
         reg.set_calibration(calibration, 47, 48);
         let text = reg.render_prometheus();
-        assert_eq!((text.len(), fnv1a(text.as_bytes())), (19_591, 0x2bd7_095c_4a62_20da), "{text}");
+        assert_eq!(
+            (text.len(), fnv1a(text.as_bytes())),
+            (16_995, 0xf7cf_49f0_ee48_b2a2),
+            "{text}"
+        );
         assert_eq!(lint_prometheus(&text), Vec::<String>::new());
         let json = reg.render_json();
-        assert_eq!((json.len(), fnv1a(json.as_bytes())), (1_018, 0x5c18_4b5b_75aa_4ee2), "{json}");
+        assert_eq!(
+            (json.len(), fnv1a(json.as_bytes())),
+            (1_018, 0x5c18_4b5b_75aa_4ee2),
+            "{json}"
+        );
     }
 
     #[test]
     fn prometheus_buckets_are_cumulative_and_end_at_inf() {
-        let reg = MetricsRegistry::new(1, 16, false);
-        reg.record_latency(LatencyPath::AssessE2e, 100);
-        reg.record_latency(LatencyPath::AssessE2e, 100_000);
+        let reg = MetricsRegistry::new(1);
+        reg.latency(LatencyPath::AssessE2e).record_ns(100);
+        reg.latency(LatencyPath::AssessE2e).record_ns(100_000);
         let text = reg.render_prometheus();
         let inf_line = text
             .lines()
@@ -783,9 +781,9 @@ mod tests {
     /// under the bucket that names it, one nanosecond more in the next.
     #[test]
     fn a_sample_on_a_bucket_edge_counts_under_its_own_le() {
-        let reg = MetricsRegistry::new(1, 16, false);
-        reg.record_latency(LatencyPath::AssessE2e, 1_024);
-        reg.record_latency(LatencyPath::AssessE2e, 1_025);
+        let reg = MetricsRegistry::new(1);
+        reg.latency(LatencyPath::AssessE2e).record_ns(1_024);
+        reg.latency(LatencyPath::AssessE2e).record_ns(1_025);
         let text = reg.render_prometheus();
         for line in [
             "hp_assess_e2e_latency_seconds_bucket{le=\"0.000000512\"} 0",
@@ -798,9 +796,9 @@ mod tests {
 
     #[test]
     fn json_snapshot_has_per_path_quantiles_and_totals() {
-        let reg = MetricsRegistry::new(1, 16, false);
+        let reg = MetricsRegistry::new(1);
         reg.shard(0).add(ShardMetric::Ingested, 42);
-        reg.record_latency_n(LatencyPath::IngestApply, 3_000, 42);
+        reg.latency(LatencyPath::IngestApply).record_n(3_000, 42);
         let json = reg.render_json();
         assert!(json.contains("\"ingest_apply\""), "{json}");
         assert!(json.contains("\"p99_ns\""), "{json}");
@@ -810,7 +808,7 @@ mod tests {
 
     #[test]
     fn queue_wait_utilization_and_build_info_are_exposed() {
-        let reg = MetricsRegistry::new(2, 16, false);
+        let reg = MetricsRegistry::new(2);
         reg.shard(1).queue_wait.record_ns(50_000);
         reg.shard(1).busy_ns.fetch_add(1_000_000, Ordering::Relaxed);
         reg.set_build_info("version=\"0.1.0\",git=\"abc\",trust=\"average\",shards=\"2\"".into());
@@ -836,8 +834,9 @@ mod tests {
 
     #[test]
     fn traced_latencies_render_exemplars_and_lint_clean() {
-        let reg = MetricsRegistry::new(2, 16, false);
-        reg.record_latency_traced(LatencyPath::AssessE2e, 100_000, 0xab);
+        let reg = MetricsRegistry::new(2);
+        reg.latency(LatencyPath::AssessE2e)
+            .record_ns_traced(100_000, 0xab);
         reg.shard(0).queue_wait.record_ns(10_000);
         let text = reg.render_prometheus();
         assert!(
@@ -846,14 +845,5 @@ mod tests {
         );
         let errors = lint_prometheus(&text);
         assert!(errors.is_empty(), "{errors:?}");
-    }
-
-    #[test]
-    fn registry_tracer_is_wired() {
-        let reg = MetricsRegistry::new(1, 4, true);
-        reg.tracer()
-            .emit(0, 5, super::super::trace::TraceKind::ReplayStart);
-        assert_eq!(reg.snapshot().trace_dropped, 0);
-        assert_eq!(reg.tracer().drain_all().len(), 1);
     }
 }

@@ -246,7 +246,11 @@ impl SloMonitor {
         let [assess_objective, shed_objective, burn_rate, assess_seen, ingest_seen] =
             &Self::FAMILIES;
         let objectives = self.objectives;
-        render_scalar_family(out, assess_objective, [("", objectives.assess_p99.as_secs_f64())]);
+        render_scalar_family(
+            out,
+            assess_objective,
+            [("", objectives.assess_p99.as_secs_f64())],
+        );
         render_scalar_family(out, shed_objective, [("", objectives.max_shed_ratio)]);
         let burns = self.burns();
         let burns = [
@@ -256,7 +260,10 @@ impl SloMonitor {
             ("shed_ratio", "1h", burns.shed_slow),
         ];
         let burns = burns.map(|(objective, window, burn)| {
-            (format!("objective=\"{objective}\",window=\"{window}\""), format!("{burn:.6}"))
+            (
+                format!("objective=\"{objective}\",window=\"{window}\""),
+                format!("{burn:.6}"),
+            )
         });
         render_scalar_family(out, burn_rate, burns);
         let outcomes = |counts: &WindowedCounts, good: &str, bad: &str| {

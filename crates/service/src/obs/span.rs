@@ -1,5 +1,5 @@
 //! Request-scoped span trees: the per-request counterpart of the
-//! per-operation latency histograms and the per-shard trace rings.
+//! per-operation latency histograms, and the service's one trace system.
 //!
 //! A request is assigned a nonzero 64-bit **trace ID** at the edge (or
 //! arrives with one in its `x-hp-trace` header) and accumulates a flat
@@ -13,20 +13,19 @@
 //!   complete trees for `GET /debug/slow` — the `p99.9 at 3 a.m.`
 //!   forensics buffer.
 //!
-//! Discipline is the same as the trace rings: when spans are disabled
-//! the per-request cost is a single branch on a flag fixed at
-//! construction ([`SpanStore::enabled`]); when enabled, recording takes
-//! one short mutex on the recent ring and — only for requests slower than the
-//! current floor — one on the endpoint's slow ring. Span trees reuse the
-//! tracer's monotone sequence ([`super::Tracer::stamp`]) so trees and
-//! shard trace events interleave on one clock, and shard-side stages are
-//! stamped with the same trace ID through
-//! [`super::Tracer::emit_traced`] — there is no parallel event world.
+//! When spans are disabled the per-request cost is a single branch on a
+//! flag fixed at construction ([`SpanStore::enabled`]); when enabled,
+//! recording takes one short mutex on the recent ring and — only for
+//! requests slower than the current floor — one on the endpoint's slow
+//! ring. The store numbers the trees it records, so `seq` orders them;
+//! shard-side stages reach a tree as the timings the shard sends back,
+//! and the histograms' exemplars carry the same trace ID.
 
+use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One named stage of a request, positioned relative to the request
@@ -50,8 +49,8 @@ pub struct SpanRecord {
 pub struct SpanTree {
     /// The request's trace ID (nonzero).
     pub trace: u64,
-    /// Sequence number from the shared tracer clock, stamped at finish;
-    /// orders this tree against shard trace events carrying the same ID.
+    /// Ordinal of this tree among those its [`SpanStore`] recorded,
+    /// stamped by [`SpanStore::record`] (0 until then).
     pub seq: u64,
     /// The endpoint that served the request (`/ingest`, `/assess`, …).
     pub endpoint: &'static str,
@@ -149,12 +148,12 @@ impl SpanBuilder {
         });
     }
 
-    /// Finishes the tree: total = start → now, `seq` from the shared
-    /// tracer clock, `detail` the verdict provenance.
-    pub fn finish(self, seq: u64, detail: impl Into<Cow<'static, str>>) -> SpanTree {
+    /// Finishes the tree: total = start → now, `detail` the verdict
+    /// provenance.
+    pub fn finish(self, detail: impl Into<Cow<'static, str>>) -> SpanTree {
         SpanTree {
             trace: self.trace,
-            seq,
+            seq: 0,
             endpoint: self.endpoint,
             total_ns: self.started.elapsed().as_nanos() as u64,
             detail: detail.into(),
@@ -172,7 +171,7 @@ struct SlowRing {
     /// Total of the slowest kept tree once the ring is full; 0 until
     /// then, so every early tree enters.
     floor_ns: AtomicU64,
-    entries: Mutex<Vec<std::sync::Arc<SpanTree>>>,
+    entries: Mutex<Vec<Arc<SpanTree>>>,
 }
 
 impl SlowRing {
@@ -184,14 +183,13 @@ impl SlowRing {
         }
     }
 
-    fn offer(&self, tree: &std::sync::Arc<SpanTree>) {
+    fn offer(&self, tree: &Arc<SpanTree>) {
         if tree.total_ns <= self.floor_ns.load(Ordering::Relaxed) {
             return; // full ring, and this request is faster than all kept
         }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let at = entries
-            .partition_point(|kept| kept.total_ns >= tree.total_ns);
-        entries.insert(at, std::sync::Arc::clone(tree));
+        let mut entries = self.entries.lock();
+        let at = entries.partition_point(|kept| kept.total_ns >= tree.total_ns);
+        entries.insert(at, Arc::clone(tree));
         entries.truncate(self.capacity);
         if entries.len() == self.capacity {
             self.floor_ns
@@ -199,11 +197,8 @@ impl SlowRing {
         }
     }
 
-    fn snapshot(&self) -> Vec<std::sync::Arc<SpanTree>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+    fn snapshot(&self) -> Vec<Arc<SpanTree>> {
+        self.entries.lock().clone()
     }
 }
 
@@ -213,7 +208,7 @@ impl SlowRing {
 pub struct SpanStore {
     enabled: bool,
     recent_capacity: usize,
-    recent: Mutex<VecDeque<std::sync::Arc<SpanTree>>>,
+    recent: Mutex<VecDeque<Arc<SpanTree>>>,
     endpoints: Vec<(&'static str, SlowRing)>,
     recorded: AtomicU64,
     evicted: AtomicU64,
@@ -249,36 +244,33 @@ impl SpanStore {
         self.enabled
     }
 
-    /// Records a completed tree (no-op while disabled).
-    pub fn record(&self, tree: SpanTree) {
+    /// Records a completed tree, stamping its `seq` (no-op while
+    /// disabled).
+    pub fn record(&self, mut tree: SpanTree) {
         if !self.enabled() {
             return;
         }
-        let tree = std::sync::Arc::new(tree);
+        tree.seq = self.recorded.fetch_add(1, Ordering::Relaxed);
+        let tree = Arc::new(tree);
         if let Some((_, ring)) = self.endpoints.iter().find(|(e, _)| *e == tree.endpoint) {
             ring.offer(&tree);
         }
-        let mut recent = self.recent.lock().unwrap_or_else(|e| e.into_inner());
+        let mut recent = self.recent.lock();
         if recent.len() == self.recent_capacity {
             recent.pop_front();
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
         recent.push_back(tree);
-        drop(recent);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Finds a tree by trace ID: the recent ring first (newest wins for
     /// a reused ID), then the slow rings.
-    pub fn find(&self, trace: u64) -> Option<std::sync::Arc<SpanTree>> {
+    pub fn find(&self, trace: u64) -> Option<Arc<SpanTree>> {
         if trace == 0 {
             return None;
         }
-        {
-            let recent = self.recent.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(tree) = recent.iter().rev().find(|t| t.trace == trace) {
-                return Some(std::sync::Arc::clone(tree));
-            }
+        if let Some(tree) = self.recent.lock().iter().rev().find(|t| t.trace == trace) {
+            return Some(Arc::clone(tree));
         }
         self.endpoints
             .iter()
@@ -286,7 +278,7 @@ impl SpanStore {
     }
 
     /// The slowest kept trees per endpoint, slowest first.
-    pub fn slowest(&self) -> Vec<(&'static str, Vec<std::sync::Arc<SpanTree>>)> {
+    pub fn slowest(&self) -> Vec<(&'static str, Vec<Arc<SpanTree>>)> {
         self.endpoints
             .iter()
             .map(|(endpoint, ring)| (*endpoint, ring.snapshot()))
@@ -355,7 +347,6 @@ pub fn parse_trace_id(raw: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn tree(trace: u64, endpoint: &'static str, total_ns: u64) -> SpanTree {
@@ -398,9 +389,9 @@ mod tests {
         let t1 = Instant::now();
         b.add("edge_read", t0, t1, "");
         b.add_ns("queue_wait", b.offset_ns(t1), 1_000, "shard=3");
-        let tree = b.finish(42, "verdict=accepted");
+        let tree = b.finish("verdict=accepted");
         assert_eq!(tree.trace, 7);
-        assert_eq!(tree.seq, 42);
+        assert_eq!(tree.seq, 0, "stamped when a store records it");
         assert_eq!(tree.spans.len(), 2);
         assert_eq!(tree.spans[0].start_ns, 0);
         assert!(tree.spans[0].duration_ns >= 1_000_000, "slept 2ms");
@@ -433,6 +424,12 @@ mod tests {
         store.record(tree(4, "/assess", 400));
         assert_eq!(store.recorded(), 4);
         assert_eq!(store.find(2).unwrap().total_ns, 300);
+        let seqs: Vec<u64> = (1..=4).map(|id| store.find(id).unwrap().seq).collect();
+        assert_eq!(
+            seqs,
+            [0, 1, 2, 3],
+            "the store numbers trees in record order"
+        );
         assert_eq!(store.find(0), None);
         assert_eq!(store.find(999), None);
         let slow = store.slowest();

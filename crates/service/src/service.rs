@@ -5,8 +5,7 @@ use crate::faults::ShardFaults;
 use crate::journal::FileJournal;
 use crate::metrics::ServiceStats;
 use crate::obs::{
-    AssessmentTrace, LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TraceEvent,
-    TraceKind, TracedAssessment,
+    AssessmentTrace, LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TracedAssessment,
 };
 use crate::shard::{
     AssessTimings, Command, Published, ShardContext, ShardHandle, ShardOccupancy, ShardSnapshots,
@@ -39,10 +38,6 @@ pub struct CheckpointSummary {
     /// Calibration thresholds persisted alongside the checkpoint.
     pub calibration_entries: usize,
 }
-
-/// Events each shard's trace ring keeps; a full ring evicts its oldest
-/// event and counts it dropped.
-const TRACE_CAPACITY: usize = 4096;
 
 /// Calibration serving readiness, reported by
 /// [`ReputationService::calibration_readiness`] for health endpoints: a
@@ -352,11 +347,7 @@ impl ReputationService {
             calibrator.fill_rows(m, &below).map_err(CoreError::from)?;
         }
 
-        let obs = Arc::new(MetricsRegistry::new(
-            config.shards(),
-            TRACE_CAPACITY,
-            config.tracing(),
-        ));
+        let obs = Arc::new(MetricsRegistry::new(config.shards()));
         obs.set_build_info(format!(
             "version=\"{}\",git=\"{}\",trust=\"{}\",shards=\"{}\"",
             env!("CARGO_PKG_VERSION"),
@@ -366,8 +357,10 @@ impl ReputationService {
         ));
         let mut shards = Vec::with_capacity(config.shards());
         for shard in 0..config.shards() {
-            let test =
-                MultiBehaviorTest::with_calibrator(effective_test.clone(), Arc::clone(&calibrator))?;
+            let test = MultiBehaviorTest::with_calibrator(
+                effective_test.clone(),
+                Arc::clone(&calibrator),
+            )?;
             // Open the snapshot store *before* the journal: the newest
             // manifest-recorded snapshot offset lets the journal open
             // skip CRC-scanning the prefix that snapshot already covers.
@@ -393,7 +386,6 @@ impl ReputationService {
                 snapshots,
                 tiering,
                 boot: progress.clone(),
-                active_trace: Arc::default(),
             };
             shards.push(spawn_supervised_shard(
                 shard,
@@ -457,21 +449,6 @@ impl ReputationService {
         &self,
         feedbacks: impl IntoIterator<Item = Feedback>,
     ) -> Result<IngestOutcome, ServiceError> {
-        self.ingest_batch_traced(feedbacks, 0)
-    }
-
-    /// [`Self::ingest_batch`] carrying a request trace ID: the shard-side
-    /// journal-append and batch-apply trace events for this batch are
-    /// stamped with `trace` (0 behaves exactly like `ingest_batch`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::ingest_batch`].
-    pub fn ingest_batch_traced(
-        &self,
-        feedbacks: impl IntoIterator<Item = Feedback>,
-        trace: u64,
-    ) -> Result<IngestOutcome, ServiceError> {
         let mut per_shard: Vec<Vec<Feedback>> = vec![Vec::new(); self.shards.len()];
         for feedback in feedbacks {
             per_shard[self.shard_of(feedback.server)].push(feedback);
@@ -483,7 +460,7 @@ impl ReputationService {
                 continue;
             }
             let offered = batch.len();
-            let command = Command::ingest_traced(batch, trace);
+            let command = Command::ingest(batch);
             let (accepted, shed) = match self.config.ingest_policy() {
                 IngestPolicy::Block => match self.shards[shard].send(command) {
                     Ok(()) => (offered, 0),
@@ -504,9 +481,7 @@ impl ReputationService {
                 IngestPolicy::TryFor(timeout) => {
                     match self.shards[shard].send_timeout(command, timeout) {
                         Ok(()) => (offered, 0),
-                        Err(SendTimeoutError::Timeout(returned)) => {
-                            (0, returned.feedback_count())
-                        }
+                        Err(SendTimeoutError::Timeout(returned)) => (0, returned.feedback_count()),
                         Err(SendTimeoutError::Disconnected(_)) => {
                             dead_shard.get_or_insert(shard);
                             (0, 0)
@@ -584,9 +559,9 @@ impl ReputationService {
     }
 
     /// Assesses one server for the span-tracing path: the command is
-    /// stamped with `trace` (so the shard's trace events and the
-    /// latency-histogram exemplars carry the request ID) and the
-    /// shard-side stage timings come back alongside the verdict.
+    /// stamped with `trace` (so the latency-histogram exemplars carry the
+    /// request ID) and the shard-side stage timings come back alongside
+    /// the verdict.
     ///
     /// With `deadline: None` this is [`Self::assess`]; with a deadline it
     /// is [`Self::assess_within`]. Timings are `Some` exactly when the
@@ -626,11 +601,9 @@ impl ReputationService {
         match reply_rx.recv() {
             Ok(answer) => {
                 let answer = answer.map_err(ServiceError::Core)?;
-                self.obs.record_latency_traced(
-                    LatencyPath::AssessE2e,
-                    start.elapsed().as_nanos() as u64,
-                    trace,
-                );
+                self.obs
+                    .latency(LatencyPath::AssessE2e)
+                    .record_ns_traced(start.elapsed().as_nanos() as u64, trace);
                 Ok(answer)
             }
             Err(_) => Err(ServiceError::Interrupted { shard }),
@@ -655,7 +628,8 @@ impl ReputationService {
         server: ServerId,
         deadline: Duration,
     ) -> Result<AssessOutcome, ServiceError> {
-        self.assess_within_traced(server, deadline, 0).map(|(o, _)| o)
+        self.assess_within_traced(server, deadline, 0)
+            .map(|(o, _)| o)
     }
 
     /// [`Self::assess_within`] with a trace stamp and timings surfaced
@@ -670,36 +644,28 @@ impl ReputationService {
         let start = Instant::now();
         let (reply_tx, reply_rx) = channel::bounded(1);
         let command = Command::assess(server, reply_tx, trace);
+        let degraded = |reason| {
+            let outcome = self.degraded(shard, server, reason, start, trace);
+            outcome.map(|o| (o, None))
+        };
         match self.shards[shard].send_timeout(command, deadline) {
             Ok(()) => {}
-            Err(SendTimeoutError::Timeout(_)) => {
-                return self
-                    .degraded(shard, server, DegradedReason::DeadlineExceeded, start, trace)
-                    .map(|o| (o, None));
-            }
+            Err(SendTimeoutError::Timeout(_)) => return degraded(DegradedReason::DeadlineExceeded),
             Err(SendTimeoutError::Disconnected(_)) => {
-                return self
-                    .degraded(shard, server, DegradedReason::ShardUnavailable, start, trace)
-                    .map(|o| (o, None));
+                return degraded(DegradedReason::ShardUnavailable)
             }
         }
         let remaining = deadline.saturating_sub(start.elapsed());
         match reply_rx.recv_timeout(remaining) {
             Ok(answer) => {
                 let (assessment, timings) = answer.map_err(ServiceError::Core)?;
-                self.obs.record_latency_traced(
-                    LatencyPath::AssessE2e,
-                    start.elapsed().as_nanos() as u64,
-                    trace,
-                );
+                self.obs
+                    .latency(LatencyPath::AssessE2e)
+                    .record_ns_traced(start.elapsed().as_nanos() as u64, trace);
                 Ok((AssessOutcome::Fresh(assessment), Some(timings)))
             }
-            Err(RecvTimeoutError::Timeout) => self
-                .degraded(shard, server, DegradedReason::DeadlineExceeded, start, trace)
-                .map(|o| (o, None)),
-            Err(RecvTimeoutError::Disconnected) => self
-                .degraded(shard, server, DegradedReason::WorkerRestarting, start, trace)
-                .map(|o| (o, None)),
+            Err(RecvTimeoutError::Timeout) => degraded(DegradedReason::DeadlineExceeded),
+            Err(RecvTimeoutError::Disconnected) => degraded(DegradedReason::WorkerRestarting),
         }
     }
 
@@ -723,10 +689,8 @@ impl ReputationService {
                 metrics.add(ShardMetric::CacheHits, 1);
                 let e2e_ns = start.elapsed().as_nanos() as u64;
                 self.obs
-                    .record_latency_traced(LatencyPath::AssessE2e, e2e_ns, trace);
-                self.obs
-                    .tracer()
-                    .emit_traced(shard, e2e_ns, TraceKind::DegradedServed, trace);
+                    .latency(LatencyPath::AssessE2e)
+                    .record_ns_traced(e2e_ns, trace);
                 Ok(AssessOutcome::Degraded(DegradedAssessment {
                     assessment: pv.assessment,
                     computed_at_version: pv.computed_at_version,
@@ -750,10 +714,7 @@ impl ReputationService {
     /// [`ServiceError::ShardUnavailable`] / [`ServiceError::Interrupted`]
     /// if any involved worker is gone or restarted mid-request;
     /// per-server assessment failures are reported inline.
-    pub fn assess_many(
-        &self,
-        servers: &[ServerId],
-    ) -> Result<BatchAssessments, ServiceError> {
+    pub fn assess_many(&self, servers: &[ServerId]) -> Result<BatchAssessments, ServiceError> {
         self.assess_many_traced(servers, 0)
     }
 
@@ -784,23 +745,16 @@ impl ReputationService {
                 .map_err(|_| ServiceError::ShardUnavailable { shard })?;
             pending.push((shard, reply_rx));
         }
-        let mut by_server: HashMap<ServerId, Result<Arc<Assessment>, CoreError>> =
-            HashMap::new();
+        let mut by_server: HashMap<ServerId, Result<Arc<Assessment>, CoreError>> = HashMap::new();
         for (shard, reply_rx) in pending {
             let answers = reply_rx
                 .recv()
                 .map_err(|_| ServiceError::Interrupted { shard })?;
-            by_server.extend(
-                answers
-                    .into_iter()
-                    .map(|(s, r)| (s, r.map(|(a, _)| a))),
-            );
+            by_server.extend(answers.into_iter().map(|(s, r)| (s, r.map(|(a, _)| a))));
         }
-        self.obs.record_latency_n(
-            LatencyPath::AssessE2e,
-            start.elapsed().as_nanos() as u64,
-            servers.len() as u64,
-        );
+        self.obs
+            .latency(LatencyPath::AssessE2e)
+            .record_n(start.elapsed().as_nanos() as u64, servers.len() as u64);
         Ok(servers
             .iter()
             .map(|&s| {
@@ -845,7 +799,7 @@ impl ReputationService {
     }
 
     /// The unified metrics registry (per-shard counters, latency
-    /// histograms, tracer). Shared: clones of the `Arc` observe live
+    /// histograms). Shared: clones of the `Arc` observe live
     /// updates.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.obs)
@@ -864,14 +818,6 @@ impl ReputationService {
     pub fn metrics_json(&self) -> String {
         self.sample_gauges();
         self.obs.render_json()
-    }
-
-    /// Drains every shard's trace ring, merged in global emission order.
-    /// Empty unless tracing was enabled via
-    /// [`ServiceConfig::with_tracing`] or
-    /// [`Tracer::set_enabled`](crate::obs::Tracer::set_enabled).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.obs.tracer().drain_all()
     }
 
     /// Samples point-in-time gauges (queue depths, calibration cache)
@@ -894,10 +840,7 @@ impl ReputationService {
     pub fn calibration_readiness(&self) -> CalibrationReadiness {
         let m = self.config.effective_test().window_size();
         let surface_configured = self.calibrator.config().surface.is_some();
-        let surface_ready = self
-            .calibrator
-            .surface()
-            .is_some_and(|s| s.serves(m));
+        let surface_ready = self.calibrator.surface().is_some_and(|s| s.serves(m));
         CalibrationReadiness {
             surface_configured,
             surface_ready,
@@ -929,11 +872,10 @@ impl ReputationService {
         if self.calibration_saved.load(Ordering::Relaxed) == jobs {
             return Ok(self.calibrator.cache_len());
         }
-        let saved = crate::calcache::save(path, &self.calibrator).map_err(|e| {
-            ServiceError::Journal {
+        let saved =
+            crate::calcache::save(path, &self.calibrator).map_err(|e| ServiceError::Journal {
                 reason: format!("save calibration cache {}: {e}", path.display()),
-            }
-        })?;
+            })?;
         self.calibration_saved.store(jobs, Ordering::Relaxed); // a statistic
         Ok(saved)
     }
@@ -1003,9 +945,11 @@ fn open_snapshots(
     let Durability::Durable { dir, .. } = config.durability() else {
         return Ok(None); // unreachable after validate(); be lenient
     };
-    let store = SnapshotStore::open(dir, shard as u32, config.shards() as u32, policy)
-        .map_err(|e| ServiceError::Journal {
-            reason: format!("open snapshot store {}: {e}", dir.display()),
+    let store =
+        SnapshotStore::open(dir, shard as u32, config.shards() as u32, policy).map_err(|e| {
+            ServiceError::Journal {
+                reason: format!("open snapshot store {}: {e}", dir.display()),
+            }
         })?;
     Ok(Some(ShardSnapshots {
         store: Mutex::new(store),
@@ -1128,7 +1072,9 @@ mod tests {
     fn ingest_and_assess_round_trip() {
         let service = ReputationService::new(fast_config()).unwrap();
         let server = ServerId::new(1);
-        let outcome = service.ingest_batch(feedbacks_for(server, 300, 17)).unwrap();
+        let outcome = service
+            .ingest_batch(feedbacks_for(server, 300, 17))
+            .unwrap();
         assert_eq!(outcome.accepted, 300);
         assert_eq!(outcome.shed, 0);
         let assessment = service.assess(server).unwrap();
@@ -1137,7 +1083,10 @@ mod tests {
         assert_eq!(stats.ingested_feedbacks, 300);
         assert_eq!(stats.assessments_served, 1);
         assert_eq!(stats.tracked_servers, 1);
-        assert_eq!(stats.journal_records, 0, "an ephemeral service has no journal");
+        assert_eq!(
+            stats.journal_records, 0,
+            "an ephemeral service has no journal"
+        );
         assert_eq!(stats.shard_restarts, 0);
     }
 
@@ -1145,7 +1094,9 @@ mod tests {
     fn repeat_assessments_hit_the_cache() {
         let service = ReputationService::new(fast_config()).unwrap();
         let server = ServerId::new(2);
-        service.ingest_batch(feedbacks_for(server, 200, 13)).unwrap();
+        service
+            .ingest_batch(feedbacks_for(server, 200, 13))
+            .unwrap();
         let a = service.assess(server).unwrap();
         let b = service.assess(server).unwrap();
         assert_eq!(a, b);
@@ -1202,7 +1153,7 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_stable_and_in_range(){
+    fn sharding_is_stable_and_in_range() {
         let service = ReputationService::new(fast_config()).unwrap();
         for id in 0..500 {
             let s = ServerId::new(id);
@@ -1217,7 +1168,9 @@ mod tests {
         let config = fast_config().with_trust(TrustModel::Weighted { lambda: 0.5 });
         let service = ReputationService::new(config).unwrap();
         let server = ServerId::new(8);
-        service.ingest_batch(feedbacks_for(server, 400, 23)).unwrap();
+        service
+            .ingest_batch(feedbacks_for(server, 400, 23))
+            .unwrap();
         let assessment = service.assess(server).unwrap();
         if let Some(trust) = assessment.trust() {
             assert!((0.0..=1.0).contains(&trust.value()));
@@ -1246,10 +1199,7 @@ mod tests {
         // an answered request is a fresh assessment of an empty history.
         match service.assess_within(ServerId::new(9999), Duration::ZERO) {
             Ok(outcome) => assert!(!outcome.is_degraded()),
-            Err(e) => assert!(matches!(
-                e,
-                ServiceError::DeadlineExceeded { .. }
-            )),
+            Err(e) => assert!(matches!(e, ServiceError::DeadlineExceeded { .. })),
         }
     }
 
@@ -1257,7 +1207,9 @@ mod tests {
     fn graceful_shutdown_drains() {
         let service = ReputationService::new(fast_config()).unwrap();
         let server = ServerId::new(21);
-        service.ingest_batch(feedbacks_for(server, 200, 13)).unwrap();
+        service
+            .ingest_batch(feedbacks_for(server, 200, 13))
+            .unwrap();
         service.shutdown();
     }
 }

@@ -28,15 +28,13 @@
 use crate::config::{SnapshotPolicy, TieringPolicy, TrustModel};
 use crate::faults::ShardFaults;
 use crate::journal::FileJournal;
-use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TraceKind};
+use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
-use crossbeam::channel::{
-    Receiver, SendError, SendTimeoutError, Sender, TrySendError,
-};
+use crossbeam::channel::{Receiver, SendError, SendTimeoutError, Sender, TrySendError};
+use hp_core::history::HistoryMark;
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
-use hp_core::history::HistoryMark;
 use hp_core::{CoreError, Feedback, ServerId, TieredHistory};
 use hp_store::ColdStore;
 use parking_lot::Mutex;
@@ -105,8 +103,6 @@ pub(crate) enum Command {
         /// When the front end enqueued it — the start of the
         /// enqueue→apply latency measurement and the queue-wait stamp.
         enqueued_at: Instant,
-        /// Request trace ID (0 = untraced).
-        trace: u64,
     },
     Assess {
         server: ServerId,
@@ -172,18 +168,11 @@ impl Command {
         }
     }
 
-    /// An ingest command stamped now (untraced).
-    #[cfg(test)]
+    /// An ingest command stamped now.
     pub(crate) fn ingest(batch: Vec<Feedback>) -> Self {
-        Command::ingest_traced(batch, 0)
-    }
-
-    /// An ingest command stamped now, carrying a request trace ID.
-    pub(crate) fn ingest_traced(batch: Vec<Feedback>, trace: u64) -> Self {
         Command::Ingest {
             batch,
             enqueued_at: Instant::now(),
-            trace,
         }
     }
 
@@ -208,16 +197,6 @@ impl Command {
             reply,
             enqueued_at: Instant::now(),
             trace,
-        }
-    }
-
-    /// The request trace ID this command carries (0 = untraced).
-    pub(crate) fn trace(&self) -> u64 {
-        match self {
-            Command::Ingest { trace, .. }
-            | Command::Assess { trace, .. }
-            | Command::AssessMany { trace, .. } => *trace,
-            _ => 0,
         }
     }
 }
@@ -325,11 +304,6 @@ pub(crate) struct ShardContext {
     /// Boot-time recovery progress, reported to health checks. Only the
     /// initial cold-start rebuild updates it.
     pub boot: Option<Arc<BootProgress>>,
-    /// Trace ID of the command the worker is processing right now
-    /// (0 = idle/untraced). Left set when the worker panics, so the
-    /// supervisor can stamp its restart/replay trace events with the
-    /// request that crashed the worker.
-    pub active_trace: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl ShardContext {
@@ -359,7 +333,6 @@ impl ShardContext {
             snapshots: None,
             tiering: None,
             boot: None,
-            active_trace: Arc::default(),
         }
     }
 }
@@ -408,7 +381,7 @@ pub(crate) struct InFlight {
     pending: Vec<Feedback>,
     /// Ordinal of `pending[0]` among the records the shard has accepted
     /// (on a durable shard: its absolute journal index) — what quarantine
-    /// bookkeeping and `RecordQuarantined` events call the record.
+    /// bookkeeping calls the record.
     base: u64,
     /// Leading records of `pending` fully applied.
     applied: usize,
@@ -526,17 +499,10 @@ pub(crate) fn handle_command(
     inflight: &mut InFlight,
     ctx: &ShardContext,
 ) -> Flow {
-    // Publish the trace before doing any work: if this command panics
-    // the worker, the supervisor finds the ID still set and stamps the
-    // restart/replay events with it.
-    ctx.active_trace
-        .store(command.trace(), std::sync::atomic::Ordering::Relaxed);
     let busy_t0 = Instant::now();
     let flow = dispatch_command(command, states, inflight, ctx);
     let busy_ns = busy_t0.elapsed().as_nanos() as u64;
-    ctx.metrics().busy_ns.fetch_add(busy_ns, std::sync::atomic::Ordering::Relaxed);
-    ctx.active_trace
-        .store(0, std::sync::atomic::Ordering::Relaxed);
+    ctx.metrics().busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
     flow
 }
 
@@ -547,41 +513,30 @@ fn dispatch_command(
     ctx: &ShardContext,
 ) -> Flow {
     match command {
-        Command::Ingest {
-            batch,
-            enqueued_at,
-            trace,
-        } => {
+        Command::Ingest { batch, enqueued_at } => {
             let batch_len = batch.len() as u64;
             let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
             ctx.metrics().queue_wait.record_ns(queue_wait_ns);
             // Journal first: after this point the batch is durable and
-            // any crash during apply is recovered by replay. Trace
-            // events only when enabled; the latency sample is two relaxed
-            // atomic adds. A shard with no journal records neither.
+            // any crash during apply is recovered by replay. The latency
+            // sample is two relaxed atomic adds. A shard with no journal
+            // records none.
             if let Some(journal) = &ctx.journal {
                 let append_t0 = Instant::now();
                 match journal.lock().append_batch(&batch) {
                     Ok(info) => {
                         let append_ns = append_t0.elapsed().as_nanos() as u64;
-                        ctx.obs.record_latency(LatencyPath::JournalAppend, append_ns);
+                        ctx.obs
+                            .latency(LatencyPath::JournalAppend)
+                            .record_ns(append_ns);
                         if info.synced {
-                            ctx.obs.record_latency(LatencyPath::JournalFsync, info.sync_ns);
+                            ctx.obs
+                                .latency(LatencyPath::JournalFsync)
+                                .record_ns(info.sync_ns);
                         }
                         let metrics = ctx.metrics();
                         metrics.add(ShardMetric::JournalRecords, info.records);
                         metrics.add(ShardMetric::JournalBytes, info.bytes);
-                        if info.synced {
-                            metrics.add(ShardMetric::JournalSyncs, 1);
-                        }
-                        ctx.obs.tracer().emit_traced(
-                            ctx.shard,
-                            append_ns,
-                            TraceKind::JournalAppend {
-                                records: info.records,
-                            },
-                            trace,
-                        );
                     }
                     Err(e) => {
                         // The journal is the source of truth; a worker
@@ -597,7 +552,6 @@ fn dispatch_command(
             // still owes.
             inflight.begin(batch);
             ctx.faults.after_journal();
-            let apply_t0 = Instant::now();
             inflight.apply_rest(states, ctx, |_| true);
             let mut touched: Vec<ServerId> = inflight.pending.iter().map(|f| f.server).collect();
             inflight.finish();
@@ -606,8 +560,7 @@ fn dispatch_command(
             {
                 let mut published = ctx.published.lock();
                 for server in &touched {
-                    if let (Some(state), Some(pv)) =
-                        (states.get(server), published.get_mut(server))
+                    if let (Some(state), Some(pv)) = (states.get(server), published.get_mut(server))
                     {
                         pv.latest_version = state.version();
                     }
@@ -616,19 +569,9 @@ fn dispatch_command(
             ctx.metrics().add(ShardMetric::LastApplyVersion, batch_len);
             // Enqueue→apply latency, attributed to every feedback in the
             // batch so the histogram count matches the `ingested` counter.
-            ctx.obs.record_latency_n(
-                LatencyPath::IngestApply,
-                enqueued_at.elapsed().as_nanos() as u64,
-                batch_len,
-            );
-            ctx.obs.tracer().emit_traced(
-                ctx.shard,
-                apply_t0.elapsed().as_nanos() as u64,
-                TraceKind::BatchApplied {
-                    feedbacks: batch_len,
-                },
-                trace,
-            );
+            ctx.obs
+                .latency(LatencyPath::IngestApply)
+                .record_n(enqueued_at.elapsed().as_nanos() as u64, batch_len);
             // Tier before checkpointing, so a checkpoint triggered by
             // this batch captures the compacted/spilled form (snapshots
             // shrink with compaction, and segment references are covered
@@ -789,7 +732,10 @@ fn enforce_spill_budget(
         let state = &states[&id];
         freed += state.suffix_bytes();
         freed_summary += state.summary_bytes();
-        records.push((id.value(), state.history().expect("victims are hot").encode()));
+        records.push((
+            id.value(),
+            state.history().expect("victims are hot").encode(),
+        ));
         chosen.push(id);
     }
     if records.is_empty() {
@@ -904,7 +850,6 @@ pub(crate) fn take_checkpoint(
     let snaps = ctx.snapshots.as_ref()?;
     // Snapshots are validated to need a durable journal.
     let journal = ctx.journal.as_ref()?;
-    let t0 = Instant::now();
     // Log-force before checkpoint: the snapshot claims to cover journal
     // offset N, so every record up to N must be durable *first* —
     // otherwise a crash right after the snapshot could leave a snapshot
@@ -944,13 +889,6 @@ pub(crate) fn take_checkpoint(
                     let _ = cold.lock().remove_below(floor);
                 }
             }
-            ctx.obs.tracer().emit(
-                ctx.shard,
-                t0.elapsed().as_nanos() as u64,
-                TraceKind::SnapshotWritten {
-                    records: info.journal_records,
-                },
-            );
             Some(CheckpointInfo {
                 journal_records: info.journal_records,
                 bytes: info.bytes,
@@ -1019,7 +957,11 @@ fn assess_one(
                 ensure_hot(server, state, ctx);
             }
             let (assessment, from_cache) = state.assess(&ctx.test, ctx.policy)?;
-            let outcome = if from_cache { ShardMetric::CacheHits } else { ShardMetric::CacheMisses };
+            let outcome = if from_cache {
+                ShardMetric::CacheHits
+            } else {
+                ShardMetric::CacheMisses
+            };
             ctx.metrics().add(outcome, 1);
             let version = state.version();
             ctx.published.lock().insert(
@@ -1048,24 +990,13 @@ fn assess_one(
     let calibration_ns = hp_stats::thread_calibration_nanos()
         .saturating_sub(cal0)
         .min(compute_ns);
-    ctx.obs.record_latency_traced(
-        LatencyPath::AssessCompute,
-        compute_ns - calibration_ns,
-        trace,
-    );
+    ctx.obs
+        .latency(LatencyPath::AssessCompute)
+        .record_ns_traced(compute_ns - calibration_ns, trace);
     if calibration_ns > 0 {
         ctx.obs
-            .record_latency_traced(LatencyPath::AssessCalibration, calibration_ns, trace);
-    }
-    if let Ok((_, from_cache)) = &reply {
-        ctx.obs.tracer().emit_traced(
-            ctx.shard,
-            compute_ns,
-            TraceKind::AssessServed {
-                cache_hit: *from_cache,
-            },
-            trace,
-        );
+            .latency(LatencyPath::AssessCalibration)
+            .record_ns_traced(calibration_ns, trace);
     }
     reply.map(|(assessment, from_cache)| {
         (
@@ -1089,7 +1020,7 @@ mod tests {
     use hp_core::{ClientId, Rating};
 
     fn spawn() -> (ShardHandle, Arc<MetricsRegistry>) {
-        let obs = Arc::new(MetricsRegistry::new(1, 64, false));
+        let obs = Arc::new(MetricsRegistry::new(1));
         let ctx = ShardContext::ephemeral(Arc::clone(&obs));
         let handle = spawn_supervised_shard(0, ctx, SupervisionConfig::default(), 0);
         (handle, obs)
@@ -1101,7 +1032,12 @@ mod tests {
         let server = ServerId::new(9);
         let batch: Vec<Feedback> = (0..250)
             .map(|t| {
-                Feedback::new(t, server, ClientId::new(t % 5), Rating::from_good(t % 13 != 0))
+                Feedback::new(
+                    t,
+                    server,
+                    ClientId::new(t % 5),
+                    Rating::from_good(t % 13 != 0),
+                )
             })
             .collect();
         handle.send(Command::ingest(batch)).unwrap();
@@ -1129,7 +1065,11 @@ mod tests {
         // every feedback and the compute path recorded one serve.
         let snap = obs.snapshot();
         assert_eq!(snap.latency(LatencyPath::IngestApply).count, 250);
-        assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 0, "no journal");
+        assert_eq!(
+            snap.latency(LatencyPath::JournalAppend).count,
+            0,
+            "no journal"
+        );
         assert_eq!(snap.latency(LatencyPath::AssessCompute).count, 1);
         assert_eq!(snap.shards[0].get(ShardMetric::JournalRecords), 0);
         assert_eq!(snap.shards[0].get(ShardMetric::LastApplyVersion), 250);

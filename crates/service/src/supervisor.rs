@@ -45,10 +45,10 @@
 //!   `ServiceError::ShardUnavailable`) and `failed_shards` is bumped.
 
 use crate::config::SupervisionConfig;
-use crate::obs::{ShardMetric, TraceKind};
+use crate::obs::ShardMetric;
 use crate::shard::{
-    take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight,
-    ShardContext, ShardHandle,
+    take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight, ShardContext,
+    ShardHandle,
 };
 use crate::snapshot::ManifestEntry;
 use crate::state::ServerState;
@@ -56,7 +56,6 @@ use crossbeam::channel::{self, Receiver};
 use hp_core::ServerId;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -125,24 +124,14 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
             return;
         }
         ctx.metrics().add(ShardMetric::Restarts, 1);
-        // The worker leaves its in-flight trace ID published when it
-        // panics: stamp the restart (and the replay below, via the same
-        // slot) so crash forensics reconstruct from one request ID.
-        let crashed_trace = ctx.active_trace.load(Ordering::Relaxed);
-        ctx.obs.tracer().emit_traced(
-            ctx.shard,
-            0,
-            TraceKind::WorkerRestart {
-                restart: u64::from(restarts),
-            },
-            crashed_trace,
-        );
         thread::sleep(backoff_delay(supervision, restarts));
         let recovered = match &ctx.journal {
             Some(_) => {
                 // The journal already holds whatever was in flight.
                 inflight.reset();
-                rebuild(ctx, &mut quarantine).map(|rebuilt| states = rebuilt).is_some()
+                rebuild(ctx, &mut quarantine)
+                    .map(|rebuilt| states = rebuilt)
+                    .is_some()
             }
             None => refold(ctx, &mut quarantine, &mut states, &mut inflight),
         };
@@ -150,9 +139,6 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
             ctx.metrics().add(ShardMetric::Failed, 1);
             return;
         }
-        // The crashed request is fully accounted for: clear the slot so
-        // later restarts aren't misattributed to it.
-        ctx.active_trace.store(0, Ordering::Relaxed);
         // Checkpoint the freshly rebuilt state: the next crash (or
         // process restart) then recovers from here instead of re-folding
         // this replay again.
@@ -174,9 +160,7 @@ fn retier(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardContext) -> bo
 /// capped at `backoff_cap`.
 pub(crate) fn backoff_delay(supervision: &SupervisionConfig, restart: u32) -> Duration {
     let doublings = restart.saturating_sub(1).min(20);
-    let delay = supervision
-        .backoff_base
-        .saturating_mul(1u32 << doublings);
+    let delay = supervision.backoff_base.saturating_mul(1u32 << doublings);
     delay.min(supervision.backoff_cap)
 }
 
@@ -188,29 +172,22 @@ pub(crate) fn backoff_delay(supervision: &SupervisionConfig, restart: u32) -> Du
 /// 2. full journal replay from record 0.
 ///
 /// Every rejected candidate (corrupt file, missing tail, crash budget
-/// exhausted) is counted and traced as a fallback. Returns `None` only
-/// when *no* path can produce a provably correct state — including a
-/// compacted journal whose snapshots are all invalid, where a partial
-/// fold would silently produce wrong verdicts.
-fn rebuild(ctx: &ShardContext, quarantine: &mut Quarantine) -> Option<HashMap<ServerId, ServerState>> {
+/// exhausted) is counted as a fallback. Returns `None` only when *no*
+/// path can produce a provably correct state — including a compacted
+/// journal whose snapshots are all invalid, where a partial fold would
+/// silently produce wrong verdicts.
+fn rebuild(
+    ctx: &ShardContext,
+    quarantine: &mut Quarantine,
+) -> Option<HashMap<ServerId, ServerState>> {
     let journal = ctx.journal.as_ref()?;
-    let replay_t0 = std::time::Instant::now();
-    // Still set when a panicking request triggered this rebuild; 0 on
-    // cold start.
-    let trace = ctx.active_trace.load(Ordering::Relaxed);
-    ctx.obs
-        .tracer()
-        .emit_traced(ctx.shard, 0, TraceKind::ReplayStart, trace);
     if let Some(snaps) = &ctx.snapshots {
         let candidates = snaps.store.lock().candidates();
         for entry in candidates {
-            if let Some(states) = recover_from_snapshot(ctx, quarantine, &entry, replay_t0) {
+            if let Some(states) = recover_from_snapshot(ctx, quarantine, &entry) {
                 return Some(states);
             }
             ctx.metrics().add(ShardMetric::SnapshotFallbacks, 1);
-            ctx.obs
-                .tracer()
-                .emit_traced(ctx.shard, 0, TraceKind::SnapshotFallback, trace);
         }
     }
     // Fallback floor: fold the whole journal from record 0.
@@ -223,7 +200,7 @@ fn rebuild(ctx: &ShardContext, quarantine: &mut Quarantine) -> Option<HashMap<Se
     }
     let mut states = HashMap::new();
     let mut fold = InFlight::replaying(feedbacks, 0);
-    fold_tail(ctx, quarantine, &mut states, &mut fold, replay_t0, |states, fold| {
+    fold_tail(ctx, quarantine, &mut states, &mut fold, |states, fold| {
         states.clear();
         fold.rewind();
         true
@@ -238,7 +215,6 @@ fn recover_from_snapshot(
     ctx: &ShardContext,
     quarantine: &mut Quarantine,
     entry: &ManifestEntry,
-    replay_t0: std::time::Instant,
 ) -> Option<HashMap<ServerId, ServerState>> {
     let snaps = ctx.snapshots.as_ref()?;
     let loaded = snaps.store.lock().load(entry, ctx.model).ok()?;
@@ -270,7 +246,7 @@ fn recover_from_snapshot(
     let mut first = Some(loaded);
     let mut states = HashMap::new();
     let mut fold = InFlight::replaying(tail, offset);
-    fold_tail(ctx, quarantine, &mut states, &mut fold, replay_t0, |states, fold| {
+    fold_tail(ctx, quarantine, &mut states, &mut fold, |states, fold| {
         let loaded = first
             .take()
             .or_else(|| snaps.store.lock().load(entry, ctx.model).ok());
@@ -293,17 +269,10 @@ fn refold(
     states: &mut HashMap<ServerId, ServerState>,
     inflight: &mut InFlight,
 ) -> bool {
-    let replay_t0 = std::time::Instant::now();
-    ctx.obs.tracer().emit_traced(
-        ctx.shard,
-        0,
-        TraceKind::ReplayStart,
-        ctx.active_trace.load(Ordering::Relaxed),
-    );
     if inflight.folding {
         return false;
     }
-    let folded = fold_tail(ctx, quarantine, states, inflight, replay_t0, |states, fold| {
+    let folded = fold_tail(ctx, quarantine, states, inflight, |states, fold| {
         fold.mark.take().is_none_or(|mark| mark.roll_back(states))
     });
     if folded {
@@ -318,13 +287,13 @@ fn refold(
 /// and the top of the tail for a journal replay (a fresh empty map, a
 /// freshly loaded snapshot), the mark of the interrupted record for an
 /// in-place refold. False when `reset` gives up or the fold crashed
-/// outside any record.
+/// outside any record. A fold that completes adds the records it owed
+/// to `hp_replayed_records_total`.
 fn fold_tail(
     ctx: &ShardContext,
     quarantine: &mut Quarantine,
     states: &mut HashMap<ServerId, ServerState>,
     fold: &mut InFlight,
-    replay_t0: std::time::Instant,
     mut reset: impl FnMut(&mut HashMap<ServerId, ServerState>, &mut InFlight) -> bool,
 ) -> bool {
     let records = fold.owed() as u64;
@@ -363,12 +332,7 @@ fn fold_tail(
                 }
             }
             drop(published);
-            ctx.obs.tracer().emit_traced(
-                ctx.shard,
-                replay_t0.elapsed().as_nanos() as u64,
-                TraceKind::ReplayComplete { records },
-                ctx.active_trace.load(Ordering::Relaxed),
-            );
+            ctx.metrics().add(ShardMetric::ReplayedRecords, records);
             return true;
         }
         if fold.owed() == 0 {
@@ -377,12 +341,6 @@ fn fold_tail(
         let index = fold.next_index();
         if quarantine.note_crash(index) {
             ctx.metrics().add(ShardMetric::Quarantined, 1);
-            ctx.obs.tracer().emit_traced(
-                ctx.shard,
-                0,
-                TraceKind::RecordQuarantined { index },
-                ctx.active_trace.load(Ordering::Relaxed),
-            );
         }
         // Retry immediately: either the record is now skipped or its
         // crash count moved toward the quarantine threshold.
@@ -433,7 +391,12 @@ mod tests {
         (0..40u64)
             .map(|t| {
                 let server = ServerId::new(t % 2);
-                Feedback::new(t, server, ClientId::new(t % 7), Rating::from_good(t % 5 != 0))
+                Feedback::new(
+                    t,
+                    server,
+                    ClientId::new(t % 7),
+                    Rating::from_good(t % 5 != 0),
+                )
             })
             .collect()
     }
@@ -441,7 +404,13 @@ mod tests {
     fn fingerprint(states: &HashMap<ServerId, ServerState>) -> Vec<(ServerId, Vec<u8>, String)> {
         let mut all: Vec<_> = states
             .iter()
-            .map(|(id, s)| (*id, s.history().unwrap().encode(), format!("{:?}", s.trust())))
+            .map(|(id, s)| {
+                (
+                    *id,
+                    s.history().unwrap().encode(),
+                    format!("{:?}", s.trust()),
+                )
+            })
             .collect();
         all.sort();
         all
@@ -452,7 +421,7 @@ mod tests {
     /// undo it once and apply it once.
     #[test]
     fn refold_rolls_the_marked_record_back_and_applies_the_rest() {
-        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1, 64, false)));
+        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1)));
         let mut expected = HashMap::new();
         InFlight::replaying(batch(), 0).apply_rest(&mut expected, &ctx, |_| true);
 
@@ -474,15 +443,22 @@ mod tests {
         assert_eq!(fingerprint(&states), fingerprint(&expected));
         assert_eq!(inflight.owed(), 0);
         assert_eq!(inflight.next_index(), 40, "the batch's ordinals are spent");
+        let replayed = ctx.obs.snapshot().total(ShardMetric::ReplayedRecords);
+        assert_eq!(replayed, 23, "the refold counts the records it owed");
     }
 
     #[test]
     fn refold_refuses_a_state_torn_inside_a_tiering_fold() {
-        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1, 64, false)));
+        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1)));
         let mut states = HashMap::new();
         let mut inflight = InFlight::default();
         inflight.folding = true;
-        assert!(!refold(&ctx, &mut Quarantine::new(2), &mut states, &mut inflight));
+        assert!(!refold(
+            &ctx,
+            &mut Quarantine::new(2),
+            &mut states,
+            &mut inflight
+        ));
     }
 
     #[test]
@@ -504,7 +480,10 @@ mod tests {
         let mut q = Quarantine::new(2);
         assert!(!q.note_crash(5));
         assert!(!q.is_skipped(5));
-        assert!(q.note_crash(5), "second crash at the same index quarantines");
+        assert!(
+            q.note_crash(5),
+            "second crash at the same index quarantines"
+        );
         assert!(q.is_skipped(5));
         assert!(!q.note_crash(5), "already quarantined: not counted again");
         // Independent indices track independently.

@@ -20,12 +20,11 @@
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
-use hp_service::obs::{LatencyPath, ShardMetric, TraceKind};
+use hp_service::obs::{LatencyPath, ShardMetric};
 use hp_service::replay::{restamp, OfflineReference};
 use hp_service::{
-    AssessOutcome, BootProgress, DegradedReason, Durability, FaultPlan, FsyncPolicy,
-    IngestOutcome, IngestPolicy, ReputationService, ServiceConfig, ServiceError, TearPoint,
-    TieringPolicy,
+    AssessOutcome, BootProgress, DegradedReason, Durability, FaultPlan, FsyncPolicy, IngestOutcome,
+    IngestPolicy, ReputationService, ServiceConfig, ServiceError, TearPoint, TieringPolicy,
 };
 use hp_sim::workload;
 use std::path::PathBuf;
@@ -113,7 +112,10 @@ fn crash_before_apply(config: ServiceConfig, journaled: bool) {
         stats.assessments_served
     );
     if journaled {
-        assert_eq!(stats.journal_records, 600, "the crashed batch was journaled");
+        assert_eq!(
+            stats.journal_records, 600,
+            "the crashed batch was journaled"
+        );
         assert_eq!(stats.per_shard[0].get(ShardMetric::JournalRecords), 600);
         assert_eq!(snap.latency(LatencyPath::JournalAppend).count, 6);
     } else {
@@ -139,7 +141,10 @@ fn crash_between_journal_and_apply_recovers_equivalently() {
 
 /// Two servers interleaved record by record, so every batch touches both.
 fn two_servers(len: usize) -> (Vec<Feedback>, [Vec<Feedback>; 2]) {
-    let a = restamp(&workload::honest_history(len, 0.9, 0xA11CE), ServerId::new(1));
+    let a = restamp(
+        &workload::honest_history(len, 0.9, 0xA11CE),
+        ServerId::new(1),
+    );
     let b = restamp(&workload::honest_history(len, 0.8, 0xB0B), ServerId::new(2));
     let mixed = a.iter().zip(&b).flat_map(|(x, y)| [*x, *y]).collect();
     (mixed, [a, b])
@@ -187,7 +192,10 @@ fn mid_apply_crash_rolls_one_record_back_and_loses_nothing() {
             assert_eq!(stats.shard_restarts, 1, "{point:?}");
             assert_eq!(stats.quarantined_records, 0, "{point:?}");
             assert_eq!(stats.failed_shards, 0, "{point:?}");
-            assert_eq!(stats.tracked_feedbacks, 1200, "{point:?}: nothing lost, nothing doubled");
+            assert_eq!(
+                stats.tracked_feedbacks, 1200,
+                "{point:?}: nothing lost, nothing doubled"
+            );
         }
     }
 }
@@ -206,12 +214,18 @@ fn persistent_mid_apply_crash_is_quarantined() {
         service.ingest_batch(chunk.to_vec()).unwrap();
     }
     let survivors = per_server.map(|history| {
-        history.into_iter().filter(|f| *f != torn).collect::<Vec<Feedback>>()
+        history
+            .into_iter()
+            .filter(|f| *f != torn)
+            .collect::<Vec<Feedback>>()
     });
     assert_verdicts_match_offline(&service, &config, &survivors);
     let stats = service.stats();
     assert_eq!(stats.quarantined_records, 1);
-    assert_eq!(stats.shard_restarts, 1, "one live crash, then the refold retries");
+    assert_eq!(
+        stats.shard_restarts, 1,
+        "one live crash, then the refold retries"
+    );
     assert_eq!(stats.failed_shards, 0);
     assert_eq!(stats.tracked_feedbacks, 799);
 }
@@ -231,14 +245,22 @@ fn half_made_server_is_removed_by_the_rollback() {
         service.ingest_batch(head.clone()).unwrap();
         // The newcomer's first record tears every time it is applied: the
         // state the first attempt created must not outlive the rollback.
-        let mut batch = vec![Feedback::new(0, newcomer, ClientId::new(3), Rating::Positive)];
+        let mut batch = vec![Feedback::new(
+            0,
+            newcomer,
+            ClientId::new(3),
+            Rating::Positive,
+        )];
         let tail: Vec<Feedback> = (200..260)
             .map(|t| Feedback::new(t, known, ClientId::new(t % 5), Rating::Positive))
             .collect();
         batch.extend(&tail);
         service.ingest_batch(batch).unwrap();
         let online = service.assess(known).expect("assess after quarantine");
-        assert_eq!(*online, offline_verdict(&config, head.into_iter().chain(tail)));
+        assert_eq!(
+            *online,
+            offline_verdict(&config, head.into_iter().chain(tail))
+        );
         let stats = service.stats();
         assert_eq!(stats.quarantined_records, 1, "{point:?}");
         assert_eq!(stats.tracked_servers, 1, "{point:?}: the newcomer is gone");
@@ -253,7 +275,12 @@ const DEEP_BATCH: usize = 1000;
 /// batch touching every server; returns each server's history.
 fn ingest_200k(service: &ReputationService) -> Vec<Vec<Feedback>> {
     let histories: Vec<Vec<Feedback>> = (0..DEEP_SERVERS)
-        .map(|s| restamp(&workload::honest_history(1000, 0.9, 0xD0 + s), ServerId::new(s)))
+        .map(|s| {
+            restamp(
+                &workload::honest_history(1000, 0.9, 0xD0 + s),
+                ServerId::new(s),
+            )
+        })
         .collect();
     let mut batch = Vec::with_capacity(DEEP_BATCH);
     for t in 0..1000 {
@@ -283,43 +310,47 @@ fn assert_verdicts_match_offline<'a>(
             history.push(*f);
         }
         let online = service.assess(server).expect("assess");
-        assert_eq!(*online, reference.assess(&history).expect("offline assess"), "{server}");
+        assert_eq!(
+            *online,
+            reference.assess(&history).expect("offline assess"),
+            "{server}"
+        );
     }
 }
 
-/// Records the fold after the (only) worker restart reports.
-fn replayed_after_restart(service: &ReputationService) -> u64 {
-    let events = service.trace_events();
-    let restart = events
-        .iter()
-        .position(|e| matches!(e.kind, TraceKind::WorkerRestart { .. }))
-        .unwrap_or_else(|| panic!("no restart traced in {events:?}"));
-    events[restart..]
-        .iter()
-        .find_map(|e| match e.kind {
-            TraceKind::ReplayComplete { records } => Some(records),
-            _ => None,
-        })
-        .expect("replay completion traced")
+/// Records recovery has folded back into state since the service
+/// started (`hp_replayed_records_total`); its delta across a crash is
+/// what the respawn re-folded.
+fn replayed(service: &ReputationService) -> u64 {
+    service
+        .metrics()
+        .snapshot()
+        .total(ShardMetric::ReplayedRecords)
 }
 
 #[test]
 fn assess_panic_after_200k_records_folds_nothing() {
-    let config = fast_config()
-        .with_tracing(true)
-        .with_fault_plan(FaultPlan::default().with_assess_panic());
+    let config = fast_config().with_fault_plan(FaultPlan::default().with_assess_panic());
     let service = ReputationService::new(config.clone()).unwrap();
     let histories = ingest_200k(&service);
     assert_eq!(service.stats().tracked_feedbacks, 200_000);
-    let _ = service.trace_events(); // drain: only the crash is of interest
+    let before = replayed(&service);
     assert!(
-        matches!(service.assess(ServerId::new(0)), Err(ServiceError::Interrupted { .. })),
+        matches!(
+            service.assess(ServerId::new(0)),
+            Err(ServiceError::Interrupted { .. })
+        ),
         "the assessment that panicked is lost, typed"
     );
     // The next one is served from the state the panic left in place.
-    let online = service.assess(ServerId::new(0)).expect("assess after the panic");
-    assert_eq!(*online, offline_verdict(&config, histories[0].iter().copied()));
-    assert_eq!(replayed_after_restart(&service), 0, "no record was in flight");
+    let online = service
+        .assess(ServerId::new(0))
+        .expect("assess after the panic");
+    assert_eq!(
+        *online,
+        offline_verdict(&config, histories[0].iter().copied())
+    );
+    assert_eq!(replayed(&service) - before, 0, "no record was in flight");
     let stats = service.stats();
     assert_eq!(stats.shard_restarts, 1);
     assert_eq!(stats.tracked_feedbacks, 200_000);
@@ -329,17 +360,20 @@ fn assess_panic_after_200k_records_folds_nothing() {
 #[test]
 fn crash_before_apply_at_200k_records_folds_one_batch() {
     // The 201st ingest command dies before its first record.
-    let config = fast_config()
-        .with_tracing(true)
-        .with_fault_plan(FaultPlan::default().panic_at(0, 201));
+    let config = fast_config().with_fault_plan(FaultPlan::default().panic_at(0, 201));
     let service = ReputationService::new(config.clone()).unwrap();
     let mut histories = ingest_200k(&service);
     let _ = service.stats(); // barrier: all 200 batches applied
-    let _ = service.trace_events();
+    let before = replayed(&service);
     let extra: Vec<Feedback> = (0..DEEP_BATCH as u64)
         .map(|i| {
             let server = ServerId::new(i % DEEP_SERVERS);
-            Feedback::new(1000 + i / DEEP_SERVERS, server, ClientId::new(i % 9), Rating::Positive)
+            Feedback::new(
+                1000 + i / DEEP_SERVERS,
+                server,
+                ClientId::new(i % 9),
+                Rating::Positive,
+            )
         })
         .collect();
     for f in &extra {
@@ -351,7 +385,7 @@ fn crash_before_apply_at_200k_records_folds_one_batch() {
     assert_eq!(stats.tracked_feedbacks, 201_000);
     // A count, not a timer: the respawn folded the batch in flight and
     // none of the 200 000 records before it.
-    assert_eq!(replayed_after_restart(&service), DEEP_BATCH as u64);
+    assert_eq!(replayed(&service) - before, DEEP_BATCH as u64);
     assert_verdicts_match_offline(&service, &config, histories.iter().step_by(20));
 }
 
@@ -392,7 +426,9 @@ fn tiering_panic_on_a_durable_shard_replays_or_fails_at_boot() {
     let server = ServerId::new(4);
     let feedbacks = restamp(&workload::honest_history(600, 0.9, 3), server);
     let (plain, dir) = durable(tiered_config(), "tiering-panic");
-    let config = plain.clone().with_fault_plan(FaultPlan::default().with_tiering_panic());
+    let config = plain
+        .clone()
+        .with_fault_plan(FaultPlan::default().with_tiering_panic());
     {
         let service = ReputationService::new(config.clone()).unwrap();
         service.ingest_batch(feedbacks.clone()).unwrap();
@@ -408,7 +444,10 @@ fn tiering_panic_on_a_durable_shard_replays_or_fails_at_boot() {
     let service = ReputationService::new_with_progress(config, Some(Arc::clone(&boot))).unwrap();
     let mut failed = false;
     for _ in 0..500 {
-        if matches!(service.assess(server), Err(ServiceError::ShardUnavailable { shard: 0 })) {
+        if matches!(
+            service.assess(server),
+            Err(ServiceError::ShardUnavailable { shard: 0 })
+        ) {
             failed = true;
             break;
         }
@@ -417,7 +456,10 @@ fn tiering_panic_on_a_durable_shard_replays_or_fails_at_boot() {
     assert!(failed, "the shard is failed, typed");
     assert_eq!(service.stats().failed_shards, 1);
     let status = boot.status();
-    assert_eq!(status.shards_ready, status.shards_total, "boot finished: {status:?}");
+    assert_eq!(
+        status.shards_ready, status.shards_total,
+        "boot finished: {status:?}"
+    );
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -443,9 +485,16 @@ fn poison_record_is_quarantined_and_skipped() {
     assert_eq!(*online, offline_verdict(&config, survivors));
     let stats = service.stats();
     assert_eq!(stats.quarantined_records, 1);
-    assert_eq!(stats.shard_restarts, 1, "one live crash, then replay retries");
+    assert_eq!(
+        stats.shard_restarts, 1,
+        "one live crash, then replay retries"
+    );
     assert_eq!(stats.failed_shards, 0);
-    assert_eq!(stats.per_shard[0].get(ShardMetric::Quarantined), 1, "attributed to shard 0");
+    assert_eq!(
+        stats.per_shard[0].get(ShardMetric::Quarantined),
+        1,
+        "attributed to shard 0"
+    );
     assert_eq!(stats.per_shard[0].get(ShardMetric::Restarts), 1);
 }
 
@@ -473,7 +522,10 @@ fn deadline_miss_serves_published_verdict_with_staleness() {
         .expect("published verdict available");
     match outcome {
         AssessOutcome::Degraded(d) => {
-            assert_eq!(d.assessment, fresh, "degraded answer is the last published verdict");
+            assert_eq!(
+                d.assessment, fresh,
+                "degraded answer is the last published verdict"
+            );
             assert_eq!(d.computed_at_version, 300);
             assert_eq!(d.latest_version, 350);
             assert_eq!(d.staleness(), 50);
@@ -522,9 +574,21 @@ fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
     // First batch fills the single queue slot; second is shed — and the
     // count comes from the returned command, not an estimate.
     let accepted = service.ingest_batch(tail[..30].to_vec()).unwrap();
-    assert_eq!(accepted, IngestOutcome { accepted: 30, shed: 0 });
+    assert_eq!(
+        accepted,
+        IngestOutcome {
+            accepted: 30,
+            shed: 0
+        }
+    );
     let shed = service.ingest_batch(tail[30..].to_vec()).unwrap();
-    assert_eq!(shed, IngestOutcome { accepted: 0, shed: 30 });
+    assert_eq!(
+        shed,
+        IngestOutcome {
+            accepted: 0,
+            shed: 30
+        }
+    );
 
     stalled.join().unwrap();
     let online = service.assess(server).unwrap();
@@ -565,7 +629,10 @@ fn try_for_policy_sheds_after_bounded_wait() {
     let second = service.ingest_batch(batch(160)).unwrap();
     assert_eq!(
         second,
-        IngestOutcome { accepted: 0, shed: 10 },
+        IngestOutcome {
+            accepted: 0,
+            shed: 10
+        },
         "full queue sheds after the bounded wait"
     );
     stalled.join().unwrap();
@@ -612,20 +679,23 @@ fn restart_budget_exhaustion_fails_the_shard_typed() {
     assert!(failed, "shard must become typed-unavailable");
     let stats = service.stats();
     assert_eq!(stats.failed_shards, 1);
-    assert_eq!(stats.shard_restarts, 2, "the budget of 2 respawns was spent");
+    assert_eq!(
+        stats.shard_restarts, 2,
+        "the budget of 2 respawns was spent"
+    );
     assert_eq!(stats.quarantined_records, 2, "one per completed rebuild");
     assert_eq!(stats.per_shard[0].get(ShardMetric::Failed), 1);
 }
 
 /// The second ingest command is accepted, then the worker dies pre-apply;
-/// the trace ring must tell that story in order.
+/// the counters must tell that story: one batch applied live, the
+/// restart, and what the respawn folded back.
 fn crash_causality(config: ServiceConfig, journaled: bool) {
     let server = ServerId::new(23);
     let feedbacks = restamp(&workload::honest_history(200, 0.9, 0xACE), server);
-    let config = config
-        .with_tracing(true)
-        .with_fault_plan(FaultPlan::default().panic_at(0, 2));
+    let config = config.with_fault_plan(FaultPlan::default().panic_at(0, 2));
     let service = ReputationService::new(config).unwrap();
+    let before = replayed(&service);
     for chunk in feedbacks.chunks(100) {
         service.ingest_batch(chunk.to_vec()).unwrap();
     }
@@ -633,58 +703,37 @@ fn crash_causality(config: ServiceConfig, journaled: bool) {
     // is back and holds both batches.
     service.assess(server).expect("assess after recovery");
 
-    let events = service.trace_events();
-    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "{events:?}");
-    let restart = events
-        .iter()
-        .position(|e| matches!(e.kind, TraceKind::WorkerRestart { .. }))
-        .expect("restart traced");
-    let appends_before = events[..restart]
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::JournalAppend { .. }))
-        .count();
-    let applies_before = events[..restart]
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::BatchApplied { .. }))
-        .count();
-    assert_eq!(applies_before, 1, "{events:?}");
-    let replay = events[restart..]
-        .iter()
-        .find_map(|e| match e.kind {
-            TraceKind::ReplayComplete { records } => Some(records),
-            _ => None,
-        })
-        .expect("replay completion traced");
+    let stats = service.stats();
+    assert_eq!(stats.shard_restarts, 1);
+    assert_eq!(stats.tracked_feedbacks, 200);
+    // The live path applied the first batch only: the second died
+    // before its first record.
+    assert_eq!(stats.per_shard[0].get(ShardMetric::LastApplyVersion), 100);
+    let replay = replayed(&service) - before;
     if journaled {
         // Both batches were journaled before the crash, but only the
         // first was applied — the dangling append is the write-ahead
         // invariant made visible — and the replay folds both back.
-        assert_eq!(appends_before, 2, "{events:?}");
+        assert_eq!(
+            stats.journal_records, 200,
+            "the crashed batch was journaled"
+        );
         assert_eq!(replay, 200, "replay folds every journaled record");
     } else {
         // Nothing is journaled, the first batch is still in the state:
         // the respawn folds only the batch that was in flight.
-        assert!(
-            events.iter().all(|e| !matches!(e.kind, TraceKind::JournalAppend { .. })),
-            "{events:?}"
-        );
+        assert_eq!(stats.journal_records, 0);
         assert_eq!(replay, 100, "the respawn folds the in-flight batch only");
     }
-    // And the assessment that proved recovery was traced after it.
-    let served = events
-        .iter()
-        .rposition(|e| matches!(e.kind, TraceKind::AssessServed { .. }))
-        .expect("assessment traced");
-    assert!(served > restart);
 }
 
 #[test]
-fn trace_ring_reconstructs_crash_causality() {
+fn crash_before_apply_refolds_the_in_flight_batch() {
     crash_causality(fast_config(), false);
 }
 
 #[test]
-fn trace_ring_shows_the_write_ahead_order_on_a_durable_shard() {
+fn crash_before_apply_on_a_durable_shard_replays_the_journaled_batch() {
     let (config, dir) = durable(fast_config(), "crash-causality");
     crash_causality(config, true);
     let _ = std::fs::remove_dir_all(&dir);

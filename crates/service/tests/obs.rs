@@ -1,12 +1,13 @@
 //! Observability integration tests: traced assessments are bit-identical
 //! to untraced ones, histogram totals agree with the event counters in
 //! fault-free runs, the Prometheus exposition is the metric table and
-//! nothing else, and the trace rings reconstruct journal-before-apply order.
+//! nothing else, and the exposition's counters tell a crash's
+//! journal-before-apply story.
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::obs::{lint_catalogue, Family, LatencyPath, ShardMetric, METRIC_TABLE};
-use hp_service::{Durability, FsyncPolicy, ReputationService, ServiceConfig, TrustModel};
+use hp_service::{ReputationService, ServiceConfig, TrustModel};
 use proptest::prelude::*;
 
 fn fast_config(shards: usize) -> ServiceConfig {
@@ -124,11 +125,19 @@ fn histogram_totals_match_counters() {
     // Per-shard blocks fold to the same totals.
     assert_eq!(stats.per_shard.len(), 3);
     assert_eq!(
-        stats.per_shard.iter().map(|s| s.get(ShardMetric::Ingested)).sum::<u64>(),
+        stats
+            .per_shard
+            .iter()
+            .map(|s| s.get(ShardMetric::Ingested))
+            .sum::<u64>(),
         total
     );
     assert_eq!(
-        stats.per_shard.iter().map(|s| s.get(ShardMetric::JournalRecords)).sum::<u64>(),
+        stats
+            .per_shard
+            .iter()
+            .map(|s| s.get(ShardMetric::JournalRecords))
+            .sum::<u64>(),
         stats.journal_records
     );
 }
@@ -142,27 +151,36 @@ fn histogram_totals_match_counters() {
 fn prometheus_exposition_is_the_metric_table() {
     let service = ReputationService::new(fast_config(2)).unwrap();
     let server = ServerId::new(17);
-    service.ingest_batch(feedbacks_for(server, 200, 11)).unwrap();
+    service
+        .ingest_batch(feedbacks_for(server, 200, 11))
+        .unwrap();
     service.assess(server).unwrap();
 
     let text = service.render_prometheus();
     let catalogue: Vec<Family> = METRIC_TABLE.iter().map(|row| row.family).collect();
     let problems = lint_catalogue(&text, &catalogue);
-    assert!(problems.is_empty(), "table vs exposition: {problems:?}\n{text}");
+    assert!(
+        problems.is_empty(),
+        "table vs exposition: {problems:?}\n{text}"
+    );
     for required in [
         "hp_feedbacks_ingested_total{shard=\"0\"}",
         "hp_feedbacks_ingested_total{shard=\"1\"}",
         "hp_ingest_apply_latency_seconds_count 200",
         "hp_assess_compute_latency_seconds_count 1",
         "hp_assess_e2e_latency_seconds_count 1",
-        "hp_ingest_apply_latency_quantile_seconds{quantile=\"0.5\"}",
-        "hp_assess_e2e_latency_quantile_seconds{quantile=\"0.99\"}",
+        "hp_replayed_records_total{shard=\"0\"} 0",
     ] {
         assert!(text.contains(required), "missing `{required}` in:\n{text}");
     }
 
     let json = service.metrics_json();
-    for key in ["\"ingest_apply\"", "\"assess_e2e\"", "\"p99_ns\"", "\"totals\""] {
+    for key in [
+        "\"ingest_apply\"",
+        "\"assess_e2e\"",
+        "\"p99_ns\"",
+        "\"totals\"",
+    ] {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
 }
@@ -190,7 +208,9 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
     assert!(!readiness.surface_ready);
 
     let server = ServerId::new(3);
-    service.ingest_batch(feedbacks_for(server, 300, 13)).unwrap();
+    service
+        .ingest_batch(feedbacks_for(server, 300, 13))
+        .unwrap();
     service.assess(server).unwrap();
     let text = service.render_prometheus();
     for metric in [
@@ -236,7 +256,9 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
     assert!(readiness.surface_configured);
     assert!(readiness.surface_ready, "built surface must serve m");
 
-    service.ingest_batch(feedbacks_for(server, 600, 13)).unwrap();
+    service
+        .ingest_batch(feedbacks_for(server, 600, 13))
+        .unwrap();
     service.assess(server).unwrap();
     let text = service.render_prometheus();
     assert!(
@@ -335,40 +357,56 @@ fn calibration_hit_counters_advance_by_one_per_conclusive_suffix_test() {
     assert_eq!(answered(&service.stats()), answered(&warm));
 }
 
+/// Sums every sample of one per-shard family in an exposition.
+fn shard_sum(text: &str, family: &str) -> f64 {
+    let samples = text
+        .lines()
+        .filter(|line| line.starts_with(&format!("{family}{{")));
+    samples
+        .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum()
+}
+
+/// The write-ahead invariant as an operator reads it off `/metrics`: the
+/// second ingest command dies before its first record, yet the journal
+/// holds both batches, the live path applied one, and the respawn's
+/// replay folds both back.
+#[cfg(feature = "fault-injection")]
 #[test]
-fn tracing_orders_journal_before_apply() {
+fn a_crash_before_apply_replays_the_journaled_batch() {
     let dir = std::env::temp_dir().join(format!("hp-service-obs-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = fast_config(1)
-        .with_tracing(true)
-        .with_durability(Durability::Durable {
+        .with_durability(hp_service::Durability::Durable {
             dir: dir.clone(),
-            fsync: FsyncPolicy::Never,
-        });
+            fsync: hp_service::FsyncPolicy::Never,
+        })
+        .with_fault_plan(hp_service::FaultPlan::default().panic_at(0, 2));
     let service = ReputationService::new(config).unwrap();
     let server = ServerId::new(4);
-    service.ingest_batch(feedbacks_for(server, 150, 9)).unwrap();
-    service.assess(server).unwrap(); // FIFO barrier: the ingest is applied
+    for chunk in feedbacks_for(server, 150, 9).chunks(75) {
+        service.ingest_batch(chunk.to_vec()).unwrap();
+    }
+    service.assess(server).unwrap(); // FIFO barrier: the respawn is serving
 
-    let events = service.trace_events();
-    let pos = |label: &str| {
-        events
-            .iter()
-            .position(|e| e.kind.label() == label)
-            .unwrap_or_else(|| panic!("no `{label}` event in {events:?}"))
-    };
-    let append = pos("journal_append");
-    let applied = pos("batch_applied");
-    let served = pos("assess_served");
-    assert!(
-        append < applied,
-        "write-ahead invariant: append (#{append}) must precede apply (#{applied})"
+    let text = service.render_prometheus();
+    assert_eq!(shard_sum(&text, "hp_shard_restarts_total"), 1.0);
+    assert_eq!(
+        shard_sum(&text, "hp_journal_records_total"),
+        150.0,
+        "both batches journaled"
     );
-    assert!(applied < served, "assessment observes the applied batch");
-    // Global sequence numbers are strictly increasing across the drain.
-    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-    // Drained: a second drain is empty until new events arrive.
-    assert!(service.trace_events().is_empty());
+    assert_eq!(
+        shard_sum(&text, "hp_shard_last_apply_version"),
+        75.0,
+        "one applied live"
+    );
+    assert_eq!(
+        shard_sum(&text, "hp_replayed_records_total"),
+        150.0,
+        "the replay folds both"
+    );
+    assert_eq!(service.stats().tracked_feedbacks, 150);
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -378,39 +416,26 @@ fn tracing_orders_journal_before_apply() {
 /// them) and read zero.
 #[test]
 fn an_ephemeral_service_reports_no_journal_activity() {
-    let service = ReputationService::new(fast_config(1).with_tracing(true)).unwrap();
+    let service = ReputationService::new(fast_config(1)).unwrap();
     let server = ServerId::new(4);
     service.ingest_batch(feedbacks_for(server, 150, 9)).unwrap();
     service.assess(server).unwrap();
-    let events = service.trace_events();
-    assert!(
-        events.iter().all(|e| e.kind.label() != "journal_append"),
-        "{events:?}"
-    );
-    assert!(events.iter().any(|e| e.kind.label() == "batch_applied"));
     let stats = service.stats();
     assert_eq!((stats.journal_records, stats.journal_bytes), (0, 0));
     let text = service.render_prometheus();
-    assert_eq!(metric_value(&text, "hp_journal_append_latency_seconds_count"), 0.0);
+    assert_eq!(
+        metric_value(&text, "hp_journal_append_latency_seconds_count"),
+        0.0
+    );
     for series in ["hp_journal_records_total", "hp_journal_bytes_total"] {
-        let total: f64 = text
-            .lines()
-            .filter(|line| line.starts_with(series))
-            .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
-            .sum();
-        assert_eq!(total, 0.0, "{series}");
+        assert_eq!(shard_sum(&text, series), 0.0, "{series}");
         assert!(text.contains(series), "{series} stays exported");
     }
-}
-
-#[test]
-fn tracing_disabled_by_default_records_nothing() {
-    let service = ReputationService::new(fast_config(1)).unwrap();
-    let server = ServerId::new(2);
-    service.ingest_batch(feedbacks_for(server, 100, 7)).unwrap();
-    service.assess(server).unwrap();
-    assert!(service.trace_events().is_empty());
-    assert_eq!(service.metrics().snapshot().trace_dropped, 0);
+    assert_eq!(
+        shard_sum(&text, "hp_shard_last_apply_version"),
+        150.0,
+        "applied all the same"
+    );
 }
 
 /// The exposition must parse clean under the promtool-style lint after
@@ -444,7 +469,9 @@ fn queue_wait_and_utilization_cover_every_shard() {
     let text = service.render_prometheus();
     for shard in 0..3 {
         assert!(
-            text.contains(&format!("hp_shard_queue_wait_seconds_bucket{{shard=\"{shard}\"")),
+            text.contains(&format!(
+                "hp_shard_queue_wait_seconds_bucket{{shard=\"{shard}\""
+            )),
             "no queue-wait histogram for shard {shard}"
         );
         assert!(text.contains(&format!("hp_shard_utilization{{shard=\"{shard}\"}}")));
@@ -464,9 +491,7 @@ fn queue_wait_and_utilization_cover_every_shard() {
 fn traced_requests_leave_exemplars_on_latency_buckets() {
     let service = ReputationService::new(fast_config(1)).unwrap();
     let server = ServerId::new(3);
-    service
-        .ingest_batch_traced(feedbacks_for(server, 90, 8), 0xfeed_beef)
-        .unwrap();
+    service.ingest_batch(feedbacks_for(server, 90, 8)).unwrap();
     let (outcome, timings) = service.assess_observed(server, None, 0xfeed_beef).unwrap();
     assert!(matches!(outcome, hp_service::AssessOutcome::Fresh(_)));
     let t = timings.expect("fresh assessments carry stage timings");
@@ -478,7 +503,10 @@ fn traced_requests_leave_exemplars_on_latency_buckets() {
         "no exemplar carrying the request trace in:\n{text}"
     );
     let problems = hp_service::obs::lint_prometheus(&text);
-    assert!(problems.is_empty(), "exemplars must not break the lint: {problems:?}");
+    assert!(
+        problems.is_empty(),
+        "exemplars must not break the lint: {problems:?}"
+    );
 }
 
 /// Build identity is a first-class metric: version and trust-model
@@ -504,7 +532,9 @@ fn build_info_carries_version_and_model_labels() {
 fn assess_timings_nest_inside_the_callers_window() {
     let service = ReputationService::new(fast_config(2)).unwrap();
     let server = ServerId::new(21);
-    service.ingest_batch(feedbacks_for(server, 150, 11)).unwrap();
+    service
+        .ingest_batch(feedbacks_for(server, 150, 11))
+        .unwrap();
 
     let t0 = std::time::Instant::now();
     let (_, timings) = service.assess_observed(server, None, 0xabc).unwrap();

@@ -101,7 +101,10 @@ fn shutdown_drains_queue_and_loses_nothing() {
         service.shutdown();
     }
     let recovered = read_journal(&dir.join("shard-0.hpj"), Some((0, 1))).unwrap();
-    assert_eq!(recovered.feedbacks, feedbacks, "no feedback lost on shutdown");
+    assert_eq!(
+        recovered.feedbacks, feedbacks,
+        "no feedback lost on shutdown"
+    );
     assert_eq!(recovered.torn_bytes, 0);
 
     let service = ReputationService::new(config.clone()).unwrap();
@@ -331,9 +334,70 @@ mod snapshots {
         let online = service.assess(server).expect("assess after restart");
         assert_eq!(*online, offline_verdict(&config, feedbacks));
         let stats = service.stats();
-        assert_eq!(stats.journal_records, 600, "absolute count survives compaction");
+        assert_eq!(
+            stats.journal_records, 600,
+            "absolute count survives compaction"
+        );
         assert_eq!(stats.snapshot_fallbacks, 0);
         assert_eq!(stats.failed_shards, 0);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Recovery bounded by a count, not a clock: a restart past a
+    /// checkpoint folds exactly the journal tail the snapshot does not
+    /// cover (`hp_replayed_records_total` = journal records − snapshot
+    /// offset), and the same directory with every snapshot wrecked folds
+    /// the whole journal.
+    #[test]
+    fn restart_replays_only_the_journal_tail_past_the_snapshot() {
+        let dir = temp_dir("snap-tail");
+        let server = ServerId::new(5);
+        let feedbacks = restamp(&workload::honest_history(600, 0.9, 0x7A11), server);
+        let config = snapshot_config(&dir, false);
+        let replayed = |service: &ReputationService| {
+            let snap = service.metrics().snapshot();
+            snap.total(hp_service::obs::ShardMetric::ReplayedRecords)
+        };
+        {
+            let service = ReputationService::new(config.clone()).unwrap();
+            service.ingest_batch(feedbacks[..400].to_vec()).unwrap();
+            service.shutdown(); // the final checkpoint covers 400 records
+        }
+        // What a process killed after journaling 200 more leaves behind:
+        // a journal that runs past the newest snapshot.
+        let path = dir.join("shard-0.hpj");
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::EveryBatch).unwrap();
+        journal.append_batch(&feedbacks[400..]).unwrap();
+        drop(journal);
+
+        let service = ReputationService::new(config.clone()).unwrap();
+        let online = service.assess(server).expect("assess after restart");
+        assert_eq!(*online, offline_verdict(&config, feedbacks.clone()));
+        let stats = service.stats();
+        assert_eq!((stats.journal_records, stats.snapshot_fallbacks), (600, 0));
+        assert_eq!(
+            replayed(&service),
+            stats.journal_records - 400,
+            "the tail, nothing more"
+        );
+        service.shutdown(); // checkpoints again, at 600
+
+        for file in snapshot_files(&dir) {
+            let mut data = std::fs::read(&file).unwrap();
+            let mid = data.len() / 2;
+            data[mid] ^= 0xFF;
+            std::fs::write(&file, &data).unwrap();
+        }
+        let service = ReputationService::new(config.clone()).unwrap();
+        let online = service.assess(server).expect("assess after full replay");
+        assert_eq!(*online, offline_verdict(&config, feedbacks));
+        let stats = service.stats();
+        assert_eq!(
+            stats.snapshot_fallbacks, 2,
+            "both retained snapshots rejected"
+        );
+        assert_eq!(replayed(&service), 600, "the whole journal");
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -397,7 +461,10 @@ mod snapshots {
             std::fs::write(&file, &data).unwrap();
         }
         let service = ReputationService::new(config).unwrap();
-        assert!(service.assess(server).is_err(), "no answer beats a wrong answer");
+        assert!(
+            service.assess(server).is_err(),
+            "no answer beats a wrong answer"
+        );
         let stats = service.stats();
         assert_eq!(stats.failed_shards, 1);
         assert!(stats.snapshot_fallbacks >= 1);
