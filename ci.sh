@@ -17,6 +17,7 @@ echo "==> rustfmt --check (files already clean)"
 FMT_CLEAN=(
     crates/bench/benches/history.rs
     crates/bench/benches/obs.rs
+    crates/bench/benches/recovery.rs
     crates/core/src/history/columnar.rs
     crates/core/src/history/mod.rs
     crates/core/src/history/tiered.rs
@@ -24,15 +25,23 @@ FMT_CLEAN=(
     crates/core/src/id.rs
     crates/core/tests/resident_accounting.rs
     crates/core/tests/tiered_equivalence.rs
+    crates/edge/src/bin/hp_edge.rs
+    crates/edge/src/config.rs
     crates/edge/src/http.rs
     crates/edge/src/metrics.rs
     crates/edge/src/server.rs
     crates/edge/src/wire.rs
     crates/edge/tests/chaos.rs
+    crates/edge/tests/cli.rs
+    crates/edge/tests/kill9.rs
     crates/edge/tests/obs.rs
+    crates/edge/tests/protocol.rs
     crates/edge/tests/support/mod.rs
     crates/service/src/calcache.rs
     crates/service/src/config.rs
+    crates/service/src/faults.rs
+    crates/service/src/journal.rs
+    crates/service/src/lib.rs
     crates/service/src/metrics.rs
     crates/service/src/obs/audit.rs
     crates/service/src/obs/histogram.rs
@@ -41,19 +50,34 @@ FMT_CLEAN=(
     crates/service/src/obs/registry.rs
     crates/service/src/obs/slo.rs
     crates/service/src/obs/span.rs
+    crates/service/src/replay.rs
     crates/service/src/service.rs
     crates/service/src/shard.rs
     crates/service/src/snapshot.rs
+    crates/service/src/state.rs
     crates/service/src/supervisor.rs
     crates/service/tests/chaos.rs
+    crates/service/tests/equivalence.rs
     crates/service/tests/obs.rs
+    crates/service/tests/persistence.rs
     crates/service/tests/recovery.rs
+    crates/service/tests/spill.rs
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
     crates/store/src/engine.rs
+    examples/online_service.rs
 )
 rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"
 echo "    ${#FMT_CLEAN[@]} files clean"
+
+# hp-sim generates populations for tests and the example; the service
+# itself must not link it.
+echo "==> hp-service links no hp-sim outside its tests"
+SERVICE_TREE="$(cargo tree --offline -p hp-service -e normal)"
+if grep -q "hp-sim" <<<"$SERVICE_TREE"; then
+    echo "hp-service has a normal dependency on hp-sim"
+    exit 1
+fi
 
 echo "==> cargo build --release (offline, workspace)"
 if [ "$QUICK" -eq 0 ]; then
@@ -86,7 +110,10 @@ echo "==> cargo doc -D warnings (offline, workspace, no deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # The example prints the exposition and writes metrics_json() to
-# experiments/out/bench_service.json (no bench does). One name per kind
+# experiments/out/bench_service.json (no bench does). It also holds the
+# replay driver, so its closing `mismatches == 0` assertion is that
+# driver's gate: every online verdict of its 60-server marketplace must
+# equal OfflineReference's, or this stage fails. One name per kind
 # of family — per-shard counter, per-shard gauge, path histogram, service
 # gauge — says the example still prints an exposition; that it is
 # complete is the table-vs-exposition test's job (tests/obs.rs).

@@ -76,17 +76,25 @@ fn bench_journal_append(rows: &mut Vec<Row>) {
     let feedbacks = batch(0, APPEND_BATCH);
 
     let mut log = Vec::new();
-    rows.push(measure("journal_append/ephemeral", 200, APPEND_BATCH as u64, || {
-        log.extend_from_slice(&feedbacks);
-    }));
+    rows.push(measure(
+        "journal_append/ephemeral",
+        200,
+        APPEND_BATCH as u64,
+        || {
+            log.extend_from_slice(&feedbacks);
+        },
+    ));
 
     for (label, policy, samples) in [
         ("journal_append/durable_never", FsyncPolicy::Never, 200),
-        ("journal_append/durable_fsync_batch", FsyncPolicy::EveryBatch, 50),
+        (
+            "journal_append/durable_fsync_batch",
+            FsyncPolicy::EveryBatch,
+            50,
+        ),
     ] {
         let dir = scratch_dir(label.rsplit('/').next().unwrap());
-        let (mut journal, _) =
-            FileJournal::open(&dir.join("shard-0.hpj"), 0, 1, policy).unwrap();
+        let (mut journal, _) = FileJournal::open(&dir.join("shard-0.hpj"), 0, 1, policy).unwrap();
         rows.push(measure(label, samples, APPEND_BATCH as u64, || {
             journal.append_batch(&feedbacks).unwrap();
         }));
@@ -157,26 +165,36 @@ fn bench_recovery(rows: &mut Vec<Row>) {
         write_journal(&path, len);
 
         if len > 0 {
-            rows.push(measure(&format!("recover/len={len}"), 20, len as u64, || {
-                let recovered = read_journal(&path, Some((0, 1))).unwrap();
-                assert_eq!(recovered.feedbacks.len(), len);
-                recovered
-            }));
+            rows.push(measure(
+                &format!("recover/len={len}"),
+                20,
+                len as u64,
+                || {
+                    let recovered = read_journal(&path, Some((0, 1))).unwrap();
+                    assert_eq!(recovered.feedbacks.len(), len);
+                    recovered
+                },
+            ));
         }
 
         let config = fast_config().with_durability(Durability::Durable {
             dir: dir.clone(),
             fsync: FsyncPolicy::Never,
         });
-        rows.push(measure_span(&format!("service_restart/len={len}"), 5, len as u64, || {
-            let t0 = Instant::now();
-            let service = ReputationService::new(config.clone()).unwrap();
-            // Barrier: recovery replay is complete once stats round-trips.
-            assert_eq!(service.stats().journal_records, len as u64);
-            let boot = t0.elapsed();
-            service.shutdown();
-            boot
-        }));
+        rows.push(measure_span(
+            &format!("service_restart/len={len}"),
+            5,
+            len as u64,
+            || {
+                let t0 = Instant::now();
+                let service = ReputationService::new(config.clone()).unwrap();
+                // Barrier: recovery replay is complete once stats round-trips.
+                assert_eq!(service.stats().journal_records, len as u64);
+                let boot = t0.elapsed();
+                service.shutdown();
+                boot
+            },
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -198,7 +216,6 @@ fn bench_snapshot_restart(rows: &mut Vec<Row>) {
             })
             .with_snapshots(SnapshotPolicy {
                 interval_records: 0,
-                retain: 2,
                 compact_journal: false,
             });
 
@@ -255,7 +272,6 @@ fn bench_spill_restart(rows: &mut Vec<Row>) {
         })
         .with_snapshots(SnapshotPolicy {
             interval_records: 0,
-            retain: 2,
             compact_journal: false,
         })
         .with_tiering(TieringPolicy {

@@ -1,24 +1,28 @@
 //! The `hp-edge` binary: serve the reputation service over HTTP/1.1.
 //!
 //! ```text
-//! hp-edge [--addr HOST:PORT] [--workers N] [--shards N]
+//! hp-edge [--help] [--addr HOST:PORT] [--workers N] [--shards N]
 //!         [--calibration-cache PATH] [--assess-deadline-ms N]
 //!         [--calibration-trials N] [--calibration-tolerance F]
-//!         [--journal-dir PATH] [--fsync never|batch|every:N]
-//!         [--snapshot-interval-records N] [--snapshot-retain N]
-//!         [--snapshot-no-compact] [--checkpoint-interval-ms N]
+//!         [--journal-dir PATH] [--fsync never|batch]
+//!         [--snapshot-interval-records N] [--snapshot-no-compact]
+//!         [--checkpoint-interval-ms N]
 //!         [--history-horizon N] [--spill-budget-bytes N]
 //!         [--no-spans] [--slo-assess-p99-ms N] [--slo-max-shed-ratio F]
 //! ```
 //!
-//! The listener binds immediately; `/healthz` reports `warming` (with
-//! recovery progress: snapshot loaded, records replayed / journal
-//! total) until shard spawn, journal recovery, and boot calibration (the
-//! threshold surface and the rows below it, built or loaded from
-//! `--calibration-cache`) finish. SIGTERM or SIGINT triggers the graceful
-//! drain: stop accepting, finish in-flight requests, shut the shards down
-//! (taking a final snapshot when snapshots are enabled), persist the
-//! calibration cache.
+//! A configuration the service refuses (`--shards 0`, snapshot flags
+//! without `--journal-dir`, a spill budget without snapshots, …) exits 1
+//! with the reason before anything binds; a malformed command line exits
+//! 2 with the usage. Otherwise the listener binds immediately; `/healthz`
+//! reports `warming` (with recovery progress: snapshot loaded, records
+//! replayed / journal total) until shard spawn, journal recovery, and
+//! boot calibration (the threshold surface and the rows below it, built
+//! or loaded from `--calibration-cache`) finish. Each shard keeps its two
+//! newest snapshots. SIGTERM or SIGINT triggers the graceful drain: stop
+//! accepting, finish in-flight requests, shut the shards down (taking a
+//! final snapshot when snapshots are enabled), persist the calibration
+//! cache.
 
 use hp_edge::{signals, EdgeConfig, EdgeServer};
 use hp_service::{
@@ -27,29 +31,18 @@ use hp_service::{
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hp-edge [--addr HOST:PORT] [--workers N] [--shards N]\n\
-         \x20              [--calibration-cache PATH] [--assess-deadline-ms N]\n\
-         \x20              [--calibration-trials N] [--calibration-tolerance F]\n\
-         \x20              [--journal-dir PATH] [--fsync never|batch|every:N]\n\
-         \x20              [--snapshot-interval-records N] [--snapshot-retain N]\n\
-         \x20              [--snapshot-no-compact] [--checkpoint-interval-ms N]\n\
-         \x20              [--history-horizon N] [--spill-budget-bytes N]\n\
-         \x20              [--no-spans] [--slo-assess-p99-ms N] [--slo-max-shed-ratio F]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: hp-edge [--help] [--addr HOST:PORT] [--workers N] [--shards N]
+               [--calibration-cache PATH] [--assess-deadline-ms N]
+               [--calibration-trials N] [--calibration-tolerance F]
+               [--journal-dir PATH] [--fsync never|batch]
+               [--snapshot-interval-records N] [--snapshot-no-compact]
+               [--checkpoint-interval-ms N]
+               [--history-horizon N] [--spill-budget-bytes N]
+               [--no-spans] [--slo-assess-p99-ms N] [--slo-max-shed-ratio F]";
 
-fn parse_fsync(raw: &str) -> Option<FsyncPolicy> {
-    match raw {
-        "never" => Some(FsyncPolicy::Never),
-        "batch" => Some(FsyncPolicy::EveryBatch),
-        _ => raw
-            .strip_prefix("every:")
-            .and_then(|n| n.parse().ok())
-            .map(FsyncPolicy::EveryN),
-    }
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn main() {
@@ -66,8 +59,7 @@ fn main() {
         match flag.as_str() {
             "--addr" => edge_config = edge_config.with_addr(value()),
             "--workers" => {
-                edge_config =
-                    edge_config.with_workers(value().parse().unwrap_or_else(|_| usage()));
+                edge_config = edge_config.with_workers(value().parse().unwrap_or_else(|_| usage()));
             }
             "--shards" => {
                 service_config =
@@ -101,22 +93,20 @@ fn main() {
             }
             "--assess-deadline-ms" => {
                 let millis: u64 = value().parse().unwrap_or_else(|_| usage());
-                edge_config =
-                    edge_config.with_assess_deadline(Some(Duration::from_millis(millis)));
+                edge_config = edge_config.with_assess_deadline(Some(Duration::from_millis(millis)));
             }
             "--journal-dir" => journal_dir = Some(PathBuf::from(value())),
-            "--fsync" => fsync = parse_fsync(&value()).unwrap_or_else(|| usage()),
+            "--fsync" => {
+                fsync = match value().as_str() {
+                    "never" => FsyncPolicy::Never,
+                    "batch" => FsyncPolicy::EveryBatch,
+                    _ => usage(),
+                }
+            }
             "--snapshot-interval-records" => {
                 let interval: u64 = value().parse().unwrap_or_else(|_| usage());
                 snapshot_policy = Some(SnapshotPolicy {
                     interval_records: interval,
-                    ..snapshot_policy.unwrap_or_default()
-                });
-            }
-            "--snapshot-retain" => {
-                let retain: usize = value().parse().unwrap_or_else(|_| usage());
-                snapshot_policy = Some(SnapshotPolicy {
-                    retain,
                     ..snapshot_policy.unwrap_or_default()
                 });
             }
@@ -170,28 +160,23 @@ fn main() {
                 };
                 edge_config = edge_config.with_slo(slo);
             }
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             _ => usage(),
         }
     }
 
+    // The service validates the combination (snapshots need a journal,
+    // a spill budget needs snapshots) before the edge binds.
     if let Some(dir) = journal_dir {
         service_config = service_config.with_durability(Durability::Durable { dir, fsync });
-        if let Some(policy) = snapshot_policy {
-            service_config = service_config.with_snapshots(policy);
-        }
-    } else if snapshot_policy.is_some() {
-        eprintln!("hp-edge: snapshot flags require --journal-dir");
-        std::process::exit(2);
+    }
+    if let Some(policy) = snapshot_policy {
+        service_config = service_config.with_snapshots(policy);
     }
     if let Some(policy) = tiering {
-        if policy.spill_budget_bytes.is_some() && snapshot_policy.is_none() {
-            eprintln!(
-                "hp-edge: --spill-budget-bytes requires --journal-dir and snapshots \
-                 (cold segments are garbage-collected at checkpoints)"
-            );
-            std::process::exit(2);
-        }
         service_config = service_config.with_tiering(policy);
     }
 
@@ -203,7 +188,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!("hp-edge listening on {} (state: {})", edge.local_addr(), edge.state());
+    println!(
+        "hp-edge listening on {} (state: {})",
+        edge.local_addr(),
+        edge.state()
+    );
 
     while !signals::termination_requested() {
         std::thread::sleep(Duration::from_millis(100));

@@ -5,9 +5,12 @@ use std::time::Duration;
 
 /// Configuration for [`crate::EdgeServer`].
 ///
-/// Every knob has an operational default; the two that deployments most
-/// often touch are `addr` (bind address, `:0` picks an ephemeral port)
-/// and `workers` (maximum concurrently served connections).
+/// Every setting has an operational default; the two that deployments
+/// most often touch are `addr` (bind address, `:0` picks an ephemeral
+/// port) and `workers` (maximum concurrently served connections). The
+/// socket bounds are fixed: `2 × workers` pending connections, a 16 KiB
+/// head and an 8 MiB body, 5 s to deliver a head and 10 s a body, 30 s of
+/// keep-alive idleness.
 ///
 /// # Examples
 ///
@@ -26,24 +29,6 @@ pub struct EdgeConfig {
     /// keep-alive loop. `0` resolves to the machine's available
     /// parallelism at start.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker before the
-    /// acceptor starts refusing with an immediate `503` (connection-level
-    /// admission control). `0` resolves to `2 × workers`.
-    pub pending_connections: usize,
-    /// Largest accepted request head (request line + headers); beyond it
-    /// the request is refused with `431`.
-    pub max_head_bytes: usize,
-    /// Largest accepted request body; beyond it the request is refused
-    /// with `413` and the connection closed.
-    pub max_body_bytes: usize,
-    /// Total time a client may take to deliver the request head. A
-    /// partial head older than this (slow-loris) gets `408` and the
-    /// connection closed.
-    pub header_timeout: Duration,
-    /// Same bound for delivering a declared body.
-    pub body_timeout: Duration,
-    /// How long an idle keep-alive connection is held open.
-    pub keep_alive_timeout: Duration,
     /// When set, assessments run through
     /// [`assess_within`](hp_service::ReputationService::assess_within):
     /// past the deadline the response is the last published verdict,
@@ -63,11 +48,6 @@ pub struct EdgeConfig {
     /// per-request cost of the tracing subsystem is a single relaxed
     /// atomic load.
     pub spans: bool,
-    /// Slowest span trees kept per endpoint for `GET /debug/slow`.
-    pub slow_capture: usize,
-    /// Most recent span trees kept for `GET /debug/trace/{id}` lookup
-    /// (histogram exemplars point into this ring).
-    pub recent_traces: usize,
     /// Service-level objectives driving the `hp_slo_*` burn-rate gauges
     /// and the `/healthz` `degraded` flip on a burning fast window.
     pub slo: SloObjectives,
@@ -78,17 +58,9 @@ impl Default for EdgeConfig {
         EdgeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            pending_connections: 0,
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: 8 * 1024 * 1024,
-            header_timeout: Duration::from_secs(5),
-            body_timeout: Duration::from_secs(10),
-            keep_alive_timeout: Duration::from_secs(30),
             assess_deadline: None,
             checkpoint_interval: None,
             spans: true,
-            slow_capture: 8,
-            recent_traces: 512,
             slo: SloObjectives::default(),
         }
     }
@@ -106,35 +78,6 @@ impl EdgeConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Pending-connection admission bound (builder style); `0` = `2 ×
-    /// workers`.
-    #[must_use]
-    pub fn with_pending_connections(mut self, pending: usize) -> Self {
-        self.pending_connections = pending;
-        self
-    }
-
-    /// Body size cap in bytes (builder style).
-    #[must_use]
-    pub fn with_max_body_bytes(mut self, bytes: usize) -> Self {
-        self.max_body_bytes = bytes;
-        self
-    }
-
-    /// Request-head delivery deadline (builder style).
-    #[must_use]
-    pub fn with_header_timeout(mut self, timeout: Duration) -> Self {
-        self.header_timeout = timeout;
-        self
-    }
-
-    /// Idle keep-alive bound (builder style).
-    #[must_use]
-    pub fn with_keep_alive_timeout(mut self, timeout: Duration) -> Self {
-        self.keep_alive_timeout = timeout;
         self
     }
 
@@ -160,20 +103,6 @@ impl EdgeConfig {
         self
     }
 
-    /// Slow-capture ring depth per endpoint (builder style).
-    #[must_use]
-    pub fn with_slow_capture(mut self, capacity: usize) -> Self {
-        self.slow_capture = capacity;
-        self
-    }
-
-    /// Recent-trace ring depth (builder style).
-    #[must_use]
-    pub fn with_recent_traces(mut self, capacity: usize) -> Self {
-        self.recent_traces = capacity;
-        self
-    }
-
     /// Service-level objectives (builder style); see `slo`.
     #[must_use]
     pub fn with_slo(mut self, slo: SloObjectives) -> Self {
@@ -190,39 +119,18 @@ impl EdgeConfig {
         }
     }
 
-    /// The admission bound with `0` resolved to `2 × workers`.
-    pub fn effective_pending(&self) -> usize {
-        if self.pending_connections > 0 {
-            self.pending_connections
-        } else {
-            2 * self.effective_workers()
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason for a zero size cap or a zero
-    /// timeout (both would refuse every request).
+    /// Returns a human-readable reason for a zero deadline or interval
+    /// or an unattainable SLO objective.
     pub fn validate(&self) -> Result<(), String> {
-        if self.max_head_bytes == 0 || self.max_body_bytes == 0 {
-            return Err("head/body size caps must be nonzero".to_string());
-        }
-        if self.header_timeout.is_zero()
-            || self.body_timeout.is_zero()
-            || self.keep_alive_timeout.is_zero()
-        {
-            return Err("edge timeouts must be nonzero".to_string());
-        }
         if self.assess_deadline.is_some_and(|d| d.is_zero()) {
             return Err("assess deadline must be nonzero when set".to_string());
         }
         if self.checkpoint_interval.is_some_and(|d| d.is_zero()) {
             return Err("checkpoint interval must be nonzero when set".to_string());
-        }
-        if self.slow_capture == 0 || self.recent_traces == 0 {
-            return Err("span ring capacities must be nonzero".to_string());
         }
         self.slo.validate()?;
         Ok(())
@@ -238,23 +146,14 @@ mod tests {
         let c = EdgeConfig::default();
         c.validate().unwrap();
         assert!(c.effective_workers() >= 1);
-        assert_eq!(c.effective_pending(), 2 * c.effective_workers());
     }
 
     #[test]
-    fn zero_caps_and_timeouts_rejected() {
-        assert!(EdgeConfig { max_body_bytes: 0, ..Default::default() }
-            .validate()
-            .is_err());
-        assert!(EdgeConfig { header_timeout: Duration::ZERO, ..Default::default() }
-            .validate()
-            .is_err());
+    fn zero_deadline_and_unattainable_slo_rejected() {
         assert!(EdgeConfig::default()
             .with_assess_deadline(Some(Duration::ZERO))
             .validate()
             .is_err());
-        assert!(EdgeConfig::default().with_slow_capture(0).validate().is_err());
-        assert!(EdgeConfig::default().with_recent_traces(0).validate().is_err());
         assert!(EdgeConfig::default()
             .with_slo(SloObjectives {
                 max_shed_ratio: 0.0,
@@ -268,12 +167,8 @@ mod tests {
     fn builders_round_trip() {
         let c = EdgeConfig::default()
             .with_addr("0.0.0.0:8080")
-            .with_workers(3)
-            .with_pending_connections(9)
-            .with_max_body_bytes(1024);
+            .with_workers(3);
         assert_eq!(c.addr, "0.0.0.0:8080");
         assert_eq!(c.effective_workers(), 3);
-        assert_eq!(c.effective_pending(), 9);
-        assert_eq!(c.max_body_bytes, 1024);
     }
 }

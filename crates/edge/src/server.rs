@@ -17,12 +17,13 @@
 //!
 //! # Lifecycle
 //!
-//! `start` binds the listener *first*, then builds the service (shard
-//! spawn + boot calibration) on a builder thread. Until the service
-//! is ready the edge answers `/healthz` with `503 {"status":"warming"}`
-//! and refuses work with the same body, so orchestration can point
-//! traffic at the port immediately and gate on health. `serve` skips
-//! warming by adopting an already-running service. [`EdgeServer::drain`]
+//! `start` validates the service configuration and binds the listener
+//! *first*, then builds the service (shard spawn + boot calibration) on
+//! a builder thread. Until the service is ready the edge answers
+//! `/healthz` with `503 {"status":"warming"}` and refuses work with the
+//! same body, so orchestration can point traffic at the port immediately
+//! and gate on health. `serve` skips warming by adopting an
+//! already-running service. [`EdgeServer::drain`]
 //! (triggered by SIGTERM in the binary) stops the acceptor, lets
 //! workers finish in-flight requests, then shuts the service down —
 //! which takes a final snapshot (when enabled) and persists the
@@ -71,6 +72,24 @@ const STATE_WARMING: u8 = 0;
 const STATE_READY: u8 = 1;
 const STATE_DRAINING: u8 = 2;
 
+/// Caps and deadlines for reading one request: a head over 16 KiB gets
+/// `431`, a body over 8 MiB `413` (and the connection closed); a head not
+/// delivered within 5 s of its first byte (slow-loris), or a body within
+/// 10 s, gets `408`.
+const READ_LIMITS: ReadLimits = ReadLimits {
+    max_head_bytes: 16 * 1024,
+    max_body_bytes: 8 * 1024 * 1024,
+    header_timeout: Duration::from_secs(5),
+    body_timeout: Duration::from_secs(10),
+};
+/// How long an idle keep-alive connection is held open.
+const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Slowest span trees kept per route for `GET /debug/slow`.
+const SLOW_CAPTURE: usize = 8;
+/// Most recent span trees kept for `GET /debug/trace/{id}` (histogram
+/// exemplars point into this ring).
+const RECENT_TRACES: usize = 512;
+
 /// State shared by the acceptor, workers, and the handle.
 struct Shared {
     /// `None` while warming; set exactly once by the builder thread.
@@ -103,15 +122,6 @@ impl Shared {
 
     fn service(&self) -> Option<Arc<ReputationService>> {
         self.service.read().clone()
-    }
-
-    fn limits(&self) -> ReadLimits {
-        ReadLimits {
-            max_head_bytes: self.config.max_head_bytes,
-            max_body_bytes: self.config.max_body_bytes,
-            header_timeout: self.config.header_timeout,
-            body_timeout: self.config.body_timeout,
-        }
     }
 }
 
@@ -149,10 +159,15 @@ impl EdgeServer {
     ///
     /// # Errors
     ///
-    /// Configuration validation and bind errors. A service construction
-    /// error surfaces later: the builder thread prints it to stderr and
-    /// the health endpoint stays `warming` for good.
+    /// `InvalidInput` with the reason when either configuration does not
+    /// validate (checked before binding), and bind errors. A construction
+    /// error validation cannot foresee (a journal that cannot be opened)
+    /// surfaces later: the builder thread prints it to stderr and the
+    /// health endpoint stays `warming` for good.
     pub fn start(service_config: ServiceConfig, config: EdgeConfig) -> io::Result<EdgeServer> {
+        service_config
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut server = EdgeServer::bind(config)?;
         let shared = Arc::clone(&server.shared);
         server.builder = Some(
@@ -195,21 +210,18 @@ impl EdgeServer {
             stop_accepting: AtomicBool::new(false),
             boot: Arc::new(BootProgress::new()),
             metrics: EdgeMetrics::default(),
-            spans: SpanStore::new(
-                &ROUTES,
-                config.slow_capture,
-                config.recent_traces,
-                config.spans,
-            ),
+            spans: SpanStore::new(&ROUTES, SLOW_CAPTURE, RECENT_TRACES, config.spans),
             slo: SloMonitor::new(config.slo),
             config,
         });
 
         // Connections travel with their accept instant so the first
-        // request on each can attribute its admission-channel wait.
-        let (conn_tx, conn_rx) =
-            channel::bounded::<(TcpStream, Instant)>(shared.config.effective_pending());
-        let workers = (0..shared.config.effective_workers())
+        // request on each can attribute its admission-channel wait; twice
+        // as many connections as workers may wait before the acceptor
+        // refuses.
+        let pool = shared.config.effective_workers();
+        let (conn_tx, conn_rx) = channel::bounded::<(TcpStream, Instant)>(2 * pool);
+        let workers = (0..pool)
             .map(|idx| {
                 let rx = conn_rx.clone();
                 let shared = Arc::clone(&shared);
@@ -613,15 +625,14 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
     // request on the connection; keep-alive successors start at their
     // own first header byte.
     let mut admitted = Some((accepted_at, dequeued_at));
-    let limits = shared.limits();
     loop {
         let draining = || shared.state.load(Ordering::Acquire) == STATE_DRAINING;
-        match http::wait_for_request(&stream, shared.config.keep_alive_timeout, draining) {
+        match http::wait_for_request(&stream, KEEP_ALIVE_TIMEOUT, draining) {
             Ok(()) => {}
             Err(_) => return, // idle bound, drain, peer gone, transport error
         }
         let first_byte = Instant::now();
-        let request = match http::read_request(&mut stream, &limits) {
+        let request = match http::read_request(&mut stream, &READ_LIMITS) {
             Ok(request) => request,
             Err(e) => {
                 let reply = match e {
@@ -883,7 +894,7 @@ fn ingest(
                 "shard channel send; journal/fsync/apply are async",
             );
             obs.verdict = format!("accepted={} shed={}", outcome.accepted, outcome.shed);
-            // Shedding under Shed/TryFor backpressure is not an internal
+            // Shedding under TryFor backpressure is not an internal
             // error — it is the admission contract, reported as 429 with
             // the exact accepted/shed split the service recorded.
             let status = if outcome.shed > 0 { 429 } else { 200 };
@@ -1067,5 +1078,23 @@ fn service_error_reply(e: &ServiceError) -> Reply {
         }
         ServiceError::Core(_) => Reply::error(422, "assessment_error", &e.to_string()),
         ServiceError::Journal { .. } => Reply::error(500, "journal_error", &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A service configuration that cannot start is refused before the
+    /// listener binds, with the reason — not left warming for good.
+    #[test]
+    fn start_refuses_an_invalid_service_config_before_binding() {
+        let refused = EdgeServer::start(
+            ServiceConfig::default().with_shards(0),
+            EdgeConfig::default(),
+        );
+        let error = refused.err().expect("zero shards must not start");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
+        assert!(error.to_string().contains("at least one shard"), "{error}");
     }
 }

@@ -20,13 +20,12 @@ fn prom_sum(text: &str, name: &str) -> u64 {
 
 #[test]
 fn shedding_returns_429_with_exact_accounting() {
-    // One shard with a 2-deep queue and a Shed policy; a delayed assess
-    // stalls the worker so ingests pile up deterministically.
+    // One shard whose full queue sheds at once; a delayed assess stalls
+    // the worker so ingests pile up deterministically.
     let service_config = fast_service_config()
         .with_shards(1)
-        .with_queue_capacity(2)
-        .with_ingest_policy(IngestPolicy::Shed)
-        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_millis(400)));
+        .with_ingest_policy(IngestPolicy::TryFor(Duration::ZERO))
+        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_secs(2)));
     let (edge, addr) = boot(service_config, EdgeConfig::default().with_workers(4));
 
     // Seed the server, then stall the shard with an assess on its own
@@ -39,13 +38,13 @@ fn shedding_returns_429_with_exact_accounting() {
     });
     std::thread::sleep(Duration::from_millis(100));
 
-    // Flood while the worker sleeps: the queue holds 2 batches, the
+    // Flood while the worker sleeps: the queue holds 1024 batches, the
     // rest are shed and answered 429 with the exact split.
     let mut sent = 0u64;
     let mut accepted = 0u64;
     let mut shed = 0u64;
     let mut saw_429 = false;
-    for i in 0..8u64 {
+    for i in 0..1032u64 {
         let body = format!("{},5,{},+\n{},5,{},-\n", 10 + 2 * i, i, 11 + 2 * i, i);
         let (status, response) = seeder.post("/ingest", body.as_bytes());
         sent += 2;

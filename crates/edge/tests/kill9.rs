@@ -54,8 +54,6 @@ fn spawn_edge(dir: &Path) -> (Child, SocketAddr) {
             "never",
             "--snapshot-interval-records",
             "20000",
-            "--snapshot-retain",
-            "2",
             // The soak recomputes ground truth from the full journal, so
             // checkpoints must not discard the prefix.
             "--snapshot-no-compact",
@@ -91,10 +89,7 @@ fn wait_ready(addr: SocketAddr, bound: Duration) -> Duration {
                 return t0.elapsed();
             }
         }
-        assert!(
-            t0.elapsed() < bound,
-            "edge not ready within {bound:?}"
-        );
+        assert!(t0.elapsed() < bound, "edge not ready within {bound:?}");
         std::thread::sleep(Duration::from_millis(50));
     }
 }

@@ -44,19 +44,15 @@ impl TrustModel {
     }
 }
 
-/// What the front end does when a shard's command queue is full.
-///
-/// Only meaningful with a bounded queue
-/// ([`ServiceConfig::with_queue_capacity`] > 0); an unbounded queue never
-/// fills.
+/// What the front end does when a shard's command queue (1024 commands)
+/// is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestPolicy {
     /// Block the caller until the shard drains — lossless backpressure.
     #[default]
     Block,
-    /// Drop the batch immediately and report it shed — load shedding.
-    Shed,
-    /// Block up to the given duration, then shed — bounded backpressure.
+    /// Block up to the given duration, then shed — bounded backpressure;
+    /// `TryFor(Duration::ZERO)` sheds at once.
     TryFor(
         /// Longest time to wait for queue space before shedding.
         Duration,
@@ -95,12 +91,14 @@ pub enum Durability {
     },
 }
 
-/// Checkpoint cadence and snapshot retention.
+/// Checkpoint cadence and journal compaction.
 ///
 /// Snapshots bound recovery time: a restarted shard loads its newest
 /// valid snapshot and replays only the journal tail past it, instead of
-/// folding the whole journal. They require [`Durability::Durable`] —
-/// there is nothing durable to snapshot otherwise.
+/// folding the whole journal. Each shard keeps its two newest snapshots
+/// and deletes older files after each checkpoint. They require
+/// [`Durability::Durable`] — there is nothing durable to snapshot
+/// otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// A shard checkpoints automatically once this many records have
@@ -108,15 +106,10 @@ pub struct SnapshotPolicy {
     /// checkpoints; explicit [`crate::ReputationService::checkpoint`]
     /// calls and the drain-time checkpoint still run).
     pub interval_records: u64,
-    /// Retained snapshots per shard (newest first); older files are
-    /// deleted after each checkpoint. At least 1; at least 2 when
-    /// `compact_journal` is set, so a corrupted newest snapshot always
-    /// leaves another snapshot whose journal tail still exists.
-    pub retain: usize,
-    /// Truncate the journal up to the *oldest* retained snapshot's
-    /// offset after each checkpoint. Keeps disk usage O(interval)
-    /// instead of O(history); full-journal replay is then no longer
-    /// possible, which is why retention must be ≥ 2.
+    /// Truncate the journal up to the older retained snapshot's offset
+    /// after each checkpoint. Keeps disk usage O(interval) instead of
+    /// O(history); full-journal replay is then no longer possible, but a
+    /// corrupted newest snapshot still leaves the older one and its tail.
     pub compact_journal: bool,
 }
 
@@ -124,27 +117,8 @@ impl Default for SnapshotPolicy {
     fn default() -> Self {
         SnapshotPolicy {
             interval_records: 100_000,
-            retain: 2,
             compact_journal: true,
         }
-    }
-}
-
-impl SnapshotPolicy {
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.retain == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "snapshot retention must keep at least one snapshot".into(),
-            });
-        }
-        if self.compact_journal && self.retain < 2 {
-            return Err(CoreError::InvalidConfig {
-                reason: "journal compaction needs snapshot retention >= 2 \
-                         (a corrupted newest snapshot must leave a recovery path)"
-                    .into(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -192,58 +166,6 @@ impl TieringPolicy {
     }
 }
 
-/// Supervision policy: how shard workers are restarted after a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisionConfig {
-    /// Delay before the first restart; doubles per consecutive restart.
-    pub backoff_base: Duration,
-    /// Upper bound on the restart delay.
-    pub backoff_cap: Duration,
-    /// Consecutive restarts after which the shard is declared failed
-    /// (sends to it then report `ShardUnavailable`).
-    pub max_restarts: u32,
-    /// Crashes of the supervisor's fold at the *same* accepted record
-    /// (a journal record on a durable shard, a record of the in-flight
-    /// batch on an ephemeral one) before that record is quarantined
-    /// (skipped and counted) instead of retried.
-    pub quarantine_after: u32,
-}
-
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        SupervisionConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
-            max_restarts: 8,
-            quarantine_after: 2,
-        }
-    }
-}
-
-impl SupervisionConfig {
-    fn validate(&self) -> Result<(), CoreError> {
-        if self.max_restarts == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "supervision needs max_restarts >= 1".into(),
-            });
-        }
-        if self.quarantine_after == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "supervision needs quarantine_after >= 1".into(),
-            });
-        }
-        if self.backoff_base > self.backoff_cap {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "restart backoff base {:?} exceeds cap {:?}",
-                    self.backoff_base, self.backoff_cap
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// Configuration for [`crate::ReputationService`].
 ///
 /// # Examples
@@ -261,18 +183,9 @@ impl SupervisionConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     shards: usize,
-    queue_capacity: usize,
     test: BehaviorTestConfig,
     trust: TrustModel,
     short_history: ShortHistoryPolicy,
-    /// Workers the shared calibrator spreads the boot-time row jobs over
-    /// (the threshold-surface build, then the rows below the surface);
-    /// `None` means "use the machine's available parallelism" (resolved
-    /// at service start). A live threshold miss calibrates serially on
-    /// the thread that asked. Safe to vary per deployment: a row's
-    /// samples depend on the seed and the row alone, so thresholds are
-    /// bit-identical at every thread count.
-    calibration_threads: Option<usize>,
     /// Where the calibration cache is persisted across restarts (`None`
     /// disables persistence). Loaded first thing at boot, written on
     /// graceful shutdown, keyed by the calibrator fingerprint so a
@@ -289,7 +202,6 @@ pub struct ServiceConfig {
     durability: Durability,
     snapshots: Option<SnapshotPolicy>,
     tiering: Option<TieringPolicy>,
-    supervision: SupervisionConfig,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<FaultPlan>,
 }
@@ -298,18 +210,15 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 4,
-            queue_capacity: 1024,
             test: BehaviorTestConfig::default(),
             trust: TrustModel::default(),
             short_history: ShortHistoryPolicy::default(),
-            calibration_threads: None,
             calibration_cache: None,
             calibration_surface: Some(SurfaceParams::default()),
             ingest_policy: IngestPolicy::default(),
             durability: Durability::default(),
             snapshots: None,
             tiering: None,
-            supervision: SupervisionConfig::default(),
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -321,14 +230,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Per-shard command queue capacity; `0` means unbounded (builder
-    /// style). A bounded queue applies backpressure to `ingest_batch`.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -350,22 +251,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_short_history(mut self, policy: ShortHistoryPolicy) -> Self {
         self.short_history = policy;
-        self
-    }
-
-    /// Workers for the shared calibrator's boot-time row jobs (builder
-    /// style). `None` (the default) resolves to the machine's available
-    /// parallelism when the service starts; `Some(n)` pins the count.
-    ///
-    /// This only changes how fast a cold boot calibrates (the rows of the
-    /// surface build and the rows below it run `n` at a time; a cold
-    /// threshold miss calibrates its one row regardless) — never what
-    /// anything calibrates to: a row's samples depend on the seed and the
-    /// row alone, so online verdicts stay exactly equal to the offline
-    /// (serial) assessor's.
-    #[must_use]
-    pub fn with_calibration_threads(mut self, threads: Option<usize>) -> Self {
-        self.calibration_threads = threads;
         self
     }
 
@@ -435,13 +320,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Worker restart/backoff/quarantine policy (builder style).
-    #[must_use]
-    pub fn with_supervision(mut self, supervision: SupervisionConfig) -> Self {
-        self.supervision = supervision;
-        self
-    }
-
     /// Deterministic fault plan for chaos testing (builder style).
     ///
     /// Only available with the `fault-injection` feature.
@@ -455,11 +333,6 @@ impl ServiceConfig {
     /// Number of shard worker threads.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Per-shard command queue capacity (`0` = unbounded).
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
     }
 
     /// The phase-1 behavior-test configuration.
@@ -477,23 +350,17 @@ impl ServiceConfig {
         self.short_history
     }
 
-    /// The configured calibration thread count (`None` = auto-detect at
-    /// service start).
-    pub fn calibration_threads(&self) -> Option<usize> {
-        self.calibration_threads
-    }
-
     /// The behavior-test configuration the service actually runs: the
-    /// configured test with [`Self::calibration_threads`] resolved —
-    /// `None` becomes [`std::thread::available_parallelism`] — and, when
-    /// tiering is enabled, the suffix grid capped at the tiering horizon
-    /// so the multi-suffix sweep never queries outcomes that compaction
-    /// has folded away. Exposed so replay/equivalence tooling can
-    /// reproduce the exact service setup.
+    /// configured test calibrating on
+    /// [`std::thread::available_parallelism`] threads (a row's samples
+    /// depend on the seed and the row alone, so thresholds are
+    /// bit-identical at every thread count), the surface applied, and,
+    /// when tiering is enabled, the suffix grid capped at the tiering
+    /// horizon so the multi-suffix sweep never queries outcomes that
+    /// compaction has folded away. Exposed so replay/equivalence tooling
+    /// can reproduce the exact service setup.
     pub fn effective_test(&self) -> BehaviorTestConfig {
-        let threads = self
-            .calibration_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut test = self.test.clone().with_calibration_threads(threads);
         if self.calibration_surface.is_some() {
             test = test.with_calibration_surface(self.calibration_surface);
@@ -538,11 +405,6 @@ impl ServiceConfig {
         self.tiering.as_ref()
     }
 
-    /// Worker restart/backoff/quarantine policy.
-    pub fn supervision(&self) -> SupervisionConfig {
-        self.supervision
-    }
-
     /// The configured fault plan, if any.
     ///
     /// Only available with the `fault-injection` feature.
@@ -556,8 +418,8 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for zero shards, an invalid
-    /// trust model, bad surface parameters, or an invalid behavior-test
-    /// configuration.
+    /// trust model, snapshots or a spill budget without what they need,
+    /// bad surface parameters, or an invalid behavior-test configuration.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.shards == 0 {
             return Err(CoreError::InvalidConfig {
@@ -571,29 +433,12 @@ impl ServiceConfig {
                 });
             }
         }
-        if self.calibration_threads == Some(0) {
+        if self.snapshots.is_some() && matches!(self.durability, Durability::Ephemeral) {
             return Err(CoreError::InvalidConfig {
-                reason: "calibration threads must be at least 1 (or None for auto)".into(),
+                reason: "snapshots require durable journals \
+                         (with_durability(Durability::Durable { .. }))"
+                    .into(),
             });
-        }
-        if let IngestPolicy::Shed | IngestPolicy::TryFor(_) = self.ingest_policy {
-            if self.queue_capacity == 0 {
-                return Err(CoreError::InvalidConfig {
-                    reason: "shed/try-for ingest policies need a bounded queue \
-                             (queue_capacity > 0)"
-                        .into(),
-                });
-            }
-        }
-        if let Some(snapshots) = &self.snapshots {
-            snapshots.validate()?;
-            if matches!(self.durability, Durability::Ephemeral) {
-                return Err(CoreError::InvalidConfig {
-                    reason: "snapshots require durable journals \
-                             (with_durability(Durability::Durable { .. }))"
-                        .into(),
-                });
-            }
         }
         if let Some(tiering) = &self.tiering {
             tiering.validate()?;
@@ -616,7 +461,6 @@ impl ServiceConfig {
                 }
             }
         }
-        self.supervision.validate()?;
         // The test as the service runs it: the surface applied, and the
         // suffix grid capped at the tiering horizon, which must still
         // leave one (a horizon below the test's minimum suffix would make
@@ -644,28 +488,6 @@ mod tests {
     fn bad_lambda_rejected() {
         let c = ServiceConfig::default().with_trust(TrustModel::Weighted { lambda: 1.5 });
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn calibration_threads_resolve_and_validate() {
-        let auto = ServiceConfig::default();
-        assert_eq!(auto.calibration_threads(), None);
-        // Auto resolves to at least one thread and leaves every other
-        // test knob untouched.
-        let effective = auto.effective_test();
-        assert!(effective.calibration_threads() >= 1);
-        assert_eq!(effective.window_size(), auto.test().window_size());
-        assert_eq!(
-            effective.calibration_trials(),
-            auto.test().calibration_trials()
-        );
-
-        let pinned = ServiceConfig::default().with_calibration_threads(Some(3));
-        assert_eq!(pinned.effective_test().calibration_threads(), 3);
-        pinned.validate().unwrap();
-
-        let zero = ServiceConfig::default().with_calibration_threads(Some(0));
-        assert!(zero.validate().is_err());
     }
 
     #[test]
@@ -706,44 +528,21 @@ mod tests {
 
     #[test]
     fn builders_round_trip() {
-        let c = ServiceConfig::default()
-            .with_shards(8)
-            .with_queue_capacity(0);
-        assert_eq!((c.shards(), c.queue_capacity()), (8, 0));
+        let c = ServiceConfig::default().with_shards(8);
+        assert_eq!(c.shards(), 8);
         c.validate().unwrap();
     }
 
     #[test]
     fn fault_tolerance_builders_round_trip() {
         let c = ServiceConfig::default()
-            .with_ingest_policy(IngestPolicy::Shed)
+            .with_ingest_policy(IngestPolicy::TryFor(Duration::ZERO))
             .with_durability(Durability::Durable {
                 dir: PathBuf::from("/tmp/journals"),
-                fsync: crate::journal::FsyncPolicy::EveryN(64),
-            })
-            .with_supervision(SupervisionConfig {
-                max_restarts: 3,
-                ..SupervisionConfig::default()
+                fsync: crate::journal::FsyncPolicy::EveryBatch,
             });
-        assert_eq!(c.ingest_policy(), IngestPolicy::Shed);
+        assert_eq!(c.ingest_policy(), IngestPolicy::TryFor(Duration::ZERO));
         assert!(matches!(c.durability(), Durability::Durable { .. }));
-        assert_eq!(c.supervision().max_restarts, 3);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn shedding_requires_bounded_queue() {
-        let c = ServiceConfig::default()
-            .with_queue_capacity(0)
-            .with_ingest_policy(IngestPolicy::Shed);
-        assert!(c.validate().is_err());
-        let c = ServiceConfig::default()
-            .with_queue_capacity(0)
-            .with_ingest_policy(IngestPolicy::TryFor(Duration::from_millis(5)));
-        assert!(c.validate().is_err());
-        let c = ServiceConfig::default()
-            .with_queue_capacity(0)
-            .with_ingest_policy(IngestPolicy::Block);
         c.validate().unwrap();
     }
 
@@ -757,35 +556,8 @@ mod tests {
             fsync: crate::journal::FsyncPolicy::Never,
         };
         let c = ServiceConfig::default()
-            .with_durability(durable.clone())
-            .with_snapshots(SnapshotPolicy::default());
-        c.validate().unwrap();
-        assert_eq!(c.snapshots().unwrap().retain, 2);
-        // Zero retention is rejected.
-        let c = ServiceConfig::default()
-            .with_durability(durable.clone())
-            .with_snapshots(SnapshotPolicy {
-                retain: 0,
-                ..SnapshotPolicy::default()
-            });
-        assert!(c.validate().is_err());
-        // Compaction with a single retained snapshot is rejected…
-        let c = ServiceConfig::default()
-            .with_durability(durable.clone())
-            .with_snapshots(SnapshotPolicy {
-                retain: 1,
-                compact_journal: true,
-                ..SnapshotPolicy::default()
-            });
-        assert!(c.validate().is_err());
-        // …but a single snapshot without compaction is fine.
-        let c = ServiceConfig::default()
             .with_durability(durable)
-            .with_snapshots(SnapshotPolicy {
-                retain: 1,
-                compact_journal: false,
-                ..SnapshotPolicy::default()
-            });
+            .with_snapshots(SnapshotPolicy::default());
         c.validate().unwrap();
     }
 
@@ -855,26 +627,6 @@ mod tests {
         let c = ServiceConfig::default().with_tiering(TieringPolicy {
             horizon: 1,
             spill_budget_bytes: None,
-        });
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn bad_supervision_rejected() {
-        let c = ServiceConfig::default().with_supervision(SupervisionConfig {
-            max_restarts: 0,
-            ..SupervisionConfig::default()
-        });
-        assert!(c.validate().is_err());
-        let c = ServiceConfig::default().with_supervision(SupervisionConfig {
-            quarantine_after: 0,
-            ..SupervisionConfig::default()
-        });
-        assert!(c.validate().is_err());
-        let c = ServiceConfig::default().with_supervision(SupervisionConfig {
-            backoff_base: Duration::from_secs(10),
-            backoff_cap: Duration::from_secs(1),
-            ..SupervisionConfig::default()
         });
         assert!(c.validate().is_err());
     }

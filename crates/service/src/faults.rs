@@ -214,9 +214,7 @@ impl ShardFaults {
                 return;
             }
             let seen = rt.commands_seen.fetch_add(1, Ordering::Relaxed) + 1;
-            if seen == rt.plan.panic_at_command
-                && !rt.panic_fired.swap(true, Ordering::Relaxed)
-            {
+            if seen == rt.plan.panic_at_command && !rt.panic_fired.swap(true, Ordering::Relaxed) {
                 panic!(
                     "fault injection: shard {} panicking at command {seen}",
                     rt.shard
@@ -279,7 +277,11 @@ impl ShardFaults {
     pub fn in_tiering(&self) {
         #[cfg(feature = "fault-injection")]
         if let Some(rt) = &self.inner {
-            rt.panic_once(rt.plan.panic_in_tiering, &rt.tiering_fired, "a tiering pass");
+            rt.panic_once(
+                rt.plan.panic_in_tiering,
+                &rt.tiering_fired,
+                "a tiering pass",
+            );
         }
     }
 
@@ -310,6 +312,7 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faults.after_journal()));
         assert!(panicked.is_err(), "command 2 must panic");
         faults.after_journal(); // one-shot: command 3 survives
+
         // A different shard never fires.
         let other = ShardFaults::new(Some(&plan), 0);
         for _ in 0..5 {

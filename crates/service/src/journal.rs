@@ -73,12 +73,6 @@ pub enum FsyncPolicy {
     /// Fsync after every appended batch — the strongest setting.
     #[default]
     EveryBatch,
-    /// Fsync once per `n` appended records (amortized durability).
-    EveryN(
-        /// Number of appended records between fsyncs (`0` acts like
-        /// [`FsyncPolicy::Never`]).
-        u64,
-    ),
 }
 
 /// What [`read_journal`] (and hence recovery) found on disk.
@@ -133,7 +127,12 @@ fn decode_payload(buf: &[u8]) -> Option<Feedback> {
         1 => Rating::Positive,
         _ => return None,
     };
-    Some(Feedback::new(word(0), ServerId::new(word(8)), ClientId::new(word(16)), rating))
+    Some(Feedback::new(
+        word(0),
+        ServerId::new(word(8)),
+        ClientId::new(word(16)),
+        rating,
+    ))
 }
 
 /// The v1 header, or the v2 header of a journal compacted to `base`.
@@ -144,7 +143,10 @@ fn header(shard: u32, shards: u32, base: Option<u64>) -> Vec<u8> {
     if let Some(base) = base {
         out.put_u64(base);
     }
-    debug_assert_eq!(out.len() as u64, base.map_or(HEADER_LEN, |_| HEADER_LEN_COMPACTED));
+    debug_assert_eq!(
+        out.len() as u64,
+        base.map_or(HEADER_LEN, |_| HEADER_LEN_COMPACTED)
+    );
     out
 }
 
@@ -241,7 +243,6 @@ pub struct FileJournal {
     policy: FsyncPolicy,
     shard: u32,
     shards: u32,
-    records_since_sync: u64,
     /// Absolute record count: compaction base + records in the file.
     records: u64,
     /// Records compacted out of the file (v2 header base).
@@ -295,7 +296,6 @@ impl FileJournal {
                 policy,
                 shard,
                 shards,
-                records_since_sync: 0,
                 records: recovered.first_record + recovered.feedbacks.len() as u64,
                 base_records: recovered.base_records,
                 header_bytes: recovered.header_bytes,
@@ -319,13 +319,7 @@ impl FileJournal {
             ..AppendInfo::default()
         };
         self.records += info.records;
-        self.records_since_sync += info.records;
-        let due = match self.policy {
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryBatch => true,
-            FsyncPolicy::EveryN(n) => n > 0 && self.records_since_sync >= n,
-        };
-        if due {
+        if self.policy == FsyncPolicy::EveryBatch {
             let t0 = std::time::Instant::now();
             self.sync()?;
             info.synced = true;
@@ -336,9 +330,7 @@ impl FileJournal {
 
     /// Fsyncs, regardless of policy.
     pub fn sync(&mut self) -> Result<(), Error> {
-        self.file.sync_all()?;
-        self.records_since_sync = 0;
-        Ok(())
+        Ok(self.file.sync_all()?)
     }
 
     /// Absolute record count: records appended plus recovered since
@@ -378,7 +370,6 @@ impl FileJournal {
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.base_records = upto;
         self.header_bytes = HEADER_LEN_COMPACTED;
-        self.records_since_sync = 0;
         Ok(dropped)
     }
 
@@ -403,7 +394,12 @@ mod tests {
     use proptest::prelude::*;
 
     fn feedback(t: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(3), ClientId::new(t % 5), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(3),
+            ClientId::new(t % 5),
+            Rating::from_good(good),
+        )
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -443,8 +439,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let batch: Vec<Feedback> = (0..10).map(|t| feedback(t, true)).collect();
         {
-            let (mut journal, _) =
-                FileJournal::open(&path, 1, 2, FsyncPolicy::EveryBatch).unwrap();
+            let (mut journal, _) = FileJournal::open(&path, 1, 2, FsyncPolicy::EveryBatch).unwrap();
             journal.append_batch(&batch).unwrap();
         }
         // Tear the final record: chop 5 bytes off the file.
@@ -455,7 +450,10 @@ mod tests {
 
         let recovered = read_journal(&path, Some((1, 2))).unwrap();
         assert_eq!(recovered.feedbacks, batch[..9].to_vec());
-        assert_eq!(recovered.torn_bytes, (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64 - 5);
+        assert_eq!(
+            recovered.torn_bytes,
+            (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64 - 5
+        );
 
         // Re-open truncates the tear; appends then continue cleanly.
         let (mut journal, recovered) =
@@ -476,14 +474,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let batch: Vec<Feedback> = (0..4).map(|t| feedback(t, true)).collect();
         {
-            let (mut journal, _) =
-                FileJournal::open(&path, 0, 1, FsyncPolicy::EveryBatch).unwrap();
+            let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::EveryBatch).unwrap();
             journal.append_batch(&batch).unwrap();
         }
         // Flip one payload byte in the third record.
         let mut data = std::fs::read(&path).unwrap();
-        let third_payload =
-            HEADER_LEN as usize + 2 * (FRAME_LEN + RECORD_PAYLOAD_LEN) + FRAME_LEN;
+        let third_payload = HEADER_LEN as usize + 2 * (FRAME_LEN + RECORD_PAYLOAD_LEN) + FRAME_LEN;
         data[third_payload] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
 
@@ -498,8 +494,7 @@ mod tests {
         let path = temp_path("mismatch");
         let _ = std::fs::remove_file(&path);
         {
-            let (mut journal, _) =
-                FileJournal::open(&path, 2, 8, FsyncPolicy::Never).unwrap();
+            let (mut journal, _) = FileJournal::open(&path, 2, 8, FsyncPolicy::Never).unwrap();
             journal.append_batch(&[feedback(0, true)]).unwrap();
             journal.sync().unwrap();
         }
@@ -521,21 +516,6 @@ mod tests {
             read_journal(&path, None),
             Err(Error::Corrupt { .. })
         ));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn every_n_policy_syncs_on_schedule() {
-        let path = temp_path("every-n");
-        let _ = std::fs::remove_file(&path);
-        let (mut journal, _) =
-            FileJournal::open(&path, 0, 1, FsyncPolicy::EveryN(5)).unwrap();
-        let info = journal.append_batch(&[feedback(0, true), feedback(1, true)]).unwrap();
-        assert!(!info.synced);
-        let info = journal
-            .append_batch(&(2..6).map(|t| feedback(t, true)).collect::<Vec<_>>())
-            .unwrap();
-        assert!(info.synced, "5th record crosses the sync threshold");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -621,7 +601,12 @@ mod tests {
         let batch: Vec<Feedback> = (0..37u64)
             .map(|t| {
                 let client = ClientId::new(t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20);
-                Feedback::new(1_000 + 3 * t, ServerId::new(t % 4), client, Rating::from_good(t % 5 != 2))
+                Feedback::new(
+                    1_000 + 3 * t,
+                    ServerId::new(t % 4),
+                    client,
+                    Rating::from_good(t % 5 != 2),
+                )
             })
             .collect();
         let (mut journal, _) = FileJournal::open(&path, 1, 4, FsyncPolicy::Never).unwrap();

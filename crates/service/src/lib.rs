@@ -18,8 +18,8 @@
 //! thresholds come from a deterministic shared calibrator (its surface
 //! and the rows below it made ready at start-up) and the streaming trust
 //! states are bit-exact counterparts of the batch trust functions. The
-//! property tests in `tests/equivalence.rs` and the [`replay`] driver both
-//! enforce this.
+//! property tests in `tests/equivalence.rs` and the `online_service`
+//! example both enforce this against [`replay::OfflineReference`].
 //!
 //! # Quick start
 //!
@@ -64,15 +64,14 @@ mod state;
 mod supervisor;
 
 pub use config::{
-    Durability, IngestPolicy, ServiceConfig, SnapshotPolicy, SupervisionConfig, TieringPolicy,
-    TrustModel,
+    Durability, IngestPolicy, ServiceConfig, SnapshotPolicy, TieringPolicy, TrustModel,
 };
 #[cfg(feature = "fault-injection")]
 pub use faults::{FaultPlan, TearPoint};
 pub use journal::FsyncPolicy;
 pub use metrics::ServiceStats;
 pub use obs::{AssessmentTrace, MetricsRegistry, TracedAssessment};
-pub use replay::{run_replay, OfflineReference, ReplayConfig, ReplayOutcome};
+pub use replay::OfflineReference;
 pub use service::{
     AssessOutcome, BatchAssessments, CalibrationReadiness, CheckpointSummary, DegradedAssessment,
     DegradedReason, IngestOutcome, ReputationService, ServiceError,

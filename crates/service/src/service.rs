@@ -13,7 +13,7 @@ use crate::shard::{
 };
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::supervisor::spawn_supervised_shard;
-use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError, TrySendError};
+use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError};
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::Assessment;
 use hp_core::{CoreError, Feedback, ServerId};
@@ -129,8 +129,8 @@ pub type BatchAssessments = Vec<(ServerId, Result<Arc<Assessment>, CoreError>)>;
 pub struct IngestOutcome {
     /// Feedbacks enqueued for durable ingest.
     pub accepted: usize,
-    /// Feedbacks dropped by the [`IngestPolicy::Shed`] /
-    /// [`IngestPolicy::TryFor`] policies under backpressure.
+    /// Feedbacks dropped by the [`IngestPolicy::TryFor`] policy under
+    /// backpressure.
     pub shed: usize,
 }
 
@@ -387,12 +387,7 @@ impl ReputationService {
                 tiering,
                 boot: progress.clone(),
             };
-            shards.push(spawn_supervised_shard(
-                shard,
-                ctx,
-                config.supervision(),
-                config.queue_capacity(),
-            ));
+            shards.push(spawn_supervised_shard(shard, ctx));
         }
         let service = ReputationService {
             config,
@@ -428,13 +423,12 @@ impl ReputationService {
     /// Ingests a batch of feedback events, routing each to its server's
     /// shard, and reports exactly what happened to them.
     ///
-    /// Under a bounded queue the configured
-    /// [`IngestPolicy`](crate::IngestPolicy) decides whether a full shard
-    /// blocks the caller ([`IngestPolicy::Block`]), drops that shard's
-    /// sub-batch and counts it shed ([`IngestPolicy::Shed`]), or blocks
-    /// with a bound then sheds ([`IngestPolicy::TryFor`]). Shedding is
-    /// exact: the unsent command is returned by the channel, so every
-    /// dropped feedback is counted — none vanish silently.
+    /// The configured [`IngestPolicy`](crate::IngestPolicy) decides
+    /// whether a full shard queue blocks the caller
+    /// ([`IngestPolicy::Block`]) or blocks with a bound, then drops that
+    /// shard's sub-batch and counts it shed ([`IngestPolicy::TryFor`]).
+    /// Shedding is exact: the unsent command is returned by the channel,
+    /// so every dropped feedback is counted — none vanish silently.
     ///
     /// Within a batch, per-server order is preserved; a subsequent
     /// [`Self::assess`] for any accepted server observes the whole
@@ -461,32 +455,18 @@ impl ReputationService {
             }
             let offered = batch.len();
             let command = Command::ingest(batch);
-            let (accepted, shed) = match self.config.ingest_policy() {
-                IngestPolicy::Block => match self.shards[shard].send(command) {
-                    Ok(()) => (offered, 0),
-                    Err(e) => {
-                        dead_shard.get_or_insert(shard);
-                        debug_assert_eq!(e.0.feedback_count(), offered);
-                        (0, 0)
-                    }
-                },
-                IngestPolicy::Shed => match self.shards[shard].try_send(command) {
-                    Ok(()) => (offered, 0),
-                    Err(TrySendError::Full(returned)) => (0, returned.feedback_count()),
-                    Err(TrySendError::Disconnected(_)) => {
-                        dead_shard.get_or_insert(shard);
-                        (0, 0)
-                    }
-                },
-                IngestPolicy::TryFor(timeout) => {
-                    match self.shards[shard].send_timeout(command, timeout) {
-                        Ok(()) => (offered, 0),
-                        Err(SendTimeoutError::Timeout(returned)) => (0, returned.feedback_count()),
-                        Err(SendTimeoutError::Disconnected(_)) => {
-                            dead_shard.get_or_insert(shard);
-                            (0, 0)
-                        }
-                    }
+            let sent = match self.config.ingest_policy() {
+                IngestPolicy::Block => self.shards[shard]
+                    .send(command)
+                    .map_err(|e| SendTimeoutError::Disconnected(e.0)),
+                IngestPolicy::TryFor(timeout) => self.shards[shard].send_timeout(command, timeout),
+            };
+            let (accepted, shed) = match sent {
+                Ok(()) => (offered, 0),
+                Err(SendTimeoutError::Timeout(returned)) => (0, returned.feedback_count()),
+                Err(SendTimeoutError::Disconnected(_)) => {
+                    dead_shard.get_or_insert(shard);
+                    (0, 0)
                 }
             };
             let metrics = self.obs.shard(shard);
@@ -945,12 +925,11 @@ fn open_snapshots(
     let Durability::Durable { dir, .. } = config.durability() else {
         return Ok(None); // unreachable after validate(); be lenient
     };
-    let store =
-        SnapshotStore::open(dir, shard as u32, config.shards() as u32, policy).map_err(|e| {
-            ServiceError::Journal {
-                reason: format!("open snapshot store {}: {e}", dir.display()),
-            }
-        })?;
+    let store = SnapshotStore::open(dir, shard as u32, config.shards() as u32).map_err(|e| {
+        ServiceError::Journal {
+            reason: format!("open snapshot store {}: {e}", dir.display()),
+        }
+    })?;
     Ok(Some(ShardSnapshots {
         store: Mutex::new(store),
         policy: *policy,
@@ -1191,8 +1170,7 @@ mod tests {
 
     #[test]
     fn assess_within_unknown_server_has_nothing_to_degrade_to() {
-        let config = fast_config().with_queue_capacity(1);
-        let service = ReputationService::new(config).unwrap();
+        let service = ReputationService::new(fast_config()).unwrap();
         // Zero deadline: the send may still slip through an empty queue,
         // but the reply wait is what matters — an unknown server has no
         // published verdict, so a timeout must be the typed error, while

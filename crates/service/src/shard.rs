@@ -31,7 +31,7 @@ use crate::journal::FileJournal;
 use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
-use crossbeam::channel::{Receiver, SendError, SendTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{Receiver, SendError, SendTimeoutError, Sender};
 use hp_core::history::HistoryMark;
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
@@ -215,11 +215,6 @@ impl ShardHandle {
     /// for it instead of silently dropping a batch.
     pub fn send(&self, command: Command) -> Result<(), SendError<Command>> {
         self.tx.send(command)
-    }
-
-    /// Sends without blocking; `Full`/`Disconnected` return the command.
-    pub fn try_send(&self, command: Command) -> Result<(), TrySendError<Command>> {
-        self.tx.try_send(command)
     }
 
     /// Sends, blocking at most `timeout`; errors return the command.
@@ -1014,7 +1009,6 @@ fn assess_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SupervisionConfig;
     use crate::supervisor::spawn_supervised_shard;
     use crossbeam::channel;
     use hp_core::{ClientId, Rating};
@@ -1022,7 +1016,7 @@ mod tests {
     fn spawn() -> (ShardHandle, Arc<MetricsRegistry>) {
         let obs = Arc::new(MetricsRegistry::new(1));
         let ctx = ShardContext::ephemeral(Arc::clone(&obs));
-        let handle = spawn_supervised_shard(0, ctx, SupervisionConfig::default(), 0);
+        let handle = spawn_supervised_shard(0, ctx);
         (handle, obs)
     }
 

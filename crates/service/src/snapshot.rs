@@ -68,7 +68,7 @@
 //! least two retained snapshots exist — corrupting the newest always
 //! leaves a recovery path.
 
-use crate::config::{SnapshotPolicy, TrustModel};
+use crate::config::TrustModel;
 use crate::state::{Residency, ServerState, SpilledMeta, TrustState};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
 use hp_core::{ServerId, TieredHistory};
@@ -95,6 +95,11 @@ const MANIFEST_VERSION: u32 = 2;
 /// `min_seg` sentinel: the snapshot references no cold segments, so
 /// every sealed segment is below its floor.
 const NO_SEGMENTS: u64 = u64::MAX;
+/// Snapshots kept per shard, newest first; older files are deleted after
+/// each checkpoint. Two, so that compaction (up to the older one's
+/// offset) always leaves a corrupted newest snapshot a fallback whose
+/// journal tail still exists.
+const RETAIN: usize = 2;
 
 /// One retained snapshot the store knows about.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,7 +143,7 @@ pub(crate) struct SnapshotInfo {
 
 /// Per-shard snapshot directory manager.
 ///
-/// Owns the manifest and the retention policy; `write` is the only
+/// Owns the manifest and the retention of `RETAIN` snapshots; `write` is the only
 /// mutating entry point and keeps the invariant that the manifest never
 /// names a file that was deleted by retention.
 #[derive(Debug)]
@@ -146,7 +151,6 @@ pub(crate) struct SnapshotStore {
     dir: PathBuf,
     shard: u32,
     shards: u32,
-    retain: usize,
     /// Known snapshots, newest (highest `seq`) first.
     entries: Vec<ManifestEntry>,
     next_seq: u64,
@@ -158,12 +162,7 @@ impl SnapshotStore {
     /// directory scan for `shard-<i>-*.hps`, newest first. Unreadable
     /// manifests degrade to the scan alone. The temps a crash left of
     /// this shard's snapshots and manifest are deleted.
-    pub fn open(
-        dir: &Path,
-        shard: u32,
-        shards: u32,
-        policy: &SnapshotPolicy,
-    ) -> std::io::Result<Self> {
+    pub fn open(dir: &Path, shard: u32, shards: u32) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
         let manifest = manifest_path(dir, shard);
         durable::remove([durable::temp_path(&manifest)])?;
@@ -185,7 +184,6 @@ impl SnapshotStore {
             dir: dir.to_path_buf(),
             shard,
             shards,
-            retain: policy.retain,
             entries,
             next_seq,
         })
@@ -254,7 +252,7 @@ impl SnapshotStore {
                 file: name,
             },
         );
-        let evicted = self.entries.split_off(self.retain.min(self.entries.len()));
+        let evicted = self.entries.split_off(RETAIN.min(self.entries.len()));
         self.write_manifest()?;
         let _ = durable::remove(evicted.iter().map(|e| self.dir.join(&e.file)));
         Ok(SnapshotInfo {
@@ -630,14 +628,6 @@ mod tests {
     use hp_core::{ClientId, Feedback, Rating};
     use proptest::prelude::*;
 
-    fn policy(retain: usize) -> SnapshotPolicy {
-        SnapshotPolicy {
-            interval_records: 1000,
-            retain,
-            compact_journal: false,
-        }
-    }
-
     fn build_states(model: TrustModel, n: usize) -> HashMap<ServerId, ServerState> {
         let mut states: HashMap<ServerId, ServerState> = HashMap::new();
         for t in 0..n as u64 {
@@ -845,7 +835,7 @@ mod tests {
     fn store_retention_and_manifest_round_trip() {
         let dir = temp_dir("retention");
         let model = TrustModel::Weighted { lambda: 0.5 };
-        let mut store = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         assert!(store.newest_offset().is_none());
         assert!(store.compact_floor().is_none());
         assert!(store.segment_floor().is_none());
@@ -858,11 +848,11 @@ mod tests {
         // No retained snapshot references a segment: everything sealed is
         // below the floor.
         assert_eq!(store.segment_floor(), Some(NO_SEGMENTS));
-        // Only `retain` files remain on disk.
+        // Only `RETAIN` files remain on disk.
         let files = durable::scan_numbered(&dir, "shard-0-", ".hps").unwrap();
         assert_eq!(files.len(), 2);
         // A reopened store sees the same entries via the manifest.
-        let reopened = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
         assert_eq!(reopened.candidates(), store.candidates());
         assert_eq!(reopened.next_seq, store.next_seq);
         let newest = &reopened.candidates()[0];
@@ -876,11 +866,11 @@ mod tests {
     fn garbage_manifest_degrades_to_directory_scan() {
         let dir = temp_dir("garbage-manifest");
         let model = TrustModel::Average;
-        let mut store = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         store.write(&build_states(model, 30), 30).unwrap();
         store.write(&build_states(model, 60), 60).unwrap();
         fs::write(manifest_path(&dir, 0), b"not a manifest at all\nzzz\n").unwrap();
-        let reopened = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
         let cands = reopened.candidates();
         assert_eq!(cands.len(), 2);
         // Offsets are unknown (names are not trusted) …
@@ -898,7 +888,7 @@ mod tests {
     fn manifest_line_bit_flip_drops_only_that_entry() {
         let dir = temp_dir("manifest-flip");
         let model = TrustModel::Average;
-        let mut store = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         store.write(&build_states(model, 30), 30).unwrap();
         store.write(&build_states(model, 60), 60).unwrap();
         let path = manifest_path(&dir, 0);
@@ -908,7 +898,7 @@ mod tests {
         let bad = lines[1].replace("60", "99");
         text = format!("{}\n{}\n{}\n", lines[0], bad, lines[2]);
         fs::write(&path, text).unwrap();
-        let reopened = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
         // The flipped line fails its CRC: its offset is forgotten, and the
         // file resurfaces via the scan with an unknown offset.
         assert_eq!(reopened.newest_offset(), Some(30));
@@ -920,7 +910,7 @@ mod tests {
     fn segment_floor_spans_all_retained_snapshots() {
         let dir = temp_dir("segment-floor");
         let model = TrustModel::Average;
-        let mut store = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         let mut states = build_states(model, 250);
         let seg = |seq| SegmentRef {
             seq,
@@ -936,7 +926,7 @@ mod tests {
         // The older retained snapshot still needs segment 4.
         assert_eq!(store.segment_floor(), Some(4));
         // The floor survives a manifest round-trip.
-        let reopened = SnapshotStore::open(&dir, 0, 1, &policy(2)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
         assert_eq!(reopened.segment_floor(), Some(4));
         // Writing a third snapshot rotates the oldest out; only segment 9
         // remains referenced.
@@ -949,7 +939,7 @@ mod tests {
     fn load_rejects_renamed_snapshot() {
         let dir = temp_dir("renamed");
         let model = TrustModel::Average;
-        let mut store = SnapshotStore::open(&dir, 0, 1, &policy(3)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         store.write(&build_states(model, 30), 30).unwrap();
         // Pretend an old file is the newest by renaming it.
         fs::rename(
@@ -958,7 +948,7 @@ mod tests {
         )
         .unwrap();
         fs::remove_file(manifest_path(&dir, 0)).unwrap();
-        let reopened = SnapshotStore::open(&dir, 0, 1, &policy(3)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
         let cand = &reopened.candidates()[0];
         assert_eq!(cand.seq, 9);
         assert!(matches!(
@@ -981,7 +971,7 @@ mod tests {
     #[test]
     fn snapshot_and_manifest_bytes_are_pinned() {
         let dir = temp_dir("pinned");
-        let mut store = SnapshotStore::open(&dir, 2, 4, &policy(3)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 2, 4).unwrap();
         let models = [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }];
         let pins = [
             (2_457, 0xf69e_8ad5_8def_4bc2),
@@ -1021,7 +1011,7 @@ mod tests {
     #[test]
     fn open_deletes_the_temps_a_crash_left() {
         let dir = temp_dir("stale");
-        let mut store = SnapshotStore::open(&dir, 1, 2, &policy(2)).unwrap();
+        let mut store = SnapshotStore::open(&dir, 1, 2).unwrap();
         store
             .write(&build_states(TrustModel::Average, 30), 30)
             .unwrap();
@@ -1036,7 +1026,7 @@ mod tests {
         for name in ours.iter().chain(&theirs) {
             fs::write(dir.join(name), b"half a file").unwrap();
         }
-        let reopened = SnapshotStore::open(&dir, 1, 2, &policy(2)).unwrap();
+        let reopened = SnapshotStore::open(&dir, 1, 2).unwrap();
         assert_eq!(reopened.candidates(), store.candidates());
         for name in &ours {
             assert!(!dir.join(name).exists(), "{name} deleted");
@@ -1176,14 +1166,14 @@ mod tests {
             static GENUINE: std::sync::OnceLock<(String, Vec<ManifestEntry>)> = std::sync::OnceLock::new();
             let (text, entries) = GENUINE.get_or_init(|| {
                 let dir = temp_dir("manifest-genuine");
-                let mut store = SnapshotStore::open(&dir, 0, 1, &policy(3)).unwrap();
+                let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
                 for k in 1..=3 {
                     store.write(&build_states(TrustModel::Average, 10 * k), 10 * k as u64).unwrap();
                 }
                 let text = fs::read_to_string(manifest_path(&dir, 0)).unwrap();
                 let _ = fs::remove_dir_all(&dir);
                 let entries = read_manifest(&text, 0, 1);
-                assert_eq!(entries.len(), 3);
+                assert_eq!(entries.len(), RETAIN);
                 (text, entries)
             });
             let (kind, at, value) = mangle;

@@ -367,7 +367,12 @@ mod tests {
     }
 
     fn feedback(t: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(1), ClientId::new(t % 7), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(t % 7),
+            Rating::from_good(good),
+        )
     }
 
     #[test]

@@ -34,17 +34,16 @@
 //! do:
 //!
 //! * **Quarantine.** If the fold itself panics repeatedly at the same
-//!   accepted record (`SupervisionConfig::quarantine_after` times), that
-//!   single record is quarantined — skipped from this and all later
-//!   folds — instead of wedging the shard forever. The journal on disk
-//!   is never rewritten; quarantine is an in-memory skip set, and the
-//!   count is visible as `ServiceStats::quarantined_records`.
-//! * **Restart budget.** After `max_restarts` respawns the shard is
+//!   accepted record (`QUARANTINE_AFTER` times), that single record is
+//!   quarantined — skipped from this and all later folds — instead of
+//!   wedging the shard forever. The journal on disk is never rewritten;
+//!   quarantine is an in-memory skip set, and the count is visible as
+//!   `ServiceStats::quarantined_records`.
+//! * **Restart budget.** After `MAX_RESTARTS` respawns the shard is
 //!   declared failed: the supervisor drops the receiver (senders see a
 //!   disconnected channel and the front end reports
 //!   `ServiceError::ShardUnavailable`) and `failed_shards` is bumped.
 
-use crate::config::SupervisionConfig;
 use crate::obs::ShardMetric;
 use crate::shard::{
     take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight, ShardContext,
@@ -64,23 +63,29 @@ use std::time::Duration;
 /// records folded, so progress reporting costs nothing measurable.
 const PROGRESS_CHUNK: u64 = 8192;
 
+/// Commands a shard's queue holds before `ingest_batch` applies its
+/// [`IngestPolicy`](crate::IngestPolicy).
+const QUEUE_CAPACITY: usize = 1024;
+/// Delay before the first restart; it doubles per consecutive restart.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Upper bound on the restart delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
+/// Consecutive restarts after which the shard is declared failed.
+const MAX_RESTARTS: u32 = 8;
+/// Crashes of the supervisor's fold at the *same* accepted record (a
+/// journal record on a durable shard, a record of the in-flight batch on
+/// an ephemeral one) before that record is quarantined instead of
+/// retried.
+const QUARANTINE_AFTER: u32 = 2;
+
 /// Spawns the supervised worker thread for one shard and returns its
-/// handle. `queue_capacity == 0` means an unbounded command queue.
-pub(crate) fn spawn_supervised_shard(
-    shard: usize,
-    ctx: ShardContext,
-    supervision: SupervisionConfig,
-    queue_capacity: usize,
-) -> ShardHandle {
-    let (tx, rx) = if queue_capacity == 0 {
-        channel::unbounded()
-    } else {
-        channel::bounded(queue_capacity)
-    };
+/// handle.
+pub(crate) fn spawn_supervised_shard(shard: usize, ctx: ShardContext) -> ShardHandle {
+    let (tx, rx) = channel::bounded(QUEUE_CAPACITY);
     let published = Arc::clone(&ctx.published);
     let join = thread::Builder::new()
         .name(format!("hp-shard-{shard}"))
-        .spawn(move || supervise(&rx, &ctx, &supervision))
+        .spawn(move || supervise(&rx, &ctx))
         .expect("failed to spawn shard thread");
     ShardHandle {
         tx,
@@ -92,8 +97,8 @@ pub(crate) fn spawn_supervised_shard(
 /// The supervisor loop: recover, run, contain, repeat. Every exit that
 /// is not a clean shutdown counts the shard failed and drops `rx`, so
 /// senders see `ShardUnavailable`.
-fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &SupervisionConfig) {
-    let mut quarantine = Quarantine::new(supervision.quarantine_after);
+fn supervise(rx: &Receiver<Command>, ctx: &ShardContext) {
+    let mut quarantine = Quarantine::default();
     let mut inflight = InFlight::default();
     // Cold start: a durable journal left by a previous process
     // incarnation is folded here before the first command; an ephemeral
@@ -119,12 +124,12 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext, supervision: &Supervisi
             return; // clean shutdown or all senders gone
         }
         restarts += 1;
-        if restarts > supervision.max_restarts {
+        if restarts > MAX_RESTARTS {
             ctx.metrics().add(ShardMetric::Failed, 1);
             return;
         }
         ctx.metrics().add(ShardMetric::Restarts, 1);
-        thread::sleep(backoff_delay(supervision, restarts));
+        thread::sleep(backoff_delay(restarts));
         let recovered = match &ctx.journal {
             Some(_) => {
                 // The journal already holds whatever was in flight.
@@ -156,12 +161,13 @@ fn retier(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardContext) -> bo
     catch_unwind(AssertUnwindSafe(|| tier_all(states, ctx))).is_ok()
 }
 
-/// Backoff before the `restart`-th respawn (1-based): `base * 2^(n-1)`,
-/// capped at `backoff_cap`.
-pub(crate) fn backoff_delay(supervision: &SupervisionConfig, restart: u32) -> Duration {
+/// Backoff before the `restart`-th respawn (1-based):
+/// `BACKOFF_BASE * 2^(n-1)`, capped at `BACKOFF_CAP`.
+fn backoff_delay(restart: u32) -> Duration {
     let doublings = restart.saturating_sub(1).min(20);
-    let delay = supervision.backoff_base.saturating_mul(1u32 << doublings);
-    delay.min(supervision.backoff_cap)
+    BACKOFF_BASE
+        .saturating_mul(1u32 << doublings)
+        .min(BACKOFF_CAP)
 }
 
 /// Rebuilds a durable shard's state, trying the fastest sound path
@@ -348,34 +354,23 @@ fn fold_tail(
 }
 
 /// Tracks per-record replay crashes and the resulting skip set.
+#[derive(Default)]
 struct Quarantine {
-    threshold: u32,
     crashes: HashMap<u64, u32>,
     skipped: HashSet<u64>,
 }
 
 impl Quarantine {
-    fn new(threshold: u32) -> Self {
-        Quarantine {
-            threshold: threshold.max(1),
-            crashes: HashMap::new(),
-            skipped: HashSet::new(),
-        }
-    }
-
     fn is_skipped(&self, index: u64) -> bool {
         self.skipped.contains(&index)
     }
 
-    /// Records a crash at `index`; returns true when this crash crosses
-    /// the threshold and quarantines the record.
+    /// Records a crash at `index`; returns true when this crash reaches
+    /// `QUARANTINE_AFTER` and quarantines the record.
     fn note_crash(&mut self, index: u64) -> bool {
         let count = self.crashes.entry(index).or_insert(0);
         *count += 1;
-        if *count >= self.threshold && self.skipped.insert(index) {
-            return true;
-        }
-        false
+        *count >= QUARANTINE_AFTER && self.skipped.insert(index)
     }
 }
 
@@ -438,7 +433,7 @@ mod tests {
         apply_feedback(&mut states, batch()[17], &ctx, &mut inflight.mark);
         assert_ne!(fingerprint(&states), fingerprint(&expected));
 
-        let mut quarantine = Quarantine::new(2);
+        let mut quarantine = Quarantine::default();
         assert!(refold(&ctx, &mut quarantine, &mut states, &mut inflight));
         assert_eq!(fingerprint(&states), fingerprint(&expected));
         assert_eq!(inflight.owed(), 0);
@@ -455,7 +450,7 @@ mod tests {
         inflight.folding = true;
         assert!(!refold(
             &ctx,
-            &mut Quarantine::new(2),
+            &mut Quarantine::default(),
             &mut states,
             &mut inflight
         ));
@@ -463,21 +458,17 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let sup = SupervisionConfig {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(70),
-            ..SupervisionConfig::default()
-        };
-        assert_eq!(backoff_delay(&sup, 1), Duration::from_millis(10));
-        assert_eq!(backoff_delay(&sup, 2), Duration::from_millis(20));
-        assert_eq!(backoff_delay(&sup, 3), Duration::from_millis(40));
-        assert_eq!(backoff_delay(&sup, 4), Duration::from_millis(70));
-        assert_eq!(backoff_delay(&sup, 30), Duration::from_millis(70));
+        assert_eq!(backoff_delay(1), Duration::from_millis(10));
+        assert_eq!(backoff_delay(2), Duration::from_millis(20));
+        assert_eq!(backoff_delay(3), Duration::from_millis(40));
+        assert_eq!(backoff_delay(7), Duration::from_millis(640));
+        assert_eq!(backoff_delay(8), Duration::from_secs(1));
+        assert_eq!(backoff_delay(30), Duration::from_secs(1));
     }
 
     #[test]
     fn quarantine_trips_at_threshold_once() {
-        let mut q = Quarantine::new(2);
+        let mut q = Quarantine::default();
         assert!(!q.note_crash(5));
         assert!(!q.is_skipped(5));
         assert!(

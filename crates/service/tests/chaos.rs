@@ -549,12 +549,14 @@ fn deadline_miss_serves_published_verdict_with_staleness() {
     assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 2);
 }
 
+/// Commands a shard's queue holds before the ingest policy applies.
+const QUEUE_SLOTS: usize = 1024;
+
 #[test]
 fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
     let config = fast_config()
-        .with_queue_capacity(1)
-        .with_ingest_policy(IngestPolicy::Shed)
-        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_millis(400)));
+        .with_ingest_policy(IngestPolicy::TryFor(Duration::ZERO))
+        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_secs(2)));
     let service = Arc::new(ReputationService::new(config.clone()).unwrap());
     let server = ServerId::new(5);
     let head = restamp(&workload::honest_history(200, 0.9, 9), server);
@@ -568,20 +570,23 @@ fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
     };
     std::thread::sleep(Duration::from_millis(100)); // worker holds the assess
 
-    let tail: Vec<Feedback> = (200..260)
+    let tail: Vec<Feedback> = (200..200 + QUEUE_SLOTS as u64 + 30)
         .map(|t| Feedback::new(t, server, ClientId::new(t % 3), Rating::Positive))
         .collect();
-    // First batch fills the single queue slot; second is shed — and the
-    // count comes from the returned command, not an estimate.
-    let accepted = service.ingest_batch(tail[..30].to_vec()).unwrap();
-    assert_eq!(
-        accepted,
-        IngestOutcome {
-            accepted: 30,
-            shed: 0
-        }
-    );
-    let shed = service.ingest_batch(tail[30..].to_vec()).unwrap();
+    // One-feedback batches fill every queue slot; the next batch is shed
+    // at once — and the count comes from the returned command, not an
+    // estimate.
+    for feedback in &tail[..QUEUE_SLOTS] {
+        let accepted = service.ingest_batch(vec![*feedback]).unwrap();
+        assert_eq!(
+            accepted,
+            IngestOutcome {
+                accepted: 1,
+                shed: 0
+            }
+        );
+    }
+    let shed = service.ingest_batch(tail[QUEUE_SLOTS..].to_vec()).unwrap();
     assert_eq!(
         shed,
         IngestOutcome {
@@ -592,20 +597,19 @@ fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
 
     stalled.join().unwrap();
     let online = service.assess(server).unwrap();
-    let durable = head.into_iter().chain(tail[..30].iter().copied());
+    let durable = head.into_iter().chain(tail[..QUEUE_SLOTS].iter().copied());
     assert_eq!(*online, offline_verdict(&config, durable));
     let stats = service.stats();
     assert_eq!(stats.shed_feedbacks, 30);
-    assert_eq!(stats.ingested_feedbacks, 230);
-    assert!((stats.shed_rate() - 30.0 / 260.0).abs() < 1e-12);
+    assert_eq!(stats.ingested_feedbacks, 200 + QUEUE_SLOTS as u64);
+    assert!((stats.shed_rate() - 30.0 / (230 + QUEUE_SLOTS) as f64).abs() < 1e-12);
 }
 
 #[test]
 fn try_for_policy_sheds_after_bounded_wait() {
     let config = fast_config()
-        .with_queue_capacity(1)
         .with_ingest_policy(IngestPolicy::TryFor(Duration::from_millis(30)))
-        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_millis(400)));
+        .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_secs(2)));
     let service = Arc::new(ReputationService::new(config).unwrap());
     let server = ServerId::new(6);
     service
@@ -624,42 +628,46 @@ fn try_for_policy_sheds_after_bounded_wait() {
             .map(|t| Feedback::new(t, server, ClientId::new(0), Rating::Positive))
             .collect()
     };
-    let first = service.ingest_batch(batch(150)).unwrap();
-    assert_eq!(first.shed, 0, "empty queue accepts within the wait budget");
-    let second = service.ingest_batch(batch(160)).unwrap();
+    for slot in 0..QUEUE_SLOTS as u64 {
+        let outcome = service.ingest_batch(batch(150 + 10 * slot)).unwrap();
+        assert_eq!(
+            outcome.shed, 0,
+            "a queue with room accepts within the wait budget"
+        );
+    }
+    let waited = std::time::Instant::now();
+    let full = service
+        .ingest_batch(batch(150 + 10 * QUEUE_SLOTS as u64))
+        .unwrap();
     assert_eq!(
-        second,
+        full,
         IngestOutcome {
             accepted: 0,
             shed: 10
         },
         "full queue sheds after the bounded wait"
     );
+    assert!(waited.elapsed() >= Duration::from_millis(30));
     stalled.join().unwrap();
 }
 
+/// The real restart budget: eight respawns behind backoffs of 10 ms
+/// doubling to the 1 s cap (2.27 s in all), then the shard is failed.
 #[test]
 fn restart_budget_exhaustion_fails_the_shard_typed() {
-    use hp_service::SupervisionConfig;
     let server = ServerId::new(11);
-    let config = fast_config()
-        .with_supervision(SupervisionConfig {
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            max_restarts: 2,
-            quarantine_after: 1, // quarantine immediately: the fold recovers fast
-        })
-        .with_fault_plan(FaultPlan::default().with_poison(server.value(), 999));
+    let config =
+        fast_config().with_fault_plan(FaultPlan::default().with_poison(server.value(), 999));
     let service = ReputationService::new(config).unwrap();
     service
         .ingest_batch(restamp(&workload::honest_history(100, 0.9, 77), server))
         .unwrap();
-    // Three separate poison ingests: each crashes the live worker once
-    // (the in-flight copy is quarantined by the supervisor's fold), so the
-    // third crash exceeds max_restarts = 2 and the shard is declared
-    // failed.
+    // Nine separate poison ingests: each crashes the live worker once
+    // (the supervisor's fold quarantines the in-flight copy at its second
+    // crash), so the ninth crash exceeds the budget of 8 restarts and the
+    // shard is declared failed.
     let poison = Feedback::new(999, server, ClientId::new(1), Rating::Negative);
-    for _ in 0..3 {
+    for _ in 0..9 {
         let _ = service.ingest_batch(vec![poison]);
     }
     let mut failed = false;
@@ -680,10 +688,10 @@ fn restart_budget_exhaustion_fails_the_shard_typed() {
     let stats = service.stats();
     assert_eq!(stats.failed_shards, 1);
     assert_eq!(
-        stats.shard_restarts, 2,
-        "the budget of 2 respawns was spent"
+        stats.shard_restarts, 8,
+        "the budget of 8 respawns was spent"
     );
-    assert_eq!(stats.quarantined_records, 2, "one per completed rebuild");
+    assert_eq!(stats.quarantined_records, 8, "one per completed rebuild");
     assert_eq!(stats.per_shard[0].get(ShardMetric::Failed), 1);
 }
 

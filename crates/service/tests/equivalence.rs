@@ -8,12 +8,13 @@
 //! all short-history policies, interleaved multi-server ingest.
 
 use hp_core::testing::BehaviorTestConfig;
-use hp_core::twophase::ShortHistoryPolicy;
+use hp_core::twophase::{Assessment, ShortHistoryPolicy};
 use hp_core::{Feedback, ServerId, TransactionHistory};
 use hp_service::replay::{restamp, OfflineReference};
-use hp_service::{ReputationService, ServiceConfig, TrustModel};
+use hp_service::{ReputationService, ServiceConfig, SurfaceParams, TieringPolicy, TrustModel};
 use hp_sim::workload;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A fast but real behavior-test configuration (fewer Monte-Carlo trials;
 /// still the exact shared deterministic calibration seed, so the service
@@ -215,4 +216,114 @@ proptest! {
             reference.assess(&offline_history).expect("offline")
         );
     }
+}
+
+/// A marketplace fed through `service` as live traffic would arrive:
+/// `honest` honest servers (p cycling 0.85, 0.9, 0.95), then `attackers`
+/// hibernating and `attackers` periodic ones, `len` transactions each,
+/// interleaved round-robin into batches of `batch`. Returns, per server,
+/// whether it is honest, its online verdict and the offline reference's.
+fn replay_marketplace(
+    service: &ReputationService,
+    (honest, attackers, len, batch): (usize, usize, usize, usize),
+) -> Vec<(bool, Arc<Assessment>, Assessment)> {
+    let seed = |i: usize| hp_stats::derive_seed(0x5EED_4E91, i as u64);
+    let streams: Vec<(bool, Vec<Feedback>)> = (0..honest + 2 * attackers)
+        .map(|i| {
+            let history = if i < honest {
+                workload::honest_history(len, [0.85, 0.9, 0.95][i % 3], seed(i))
+            } else if i < honest + attackers {
+                workload::hibernating_history(len - len / 4, 0.95, len / 4, seed(i))
+            } else {
+                workload::periodic_history(len, 10, 0.1, seed(i))
+            };
+            (i < honest, restamp(&history, ServerId::new(i as u64)))
+        })
+        .collect();
+    let longest = streams.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+    let interleaved: Vec<Feedback> = (0..longest)
+        .flat_map(|t| streams.iter().filter_map(move |(_, s)| s.get(t).copied()))
+        .collect();
+    for chunk in interleaved.chunks(batch) {
+        let outcome = service.ingest_batch(chunk.to_vec()).unwrap();
+        assert_eq!(outcome.accepted, chunk.len());
+    }
+    let servers: Vec<ServerId> = (0..streams.len() as u64).map(ServerId::new).collect();
+    let reference = OfflineReference::from_config(service.config()).expect("reference builds");
+    let online = service.assess_many(&servers).expect("assess_many succeeds");
+    online
+        .into_iter()
+        .zip(&streams)
+        .map(|((_, verdict), (honest, stream))| {
+            let mut history = TransactionHistory::with_capacity(stream.len());
+            stream.iter().for_each(|f| history.push(*f));
+            let offline = reference.assess(&history).expect("offline succeeds");
+            let online = verdict.expect("per-server assess succeeds");
+            (*honest, online, offline)
+        })
+        .collect()
+}
+
+#[test]
+fn replay_matches_offline_and_detects() {
+    let config = service_config(2, TrustModel::default(), ShortHistoryPolicy::default()).with_test(
+        BehaviorTestConfig::builder()
+            .calibration_trials(500)
+            .build()
+            .unwrap(),
+    );
+    let service = ReputationService::new(config).unwrap();
+    let verdicts = replay_marketplace(&service, (6, 2, 400, 64));
+    assert_eq!(verdicts.len(), 10);
+    assert_eq!(service.stats().ingested_feedbacks, 4000);
+    for (_, online, offline) in &verdicts {
+        assert_eq!(**online, *offline, "online and offline verdicts diverged");
+    }
+    // (rejected, accepted) among one class; review verdicts count for neither.
+    let tally = |honest: bool| {
+        let class = verdicts.iter().filter(|(h, ..)| *h == honest);
+        let rejected = class.clone().filter(|(_, v, _)| v.is_rejected()).count();
+        (rejected, class.filter(|(_, v, _)| v.is_accepted()).count())
+    };
+    let (caught, missed) = tally(false);
+    assert!(
+        caught > missed,
+        "attackers rejected {caught}, accepted {missed}"
+    );
+    let (false_positives, passed) = tally(true);
+    assert!(
+        false_positives < passed,
+        "honest rejected {false_positives}, accepted {passed}"
+    );
+}
+
+/// Everything at its default but the trial count (and the tolerance so
+/// few trials need for a layer to serve), plus a horizon: 250 windows is
+/// deep enough for the surface to answer, and for the horizon to cut
+/// suffixes a reference without it would test.
+#[test]
+fn the_reference_of_a_default_shaped_service_runs_its_surface_and_horizon() {
+    let surface = SurfaceParams {
+        tolerance: 10.0,
+        ..SurfaceParams::default()
+    };
+    let tiering = TieringPolicy {
+        horizon: 1500,
+        spill_budget_bytes: None,
+    };
+    let config = ServiceConfig::default()
+        .with_shards(2)
+        .with_test(
+            BehaviorTestConfig::builder()
+                .calibration_trials(200)
+                .build()
+                .unwrap(),
+        )
+        .with_calibration_surface(Some(surface))
+        .with_tiering(tiering);
+    let service = ReputationService::new(config).unwrap();
+    for (_, online, offline) in replay_marketplace(&service, (4, 1, 2500, 256)) {
+        assert_eq!(*online, offline);
+    }
+    assert!(service.stats().calibration_surface_hits > 0);
 }

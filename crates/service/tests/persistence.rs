@@ -8,10 +8,7 @@ use hp_service::{ReputationService, ServiceConfig, SurfaceParams};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "hp-persistence-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("hp-persistence-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -26,14 +23,18 @@ fn config(cache: PathBuf) -> ServiceConfig {
                 .build()
                 .unwrap(),
         )
-        .with_calibration_threads(Some(1))
         .with_calibration_cache(cache)
 }
 
 fn feedbacks(server: ServerId, n: u64) -> Vec<Feedback> {
     (0..n)
         .map(|t| {
-            Feedback::new(t, server, ClientId::new(t % 7), Rating::from_good(t % 13 != 0))
+            Feedback::new(
+                t,
+                server,
+                ClientId::new(t % 7),
+                Rating::from_good(t % 13 != 0),
+            )
         })
         .collect()
 }
@@ -204,7 +205,10 @@ fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
     // rows they sit in — `hp_calibration_cache_bytes` as `/metrics` has it).
     let counts = |service: &ReputationService| {
         let stats = service.stats();
-        let jobs = (stats.calibration_oracle_jobs, stats.calibration_cache_misses);
+        let jobs = (
+            stats.calibration_oracle_jobs,
+            stats.calibration_cache_misses,
+        );
         let exposition = service.render_prometheus();
         let row_bytes: usize = exposition
             .lines()
@@ -229,9 +233,16 @@ fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
     // row's fixed part, nothing per lookup.
     let (entries, row_bytes) = held;
     assert_eq!(entries, 35 * 21 * 14);
-    assert!((entries * 8..entries * 8 + 35 * 256).contains(&row_bytes), "{row_bytes} B");
+    assert!(
+        (entries * 8..entries * 8 + 35 * 256).contains(&row_bytes),
+        "{row_bytes} B"
+    );
     first_assessments(&cold);
-    assert_eq!(counts(&cold), ((rows, rows), held), "no verdict waited on a job or added a row");
+    assert_eq!(
+        counts(&cold),
+        ((rows, rows), held),
+        "no verdict waited on a job or added a row"
+    );
     cold.shutdown();
 
     let warm = ReputationService::new(config).unwrap();

@@ -129,10 +129,9 @@ proptest! {
         let dir = temp_dir("round-trip");
         let path = dir.join("shard-0.hpj");
         let feedbacks = synth_feedbacks(len, seed);
-        let policy = match fsync_sel % 3 {
+        let policy = match fsync_sel % 2 {
             0 => FsyncPolicy::Never,
-            1 => FsyncPolicy::EveryBatch,
-            _ => FsyncPolicy::EveryN(u64::from(fsync_sel) % 7 + 1),
+            _ => FsyncPolicy::EveryBatch,
         };
         {
             let (mut journal, recovered) = FileJournal::open(&path, 0, 1, policy).unwrap();
@@ -291,7 +290,6 @@ mod snapshots {
             })
             .with_snapshots(SnapshotPolicy {
                 interval_records: 0,
-                retain: 2,
                 compact_journal: compact,
             })
     }

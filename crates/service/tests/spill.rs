@@ -50,7 +50,6 @@ fn tiered_config(dir: PathBuf) -> ServiceConfig {
         })
         .with_snapshots(SnapshotPolicy {
             interval_records: 1_000_000,
-            retain: 2,
             compact_journal: true,
         })
         .with_tiering(TieringPolicy {
@@ -103,7 +102,10 @@ fn eviction_and_fault_in_keep_verdicts_bit_identical() {
         control.ingest_batch(batch).unwrap();
     }
     let mid = tiered.stats();
-    assert!(mid.tier_compacted_records > 0, "histories crossed the horizon");
+    assert!(
+        mid.tier_compacted_records > 0,
+        "histories crossed the horizon"
+    );
     assert!(mid.tier_evictions > 0, "the zero budget must evict");
     assert!(
         mid.tier_spilled_bytes > 0 && mid.tier_hot_suffix_bytes == 0,
@@ -123,7 +125,9 @@ fn eviction_and_fault_in_keep_verdicts_bit_identical() {
     let stats = tiered.stats();
     assert!(stats.tier_faults >= 10, "each first assess faults in");
     assert!(
-        tiered.render_prometheus().contains("hp_history_resident_bytes"),
+        tiered
+            .render_prometheus()
+            .contains("hp_history_resident_bytes"),
         "per-tier residency gauges are exported"
     );
 
