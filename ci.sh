@@ -65,6 +65,7 @@ FMT_CLEAN=(
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
     crates/store/src/engine.rs
+    crates/store/src/segment.rs
     examples/online_service.rs
 )
 rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"
@@ -173,11 +174,21 @@ if current["columnar_distinct_bytes"] > baseline["columnar_distinct_bytes"] * 1.
         f"{current['columnar_distinct_bytes']} B > 110% of baseline "
         f"{baseline['columnar_distinct_bytes']} B"
     )
+# A `deep_assess` server: 20k feedbacks with the ids hp-load draws from a
+# million clients, the shape whose heap the benchmark's RSS is made of.
+if current["columnar_load_ids_bytes"] > baseline["columnar_load_ids_bytes"] * 1.10:
+    sys.exit(
+        f"resident-bytes regression, hp-load ids: columnar "
+        f"{current['columnar_load_ids_bytes']} B > 110% of baseline "
+        f"{baseline['columnar_load_ids_bytes']} B"
+    )
 print(
     f"    resident: columnar {current['columnar_bytes']} B per 10k-feedback "
     f"server ({current['ratio']}x smaller than rows; baseline "
     f"{baseline['columnar_bytes']} B), {current['columnar_distinct_bytes']} B "
-    f"with 10k distinct issuers (baseline {baseline['columnar_distinct_bytes']} B)"
+    f"with 10k distinct issuers (baseline {baseline['columnar_distinct_bytes']} B), "
+    f"{current['columnar_load_ids_bytes']} B per 20k-feedback server with "
+    f"hp-load ids (baseline {baseline['columnar_load_ids_bytes']} B)"
 )
 
 # Two-sided tiered gate at 10x history length: the compacted active set

@@ -3,7 +3,8 @@
 //! Timed and written by the shared `hp_bench` harness into
 //! `experiments/out/bench_history.json`. The JSON carries an extra
 //! `resident` object — bytes per 10 000-feedback server in each
-//! representation, for 24 issuers and for 10 000 distinct ones — which
+//! representation, for 24 issuers and for 10 000 distinct ones, and per
+//! 20 000-feedback server with the ids `hp-load` sends — which
 //! `ci.sh` compares against the committed baseline in
 //! `experiments/baselines/bench_history_baseline.json`. `columnar` in a
 //! row name or JSON key is the layout — a `BitColumn` beside an
@@ -72,6 +73,24 @@ fn distinct_stream(n: usize) -> Vec<Feedback> {
             ..f
         })
         .collect()
+}
+
+/// Feedbacks in one `deep_assess` server of the repo benchmark.
+const DEEP: u64 = 20_000;
+
+/// A `deep_assess` server: `DEEP` feedbacks whose issuers are drawn the
+/// way `hp-load` draws them — a seeded hash of the transaction index
+/// modulo the million-client population — so about 1 % repeat an issuer.
+fn load_ids_stream() -> impl Iterator<Item = Feedback> {
+    (0..DEEP).map(|t| {
+        let client = hp_stats::derive_seed(0x4850_4c44_434c, t) % 1_000_000;
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(client),
+            Rating::from_good(t % 17 != 0),
+        )
+    })
 }
 
 fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback], distinct: &[Feedback]) {
@@ -269,6 +288,13 @@ fn main() {
         "resident bytes per {N}-feedback server, every issuer distinct: \
          columnar {columnar_distinct_bytes}"
     );
+    let columnar_load_ids_bytes = load_ids_stream()
+        .collect::<TieredHistory>()
+        .resident_bytes();
+    println!(
+        "resident bytes per {DEEP}-feedback server, hp-load's ids over a million \
+         clients: columnar {columnar_load_ids_bytes}"
+    );
 
     // The tiered claim at 10× length: resident bytes must track the
     // horizon, not the history — ≤ 25% of the untiered columnar form.
@@ -295,6 +321,7 @@ fn main() {
     let sections = format!(
         "\"resident\":{{\"columnar_bytes\":{columnar_bytes},\
          \"columnar_distinct_bytes\":{columnar_distinct_bytes},\
+         \"columnar_load_ids_bytes\":{columnar_load_ids_bytes},\
          \"reference_bytes\":{reference_bytes},\"ratio\":{ratio:.3}}},\n\
          \"tiered\":{{\"history_len\":{N10},\"horizon\":{HORIZON},\
          \"tiered_bytes\":{},\"columnar_bytes\":{},\"resident_fraction\":{tiered_fraction:.4},\

@@ -6,16 +6,20 @@
 //! service's trust configuration never reads wall-clock time, and
 //! `hp-store`, which does hand records back, keeps its own time column.
 //! The cost model, against ~48 B per transaction for the reference row
-//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + a 2 B
-//! issuer code; per distinct issuer a 4 B id + a 2 B index slot at load
-//! 3/8–3/4 (2.7–5.3 B) — the counts §4 groups by are recounted when asked
-//! for, never stored. Codes and slots are 4 B only in a column that has
-//! met 65 535 issuers, ids 8 B only in one that has met an id above
+//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + 1
+//! first-seen bit, and a 2 B issuer code only when the issuer repeats (a
+//! transaction that mints its issuer has the next code, implicitly); per
+//! distinct issuer a 4 B id + a 2 B index slot at load 3/8–3/4
+//! (2.7–5.3 B) — the counts §4 groups by are recounted when asked for,
+//! never stored. Codes and slots are 4 B only in a column that has met
+//! 65 535 issuers, ids 8 B only in one that has met an id above
 //! `u32::MAX`. Long columns grow by a quarter, so measured heap is
-//! 2.8 B/feedback for a 10 000-feedback server with 24 issuers and
-//! 10.7 B/feedback when all 20 000 issuers are distinct (15.3 B with 8 B
-//! ids, 20.9 B with 4 B codes and slots too, 30.2 B with two stored
-//! counters per issuer, 108 B with posting `Vec`s before that).
+//! 3.0 B/feedback for a 10 000-feedback server with 24 issuers (2.8 B
+//! when every transaction stored its code) and 8.6 B/feedback when all
+//! 20 000 issuers are distinct (10.7 B with a code per transaction,
+//! 15.3 B with 8 B ids too, 20.9 B with 4 B codes and slots as well,
+//! 30.2 B with two stored counters per issuer, 108 B with posting `Vec`s
+//! before that).
 //!
 //! Every statistic is bit-identical to the reference
 //! [`crate::TransactionHistory`] path; see
@@ -252,26 +256,31 @@ impl BitColumn {
     }
 }
 
-/// A dictionary-encoded issuer column: two append-only columns and an
+/// A dictionary-encoded issuer column: append-only columns and an
 /// index-only hash table.
 ///
-/// Each transaction stores one dictionary code; each distinct issuer its
-/// [`ClientId`]. Client → code goes through an open-addressing table that
-/// holds `code + 1` and no keys — a probe compares against
-/// `clients[code]`. Two widths follow the dictionary's contents, each on
-/// its own: codes and slots are 16 bits wide while the dictionary holds
-/// fewer than 65 535 clients and 32 bits from then on, and client ids are
-/// held in 32 bits while every id in it fits and in 64 from the first that
-/// does not. Both are functions of the dictionary alone, however the
-/// column was built, and no query can tell. So a first-seen issuer costs a
-/// 4 B id, a 2 B code and one 2 B slot at load 3/8–3/4 (2.7–5.3 B), with
-/// no allocation of its own: 10.7 B of heap per feedback over 20 000
-/// feedbacks from as many issuers (15.3 B with ids above `u32::MAX`;
-/// 16.9 B at 65 535 issuers, 21.3 B with both). Nothing is counted per
+/// Each distinct issuer stores its [`ClientId`] once, in code order.
+/// Each transaction stores one `first_seen` bit, set when it minted its
+/// issuer, and only a transaction whose bit is clear stores its code:
+/// codes are minted in order, so a minting transaction's code is the
+/// number of mints before it. Client → code goes through an
+/// open-addressing table that holds `code + 1` and no keys — a probe
+/// compares against `clients[code]`. Two widths follow the dictionary's
+/// contents, each on its own: repeated codes and slots are 16 bits wide
+/// while the dictionary holds fewer than 65 535 clients and 32 bits from
+/// then on, and client ids are held in 32 bits while every id in it fits
+/// and in 64 from the first that does not. Both are functions of the
+/// dictionary alone, however the column was built, and no query can tell.
+/// So a first-seen issuer costs a 4 B id, one bit and one 2 B slot at
+/// load 3/8–3/4 (2.7–5.3 B), with no allocation of its own, and a repeat
+/// a 2 B code and one bit: 8.6 B of heap per feedback over 20 000
+/// feedbacks from as many issuers (13.2 B with ids above `u32::MAX`;
+/// 12.7 B at 65 535 issuers, 17.0 B with both). Nothing is counted per
 /// issuer as feedback arrives (no online request reads it); the §4
 /// readers recount: [`IssuerColumn::issuer_groups`] in one pass over the
 /// codes and the outcome bits, [`IssuerColumn::frequency_order`] with a
-/// two-pass counting sort.
+/// two-pass counting sort. Every reader decodes the codes in one
+/// sequential walk; there is no random access to a transaction's code.
 #[derive(Debug, Clone)]
 pub struct IssuerColumn(Width);
 
@@ -373,12 +382,20 @@ fn recode<A: Unsigned, B: Unsigned>(values: &Vec<A>) -> Option<Vec<B>> {
     Some(recoded)
 }
 
-/// The three allocations of an [`IssuerColumn`], codes and slots held as
-/// `W`, client ids as `I`.
+/// The allocations of an [`IssuerColumn`], repeated codes and slots held
+/// as `W`, client ids as `I`.
 #[derive(Debug, Clone, Default)]
 struct Columns<W, I> {
-    /// Per-transaction dictionary code.
-    codes: Vec<W>,
+    /// One bit per transaction, least significant first, set when its
+    /// code is the next implicit one: `base` plus the set bits before it.
+    /// That is every transaction that minted its issuer.
+    first_seen: Vec<u64>,
+    /// The first implicit code: the mints a fold took away.
+    base: u32,
+    /// Set bits in `first_seen`.
+    minted: u32,
+    /// The codes of the transactions whose bit is clear, in order.
+    repeats: Vec<W>,
     /// Code → client id (dictionary decode). Codes are stable: never
     /// recycled, even when a fold leaves a client no live transaction.
     clients: Vec<I>,
@@ -422,7 +439,84 @@ fn capacity_bytes<T>(column: &Vec<T>) -> usize {
     column.capacity() * std::mem::size_of::<T>()
 }
 
+/// Gives back the slack of a column a fold left under two-thirds full:
+/// more than a [`push_tight`] growth step leaves, so the steady cycle of
+/// pushes and one-word folds around a horizon never reallocates, while a
+/// fold of half a history returns what it freed.
+fn shrink_sparse<T>(column: &mut Vec<T>) {
+    if 2 * column.capacity() > 3 * column.len() {
+        column.shrink_to_fit();
+    }
+}
+
+/// A column's codes in transaction order, decoded in one walk: a set
+/// `first_seen` bit is the next implicit code, a clear one the next
+/// repeat.
+struct Codes<'a, W> {
+    first_seen: &'a [u64],
+    repeats: std::slice::Iter<'a, W>,
+    /// The code the next set bit stands for.
+    next: u32,
+    at: usize,
+    len: usize,
+}
+
+impl<W: Unsigned> Iterator for Codes<'_, W> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.at == self.len {
+            return None;
+        }
+        let first_seen = (self.first_seen[self.at / 64] >> (self.at % 64)) & 1 == 1;
+        self.at += 1;
+        if first_seen {
+            self.next += 1;
+            Some(self.next - 1)
+        } else {
+            self.repeats.next().map(|&code| code.into() as u32)
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.len - self.at;
+        (left, Some(left))
+    }
+}
+
 impl<W: Unsigned, I: Unsigned> Columns<W, I> {
+    /// Number of transactions recorded.
+    fn len(&self) -> usize {
+        self.minted as usize + self.repeats.len()
+    }
+
+    fn codes(&self) -> Codes<'_, W> {
+        Codes {
+            first_seen: &self.first_seen,
+            repeats: self.repeats.iter(),
+            next: self.base,
+            at: 0,
+            len: self.len(),
+        }
+    }
+
+    /// Appends a transaction of code `code`: a set bit if it is the next
+    /// implicit code, a clear bit and an explicit repeat otherwise. So
+    /// any code sequence is held exactly, and the one pushes produce
+    /// keeps a repeat per transaction that did not mint.
+    fn append(&mut self, code: u32) {
+        let at = self.len();
+        if self.first_seen.len() <= at / 64 {
+            push_tight(&mut self.first_seen, 0);
+        }
+        if code == self.base + self.minted {
+            self.first_seen[at / 64] |= 1 << (at % 64);
+            self.minted += 1;
+        } else {
+            push_tight(&mut self.repeats, W::store(code.into()));
+        }
+    }
+
     /// The client of dictionary code `code`.
     fn client(&self, code: usize) -> ClientId {
         ClientId::new(self.clients[code].into())
@@ -496,18 +590,14 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
             Ok(code) => code,
             Err(slot) => self.mint(client, slot),
         };
-        push_tight(&mut self.codes, W::store(code.into()));
-    }
-
-    fn client_at(&self, i: usize) -> ClientId {
-        self.client(self.codes[i].into() as usize)
+        self.append(code);
     }
 
     /// Adds transaction `idx`'s outcome to `tally[code]` as
     /// `(good, total)`, for each `(idx, code)` of `codes`.
-    fn tally(codes: &[W], outcomes: &BitColumn, tally: &mut [(u32, u32)]) {
-        for (idx, &code) in codes.iter().enumerate() {
-            let (good, total) = &mut tally[code.into() as usize];
+    fn tally(codes: impl Iterator<Item = u32>, outcomes: &BitColumn, tally: &mut [(u32, u32)]) {
+        for (idx, code) in codes.enumerate() {
+            let (good, total) = &mut tally[code as usize];
             *good += u32::from(outcomes.get(idx));
             *total += 1;
         }
@@ -516,7 +606,7 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
     fn issuer_groups_with(&self, folded: &[(u32, u32)], outcomes: &BitColumn) -> Vec<IssuerGroup> {
         let mut tally = folded.to_vec();
         tally.resize(self.clients.len(), (0, 0));
-        Self::tally(&self.codes, outcomes, &mut tally);
+        Self::tally(self.codes(), outcomes, &mut tally);
         let mut groups: Vec<IssuerGroup> = tally
             .iter()
             .zip(&self.clients)
@@ -531,7 +621,7 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
         groups
     }
 
-    /// The counting sort behind the §4 order: a pass over `codes` counts
+    /// The counting sort behind the §4 order: a pass over the codes counts
     /// each issuer's transactions, live codes are sorted most frequent
     /// first (ties by ascending client id) and their counts prefix-summed
     /// into group offsets, then a second pass calls
@@ -539,8 +629,8 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
     fn scatter(&self, mut place: impl FnMut(usize, usize)) {
         // Per code: its count, then its group's next free destination.
         let mut next = vec![0u32; self.clients.len()];
-        for &code in &self.codes {
-            next[code.into() as usize] += 1;
+        for code in self.codes() {
+            next[code as usize] += 1;
         }
         let mut live: Vec<u32> = (0..self.clients.len() as u32)
             .filter(|&code| next[code as usize] > 0)
@@ -556,38 +646,49 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
             next[code as usize] = offset;
             offset += count;
         }
-        for (idx, &code) in self.codes.iter().enumerate() {
-            let code = code.into() as usize;
+        for (idx, code) in self.codes().enumerate() {
+            let code = code as usize;
             place(next[code] as usize, idx);
             next[code] += 1;
         }
     }
 
     fn frequency_order(&self) -> Vec<u32> {
-        let mut order = vec![0u32; self.codes.len()];
+        let mut order = vec![0u32; self.len()];
         self.scatter(|destination, idx| order[destination] = idx as u32);
         order
     }
 
     fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
-        let mut words = vec![0u64; self.codes.len().div_ceil(64)];
+        let mut words = vec![0u64; self.len().div_ceil(64)];
         self.scatter(|destination, idx| {
             words[destination / 64] |= u64::from(outcomes.get(idx)) << (destination % 64);
         });
-        BitColumn::from_words(words, self.codes.len()).expect("one bit per transaction")
+        BitColumn::from_words(words, self.len()).expect("one bit per transaction")
     }
 
     fn resident_bytes(&self) -> usize {
-        capacity_bytes(&self.codes) + capacity_bytes(&self.index) + capacity_bytes(&self.clients)
+        capacity_bytes(&self.first_seen)
+            + capacity_bytes(&self.repeats)
+            + capacity_bytes(&self.index)
+            + capacity_bytes(&self.clients)
     }
 
     fn fold_prefix(&mut self, n: usize, outcomes: &BitColumn, folded: &mut Vec<(u32, u32)>) {
+        assert!(n.is_multiple_of(64), "a fold takes whole words, not {n}");
         folded.resize(self.clients.len(), (0, 0));
-        Self::tally(&self.codes[..n], outcomes, folded);
-        self.codes.drain(..n);
-        if self.codes.capacity() > 2 * self.codes.len() {
-            self.codes.shrink_to_fit();
-        }
+        Self::tally(self.codes().take(n), outcomes, folded);
+        let words = n / 64;
+        let minted: u32 = self.first_seen[..words]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        self.first_seen.drain(..words);
+        self.repeats.drain(..n - minted as usize);
+        self.base += minted;
+        self.minted -= minted;
+        shrink_sparse(&mut self.first_seen);
+        shrink_sparse(&mut self.repeats);
     }
 
     /// These columns with codes and slots as `V` and ids as `J`: the
@@ -595,9 +696,12 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
     /// positions included. `None` if a value does not fit.
     fn at_width<V: Unsigned, J: Unsigned>(self) -> Option<Columns<V, J>> {
         Some(Columns {
-            codes: recode(&self.codes)?,
+            repeats: recode(&self.repeats)?,
             clients: recode(&self.clients)?,
             index: recode(&self.index)?,
+            first_seen: self.first_seen,
+            base: self.base,
+            minted: self.minted,
         })
     }
 }
@@ -614,25 +718,29 @@ impl IssuerColumn {
         IssuerColumn::default()
     }
 
-    /// The column over a dictionary and its codes, at the widths the
-    /// dictionary's contents choose, index restored; `None` when a code is
-    /// out of dictionary range, a client repeats, or there is not one code
-    /// per outcome.
+    /// `columns` at the widths their dictionary's contents choose, index
+    /// restored; `None` when the first implicit code or a code is out of
+    /// dictionary range, a client repeats, or there is not one code per
+    /// outcome.
     fn rebuilt<W: Unsigned, I: Unsigned>(
-        codes: Vec<W>,
-        clients: Vec<I>,
+        columns: Columns<W, I>,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        let in_range = |&code: &W| code.into() < clients.len() as u64;
-        if codes.len() != outcomes.len() || !codes.iter().all(in_range) {
+        let entries = columns.clients.len();
+        if columns.base as usize > entries
+            || columns.len() != outcomes.len()
+            || columns.codes().any(|code| code as usize >= entries)
+        {
             return None;
         }
-        let wide_codes = needs_wide_codes(clients.len());
-        let long_ids = clients.iter().any(|&client| needs_long_ids(client.into()));
+        let wide_codes = needs_wide_codes(entries);
+        let long_ids = columns
+            .clients
+            .iter()
+            .any(|&client| needs_long_ids(client.into()));
         let columns = Columns {
-            codes,
-            clients,
             index: Vec::new(),
+            ..columns
         };
         let mut column = IssuerColumn(Width::fitted(columns, wide_codes, long_ids)?);
         any_width!(&mut column.0, columns => columns.reindex(slots_for(columns.clients.len())))?;
@@ -656,7 +764,7 @@ impl IssuerColumn {
 
     /// Number of transactions recorded.
     pub fn len(&self) -> usize {
-        any_width!(&self.0, columns => columns.codes.len())
+        any_width!(&self.0, columns => columns.len())
     }
 
     /// Number of clients in the dictionary: every issuer the history has
@@ -670,13 +778,10 @@ impl IssuerColumn {
         self.len() == 0
     }
 
-    /// The issuer of transaction `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn client_at(&self, i: usize) -> ClientId {
-        any_width!(&self.0, columns => columns.client_at(i))
+    /// The issuer of each transaction, in transaction order.
+    pub fn issuers(&self) -> impl Iterator<Item = ClientId> + '_ {
+        self.codes()
+            .map(|code| any_width!(&self.0, columns => columns.client(code as usize)))
     }
 
     /// All issuers with at least one feedback, most frequent first, ties
@@ -729,22 +834,29 @@ impl IssuerColumn {
         ids.map(ClientId::new)
     }
 
-    /// The per-transaction dictionary codes (snapshot payload), as the
-    /// `u32`s the wire carries whichever width holds them.
+    /// The per-transaction dictionary codes in transaction order
+    /// (snapshot payload), as the `u32`s the wire carries whichever way
+    /// they are held.
     pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
-        let (narrow, wide, _) =
-            any_width!(&self.0, columns => Unsigned::split(columns.codes.as_slice()));
+        let (narrow, wide) = match &self.0 {
+            Width::Narrow(columns) => (Some(columns.codes()), None),
+            Width::LongIds(columns) => (Some(columns.codes()), None),
+            Width::WideCodes(columns) => (None, Some(columns.codes())),
+            Width::Wide(columns) => (None, Some(columns.codes())),
+        };
         narrow
-            .iter()
-            .map(|&code| u32::from(code))
-            .chain(wide.iter().copied())
+            .into_iter()
+            .flatten()
+            .chain(wide.into_iter().flatten())
     }
 
     /// Folds the oldest `n` transactions out of the column: their
     /// per-issuer `(good, total)` counts are added to `folded` (indexed by
-    /// code) and later positions shift down by `n`. The dictionary and its
-    /// index are kept — codes are stable — so a fold costs O(`n`) plus
-    /// the move of the retained codes, whatever the dictionary holds.
+    /// code) and later positions shift down by `n`, a multiple of 64. The
+    /// dictionary and its index are kept — codes are stable — so a fold
+    /// costs O(`n`) plus the move of the retained bits and repeats,
+    /// whatever the dictionary holds; the mints it takes away move the
+    /// first implicit code up.
     pub(super) fn fold_prefix(
         &mut self,
         n: usize,
@@ -755,28 +867,48 @@ impl IssuerColumn {
     }
 
     /// Rebuilds a column from its dictionary and per-transaction codes,
-    /// restoring the index. The result answers every query exactly like a
-    /// column fed the same client sequence one push at a time, and holds
-    /// its codes and ids at the same widths.
+    /// restoring the index. `base` is the number of issuers first seen
+    /// before `codes` begins (in a folded-away prefix). The result yields
+    /// exactly `codes` for any sequence and any `base`; for the parts of a
+    /// column fed a client sequence one push at a time, with its `base`,
+    /// it answers every query like that column and holds the same
+    /// columns at the same widths.
     ///
-    /// Returns `None` when the parts are inconsistent: a code out of
-    /// dictionary range, a repeated client, or `codes.len()` differing
-    /// from `outcomes.len()` (the outcome column the codes sit beside).
+    /// Returns `None` when the parts are inconsistent: `base` or a code
+    /// out of dictionary range, a repeated client, or `codes.len()`
+    /// differing from `outcomes.len()` (the outcome column the codes sit
+    /// beside).
     pub fn from_parts(
         clients: Vec<ClientId>,
         codes: Vec<u32>,
+        base: u32,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        let ids: Vec<u64> = clients.iter().map(|client| client.value()).collect();
-        IssuerColumn::rebuilt(codes, ids, outcomes)
+        let mut columns = Columns::<u32, u64> {
+            base,
+            clients: clients.iter().map(|client| client.value()).collect(),
+            ..Columns::default()
+        };
+        if base as usize > columns.clients.len() {
+            return None;
+        }
+        for code in codes {
+            if code as usize >= columns.clients.len() {
+                return None;
+            }
+            columns.append(code);
+        }
+        columns.first_seen.shrink_to_fit();
+        columns.repeats.shrink_to_fit();
+        IssuerColumn::rebuilt(columns, outcomes)
     }
 
     /// This column cut back to its first `len` transactions and first
     /// `dict_len` dictionary entries. Only the append-only primaries
-    /// (`codes`, `clients`) are read; [`IssuerColumn::from_parts`]'s
-    /// checks hold them against `outcomes` and the index is rebuilt.
-    /// `None` when a primary is shorter than asked or the cut parts are
-    /// inconsistent.
+    /// (`first_seen`, `repeats`, `clients`) are read, each cut in place,
+    /// its capacity kept; [`IssuerColumn::from_parts`]'s checks hold them
+    /// against `outcomes` and the index is rebuilt. `None` when a primary
+    /// is shorter than asked or the cut parts are inconsistent.
     pub(super) fn truncated(
         self,
         len: usize,
@@ -784,17 +916,23 @@ impl IssuerColumn {
         outcomes: &BitColumn,
     ) -> Option<Self> {
         any_width!(self.0, columns => {
-            let Columns { mut codes, mut clients, .. } = columns;
-            if codes.len() < len || clients.len() < dict_len {
+            if columns.len() < len || columns.clients.len() < dict_len {
                 return None;
             }
-            codes.truncate(len);
+            let Columns { mut first_seen, mut repeats, mut clients, base, .. } = columns;
+            first_seen.truncate(len.div_ceil(64));
+            if !len.is_multiple_of(64) {
+                *first_seen.last_mut().expect("len > 0 implies a word") &= (1u64 << (len % 64)) - 1;
+            }
+            let minted: u32 = first_seen.iter().map(|w| w.count_ones()).sum();
+            repeats.truncate(len - minted as usize);
             clients.truncate(dict_len);
-            IssuerColumn::rebuilt(codes, clients, outcomes)
+            let columns = Columns { first_seen, base, minted, repeats, clients, index: Vec::new() };
+            IssuerColumn::rebuilt(columns, outcomes)
         })
     }
 
-    /// Test seam: the dictionary half of a push with no `codes` entry —
+    /// Test seam: the dictionary half of a push with no code appended —
     /// mints `client` if it is new. What a panic inside
     /// [`IssuerColumn::push`] could leave.
     #[cfg(test)]
@@ -1073,7 +1211,8 @@ mod tests {
         assert_eq!(clients.len(), column.dict_len());
         let long = clients.iter().any(|c| c.value() > u64::from(u32::MAX));
         assert_eq!(widths(column), (clients.len() >= 65_535, long));
-        let rebuilt = IssuerColumn::from_parts(clients, column.codes().collect(), outcomes)
+        let base = any_width!(&column.0, columns => columns.base);
+        let rebuilt = IssuerColumn::from_parts(clients, column.codes().collect(), base, outcomes)
             .expect("a column's own parts");
         assert_eq!(widths(&rebuilt), widths(column));
         assert_eq!(rebuilt.resident_bytes(), column.clone().resident_bytes());
@@ -1091,7 +1230,7 @@ mod tests {
         assert_eq!(widths(&column), (false, true), "codes stay 16 bits");
         let ids = [7, 9, u64::from(u32::MAX), 1 << 32, 3].map(ClientId::new);
         assert!(column.clients().eq(ids));
-        assert_eq!(column.client_at(4), ids[3]);
+        assert_eq!(column.issuers().nth(4), Some(ids[3]));
         let outcomes = BitColumn::from_bools([true, false, true, true, false, true]);
         assert_widths_follow_contents(&column, &outcomes);
 
@@ -1170,7 +1309,7 @@ mod tests {
                 (
                     proptest::collection::vec((any::<u16>(), any::<bool>()), 0..40),
                     any::<bool>(),
-                    0usize..60,
+                    0usize..4,
                 ),
                 1..12,
             ),
@@ -1205,7 +1344,7 @@ mod tests {
                         .expect("a mark of this column");
                     check(&column, &kept, folded_len, &folded);
                 }
-                let fold = fold.min(column.len());
+                let fold = (fold * 64).min(column.len() / 64 * 64);
                 column.fold_prefix(fold, &bits(&kept[folded_len..]), &mut folded);
                 folded_len += fold;
                 check(&column, &kept, folded_len, &folded);
@@ -1217,22 +1356,59 @@ mod tests {
     fn from_parts_rejects_each_malformed_input() {
         let outcomes = BitColumn::from_bools([true, false, true]);
         let clients = || vec![ClientId::new(7), ClientId::new(9)];
-        let rebuilt = IssuerColumn::from_parts(clients(), vec![0, 1, 0], &outcomes)
+        let rebuilt = IssuerColumn::from_parts(clients(), vec![0, 1, 0], 0, &outcomes)
             .expect("consistent parts");
         assert_matches_postings(&rebuilt, &[(7, true), (9, false), (7, true)]);
         assert!(
-            IssuerColumn::from_parts(clients(), vec![0, 2, 0], &outcomes).is_none(),
+            IssuerColumn::from_parts(clients(), vec![0, 2, 0], 0, &outcomes).is_none(),
             "code out of range"
+        );
+        assert!(
+            IssuerColumn::from_parts(clients(), vec![0, 1, 0], 3, &outcomes).is_none(),
+            "base out of range"
         );
         let repeated = vec![ClientId::new(7), ClientId::new(7)];
         assert!(
-            IssuerColumn::from_parts(repeated, vec![0, 1, 0], &outcomes).is_none(),
+            IssuerColumn::from_parts(repeated, vec![0, 1, 0], 0, &outcomes).is_none(),
             "repeated client"
         );
         assert!(
-            IssuerColumn::from_parts(clients(), vec![0, 1], &outcomes).is_none(),
+            IssuerColumn::from_parts(clients(), vec![0, 1], 0, &outcomes).is_none(),
             "length mismatch"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Parts no push sequence produces — first occurrences out of mint
+        /// order, codes that never occur, any `base` — still rebuild to
+        /// exactly their codes, answer like the posting lists fed the
+        /// issuers they name, and keep doing so after more pushes.
+        #[test]
+        fn from_parts_holds_any_code_sequence(
+            dict in 1u32..40,
+            raw in proptest::collection::vec((any::<u32>(), any::<bool>()), 0..300),
+            base in any::<u32>(),
+            more in proptest::collection::vec(0u64..60, 0..40),
+        ) {
+            let codes: Vec<u32> = raw.iter().map(|&(code, _)| code % dict).collect();
+            let base = base % (dict + 1);
+            let clients: Vec<ClientId> = (0..u64::from(dict)).map(|c| ClientId::new(c * 3)).collect();
+            let outcomes = BitColumn::from_bools(raw.iter().map(|&(_, good)| good));
+            let mut column = IssuerColumn::from_parts(clients, codes.clone(), base, &outcomes)
+                .expect("in-range parts");
+            prop_assert_eq!(column.codes().collect::<Vec<_>>(), codes.clone());
+            let mut live: Vec<(u64, bool)> =
+                codes.iter().zip(&raw).map(|(&code, &(_, good))| (u64::from(code) * 3, good)).collect();
+            assert_matches_postings(&column, &live);
+            for (t, client) in more.into_iter().enumerate() {
+                column.push(ClientId::new(client));
+                live.push((client, t % 2 == 0));
+            }
+            assert_matches_postings(&column, &live);
+            prop_assert!(column.issuers().eq(live.iter().map(|&(c, _)| ClientId::new(c))));
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   plus prefix sums of good transactions and a per-client index. Keeps
 //!   full records, supports pop (append–test–revert), and anchors the
 //!   bit-identity property tests.
-//! * [`TieredHistory`] — the production columnar engine (~2.3 B per
-//!   transaction + ~8 B per distinct issuer, instead of ~48 B per
+//! * [`TieredHistory`] — the production columnar engine (~2.4 B per
+//!   transaction whose issuer repeats, 3 bits per one that mints its
+//!   issuer, + ~8 B per distinct issuer, instead of ~48 B per
 //!   transaction): outcomes in a [`BitColumn`], issuers in an
 //!   [`IssuerColumn`], no timestamps, and a prefix older than the
 //!   assessment horizon foldable into exact per-issuer summary counts.

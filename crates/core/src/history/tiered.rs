@@ -591,7 +591,14 @@ impl TieredHistory {
             return None;
         }
         let suffix = BitColumn::from_words(words, suffix_len)?;
-        let issuers = IssuerColumn::from_parts(clients, codes, &suffix)?;
+        // Codes are minted in order, so the issuers first seen in the
+        // folded prefix are the leading codes with folded feedback: the
+        // first code the suffix can mint, as the pushes left it.
+        let base = folded_by_code
+            .iter()
+            .take_while(|&&(_, total)| total > 0)
+            .count();
+        let issuers = IssuerColumn::from_parts(clients, codes, u32::try_from(base).ok()?, &suffix)?;
         Some(TieredHistory {
             column: TieredColumn {
                 folded_len,
@@ -1050,6 +1057,42 @@ mod tests {
             }
             if let Some(decoded) = TieredHistory::decode(&mangled) {
                 prop_assert_eq!(decoded.encode(), bytes);
+            }
+        }
+
+        /// Retained codes no push sequence produces — any value in any
+        /// slot, first occurrences out of mint order, before or after a
+        /// fold — decode to exactly those codes and encode back to exactly
+        /// those bytes when every code is in dictionary range, and are
+        /// refused when one is not.
+        #[test]
+        fn decode_is_exact_for_any_code_sequence(
+            n in 1u64..400,
+            horizon in (any::<bool>(), 0usize..200).prop_map(|(fold, horizon)| fold.then_some(horizon)),
+            writes in proptest::collection::vec((any::<usize>(), any::<u32>(), any::<bool>()), 1..24),
+        ) {
+            let mut history: TieredHistory = mixed_history(n).into_iter().collect();
+            if let Some(horizon) = horizon {
+                history.compact(horizon);
+            }
+            let dict_len = history.issuer_column().dict_len() as u32;
+            let mut codes: Vec<u32> = history.issuer_column().codes().collect();
+            let mut bytes = history.encode();
+            let at = 49 + 16 * dict_len as usize;
+            for (slot, value, in_range) in writes {
+                if codes.is_empty() {
+                    break;
+                }
+                let slot = slot % codes.len();
+                codes[slot] = if in_range { value % dict_len } else { value };
+                bytes[at + 4 * slot..at + 4 * slot + 4].copy_from_slice(&codes[slot].to_le_bytes());
+            }
+            match TieredHistory::decode(&bytes) {
+                Some(decoded) => {
+                    prop_assert!(decoded.issuer_column().codes().eq(codes.iter().copied()));
+                    prop_assert_eq!(decoded.encode(), bytes);
+                }
+                None => prop_assert!(codes.iter().any(|&code| code >= dict_len)),
             }
         }
     }

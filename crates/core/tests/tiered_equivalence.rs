@@ -278,13 +278,9 @@ fn assert_answers_like_rows(tiered: &TieredHistory, rows: &TransactionHistory) {
             .unwrap(),
         reordered
     );
-    for (i, feedback) in rows.iter().enumerate() {
-        assert_eq!(
-            issuers.client_at(i),
-            feedback.client,
-            "issuer of transaction {i}"
-        );
-    }
+    let clients: Vec<ClientId> = issuers.issuers().collect();
+    let expected: Vec<ClientId> = rows.iter().map(|feedback| feedback.client).collect();
+    assert_eq!(clients, expected, "issuer of each transaction");
 }
 
 proptest! {

@@ -1107,15 +1107,16 @@ mod tests {
 
     proptest! {
         /// Whatever happened to a snapshot — cut or a byte flipped under
-        /// its CRC, or any length, offset, count or tag field overwritten
-        /// and the CRC restamped — `decode` returns a typed corruption or
+        /// its CRC, or any length, offset, count or tag field or any four
+        /// bytes of the body (an issuer code among them) overwritten and
+        /// the CRC restamped — `decode` returns a typed corruption or
         /// states that encode back to exactly those bytes: never a panic,
         /// and never a map reserved for more servers than the bytes hold
         /// (an impossible server count is refused where it is read).
         #[test]
         fn snapshot_decode_survives_hostile_bytes(
             which in 0usize..2,
-            mangle in (0u8..4, any::<usize>(), hostile()),
+            mangle in (0u8..5, any::<usize>(), hostile()),
         ) {
             let (model, bytes, fields) = &genuine()[which];
             let mut bytes = bytes.clone();
@@ -1129,6 +1130,12 @@ mod tests {
                 }
                 2 => {
                     bytes[field..field + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                    bytes.truncate(bytes.len() - 4);
+                    bytes.seal();
+                }
+                3 => {
+                    let at = HEADER_LEN + at % (bytes.len() - HEADER_LEN - 7);
+                    bytes[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
                     bytes.truncate(bytes.len() - 4);
                     bytes.seal();
                 }

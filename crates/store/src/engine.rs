@@ -8,8 +8,9 @@
 //! dictionary-encoded issuer column the online service runs — beside a
 //! time column this engine owns, because a store hands back exact records
 //! and the service's histories keep no timestamps. Per transaction an 8 B
-//! time, a 2 B issuer code and 2 bits, plus ~8 B per distinct issuer —
-//! instead of the 48 B per transaction of a materialized `Vec<Feedback>`.
+//! time and 3 bits, plus a 2 B issuer code if the issuer repeats, and ~8 B
+//! per distinct issuer — instead of the 48 B per transaction of a
+//! materialized `Vec<Feedback>`.
 
 use hp_core::{Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory};
 use std::collections::BTreeMap;
@@ -64,13 +65,13 @@ impl HistoryEngine {
         let Some(ServerColumns { history, times }) = self.servers.get(&server) else {
             return TransactionHistory::new();
         };
-        let issuers = history.issuer_column();
+        let issuers = history.issuer_column().issuers();
         let mut rows = TransactionHistory::with_capacity(times.len());
-        for (i, &time) in times.iter().enumerate() {
+        for (i, (&time, client)) in times.iter().zip(issuers).enumerate() {
             rows.push(Feedback::new(
                 time,
                 server,
-                issuers.client_at(i),
+                client,
                 Rating::from_good(history.outcome(i)),
             ));
         }
@@ -178,9 +179,9 @@ mod tests {
         for t in 0..10_000 {
             engine.ingest(fb(t, 1, t % 9 != 0));
         }
-        // 12.3 B/txn of payload (8 B time + 4 B issuer code + outcome and
-        // prefix bits) plus allocation slack (the time column doubles) —
-        // under half of the 48 B row form.
+        // 10.4 B/txn of payload (8 B time + 2 B issuer code + outcome,
+        // prefix and first-seen bits) plus allocation slack (the time
+        // column doubles) — under half of the 48 B row form.
         let per_txn = engine.resident_bytes() as f64 / 10_000.0;
         assert!(per_txn < 20.0, "{per_txn} bytes/txn");
     }

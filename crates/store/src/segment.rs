@@ -95,7 +95,10 @@ impl ColdStore {
         Ok(ColdStore {
             dir: dir.to_path_buf(),
             shard,
-            next_seq: segments.keys().next_back().map_or(0, |&seq| seq.saturating_add(1)),
+            next_seq: segments
+                .keys()
+                .next_back()
+                .map_or(0, |&seq| seq.saturating_add(1)),
             segments,
         })
     }
@@ -135,12 +138,23 @@ impl ColdStore {
                 let offset = body.len() as u64;
                 body.put_u64(*server);
                 let crc = body.put_frame(payload);
-                SegmentRef { seq, offset, len: payload.len() as u32, crc }
+                SegmentRef {
+                    seq,
+                    offset,
+                    len: payload.len() as u32,
+                    crc,
+                }
             })
             .collect();
         publish(&self.path(seq), |file| file.write_all(&body))?;
         self.next_seq = seq + 1;
-        self.segments.insert(seq, SegmentSlot { size: body.len() as u64, map: None });
+        self.segments.insert(
+            seq,
+            SegmentSlot {
+                size: body.len() as u64,
+                map: None,
+            },
+        );
         Ok(refs)
     }
 
@@ -157,9 +171,12 @@ impl ColdStore {
         let path = self.path(r.seq);
         let map = self.map_segment(r.seq, &path)?;
         // `map_segment` checked the header; records follow it.
-        let record = usize::try_from(r.offset).ok().filter(|&at| at >= HEADER_LEN);
+        let record = usize::try_from(r.offset)
+            .ok()
+            .filter(|&at| at >= HEADER_LEN);
         let record = record.and_then(|at| map.as_slice().get(at..));
-        let record = record.ok_or_else(|| Error::corrupt(&path, r.offset, "record offset out of range"))?;
+        let record =
+            record.ok_or_else(|| Error::corrupt(&path, r.offset, "record offset out of range"))?;
         let mut record = Reader::new(&path, record, r.offset);
         if record.u64("torn record")? != server {
             return Err(record.corrupt("record belongs to another server"));
@@ -200,7 +217,11 @@ impl ColdStore {
 
     fn map_segment(&mut self, seq: u64, path: &Path) -> Result<Arc<mapped::Mapped>, Error> {
         let Some(slot) = self.segments.get_mut(&seq) else {
-            return Err(Error::corrupt(path, 0, "segment unknown or already reclaimed"));
+            return Err(Error::corrupt(
+                path,
+                0,
+                "segment unknown or already reclaimed",
+            ));
         };
         if let Some(map) = &slot.map {
             return Ok(Arc::clone(map));
@@ -220,7 +241,10 @@ impl ColdStore {
 /// syscalls (the workspace is dependency-free by policy), so faulting a
 /// cold record costs page faults, not a full-file read; elsewhere it
 /// degrades to reading the file into memory.
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[allow(unsafe_code)]
 mod mapped {
     use std::fs::File;
@@ -249,13 +273,19 @@ mod mapped {
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
             if len == 0 {
                 // mmap(len=0) is EINVAL; an empty file maps to an empty slice.
-                return Ok(Mapped { ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(), len: 0 });
+                return Ok(Mapped {
+                    ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
+                    len: 0,
+                });
             }
             let ret = unsafe { sys_mmap(len, file.as_raw_fd()) };
             if (-4095..0).contains(&ret) {
                 return Err(io::Error::from_raw_os_error(-ret as i32));
             }
-            Ok(Mapped { ptr: ret as *const u8, len })
+            Ok(Mapped {
+                ptr: ret as *const u8,
+                len,
+            })
         }
 
         pub fn as_slice(&self) -> &[u8] {
@@ -353,7 +383,10 @@ mod mapped {
 
 /// Portable fallback: reads the whole file (no mmap syscall available
 /// without a libc dependency off linux).
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
 mod mapped {
     use std::io;
     use std::path::Path;
@@ -366,7 +399,9 @@ mod mapped {
 
     impl Mapped {
         pub fn open(path: &Path) -> io::Result<Mapped> {
-            Ok(Mapped { bytes: std::fs::read(path)? })
+            Ok(Mapped {
+                bytes: std::fs::read(path)?,
+            })
         }
 
         pub fn as_slice(&self) -> &[u8] {
@@ -378,16 +413,20 @@ mod mapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
     use proptest::prelude::*;
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hp-store-segment-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("hp-store-segment-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
 
     fn payload(seed: u8, len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+            .collect()
     }
 
     #[test]
@@ -402,7 +441,10 @@ mod tests {
         assert_eq!(store.fault(7, &refs[0]).unwrap(), records[0].1);
         assert_eq!(store.fault(9, &refs[1]).unwrap(), records[1].1);
         // Wrong server is a typed corruption, not a payload.
-        assert!(matches!(store.fault(8, &refs[0]), Err(Error::Corrupt { .. })));
+        assert!(matches!(
+            store.fault(8, &refs[0]),
+            Err(Error::Corrupt { .. })
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -438,7 +480,10 @@ mod tests {
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 20]).unwrap();
         let mut reopened = ColdStore::open(&dir, 0).unwrap();
-        assert!(matches!(reopened.fault(5, &refs[0]), Err(Error::Corrupt { .. })));
+        assert!(matches!(
+            reopened.fault(5, &refs[0]),
+            Err(Error::Corrupt { .. })
+        ));
 
         // A flipped payload byte fails the CRC.
         let mut flipped = full.clone();
@@ -454,7 +499,10 @@ mod tests {
         bad_magic[0] ^= 0xff;
         fs::write(&path, &bad_magic).unwrap();
         let mut reopened = ColdStore::open(&dir, 0).unwrap();
-        assert!(matches!(reopened.fault(5, &refs[0]), Err(Error::Corrupt { .. })));
+        assert!(matches!(
+            reopened.fault(5, &refs[0]),
+            Err(Error::Corrupt { .. })
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -506,7 +554,9 @@ mod tests {
         let dir = scratch("pinned");
         let mut store = ColdStore::open(&dir, 3).unwrap();
         store.write_segment(&[(0, Vec::new())]).unwrap();
-        let refs = store.write_segment(&[(7, payload(1, 100)), (u64::MAX - 2, payload(2, 333))]).unwrap();
+        let refs = store
+            .write_segment(&[(7, payload(1, 100)), (u64::MAX - 2, payload(2, 333))])
+            .unwrap();
         assert_eq!((refs[1].seq, refs[1].offset), (1, 136));
         let bytes = fs::read(dir.join("seg-0000000000000001")).unwrap();
         assert_eq!((bytes.len(), fnv1a(&bytes)), (485, 0xc3b4_d2c4_0f69_c7b1));
@@ -521,11 +571,30 @@ mod tests {
         let dir = scratch("far");
         let mut store = ColdStore::open(&dir, 0).unwrap();
         let good = store.write_segment(&[(5, payload(6, 40))]).unwrap()[0];
-        for offset in [u64::MAX, u64::MAX - 7, u64::MAX - 15, u64::MAX - 16, 1 << 63, 21, 3] {
+        for offset in [
+            u64::MAX,
+            u64::MAX - 7,
+            u64::MAX - 15,
+            u64::MAX - 16,
+            1 << 63,
+            21,
+            3,
+        ] {
             let err = store.fault(5, &SegmentRef { offset, ..good }).unwrap_err();
-            assert!(err.to_string().contains("corrupt"), "offset {offset}: {err}");
+            assert!(
+                err.to_string().contains("corrupt"),
+                "offset {offset}: {err}"
+            );
         }
-        let err = store.fault(5, &SegmentRef { len: u32::MAX, ..good }).unwrap_err();
+        let err = store
+            .fault(
+                5,
+                &SegmentRef {
+                    len: u32::MAX,
+                    ..good
+                },
+            )
+            .unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
         assert_eq!(store.fault(5, &good).unwrap(), payload(6, 40));
         fs::remove_dir_all(&dir).ok();
@@ -553,13 +622,28 @@ mod tests {
     /// their refs.
     type Genuine = (Vec<u8>, Vec<(u64, Vec<u8>)>, Vec<SegmentRef>);
 
+    /// A compacted history's payload, what the spill path writes.
+    fn history(len: u64) -> Vec<u8> {
+        let mut history: TieredHistory = (0..len)
+            .map(|t| {
+                let client = ClientId::new(t * 7 % 101);
+                Feedback::new(t, ServerId::new(9), client, Rating::from_good(t % 5 != 0))
+            })
+            .collect();
+        history.compact(100);
+        history.encode()
+    }
+
     /// The segment `fault_survives_hostile_bytes` mangles.
     fn genuine() -> &'static Genuine {
         static GENUINE: std::sync::OnceLock<Genuine> = std::sync::OnceLock::new();
         GENUINE.get_or_init(|| {
             let dir = scratch("genuine");
-            let records = vec![(7, payload(1, 100)), (9, payload(2, 33)), (11, Vec::new())];
-            let refs = ColdStore::open(&dir, 1).unwrap().write_segment(&records).unwrap();
+            let records = vec![(7, payload(1, 100)), (9, history(300)), (11, Vec::new())];
+            let refs = ColdStore::open(&dir, 1)
+                .unwrap()
+                .write_segment(&records)
+                .unwrap();
             let bytes = fs::read(dir.join("seg-0000000000000000")).unwrap();
             fs::remove_dir_all(&dir).ok();
             (bytes, records, refs)
@@ -622,6 +706,9 @@ mod tests {
                 Ok(payload) => {
                     let j = refs.iter().position(|g| *g == r).expect("only a genuine ref faults");
                     prop_assert_eq!((server, &payload), (records[j].0, &records[j].1));
+                    if let Some(history) = TieredHistory::decode(&payload) {
+                        prop_assert_eq!(history.encode(), payload);
+                    }
                 }
                 Err(e) => prop_assert!(matches!(e, Error::Corrupt { .. }), "{e}"),
             }
