@@ -17,7 +17,10 @@
 //!   (bit set + dictionary code + prefix maintenance) should stay within
 //!   a small constant of the row push. `columnar_distinct` is the shape
 //!   a million-client population produces — every feedback from a new
-//!   issuer, so every push also mints a dictionary entry;
+//!   issuer, so every push also mints a dictionary entry. `push_ns` is
+//!   the push at a `deep_assess` server's shape with the ids `hp-load`
+//!   sends: each probe reads bit-packed slots and ids, and the mints that
+//!   take the dictionary to a power of two repack codes and slots;
 //! * `window_counts/*` — the phase-1 hot loop over both representations
 //!   at m = 10: one prefix read and one masked popcount per window on the
 //!   1 bit/outcome column, one subtraction on the 8 B/outcome prefix array;
@@ -108,6 +111,10 @@ fn bench_ingest(rows: &mut Vec<Row>, feedbacks: &[Feedback], distinct: &[Feedbac
             h.push(f);
         }
         h
+    }));
+    let load_ids: Vec<Feedback> = load_ids_stream().collect();
+    rows.push(measure("push_ns/load_ids_20k", 50, DEEP, || {
+        load_ids.iter().copied().collect::<TieredHistory>()
     }));
 }
 

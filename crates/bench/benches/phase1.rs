@@ -3,11 +3,13 @@
 //! per-suffix evaluation.
 //!
 //! Timed and written by the shared `hp_bench` harness into
-//! `experiments/out/bench_phase1.json`. The JSON carries an
-//! extra `gate` object — kernel ns/window and fused multi-test ns per
-//! suffix tested, computed from the minimum sample for stability — which
-//! `ci.sh` compares against the committed baseline in
-//! `experiments/baselines/bench_phase1_baseline.json`.
+//! `experiments/out/bench_phase1.json`. The JSON carries an extra `gate`
+//! object: the work one multi-test verdict does at n = 20 000, counted —
+//! windows scanned and threshold lookups per suffix tested, for the
+//! fused and the per-suffix path, and the per-suffix path's windows over
+//! the fused one's. The bench itself holds those counts to the committed
+//! `experiments/baselines/bench_phase1_baseline.json` and panics on a
+//! regression; the clock figures are printed and written, not gated.
 //!
 //! Shapes to look for:
 //!
@@ -15,20 +17,22 @@
 //!   column: one prefix read and one masked popcount per window;
 //! * `multi_test/fused` vs `multi_test/per_suffix` — the end-to-end
 //!   multi-suffix test. The fused sweep reads the column once for all
-//!   suffixes; the per-suffix oracle re-derives counts for each, so the
-//!   fused path must not lose. Their ratio *rises* when the step both
-//!   share (model table, distance, threshold lookup) gets cheaper and
-//!   falls when it gets dearer, so the gate also pins the fused path's
-//!   absolute cost per suffix: that is the number a per-suffix allocation
-//!   or a per-suffix lock would move.
+//!   suffixes, so it scans about one window per suffix; the per-suffix
+//!   oracle re-reads each suffix's windows, O(n) per suffix. Both look a
+//!   threshold up once per conclusive suffix: a second lookup, or a
+//!   rescan, moves a count whatever the host's clock does.
 
 use hp_bench::{fmt_ns, measure, print_rows, write_json, Row};
 use hp_core::history::BitColumn;
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest, MultiTestMode};
 use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
 use std::hint::black_box;
+use std::path::Path;
 
 const N: usize = 10_000;
+/// The history length the work of a verdict is counted at: a
+/// `deep_assess` server's.
+const COUNTED_N: usize = 20_000;
 /// The paper's window size (§5), and the only one anything here runs.
 const M: usize = 10;
 
@@ -77,19 +81,25 @@ fn bench_kernel(rows: &mut Vec<Row>, col: &BitColumn) {
     ));
 }
 
-/// Returns the number of suffixes one evaluation tests.
-fn bench_multi(rows: &mut Vec<Row>, history: &TieredHistory) -> usize {
-    // Small calibration budget: the calibrator warms once before timing,
-    // so the measured cost is the sweep + threshold lookups only.
+/// The multi-test both paths run: a small calibration budget, since the
+/// calibrator warms once before timing and the measured cost is the sweep
+/// and the threshold lookups only. The default mode is the fused sweep at
+/// the default, aligned step.
+fn multi_tests() -> (MultiBehaviorTest, MultiBehaviorTest) {
     let config = BehaviorTestConfig::builder()
         .calibration_trials(200)
         .build()
         .unwrap();
-    // The default mode runs the fused sweep at the default, aligned step.
     let fused = MultiBehaviorTest::new(config.clone()).unwrap();
     let naive = MultiBehaviorTest::new(config)
         .unwrap()
         .with_mode(MultiTestMode::Naive);
+    (fused, naive)
+}
+
+/// Returns the number of suffixes one evaluation tests.
+fn bench_multi(rows: &mut Vec<Row>, history: &TieredHistory) -> usize {
+    let (fused, naive) = multi_tests();
     rows.push(measure("multi_test/fused", 50, N as u64, || {
         fused.evaluate_detailed(history).unwrap()
     }));
@@ -97,6 +107,94 @@ fn bench_multi(rows: &mut Vec<Row>, history: &TieredHistory) -> usize {
         naive.evaluate_detailed(history).unwrap()
     }));
     fused.evaluate_detailed(history).unwrap().suffixes.len()
+}
+
+/// What one verdict does, counted.
+struct Work {
+    suffixes: usize,
+    /// Windows read off the outcome column. The fused path reads the
+    /// longest suffix's grid once; the per-suffix path reads each
+    /// conclusive suffix's own windows (an inconclusive one stops before
+    /// reading). Each suffix report names its windows.
+    windows: usize,
+    /// Threshold lookups, read off the calibrator's counters.
+    lookups: u64,
+}
+
+impl Work {
+    fn windows_per_suffix(&self) -> f64 {
+        self.windows as f64 / self.suffixes as f64
+    }
+
+    fn lookups_per_suffix(&self) -> f64 {
+        self.lookups as f64 / self.suffixes as f64
+    }
+}
+
+fn count_work(test: &MultiBehaviorTest, history: &TieredHistory) -> Work {
+    let lookups = || {
+        let stats = test.calibrator().stats();
+        stats.hits + stats.misses + stats.surface_hits
+    };
+    let before = lookups();
+    let report = test.evaluate_detailed(history).unwrap();
+    let lookups = lookups() - before;
+    let tested = report.suffixes.iter().map(|suffix| suffix.report.windows);
+    let windows = match test.mode() {
+        MultiTestMode::Auto => tested.max().unwrap_or(0),
+        MultiTestMode::Naive => tested.filter(|&k| k >= test.config().min_windows()).sum(),
+    };
+    Work {
+        suffixes: report.suffixes.len(),
+        windows,
+        lookups,
+    }
+}
+
+/// The number after `"key":` in `json`.
+fn json_number(json: &str, key: &str) -> f64 {
+    let at = json
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in the phase-1 baseline"));
+    let rest = &json[at + key.len() + 3..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().expect("a number")
+}
+
+/// Holds the counted work to the committed baseline: no more windows or
+/// lookups per suffix on the fused path, and no smaller a share of the
+/// per-suffix path's windows saved.
+fn gate(fused: &Work, windows_ratio: f64) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../experiments/baselines/bench_phase1_baseline.json");
+    let baseline = std::fs::read_to_string(&path).expect("the phase-1 baseline");
+    let ceiling = |key| json_number(&baseline, key);
+    for (what, got, key) in [
+        (
+            "windows",
+            fused.windows_per_suffix(),
+            "max_fused_windows_per_suffix",
+        ),
+        (
+            "lookups",
+            fused.lookups_per_suffix(),
+            "max_fused_lookups_per_suffix",
+        ),
+    ] {
+        assert!(
+            got <= ceiling(key),
+            "fused multi-test regression: {got:.3} {what} per suffix > baseline {}",
+            ceiling(key)
+        );
+    }
+    let floor = ceiling("min_naive_over_fused_windows");
+    assert!(
+        windows_ratio >= floor,
+        "the fused sweep scans 1/{windows_ratio:.1} of the per-suffix windows, \
+         baseline 1/{floor}"
+    );
 }
 
 fn main() {
@@ -111,28 +209,50 @@ fn main() {
 
     let row_named = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
     let kernel_ns = row_named(&format!("window_counts/m{M}")).min_ns_per_record();
-    println!("\nm={M} kernel {kernel_ns:.2}ns/window");
-
     let fused = row_named("multi_test/fused");
     let per_suffix = row_named("multi_test/per_suffix");
     let multi_ratio = per_suffix.min_ns as f64 / fused.min_ns as f64;
     let fused_ns_per_suffix = fused.min_ns as f64 / suffixes as f64;
     println!(
-        "multi-test: fused {} vs per-suffix {}  ({multi_ratio:.1}x); fused \
+        "\nclock (not gated): m={M} kernel {kernel_ns:.2}ns/window; multi-test \
+         fused {} vs per-suffix {} ({multi_ratio:.1}x), fused \
          {fused_ns_per_suffix:.1}ns per suffix over {suffixes} suffixes",
         fmt_ns(fused.min_ns),
         fmt_ns(per_suffix.min_ns),
     );
-    assert!(
-        multi_ratio >= 1.0,
-        "fused multi-suffix sweep must not lose to the per-suffix oracle \
-         ({multi_ratio:.2}x)"
+
+    let counted = history(COUNTED_N);
+    let (fused_test, naive_test) = multi_tests();
+    let (fused, naive) = (
+        count_work(&fused_test, &counted),
+        count_work(&naive_test, &counted),
     );
+    let windows_ratio = naive.windows as f64 / fused.windows as f64;
+    println!(
+        "count (gated) at n = {COUNTED_N}, {} suffixes: fused {:.3} windows and \
+         {:.3} lookups per suffix, per-suffix {:.1} windows and {:.3} lookups; \
+         per-suffix/fused windows {windows_ratio:.1}x",
+        fused.suffixes,
+        fused.windows_per_suffix(),
+        fused.lookups_per_suffix(),
+        naive.windows_per_suffix(),
+        naive.lookups_per_suffix(),
+    );
+    gate(&fused, windows_ratio);
 
     let gate = format!(
-        "\"gate\":{{\"kernel_ns_per_window\":{{\"m{M}\":{kernel_ns:.3}}},\
+        "\"gate\":{{\"n\":{COUNTED_N},\"suffixes\":{},\
+         \"fused_windows_per_suffix\":{:.3},\"fused_lookups_per_suffix\":{:.3},\
+         \"naive_windows_per_suffix\":{:.1},\"naive_lookups_per_suffix\":{:.3},\
+         \"naive_over_fused_windows\":{windows_ratio:.1}}},\
+         \"clock\":{{\"kernel_ns_per_window\":{{\"m{M}\":{kernel_ns:.3}}},\
          \"multi_fused_over_naive\":{multi_ratio:.3},\
-         \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}"
+         \"multi_fused_ns_per_suffix\":{fused_ns_per_suffix:.1}}}",
+        fused.suffixes,
+        fused.windows_per_suffix(),
+        fused.lookups_per_suffix(),
+        naive.windows_per_suffix(),
+        naive.lookups_per_suffix(),
     );
     write_json("phase1", &rows, &gate);
 }

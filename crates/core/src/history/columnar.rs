@@ -6,20 +6,22 @@
 //! service's trust configuration never reads wall-clock time, and
 //! `hp-store`, which does hand records back, keeps its own time column.
 //! The cost model, against ~48 B per transaction for the reference row
-//! store: per transaction 1 outcome bit + 1 prefix-popcount bit + 1
-//! first-seen bit, and a 2 B issuer code only when the issuer repeats (a
+//! store, for a dictionary of `d` clients whose largest id is `max id`:
+//! per transaction 1 outcome bit + 1 prefix-popcount bit + 1 first-seen
+//! bit, and a ⌈log₂(d + 1)⌉-bit code only when the issuer repeats (a
 //! transaction that mints its issuer has the next code, implicitly); per
-//! distinct issuer a 4 B id + a 2 B index slot at load 3/8–3/4
-//! (2.7–5.3 B) — the counts §4 groups by are recounted when asked for,
-//! never stored. Codes and slots are 4 B only in a column that has met
-//! 65 535 issuers, ids 8 B only in one that has met an id above
-//! `u32::MAX`. Long columns grow by a quarter, so measured heap is
-//! 3.0 B/feedback for a 10 000-feedback server with 24 issuers (2.8 B
-//! when every transaction stored its code) and 8.6 B/feedback when all
-//! 20 000 issuers are distinct (10.7 B with a code per transaction,
-//! 15.3 B with 8 B ids too, 20.9 B with 4 B codes and slots as well,
-//! 30.2 B with two stored counters per issuer, 108 B with posting `Vec`s
-//! before that).
+//! distinct issuer ⌈log₂(max id + 1)⌉ bits of id + `k` / load bits of
+//! index, `2^k` slots at load 3/8–3/4 (from 3/16 up to 256 slots; `k` is
+//! ⌈log₂(d + 1)⌉ when the table is over half full) — the counts §4 groups
+//! by are recounted when asked for, never stored. Every width is a
+//! function of the dictionary's contents alone. Long columns grow by a
+//! quarter, so measured heap is 1.4 B/feedback for a 10 000-feedback
+//! server with 24 issuers (3.0 B with 16-bit codes and 32-bit ids) and
+//! 6.8 B/feedback when all 20 000 issuers are distinct, with the 20-bit
+//! ids `hp-load` sends (8.6 B with 32-bit ids and 16-bit codes and slots,
+//! 10.7 B with a code per transaction, 15.3 B with 8 B ids too, 20.9 B
+//! with 4 B codes and slots as well, 30.2 B with two stored counters per
+//! issuer, 108 B with posting `Vec`s before that).
 //!
 //! Every statistic is bit-identical to the reference
 //! [`crate::TransactionHistory`] path; see
@@ -256,8 +258,248 @@ impl BitColumn {
     }
 }
 
+/// Unsigned integers of one width, `bits` each (1 to 64), packed back to
+/// back into `u64` words, least significant bit first: integer `i` takes
+/// bits `i · bits ..` of the packed stream, possibly across two words.
+/// The words are exactly as many as `len` integers need, and every bit
+/// past them is zero.
+#[derive(Debug, Clone)]
+struct PackedInts {
+    words: Vec<u64>,
+    bits: u32,
+    len: usize,
+}
+
+impl Default for PackedInts {
+    fn default() -> Self {
+        PackedInts::new(1)
+    }
+}
+
+/// The bits that hold `value`, at least one.
+#[inline]
+fn bits_for(value: u64) -> u32 {
+    (u64::BITS - value.leading_zeros()).max(1)
+}
+
+/// The word after the one read from bit `shift` on, moved to sit above
+/// that word's `64 − shift` bits (nothing when `shift` is 0).
+#[inline]
+fn spill(next: u64, shift: usize) -> u64 {
+    (next << 1) << (63 - shift)
+}
+
+/// Words that hold `len` integers of `bits` bits.
+#[inline]
+fn words_for(len: usize, bits: u32) -> usize {
+    (len * bits as usize).div_ceil(64)
+}
+
+impl PackedInts {
+    fn new(bits: u32) -> Self {
+        PackedInts {
+            words: Vec::new(),
+            bits,
+            len: 0,
+        }
+    }
+
+    /// `len` zeros, allocated to the word.
+    fn zeroed(len: usize, bits: u32) -> Self {
+        PackedInts {
+            words: vec![0; words_for(len, bits)],
+            bits,
+            len,
+        }
+    }
+
+    /// `values` at `bits` each, in an allocation of `capacity(words)`
+    /// words, `words` being what they need.
+    fn from_values(
+        bits: u32,
+        values: impl ExactSizeIterator<Item = u64>,
+        capacity: fn(usize) -> usize,
+    ) -> Self {
+        let len = values.len();
+        let mut words = Vec::with_capacity(capacity(words_for(len, bits)));
+        // The bits not yet written out, lowest first: `held` of them.
+        let (mut buffer, mut held) = (0u64, 0);
+        for value in values {
+            buffer |= value << held;
+            held += bits;
+            if held >= 64 {
+                words.push(buffer);
+                held -= 64;
+                // The value's top `held` bits, which did not fit.
+                buffer = (value >> 1) >> (bits - held - 1);
+            }
+        }
+        if held > 0 {
+            words.push(buffer);
+        }
+        PackedInts { words, bits, len }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn max_value(&self) -> u64 {
+        u64::MAX >> (64 - self.bits)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        let at = i * self.bits as usize;
+        let (word, shift) = (at / 64, at % 64);
+        // The bits that spill into the next word, if any: past the last
+        // word there is none.
+        let high = self
+            .words
+            .get(word + 1)
+            .map_or(0, |&next| spill(next, shift));
+        (self.words[word] >> shift | high) & self.max_value()
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, value: u64) {
+        let mask = self.max_value();
+        let at = i * self.bits as usize;
+        let (word, shift) = (at / 64, at % 64);
+        self.words[word] = self.words[word] & !(mask << shift) | value << shift;
+        // The bits that spill into the next word: none unless the value
+        // ends past this one.
+        let carry = |bits: u64| (bits >> 1) >> (63 - shift);
+        if let Some(next) = self.words.get_mut(word + 1) {
+            *next = *next & !carry(mask) | carry(value);
+        }
+    }
+
+    /// Appends `value`, growing the words by [`push_tight`].
+    #[inline]
+    fn push(&mut self, value: u64) {
+        assert!(
+            value <= self.max_value(),
+            "a value fits the width its dictionary chose"
+        );
+        // Every bit past the last integer is zero, so the value is or-ed
+        // in: its low bits into the last word, the rest into a new one.
+        let shift = self.len * self.bits as usize % 64;
+        self.len += 1;
+        if shift == 0 {
+            push_tight(&mut self.words, value);
+            return;
+        }
+        *self.words.last_mut().expect("a partial word") |= value << shift;
+        if shift + self.bits as usize > 64 {
+            push_tight(&mut self.words, value >> (64 - shift));
+        }
+    }
+
+    /// The integers front to back, read a word at a time.
+    fn values(&self) -> Unpacked<'_> {
+        Unpacked {
+            words: self.words.iter(),
+            buffer: 0,
+            held: 0,
+            bits: self.bits,
+            left: self.len,
+        }
+    }
+
+    /// Keeps the first `len` integers, capacity kept.
+    fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.len = len;
+        self.words.truncate(words_for(len, self.bits));
+        let used = len * self.bits as usize % 64;
+        if used != 0 {
+            *self.words.last_mut().expect("a partial word") &= (1u64 << used) - 1;
+        }
+    }
+
+    /// Drops the first `n` integers: every word moves down by `n · bits`
+    /// bits, capacity kept.
+    fn drain_front(&mut self, n: usize) {
+        let at = n * self.bits as usize;
+        let (skip, shift) = (at / 64, at % 64);
+        self.len -= n;
+        let keep = words_for(self.len, self.bits);
+        for word in 0..keep {
+            let high = (self.words.get(word + skip + 1)).map_or(0, |&next| spill(next, shift));
+            self.words[word] = self.words[word + skip] >> shift | high;
+        }
+        self.words.truncate(keep);
+    }
+
+    /// The same integers at `bits` each, in an allocation of
+    /// `capacity(words)` words, `words` being what they need.
+    fn repack(&mut self, bits: u32, capacity: fn(usize) -> usize) {
+        if bits != self.bits {
+            *self = PackedInts::from_values(bits, self.values(), capacity);
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        capacity_bytes(&self.words)
+    }
+}
+
+/// A [`PackedInts`] read front to back: each word is loaded once and its
+/// bits handed out `bits` at a time.
+struct Unpacked<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// The loaded bits not yet handed out, lowest first: `held` of them,
+    /// zeros above.
+    buffer: u64,
+    held: u32,
+    bits: u32,
+    left: usize,
+}
+
+impl Unpacked<'_> {
+    /// The next integer, there being one.
+    #[inline]
+    fn pop(&mut self) -> u64 {
+        let (bits, held) = (self.bits, self.held);
+        let mask = u64::MAX >> (64 - bits);
+        if held >= bits {
+            let value = self.buffer & mask;
+            self.buffer = (self.buffer >> 1) >> (bits - 1);
+            self.held -= bits;
+            return value;
+        }
+        let word = *self.words.next().expect("a word for every 64 bits");
+        let value = (self.buffer | word << held) & mask;
+        // The word's bits above the `bits - held` just handed out.
+        self.buffer = (word >> 1) >> (bits - held - 1);
+        self.held += 64 - bits;
+        value
+    }
+}
+
+impl Iterator for Unpacked<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        self.left = self.left.checked_sub(1)?;
+        Some(self.pop())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Unpacked<'_> {}
+
 /// A dictionary-encoded issuer column: append-only columns and an
-/// index-only hash table.
+/// index-only hash table, every integer bit-packed at the width the
+/// dictionary's contents need.
 ///
 /// Each distinct issuer stores its [`ClientId`] once, in code order.
 /// Each transaction stores one `first_seen` bit, set when it minted its
@@ -265,127 +507,26 @@ impl BitColumn {
 /// codes are minted in order, so a minting transaction's code is the
 /// number of mints before it. Client → code goes through an
 /// open-addressing table that holds `code + 1` and no keys — a probe
-/// compares against `clients[code]`. Two widths follow the dictionary's
-/// contents, each on its own: repeated codes and slots are 16 bits wide
-/// while the dictionary holds fewer than 65 535 clients and 32 bits from
-/// then on, and client ids are held in 32 bits while every id in it fits
-/// and in 64 from the first that does not. Both are functions of the
-/// dictionary alone, however the column was built, and no query can tell.
-/// So a first-seen issuer costs a 4 B id, one bit and one 2 B slot at
-/// load 3/8–3/4 (2.7–5.3 B), with no allocation of its own, and a repeat
-/// a 2 B code and one bit: 8.6 B of heap per feedback over 20 000
-/// feedbacks from as many issuers (13.2 B with ids above `u32::MAX`;
-/// 12.7 B at 65 535 issuers, 17.0 B with both). Nothing is counted per
-/// issuer as feedback arrives (no online request reads it); the §4
+/// compares against `clients[code]`. Ids are packed at the
+/// ⌈log₂(max id + 1)⌉ bits the largest one needs, repeated codes at
+/// ⌈log₂(d + 1)⌉ for a dictionary of `d` clients, and the `2^k` slots of
+/// the index at `k` (a slot holds `code + 1` ≤ `d` < `2^k`; `k` is
+/// ⌈log₂(d + 1)⌉ whenever the table is over half full, one more at most
+/// otherwise): the mint of a wider id repacks the ids, the one that takes
+/// `d` to a power of two the codes, a rebuild of the index its slots.
+/// Every width is a function of the dictionary alone, however the column
+/// was built, and no query can tell. So a first-seen issuer costs
+/// ⌈log₂(max id + 1)⌉ + `k` / load bits and one more, with no allocation
+/// of its own, and a repeat ⌈log₂(d + 1)⌉ + 1 bits: 6.8 B of
+/// heap per feedback over 20 000 feedbacks from as many `hp-load` ids
+/// (20-bit ids, 15-bit slots; 13.0 B with 64-bit ids). Nothing is counted
+/// per issuer as feedback arrives (no online request reads it); the §4
 /// readers recount: [`IssuerColumn::issuer_groups`] in one pass over the
 /// codes and the outcome bits, [`IssuerColumn::frequency_order`] with a
 /// two-pass counting sort. Every reader decodes the codes in one
 /// sequential walk; there is no random access to a transaction's code.
-#[derive(Debug, Clone)]
-pub struct IssuerColumn(Width);
-
-/// The columns, at the code and id widths their dictionary asks for.
-#[derive(Debug, Clone)]
-enum Width {
-    /// 16-bit codes and slots, 32-bit ids: what every workload builds.
-    Narrow(Columns<u16, u32>),
-    /// 32-bit codes and slots: 65 535 issuers or more.
-    WideCodes(Columns<u32, u32>),
-    /// 64-bit ids: an id above `u32::MAX`.
-    LongIds(Columns<u16, u64>),
-    /// Both.
-    Wide(Columns<u32, u64>),
-}
-
-/// `$body` with `$columns` bound to the [`Columns`] of any width.
-macro_rules! any_width {
-    ($column:expr, $columns:ident => $body:expr) => {
-        match $column {
-            Width::Narrow($columns) => $body,
-            Width::WideCodes($columns) => $body,
-            Width::LongIds($columns) => $body,
-            Width::Wide($columns) => $body,
-        }
-    };
-}
-
-impl Width {
-    /// `columns` with 32-bit codes and slots if `wide_codes` and 64-bit
-    /// ids if `long_ids`: the columns the same pushes would have grown,
-    /// capacities and slot positions included. `None` if a value does not
-    /// fit.
-    fn fitted<W: Unsigned, I: Unsigned>(
-        columns: Columns<W, I>,
-        wide_codes: bool,
-        long_ids: bool,
-    ) -> Option<Width> {
-        Some(match (wide_codes, long_ids) {
-            (false, false) => Width::Narrow(columns.at_width()?),
-            (true, false) => Width::WideCodes(columns.at_width()?),
-            (false, true) => Width::LongIds(columns.at_width()?),
-            (true, true) => Width::Wide(columns.at_width()?),
-        })
-    }
-}
-
-/// Whether a dictionary of `clients` entries needs 32-bit codes and
-/// slots: a 16-bit slot holds `code + 1` up to 65 534.
-fn needs_wide_codes(clients: usize) -> bool {
-    clients >= usize::from(u16::MAX)
-}
-
-/// Whether a dictionary holding `client` needs 64-bit ids.
-fn needs_long_ids(client: u64) -> bool {
-    client > u64::from(u32::MAX)
-}
-
-/// What a column stores a dictionary code, a `code + 1` slot or a client
-/// id as.
-trait Unsigned: Copy + Default + Ord + Into<u64> + TryFrom<u64> {
-    /// `value` at this width; the dictionary's contents chose a width it
-    /// fits.
-    fn store(value: u64) -> Self {
-        Self::try_from(value)
-            .ok()
-            .expect("a value fits the width its dictionary chose")
-    }
-
-    /// `values` as the one of three slices, by width, that can be
-    /// non-empty.
-    fn split(values: &[Self]) -> (&[u16], &[u32], &[u64]);
-}
-
-impl Unsigned for u16 {
-    fn split(values: &[u16]) -> (&[u16], &[u32], &[u64]) {
-        (values, &[], &[])
-    }
-}
-
-impl Unsigned for u32 {
-    fn split(values: &[u32]) -> (&[u16], &[u32], &[u64]) {
-        (&[], values, &[])
-    }
-}
-
-impl Unsigned for u64 {
-    fn split(values: &[u64]) -> (&[u16], &[u32], &[u64]) {
-        (&[], &[], values)
-    }
-}
-
-/// `values` at another width, capacity kept; `None` if one does not fit.
-fn recode<A: Unsigned, B: Unsigned>(values: &Vec<A>) -> Option<Vec<B>> {
-    let mut recoded = Vec::with_capacity(values.capacity());
-    for &value in values {
-        recoded.push(B::try_from(value.into()).ok()?);
-    }
-    Some(recoded)
-}
-
-/// The allocations of an [`IssuerColumn`], repeated codes and slots held
-/// as `W`, client ids as `I`.
 #[derive(Debug, Clone, Default)]
-struct Columns<W, I> {
+pub struct IssuerColumn {
     /// One bit per transaction, least significant first, set when its
     /// code is the next implicit one: `base` plus the set bits before it.
     /// That is every transaction that minted its issuer.
@@ -395,14 +536,14 @@ struct Columns<W, I> {
     /// Set bits in `first_seen`.
     minted: u32,
     /// The codes of the transactions whose bit is clear, in order.
-    repeats: Vec<W>,
+    repeats: PackedInts,
     /// Code → client id (dictionary decode). Codes are stable: never
     /// recycled, even when a fold leaves a client no live transaction.
-    clients: Vec<I>,
+    clients: PackedInts,
     /// Client → code: linear-probed slots of `code + 1` (0 = empty), a
     /// power of two long, at most 3/4 full. Slot order depends on the
     /// process's hash key and is never observable.
-    index: Vec<W>,
+    index: PackedInts,
 }
 
 /// Home slot hash of a client. Ids arrive from the socket, so the hash is
@@ -413,13 +554,37 @@ fn slot_hash(client: ClientId) -> usize {
     KEY.get_or_init(RandomState::new).hash_one(client) as usize
 }
 
-/// The smallest index (a power of two at load ≤ 3/4) for `clients` entries.
+/// The smallest index for `clients` entries at load ≤ 3/4: a power of
+/// two, and up to 256 slots a power of four. A short table grows fourfold,
+/// so a short history rehashes each issuer about once where doubling
+/// would rehash it one and a half times: a rehash reads packed ids and
+/// slots, and a short table is a few hundred bytes.
 fn slots_for(clients: usize) -> usize {
     if clients == 0 {
-        0
-    } else {
-        (clients * 4).div_ceil(3).next_power_of_two()
+        return 0;
     }
+    let slots = (clients * 4).div_ceil(3).next_power_of_two();
+    if slots < 256 && slots.trailing_zeros() % 2 == 1 {
+        slots * 2
+    } else {
+        slots
+    }
+}
+
+/// The words to allocate for `words` of a growing column: a power of two
+/// while short, as [`push_tight`] keeps short columns, so a short history
+/// stays on the allocation sizes the allocator recycles between servers.
+fn growing(words: usize) -> usize {
+    if (1..1024).contains(&words) {
+        words.next_power_of_two()
+    } else {
+        words
+    }
+}
+
+/// The words to allocate for `words` of a rebuilt column: those.
+fn exact(words: usize) -> usize {
+    words
 }
 
 /// Appends, growing a full column by `Vec`'s doubling while it is short
@@ -452,16 +617,16 @@ fn shrink_sparse<T>(column: &mut Vec<T>) {
 /// A column's codes in transaction order, decoded in one walk: a set
 /// `first_seen` bit is the next implicit code, a clear one the next
 /// repeat.
-struct Codes<'a, W> {
+struct Codes<'a> {
     first_seen: &'a [u64],
-    repeats: std::slice::Iter<'a, W>,
+    repeats: Unpacked<'a>,
     /// The code the next set bit stands for.
     next: u32,
     at: usize,
     len: usize,
 }
 
-impl<W: Unsigned> Iterator for Codes<'_, W> {
+impl Iterator for Codes<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
@@ -474,7 +639,7 @@ impl<W: Unsigned> Iterator for Codes<'_, W> {
             self.next += 1;
             Some(self.next - 1)
         } else {
-            self.repeats.next().map(|&code| code.into() as u32)
+            Some(self.repeats.pop() as u32)
         }
     }
 
@@ -484,16 +649,35 @@ impl<W: Unsigned> Iterator for Codes<'_, W> {
     }
 }
 
-impl<W: Unsigned, I: Unsigned> Columns<W, I> {
+impl IssuerColumn {
+    /// Creates an empty column.
+    pub fn new() -> Self {
+        IssuerColumn::default()
+    }
+
     /// Number of transactions recorded.
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.minted as usize + self.repeats.len()
     }
 
-    fn codes(&self) -> Codes<'_, W> {
+    /// Number of clients in the dictionary: every issuer the history has
+    /// met, folded or live.
+    pub fn dict_len(&self) -> usize {
+        self.clients.len()
+    }
+
+    /// Whether no transactions are recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The per-transaction dictionary codes in transaction order
+    /// (snapshot payload), as the `u32`s the wire carries whatever width
+    /// holds them.
+    pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
         Codes {
             first_seen: &self.first_seen,
-            repeats: self.repeats.iter(),
+            repeats: self.repeats.values(),
             next: self.base,
             at: 0,
             len: self.len(),
@@ -513,25 +697,25 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
             self.first_seen[at / 64] |= 1 << (at % 64);
             self.minted += 1;
         } else {
-            push_tight(&mut self.repeats, W::store(code.into()));
+            self.repeats.push(code.into());
         }
     }
 
     /// The client of dictionary code `code`.
     fn client(&self, code: usize) -> ClientId {
-        ClientId::new(self.clients[code].into())
+        ClientId::new(self.clients.get(code))
     }
 
     /// Looks `client` up in the index: its code, or the empty slot that
     /// ends its probe sequence (unused while no table is allocated).
     fn probe(&self, client: ClientId) -> Result<u32, usize> {
-        if self.index.is_empty() {
+        if self.index.len() == 0 {
             return Err(0);
         }
         let mask = self.index.len() - 1;
         let mut slot = slot_hash(client) & mask;
         loop {
-            match self.index[slot].into() {
+            match self.index.get(slot) {
                 0 => return Err(slot),
                 tagged if self.client(tagged as usize - 1) == client => {
                     return Ok(tagged as u32 - 1)
@@ -541,56 +725,69 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
         }
     }
 
-    /// Rebuilds the index over `clients` with `slots` slots; `None` if a
-    /// client repeats.
-    fn reindex(&mut self, slots: usize) -> Option<()> {
-        self.index = vec![W::default(); slots];
-        for code in 0..self.clients.len() {
-            let slot = self.probe(self.client(code)).err()?;
-            self.index[slot] = W::store(code as u64 + 1);
+    /// Rebuilds the index over `clients`, taken to be distinct, in the
+    /// slots [`slots_for`] asks for, allocated to the word. Each code goes
+    /// to the first empty slot of its client's probe sequence, so no
+    /// client is compared. A slot takes the bits of
+    /// the slot count less one, above every `code + 1` the table holds
+    /// before it next grows, so its width changes here and nowhere else:
+    /// repacking the slots whenever `d` reached a power of two left a
+    /// freed allocation per server behind, 3–4 MiB of RSS over the
+    /// benchmark's 128 deep servers.
+    fn reindex(&mut self) {
+        let slots = slots_for(self.clients.len());
+        let bits = bits_for(slots.saturating_sub(1) as u64);
+        let mut index = PackedInts::zeroed(slots, bits);
+        let mask = slots.wrapping_sub(1);
+        for (code, id) in self.clients.values().enumerate() {
+            let mut slot = slot_hash(ClientId::new(id)) & mask;
+            while index.get(slot) != 0 {
+                slot = (slot + 1) & mask;
+            }
+            index.set(slot, code as u64 + 1);
         }
-        Some(())
+        self.index = index;
     }
 
     /// Adds a first-seen `client`, whose probe ended at `slot`, to the
-    /// dictionary and returns its code.
-    fn mint(&mut self, client: ClientId, mut slot: usize) -> u32 {
+    /// dictionary and returns its code. Ids are repacked if `client` is
+    /// wider than every id before it, codes if the dictionary reaches a
+    /// power of two.
+    fn mint(&mut self, client: ClientId, slot: usize) -> u32 {
         let entries = self.clients.len() + 1;
         assert!(entries < u32::MAX as usize, "issuer dictionary is full");
+        let id = client.value();
+        self.clients
+            .repack(self.clients.bits.max(bits_for(id)), growing);
+        self.clients.push(id);
+        self.repeats.repack(bits_for(entries as u64), growing);
         if entries * 4 > self.index.len() * 3 {
-            self.reindex(slots_for(entries))
-                .expect("dictionary clients are distinct");
-            slot = self
-                .probe(client)
-                .expect_err("a first-seen client is not indexed");
+            self.reindex();
+        } else {
+            self.index.set(slot, entries as u64);
         }
-        self.index[slot] = W::store(entries as u64);
-        push_tight(&mut self.clients, I::store(client.value()));
         entries as u32 - 1
     }
 
-    /// These columns at the widths a dictionary that also holds `client`
-    /// asks for, when one of them is wider than now.
-    fn room_for(&mut self, client: ClientId) -> Option<Width> {
-        let wide_codes = std::mem::size_of::<W>() == 4;
-        let long_ids = std::mem::size_of::<I>() == 8;
-        let widen_codes =
-            !wide_codes && needs_wide_codes(self.clients.len() + 1) && self.probe(client).is_err();
-        // A dictionary of 32-bit ids cannot hold this one yet.
-        let widen_ids = !long_ids && needs_long_ids(client.value());
-        (widen_codes || widen_ids).then(|| {
-            let columns = std::mem::take(self);
-            Width::fitted(columns, wide_codes || widen_codes, long_ids || widen_ids)
-                .expect("a value fits a wider width")
-        })
-    }
-
-    fn push(&mut self, client: ClientId) {
+    /// Appends the issuer of the next transaction.
+    pub fn push(&mut self, client: ClientId) {
         let code = match self.probe(client) {
             Ok(code) => code,
             Err(slot) => self.mint(client, slot),
         };
         self.append(code);
+    }
+
+    /// The issuer of each transaction, in transaction order.
+    pub fn issuers(&self) -> impl Iterator<Item = ClientId> + '_ {
+        self.codes().map(|code| self.client(code as usize))
+    }
+
+    /// All issuers with at least one feedback, most frequent first, ties
+    /// broken by ascending client id — the §4 ordering. `outcomes` holds
+    /// one bit per transaction of this column.
+    pub fn issuer_groups(&self, outcomes: &BitColumn) -> Vec<IssuerGroup> {
+        self.issuer_groups_with(&[], outcomes)
     }
 
     /// Adds transaction `idx`'s outcome to `tally[code]` as
@@ -603,16 +800,22 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
         }
     }
 
-    fn issuer_groups_with(&self, folded: &[(u32, u32)], outcomes: &BitColumn) -> Vec<IssuerGroup> {
+    /// [`IssuerColumn::issuer_groups`] with `folded[code] = (good, total)`
+    /// added to each issuer's live counts (codes past its end add nothing).
+    pub(super) fn issuer_groups_with(
+        &self,
+        folded: &[(u32, u32)],
+        outcomes: &BitColumn,
+    ) -> Vec<IssuerGroup> {
         let mut tally = folded.to_vec();
-        tally.resize(self.clients.len(), (0, 0));
+        tally.resize(self.dict_len(), (0, 0));
         Self::tally(self.codes(), outcomes, &mut tally);
         let mut groups: Vec<IssuerGroup> = tally
             .iter()
-            .zip(&self.clients)
+            .zip(self.clients())
             .filter(|((_, total), _)| *total > 0)
-            .map(|(&(good, total), &client)| IssuerGroup {
-                client: ClientId::new(client.into()),
+            .map(|(&(good, total), client)| IssuerGroup {
+                client,
                 count: total as usize,
                 good: good as usize,
             })
@@ -628,20 +831,23 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
     /// `place(destination, idx)` once per transaction `idx`.
     fn scatter(&self, mut place: impl FnMut(usize, usize)) {
         // Per code: its count, then its group's next free destination.
-        let mut next = vec![0u32; self.clients.len()];
+        let mut next = vec![0u32; self.dict_len()];
         for code in self.codes() {
             next[code as usize] += 1;
         }
-        let mut live: Vec<u32> = (0..self.clients.len() as u32)
-            .filter(|&code| next[code as usize] > 0)
+        // Each live code under a key that sorts it into place: its count
+        // complemented, its client id, then the code itself.
+        let mut live: Vec<u128> = (self.clients.values().zip(0u32..))
+            .filter(|&(_, code)| next[code as usize] > 0)
+            .map(|(id, code)| {
+                let count = next[code as usize];
+                u128::from(!count) << 96 | u128::from(id) << 32 | u128::from(code)
+            })
             .collect();
-        live.sort_by(|&a, &b| {
-            next[b as usize]
-                .cmp(&next[a as usize])
-                .then(self.clients[a as usize].cmp(&self.clients[b as usize]))
-        });
+        live.sort_unstable();
         let mut offset = 0;
-        for code in live {
+        for key in live {
+            let code = key as u32;
             let count = next[code as usize];
             next[code as usize] = offset;
             offset += count;
@@ -653,13 +859,19 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
         }
     }
 
-    fn frequency_order(&self) -> Vec<u32> {
+    /// The §4 issuer-frequency permutation: transaction indexes grouped by
+    /// issuer, most frequent issuers first, transaction order preserved
+    /// inside each group.
+    pub fn frequency_order(&self) -> Vec<u32> {
         let mut order = vec![0u32; self.len()];
         self.scatter(|destination, idx| order[destination] = idx as u32);
         order
     }
 
-    fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
+    /// `outcomes` (one per transaction of this column) permuted into
+    /// [`IssuerColumn::frequency_order`], scattered bit by bit without
+    /// materializing the permutation.
+    pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
         let mut words = vec![0u64; self.len().div_ceil(64)];
         self.scatter(|destination, idx| {
             words[destination / 64] |= u64::from(outcomes.get(idx)) << (destination % 64);
@@ -667,187 +879,20 @@ impl<W: Unsigned, I: Unsigned> Columns<W, I> {
         BitColumn::from_words(words, self.len()).expect("one bit per transaction")
     }
 
-    fn resident_bytes(&self) -> usize {
-        capacity_bytes(&self.first_seen)
-            + capacity_bytes(&self.repeats)
-            + capacity_bytes(&self.index)
-            + capacity_bytes(&self.clients)
-    }
-
-    fn fold_prefix(&mut self, n: usize, outcomes: &BitColumn, folded: &mut Vec<(u32, u32)>) {
-        assert!(n.is_multiple_of(64), "a fold takes whole words, not {n}");
-        folded.resize(self.clients.len(), (0, 0));
-        Self::tally(self.codes().take(n), outcomes, folded);
-        let words = n / 64;
-        let minted: u32 = self.first_seen[..words]
-            .iter()
-            .map(|w| w.count_ones())
-            .sum();
-        self.first_seen.drain(..words);
-        self.repeats.drain(..n - minted as usize);
-        self.base += minted;
-        self.minted -= minted;
-        shrink_sparse(&mut self.first_seen);
-        shrink_sparse(&mut self.repeats);
-    }
-
-    /// These columns with codes and slots as `V` and ids as `J`: the
-    /// columns the same pushes would have grown, capacities and slot
-    /// positions included. `None` if a value does not fit.
-    fn at_width<V: Unsigned, J: Unsigned>(self) -> Option<Columns<V, J>> {
-        Some(Columns {
-            repeats: recode(&self.repeats)?,
-            clients: recode(&self.clients)?,
-            index: recode(&self.index)?,
-            first_seen: self.first_seen,
-            base: self.base,
-            minted: self.minted,
-        })
-    }
-}
-
-impl Default for IssuerColumn {
-    fn default() -> Self {
-        IssuerColumn(Width::Narrow(Columns::default()))
-    }
-}
-
-impl IssuerColumn {
-    /// Creates an empty column.
-    pub fn new() -> Self {
-        IssuerColumn::default()
-    }
-
-    /// `columns` at the widths their dictionary's contents choose, index
-    /// restored; `None` when the first implicit code or a code is out of
-    /// dictionary range, a client repeats, or there is not one code per
-    /// outcome.
-    fn rebuilt<W: Unsigned, I: Unsigned>(
-        columns: Columns<W, I>,
-        outcomes: &BitColumn,
-    ) -> Option<Self> {
-        let entries = columns.clients.len();
-        if columns.base as usize > entries
-            || columns.len() != outcomes.len()
-            || columns.codes().any(|code| code as usize >= entries)
-        {
-            return None;
-        }
-        let wide_codes = needs_wide_codes(entries);
-        let long_ids = columns
-            .clients
-            .iter()
-            .any(|&client| needs_long_ids(client.into()));
-        let columns = Columns {
-            index: Vec::new(),
-            ..columns
-        };
-        let mut column = IssuerColumn(Width::fitted(columns, wide_codes, long_ids)?);
-        any_width!(&mut column.0, columns => columns.reindex(slots_for(columns.clients.len())))?;
-        Some(column)
-    }
-
-    /// Widens the column if minting `client` would take its dictionary
-    /// to the 65 535 entries whose slots no longer fit 16 bits, or if
-    /// `client` is the first id that does not fit 32.
-    fn make_room(&mut self, client: ClientId) {
-        if let Some(wider) = any_width!(&mut self.0, columns => columns.room_for(client)) {
-            self.0 = wider;
-        }
-    }
-
-    /// Appends the issuer of the next transaction.
-    pub fn push(&mut self, client: ClientId) {
-        self.make_room(client);
-        any_width!(&mut self.0, columns => columns.push(client))
-    }
-
-    /// Number of transactions recorded.
-    pub fn len(&self) -> usize {
-        any_width!(&self.0, columns => columns.len())
-    }
-
-    /// Number of clients in the dictionary: every issuer the history has
-    /// met, folded or live.
-    pub fn dict_len(&self) -> usize {
-        any_width!(&self.0, columns => columns.clients.len())
-    }
-
-    /// Whether no transactions are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The issuer of each transaction, in transaction order.
-    pub fn issuers(&self) -> impl Iterator<Item = ClientId> + '_ {
-        self.codes()
-            .map(|code| any_width!(&self.0, columns => columns.client(code as usize)))
-    }
-
-    /// All issuers with at least one feedback, most frequent first, ties
-    /// broken by ascending client id — the §4 ordering. `outcomes` holds
-    /// one bit per transaction of this column.
-    pub fn issuer_groups(&self, outcomes: &BitColumn) -> Vec<IssuerGroup> {
-        self.issuer_groups_with(&[], outcomes)
-    }
-
-    /// [`IssuerColumn::issuer_groups`] with `folded[code] = (good, total)`
-    /// added to each issuer's live counts (codes past its end add nothing).
-    pub(super) fn issuer_groups_with(
-        &self,
-        folded: &[(u32, u32)],
-        outcomes: &BitColumn,
-    ) -> Vec<IssuerGroup> {
-        any_width!(&self.0, columns => columns.issuer_groups_with(folded, outcomes))
-    }
-
-    /// The §4 issuer-frequency permutation: transaction indexes grouped by
-    /// issuer, most frequent issuers first, transaction order preserved
-    /// inside each group.
-    pub fn frequency_order(&self) -> Vec<u32> {
-        any_width!(&self.0, columns => columns.frequency_order())
-    }
-
-    /// `outcomes` (one per transaction of this column) permuted into
-    /// [`IssuerColumn::frequency_order`], scattered bit by bit without
-    /// materializing the permutation.
-    pub(super) fn reordered_outcomes(&self, outcomes: &BitColumn) -> BitColumn {
-        any_width!(&self.0, columns => columns.reordered_outcomes(outcomes))
-    }
-
     /// Heap bytes held by this column: every allocation at its capacity,
     /// index included.
     pub fn resident_bytes(&self) -> usize {
-        any_width!(&self.0, columns => columns.resident_bytes())
+        capacity_bytes(&self.first_seen)
+            + self.repeats.resident_bytes()
+            + self.index.resident_bytes()
+            + self.clients.resident_bytes()
     }
 
     /// The dictionary decode table in code order (snapshot payload), as
-    /// the [`ClientId`]s the wire carries whichever width holds them;
+    /// the [`ClientId`]s the wire carries whatever width holds them;
     /// [`IssuerColumn::dict_len`] long.
     pub fn clients(&self) -> impl Iterator<Item = ClientId> + '_ {
-        let (_, short, long) =
-            any_width!(&self.0, columns => Unsigned::split(columns.clients.as_slice()));
-        let ids = short
-            .iter()
-            .map(|&id| u64::from(id))
-            .chain(long.iter().copied());
-        ids.map(ClientId::new)
-    }
-
-    /// The per-transaction dictionary codes in transaction order
-    /// (snapshot payload), as the `u32`s the wire carries whichever way
-    /// they are held.
-    pub fn codes(&self) -> impl Iterator<Item = u32> + '_ {
-        let (narrow, wide) = match &self.0 {
-            Width::Narrow(columns) => (Some(columns.codes()), None),
-            Width::LongIds(columns) => (Some(columns.codes()), None),
-            Width::WideCodes(columns) => (None, Some(columns.codes())),
-            Width::Wide(columns) => (None, Some(columns.codes())),
-        };
-        narrow
-            .into_iter()
-            .flatten()
-            .chain(wide.into_iter().flatten())
+        self.clients.values().map(ClientId::new)
     }
 
     /// Folds the oldest `n` transactions out of the column: their
@@ -863,7 +908,42 @@ impl IssuerColumn {
         outcomes: &BitColumn,
         folded: &mut Vec<(u32, u32)>,
     ) {
-        any_width!(&mut self.0, columns => columns.fold_prefix(n, outcomes, folded))
+        assert!(n.is_multiple_of(64), "a fold takes whole words, not {n}");
+        folded.resize(self.dict_len(), (0, 0));
+        Self::tally(self.codes().take(n), outcomes, folded);
+        let words = n / 64;
+        let minted: u32 = self.first_seen[..words]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        self.first_seen.drain(..words);
+        self.repeats.drain_front(n - minted as usize);
+        self.base += minted;
+        self.minted -= minted;
+        shrink_sparse(&mut self.first_seen);
+        shrink_sparse(&mut self.repeats.words);
+    }
+
+    /// This column at the widths its dictionary's contents choose, index
+    /// restored; `None` when the first implicit code or a code is out of
+    /// dictionary range, a client repeats, or there is not one code per
+    /// outcome.
+    fn rebuilt(mut self, outcomes: &BitColumn) -> Option<Self> {
+        let entries = self.dict_len();
+        if self.base as usize > entries
+            || self.len() != outcomes.len()
+            || self.codes().any(|code| code as usize >= entries)
+        {
+            return None;
+        }
+        let widest = self.clients.values().max().unwrap_or(0);
+        self.clients.repack(bits_for(widest), exact);
+        self.repeats.repack(bits_for(entries as u64), exact);
+        self.reindex();
+        // A repeated client's probe finds its first code, not its own.
+        let distinct = (self.clients.values().enumerate())
+            .all(|(code, id)| self.probe(ClientId::new(id)) == Ok(code as u32));
+        distinct.then_some(self)
     }
 
     /// Rebuilds a column from its dictionary and per-transaction codes,
@@ -872,7 +952,7 @@ impl IssuerColumn {
     /// exactly `codes` for any sequence and any `base`; for the parts of a
     /// column fed a client sequence one push at a time, with its `base`,
     /// it answers every query like that column and holds the same
-    /// columns at the same widths.
+    /// columns at the same widths, each allocated to the word.
     ///
     /// Returns `None` when the parts are inconsistent: `base` or a code
     /// out of dictionary range, a repeated client, or `codes.len()`
@@ -884,52 +964,57 @@ impl IssuerColumn {
         base: u32,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        let mut columns = Columns::<u32, u64> {
-            base,
-            clients: clients.iter().map(|client| client.value()).collect(),
-            ..Columns::default()
-        };
-        if base as usize > columns.clients.len() {
+        let entries = clients.len();
+        if base as usize > entries {
             return None;
         }
+        let widest = clients.iter().map(|client| client.value()).max();
+        let mut column = IssuerColumn {
+            base,
+            repeats: PackedInts::new(bits_for(entries as u64)),
+            clients: PackedInts::from_values(
+                bits_for(widest.unwrap_or(0)),
+                clients.iter().map(|client| client.value()),
+                exact,
+            ),
+            ..IssuerColumn::default()
+        };
         for code in codes {
-            if code as usize >= columns.clients.len() {
+            if code as usize >= entries {
                 return None;
             }
-            columns.append(code);
+            column.append(code);
         }
-        columns.first_seen.shrink_to_fit();
-        columns.repeats.shrink_to_fit();
-        IssuerColumn::rebuilt(columns, outcomes)
+        column.first_seen.shrink_to_fit();
+        column.repeats.words.shrink_to_fit();
+        column.rebuilt(outcomes)
     }
 
     /// This column cut back to its first `len` transactions and first
     /// `dict_len` dictionary entries. Only the append-only primaries
     /// (`first_seen`, `repeats`, `clients`) are read, each cut in place,
     /// its capacity kept; [`IssuerColumn::from_parts`]'s checks hold them
-    /// against `outcomes` and the index is rebuilt. `None` when a primary
-    /// is shorter than asked or the cut parts are inconsistent.
+    /// against `outcomes`, the widths are chosen again and the index is
+    /// rebuilt. `None` when a primary is shorter than asked or the cut
+    /// parts are inconsistent.
     pub(super) fn truncated(
-        self,
+        mut self,
         len: usize,
         dict_len: usize,
         outcomes: &BitColumn,
     ) -> Option<Self> {
-        any_width!(self.0, columns => {
-            if columns.len() < len || columns.clients.len() < dict_len {
-                return None;
-            }
-            let Columns { mut first_seen, mut repeats, mut clients, base, .. } = columns;
-            first_seen.truncate(len.div_ceil(64));
-            if !len.is_multiple_of(64) {
-                *first_seen.last_mut().expect("len > 0 implies a word") &= (1u64 << (len % 64)) - 1;
-            }
-            let minted: u32 = first_seen.iter().map(|w| w.count_ones()).sum();
-            repeats.truncate(len - minted as usize);
-            clients.truncate(dict_len);
-            let columns = Columns { first_seen, base, minted, repeats, clients, index: Vec::new() };
-            IssuerColumn::rebuilt(columns, outcomes)
-        })
+        if self.len() < len || self.dict_len() < dict_len {
+            return None;
+        }
+        self.first_seen.truncate(len.div_ceil(64));
+        if !len.is_multiple_of(64) {
+            *self.first_seen.last_mut().expect("len > 0 implies a word") &=
+                (1u64 << (len % 64)) - 1;
+        }
+        self.minted = self.first_seen.iter().map(|w| w.count_ones()).sum();
+        self.repeats.truncate(len - self.minted as usize);
+        self.clients.truncate(dict_len);
+        self.rebuilt(outcomes)
     }
 
     /// Test seam: the dictionary half of a push with no code appended —
@@ -937,12 +1022,9 @@ impl IssuerColumn {
     /// [`IssuerColumn::push`] could leave.
     #[cfg(test)]
     pub(super) fn push_without_code(&mut self, client: ClientId) {
-        self.make_room(client);
-        any_width!(&mut self.0, columns => {
-            if let Err(slot) = columns.probe(client) {
-                columns.mint(client, slot);
-            }
-        })
+        if let Err(slot) = self.probe(client) {
+            self.mint(client, slot);
+        }
     }
 }
 
@@ -1193,41 +1275,52 @@ mod tests {
         assert_eq!(column.issuer_groups(&outcomes), oracle.issuer_groups());
     }
 
-    /// Which layout holds `column`: (32-bit codes, 64-bit ids).
-    fn widths(column: &IssuerColumn) -> (bool, bool) {
-        match column.0 {
-            Width::Narrow(_) => (false, false),
-            Width::WideCodes(_) => (true, false),
-            Width::LongIds(_) => (false, true),
-            Width::Wide(_) => (true, true),
-        }
+    /// The widths `column` is held at: (code bits, slot bits, id bits).
+    fn widths(column: &IssuerColumn) -> (u32, u32, u32) {
+        let (codes, slots, ids) = (&column.repeats, &column.index, &column.clients);
+        (codes.bits, slots.bits, ids.bits)
     }
 
-    /// `column` is held at the widths its dictionary's contents ask for,
-    /// and its wire parts (`outcomes` beside them) rebuild to those widths,
-    /// allocated to the byte.
+    /// `column` is held at the widths its dictionary's contents ask for —
+    /// codes at the bits of its length, slots at the bits of the slot
+    /// count less one, ids at the bits of its largest id — and its wire
+    /// parts (`outcomes` beside them) rebuild to those widths, allocated
+    /// to the word, answering alike.
     fn assert_widths_follow_contents(column: &IssuerColumn, outcomes: &BitColumn) {
         let clients: Vec<ClientId> = column.clients().collect();
-        assert_eq!(clients.len(), column.dict_len());
-        let long = clients.iter().any(|c| c.value() > u64::from(u32::MAX));
-        assert_eq!(widths(column), (clients.len() >= 65_535, long));
-        let base = any_width!(&column.0, columns => columns.base);
-        let rebuilt = IssuerColumn::from_parts(clients, column.codes().collect(), base, outcomes)
-            .expect("a column's own parts");
-        assert_eq!(widths(&rebuilt), widths(column));
-        assert_eq!(rebuilt.resident_bytes(), column.clone().resident_bytes());
+        let slots = slots_for(clients.len());
+        let widest = clients.iter().map(|c| c.value()).max().unwrap_or(0);
+        assert_eq!(column.index.len(), slots);
+        let slot_bits = bits_for(slots.saturating_sub(1) as u64);
+        let code_bits = bits_for(clients.len() as u64);
+        assert_eq!(widths(column), (code_bits, slot_bits, bits_for(widest)));
+        let rebuilt =
+            IssuerColumn::from_parts(clients, column.codes().collect(), column.base, outcomes)
+                .expect("a column's own parts");
+        assert_same_column(&rebuilt, column, outcomes);
+    }
+
+    /// `a` and `b` hold the same codes and clients at the same widths,
+    /// weigh the same once a clone cuts each allocation to its length,
+    /// and group alike.
+    fn assert_same_column(a: &IssuerColumn, b: &IssuerColumn, outcomes: &BitColumn) {
+        assert_eq!(widths(a), widths(b));
+        assert_eq!(a.clone().resident_bytes(), b.clone().resident_bytes());
+        assert!(a.codes().eq(b.codes()));
+        assert!(a.clients().eq(b.clients()));
+        assert_eq!(a.issuer_groups(outcomes), b.issuer_groups(outcomes));
     }
 
     #[test]
-    fn ids_are_32_bits_until_one_does_not_fit() {
+    fn id_bits_follow_the_largest_id() {
         let mut column = IssuerColumn::new();
         for client in [7, 9, 7, u64::from(u32::MAX)] {
             column.push(ClientId::new(client));
         }
-        assert_eq!(widths(&column), (false, false), "u32::MAX fits");
+        assert_eq!(widths(&column), (2, 2, 32), "three issuers, u32::MAX");
         column.push(ClientId::new(1 << 32));
         column.push(ClientId::new(3));
-        assert_eq!(widths(&column), (false, true), "codes stay 16 bits");
+        assert_eq!(widths(&column), (3, 4, 33), "five issuers, 2^32");
         let ids = [7, 9, u64::from(u32::MAX), 1 << 32, 3].map(ClientId::new);
         assert!(column.clients().eq(ids));
         assert_eq!(column.issuers().nth(4), Some(ids[3]));
@@ -1239,7 +1332,7 @@ mod tests {
         let cut = column
             .truncated(4, 3, &head)
             .expect("a mark of this column");
-        assert_eq!(widths(&cut), (false, false));
+        assert_eq!(widths(&cut), (2, 2, 32));
         assert_matches_postings(
             &cut,
             &[
@@ -1416,20 +1509,20 @@ mod tests {
         // 10 000 ids that differ only above bit 20: an index hashing by
         // low bits would put them all in one probe run (quadratic pushes).
         const IDS: usize = 10_000;
-        let mut column = Columns::<u16, u64>::default();
+        let mut column = IssuerColumn::new();
         for i in 0..IDS as u64 {
             column.push(ClientId::new(i << 20));
         }
-        assert_eq!(column.clients.len(), IDS);
+        assert_eq!(column.dict_len(), IDS);
         let mask = column.index.len() - 1;
         assert!(IDS * 4 <= column.index.len() * 3, "load above 3/4");
         // Total displacement from home slots = probes beyond the first,
         // summed over every issuer; linear probing at load ≤ 3/4 expects
         // about 1.5 per entry.
         let displaced: usize = (0..column.index.len())
-            .filter(|&slot| column.index[slot] != 0)
+            .filter(|&slot| column.index.get(slot) != 0)
             .map(|slot| {
-                let client = column.client(usize::from(column.index[slot] - 1));
+                let client = column.client(column.index.get(slot) as usize - 1);
                 slot.wrapping_sub(slot_hash(client)) & mask
             })
             .sum();
@@ -1441,5 +1534,130 @@ mod tests {
             assert_eq!(column.probe(ClientId::new(i << 20)), Ok(i as u32));
         }
         assert!(column.probe(ClientId::new(1)).is_err());
+    }
+    #[test]
+    fn a_dictionary_holding_only_id_0_packs_ids_and_codes_at_one_bit() {
+        let mut column = IssuerColumn::new();
+        let live: Vec<(u64, bool)> = (0..130).map(|t| (0, t % 3 == 0)).collect();
+        for &(client, _) in &live {
+            column.push(ClientId::new(client));
+        }
+        assert_eq!(widths(&column), (1, 2, 1));
+        assert!(column.clients().eq([ClientId::new(0)]));
+        assert!(column.codes().all(|code| code == 0));
+        // One word of ids, one of slots (four of them), three of 129 repeats.
+        assert_eq!(column.clone().resident_bytes(), 3 * 8 + 8 + 8 + 3 * 8);
+        assert_matches_postings(&column, &live);
+        assert_widths_follow_contents(&column, &bits(&live));
+        let cut = column
+            .truncated(0, 0, &BitColumn::new())
+            .expect("the empty mark");
+        assert_eq!(widths(&cut), (1, 1, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Packed integers answer like a `Vec<u64>` through pushes, sets,
+        /// truncations, front drains and repacks, at every width.
+        #[test]
+        fn packed_ints_hold_what_a_vec_holds(
+            bits in 1u32..=64,
+            ops in proptest::collection::vec((0u8..6, any::<u64>(), any::<usize>()), 0..200),
+        ) {
+            let mut packed = PackedInts::new(bits);
+            let mut oracle: Vec<u64> = Vec::new();
+            for (op, value, at) in ops {
+                let value = value & packed.max_value();
+                match op {
+                    0 | 1 => {
+                        packed.push(value);
+                        oracle.push(value);
+                    }
+                    2 if !oracle.is_empty() => {
+                        let at = at % oracle.len();
+                        packed.set(at, value);
+                        oracle[at] = value;
+                    }
+                    3 => {
+                        let len = at % (oracle.len() + 1);
+                        packed.truncate(len);
+                        oracle.truncate(len);
+                    }
+                    4 => {
+                        let n = at % (oracle.len() + 1);
+                        packed.drain_front(n);
+                        oracle.drain(..n);
+                    }
+                    _ => {
+                        let widest = oracle.iter().copied().max().unwrap_or(0);
+                        let bits = bits_for(widest).max((at % 65) as u32);
+                        packed.repack(bits, growing);
+                    }
+                }
+                prop_assert_eq!(packed.len(), oracle.len());
+                prop_assert_eq!(packed.words.len(), words_for(oracle.len(), packed.bits));
+                prop_assert!(packed.values().eq(oracle.iter().copied()));
+                let used = oracle.len() * packed.bits as usize % 64;
+                if used != 0 {
+                    prop_assert_eq!(packed.words.last().map(|w| w >> used), Some(0));
+                }
+            }
+        }
+
+        /// Widths follow the dictionary's contents on either side of every
+        /// edge: ids around 0, 1, 2^k − 1, 2^k, `u32::MAX`, `u32::MAX + 1`
+        /// and `u64::MAX`, dictionaries that cross 2^k entries. The pushed
+        /// column, its parts rebuilt (after a fold, with its `base`) and a
+        /// column cut back to a mark against one that never saw the tail:
+        /// equal widths, heap, codes, clients and groups.
+        #[test]
+        fn widths_follow_contents_at_the_edges(
+            raw in proptest::collection::vec((0u8..8, 0u32..64, 0u64..40, any::<bool>()), 0..400),
+            cut in any::<usize>(),
+            fold in 0usize..4,
+        ) {
+            let stream: Vec<(u64, bool)> = raw
+                .iter()
+                .enumerate()
+                .map(|(t, &(kind, k, small, good))| {
+                    let id = match kind {
+                        0 => small,
+                        1 => (1u64 << k) - 1,
+                        2 => 1u64 << k,
+                        3 => u64::from(u32::MAX) - small,
+                        4 => u64::from(u32::MAX) + 1 + small,
+                        5 => u64::MAX - small,
+                        _ => 1000 + t as u64,
+                    };
+                    (id, good)
+                })
+                .collect();
+            let pushed = |stream: &[(u64, bool)]| {
+                let mut column = IssuerColumn::new();
+                for &(client, _) in stream {
+                    column.push(ClientId::new(client));
+                }
+                column
+            };
+            let mut column = pushed(&stream);
+            assert_matches_postings(&column, &stream);
+            assert_widths_follow_contents(&column, &bits(&stream));
+
+            let cut = cut % (stream.len() + 1);
+            let never = pushed(&stream[..cut]);
+            let head = bits(&stream[..cut]);
+            let truncated = column
+                .clone()
+                .truncated(cut, never.dict_len(), &head)
+                .expect("a mark of this column");
+            assert_same_column(&truncated, &never, &head);
+            assert_widths_follow_contents(&truncated, &head);
+
+            let fold = (fold * 64).min(column.len() / 64 * 64);
+            column.fold_prefix(fold, &bits(&stream), &mut Vec::new());
+            prop_assert_eq!(column.base as usize, pushed(&stream[..fold]).dict_len());
+            assert_widths_follow_contents(&column, &bits(&stream[fold..]));
+        }
     }
 }

@@ -1108,7 +1108,7 @@ mod tests {
                 h.push_outcome_only(false);
                 h.issuers.push_without_code(ClientId::new(9_999));
             }),
-            // The mint that takes ids to 64 bits.
+            // The mint that takes ids to 41 bits.
             ("id above u32::MAX minted without a codes entry", |h| {
                 h.push_outcome_only(false);
                 h.issuers.push_without_code(ClientId::new(1 << 40));
@@ -1118,14 +1118,14 @@ mod tests {
         let plain: TieredHistory = mixed_history(300).into_iter().collect();
         let mut folded = plain.clone();
         folded.compact(100);
-        // Minting 9 999 here is the push that takes codes to 32 bits.
-        let last_narrow: TieredHistory = (0..65_534)
+        // Minting 9 999 here is the push that takes codes to 17 bits.
+        let last_narrow: TieredHistory = (0..65_535)
             .map(|t| fb(t, 100_000 + t, t % 3 != 0))
             .collect();
         for (base, clean) in [
             ("plain", plain),
             ("folded", folded),
-            ("one issuer short of 32-bit codes", last_narrow),
+            ("one issuer short of 17-bit codes", last_narrow),
         ] {
             for (what, tear) in tears {
                 let mut torn = clean.clone();
@@ -1134,10 +1134,9 @@ mod tests {
                 torn.truncate_to(&mark)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(torn.encode(), clean.encode(), "{what}, {base}");
-                // Cut back under 65 535 issuers and below the first long
-                // id, codes are 16 bits and ids 32 again: a push grows a
-                // long column by a quarter at most, 32-bit codes and slots
-                // would leave this one 1.6 times the size.
+                // Cut back under 2^16 issuers and below the first long
+                // id, codes are 16 bits and ids 18 again: a push grows a
+                // long column by a quarter at most.
                 if clean.len() >= 1024 {
                     let (repaired, cloned) = (torn.resident_bytes(), clean.resident_bytes());
                     assert!(repaired * 4 <= cloned * 5, "{what}, {base}: {repaired} B");

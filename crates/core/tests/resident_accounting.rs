@@ -7,8 +7,9 @@
 //! shapes where an estimate used to go wrong: almost every feedback from
 //! a new issuer (the million-client populations of `benchmark/`), a young
 //! server, and a compacted one — each with the ids `hp-load` sends, which
-//! fit 32 bits, and with ids over all 64. The ceilings are the measured
-//! heap plus at most 3 %.
+//! fit 20 bits, and with ids over all 64. The ceilings are the measured
+//! heap plus at most 3 %; the full-width ones are the ceilings the column
+//! met before ids and codes were bit-packed, so no input got fatter.
 
 use hp_core::history::HistoryView;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
@@ -73,7 +74,7 @@ enum Ids {
     /// `% clients`, with at most a million clients, so below 2^20.
     Load,
     /// Over all 64 bits, which no workload sends: the column with 64-bit
-    /// ids, held to the ceilings it met before ids had a 32-bit layout.
+    /// ids, held to the ceilings it met before ids were bit-packed.
     FullWidth,
 }
 
@@ -132,48 +133,58 @@ fn all_distinct(pushes: u64, ids: Ids) -> f64 {
 #[test]
 fn deep_history_of_all_distinct_issuers() {
     const PUSHES: u64 = 20_000;
-    // 13.2 B measured (15.3 while every transaction stored a code).
+    // 13.0 B measured (13.2 with 16-bit codes and slots, 15.3 while every
+    // transaction stored a code).
     let per_feedback = all_distinct(PUSHES, Ids::FullWidth);
     assert!(
         per_feedback <= 13.6,
         "all-distinct issuers cost {per_feedback:.2} B/feedback of heap (ceiling 13.6)"
     );
-    // The ids every workload sends fit 32 bits: 8.55 B measured (10.7).
+    // The ids every workload sends fit 20 bits and 20 000 codes 15: 6.74 B
+    // measured (8.55 with 32-bit ids and 16-bit codes, 10.7 with a code
+    // per transaction).
     let per_feedback = all_distinct(PUSHES, Ids::Load);
     assert!(
-        per_feedback <= 8.8,
-        "all-distinct load ids cost {per_feedback:.2} B/feedback of heap (ceiling 8.8)"
+        per_feedback <= 6.9,
+        "all-distinct load ids cost {per_feedback:.2} B/feedback of heap (ceiling 6.9)"
     );
 }
 
 #[test]
-fn the_65_535th_issuer_costs_what_every_issuer_used_to() {
-    // One issuer short of 32-bit codes and index slots, then the mint
-    // that widens them (13.0 and 17.0 B measured; 22 B/feedback was the
-    // ceiling at any size before the narrow layout).
-    for (pushes, ceiling) in [(65_534u64, 13.4), (65_535, 17.5)] {
-        let per_feedback = all_distinct(pushes, Ids::FullWidth);
+fn the_65_535th_issuer_costs_a_bit_per_code_not_two_bytes() {
+    // 65 534 issuers, one short of the mint that took codes and slots to
+    // 32 bits: 16-bit codes and, since the 49 153rd issuer, 2^17 slots of
+    // 17 bits. 13.3 B measured with 64-bit ids (13.0 with 16-bit slots,
+    // under the same ceiling), 7.5 B with load ids (8.7 B while those took
+    // 32 bits).
+    for (ids, ceiling) in [(Ids::FullWidth, 13.4), (Ids::Load, 7.6)] {
+        let per_feedback = all_distinct(65_534, ids);
         assert!(
             per_feedback <= ceiling,
-            "{pushes} distinct issuers cost {per_feedback:.1} B/feedback (ceiling {ceiling})"
+            "65 534 distinct {ids:?} ids cost {per_feedback:.2} B/feedback (ceiling {ceiling})"
         );
     }
-    // Codes widen at the 65 535th issuer whatever the ids; 32-bit ids
-    // stay 32 bits.
-    for (pushes, ceiling) in [(65_534u64, 8.9), (65_535, 13.0)] {
-        let per_feedback = all_distinct(pushes, Ids::Load);
-        assert!(
-            per_feedback <= ceiling,
-            "{pushes} distinct load ids cost {per_feedback:.1} B/feedback (ceiling {ceiling})"
-        );
+    // Widening codes and slots to 32 bits cost +4.0 B/feedback at the
+    // 65 535th issuer. Now neither it nor the 65 536th, which takes codes
+    // to 17 bits, costs anything where no issuer repeats (+0.0 B
+    // measured).
+    for ids in [Ids::FullWidth, Ids::Load] {
+        for pushes in [65_535, 65_536] {
+            let (short, widened) = (all_distinct(pushes - 1, ids), all_distinct(pushes, ids));
+            assert!(
+                widened - short <= 0.3,
+                "issuer {pushes} of {ids:?} ids costs {:.2} B/feedback more",
+                widened - short
+            );
+        }
     }
 }
 
 #[test]
 fn young_history_of_all_distinct_issuers() {
     const PUSHES: u64 = 256;
-    // 12.4 and 8.4 B measured (14.3 and 10.3 while every transaction
-    // stored a code).
+    // 10.6 and 6.6 B measured (12.4 and 8.4 with whole-byte ids, codes
+    // and slots; 14.3 and 10.3 while every transaction stored a code).
     let per_feedback = all_distinct(PUSHES, Ids::FullWidth);
     assert!(
         per_feedback <= 12.7,
@@ -181,8 +192,8 @@ fn young_history_of_all_distinct_issuers() {
     );
     let per_feedback = all_distinct(PUSHES, Ids::Load);
     assert!(
-        per_feedback <= 8.6,
-        "all-distinct load ids cost {per_feedback:.2} B/feedback of heap (ceiling 8.6)"
+        per_feedback <= 6.8,
+        "all-distinct load ids cost {per_feedback:.2} B/feedback of heap (ceiling 6.8)"
     );
 }
 
@@ -191,8 +202,9 @@ fn young_history_of_all_distinct_issuers() {
 /// whose issuers are drawn as `hp-load` draws them from 256 clients, so
 /// almost every feedback repeats one. A 1024-feedback server and a
 /// 4096-feedback one compacted to the 2048 horizon both held 4.25 B per
-/// retained feedback with a 2 B code per transaction; the bit may add
-/// 0.125 B, and the fold must give back what it freed.
+/// retained feedback with a 2 B code per transaction and 4.38 B with the
+/// bit beside 2 B repeats; at 9-bit repeats and 8-bit ids they hold 2.2
+/// and 2.9 B, and the fold must give back what it freed.
 #[test]
 fn repeat_heavy_history_pays_at_most_a_bit_per_feedback() {
     for (pushes, horizon) in [(1024u64, None), (4096, Some(2048))] {
@@ -211,8 +223,8 @@ fn repeat_heavy_history_pays_at_most_a_bit_per_feedback() {
         assert_accounted(&shape, &history, live);
         let per_feedback = live as f64 / history.suffix_len() as f64;
         assert!(
-            per_feedback <= 4.25 + 0.13,
-            "{shape}: {per_feedback:.3} B per retained feedback (ceiling 4.38)"
+            per_feedback <= 3.0,
+            "{shape}: {per_feedback:.3} B per retained feedback (ceiling 3.0)"
         );
     }
 }

@@ -209,9 +209,9 @@ proptest! {
     }
 }
 
-/// Distinct issuers a history holds before its codes and index slots go
-/// from 16 to 32 bits (the 65 535th mint promotes the column).
-const NARROW_ISSUERS: usize = 65_534;
+/// Distinct issuers a history holds before its repeated codes go from 16
+/// to 17 bits (the 65 536th mint repacks them).
+const NARROW_ISSUERS: usize = 65_535;
 
 fn boundary_feedback(t: usize, client: u64, good: bool) -> Feedback {
     Feedback::new(
@@ -287,7 +287,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The width of a history's issuer codes shows in its heap bytes and
-    /// nowhere else: across the 65 535th issuer — pushed over, rolled back
+    /// nowhere else: across the 65 536th issuer — pushed over, rolled back
     /// over, pushed over again, spilled and faulted in, folded — a history
     /// answers like the row oracle, encodes to the bytes of, and holds the
     /// heap of, a history that was only ever pushed to. In about half the
@@ -337,8 +337,7 @@ proptest! {
 
         // Back over the boundary: 16-bit codes again, so no more heap than
         // the history that never saw the tail plus the 10 B of code and
-        // client capacity a tail record can have left behind (32-bit codes
-        // and slots would be some 390 KB more).
+        // client capacity a tail record can have left behind.
         tiered.truncate_to(&mark).unwrap();
         assert_answers_like_rows(&tiered, &rows_at_mark);
         prop_assert_eq!(tiered.encode(), never.encode());
