@@ -22,12 +22,11 @@
 //!   threshold up once per conclusive suffix: a second lookup, or a
 //!   rescan, moves a count whatever the host's clock does.
 
-use hp_bench::{fmt_ns, measure, print_rows, write_json, Row};
+use hp_bench::{at_least, at_most, fmt_ns, measure, print_rows, write_json, Baseline, Row};
 use hp_core::history::BitColumn;
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest, MultiTestMode};
 use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
 use std::hint::black_box;
-use std::path::Path;
 
 const N: usize = 10_000;
 /// The history length the work of a verdict is counted at: a
@@ -151,50 +150,18 @@ fn count_work(test: &MultiBehaviorTest, history: &TieredHistory) -> Work {
     }
 }
 
-/// The number after `"key":` in `json`.
-fn json_number(json: &str, key: &str) -> f64 {
-    let at = json
-        .find(&format!("\"{key}\":"))
-        .unwrap_or_else(|| panic!("no {key} in the phase-1 baseline"));
-    let rest = &json[at + key.len() + 3..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().expect("a number")
-}
-
 /// Holds the counted work to the committed baseline: no more windows or
 /// lookups per suffix on the fused path, and no smaller a share of the
 /// per-suffix path's windows saved.
 fn gate(fused: &Work, windows_ratio: f64) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../experiments/baselines/bench_phase1_baseline.json");
-    let baseline = std::fs::read_to_string(&path).expect("the phase-1 baseline");
-    let ceiling = |key| json_number(&baseline, key);
-    for (what, got, key) in [
-        (
-            "windows",
-            fused.windows_per_suffix(),
-            "max_fused_windows_per_suffix",
-        ),
-        (
-            "lookups",
-            fused.lookups_per_suffix(),
-            "max_fused_lookups_per_suffix",
-        ),
-    ] {
-        assert!(
-            got <= ceiling(key),
-            "fused multi-test regression: {got:.3} {what} per suffix > baseline {}",
-            ceiling(key)
-        );
-    }
-    let floor = ceiling("min_naive_over_fused_windows");
-    assert!(
-        windows_ratio >= floor,
-        "the fused sweep scans 1/{windows_ratio:.1} of the per-suffix windows, \
-         baseline 1/{floor}"
-    );
+    let base = Baseline::read("phase1");
+    let (windows, lookups) = (fused.windows_per_suffix(), fused.lookups_per_suffix());
+    let max_windows = base.get("max_fused_windows_per_suffix");
+    at_most("fused windows per suffix", windows, max_windows);
+    let max_lookups = base.get("max_fused_lookups_per_suffix");
+    at_most("fused lookups per suffix", lookups, max_lookups);
+    let min_ratio = base.get("min_naive_over_fused_windows");
+    at_least("per-suffix over fused windows", windows_ratio, min_ratio);
 }
 
 fn main() {

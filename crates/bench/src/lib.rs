@@ -4,8 +4,10 @@
 //! routines into [`Row`]s, prints them with [`print_rows`] and writes them
 //! with [`write_json`] to `experiments/out/bench_<name>.json` (override
 //! the directory with `HP_BENCH_OUT`), next to whatever extra objects
-//! (`gate`, `resident`, `tiered`) its `ci.sh` gate compares with the
-//! committed baseline in `experiments/baselines/`.
+//! (`gate`, `resident`, `tiered`) it reports. Each bench asserts its own
+//! gate: it reads its committed baseline in `experiments/baselines/` with
+//! [`Baseline`], prints each check as a `gate:` line through [`at_most`]
+//! or [`at_least`], and panics on the first one that fails.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -165,4 +167,79 @@ pub fn write_json(bench: &str, rows: &[Row], sections: &str) {
     let out = out_dir().join(format!("bench_{bench}.json"));
     std::fs::write(&out, json).expect("write bench json");
     println!("\nwrote {}", out.display());
+}
+
+/// A committed baseline, `experiments/baselines/bench_<bench>_baseline.json`.
+pub struct Baseline {
+    file: PathBuf,
+    json: String,
+}
+
+impl Baseline {
+    /// Reads `bench`'s baseline.
+    pub fn read(bench: &str) -> Baseline {
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!(
+            "../../experiments/baselines/bench_{bench}_baseline.json"
+        ));
+        let json = std::fs::read_to_string(&file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        Baseline { file, json }
+    }
+
+    /// The number after `"key":`, compact or pretty-printed. Panics,
+    /// naming the file and the key, when the key is missing.
+    pub fn get(&self, key: &str) -> f64 {
+        let file = self.file.display();
+        let Some((_, rest)) = self.json.split_once(&format!("\"{key}\":")) else {
+            panic!("no \"{key}\" in {file}");
+        };
+        let value = rest.split([',', '}']).next().unwrap_or_default();
+        let Ok(value) = value.trim().parse() else {
+            panic!("\"{key}\" in {file} is not a number");
+        };
+        value
+    }
+}
+
+/// Prints the check `got <= ceiling` as a `gate:` line, then panics
+/// naming `what` if it fails.
+pub fn at_most(what: &str, got: f64, ceiling: f64) {
+    gate(what, got, "<=", ceiling, got <= ceiling);
+}
+
+/// Prints and checks `got >= floor`, as [`at_most`] does.
+pub fn at_least(what: &str, got: f64, floor: f64) {
+    gate(what, got, ">=", floor, got >= floor);
+}
+
+fn gate(what: &str, got: f64, op: &str, bound: f64, holds: bool) {
+    let short = |x: f64| (x * 1e3).round() / 1e3;
+    println!("gate: {what} {} {op} {}", short(got), short(bound));
+    assert!(holds, "gate failed: {what} {got} {op} {bound}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline(json: &str) -> Baseline {
+        let (file, json) = ("bench_t_baseline.json".into(), json.into());
+        Baseline { file, json }
+    }
+
+    #[test]
+    fn reads_compact_pretty_printed_and_integer_values_by_whole_key() {
+        assert_eq!(baseline(r#"{"k":2.0}"#).get("k"), 2.0);
+        assert_eq!(baseline("{\n  \"k\": 2.5,\n  \"j\": 1\n}").get("k"), 2.5);
+        assert_eq!(baseline(r#"{"gate":{"n":20000}}"#).get("n"), 20_000.0);
+        // `"x"` is not read off the `"max_x"` before it.
+        let tail = baseline(r#"{"max_x": 9.0, "x": 3}"#);
+        assert_eq!((tail.get("x"), tail.get("max_x")), (3.0, 9.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no \"y\" in bench_t_baseline.json")]
+    fn a_missing_key_panics_naming_file_and_key() {
+        baseline(r#"{"x": 1}"#).get("y");
+    }
 }

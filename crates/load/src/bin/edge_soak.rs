@@ -8,27 +8,27 @@
 //! 1. cross-checks the *exact* accepted/shed accounting three ways:
 //!    client-observed response bodies, `ServiceStats`, and the
 //!    `/metrics` Prometheus exposition must all agree;
-//! 2. writes `experiments/out/bench_edge.json` for `ci.sh`'s SLO gate
-//!    (throughput + assess p99 vs the committed baseline);
+//! 2. writes the report to `experiments/out/bench_edge.json` and holds
+//!    the run to its SLO: accepted throughput and assess p99;
 //! 3. drains the edge gracefully, persisting the calibration cache so a
 //!    warm re-run skips the Monte-Carlo calibration wall.
 //!
-//! Knobs (env): `EDGE_SOAK_RATE` (feedbacks/sec, default 120000),
-//! `EDGE_SOAK_SECS` (default 4), `EDGE_SOAK_OUT` (report path).
+//! Any failed check exits 1 with an `edge-soak: FAIL:` line.
 
 use hp_core::testing::BehaviorTestConfig;
+use hp_edge::wire::json_u64;
 use hp_edge::{EdgeConfig, EdgeServer};
 use hp_load::{population::PopulationMix, report, runner, HttpClient, LoadConfig};
 use hp_service::{IngestPolicy, ServiceConfig};
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The load offered: feedbacks per second, for this many seconds.
+const RATE: f64 = 120_000.0;
+const SECS: f64 = 4.0;
+/// The SLO: accepted feedbacks per second, and assess p99 in ms.
+const MIN_INGEST_PER_SEC: f64 = 100_000.0;
+const MAX_ASSESS_P99_MS: f64 = 25.0;
 
 /// Sums every `name{…} value` sample of one metric in a Prometheus
 /// exposition (the service publishes per-shard series).
@@ -39,29 +39,15 @@ fn prom_sum(text: &str, name: &str) -> u64 {
         .sum::<f64>() as u64
 }
 
-/// Pulls one top-level `"key":123` number out of a span-tree body.
-fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &body[body.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("edge-soak: FAIL: {msg}");
     std::process::exit(1);
 }
 
 fn main() {
-    let rate = env_f64("EDGE_SOAK_RATE", 120_000.0);
-    let secs = env_f64("EDGE_SOAK_SECS", 4.0);
-    let out_path = std::env::var("EDGE_SOAK_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("experiments/out/bench_edge.json"));
-    let calibration_cache = out_path
-        .parent()
-        .unwrap_or_else(|| std::path::Path::new("."))
-        .join("edge_soak_calibration.hpcal");
+    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments/out");
+    let out_path = out_dir.join("bench_edge.json");
+    let calibration_cache = out_dir.join("edge_soak_calibration.hpcal");
 
     // Small calibration trials keep the cold calibration wall low in CI;
     // the persisted cache makes warm re-runs skip it entirely.
@@ -98,7 +84,10 @@ fn main() {
     }
     let ready = probe.get("/healthz").expect("ready /healthz");
     if ready.status != 200 {
-        fail(&format!("ready /healthz was {}: {}", ready.status, ready.body));
+        fail(&format!(
+            "ready /healthz was {}: {}",
+            ready.status, ready.body
+        ));
     }
     eprintln!(
         "edge-soak: ready on {addr} after {:.2}s (was {})",
@@ -109,13 +98,13 @@ fn main() {
     let load = LoadConfig {
         addr,
         connections: 8,
-        feedback_rate: rate,
+        feedback_rate: RATE,
         batch_size: 512,
-        duration: Duration::from_secs_f64(secs),
+        duration: Duration::from_secs_f64(SECS),
         assess_every: 4,
         mix: PopulationMix::paper_mix(2_000, 1_000_000, 42),
     };
-    eprintln!("edge-soak: offering {rate} feedbacks/s for {secs}s");
+    eprintln!("edge-soak: offering {RATE} feedbacks/s for {SECS}s");
     let outcome = runner::run(&load);
 
     // Quiesce: shard queues drain asynchronously after the last request.
@@ -142,6 +131,12 @@ fn main() {
             outcome.feedbacks_accepted, stats.ingested_feedbacks
         ));
     }
+    if outcome.feedbacks_sent != outcome.feedbacks_accepted + outcome.feedbacks_shed {
+        fail(&format!(
+            "accounting leak: sent {}, accepted {} + shed {}",
+            outcome.feedbacks_sent, outcome.feedbacks_accepted, outcome.feedbacks_shed
+        ));
+    }
     if stats.shed_feedbacks != outcome.feedbacks_shed {
         fail(&format!(
             "shed mismatch: client saw {}, service counted {}",
@@ -165,7 +160,10 @@ fn main() {
         ));
     }
     if outcome.errors > 0 {
-        fail(&format!("{} request errors during the soak", outcome.errors));
+        fail(&format!(
+            "{} request errors during the soak",
+            outcome.errors
+        ));
     }
 
     // Tracing acceptance. The soak traffic must leave (a) per-shard
@@ -193,7 +191,11 @@ fn main() {
     let resolved = probe
         .get(&format!("/debug/trace/{exemplar_id}"))
         .expect("/debug/trace");
-    if resolved.status != 200 || !resolved.body.contains(&format!("\"trace\":\"{exemplar_id}\"")) {
+    if resolved.status != 200
+        || !resolved
+            .body
+            .contains(&format!("\"trace\":\"{exemplar_id}\""))
+    {
         fail(&format!(
             "exemplar {exemplar_id} did not resolve: {} {}",
             resolved.status, resolved.body
@@ -206,7 +208,10 @@ fn main() {
         .expect("traced assess");
     let observed_ns = t0.elapsed().as_nanos() as u64;
     if traced.status != 200 {
-        fail(&format!("traced assess was {}: {}", traced.status, traced.body));
+        fail(&format!(
+            "traced assess was {}: {}",
+            traced.status, traced.body
+        ));
     }
     let tree = probe
         .get("/debug/trace/50aced")
@@ -239,10 +244,18 @@ fn main() {
 
     report::write(&out_path, &load, &outcome)
         .unwrap_or_else(|e| fail(&format!("could not write report: {e}")));
+    let throughput = outcome.accepted_rate();
+    let p99_ms = outcome.assess_latency.quantile_ns(0.99) as f64 / 1e6;
+    println!("gate: accepted feedbacks/s {throughput:.0} >= {MIN_INGEST_PER_SEC}");
+    println!("gate: assess p99 ms {p99_ms:.2} <= {MAX_ASSESS_P99_MS}");
+    if throughput < MIN_INGEST_PER_SEC {
+        fail(&format!("throughput {throughput:.0}/s < SLO floor"));
+    }
+    if p99_ms > MAX_ASSESS_P99_MS {
+        fail(&format!("assess p99 {p99_ms:.2} ms > SLO ceiling"));
+    }
     eprintln!(
-        "edge-soak: OK — {:.0} feedbacks/s accepted, assess p99 {:.2} ms, {} shed, {} degraded (report: {})",
-        outcome.accepted_rate(),
-        outcome.assess_latency.quantile_ns(0.99) as f64 / 1e6,
+        "edge-soak: OK — {} shed, {} degraded, all exactly accounted (report: {})",
         outcome.feedbacks_shed,
         outcome.assess_degraded,
         out_path.display(),

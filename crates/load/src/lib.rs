@@ -22,7 +22,7 @@
 //!
 //! Binaries: `hp-load` (CLI against any running edge) and `edge-soak`
 //! (self-contained: boots service + edge in-process, runs a short soak,
-//! writes `experiments/out/bench_edge.json` for the CI SLO gate).
+//! writes `experiments/out/bench_edge.json` and asserts its SLO).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

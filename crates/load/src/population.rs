@@ -218,7 +218,10 @@ mod tests {
         let hibernating = (0..10_000)
             .filter(|&s| mix.class_of(ServerId::new(s)) == BehaviorClass::Hibernating)
             .count();
-        assert!((honest as f64 / 10_000.0 - 0.8).abs() < 0.02, "honest {honest}");
+        assert!(
+            (honest as f64 / 10_000.0 - 0.8).abs() < 0.02,
+            "honest {honest}"
+        );
         assert!(
             (hibernating as f64 / 10_000.0 - 0.1).abs() < 0.02,
             "hibernating {hibernating}"

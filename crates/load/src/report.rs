@@ -1,10 +1,7 @@
 //! The machine-readable load report (`experiments/out/bench_edge.json`).
 //!
-//! Written by `edge-soak` and the `hp-load` CLI; read by `ci.sh`'s SLO
-//! gate, which compares `ingest_throughput_per_sec` and
-//! `assess_p99_ms` against the committed baseline in
-//! `experiments/baselines/`. Keep field names stable — they are the
-//! contract with the gate.
+//! Written by `edge-soak` and the `hp-load` CLI. Keep field names
+//! stable: the report is the machine-readable record of a run.
 
 use crate::runner::{LoadConfig, LoadOutcome};
 use hp_service::obs::LatencySnapshot;
