@@ -76,6 +76,7 @@ FMT_CLEAN=(
     crates/service/src/supervisor.rs
     crates/service/tests/chaos.rs
     crates/service/tests/equivalence.rs
+    crates/service/tests/group_commit.rs
     crates/service/tests/obs.rs
     crates/service/tests/persistence.rs
     crates/service/tests/recovery.rs
@@ -199,9 +200,14 @@ bench recovery
 echo "==> calibration bench + wall gate (writes experiments/out/bench_calibration.json)"
 bench calibration
 
-echo "==> kill-9 soak (SIGKILL hp-edge mid-ingest, restart on the same dir, verify bit-identical)"
+echo "==> kill-9 soak x3 (SIGKILL hp-edge mid-ingest, restart on the same dir, verify bit-identical)"
 if [ "$QUICK" -eq 0 ]; then
-    cargo test --offline --release -p hp-edge --test kill9 -- --ignored
+    # Three runs back to back: a lost ack that shows up in one run of
+    # three would pass a single run one time in three.
+    for run in 1 2 3; do
+        echo "    run $run of 3"
+        cargo test --offline --release -q -p hp-edge --test kill9 -- --ignored
+    done
 else
     echo "    (skipped: --quick)"
 fi

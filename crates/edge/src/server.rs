@@ -884,14 +884,15 @@ fn ingest(
             shared
                 .slo
                 .record_ingest(outcome.accepted as u64, outcome.shed as u64);
-            // Journal append, fsync, and batch apply happen behind the
-            // shard channel after this span closes; the ingest-side
-            // histograms time them.
+            // The span closes when every shard has taken its sub-batch:
+            // queue wait plus the group commit's journal append (and
+            // fsync). The apply follows the reply; the ingest-side
+            // histograms time it.
             obs.span(
                 "dispatch",
                 parse_done,
                 Instant::now(),
-                "shard channel send; journal/fsync/apply are async",
+                "shards took the batch: journaled before the reply, applied after",
             );
             obs.verdict = format!("accepted={} shed={}", outcome.accepted, outcome.shed);
             // Shedding under TryFor backpressure is not an internal
@@ -1064,15 +1065,18 @@ fn assess_batch(request: &Request, service: &ReputationService, obs: &mut Reques
     }
 }
 
-/// Maps service-level failures to statuses: saturation and restarts are
-/// `503` (retryable), a missed deadline with nothing to degrade to is
-/// `504`, domain errors are `422`, and journal faults are `500`.
+/// Maps service-level failures to statuses: saturation, restarts and a
+/// journal that refused an append are `503` (retryable; a refused batch
+/// was not acknowledged), a missed deadline with nothing to degrade to
+/// is `504`, domain errors are `422`, and journal faults at start-up are
+/// `500`.
 fn service_error_reply(e: &ServiceError) -> Reply {
     match e {
         ServiceError::ShardUnavailable { .. } => {
             Reply::error(503, "shard_unavailable", &e.to_string())
         }
         ServiceError::Interrupted { .. } => Reply::error(503, "interrupted", &e.to_string()),
+        ServiceError::AppendFailed { .. } => Reply::error(503, "append_failed", &e.to_string()),
         ServiceError::DeadlineExceeded { .. } => {
             Reply::error(504, "deadline_exceeded", &e.to_string())
         }

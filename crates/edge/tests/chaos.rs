@@ -92,7 +92,7 @@ fn shedding_returns_429_with_exact_accounting() {
 fn worker_panic_behind_the_edge_never_wedges_it() {
     // Applying feedback (7, t=3) panics the shard worker every time
     // until the supervisor quarantines it. The edge must stay fully
-    // responsive throughout: ingest is async, so the client sees 200,
+    // responsive throughout: the apply follows the reply, so the client sees 200,
     // the crash happens behind the channel, and the supervisor restarts
     // the worker.
     let service_config = fast_service_config()
@@ -155,7 +155,7 @@ fn trace_ids_survive_worker_respawn_into_crash_forensics() {
     let mut client = TestClient::connect(addr);
     assert_eq!(client.post("/ingest", b"0,7,1,+\n1,7,2,+\n").0, 200);
     // The poisoned record rides a traced ingest: accepted at the socket
-    // (ingest is async), detonates at apply behind the channel.
+    // (the apply follows the reply), detonates at apply behind the channel.
     let (status, head, _) =
         client.request_with_headers("POST", "/ingest", &[("x-hp-trace", "c0ffee")], b"3,7,3,+\n");
     assert_eq!(status, 200);
@@ -255,4 +255,35 @@ fn degraded_answers_are_stamped_with_staleness_and_reason() {
     let (_, metrics) = client.get("/metrics");
     assert!(prom_sum(&metrics, "hp_degraded_answers_total") >= 1);
     edge.drain();
+}
+
+#[test]
+fn a_refused_append_answers_503_and_acks_nothing() {
+    // The shard's second journal append fails part-way (a full disk):
+    // that request is refused retryably, nothing of it is counted or
+    // served, and the shard keeps taking the requests after it.
+    let dir = std::env::temp_dir().join(format!("hp-edge-chaos-append-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service_config = fast_service_config()
+        .with_shards(1)
+        .with_durability(Durability::Durable {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::EveryBatch,
+        })
+        .with_fault_plan(FaultPlan::default().with_append_failure(0, 2));
+    let (edge, addr) = boot(service_config, EdgeConfig::default().with_workers(2));
+
+    let mut client = TestClient::connect(addr);
+    assert_eq!(client.post("/ingest", b"0,8,1,+\n1,8,2,+\n").0, 200);
+    let (status, body) = client.post("/ingest", b"2,8,3,-\n3,8,4,-\n");
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("append_failed"), "{body}");
+    assert_eq!(client.post("/ingest", b"4,8,5,+\n").0, 200);
+
+    let (_, metrics) = client.get("/metrics");
+    assert_eq!(prom_sum(&metrics, "hp_feedbacks_ingested_total"), 3);
+    assert_eq!(prom_sum(&metrics, "hp_journal_records_total"), 3);
+    assert_eq!(prom_sum(&metrics, "hp_shard_restarts_total"), 0);
+    edge.drain();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -111,8 +111,8 @@ fn soak_batch(start_t: u64, len: usize) -> Vec<Feedback> {
 
 /// Everything both shard journals hold, replayed offline into
 /// per-server verdicts — the ground truth a recovered service must
-/// match bit-for-bit. Also returns the total journaled record count.
-fn offline_verdicts(dir: &Path) -> (Vec<(ServerId, Assessment)>, u64) {
+/// match bit-for-bit. Also returns every journaled record, in time order.
+fn offline_verdicts(dir: &Path) -> (Vec<(ServerId, Assessment)>, Vec<Feedback>) {
     let config = ServiceConfig::default().with_shards(SHARDS).with_test(
         hp_core::testing::BehaviorTestConfig::builder()
             .calibration_trials(CALIBRATION_TRIALS)
@@ -122,16 +122,17 @@ fn offline_verdicts(dir: &Path) -> (Vec<(ServerId, Assessment)>, u64) {
     let reference = OfflineReference::from_config(&config).expect("reference builds");
     let mut histories: std::collections::HashMap<ServerId, TransactionHistory> =
         std::collections::HashMap::new();
-    let mut journaled = 0u64;
+    let mut journaled = Vec::new();
     for shard in 0..SHARDS {
         let path = dir.join(format!("shard-{shard}.hpj"));
         let recovered =
             read_journal(&path, Some((shard as u32, SHARDS as u32))).expect("read journal");
-        journaled += recovered.feedbacks.len() as u64;
         for feedback in recovered.feedbacks {
             histories.entry(feedback.server).or_default().push(feedback);
+            journaled.push(feedback);
         }
     }
+    journaled.sort_by_key(|f| f.time);
     let mut verdicts: Vec<(ServerId, Assessment)> = histories
         .into_iter()
         .map(|(server, history)| (server, reference.assess(&history).expect("offline assess")))
@@ -199,17 +200,32 @@ fn sigkill_mid_ingest_recovers_bit_identical_within_bound() {
     // truth; with `--fsync never` a SIGKILL keeps the page cache.
     let (truth, journaled) = offline_verdicts(&dir);
     assert!(!truth.is_empty(), "no records survived — soak is vacuous");
-    // Everything acked before the in-flight batch must have survived.
+    // A 200 means journaled: every acked record is there, exactly once.
+    // Of the batch in flight at the kill, any part may be.
+    let acked = (batches - 1) * batch_len;
     assert!(
-        journaled >= ((batches - 1) * batch_len) as u64,
-        "acked records lost: journaled {journaled}"
+        journaled.len() >= acked,
+        "acked records lost: journaled {} of {acked}",
+        journaled.len()
+    );
+    assert!(
+        journaled[..acked] == soak_batch(0, acked)[..],
+        "the journal does not hold every acked record exactly once"
+    );
+    let in_flight = soak_batch(acked as u64, batch_len);
+    assert!(
+        journaled[acked..].iter().all(|f| in_flight.contains(f)),
+        "the journal holds records past the one batch in flight"
     );
 
     // Second life: restart on the same directory. Recovery must be
     // bounded (snapshot + tail, cached calibration) and bit-identical.
     let (mut child, addr) = spawn_edge(&dir);
     let elapsed = wait_ready(addr, READY_BOUND);
-    println!("restart ready in {elapsed:?} ({journaled} records journaled)");
+    println!(
+        "restart ready in {elapsed:?} ({} records journaled)",
+        journaled.len()
+    );
 
     let mut client = TestClient::connect(addr);
     for (server, expected) in &truth {

@@ -44,17 +44,21 @@ impl TrustModel {
     }
 }
 
-/// What the front end does when a shard's command queue (1024 commands)
-/// is full.
+/// How long `ingest_batch` waits for a shard to take a sub-batch — to
+/// find it room in the shard's queue (1024 commands) and then to
+/// dequeue it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IngestPolicy {
-    /// Block the caller until the shard drains — lossless backpressure.
+    /// Wait until the shard takes it — lossless backpressure.
     #[default]
     Block,
-    /// Block up to the given duration, then shed — bounded backpressure;
-    /// `TryFor(Duration::ZERO)` sheds at once.
+    /// Wait up to the given duration, then shed what a busy shard has not
+    /// taken — bounded backpressure. An idle shard is on its way to take
+    /// the sub-batch and is never shed at, so `TryFor(Duration::ZERO)`
+    /// sheds at once exactly when the shard is busy.
     TryFor(
-        /// Longest time to wait for queue space before shedding.
+        /// Longest the whole call waits for its shards to take its
+        /// sub-batches.
         Duration,
     ),
 }

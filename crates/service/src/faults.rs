@@ -22,7 +22,10 @@
 //!   crash with no record in flight, and a crash inside the one mutation
 //!   that is not append-only;
 //! * **delayed assessment replies**: the worker sleeps before answering,
-//!   driving the deadline/degraded-answer path.
+//!   driving the deadline/degraded-answer path;
+//! * **a failed journal append**: the Nth append on a chosen shard writes
+//!   half its frames and fails as a full disk would, once — the typed
+//!   refusal path of a durable shard.
 //!
 //! The chaos suites (`tests/chaos.rs`, `tests/recovery.rs`) assert that
 //! under every plan the recovered service's verdicts stay bit-identical
@@ -77,6 +80,9 @@ pub struct FaultPlan {
     /// Panic inside the first tiering pass that has a history to fold
     /// (compaction), once.
     pub panic_in_tiering: bool,
+    /// The journal append `(shard, nth)` (1-based; one per group commit)
+    /// writes half its frames, then fails with `StorageFull`, once.
+    pub append_failure: Option<(usize, u64)>,
 }
 
 impl FaultPlan {
@@ -129,6 +135,13 @@ impl FaultPlan {
         self.assess_delay = Some(delay);
         self
     }
+
+    /// Plan that fails `shard`'s `nth` journal append (1-based), once.
+    #[must_use]
+    pub fn with_append_failure(mut self, shard: usize, nth: u64) -> Self {
+        self.append_failure = Some((shard, nth));
+        self
+    }
 }
 
 /// Per-shard runtime fault state: the plan plus trigger bookkeeping that
@@ -145,6 +158,7 @@ pub(crate) struct FaultRuntime {
     plan: FaultPlan,
     shard: usize,
     commands_seen: AtomicU64,
+    appends_seen: AtomicU64,
     panic_fired: AtomicBool,
     mid_apply_fired: AtomicBool,
     assess_fired: AtomicBool,
@@ -180,6 +194,7 @@ impl ShardFaults {
                     plan: plan.clone(),
                     shard,
                     commands_seen: AtomicU64::new(0),
+                    appends_seen: AtomicU64::new(0),
                     panic_fired: AtomicBool::new(false),
                     mid_apply_fired: AtomicBool::new(false),
                     assess_fired: AtomicBool::new(false),
@@ -283,6 +298,20 @@ impl ShardFaults {
                 "a tiering pass",
             );
         }
+    }
+
+    /// Called before each journal append; true when the plan wants this
+    /// one to fail.
+    #[inline]
+    pub fn fail_append(&self) -> bool {
+        #[cfg(feature = "fault-injection")]
+        if let Some(rt) = &self.inner {
+            if let Some((shard, nth)) = rt.plan.append_failure {
+                return shard == rt.shard
+                    && rt.appends_seen.fetch_add(1, Ordering::Relaxed) + 1 == nth;
+            }
+        }
+        false
     }
 
     /// Called before an assessment command is served; sleeps per the

@@ -49,7 +49,7 @@
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_store::durable::{self, publish, Error, Put, Reader};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"HPJL";
@@ -249,6 +249,13 @@ pub struct FileJournal {
     base_records: u64,
     /// Header bytes before the first frame in the current file.
     header_bytes: u64,
+    /// Set by [`FileJournal::fail_next_append`]: the next append writes
+    /// half its frames, then fails as a full disk would.
+    fail_next: bool,
+    /// A failed append could not cut the file back, so its tail may hold
+    /// frames of a refused batch: nothing more is appended until a reopen
+    /// recovers the file.
+    torn: bool,
 }
 
 impl FileJournal {
@@ -299,33 +306,73 @@ impl FileJournal {
                 records: recovered.first_record + recovered.feedbacks.len() as u64,
                 base_records: recovered.base_records,
                 header_bytes: recovered.header_bytes,
+                fail_next: false,
+                torn: false,
             },
             recovered,
         ))
     }
 
     /// Appends `batch` (one frame per feedback) in one write, then fsyncs
-    /// per the policy. After an [`Error::Io`] the journal must be
-    /// considered torn at the tail (recovery handles it).
+    /// per the policy; all or nothing, as [`FileJournal::append_batches`].
     pub fn append_batch(&mut self, batch: &[Feedback]) -> Result<AppendInfo, Error> {
-        let mut frames = Vec::with_capacity(batch.len() * RECORD_LEN as usize);
-        for feedback in batch {
+        self.append_batches(&[batch])
+    }
+
+    /// Appends every batch, in order, with one write, then fsyncs per the
+    /// policy — a group commit. An append is all or nothing: on an
+    /// [`Error::Io`], from the write or the fsync, the file is cut back to
+    /// where the append began, so a refused group leaves no record behind
+    /// and the next append starts on a frame boundary. Should that cut
+    /// fail too, every later append is refused until a reopen recovers
+    /// the file.
+    pub fn append_batches<B: AsRef<[Feedback]>>(
+        &mut self,
+        batches: &[B],
+    ) -> Result<AppendInfo, Error> {
+        if self.torn {
+            return Err(Error::Io(io::Error::other(
+                "a failed append left the tail torn; reopen to recover",
+            )));
+        }
+        let records: usize = batches.iter().map(|b| b.as_ref().len()).sum();
+        let mut frames = Vec::with_capacity(records * RECORD_LEN as usize);
+        for feedback in batches.iter().flat_map(AsRef::as_ref) {
             frames.put_frame(&encode_payload(feedback));
         }
-        self.file.write_all(&frames)?;
         let mut info = AppendInfo {
-            records: batch.len() as u64,
+            records: records as u64,
             bytes: frames.len() as u64,
             ..AppendInfo::default()
         };
+        if let Err(e) = self.write_and_sync(&frames, &mut info) {
+            let len = self.header_bytes + (self.records - self.base_records) * RECORD_LEN;
+            self.torn = self.file.set_len(len).is_err();
+            return Err(e.into());
+        }
         self.records += info.records;
+        Ok(info)
+    }
+
+    fn write_and_sync(&mut self, frames: &[u8], info: &mut AppendInfo) -> io::Result<()> {
+        if std::mem::take(&mut self.fail_next) {
+            self.file.write_all(&frames[..frames.len() / 2])?;
+            return Err(io::ErrorKind::StorageFull.into());
+        }
+        self.file.write_all(frames)?;
         if self.policy == FsyncPolicy::EveryBatch {
             let t0 = std::time::Instant::now();
-            self.sync()?;
+            self.file.sync_all()?;
             info.synced = true;
             info.sync_ns = t0.elapsed().as_nanos() as u64;
         }
-        Ok(info)
+        Ok(())
+    }
+
+    /// Makes the next append write half its frames and then fail with
+    /// `StorageFull` — the I/O fault the service's fault plans inject.
+    pub(crate) fn fail_next_append(&mut self) {
+        self.fail_next = true;
     }
 
     /// Fsyncs, regardless of policy.
@@ -430,6 +477,31 @@ mod tests {
         assert_eq!(recovered.feedbacks, batch);
         assert_eq!(recovered.torn_bytes, 0);
         assert_eq!(journal.records(), 100);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_record_behind() {
+        let path = temp_path("failed-append");
+        let _ = std::fs::remove_file(&path);
+        let batch =
+            |from: u64| -> Vec<Feedback> { (from..from + 10).map(|t| feedback(t, true)).collect() };
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::EveryBatch).unwrap();
+        journal.append_batch(&batch(0)).unwrap();
+        journal.fail_next_append();
+        assert!(matches!(
+            journal.append_batch(&batch(10)),
+            Err(Error::Io(_))
+        ));
+        assert_eq!(journal.records(), 10, "the refused batch is not counted");
+        journal.append_batch(&batch(20)).unwrap();
+        drop(journal);
+        let recovered = read_journal(&path, Some((0, 1))).unwrap();
+        assert_eq!(recovered.feedbacks, [batch(0), batch(20)].concat());
+        assert_eq!(
+            recovered.torn_bytes, 0,
+            "the half-written frames were cut back"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,8 +8,8 @@ use crate::obs::{
     AssessmentTrace, LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics, TracedAssessment,
 };
 use crate::shard::{
-    AssessTimings, Command, Published, ShardContext, ShardHandle, ShardOccupancy, ShardSnapshots,
-    ShardTiering,
+    Acked, AssessTimings, Command, Published, ShardContext, ShardHandle, ShardOccupancy,
+    ShardSnapshots, ShardTiering,
 };
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::supervisor::spawn_supervised_shard;
@@ -79,6 +79,16 @@ pub enum ServiceError {
         /// Index of the restarting shard.
         shard: usize,
     },
+    /// A shard's journal refused an ingest sub-batch (an I/O error on
+    /// the append or its fsync). The sub-batch was neither acknowledged
+    /// nor applied, and the journal holds none of it; the worker keeps
+    /// serving. Retryable once the disk recovers.
+    AppendFailed {
+        /// Index of the refusing shard.
+        shard: usize,
+        /// The journal's error.
+        reason: String,
+    },
     /// A shard journal could not be opened or recovered at start-up.
     Journal {
         /// Human-readable cause.
@@ -98,6 +108,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Interrupted { shard } => {
                 write!(f, "shard {shard} restarted while serving the request")
+            }
+            ServiceError::AppendFailed { shard, reason } => {
+                write!(f, "shard {shard} refused the batch: {reason}")
             }
             ServiceError::Journal { reason } => write!(f, "journal error: {reason}"),
         }
@@ -127,10 +140,15 @@ pub type BatchAssessments = Vec<(ServerId, Result<Arc<Assessment>, CoreError>)>;
 /// What happened to a batch offered to [`ReputationService::ingest_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestOutcome {
-    /// Feedbacks enqueued for durable ingest.
+    /// Feedbacks their shards took before the call returned: journaled
+    /// (and fsynced under `FsyncPolicy::EveryBatch`) on a durable
+    /// service, owed to the state by the supervisor on an ephemeral one.
+    /// Either way they survive a worker crash; journaled ones survive a
+    /// process crash too.
     pub accepted: usize,
-    /// Feedbacks dropped by the [`IngestPolicy::TryFor`] policy under
-    /// backpressure.
+    /// Feedbacks dropped by the [`IngestPolicy::TryFor`] policy because
+    /// their shard had not taken them within the wait: never journaled,
+    /// never applied.
     pub shed: usize,
 }
 
@@ -230,16 +248,16 @@ impl AssessOutcome {
 /// A panicking worker is respawned by its supervisor (capped exponential
 /// backoff) with no accepted feedback lost. With
 /// [`Durability::Durable`](crate::Durability) every ingest batch is
-/// appended to its shard's on-disk journal *before* it is applied, so
-/// shard state is a pure fold over the journal: the respawn replays it,
-/// and a whole process restart recovers every acknowledged feedback. The
-/// default [`Durability::Ephemeral`](crate::Durability) keeps no journal:
-/// the per-server state survives the panic, the one record that was
-/// mid-apply is rolled back and the rest of its batch retried.
-/// Bounded queues apply backpressure per the configured
-/// [`IngestPolicy`](crate::IngestPolicy), and [`Self::assess_within`]
-/// trades freshness for latency by answering from the last published
-/// verdict when a deadline expires.
+/// appended to its shard's on-disk journal *before* it is acknowledged or
+/// applied, so shard state is a pure fold over the journal: the respawn
+/// replays it, and a whole process restart recovers every acknowledged
+/// feedback. The default [`Durability::Ephemeral`](crate::Durability)
+/// keeps no journal: the per-server state survives the panic, the one
+/// record that was mid-apply is rolled back and the rest of its batch
+/// retried. An ingest waits for its shards to take its batch, bounded
+/// per the configured [`IngestPolicy`](crate::IngestPolicy), and
+/// [`Self::assess_within`] trades freshness for latency by answering from
+/// the last published verdict when a deadline expires.
 ///
 /// # Examples
 ///
@@ -386,6 +404,7 @@ impl ReputationService {
                 snapshots,
                 tiering,
                 boot: progress.clone(),
+                idle: Arc::default(),
             };
             shards.push(spawn_supervised_shard(shard, ctx));
         }
@@ -423,22 +442,32 @@ impl ReputationService {
     /// Ingests a batch of feedback events, routing each to its server's
     /// shard, and reports exactly what happened to them.
     ///
-    /// The configured [`IngestPolicy`](crate::IngestPolicy) decides
-    /// whether a full shard queue blocks the caller
-    /// ([`IngestPolicy::Block`]) or blocks with a bound, then drops that
-    /// shard's sub-batch and counts it shed ([`IngestPolicy::TryFor`]).
-    /// Shedding is exact: the unsent command is returned by the channel,
-    /// so every dropped feedback is counted — none vanish silently.
+    /// Returns once every shard involved has answered for its sub-batch:
+    /// a feedback counted `accepted` was taken by its shard — on a
+    /// durable service appended to the shard's journal first, and fsynced
+    /// under [`FsyncPolicy::EveryBatch`](crate::FsyncPolicy) — so it
+    /// survives a crash of the worker or of the process from then on. The
+    /// shard applies it after replying; a subsequent [`Self::assess`] of
+    /// its server observes it (FIFO per shard), and per-server order
+    /// within the batch is kept. A shard takes every ingest command
+    /// queued at its head as one group commit: one journal write, at most
+    /// one fsync, one reply each.
     ///
-    /// Within a batch, per-server order is preserved; a subsequent
-    /// [`Self::assess`] for any accepted server observes the whole
-    /// sub-batch (FIFO per shard).
+    /// The configured [`IngestPolicy`](crate::IngestPolicy) bounds the
+    /// wait. [`IngestPolicy::Block`] waits as long as the shards need;
+    /// [`IngestPolicy::TryFor`] sheds a sub-batch its shard has not taken
+    /// within the wait — unless that shard was idle, and so is on its way
+    /// to take it. Shedding is exact: one compare-exchange per sub-batch
+    /// decides "taken" against "shed", so a shed feedback is never
+    /// journaled or applied and every one is counted.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::ShardUnavailable`] if a worker is
-    /// permanently gone; sub-batches routed to healthy shards in the same
-    /// call are still delivered before the error returns.
+    /// permanently gone, and [`ServiceError::AppendFailed`] if a shard's
+    /// journal refused its sub-batch (which is then neither acknowledged
+    /// nor applied). Sub-batches routed to healthy shards in the same call
+    /// are still taken before the error returns.
     pub fn ingest_batch(
         &self,
         feedbacks: impl IntoIterator<Item = Feedback>,
@@ -447,25 +476,22 @@ impl ReputationService {
         for feedback in feedbacks {
             per_shard[self.shard_of(feedback.server)].push(feedback);
         }
+        let deadline = match self.config.ingest_policy() {
+            IngestPolicy::Block => None,
+            IngestPolicy::TryFor(wait) => Some(Instant::now() + wait),
+        };
         let mut outcome = IngestOutcome::default();
-        let mut dead_shard = None;
-        for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let offered = batch.len();
-            let command = Command::ingest(batch);
-            let sent = match self.config.ingest_policy() {
-                IngestPolicy::Block => self.shards[shard]
-                    .send(command)
-                    .map_err(|e| SendTimeoutError::Disconnected(e.0)),
-                IngestPolicy::TryFor(timeout) => self.shards[shard].send_timeout(command, timeout),
-            };
-            let (accepted, shed) = match sent {
-                Ok(()) => (offered, 0),
-                Err(SendTimeoutError::Timeout(returned)) => (0, returned.feedback_count()),
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    dead_shard.get_or_insert(shard);
+        let mut failure = None;
+        let mut count = |shard: usize, acked: Acked, offered: usize| {
+            let (accepted, shed) = match acked {
+                Acked::Taken => (offered, 0),
+                Acked::Shed => (0, offered),
+                Acked::Refused(reason) => {
+                    failure.get_or_insert(ServiceError::AppendFailed { shard, reason });
+                    (0, 0)
+                }
+                Acked::Gone => {
+                    failure.get_or_insert(ServiceError::ShardUnavailable { shard });
                     (0, 0)
                 }
             };
@@ -474,9 +500,40 @@ impl ReputationService {
             metrics.add(ShardMetric::Shed, shed as u64);
             outcome.accepted += accepted;
             outcome.shed += shed;
+        };
+        // Every sub-batch is queued before any reply is awaited, so the
+        // shards take them in parallel.
+        let mut waits = Vec::new();
+        for (shard, batch) in per_shard.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let offered = batch.len();
+            let (command, wait) = Command::ingest(batch);
+            let handle = &self.shards[shard];
+            let sent = match deadline {
+                None => handle
+                    .send(command)
+                    .map_err(|e| SendTimeoutError::Disconnected(e.0)),
+                Some(deadline) => {
+                    handle.send_timeout(command, deadline.saturating_duration_since(Instant::now()))
+                }
+            };
+            match sent {
+                Ok(()) => waits.push((shard, offered, wait)),
+                Err(SendTimeoutError::Timeout(_)) => count(shard, Acked::Shed, offered),
+                Err(SendTimeoutError::Disconnected(_)) => count(shard, Acked::Gone, offered),
+            }
         }
-        match dead_shard {
-            Some(shard) => Err(ServiceError::ShardUnavailable { shard }),
+        for (shard, offered, wait) in waits {
+            count(
+                shard,
+                wait.wait(deadline, &self.shards[shard].idle),
+                offered,
+            );
+        }
+        match failure {
+            Some(error) => Err(error),
             None => Ok(outcome),
         }
     }

@@ -6,16 +6,27 @@
 //! enqueued after an `Ingest` for the same server observes the ingested
 //! feedback, because both commands land on the same shard in order.
 //!
+//! Ingest is a group commit: the worker claims the whole run of ingest
+//! commands at the head of its queue, journals their batches with one
+//! write (and at most one fsync), replies to each caller, and only then
+//! applies them in order. A caller waits for that reply, so an
+//! acknowledged batch is a journaled one and a queue holds at most one
+//! command per waiting caller. A checkpoint an apply makes due is written
+//! on a scoped thread while the worker goes on acknowledging, so its
+//! fsyncs do not stall the callers.
+//!
 //! Fault tolerance (see [`crate::supervisor`]):
 //!
 //! * on a durable shard every ingest batch is appended to the shard's
-//!   journal **before** it touches in-memory state, so the state is a
-//!   pure fold over the journal and a crashed worker can be rebuilt by
-//!   replay;
+//!   journal **before** it is acknowledged or touches in-memory state, so
+//!   the state is a pure fold over the journal and a crashed worker can
+//!   be rebuilt by replay; an append that fails is refused to its callers
+//!   and neither acknowledged nor applied;
 //! * every ingest batch is moved into the supervisor's [`InFlight`]
-//!   buffer and each record writes a [`Mark`] before it touches its
-//!   server, so an ephemeral shard — whose per-server state is the only
-//!   copy — can roll one record back after a crash and apply the rest;
+//!   buffer before it is acknowledged, and each record writes a [`Mark`]
+//!   before it touches its server, so an ephemeral shard — whose
+//!   per-server state is the only copy — can roll one record back after a
+//!   crash and apply the rest;
 //! * each assessment the worker computes is *published* to a shared map
 //!   readable without the worker thread, which is what lets the front end
 //!   answer a typed degraded assessment when the worker is saturated or
@@ -31,15 +42,15 @@ use crate::journal::FileJournal;
 use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
-use crossbeam::channel::{Receiver, SendError, SendTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, SendError, SendTimeoutError, Sender};
 use hp_core::history::HistoryMark;
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
 use hp_core::{CoreError, Feedback, ServerId, TieredHistory};
 use hp_store::ColdStore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -94,6 +105,100 @@ pub(crate) struct PublishedVerdict {
 /// Shared per-shard map of last published verdicts.
 pub(crate) type Published = Arc<Mutex<HashMap<ServerId, PublishedVerdict>>>;
 
+/// The shard's answer to one ingest command: `Ok` once the batch is
+/// taken — journaled, on a durable shard — or why its journal refused it.
+pub(crate) type IngestReply = Result<(), String>;
+
+/// [`Ack`] states: one compare-exchange out of `PENDING` decides the
+/// command, the shard's to `TAKEN` or its caller's to `SHED`.
+const PENDING: u8 = 0;
+const TAKEN: u8 = 1;
+const SHED: u8 = 2;
+
+/// How long a caller past its `TryFor` deadline gives an idle worker,
+/// already woken for its command, before it looks again.
+const IDLE_POLL: Duration = Duration::from_micros(100);
+
+/// The reply slot an ingest command carries.
+pub(crate) struct Ack {
+    state: Arc<AtomicU8>,
+    reply: Sender<IngestReply>,
+}
+
+/// The caller's end of an [`Ack`].
+pub(crate) struct AckWait {
+    state: Arc<AtomicU8>,
+    reply: Receiver<IngestReply>,
+}
+
+/// What became of one ingest command.
+pub(crate) enum Acked {
+    /// The shard took the batch (journaled it, when durable).
+    Taken,
+    /// The shard's journal refused the batch: not acked, not applied.
+    Refused(String),
+    /// The caller's wait ran out first; the shard drops the batch unread.
+    Shed,
+    /// The worker is gone and the command with it, unread.
+    Gone,
+}
+
+impl Ack {
+    /// Claims the batch for the shard; false when its caller shed it.
+    fn take(&self) -> bool {
+        self.state
+            .compare_exchange(PENDING, TAKEN, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    fn send(&self, reply: IngestReply) {
+        let _ = self.reply.send(reply);
+    }
+}
+
+impl AckWait {
+    /// Waits for the shard's reply. With a `deadline` (the `TryFor`
+    /// policy), a batch the shard has not taken by then is shed — unless
+    /// `idle` says the worker sat waiting for work and is on its way to
+    /// take it, which is no wait behind other work.
+    pub(crate) fn wait(self, deadline: Option<Instant>, idle: &AtomicBool) -> Acked {
+        if let Some(deadline) = deadline {
+            let mut wait = deadline.saturating_duration_since(Instant::now());
+            loop {
+                match self.reply.recv_timeout(wait) {
+                    Ok(reply) => return Self::settle(Some(reply)),
+                    Err(RecvTimeoutError::Disconnected) => return Acked::Gone,
+                    Err(RecvTimeoutError::Timeout) => {}
+                }
+                // Advisory: a stale read costs a poll or a shed, never
+                // exactness — the compare-exchange below decides.
+                if !idle.load(Ordering::Relaxed) {
+                    let shed = self.state.compare_exchange(
+                        PENDING,
+                        SHED,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    );
+                    if shed.is_ok() {
+                        return Acked::Shed;
+                    }
+                    break; // taken: the reply follows the journal append
+                }
+                wait = IDLE_POLL;
+            }
+        }
+        Self::settle(self.reply.recv().ok())
+    }
+
+    fn settle(reply: Option<IngestReply>) -> Acked {
+        match reply {
+            Some(Ok(())) => Acked::Taken,
+            Some(Err(reason)) => Acked::Refused(reason),
+            None => Acked::Gone,
+        }
+    }
+}
+
 /// What the front end sends to a shard worker.
 pub(crate) enum Command {
     /// Feedbacks already partitioned to this shard, in arrival order.
@@ -103,6 +208,8 @@ pub(crate) enum Command {
         /// When the front end enqueued it — the start of the
         /// enqueue→apply latency measurement and the queue-wait stamp.
         enqueued_at: Instant,
+        /// Where the shard says it took the batch.
+        ack: Ack,
     },
     Assess {
         server: ServerId,
@@ -160,20 +267,23 @@ impl std::fmt::Debug for Command {
 }
 
 impl Command {
-    /// Feedbacks carried by this command (0 for queries).
-    pub(crate) fn feedback_count(&self) -> usize {
-        match self {
-            Command::Ingest { batch, .. } => batch.len(),
-            _ => 0,
-        }
-    }
-
-    /// An ingest command stamped now.
-    pub(crate) fn ingest(batch: Vec<Feedback>) -> Self {
-        Command::Ingest {
+    /// An ingest command stamped now, and the wait for its reply.
+    pub(crate) fn ingest(batch: Vec<Feedback>) -> (Self, AckWait) {
+        let state = Arc::new(AtomicU8::new(PENDING));
+        let (reply_tx, reply_rx) = channel::bounded(1);
+        let command = Command::Ingest {
             batch,
             enqueued_at: Instant::now(),
-        }
+            ack: Ack {
+                state: Arc::clone(&state),
+                reply: reply_tx,
+            },
+        };
+        let wait = AckWait {
+            state,
+            reply: reply_rx,
+        };
+        (command, wait)
     }
 
     /// An assess command stamped now.
@@ -207,6 +317,8 @@ pub(crate) struct ShardHandle {
     pub(crate) join: Option<JoinHandle<()>>,
     /// Verdicts last published by this shard, for degraded answers.
     pub(crate) published: Published,
+    /// Set while the worker waits for work (see [`ShardContext::idle`]).
+    pub(crate) idle: Arc<AtomicBool>,
 }
 
 impl ShardHandle {
@@ -299,12 +411,20 @@ pub(crate) struct ShardContext {
     /// Boot-time recovery progress, reported to health checks. Only the
     /// initial cold-start rebuild updates it.
     pub boot: Option<Arc<BootProgress>>,
+    /// Set from the moment the worker finds its queue empty until it has
+    /// claimed the command that woke it: a caller past its `TryFor`
+    /// deadline waits for an idle worker instead of shedding.
+    pub idle: Arc<AtomicBool>,
 }
 
 impl ShardContext {
     /// This shard's metric block in the registry.
     pub(crate) fn metrics(&self) -> &ShardMetrics {
         self.obs.shard(self.shard)
+    }
+
+    fn set_idle(&self, idle: bool) {
+        self.idle.store(idle, Ordering::Relaxed);
     }
 }
 
@@ -328,6 +448,7 @@ impl ShardContext {
             snapshots: None,
             tiering: None,
             boot: None,
+            idle: Arc::default(),
         }
     }
 }
@@ -368,12 +489,15 @@ impl Mark {
 /// position of the fold. It lives in the supervisor, outside the worker's
 /// `catch_unwind`, so after a panic it says exactly what the state still
 /// owes: `pending[applied..]`, the first of them possibly half-applied
-/// behind `mark`. The live worker moves each ingest batch in here (no
-/// copy; the buffer is the batch's own allocation); a journal replay puts
-/// the journal tail here.
+/// behind `mark`, then every batch `queued`. The live worker moves each
+/// group commit's batches in here before it acknowledges them (no copy:
+/// each is its command's own allocation, freed once folded); a journal
+/// replay puts the journal tail here.
 #[derive(Default)]
 pub(crate) struct InFlight {
     pending: Vec<Feedback>,
+    /// The rest of the group, folded after `pending`, in order.
+    queued: VecDeque<Vec<Feedback>>,
     /// Ordinal of `pending[0]` among the records the shard has accepted
     /// (on a durable shard: its absolute journal index) — what quarantine
     /// bookkeeping calls the record.
@@ -400,32 +524,45 @@ impl InFlight {
         }
     }
 
-    /// Takes ownership of a freshly accepted batch.
-    fn begin(&mut self, batch: Vec<Feedback>) {
-        debug_assert!(self.pending.is_empty() && self.applied == 0);
-        self.pending = batch;
+    /// Takes ownership of a group commit's batches, owed after whatever
+    /// is owed already.
+    pub(crate) fn begin(&mut self, group: Vec<Vec<Feedback>>) {
+        self.queued.extend(group);
+        if self.pending.is_empty() {
+            debug_assert_eq!(self.applied, 0);
+            self.pending = self.queued.pop_front().unwrap_or_default();
+        }
     }
 
-    /// Applies `pending[applied..]` in order; a record whose ordinal
-    /// `admit` turns down is skipped for good.
+    /// Applies `pending[applied..]` and then each queued batch, in order;
+    /// a record whose ordinal `admit` turns down is skipped for good.
     pub(crate) fn apply_rest(
         &mut self,
         states: &mut HashMap<ServerId, ServerState>,
         ctx: &ShardContext,
         mut admit: impl FnMut(u64) -> bool,
     ) {
-        while let Some(&feedback) = self.pending.get(self.applied) {
-            if admit(self.next_index()) {
-                apply_feedback(states, feedback, ctx, &mut self.mark);
-                self.mark = None;
+        loop {
+            while let Some(&feedback) = self.pending.get(self.applied) {
+                if admit(self.next_index()) {
+                    apply_feedback(states, feedback, ctx, &mut self.mark);
+                    self.mark = None;
+                }
+                self.applied += 1;
             }
-            self.applied += 1;
+            let Some(next) = self.queued.pop_front() else {
+                return;
+            };
+            self.base += self.pending.len() as u64;
+            self.pending = next;
+            self.applied = 0;
         }
     }
 
     /// Records still owed to the state.
     pub(crate) fn owed(&self) -> usize {
-        self.pending.len() - self.applied
+        let queued: usize = self.queued.iter().map(Vec::len).sum();
+        self.pending.len() - self.applied + queued
     }
 
     /// Ordinal of the next record to apply (the one part-way, if any).
@@ -436,16 +573,20 @@ impl InFlight {
     /// Starts the fold of `pending` over (a replay retried from its
     /// initial state).
     pub(crate) fn rewind(&mut self) {
+        debug_assert!(
+            self.queued.is_empty(),
+            "a live group is never refolded from its top"
+        );
         self.applied = 0;
         self.mark = None;
     }
 
-    /// Closes a fully applied batch: the buffer empties (its ordinals are
-    /// spent) and nothing is owed.
+    /// Closes a fully applied batch: the buffer is freed (its ordinals
+    /// are spent) and nothing is owed.
     pub(crate) fn finish(&mut self) {
         debug_assert!(self.owed() == 0 && self.mark.is_none());
         self.base += self.pending.len() as u64;
-        self.pending.clear();
+        self.pending = Vec::new();
         self.applied = 0;
     }
 
@@ -459,20 +600,23 @@ impl InFlight {
 /// The worker loop proper. Runs until `Shutdown` (drain, flush, return)
 /// or until every sender is gone (flush, return). Panics unwind to the
 /// supervisor, which repairs `states` — from the journal, or in place
-/// from `inflight` — and calls back in.
+/// from `inflight` — and calls back in. `carry` holds a command a group
+/// commit dequeued behind its ingest run; it lives in the supervisor too,
+/// so a panic in the group's apply does not lose it.
 pub(crate) fn worker_loop(
     rx: &Receiver<Command>,
     states: &mut HashMap<ServerId, ServerState>,
     inflight: &mut InFlight,
+    carry: &mut Option<Command>,
     ctx: &ShardContext,
 ) {
-    while let Ok(command) = rx.recv() {
-        if handle_command(command, states, inflight, ctx) == Flow::Stop {
+    while let Some(command) = carry.take().or_else(|| next_command(rx, ctx)) {
+        if handle_command(command, rx, carry, states, inflight, ctx) == Flow::Stop {
             // Graceful shutdown: serve everything already queued, then
             // flush. Commands arriving after the drain observes an empty
             // queue are dropped (their senders see a closed channel).
-            while let Ok(command) = rx.try_recv() {
-                let _ = handle_command(command, states, inflight, ctx);
+            while let Some(command) = carry.take().or_else(|| rx.try_recv().ok()) {
+                let _ = handle_command(command, rx, carry, states, inflight, ctx);
             }
             break;
         }
@@ -488,93 +632,37 @@ pub(crate) fn worker_loop(
     }
 }
 
-pub(crate) fn handle_command(
+/// Waits for the next command. The worker is idle from finding its queue
+/// empty until it has claimed whatever wakes it (see [`handle_command`]).
+fn next_command(rx: &Receiver<Command>, ctx: &ShardContext) -> Option<Command> {
+    if let Ok(command) = rx.try_recv() {
+        return Some(command);
+    }
+    ctx.set_idle(true);
+    rx.recv().ok()
+}
+
+fn handle_command(
     command: Command,
+    rx: &Receiver<Command>,
+    carry: &mut Option<Command>,
     states: &mut HashMap<ServerId, ServerState>,
     inflight: &mut InFlight,
     ctx: &ShardContext,
 ) -> Flow {
     let busy_t0 = Instant::now();
-    let flow = dispatch_command(command, states, inflight, ctx);
-    let busy_ns = busy_t0.elapsed().as_nanos() as u64;
-    ctx.metrics().busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-    flow
-}
-
-fn dispatch_command(
-    command: Command,
-    states: &mut HashMap<ServerId, ServerState>,
-    inflight: &mut InFlight,
-    ctx: &ShardContext,
-) -> Flow {
-    match command {
-        Command::Ingest { batch, enqueued_at } => {
-            let batch_len = batch.len() as u64;
-            let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
-            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
-            // Journal first: after this point the batch is durable and
-            // any crash during apply is recovered by replay. The latency
-            // sample is two relaxed atomic adds. A shard with no journal
-            // records none.
-            if let Some(journal) = &ctx.journal {
-                let append_t0 = Instant::now();
-                match journal.lock().append_batch(&batch) {
-                    Ok(info) => {
-                        let append_ns = append_t0.elapsed().as_nanos() as u64;
-                        ctx.obs
-                            .latency(LatencyPath::JournalAppend)
-                            .record_ns(append_ns);
-                        if info.synced {
-                            ctx.obs
-                                .latency(LatencyPath::JournalFsync)
-                                .record_ns(info.sync_ns);
-                        }
-                        let metrics = ctx.metrics();
-                        metrics.add(ShardMetric::JournalRecords, info.records);
-                        metrics.add(ShardMetric::JournalBytes, info.bytes);
-                    }
-                    Err(e) => {
-                        // The journal is the source of truth; a worker
-                        // that cannot write it must not apply either.
-                        // Unwind to the supervisor, which replays what
-                        // *is* durable.
-                        panic!("shard journal append failed: {e}");
-                    }
-                }
-            }
-            // From here the batch is the supervisor's: whatever happens
-            // to this worker, `inflight` says which records the state
-            // still owes.
-            inflight.begin(batch);
-            ctx.faults.after_journal();
-            inflight.apply_rest(states, ctx, |_| true);
-            let mut touched: Vec<ServerId> = inflight.pending.iter().map(|f| f.server).collect();
-            inflight.finish();
-            touched.sort_unstable();
-            touched.dedup();
-            {
-                let mut published = ctx.published.lock();
-                for server in &touched {
-                    if let (Some(state), Some(pv)) = (states.get(server), published.get_mut(server))
-                    {
-                        pv.latest_version = state.version();
-                    }
-                }
-            }
-            ctx.metrics().add(ShardMetric::LastApplyVersion, batch_len);
-            // Enqueue→apply latency, attributed to every feedback in the
-            // batch so the histogram count matches the `ingested` counter.
-            ctx.obs
-                .latency(LatencyPath::IngestApply)
-                .record_n(enqueued_at.elapsed().as_nanos() as u64, batch_len);
-            // Tier before checkpointing, so a checkpoint triggered by
-            // this batch captures the compacted/spilled form (snapshots
-            // shrink with compaction, and segment references are covered
-            // by the snapshot that might reclaim their predecessors).
-            inflight.folding = true;
-            maybe_tier(states, &touched, ctx);
-            inflight.folding = false;
-            maybe_checkpoint(states, ctx);
+    if !matches!(command, Command::Ingest { .. }) {
+        ctx.set_idle(false);
+    }
+    let flow = match command {
+        Command::Ingest {
+            batch,
+            enqueued_at,
+            ack,
+        } => {
+            let group = Group::claim(batch, enqueued_at, ack, rx, carry, ctx);
+            ctx.set_idle(false);
+            group.commit(rx, carry, states, inflight, ctx);
             Flow::Continue
         }
         Command::Assess {
@@ -623,7 +711,243 @@ fn dispatch_command(
             Flow::Continue
         }
         Command::Shutdown => Flow::Stop,
+    };
+    let busy_ns = busy_t0.elapsed().as_nanos() as u64;
+    ctx.metrics().busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+    flow
+}
+
+/// One caller's share of a group commit.
+struct Member {
+    ack: Ack,
+    enqueued_at: Instant,
+    len: u64,
+}
+
+/// The run of ingest commands a group commit took: their batches in
+/// queue order, one per member.
+struct Group {
+    batches: Vec<Vec<Feedback>>,
+    members: Vec<Member>,
+}
+
+impl Group {
+    /// Claims the run of ingest commands at the head of the queue, the
+    /// dequeued one first, up to the first command of another kind —
+    /// which goes to `carry`, served next, so the queue stays FIFO. A
+    /// command its caller has already shed is dropped unread.
+    fn claim(
+        batch: Vec<Feedback>,
+        enqueued_at: Instant,
+        ack: Ack,
+        rx: &Receiver<Command>,
+        carry: &mut Option<Command>,
+        ctx: &ShardContext,
+    ) -> Group {
+        let mut group = Group {
+            batches: Vec::new(),
+            members: Vec::new(),
+        };
+        let mut next = Some((batch, enqueued_at, ack));
+        while let Some((batch, enqueued_at, ack)) = next.take() {
+            if ack.take() {
+                let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
+                ctx.metrics().queue_wait.record_ns(queue_wait_ns);
+                group.members.push(Member {
+                    ack,
+                    enqueued_at,
+                    len: batch.len() as u64,
+                });
+                group.batches.push(batch);
+            }
+            next = match rx.try_recv() {
+                Ok(Command::Ingest {
+                    batch,
+                    enqueued_at,
+                    ack,
+                }) => Some((batch, enqueued_at, ack)),
+                Ok(other) => {
+                    *carry = Some(other);
+                    None
+                }
+                Err(_) => None,
+            };
+        }
+        group
     }
+
+    /// Journals the group with one append and replies to every member;
+    /// its batches join what `inflight` owes, its members the `backlog`.
+    /// A refused append is replied to every member instead, and nothing
+    /// of the group is kept.
+    fn acknowledge(self, inflight: &mut InFlight, backlog: &mut Backlog, ctx: &ShardContext) {
+        let Group { batches, members } = self;
+        if members.is_empty() {
+            return;
+        }
+        if let Err(reason) = journal_append(&batches, ctx) {
+            for member in &members {
+                member.ack.send(Err(reason.clone()));
+            }
+            return;
+        }
+        backlog
+            .touched
+            .extend(batches.iter().flatten().map(|f| f.server));
+        // From here the records are the supervisor's: whatever happens
+        // to this worker, `inflight` says which ones the state still
+        // owes. So the replies can go before the apply.
+        inflight.begin(batches);
+        for member in &members {
+            member.ack.send(Ok(()));
+        }
+        for _ in &members {
+            ctx.faults.after_journal();
+        }
+        backlog.members.extend(members);
+    }
+
+    /// Acknowledges the group, then applies it. When the apply makes a
+    /// checkpoint due, the ingest commands that arrive while it is
+    /// written are acknowledged meanwhile and applied after it.
+    fn commit(
+        self,
+        rx: &Receiver<Command>,
+        carry: &mut Option<Command>,
+        states: &mut HashMap<ServerId, ServerState>,
+        inflight: &mut InFlight,
+        ctx: &ShardContext,
+    ) {
+        let mut backlog = Backlog::default();
+        self.acknowledge(inflight, &mut backlog, ctx);
+        while !backlog.members.is_empty() {
+            backlog.apply(states, inflight, ctx);
+            if checkpoint_due(ctx) {
+                checkpoint_acknowledging(rx, carry, states, inflight, &mut backlog, ctx);
+            }
+        }
+    }
+}
+
+/// Ingest the worker has acknowledged and not yet applied: the members
+/// to time once applied and the servers their batches touch. (The
+/// records themselves are in [`InFlight`].)
+#[derive(Default)]
+struct Backlog {
+    members: Vec<Member>,
+    touched: Vec<ServerId>,
+}
+
+impl Backlog {
+    /// Applies everything `inflight` owes and tiers the servers it
+    /// touched, leaving the backlog empty.
+    fn apply(
+        &mut self,
+        states: &mut HashMap<ServerId, ServerState>,
+        inflight: &mut InFlight,
+        ctx: &ShardContext,
+    ) {
+        inflight.apply_rest(states, ctx, |_| true);
+        inflight.finish();
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        {
+            let mut published = ctx.published.lock();
+            for server in &touched {
+                if let (Some(state), Some(pv)) = (states.get(server), published.get_mut(server)) {
+                    pv.latest_version = state.version();
+                }
+            }
+        }
+        let members = std::mem::take(&mut self.members);
+        let applied = members.iter().map(|member| member.len).sum();
+        ctx.metrics().add(ShardMetric::LastApplyVersion, applied);
+        // Enqueue→apply latency, attributed to every feedback of every
+        // member so the histogram count matches the `ingested` counter.
+        let apply = ctx.obs.latency(LatencyPath::IngestApply);
+        for member in &members {
+            apply.record_n(member.enqueued_at.elapsed().as_nanos() as u64, member.len);
+        }
+        // Tier before checkpointing, so a checkpoint triggered by this
+        // apply captures the compacted/spilled form (snapshots shrink
+        // with compaction, and segment references are covered by the
+        // snapshot that might reclaim their predecessors).
+        inflight.folding = true;
+        maybe_tier(states, &touched, ctx);
+        inflight.folding = false;
+    }
+}
+
+/// How often a worker waiting on a checkpoint's writer looks whether it
+/// is done.
+const CHECKPOINT_POLL: Duration = Duration::from_millis(1);
+
+/// Takes a checkpoint without stalling the callers: after the log-force,
+/// the snapshot of the state as it stands is written on a scoped thread —
+/// the worker leaves the state alone meanwhile — while the worker
+/// journals and acknowledges the ingest commands that arrive, into the
+/// `backlog` applied after it. A command of another kind ends the
+/// acknowledging; it is served after the backlog, in queue order.
+fn checkpoint_acknowledging(
+    rx: &Receiver<Command>,
+    carry: &mut Option<Command>,
+    states: &HashMap<ServerId, ServerState>,
+    inflight: &mut InFlight,
+    backlog: &mut Backlog,
+    ctx: &ShardContext,
+) {
+    let Some(journal_records) = force_log(ctx) else {
+        return;
+    };
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| write_checkpoint(states, journal_records, ctx));
+        while carry.is_none() && !writer.is_finished() {
+            match rx.recv_timeout(CHECKPOINT_POLL) {
+                Ok(Command::Ingest {
+                    batch,
+                    enqueued_at,
+                    ack,
+                }) => Group::claim(batch, enqueued_at, ack, rx, carry, ctx)
+                    .acknowledge(inflight, backlog, ctx),
+                Ok(other) => *carry = Some(other),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+    });
+}
+
+/// Appends a group's batches to the shard's journal, if it has one: one
+/// write, and one fsync under `FsyncPolicy::EveryBatch`. `Err` says why
+/// the journal refused them; the file holds none of them then.
+fn journal_append(batches: &[Vec<Feedback>], ctx: &ShardContext) -> Result<(), String> {
+    let Some(journal) = &ctx.journal else {
+        return Ok(());
+    };
+    let mut journal = journal.lock();
+    if ctx.faults.fail_append() {
+        journal.fail_next_append();
+    }
+    let append_t0 = Instant::now();
+    let info = journal
+        .append_batches(batches)
+        .map_err(|e| format!("journal append failed: {e}"))?;
+    drop(journal);
+    let append_ns = append_t0.elapsed().as_nanos() as u64;
+    ctx.obs
+        .latency(LatencyPath::JournalAppend)
+        .record_ns(append_ns);
+    let metrics = ctx.metrics();
+    if info.synced {
+        ctx.obs
+            .latency(LatencyPath::JournalFsync)
+            .record_ns(info.sync_ns);
+        metrics.add(ShardMetric::JournalFsyncs, 1);
+    }
+    metrics.add(ShardMetric::JournalRecords, info.records);
+    metrics.add(ShardMetric::JournalBytes, info.bytes);
+    Ok(())
 }
 
 /// Stores `(hot suffix, folded summary, spilled payload)` byte sums in
@@ -819,20 +1143,16 @@ pub(crate) fn validate_spilled_refs(
     true
 }
 
-/// Checkpoints automatically once `interval_records` records have been
-/// journalled past the newest snapshot.
-fn maybe_checkpoint(states: &HashMap<ServerId, ServerState>, ctx: &ShardContext) {
-    let Some(snaps) = &ctx.snapshots else { return };
+/// Whether `interval_records` records have been journalled past the
+/// newest snapshot, so an automatic checkpoint is due.
+fn checkpoint_due(ctx: &ShardContext) -> bool {
+    let (Some(snaps), Some(journal)) = (&ctx.snapshots, &ctx.journal) else {
+        return false;
+    };
     let interval = snaps.policy.interval_records;
-    if interval == 0 {
-        return;
-    }
-    let Some(journal) = &ctx.journal else { return };
     let records = journal.lock().records();
     let last = snaps.store.lock().newest_offset().unwrap_or(0);
-    if records.saturating_sub(last) >= interval {
-        let _ = take_checkpoint(states, ctx);
-    }
+    interval > 0 && records.saturating_sub(last) >= interval
 }
 
 /// Writes one snapshot covering the journal as of now, then compacts the
@@ -842,21 +1162,37 @@ pub(crate) fn take_checkpoint(
     states: &HashMap<ServerId, ServerState>,
     ctx: &ShardContext,
 ) -> Option<CheckpointInfo> {
+    let journal_records = force_log(ctx)?;
+    write_checkpoint(states, journal_records, ctx)
+}
+
+/// Log-force before checkpoint: the snapshot claims to cover journal
+/// offset N, so every record up to N must be durable *first* — otherwise
+/// a crash right after the snapshot could leave a snapshot that covers
+/// records the journal lost. Returns N, the journal's record count; the
+/// state must be the fold of exactly those records. `None` without
+/// snapshots (which are validated to need a durable journal) or when the
+/// sync fails.
+fn force_log(ctx: &ShardContext) -> Option<u64> {
+    ctx.snapshots.as_ref()?;
+    let mut journal = ctx.journal.as_ref()?.lock();
+    if journal.sync().is_err() {
+        ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
+        return None;
+    }
+    Some(journal.records())
+}
+
+/// Writes the snapshot of `states`, the fold of the first
+/// `journal_records` records, then compacts the journal if the policy
+/// allows.
+fn write_checkpoint(
+    states: &HashMap<ServerId, ServerState>,
+    journal_records: u64,
+    ctx: &ShardContext,
+) -> Option<CheckpointInfo> {
     let snaps = ctx.snapshots.as_ref()?;
-    // Snapshots are validated to need a durable journal.
     let journal = ctx.journal.as_ref()?;
-    // Log-force before checkpoint: the snapshot claims to cover journal
-    // offset N, so every record up to N must be durable *first* —
-    // otherwise a crash right after the snapshot could leave a snapshot
-    // that covers records the journal lost.
-    let journal_records = {
-        let mut journal = journal.lock();
-        if journal.sync().is_err() {
-            ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
-            return None;
-        }
-        journal.records()
-    };
     let mut store = snaps.store.lock();
     match store.write(states, journal_records) {
         Ok(info) => {
@@ -1013,6 +1349,13 @@ mod tests {
     use crossbeam::channel;
     use hp_core::{ClientId, Rating};
 
+    /// Sends one ingest command and waits until the shard has taken it.
+    fn ingest(handle: &ShardHandle, batch: Vec<Feedback>) {
+        let (command, wait) = Command::ingest(batch);
+        handle.send(command).unwrap();
+        assert!(matches!(wait.wait(None, &handle.idle), Acked::Taken));
+    }
+
     fn spawn() -> (ShardHandle, Arc<MetricsRegistry>) {
         let obs = Arc::new(MetricsRegistry::new(1));
         let ctx = ShardContext::ephemeral(Arc::clone(&obs));
@@ -1034,7 +1377,7 @@ mod tests {
                 )
             })
             .collect();
-        handle.send(Command::ingest(batch)).unwrap();
+        ingest(&handle, batch);
         let (reply_tx, reply_rx) = channel::unbounded();
         handle.send(Command::assess(server, reply_tx, 0)).unwrap();
         let (assessment, timings) = reply_rx.recv().unwrap().unwrap();
@@ -1104,11 +1447,11 @@ mod tests {
                 .map(|t| Feedback::new(t, server, ClientId::new(0), Rating::Positive))
                 .collect()
         };
-        handle.send(Command::ingest(batch(0, 120))).unwrap();
+        ingest(&handle, batch(0, 120));
         let (reply_tx, reply_rx) = channel::unbounded();
         handle.send(Command::assess(server, reply_tx, 0)).unwrap();
         reply_rx.recv().unwrap().unwrap();
-        handle.send(Command::ingest(batch(120, 30))).unwrap();
+        ingest(&handle, batch(120, 30));
         // Round-trip a snapshot so the ingest is surely applied.
         let (snap_tx, snap_rx) = channel::unbounded();
         handle.send(Command::Occupancy { reply: snap_tx }).unwrap();

@@ -11,15 +11,16 @@
 //! 2. runs [`worker_loop`] under `catch_unwind`,
 //! 3. on panic: waits a capped exponential backoff, recovers the state,
 //!    and re-enters the worker loop with the command channel — and every
-//!    command still queued on it — intact.
+//!    command still queued on it, or dequeued behind a group commit's
+//!    ingest run — intact.
 //!
 //! How step 3 recovers depends on what the shard has besides its memory:
 //!
 //! * **Durable** shards have a trusted external copy. The state is
 //!   thrown away and rebuilt as a pure fold over the journal (which is
 //!   exactly what the live ingest path maintains, because batches are
-//!   journaled before they are applied), starting from the newest valid
-//!   snapshot.
+//!   journaled before they are acknowledged or applied), starting from
+//!   the newest valid snapshot.
 //! * **Ephemeral** shards have only the state, so it is kept. The
 //!   worker writes a [`Mark`] before each record touches its server;
 //!   after a panic the supervisor rolls that one server back to the mark
@@ -83,6 +84,7 @@ const QUARANTINE_AFTER: u32 = 2;
 pub(crate) fn spawn_supervised_shard(shard: usize, ctx: ShardContext) -> ShardHandle {
     let (tx, rx) = channel::bounded(QUEUE_CAPACITY);
     let published = Arc::clone(&ctx.published);
+    let idle = Arc::clone(&ctx.idle);
     let join = thread::Builder::new()
         .name(format!("hp-shard-{shard}"))
         .spawn(move || supervise(&rx, &ctx))
@@ -91,6 +93,7 @@ pub(crate) fn spawn_supervised_shard(shard: usize, ctx: ShardContext) -> ShardHa
         tx,
         join: Some(join),
         published,
+        idle,
     }
 }
 
@@ -100,6 +103,7 @@ pub(crate) fn spawn_supervised_shard(shard: usize, ctx: ShardContext) -> ShardHa
 fn supervise(rx: &Receiver<Command>, ctx: &ShardContext) {
     let mut quarantine = Quarantine::default();
     let mut inflight = InFlight::default();
+    let mut carry = None;
     // Cold start: a durable journal left by a previous process
     // incarnation is folded here before the first command; an ephemeral
     // shard starts empty.
@@ -118,7 +122,7 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext) {
     let mut restarts: u32 = 0;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(rx, &mut states, &mut inflight, ctx)
+            worker_loop(rx, &mut states, &mut inflight, &mut carry, ctx)
         }));
         if run.is_ok() {
             return; // clean shutdown or all senders gone
@@ -440,6 +444,43 @@ mod tests {
         assert_eq!(inflight.next_index(), 40, "the batch's ordinals are spent");
         let replayed = ctx.obs.snapshot().total(ShardMetric::ReplayedRecords);
         assert_eq!(replayed, 23, "the refold counts the records it owed");
+    }
+
+    /// A group commit's later batches are owed too: a worker that dies
+    /// in the second of three batches leaves the rest of it and the whole
+    /// third to the refold, at the ordinals the group gave them.
+    #[test]
+    fn refold_owes_every_batch_of_a_group() {
+        let ctx = ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1)));
+        let mut expected = HashMap::new();
+        InFlight::replaying(batch(), 0).apply_rest(&mut expected, &ctx, |_| true);
+
+        let records = batch();
+        let mut states = HashMap::new();
+        let mut inflight = InFlight::default();
+        inflight.begin(vec![
+            records[..10].to_vec(),
+            records[10..25].to_vec(),
+            records[25..].to_vec(),
+        ]);
+        assert_eq!(inflight.owed(), 40);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            inflight.apply_rest(&mut states, &ctx, |index| {
+                assert_ne!(index, 17, "the worker dies reaching record 17");
+                true
+            })
+        }));
+        assert!(crashed.is_err());
+        assert_eq!((inflight.next_index(), inflight.owed()), (17, 23));
+
+        assert!(refold(
+            &ctx,
+            &mut Quarantine::default(),
+            &mut states,
+            &mut inflight
+        ));
+        assert_eq!(fingerprint(&states), fingerprint(&expected));
+        assert_eq!((inflight.next_index(), inflight.owed()), (40, 0));
     }
 
     #[test]

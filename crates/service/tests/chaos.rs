@@ -4,9 +4,9 @@
 //! the injected failure (crash between accepting a batch and applying it,
 //! a record torn half-way through its apply, a poison record that kills
 //! every fold until quarantined, a panic while assessing, a stalled
-//! worker), the verdicts the recovered service serves are **bit-identical**
-//! to the offline `TwoPhaseAssessor` folded over the accepted (minus
-//! quarantined) feedback sequence.
+//! worker, a journal append that fails), the verdicts the recovered
+//! service serves are **bit-identical** to the offline `TwoPhaseAssessor`
+//! folded over the accepted (minus quarantined) feedback sequence.
 //!
 //! The default configuration is ephemeral: no journal, the per-server
 //! state survives the worker's panic and one record is rolled back. The
@@ -20,6 +20,7 @@
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
+use hp_service::journal::read_journal;
 use hp_service::obs::{LatencyPath, ShardMetric};
 use hp_service::replay::{restamp, OfflineReference};
 use hp_service::{
@@ -549,33 +550,29 @@ fn deadline_miss_serves_published_verdict_with_staleness() {
     assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 2);
 }
 
-/// Commands a shard's queue holds before the ingest policy applies.
+/// One-feedback batches the saturated test has its shard take before it
+/// stalls it — as many as a shard queue holds.
 const QUEUE_SLOTS: usize = 1024;
 
+/// A shard stalled inside a delayed assessment takes nothing: a batch
+/// offered to it is shed when the wait runs out, counted exactly by the
+/// compare-exchange that decided it, and never reaches the state — the
+/// worker drops the shed command unread when the stall ends.
 #[test]
 fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
     let config = fast_config()
-        .with_ingest_policy(IngestPolicy::TryFor(Duration::ZERO))
+        .with_ingest_policy(IngestPolicy::TryFor(Duration::from_millis(500)))
         .with_fault_plan(FaultPlan::default().with_assess_delay(Duration::from_secs(2)));
     let service = Arc::new(ReputationService::new(config.clone()).unwrap());
     let server = ServerId::new(5);
     let head = restamp(&workload::honest_history(200, 0.9, 9), server);
     service.ingest_batch(head.clone()).unwrap();
-    let _ = service.stats(); // barrier: head applied, queue empty
-
-    // Stall the worker inside a delayed assessment reply.
-    let stalled = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || service.assess(server).unwrap())
-    };
-    std::thread::sleep(Duration::from_millis(100)); // worker holds the assess
 
     let tail: Vec<Feedback> = (200..200 + QUEUE_SLOTS as u64 + 30)
         .map(|t| Feedback::new(t, server, ClientId::new(t % 3), Rating::Positive))
         .collect();
-    // One-feedback batches fill every queue slot; the next batch is shed
-    // at once — and the count comes from the returned command, not an
-    // estimate.
+    // A worker that is not stalled takes every one-feedback batch within
+    // the wait.
     for feedback in &tail[..QUEUE_SLOTS] {
         let accepted = service.ingest_batch(vec![*feedback]).unwrap();
         assert_eq!(
@@ -586,6 +583,16 @@ fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
             }
         );
     }
+
+    // Stall the worker inside a delayed assessment reply.
+    let stalled = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.assess(server).unwrap())
+    };
+    std::thread::sleep(Duration::from_millis(100)); // worker holds the assess
+
+    // The stalled worker cannot take the next batch within the wait: it
+    // is shed whole, at the wait, not at a full queue.
     let shed = service.ingest_batch(tail[QUEUE_SLOTS..].to_vec()).unwrap();
     assert_eq!(
         shed,
@@ -602,6 +609,7 @@ fn saturated_shard_sheds_exactly_and_verdicts_cover_accepted_only() {
     let stats = service.stats();
     assert_eq!(stats.shed_feedbacks, 30);
     assert_eq!(stats.ingested_feedbacks, 200 + QUEUE_SLOTS as u64);
+    assert_eq!(stats.tracked_feedbacks, 200 + QUEUE_SLOTS);
     assert!((stats.shed_rate() - 30.0 / (230 + QUEUE_SLOTS) as f64).abs() < 1e-12);
 }
 
@@ -615,13 +623,6 @@ fn try_for_policy_sheds_after_bounded_wait() {
     service
         .ingest_batch(restamp(&workload::honest_history(150, 0.9, 2), server))
         .unwrap();
-    let _ = service.stats();
-
-    let stalled = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || service.assess(server).unwrap())
-    };
-    std::thread::sleep(Duration::from_millis(100));
 
     let batch = |from: u64| -> Vec<Feedback> {
         (from..from + 10)
@@ -632,9 +633,16 @@ fn try_for_policy_sheds_after_bounded_wait() {
         let outcome = service.ingest_batch(batch(150 + 10 * slot)).unwrap();
         assert_eq!(
             outcome.shed, 0,
-            "a queue with room accepts within the wait budget"
+            "a shard that is not stalled takes each batch within the wait budget"
         );
     }
+
+    let stalled = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.assess(server).unwrap())
+    };
+    std::thread::sleep(Duration::from_millis(100));
+
     let waited = std::time::Instant::now();
     let full = service
         .ingest_batch(batch(150 + 10 * QUEUE_SLOTS as u64))
@@ -645,10 +653,65 @@ fn try_for_policy_sheds_after_bounded_wait() {
             accepted: 0,
             shed: 10
         },
-        "full queue sheds after the bounded wait"
+        "a stalled shard's batch is shed after the bounded wait"
     );
-    assert!(waited.elapsed() >= Duration::from_millis(30));
+    let waited = waited.elapsed();
+    assert!(waited >= Duration::from_millis(30));
+    assert!(
+        waited < Duration::from_secs(1),
+        "the wait is bounded, not the stall: {waited:?}"
+    );
     stalled.join().unwrap();
+}
+
+/// A journal append that fails — half its frames written, then a full
+/// disk — is a typed refusal: the batch is neither acknowledged nor
+/// applied, the journal keeps none of it, the worker is not restarted,
+/// and the next batch is journaled right behind the last acknowledged
+/// one.
+#[test]
+fn failed_append_is_refused_typed_and_leaves_nothing_behind() {
+    let server = ServerId::new(31);
+    let feedbacks = restamp(&workload::honest_history(300, 0.9, 0xFA11), server);
+    let (plain, dir) = durable(fast_config(), "append-failure");
+    let config = plain
+        .clone()
+        .with_fault_plan(FaultPlan::default().with_append_failure(0, 2));
+    let service = ReputationService::new(config.clone()).unwrap();
+    let (first, refused, third) = (&feedbacks[..100], &feedbacks[100..200], &feedbacks[200..]);
+    assert_eq!(service.ingest_batch(first.to_vec()).unwrap().accepted, 100);
+    match service.ingest_batch(refused.to_vec()) {
+        Err(ServiceError::AppendFailed { shard: 0, reason }) => {
+            assert!(reason.contains("journal append failed"), "{reason}")
+        }
+        other => panic!("the refused append must be typed: {other:?}"),
+    }
+    assert_eq!(service.ingest_batch(third.to_vec()).unwrap().accepted, 100);
+
+    let acked: Vec<Feedback> = first.iter().chain(third).copied().collect();
+    let online = service.assess(server).expect("assess after the refusal");
+    assert_eq!(*online, offline_verdict(&config, acked.clone()));
+    let stats = service.stats();
+    assert_eq!(stats.shard_restarts, 0, "a refusal is not a crash");
+    assert_eq!(stats.ingested_feedbacks, 200);
+    assert_eq!(stats.tracked_feedbacks, 200);
+    assert_eq!(stats.journal_records, 200);
+    service.shutdown();
+
+    let journal = read_journal(&dir.join("shard-0.hpj"), Some((0, 1))).unwrap();
+    assert_eq!(
+        journal.feedbacks, acked,
+        "the journal holds the acked records only"
+    );
+    assert_eq!(journal.torn_bytes, 0);
+    // A reboot folds the same journal into the same verdict.
+    let service = ReputationService::new(plain.clone()).unwrap();
+    assert_eq!(
+        *service.assess(server).unwrap(),
+        offline_verdict(&plain, acked)
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The real restart budget: eight respawns behind backoffs of 10 ms
