@@ -84,7 +84,14 @@ FMT_CLEAN=(
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
     crates/store/src/engine.rs
+    crates/store/src/lib.rs
+    crates/store/src/memory.rs
+    crates/store/src/partial.rs
+    crates/store/src/persist.rs
+    crates/store/src/ring.rs
     crates/store/src/segment.rs
+    crates/store/src/sharded.rs
+    crates/store/src/store.rs
     examples/online_service.rs
 )
 rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"
@@ -112,9 +119,10 @@ cargo test --offline --workspace -q
 echo "==> cargo test -q (service chaos + recovery, fault-injection)"
 FAULT_T0=$SECONDS
 cargo test --offline -p hp-service --features fault-injection -q
-# The decoder properties (journal, segment fault, snapshot + manifest,
-# hpcal, the bounded reader, the ingest body, the HTTP head) at 10^5
-# hostile inputs each; tier-1 runs the same properties at the default 256.
+# The decoder properties (journal, segment fault, snapshot, manifest,
+# hpcal, feedback log, the bounded reader, the ingest body, the HTTP head)
+# at 10^5 hostile inputs each; tier-1 runs the same properties at the
+# default 256.
 PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service -p hp-edge --lib survives_hostile
 echo "    fault-injection stage: $((SECONDS - FAULT_T0)) s"
 

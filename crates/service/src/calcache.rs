@@ -11,55 +11,62 @@
 //! so a configuration change silently falls back to online calibration
 //! instead of serving thresholds from a different distribution.
 //!
-//! # Format (version 4)
+//! # Format (version 5)
 //!
-//! Line-oriented text, one header then one tagged record per line:
+//! One sealed [`hp_store::durable`] body, integers little-endian, every
+//! list a `u64` count and its items:
 //!
 //! ```text
-//! hpcal 4 <fingerprint as 16 hex digits>
-//! R <m> <k> <confidence_millis csv> <values as f64-bits csv>
-//! P <tolerance as f64 bits> <k_min>
-//! S <m> <confidence_millis> <error_bound as f64 bits> <k_grid csv> <values as f64-bits csv>
+//! magic "HPCL" | version=5 u32 | shard=0 u32 | fingerprint u64
+//! rows:    list of (m u32 | k u64 | confidence_millis list of u32 | values list of f64 bits u64)
+//! surface: present u8 | if 1: tolerance f64 bits u64 | k_min u64
+//! layers:  list of (m u32 | confidence_millis u32 | error_bound f64 bits u64
+//!                   | k_grid list of u64 | values list of f64 bits u64)
+//! trailer: crc32 u32 over everything before it
 //! ```
 //!
-//! An `R` record is one oracle row as the calibrator holds it
+//! A row is one oracle row as the calibrator holds it
 //! ([`CalibrationRow`]): one value per p̂ bucket per confidence, column by
-//! column. `P` records the surface parameters the `S` layers were built
-//! under (a surface is only installed when those parameters match the
-//! live configuration — the fingerprint deliberately excludes them, since
-//! the surface is an error-bounded view over the oracle, not a change to
-//! it). An `S` layer holds one value per p̂ bucket per grid `k`, row-major.
-//! All floats are stored as raw IEEE-754 bits, so a load → save → load
-//! round trip is bit-exact and warm verdicts stay bit-identical to cold
-//! ones.
+//! column. The surface parameters are those the layers were built under
+//! (a surface is only installed when they match the live configuration —
+//! the fingerprint deliberately excludes them, since the surface is an
+//! error-bounded view over the oracle, not a change to it). A layer holds
+//! one value per p̂ bucket per grid `k`, row-major. All floats are stored
+//! as raw IEEE-754 bits, so a load → save → load round trip is bit-exact
+//! and warm verdicts stay bit-identical to cold ones.
 //!
-//! This is the only version read: a file with any other header is
-//! `stale` like one with another fingerprint, and costs one rebuild.
-//! Writes go through [`hp_store::durable::publish`], so a crash mid-save
-//! leaves the previous cache intact, and the next [`load`] deletes the
-//! temp file such a crash leaves beside it. Individually malformed record lines
-//! — and rows the calibrator refuses: another width, a value that is no
-//! threshold — are skipped (and counted), never fatal: losing one cache
-//! line costs one recalibration, not a boot.
+//! The cache is all or nothing: a file that fails its seal or its
+//! structure installs nothing, and a sealed file of another version or
+//! fingerprint is `stale` — either costs one rebuild. Only rows and layers
+//! of a sound file that the calibrator refuses (another width, a value
+//! that is no threshold) are skipped, one by one. Writes go through
+//! [`hp_store::durable::publish`], so a crash mid-save leaves the previous
+//! cache intact, and the next [`load`] deletes the temp file such a crash
+//! leaves beside it.
 
 use hp_stats::{
     CalibrationRow, SurfaceLayer, SurfaceParams, ThresholdCalibrator, ThresholdSurface,
 };
-use hp_store::durable::{publish, remove, temp_path};
+use hp_store::durable::{publish, remove, temp_path, Error, Put, Reader};
 use std::fs;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+const MAGIC: [u8; 4] = *b"HPCL";
 /// The file format version this module writes, and the only one it reads.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
+/// The fewest bytes a row takes: `m`, `k` and two list counts.
+const MIN_ROW_LEN: usize = 4 + 8 + 8 + 8;
+/// The fewest bytes a layer takes: `m`, confidence, bound, two counts.
+const MIN_LAYER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 
 /// What loading a persisted cache found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheLoad {
     /// Rows installed into the live calibrator.
     pub installed: usize,
-    /// Malformed or rejected record lines skipped.
+    /// Rows and layers of a sound file that the calibrator refused.
     pub skipped: usize,
     /// Precomputed surface layers installed (0 when the file carried no
     /// surface, its parameters differ from the live configuration, or the
@@ -79,44 +86,27 @@ pub struct CacheLoad {
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error only when a stale temp file cannot be
-/// deleted or the file exists but cannot be read; content problems
-/// degrade to `skipped`/`stale` instead.
+/// [`io::ErrorKind::InvalidData`] when the file fails its seal or its
+/// structure — nothing is installed then; the underlying I/O error when a
+/// stale temp file cannot be deleted or the file exists but cannot be
+/// read.
 pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLoad> {
     remove([temp_path(path)])?;
-    let file = match fs::File::open(path) {
+    let bytes = match fs::read(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(CacheLoad::default()),
-        file => file?,
+        bytes => bytes?,
     };
-    let mut lines = BufReader::new(file).lines();
-    let Some(header) = lines.next().transpose()? else {
-        return Ok(CacheLoad::default());
-    };
-    if !header_matches(&header, calibrator.fingerprint()) {
+    let invalid = |e: Error| io::Error::new(io::ErrorKind::InvalidData, e);
+    let mut r = Reader::sealed(path, &bytes).map_err(invalid)?;
+    let fresh = r.header(&MAGIC, &[VERSION], Some(0)).is_ok()
+        && r.u64("truncated header").ok() == Some(calibrator.fingerprint());
+    if !fresh {
         return Ok(CacheLoad {
             stale: true,
             ..CacheLoad::default()
         });
     }
-    let mut rows = Vec::new();
-    let mut params: Option<SurfaceParams> = None;
-    let mut layers: Vec<SurfaceLayer> = Vec::new();
-    let mut skipped = 0usize;
-    for line in lines {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = match line.split_once(' ') {
-            Some(("R", rest)) => parse_row(rest).map(|row| rows.push(row)),
-            Some(("P", rest)) => parse_params(rest).map(|p| params = Some(p)),
-            Some(("S", rest)) => parse_layer(rest).map(|layer| layers.push(layer)),
-            _ => None,
-        };
-        if parsed.is_none() {
-            skipped += 1;
-        }
-    }
+    let (rows, params, layers) = decode(&mut r).map_err(invalid)?;
     let offered = rows.len();
     let installed = calibrator.preload_rows(rows);
 
@@ -124,6 +114,7 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
     // for the exact parameters it was built under; otherwise boot rebuilds
     // (cheaply, from the just-preloaded rows).
     let mut surface_layers = 0;
+    let mut skipped = offered - installed;
     if let (Some(file_params), false) = (params, layers.is_empty()) {
         if calibrator.config().surface == Some(file_params) {
             let count = layers.len();
@@ -137,7 +128,7 @@ pub fn load(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<CacheLo
     }
     Ok(CacheLoad {
         installed,
-        skipped: skipped + (offered - installed),
+        skipped,
         surface_layers,
         stale: false,
     })
@@ -158,109 +149,114 @@ pub fn save(path: &Path, calibrator: &ThresholdCalibrator) -> io::Result<usize> 
         }
     }
     let rows = calibrator.export_rows();
-    publish(path, |file| {
-        let mut out = BufWriter::new(file);
-        writeln!(out, "hpcal {VERSION} {:016x}", calibrator.fingerprint())?;
-        for row in &rows {
-            writeln!(
-                out,
-                "R {} {} {} {}",
-                row.m,
-                row.k,
-                csv(&row.confidences),
-                bits_csv(&row.values)
-            )?;
-        }
-        if let (Some(params), Some(surface)) = (calibrator.config().surface, calibrator.surface()) {
-            writeln!(
-                out,
-                "P {:016x} {}",
-                params.tolerance.to_bits(),
-                params.k_min
-            )?;
-            for layer in surface.layers() {
-                writeln!(
-                    out,
-                    "S {} {} {:016x} {} {}",
-                    layer.m,
-                    layer.confidence_millis,
-                    layer.error_bound.to_bits(),
-                    csv(&layer.k_grid),
-                    bits_csv(&layer.values),
-                )?;
-            }
-        }
-        out.flush()
-    })?;
+    let surface = calibrator.config().surface.zip(calibrator.surface());
+    let surface = surface.as_ref().map(|(params, s)| (*params, s.layers()));
+    let bytes = encode(
+        calibrator.fingerprint(),
+        rows.iter().map(|row| &**row),
+        surface,
+    );
+    publish(path, |file| file.write_all(&bytes))?;
     Ok(rows.iter().map(|row| row.values.len()).sum())
 }
 
-fn bits_csv(values: &[f64]) -> String {
-    csv(values.iter().map(|v| format!("{:016x}", v.to_bits())))
+/// The file holding `rows` and, when given, a surface's parameters and
+/// layers, under `fingerprint`.
+fn encode<'a>(
+    fingerprint: u64,
+    rows: impl ExactSizeIterator<Item = &'a CalibrationRow>,
+    surface: Option<(SurfaceParams, &[SurfaceLayer])>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.put_header(&MAGIC, VERSION, 0);
+    out.put_u64(fingerprint);
+    out.put_u64(rows.len() as u64);
+    for row in rows {
+        out.put_u32(row.m);
+        out.put_u64(row.k as u64);
+        put_list(&mut out, &row.confidences, |out, &c| out.put_u32(c));
+        put_list(&mut out, &row.values, |out, v| out.put_u64(v.to_bits()));
+    }
+    out.put(&[u8::from(surface.is_some())]);
+    let layers = surface.map_or(&[][..], |(params, layers)| {
+        out.put_u64(params.tolerance.to_bits());
+        out.put_u64(params.k_min as u64);
+        layers
+    });
+    put_list(&mut out, layers, |out, layer| {
+        out.put_u32(layer.m);
+        out.put_u32(layer.confidence_millis);
+        out.put_u64(layer.error_bound.to_bits());
+        put_list(out, &layer.k_grid, |out, &k| out.put_u64(k as u64));
+        put_list(out, &layer.values, |out, v| out.put_u64(v.to_bits()));
+    });
+    out.seal();
+    out
 }
 
-fn csv<I: IntoIterator<Item = T>, T: ToString>(items: I) -> String {
-    items
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    out.put_u64(items.len() as u64);
+    for item in items {
+        put(out, item);
+    }
 }
 
-/// The whitespace-separated fields of `line`, when there are exactly `N`.
-fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
-    line.split_ascii_whitespace()
-        .collect::<Vec<_>>()
-        .try_into()
-        .ok()
-}
+/// What an [`encode`]d body holds after its fingerprint.
+type Body = (
+    Vec<CalibrationRow>,
+    Option<SurfaceParams>,
+    Vec<SurfaceLayer>,
+);
 
-/// Whether `header` is this module's: the magic, the one version it
-/// writes, and a recorded fingerprint equal to `fingerprint`.
-fn header_matches(header: &str, fingerprint: u64) -> bool {
-    fields(header).is_some_and(|[magic, version, recorded]| {
-        magic == "hpcal"
-            && version.parse() == Ok(VERSION)
-            && u64::from_str_radix(recorded, 16) == Ok(fingerprint)
-    })
-}
-
-fn parse_row(rest: &str) -> Option<CalibrationRow> {
-    let [m, k, confidences, values] = fields(rest)?;
-    Some(CalibrationRow {
-        m: m.parse().ok()?,
-        k: k.parse().ok()?,
-        confidences: parse_csv(confidences, |v| v.parse().ok())?,
-        values: parse_csv(values, parse_bits)?,
-    })
-}
-
-fn parse_params(rest: &str) -> Option<SurfaceParams> {
-    let [tolerance, k_min] = fields(rest)?;
-    let params = SurfaceParams {
-        tolerance: parse_bits(tolerance)?,
-        k_min: k_min.parse().ok()?,
+fn decode(r: &mut Reader<'_>) -> Result<Body, Error> {
+    let rows = list(r, MIN_ROW_LEN, |r| {
+        Ok(CalibrationRow {
+            m: r.u32("torn row")?,
+            k: read_usize(r)?,
+            confidences: list(r, 4, |r| r.u32("torn row"))?,
+            values: list(r, 8, read_f64)?,
+        })
+    })?;
+    let params = match r.u8("torn surface parameters")? {
+        0 => None,
+        1 => Some(SurfaceParams {
+            tolerance: read_f64(r)?,
+            k_min: read_usize(r)?,
+        }),
+        _ => return Err(r.corrupt("surface flag is neither 0 nor 1")),
     };
-    params.validate().is_ok().then_some(params)
+    let layers = list(r, MIN_LAYER_LEN, |r| {
+        Ok(SurfaceLayer {
+            m: r.u32("torn layer")?,
+            confidence_millis: r.u32("torn layer")?,
+            error_bound: read_f64(r)?,
+            k_grid: list(r, 8, read_usize)?,
+            values: list(r, 8, read_f64)?,
+        })
+    })?;
+    if r.remaining() > 0 {
+        return Err(r.corrupt("bytes past the last layer"));
+    }
+    Ok((rows, params, layers))
 }
 
-fn parse_layer(rest: &str) -> Option<SurfaceLayer> {
-    let [m, confidence_millis, error_bound, k_grid, values] = fields(rest)?;
-    Some(SurfaceLayer {
-        m: m.parse().ok()?,
-        confidence_millis: confidence_millis.parse().ok()?,
-        error_bound: parse_bits(error_bound)?,
-        k_grid: parse_csv(k_grid, |v| v.parse().ok())?,
-        values: parse_csv(values, parse_bits)?,
-    })
+/// A `u64` count of items at least `each` bytes long, then the items.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    each: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    let n = r.count(each, "list count past the end of the file")?;
+    (0..n).map(|_| item(r)).collect()
 }
 
-fn parse_csv<T>(field: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
-    field.split(',').map(parse).collect()
+fn read_f64(r: &mut Reader<'_>) -> Result<f64, Error> {
+    r.u64("torn value").map(f64::from_bits)
 }
 
-fn parse_bits(field: &str) -> Option<f64> {
-    u64::from_str_radix(field, 16).ok().map(f64::from_bits)
+fn read_usize(r: &mut Reader<'_>) -> Result<usize, Error> {
+    let v = r.u64("torn size")?;
+    usize::try_from(v).map_err(|_| r.corrupt("size past usize"))
 }
 
 #[cfg(test)]
@@ -370,10 +366,10 @@ mod tests {
         assert_eq!((loaded.skipped, loaded.stale), (0, false));
         assert_eq!(warm.export_cache(), cold.export_cache());
         save(&second, &warm).unwrap();
-        let text = fs::read(&first).unwrap();
-        assert!(text.starts_with(b"hpcal 4 "));
+        let bytes = fs::read(&first).unwrap();
+        assert!(bytes.starts_with(b"HPCL\x05\0\0\0"));
         assert!(
-            text == fs::read(&second).unwrap(),
+            bytes == fs::read(&second).unwrap(),
             "a reloaded cache saves the same bytes"
         );
 
@@ -396,15 +392,15 @@ mod tests {
         // A two-row layer with `buckets` values per row; the calibrator's
         // 0.05-wide buckets make 21 the only width it may serve.
         let file = |cal: &ThresholdCalibrator, buckets: usize| {
+            let layer = SurfaceLayer {
+                m: 10,
+                confidence_millis: 95_000,
+                error_bound: 0.0,
+                k_grid: vec![8, 16],
+                values: vec![0.5; 2 * buckets],
+            };
             let params = cal.config().surface.unwrap();
-            format!(
-                "hpcal 4 {:016x}\nP {:016x} {}\nS 10 95000 {:016x} 8,16 {}\n",
-                cal.fingerprint(),
-                params.tolerance.to_bits(),
-                params.k_min,
-                0.0f64.to_bits(),
-                csv(vec![format!("{:016x}", 0.5f64.to_bits()); 2 * buckets]),
-            )
+            encode(cal.fingerprint(), [].iter(), Some((params, &[layer])))
         };
         for (buckets, layers) in [(20, 0), (42, 0), (21, 1)] {
             let cal = surfaced_calibrator(200);
@@ -432,7 +428,7 @@ mod tests {
         let cold = calibrator(300);
         cold.threshold(10, 30, 0.9).unwrap();
         save(&path, &cold).unwrap();
-        let current = fs::read_to_string(&path).unwrap();
+        let current = fs::read(&path).unwrap();
         let stale = CacheLoad {
             stale: true,
             ..CacheLoad::default()
@@ -441,52 +437,70 @@ mod tests {
         let reconfigured = calibrator(400);
         assert_eq!(load(&path, &reconfigured).unwrap(), stale);
         assert_eq!(reconfigured.cache_len(), 0);
-        // The formats this module used to write, and one it never has:
-        // same fingerprint, same (parseable) records, another version.
-        for version in [1, 2, 3, 99] {
-            let other = current.replacen("hpcal 4 ", &format!("hpcal {version} "), 1);
-            assert_ne!(other, current);
+        // Same fingerprint, same rows, sealed, another version.
+        for version in [1u32, 4, 6, 99] {
+            let mut other = current.clone();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            other.truncate(other.len() - 4);
+            other.seal();
             fs::write(&path, other).unwrap();
             let warm = calibrator(300);
-            assert_eq!(load(&path, &warm).unwrap(), stale, "hpcal {version}");
-            assert_eq!(warm.cache_len(), 0, "hpcal {version}: nothing installed");
+            assert_eq!(load(&path, &warm).unwrap(), stale, "version {version}");
+            assert_eq!(warm.cache_len(), 0, "version {version}: nothing installed");
         }
+        // The text `hpcal 4` this module wrote before has no seal: it loads
+        // nothing and costs one rebuild.
+        let text = format!(
+            "hpcal 4 {:016x}\nR 10 30 95000 3fd0000000000000\n",
+            cold.fingerprint()
+        );
+        fs::write(&path, text).unwrap();
+        let warm = calibrator(300);
+        let err = load(&path, &warm).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(warm.cache_len(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_lines_and_rows_that_are_not_whole_are_skipped_and_cost_one_job() {
+    fn a_damaged_file_installs_nothing_and_a_row_that_is_not_whole_costs_one_job() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("cal.hpcal");
         let cold = calibrator(300);
         let truth = cold.threshold(10, 30, 0.9).unwrap();
         cold.threshold(10, 60, 0.9).unwrap();
         save(&path, &cold).unwrap();
-        let saved = fs::read_to_string(&path).unwrap();
+        let saved = fs::read(&path).unwrap();
 
-        // Lines that are no record of this version: too few fields, a
-        // version-3 entry, a malformed layer.
-        let junk = "not a record\nR 1 2 3\nE 10 30 18 95000 3fd0000000000000\nS 10 95000 bogus\n";
-        fs::write(&path, format!("{saved}{junk}")).unwrap();
-        let loaded = load(&path, &calibrator(300)).unwrap();
-        assert_eq!(
-            (loaded.installed, loaded.skipped, loaded.stale),
-            (2, 4, false)
-        );
+        // Cut, a byte flipped, junk appended: the seal fails, nothing goes in.
+        let cut = saved[..saved.len() / 2].to_vec();
+        let mut flipped = saved.clone();
+        flipped[saved.len() / 3] ^= 0x01;
+        let appended = [&saved[..], b"R 1 2 3\n"].concat();
+        for (what, damaged) in [("cut", cut), ("flipped", flipped), ("appended", appended)] {
+            fs::write(&path, damaged).unwrap();
+            let warm = calibrator(300);
+            let err = load(&path, &warm).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert_eq!(warm.cache_len(), 0, "{what}");
+        }
 
-        // A record that parses but is no whole row of this calibrator.
-        let row = saved.lines().nth(1).unwrap();
-        assert!(row.starts_with("R 10 30 95000,"), "{}", &row[..40]);
-        let value = format!(",{:016x}", cold.export_rows()[0].values[7].to_bits());
-        let with = |eps: f64| row.replacen(&value, &format!(",{:016x}", eps.to_bits()), 1);
-        for (what, broken) in [
-            ("a value short", row.rsplit_once(',').unwrap().0.to_string()),
-            ("a value long", format!("{row}{value}")),
-            ("NaN", with(f64::NAN)),
-            ("negative", with(-0.5)),
+        // A sealed file holding a row that is no whole row of this
+        // calibrator: the calibrator refuses that row alone.
+        let rows: Vec<CalibrationRow> = cold.export_rows().iter().map(|r| (**r).clone()).collect();
+        assert_eq!((rows[0].m, rows[0].k), (10, 30));
+        let broken = |change: &dyn Fn(&mut Vec<f64>)| {
+            let mut rows = rows.clone();
+            change(&mut rows[0].values);
+            rows
+        };
+        for (what, rows) in [
+            ("a value short", broken(&|v| v.truncate(v.len() - 1))),
+            ("a value long", broken(&|v| v.push(0.5))),
+            ("NaN", broken(&|v| v[7] = f64::NAN)),
+            ("negative", broken(&|v| v[7] = -0.5)),
         ] {
-            assert_ne!(broken, row, "{what}");
-            fs::write(&path, saved.replacen(row, &broken, 1)).unwrap();
+            fs::write(&path, encode(cold.fingerprint(), rows.iter(), None)).unwrap();
             let warm = calibrator(300);
             let loaded = load(&path, &warm).unwrap();
             assert_eq!((loaded.installed, loaded.skipped), (1, 1), "{what}");
@@ -507,9 +521,9 @@ mod tests {
         })
     }
 
-    /// Length and FNV-1a of an `hpcal` file holding rows below and on a
-    /// surface plus its layers, as computed at PR 25's parent, before
-    /// `publish` chose its own temp name: not a byte may move.
+    /// Length and FNV-1a of an `hpcal 5` file holding rows below and on a
+    /// surface plus its layers: the text `hpcal 4` file this test pinned
+    /// before, its records re-encoded by hand in the version-5 layout.
     #[test]
     fn hpcal_bytes_are_pinned() {
         let dir = tmp_dir("pinned");
@@ -521,25 +535,38 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         assert_eq!(
             (bytes.len(), fnv1a(&bytes)),
-            (30_883, 0x53c3_09c6_28d8_9880)
+            (15_177, 0x8fbf_01f8_d587_1f47)
         );
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every row as `(m, k, confidences, value bits)`, in the order held.
+    fn row_bits(cal: &ThresholdCalibrator) -> Vec<(u32, usize, Vec<u32>, Vec<u64>)> {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+        let rows = cal.export_rows();
+        rows.iter()
+            .map(|r| (r.m, r.k, r.confidences.clone(), bits(&r.values)))
+            .collect()
+    }
+
     proptest! {
-        /// Whatever happened to an `hpcal` file — cut, a byte flipped, any
-        /// field of any line replaced by a hostile number, a csv list one
-        /// value short or long — `load` returns a typed error (only for
-        /// bytes that are not text) or accounts for every record line,
-        /// and never panics. It cannot promise the *same* thresholds: the
-        /// format has no checksum (DESIGN.md, "On-disk formats").
+        /// Whatever happened to an `hpcal` file — cut, a byte flipped, or
+        /// any eight bytes overwritten by a hostile number — `load` returns
+        /// `InvalidData` or `stale` with nothing installed, or installs
+        /// every row and layer bit-equal to what was saved. With the seal
+        /// restamped over the overwrite, it still never panics and never
+        /// allocates past what the bytes hold.
         #[test]
         fn load_survives_hostile_bytes(
-            mangle in (0u8..4, any::<usize>(), any::<u64>()),
-            hex in any::<bool>(),
+            mangle in (0u8..4, any::<usize>()),
+            value in (0u8..3, any::<u64>()).prop_map(|(kind, raw)| match kind {
+                0 => raw,
+                1 => raw % 64,
+                _ => u64::MAX - raw % 64,
+            }),
         ) {
-            static GENUINE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
-            let genuine = GENUINE.get_or_init(|| {
+            static GENUINE: std::sync::OnceLock<(Vec<u8>, ThresholdCalibrator)> = std::sync::OnceLock::new();
+            let (genuine, saved) = GENUINE.get_or_init(|| {
                 let dir = tmp_dir("hostile-genuine");
                 let cal = surfaced_calibrator(200);
                 cal.ensure_surface_for(10).unwrap();
@@ -547,40 +574,45 @@ mod tests {
                 save(&dir.join("cal.hpcal"), &cal).unwrap();
                 let bytes = fs::read(dir.join("cal.hpcal")).unwrap();
                 let _ = fs::remove_dir_all(&dir);
-                bytes
+                (bytes, cal)
             });
-            let (kind, at, value) = mangle;
+            let (kind, at) = mangle;
             let mut bytes = genuine.clone();
-            let separators = |b: &u8| b" ,\n".contains(b);
-            let fields: Vec<usize> = (1..bytes.len())
-                .filter(|&i| separators(&bytes[i - 1]) && !separators(&bytes[i]))
-                .collect();
-            let start = fields[at % fields.len()];
-            let end = bytes[start..].iter().position(separators).map_or(bytes.len(), |n| start + n);
             match kind {
                 0 => bytes.truncate(at % bytes.len()),
                 1 => {
                     let at = at % bytes.len();
                     bytes[at] ^= (value as u8).max(1);
                 }
-                2 => {
-                    let field = if hex { format!("{value:016x}") } else { (value % 1_000).to_string() };
-                    bytes.splice(start..end, field.into_bytes()).for_each(drop);
+                _ => {
+                    let at = at % (bytes.len() - 7);
+                    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    if kind == 3 {
+                        bytes.truncate(bytes.len() - 4);
+                        bytes.seal();
+                    }
                 }
-                _ if hex => bytes.splice(start..(end + 1).min(bytes.len()), []).for_each(drop),
-                _ => bytes.splice(start..start, b"3fd0000000000000,".iter().copied()).for_each(drop),
             }
             let dir = tmp_dir("hostile");
             let path = dir.join("cal.hpcal");
             fs::write(&path, &bytes).unwrap();
-            match load(&path, &surfaced_calibrator(200)) {
-                Ok(loaded) => {
-                    let records = bytes.split(|&b| b == b'\n').skip(1).filter(|l| !l.is_empty()).count();
-                    prop_assert!(loaded.stale || loaded.installed + loaded.skipped + loaded.surface_layers <= records);
-                }
-                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
-            }
+            let warm = surfaced_calibrator(200);
+            let loaded = load(&path, &warm);
             let _ = fs::remove_dir_all(&dir);
+            match loaded {
+                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e),
+                Ok(loaded) if kind == 3 => prop_assert!(!loaded.stale || warm.cache_len() == 0),
+                Ok(loaded) if loaded.stale => prop_assert_eq!(warm.cache_len(), 0),
+                Ok(loaded) => {
+                    prop_assert_eq!(loaded, CacheLoad {
+                        installed: saved.export_rows().len(),
+                        surface_layers: saved.surface().unwrap().layers().len(),
+                        ..CacheLoad::default()
+                    });
+                    prop_assert!(row_bits(&warm) == row_bits(saved), "rows differ");
+                    prop_assert!(warm.surface().unwrap().layers() == saved.surface().unwrap().layers());
+                }
+            }
         }
     }
 
@@ -593,12 +625,12 @@ mod tests {
         cal.threshold(10, 30, 0.9).unwrap();
         save(&path, &cal).unwrap();
         // A crash after the temp's first write and before its rename.
-        fs::write(&temp, "hpcal 4 ").unwrap();
+        fs::write(&temp, b"HPCL\x05").unwrap();
         assert_eq!(load(&path, &calibrator(300)).unwrap().installed, 1);
         assert!(!temp.exists(), "stale temp beside a published cache");
         // The same crash during the first save a deployment ever ran.
         fs::remove_file(&path).unwrap();
-        fs::write(&temp, "hpcal 4 ").unwrap();
+        fs::write(&temp, b"HPCL\x05").unwrap();
         assert_eq!(load(&path, &calibrator(300)).unwrap(), CacheLoad::default());
         assert!(!temp.exists(), "stale temp and no cache");
         let _ = fs::remove_dir_all(&dir);

@@ -22,8 +22,9 @@
 //! ```
 //!
 //! The header, the record frame, the torn-tail scan, the error and the
-//! durable create are [`hp_store::durable`]'s; this module owns the
-//! payload, the versions and the trusted-offset arithmetic.
+//! durable create are [`hp_store::durable`]'s, and the payload is the
+//! feedback record of [`hp_store::persist`]; this module owns the
+//! versions and the trusted-offset arithmetic.
 //!
 //! A fresh journal is always v1. The v2 header exists only for
 //! *compacted* journals ([`FileJournal::compact_to`]): once a snapshot
@@ -46,8 +47,9 @@
 //! *before* the tail is indistinguishable from a torn tail only if every
 //! later record is also discarded, which is what truncation does.
 
-use hp_core::{ClientId, Feedback, Rating, ServerId};
+use hp_core::Feedback;
 use hp_store::durable::{self, publish, Error, Put, Reader};
+use hp_store::persist::{decode_feedback, encode_feedback, FEEDBACK_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -58,11 +60,10 @@ const VERSION: u32 = 1;
 const VERSION_COMPACTED: u32 = 2;
 const HEADER_LEN: u64 = 16;
 const HEADER_LEN_COMPACTED: u64 = 24;
-const RECORD_PAYLOAD_LEN: usize = 25;
 const FRAME_LEN: usize = 8;
 
 /// On-disk size of one framed record (frame + payload).
-pub const RECORD_LEN: u64 = (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64;
+pub const RECORD_LEN: u64 = (FRAME_LEN + FEEDBACK_LEN) as u64;
 
 /// When the journal asks the OS to make appended records durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,31 +109,6 @@ pub struct AppendInfo {
     pub synced: bool,
     /// Time the fsync took, in nanoseconds (`0` when `!synced`).
     pub sync_ns: u64,
-}
-
-fn encode_payload(f: &Feedback) -> [u8; RECORD_PAYLOAD_LEN] {
-    let mut buf = [0u8; RECORD_PAYLOAD_LEN];
-    buf[0..8].copy_from_slice(&f.time.to_le_bytes());
-    buf[8..16].copy_from_slice(&f.server.value().to_le_bytes());
-    buf[16..24].copy_from_slice(&f.client.value().to_le_bytes());
-    buf[24] = u8::from(f.is_good());
-    buf
-}
-
-fn decode_payload(buf: &[u8]) -> Option<Feedback> {
-    let buf: &[u8; RECORD_PAYLOAD_LEN] = buf.try_into().ok()?;
-    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
-    let rating = match buf[24] {
-        0 => Rating::Negative,
-        1 => Rating::Positive,
-        _ => return None,
-    };
-    Some(Feedback::new(
-        word(0),
-        ServerId::new(word(8)),
-        ClientId::new(word(16)),
-        rating,
-    ))
 }
 
 /// The v1 header, or the v2 header of a journal compacted to `base`.
@@ -218,7 +194,7 @@ pub fn read_journal_from(
     let mut records = Reader::new(path, &data, start);
     let mut feedbacks = Vec::new();
     let torn = records.scan_frames(|payload| {
-        feedbacks.push(decode_payload(payload).ok_or("checksummed but undecodable record")?);
+        feedbacks.push(decode_feedback(payload).ok_or("checksummed but undecodable record")?);
         Ok(())
     });
     Ok(Recovered {
@@ -338,7 +314,7 @@ impl FileJournal {
         let records: usize = batches.iter().map(|b| b.as_ref().len()).sum();
         let mut frames = Vec::with_capacity(records * RECORD_LEN as usize);
         for feedback in batches.iter().flat_map(AsRef::as_ref) {
-            frames.put_frame(&encode_payload(feedback));
+            frames.put_frame(&encode_feedback(feedback));
         }
         let mut info = AppendInfo {
             records: records as u64,
@@ -438,6 +414,7 @@ impl FileJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hp_core::{ClientId, Rating, ServerId};
     use proptest::prelude::*;
 
     fn feedback(t: u64, good: bool) -> Feedback {
@@ -522,10 +499,7 @@ mod tests {
 
         let recovered = read_journal(&path, Some((1, 2))).unwrap();
         assert_eq!(recovered.feedbacks, batch[..9].to_vec());
-        assert_eq!(
-            recovered.torn_bytes,
-            (FRAME_LEN + RECORD_PAYLOAD_LEN) as u64 - 5
-        );
+        assert_eq!(recovered.torn_bytes, (FRAME_LEN + FEEDBACK_LEN) as u64 - 5);
 
         // Re-open truncates the tear; appends then continue cleanly.
         let (mut journal, recovered) =
@@ -551,7 +525,7 @@ mod tests {
         }
         // Flip one payload byte in the third record.
         let mut data = std::fs::read(&path).unwrap();
-        let third_payload = HEADER_LEN as usize + 2 * (FRAME_LEN + RECORD_PAYLOAD_LEN) + FRAME_LEN;
+        let third_payload = HEADER_LEN as usize + 2 * (FRAME_LEN + FEEDBACK_LEN) + FRAME_LEN;
         data[third_payload] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
 
@@ -695,7 +669,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A manifest line whose CRC holds can carry any offset. One whose
+    /// A manifest whose seal holds can carry any offset. One whose
     /// product with `RECORD_LEN` wraps (here to 10 mod 2⁶⁴) used to pass
     /// the bounds check, start the scan mid-record and cut the file to 26
     /// bytes — 0 of 40 records left (a panic in debug). It falls back to

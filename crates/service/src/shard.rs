@@ -1213,8 +1213,9 @@ fn write_checkpoint(
             // live segment reference is covered by the snapshot just
             // written (tiering runs before checkpointing), so segments
             // below the oldest retained snapshot's floor are dead. No
-            // floor is known while any retained snapshot predates
-            // manifest v2 — reclamation simply waits it out.
+            // floor is known while any retained snapshot was found by the
+            // directory scan rather than the manifest (its `min_seg` is
+            // unknown) — reclamation simply waits it out.
             if let Some(tiering) = &ctx.tiering {
                 if let (Some(cold), Some(floor)) = (&tiering.cold, store.segment_floor()) {
                     let _ = cold.lock().remove_below(floor);

@@ -16,15 +16,15 @@
 //!
 //! * `shard-<i>-<seq:016x>.hps` — snapshot files, one per checkpoint,
 //!   newest `seq` wins, published through [`durable::publish`].
-//! * `shard-<i>.manifest` — a small text file listing the retained
+//! * `shard-<i>.manifest` — a small sealed file listing the retained
 //!   snapshots with the journal offset each one covers and the lowest
-//!   cold-segment sequence it references. Every entry line carries its
-//!   own CRC so a torn or bit-flipped manifest degrades to "fewer known
-//!   snapshots", never to a wrong offset. Republished after every
-//!   checkpoint.
+//!   cold-segment sequence it references. A torn or bit-flipped manifest
+//!   fails its seal and degrades to the directory scan (snapshots whose
+//!   offsets are unknown until loaded), never to a wrong offset.
+//!   Republished after every checkpoint.
 //!
-//! The header, the sealed body, the per-line CRC, the name scan, the
-//! bounded reader and the error are [`hp_store::durable`]'s.
+//! The header, the sealed body, the name scan, the bounded reader and
+//! the error are [`hp_store::durable`]'s.
 //!
 //! # Snapshot file format (version 2)
 //!
@@ -47,6 +47,17 @@
 //! a full replay. Version-1 files (untiered histories) are rejected as
 //! an unknown version and recovery falls down the chain to journal
 //! replay — an upgrade costs one full re-fold, never a misread.
+//!
+//! # Manifest format (version 3)
+//!
+//! ```text
+//! magic "HPSM" | version u32 | shard u32 | shards u32 | count u64
+//! per retained snapshot (newest first): seq u64 | journal_records u64 | min_seg u64
+//! trailer: crc32 (u32 LE) over everything before it
+//! ```
+//!
+//! A snapshot's file name is derived from its `seq`. A manifest of any
+//! other version (the text `hpman 2` included) reads like a missing one.
 //!
 //! # Cold-segment garbage collection
 //!
@@ -90,8 +101,10 @@ const TRUST_AVERAGE: u8 = 0;
 const TRUST_WEIGHTED: u8 = 1;
 const RESIDENCY_HOT: u8 = 0;
 const RESIDENCY_SPILLED: u8 = 1;
-const MANIFEST_MAGIC: &str = "hpman";
-const MANIFEST_VERSION: u32 = 2;
+const MANIFEST_MAGIC: [u8; 4] = *b"HPSM";
+const MANIFEST_VERSION: u32 = 3;
+/// Bytes of one manifest entry: `seq`, `journal_records`, `min_seg`.
+const MANIFEST_ENTRY_LEN: usize = 24;
 /// `min_seg` sentinel: the snapshot references no cold segments, so
 /// every sealed segment is below its floor.
 const NO_SEGMENTS: u64 = u64::MAX;
@@ -116,8 +129,6 @@ pub(crate) struct ManifestEntry {
     /// scan-discovered entries — which conservatively disables segment
     /// garbage collection until they rotate out of retention.
     pub min_seg: Option<u64>,
-    /// File name within the store directory.
-    pub file: String,
 }
 
 /// A successfully decoded snapshot.
@@ -158,23 +169,25 @@ pub(crate) struct SnapshotStore {
 
 impl SnapshotStore {
     /// Opens (creating the directory if needed) and indexes the shard's
-    /// snapshots: the union of the manifest's valid lines and a
-    /// directory scan for `shard-<i>-*.hps`, newest first. Unreadable
-    /// manifests degrade to the scan alone. The temps a crash left of
-    /// this shard's snapshots and manifest are deleted.
+    /// snapshots: the union of the manifest's entries and a directory
+    /// scan for `shard-<i>-*.hps`, newest first. A manifest that is
+    /// missing or fails its seal or header degrades to the scan alone.
+    /// The temps a crash left of this shard's snapshots and manifest are
+    /// deleted.
     pub fn open(dir: &Path, shard: u32, shards: u32) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
         let manifest = manifest_path(dir, shard);
         durable::remove([durable::temp_path(&manifest)])?;
-        let text = fs::read_to_string(&manifest).unwrap_or_default();
-        let mut entries = read_manifest(&text, shard, shards);
-        for (seq, file) in durable::scan_numbered(dir, &format!("shard-{shard}-"), ".hps")? {
+        let mut entries = fs::read(&manifest)
+            .ok()
+            .and_then(|bytes| read_manifest(&manifest, &bytes, shard, shards).ok())
+            .unwrap_or_default();
+        for (seq, _) in durable::scan_numbered(dir, &format!("shard-{shard}-"), ".hps")? {
             if !entries.iter().any(|e| e.seq == seq) {
                 entries.push(ManifestEntry {
                     seq,
                     journal_records: None,
                     min_seg: None,
-                    file,
                 });
             }
         }
@@ -192,8 +205,8 @@ impl SnapshotStore {
     /// The highest journal offset any *manifest-recorded* snapshot
     /// covers. Safe to trust when opening the journal (skip CRC-scanning
     /// that prefix): manifests are written only after the snapshot and
-    /// the journal up to that offset are durable, and each manifest line
-    /// carries its own CRC.
+    /// the journal up to that offset are durable, and are read only when
+    /// their seal holds.
     pub fn newest_offset(&self) -> Option<u64> {
         self.entries.iter().filter_map(|e| e.journal_records).max()
     }
@@ -240,8 +253,7 @@ impl SnapshotStore {
     ) -> Result<SnapshotInfo, Error> {
         let seq = self.next_seq;
         let (bytes, min_seg) = encode(self.shard, self.shards, seq, journal_records, states);
-        let name = snapshot_file_name(self.shard, seq);
-        publish(&self.dir.join(&name), |file| file.write_all(&bytes))?;
+        publish(&self.path(seq), |file| file.write_all(&bytes))?;
         self.next_seq = seq + 1;
         self.entries.insert(
             0,
@@ -249,12 +261,11 @@ impl SnapshotStore {
                 seq,
                 journal_records: Some(journal_records),
                 min_seg: Some(min_seg),
-                file: name,
             },
         );
         let evicted = self.entries.split_off(RETAIN.min(self.entries.len()));
         self.write_manifest()?;
-        let _ = durable::remove(evicted.iter().map(|e| self.dir.join(&e.file)));
+        let _ = durable::remove(evicted.iter().map(|e| self.path(e.seq)));
         Ok(SnapshotInfo {
             bytes: bytes.len() as u64,
             journal_records,
@@ -265,7 +276,7 @@ impl SnapshotStore {
     /// returns [`Error::Corrupt`] (or `Io` when the file is unreadable)
     /// so the caller can fall down the chain.
     pub fn load(&self, entry: &ManifestEntry, model: TrustModel) -> Result<LoadedSnapshot, Error> {
-        let path = self.dir.join(&entry.file);
+        let path = self.path(entry.seq);
         let loaded = decode(&fs::read(&path)?, &path, self.shard, self.shards, model)?;
         if loaded.seq != entry.seq {
             return Err(Error::corrupt(
@@ -277,20 +288,28 @@ impl SnapshotStore {
         Ok(loaded)
     }
 
+    fn path(&self, seq: u64) -> PathBuf {
+        self.dir.join(snapshot_file_name(self.shard, seq))
+    }
+
+    /// Publishes the entries whose offsets are known (scan-discovered ones
+    /// stay out until they rotate away).
     fn write_manifest(&self) -> std::io::Result<()> {
-        let mut text = format!(
-            "{MANIFEST_MAGIC} {MANIFEST_VERSION} {} {}\n",
-            self.shard, self.shards
-        );
-        for e in &self.entries {
-            if let (Some(records), Some(min_seg)) = (e.journal_records, e.min_seg) {
-                let line = format!("{:016x} {records} {min_seg} {}", e.seq, e.file);
-                text.push_str(&durable::seal_line(&line));
-                text.push('\n');
-            }
+        let known: Vec<[u64; 3]> = self
+            .entries
+            .iter()
+            .filter_map(|e| Some([e.seq, e.journal_records?, e.min_seg?]))
+            .collect();
+        let mut bytes = Vec::new();
+        bytes.put_header(&MANIFEST_MAGIC, MANIFEST_VERSION, self.shard);
+        bytes.put_u32(self.shards);
+        bytes.put_u64(known.len() as u64);
+        for &field in known.iter().flatten() {
+            bytes.put_u64(field);
         }
-        publish(&manifest_path(&self.dir, self.shard), |file| {
-            file.write_all(text.as_bytes())
+        bytes.seal();
+        publish(&manifest_path(&self.dir, self.shard), |f| {
+            f.write_all(&bytes)
         })
     }
 }
@@ -303,32 +322,34 @@ fn snapshot_file_name(shard: u32, seq: u64) -> String {
     durable::numbered(&format!("shard-{shard}-"), seq, ".hps")
 }
 
-/// Parses manifest `text`, dropping anything suspect: wrong magic, wrong
-/// shard identity, or any line whose CRC does not match. A manifest
-/// that lies about offsets is worse than no manifest — the per-line CRC
-/// makes a bit flip degrade to a forgotten entry instead.
-fn read_manifest(text: &str, shard: u32, shards: u32) -> Vec<ManifestEntry> {
-    let mut lines = text.lines();
-    let header = format!("{MANIFEST_MAGIC} {MANIFEST_VERSION} {shard} {shards}");
-    if !lines
-        .next()
-        .is_some_and(|line| line.split_whitespace().eq(header.split(' ')))
-    {
-        return Vec::new();
+/// The entries of the manifest `bytes` of `file`, refused whole when the
+/// seal, the header or the shard topology does not hold: a manifest that
+/// lies about offsets is worse than none, and none is the directory scan.
+fn read_manifest(
+    file: &Path,
+    bytes: &[u8],
+    shard: u32,
+    shards: u32,
+) -> Result<Vec<ManifestEntry>, Error> {
+    let mut r = Reader::sealed(file, bytes)?;
+    r.header(&MANIFEST_MAGIC, &[MANIFEST_VERSION], Some(shard))?;
+    if r.u32("truncated header")? != shards {
+        return Err(r.corrupt("manifest of another shard count"));
     }
-    let entry = |line: &str| {
-        let fields: Vec<&str> = durable::unseal_line(line)?.split_whitespace().collect();
-        let [seq, records, min_seg, file] = fields[..] else {
-            return None;
-        };
-        Some(ManifestEntry {
-            seq: u64::from_str_radix(seq, 16).ok()?,
-            journal_records: Some(records.parse().ok()?),
-            min_seg: Some(min_seg.parse().ok()?),
-            file: file.to_string(),
+    let count = r.count(MANIFEST_ENTRY_LEN, "entry count past the end")?;
+    let entries = (0..count)
+        .map(|_| {
+            Ok(ManifestEntry {
+                seq: r.u64("torn entry")?,
+                journal_records: Some(r.u64("torn entry")?),
+                min_seg: Some(r.u64("torn entry")?),
+            })
         })
-    };
-    lines.filter_map(entry).collect()
+        .collect::<Result<Vec<_>, Error>>()?;
+    if r.remaining() > 0 {
+        return Err(r.corrupt("bytes past the last entry"));
+    }
+    Ok(entries)
 }
 
 /// Serializes the full state map. Servers are emitted in ascending id
@@ -885,24 +906,43 @@ mod tests {
     }
 
     #[test]
-    fn manifest_line_bit_flip_drops_only_that_entry() {
+    fn every_manifest_byte_flip_degrades_to_the_scan() {
         let dir = temp_dir("manifest-flip");
         let model = TrustModel::Average;
         let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
         store.write(&build_states(model, 30), 30).unwrap();
         store.write(&build_states(model, 60), 60).unwrap();
         let path = manifest_path(&dir, 0);
-        let mut text = fs::read_to_string(&path).unwrap();
-        // Corrupt the newest entry's offset digits (line 2).
-        let lines: Vec<&str> = text.lines().collect();
-        let bad = lines[1].replace("60", "99");
-        text = format!("{}\n{}\n{}\n", lines[0], bad, lines[2]);
-        fs::write(&path, text).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(
+            read_manifest(&path, &bytes, 0, 1).unwrap(),
+            store.candidates()
+        );
+        assert!(
+            read_manifest(&path, &bytes, 1, 1).is_err(),
+            "another shard's"
+        );
+        assert!(
+            read_manifest(&path, &bytes, 0, 2).is_err(),
+            "another topology's"
+        );
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x10;
+            assert!(
+                read_manifest(&path, &bad, 0, 1).is_err(),
+                "flip at {at} must be rejected"
+            );
+        }
+        // The store opened over a flipped manifest knows both snapshots by
+        // the scan, and none of their offsets.
+        let mut bad = bytes;
+        bad[30] ^= 0x10;
+        fs::write(&path, bad).unwrap();
         let reopened = SnapshotStore::open(&dir, 0, 1).unwrap();
-        // The flipped line fails its CRC: its offset is forgotten, and the
-        // file resurfaces via the scan with an unknown offset.
-        assert_eq!(reopened.newest_offset(), Some(30));
-        assert_eq!(reopened.candidates().len(), 2);
+        assert_eq!(reopened.newest_offset(), None);
+        let seqs: Vec<u64> = reopened.candidates().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 0]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -965,9 +1005,9 @@ mod tests {
     }
 
     /// Length and FNV-1a of a snapshot holding hot (folded) and spilled
-    /// servers under each trust model, and of the manifest naming both, as
-    /// computed at PR 25's parent, before snapshots and manifests were
-    /// ported onto `hp_store::durable`: the port must not move a byte.
+    /// servers under each trust model, as computed before snapshots were
+    /// ported onto `hp_store::durable`: not a byte may move. And of the
+    /// version-3 manifest naming both, built by hand from its layout.
     #[test]
     fn snapshot_and_manifest_bytes_are_pinned() {
         let dir = temp_dir("pinned");
@@ -1000,7 +1040,7 @@ mod tests {
         let manifest = fs::read(manifest_path(&dir, 2)).unwrap();
         assert_eq!(
             (manifest.len(), fnv1a(&manifest)),
-            (136, 0x05ea_f788_f395_e3e8)
+            (76, 0x88b4_f3b6_fa7e_73dc)
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1160,51 +1200,47 @@ mod tests {
             }
         }
 
-        /// Whatever happened to a manifest — cut, a byte flipped, or any
-        /// token of a line (sequence, journal offset, segment floor, file
-        /// name) replaced by a hostile number — `read_manifest` returns
-        /// only entries that were written, in order: a line that lies
-        /// fails its CRC and is forgotten.
+        /// Whatever happened to a manifest — cut, a byte flipped, any
+        /// eight bytes overwritten by a hostile number, or its count so
+        /// overwritten and the seal restamped — `read_manifest` refuses it
+        /// (the store then falls back to the directory scan) or returns
+        /// exactly the entries written: never another offset.
         #[test]
         fn read_manifest_survives_hostile_bytes(
-            mangle in (0u8..3, any::<usize>(), hostile()),
-            hex in any::<bool>(),
+            mangle in (0u8..4, any::<usize>(), hostile()),
         ) {
-            static GENUINE: std::sync::OnceLock<(String, Vec<ManifestEntry>)> = std::sync::OnceLock::new();
-            let (text, entries) = GENUINE.get_or_init(|| {
+            static GENUINE: std::sync::OnceLock<(Vec<u8>, Vec<ManifestEntry>)> = std::sync::OnceLock::new();
+            let (genuine, entries) = GENUINE.get_or_init(|| {
                 let dir = temp_dir("manifest-genuine");
                 let mut store = SnapshotStore::open(&dir, 0, 1).unwrap();
                 for k in 1..=3 {
                     store.write(&build_states(TrustModel::Average, 10 * k), 10 * k as u64).unwrap();
                 }
-                let text = fs::read_to_string(manifest_path(&dir, 0)).unwrap();
+                let bytes = fs::read(manifest_path(&dir, 0)).unwrap();
                 let _ = fs::remove_dir_all(&dir);
-                let entries = read_manifest(&text, 0, 1);
-                assert_eq!(entries.len(), RETAIN);
-                (text, entries)
+                assert_eq!(store.candidates().len(), RETAIN);
+                (bytes, store.candidates())
             });
             let (kind, at, value) = mangle;
-            let mut bytes = text.clone().into_bytes();
+            let mut bytes = genuine.clone();
             match kind {
                 0 => bytes.truncate(at % bytes.len()),
                 1 => {
                     let at = at % bytes.len();
                     bytes[at] ^= (value as u8).max(1);
                 }
+                2 => {
+                    let at = at % (bytes.len() - 7);
+                    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                }
                 _ => {
-                    let tokens: Vec<usize> = (1..bytes.len())
-                        .filter(|&i| bytes[i - 1].is_ascii_whitespace() && !bytes[i].is_ascii_whitespace())
-                        .collect();
-                    let start = tokens[at % tokens.len()];
-                    let end = bytes[start..].iter().position(u8::is_ascii_whitespace).map_or(bytes.len(), |n| start + n);
-                    let token = if hex { format!("{value:016x}") } else { value.to_string() };
-                    bytes.splice(start..end, token.into_bytes()).for_each(drop);
+                    bytes[16..24].copy_from_slice(&value.to_le_bytes());
+                    bytes.truncate(bytes.len() - 4);
+                    bytes.seal();
                 }
             }
-            let read = read_manifest(&String::from_utf8_lossy(&bytes), 0, 1);
-            let mut written = entries.iter();
-            for entry in &read {
-                prop_assert!(written.any(|w| w == entry), "{entry:?} was never written");
+            if let Ok(read) = read_manifest(Path::new("m"), &bytes, 0, 1) {
+                prop_assert_eq!(&read, entries, "{kind} at {at}: {value:#x}");
             }
         }
     }

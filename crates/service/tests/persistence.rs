@@ -2,7 +2,7 @@
 //! recalibrate online, and warm verdicts must stay bit-identical to cold
 //! ones (the persisted thresholds round-trip as raw f64 bits).
 
-use hp_core::testing::BehaviorTestConfig;
+use hp_core::testing::{BehaviorTestConfig, TestReport};
 use hp_core::{ClientId, Feedback, Rating, ServerId};
 use hp_service::{ReputationService, ServiceConfig, SurfaceParams};
 use std::path::PathBuf;
@@ -76,6 +76,51 @@ fn warm_restart_never_recalibrates_and_verdicts_are_bit_identical() {
         *warm_verdict, *cold_verdict,
         "warm verdicts must be bit-identical to cold ones"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache damaged on disk costs a rebuild, never a verdict: one byte
+/// flipped inside the threshold a cold verdict turned on, and the warm
+/// boot answers bit-identically to the cold one after the same row jobs.
+#[test]
+fn a_flipped_threshold_in_the_cache_is_never_served() {
+    let dir = tmp_dir("flipped");
+    let cache = dir.join("calibration.hpcal");
+    // Without a surface every threshold is a row value, as the file holds it.
+    let config = config(cache.clone()).with_calibration_surface(None);
+    let server = ServerId::new(77);
+    let boot = || {
+        let service = ReputationService::new(config.clone()).unwrap();
+        service.ingest_batch(feedbacks(server, 500)).unwrap();
+        let verdict = service.assess(server).unwrap();
+        let jobs = service.stats().calibration_oracle_jobs;
+        service.shutdown();
+        (verdict, jobs)
+    };
+    let (cold, cold_jobs) = boot();
+    assert!(cold_jobs > 0, "cold boot calibrates");
+
+    let TestReport::MultiSummary(summary) = cold.report() else {
+        panic!("the service serves multi-test summaries");
+    };
+    let binding = summary.binding.as_ref().expect("a binding suffix");
+    let threshold = binding.report.threshold.expect("a conclusive suffix");
+    let needle = threshold.to_bits().to_le_bytes();
+    let mut bytes = std::fs::read(&cache).unwrap();
+    let found: Vec<usize> = (0..bytes.len().saturating_sub(7))
+        .filter(|&at| bytes[at..at + 8] == needle)
+        .collect();
+    assert_eq!(found.len(), 1, "the binding threshold is held once");
+    // A low mantissa byte: the value stays a finite, non-negative threshold.
+    bytes[found[0] + 2] ^= 0x01;
+    std::fs::write(&cache, bytes).unwrap();
+
+    let (warm, warm_jobs) = boot();
+    assert_eq!(
+        *warm, *cold,
+        "warm verdicts must be bit-identical to cold ones"
+    );
+    assert_eq!(warm_jobs, cold_jobs, "the damaged file installed nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

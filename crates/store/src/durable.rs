@@ -3,10 +3,11 @@
 //! and one seam to inject I/O faults at: the header `magic | version u32 |
 //! shard u32 | …` and the frame `len u32 | crc32 u32 | payload` ([`Put`],
 //! [`Reader::header`], [`Reader::frame`]) with one torn-tail scan
-//! ([`Reader::scan_frames`]); the sealed body and line ([`Put::seal`],
-//! [`Reader::sealed`], [`seal_line`]); one bounded [`Reader`] and one
-//! [`Error`]; one numbered-file scan ([`scan_numbered`]); and one durable
-//! create and delete ([`publish`], [`remove`]).
+//! ([`Reader::scan_frames`]); the sealed body ([`Put::seal`],
+//! [`Reader::sealed`]) that every file not made of frames is; one bounded
+//! [`Reader`] and one [`Error`]; one numbered-file scan
+//! ([`scan_numbered`]); and one durable create and delete ([`publish`],
+//! [`remove`]).
 
 use std::fmt;
 use std::fs::{self, File};
@@ -51,8 +52,8 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE) of `data`, the checksum of every frame, sealed body and
-/// manifest line (`crc32(b"123456789") == 0xCBF4_3926`).
+/// CRC-32 (IEEE) of `data`, the checksum of every frame and sealed body
+/// (`crc32(b"123456789") == 0xCBF4_3926`).
 fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
@@ -336,18 +337,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// `line` behind its CRC as 8 hex digits and a space: one checksummed
-/// text line.
-pub fn seal_line(line: &str) -> String {
-    format!("{:08x} {line}", crc32(line.as_bytes()))
-}
-
-/// The line inside a [`seal_line`], when its CRC holds.
-pub fn unseal_line(sealed: &str) -> Option<&str> {
-    let (crc, line) = sealed.split_once(' ')?;
-    (u32::from_str_radix(crc, 16).ok()? == crc32(line.as_bytes())).then_some(line)
-}
-
 /// `<prefix><n as 16 hex digits><suffix>`: the name of numbered file `n`,
 /// which [`scan_numbered`] finds again.
 pub fn numbered(prefix: &str, n: u64, suffix: &str) -> String {
@@ -532,10 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn sealed_lines_and_bodies_refuse_any_flip() {
-        let line = seal_line("0000000000000003 120 18446744073709551615 shard-0-03.hps");
-        assert!(line.starts_with(&format!("{:08x} ", crc32(&line.as_bytes()[9..]))));
-        assert_eq!(unseal_line(&line), Some(&line[9..]));
+    fn sealed_bodies_refuse_any_flip() {
         let mut body = b"a sealed body".to_vec();
         body.seal();
         assert_eq!(
@@ -549,10 +535,6 @@ mod tests {
                 Reader::sealed(Path::new("f"), &flipped).is_err(),
                 "flip at {at}"
             );
-            let mut flipped = line.clone().into_bytes();
-            flipped[at] ^= 0x01;
-            let flipped = String::from_utf8(flipped).unwrap();
-            assert_eq!(unseal_line(&flipped), None, "flip at {at}");
         }
     }
 

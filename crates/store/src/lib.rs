@@ -20,11 +20,12 @@
 //! service runs, never compacted, beside a time column the engine owns —
 //! and materialized to rows only at the query edge.
 //!
-//! Feedback logs can be checkpointed to and replayed from a flat CSV
-//! format via [`persist`]. Evicted histories spill to [`segment`] files;
-//! [`durable`] holds the record-format rules every on-disk format of the
-//! workspace shares: header, CRC frame, sealed body, bounded reader, the
-//! one corruption error, and the durable create and delete.
+//! Feedback logs are checkpointed to and replayed from one sealed file
+//! via [`persist`], whose 25-byte record is also the service journal's
+//! payload. Evicted histories spill to [`segment`] files; [`durable`]
+//! holds the record-format rules every on-disk format of the workspace
+//! shares: header, CRC frame, sealed body, bounded reader, the one
+//! corruption error, and the durable create and delete.
 //!
 //! ## Example
 //!
@@ -62,7 +63,7 @@ mod store;
 pub use engine::HistoryEngine;
 pub use memory::MemoryStore;
 pub use partial::PartialStore;
-pub use persist::{load_feedback, read_feedback, save_feedback, write_feedback, PersistError};
+pub use persist::{load_feedback, save_feedback};
 pub use ring::{HashRing, NodeId};
 pub use segment::{ColdStore, SegmentRef};
 pub use sharded::{ShardedStore, ShardedStoreConfig};

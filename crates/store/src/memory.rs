@@ -102,10 +102,7 @@ mod tests {
         store.append(fb(0, 5, true));
         store.append(fb(1, 2, true));
         store.append(fb(2, 5, true));
-        assert_eq!(
-            store.servers(),
-            vec![ServerId::new(2), ServerId::new(5)]
-        );
+        assert_eq!(store.servers(), vec![ServerId::new(2), ServerId::new(5)]);
     }
 
     #[test]
