@@ -10,9 +10,13 @@
 //! fit 20 bits, and with ids over all 64. The ceilings are the measured
 //! heap plus at most 3 %; the full-width ones are the ceilings the column
 //! met before ids and codes were bit-packed, so no input got fatter.
+//! The reported bytes per server are held to 110 % of the figures the
+//! layout met, and a history decoded from its bytes must do the resident
+//! one's work.
 
 use hp_core::history::HistoryView;
-use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory};
+use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest};
+use hp_core::{ClientId, Feedback, Rating, ServerId, TieredHistory, TransactionHistory};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -373,4 +377,128 @@ proptest! {
         never.compact(fold_after);
         assert_same_history(&cut, &never);
     }
+}
+
+/// Feedbacks in the classic single-server stream.
+const N: u64 = 10_000;
+/// The tiered figures are taken at 10× that length: memory must track the
+/// retained suffix, not the history.
+const N10: u64 = 10 * N;
+/// The service's default assessment horizon.
+const HORIZON: usize = 2048;
+/// Feedbacks in one `deep_assess` server of the repo benchmark.
+const DEEP: u64 = 20_000;
+
+/// Each ceiling is 110 % of the figure measured when it was set, the
+/// figure written beside it.
+const MAX_COLUMNAR_BYTES: f64 = 1.10 * 14_416.0;
+const MAX_COLUMNAR_DISTINCT_BYTES: f64 = 1.10 * 134_240.0;
+const MAX_COLUMNAR_LOAD_IDS_BYTES: f64 = 1.10 * 135_256.0;
+const MAX_TIERED_BYTES: f64 = 1.10 * 5_200.0;
+/// The row store holds at least this many times the columnar bytes.
+const MIN_ROWS_OVER_COLUMNAR: f64 = 4.0;
+/// A compacted history holds at most this share of the untiered bytes.
+const MAX_TIERED_OVER_UNTIERED: f64 = 0.25;
+
+/// One server's worth of feedback: skewed issuers (one heavy client, a
+/// small honest pool).
+fn skewed_stream(n: u64) -> impl Iterator<Item = Feedback> {
+    (0..n).map(|t| {
+        let client = if t % 3 == 0 { 997 } else { t % 23 };
+        feedback(t as usize, client, t % 17 != 0)
+    })
+}
+
+fn at_most(what: &str, got: f64, ceiling: f64) {
+    println!("{what}: {got:.3} (ceiling {ceiling:.3})");
+    assert!(got <= ceiling, "{what} {got} > {ceiling}");
+}
+
+/// Reported bytes per server, held to the figures the layout met: a
+/// skewed 10 000-feedback server, the same one with every issuer distinct
+/// and spread over 64 bits, a `deep_assess` server with the ids `hp-load`
+/// draws (a seeded hash modulo a million clients, about 1 % repeats), and
+/// the skewed server at 10× length compacted to the horizon.
+#[test]
+fn resident_bytes_per_server_stay_within_their_ceilings() {
+    let columnar: TieredHistory = skewed_stream(N).collect();
+    let mut rows = TransactionHistory::with_capacity(N as usize);
+    skewed_stream(N).for_each(|f| rows.push(f));
+    let distinct: TieredHistory = skewed_stream(N)
+        .map(|f| Feedback {
+            client: ClientId::new(f.time.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            ..f
+        })
+        .collect();
+    let load_ids: TieredHistory = (0..DEEP)
+        .map(|t| {
+            let client = hp_stats::derive_seed(0x4850_4c44_434c, t) % 1_000_000;
+            feedback(t as usize, client, t % 17 != 0)
+        })
+        .collect();
+    let untiered: TieredHistory = skewed_stream(N10).collect();
+    let mut tiered: TieredHistory = skewed_stream(N10).collect();
+    tiered.compact(HORIZON);
+
+    let bytes = |h: &TieredHistory| h.resident_bytes() as f64;
+    at_most("columnar bytes", bytes(&columnar), MAX_COLUMNAR_BYTES);
+    at_most(
+        "columnar distinct bytes",
+        bytes(&distinct),
+        MAX_COLUMNAR_DISTINCT_BYTES,
+    );
+    at_most(
+        "columnar load-ids bytes",
+        bytes(&load_ids),
+        MAX_COLUMNAR_LOAD_IDS_BYTES,
+    );
+    at_most("tiered bytes", bytes(&tiered), MAX_TIERED_BYTES);
+    let rows_over_columnar = rows.resident_bytes() as f64 / bytes(&columnar);
+    println!("rows over columnar bytes: {rows_over_columnar:.1}");
+    assert!(rows_over_columnar >= MIN_ROWS_OVER_COLUMNAR);
+    at_most(
+        "tiered over untiered bytes",
+        bytes(&tiered) / bytes(&untiered),
+        MAX_TIERED_OVER_UNTIERED,
+    );
+}
+
+/// A history faulted back from its bytes answers the multi-test as the
+/// resident one does: the same report, the same windows read and the same
+/// threshold lookups. The fault's clock is `hp-store.segment_fault_us` in
+/// `BENCHMARK.json`.
+#[test]
+fn a_decoded_history_does_the_work_of_the_hot_one() {
+    let mut hot: TieredHistory = skewed_stream(N10).collect();
+    hot.compact(HORIZON);
+    let cold = TieredHistory::decode(&hot.encode()).expect("round trip");
+    let test = MultiBehaviorTest::new(
+        BehaviorTestConfig::builder()
+            .calibration_trials(200)
+            .max_suffix(Some(HORIZON))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    // The first evaluation calibrates; the counted ones only look up.
+    test.evaluate_detailed(&hot).unwrap();
+    let counted = |history: &TieredHistory| {
+        let lookups = || {
+            let stats = test.calibrator().stats();
+            stats.hits + stats.misses + stats.surface_hits
+        };
+        let before = lookups();
+        let report = test.evaluate_detailed(history).unwrap();
+        let windows: usize = report.suffixes.iter().map(|s| s.report.windows).sum();
+        (report, windows, lookups() - before)
+    };
+    let (hot_report, hot_windows, hot_lookups) = counted(&hot);
+    let (cold_report, cold_windows, cold_lookups) = counted(&cold);
+    assert!(hot_lookups > 0);
+    assert_eq!(cold_report, hot_report);
+    assert_eq!(
+        (cold_windows, cold_lookups),
+        (hot_windows, hot_lookups),
+        "(windows, lookups)"
+    );
 }

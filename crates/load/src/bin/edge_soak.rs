@@ -8,8 +8,9 @@
 //! 1. cross-checks the *exact* accepted/shed accounting three ways:
 //!    client-observed response bodies, `ServiceStats`, and the
 //!    `/metrics` Prometheus exposition must all agree;
-//! 2. writes the report to `experiments/out/bench_edge.json` and holds
-//!    the run to its SLO: accepted throughput and assess p99;
+//! 2. writes the report to `experiments/out/bench_edge.json` (ignored by
+//!    git) and holds the run to its SLO: accepted throughput and assess
+//!    p99;
 //! 3. drains the edge gracefully, persisting the calibration cache so a
 //!    warm re-run skips the Monte-Carlo calibration wall.
 //!

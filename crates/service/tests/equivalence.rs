@@ -5,11 +5,13 @@
 //!
 //! Strategy space: random honest histories (varying p), hibernating
 //! attackers, periodic attackers, random batch splits, both trust models,
-//! all short-history policies, interleaved multi-server ingest.
+//! all short-history policies, interleaved multi-server ingest. At the
+//! default configuration, the threshold surface must also agree with the
+//! oracle rows it stands in for on every decisive verdict.
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
-use hp_core::{Feedback, ServerId, TransactionHistory};
+use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
 use hp_service::replay::{restamp, OfflineReference};
 use hp_service::{ReputationService, ServiceConfig, SurfaceParams, TieringPolicy, TrustModel};
 use hp_sim::workload;
@@ -326,4 +328,143 @@ fn the_reference_of_a_default_shaped_service_runs_its_surface_and_horizon() {
         assert_eq!(*online, offline);
     }
     assert!(service.stats().calibration_surface_hits > 0);
+}
+
+/// A mixed workload at default-service depths: honest servers at two
+/// reliability levels, a value-imbalance pattern and a reliability
+/// collapse, over a spread of history lengths so the assessments ask for
+/// many suffix rows.
+fn calibration_workload(servers: u64) -> Vec<Feedback> {
+    const LENGTHS: [usize; 8] = [200, 400, 600, 800, 1000, 1200, 1400, 1600];
+    let mut out = Vec::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut rand100 = move || {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % 100
+    };
+    for s in 0..servers {
+        let n = LENGTHS[(s % LENGTHS.len() as u64) as usize];
+        for t in 0..n as u64 {
+            let good = match s % 4 {
+                0 => rand100() < 95,
+                1 => rand100() < 85,
+                2 => t % 60 < 50 || rand100() < 20,
+                _ => rand100() < if (t as usize) < n / 2 { 95 } else { 55 },
+            };
+            out.push(Feedback::new(
+                t,
+                ServerId::new(s),
+                ClientId::new(t % 23),
+                Rating::from_good(good),
+            ));
+        }
+    }
+    out
+}
+
+/// One server deeper than any of [`calibration_workload`]'s (lengths up
+/// to 1600, so suffix rows up to k = 160): its assessment needs rows no
+/// earlier one asked for.
+fn growth_history(server: u64) -> Vec<Feedback> {
+    (0..2050)
+        .map(|t| {
+            Feedback::new(
+                t,
+                ServerId::new(server),
+                ClientId::new(t % 23),
+                Rating::from_good(t % 20 != 0),
+            )
+        })
+        .collect()
+}
+
+struct CalibrationRun {
+    verdicts: Vec<bool>,
+    /// Signed binding margin ε − d per server (`None` when no threshold
+    /// was compared).
+    margins: Vec<Option<f64>>,
+    growth_verdict: bool,
+    /// Row jobs run by the assessments (boot excluded).
+    assess_row_jobs: u64,
+}
+
+fn run_calibration(servers: u64, surface: Option<SurfaceParams>) -> CalibrationRun {
+    let service =
+        ReputationService::new(ServiceConfig::default().with_calibration_surface(surface)).unwrap();
+    service.ingest_batch(calibration_workload(servers)).unwrap();
+    service.ingest_batch(growth_history(servers)).unwrap();
+    let booted_jobs = service.stats().calibration_oracle_jobs;
+    let verdicts = (0..servers)
+        .map(|s| service.assess(ServerId::new(s)).unwrap().is_accepted())
+        .collect();
+    let growth_verdict = service
+        .assess(ServerId::new(servers))
+        .unwrap()
+        .is_accepted();
+    let assess_row_jobs = service.stats().calibration_oracle_jobs - booted_jobs;
+    let margins = (0..servers)
+        .map(|s| {
+            let trace = service.assess_traced(ServerId::new(s)).unwrap().trace;
+            Some(trace.threshold? - trace.distance?)
+        })
+        .collect();
+    CalibrationRun {
+        verdicts,
+        margins,
+        growth_verdict,
+        assess_row_jobs,
+    }
+}
+
+/// The default surface against oracle rows on demand, at the default
+/// trial count: no decisive verdict flips (a flip whose oracle margin is
+/// outside the surface's measured error bound), the same verdict past
+/// every row the workload asked for, and no row job behind any of the
+/// surface service's cold assessments. Flips inside the bound are
+/// knife-edge: both thresholds bracket the distance, and either verdict
+/// is defensible, so they are counted, not failed.
+#[test]
+fn the_default_surface_flips_no_decisive_verdict_and_runs_no_row_job() {
+    const SERVERS: u64 = 64;
+    let with_surface = run_calibration(SERVERS, Some(SurfaceParams::default()));
+    let oracle = run_calibration(SERVERS, None);
+
+    let calibration = ServiceConfig::default()
+        .effective_test()
+        .calibration_config();
+    let calibrator = hp_stats::ThresholdCalibrator::new(calibration).unwrap();
+    assert!(calibrator.ensure_surface_for(10).unwrap());
+    let surface = calibrator.surface().expect("surface just built");
+    let error_bound = surface.max_error_bound(10).expect("a layer for m = 10");
+
+    let (mut flips, mut knife_edge) = (0, 0);
+    for ((a, b), margin) in with_surface
+        .verdicts
+        .iter()
+        .zip(&oracle.verdicts)
+        .zip(&oracle.margins)
+    {
+        match margin {
+            _ if a == b => {}
+            Some(margin) if margin.abs() <= error_bound => knife_edge += 1,
+            _ => flips += 1,
+        }
+    }
+    println!(
+        "verdict flips {flips}/{SERVERS}, {knife_edge} knife-edge inside the \
+         {error_bound:.4} error bound; oracle assessments ran {} row jobs",
+        oracle.assess_row_jobs
+    );
+    assert_eq!(flips, 0, "the surface changed a decisive verdict");
+    assert_eq!(
+        with_surface.growth_verdict, oracle.growth_verdict,
+        "the growth server's verdict depends on the calibration tier"
+    );
+    assert_eq!(
+        with_surface.assess_row_jobs, 0,
+        "a cold assessment behind the surface ran a row job"
+    );
 }

@@ -279,6 +279,8 @@ proptest! {
 /// from a partial fold.
 mod snapshots {
     use super::*;
+    use hp_service::BootProgress;
+    use std::sync::Arc;
 
     /// Durable journal + snapshots; automatic checkpoints disabled so
     /// tests place checkpoints deliberately via `checkpoint()`.
@@ -357,6 +359,19 @@ mod snapshots {
             let snap = service.metrics().snapshot();
             snap.total(hp_service::obs::ShardMetric::ReplayedRecords)
         };
+        // A boot's own count: the records it recovered (a loaded
+        // snapshot's prefix included) and the snapshots it loaded.
+        let boot = || {
+            let progress = Arc::new(BootProgress::new());
+            let service =
+                ReputationService::new_with_progress(config.clone(), Some(Arc::clone(&progress)))
+                    .unwrap();
+            (service, progress)
+        };
+        let recovered = |progress: &BootProgress| {
+            let status = progress.status();
+            (status.replayed_records, status.snapshots_loaded)
+        };
         {
             let service = ReputationService::new(config.clone()).unwrap();
             service.ingest_batch(feedbacks[..400].to_vec()).unwrap();
@@ -369,7 +384,7 @@ mod snapshots {
         journal.append_batch(&feedbacks[400..]).unwrap();
         drop(journal);
 
-        let service = ReputationService::new(config.clone()).unwrap();
+        let (service, progress) = boot();
         let online = service.assess(server).expect("assess after restart");
         assert_eq!(*online, offline_verdict(&config, feedbacks.clone()));
         let stats = service.stats();
@@ -379,6 +394,7 @@ mod snapshots {
             stats.journal_records - 400,
             "the tail, nothing more"
         );
+        assert_eq!(recovered(&progress), (600, 1), "(recovered, snapshots)");
         service.shutdown(); // checkpoints again, at 600
 
         for file in snapshot_files(&dir) {
@@ -387,7 +403,7 @@ mod snapshots {
             data[mid] ^= 0xFF;
             std::fs::write(&file, &data).unwrap();
         }
-        let service = ReputationService::new(config.clone()).unwrap();
+        let (service, progress) = boot();
         let online = service.assess(server).expect("assess after full replay");
         assert_eq!(*online, offline_verdict(&config, feedbacks));
         let stats = service.stats();
@@ -396,6 +412,7 @@ mod snapshots {
             "both retained snapshots rejected"
         );
         assert_eq!(replayed(&service), 600, "the whole journal");
+        assert_eq!(recovered(&progress), (600, 0), "(recovered, snapshots)");
         drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -81,6 +81,12 @@ proptest! {
                 (served - truth).abs() <= bound,
                 "k={k} p={p} c={confidence}: |{served} - {truth}| > bound {bound}"
             );
+            // And within the tolerance a default surface serves at.
+            let tolerance = SurfaceParams::default().tolerance;
+            prop_assert!(
+                (served - truth).abs() <= tolerance,
+                "k={k} p={p} c={confidence}: |{served} - {truth}| > tolerance {tolerance}"
+            );
             // And the calibrator actually serves from the surface for these keys.
             let (eps, provenance) = surfaced
                 .threshold_with_provenance(M, k, p, confidence)

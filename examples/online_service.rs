@@ -16,7 +16,6 @@ use honest_players::service::{ReputationService, ServiceConfig, ServiceError};
 use honest_players::sim::workload;
 use honest_players::stats::derive_seed;
 use honest_players::{Assessment, Feedback, ServerId, TransactionHistory};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Shape of the simulated marketplace a replay feeds through the service.
@@ -285,16 +284,28 @@ fn main() -> Result<(), ServiceError> {
     );
 
     println!("\nprometheus exposition:");
-    println!("{}", service.render_prometheus());
-
-    // Machine-readable latency snapshot for the bench harness / ci.sh.
-    let out_dir = std::env::var("HP_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("experiments/out"));
-    std::fs::create_dir_all(&out_dir).expect("create bench output dir");
-    let out = out_dir.join("bench_service.json");
-    std::fs::write(&out, service.metrics_json()).expect("write bench json");
-    println!("wrote {}", out.display());
+    let exposition = service.render_prometheus();
+    println!("{exposition}");
+    // One name per kind of family (per-shard counter, per-shard gauge,
+    // path histogram, service gauge) says the exposition is there; that it
+    // is complete is the table-vs-exposition test's job (tests/obs.rs).
+    for family in [
+        "hp_feedbacks_ingested_total",
+        "hp_shard_queue_depth",
+        "hp_ingest_apply_latency_seconds_bucket",
+        "hp_calibration_cache_entries",
+    ] {
+        assert!(
+            exposition.contains(family),
+            "missing family in the exposition: {family}"
+        );
+    }
+    // The machine-readable snapshot carries both path histograms and
+    // their percentiles.
+    let json = service.metrics_json();
+    for key in ["ingest_apply", "assess_e2e", "p50_ns", "p99_ns"] {
+        assert!(json.contains(key), "missing key in metrics_json(): {key}");
+    }
 
     assert_eq!(outcome.mismatches, 0, "online verdicts must match offline");
     Ok(())
