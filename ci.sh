@@ -19,11 +19,14 @@ TREE_BEFORE="$(git status --porcelain)"
 # the backlog only shrinks.
 echo "==> rustfmt --check (files already clean)"
 FMT_CLEAN=(
+    crates/core/src/error.rs
     crates/core/src/history/columnar.rs
     crates/core/src/history/mod.rs
     crates/core/src/history/tiered.rs
     crates/core/src/history/view.rs
     crates/core/src/id.rs
+    crates/core/src/testing/collusion.rs
+    crates/core/tests/columnar_equivalence.rs
     crates/core/tests/multi_test_work.rs
     crates/core/tests/resident_accounting.rs
     crates/core/tests/tiered_equivalence.rs
@@ -68,11 +71,14 @@ FMT_CLEAN=(
     crates/service/tests/obs.rs
     crates/service/tests/persistence.rs
     crates/service/tests/recovery.rs
+    crates/service/tests/resident.rs
     crates/service/tests/span_alloc.rs
     crates/service/tests/spill.rs
+    crates/service/tests/upgrade.rs
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
     crates/store/src/engine.rs
+    crates/store/src/issuers.rs
     crates/store/src/lib.rs
     crates/store/src/memory.rs
     crates/store/src/partial.rs
@@ -81,6 +87,7 @@ FMT_CLEAN=(
     crates/store/src/segment.rs
     crates/store/src/sharded.rs
     crates/store/src/store.rs
+    crates/store/tests/resident_accounting.rs
     examples/online_service.rs
 )
 rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"

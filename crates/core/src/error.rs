@@ -19,6 +19,10 @@ pub enum CoreError {
         /// The offending value.
         value: f64,
     },
+    /// The §4 collusion-resilient test needs the issuer of every
+    /// feedback, and the history keeps none (a
+    /// [`crate::TieredHistory`]).
+    IssuersNotKept,
 }
 
 impl fmt::Display for CoreError {
@@ -28,6 +32,9 @@ impl fmt::Display for CoreError {
             CoreError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CoreError::InvalidTrustValue { value } => {
                 write!(f, "trust value must lie in [0, 1], got {value}")
+            }
+            CoreError::IssuersNotKept => {
+                write!(f, "the history keeps no issuers, which the test groups by")
             }
         }
     }

@@ -6,12 +6,11 @@
 //!   plus prefix sums of good transactions and a per-client index. Keeps
 //!   full records, supports pop (append–test–revert), and anchors the
 //!   bit-identity property tests.
-//! * [`TieredHistory`] — the production columnar engine (~2.4 B per
-//!   transaction whose issuer repeats, 3 bits per one that mints its
-//!   issuer, + ~8 B per distinct issuer, instead of ~48 B per
-//!   transaction): outcomes in a [`BitColumn`], issuers in an
-//!   [`IssuerColumn`], no timestamps, and a prefix older than the
-//!   assessment horizon foldable into exact per-issuer summary counts.
+//! * [`TieredHistory`] — the production history: the outcomes alone, in
+//!   a [`BitColumn`] (two bits per transaction, instead of ~48 B), with
+//!   a prefix older than the assessment horizon foldable into two exact
+//!   counts. It keeps no issuers and no timestamps: the service's §3
+//!   verdict reads neither.
 //!
 //! Every assessment path — the three behavior-testing schemes, the trust
 //! functions, and [`crate::TwoPhaseAssessor`] — consumes either through
@@ -22,22 +21,34 @@
 //!   multi-test into the O(n) optimized variant;
 //! * the collusion-resilient reordering (§4) groups feedback by issuer in
 //!   O(n) — and is cached per history, invalidated on ingest, so repeated
-//!   collusion evaluations of an unchanged history allocate nothing.
+//!   collusion evaluations of an unchanged history allocate nothing. Only
+//!   the row store keeps issuers; a [`TieredHistory`] answers `None`.
 
 mod columnar;
 mod tiered;
 mod view;
 
-pub use columnar::{BitColumn, IssuerColumn};
+pub use columnar::BitColumn;
 pub use tiered::{HistoryMark, TieredColumn, TieredHistory, TruncateError};
-pub use view::{ColumnRef, HistoryView, IssuerGroup, OwnedColumn};
+pub use view::{ColumnRef, HistoryView, IssuerGroup};
 
 use crate::feedback::{Feedback, Rating};
 use crate::id::{ClientId, ServerId};
 use hp_stats::{PrefixSums, StatsError};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use view::{lock_reorder, ReorderCache};
+use std::sync::Arc;
+
+/// The version-stamped cache behind [`HistoryView::reordered_column`]:
+/// the §4 issuer-frequency reordering is rebuilt only when the history
+/// has changed since the cached column was built.
+#[derive(Debug, Default)]
+struct ReorderCache {
+    /// `(history version, reordered column)` of the last rebuild.
+    cached: Option<(u64, Arc<PrefixSums>)>,
+    /// How many times the reordering was actually rebuilt.
+    recomputes: u64,
+}
 
 /// A server's transaction history, in transaction order.
 ///
@@ -280,7 +291,7 @@ impl TransactionHistory {
     /// How many times this instance actually rebuilt the §4 reordering
     /// (cache-miss count; see [`HistoryView::reordered_column`]).
     pub fn reorder_recomputes(&self) -> u64 {
-        lock_reorder(&self.reorder).recomputes()
+        self.reorder.lock().recomputes
     }
 
     /// Approximate heap bytes held by this history (hash-map entries
@@ -321,7 +332,10 @@ impl Clone for TransactionHistory {
             version: self.version,
             // Keep the warm column (an Arc bump); the recompute counter
             // describes work done by *this* instance and resets.
-            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
+            reorder: Mutex::new(ReorderCache {
+                cached: self.reorder.lock().cached.clone(),
+                recomputes: 0,
+            }),
         }
     }
 }
@@ -335,7 +349,7 @@ impl HistoryView for TransactionHistory {
         ColumnRef::Prefix(&self.prefix)
     }
 
-    fn issuer_groups(&self) -> Vec<IssuerGroup> {
+    fn issuer_groups(&self) -> Option<Vec<IssuerGroup>> {
         let mut groups: Vec<IssuerGroup> = self
             .by_client
             .iter()
@@ -349,13 +363,20 @@ impl HistoryView for TransactionHistory {
             })
             .collect();
         groups.sort_by(|a, b| b.count.cmp(&a.count).then(a.client.cmp(&b.client)));
-        groups
+        Some(groups)
     }
 
-    fn reordered_column(&self) -> OwnedColumn {
-        lock_reorder(&self.reorder).get_or_build(self.version, || {
-            OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools(self.reordered_outcomes())))
-        })
+    fn reordered_column(&self) -> Option<Arc<PrefixSums>> {
+        let mut cache = self.reorder.lock();
+        if let Some((version, column)) = &cache.cached {
+            if *version == self.version {
+                return Some(Arc::clone(column));
+            }
+        }
+        let column = Arc::new(PrefixSums::from_bools(self.reordered_outcomes()));
+        cache.recomputes += 1;
+        cache.cached = Some((self.version, Arc::clone(&column)));
+        Some(column)
     }
 
     fn time(&self, i: usize) -> Option<u64> {
@@ -509,7 +530,7 @@ mod tests {
         h.push(fb(3, 5, false));
         h.push(fb(4, 9, true));
         assert_eq!(
-            h.issuer_groups(),
+            h.issuer_groups().unwrap(),
             vec![
                 IssuerGroup {
                     client: ClientId::new(5),
@@ -534,10 +555,14 @@ mod tests {
         let a = h.reordered_column();
         let b = h.reordered_column();
         assert_eq!(h.reorder_recomputes(), 1, "second call must hit the cache");
-        match (&a, &b) {
-            (OwnedColumn::Prefix(x), OwnedColumn::Prefix(y)) => assert!(Arc::ptr_eq(x, y)),
-            _ => unreachable!("reference reordering is prefix-backed"),
-        }
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        let clone = h.clone();
+        let _ = clone.reordered_column();
+        assert_eq!(
+            clone.reorder_recomputes(),
+            0,
+            "a clone inherits the warm column"
+        );
         h.push(fb(12, 0, true));
         let _ = h.reordered_column();
         assert_eq!(h.reorder_recomputes(), 2, "push must invalidate");
@@ -552,9 +577,8 @@ mod tests {
         for t in 0..30 {
             h.push(fb(t, t % 5, t % 3 == 0));
         }
-        let col = h.reordered_column();
+        let col = h.reordered_column().unwrap();
         let expected = h.reordered_outcomes();
-        let col = col.as_col();
         assert_eq!(col.len(), expected.len());
         for (i, &good) in expected.iter().enumerate() {
             assert_eq!(col.count_range(i, i + 1) == 1, good, "position {i}");

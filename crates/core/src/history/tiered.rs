@@ -1,25 +1,23 @@
-//! Horizon-compacted history: exact folded summaries + a bit suffix.
+//! Horizon-compacted history: two exact folded counts + a bit suffix.
 //!
 //! The behavior tests only ever scan a bounded, end-aligned suffix of a
 //! history (the assessment horizon — `max_suffix` on
 //! [`crate::testing::BehaviorTestConfig`]), yet an append-only column keeps
 //! every outcome bit forever. [`TieredHistory`] folds windows older than
-//! the horizon into *exact* per-issuer `(good, total)` summary counts
-//! kept alongside a full-resolution [`BitColumn`] suffix:
+//! the horizon into two *exact* counts — how many outcomes, how many of
+//! them good — kept alongside a full-resolution [`BitColumn`] suffix:
 //!
 //! ```text
 //!   transaction index:  0 ............ folded_len ............. len
 //!                       [  folded prefix  ][   retained suffix    ]
-//!                        summary counts      full-resolution bits
-//!                        (good, total) per    + issuer codes
-//!                        issuer, exact
+//!                        folded_len,         full-resolution bits
+//!                        folded_good
 //! ```
 //!
 //! Every query that fits the retained suffix — any end-aligned window
-//! count, any suffix rate, the totals every trust function consumes, and
-//! the issuer groups (summary counts + live suffix counts, per code) — is
-//! bit-identical to the reference [`super::TransactionHistory`]. A query that
-//! reaches into the folded prefix degrades to a typed
+//! count, any suffix rate, and the totals every trust function consumes
+//! — is bit-identical to the reference [`super::TransactionHistory`]. A
+//! query that reaches into the folded prefix degrades to a typed
 //! [`StatsError::HorizonExceeded`] (or panics where the untiered path
 //! would panic): never a silently wrong count.
 //!
@@ -27,13 +25,22 @@
 //! and [`BitColumn::from_words`] can rebuild it without re-pushing bits.
 
 use crate::feedback::Feedback;
-use crate::id::{ClientId, ServerId};
-use hp_stats::StatsError;
+use crate::id::ServerId;
+use hp_stats::{PrefixSums, StatsError};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use super::columnar::{BitColumn, IssuerColumn};
-use super::view::{lock_reorder, ColumnRef, HistoryView, IssuerGroup, OwnedColumn, ReorderCache};
+use super::columnar::BitColumn;
+use super::view::{ColumnRef, HistoryView, IssuerGroup};
+
+/// The first byte of a [`TieredHistory::encode`] payload. The layout
+/// before it had no such byte: it began with the server flag, 0 or 1, and
+/// carried the issuer sections [`TieredHistory::decode`] still skips.
+const LAYOUT: u8 = 2;
+/// Bytes before the outcome words: the layout byte, the server flag and
+/// id, then the length, the folded length, the folded good count and the
+/// version, a `u64` each.
+const HEADER_LEN: usize = 2 + 5 * 8;
 
 /// The outcome column of a tiered history: an exact folded-prefix summary
 /// (`folded_len` outcomes, `folded_good` of them good) plus a
@@ -171,26 +178,30 @@ impl TieredColumn {
 }
 
 /// A server's transaction history with an assessment-horizon tier split:
-/// a folded prefix kept as exact per-issuer summary counts, and a
-/// full-resolution columnar suffix.
+/// a folded prefix kept as two exact counts, and a full-resolution
+/// outcome suffix. It keeps no issuers and no timestamps.
 ///
 /// The production implementation of [`HistoryView`], beside the reference
 /// [`super::TransactionHistory`]: before any [`TieredHistory::compact`]
-/// call the two are bit-identical on every query; after compaction they
-/// remain bit-identical on every query that fits the retained suffix
-/// (which is all the multi-test issues when its `max_suffix` horizon is at
-/// most the compaction horizon) and on the totals.
+/// call the two are bit-identical on every outcome query; after
+/// compaction they remain bit-identical on every query that fits the
+/// retained suffix (which is all the multi-test issues when its
+/// `max_suffix` horizon is at most the compaction horizon) and on the
+/// totals.
 ///
-/// What stops working after [`TieredHistory::compact`] folds a prefix:
+/// What a tiered history does not answer:
 ///
-/// * the §4 reorder — [`crate::testing::CollusionResilientTest`] answers a
-///   typed [`StatsError::HorizonExceeded`], as does any window or rate
-///   query that reaches into the folded prefix;
-/// * any *batch* trust function that reads [`HistoryView::outcome`]
-///   across the folded prefix ([`crate::trust::WeightedTrust`],
-///   [`crate::trust::DecayTrust`]) — a panic, by
-///   [`TieredColumn::count_range`]'s contract. The service computes those
-///   with [`crate::trust::incremental`], one update per feedback.
+/// * the §4 issuer grouping and reorder —
+///   [`HistoryView::issuer_groups`] and [`HistoryView::reordered_column`]
+///   are `None`, and [`crate::testing::CollusionResilientTest`] answers a
+///   typed [`crate::CoreError::IssuersNotKept`];
+/// * after a fold, any window or rate query that reaches into the folded
+///   prefix — a typed [`StatsError::HorizonExceeded`] — and any *batch*
+///   trust function that reads [`HistoryView::outcome`] across it
+///   ([`crate::trust::WeightedTrust`], [`crate::trust::DecayTrust`]) — a
+///   panic, by [`TieredColumn::count_range`]'s contract. The service
+///   computes those with [`crate::trust::incremental`], one update per
+///   feedback.
 ///
 /// # Examples
 ///
@@ -208,36 +219,26 @@ impl TieredColumn {
 /// assert_eq!(h.retained_start(), 64);       // whole words folded
 /// assert_eq!(h.count_range(100, 200), 100); // suffix queries unchanged
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TieredHistory {
     column: TieredColumn,
-    /// Issuer dictionary + codes for the retained suffix. The
-    /// dictionary spans the *whole* history (codes are stable and never
-    /// recycled), so folded summary codes stay decodable.
-    issuers: IssuerColumn,
-    /// Per-code `(good, total)` counts folded out of the prefix, indexed
-    /// by dictionary code. May be shorter than the dictionary when codes
-    /// were introduced after the last fold.
-    folded_by_code: Vec<(u32, u32)>,
     /// The uniform server, while one exists.
     server: Option<ServerId>,
     /// Set once feedback for a second server is ingested.
     mixed: bool,
-    /// Bumped on every ingest; stamps the reorder cache. Compaction does
-    /// not bump it — it changes the representation, not the content.
+    /// Bumped on every ingest. Compaction does not bump it — it changes
+    /// the representation, not the content.
     version: u64,
-    reorder: Mutex<ReorderCache>,
 }
 
 /// A point in a history's append sequence that
-/// [`TieredHistory::truncate_to`] can cut back to: the lengths of the
-/// append-only primaries and the scalar header, as
-/// [`TieredHistory::mark`] found them. `Copy` and allocation-free — the
-/// online service takes one before every record it applies.
+/// [`TieredHistory::truncate_to`] can cut back to: the length and the
+/// scalar header, as [`TieredHistory::mark`] found them. `Copy` and
+/// allocation-free — the online service takes one before every record it
+/// applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistoryMark {
     len: usize,
-    dict_len: usize,
     version: u64,
     server: Option<ServerId>,
     mixed: bool,
@@ -255,11 +256,8 @@ pub enum TruncateError {
         /// First transaction still held at full resolution.
         retained_start: usize,
     },
-    /// A primary column is shorter than the mark, or the cut columns
-    /// contradict each other — the mark is not of this history, or the
-    /// history is damaged beyond what its primaries can repair. When the
-    /// contradiction only shows while the derived columns are rebuilt
-    /// the history is left empty-columned and must be discarded.
+    /// The history is shorter than the mark: the mark is not of this
+    /// history. The history is unchanged.
     Inconsistent,
 }
 
@@ -294,78 +292,44 @@ impl TieredHistory {
     pub fn mark(&self) -> HistoryMark {
         HistoryMark {
             len: self.len(),
-            dict_len: self.issuers.dict_len(),
             version: self.version,
             server: self.server,
             mixed: self.mixed,
         }
     }
 
-    /// Cuts the history back to `mark`, undoing every push since —
-    /// including one a panic interrupted half-way. Afterwards the history
-    /// answers every query, and encodes to the same bytes, as one that
-    /// never saw the tail.
-    ///
-    /// Only the append-only primaries are read (outcome words, issuer
-    /// codes, the dictionary's clients), each cut to the mark; the index
-    /// and the prefix popcounts are rebuilt from them through the
-    /// validating [`BitColumn::from_words`] / [`IssuerColumn::from_parts`]
-    /// path, so nothing a half-finished push may have left stale is
-    /// trusted. Costs O(retained suffix + dictionary).
+    /// Cuts the history back to `mark`, undoing every push since.
+    /// Afterwards the history answers every query, and encodes to the
+    /// same bytes, as one that never saw the tail. Only the outcome words
+    /// are read; the prefix popcounts are rebuilt from them
+    /// ([`BitColumn::from_words`]). Costs O(retained suffix).
     ///
     /// # Errors
     ///
     /// [`TruncateError::AcrossFold`] when a compaction since the mark
-    /// folded past it, [`TruncateError::Inconsistent`] when the columns
-    /// cannot honor the mark.
+    /// folded past it, [`TruncateError::Inconsistent`] when the history
+    /// is shorter than the mark.
     pub fn truncate_to(&mut self, mark: &HistoryMark) -> Result<(), TruncateError> {
         let folded = self.column.folded_len;
-        if mark.len < folded || mark.dict_len < self.folded_by_code.len() {
+        if mark.len < folded {
             return Err(TruncateError::AcrossFold {
                 mark_len: mark.len,
                 retained_start: folded,
             });
         }
-        let keep = mark.len - folded;
-        // Everything that can be checked is checked before the first cut,
-        // so a refusal leaves the history as it was.
-        let issuers = &self.issuers;
-        if self.column.suffix.words().len() < keep.div_ceil(64)
-            || issuers.len() < keep
-            || issuers.dict_len() < mark.dict_len
-            || issuers
-                .codes()
-                .take(keep)
-                .any(|code| code as usize >= mark.dict_len)
-        {
+        if mark.len > self.len() {
             return Err(TruncateError::Inconsistent);
         }
-        let suffix = std::mem::take(&mut self.column.suffix)
-            .truncated(keep)
-            .ok_or(TruncateError::Inconsistent)?;
-        self.issuers = std::mem::take(&mut self.issuers)
-            .truncated(keep, mark.dict_len, &suffix)
-            .ok_or(TruncateError::Inconsistent)?;
-        self.column.suffix = suffix;
+        let suffix = std::mem::take(&mut self.column.suffix);
+        self.column.suffix = suffix.truncated(mark.len - folded);
         self.version = mark.version;
         self.server = mark.server;
         self.mixed = mark.mixed;
-        // A column cached for a version the cut re-opens would be served
-        // for whatever is pushed there next.
-        lock_reorder(&self.reorder).clear();
         Ok(())
     }
 
-    /// Appends only the outcome bit of a push: the state a panic between
-    /// the two column appends of [`TieredHistory::push`] leaves behind.
-    /// A seam for rollback tests (this crate's torn-input cases and the
-    /// service's `fault-injection` plan); nothing else calls it.
-    #[doc(hidden)]
-    pub fn push_outcome_only(&mut self, good: bool) {
-        self.column.suffix.push(good);
-    }
-
-    /// Appends a feedback record (decomposed into the columns).
+    /// Appends a feedback record: its outcome bit, and its server into
+    /// the uniform-server check. The issuer and the time are not kept.
     pub fn push(&mut self, feedback: Feedback) {
         if self.is_empty() && !self.mixed {
             self.server = Some(feedback.server);
@@ -374,11 +338,10 @@ impl TieredHistory {
             self.mixed = true;
         }
         self.column.suffix.push(feedback.is_good());
-        self.issuers.push(feedback.client);
         self.version += 1;
     }
 
-    /// Folds prefix words older than `horizon` into the summary tier,
+    /// Folds prefix words older than `horizon` into the folded counts,
     /// keeping at least the newest `horizon` outcomes at full resolution.
     ///
     /// Only whole 64-bit words fold (the suffix stays word-aligned), so
@@ -386,24 +349,16 @@ impl TieredHistory {
     /// once the history is long enough. Returns the number of outcomes
     /// newly folded (0 when nothing crossed the horizon).
     ///
-    /// Folding is exact — per-issuer `(good, total)` counts migrate into
-    /// [`TieredHistory::folded_by_code`]-backed summaries — and
-    /// irreversible: queries into the folded prefix degrade to
-    /// [`StatsError::HorizonExceeded`] from then on.
+    /// Folding is exact — the folded good count grows by the dropped
+    /// words' popcount — and irreversible: queries into the folded prefix
+    /// degrade to [`StatsError::HorizonExceeded`] from then on.
     pub fn compact(&mut self, horizon: usize) -> usize {
         let target = self.len().saturating_sub(horizon) / 64 * 64;
         if target <= self.column.folded_len {
             return 0;
         }
         let drop = target - self.column.folded_len;
-        debug_assert!(drop.is_multiple_of(64));
-
-        // Migrate the dropped positions' issuer counts into the summary;
-        // the dictionary and its index stay as they are.
         self.column.folded_good += self.column.suffix.count_range(0, drop);
-        self.issuers
-            .fold_prefix(drop, &self.column.suffix, &mut self.folded_by_code);
-
         // Rebuild the retained suffix from its surviving whole words.
         let words = self.column.suffix.words()[drop / 64..].to_vec();
         let new_len = self.column.suffix.len() - drop;
@@ -448,96 +403,70 @@ impl TieredHistory {
         self.version
     }
 
-    /// The tiered outcome column (folded summary + retained bits).
+    /// The tiered outcome column (folded counts + retained bits).
     pub fn column(&self) -> &TieredColumn {
         &self.column
     }
 
-    /// The issuer dictionary + suffix codes (snapshot payload; the
-    /// dictionary spans the whole history).
-    pub fn issuer_column(&self) -> &IssuerColumn {
-        &self.issuers
-    }
-
-    /// Per-code `(good, total)` counts folded out of the prefix, indexed
-    /// by dictionary code (snapshot payload; may be shorter than the
-    /// dictionary).
-    pub fn folded_by_code(&self) -> &[(u32, u32)] {
-        &self.folded_by_code
-    }
-
-    /// Heap bytes held by the full-resolution tier (suffix bits, issuer
-    /// codes, and the dictionary with its index).
-    pub fn suffix_resident_bytes(&self) -> usize {
-        self.column.suffix.resident_bytes() + self.issuers.resident_bytes()
-    }
-
-    /// Heap bytes held by the folded summary tier.
-    pub fn summary_resident_bytes(&self) -> usize {
-        self.folded_by_code.capacity() * std::mem::size_of::<(u32, u32)>()
-    }
-
-    /// Heap bytes held by this history (both resident tiers).
+    /// Heap bytes held by this history: the retained suffix's bits and
+    /// prefix popcounts (the folded counts are inline).
     pub fn resident_bytes(&self) -> usize {
-        self.suffix_resident_bytes() + self.summary_resident_bytes()
+        self.column.suffix.resident_bytes()
     }
 
-    /// Serializes the full tiered state to a little-endian byte payload —
-    /// the unit both the snapshot writer and the cold-segment spill store
-    /// persist. Round-trips through [`TieredHistory::decode`].
+    /// Serializes the history to a little-endian byte payload — the unit
+    /// both the snapshot writer and the cold-segment spill store persist.
+    /// Round-trips through [`TieredHistory::decode`]:
+    ///
+    /// ```text
+    /// layout u8 = 2 | has_server u8 | server u64 | len u64
+    /// | folded_len u64 | folded_good u64 | version u64
+    /// | ⌈(len − folded_len) / 64⌉ outcome words u64
+    /// ```
     pub fn encode(&self) -> Vec<u8> {
-        let suffix = &self.column.suffix;
-        let dict_len = self.issuers.dict_len();
-        // A code goes out as the `u32`, and a client as the `u64`, the
-        // column hands over, whichever width it is held at in memory.
-        let codes_bytes = self.issuers.len() * std::mem::size_of::<u32>();
-        let mut out =
-            Vec::with_capacity(8 * 6 + 1 + dict_len * 16 + codes_bytes + suffix.words().len() * 8);
-        match self.server {
-            Some(s) => {
-                out.push(1);
-                out.extend_from_slice(&s.value().to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.column.folded_len as u64).to_le_bytes());
-        out.extend_from_slice(&self.column.folded_good.to_le_bytes());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(dict_len as u64).to_le_bytes());
-        for c in self.issuers.clients() {
-            out.extend_from_slice(&c.value().to_le_bytes());
-        }
-        for &(good, total) in &self.folded_by_code {
-            out.extend_from_slice(&good.to_le_bytes());
-            out.extend_from_slice(&total.to_le_bytes());
-        }
-        // Pad summaries to the dictionary length so the frame is
-        // self-describing (codes minted after the last fold read (0,0)).
-        for _ in self.folded_by_code.len()..dict_len {
-            out.extend_from_slice(&[0u8; 8]);
-        }
-        for code in self.issuers.codes() {
-            out.extend_from_slice(&code.to_le_bytes());
-        }
-        for &w in suffix.words() {
-            out.extend_from_slice(&w.to_le_bytes());
+        let words = self.column.suffix.words();
+        let mut out = Vec::with_capacity(HEADER_LEN + words.len() * 8);
+        out.push(LAYOUT);
+        out.push(u8::from(self.server.is_some()));
+        let server = self.server.map_or(0, ServerId::value);
+        for field in [
+            server,
+            self.len() as u64,
+            self.column.folded_len as u64,
+            self.column.folded_good,
+            self.version,
+        ]
+        .into_iter()
+        .chain(words.iter().copied())
+        {
+            out.extend_from_slice(&field.to_le_bytes());
         }
         out
     }
 
-    /// Rebuilds a history from an [`TieredHistory::encode`] payload,
-    /// revalidating every structural invariant (word alignment, summary
-    /// totals vs the folded length, code ranges, bit padding).
+    /// Rebuilds a history from a [`TieredHistory::encode`] payload,
+    /// revalidating every structural invariant (word alignment, the
+    /// folded counts, bit padding).
+    ///
+    /// A payload in the layout before this one — first byte 0 or 1, what
+    /// a previous build wrote into its snapshots and cold segments — is
+    /// read too: its issuer sections (the dictionary, a `(good, total)`
+    /// folded count per issuer and a `u32` code per retained outcome,
+    /// between the header and the words) are bounds-checked and skipped,
+    /// and the folded counts must still sum to the folded length and
+    /// good count.
     ///
     /// Returns `None` on any inconsistency — a corrupted or truncated
     /// payload must be rejected, never reinterpreted.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Cursor { bytes, pos: 0 };
-        let has_server = r.u8()?;
+        let first = r.u8()?;
+        let with_issuers = first < LAYOUT;
+        let has_server = match first {
+            LAYOUT => r.u8()?,
+            flag if with_issuers => flag,
+            _ => return None,
+        };
         let server_raw = r.u64()?;
         let server = match has_server {
             0 if server_raw == 0 => None,
@@ -548,40 +477,19 @@ impl TieredHistory {
         let folded_len = usize::try_from(r.u64()?).ok()?;
         let folded_good = r.u64()?;
         let version = r.u64()?;
-        if folded_len > total_len || !folded_len.is_multiple_of(64) {
-            return None;
-        }
-        if server.is_none() && total_len > 0 {
+        if folded_len > total_len
+            || !folded_len.is_multiple_of(64)
+            || folded_good > folded_len as u64
+            || (server.is_none() && total_len > 0)
+        {
             return None;
         }
         let suffix_len = total_len - folded_len;
+        if with_issuers {
+            r.skip_issuer_sections(folded_len, folded_good, suffix_len)?;
+        }
         // A count the payload claims is held against the bytes that are
         // left before anything is allocated for it.
-        let client_count = usize::try_from(r.u64()?).ok()?;
-        let client_count = r.fits(client_count, 16)?;
-        let mut clients = Vec::with_capacity(client_count);
-        for _ in 0..client_count {
-            clients.push(ClientId::new(r.u64()?));
-        }
-        let mut folded_by_code = Vec::with_capacity(client_count);
-        let (mut sum_good, mut sum_total) = (0u64, 0u64);
-        for _ in 0..client_count {
-            let good = r.u32()?;
-            let total = r.u32()?;
-            if good > total {
-                return None;
-            }
-            sum_good += u64::from(good);
-            sum_total += u64::from(total);
-            folded_by_code.push((good, total));
-        }
-        if sum_good != folded_good || sum_total != folded_len as u64 {
-            return None;
-        }
-        let mut codes = Vec::with_capacity(r.fits(suffix_len, 4)?);
-        for _ in 0..suffix_len {
-            codes.push(r.u32()?);
-        }
         let word_count = r.fits(suffix_len.div_ceil(64), 8)?;
         let mut words = Vec::with_capacity(word_count);
         for _ in 0..word_count {
@@ -590,27 +498,15 @@ impl TieredHistory {
         if r.pos != bytes.len() {
             return None;
         }
-        let suffix = BitColumn::from_words(words, suffix_len)?;
-        // Codes are minted in order, so the issuers first seen in the
-        // folded prefix are the leading codes with folded feedback: the
-        // first code the suffix can mint, as the pushes left it.
-        let base = folded_by_code
-            .iter()
-            .take_while(|&&(_, total)| total > 0)
-            .count();
-        let issuers = IssuerColumn::from_parts(clients, codes, u32::try_from(base).ok()?, &suffix)?;
         Some(TieredHistory {
             column: TieredColumn {
                 folded_len,
                 folded_good,
-                suffix,
+                suffix: BitColumn::from_words(words, suffix_len)?,
             },
-            issuers,
-            folded_by_code,
             server,
             mixed: false,
             version,
-            reorder: Mutex::new(ReorderCache::default()),
         })
     }
 }
@@ -628,7 +524,7 @@ impl Cursor<'_> {
     }
 
     fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let slice = self.bytes.get(self.pos..self.pos + n)?;
+        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(slice)
     }
@@ -644,21 +540,34 @@ impl Cursor<'_> {
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
-}
 
-impl Clone for TieredHistory {
-    fn clone(&self) -> Self {
-        TieredHistory {
-            column: self.column.clone(),
-            issuers: self.issuers.clone(),
-            folded_by_code: self.folded_by_code.clone(),
-            server: self.server,
-            mixed: self.mixed,
-            version: self.version,
-            // Keep the warm column (it is an Arc bump); the recompute
-            // counter describes work done by *this* instance and resets.
-            reorder: Mutex::new(lock_reorder(&self.reorder).cloned()),
+    /// Steps over the issuer sections of a payload in the layout before
+    /// [`LAYOUT`]: a dictionary of `u64` ids, as many `(good, total)`
+    /// folded counts — whose sums must be `folded_good` and `folded_len`
+    /// — and a `u32` code per retained outcome.
+    fn skip_issuer_sections(
+        &mut self,
+        folded_len: usize,
+        folded_good: u64,
+        suffix_len: usize,
+    ) -> Option<()> {
+        let claimed = usize::try_from(self.u64()?).ok()?;
+        let clients = self.fits(claimed, 16)?;
+        self.take(clients * 8)?;
+        let (mut good, mut total) = (0u64, 0u64);
+        for _ in 0..clients {
+            let (g, t) = (self.u32()?, self.u32()?);
+            if g > t {
+                return None;
+            }
+            good += u64::from(g);
+            total += u64::from(t);
         }
+        if (good, total) != (folded_good, folded_len as u64) {
+            return None;
+        }
+        self.take(self.fits(suffix_len, 4)? * 4)?;
+        Some(())
     }
 }
 
@@ -671,32 +580,12 @@ impl HistoryView for TieredHistory {
         ColumnRef::Tiered(&self.column)
     }
 
-    fn issuer_groups(&self) -> Vec<IssuerGroup> {
-        // Folded summaries and the suffix's recounted live counts are both
-        // exact and both indexed by code, so their sums equal the untiered
-        // history's groups exactly (same sort, same ties).
-        self.issuers
-            .issuer_groups_with(&self.folded_by_code, &self.column.suffix)
+    fn issuer_groups(&self) -> Option<Vec<IssuerGroup>> {
+        None
     }
 
-    fn reordered_column(&self) -> OwnedColumn {
-        // The §4 permutation needs every outcome bit; folded positions no
-        // longer have bits. Callers (the collusion-resilient test) check
-        // `retained_start()` first and degrade with a typed error — so
-        // reaching this with a folded prefix is a caller bug, and a panic
-        // beats a silently wrong reordering.
-        assert_eq!(
-            self.column.folded_len, 0,
-            "collusion reordering requires the full history, but the prefix \
-             was folded past the assessment horizon (retained suffix starts \
-             at {})",
-            self.column.folded_len
-        );
-        lock_reorder(&self.reorder).get_or_build(self.version, || {
-            OwnedColumn::Bits(Arc::new(
-                self.issuers.reordered_outcomes(&self.column.suffix),
-            ))
-        })
+    fn reordered_column(&self) -> Option<Arc<PrefixSums>> {
+        None
     }
 
     fn time(&self, _i: usize) -> Option<u64> {
@@ -737,7 +626,9 @@ mod tests {
     use super::super::TransactionHistory;
     use super::*;
     use crate::feedback::Rating;
+    use crate::id::ClientId;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn fb(t: u64, client: u64, good: bool) -> Feedback {
         Feedback::new(
@@ -762,10 +653,6 @@ mod tests {
         assert_eq!(tiered.len(), rows.len());
         assert_eq!(tiered.good_count(), rows.good_count());
         assert_eq!(tiered.retained_start(), 0);
-        assert_eq!(
-            HistoryView::issuer_groups(&tiered),
-            HistoryView::issuer_groups(&rows)
-        );
         for &(s, e) in &[(0usize, 200usize), (0, 64), (63, 65), (5, 5), (150, 200)] {
             assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
             assert_eq!(tiered.rate_range(s, e).ok(), rows.rate_range(s, e).ok());
@@ -776,16 +663,9 @@ mod tests {
                 rows.window_counts(3, 197, m).unwrap()
             );
         }
-        let (a, b) = (tiered.reordered_column(), rows.reordered_column());
-        let (a, b) = (a.as_col(), b.as_col());
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() {
-            assert_eq!(
-                a.count_range(0, i + 1),
-                b.count_range(0, i + 1),
-                "reorder pos {i}"
-            );
-        }
+        // The issuers are not kept: §4 gets no answer, not a wrong one.
+        assert_eq!(HistoryView::issuer_groups(&tiered), None);
+        assert!(tiered.reordered_column().is_none());
     }
 
     #[test]
@@ -807,29 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn reordered_column_is_cached_until_ingest_and_across_clone() {
-        let shared = |a: &OwnedColumn, b: &OwnedColumn| match (a, b) {
-            (OwnedColumn::Bits(x), OwnedColumn::Bits(y)) => Arc::ptr_eq(x, y),
-            _ => unreachable!("tiered reordering is bit-backed"),
-        };
-        let mut h: TieredHistory = mixed_history(20).into_iter().collect();
-        let first = h.reordered_column();
-        assert!(
-            shared(&first, &h.reordered_column()),
-            "second call must hit the cache"
-        );
-        assert!(
-            shared(&first, &h.clone().reordered_column()),
-            "clone inherits the warm column"
-        );
-        h.push(fb(20, 0, true));
-        assert!(
-            !shared(&first, &h.reordered_column()),
-            "ingest must invalidate"
-        );
-    }
-
-    #[test]
     fn compaction_folds_whole_words_and_keeps_suffix_exact() {
         let records = mixed_history(300);
         let mut tiered: TieredHistory = records.iter().copied().collect();
@@ -841,10 +698,6 @@ mod tests {
         assert_eq!(tiered.suffix_len(), 108);
         assert_eq!(tiered.len(), 300);
         assert_eq!(tiered.good_count(), rows.good_count());
-        assert_eq!(
-            HistoryView::issuer_groups(&tiered),
-            HistoryView::issuer_groups(&rows)
-        );
         // Every suffix-resident query is bit-identical.
         for &(s, e) in &[(192usize, 300usize), (200, 300), (250, 251), (299, 300)] {
             assert_eq!(tiered.count_range(s, e), rows.count_range(s, e));
@@ -895,14 +748,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collusion reordering requires the full history")]
-    fn reordered_column_refuses_after_compaction() {
-        let mut tiered: TieredHistory = mixed_history(300).into_iter().collect();
-        tiered.compact(100);
-        let _ = tiered.reordered_column();
-    }
-
-    #[test]
     fn ingest_after_compaction_stays_exact() {
         let records = mixed_history(500);
         let mut tiered = TieredHistory::new();
@@ -916,10 +761,6 @@ mod tests {
         }
         assert_eq!(tiered.len(), rows.len());
         assert_eq!(tiered.good_count(), rows.good_count());
-        assert_eq!(
-            HistoryView::issuer_groups(&tiered),
-            HistoryView::issuer_groups(&rows)
-        );
         let start = tiered.retained_start();
         assert!(tiered.suffix_len() >= 150);
         assert_eq!(
@@ -933,25 +774,11 @@ mod tests {
         let mut tiered: TieredHistory = mixed_history(300).into_iter().collect();
         tiered.compact(100);
         let bytes = tiered.encode();
-        let back = TieredHistory::decode(&bytes).expect("round trip");
-        assert_eq!(back.len(), tiered.len());
-        assert_eq!(back.good_count(), tiered.good_count());
-        assert_eq!(back.retained_start(), tiered.retained_start());
-        assert_eq!(back.version(), tiered.version());
-        assert_eq!(back.server(), tiered.server());
-        assert_eq!(
-            HistoryView::issuer_groups(&back),
-            HistoryView::issuer_groups(&tiered)
-        );
-        assert_eq!(
-            back.window_counts(192, 300, 9).unwrap(),
-            tiered.window_counts(192, 300, 9).unwrap()
-        );
+        assert_eq!(bytes.len(), HEADER_LEN + 2 * 8, "108 retained outcomes");
+        assert_eq!(TieredHistory::decode(&bytes), Some(tiered));
         // Empty history round-trips too.
         let empty = TieredHistory::new();
-        let back = TieredHistory::decode(&empty.encode()).expect("empty round trip");
-        assert!(back.is_empty());
-        assert_eq!(back.server(), None);
+        assert_eq!(TieredHistory::decode(&empty.encode()), Some(empty));
     }
 
     /// FNV-1a over a payload (the pinned-bytes test's fingerprint).
@@ -961,57 +788,125 @@ mod tests {
         })
     }
 
-    #[test]
-    fn encode_bytes_are_those_of_the_posting_list_layout() {
-        // Length and fingerprint of `encode()` for this fixed stream as
-        // produced by the per-issuer posting-list layout (PR 12): storage
-        // changes behind `IssuerColumn` must not move a byte on disk.
+    /// The stream whose payload the pinned-bytes tests fingerprint, and
+    /// its history, folded twice.
+    fn pinned_stream() -> (Vec<Feedback>, TieredHistory) {
+        let stream: Vec<Feedback> = (0..1500u64)
+            .map(|t| {
+                let client = (t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 300;
+                fb(t, client, (t * 11 + t / 5) % 3 != 0)
+            })
+            .collect();
         let mut history = TieredHistory::new();
-        for t in 0..1500u64 {
-            let client = (t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) % 300;
-            history.push(fb(t, client, (t * 11 + t / 5) % 3 != 0));
+        for (t, &f) in stream.iter().enumerate() {
+            history.push(f);
             if t == 700 {
                 history.compact(200);
             }
         }
         history.compact(256);
+        (stream, history)
+    }
+
+    /// The payload the layout before [`LAYOUT`] wrote for `history`, fed
+    /// `records`: the header less the layout byte, the dictionary length
+    /// and ids in first-seen order, a `(good, total)` count per issuer
+    /// over the folded prefix, a `u32` code per retained outcome, then
+    /// the outcome words. A test-only copy of the old `encode`, pinned to
+    /// its bytes by `the_old_layout_is_the_one_the_previous_build_wrote`.
+    fn legacy_encode(records: &[Feedback], history: &TieredHistory) -> Vec<u8> {
+        let (mut clients, mut codes, mut index) = (Vec::new(), Vec::new(), HashMap::new());
+        for f in records {
+            let code = *index.entry(f.client).or_insert_with(|| {
+                clients.push(f.client);
+                clients.len() as u32 - 1
+            });
+            codes.push(code);
+        }
+        let folded = history.retained_start();
+        let mut counts = vec![(0u32, 0u32); clients.len()];
+        for (f, &code) in records[..folded].iter().zip(&codes) {
+            counts[code as usize].0 += u32::from(f.is_good());
+            counts[code as usize].1 += 1;
+        }
+        let current = history.encode();
+        let mut out = current[1..HEADER_LEN].to_vec();
+        out.extend_from_slice(&(clients.len() as u64).to_le_bytes());
+        for client in clients {
+            out.extend_from_slice(&client.value().to_le_bytes());
+        }
+        for (good, total) in counts {
+            out.extend_from_slice(&good.to_le_bytes());
+            out.extend_from_slice(&total.to_le_bytes());
+        }
+        for code in &codes[folded..] {
+            out.extend_from_slice(&code.to_le_bytes());
+        }
+        out.extend_from_slice(&current[HEADER_LEN..]);
+        out
+    }
+
+    #[test]
+    fn encode_bytes_are_pinned() {
+        let (_, history) = pinned_stream();
         let bytes = history.encode();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (6025, 0xcc82_b3ef_93b1_adfe));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (82, 0x7247_22a5_283c_e9e2));
+    }
+
+    /// The old layout's length and fingerprint for the pinned stream, as
+    /// every build from the per-issuer posting-list layout on wrote it
+    /// until the issuers left the history: the copy of its encoder that
+    /// the old-layout tests use writes exactly those bytes, and they
+    /// decode to the history the current layout holds.
+    #[test]
+    fn the_old_layout_is_the_one_the_previous_build_wrote() {
+        let (stream, history) = pinned_stream();
+        let legacy = legacy_encode(&stream, &history);
+        assert_eq!(
+            (legacy.len(), fnv1a(&legacy)),
+            (6025, 0xcc82_b3ef_93b1_adfe)
+        );
+        assert_eq!(TieredHistory::decode(&legacy), Some(history));
     }
 
     #[test]
     fn decode_rejects_corruption() {
-        let mut tiered: TieredHistory = mixed_history(300).into_iter().collect();
+        let records = mixed_history(300);
+        let mut tiered: TieredHistory = records.iter().copied().collect();
         tiered.compact(100);
-        let bytes = tiered.encode();
-        assert!(
-            TieredHistory::decode(&bytes[..bytes.len() - 1]).is_none(),
-            "truncated"
-        );
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x80; // a bit above suffix len in the last word
-                               // Either the padding check or a summary-sum check must fire; the
-                               // payload must never decode to different counts silently.
-        if let Some(h) = TieredHistory::decode(&flipped) {
-            assert_eq!(h.good_count(), tiered.good_count());
+        for bytes in [tiered.encode(), legacy_encode(&records, &tiered)] {
+            let old = bytes[0] < LAYOUT;
+            assert!(
+                TieredHistory::decode(&bytes[..bytes.len() - 1]).is_none(),
+                "truncated"
+            );
+            let mut flipped = bytes.clone();
+            let last = flipped.len() - 1;
+            flipped[last] ^= 0x80; // a bit above suffix len in the last word
+            assert!(TieredHistory::decode(&flipped).is_none(), "padding bit");
+            // folded_good past folded_len, in either layout; in the old
+            // one, any folded_good the issuers' folded counts do not sum to.
+            let good_at = if old { 25 } else { 26 };
+            for good in [193u64, if old { 1 } else { 193 }] {
+                let mut bad = bytes.clone();
+                bad[good_at..good_at + 8].copy_from_slice(&good.to_le_bytes());
+                assert!(TieredHistory::decode(&bad).is_none(), "folded_good {good}");
+            }
+            let mut layout = bytes.clone();
+            layout[0] = LAYOUT + 1;
+            assert!(TieredHistory::decode(&layout).is_none(), "unknown layout");
         }
-        let mut bad_sum = bytes.clone();
-        bad_sum[9 + 16] ^= 1; // folded_good no longer matches summary sums
-        assert!(
-            TieredHistory::decode(&bad_sum).is_none(),
-            "summary sum mismatch"
-        );
         assert!(TieredHistory::decode(&[]).is_none(), "empty payload");
     }
 
     #[test]
     fn decode_refuses_a_count_the_payload_cannot_hold() {
-        // A 49-byte payload: the header of an empty history, claiming a
-        // dictionary no allocation could hold (`capacity overflow`) or one
-        // the allocator would abort on.
+        // An old-layout payload of an empty history, claiming a dictionary
+        // no allocation could hold (`capacity overflow`) or one the
+        // allocator would abort on.
+        let empty = TieredHistory::new();
         for claimed in [1u64 << 60, 1 << 42] {
-            let mut bytes = TieredHistory::new().encode();
+            let mut bytes = legacy_encode(&[], &empty);
             assert_eq!(bytes.len(), 49);
             bytes[41..49].copy_from_slice(&claimed.to_le_bytes());
             assert!(
@@ -1019,25 +914,34 @@ mod tests {
                 "client_count {claimed}"
             );
         }
-        // The suffix length (total − folded) is bounded the same way.
-        let history: TieredHistory = mixed_history(10).into_iter().collect();
-        let mut bytes = history.encode();
-        bytes[9..17].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(TieredHistory::decode(&bytes).is_none(), "suffix_len 2^60");
+        // The suffix length (total − folded) is bounded the same way, in
+        // either layout.
+        let records = mixed_history(10);
+        let history: TieredHistory = records.iter().copied().collect();
+        for (mut bytes, at) in [
+            (history.encode(), 10),
+            (legacy_encode(&records, &history), 9),
+        ] {
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+            assert!(TieredHistory::decode(&bytes).is_none(), "suffix_len 2^60");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Truncating a valid payload, or overwriting one of its 8-byte
-        /// counts (total length, folded length, folded good, dictionary
-        /// size) with anything, decodes to `None` or to the same history
-        /// — never to a panic or an allocation sized by the lie.
+        /// Truncating a valid payload of either layout, or overwriting one
+        /// of its 8-byte fields (total length, folded length, folded good,
+        /// and the version or, in the old layout, the dictionary size)
+        /// with anything, decodes to `None` or to a history that encodes
+        /// back to exactly those bytes — the same history, in the old
+        /// layout — never to a panic or an allocation sized by the lie.
         #[test]
         fn decode_survives_any_length_field(
             n in 0u64..400,
             horizon in (any::<bool>(), 0usize..200).prop_map(|(fold, horizon)| fold.then_some(horizon)),
-            field in (0usize..4).prop_map(|i| [9usize, 17, 25, 41][i]),
+            old in any::<bool>(),
+            field in 0usize..4,
             value in (0u8..3, any::<u64>(), 0u32..64).prop_map(|(kind, raw, shift)| match kind {
                 0 => raw,
                 1 => 1u64 << shift,
@@ -1045,117 +949,88 @@ mod tests {
             }),
             keep in (any::<bool>(), 0usize..4096).prop_map(|(cut, keep)| cut.then_some(keep)),
         ) {
-            let mut history: TieredHistory = mixed_history(n).into_iter().collect();
+            let records = mixed_history(n);
+            let mut history: TieredHistory = records.iter().copied().collect();
             if let Some(horizon) = horizon {
                 history.compact(horizon);
             }
-            let bytes = history.encode();
-            let mut mangled = bytes.clone();
-            mangled[field..field + 8].copy_from_slice(&value.to_le_bytes());
+            let (mut mangled, at) = if old {
+                (legacy_encode(&records, &history), [9usize, 17, 25, 41][field])
+            } else {
+                (history.encode(), [10usize, 18, 26, 34][field])
+            };
+            mangled[at..at + 8].copy_from_slice(&value.to_le_bytes());
             if let Some(keep) = keep {
                 mangled.truncate(keep);
             }
             if let Some(decoded) = TieredHistory::decode(&mangled) {
-                prop_assert_eq!(decoded.encode(), bytes);
+                if old {
+                    prop_assert_eq!(decoded, history);
+                } else {
+                    // Only the padding bits vouch for the current layout's
+                    // length, and nothing for its folded good count or its
+                    // version: decoded, they read as written.
+                    prop_assert_eq!(decoded.encode(), mangled);
+                }
             }
         }
 
-        /// Retained codes no push sequence produces — any value in any
-        /// slot, first occurrences out of mint order, before or after a
-        /// fold — decode to exactly those codes and encode back to exactly
-        /// those bytes when every code is in dictionary range, and are
-        /// refused when one is not.
+        /// The old layout's issuer ids and codes are skipped whatever they
+        /// hold, and its folded counts are read only for their sums:
+        /// overwriting any four bytes of the issuer sections decodes to the
+        /// same history, or to `None` when a folded count no longer sums.
         #[test]
-        fn decode_is_exact_for_any_code_sequence(
+        fn old_issuer_sections_are_skipped_but_their_sums_checked(
             n in 1u64..400,
             horizon in (any::<bool>(), 0usize..200).prop_map(|(fold, horizon)| fold.then_some(horizon)),
-            writes in proptest::collection::vec((any::<usize>(), any::<u32>(), any::<bool>()), 1..24),
+            writes in proptest::collection::vec((any::<usize>(), any::<u32>()), 1..8),
         ) {
-            let mut history: TieredHistory = mixed_history(n).into_iter().collect();
+            let records = mixed_history(n);
+            let mut history: TieredHistory = records.iter().copied().collect();
             if let Some(horizon) = horizon {
                 history.compact(horizon);
             }
-            let dict_len = history.issuer_column().dict_len() as u32;
-            let mut codes: Vec<u32> = history.issuer_column().codes().collect();
-            let mut bytes = history.encode();
-            let at = 49 + 16 * dict_len as usize;
-            for (slot, value, in_range) in writes {
-                if codes.is_empty() {
-                    break;
-                }
-                let slot = slot % codes.len();
-                codes[slot] = if in_range { value % dict_len } else { value };
-                bytes[at + 4 * slot..at + 4 * slot + 4].copy_from_slice(&codes[slot].to_le_bytes());
+            let mut bytes = legacy_encode(&records, &history);
+            let dict = u64::from_le_bytes(bytes[41..49].try_into().unwrap()) as usize;
+            let counts = 49 + 8 * dict..49 + 16 * dict;
+            let sections = 49..bytes.len() - history.suffix_len().div_ceil(64) * 8;
+            let mut sums_kept = true;
+            for (at, value) in writes {
+                let at = sections.start + at % (sections.len() - 3);
+                let before = bytes.clone();
+                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                let touched = (at..at + 4).any(|i| counts.contains(&i) && bytes[i] != before[i]);
+                sums_kept &= !touched;
             }
             match TieredHistory::decode(&bytes) {
-                Some(decoded) => {
-                    prop_assert!(decoded.issuer_column().codes().eq(codes.iter().copied()));
-                    prop_assert_eq!(decoded.encode(), bytes);
-                }
-                None => prop_assert!(codes.iter().any(|&code| code >= dict_len)),
+                Some(decoded) => prop_assert_eq!(decoded, history),
+                None => prop_assert!(!sums_kept, "only a folded count can refuse"),
             }
         }
     }
 
-    /// Every torn shape a panic inside `push` could leave is repaired to
-    /// the bytes of the history that never saw the record.
+    /// Rolling back a whole push leaves the bytes of the history that
+    /// never saw it, folded or not, and the history keeps working.
     #[test]
-    fn truncate_to_repairs_torn_pushes_to_the_same_bytes() {
-        type Tear = fn(&mut TieredHistory);
-        let tears: [(&str, Tear); 4] = [
-            ("bit pushed without code", |h| h.push_outcome_only(true)),
-            ("code minted without a codes entry", |h| {
-                h.push_outcome_only(false);
-                h.issuers.push_without_code(ClientId::new(9_999));
-            }),
-            // The mint that takes ids to 41 bits.
-            ("id above u32::MAX minted without a codes entry", |h| {
-                h.push_outcome_only(false);
-                h.issuers.push_without_code(ClientId::new(1 << 40));
-            }),
-            ("a whole push", |h| h.push(fb(300, 9_999, true))),
-        ];
+    fn truncate_to_undoes_a_push_to_the_same_bytes() {
         let plain: TieredHistory = mixed_history(300).into_iter().collect();
         let mut folded = plain.clone();
         folded.compact(100);
-        // Minting 9 999 here is the push that takes codes to 17 bits.
-        let last_narrow: TieredHistory = (0..65_535)
-            .map(|t| fb(t, 100_000 + t, t % 3 != 0))
-            .collect();
-        for (base, clean) in [
-            ("plain", plain),
-            ("folded", folded),
-            ("one issuer short of 17-bit codes", last_narrow),
-        ] {
-            for (what, tear) in tears {
-                let mut torn = clean.clone();
-                let mark = torn.mark();
-                tear(&mut torn);
-                torn.truncate_to(&mark)
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_eq!(torn.encode(), clean.encode(), "{what}, {base}");
-                // Cut back under 2^16 issuers and below the first long
-                // id, codes are 16 bits and ids 18 again: a push grows a
-                // long column by a quarter at most.
-                if clean.len() >= 1024 {
-                    let (repaired, cloned) = (torn.resident_bytes(), clean.resident_bytes());
-                    assert!(repaired * 4 <= cloned * 5, "{what}, {base}: {repaired} B");
-                }
-                assert_eq!(
-                    HistoryView::issuer_groups(&torn),
-                    HistoryView::issuer_groups(&clean),
-                    "{what}"
-                );
-                // And it is a working history again.
-                torn.push(fb(300, 9_999, false));
-                let mut grown = clean.clone();
-                grown.push(fb(300, 9_999, false));
-                assert_eq!(
-                    torn.encode(),
-                    grown.encode(),
-                    "{what}: push after the repair"
-                );
-            }
+        for (base, clean) in [("plain", plain), ("folded", folded)] {
+            let mut torn = clean.clone();
+            let mark = torn.mark();
+            torn.push(fb(300, 9_999, true));
+            torn.truncate_to(&mark).unwrap();
+            assert_eq!(torn, clean, "{base}");
+            assert_eq!(torn.encode(), clean.encode(), "{base}");
+            torn.push(fb(300, 9_999, false));
+            let mut grown = clean.clone();
+            grown.push(fb(300, 9_999, false));
+            assert_eq!(
+                torn.encode(),
+                grown.encode(),
+                "{base}: push after the repair"
+            );
         }
     }
 
@@ -1185,22 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_drops_a_reordering_cached_for_the_tail() {
-        let mut history: TieredHistory = mixed_history(50).into_iter().collect();
-        let mark = history.mark();
-        history.push(fb(50, 1, true));
-        let stale = history.reordered_column();
-        history.truncate_to(&mark).unwrap();
-        history.push(fb(50, 2, false));
-        let fresh = history.reordered_column();
-        assert_ne!(
-            stale.as_col().total_good(),
-            fresh.as_col().total_good(),
-            "version 51 was re-opened with different content"
-        );
-    }
-
-    #[test]
     fn resident_bytes_shrink_with_compaction() {
         let mut tiered: TieredHistory = mixed_history(10_000).into_iter().collect();
         let before = tiered.resident_bytes();
@@ -1210,6 +1069,5 @@ mod tests {
             after * 4 < before,
             "compacted {after} bytes should be well under a quarter of {before}"
         );
-        assert!(tiered.summary_resident_bytes() > 0);
     }
 }

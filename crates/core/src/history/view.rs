@@ -2,26 +2,26 @@
 //!
 //! A [`HistoryView`] exposes exactly what the paper's algorithms need —
 //! a boolean outcome column with O(1) range counts, issuer groupings for
-//! the §4 collusion-resilient reordering, and optional timestamps — while
-//! hiding *how* the history is stored. Two implementations exist:
+//! the §4 collusion-resilient reordering where the history keeps its
+//! issuers, and optional timestamps — while hiding *how* the history is
+//! stored. Two implementations exist:
 //!
 //! * [`crate::TransactionHistory`] — the reference row store
-//!   (`Vec<Feedback>` plus prefix sums and a per-client index),
-//! * [`crate::history::TieredHistory`] — the bit-packed columnar engine
-//!   the service and the stores run, optionally folded past the
-//!   assessment horizon.
+//!   (`Vec<Feedback>` plus prefix sums and a per-client index), the one
+//!   view that keeps issuers;
+//! * [`crate::history::TieredHistory`] — the outcome column the service
+//!   runs, optionally folded past the assessment horizon.
 //!
-//! The contract between them is bit-identity: every behavior test and
-//! trust function must produce the same verdict through either view
-//! (property-tested in `tests/columnar_equivalence.rs`, and in
-//! `tests/tiered_equivalence.rs` for every query that fits the retained
-//! suffix of a folded history).
+//! The contract between them is bit-identity: every outcome query, and
+//! so every §3 behavior test and trust function, must produce the same
+//! answer through either view (property-tested in
+//! `tests/columnar_equivalence.rs`, and in `tests/tiered_equivalence.rs`
+//! for every query that fits the retained suffix of a folded history).
 
 use crate::id::{ClientId, ServerId};
 use hp_stats::{PrefixSums, StatsError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use super::columnar::BitColumn;
 use super::tiered::TieredColumn;
 
 /// A borrowed outcome column: O(1) good-transaction counts over any
@@ -31,10 +31,9 @@ use super::tiered::TieredColumn;
 /// call instead of once per window.
 #[derive(Debug, Clone, Copy)]
 pub enum ColumnRef<'a> {
-    /// A `Vec<u64>`-backed prefix-sum column (the reference layout).
+    /// A `Vec<u64>`-backed prefix-sum column (the reference layout, and
+    /// the §4 reordered column).
     Prefix(&'a PrefixSums),
-    /// A bit-packed column with per-word prefix popcounts.
-    Bits(&'a BitColumn),
     /// A horizon-compacted column: an exact folded-prefix summary plus a
     /// full-resolution bit suffix. Queries inside the suffix (or covering
     /// the whole folded prefix) are exact; anything else degrades to a
@@ -47,7 +46,6 @@ impl ColumnRef<'_> {
     pub fn len(&self) -> usize {
         match self {
             ColumnRef::Prefix(p) => p.len(),
-            ColumnRef::Bits(b) => b.len(),
             ColumnRef::Tiered(t) => t.len(),
         }
     }
@@ -61,18 +59,17 @@ impl ColumnRef<'_> {
     pub fn total_good(&self) -> u64 {
         match self {
             ColumnRef::Prefix(p) => p.total_good(),
-            ColumnRef::Bits(b) => b.total_good(),
             ColumnRef::Tiered(t) => t.total_good(),
         }
     }
 
     /// First position still held at full bit resolution. `0` for the
-    /// uncompacted representations; the folded-prefix length for
+    /// prefix-sum column; the folded-prefix length for
     /// [`ColumnRef::Tiered`]. Queries starting at or after this position
     /// behave exactly like the untiered column.
     pub fn retained_start(&self) -> usize {
         match self {
-            ColumnRef::Prefix(_) | ColumnRef::Bits(_) => 0,
+            ColumnRef::Prefix(_) => 0,
             ColumnRef::Tiered(t) => t.retained_start(),
         }
     }
@@ -88,7 +85,6 @@ impl ColumnRef<'_> {
     pub fn count_range(&self, start: usize, end: usize) -> u64 {
         match self {
             ColumnRef::Prefix(p) => p.count_range(start, end),
-            ColumnRef::Bits(b) => b.count_range(start, end),
             ColumnRef::Tiered(t) => t.count_range(start, end),
         }
     }
@@ -103,7 +99,6 @@ impl ColumnRef<'_> {
     pub fn rate_range(&self, start: usize, end: usize) -> Result<f64, StatsError> {
         match self {
             ColumnRef::Prefix(p) => p.rate_range(start, end),
-            ColumnRef::Bits(b) => b.rate_range(start, end),
             ColumnRef::Tiered(t) => t.rate_range(start, end),
         }
     }
@@ -124,29 +119,7 @@ impl ColumnRef<'_> {
     ) -> Result<Vec<u32>, StatsError> {
         match self {
             ColumnRef::Prefix(p) => p.window_counts(start, end, m),
-            ColumnRef::Bits(b) => b.window_counts(start, end, m),
             ColumnRef::Tiered(t) => t.window_counts(start, end, m),
-        }
-    }
-}
-
-/// A shared, immutable outcome column — what the collusion-resilient
-/// reorder cache hands out. Cloning is an `Arc` bump; repeated collusion
-/// evaluations of an unchanged history allocate nothing.
-#[derive(Debug, Clone)]
-pub enum OwnedColumn {
-    /// A shared prefix-sum column.
-    Prefix(Arc<PrefixSums>),
-    /// A shared bit-packed column.
-    Bits(Arc<BitColumn>),
-}
-
-impl OwnedColumn {
-    /// Borrows the column for range queries.
-    pub fn as_col(&self) -> ColumnRef<'_> {
-        match self {
-            OwnedColumn::Prefix(p) => ColumnRef::Prefix(p),
-            OwnedColumn::Bits(b) => ColumnRef::Bits(b),
         }
     }
 }
@@ -161,72 +134,6 @@ pub struct IssuerGroup {
     pub count: usize,
     /// Number of *positive* feedbacks this issuer contributed.
     pub good: usize,
-}
-
-/// The version-stamped cache behind [`HistoryView::reordered_column`].
-///
-/// Shared by both history representations: the §4 issuer-frequency
-/// reordering is recomputed only when the history has changed since the
-/// cached column was built.
-#[derive(Debug, Default)]
-pub(crate) struct ReorderCache {
-    /// `(history version, reordered column)` of the last recompute.
-    cached: Option<(u64, OwnedColumn)>,
-    /// How many times the reordering was actually rebuilt (observability
-    /// hook for the no-realloc regression tests and benches).
-    recomputes: u64,
-}
-
-impl ReorderCache {
-    /// Returns the cached column for `version`, or builds one with
-    /// `build`, stamps it, and counts the recompute.
-    pub fn get_or_build(
-        &mut self,
-        version: u64,
-        build: impl FnOnce() -> OwnedColumn,
-    ) -> OwnedColumn {
-        if let Some((v, col)) = &self.cached {
-            if *v == version {
-                return col.clone();
-            }
-        }
-        let col = build();
-        self.recomputes += 1;
-        self.cached = Some((version, col.clone()));
-        col
-    }
-
-    pub fn recomputes(&self) -> u64 {
-        self.recomputes
-    }
-
-    /// Drops the cached column (the recompute counter stays).
-    pub fn clear(&mut self) {
-        self.cached = None;
-    }
-
-    /// A warm copy of this cache for a cloned history (the recompute
-    /// counter starts over — it describes work done *by that instance*).
-    pub fn cloned(&self) -> Self {
-        ReorderCache {
-            cached: self.cached.clone(),
-            recomputes: 0,
-        }
-    }
-}
-
-/// Locks a history's reorder cache. A poisoned lock means a `build`
-/// closure panicked under it — a history that outlives the panic (the
-/// service keeps per-server state across a worker crash) must not be
-/// wedged by that, so poison is read as "cache lost": the column is
-/// dropped and the next call recomputes it.
-pub(crate) fn lock_reorder(cache: &Mutex<ReorderCache>) -> MutexGuard<'_, ReorderCache> {
-    cache.lock().unwrap_or_else(|poisoned| {
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        cache.clear_poison();
-        guard
-    })
 }
 
 /// The borrowed view of a transaction history that phase 1 (all three
@@ -244,13 +151,15 @@ pub trait HistoryView {
     fn outcome_prefix(&self) -> ColumnRef<'_>;
 
     /// All issuers with at least one feedback, most frequent first, ties
-    /// broken by ascending client id — the §4 ordering.
-    fn issuer_groups(&self) -> Vec<IssuerGroup>;
+    /// broken by ascending client id — the §4 ordering. `None` for a
+    /// history that keeps no issuers.
+    fn issuer_groups(&self) -> Option<Vec<IssuerGroup>>;
 
     /// The outcome column in issuer-frequency order (§4), cached and
     /// invalidated on ingest: repeated calls on an unchanged history are
-    /// allocation-free `Arc` clones.
-    fn reordered_column(&self) -> OwnedColumn;
+    /// allocation-free `Arc` clones. `None` for a history that keeps no
+    /// issuers.
+    fn reordered_column(&self) -> Option<Arc<PrefixSums>>;
 
     /// The timestamp of transaction `i`, if this representation keeps
     /// timestamps. Callers needing real time semantics (e.g.
@@ -267,10 +176,9 @@ pub trait HistoryView {
     /// `0` (the default) means the whole history is available and every
     /// query behaves exactly as on the reference row store. A
     /// horizon-compacted history ([`crate::history::TieredHistory`])
-    /// overrides this with its folded-prefix length; assessment paths
-    /// that must scan the full history (e.g. the §4 collusion reordering)
-    /// check it and degrade to a typed
-    /// [`StatsError::HorizonExceeded`] instead of answering wrongly.
+    /// overrides this with its folded-prefix length; a query reaching
+    /// before it degrades to a typed [`StatsError::HorizonExceeded`]
+    /// instead of answering wrongly.
     fn retained_start(&self) -> usize {
         0
     }
@@ -341,14 +249,22 @@ pub trait HistoryView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feedback::{Feedback, Rating};
+    use crate::history::TieredHistory;
+    use crate::id::{ClientId, ServerId};
 
     #[test]
     fn column_ref_dispatch_agrees_between_representations() {
         let outcomes = [true, true, false, true, false, false, true, true];
         let prefix = PrefixSums::from_bools(outcomes);
-        let bits = BitColumn::from_bools(outcomes);
+        let tiered: TieredHistory = (0..8u64)
+            .map(|t| {
+                let rating = Rating::from_good(outcomes[t as usize]);
+                Feedback::new(t, ServerId::new(1), ClientId::new(t), rating)
+            })
+            .collect();
         let p = ColumnRef::Prefix(&prefix);
-        let b = ColumnRef::Bits(&bits);
+        let b = ColumnRef::Tiered(tiered.column());
         assert_eq!(p.len(), b.len());
         assert_eq!(p.total_good(), b.total_good());
         for start in 0..=8 {
@@ -361,45 +277,5 @@ mod tests {
             p.window_counts(0, 8, 4).unwrap(),
             b.window_counts(0, 8, 4).unwrap()
         );
-    }
-
-    #[test]
-    fn owned_column_clone_is_shallow() {
-        let col = OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools([true, false])));
-        let clone = col.clone();
-        match (&col, &clone) {
-            (OwnedColumn::Prefix(a), OwnedColumn::Prefix(b)) => assert!(Arc::ptr_eq(a, b)),
-            _ => unreachable!(),
-        }
-        assert_eq!(clone.as_col().len(), 2);
-    }
-
-    #[test]
-    fn reorder_cache_rebuilds_only_on_version_change() {
-        let mut cache = ReorderCache::default();
-        let build = || OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools([true])));
-        let _ = cache.get_or_build(1, build);
-        let _ = cache.get_or_build(1, build);
-        assert_eq!(cache.recomputes(), 1, "same version must be a cache hit");
-        let _ = cache.get_or_build(2, build);
-        assert_eq!(cache.recomputes(), 2);
-        assert_eq!(cache.cloned().recomputes(), 0);
-    }
-
-    #[test]
-    fn a_panicking_build_costs_one_recompute_not_the_cache() {
-        let cache = Mutex::new(ReorderCache::default());
-        let build = || OwnedColumn::Prefix(Arc::new(PrefixSums::from_bools([true, false, true])));
-        let _ = lock_reorder(&cache).get_or_build(1, build);
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lock_reorder(&cache).get_or_build(2, || panic!("reordering failed"))
-        }));
-        assert!(crashed.is_err());
-        assert!(cache.is_poisoned());
-        let before = lock_reorder(&cache).recomputes();
-        assert!(!cache.is_poisoned(), "poison is cleared with the cache");
-        let column = lock_reorder(&cache).get_or_build(2, build);
-        assert_eq!(column.as_col().count_range(0, 3), 2);
-        assert_eq!(lock_reorder(&cache).recomputes(), before + 1);
     }
 }

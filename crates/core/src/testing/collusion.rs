@@ -1,7 +1,7 @@
 //! Collusion-resilient behavior testing (§4).
 
 use crate::error::CoreError;
-use crate::history::HistoryView;
+use crate::history::{ColumnRef, HistoryView};
 use crate::testing::config::BehaviorTestConfig;
 use crate::testing::engine::{run_multi, run_range_test};
 use crate::testing::report::{
@@ -117,47 +117,42 @@ impl CollusionResilientTest {
     }
 
     /// Supporter-base statistics for `history` (§4's "expanding supporter
-    /// base" signal, usable on its own for dashboards/diagnostics).
-    pub fn supporter_base(history: &dyn HistoryView) -> SupporterBaseStats {
+    /// base" signal, usable on its own for dashboards/diagnostics); `None`
+    /// for a history that keeps no issuers.
+    pub fn supporter_base(history: &dyn HistoryView) -> Option<SupporterBaseStats> {
         let n = history.len().max(1) as f64;
-        let groups = history.issuer_groups();
+        let groups = history.issuer_groups()?;
         // A supporter has issued at least one positive feedback.
         let supporters = groups.iter().filter(|g| g.good > 0).count();
         let top_share = groups.first().map_or(0.0, |g| g.count as f64 / n);
         let top5: usize = groups.iter().take(5).map(|g| g.count).sum();
-        SupporterBaseStats {
+        Some(SupporterBaseStats {
             distinct_clients: groups.len(),
             supporters,
             top_share,
             top5_share: top5 as f64 / n,
-        }
+        })
     }
 
     /// The full typed report.
     ///
     /// # Errors
     ///
-    /// Propagates statistical failures as [`CoreError::Stats`].
+    /// [`CoreError::IssuersNotKept`] for a history that keeps no issuers
+    /// (the §4 reordering groups by issuer); statistical failures as
+    /// [`CoreError::Stats`].
     pub fn evaluate_detailed(
         &self,
         history: &dyn HistoryView,
     ) -> Result<CollusionReport, CoreError> {
-        // The §4 reordering permutes the *whole* history; a
-        // horizon-compacted view no longer has bits for the folded
-        // prefix, so degrade with a typed error instead of reordering a
-        // partial sequence (which would silently change the verdict).
-        let retained_start = history.retained_start();
-        if retained_start > 0 {
-            return Err(CoreError::Stats(hp_stats::StatsError::HorizonExceeded {
-                start: 0,
-                retained_start,
-            }));
-        }
+        let supporter_base = Self::supporter_base(history).ok_or(CoreError::IssuersNotKept)?;
         // The issuer-frequency permutation is cached per history and only
         // rebuilt after ingest, so re-assessing an unchanged history does
         // not allocate.
-        let reordered = history.reordered_column();
-        let reordered = reordered.as_col();
+        let reordered = history
+            .reordered_column()
+            .ok_or(CoreError::IssuersNotKept)?;
+        let reordered = ColumnRef::Prefix(&reordered);
         let multi = match self.depth {
             CollusionTestDepth::Multi => MultiReport::collect(|suffixes| {
                 run_multi(reordered, &self.config, &self.calibrator, suffixes)
@@ -186,7 +181,7 @@ impl CollusionResilientTest {
         Ok(CollusionReport {
             outcome: multi.outcome,
             reordered: multi,
-            supporter_base: Self::supporter_base(history),
+            supporter_base,
         })
     }
 }
@@ -329,7 +324,7 @@ mod tests {
         h.push(Feedback::new(2, SERVER, ClientId::new(1), Rating::Positive));
         h.push(Feedback::new(3, SERVER, ClientId::new(2), Rating::Negative));
         h.push(Feedback::new(4, SERVER, ClientId::new(3), Rating::Positive));
-        let stats = CollusionResilientTest::supporter_base(&h);
+        let stats = CollusionResilientTest::supporter_base(&h).unwrap();
         assert_eq!(stats.distinct_clients, 3);
         assert_eq!(stats.supporters, 2);
         assert!((stats.top_share - 0.6).abs() < 1e-12);

@@ -7,7 +7,8 @@
 //! uncompacted [`TieredHistory`] must produce the same verdicts, reports
 //! and trust values as feeding it through [`TransactionHistory`]. The
 //! columns keep no timestamps, so the one time-reading trust function is
-//! compared on the clock it falls back to (the transaction index). The
+//! compared on the clock it falls back to (the transaction index), and
+//! no issuers, so the §4 scheme refuses them with a typed error. The
 //! compacted half is `tiered_equivalence.rs`; the service-side half
 //! (torn-tail journal recovery replaying into columns) is property-tested
 //! in `crates/service/tests/recovery.rs`.
@@ -21,8 +22,8 @@ use hp_core::trust::{
     AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust, WindowedAverageTrust,
 };
 use hp_core::{
-    ClientId, Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory,
-    TwoPhaseAssessor,
+    ClientId, CoreError, Feedback, HistoryView, Rating, ServerId, TieredHistory,
+    TransactionHistory, TwoPhaseAssessor,
 };
 use hp_stats::PrefixSums;
 use proptest::prelude::*;
@@ -51,7 +52,10 @@ fn feedback_stream() -> impl Strategy<Value = Vec<Feedback>> {
 }
 
 fn both(stream: &[Feedback]) -> (TransactionHistory, TieredHistory) {
-    (stream.iter().copied().collect(), stream.iter().copied().collect())
+    (
+        stream.iter().copied().collect(),
+        stream.iter().copied().collect(),
+    )
 }
 
 fn fast_config() -> BehaviorTestConfig {
@@ -83,7 +87,9 @@ proptest! {
                 cols.window_counts(0, n, m).unwrap()
             );
         }
-        prop_assert_eq!(rows.issuer_groups(), cols.issuer_groups());
+        // The columns keep no issuers: §4 gets no answer, not a wrong one.
+        prop_assert!(rows.issuer_groups().is_some());
+        prop_assert_eq!(cols.issuer_groups(), None);
     }
 
     #[test]
@@ -99,10 +105,13 @@ proptest! {
             multi.evaluate_detailed(&rows).unwrap(),
             multi.evaluate_detailed(&cols).unwrap()
         );
+        // The collusion-resilient scheme groups by issuer, which only the
+        // rows keep: the columns refuse it, typed.
         let collusion = CollusionResilientTest::new(fast_config()).unwrap();
+        prop_assert!(collusion.evaluate_detailed(&rows).is_ok());
         prop_assert_eq!(
-            collusion.evaluate_detailed(&rows).unwrap(),
-            collusion.evaluate_detailed(&cols).unwrap()
+            collusion.evaluate_detailed(&cols),
+            Err(CoreError::IssuersNotKept)
         );
     }
 
@@ -211,41 +220,5 @@ proptest! {
             WeightedTrust::new(0.5).unwrap(),
         );
         prop_assert_eq!(assessor.assess(&rows).unwrap(), assessor.assess(&cols).unwrap());
-    }
-}
-
-/// Deterministic colluder-heavy stream: one issuer floods good ratings,
-/// honest issuers interleave — the case frequency reordering exists for.
-#[test]
-fn collusion_reordering_agrees_on_skewed_issuers() {
-    let mut rows = TransactionHistory::new();
-    let mut cols = TieredHistory::new();
-    for t in 0..400u64 {
-        let (client, good) = if t % 3 == 0 {
-            (ClientId::new(99), true) // the colluder
-        } else {
-            (ClientId::new(t % 7), t % 11 != 0)
-        };
-        let f = Feedback::new(t, ServerId::new(1), client, Rating::from_good(good));
-        rows.push(f);
-        cols.push(f);
-    }
-    let test = CollusionResilientTest::new(fast_config()).unwrap();
-    let via_rows = test.evaluate_detailed(&rows).unwrap();
-    let via_cols = test.evaluate_detailed(&cols).unwrap();
-    assert_eq!(via_rows, via_cols);
-    assert_eq!(
-        rows.reordered_column().as_col().window_counts(0, 400, 10).unwrap(),
-        cols.reordered_column().as_col().window_counts(0, 400, 10).unwrap()
-    );
-    // The same kernel against the prefix-sum reference on this skewed
-    // stream's outcomes.
-    let outcomes = || (0..400).map(|i| cols.outcome(i));
-    let (column, reference) = (BitColumn::from_bools(outcomes()), PrefixSums::from_bools(outcomes()));
-    for m in [3usize, 10, 64, 100] {
-        assert_eq!(
-            column.window_counts(7, 400, m).unwrap(),
-            reference.window_counts(7, 400, m).unwrap()
-        );
     }
 }

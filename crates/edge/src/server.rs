@@ -779,11 +779,7 @@ fn health(shared: &Shared) -> Reply {
                     stats.failed_shards,
                     stats.shard_restarts,
                     stats.tracked_servers,
-                    (
-                        stats.tier_hot_suffix_bytes,
-                        stats.tier_summary_bytes,
-                        stats.tier_spilled_bytes,
-                    ),
+                    (stats.tier_hot_suffix_bytes, stats.tier_spilled_bytes),
                     Some(service.calibration_readiness()),
                 ),
             )
@@ -795,7 +791,7 @@ fn health(shared: &Shared) -> Reply {
             wire::render_warming_health(state, &shared.boot.status()),
         ),
         // Draining: not ready for traffic, says so.
-        _ => Reply::json(503, wire::render_health(state, 0, 0, 0, 0, (0, 0, 0), None)),
+        _ => Reply::json(503, wire::render_health(state, 0, 0, 0, 0, (0, 0), None)),
     }
 }
 

@@ -257,8 +257,8 @@ pub fn render_error(error: &str, detail: &str) -> String {
 }
 
 /// `{"status":"…","shards":N,"failed_shards":M,…}` for `/healthz`.
-/// `history_bytes` is the per-tier residency `(hot_suffix, summary,
-/// spilled)` — the runbook signal for sizing `--spill-budget-bytes`
+/// `history_bytes` is the per-tier residency `(hot_suffix, spilled)` —
+/// the runbook signal for sizing `--spill-budget-bytes`
 /// (spilled counts fault-in cost, not disk usage). `calibration`
 /// (absent while draining) reports whether the interpolated threshold
 /// surface is configured and serving — the runbook signal for
@@ -270,13 +270,13 @@ pub fn render_health(
     failed_shards: u64,
     shard_restarts: u64,
     tracked_servers: usize,
-    history_bytes: (u64, u64, u64),
+    history_bytes: (u64, u64),
     calibration: Option<CalibrationReadiness>,
 ) -> String {
     use std::fmt::Write;
-    let (hot_suffix, summary, spilled) = history_bytes;
+    let (hot_suffix, spilled) = history_bytes;
     let mut out = format!(
-        "{{\"status\":\"{status}\",\"shards\":{shards},\"failed_shards\":{failed_shards},\"shard_restarts\":{shard_restarts},\"tracked_servers\":{tracked_servers},\"history_bytes\":{{\"hot_suffix\":{hot_suffix},\"summary\":{summary},\"spilled\":{spilled}}}"
+        "{{\"status\":\"{status}\",\"shards\":{shards},\"failed_shards\":{failed_shards},\"shard_restarts\":{shard_restarts},\"tracked_servers\":{tracked_servers},\"history_bytes\":{{\"hot_suffix\":{hot_suffix},\"spilled\":{spilled}}}"
     );
     if let Some(cal) = calibration {
         let _ = write!(
@@ -546,7 +546,7 @@ mod tests {
             0,
             1,
             900,
-            (4096, 512, 8192),
+            (4096, 8192),
             Some(CalibrationReadiness {
                 surface_configured: true,
                 surface_ready: true,
@@ -557,13 +557,13 @@ mod tests {
         assert_eq!(json_u64(&health, "shards"), Some(4));
         assert_eq!(json_u64(&health, "shard_restarts"), Some(1));
         assert_eq!(json_u64(&health, "hot_suffix"), Some(4096));
-        assert_eq!(json_u64(&health, "summary"), Some(512));
+        assert_eq!(json_u64(&health, "summary"), None);
         assert_eq!(json_u64(&health, "spilled"), Some(8192));
         assert_eq!(json_str(&health, "surface_configured"), Some("true"));
         assert_eq!(json_str(&health, "surface_ready"), Some("true"));
         assert_eq!(json_u64(&health, "cache_entries"), Some(615));
 
-        let draining = render_health("draining", 0, 0, 0, 0, (0, 0, 0), None);
+        let draining = render_health("draining", 0, 0, 0, 0, (0, 0), None);
         assert!(!draining.contains("calibration"), "{draining}");
 
         let warming = render_warming_health(

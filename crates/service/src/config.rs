@@ -130,7 +130,7 @@ impl Default for SnapshotPolicy {
 /// spill.
 ///
 /// Compaction folds whole 64-outcome words older than the assessment
-/// horizon into exact per-issuer summary counts, keeping a full-resolution
+/// horizon into two exact counts (outcomes and good ones), keeping a full-resolution
 /// bit suffix of at least `horizon` outcomes. Because the horizon also caps
 /// the behavior test's suffix grid (see [`ServiceConfig::effective_test`]),
 /// every suffix the test sweeps fits the retained bits and verdicts stay

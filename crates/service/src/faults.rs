@@ -15,9 +15,8 @@
 //!   supervisor quarantines it;
 //! * **mid-apply tear**: applying a specific `(server, time)` feedback
 //!   panics *inside* the apply — after the history push and before the
-//!   trust update, or between the history's two column appends — once, or
-//!   every time until quarantined: the crash the rollback of an ephemeral
-//!   shard's retained state exists for;
+//!   trust update — once, or every time until quarantined: the crash the
+//!   rollback of an ephemeral shard's retained state exists for;
 //! * **panic in an assessment / in a tiering pass**, each fired once: a
 //!   crash with no record in flight, and a crash inside the one mutation
 //!   that is not append-only;
@@ -45,9 +44,6 @@ use std::time::Duration;
 pub enum TearPoint {
     /// The history holds the record, the trust state does not.
     AfterHistoryPush,
-    /// The outcome column holds the record's bit, the issuer column
-    /// nothing of it.
-    BetweenColumnPushes,
 }
 
 /// A deterministic plan of faults to inject into shard workers.

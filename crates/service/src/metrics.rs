@@ -60,7 +60,7 @@ pub struct ServiceStats {
     pub snapshot_bytes: u64,
     /// Recovery candidates rejected, falling down the recovery chain.
     pub snapshot_fallbacks: u64,
-    /// Outcomes folded into summary counts by windowed compaction.
+    /// Outcomes folded into the folded counts by windowed compaction.
     pub tier_compacted_records: u64,
     /// Server histories evicted from the hot tier to cold segments.
     pub tier_evictions: u64,
@@ -71,9 +71,6 @@ pub struct ServiceStats {
     /// this call's occupancy request. A failed shard, which no longer
     /// answers, contributes the sums it last published, not zero.
     pub tier_hot_suffix_bytes: u64,
-    /// Resident bytes of folded per-issuer summary counts, summed over
-    /// shards (a failed shard: its last published sum).
-    pub tier_summary_bytes: u64,
     /// Bytes of histories spilled to cold segments (what a full fault-in
     /// would read back), summed over shards (a failed shard: its last
     /// published sum).
@@ -183,7 +180,7 @@ mod tests {
             }
         }
         assert_eq!(stats.ingested_feedbacks, 100 + 5000);
-        assert_eq!(stats.tier_spilled_bytes, 125 + 5075);
+        assert_eq!(stats.tier_spilled_bytes, 124 + 5072);
         assert_eq!(stats.calibration_cache_misses, 9002);
         assert_eq!(stats.calibration_cache_entries, 9007);
         assert_eq!(stats.shard_queue_depths, vec![121, 5063]);

@@ -213,7 +213,6 @@ metric_table! {
         QueueDepth = gauge("hp_shard_queue_depth"), "Commands queued at the shard (sampled)";
         LastApplyVersion = gauge("hp_shard_last_apply_version"), "State version after the last batch apply";
         TierHotBytes = gauge("hp_history_resident_bytes", "hot_suffix"), "History bytes per storage tier (sampled)", stat tier_hot_suffix_bytes;
-        TierSummaryBytes = gauge("hp_history_resident_bytes", "summary"), "History bytes per storage tier (sampled)", stat tier_summary_bytes;
         TierSpilledBytes = gauge("hp_history_resident_bytes", "spilled"), "History bytes per storage tier (sampled)", stat tier_spilled_bytes;
         JournalFsyncs = counter("hp_journal_fsyncs_total"), "Journal fsyncs by group commits (one per synced group)";
     }
@@ -647,7 +646,6 @@ mod tests {
         reg.shard(1).add(ShardMetric::TierCompacted, 640);
         reg.shard(1).add(ShardMetric::ReplayedRecords, 90);
         reg.shard(1).set(ShardMetric::TierHotBytes, 4096);
-        reg.shard(1).set(ShardMetric::TierSummaryBytes, 512);
         reg.shard(1).set(ShardMetric::TierSpilledBytes, 8192);
         let text = reg.render_prometheus();
         for required in [
@@ -658,7 +656,6 @@ mod tests {
             "hp_tier_evictions_total{shard=\"0\"} 0",
             "hp_tier_faults_total{shard=\"0\"} 0",
             "hp_history_resident_bytes{shard=\"1\",tier=\"hot_suffix\"} 4096",
-            "hp_history_resident_bytes{shard=\"1\",tier=\"summary\"} 512",
             "hp_history_resident_bytes{shard=\"1\",tier=\"spilled\"} 8192",
             "# TYPE hp_history_resident_bytes gauge",
             "hp_shard_queue_depth{shard=\"0\"}",
@@ -749,7 +746,7 @@ mod tests {
         let text = reg.render_prometheus();
         assert_eq!(
             (text.len(), fnv1a(text.as_bytes())),
-            (17_200, 0x6f0e_5e5b_2563_f26b),
+            (17_086, 0x5634_1f89_024e_6efd),
             "{text}"
         );
         assert_eq!(lint_prometheus(&text), Vec::<String>::new());

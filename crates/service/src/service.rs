@@ -18,7 +18,7 @@ use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::Assessment;
 use hp_core::{CoreError, Feedback, ServerId};
 use hp_stats::ThresholdCalibrator;
-use hp_store::{ColdStore, FeedbackStore};
+use hp_store::ColdStore;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -150,14 +150,6 @@ pub struct IngestOutcome {
     /// their shard had not taken them within the wait: never journaled,
     /// never applied.
     pub shed: usize,
-}
-
-impl IngestOutcome {
-    /// Folds another outcome into this one.
-    pub fn merge(&mut self, other: IngestOutcome) {
-        self.accepted += other.accepted;
-        self.shed += other.shed;
-    }
 }
 
 /// Why an assessment was answered from the published-verdict cache
@@ -536,24 +528,6 @@ impl ReputationService {
             Some(error) => Err(error),
             None => Ok(outcome),
         }
-    }
-
-    /// Loads every server history from `store` into the service.
-    ///
-    /// Returns the merged [`IngestOutcome`]. Use this to warm-start from
-    /// a persisted feedback log (e.g. [`hp_store::MemoryStore`] or a
-    /// sharded store healed after failures).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::ingest_batch`].
-    pub fn ingest_store(&self, store: &dyn FeedbackStore) -> Result<IngestOutcome, ServiceError> {
-        let mut outcome = IngestOutcome::default();
-        for server in store.servers() {
-            let history = store.history_of(server);
-            outcome.merge(self.ingest_batch(history.iter().copied())?);
-        }
-        Ok(outcome)
     }
 
     /// Assesses one server: phase-1 behavior screening plus phase-2 trust,
@@ -1077,7 +1051,6 @@ mod tests {
     use crate::config::TrustModel;
     use hp_core::testing::BehaviorTestConfig;
     use hp_core::{ClientId, Rating};
-    use hp_store::MemoryStore;
 
     fn fast_config() -> ServiceConfig {
         ServiceConfig::default()
@@ -1171,21 +1144,6 @@ mod tests {
             assert_eq!(id, server);
             assert_eq!(answer.unwrap(), first);
         }
-    }
-
-    #[test]
-    fn ingest_store_warm_starts() {
-        let mut store = MemoryStore::new();
-        for f in feedbacks_for(ServerId::new(5), 150, 19) {
-            store.append(f);
-        }
-        for f in feedbacks_for(ServerId::new(6), 80, 7) {
-            store.append(f);
-        }
-        let service = ReputationService::new(fast_config()).unwrap();
-        let outcome = service.ingest_store(&store).unwrap();
-        assert_eq!(outcome.accepted, 230);
-        assert_eq!(service.stats().tracked_servers, 2);
     }
 
     #[test]

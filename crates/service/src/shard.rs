@@ -950,29 +950,26 @@ fn journal_append(batches: &[Vec<Feedback>], ctx: &ShardContext) -> Result<(), S
     Ok(())
 }
 
-/// Stores `(hot suffix, folded summary, spilled payload)` byte sums in
-/// the shard's `hp_history_resident_bytes` gauges.
-fn publish_tier_bytes(ctx: &ShardContext, (hot, summary, spilled): (u64, u64, u64)) {
+/// Stores `(hot suffix, spilled payload)` byte sums in the shard's
+/// `hp_history_resident_bytes` gauges.
+fn publish_tier_bytes(ctx: &ShardContext, (hot, spilled): (u64, u64)) {
     let metrics = ctx.metrics();
     metrics.set(ShardMetric::TierHotBytes, hot);
-    metrics.set(ShardMetric::TierSummaryBytes, summary);
     metrics.set(ShardMetric::TierSpilledBytes, spilled);
 }
 
-/// Per-tier resident byte sums over a shard's states: `(hot suffix,
-/// folded summary, spilled payload)`.
-fn tier_bytes(states: &HashMap<ServerId, ServerState>) -> (u64, u64, u64) {
+/// Per-tier byte sums over a shard's states: `(hot suffix, spilled
+/// payload)`.
+fn tier_bytes(states: &HashMap<ServerId, ServerState>) -> (u64, u64) {
     let mut hot = 0;
-    let mut summary = 0;
     let mut spilled = 0;
     for state in states.values() {
         hot += state.suffix_bytes();
-        summary += state.summary_bytes();
         if let Some((meta, _)) = state.spilled() {
             spilled += meta.bytes;
         }
     }
-    (hot, summary, spilled)
+    (hot, spilled)
 }
 
 /// The tiering pass at an ingest-batch boundary: folds the touched
@@ -1021,9 +1018,9 @@ pub(crate) fn tier_all(states: &mut HashMap<ServerId, ServerState>, ctx: &ShardC
 fn enforce_spill_budget(
     states: &mut HashMap<ServerId, ServerState>,
     ctx: &ShardContext,
-) -> (u64, u64, u64) {
+) -> (u64, u64) {
     let unchanged = tier_bytes(states);
-    let (hot_total, summary_total, spilled_total) = unchanged;
+    let (hot_total, spilled_total) = unchanged;
     let Some(tiering) = &ctx.tiering else {
         return unchanged;
     };
@@ -1043,14 +1040,13 @@ fn enforce_spill_budget(
     victims.sort_unstable();
     let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut chosen: Vec<ServerId> = Vec::new();
-    let (mut freed, mut freed_summary, mut written) = (0u64, 0u64, 0u64);
+    let (mut freed, mut written) = (0u64, 0u64);
     for (_, id) in victims {
         if hot_total - freed <= budget {
             break;
         }
         let state = &states[&id];
         freed += state.suffix_bytes();
-        freed_summary += state.summary_bytes();
         records.push((
             id.value(),
             state.history().expect("victims are hot").encode(),
@@ -1076,11 +1072,7 @@ fn enforce_spill_budget(
         written += payload.len() as u64;
         ctx.metrics().add(ShardMetric::TierEvictions, 1);
     }
-    (
-        hot_total - freed,
-        summary_total - freed_summary,
-        spilled_total + written,
-    )
+    (hot_total - freed, spilled_total + written)
 }
 
 /// Faults a spilled history back into memory before it is read or

@@ -1,14 +1,13 @@
 //! Crash-safe per-shard snapshots: bounded-time recovery.
 //!
 //! A snapshot is a serialized image of one shard's `ServerState` map —
-//! the tiered outcome columns (folded summaries + full-resolution
-//! suffixes), the issuer dictionaries and the streaming trust states —
-//! stamped with the journal offset it covers. Spilled servers are
-//! captured *by reference*: the snapshot stores the cold-segment
-//! coordinates plus vital statistics instead of re-reading megabytes of
-//! cold payload at checkpoint time. Boot recovery becomes *newest valid
-//! snapshot + journal tail replay* instead of a full journal re-fold:
-//! O(tail) instead of O(history).
+//! the tiered outcome columns (folded counts + full-resolution suffixes)
+//! and the streaming trust states — stamped with the journal offset it
+//! covers. Spilled servers are captured *by reference*: the snapshot
+//! stores the cold-segment coordinates plus vital statistics instead of
+//! re-reading megabytes of cold payload at checkpoint time. Boot
+//! recovery becomes *newest valid snapshot + journal tail replay* instead
+//! of a full journal re-fold: O(tail) instead of O(history).
 //!
 //! # On-disk layout
 //!
@@ -47,6 +46,16 @@
 //! a full replay. Version-1 files (untiered histories) are rejected as
 //! an unknown version and recovery falls down the chain to journal
 //! replay — an upgrade costs one full re-fold, never a misread.
+//!
+//! A hot payload is written in the outcome-only layout
+//! (`TieredHistory::encode`, first byte 2). One written before the
+//! issuers left the history — first byte 0 or 1, issuer sections between
+//! the header and the outcome words — still loads: the sections are
+//! bounds-checked and skipped, and their folded counts must still sum to
+//! the header's. The file version does not move, because a directory
+//! written by that build must boot through its snapshots: its journal is
+//! compacted behind them, so a fallback to replay would fail the shard.
+//! The same holds for the payloads its cold segments hold.
 //!
 //! # Manifest format (version 3)
 //!
@@ -366,7 +375,7 @@ fn encode(
 ) -> (Vec<u8>, u64) {
     let mut servers: Vec<(&ServerId, &ServerState)> = states.iter().collect();
     servers.sort_by_key(|(id, _)| id.value());
-    // Exact-size reservation (25 covers the larger trust encoding, 49 the
+    // Exact-size reservation (25 covers the larger trust encoding, 42 the
     // tiered payload's fixed fields): megabyte-scale bodies must not grow
     // through repeated reallocation.
     let cap = HEADER_LEN
@@ -377,13 +386,7 @@ fn encode(
                 8 + 25
                     + 1
                     + match state.residency() {
-                        Residency::Hot(history) => {
-                            let clients = history.issuer_column().dict_len();
-                            8 + 49
-                                + clients * 16
-                                + history.suffix_len() * 4
-                                + history.suffix_len().div_ceil(64) * 8
-                        }
+                        Residency::Hot(history) => 8 + 42 + history.suffix_len().div_ceil(64) * 8,
                         Residency::Spilled { .. } => 24 + 24,
                     }
             })
@@ -481,9 +484,10 @@ fn decode(
                 let len = r.u64(PAYLOAD)?;
                 let payload = r.take(usize::try_from(len).unwrap_or(usize::MAX), PAYLOAD)?;
                 // `TieredHistory::decode` revalidates every structural
-                // invariant (word alignment, summary totals, code ranges,
-                // bit padding); only the cross-checks against the record's
-                // identity and trust state remain ours.
+                // invariant (word alignment, the folded counts, bit
+                // padding) of either payload layout; only the cross-checks
+                // against the record's identity and trust state remain
+                // ours.
                 let history = TieredHistory::decode(payload)
                     .ok_or_else(|| r.corrupt("inconsistent tiered history"))?;
                 if !history.is_empty() && history.server() != Some(server) {
@@ -668,7 +672,7 @@ mod tests {
     }
 
     /// Like [`build_states`] but compacted, so round-trips exercise the
-    /// folded summaries, not just the full-resolution suffix.
+    /// folded counts, not just the full-resolution suffix.
     fn build_tiered_states(
         model: TrustModel,
         n: usize,
@@ -695,25 +699,7 @@ mod tests {
             assert_eq!(state.version(), other.version(), "server {id:?}");
             assert_eq!(state.trust(), other.trust(), "server {id:?}");
             match (state.history(), other.history()) {
-                (Some(h), Some(o)) => {
-                    assert_eq!(h.column(), o.column(), "server {id:?}");
-                    // The wire format pads summaries to the dictionary
-                    // length; codes past the in-memory list read (0, 0).
-                    let pad = |s: &TieredHistory| {
-                        let mut v = s.folded_by_code().to_vec();
-                        v.resize(s.issuer_column().dict_len(), (0, 0));
-                        v
-                    };
-                    assert_eq!(pad(h), pad(o), "server {id:?}");
-                    assert!(
-                        h.issuer_column().clients().eq(o.issuer_column().clients()),
-                        "server {id:?}"
-                    );
-                    assert!(
-                        h.issuer_column().codes().eq(o.issuer_column().codes()),
-                        "server {id:?}"
-                    );
-                }
+                (Some(h), Some(o)) => assert_eq!(h, o, "server {id:?}"),
                 (None, None) => {
                     assert_eq!(state.spilled(), other.spilled(), "server {id:?}");
                 }
@@ -736,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_folded_summaries() {
+    fn round_trip_preserves_folded_counts() {
         for model in [TrustModel::Average, TrustModel::Weighted { lambda: 0.5 }] {
             // ~240 per server with horizon 64 folds two words each.
             let states = build_tiered_states(model, 1200, 64);
@@ -1005,18 +991,19 @@ mod tests {
     }
 
     /// Length and FNV-1a of a snapshot holding hot (folded) and spilled
-    /// servers under each trust model, as computed before snapshots were
-    /// ported onto `hp_store::durable`: not a byte may move. And of the
-    /// version-3 manifest naming both, built by hand from its layout.
+    /// servers under each trust model: the bytes the build before the
+    /// issuers left the history wrote (2 457 B, `0xf69e_8ad5_8def_4bc2`,
+    /// and 2 497 B, `0x5e5c_daea_3b51_fc78`), each hot payload rewritten
+    /// by hand to the outcome-only layout — its issuer sections cut out,
+    /// the layout byte put in front — and the CRC restamped. Nothing else
+    /// may move. And of the version-3 manifest naming both, built by hand
+    /// from its layout.
     #[test]
     fn snapshot_and_manifest_bytes_are_pinned() {
         let dir = temp_dir("pinned");
         let mut store = SnapshotStore::open(&dir, 2, 4).unwrap();
         let models = [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }];
-        let pins = [
-            (2_457, 0xf69e_8ad5_8def_4bc2),
-            (2_497, 0x5e5c_daea_3b51_fc78),
-        ];
+        let pins = [(468, 0xf2cb_eb1b_85e2_a0d0), (508, 0xc3fd_0274_0930_82bc)];
         for (i, (model, pin)) in models.into_iter().zip(pins).enumerate() {
             let mut states = build_tiered_states(model, 1200, 64);
             let seg = |seq, offset| SegmentRef {
@@ -1077,31 +1064,87 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A trust model, a snapshot's bytes, and its fields as `(offset, width)`.
-    type Genuine = (TrustModel, Vec<u8>, Vec<(usize, usize)>);
+    /// A trust model, the `(shard, shards)` a snapshot was written for,
+    /// its bytes, and its fields as `(offset, width)`.
+    type Genuine = (TrustModel, (u32, u32), Vec<u8>, Vec<(usize, usize)>);
+
+    /// The snapshot of shard 1 of 2 the build before the issuers left the
+    /// history wrote into `tests/fixtures/issuer-layout` (average trust):
+    /// hot servers in the old payload layout, spilled ones by reference.
+    const OLD_LAYOUT_SNAPSHOT: &[u8] =
+        include_bytes!("../tests/fixtures/issuer-layout/shard-1-0000000000000001.hps");
 
     /// Hot and spilled servers under each trust model, encoded as shard 0
-    /// of 1: the snapshots `snapshot_decode_survives_hostile_bytes`
-    /// mangles, with the model and the `(offset, width)` of every length,
-    /// offset, count and tag field in them.
-    fn genuine() -> &'static [Genuine; 2] {
-        static GENUINE: std::sync::OnceLock<[Genuine; 2]> = std::sync::OnceLock::new();
+    /// of 1, and the old-layout snapshot: the snapshots
+    /// `snapshot_decode_survives_hostile_bytes` mangles, with the model,
+    /// the shard and the `(offset, width)` of every length, offset, count
+    /// and tag field in them.
+    fn genuine() -> &'static [Genuine; 3] {
+        static GENUINE: std::sync::OnceLock<[Genuine; 3]> = std::sync::OnceLock::new();
         GENUINE.get_or_init(|| {
-            [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }].map(|model| {
-                let mut states = build_tiered_states(model, 300, 32);
-                let seg = |seq| SegmentRef {
-                    seq,
-                    offset: 20,
-                    len: 77,
-                    crc: 0x0bad_cafe,
-                };
-                states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5), 77);
-                states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9), 77);
-                let (bytes, _) = encode(0, 1, 5, 300, &states);
-                let fields = snapshot_fields(&bytes);
-                (model, bytes, fields)
-            })
+            let [average, weighted] = [TrustModel::Average, TrustModel::Weighted { lambda: 0.75 }]
+                .map(|model| {
+                    let mut states = build_tiered_states(model, 300, 32);
+                    let seg = |seq| SegmentRef {
+                        seq,
+                        offset: 20,
+                        len: 77,
+                        crc: 0x0bad_cafe,
+                    };
+                    states.get_mut(&ServerId::new(1)).unwrap().evict(seg(5), 77);
+                    states.get_mut(&ServerId::new(3)).unwrap().evict(seg(9), 77);
+                    let (bytes, _) = encode(0, 1, 5, 300, &states);
+                    let fields = snapshot_fields(&bytes);
+                    (model, (0, 1), bytes, fields)
+                });
+            let old = OLD_LAYOUT_SNAPSHOT.to_vec();
+            let fields = snapshot_fields(&old);
+            [
+                average,
+                weighted,
+                (TrustModel::Average, (1, 2), old, fields),
+            ]
         })
+    }
+
+    /// `bytes` with every hot payload in the old layout rewritten to the
+    /// current one — its issuer sections cut out — and the CRC restamped:
+    /// what `encode` must write for the states a snapshot of either
+    /// layout decodes to. Only called on bytes `decode` accepted.
+    fn current_layout(bytes: &[u8]) -> Vec<u8> {
+        let mut r = Reader::sealed(Path::new("walk"), bytes).unwrap();
+        let mut out = r.take(32, "").unwrap().to_vec();
+        let count = r.u64("").unwrap();
+        out.put_u64(count);
+        for _ in 0..count {
+            out.put(r.take(8, "").unwrap());
+            let tag = r.u8("").unwrap();
+            out.push(tag);
+            let trust = if tag == TRUST_AVERAGE { 16 } else { 24 };
+            out.put(r.take(trust, "").unwrap());
+            let residency = r.u8("").unwrap();
+            out.push(residency);
+            if residency != RESIDENCY_HOT {
+                out.put(r.take(48, "").unwrap());
+                continue;
+            }
+            let len = r.u64("").unwrap() as usize;
+            let payload = r.take(len, "").unwrap();
+            if payload[0] >= 2 {
+                out.put_u64(len as u64);
+                out.put(payload);
+                continue;
+            }
+            let field = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            let (suffix, dict) = ((field(9) - field(17)) as usize, field(41) as usize);
+            let words = &payload[49 + 16 * dict + 4 * suffix..];
+            out.put_u64((42 + words.len()) as u64);
+            out.push(2);
+            out.put(&payload[..41]);
+            out.put(words);
+        }
+        out.seal();
+        out
     }
 
     fn snapshot_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
@@ -1146,19 +1189,21 @@ mod tests {
     }
 
     proptest! {
-        /// Whatever happened to a snapshot — cut or a byte flipped under
-        /// its CRC, or any length, offset, count or tag field or any four
-        /// bytes of the body (an issuer code among them) overwritten and
-        /// the CRC restamped — `decode` returns a typed corruption or
-        /// states that encode back to exactly those bytes: never a panic,
-        /// and never a map reserved for more servers than the bytes hold
-        /// (an impossible server count is refused where it is read).
+        /// Whatever happened to a snapshot of either payload layout — cut
+        /// or a byte flipped under its CRC, or any length, offset, count or
+        /// tag field or any four bytes of the body (an old payload's issuer
+        /// sections among them) overwritten and the CRC restamped —
+        /// `decode` returns a typed corruption or states that encode back
+        /// to exactly those bytes, less any old payload's issuer sections:
+        /// never a panic, and never a map reserved for more servers than
+        /// the bytes hold (an impossible server count is refused where it
+        /// is read).
         #[test]
         fn snapshot_decode_survives_hostile_bytes(
-            which in 0usize..2,
+            which in 0usize..3,
             mangle in (0u8..5, any::<usize>(), hostile()),
         ) {
-            let (model, bytes, fields) = &genuine()[which];
+            let (model, (shard, shards), bytes, fields) = &genuine()[which];
             let mut bytes = bytes.clone();
             let (kind, at, value) = mangle;
             let (field, width) = fields[at % fields.len()];
@@ -1185,10 +1230,14 @@ mod tests {
                     bytes.seal();
                 }
             }
-            match decode(&bytes, Path::new("x"), 0, 1, *model) {
+            match decode(&bytes, Path::new("x"), *shard, *shards, *model) {
                 Ok(loaded) => {
-                    let (again, _) = encode(0, 1, loaded.seq, loaded.journal_records, &loaded.states);
-                    prop_assert!(again == bytes, "{kind} at {field}: {value:#x} decodes to other bytes");
+                    let (again, _) =
+                        encode(*shard, *shards, loaded.seq, loaded.journal_records, &loaded.states);
+                    prop_assert!(
+                        again == current_layout(&bytes),
+                        "{kind} at {field}: {value:#x} decodes to other bytes"
+                    );
                 }
                 Err(Error::Corrupt { offset, reason, .. }) => {
                     let room = bytes.len().saturating_sub(HEADER_LEN + 4) / MIN_SERVER_LEN;

@@ -2,12 +2,13 @@
 //!
 //! What a shard worker keeps for one server, and what each piece costs:
 //!
-//! * **the history**, tiered ([`TieredHistory`]): outcomes older than the
-//!   configured assessment horizon fold into exact per-issuer summary
-//!   counts, the newest stay at full bit resolution — ≈ 21 B per retained
-//!   feedback when every issuer is new, ≈ 5 B when a small crowd repeats,
-//!   all of it counted by `resident_bytes()`, the
-//!   `hp_history_resident_bytes` gauges, `/healthz` and the spill budget. A whole cold history can be
+//! * **the history**, tiered ([`TieredHistory`]): the outcomes alone —
+//!   the verdict reads no issuer — those older than the configured
+//!   assessment horizon folded into two exact counts, the newest at full
+//!   bit resolution: two bits per retained feedback, whoever issued it
+//!   (≈ 528 B for a 2 048-feedback horizon), all of it counted by
+//!   `resident_bytes()`, the `hp_history_resident_bytes` gauges,
+//!   `/healthz` and the spill budget. A whole cold history can be
 //!   spilled to an on-disk segment ([`Residency::Spilled`]), leaving a
 //!   [`SegmentRef`] and its vital statistics;
 //! * **the streaming trust state**, a few words, so phase 2 is O(1) at
@@ -38,7 +39,7 @@
 //! [`MultiSummary`]: hp_core::testing::MultiSummary
 
 use crate::config::TrustModel;
-use crate::faults::{ShardFaults, TearPoint};
+use crate::faults::ShardFaults;
 use hp_core::history::HistoryMark;
 use hp_core::testing::{MultiBehaviorTest, TestReport};
 use hp_core::trust::incremental::{AverageTrustState, IncrementalTrust, WeightedTrustState};
@@ -102,7 +103,7 @@ pub(crate) struct SpilledMeta {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum Residency {
-    /// Resident: summary counts plus full-resolution suffix in memory.
+    /// Resident: folded counts plus full-resolution suffix in memory.
     Hot(TieredHistory),
     /// Evicted: the serialized tiered history lives in a cold segment;
     /// only the reference and its vital statistics stay resident.
@@ -115,8 +116,7 @@ pub(crate) enum Residency {
 /// Everything a shard worker holds for one server.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerState {
-    /// Tiered outcome + issuer columns, or a segment reference when
-    /// spilled.
+    /// The tiered outcome column, or a segment reference when spilled.
     residency: Residency,
     trust: TrustState,
     /// One shared instance per computed verdict: the versioned cache, the
@@ -149,13 +149,8 @@ impl ServerState {
     pub fn ingest(&mut self, feedback: Feedback, faults: &ShardFaults) {
         match &mut self.residency {
             Residency::Hot(history) => {
-                let tear = faults.mid_apply(&feedback);
-                if tear == Some(TearPoint::BetweenColumnPushes) {
-                    history.push_outcome_only(feedback.is_good());
-                    panic!("fault injection: torn between the column pushes");
-                }
                 history.push(feedback);
-                if tear.is_some() {
+                if faults.mid_apply(&feedback).is_some() {
                     panic!("fault injection: torn after the history push");
                 }
                 self.trust.update(feedback.is_good());
@@ -175,10 +170,10 @@ impl ServerState {
 
     /// Undoes every ingest since `mark` was taken — a half-finished one
     /// included: the history is cut back to the mark
-    /// ([`TieredHistory::truncate_to`], which rebuilds everything derived
-    /// from the append-only columns) and the trust state restored. False
-    /// when the history cannot honor the mark; the state is then not to
-    /// be served from.
+    /// ([`TieredHistory::truncate_to`], which rebuilds the prefix
+    /// popcounts from the outcome words) and the trust state restored.
+    /// False when the history cannot honor the mark; the state is then
+    /// not to be served from.
     pub fn roll_back(&mut self, (history_mark, trust): (HistoryMark, TrustState)) -> bool {
         let Residency::Hot(history) = &mut self.residency else {
             return false;
@@ -236,7 +231,7 @@ impl ServerState {
         }
     }
 
-    /// Folds history words older than `horizon` into summary counts;
+    /// Folds history words older than `horizon` into the folded counts;
     /// returns the number of outcomes folded (0 while spilled — a cold
     /// history was compacted when it was evicted).
     pub fn compact(&mut self, horizon: usize) -> usize {
@@ -294,16 +289,7 @@ impl ServerState {
     /// spilled.
     pub fn suffix_bytes(&self) -> u64 {
         match &self.residency {
-            Residency::Hot(history) => history.suffix_resident_bytes() as u64,
-            Residency::Spilled { .. } => 0,
-        }
-    }
-
-    /// Resident bytes of the folded summary counts; 0 while spilled (the
-    /// summaries travel with the segment payload).
-    pub fn summary_bytes(&self) -> u64 {
-        match &self.residency {
-            Residency::Hot(history) => history.summary_resident_bytes() as u64,
+            Residency::Hot(history) => history.resident_bytes() as u64,
             Residency::Spilled { .. } => 0,
         }
     }

@@ -174,30 +174,28 @@ fn tiered_config() -> ServiceConfig {
 
 #[test]
 fn mid_apply_crash_rolls_one_record_back_and_loses_nothing() {
-    for point in [TearPoint::AfterHistoryPush, TearPoint::BetweenColumnPushes] {
-        for base in [fast_config(), tiered_config()] {
-            let (mixed, per_server) = two_servers(600);
-            let torn = per_server[0][437];
-            let config = base.with_fault_plan(FaultPlan::default().with_mid_apply_panic(
-                torn.server.value(),
-                torn.time,
-                point,
-            ));
-            let service = ReputationService::new(config.clone()).unwrap();
-            for chunk in mixed.chunks(150) {
-                service.ingest_batch(chunk.to_vec()).unwrap();
-            }
-            // Every accepted record is in the verdict.
-            assert_verdicts_match_offline(&service, &config, &per_server);
-            let stats = service.stats();
-            assert_eq!(stats.shard_restarts, 1, "{point:?}");
-            assert_eq!(stats.quarantined_records, 0, "{point:?}");
-            assert_eq!(stats.failed_shards, 0, "{point:?}");
-            assert_eq!(
-                stats.tracked_feedbacks, 1200,
-                "{point:?}: nothing lost, nothing doubled"
-            );
+    for base in [fast_config(), tiered_config()] {
+        let (mixed, per_server) = two_servers(600);
+        let torn = per_server[0][437];
+        let config = base.with_fault_plan(FaultPlan::default().with_mid_apply_panic(
+            torn.server.value(),
+            torn.time,
+            TearPoint::AfterHistoryPush,
+        ));
+        let service = ReputationService::new(config.clone()).unwrap();
+        for chunk in mixed.chunks(150) {
+            service.ingest_batch(chunk.to_vec()).unwrap();
         }
+        // Every accepted record is in the verdict.
+        assert_verdicts_match_offline(&service, &config, &per_server);
+        let stats = service.stats();
+        assert_eq!(stats.shard_restarts, 1);
+        assert_eq!(stats.quarantined_records, 0);
+        assert_eq!(stats.failed_shards, 0);
+        assert_eq!(
+            stats.tracked_feedbacks, 1200,
+            "nothing lost, nothing doubled"
+        );
     }
 }
 
@@ -233,40 +231,38 @@ fn persistent_mid_apply_crash_is_quarantined() {
 
 #[test]
 fn half_made_server_is_removed_by_the_rollback() {
-    for point in [TearPoint::AfterHistoryPush, TearPoint::BetweenColumnPushes] {
-        let known = ServerId::new(1);
-        let newcomer = ServerId::new(77);
-        let config = fast_config().with_fault_plan(
-            FaultPlan::default()
-                .with_mid_apply_panic(newcomer.value(), 0, point)
-                .persistently(),
-        );
-        let service = ReputationService::new(config.clone()).unwrap();
-        let head = restamp(&workload::honest_history(200, 0.9, 5), known);
-        service.ingest_batch(head.clone()).unwrap();
-        // The newcomer's first record tears every time it is applied: the
-        // state the first attempt created must not outlive the rollback.
-        let mut batch = vec![Feedback::new(
-            0,
-            newcomer,
-            ClientId::new(3),
-            Rating::Positive,
-        )];
-        let tail: Vec<Feedback> = (200..260)
-            .map(|t| Feedback::new(t, known, ClientId::new(t % 5), Rating::Positive))
-            .collect();
-        batch.extend(&tail);
-        service.ingest_batch(batch).unwrap();
-        let online = service.assess(known).expect("assess after quarantine");
-        assert_eq!(
-            *online,
-            offline_verdict(&config, head.into_iter().chain(tail))
-        );
-        let stats = service.stats();
-        assert_eq!(stats.quarantined_records, 1, "{point:?}");
-        assert_eq!(stats.tracked_servers, 1, "{point:?}: the newcomer is gone");
-        assert_eq!(stats.tracked_feedbacks, 260, "{point:?}");
-    }
+    let known = ServerId::new(1);
+    let newcomer = ServerId::new(77);
+    let config = fast_config().with_fault_plan(
+        FaultPlan::default()
+            .with_mid_apply_panic(newcomer.value(), 0, TearPoint::AfterHistoryPush)
+            .persistently(),
+    );
+    let service = ReputationService::new(config.clone()).unwrap();
+    let head = restamp(&workload::honest_history(200, 0.9, 5), known);
+    service.ingest_batch(head.clone()).unwrap();
+    // The newcomer's first record tears every time it is applied: the
+    // state the first attempt created must not outlive the rollback.
+    let mut batch = vec![Feedback::new(
+        0,
+        newcomer,
+        ClientId::new(3),
+        Rating::Positive,
+    )];
+    let tail: Vec<Feedback> = (200..260)
+        .map(|t| Feedback::new(t, known, ClientId::new(t % 5), Rating::Positive))
+        .collect();
+    batch.extend(&tail);
+    service.ingest_batch(batch).unwrap();
+    let online = service.assess(known).expect("assess after quarantine");
+    assert_eq!(
+        *online,
+        offline_verdict(&config, head.into_iter().chain(tail))
+    );
+    let stats = service.stats();
+    assert_eq!(stats.quarantined_records, 1);
+    assert_eq!(stats.tracked_servers, 1, "the newcomer is gone");
+    assert_eq!(stats.tracked_feedbacks, 260);
 }
 
 const DEEP_SERVERS: u64 = 200;

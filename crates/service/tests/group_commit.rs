@@ -218,7 +218,7 @@ proptest! {
         steps in proptest::collection::vec((0u8..4, 0u64..3, 1u64..60), 1..14),
         durable in any::<bool>(),
         shed_when_busy in any::<bool>(),
-        tear in (any::<bool>(), any::<u64>()),
+        tear in any::<u64>(),
     ) {
         let ops: Vec<Op> = steps.into_iter().map(op).collect();
         // The records each ingest offers, numbered by one clock so that
@@ -235,21 +235,16 @@ proptest! {
             })
             .collect();
         let offered: Vec<Feedback> = batches.concat();
-        let point = if tear.0 {
-            TearPoint::AfterHistoryPush
-        } else {
-            TearPoint::BetweenColumnPushes
-        };
         let mut config = fast_config();
         if shed_when_busy {
             config = config.with_ingest_policy(IngestPolicy::TryFor(Duration::ZERO));
         }
         if !offered.is_empty() {
-            let torn = offered[(tear.1 % offered.len() as u64) as usize];
+            let torn = offered[(tear % offered.len() as u64) as usize];
             config = config.with_fault_plan(FaultPlan::default().with_mid_apply_panic(
                 torn.server.value(),
                 torn.time,
-                point,
+                TearPoint::AfterHistoryPush,
             ));
         }
         let dir = temp_dir("property");

@@ -14,10 +14,14 @@
 //! 3.2 MB per 100 000) fails the first; a cached verdict that keeps one
 //! report per suffix tested (88 B × history / step, which no gauge and no
 //! spill budget counted: 1.27 MB here) fails the second.
+//!
+//! Nor does a history grow with the ids that feed it: a server flooded
+//! from fresh identities holds its retained outcomes and nothing per
+//! issuer, the same bytes after a second flood as after the first.
 
 use hp_core::testing::BehaviorTestConfig;
-use hp_core::{ClientId, Feedback, Rating, ServerId};
-use hp_service::{ReputationService, ServiceConfig};
+use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
+use hp_service::{OfflineReference, ReputationService, ServiceConfig, TieringPolicy};
 use hp_stats::SurfaceParams;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -47,7 +51,10 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -96,7 +103,7 @@ fn overhead_beside_histories(service: &ReputationService, feedbacks: u64) -> isi
     let stats = service.stats();
     assert_eq!(stats.tracked_feedbacks as u64, feedbacks);
     assert_eq!(stats.tracked_servers as u64, SERVERS);
-    let histories = stats.tier_hot_suffix_bytes + stats.tier_summary_bytes;
+    let histories = stats.tier_hot_suffix_bytes;
     assert!(histories > 0);
     LIVE.load(Ordering::Relaxed) - histories as isize
 }
@@ -162,4 +169,69 @@ fn a_cached_verdict_does_not_grow_with_the_history_it_was_computed_from() {
         overhead[0],
         overhead[1]
     );
+}
+
+/// Feedbacks per flood, a whole number of batches. The adversary of
+/// ROADMAP item 6 sends 10⁶ from as many new ids, then 10⁶ more; at a
+/// quarter of that the debug run takes a few seconds and the oracle's row
+/// history (≈ 110 B per record, most of it its per-client index) stays
+/// under 60 MB.
+const FLOOD: u64 = 256 * BATCH;
+/// The assessment horizon of the flooded server.
+const FLOOD_HORIZON: usize = 2048;
+/// What the flooded server's history may hold: the bits and per-word
+/// prefix popcounts (two `u64` per 64 outcomes) of at most
+/// `FLOOD_HORIZON + 63` retained outcomes — a compaction leaves whole
+/// words — with one doubling of growth on top.
+const FLOOD_CEILING: u64 = 2 * 8 * 2 * (FLOOD_HORIZON as u64 + 63).div_ceil(64);
+
+/// Feedback `t` of the flood: one server, every issuer an id never seen
+/// before.
+fn sybil(t: u64) -> Feedback {
+    Feedback::new(
+        t,
+        ServerId::new(0),
+        ClientId::new(t.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        Rating::from_good(!t.is_multiple_of(10)),
+    )
+}
+
+#[test]
+fn a_sybil_flood_cannot_grow_a_server() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let config = config().with_tiering(TieringPolicy {
+        horizon: FLOOD_HORIZON,
+        spill_budget_bytes: None,
+    });
+    let service = ReputationService::new(config.clone()).unwrap();
+    let mut held = Vec::new();
+    for flood in 0..2 {
+        for from in (flood * FLOOD..(flood + 1) * FLOOD).step_by(BATCH as usize) {
+            service
+                .ingest_batch((from..from + BATCH).map(sybil))
+                .unwrap();
+        }
+        held.push(service.stats().tier_hot_suffix_bytes);
+    }
+    println!(
+        "a server flooded by {FLOOD} new ids holds {} B, by {} more {} B (ceiling {FLOOD_CEILING} B)",
+        held[0], FLOOD, held[1]
+    );
+    assert!(held[0] > 0);
+    assert!(
+        held[1].abs_diff(held[0]) <= held[0],
+        "the second flood moved the history from {} B to {} B",
+        held[0],
+        held[1]
+    );
+    assert!(
+        held[1] <= FLOOD_CEILING,
+        "{} B > {FLOOD_CEILING} B",
+        held[1]
+    );
+
+    let reference = OfflineReference::from_config(&config).unwrap();
+    let rows: TransactionHistory = (0..2 * FLOOD).map(sybil).collect();
+    let online = service.assess(ServerId::new(0)).unwrap();
+    assert_eq!(*online, reference.assess(&rows).unwrap());
 }

@@ -3,23 +3,24 @@
 //! [`MemoryStore`](crate::MemoryStore) and
 //! [`ShardedStore`](crate::ShardedStore) differ only in *which* servers are
 //! retrievable at a given moment (all of them, vs. those with a live
-//! replica). The feedback bits themselves live here, once: per server a
-//! never-compacted [`TieredHistory`] — the bit-packed outcome column and
-//! dictionary-encoded issuer column the online service runs — beside a
-//! time column this engine owns, because a store hands back exact records
-//! and the service's histories keep no timestamps. Per transaction an 8 B
-//! time and 3 bits, plus a 2 B issuer code if the issuer repeats, and ~8 B
-//! per distinct issuer — instead of the 48 B per transaction of a
-//! materialized `Vec<Feedback>`.
+//! replica). The feedback itself lives here, once, as three columns per
+//! server: the bit-packed outcome column the online service runs, and
+//! beside it the issuer and time columns a store needs to hand back
+//! exact records, which the service's histories do not keep. Per
+//! transaction an 8 B time and 3 bits, plus a code of a couple of bytes
+//! if the issuer repeats, and ~8 B per distinct issuer — instead of the
+//! 48 B per transaction of a materialized `Vec<Feedback>`.
 
-use hp_core::{Feedback, HistoryView, Rating, ServerId, TieredHistory, TransactionHistory};
+use crate::issuers::IssuerColumn;
+use hp_core::history::BitColumn;
+use hp_core::{Feedback, Rating, ServerId, TransactionHistory};
 use std::collections::BTreeMap;
 
-/// One server's columns: outcomes and issuers, and the feedback times in
-/// the same order.
+/// One server's columns, in ingest order.
 #[derive(Debug, Clone, Default)]
 struct ServerColumns {
-    history: TieredHistory,
+    outcomes: BitColumn,
+    issuers: IssuerColumn,
     times: Vec<u64>,
 }
 
@@ -53,7 +54,8 @@ impl HistoryEngine {
     /// Appends one feedback to its server's columns.
     pub fn ingest(&mut self, feedback: Feedback) {
         let columns = self.servers.entry(feedback.server).or_default();
-        columns.history.push(feedback);
+        columns.outcomes.push(feedback.is_good());
+        columns.issuers.push(feedback.client);
         columns.times.push(feedback.time);
         self.total += 1;
     }
@@ -62,18 +64,18 @@ impl HistoryEngine {
     /// [`TransactionHistory`], exactly as ingested. An unknown server
     /// yields an empty history.
     pub fn materialize(&self, server: ServerId) -> TransactionHistory {
-        let Some(ServerColumns { history, times }) = self.servers.get(&server) else {
+        let Some(columns) = self.servers.get(&server) else {
             return TransactionHistory::new();
         };
-        let issuers = history.issuer_column().issuers();
-        let mut rows = TransactionHistory::with_capacity(times.len());
-        for (i, (&time, client)) in times.iter().zip(issuers).enumerate() {
-            rows.push(Feedback::new(
-                time,
-                server,
-                client,
-                Rating::from_good(history.outcome(i)),
-            ));
+        let mut rows = TransactionHistory::with_capacity(columns.times.len());
+        for (i, (&time, client)) in columns
+            .times
+            .iter()
+            .zip(columns.issuers.issuers())
+            .enumerate()
+        {
+            let rating = Rating::from_good(columns.outcomes.get(i));
+            rows.push(Feedback::new(time, server, client, rating));
         }
         rows
     }
@@ -98,7 +100,9 @@ impl HistoryEngine {
     pub fn resident_bytes(&self) -> usize {
         self.servers
             .values()
-            .map(|c| c.history.resident_bytes() + c.times.capacity() * 8)
+            .map(|c| {
+                c.outcomes.resident_bytes() + c.issuers.resident_bytes() + c.times.capacity() * 8
+            })
             .sum()
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! [`MemoryStore`] and [`ShardedStore`] are thin retention/availability
 //! policies over one shared columnar [`HistoryEngine`]: feedback is held
-//! bit-packed per server — the same [`hp_core::TieredHistory`] the online
-//! service runs, never compacted, beside a time column the engine owns —
+//! bit-packed per server — the outcome column the online service runs,
+//! beside an [`IssuerColumn`] and a time column only the engine keeps —
 //! and materialized to rows only at the query edge.
 //!
 //! Feedback logs are checkpointed to and replayed from one sealed file
@@ -52,6 +52,7 @@
 
 pub mod durable;
 mod engine;
+mod issuers;
 mod memory;
 mod partial;
 pub mod persist;
@@ -61,6 +62,7 @@ mod sharded;
 mod store;
 
 pub use engine::HistoryEngine;
+pub use issuers::IssuerColumn;
 pub use memory::MemoryStore;
 pub use partial::PartialStore;
 pub use persist::{load_feedback, save_feedback};

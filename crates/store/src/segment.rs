@@ -622,6 +622,12 @@ mod tests {
     /// their refs.
     type Genuine = (Vec<u8>, Vec<(u64, Vec<u8>)>, Vec<SegmentRef>);
 
+    /// `history(300)` as the build before the issuers left the history
+    /// wrote it: the old payload layout, issuer sections included, which
+    /// `TieredHistory::decode` still reads.
+    const OLD_HISTORY_300: &[u8] =
+        include_bytes!("../tests/fixtures/issuer-layout-history-300.bin");
+
     /// A compacted history's payload, what the spill path writes.
     fn history(len: u64) -> Vec<u8> {
         let mut history: TieredHistory = (0..len)
@@ -634,18 +640,26 @@ mod tests {
         history.encode()
     }
 
-    /// The segment `fault_survives_hostile_bytes` mangles.
+    /// The segment `fault_survives_hostile_bytes` mangles: a payload of
+    /// each layout `TieredHistory::decode` reads among its records.
     fn genuine() -> &'static Genuine {
         static GENUINE: std::sync::OnceLock<Genuine> = std::sync::OnceLock::new();
         GENUINE.get_or_init(|| {
             let dir = scratch("genuine");
-            let records = vec![(7, payload(1, 100)), (9, history(300)), (11, Vec::new())];
+            let records = vec![
+                (7, payload(1, 100)),
+                (9, history(300)),
+                (11, Vec::new()),
+                (13, OLD_HISTORY_300.to_vec()),
+            ];
             let refs = ColdStore::open(&dir, 1)
                 .unwrap()
                 .write_segment(&records)
                 .unwrap();
             let bytes = fs::read(dir.join("seg-0000000000000000")).unwrap();
             fs::remove_dir_all(&dir).ok();
+            let old = TieredHistory::decode(OLD_HISTORY_300).map(|h| h.encode());
+            assert_eq!(old, Some(history(300)), "the old layout reads as the new");
             (bytes, records, refs)
         })
     }
@@ -669,7 +683,7 @@ mod tests {
         #[test]
         fn fault_survives_hostile_bytes(
             mangle in (0u8..5, any::<usize>(), hostile()),
-            pick in (0usize..3, 0u8..16, hostile(), hostile()),
+            pick in (0usize..4, 0u8..16, hostile(), hostile()),
             server in (any::<bool>(), any::<u64>()),
         ) {
             let (bytes, records, refs) = genuine();
@@ -706,8 +720,11 @@ mod tests {
                 Ok(payload) => {
                     let j = refs.iter().position(|g| *g == r).expect("only a genuine ref faults");
                     prop_assert_eq!((server, &payload), (records[j].0, &records[j].1));
+                    // A history payload decodes to what the current layout
+                    // holds for its stream: the old layout's as the new.
                     if let Some(history) = TieredHistory::decode(&payload) {
-                        prop_assert_eq!(history.encode(), payload);
+                        let current = if payload == OLD_HISTORY_300 { self::history(300) } else { payload };
+                        prop_assert_eq!(history.encode(), current);
                     }
                 }
                 Err(e) => prop_assert!(matches!(e, Error::Corrupt { .. }), "{e}"),
