@@ -75,6 +75,9 @@ FMT_CLEAN=(
     crates/service/tests/span_alloc.rs
     crates/service/tests/spill.rs
     crates/service/tests/upgrade.rs
+    crates/stats/src/calibration.rs
+    crates/stats/src/distance.rs
+    crates/stats/src/surface.rs
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
     crates/store/src/engine.rs
@@ -121,6 +124,15 @@ cargo test --offline -p hp-service --features fault-injection -q
 # default 256.
 PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service -p hp-edge --lib survives_hostile
 echo "    fault-injection stage: $((SECONDS - FAULT_T0)) s"
+
+echo "==> calibration lane kernel vs the sort-and-bisect reference (release, PROPTEST_CASES=10000)"
+# Both kernel properties, bit for bit against the reference: the
+# partial-lane-group one takes its case count from PROPTEST_CASES; the
+# 70-trial one names its own 64 (an explicit `with_cases`, which proptest
+# lets win over the variable).
+KERNEL_T0=$SECONDS
+PROPTEST_CASES=10000 cargo test --offline --release -q -p hp-stats --lib kernel_matches
+echo "    kernel stage: $((SECONDS - KERNEL_T0)) s"
 
 echo "==> cargo clippy -D warnings (offline, workspace, all targets)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -12,7 +12,11 @@
 //!   bucket × a ladder of confidence levels) instead of one threshold.
 //!   The batch is never sorted: each draw is dropped into its slot of the
 //!   row's sorted cdf bounds and one prefix sum yields every bucket's bin
-//!   counts (see `BoundIndex`),
+//!   counts (see `BoundIndex`). Eight consecutive trials (`LANES`) share
+//!   that prefix sum and the pass over the buckets that follows it: their
+//!   slot counts sit side by side, so each step of the distance runs over
+//!   a `[f64; 8]` with the same IEEE operations, in the same order, as one
+//!   trial alone,
 //! * **single-flight dedup** — concurrent misses on the same `(m, k)` row
 //!   wait for one in-flight job instead of each running their own,
 //! * **an interpolated threshold surface** ([`crate::surface`]) consulted
@@ -183,12 +187,16 @@ impl CalibrationRow {
     /// Each column's confidence and its thresholds, one per p̂ bucket.
     fn columns(&self) -> impl Iterator<Item = (u32, &[f64])> {
         let buckets = self.values.len() / self.confidences.len();
-        self.confidences.iter().copied().zip(self.values.chunks_exact(buckets))
+        self.confidences
+            .iter()
+            .copied()
+            .zip(self.values.chunks_exact(buckets))
     }
 
     /// The thresholds of one confidence, if the row has a column for it.
     fn column(&self, confidence_millis: u32) -> Option<&[f64]> {
-        self.columns().find_map(|(c, column)| (c == confidence_millis).then_some(column))
+        self.columns()
+            .find_map(|(c, column)| (c == confidence_millis).then_some(column))
     }
 }
 
@@ -551,9 +559,8 @@ impl ThresholdCalibrator {
         let Some(params) = self.config.surface else {
             return Ok(false);
         };
-        let covered = |slot: &Option<Arc<ThresholdSurface>>| {
-            slot.as_ref().is_some_and(|s| s.covers(m))
-        };
+        let covered =
+            |slot: &Option<Arc<ThresholdSurface>>| slot.as_ref().is_some_and(|s| s.covers(m));
         if covered(&self.surface.read()) {
             return Ok(true);
         }
@@ -738,7 +745,9 @@ impl ThresholdCalibrator {
         }
         self.oracle_jobs.fetch_add(1, Ordering::Relaxed);
         let buckets = self.p_buckets();
-        let centers: Vec<f64> = (0..buckets as u32).map(|i| self.p_bucket_center(i)).collect();
+        let centers: Vec<f64> = (0..buckets as u32)
+            .map(|i| self.p_bucket_center(i))
+            .collect();
         let per_bucket = self.crn_samples(m, k, &centers, self.config.trials)?;
 
         // Quantiles for every confidence come from one partially ordered
@@ -773,7 +782,8 @@ impl ThresholdCalibrator {
         // One writer per row (single flight), one write per job: readers
         // see the old row or the new one, never part of either.
         self.rows.write().insert((m, k), Arc::new(row));
-        self.crn_row_fills.fetch_add(filled as u64, Ordering::Relaxed);
+        self.crn_row_fills
+            .fetch_add(filled as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -827,20 +837,27 @@ impl ThresholdCalibrator {
 
         // Trials are drawn in fixed chunks, each from its own RNG stream
         // derived from (job_seed, chunk index): the chunk sequence, not a
-        // schedule, defines the sample sequence.
-        let mut slots = vec![0u32; index.sorted.len()];
+        // schedule, defines the sample sequence. A chunk's trials are
+        // scored a lane group at a time, each group's draws taken from the
+        // stream in trial order.
+        let mut hist = vec![[0u32; LANES]; index.sorted.len()];
         let mut outs: Vec<Vec<f64>> = ps.iter().map(|_| Vec::with_capacity(trials)).collect();
         for c in 0..trials.div_ceil(CHUNK_TRIALS) {
             let mut rng = seeded_rng(derive_seed(job_seed, c as u64 + 1));
-            for _ in 0..CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS) {
-                let uniforms = (0..k).map(|_| rng.random::<f64>());
-                run_crn_trial(
+            let in_chunk = CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS);
+            for first in (0..in_chunk).step_by(LANES) {
+                let lanes = LANES.min(in_chunk - first);
+                hist.fill([0; LANES]);
+                for lane in 0..lanes {
+                    index.add_draws(&mut hist, lane, (0..k).map(|_| rng.random::<f64>()));
+                }
+                score_crn_group(
                     &index,
                     &models,
                     self.config.distance,
-                    uniforms,
-                    &mut slots,
-                    |bucket, d| outs[bucket].push(d),
+                    &mut hist,
+                    lanes,
+                    |bucket, distances| outs[bucket].extend_from_slice(distances),
                 );
             }
         }
@@ -930,7 +947,10 @@ impl ThresholdCalibrator {
     pub fn fill_rows(&self, m: u32, ks: &[usize]) -> Result<(), StatsError> {
         let mut cold: Vec<usize> = {
             let rows = self.rows.read();
-            ks.iter().copied().filter(|&k| !rows.contains_key(&(m, k))).collect()
+            ks.iter()
+                .copied()
+                .filter(|&k| !rows.contains_key(&(m, k)))
+                .collect()
         };
         // Largest k first: the costliest jobs start while every worker is
         // still busy, the cheap ones fill the gaps at the end.
@@ -1154,11 +1174,7 @@ fn variance(samples: &[f64]) -> f64 {
         return 0.0;
     }
     let mean = samples.iter().sum::<f64>() / n as f64;
-    samples
-        .iter()
-        .map(|x| (x - mean) * (x - mean))
-        .sum::<f64>()
-        / (n - 1).max(1) as f64
+    samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1).max(1) as f64
 }
 
 /// Trials per independent RNG stream. Each chunk of this many trials is
@@ -1233,46 +1249,78 @@ impl BoundIndex {
         }
         slot
     }
+
+    /// Counts each draw in lane `lane` of its slot in `hist`.
+    #[inline]
+    fn add_draws(&self, hist: &mut [[u32; LANES]], lane: usize, draws: impl Iterator<Item = f64>) {
+        for u in draws {
+            hist[self.slot(u)][lane] += 1;
+        }
+    }
 }
 
-/// One Monte-Carlo trial: thresholds one uniform batch through every
-/// bucket model and hands `emit` each bucket's distance between the
-/// resulting bin counts and its pmf (common random numbers: every bucket
-/// sees the same batch). `slots` is scratch, one per entry of
-/// `index.sorted`.
-fn run_crn_trial(
+/// How many trials one pass over the bound table scores: a lane group is up
+/// to this many consecutive trials of one chunk, their histograms
+/// interleaved slot by slot so that the prefix sum, the bin counts and the
+/// distance steps all run over contiguous `[_; LANES]` arrays.
+const LANES: usize = 8;
+
+// A group never straddles two chunk streams; only a chunk's last group can
+// hold fewer than `LANES` trials.
+const _: () = assert!(CHUNK_TRIALS.is_multiple_of(LANES));
+
+#[cfg(test)]
+thread_local! {
+    /// Prefix passes over a bound table run by this thread: one per lane
+    /// group, the work unit the lane kernel claims.
+    static BOUND_PASSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One lane group of Monte-Carlo trials in one pass over the bound table:
+/// `hist` holds, slot by slot, how many draws of each lane's uniform batch
+/// fell into each slot ([`BoundIndex::add_draws`]; lane `l` is the group's
+/// `l`-th trial). `emit` gets each bucket's distances between the binned
+/// batches and its pmf, one per lane in trial order, for the first `lanes`
+/// lanes (common random numbers: every bucket sees the same batches).
+/// `hist` is left holding prefix sums.
+fn score_crn_group(
     index: &BoundIndex,
     models: &[BucketModel],
     distance: DistanceKind,
-    uniforms: impl Iterator<Item = f64>,
-    slots: &mut [u32],
-    mut emit: impl FnMut(usize, f64),
+    hist: &mut [[u32; LANES]],
+    lanes: usize,
+    mut emit: impl FnMut(usize, &[f64]),
 ) {
-    slots.fill(0);
-    for u in uniforms {
-        slots[index.slot(u)] += 1;
-    }
-    let mut at_or_below = 0u32;
-    for slot in slots.iter_mut() {
-        at_or_below += *slot;
+    #[cfg(test)]
+    BOUND_PASSES.with(|passes| passes.set(passes.get() + 1));
+    let mut at_or_below = [0u32; LANES];
+    for slot in hist.iter_mut() {
+        for (sum, count) in at_or_below.iter_mut().zip(slot.iter()) {
+            *sum += count;
+        }
         *slot = at_or_below;
     }
-    // `slots[rank]` is now #{u ≤ bound}: the number of draws the inverse
-    // cdf maps into 0..=c, so adjacent differences along a bucket's cdf
-    // are its per-value counts.
+    // `hist[rank][l]` is now lane l's #{u ≤ bound}: the number of its
+    // draws the inverse cdf maps into 0..=c, so adjacent differences along
+    // a bucket's cdf are its per-value counts. They telescope to the last
+    // bound, 1.0, which every draw in [0, 1] is at or below: a lane's
+    // total is all its draws. (A lane past `lanes` holds none; its NaN
+    // distances are never emitted.)
+    let totals = at_or_below.map(f64::from);
     let support = models.first().map_or(1, |model| model.cdf.len());
     let per_bucket = models.iter().zip(index.rank.chunks_exact(support));
     for (bucket, (model, ranks)) in per_bucket.enumerate() {
-        // The counts telescope, so their sum is the last cumulative one.
-        let total = f64::from(slots[ranks[support - 1] as usize]);
-        let mut prev = 0u32;
-        let masses = ranks.iter().map(|&rank| {
-            let cumulative = slots[rank as usize];
-            let count = cumulative - prev;
+        let mut prev = [0u32; LANES];
+        let distances = distance.of_masses(&model.pmf, |bin| {
+            let cumulative = hist[ranks[bin] as usize];
+            let mut masses = [0.0; LANES];
+            for lane in 0..LANES {
+                masses[lane] = f64::from(cumulative[lane] - prev[lane]) / totals[lane];
+            }
             prev = cumulative;
-            f64::from(count) / total
+            masses
         });
-        emit(bucket, distance.of_masses(masses, &model.pmf));
+        emit(bucket, &distances[..lanes]);
     }
 }
 
@@ -1282,7 +1330,7 @@ mod tests {
     use crate::empirical::Histogram;
     use proptest::prelude::*;
 
-    /// The differential oracle for [`run_crn_trial`]: the kernel this
+    /// The differential oracle for [`score_crn_group`]: the kernel this
     /// file shipped before — sort the batch, bisect it at every cdf step,
     /// build a [`Histogram`] per bucket.
     fn reference_crn_trial(
@@ -1315,10 +1363,22 @@ mod tests {
         k: usize,
         ps: &[f64],
     ) -> Vec<Vec<f64>> {
-        let models: Vec<BucketModel> =
-            ps.iter().map(|&p| BucketModel::new(m, p).unwrap()).collect();
+        reference_crn_samples_of(cal, m, k, ps, cal.config.trials)
+    }
+
+    /// [`reference_crn_samples`] at any trial count, one included.
+    fn reference_crn_samples_of(
+        cal: &ThresholdCalibrator,
+        m: u32,
+        k: usize,
+        ps: &[f64],
+        trials: usize,
+    ) -> Vec<Vec<f64>> {
+        let models: Vec<BucketModel> = ps
+            .iter()
+            .map(|&p| BucketModel::new(m, p).unwrap())
+            .collect();
         let job_seed = derive_seed(cal.seed, derive_seed(m as u64, k as u64));
-        let trials = cal.config.trials;
         let mut outs = vec![Vec::with_capacity(trials); ps.len()];
         let mut uniforms = vec![0.0f64; k];
         for c in 0..trials.div_ceil(CHUNK_TRIALS) {
@@ -1327,8 +1387,7 @@ mod tests {
                 for u in uniforms.iter_mut() {
                     *u = rng.random();
                 }
-                let distances =
-                    reference_crn_trial(&models, cal.config.distance, &mut uniforms);
+                let distances = reference_crn_trial(&models, cal.config.distance, &mut uniforms);
                 for (out, d) in outs.iter_mut().zip(distances) {
                     out.push(d);
                 }
@@ -1372,6 +1431,42 @@ mod tests {
         }
     }
 
+    /// Trial counts that end a chunk inside a lane group, on a group's
+    /// edge or one trial past it, a lone trial, and 2 001 (31 full chunks
+    /// and a chunk of 17: two full groups and a group of one).
+    const PARTIAL_GROUP_TRIALS: [usize; 9] = [1, 7, 8, 9, 63, 64, 65, 70, 2001];
+
+    proptest! {
+        /// The lane kernel scores the tail group of a chunk — and only the
+        /// lanes it drew — with every lane's distances in its trial's
+        /// place, bit for bit against the sort-and-bisect reference, for
+        /// every metric. (On the default config, so `PROPTEST_CASES`
+        /// sets its case count.)
+        #[test]
+        fn kernel_matches_the_reference_on_partial_lane_groups(
+            seed in any::<u64>(),
+            m in 1u32..=32,
+            k in 1usize..=3000,
+            kind in 0usize..5,
+            trials in 0usize..PARTIAL_GROUP_TRIALS.len(),
+            inner in proptest::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let trials = PARTIAL_GROUP_TRIALS[trials];
+            let cal = ThresholdCalibrator::new(CalibrationConfig {
+                distance: DistanceKind::all()[kind],
+                ..CalibrationConfig::default()
+            })
+            .unwrap()
+            .with_seed(seed);
+            let mut ps = vec![0.0, 1.0];
+            ps.extend(inner);
+            let got = cal.crn_samples(m, k, &ps, trials).unwrap();
+            prop_assert!(got.iter().all(|samples| samples.len() == trials));
+            let want = reference_crn_samples_of(&cal, m, k, &ps, trials);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
     #[test]
     fn draws_on_a_bound_count_as_at_or_below_it() {
         // B(2, ½) has cdf steps ¼, ¾, 1 — exactly representable, so draws
@@ -1385,13 +1480,21 @@ mod tests {
         assert_eq!(models[1].cdf, [1.0, 1.0, 1.0]);
         assert_eq!(models[2].cdf, [0.0, 0.0, 1.0]);
         let index = BoundIndex::new(&models).unwrap();
-        let batch = [0.75, 0.0, 0.25, 0.25, 0.5, 0.75 - f64::EPSILON, 0.25 + f64::EPSILON];
+        let batch = [
+            0.75,
+            0.0,
+            0.25,
+            0.25,
+            0.5,
+            0.75 - f64::EPSILON,
+            0.25 + f64::EPSILON,
+        ];
         let kernel = |distance: DistanceKind| -> Vec<f64> {
-            let mut slots = vec![0u32; index.sorted.len()];
+            let mut hist = vec![[0u32; LANES]; index.sorted.len()];
             let mut got = vec![f64::NAN; models.len()];
-            let uniforms = batch.iter().copied();
-            run_crn_trial(&index, &models, distance, uniforms, &mut slots, |bucket, d| {
-                got[bucket] = d
+            index.add_draws(&mut hist, 0, batch.iter().copied());
+            score_crn_group(&index, &models, distance, &mut hist, 1, |bucket, d| {
+                got[bucket] = d[0]
             });
             got
         };
@@ -1405,14 +1508,24 @@ mod tests {
         let by_hand = Histogram::from_counts(vec![3, 4, 0]).unwrap();
         assert_eq!(
             l1[0].to_bits(),
-            DistanceKind::L1.distance(&by_hand, &models[0].pmf).unwrap().to_bits()
+            DistanceKind::L1
+                .distance(&by_hand, &models[0].pmf)
+                .unwrap()
+                .to_bits()
         );
-        assert_eq!(l1[3].to_bits(), l1[0].to_bits(), "duplicate bucket, same counts");
+        assert_eq!(
+            l1[3].to_bits(),
+            l1[0].to_bits(),
+            "duplicate bucket, same counts"
+        );
         // Only the draw at exactly 0 is ≤ the p = 1 bucket's bound at 0.
         let at_zero = Histogram::from_counts(vec![1, 0, 6]).unwrap();
         assert_eq!(
             l1[2].to_bits(),
-            DistanceKind::L1.distance(&at_zero, &models[2].pmf).unwrap().to_bits()
+            DistanceKind::L1
+                .distance(&at_zero, &models[2].pmf)
+                .unwrap()
+                .to_bits()
         );
     }
 
@@ -1474,8 +1587,14 @@ mod tests {
 
     #[test]
     fn threshold_is_deterministic_given_seed() {
-        let a = coarse_calibrator(500).with_seed(9).threshold(10, 20, 0.9).unwrap();
-        let b = coarse_calibrator(500).with_seed(9).threshold(10, 20, 0.9).unwrap();
+        let a = coarse_calibrator(500)
+            .with_seed(9)
+            .threshold(10, 20, 0.9)
+            .unwrap();
+        let b = coarse_calibrator(500)
+            .with_seed(9)
+            .threshold(10, 20, 0.9)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -1496,7 +1615,10 @@ mod tests {
         let cal = coarse_calibrator(1500);
         let lo = cal.threshold_at(10, 50, 0.9, 0.80).unwrap();
         let hi = cal.threshold_at(10, 50, 0.9, 0.99).unwrap();
-        assert!(lo < hi, "higher confidence ⇒ looser threshold: {lo} vs {hi}");
+        assert!(
+            lo < hi,
+            "higher confidence ⇒ looser threshold: {lo} vs {hi}"
+        );
     }
 
     #[test]
@@ -1513,8 +1635,7 @@ mod tests {
         let reps = 2000;
         let mut passes = 0;
         for _ in 0..reps {
-            let hist =
-                Histogram::from_samples(m, model.sample_many(&mut rng, k)).unwrap();
+            let hist = Histogram::from_samples(m, model.sample_many(&mut rng, k)).unwrap();
             if DistanceKind::L1.distance(&hist, &pmf).unwrap() <= eps {
                 passes += 1;
             }
@@ -1543,14 +1664,24 @@ mod tests {
         // 201 p̂ buckets × the confidence ladder, from one Monte-Carlo job,
         // in one row.
         let rows = cal.export_rows();
-        assert_eq!(rows.iter().map(|row| (row.m, row.k)).collect::<Vec<_>>(), [(10, 30)]);
-        let ladder: Vec<u32> = confidence_ladder(0.95).into_iter().map(|(q, _)| q).collect();
+        assert_eq!(
+            rows.iter().map(|row| (row.m, row.k)).collect::<Vec<_>>(),
+            [(10, 30)]
+        );
+        let ladder: Vec<u32> = confidence_ladder(0.95)
+            .into_iter()
+            .map(|(q, _)| q)
+            .collect();
         assert_eq!(rows[0].confidences, ladder);
         assert_eq!(len_after_first, 201 * ladder.len(), "thresholds, not rows");
         assert_eq!(cal.stats().oracle_jobs, 1);
         assert_eq!(cal.stats().crn_row_fills, len_after_first as u64);
         let _ = cal.threshold(10, 30, 0.9002).unwrap();
-        assert_eq!(cal.cache_len(), len_after_first, "bucketed p̂ must share entries");
+        assert_eq!(
+            cal.cache_len(),
+            len_after_first,
+            "bucketed p̂ must share entries"
+        );
         let _ = cal.threshold(10, 30, 0.8).unwrap();
         assert_eq!(
             cal.cache_len(),
@@ -1592,7 +1723,10 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, 8, "every request was answered");
         // The reference value is what a lone calibrator computes.
         let reference = calibrator(400).threshold(10, 40, 0.9).unwrap();
-        assert_eq!(cal.threshold(10, 40, 0.9).unwrap().to_bits(), reference.to_bits());
+        assert_eq!(
+            cal.threshold(10, 40, 0.9).unwrap().to_bits(),
+            reference.to_bits()
+        );
     }
 
     #[test]
@@ -1780,7 +1914,10 @@ mod tests {
     #[test]
     fn ensure_surface_is_idempotent_and_off_by_default() {
         let cal = coarse_calibrator(200);
-        assert!(!cal.ensure_surface_for(10).unwrap(), "no surface configured");
+        assert!(
+            !cal.ensure_surface_for(10).unwrap(),
+            "no surface configured"
+        );
         assert!(cal.surface().is_none());
 
         let cal = ThresholdCalibrator::new(CalibrationConfig {
@@ -1796,7 +1933,10 @@ mod tests {
         .unwrap();
         assert!(cal.ensure_surface_for(10).unwrap());
         let jobs_after_build = cal.stats().oracle_jobs;
-        assert!(cal.ensure_surface_for(10).unwrap(), "second call is a no-op");
+        assert!(
+            cal.ensure_surface_for(10).unwrap(),
+            "second call is a no-op"
+        );
         assert_eq!(cal.stats().oracle_jobs, jobs_after_build);
         // A second m accumulates layers without dropping the first.
         assert!(cal.ensure_surface_for(6).unwrap());
@@ -1819,7 +1959,10 @@ mod tests {
         };
         assert!(cal.install_surface(surface(20)).is_err());
         assert!(cal.install_surface(surface(42)).is_err());
-        assert!(cal.surface().is_none(), "a refused surface is not installed");
+        assert!(
+            cal.surface().is_none(),
+            "a refused surface is not installed"
+        );
         assert!(cal.install_surface(surface(21)).is_ok());
         assert!(cal.surface().is_some());
     }
@@ -1859,19 +2002,35 @@ mod tests {
         // filled the ladder too, which is why 0.95 cost none — and added
         // one column of 21 buckets behind the ladder, in the order asked;
         // no job moved a bit of the columns before it.
-        let ladder: Vec<u32> = confidence_ladder(0.95).into_iter().map(|(q, _)| q).collect();
+        let ladder: Vec<u32> = confidence_ladder(0.95)
+            .into_iter()
+            .map(|(q, _)| q)
+            .collect();
         let last = &rows[3];
-        assert_eq!(last.confidences, [&ladder[..], &[50_000, 1_300, 99_900]].concat());
+        assert_eq!(
+            last.confidences,
+            [&ladder[..], &[50_000, 1_300, 99_900]].concat()
+        );
         assert_eq!(cal.stats().oracle_jobs, 3);
-        assert_eq!(cal.cache_len(), 21 * last.confidences.len(), "thresholds, not rows");
+        assert_eq!(
+            cal.cache_len(),
+            21 * last.confidences.len(),
+            "thresholds, not rows"
+        );
         assert_eq!(cal.stats().crn_row_fills as usize, cal.cache_len());
         let as_bits = |values: &[f64]| values.iter().map(|eps| eps.to_bits()).collect::<Vec<_>>();
         for earlier in &rows {
-            assert_eq!(as_bits(&last.values[..earlier.values.len()]), as_bits(&earlier.values));
+            assert_eq!(
+                as_bits(&last.values[..earlier.values.len()]),
+                as_bits(&earlier.values)
+            );
         }
         // The flat listing sorts the late columns in by confidence.
         let entries = cal.export_cache();
-        assert_eq!((entries.len(), entries[0].confidence_millis), (cal.cache_len(), 1_300));
+        assert_eq!(
+            (entries.len(), entries[0].confidence_millis),
+            (cal.cache_len(), 1_300)
+        );
     }
 
     #[test]
@@ -1891,7 +2050,11 @@ mod tests {
         assert!(cold.ensure_surface_for(10).unwrap());
         let rows = cold.stats().oracle_jobs;
         assert!(rows >= 3, "grid rows plus midpoints: {rows}");
-        assert_eq!(cold.cache_stats(), (0, rows), "one miss per row job, no hits");
+        assert_eq!(
+            cold.cache_stats(),
+            (0, rows),
+            "one miss per row job, no hits"
+        );
 
         // A warm boot that preloaded the rows (but no layers) rebuilds
         // the identical surface without a job and without touching the
@@ -1902,7 +2065,10 @@ mod tests {
         assert!(warm.ensure_surface_for(10).unwrap());
         assert_eq!(warm.stats().oracle_jobs, 0);
         assert_eq!(warm.cache_stats(), (0, 0));
-        assert_eq!(warm.surface().unwrap().layers(), cold.surface().unwrap().layers());
+        assert_eq!(
+            warm.surface().unwrap().layers(),
+            cold.surface().unwrap().layers()
+        );
 
         // A row the file lacked costs one job, and only that one.
         let partial = ThresholdCalibrator::new(config).unwrap();
@@ -1910,6 +2076,40 @@ mod tests {
         assert!(partial.ensure_surface_for(10).unwrap());
         assert_eq!(partial.cache_stats(), (0, 1));
         assert_eq!(partial.export_cache(), cold.export_cache());
+    }
+
+    #[test]
+    fn a_row_job_makes_one_bound_table_pass_per_lane_group() {
+        let passes = || BOUND_PASSES.with(Cell::get);
+        // Σ over chunks of ⌈trials in the chunk / LANES⌉: a chunk's last
+        // group may be partial, and no group spans two chunks.
+        let groups = |trials: usize| -> u64 {
+            (0..trials.div_ceil(CHUNK_TRIALS))
+                .map(|c| CHUNK_TRIALS.min(trials - c * CHUNK_TRIALS).div_ceil(LANES) as u64)
+                .sum()
+        };
+        assert_eq!((groups(2000), groups(70), groups(2001)), (250, 9, 251));
+        for trials in [2, 7, 8, 9, 63, 64, 65, 70, 2000, 2001] {
+            let before = passes();
+            let cal = coarse_calibrator(trials);
+            let _ = cal.threshold(10, 16, 0.9).unwrap();
+            assert_eq!(passes() - before, groups(trials), "trials={trials}");
+        }
+
+        // A default boot on one thread, so this thread runs every job: the
+        // surface's 13 rows and the 22 below its k_min, 250 passes each
+        // (2 000 a row when each trial took a pass of its own).
+        let before = passes();
+        let cal = ThresholdCalibrator::new(CalibrationConfig {
+            surface: Some(SurfaceParams::default()),
+            ..CalibrationConfig::default()
+        })
+        .unwrap();
+        assert!(cal.ensure_surface_for(10).unwrap());
+        let below: Vec<usize> = (10..SurfaceParams::default().k_min).collect();
+        cal.fill_rows(10, &below).unwrap();
+        assert_eq!(cal.stats().oracle_jobs, 35);
+        assert_eq!(passes() - before, 35 * 250);
     }
 
     #[test]
@@ -1930,10 +2130,16 @@ mod tests {
             cal.inflight_done.notify_all();
             let off = waiter.join().unwrap();
             let samples = cal.distance_samples(10, 30, 0.9).unwrap();
-            assert_eq!(off.to_bits(), tail_quantile(&samples, 0.5).unwrap().to_bits());
+            assert_eq!(
+                off.to_bits(),
+                tail_quantile(&samples, 0.5).unwrap().to_bits()
+            );
         });
         let stats = cal.stats();
-        assert_eq!((stats.oracle_jobs, stats.misses, stats.singleflight_waits), (2, 1, 1));
+        assert_eq!(
+            (stats.oracle_jobs, stats.misses, stats.singleflight_waits),
+            (2, 1, 1)
+        );
         assert_eq!(cal.export_rows()[0].confidences.last(), Some(&50_000));
     }
 
@@ -1952,40 +2158,64 @@ mod tests {
             ("NaN", tampered(|row| row.values[3] = f64::NAN)),
             ("negative", tampered(|row| row.values[3] = -0.25)),
             ("a value short", tampered(|row| row.values.truncate(100))),
-            ("a rung missing", tampered(|row| {
-                row.confidences.remove(0);
-                row.values.drain(..21);
-            })),
+            (
+                "a rung missing",
+                tampered(|row| {
+                    row.confidences.remove(0);
+                    row.values.drain(..21);
+                }),
+            ),
         ] {
             assert_eq!(fresh.preload_rows([row]), 0, "{what}");
         }
         assert_eq!(fresh.cache_len(), 0);
         // The row as exported answers without Monte Carlo, bit for bit.
         assert_eq!(fresh.preload_rows([good.clone()]), 1);
-        assert_eq!(fresh.threshold(10, 30, 0.9).unwrap().to_bits(), live.to_bits());
+        assert_eq!(
+            fresh.threshold(10, 30, 0.9).unwrap().to_bits(),
+            live.to_bits()
+        );
         assert_eq!(fresh.cache_stats(), (1, 0));
         assert_eq!(fresh.export_cache(), cal.export_cache());
 
         let stale = tampered(|row| row.values.iter_mut().for_each(|eps| *eps += 1.0));
         assert_eq!(cal.preload_rows([stale]), 0, "the live row wins");
-        assert_eq!(cal.threshold(10, 30, 0.9).unwrap().to_bits(), live.to_bits());
+        assert_eq!(
+            cal.threshold(10, 30, 0.9).unwrap().to_bits(),
+            live.to_bits()
+        );
     }
 
     #[test]
     fn fingerprint_tracks_threshold_determining_knobs_only() {
         let base = CalibrationConfig::default();
         let fp = |cfg: CalibrationConfig, seed: u64| {
-            ThresholdCalibrator::new(cfg).unwrap().with_seed(seed).fingerprint()
+            ThresholdCalibrator::new(cfg)
+                .unwrap()
+                .with_seed(seed)
+                .fingerprint()
         };
         let reference = fp(base, 1);
         assert_eq!(fp(base, 1), reference, "fingerprint is stable");
         assert_ne!(fp(base, 2), reference, "seed changes thresholds");
         assert_ne!(
-            fp(CalibrationConfig { trials: 4000, ..base }, 1),
+            fp(
+                CalibrationConfig {
+                    trials: 4000,
+                    ..base
+                },
+                1
+            ),
             reference
         );
         assert_ne!(
-            fp(CalibrationConfig { confidence: 0.99, ..base }, 1),
+            fp(
+                CalibrationConfig {
+                    confidence: 0.99,
+                    ..base
+                },
+                1
+            ),
             reference
         );
         // The thread count never invalidates a persisted cache — and
@@ -2019,7 +2249,10 @@ mod tests {
         let higher = cal.threshold_at(10, 40, 0.9, 0.99995).unwrap();
         assert!(base < high, "{base} < {high}");
         assert!(high < higher, "{high} < {higher}");
-        assert!(higher.is_finite() && higher < 2.0, "tail stays sane: {higher}");
+        assert!(
+            higher.is_finite() && higher < 2.0,
+            "tail stays sane: {higher}"
+        );
     }
 
     #[test]

@@ -34,36 +34,58 @@ impl DistanceKind {
     /// and [`StatsError::OutOfSupport`] if the supports disagree.
     pub fn distance(&self, hist: &Histogram, pmf: &[f64]) -> Result<f64, StatsError> {
         check_inputs(hist, pmf)?;
-        let total = hist.len() as f64;
-        Ok(self.of_masses(hist.counts().iter().map(|&c| c as f64 / total), pmf))
+        let (counts, total) = (hist.counts(), hist.len() as f64);
+        let [d] = self.of_masses(pmf, |bin| [counts[bin] as f64 / total]);
+        Ok(d)
     }
 
-    /// This distance between an empirical pmf, given as its masses in
-    /// support order, and the reference `pmf`: the one definition of the
-    /// arithmetic, shared by [`Self::distance`] and the calibration kernel
-    /// (which derives the masses from bin counts without materializing a
-    /// [`Histogram`]). The caller guarantees matching supports.
-    pub(crate) fn of_masses(&self, emp: impl Iterator<Item = f64>, pmf: &[f64]) -> f64 {
-        let pairs = emp.zip(pmf);
+    /// This distance between `L` empirical pmfs and the one reference
+    /// `pmf`, lane by lane: `masses(j)` is every lane's mass at bin `j`,
+    /// asked once per bin in support order. The one definition of the
+    /// arithmetic, shared by [`Self::distance`] (one lane) and the
+    /// calibration kernel (a lane per Monte-Carlo trial, its masses derived
+    /// from bin counts without materializing a [`Histogram`]). Every lane
+    /// runs the same IEEE operations in the same order, so a lane's result
+    /// has the bits a one-lane call on its masses would have. The caller
+    /// guarantees matching supports.
+    #[inline(always)]
+    pub(crate) fn of_masses<const L: usize>(
+        &self,
+        pmf: &[f64],
+        mut masses: impl FnMut(usize) -> [f64; L],
+    ) -> [f64; L] {
+        // The metric is matched once, outside the bin loop, so each arm
+        // runs a loop of its own over `[f64; L]` that the compiler can
+        // vectorize.
         match self {
-            DistanceKind::L1 => l1(pairs),
-            DistanceKind::TotalVariation => l1(pairs) / 2.0,
-            DistanceKind::L2 => pairs.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt(),
+            DistanceKind::L1 => sum_over_bins(pmf, masses, |e, p| (e - p).abs()),
+            DistanceKind::TotalVariation => {
+                sum_over_bins(pmf, masses, |e, p| (e - p).abs()).map(|l1| l1 / 2.0)
+            }
+            DistanceKind::L2 => sum_over_bins(pmf, masses, |e, p| (e - p) * (e - p)).map(f64::sqrt),
             DistanceKind::KolmogorovSmirnov => {
-                let mut acc_e = 0.0;
+                let mut acc_e = [0.0; L];
                 let mut acc_p = 0.0;
-                let mut worst: f64 = 0.0;
-                for (a, b) in pairs {
-                    acc_e += a;
-                    acc_p += b;
-                    worst = worst.max((acc_e - acc_p).abs());
+                let mut worst = [0.0f64; L];
+                for (bin, &p) in pmf.iter().enumerate() {
+                    let e = masses(bin);
+                    acc_p += p;
+                    for lane in 0..L {
+                        acc_e[lane] += e[lane];
+                        worst[lane] = worst[lane].max((acc_e[lane] - acc_p).abs());
+                    }
                 }
                 worst
             }
-            DistanceKind::ChiSquare => pairs
-                .filter(|(_, &p)| p > 0.0)
-                .map(|(a, &p)| (a - p) * (a - p) / p)
-                .sum(),
+            // A bin with p = 0 adds +0.0, which leaves a sum of
+            // non-negative terms bit for bit where it was.
+            DistanceKind::ChiSquare => sum_over_bins(pmf, masses, |e, p| {
+                if p > 0.0 {
+                    (e - p) * (e - p) / p
+                } else {
+                    0.0
+                }
+            }),
         }
     }
 
@@ -105,8 +127,21 @@ fn check_inputs(hist: &Histogram, pmf: &[f64]) -> Result<(), StatsError> {
     Ok(())
 }
 
-fn l1<'a>(pairs: impl Iterator<Item = (f64, &'a f64)>) -> f64 {
-    pairs.map(|(x, y)| (x - y).abs()).sum()
+/// `Σ_j term(e_j, p_j)` in each lane, summed in bin order.
+#[inline(always)]
+fn sum_over_bins<const L: usize>(
+    pmf: &[f64],
+    mut masses: impl FnMut(usize) -> [f64; L],
+    term: impl Fn(f64, f64) -> f64,
+) -> [f64; L] {
+    let mut sum = [0.0; L];
+    for (bin, &p) in pmf.iter().enumerate() {
+        let e = masses(bin);
+        for lane in 0..L {
+            sum[lane] += term(e[lane], p);
+        }
+    }
+    sum
 }
 
 /// L¹ distance between an empirical histogram and a reference pmf —
@@ -226,8 +261,7 @@ mod tests {
         let pmf = b.pmf_table();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let small = Histogram::from_samples(10, b.sample_many(&mut rng, 20)).unwrap();
-        let large =
-            Histogram::from_samples(10, b.sample_many(&mut rng, 20_000)).unwrap();
+        let large = Histogram::from_samples(10, b.sample_many(&mut rng, 20_000)).unwrap();
         let d_small = l1_distance(&small, &pmf);
         let d_large = l1_distance(&large, &pmf);
         assert!(

@@ -41,8 +41,9 @@ pub struct SurfaceParams {
     /// confidence ladder (flat in grid density — refining the grid does
     /// not reduce it), so the default sits just above that floor times
     /// the 1.5× measurement headroom. Verdict compatibility is enforced
-    /// separately by the equivalence suite and the calibration bench's
-    /// zero-flip gate.
+    /// separately, by the equivalence suite's zero-flip test
+    /// (`the_default_surface_flips_no_decisive_verdict_and_runs_no_row_job`
+    /// in `crates/service/tests/equivalence.rs`).
     pub tolerance: f64,
     /// Smallest `k` the surface serves (default 32). Below it thresholds
     /// curve too fast in `k` for the geometric grid (measured error more
@@ -108,7 +109,10 @@ impl SurfaceLayer {
     /// Values per grid row: the number of p̂ buckets the layer covers
     /// (0 for a layer with no grid rows, which never validates).
     pub fn p_buckets(&self) -> usize {
-        self.values.len().checked_div(self.k_grid.len()).unwrap_or(0)
+        self.values
+            .len()
+            .checked_div(self.k_grid.len())
+            .unwrap_or(0)
     }
 
     /// Interpolated threshold at `(k, p̂-bucket index)`, or `None` when
@@ -352,7 +356,8 @@ mod tests {
 
     #[test]
     fn lookup_is_exact_at_every_bucket_of_every_grid_row() {
-        let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
+        let surface =
+            ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
         let l = layer();
         assert_eq!(l.p_buckets(), 3);
         for (a, &k) in l.k_grid.iter().enumerate() {
@@ -369,7 +374,8 @@ mod tests {
 
     #[test]
     fn interpolation_stays_inside_the_bracketing_rows() {
-        let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
+        let surface =
+            ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
         // Between grid ks: ε stays inside the bracketing rows' range.
         for k in 8..=128usize {
             let v = surface.lookup(10, k, 0, 95_000).unwrap();
@@ -383,19 +389,32 @@ mod tests {
 
     #[test]
     fn out_of_span_and_unknown_layers_miss() {
-        let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
+        let surface =
+            ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer()]).unwrap();
         assert_eq!(surface.lookup(10, 7, 0, 95_000), None, "k below grid");
         assert_eq!(surface.lookup(10, 129, 0, 95_000), None, "k above grid");
-        assert_eq!(surface.lookup(10, 32, 3, 95_000), None, "p̂ past the last bucket");
-        assert_eq!(surface.lookup(10, 33, u32::MAX, 95_000), None, "p̂ far past it");
-        assert_eq!(surface.lookup(10, 32, 0, 99_000), None, "unknown confidence");
+        assert_eq!(
+            surface.lookup(10, 32, 3, 95_000),
+            None,
+            "p̂ past the last bucket"
+        );
+        assert_eq!(
+            surface.lookup(10, 33, u32::MAX, 95_000),
+            None,
+            "p̂ far past it"
+        );
+        assert_eq!(
+            surface.lookup(10, 32, 0, 99_000),
+            None,
+            "unknown confidence"
+        );
         assert_eq!(surface.lookup(9, 32, 0, 95_000), None, "unknown m");
     }
 
     #[test]
     fn tolerance_gates_serving() {
         let mut wide = layer();
-        wide.error_bound = 0.2; // above the 0.05 default tolerance
+        wide.error_bound = 0.2; // above the 0.08 default tolerance
         let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![wide]).unwrap();
         assert_eq!(surface.lookup(10, 32, 0, 95_000), None);
         assert!(surface.covers(10));
