@@ -80,8 +80,6 @@ FMT_CLEAN=(
     crates/stats/src/surface.rs
     crates/stats/tests/calibration_surface.rs
     crates/store/src/durable.rs
-    crates/store/src/engine.rs
-    crates/store/src/issuers.rs
     crates/store/src/lib.rs
     crates/store/src/memory.rs
     crates/store/src/partial.rs
@@ -90,7 +88,6 @@ FMT_CLEAN=(
     crates/store/src/segment.rs
     crates/store/src/sharded.rs
     crates/store/src/store.rs
-    crates/store/tests/resident_accounting.rs
     examples/online_service.rs
 )
 rustfmt --edition 2021 --check "${FMT_CLEAN[@]}"

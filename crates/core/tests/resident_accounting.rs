@@ -9,8 +9,7 @@
 //! its bytes must do the resident one's work.
 //!
 //! A history holds outcomes only — two bits per feedback, whoever issued
-//! it. The issuer column `hp-store` keeps beside its own copy is measured
-//! in `crates/store/tests/resident_accounting.rs`.
+//! it.
 
 use hp_core::testing::{BehaviorTestConfig, MultiBehaviorTest};
 use hp_core::{ClientId, Feedback, HistoryView, Rating, ServerId, TieredHistory};

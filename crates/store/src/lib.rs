@@ -14,11 +14,10 @@
 //! * [`PartialStore`] — a wrapper that deterministically samples a fraction
 //!   of feedback, modeling partial retrieval.
 //!
-//! [`MemoryStore`] and [`ShardedStore`] are thin retention/availability
-//! policies over one shared columnar [`HistoryEngine`]: feedback is held
-//! bit-packed per server — the outcome column the online service runs,
-//! beside an [`IssuerColumn`] and a time column only the engine keeps —
-//! and materialized to rows only at the query edge.
+//! Every store hands back a server's exact rows: [`MemoryStore`] keeps
+//! the feedbacks it was given per server in append order, and
+//! [`ShardedStore`] holds one `MemoryStore` and decides by its ring and
+//! failed nodes which servers are retrievable.
 //!
 //! Feedback logs are checkpointed to and replayed from one sealed file
 //! via [`persist`], whose 25-byte record is also the service journal's
@@ -51,8 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod durable;
-mod engine;
-mod issuers;
 mod memory;
 mod partial;
 pub mod persist;
@@ -61,8 +58,6 @@ pub mod segment;
 mod sharded;
 mod store;
 
-pub use engine::HistoryEngine;
-pub use issuers::IssuerColumn;
 pub use memory::MemoryStore;
 pub use partial::PartialStore;
 pub use persist::{load_feedback, save_feedback};

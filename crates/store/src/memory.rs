@@ -1,15 +1,15 @@
 //! The central-server store.
 
-use crate::engine::HistoryEngine;
 use crate::store::FeedbackStore;
 use hp_core::{Feedback, ServerId, TransactionHistory};
+use std::collections::BTreeMap;
 
 /// An in-memory central feedback store — the "central server as in online
 /// auction communities" regime of §2.
 ///
-/// A thin retention policy (retain everything) over the columnar
-/// [`HistoryEngine`]: feedback is held bit-packed per server, and
-/// [`MemoryStore::history_of`] materializes rows on demand.
+/// Keeps every feedback it is given, as rows in append order per server,
+/// and [`MemoryStore::history_of`] hands a server's rows back as a
+/// [`TransactionHistory`].
 ///
 /// # Examples
 ///
@@ -24,7 +24,8 @@ use hp_core::{Feedback, ServerId, TransactionHistory};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryStore {
-    engine: HistoryEngine,
+    rows: BTreeMap<ServerId, Vec<Feedback>>,
+    len: usize,
 }
 
 impl MemoryStore {
@@ -33,34 +34,40 @@ impl MemoryStore {
         MemoryStore::default()
     }
 
-    /// Approximate resident bytes of all stored columns.
-    pub fn resident_bytes(&self) -> usize {
-        self.engine.resident_bytes()
+    /// `server`'s rows in append order; empty for an unknown server.
+    pub(crate) fn rows_of(&self, server: ServerId) -> &[Feedback] {
+        self.rows.get(&server).map_or(&[], Vec::as_slice)
     }
 }
 
 impl FeedbackStore for MemoryStore {
     fn append(&mut self, feedback: Feedback) {
-        self.engine.ingest(feedback);
+        self.rows.entry(feedback.server).or_default().push(feedback);
+        self.len += 1;
     }
 
     fn history_of(&self, server: ServerId) -> TransactionHistory {
-        self.engine.materialize(server)
+        let rows = self.rows_of(server);
+        let mut history = TransactionHistory::with_capacity(rows.len());
+        history.extend(rows.iter().copied());
+        history
     }
 
     fn len(&self) -> usize {
-        self.engine.len()
+        self.len
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        self.engine.servers().collect()
+        self.rows.keys().copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedStore, ShardedStoreConfig};
     use hp_core::{ClientId, Rating};
+    use proptest::prelude::*;
 
     fn fb(t: u64, server: u64, good: bool) -> Feedback {
         Feedback::new(
@@ -105,18 +112,51 @@ mod tests {
         assert_eq!(store.servers(), vec![ServerId::new(2), ServerId::new(5)]);
     }
 
-    #[test]
-    fn columnar_retention_undercuts_row_storage() {
-        let mut store = MemoryStore::new();
-        for t in 0..10_000 {
-            store.append(fb(t, 1, t % 6 != 0));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Each server's records come back exactly as appended — times
+        /// with gaps and repeats, issuers from a small pool, servers
+        /// interleaved — and a server the store never saw is an empty
+        /// history. A `ShardedStore` with no failed node fed the same
+        /// stream hands back the same rows and the same `len()`.
+        #[test]
+        fn history_of_round_trips(
+            pool in 1u64..=8,
+            raw in proptest::collection::vec(
+                (any::<bool>(), any::<u8>(), any::<u8>(), 0u64..3),
+                0..300,
+            ),
+        ) {
+            let mut time = 0u64;
+            let stream: Vec<Feedback> = raw
+                .into_iter()
+                .map(|(good, client, gap, server)| {
+                    time += u64::from(gap % 4);
+                    Feedback::new(
+                        time,
+                        ServerId::new(server),
+                        ClientId::new(u64::from(client) % pool),
+                        Rating::from_good(good),
+                    )
+                })
+                .collect();
+            let mut store = MemoryStore::new();
+            let mut sharded = ShardedStore::new(ShardedStoreConfig::default());
+            for &f in &stream {
+                store.append(f);
+                sharded.append(f);
+            }
+            prop_assert_eq!(store.len(), stream.len());
+            prop_assert_eq!(sharded.len(), stream.len());
+            for server in (0..3).map(ServerId::new) {
+                let expected: Vec<Feedback> =
+                    stream.iter().copied().filter(|f| f.server == server).collect();
+                prop_assert_eq!(store.history_of(server).feedbacks(), expected.as_slice());
+                prop_assert_eq!(sharded.history_of(server).feedbacks(), expected.as_slice());
+            }
+            prop_assert!(store.history_of(ServerId::new(9)).is_empty());
+            prop_assert!(sharded.history_of(ServerId::new(9)).is_empty());
         }
-        let materialized = store.history_of(ServerId::new(1));
-        assert!(
-            store.resident_bytes() * 2 < materialized.resident_bytes(),
-            "columnar {} vs rows {}",
-            store.resident_bytes(),
-            materialized.resident_bytes()
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! A sharded, replicated feedback store — the P2P regime.
 
-use crate::engine::HistoryEngine;
+use crate::memory::MemoryStore;
 use crate::ring::{HashRing, NodeId};
 use crate::store::FeedbackStore;
 use hp_core::{Feedback, ServerId, TransactionHistory};
@@ -39,10 +39,8 @@ impl Default for ShardedStoreConfig {
 /// retrieval claim end to end.
 ///
 /// Since every replica of a stream receives the identical write sequence,
-/// the feedback bits are held once, in the shared columnar
-/// [`HistoryEngine`]; the ring and failure set decide only whether a
-/// stream is currently *retrievable*. This turns sharding into a pure
-/// retention/availability policy over one storage representation.
+/// the rows are held once, in one [`MemoryStore`]; the ring and failure
+/// set decide only whether a stream is currently *retrievable*.
 ///
 /// # Examples
 ///
@@ -61,7 +59,7 @@ impl Default for ShardedStoreConfig {
 pub struct ShardedStore {
     ring: HashRing,
     replication: usize,
-    engine: HistoryEngine,
+    rows: MemoryStore,
     failed: BTreeSet<NodeId>,
 }
 
@@ -75,7 +73,7 @@ impl ShardedStore {
         ShardedStore {
             ring,
             replication: config.replication.max(1),
-            engine: HistoryEngine::new(),
+            rows: MemoryStore::new(),
             failed: BTreeSet::new(),
         }
     }
@@ -114,24 +112,28 @@ impl FeedbackStore for ShardedStore {
         // Every responsible replica receives the write, including currently
         // failed ones (a real system would hand off; retaining the write
         // models the post-recovery state and keeps replicas consistent) —
-        // which is exactly why one canonical copy in the engine suffices.
-        self.engine.ingest(feedback);
+        // which is exactly why one canonical copy of the rows suffices.
+        self.rows.append(feedback);
     }
 
     fn history_of(&self, server: ServerId) -> TransactionHistory {
         match self.live_replica(server) {
-            Some(_) => self.engine.materialize(server),
+            Some(_) => self.rows.history_of(server),
             None => TransactionHistory::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.engine.len()
+        self.servers()
+            .into_iter()
+            .map(|s| self.rows.rows_of(s).len())
+            .sum()
     }
 
     fn servers(&self) -> Vec<ServerId> {
-        self.engine
+        self.rows
             .servers()
+            .into_iter()
             .filter(|&s| self.live_replica(s).is_some())
             .collect()
     }
@@ -193,8 +195,12 @@ mod tests {
         assert_eq!(st.history_of(server).len(), 10, "one replica survives");
         st.fail_node(replicas[1]);
         assert!(st.history_of(server).is_empty(), "all replicas down");
+        // `len` counts the records of the servers a live replica serves.
+        assert!(!st.servers().contains(&server));
+        assert_eq!(st.len(), st.servers().len() * 10);
         st.heal_node(replicas[0]);
         assert_eq!(st.history_of(server).len(), 10, "recovery restores data");
+        assert_eq!(st.len(), 100);
     }
 
     #[test]
@@ -219,6 +225,8 @@ mod tests {
             st.fail_node(NodeId::new(n));
         }
         assert!(st.servers().is_empty());
+        assert_eq!(st.len(), 0);
+        assert!(st.is_empty());
     }
 
     #[test]
