@@ -46,6 +46,7 @@ FMT_CLEAN=(
     crates/load/src/lib.rs
     crates/load/src/population.rs
     crates/load/src/report.rs
+    crates/service/build.rs
     crates/service/src/calcache.rs
     crates/service/src/config.rs
     crates/service/src/faults.rs

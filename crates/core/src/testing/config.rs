@@ -1,7 +1,7 @@
 //! Configuration for behavior tests.
 
 use crate::error::CoreError;
-use hp_stats::{CalibrationConfig, DistanceKind, SurfaceParams};
+use hp_stats::{CalibrationConfig, DistanceKind, SurfaceParams, ThresholdCalibrator};
 
 /// How windows are laid over a range of transactions when the range length
 /// is not a multiple of the window size.
@@ -242,6 +242,33 @@ impl BehaviorTestConfig {
             threads: self.calibration_threads,
             surface: self.calibration_surface,
         }
+    }
+
+    /// Readies `calibrator` (built from [`Self::calibration_config`]) for
+    /// assessments under this configuration: builds or verifies the
+    /// threshold surface for the window size, then fills every oracle row
+    /// below the surface's `k_min` that a verdict can ask for — from
+    /// `max(min_suffix / m, min_windows)` windows up — so that no first
+    /// assessment waits on a Monte-Carlo job. A row already held runs no
+    /// job. Without a surface nothing is filled: every row is calibrated
+    /// when first asked for.
+    ///
+    /// The one list of boot rows: a service boot runs it, and so does the
+    /// build that computes the default configuration's table ahead of
+    /// time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn prepare_calibrator(&self, calibrator: &ThresholdCalibrator) -> Result<(), CoreError> {
+        let m = self.window_size;
+        calibrator.ensure_surface_for(m)?;
+        if let Some(surface) = self.calibration_surface {
+            let k_lo = (self.min_suffix / m as usize).max(self.min_windows);
+            let below: Vec<usize> = (k_lo..surface.k_min).collect();
+            calibrator.fill_rows(m, &below)?;
+        }
+        Ok(())
     }
 
     /// Validates the configuration as a whole.

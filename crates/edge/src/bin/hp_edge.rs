@@ -3,7 +3,7 @@
 //! ```text
 //! hp-edge [--help] [--addr HOST:PORT] [--workers N] [--shards N]
 //!         [--calibration-cache PATH] [--assess-deadline-ms N]
-//!         [--calibration-trials N] [--calibration-tolerance F]
+//!         [--calibration-tolerance F]
 //!         [--journal-dir PATH] [--fsync never|batch]
 //!         [--snapshot-interval-records N] [--snapshot-no-compact]
 //!         [--checkpoint-interval-ms N]
@@ -17,12 +17,16 @@
 //! 2 with the usage. Otherwise the listener binds immediately; `/healthz`
 //! reports `warming` (with recovery progress: snapshot loaded, records
 //! replayed / journal total) until shard spawn, journal recovery, and
-//! boot calibration (the threshold surface and the rows below it, built
-//! or loaded from `--calibration-cache`) finish. Each shard keeps its two
-//! newest snapshots. SIGTERM or SIGINT triggers the graceful drain: stop
-//! accepting, finish in-flight requests, shut the shards down (taking a
-//! final snapshot when snapshots are enabled), persist the calibration
-//! cache.
+//! boot calibration (the threshold surface and the rows below it) finish.
+//! At the default calibration settings that last step runs no row job:
+//! the binary carries their thresholds, computed when it was built.
+//! `--calibration-cache` only matters for another configuration (here:
+//! `--calibration-tolerance`), whose boot builds them or loads them from
+//! the file. Each shard keeps its two newest snapshots. SIGTERM or SIGINT
+//! triggers the graceful drain: stop accepting, finish in-flight
+//! requests, shut the shards down (taking a final snapshot when
+//! snapshots are enabled), persist the calibration cache if a row job
+//! ran.
 
 use hp_edge::{signals, EdgeConfig, EdgeServer};
 use hp_service::{
@@ -33,7 +37,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: hp-edge [--help] [--addr HOST:PORT] [--workers N] [--shards N]
                [--calibration-cache PATH] [--assess-deadline-ms N]
-               [--calibration-trials N] [--calibration-tolerance F]
+               [--calibration-tolerance F]
                [--journal-dir PATH] [--fsync never|batch]
                [--snapshot-interval-records N] [--snapshot-no-compact]
                [--checkpoint-interval-ms N]
@@ -67,19 +71,6 @@ fn main() {
             }
             "--calibration-cache" => {
                 service_config = service_config.with_calibration_cache(value());
-            }
-            // Cheaper calibration for soak tests that need fast boots;
-            // verdicts stay deterministic for a given trial count.
-            "--calibration-trials" => {
-                let trials: usize = value().parse().unwrap_or_else(|_| usage());
-                let test = hp_core::testing::BehaviorTestConfig::builder()
-                    .calibration_trials(trials)
-                    .build()
-                    .unwrap_or_else(|e| {
-                        eprintln!("hp-edge: bad calibration trials: {e}");
-                        std::process::exit(2);
-                    });
-                service_config = service_config.with_test(test);
             }
             // Error tolerance (absolute, on the threshold) of the
             // threshold surface built at boot: a layer whose measured

@@ -153,8 +153,9 @@ impl EdgeServer {
 
     /// Binds the listener immediately and builds the service on a
     /// background thread. Until construction (shard spawn, journal
-    /// recovery, boot calibration — possibly served from the
-    /// persisted cache) finishes, `/healthz` answers
+    /// recovery, boot calibration — served from the binary at the
+    /// default settings, possibly from the persisted cache at others)
+    /// finishes, `/healthz` answers
     /// `503 {"status":"warming"}`.
     ///
     /// # Errors

@@ -52,7 +52,7 @@ fn parsed_flags() -> Vec<String> {
         })
         .map(str::to_string)
         .collect();
-    assert!(flags.len() >= 18, "found only {flags:?}");
+    assert!(flags.len() >= 17, "found only {flags:?}");
     flags
 }
 
@@ -122,7 +122,11 @@ fn a_config_the_service_refuses_exits_at_once_with_the_reason() {
 
 #[test]
 fn removed_and_malformed_flags_exit_with_the_usage() {
-    for args in [&["--snapshot-retain", "2"][..], &["--fsync", "every:5"]] {
+    for args in [
+        &["--snapshot-retain", "2"][..],
+        &["--calibration-trials", "300"],
+        &["--fsync", "every:5"],
+    ] {
         let (out, exited) = hp_edge(args, Duration::from_secs(5));
         assert!(exited, "{args:?} kept running");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -27,10 +27,9 @@ use support::TestClient;
 
 const SHARDS: usize = 2;
 const SERVERS: u64 = 32;
-const CALIBRATION_TRIALS: usize = 300;
 /// Restart must reach ready well inside this bound: with snapshots the
-/// recovery cost is O(journal tail), not O(history), and calibration is
-/// served from the persisted cache.
+/// recovery cost is O(journal tail), not O(history), and the default
+/// calibration is served from the binary.
 const READY_BOUND: Duration = Duration::from_secs(30);
 
 /// Spawns `hp-edge` on an ephemeral port against `dir` and returns the
@@ -44,8 +43,6 @@ fn spawn_edge(dir: &Path) -> (Child, SocketAddr) {
             "2",
             "--shards",
             &SHARDS.to_string(),
-            "--calibration-trials",
-            &CALIBRATION_TRIALS.to_string(),
             "--calibration-cache",
             dir.join("calibration.hpcal").to_str().unwrap(),
             "--journal-dir",
@@ -113,12 +110,7 @@ fn soak_batch(start_t: u64, len: usize) -> Vec<Feedback> {
 /// per-server verdicts — the ground truth a recovered service must
 /// match bit-for-bit. Also returns every journaled record, in time order.
 fn offline_verdicts(dir: &Path) -> (Vec<(ServerId, Assessment)>, Vec<Feedback>) {
-    let config = ServiceConfig::default().with_shards(SHARDS).with_test(
-        hp_core::testing::BehaviorTestConfig::builder()
-            .calibration_trials(CALIBRATION_TRIALS)
-            .build()
-            .unwrap(),
-    );
+    let config = ServiceConfig::default().with_shards(SHARDS);
     let reference = OfflineReference::from_config(&config).expect("reference builds");
     let mut histories: std::collections::HashMap<ServerId, TransactionHistory> =
         std::collections::HashMap::new();
@@ -164,7 +156,7 @@ fn sigkill_mid_ingest_recovers_bit_identical_within_bound() {
     // First life: boot, ingest steadily, then SIGKILL with a request
     // still in flight.
     let (mut child, addr) = spawn_edge(&dir);
-    // First boot calibrates from scratch; no bound asserted here.
+    // No bound asserted on the first boot.
     wait_ready(addr, Duration::from_secs(120));
 
     let mut client = TestClient::connect(addr);
@@ -219,7 +211,7 @@ fn sigkill_mid_ingest_recovers_bit_identical_within_bound() {
     );
 
     // Second life: restart on the same directory. Recovery must be
-    // bounded (snapshot + tail, cached calibration) and bit-identical.
+    // bounded (snapshot + tail, built-in calibration) and bit-identical.
     let (mut child, addr) = spawn_edge(&dir);
     let elapsed = wait_ready(addr, READY_BOUND);
     println!(

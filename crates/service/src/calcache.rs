@@ -3,7 +3,9 @@
 //! Monte-Carlo threshold calibration is the dominant cost of a cold
 //! assessment (the ROADMAP "calibration wall"); persisting the calibrated
 //! thresholds means a warm restart never repeats a Monte-Carlo job this
-//! deployment has already run. The file is a *cache*, never a source of
+//! deployment has already run. The default configuration's boot
+//! thresholds come with the binary (`builtin`), so the file matters for
+//! the others, and for rows a default service calibrates live. The file is a *cache*, never a source of
 //! truth: it is keyed by the calibrator's
 //! [`fingerprint`](hp_stats::ThresholdCalibrator::fingerprint) — the seed
 //! and every configuration knob that determines what thresholds *are* —
@@ -214,7 +216,7 @@ fn decode(r: &mut Reader<'_>) -> Result<Body, Error> {
             m: r.u32("torn row")?,
             k: read_usize(r)?,
             confidences: list(r, 4, |r| r.u32("torn row"))?,
-            values: list(r, 8, read_f64)?,
+            values: list(r, 8, read_f64)?.into(),
         })
     })?;
     let params = match r.u8("torn surface parameters")? {
@@ -231,7 +233,7 @@ fn decode(r: &mut Reader<'_>) -> Result<Body, Error> {
             confidence_millis: r.u32("torn layer")?,
             error_bound: read_f64(r)?,
             k_grid: list(r, 8, read_usize)?,
-            values: list(r, 8, read_f64)?,
+            values: list(r, 8, read_f64)?.into(),
         })
     })?;
     if r.remaining() > 0 {
@@ -397,7 +399,7 @@ mod tests {
                 confidence_millis: 95_000,
                 error_bound: 0.0,
                 k_grid: vec![8, 16],
-                values: vec![0.5; 2 * buckets],
+                values: vec![0.5; 2 * buckets].into(),
             };
             let params = cal.config().surface.unwrap();
             encode(cal.fingerprint(), [].iter(), Some((params, &[layer])))
@@ -491,7 +493,7 @@ mod tests {
         assert_eq!((rows[0].m, rows[0].k), (10, 30));
         let broken = |change: &dyn Fn(&mut Vec<f64>)| {
             let mut rows = rows.clone();
-            change(&mut rows[0].values);
+            change(rows[0].values.to_mut());
             rows
         };
         for (what, rows) in [

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod builtin;
 pub mod calcache;
 mod config;
 mod faults;

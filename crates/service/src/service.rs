@@ -282,8 +282,9 @@ pub struct ReputationService {
     shards: Vec<ShardHandle>,
     obs: Arc<MetricsRegistry>,
     calibrator: Arc<ThresholdCalibrator>,
-    /// Row jobs the calibrator had run at the last save of its cache,
-    /// plus one (0: not saved by this process yet).
+    /// Row jobs the calibrator had run when nothing it held was missing
+    /// from its cache file and its binary — at its last save, or at a
+    /// boot that ran none — plus one (0: not since boot).
     calibration_saved: AtomicU64,
 }
 
@@ -338,24 +339,16 @@ impl ReputationService {
         if let Some(path) = config.calibration_cache() {
             let _ = crate::calcache::load(path, &calibrator);
         }
+        // The default configuration's rows and surface were calibrated
+        // when this binary was built: lend them to the calibrator for
+        // whatever the file did not bring.
+        crate::builtin::install(&calibrator, effective_test.window_size());
 
-        // Build (or verify) the interpolated threshold surface for the
-        // window size this deployment tests at. A no-op when the persisted
-        // cache already installed matching layers, cheap when it preloaded
-        // the oracle rows, a full grid calibration on a true cold boot.
-        let m = effective_test.window_size();
-        calibrator.ensure_surface_for(m).map_err(CoreError::from)?;
-
-        // The surface interpolates from its `k_min` up; a suffix of fewer
-        // windows is answered by the oracle's own row. Fill every such row
-        // the test can ask for now, through the same fan-out, so that no
-        // first assessment waits on a Monte-Carlo job. (Without a surface
-        // every row is calibrated when first asked for.)
-        if let Some(surface) = effective_test.calibration_surface() {
-            let k_lo = (effective_test.min_suffix() / m as usize).max(effective_test.min_windows());
-            let below: Vec<usize> = (k_lo..surface.k_min).collect();
-            calibrator.fill_rows(m, &below).map_err(CoreError::from)?;
-        }
+        // Build (or verify) the interpolated threshold surface and fill
+        // the rows below it. No job runs for what the file or the binary
+        // brought; a true cold boot of any other configuration runs them
+        // all here, so that no first assessment waits on one.
+        effective_test.prepare_calibrator(&calibrator)?;
 
         let obs = Arc::new(MetricsRegistry::new(config.shards()));
         obs.set_build_info(format!(
@@ -400,17 +393,20 @@ impl ReputationService {
             };
             shards.push(spawn_supervised_shard(shard, ctx));
         }
+        // A boot that ran no row job holds nothing its file or its binary
+        // lacks: nothing to save until a job runs.
+        let booted_jobs = calibrator.stats().oracle_jobs;
         let service = ReputationService {
             config,
             shards,
             obs,
             calibrator,
-            calibration_saved: AtomicU64::new(0),
+            calibration_saved: AtomicU64::new(if booted_jobs == 0 { 1 } else { 0 }),
         };
         // A boot that ran row jobs holds thresholds no file has yet. Save
         // them now (best-effort, as `shutdown` does) rather than at the
         // first drain, so a SIGKILL before it costs no second surface build.
-        if service.calibrator.stats().oracle_jobs > 0 {
+        if booted_jobs > 0 {
             let _ = service.save_calibration();
         }
         Ok(service)

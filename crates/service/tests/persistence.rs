@@ -294,5 +294,57 @@ fn a_boot_runs_the_rows_its_configuration_names_and_a_reboot_runs_none() {
     assert_eq!(counts(&warm), ((0, 0), held));
     first_assessments(&warm);
     assert_eq!(counts(&warm), ((0, 0), held));
+
+    // The default configuration names the same 35 rows at 201 buckets, and
+    // the binary carries them: a default boot runs no job, and the byte
+    // gauge counts the thresholds it borrows from the binary as it counts
+    // the ones on the heap.
+    let default = ReputationService::new(ServiceConfig::default().with_shards(1)).unwrap();
+    let (jobs, held) = counts(&default);
+    assert_eq!(jobs, (0, 0), "a default boot runs no row job");
+    let (entries, row_bytes) = held;
+    assert_eq!(entries, 35 * 201 * 14);
+    assert!(
+        (entries * 8..entries * 8 + 35 * 256).contains(&row_bytes),
+        "{row_bytes} B"
+    );
+    assert!(default
+        .render_prometheus()
+        .lines()
+        .any(|line| line == "hp_calibration_oracle_jobs_total 0"));
+    first_assessments(&default);
+    assert_eq!(counts(&default), ((0, 0), held));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_boot_that_ran_no_job_never_rewrites_the_file() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmp_dir("unchanged");
+    let cache = dir.join("calibration.hpcal");
+    ReputationService::new(config(cache.clone()))
+        .unwrap()
+        .shutdown();
+    let written = std::fs::read(&cache).unwrap();
+    let inode = std::fs::metadata(&cache).unwrap().ino();
+
+    // A warm boot's checkpoint and drain have nothing to add: the file
+    // keeps its bytes and its inode (a save publishes a new file).
+    let warm = ReputationService::new(config(cache.clone())).unwrap();
+    assert_eq!(warm.stats().calibration_oracle_jobs, 0);
+    warm.checkpoint().unwrap();
+    warm.shutdown();
+    assert_eq!(std::fs::read(&cache).unwrap(), written);
+    assert_eq!(std::fs::metadata(&cache).unwrap().ino(), inode);
+
+    // A default boot holds only what its binary does: it writes no file.
+    let default = dir.join("default.hpcal");
+    let service =
+        ReputationService::new(ServiceConfig::default().with_calibration_cache(default.clone()))
+            .unwrap();
+    service.checkpoint().unwrap();
+    service.shutdown();
+    assert!(!default.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

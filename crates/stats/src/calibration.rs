@@ -50,6 +50,7 @@ use crate::rng::{derive_seed, seeded_rng};
 use crate::surface::{SurfaceLayer, SurfaceParams, ThresholdSurface};
 use parking_lot::{Mutex, RwLock};
 use rand::RngExt;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -179,8 +180,10 @@ pub struct CalibrationRow {
     /// in the order it was first asked for.
     pub confidences: Vec<u32>,
     /// One threshold ε per p̂ bucket per column, column by column:
-    /// `values[column · buckets + bucket]`.
-    pub values: Vec<f64>,
+    /// `values[column · buckets + bucket]`. Borrowed when the thresholds
+    /// live in the binary (a table computed when it was built); a job that
+    /// adds a column copies them into the new row it publishes.
+    pub values: Cow<'static, [f64]>,
 }
 
 impl CalibrationRow {
@@ -386,14 +389,20 @@ impl ThresholdCalibrator {
         self.rows.read().values().map(|row| row.values.len()).sum()
     }
 
-    /// Heap bytes of the rows held: each [`CalibrationRow`] and its two
-    /// blocks at their capacity. The store never evicts, so this grows by
-    /// a row per distinct `(m, k)` asked for.
+    /// Bytes of the rows held: each [`CalibrationRow`], its confidence
+    /// block at its capacity, and its thresholds wherever they live — a
+    /// heap block at its capacity, or the binary's table they borrow. The
+    /// store never evicts, so this grows by a row per distinct `(m, k)`
+    /// asked for.
     pub fn cache_bytes(&self) -> usize {
         let row_bytes = |row: &Arc<CalibrationRow>| {
+            let thresholds = match &row.values {
+                Cow::Borrowed(values) => values.len(),
+                Cow::Owned(values) => values.capacity(),
+            };
             std::mem::size_of::<CalibrationRow>()
                 + row.confidences.capacity() * std::mem::size_of::<u32>()
-                + row.values.capacity() * std::mem::size_of::<f64>()
+                + thresholds * std::mem::size_of::<f64>()
         };
         self.rows.read().values().map(row_bytes).sum()
     }
@@ -478,12 +487,14 @@ impl ThresholdCalibrator {
         self.rows.read().values().cloned().collect()
     }
 
-    /// Installs previously exported rows (e.g. loaded from disk at boot),
-    /// returning how many were installed. A row is refused whole unless
-    /// its columns begin with this calibrator's confidence ladder, it
-    /// holds one value per p̂ bucket per column, and every value is finite
-    /// and non-negative; a row already held is left untouched (the live
-    /// one was calibrated by this process and is equally authoritative).
+    /// Installs previously exported rows (e.g. loaded from disk at boot,
+    /// or a table compiled into the binary), returning how many were
+    /// installed. A row is refused whole unless its columns begin with
+    /// this calibrator's confidence ladder, it holds one value per p̂
+    /// bucket per column, and every value is finite and non-negative; a
+    /// row already held is left untouched (the live one is equally
+    /// authoritative), and its values are not read. Borrowed values stay
+    /// borrowed.
     ///
     /// Preloading only makes sense from a calibrator with the same
     /// [`Self::fingerprint`]; callers own that check — beyond the shape
@@ -497,15 +508,20 @@ impl ThresholdCalibrator {
         let mut held = self.rows.write();
         let mut installed = 0;
         for mut row in rows {
+            if held.contains_key(&(row.m, row.k)) {
+                continue;
+            }
             let columns = &row.confidences;
             let whole = columns.starts_with(&ladder)
                 && row.values.len() == buckets * columns.len()
                 && row.values.iter().all(|eps| eps.is_finite() && *eps >= 0.0);
-            if whole && !held.contains_key(&(row.m, row.k)) {
+            if whole {
                 // A parsed row may carry spare capacity; a held one is
                 // held for the life of the process.
                 row.confidences.shrink_to_fit();
-                row.values.shrink_to_fit();
+                if let Cow::Owned(values) = &mut row.values {
+                    values.shrink_to_fit();
+                }
                 held.insert((row.m, row.k), Arc::new(row));
                 installed += 1;
             }
@@ -730,7 +746,7 @@ impl ThresholdCalibrator {
     /// columns and gains the requested one.
     fn run_row_job(&self, m: u32, k: usize, requested: f64) -> Result<(), StatsError> {
         let (mut columns, mut values) = match self.rows.read().get(&(m, k)) {
-            Some(row) => (row.confidences.clone(), row.values.clone()),
+            Some(row) => (row.confidences.clone(), row.values.to_vec()),
             None => Default::default(),
         };
         let mut confidences = Vec::new();
@@ -777,7 +793,7 @@ impl ThresholdCalibrator {
             m,
             k,
             confidences: columns,
-            values,
+            values: values.into(),
         };
         // One writer per row (single flight), one write per job: readers
         // see the old row or the new one, never part of either.
@@ -913,7 +929,7 @@ impl ThresholdCalibrator {
                 confidence_millis: millis,
                 error_bound: f64::INFINITY,
                 k_grid: k_grid.clone(),
-                values,
+                values: values.into(),
             };
             let mut worst = 0.0f64;
             for &k in &measured {
@@ -1953,7 +1969,7 @@ mod tests {
                 confidence_millis: 95_000,
                 error_bound: 0.0,
                 k_grid: vec![8, 16],
-                values: vec![0.5; 2 * buckets],
+                values: vec![0.5; 2 * buckets].into(),
             };
             Arc::new(ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer]).unwrap())
         };
@@ -2155,14 +2171,17 @@ mod tests {
         };
         let fresh = coarse_calibrator(300);
         for (what, row) in [
-            ("NaN", tampered(|row| row.values[3] = f64::NAN)),
-            ("negative", tampered(|row| row.values[3] = -0.25)),
-            ("a value short", tampered(|row| row.values.truncate(100))),
+            ("NaN", tampered(|row| row.values.to_mut()[3] = f64::NAN)),
+            ("negative", tampered(|row| row.values.to_mut()[3] = -0.25)),
+            (
+                "a value short",
+                tampered(|row| row.values.to_mut().truncate(100)),
+            ),
             (
                 "a rung missing",
                 tampered(|row| {
                     row.confidences.remove(0);
-                    row.values.drain(..21);
+                    row.values.to_mut().drain(..21);
                 }),
             ),
         ] {
@@ -2178,12 +2197,44 @@ mod tests {
         assert_eq!(fresh.cache_stats(), (1, 0));
         assert_eq!(fresh.export_cache(), cal.export_cache());
 
-        let stale = tampered(|row| row.values.iter_mut().for_each(|eps| *eps += 1.0));
+        let stale = tampered(|row| row.values.to_mut().iter_mut().for_each(|eps| *eps += 1.0));
         assert_eq!(cal.preload_rows([stale]), 0, "the live row wins");
         assert_eq!(
             cal.threshold(10, 30, 0.9).unwrap().to_bits(),
             live.to_bits()
         );
+    }
+
+    #[test]
+    fn a_borrowed_row_is_served_in_place_until_a_job_adds_a_column() {
+        let cal = coarse_calibrator(300);
+        let live = cal.threshold(10, 30, 0.9).unwrap();
+        let exported = cal.export_rows()[0].values.to_vec();
+        let table: &'static [f64] = Vec::leak(exported);
+        let row = CalibrationRow {
+            values: Cow::Borrowed(table),
+            ..(*cal.export_rows()[0]).clone()
+        };
+
+        let fresh = coarse_calibrator(300);
+        assert_eq!(fresh.preload_rows([row]), 1);
+        let held = fresh.export_rows();
+        assert!(matches!(&held[0].values, Cow::Borrowed(v) if std::ptr::eq(*v, table)));
+        // The gauge counts the borrowed thresholds as it counts owned ones.
+        assert!(fresh.cache_bytes() >= table.len() * 8);
+        assert_eq!(
+            fresh.threshold(10, 30, 0.9).unwrap().to_bits(),
+            live.to_bits()
+        );
+        assert_eq!(fresh.stats().oracle_jobs, 0);
+
+        // An off-ladder confidence appends a column: the row is copied
+        // once, its old columns bit for bit, and the table is left alone.
+        fresh.threshold_at(10, 30, 0.9, 0.97).unwrap();
+        assert_eq!(fresh.stats().oracle_jobs, 1);
+        let grown = &fresh.export_rows()[0];
+        assert!(matches!(grown.values, Cow::Owned(_)));
+        assert_eq!(grown.values[..table.len()], *table);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! persisted surface can be re-attached without re-running the oracle.
 
 use crate::error::StatsError;
+use std::borrow::Cow;
 
 /// Knobs for building and serving a [`ThresholdSurface`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,8 +102,9 @@ pub struct SurfaceLayer {
     pub k_grid: Vec<usize>,
     /// Oracle thresholds, row-major, one per p̂ cache bucket:
     /// `values[a * p_buckets() + i]` is the threshold at
-    /// `(k_grid[a], bucket i)`.
-    pub values: Vec<f64>,
+    /// `(k_grid[a], bucket i)`. Borrowed when the layer lives in the
+    /// binary (a table computed when it was built).
+    pub values: Cow<'static, [f64]>,
 }
 
 impl SurfaceLayer {
@@ -191,7 +193,7 @@ impl SurfaceLayer {
 ///     confidence_millis: 95_000,
 ///     error_bound: 0.01,
 ///     k_grid: vec![8, 32],
-///     values: vec![0.9, 0.4, 0.45, 0.2],
+///     values: vec![0.9, 0.4, 0.45, 0.2].into(),
 /// };
 /// let surface = ThresholdSurface::from_parts(SurfaceParams::default(), vec![layer])?;
 /// // Exact on a grid row:
@@ -316,7 +318,8 @@ mod tests {
                 0.90, 0.70, 0.10, // k = 8
                 0.45, 0.35, 0.05, // k = 32
                 0.22, 0.17, 0.02, // k = 128
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -342,13 +345,13 @@ mod tests {
     fn from_parts_rejects_malformed_layers() {
         let params = SurfaceParams::default();
         let mut short = layer();
-        short.values.pop();
+        short.values.to_mut().pop();
         assert!(ThresholdSurface::from_parts(params, vec![short]).is_err());
         let mut unsorted = layer();
         unsorted.k_grid = vec![32, 8, 128];
         assert!(ThresholdSurface::from_parts(params, vec![unsorted]).is_err());
         let mut nan = layer();
-        nan.values[0] = f64::NAN;
+        nan.values.to_mut()[0] = f64::NAN;
         assert!(ThresholdSurface::from_parts(params, vec![nan]).is_err());
         assert!(ThresholdSurface::from_parts(params, vec![layer(), layer()]).is_err());
         assert!(ThresholdSurface::from_parts(params, vec![layer()]).is_ok());
