@@ -1,14 +1,13 @@
 //! Feedback records — the `(t, s, c, r)` tuples of the paper (§2).
 
 use crate::id::{ClientId, ServerId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A client's one-dimensional rating of a transaction.
 ///
 /// The paper restricts ratings to `{positive, negative}`; multi-valued
 /// feedback is handled by [`crate::testing::MultiValueBehaviorTest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rating {
     /// The transaction was satisfactory ("good transaction").
     Positive,
@@ -56,7 +55,7 @@ impl fmt::Display for Rating {
 /// assert!(fb.is_good());
 /// assert_eq!(fb.to_string(), "t3 s1 c9 +");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Feedback {
     /// Logical timestamp (transaction sequence time).
     pub time: u64,

@@ -5,7 +5,7 @@
 //! `u64` prefix popcount — two bits per transaction, against ~48 B for
 //! the reference row store. Issuers and timestamps are not stored here:
 //! the online service's verdict reads neither, and `hp-store`, which
-//! does hand records back, keeps its own issuer and time columns.
+//! does hand records back, keeps the whole `Feedback` rows it was given.
 //!
 //! Every statistic is bit-identical to the reference
 //! [`crate::TransactionHistory`] path; see

@@ -195,11 +195,6 @@ impl TransactionHistory {
         self.feedbacks.iter().map(|f| f.is_good())
     }
 
-    /// The underlying prefix sums (for O(1) range statistics).
-    pub fn prefix_sums(&self) -> &PrefixSums {
-        &self.prefix
-    }
-
     /// Number of good transactions in the half-open range `[start, end)`.
     ///
     /// # Panics

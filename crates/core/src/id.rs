@@ -4,15 +4,12 @@
 //! different namespaces; the newtypes keep them from being confused — a
 //! `ServerId` can never be passed where a `ClientId` is expected.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u64);
 
         impl $name {
@@ -81,16 +78,5 @@ mod tests {
         set.insert(ClientId::new(2));
         assert_eq!(set.len(), 2);
         assert!(ServerId::new(1) < ServerId::new(2));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        // serde is wired for storage backends; check with the bincode-less
-        // in-memory serializer available through serde's test machinery:
-        // here we simply confirm Serialize/Deserialize are derivable via
-        // a JSON-free token check using serde's fmt Debug path.
-        let id = ServerId::new(9);
-        let cloned = id;
-        assert_eq!(id, cloned);
     }
 }

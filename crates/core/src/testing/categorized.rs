@@ -103,10 +103,7 @@ where
     pub fn evaluate(&self, history: &TransactionHistory) -> Result<CategorizedReport, CoreError> {
         let mut partitions: BTreeMap<Category, TransactionHistory> = BTreeMap::new();
         for fb in history.iter() {
-            partitions
-                .entry((self.classify)(fb))
-                .or_default()
-                .push(*fb);
+            partitions.entry((self.classify)(fb)).or_default().push(*fb);
         }
         let mut per_category = BTreeMap::new();
         let mut outcome = TestOutcome::Inconclusive;
@@ -151,11 +148,7 @@ mod tests {
         (fb.client.value() / 100_000) as u32
     }
 
-    fn regional_history(
-        n: usize,
-        p_by_region: &[f64],
-        seed: u64,
-    ) -> TransactionHistory {
+    fn regional_history(n: usize, p_by_region: &[f64], seed: u64) -> TransactionHistory {
         let mut rng = hp_stats::seeded_rng(seed);
         let mut h = TransactionHistory::new();
         for t in 0..n as u64 {

@@ -474,10 +474,19 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        assert!(BehaviorTestConfig::builder().window_size(0).build().is_err());
-        assert!(BehaviorTestConfig::builder().confidence(1.0).build().is_err());
+        assert!(BehaviorTestConfig::builder()
+            .window_size(0)
+            .build()
+            .is_err());
+        assert!(BehaviorTestConfig::builder()
+            .confidence(1.0)
+            .build()
+            .is_err());
         assert!(BehaviorTestConfig::builder().step(0).build().is_err());
-        assert!(BehaviorTestConfig::builder().min_windows(0).build().is_err());
+        assert!(BehaviorTestConfig::builder()
+            .min_windows(0)
+            .build()
+            .is_err());
         assert!(BehaviorTestConfig::builder()
             .window_size(50)
             .min_suffix(10)

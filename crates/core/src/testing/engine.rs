@@ -304,7 +304,10 @@ impl FusedSuffixSweep {
             running += u64::from(c);
             good_prefix.push(running);
         }
-        Ok(FusedSuffixSweep { counts, good_prefix })
+        Ok(FusedSuffixSweep {
+            counts,
+            good_prefix,
+        })
     }
 
     /// Number of grid windows (those of the longest suffix).
@@ -421,8 +424,14 @@ mod tests {
     fn suffix_lengths_enumeration() {
         let arith = SuffixSchedule::Arithmetic;
         assert_eq!(suffix_lengths(250, 100, 100, None, arith), vec![250, 150]);
-        assert_eq!(suffix_lengths(300, 100, 100, None, arith), vec![300, 200, 100]);
-        assert_eq!(suffix_lengths(99, 100, 100, None, arith), Vec::<usize>::new());
+        assert_eq!(
+            suffix_lengths(300, 100, 100, None, arith),
+            vec![300, 200, 100]
+        );
+        assert_eq!(
+            suffix_lengths(99, 100, 100, None, arith),
+            Vec::<usize>::new()
+        );
         assert_eq!(suffix_lengths(100, 100, 100, None, arith), vec![100]);
     }
 
@@ -431,8 +440,14 @@ mod tests {
         let arith = SuffixSchedule::Arithmetic;
         // The schedule still steps from n, so the surviving lengths stay
         // on the end-aligned grid; longer-than-horizon suffixes vanish.
-        assert_eq!(suffix_lengths(300, 100, 100, Some(200), arith), vec![200, 100]);
-        assert_eq!(suffix_lengths(300, 100, 100, Some(300), arith), vec![300, 200, 100]);
+        assert_eq!(
+            suffix_lengths(300, 100, 100, Some(200), arith),
+            vec![200, 100]
+        );
+        assert_eq!(
+            suffix_lengths(300, 100, 100, Some(300), arith),
+            vec![300, 200, 100]
+        );
         assert_eq!(suffix_lengths(250, 100, 100, Some(160), arith), vec![150]);
         // A horizon the grid never lands on leaves nothing to test.
         assert_eq!(
@@ -440,21 +455,33 @@ mod tests {
             Vec::<usize>::new()
         );
         let geo = SuffixSchedule::Geometric;
-        assert_eq!(suffix_lengths(800, 10, 100, Some(400), geo), vec![400, 200, 100]);
+        assert_eq!(
+            suffix_lengths(800, 10, 100, Some(400), geo),
+            vec![400, 200, 100]
+        );
     }
 
     #[test]
     fn suffix_lengths_geometric() {
         let geo = SuffixSchedule::Geometric;
         // 800 → 400 → 200 → 100, all step-10-aligned.
-        assert_eq!(suffix_lengths(800, 10, 100, None, geo), vec![800, 400, 200, 100]);
+        assert_eq!(
+            suffix_lengths(800, 10, 100, None, geo),
+            vec![800, 400, 200, 100]
+        );
         // Unaligned start: halves round down to step multiples.
-        assert_eq!(suffix_lengths(805, 10, 100, None, geo), vec![805, 400, 200, 100]);
+        assert_eq!(
+            suffix_lengths(805, 10, 100, None, geo),
+            vec![805, 400, 200, 100]
+        );
         assert_eq!(suffix_lengths(99, 10, 100, None, geo), Vec::<usize>::new());
         // Log-many tests vs linear-many.
         let geo_tests = suffix_lengths(10_000, 10, 100, None, geo).len();
         let arith_tests = suffix_lengths(10_000, 10, 100, None, SuffixSchedule::Arithmetic).len();
-        assert!(geo_tests < 10 && arith_tests > 900, "{geo_tests} vs {arith_tests}");
+        assert!(
+            geo_tests < 10 && arith_tests > 900,
+            "{geo_tests} vs {arith_tests}"
+        );
     }
 
     #[test]
@@ -523,10 +550,26 @@ mod tests {
             .build()
             .unwrap();
         let cal = calibrator(&config);
-        let start = run_range_test(ColumnRef::Prefix(&prefix), 0, 25, &config, &cal, 0.95, WindowAlignment::Start)
-            .unwrap();
-        let end =
-            run_range_test(ColumnRef::Prefix(&prefix), 0, 25, &config, &cal, 0.95, WindowAlignment::End).unwrap();
+        let start = run_range_test(
+            ColumnRef::Prefix(&prefix),
+            0,
+            25,
+            &config,
+            &cal,
+            0.95,
+            WindowAlignment::Start,
+        )
+        .unwrap();
+        let end = run_range_test(
+            ColumnRef::Prefix(&prefix),
+            0,
+            25,
+            &config,
+            &cal,
+            0.95,
+            WindowAlignment::End,
+        )
+        .unwrap();
         assert!(start.p_hat.unwrap() < 1.0);
         assert_eq!(end.p_hat.unwrap(), 1.0);
     }
@@ -551,7 +594,8 @@ mod tests {
         let sweep = FusedSuffixSweep::new_capped(ColumnRef::Prefix(&short), 10, None).unwrap();
         assert_eq!(sweep.windows(), 0);
         // A cap below the natural grid truncates to the newest windows.
-        let capped = FusedSuffixSweep::new_capped(ColumnRef::Prefix(&prefix), 10, Some(20)).unwrap();
+        let capped =
+            FusedSuffixSweep::new_capped(ColumnRef::Prefix(&prefix), 10, Some(20)).unwrap();
         assert_eq!(capped.windows(), 20);
         assert_eq!(capped.good_in_newest(20), prefix.count_range(n - 200, n));
     }

@@ -133,10 +133,7 @@ impl MultiBehaviorTest {
     /// # Errors
     ///
     /// Statistical errors as [`CoreError::Stats`].
-    pub fn evaluate_detailed(
-        &self,
-        history: &dyn HistoryView,
-    ) -> Result<MultiReport, CoreError> {
+    pub fn evaluate_detailed(&self, history: &dyn HistoryView) -> Result<MultiReport, CoreError> {
         MultiReport::collect(|suffixes| self.run(history, suffixes))
     }
 
@@ -179,10 +176,7 @@ mod tests {
 
     fn honest_history(n: usize, p: f64, seed: u64) -> TransactionHistory {
         let mut rng = hp_stats::seeded_rng(seed);
-        TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            (0..n).map(|_| rng.random::<f64>() < p),
-        )
+        TransactionHistory::from_outcomes(ServerId::new(1), (0..n).map(|_| rng.random::<f64>() < p))
     }
 
     fn hibernating_history(prep: usize, attacks: usize, seed: u64) -> TransactionHistory {
@@ -284,10 +278,7 @@ mod tests {
     fn trait_report_variant() {
         let test = MultiBehaviorTest::new(BehaviorTestConfig::default()).unwrap();
         let h = honest_history(300, 0.9, 4);
-        assert!(matches!(
-            test.evaluate(&h).unwrap(),
-            TestReport::Multi(_)
-        ));
+        assert!(matches!(test.evaluate(&h).unwrap(), TestReport::Multi(_)));
         assert_eq!(test.name(), "multi");
     }
 }

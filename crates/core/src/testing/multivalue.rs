@@ -187,7 +187,10 @@ mod tests {
     fn rejects_out_of_range_rating() {
         let t = test(3);
         let err = t.evaluate(&[0, 1, 3]).unwrap_err();
-        assert!(matches!(err, CoreError::Stats(StatsError::OutOfSupport { value: 3, .. })));
+        assert!(matches!(
+            err,
+            CoreError::Stats(StatsError::OutOfSupport { value: 3, .. })
+        ));
     }
 
     #[test]
@@ -226,7 +229,11 @@ mod tests {
         let report = t.evaluate(&ratings).unwrap();
         assert!((report.frequencies[0] - 0.75).abs() < 1e-12);
         assert!((report.frequencies[1] - 0.25).abs() < 1e-12);
-        assert_eq!(report.outcome, TestOutcome::Inconclusive, "4 txns is too short");
+        assert_eq!(
+            report.outcome,
+            TestOutcome::Inconclusive,
+            "4 txns is too short"
+        );
     }
 
     #[test]

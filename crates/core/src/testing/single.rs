@@ -117,10 +117,7 @@ mod tests {
 
     fn honest_history(n: usize, p: f64, seed: u64) -> TransactionHistory {
         let mut rng = hp_stats::seeded_rng(seed);
-        TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            (0..n).map(|_| rng.random::<f64>() < p),
-        )
+        TransactionHistory::from_outcomes(ServerId::new(1), (0..n).map(|_| rng.random::<f64>() < p))
     }
 
     #[test]
@@ -142,10 +139,7 @@ mod tests {
     fn deterministic_periodic_pattern_is_flagged() {
         let test = SingleBehaviorTest::new(BehaviorTestConfig::default()).unwrap();
         // Exactly 9 good then 1 bad, repeated: every window count is 9.
-        let h = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            (0..400).map(|i| i % 10 != 9),
-        );
+        let h = TransactionHistory::from_outcomes(ServerId::new(1), (0..400).map(|i| i % 10 != 9));
         let report = test.evaluate_detailed(&h).unwrap();
         assert_eq!(report.outcome, TestOutcome::Suspicious);
         assert!(report.distance.unwrap() > report.threshold.unwrap());

@@ -62,20 +62,15 @@ mod tests {
 
     #[test]
     fn ratio_of_good_transactions() {
-        let h = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            [true, false, true, true, false],
-        );
+        let h =
+            TransactionHistory::from_outcomes(ServerId::new(1), [true, false, true, true, false]);
         assert_eq!(AverageTrust::default().trust(&h).value(), 0.6);
     }
 
     #[test]
     fn empty_history_uses_default() {
         let h = TransactionHistory::new();
-        assert_eq!(
-            AverageTrust::default().trust(&h),
-            TrustValue::NEUTRAL
-        );
+        assert_eq!(AverageTrust::default().trust(&h), TrustValue::NEUTRAL);
         let pessimist = AverageTrust::new(TrustValue::ZERO);
         assert_eq!(pessimist.trust(&h), TrustValue::ZERO);
     }

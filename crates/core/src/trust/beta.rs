@@ -78,10 +78,7 @@ impl BetaTrust {
     ///
     /// Never fails for a validated `BetaTrust`; the `Result` mirrors the
     /// underlying distribution constructor.
-    pub fn posterior(
-        &self,
-        history: &dyn HistoryView,
-    ) -> Result<hp_stats::BetaDist, CoreError> {
+    pub fn posterior(&self, history: &dyn HistoryView) -> Result<hp_stats::BetaDist, CoreError> {
         Ok(hp_stats::BetaDist::new(
             self.alpha0 + history.good_count() as f64,
             self.beta0 + history.bad_count() as f64,
@@ -168,14 +165,10 @@ mod tests {
     #[test]
     fn credible_interval_narrows_with_data() {
         let f = BetaTrust::default();
-        let short = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            (0..20).map(|i| i % 10 != 0),
-        );
-        let long = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            (0..2000).map(|i| i % 10 != 0),
-        );
+        let short =
+            TransactionHistory::from_outcomes(ServerId::new(1), (0..20).map(|i| i % 10 != 0));
+        let long =
+            TransactionHistory::from_outcomes(ServerId::new(1), (0..2000).map(|i| i % 10 != 0));
         let (lo_s, hi_s) = f.credible_interval(&short, 0.95).unwrap();
         let (lo_l, hi_l) = f.credible_interval(&long, 0.95).unwrap();
         assert!(hi_s - lo_s > hi_l - lo_l, "more data, tighter interval");

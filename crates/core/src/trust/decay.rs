@@ -103,7 +103,12 @@ mod tests {
     use crate::id::{ClientId, ServerId};
 
     fn fb(t: u64, good: bool) -> Feedback {
-        Feedback::new(t, ServerId::new(1), ClientId::new(0), Rating::from_good(good))
+        Feedback::new(
+            t,
+            ServerId::new(1),
+            ClientId::new(0),
+            Rating::from_good(good),
+        )
     }
 
     #[test]

@@ -36,12 +36,7 @@ impl RatingGraph {
     /// (+1) or bad (−1 → clamped at aggregation) transaction with `to`.
     pub fn record(&mut self, from: ServerId, to: ServerId, good: bool) {
         let delta = if good { 1.0 } else { -1.0 };
-        *self
-            .local
-            .entry(from)
-            .or_default()
-            .entry(to)
-            .or_default() += delta;
+        *self.local.entry(from).or_default().entry(to).or_default() += delta;
         self.nodes.insert(from);
         self.nodes.insert(to);
     }
@@ -139,8 +134,7 @@ impl GlobalTrust {
             .filter_map(|&i| graph.normalized_row(i).map(|r| (i, r)))
             .collect();
 
-        let mut current: BTreeMap<ServerId, f64> =
-            nodes.iter().map(|&i| (i, uniform)).collect();
+        let mut current: BTreeMap<ServerId, f64> = nodes.iter().map(|&i| (i, uniform)).collect();
         let mut iterations = 0;
         for _ in 0..config.max_iterations {
             iterations += 1;
@@ -167,10 +161,7 @@ impl GlobalTrust {
                     *v += share;
                 }
             }
-            let delta: f64 = nodes
-                .iter()
-                .map(|&i| (next[&i] - current[&i]).abs())
-                .sum();
+            let delta: f64 = nodes.iter().map(|&i| (next[&i] - current[&i]).abs()).sum();
             current = next;
             if delta < config.tolerance {
                 break;
@@ -190,11 +181,7 @@ impl GlobalTrust {
     /// The score rescaled to `[0, 1]` relative to the best-ranked entity —
     /// comparable across graphs of different sizes.
     pub fn relative_trust(&self, id: ServerId) -> TrustValue {
-        let max = self
-            .scores
-            .values()
-            .cloned()
-            .fold(0.0_f64, f64::max);
+        let max = self.scores.values().cloned().fold(0.0_f64, f64::max);
         if max <= 0.0 {
             return TrustValue::ZERO;
         }
@@ -203,8 +190,7 @@ impl GlobalTrust {
 
     /// Entities ranked best-first.
     pub fn ranking(&self) -> Vec<(ServerId, f64)> {
-        let mut out: Vec<(ServerId, f64)> =
-            self.scores.iter().map(|(&i, &s)| (i, s)).collect();
+        let mut out: Vec<(ServerId, f64)> = self.scores.iter().map(|(&i, &s)| (i, s)).collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("scores are finite"));
         out
     }

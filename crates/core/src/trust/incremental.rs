@@ -150,7 +150,7 @@ impl WeightedTrustState {
         Ok(s)
     }
 
-    /// The raw `(lambda, r, count)` fields. Serialize the floats via
+    /// The raw `(lambda, r, count)` fields. Encode the floats via
     /// `to_bits` so a snapshot round-trip through
     /// [`WeightedTrustState::from_raw_parts`] is bit-exact.
     pub fn raw_parts(&self) -> (f64, f64, u64) {
@@ -262,10 +262,7 @@ mod tests {
 
     #[test]
     fn from_history_matches_replay() {
-        let h = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            [true, false, true, true],
-        );
+        let h = TransactionHistory::from_outcomes(ServerId::new(1), [true, false, true, true]);
         let avg = AverageTrustState::from_history(&h);
         assert_eq!(avg.transactions(), 4);
         assert!((avg.current().value() - 0.75).abs() < 1e-12);

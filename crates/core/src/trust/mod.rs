@@ -40,7 +40,6 @@ use crate::error::CoreError;
 use crate::history::HistoryView;
 #[cfg(test)]
 use crate::history::TransactionHistory;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A trust value in `[0, 1]` — the predicted probability of a satisfactory
@@ -56,7 +55,7 @@ use std::fmt;
 /// assert_eq!(t.value(), 0.9);
 /// # Ok::<(), hp_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TrustValue(f64);
 
 impl TrustValue {

@@ -115,10 +115,8 @@ mod tests {
     #[test]
     fn lambda_one_tracks_last_feedback_only() {
         let f = WeightedTrust::new(1.0).unwrap();
-        let good_last =
-            TransactionHistory::from_outcomes(ServerId::new(1), [false, false, true]);
-        let bad_last =
-            TransactionHistory::from_outcomes(ServerId::new(1), [true, true, false]);
+        let good_last = TransactionHistory::from_outcomes(ServerId::new(1), [false, false, true]);
+        let bad_last = TransactionHistory::from_outcomes(ServerId::new(1), [true, true, false]);
         assert_eq!(f.trust(&good_last), TrustValue::ONE);
         assert_eq!(f.trust(&bad_last), TrustValue::ZERO);
     }

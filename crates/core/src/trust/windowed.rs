@@ -85,10 +85,8 @@ mod tests {
     #[test]
     fn uses_only_recent_window() {
         let f = WindowedAverageTrust::new(2).unwrap();
-        let h = TransactionHistory::from_outcomes(
-            ServerId::new(1),
-            [true, true, true, false, false],
-        );
+        let h =
+            TransactionHistory::from_outcomes(ServerId::new(1), [true, true, true, false, false]);
         assert_eq!(f.trust(&h).value(), 0.0);
     }
 

@@ -3,8 +3,8 @@
 //! window sizes, alignments, distances, corrections, schedules.
 
 use hp_core::testing::{
-    BehaviorTestConfig, CollusionResilientTest, Correction, MultiBehaviorTest,
-    SingleBehaviorTest, SuffixSchedule, TestOutcome, WindowAlignment,
+    BehaviorTestConfig, CollusionResilientTest, Correction, MultiBehaviorTest, SingleBehaviorTest,
+    SuffixSchedule, TestOutcome, WindowAlignment,
 };
 use hp_core::{ServerId, TransactionHistory};
 use hp_stats::DistanceKind;
@@ -70,9 +70,7 @@ fn multi_test_over_the_config_grid() {
                 // And the report must be internally consistent.
                 for suffix in &report.suffixes {
                     assert!(suffix.suffix_len <= 800);
-                    if let (Some(d), Some(t)) =
-                        (suffix.report.distance, suffix.report.threshold)
-                    {
+                    if let (Some(d), Some(t)) = (suffix.report.distance, suffix.report.threshold) {
                         let should_fail = d > t;
                         assert_eq!(
                             suffix.report.outcome == TestOutcome::Suspicious,
@@ -120,7 +118,9 @@ fn collusion_test_over_depths_and_windows() {
                 .calibration_trials(200)
                 .build()
                 .unwrap();
-            let test = CollusionResilientTest::new(config).unwrap().with_depth(depth);
+            let test = CollusionResilientTest::new(config)
+                .unwrap()
+                .with_depth(depth);
             let report = test.evaluate_detailed(&h).unwrap();
             assert_eq!(
                 report.outcome,

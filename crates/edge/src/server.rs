@@ -277,11 +277,6 @@ impl EdgeServer {
         &self.shared.metrics
     }
 
-    /// The span store backing `/debug/slow` and `/debug/trace/{id}`.
-    pub fn span_store(&self) -> &SpanStore {
-        &self.shared.spans
-    }
-
     /// The SLO monitor backing the `hp_slo_*` gauges and the `/healthz`
     /// `degraded` flip.
     pub fn slo(&self) -> &SloMonitor {

@@ -80,9 +80,15 @@ fn socket_verdicts_are_bit_identical_to_the_offline_assessor() {
         ("honest p=0.9", workload::honest_history(400, 0.9, 11)),
         ("honest p=0.6", workload::honest_history(350, 0.6, 12)),
         ("short honest", workload::honest_history(8, 0.9, 13)),
-        ("hibernating", workload::hibernating_history(300, 0.9, 80, 14)),
+        (
+            "hibernating",
+            workload::hibernating_history(300, 0.9, 80, 14),
+        ),
         ("periodic", workload::periodic_history(400, 20, 0.3, 15)),
-        ("colluding", workload::colluding_history(200, 3, 150, 0.9, 16)),
+        (
+            "colluding",
+            workload::colluding_history(200, 3, 150, 0.9, 16),
+        ),
     ];
 
     let mut servers = Vec::new();
@@ -122,8 +128,12 @@ fn socket_verdicts_are_bit_identical_to_the_offline_assessor() {
     assert_eq!(status, 200, "{batch}");
     for (server, label, offline) in &servers {
         let marker = format!("\"server\":{}", server.value());
-        let start = batch.find(&marker).unwrap_or_else(|| panic!("{label} missing: {batch}"));
-        let end = batch[start..].find('}').map_or(batch.len(), |e| start + e + 1);
+        let start = batch
+            .find(&marker)
+            .unwrap_or_else(|| panic!("{label} missing: {batch}"));
+        let end = batch[start..]
+            .find('}')
+            .map_or(batch.len(), |e| start + e + 1);
         assert_matches_offline(&batch[start - 1..end], offline, &format!("{label} (batch)"));
     }
     edge.drain();

@@ -4,7 +4,7 @@ use hp_experiments::RunMode;
 
 fn main() {
     let mode = RunMode::from_args();
-    let tables = attack_cost::run(mode, attack_cost::TrustKind::Average)
-        .expect("fig3 experiment failed");
+    let tables =
+        attack_cost::run(mode, attack_cost::TrustKind::Average).expect("fig3 experiment failed");
     emit("fig3", &tables).expect("writing fig3 output failed");
 }

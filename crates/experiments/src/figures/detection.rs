@@ -50,11 +50,7 @@ pub fn run(mode: RunMode) -> Result<Vec<Table>, CoreError> {
 
     let mut fpr = Table::new(
         "Fig. 7 companion: honest-player false-positive rate",
-        vec![
-            "honest_p".into(),
-            "fpr_single".into(),
-            "fpr_multi".into(),
-        ],
+        vec!["honest_p".into(), "fpr_single".into(), "fpr_multi".into()],
     );
     for &p in &[0.9, 0.95] {
         fpr.push_row(vec![

@@ -211,14 +211,6 @@ impl AssessOutcome {
     pub fn is_degraded(&self) -> bool {
         matches!(self, AssessOutcome::Degraded(_))
     }
-
-    /// Consumes the outcome, returning the (shared) assessment either way.
-    pub fn into_assessment(self) -> Arc<Assessment> {
-        match self {
-            AssessOutcome::Fresh(a) => a,
-            AssessOutcome::Degraded(d) => d.assessment,
-        }
-    }
 }
 
 /// A concurrent online reputation service.

@@ -200,9 +200,7 @@ mod tests {
         let c = ctx(&h, 0.95);
         let mut rng = hp_stats::seeded_rng(3);
         for w in 0..50 {
-            let bad = (0..20)
-                .filter(|_| !a.next_outcome(&c, &mut rng))
-                .count();
+            let bad = (0..20).filter(|_| !a.next_outcome(&c, &mut rng)).count();
             assert_eq!(bad, 2, "window {w}");
         }
     }

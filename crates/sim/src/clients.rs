@@ -101,7 +101,11 @@ impl ClientPopulation {
     pub fn record(&mut self, client: ClientId, good: bool) {
         self.experience.insert(
             client,
-            if good { Experience::Good } else { Experience::Bad },
+            if good {
+                Experience::Good
+            } else {
+                Experience::Bad
+            },
         );
     }
 
@@ -161,7 +165,10 @@ mod tests {
         }
         let mut rng = hp_stats::seeded_rng(8);
         let rate = pop.arrivals(1.0, &mut rng).len() as f64 / 500.0;
-        assert!((rate - 0.2).abs() < 0.05, "bad-experience arrival rate {rate}");
+        assert!(
+            (rate - 0.2).abs() < 0.05,
+            "bad-experience arrival rate {rate}"
+        );
         assert_eq!(pop.never_served(), 0);
     }
 

@@ -11,9 +11,7 @@
 use crate::attacker::PeriodicAttacker;
 use crate::behavior::{BehaviorContext, HonestBehavior, ServerBehavior};
 use hp_core::testing::{BehaviorTest, TestOutcome};
-use hp_core::{
-    ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustFunction,
-};
+use hp_core::{ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustFunction};
 use rand::RngExt;
 
 /// Configuration for [`run_marketplace`].
@@ -117,8 +115,9 @@ pub fn run_marketplace(
         behaviors.push(Box::new(PeriodicAttacker::new(0.95, 0.93, 1.0)));
     }
 
-    let mut histories: Vec<TransactionHistory> =
-        (0..total_servers).map(|_| TransactionHistory::new()).collect();
+    let mut histories: Vec<TransactionHistory> = (0..total_servers)
+        .map(|_| TransactionHistory::new())
+        .collect();
     let mut flagged: Vec<bool> = vec![false; total_servers];
     let mut last_screen: Vec<usize> = vec![0; total_servers];
     let mut per_server = vec![0usize; total_servers];
@@ -133,8 +132,7 @@ pub fn run_marketplace(
             for s in 0..total_servers {
                 if histories[s].len() >= last_screen[s] + 50 {
                     last_screen[s] = histories[s].len();
-                    flagged[s] =
-                        test.evaluate(&histories[s])?.outcome() == TestOutcome::Suspicious;
+                    flagged[s] = test.evaluate(&histories[s])?.outcome() == TestOutcome::Suspicious;
                 }
             }
         }

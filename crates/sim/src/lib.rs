@@ -55,4 +55,6 @@ pub use clients::{ClientArrivalConfig, ClientPopulation, Experience};
 pub use ecosystem::{run_marketplace, EcosystemConfig, EcosystemOutcome};
 pub use engine::{Simulation, SimulationConfig, SimulationOutcome};
 pub use metrics::{AttackCostResult, CollusionCostResult};
-pub use scenario::{attack_cost, collusion_attack_cost, AttackCostConfig, CollusionConfig, Screening};
+pub use scenario::{
+    attack_cost, collusion_attack_cost, AttackCostConfig, CollusionConfig, Screening,
+};

@@ -22,9 +22,7 @@
 use crate::clients::{ClientArrivalConfig, ClientPopulation};
 use crate::metrics::{AttackCostResult, CollusionCostResult};
 use hp_core::testing::{BehaviorTest, TestOutcome};
-use hp_core::{
-    ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustFunction,
-};
+use hp_core::{ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustFunction};
 use rand::RngExt;
 
 /// Which behavior-testing scheme screens the attacker (phase 1).
@@ -432,8 +430,16 @@ mod tests {
             };
             let s = attack_cost(&base, &avg, Screening::Test(&single)).unwrap();
             let m = attack_cost(&base, &avg, Screening::Test(&multi)).unwrap();
-            single_costs.push(if s.exhausted { usize::MAX } else { s.good_transactions });
-            multi_costs.push(if m.exhausted { usize::MAX } else { m.good_transactions });
+            single_costs.push(if s.exhausted {
+                usize::MAX
+            } else {
+                s.good_transactions
+            });
+            multi_costs.push(if m.exhausted {
+                usize::MAX
+            } else {
+                m.good_transactions
+            });
         }
         single_costs.sort_unstable();
         multi_costs.sort_unstable();
@@ -479,10 +485,7 @@ mod tests {
         .unwrap();
         // Either the attacker paid in genuine service, or it never managed
         // its 20 attacks within budget — both demonstrate the constraint.
-        assert!(
-            result.good_to_victims > 0 || result.exhausted,
-            "{result:?}"
-        );
+        assert!(result.good_to_victims > 0 || result.exhausted, "{result:?}");
     }
 
     #[test]

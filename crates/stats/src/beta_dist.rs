@@ -104,11 +104,10 @@ impl BetaDist {
         if x >= 1.0 {
             return 1.0;
         }
-        let ln_prefactor = ln_gamma(self.alpha + self.beta)
-            - ln_gamma(self.alpha)
-            - ln_gamma(self.beta)
-            + self.alpha * x.ln()
-            + self.beta * (1.0 - x).ln();
+        let ln_prefactor =
+            ln_gamma(self.alpha + self.beta) - ln_gamma(self.alpha) - ln_gamma(self.beta)
+                + self.alpha * x.ln()
+                + self.beta * (1.0 - x).ln();
         // Use the symmetry relation for faster convergence.
         if x < (self.alpha + 1.0) / (self.alpha + self.beta + 2.0) {
             (ln_prefactor.exp() * beta_cf(self.alpha, self.beta, x) / self.alpha).clamp(0.0, 1.0)

@@ -270,7 +270,14 @@ mod tests {
 
     #[test]
     fn pmf_sums_to_one() {
-        for &(n, p) in &[(0u32, 0.5), (1, 0.3), (10, 0.9), (10, 0.0), (10, 1.0), (100, 0.95)] {
+        for &(n, p) in &[
+            (0u32, 0.5),
+            (1, 0.3),
+            (10, 0.9),
+            (10, 0.0),
+            (10, 1.0),
+            (100, 0.95),
+        ] {
             let b = Binomial::new(n, p).unwrap();
             let total: f64 = b.pmf_table().iter().sum();
             assert!((total - 1.0).abs() < 1e-10, "B({n},{p}) sums to {total}");

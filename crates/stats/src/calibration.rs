@@ -983,15 +983,14 @@ impl ThresholdCalibrator {
         if helpers == 0 {
             return work();
         }
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
             let mine = work();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("calibration worker panicked"))
                 .fold(mine, Result::and)
         })
-        .expect("calibration scope panicked")
     }
 
     fn p_bucket_index(&self, p: f64) -> u32 {
@@ -2126,6 +2125,26 @@ mod tests {
         cal.fill_rows(10, &below).unwrap();
         assert_eq!(cal.stats().oracle_jobs, 35);
         assert_eq!(passes() - before, 35 * 250);
+    }
+
+    #[test]
+    fn fill_rows_returns_the_error_of_whichever_worker_drew_it() {
+        // Largest k first, so the k = 0 job is handed out last: to a
+        // helper thread or to the caller, whichever is free first.
+        for threads in [1, 2, 4] {
+            let cal = ThresholdCalibrator::new(CalibrationConfig {
+                trials: 100,
+                p_bucket: 0.05,
+                threads,
+                ..CalibrationConfig::default()
+            })
+            .unwrap();
+            let filled = cal.fill_rows(10, &[0, 64, 128, 256]);
+            assert!(
+                matches!(filled, Err(StatsError::InvalidCount { .. })),
+                "threads={threads}: {filled:?}"
+            );
+        }
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl ChiSquared {
         Ok(ChiSquared { k })
     }
 
-    /// Degrees of freedom.
-    pub fn degrees_of_freedom(&self) -> f64 {
-        self.k
-    }
-
     /// Mean (= k).
     pub fn mean(&self) -> f64 {
         self.k

@@ -200,7 +200,9 @@ impl Histogram {
     /// histogram always has a support).
     pub fn from_counts(counts: Vec<u64>) -> Result<Self, StatsError> {
         if counts.is_empty() {
-            return Err(StatsError::EmptyInput { what: "histogram counts" });
+            return Err(StatsError::EmptyInput {
+                what: "histogram counts",
+            });
         }
         let total = counts.iter().sum();
         Ok(Histogram { counts, total })
@@ -333,9 +335,8 @@ mod tests {
         for start in 1..(samples.len() - window) {
             sliding.remove(samples[start - 1]).unwrap();
             sliding.add(samples[start + window - 1]).unwrap();
-            let batch =
-                Histogram::from_samples(10, samples[start..start + window].iter().copied())
-                    .unwrap();
+            let batch = Histogram::from_samples(10, samples[start..start + window].iter().copied())
+                .unwrap();
             assert_eq!(sliding, batch, "window starting at {start}");
         }
     }

@@ -110,10 +110,7 @@ mod tests {
                 "window size",
             ),
             (StatsError::OutOfSupport { value: 11, max: 10 }, "11"),
-            (
-                StatsError::UnnormalizedProbabilities { sum: 0.8 },
-                "0.8",
-            ),
+            (StatsError::UnnormalizedProbabilities { sum: 0.8 }, "0.8"),
             (StatsError::EmptyInput { what: "samples" }, "samples"),
             (StatsError::InvalidLevel { value: 0.0 }, "0"),
             (

@@ -103,7 +103,10 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
 /// Quantile of the standard normal distribution
 /// (Acklam's rational approximation; |ε| < 1.15e-9).
 pub fn standard_normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile level must be in (0,1), got {p}");
+    assert!(
+        p > 0.0 && p < 1.0,
+        "quantile level must be in (0,1), got {p}"
+    );
     // Coefficients for the central and tail regions.
     const A: [f64; 6] = [
         -3.969_683_028_665_376e1,
@@ -183,9 +186,9 @@ mod tests {
     fn ln_gamma_large_argument_stirling_regime() {
         // Compare against Stirling series with correction terms for x = 1000.
         let x: f64 = 1000.0;
-        let stirling = (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln()
-            + 1.0 / (12.0 * x)
-            - 1.0 / (360.0 * x.powi(3));
+        let stirling =
+            (x - 0.5) * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI).ln() + 1.0 / (12.0 * x)
+                - 1.0 / (360.0 * x.powi(3));
         assert_close(ln_gamma(x), stirling, 1e-9);
     }
 

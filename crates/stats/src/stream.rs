@@ -81,7 +81,10 @@ impl PrefixSums {
     ///
     /// Panics if `start > end` or `end > len()`.
     pub fn count_range(&self, start: usize, end: usize) -> u64 {
-        assert!(start <= end && end <= self.len(), "range [{start},{end}) out of bounds");
+        assert!(
+            start <= end && end <= self.len(),
+            "range [{start},{end}) out of bounds"
+        );
         self.sums[end] - self.sums[start]
     }
 
@@ -105,7 +108,12 @@ impl PrefixSums {
     /// # Errors
     ///
     /// Returns [`StatsError::InvalidCount`] if `m == 0`.
-    pub fn window_counts(&self, start: usize, end: usize, m: usize) -> Result<Vec<u32>, StatsError> {
+    pub fn window_counts(
+        &self,
+        start: usize,
+        end: usize,
+        m: usize,
+    ) -> Result<Vec<u32>, StatsError> {
         if m == 0 {
             return Err(StatsError::InvalidCount {
                 what: "window size",
@@ -161,8 +169,7 @@ mod tests {
     #[test]
     fn window_counts_drop_trailing_partial() {
         // 7 outcomes, window 3 → 2 windows, last outcome dropped.
-        let ps =
-            PrefixSums::from_bools([true, true, false, false, true, true, true]);
+        let ps = PrefixSums::from_bools([true, true, false, false, true, true, true]);
         let w = ps.window_counts(0, 7, 3).unwrap();
         assert_eq!(w, vec![2, 2]);
         assert!(ps.window_counts(0, 7, 0).is_err());
@@ -170,8 +177,7 @@ mod tests {
 
     #[test]
     fn window_counts_with_offset_start() {
-        let ps =
-            PrefixSums::from_bools([true, false, true, true, false, true]);
+        let ps = PrefixSums::from_bools([true, false, true, true, false, true]);
         // Suffix [2, 6): outcomes T T F T, window 2 → [2, 1]
         let w = ps.window_counts(2, 6, 2).unwrap();
         assert_eq!(w, vec![2, 1]);

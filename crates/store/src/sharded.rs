@@ -90,11 +90,6 @@ impl ShardedStore {
         self.failed.remove(&node);
     }
 
-    /// Currently failed nodes.
-    pub fn failed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.failed.iter().copied()
-    }
-
     /// The replica nodes responsible for `server` (alive or not).
     pub fn replicas_for(&self, server: ServerId) -> Vec<NodeId> {
         self.ring.nodes_for(server.value(), self.replication)

@@ -18,9 +18,18 @@ fn main() -> Result<(), CoreError> {
     let mut store = MemoryStore::new();
 
     let sellers: Vec<(&str, Box<dyn ServerBehavior>)> = vec![
-        ("alice (reliable, slow postal office)", Box::new(HonestBehavior::new(0.93)?)),
-        ("bob (excellent fulfilment)", Box::new(HonestBehavior::new(0.99)?)),
-        ("carol (mediocre but honest)", Box::new(HonestBehavior::new(0.80)?)),
+        (
+            "alice (reliable, slow postal office)",
+            Box::new(HonestBehavior::new(0.93)?),
+        ),
+        (
+            "bob (excellent fulfilment)",
+            Box::new(HonestBehavior::new(0.99)?),
+        ),
+        (
+            "carol (mediocre but honest)",
+            Box::new(HonestBehavior::new(0.80)?),
+        ),
         (
             "dave (hibernating scammer)",
             Box::new(HibernatingAttacker::new(0.95, 0.98)),
@@ -73,7 +82,13 @@ fn main() -> Result<(), CoreError> {
             Assessment::Rejected { .. } => "DO NOT TRADE — gaming the system".to_string(),
             Assessment::NeedsReview { .. } => "new seller — manual review".to_string(),
         };
-        println!("{:40} {:>7.3} {:>9}  {}", name, p_hat, history.len(), verdict);
+        println!(
+            "{:40} {:>7.3} {:>9}  {}",
+            name,
+            p_hat,
+            history.len(),
+            verdict
+        );
     }
 
     println!(

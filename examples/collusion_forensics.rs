@@ -48,9 +48,15 @@ fn main() -> Result<(), CoreError> {
     let p_match = shill_shop.p_hat().unwrap();
     let honest_shop = workload::honest_history(900, p_match, 12);
 
-    println!("Both shops have ≈{:.1}% positive feedback.\n", p_match * 100.0);
+    println!(
+        "Both shops have ≈{:.1}% positive feedback.\n",
+        p_match * 100.0
+    );
 
-    for (name, history) in [("shill-boosted shop", &shill_shop), ("honest shop", &honest_shop)] {
+    for (name, history) in [
+        ("shill-boosted shop", &shill_shop),
+        ("honest shop", &honest_shop),
+    ] {
         let chrono = chronological.evaluate(history)?.outcome();
         let collusion = reordered.evaluate_detailed(history)?;
         println!("{name}:");

@@ -28,7 +28,12 @@ fn main() -> Result<(), CoreError> {
             workload::hibernating_history(550, 0.97, 50, peer)
         };
         for fb in history.iter() {
-            store.append(Feedback::new(fb.time, ServerId::new(peer), fb.client, fb.rating));
+            store.append(Feedback::new(
+                fb.time,
+                ServerId::new(peer),
+                fb.client,
+                fb.rating,
+            ));
         }
     }
 

@@ -19,7 +19,10 @@ fn main() -> Result<(), CoreError> {
     // Three servers with identical *ratios* of good transactions but very
     // different behavior patterns.
     let histories = [
-        ("honest player (p = 0.9)", workload::honest_history(1000, 0.9, 7)),
+        (
+            "honest player (p = 0.9)",
+            workload::honest_history(1000, 0.9, 7),
+        ),
         (
             "hibernating attacker (clean prep, then a spree)",
             workload::hibernating_history(900, 0.995, 95, 7),

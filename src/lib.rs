@@ -50,11 +50,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub use hp_core::twophase::{Assessment, ShortHistoryPolicy, TwoPhaseAssessor};
 pub use hp_core::{
     error::CoreError, testing, trust, twophase, ClientId, Feedback, Rating, ServerId,
     TransactionHistory, TrustValue,
 };
-pub use hp_core::twophase::{Assessment, ShortHistoryPolicy, TwoPhaseAssessor};
 
 /// Statistical substrate (distributions, distances, calibration).
 pub use hp_stats as stats;
@@ -75,16 +75,15 @@ pub mod prelude {
         SingleBehaviorTest, TestOutcome,
     };
     pub use hp_core::trust::{
-        AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust,
-        WindowedAverageTrust,
+        AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust, WindowedAverageTrust,
     };
     pub use hp_core::twophase::{Assessment, ShortHistoryPolicy, TwoPhaseAssessor};
     pub use hp_core::{
         ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustValue,
     };
     pub use hp_service::{
-        AssessOutcome, Durability, IngestOutcome, IngestPolicy, ReputationService,
-        ServiceConfig, ServiceStats,
+        AssessOutcome, Durability, IngestOutcome, IngestPolicy, ReputationService, ServiceConfig,
+        ServiceStats,
     };
     pub use hp_store::{FeedbackStore, MemoryStore};
 }

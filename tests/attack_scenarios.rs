@@ -3,7 +3,9 @@
 
 use honest_players::prelude::*;
 use honest_players::sim::detection::{detection_rate, false_positive_rate, DetectionConfig};
-use honest_players::sim::{attack_cost, collusion_attack_cost, AttackCostConfig, CollusionConfig, Screening};
+use honest_players::sim::{
+    attack_cost, collusion_attack_cost, AttackCostConfig, CollusionConfig, Screening,
+};
 use honest_players::testing::{shared_calibrator, CollusionResilientTest};
 use std::sync::Arc;
 
@@ -65,7 +67,10 @@ fn fig3_shape_multi_testing_cost_is_flat_in_prep() {
     assert!(at_800 > 5.0, "multi cost at prep 800: {at_800}");
     // …and within a small factor of each other (no prep dividend).
     let ratio = at_800.max(at_400) / at_800.min(at_400).max(1.0);
-    assert!(ratio < 6.0, "multi cost should be roughly flat: {at_400} vs {at_800}");
+    assert!(
+        ratio < 6.0,
+        "multi cost should be roughly flat: {at_400} vs {at_800}"
+    );
 }
 
 /// Fig. 4: the weighted function taxes every attack ~2-3 goods, at any
@@ -138,7 +143,10 @@ fn fig7_shape_detection_decays_and_dominates_fpr() {
     let loose = detection_rate(80, &single, &dcfg).unwrap();
     let fpr = false_positive_rate(0.9, &single, &dcfg).unwrap();
     assert!(tight > 0.9, "tight-window detection {tight}");
-    assert!(loose < tight, "loose windows evade more: {loose} vs {tight}");
+    assert!(
+        loose < tight,
+        "loose windows evade more: {loose} vs {tight}"
+    );
     assert!(fpr < 0.2, "honest FPR {fpr}");
     assert!(tight - fpr > 0.6, "detection must dominate FPR");
 }

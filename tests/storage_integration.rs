@@ -3,9 +3,7 @@
 
 use honest_players::prelude::*;
 use honest_players::sim::workload;
-use honest_players::store::{
-    NodeId, PartialStore, ShardedStore, ShardedStoreConfig,
-};
+use honest_players::store::{NodeId, PartialStore, ShardedStore, ShardedStoreConfig};
 
 fn fast_config() -> BehaviorTestConfig {
     BehaviorTestConfig::builder()
@@ -23,7 +21,12 @@ fn populate<S: FeedbackStore>(store: &mut S) {
             workload::hibernating_history(560, 0.95, 40, s)
         };
         for fb in history.iter() {
-            store.append(Feedback::new(fb.time, ServerId::new(s), fb.client, fb.rating));
+            store.append(Feedback::new(
+                fb.time,
+                ServerId::new(s),
+                fb.client,
+                fb.rating,
+            ));
         }
     }
 }
@@ -96,8 +99,12 @@ fn sharded_and_central_agree_bit_for_bit() {
     populate(&mut sharded);
     let test = SingleBehaviorTest::new(fast_config()).unwrap();
     for s in 0..10u64 {
-        let a = test.evaluate(&central.history_of(ServerId::new(s))).unwrap();
-        let b = test.evaluate(&sharded.history_of(ServerId::new(s))).unwrap();
+        let a = test
+            .evaluate(&central.history_of(ServerId::new(s)))
+            .unwrap();
+        let b = test
+            .evaluate(&sharded.history_of(ServerId::new(s)))
+            .unwrap();
         assert_eq!(a, b, "server {s}");
     }
 }
