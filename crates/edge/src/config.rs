@@ -29,8 +29,8 @@ pub struct EdgeConfig {
     /// keep-alive loop. `0` resolves to the machine's available
     /// parallelism at start.
     pub workers: usize,
-    /// When set, assessments run through
-    /// [`assess_within`](hp_service::ReputationService::assess_within):
+    /// When set, `GET /assess/{id}` passes it to
+    /// [`assess_observed`](hp_service::ReputationService::assess_observed):
     /// past the deadline the response is the last published verdict,
     /// stamped degraded with its exact staleness, instead of waiting out
     /// a saturated shard.

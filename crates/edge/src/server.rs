@@ -120,6 +120,15 @@ impl Shared {
         }
     }
 
+    /// A `400` for a request body or path the edge refuses, counted in
+    /// `hp_edge_protocol_rejects_total`.
+    fn reject(&self, error: &str, detail: &str) -> Reply {
+        self.metrics
+            .protocol_rejects
+            .fetch_add(1, Ordering::Relaxed);
+        Reply::error(400, error, detail)
+    }
+
     fn service(&self) -> Option<Arc<ReputationService>> {
         self.service.read().clone()
     }
@@ -713,12 +722,13 @@ fn route(request: &Request, shared: &Shared, obs: &mut RequestObs) -> Reply {
         (Method::Get, "/debug/slow") => debug_slow(shared),
         (Method::Get, path) if path.starts_with("/debug/trace/") => debug_trace(path, shared),
         (Method::Post, "/ingest") => with_service(shared, |s| ingest(request, shared, &s, obs)),
-        (Method::Post, "/assess") => with_service(shared, |s| assess_batch(request, &s, obs)),
-        (Method::Get, path) if path.starts_with("/assess_traced/") => {
-            with_service(shared, |s| assess_traced(path, &s, obs))
+        (Method::Post, "/assess") => {
+            with_service(shared, |s| assess_batch(request, shared, &s, obs))
         }
-        (Method::Get, path) if path.starts_with("/assess/") => {
-            with_service(shared, |s| assess_one(path, shared, &s, obs))
+        (Method::Get, path)
+            if path.starts_with("/assess/") || path.starts_with("/assess_traced/") =>
+        {
+            with_service(shared, |s| assess(path, shared, &s, obs))
         }
         // Known paths with the wrong method get 405, the rest 404.
         (_, "/healthz" | "/metrics" | "/ingest" | "/assess" | "/version" | "/debug/slow") => {
@@ -853,15 +863,8 @@ fn ingest(
     let feedbacks = match wire::parse_feedback_body(&request.body) {
         Ok(feedbacks) => feedbacks,
         Err(e) => {
-            shared
-                .metrics
-                .protocol_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return Reply::error(
-                400,
-                "bad_feedback",
-                &format!("line {}: {}", e.line, e.reason),
-            );
+            let detail = format!("line {}: {}", e.line, e.reason);
+            return shared.reject("bad_feedback", &detail);
         }
     };
     let parse_done = Instant::now();
@@ -921,102 +924,70 @@ fn fresh_verdict_detail(server: ServerId, assessment: &Assessment, from_cache: b
     detail
 }
 
-fn parse_server(path: &str, prefix: &str) -> Result<ServerId, Reply> {
-    path.strip_prefix(prefix)
-        .and_then(|raw| raw.parse::<u64>().ok())
-        .map(ServerId::new)
-        .ok_or_else(|| Reply::error(400, "bad_server_id", "want /assess/<u64>"))
+/// `GET /assess/{id}` and `GET /assess_traced/{id}`: one server's
+/// verdict, the traced route with its audit trail and never degraded (it
+/// waits out the deadline the plain route honours).
+fn assess(path: &str, shared: &Shared, service: &ReputationService, obs: &mut RequestObs) -> Reply {
+    let (id, traced) = match path.strip_prefix("/assess_traced/") {
+        Some(id) => (id, true),
+        None => (path.strip_prefix("/assess/").unwrap_or_default(), false),
+    };
+    let Ok(id) = id.parse::<u64>() else {
+        return shared.reject("bad_server_id", "want /assess/<u64>");
+    };
+    let server = ServerId::new(id);
+    let deadline = if traced {
+        None
+    } else {
+        shared.config.assess_deadline
+    };
+    let call_start = Instant::now();
+    let (outcome, timings) = match service.assess_observed(server, deadline, obs.trace) {
+        Ok(answer) => answer,
+        Err(e) => return service_error_reply(&e),
+    };
+    obs.observe_assess(
+        service.shard_of(server),
+        call_start,
+        Instant::now(),
+        timings.as_ref(),
+    );
+    match outcome {
+        AssessOutcome::Fresh(assessment) => {
+            let from_cache = timings.is_some_and(|t| t.from_cache);
+            if obs.tracing() {
+                obs.verdict = fresh_verdict_detail(server, &assessment, from_cache);
+            }
+            let body = if traced {
+                let trace = AssessmentTrace::from_assessment(server, &assessment, from_cache);
+                wire::render_traced(&TracedAssessment { assessment, trace })
+            } else {
+                wire::render_assessment(server, &assessment)
+            };
+            Reply::json(200, body)
+        }
+        AssessOutcome::Degraded(degraded) => {
+            if obs.tracing() {
+                obs.verdict = format!(
+                    "verdict={} degraded=true staleness={}",
+                    verdict_label(&degraded.assessment),
+                    degraded.staleness(),
+                );
+            }
+            Reply::json(200, wire::render_degraded(server, &degraded))
+        }
+    }
 }
 
-fn assess_one(
-    path: &str,
+fn assess_batch(
+    request: &Request,
     shared: &Shared,
     service: &ReputationService,
     obs: &mut RequestObs,
 ) -> Reply {
-    let server = match parse_server(path, "/assess/") {
-        Ok(server) => server,
-        Err(reply) => return reply,
-    };
-    let call_start = Instant::now();
-    match service.assess_observed(server, shared.config.assess_deadline, obs.trace) {
-        Ok((outcome, timings)) => {
-            obs.observe_assess(
-                service.shard_of(server),
-                call_start,
-                Instant::now(),
-                timings.as_ref(),
-            );
-            match outcome {
-                AssessOutcome::Fresh(assessment) => {
-                    if obs.tracing() {
-                        obs.verdict = fresh_verdict_detail(
-                            server,
-                            &assessment,
-                            timings.is_some_and(|t| t.from_cache),
-                        );
-                    }
-                    Reply::json(200, wire::render_assessment(server, &assessment))
-                }
-                AssessOutcome::Degraded(degraded) => {
-                    if obs.tracing() {
-                        obs.verdict = format!(
-                            "verdict={} degraded=true staleness={}",
-                            verdict_label(&degraded.assessment),
-                            degraded.staleness(),
-                        );
-                    }
-                    Reply::json(200, wire::render_degraded(server, &degraded))
-                }
-            }
-        }
-        Err(e) => service_error_reply(&e),
-    }
-}
-
-fn assess_traced(path: &str, service: &ReputationService, obs: &mut RequestObs) -> Reply {
-    let server = match parse_server(path, "/assess_traced/") {
-        Ok(server) => server,
-        Err(reply) => return reply,
-    };
-    let call_start = Instant::now();
-    match service.assess_observed(server, None, obs.trace) {
-        Ok((outcome, timings)) => {
-            obs.observe_assess(
-                service.shard_of(server),
-                call_start,
-                Instant::now(),
-                timings.as_ref(),
-            );
-            match outcome {
-                AssessOutcome::Fresh(assessment) => {
-                    let from_cache = timings.is_some_and(|t| t.from_cache);
-                    if obs.tracing() {
-                        obs.verdict = fresh_verdict_detail(server, &assessment, from_cache);
-                    }
-                    let trace =
-                        AssessmentTrace::from_assessment(server, assessment.as_ref(), from_cache);
-                    Reply::json(
-                        200,
-                        wire::render_traced(&TracedAssessment { assessment, trace }),
-                    )
-                }
-                // Unreachable without a deadline, but a degraded answer
-                // is still a correct one to serve.
-                AssessOutcome::Degraded(degraded) => {
-                    Reply::json(200, wire::render_degraded(server, &degraded))
-                }
-            }
-        }
-        Err(e) => service_error_reply(&e),
-    }
-}
-
-fn assess_batch(request: &Request, service: &ReputationService, obs: &mut RequestObs) -> Reply {
     let parse_start = Instant::now();
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Reply::error(400, "bad_batch", "body is not UTF-8"),
+    let Ok(text) = std::str::from_utf8(&request.body) else {
+        return shared.reject("bad_batch", "body is not UTF-8");
     };
     let mut servers = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -1027,11 +998,8 @@ fn assess_batch(request: &Request, service: &ReputationService, obs: &mut Reques
         match line.parse::<u64>() {
             Ok(id) => servers.push(ServerId::new(id)),
             Err(_) => {
-                return Reply::error(
-                    400,
-                    "bad_batch",
-                    &format!("line {}: want one u64 server id per line", idx + 1),
-                )
+                let detail = format!("line {}: want one u64 server id per line", idx + 1);
+                return shared.reject("bad_batch", &detail);
             }
         }
     }

@@ -172,6 +172,39 @@ fn bad_feedback_bodies_are_rejected_with_line_numbers() {
     edge.drain();
 }
 
+/// Every malformed body or server id the router refuses with a `400` is
+/// one protocol reject — the `/assess` routes as well as `/ingest` — and a
+/// well-formed request is none.
+#[test]
+fn malformed_bodies_and_ids_count_one_protocol_reject_each() {
+    let (edge, addr) = boot_default();
+    let rejects = || {
+        edge.metrics()
+            .protocol_rejects
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let mut client = TestClient::connect(addr);
+    for (method, path, body, error) in [
+        ("POST", "/ingest", &b"1,2,3,*\n"[..], "bad_feedback"),
+        ("POST", "/assess", b"\xff\xfe\n", "bad_batch"),
+        ("POST", "/assess", b"7\nbanana\n", "bad_batch"),
+        ("GET", "/assess/banana", b"", "bad_server_id"),
+        ("GET", "/assess_traced/-1", b"", "bad_server_id"),
+    ] {
+        let before = rejects();
+        let (status, reply) = client.request(method, path, body);
+        assert_eq!(status, 400, "{method} {path}: {reply}");
+        assert!(reply.contains(error), "{method} {path}: {reply}");
+        assert_eq!(rejects(), before + 1, "{method} {path}");
+    }
+    let before = rejects();
+    assert_eq!(client.post("/assess", b"7\n").0, 200);
+    assert_eq!(client.get("/assess/7").0, 200);
+    assert_eq!(client.get("/assess_traced/7").0, 200);
+    assert_eq!(rejects(), before, "well-formed requests are not rejects");
+    edge.drain();
+}
+
 #[test]
 fn keep_alive_serves_many_requests_per_connection() {
     let (edge, addr) = boot_default();

@@ -61,7 +61,7 @@ pub struct FaultPlan {
     /// Applying the feedback with this `(server raw id, time)` panics
     /// every time, including journal replay, until quarantined.
     pub poison: Option<(u64, u64)>,
-    /// Sleep this long before serving each `Assess`/`AssessMany` command
+    /// Sleep this long before serving each `Assess` command
     /// (stalling the whole shard, not just the reply).
     pub assess_delay: Option<Duration>,
     /// Applying the feedback with this `(server raw id, time)` panics

@@ -13,14 +13,13 @@ use crate::shard::{
 };
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::supervisor::spawn_supervised_shard;
-use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError};
+use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError, Sender};
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::Assessment;
 use hp_core::{CoreError, Feedback, ServerId};
 use hp_stats::ThresholdCalibrator;
 use hp_store::ColdStore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,6 +164,17 @@ pub enum DegradedReason {
     ShardUnavailable,
 }
 
+impl DegradedReason {
+    /// The error a missed answer is when nothing was published to degrade to.
+    fn into_error(self, shard: usize) -> ServiceError {
+        match self {
+            DegradedReason::DeadlineExceeded => ServiceError::DeadlineExceeded { shard },
+            DegradedReason::WorkerRestarting => ServiceError::Interrupted { shard },
+            DegradedReason::ShardUnavailable => ServiceError::ShardUnavailable { shard },
+        }
+    }
+}
+
 /// A stale-but-honest answer: the last verdict the shard published for
 /// this server, stamped with how stale it is.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +198,7 @@ impl DegradedAssessment {
     }
 }
 
-/// Answer from [`ReputationService::assess_within`].
+/// Answer from [`ReputationService::assess_observed`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum AssessOutcome {
     /// The worker answered within the deadline.
@@ -240,8 +250,8 @@ impl AssessOutcome {
 /// record that was mid-apply is rolled back and the rest of its batch
 /// retried. An ingest waits for its shards to take its batch, bounded
 /// per the configured [`IngestPolicy`](crate::IngestPolicy), and
-/// [`Self::assess_within`] trades freshness for latency by answering from
-/// the last published verdict when a deadline expires.
+/// [`Self::assess_observed`] trades freshness for latency by answering
+/// from the last published verdict when its deadline expires.
 ///
 /// # Examples
 ///
@@ -490,16 +500,7 @@ impl ReputationService {
             }
             let offered = batch.len();
             let (command, wait) = Command::ingest(batch);
-            let handle = &self.shards[shard];
-            let sent = match deadline {
-                None => handle
-                    .send(command)
-                    .map_err(|e| SendTimeoutError::Disconnected(e.0)),
-                Some(deadline) => {
-                    handle.send_timeout(command, deadline.saturating_duration_since(Instant::now()))
-                }
-            };
-            match sent {
+            match self.queue(shard, command, deadline) {
                 Ok(()) => waits.push((shard, offered, wait)),
                 Err(SendTimeoutError::Timeout(_)) => count(shard, Acked::Shed, offered),
                 Err(SendTimeoutError::Disconnected(_)) => count(shard, Acked::Gone, offered),
@@ -535,7 +536,7 @@ impl ReputationService {
     /// gone, [`ServiceError::Interrupted`] if it restarted while holding
     /// this request (safe to retry).
     pub fn assess(&self, server: ServerId) -> Result<Arc<Assessment>, ServiceError> {
-        self.assess_inner(server, 0).map(|(a, _)| a)
+        self.assess_fresh(server).map(|(assessment, _)| assessment)
     }
 
     /// Assesses one server and returns the verdict together with its
@@ -551,158 +552,85 @@ impl ReputationService {
     ///
     /// As [`Self::assess`].
     pub fn assess_traced(&self, server: ServerId) -> Result<TracedAssessment, ServiceError> {
-        let (assessment, timings) = self.assess_inner(server, 0)?;
+        let (assessment, timings) = self.assess_fresh(server)?;
         let trace =
             AssessmentTrace::from_assessment(server, assessment.as_ref(), timings.from_cache);
         Ok(TracedAssessment { assessment, trace })
     }
 
-    /// Assesses one server for the span-tracing path: the command is
-    /// stamped with `trace` (so the latency-histogram exemplars carry the
-    /// request ID) and the shard-side stage timings come back alongside
-    /// the verdict.
+    /// [`Self::assess_observed`] without a deadline, which is always fresh.
+    fn assess_fresh(
+        &self,
+        server: ServerId,
+    ) -> Result<(Arc<Assessment>, AssessTimings), ServiceError> {
+        match self.assess_observed(server, None, 0)? {
+            (AssessOutcome::Fresh(assessment), Some(timings)) => Ok((assessment, timings)),
+            _ => unreachable!("an assessment without a deadline is fresh"),
+        }
+    }
+
+    /// Assesses one server, stamping the command with `trace` (so the
+    /// latency-histogram exemplars carry the request ID) and returning
+    /// the shard-side stage timings alongside the verdict.
     ///
-    /// With `deadline: None` this is [`Self::assess`]; with a deadline it
-    /// is [`Self::assess_within`]. Timings are `Some` exactly when the
-    /// answer is fresh — a degraded answer never entered the shard queue,
-    /// so there is nothing to attribute.
+    /// With `deadline: None` this is [`Self::assess`]. With a deadline it
+    /// never waits past it on a slow shard: if the shard has not answered
+    /// by then, the last verdict it published for this server is returned
+    /// as [`AssessOutcome::Degraded`], stamped with the history version it
+    /// was computed at and the latest version the shard has applied, so
+    /// the caller can see exactly how stale it is. Timings are `Some`
+    /// exactly when the answer is fresh — a degraded answer never entered
+    /// the shard queue, so there is nothing to attribute.
     ///
     /// # Errors
     ///
-    /// As [`Self::assess`] / [`Self::assess_within`] respectively.
+    /// As [`Self::assess`]; with a deadline, only when there is nothing
+    /// to degrade to: [`ServiceError::DeadlineExceeded`] when the deadline
+    /// expires and no verdict was ever published for this server,
+    /// [`ServiceError::Interrupted`] / [`ServiceError::ShardUnavailable`]
+    /// likewise when the worker restarted or is gone.
     pub fn assess_observed(
         &self,
         server: ServerId,
         deadline: Option<Duration>,
         trace: u64,
     ) -> Result<(AssessOutcome, Option<AssessTimings>), ServiceError> {
-        match deadline {
-            None => self
-                .assess_inner(server, trace)
-                .map(|(a, t)| (AssessOutcome::Fresh(a), Some(t))),
-            Some(deadline) => self.assess_within_traced(server, deadline, trace),
-        }
-    }
-
-    /// The shared fresh-assessment path: send, wait, record end-to-end
-    /// latency, and surface the worker's stage timings.
-    fn assess_inner(
-        &self,
-        server: ServerId,
-        trace: u64,
-    ) -> Result<(Arc<Assessment>, AssessTimings), ServiceError> {
         let shard = self.shard_of(server);
         let start = Instant::now();
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        self.shards[shard]
-            .send(Command::assess(server, reply_tx, trace))
-            .map_err(|_| ServiceError::ShardUnavailable { shard })?;
-        match reply_rx.recv() {
-            Ok(answer) => {
-                let answer = answer.map_err(ServiceError::Core)?;
-                self.obs
-                    .latency(LatencyPath::AssessE2e)
-                    .record_ns_traced(start.elapsed().as_nanos() as u64, trace);
-                Ok(answer)
+        let deadline = deadline.map(|d| start + d);
+        let command = |_, reply| Command::assess(vec![server], reply, trace);
+        let (_, answer) = self.round_trip([shard], command, deadline).remove(0);
+        let answer = match answer {
+            Ok(mut answers) => {
+                let (assessment, timings) = answers.pop().expect("one answer per server")?;
+                (AssessOutcome::Fresh(assessment), Some(timings))
             }
-            Err(_) => Err(ServiceError::Interrupted { shard }),
-        }
-    }
-
-    /// Assesses one server with a latency budget: if the shard does not
-    /// answer within `deadline`, the last verdict it published for this
-    /// server is returned as [`AssessOutcome::Degraded`], stamped with
-    /// the history version it was computed at and the latest version the
-    /// shard has applied, so the caller can see exactly how stale it is.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DeadlineExceeded`] when the deadline expires and
-    /// no verdict was ever published for this server;
-    /// [`ServiceError::Interrupted`] / [`ServiceError::ShardUnavailable`]
-    /// likewise when the worker restarted or is gone and there is nothing
-    /// to degrade to; [`ServiceError::Core`] for assessment failures.
-    pub fn assess_within(
-        &self,
-        server: ServerId,
-        deadline: Duration,
-    ) -> Result<AssessOutcome, ServiceError> {
-        self.assess_within_traced(server, deadline, 0)
-            .map(|(o, _)| o)
-    }
-
-    /// [`Self::assess_within`] with a trace stamp and timings surfaced
-    /// (the `Some(deadline)` arm of [`Self::assess_observed`]).
-    fn assess_within_traced(
-        &self,
-        server: ServerId,
-        deadline: Duration,
-        trace: u64,
-    ) -> Result<(AssessOutcome, Option<AssessTimings>), ServiceError> {
-        let shard = self.shard_of(server);
-        let start = Instant::now();
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let command = Command::assess(server, reply_tx, trace);
-        let degraded = |reason| {
-            let outcome = self.degraded(shard, server, reason, start, trace);
-            outcome.map(|o| (o, None))
-        };
-        match self.shards[shard].send_timeout(command, deadline) {
-            Ok(()) => {}
-            Err(SendTimeoutError::Timeout(_)) => return degraded(DegradedReason::DeadlineExceeded),
-            Err(SendTimeoutError::Disconnected(_)) => {
-                return degraded(DegradedReason::ShardUnavailable)
-            }
-        }
-        let remaining = deadline.saturating_sub(start.elapsed());
-        match reply_rx.recv_timeout(remaining) {
-            Ok(answer) => {
-                let (assessment, timings) = answer.map_err(ServiceError::Core)?;
-                self.obs
-                    .latency(LatencyPath::AssessE2e)
-                    .record_ns_traced(start.elapsed().as_nanos() as u64, trace);
-                Ok((AssessOutcome::Fresh(assessment), Some(timings)))
-            }
-            Err(RecvTimeoutError::Timeout) => degraded(DegradedReason::DeadlineExceeded),
-            Err(RecvTimeoutError::Disconnected) => degraded(DegradedReason::WorkerRestarting),
-        }
-    }
-
-    /// Answers from the published-verdict cache, or maps the failure to
-    /// the matching typed error when nothing was ever published.
-    fn degraded(
-        &self,
-        shard: usize,
-        server: ServerId,
-        reason: DegradedReason,
-        start: Instant,
-        trace: u64,
-    ) -> Result<AssessOutcome, ServiceError> {
-        let published = self.shards[shard].published.lock().get(&server).cloned();
-        match published {
-            Some(pv) => {
+            Err(missed) => {
+                let published = deadline.and_then(|_| {
+                    let published = self.shards[shard].published.lock();
+                    published.get(&server).cloned()
+                });
+                let Some(pv) = published else {
+                    return Err(missed.into_error(shard));
+                };
                 let metrics = self.obs.shard(shard);
                 metrics.add(ShardMetric::Degraded, 1);
                 // A degraded answer is served from the published-verdict
                 // cache — it is a cache event like any other serve.
                 metrics.add(ShardMetric::CacheHits, 1);
-                let e2e_ns = start.elapsed().as_nanos() as u64;
-                self.obs
-                    .latency(LatencyPath::AssessE2e)
-                    .record_ns_traced(e2e_ns, trace);
-                Ok(AssessOutcome::Degraded(DegradedAssessment {
+                let degraded = DegradedAssessment {
                     assessment: pv.assessment,
                     computed_at_version: pv.computed_at_version,
                     latest_version: pv.latest_version,
-                    reason,
-                }))
+                    reason: missed,
+                };
+                (AssessOutcome::Degraded(degraded), None)
             }
-            None => Err(match reason {
-                DegradedReason::DeadlineExceeded => ServiceError::DeadlineExceeded { shard },
-                DegradedReason::WorkerRestarting => ServiceError::Interrupted { shard },
-                DegradedReason::ShardUnavailable => ServiceError::ShardUnavailable { shard },
-            }),
-        }
+        };
+        self.obs
+            .latency(LatencyPath::AssessE2e)
+            .record_ns_traced(start.elapsed().as_nanos() as u64, trace);
+        Ok(answer)
     }
 
     /// Assesses many servers with one command per shard, returning answers
@@ -733,40 +661,91 @@ impl ReputationService {
         for &server in servers {
             per_shard[self.shard_of(server)].push(server);
         }
-        let mut pending = Vec::new();
-        for (shard, group) in per_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            self.shards[shard]
-                .send(Command::assess_many(group, reply_tx, trace))
-                .map_err(|_| ServiceError::ShardUnavailable { shard })?;
-            pending.push((shard, reply_rx));
-        }
-        let mut by_server: HashMap<ServerId, Result<Arc<Assessment>, CoreError>> = HashMap::new();
-        for (shard, reply_rx) in pending {
-            let answers = reply_rx
-                .recv()
-                .map_err(|_| ServiceError::Interrupted { shard })?;
-            by_server.extend(answers.into_iter().map(|(s, r)| (s, r.map(|(a, _)| a))));
+        let involved: Vec<usize> = (0..per_shard.len())
+            .filter(|&shard| !per_shard[shard].is_empty())
+            .collect();
+        let command = |shard: usize, reply| {
+            Command::assess(std::mem::take(&mut per_shard[shard]), reply, trace)
+        };
+        // Each shard answers its servers in request order.
+        let mut answers: Vec<_> = self.shards.iter().map(|_| Vec::new().into_iter()).collect();
+        for (shard, answer) in self.round_trip(involved, command, None) {
+            answers[shard] = answer
+                .map_err(|missed| missed.into_error(shard))?
+                .into_iter();
         }
         self.obs
             .latency(LatencyPath::AssessE2e)
             .record_n(start.elapsed().as_nanos() as u64, servers.len() as u64);
         Ok(servers
             .iter()
-            .map(|&s| {
-                // Duplicate requests for one server share the single
-                // computed answer.
-                let answer = by_server.get(&s).cloned().unwrap_or_else(|| {
-                    Err(CoreError::InvalidConfig {
-                        reason: format!("no shard answered for {s}"),
-                    })
-                });
-                (s, answer)
+            .map(|&server| {
+                let answer = answers[self.shard_of(server)]
+                    .next()
+                    .expect("one answer per server");
+                (server, answer.map(|(assessment, _)| assessment))
             })
             .collect())
+    }
+
+    /// The one round trip to the shards: queues `command(shard, reply)` on
+    /// each of `shards` — every one before any answer is awaited, so the
+    /// shards work in parallel — and returns their answers in that order.
+    /// With a `deadline`, neither the queueing nor the wait outlasts it.
+    fn round_trip<T>(
+        &self,
+        shards: impl IntoIterator<Item = usize>,
+        mut command: impl FnMut(usize, Sender<T>) -> Command,
+        deadline: Option<Instant>,
+    ) -> Vec<(usize, Result<T, DegradedReason>)> {
+        let asked: Vec<_> = shards
+            .into_iter()
+            .map(|shard| {
+                let (reply, answer) = channel::bounded(1);
+                let sent = self.queue(shard, command(shard, reply), deadline);
+                let sent = sent.map_err(|e| match e {
+                    SendTimeoutError::Timeout(_) => DegradedReason::DeadlineExceeded,
+                    SendTimeoutError::Disconnected(_) => DegradedReason::ShardUnavailable,
+                });
+                (shard, sent.map(|()| answer))
+            })
+            .collect();
+        asked
+            .into_iter()
+            .map(|(shard, answer)| {
+                let answer = answer.and_then(|answer| {
+                    let Some(deadline) = deadline else {
+                        return answer.recv().map_err(|_| DegradedReason::WorkerRestarting);
+                    };
+                    answer
+                        .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                        .map_err(|e| match e {
+                            RecvTimeoutError::Timeout => DegradedReason::DeadlineExceeded,
+                            RecvTimeoutError::Disconnected => DegradedReason::WorkerRestarting,
+                        })
+                });
+                (shard, answer)
+            })
+            .collect()
+    }
+
+    /// Queues `command` on `shard`, waiting for room in its queue until
+    /// `deadline` when one is given; the error returns the command.
+    fn queue(
+        &self,
+        shard: usize,
+        command: Command,
+        deadline: Option<Instant>,
+    ) -> Result<(), SendTimeoutError<Command>> {
+        let tx = &self.shards[shard].tx;
+        match deadline {
+            None => tx
+                .send(command)
+                .map_err(|e| SendTimeoutError::Disconnected(e.0)),
+            Some(deadline) => {
+                tx.send_timeout(command, deadline.saturating_duration_since(Instant::now()))
+            }
+        }
     }
 
     /// A snapshot of operational counters and shard occupancy.
@@ -777,20 +756,11 @@ impl ReputationService {
         // queue first, and publishes its tier byte sums before it
         // replies), so worker-side counters for commands enqueued before
         // this call are visible in the registry read.
-        let occupancies: Vec<ShardOccupancy> = self
-            .shards
-            .iter()
-            .map(|handle| {
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                if handle.send(Command::Occupancy { reply: reply_tx }).is_ok() {
-                    reply_rx.recv().unwrap_or_default()
-                } else {
-                    ShardOccupancy::default()
-                }
-            })
-            .collect();
+        let command = |_, reply| Command::Occupancy { reply };
+        let occupancies = self.round_trip(0..self.shards.len(), command, None);
         let mut stats = ServiceStats::from_registry(&self.obs.snapshot());
-        for occupancy in occupancies {
+        for (_, occupancy) in occupancies {
+            let occupancy: ShardOccupancy = occupancy.unwrap_or_default();
             stats.tracked_servers += occupancy.servers;
             stats.tracked_feedbacks += occupancy.feedbacks;
         }
@@ -896,15 +866,9 @@ impl ReputationService {
     /// is configured but cannot be written.
     pub fn checkpoint(&self) -> Result<CheckpointSummary, ServiceError> {
         let mut summary = CheckpointSummary::default();
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for handle in &self.shards {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if handle.send(Command::Checkpoint { reply: reply_tx }).is_ok() {
-                replies.push(reply_rx);
-            }
-        }
-        for reply in replies {
-            if let Ok(Some(info)) = reply.recv() {
+        let command = |_, reply| Command::Checkpoint { reply };
+        for (_, info) in self.round_trip(0..self.shards.len(), command, None) {
+            if let Ok(Some(info)) = info {
                 summary.shards_snapshotted += 1;
                 summary.snapshot_bytes += info.bytes;
                 summary.journal_records_compacted += info.compacted;
@@ -1160,26 +1124,27 @@ mod tests {
     }
 
     #[test]
-    fn assess_within_generous_deadline_is_fresh() {
+    fn assess_observed_generous_deadline_is_fresh() {
         let service = ReputationService::new(fast_config()).unwrap();
         let server = ServerId::new(12);
         service.ingest_batch(feedbacks_for(server, 150, 7)).unwrap();
-        let outcome = service
-            .assess_within(server, Duration::from_secs(30))
+        let (outcome, timings) = service
+            .assess_observed(server, Some(Duration::from_secs(30)), 0)
             .unwrap();
         assert!(!outcome.is_degraded());
+        assert!(timings.is_some(), "a fresh answer carries its timings");
         assert_eq!(outcome.assessment(), &*service.assess(server).unwrap());
     }
 
     #[test]
-    fn assess_within_unknown_server_has_nothing_to_degrade_to() {
+    fn assess_observed_unknown_server_has_nothing_to_degrade_to() {
         let service = ReputationService::new(fast_config()).unwrap();
         // Zero deadline: the send may still slip through an empty queue,
         // but the reply wait is what matters — an unknown server has no
         // published verdict, so a timeout must be the typed error, while
         // an answered request is a fresh assessment of an empty history.
-        match service.assess_within(ServerId::new(9999), Duration::ZERO) {
-            Ok(outcome) => assert!(!outcome.is_degraded()),
+        match service.assess_observed(ServerId::new(9999), Some(Duration::ZERO), 0) {
+            Ok((outcome, _)) => assert!(!outcome.is_degraded()),
             Err(e) => assert!(matches!(e, ServiceError::DeadlineExceeded { .. })),
         }
     }

@@ -42,7 +42,7 @@ use crate::journal::FileJournal;
 use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, SendError, SendTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use hp_core::history::HistoryMark;
 use hp_core::testing::MultiBehaviorTest;
 use hp_core::twophase::{Assessment, ShortHistoryPolicy};
@@ -64,14 +64,9 @@ pub struct AssessTimings {
     /// Time the command waited in the shard queue before the worker
     /// dequeued it, in nanoseconds.
     pub queue_wait_ns: u64,
-    /// Phase-1 + phase-2 compute time inside the worker, in nanoseconds.
-    /// Includes any calibration wait — `compute_ns - calibration_ns` is
-    /// the pure statistical compute.
+    /// Phase-1 + phase-2 compute time inside the worker, in nanoseconds,
+    /// any calibration wait included.
     pub compute_ns: u64,
-    /// Portion of `compute_ns` spent inside the threshold calibrator
-    /// (Monte-Carlo row jobs and single-flight waits). Zero on warm
-    /// serves — cache and surface lookups are not metered.
-    pub calibration_ns: u64,
     /// Whether the versioned cache answered the assessment.
     pub from_cache: bool,
 }
@@ -211,17 +206,10 @@ pub(crate) enum Command {
         /// Where the shard says it took the batch.
         ack: Ack,
     },
+    /// Servers routed to this shard, answered in request order.
     Assess {
-        server: ServerId,
-        reply: Sender<AssessReply>,
-        /// When the front end enqueued it (queue-wait attribution).
-        enqueued_at: Instant,
-        /// Request trace ID (0 = untraced).
-        trace: u64,
-    },
-    AssessMany {
         servers: Vec<ServerId>,
-        reply: Sender<Vec<(ServerId, AssessReply)>>,
+        reply: Sender<Vec<AssessReply>>,
         /// When the front end enqueued it (queue-wait attribution).
         enqueued_at: Instant,
         /// Request trace ID (0 = untraced).
@@ -255,10 +243,7 @@ impl std::fmt::Debug for Command {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Command::Ingest { batch, .. } => write!(f, "Ingest({} feedbacks)", batch.len()),
-            Command::Assess { server, .. } => write!(f, "Assess({server})"),
-            Command::AssessMany { servers, .. } => {
-                write!(f, "AssessMany({} servers)", servers.len())
-            }
+            Command::Assess { servers, .. } => write!(f, "Assess({} servers)", servers.len()),
             Command::Occupancy { .. } => write!(f, "Occupancy"),
             Command::Checkpoint { .. } => write!(f, "Checkpoint"),
             Command::Shutdown => write!(f, "Shutdown"),
@@ -287,22 +272,12 @@ impl Command {
     }
 
     /// An assess command stamped now.
-    pub(crate) fn assess(server: ServerId, reply: Sender<AssessReply>, trace: u64) -> Self {
-        Command::Assess {
-            server,
-            reply,
-            enqueued_at: Instant::now(),
-            trace,
-        }
-    }
-
-    /// A batch assess command stamped now.
-    pub(crate) fn assess_many(
+    pub(crate) fn assess(
         servers: Vec<ServerId>,
-        reply: Sender<Vec<(ServerId, AssessReply)>>,
+        reply: Sender<Vec<AssessReply>>,
         trace: u64,
     ) -> Self {
-        Command::AssessMany {
+        Command::Assess {
             servers,
             reply,
             enqueued_at: Instant::now(),
@@ -322,22 +297,6 @@ pub(crate) struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Sends a command, blocking while the queue is full; the error
-    /// returns the unsent command so the caller can requeue or account
-    /// for it instead of silently dropping a batch.
-    pub fn send(&self, command: Command) -> Result<(), SendError<Command>> {
-        self.tx.send(command)
-    }
-
-    /// Sends, blocking at most `timeout`; errors return the command.
-    pub fn send_timeout(
-        &self,
-        command: Command,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<Command>> {
-        self.tx.send_timeout(command, timeout)
-    }
-
     /// Commands currently queued (snapshot).
     pub fn queue_depth(&self) -> usize {
         self.tx.len()
@@ -666,19 +625,6 @@ fn handle_command(
             Flow::Continue
         }
         Command::Assess {
-            server,
-            reply,
-            enqueued_at,
-            trace,
-        } => {
-            let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
-            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
-            ctx.faults.before_reply();
-            let answer = assess_one(states, server, ctx, queue_wait_ns, trace);
-            let _ = reply.send(answer);
-            Flow::Continue
-        }
-        Command::AssessMany {
             servers,
             reply,
             enqueued_at,
@@ -689,7 +635,7 @@ fn handle_command(
             ctx.faults.before_reply();
             let answers = servers
                 .into_iter()
-                .map(|s| (s, assess_one(states, s, ctx, queue_wait_ns, trace)))
+                .map(|server| assess_one(states, server, ctx, queue_wait_ns, trace))
                 .collect();
             let _ = reply.send(answers);
             Flow::Continue
@@ -1268,7 +1214,6 @@ fn assess_one(
     queue_wait_ns: u64,
     trace: u64,
 ) -> AssessReply {
-    ctx.metrics().add(ShardMetric::Served, 1);
     let cal0 = hp_stats::thread_calibration_nanos();
     let t0 = Instant::now();
     let reply = match states.get_mut(&server) {
@@ -1280,33 +1225,37 @@ fn assess_one(
             if state.is_spilled() && !state.cache_current() {
                 ensure_hot(server, state, ctx);
             }
-            let (assessment, from_cache) = state.assess(&ctx.test, ctx.policy)?;
-            let outcome = if from_cache {
-                ShardMetric::CacheHits
-            } else {
-                ShardMetric::CacheMisses
-            };
-            ctx.metrics().add(outcome, 1);
-            let version = state.version();
-            ctx.published.lock().insert(
-                server,
-                PublishedVerdict {
-                    assessment: Arc::clone(&assessment),
-                    computed_at_version: version,
-                    latest_version: version,
-                },
-            );
-            Ok((assessment, from_cache))
+            let reply = state.assess(&ctx.test, ctx.policy);
+            if let Ok((assessment, _)) = &reply {
+                let version = state.version();
+                ctx.published.lock().insert(
+                    server,
+                    PublishedVerdict {
+                        assessment: Arc::clone(assessment),
+                        computed_at_version: version,
+                        latest_version: version,
+                    },
+                );
+            }
+            reply
         }
+        // Unknown server: assess an empty history without permanently
+        // allocating state for it (queries must not grow the map, and
+        // must not grow the published cache either).
         None => {
-            // Unknown server: assess an empty history without permanently
-            // allocating state for it (queries must not grow the map, and
-            // must not grow the published cache either).
-            ctx.metrics().add(ShardMetric::CacheMisses, 1);
-            let mut state = ServerState::new(ctx.model)?;
-            state.assess(&ctx.test, ctx.policy).map(|(a, _)| (a, false))
+            ServerState::new(ctx.model).and_then(|mut state| state.assess(&ctx.test, ctx.policy))
         }
     };
+    // Every serve is a cache hit or a miss (a failed one is a miss), so
+    // hits + misses = served + degraded holds by construction.
+    let from_cache = matches!(reply, Ok((_, true)));
+    let outcome = if from_cache {
+        ShardMetric::CacheHits
+    } else {
+        ShardMetric::CacheMisses
+    };
+    ctx.metrics().add(ShardMetric::Served, 1);
+    ctx.metrics().add(outcome, 1);
     let compute_ns = t0.elapsed().as_nanos() as u64;
     // Calibration wait is attributed to its own histogram so cold-start
     // threshold computation never pollutes the compute path's quantiles;
@@ -1322,13 +1271,12 @@ fn assess_one(
             .latency(LatencyPath::AssessCalibration)
             .record_ns_traced(calibration_ns, trace);
     }
-    reply.map(|(assessment, from_cache)| {
+    reply.map(|(assessment, _)| {
         (
             assessment,
             AssessTimings {
                 queue_wait_ns,
                 compute_ns,
-                calibration_ns,
                 from_cache,
             },
         )
@@ -1345,7 +1293,7 @@ mod tests {
     /// Sends one ingest command and waits until the shard has taken it.
     fn ingest(handle: &ShardHandle, batch: Vec<Feedback>) {
         let (command, wait) = Command::ingest(batch);
-        handle.send(command).unwrap();
+        handle.tx.send(command).unwrap();
         assert!(matches!(wait.wait(None, &handle.idle), Acked::Taken));
     }
 
@@ -1372,14 +1320,20 @@ mod tests {
             .collect();
         ingest(&handle, batch);
         let (reply_tx, reply_rx) = channel::unbounded();
-        handle.send(Command::assess(server, reply_tx, 0)).unwrap();
-        let (assessment, timings) = reply_rx.recv().unwrap().unwrap();
+        handle
+            .tx
+            .send(Command::assess(vec![server], reply_tx, 0))
+            .unwrap();
+        let (assessment, timings) = reply_rx.recv().unwrap().remove(0).unwrap();
         assert!(assessment.trust().is_some() || assessment.is_rejected());
         assert!(!timings.from_cache, "first assessment computes");
         assert!(timings.compute_ns > 0, "compute time is measured");
 
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
+        handle
+            .tx
+            .send(Command::Occupancy { reply: snap_tx })
+            .unwrap();
         let snap = snap_rx.recv().unwrap();
         assert_eq!(snap.servers, 1);
         assert_eq!(snap.feedbacks, 250);
@@ -1415,11 +1369,15 @@ mod tests {
         let (handle, _obs) = spawn();
         let (reply_tx, reply_rx) = channel::unbounded();
         handle
-            .send(Command::assess(ServerId::new(404), reply_tx, 0))
+            .tx
+            .send(Command::assess(vec![ServerId::new(404)], reply_tx, 0))
             .unwrap();
-        assert!(reply_rx.recv().unwrap().is_ok());
+        assert!(reply_rx.recv().unwrap()[0].is_ok());
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
+        handle
+            .tx
+            .send(Command::Occupancy { reply: snap_tx })
+            .unwrap();
         assert_eq!(snap_rx.recv().unwrap().servers, 0);
         assert!(handle.published.lock().is_empty());
     }
@@ -1428,7 +1386,7 @@ mod tests {
     fn shutdown_joins_cleanly() {
         let (mut handle, _obs) = spawn();
         handle.shutdown();
-        assert!(handle.send(Command::Shutdown).is_err() || handle.join.is_none());
+        assert!(handle.tx.send(Command::Shutdown).is_err() || handle.join.is_none());
     }
 
     #[test]
@@ -1442,12 +1400,18 @@ mod tests {
         };
         ingest(&handle, batch(0, 120));
         let (reply_tx, reply_rx) = channel::unbounded();
-        handle.send(Command::assess(server, reply_tx, 0)).unwrap();
-        reply_rx.recv().unwrap().unwrap();
+        handle
+            .tx
+            .send(Command::assess(vec![server], reply_tx, 0))
+            .unwrap();
+        reply_rx.recv().unwrap().remove(0).unwrap();
         ingest(&handle, batch(120, 30));
         // Round-trip a snapshot so the ingest is surely applied.
         let (snap_tx, snap_rx) = channel::unbounded();
-        handle.send(Command::Occupancy { reply: snap_tx }).unwrap();
+        handle
+            .tx
+            .send(Command::Occupancy { reply: snap_tx })
+            .unwrap();
         snap_rx.recv().unwrap();
         let published = handle.published.lock();
         let pv = published.get(&server).unwrap();

@@ -514,8 +514,8 @@ fn deadline_miss_serves_published_verdict_with_staleness() {
     service.ingest_batch(more).unwrap();
     let _ = service.stats();
 
-    let outcome = service
-        .assess_within(server, Duration::from_millis(50))
+    let (outcome, _) = service
+        .assess_observed(server, Some(Duration::from_millis(50)), 0)
         .expect("published verdict available");
     match outcome {
         AssessOutcome::Degraded(d) => {
@@ -544,6 +544,11 @@ fn deadline_miss_serves_published_verdict_with_staleness() {
     // The degraded answer is still an end-to-end serve: e2e = fresh + degraded.
     let snap = service.metrics().snapshot();
     assert_eq!(snap.latency(LatencyPath::AssessE2e).count, 2);
+    // Every serve, fresh or degraded, is one cache hit or miss.
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        stats.assessments_served + stats.degraded_answers
+    );
 }
 
 /// One-feedback batches the saturated test has its shard take before it

@@ -35,6 +35,21 @@ fn feedbacks_for(server: ServerId, n: u64, bad_every: u64) -> Vec<Feedback> {
         .collect()
 }
 
+/// The cache law: every assessment served, fresh or degraded, is one
+/// cache hit or one cache miss.
+fn assert_cache_law(service: &ReputationService) {
+    let stats = service.stats();
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        stats.assessments_served + stats.degraded_answers,
+        "hits {} + misses {} != served {} + degraded {}",
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.assessments_served,
+        stats.degraded_answers
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -82,6 +97,8 @@ proptest! {
         }
         prop_assert_eq!(trace.trust, untraced.trust().map(|t| t.value()));
         prop_assert_eq!(trace.server, server);
+        assert_cache_law(&plain);
+        assert_cache_law(&traced_svc);
     }
 }
 
@@ -140,6 +157,7 @@ fn histogram_totals_match_counters() {
             .sum::<u64>(),
         stats.journal_records
     );
+    assert_cache_law(&service);
 }
 
 /// The live exposition and the metric table are one set: every row is
@@ -183,6 +201,7 @@ fn prometheus_exposition_is_the_metric_table() {
     ] {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
+    assert_cache_law(&service);
 }
 
 /// Value of an unlabeled gauge/counter line in a Prometheus exposition.
@@ -265,6 +284,7 @@ fn calibration_metrics_and_readiness_track_the_serving_tiers() {
         metric_value(&text, "hp_calibration_surface_hits_total") > 0.0,
         "suffix rows with k >= k_min must be served by the surface"
     );
+    assert_cache_law(&service);
 }
 
 /// A verdict counts its threshold lookups locally and adds them to the
@@ -355,6 +375,7 @@ fn calibration_hit_counters_advance_by_one_per_conclusive_suffix_test() {
         assert!(service.assess_traced(server).unwrap().trace.from_cache);
     }
     assert_eq!(answered(&service.stats()), answered(&warm));
+    assert_cache_law(service);
 }
 
 /// Sums every sample of one per-shard family in an exposition.
@@ -407,6 +428,7 @@ fn a_crash_before_apply_replays_the_journaled_batch() {
         "the replay folds both"
     );
     assert_eq!(service.stats().tracked_feedbacks, 150);
+    assert_cache_law(&service);
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -436,6 +458,7 @@ fn an_ephemeral_service_reports_no_journal_activity() {
         150.0,
         "applied all the same"
     );
+    assert_cache_law(&service);
 }
 
 /// The exposition must parse clean under the promtool-style lint after
@@ -453,6 +476,7 @@ fn prometheus_exposition_is_lint_clean() {
     let text = service.render_prometheus();
     let problems = hp_service::obs::lint_prometheus(&text);
     assert!(problems.is_empty(), "exposition lint: {problems:?}\n{text}");
+    assert_cache_law(&service);
 }
 
 /// Queue-wait attribution: traffic populates the per-shard queue-wait
@@ -482,6 +506,7 @@ fn queue_wait_and_utilization_cover_every_shard() {
     // Every served command waited in a queue at least once.
     let waits: u64 = snap.queue_waits.iter().map(|w| w.count).sum();
     assert!(waits > 0, "no queue waits recorded");
+    assert_cache_law(&service);
 }
 
 /// Exemplar linking through the public API: a traced assessment leaves
@@ -507,6 +532,7 @@ fn traced_requests_leave_exemplars_on_latency_buckets() {
         problems.is_empty(),
         "exemplars must not break the lint: {problems:?}"
     );
+    assert_cache_law(&service);
 }
 
 /// Build identity is a first-class metric: version and trust-model
@@ -552,4 +578,5 @@ fn assess_timings_nest_inside_the_callers_window() {
     // The repeat answers from the versioned cache and says so.
     let (_, timings) = service.assess_observed(server, None, 0xabd).unwrap();
     assert!(timings.expect("still measured").from_cache);
+    assert_cache_law(&service);
 }
