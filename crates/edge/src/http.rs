@@ -126,17 +126,22 @@ pub fn wait_for_request(
 /// See [`RecvError`]; every variant maps to one response (or a silent
 /// close) in the worker loop.
 pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Request, RecvError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut buf: Vec<u8> = Vec::new();
+    let mut filled = 0;
     let head_deadline = Instant::now() + limits.header_timeout;
     let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
+        if let Some(end) = find_head_end(&buf[..filled]) {
             break end;
         }
-        if buf.len() >= limits.max_head_bytes {
+        if filled >= limits.max_head_bytes {
             return Err(RecvError::HeadTooLarge);
         }
-        read_some(stream, &mut buf, head_deadline)?;
+        if filled == buf.len() {
+            buf.resize(filled + HEAD_CHUNK, 0);
+        }
+        filled += read_some(stream, &mut buf[filled..], head_deadline)?;
     };
+    buf.truncate(filled);
 
     let (request, declared_len) = parse_head(&buf[..head_end])?;
     if declared_len > limits.max_body_bytes {
@@ -144,30 +149,63 @@ pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Reque
     }
 
     // Whatever followed the head in the buffer is the body's first bytes.
-    let mut body = buf.split_off(head_end + head_terminator_len(&buf, head_end));
-    if body.len() > declared_len {
+    let early = &buf[head_end + head_terminator_len(&buf, head_end)..];
+    if early.len() > declared_len {
         // Pipelined extra bytes would desynchronize the keep-alive loop;
         // refuse rather than serve a corrupted stream.
         return Err(RecvError::Malformed("bytes beyond declared content-length"));
     }
+    // The rest is read straight into the body, in windows that follow
+    // what has arrived rather than what was declared: `body_window`.
+    let mut body = Vec::with_capacity(body_window(early.len(), declared_len));
+    body.extend_from_slice(early);
+    let mut filled = body.len();
     let body_deadline = Instant::now() + limits.body_timeout;
-    while body.len() < declared_len {
-        read_some(stream, &mut body, body_deadline)?;
-        if body.len() > declared_len {
+    while filled < declared_len {
+        if filled == body.len() {
+            let window = body_window(filled, declared_len);
+            body.reserve_exact(window - filled);
+            body.resize(window, 0);
+        }
+        filled += read_some(stream, &mut body[filled..], body_deadline)?;
+        if filled > declared_len {
             return Err(RecvError::Malformed("bytes beyond declared content-length"));
         }
     }
+    body.truncate(filled);
 
     Ok(Request { body, ..request })
 }
 
-/// One bounded read append against an overall deadline. A peer that
-/// closes mid-request gets no response — it is gone either way.
+/// How many bytes one read of the head may add.
+const HEAD_CHUNK: usize = 4096;
+
+/// The least a body buffer may run ahead of the bytes received.
+const MIN_BODY_WINDOW: usize = 64 * 1024;
+
+/// The length the body buffer grows to once `received` bytes fill it:
+/// at most `max(received, 64 KiB)` beyond them, so a client is
+/// allocated for about what it sent, never for a length it only
+/// declared, and a long body costs O(log n) reallocations. It stops one
+/// byte past `declared`, where a read that fills that byte has found
+/// bytes beyond the declared length; a body that has all arrived takes
+/// no room beyond it.
+fn body_window(received: usize, declared: usize) -> usize {
+    if received >= declared {
+        return received;
+    }
+    (received + received.max(MIN_BODY_WINDOW)).min(declared + 1)
+}
+
+/// One bounded read into `buf` against an overall deadline: how many
+/// bytes arrived, 0 when the poll slice ran out (the caller re-checks
+/// the deadline). A peer that closes mid-request gets no response — it
+/// is gone either way.
 fn read_some(
     stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
+    buf: &mut [u8],
     deadline: Instant,
-) -> Result<(), RecvError> {
+) -> Result<usize, RecvError> {
     let remaining = deadline.saturating_duration_since(Instant::now());
     if remaining.is_zero() {
         return Err(RecvError::Timeout);
@@ -175,14 +213,10 @@ fn read_some(
     stream
         .set_read_timeout(Some(remaining.min(POLL)))
         .map_err(RecvError::Io)?;
-    let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
+    match stream.read(buf) {
         Ok(0) => Err(RecvError::Closed),
-        Ok(n) => {
-            buf.extend_from_slice(&chunk[..n]);
-            Ok(())
-        }
-        Err(e) if is_timeout(&e) => Ok(()), // loop re-checks the deadline
+        Ok(n) => Ok(n),
+        Err(e) if is_timeout(&e) => Ok(0), // loop re-checks the deadline
         Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Err(RecvError::Closed),
         Err(e) => Err(RecvError::Io(e)),
     }
@@ -421,6 +455,105 @@ mod tests {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
         // The earliest terminator ends the head, whatever the body holds.
         assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nA\r\n\r\nB"), Some(14));
+    }
+
+    #[test]
+    fn body_window_follows_the_bytes_received_not_the_length_declared() {
+        const KIB: usize = 1024;
+        const MIB: usize = 1024 * KIB;
+        // 8 MiB declared and 10 bytes sent: room for 64 KiB more, not 8 MiB.
+        assert_eq!(body_window(10, 8 * MIB), 10 + 64 * KIB);
+        assert_eq!(body_window(0, 8 * MIB), 64 * KIB);
+        // Past 64 KiB received the buffer doubles, up to one byte past
+        // the declared length.
+        assert_eq!(body_window(MIB, 8 * MIB), 2 * MIB);
+        assert_eq!(body_window(5 * MIB, 8 * MIB), 8 * MIB + 1);
+        assert_eq!(body_window(100, 1000), 1001);
+        // A body that has all arrived takes no room beyond it.
+        assert_eq!(body_window(1000, 1000), 1000);
+        assert_eq!(body_window(0, 0), 0);
+        for declared in [1, 4095, 64 * KIB, 64 * KIB + 1, 3 * MIB + 7, 8 * MIB] {
+            for received in (0..declared).step_by(declared / 97 + 1) {
+                let window = body_window(received, declared);
+                assert!(window > received, "no room at {received} of {declared}");
+                assert!(window - received <= received.max(64 * KIB));
+                assert!(window <= declared + 1);
+            }
+        }
+    }
+
+    /// Serves one `read_request` over loopback against `send`, which
+    /// writes the client's side in whatever pieces it likes.
+    fn read_over_loopback(
+        send: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> Result<Request, RecvError> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            send(&mut stream);
+            stream
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let limits = ReadLimits {
+            max_head_bytes: 16 * 1024,
+            max_body_bytes: 8 * 1024 * 1024,
+            header_timeout: Duration::from_secs(5),
+            body_timeout: Duration::from_secs(5),
+        };
+        let request = read_request(&mut stream, &limits);
+        drop(client.join().unwrap());
+        request
+    }
+
+    #[test]
+    fn a_body_in_pieces_arrives_whole_in_a_buffer_no_longer_than_declared() {
+        let body: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let sent = body.clone();
+        let request = read_over_loopback(move |stream| {
+            let head = format!(
+                "POST /ingest HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                sent.len()
+            );
+            stream.write_all(head.as_bytes()).unwrap();
+            for piece in sent.chunks(70_001) {
+                stream.write_all(piece).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        })
+        .unwrap();
+        assert_eq!(request.body, body);
+        assert!(
+            request.body.capacity() <= body.len() + 1,
+            "{}",
+            request.body.capacity()
+        );
+    }
+
+    #[test]
+    fn bytes_beyond_the_declared_length_are_refused_in_any_read() {
+        // Beyond it in the read that carries the head...
+        let request = read_over_loopback(|stream| {
+            stream
+                .write_all(b"POST /ingest HTTP/1.1\r\ncontent-length: 3\r\n\r\nabcdef")
+                .unwrap();
+        });
+        assert!(
+            matches!(request, Err(RecvError::Malformed(_))),
+            "{request:?}"
+        );
+        // ...and in a later one.
+        let request = read_over_loopback(|stream| {
+            stream
+                .write_all(b"POST /ingest HTTP/1.1\r\ncontent-length: 3\r\n\r\n")
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            stream.write_all(b"abcdef").unwrap();
+        });
+        assert!(
+            matches!(request, Err(RecvError::Malformed(_))),
+            "{request:?}"
+        );
     }
 
     /// A plausible head: one to six lines, each drawn from what the

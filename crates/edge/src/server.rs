@@ -637,7 +637,7 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
             Err(_) => return, // idle bound, drain, peer gone, transport error
         }
         let first_byte = Instant::now();
-        let request = match http::read_request(&mut stream, &READ_LIMITS) {
+        let mut request = match http::read_request(&mut stream, &READ_LIMITS) {
             Ok(request) => request,
             Err(e) => {
                 let reply = match e {
@@ -669,7 +669,7 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
             first_byte,
             Instant::now(),
         );
-        let reply = route(&request, shared, &mut obs);
+        let reply = route(&mut request, shared, &mut obs);
         let keep_alive = request.keep_alive && !draining();
         if draining() {
             shared
@@ -714,7 +714,7 @@ fn write_reply(
 }
 
 /// Dispatches one parsed request.
-fn route(request: &Request, shared: &Shared, obs: &mut RequestObs) -> Reply {
+fn route(request: &mut Request, shared: &Shared, obs: &mut RequestObs) -> Reply {
     match (request.method, request.path.as_str()) {
         (Method::Get, "/healthz") => health(shared),
         (Method::Get, "/metrics") => metrics(shared),
@@ -854,13 +854,18 @@ fn debug_trace(path: &str, shared: &Shared) -> Reply {
 }
 
 fn ingest(
-    request: &Request,
+    request: &mut Request,
     shared: &Shared,
     service: &ReputationService,
     obs: &mut RequestObs,
 ) -> Reply {
     let parse_start = Instant::now();
-    let feedbacks = match wire::parse_feedback_body(&request.body) {
+    // The body is freed once parsed instead of living until the reply is
+    // written, so it is not resident while the shards take the batch.
+    let body = std::mem::take(&mut request.body);
+    let parsed = wire::parse_feedback_body(&body);
+    drop(body);
+    let feedbacks = match parsed {
         Ok(feedbacks) => feedbacks,
         Err(e) => {
             let detail = format!("line {}: {}", e.line, e.reason);

@@ -8,7 +8,12 @@
 //!   records (`rating` ∈ `+ - 1 0`). One line parses to one
 //!   [`Feedback`]; a body carries any number of lines, which is how the
 //!   load harness sustains hundreds of thousands of feedbacks per second
-//!   over a few hundred requests.
+//!   over a few hundred requests. Parsing has two paths with one
+//!   meaning: a byte scanner reads the exact shape
+//!   [`render_feedback_line`] writes in one pass, and every other line
+//!   (comments, padding, CRLF, 20-digit values, errors) falls back to
+//!   the `str` parser that defines the format. The tests hold the
+//!   scanner to that parser, error for error.
 //! * **Responses** are flat JSON objects rendered by string building.
 //!   Trust values and phase-1 statistics additionally carry their raw
 //!   IEEE-754 bits (`*_bits` fields, hex) so clients — and the e2e
@@ -46,6 +51,15 @@ pub struct ParseError {
 /// partial ingest of a malformed batch would make the shed/accepted
 /// accounting ambiguous.
 ///
+/// Each line is first offered to a byte scanner that takes only the
+/// shape [`render_feedback_line`] writes, reading the line and its
+/// newline in one pass. A line it declines is cut at its newline and
+/// read by the general `str` parser, which defines the format. The
+/// scanner accepts only lines the general parser reads to the same
+/// feedback, and lines are numbered as [`str::lines`] numbers them, so
+/// the body's accept set, values and errors are exactly the general
+/// parser's over `lines()`; only the time differs.
+///
 /// # Errors
 ///
 /// [`ParseError`] pinpointing the first offending line.
@@ -55,44 +69,106 @@ pub fn parse_feedback_body(body: &[u8]) -> Result<Vec<Feedback>, ParseError> {
         reason: "body is not UTF-8",
     })?;
     let mut feedbacks = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+    let mut at = 0;
+    let mut line = 0;
+    while at < text.len() {
+        line += 1;
+        if let Some((feedback, next)) = scan_canonical_line(body, at) {
+            feedbacks.push(feedback);
+            at = next;
             continue;
         }
-        let err = |reason| ParseError {
-            line: idx + 1,
-            reason,
-        };
-        let mut fields = line.split(',');
-        let time = fields
-            .next()
-            .and_then(|f| f.trim().parse::<u64>().ok())
-            .ok_or_else(|| err("bad time field"))?;
-        let server = fields
-            .next()
-            .and_then(|f| f.trim().parse::<u64>().ok())
-            .ok_or_else(|| err("bad server field"))?;
-        let client = fields
-            .next()
-            .and_then(|f| f.trim().parse::<u64>().ok())
-            .ok_or_else(|| err("bad client field"))?;
-        let rating = match fields.next().map(str::trim) {
-            Some("+") | Some("1") => Rating::from_good(true),
-            Some("-") | Some("0") => Rating::from_good(false),
-            _ => return Err(err("bad rating field (want + - 1 0)")),
-        };
-        if fields.next().is_some() {
-            return Err(err("trailing fields"));
-        }
-        feedbacks.push(Feedback::new(
+        let end = text[at..].find('\n').map_or(text.len(), |i| at + i);
+        let parsed = parse_line(&text[at..end]).map_err(|reason| ParseError { line, reason })?;
+        feedbacks.extend(parsed);
+        at = end + 1;
+    }
+    Ok(feedbacks)
+}
+
+/// The fast path: the line starting at `at`, if it has the exact shape
+/// [`render_feedback_line`] writes — `digits,digits,digits,r` with 1–19
+/// ASCII digits a field, no whitespace, `r` one of `+ - 1 0`, then `\n`
+/// or the end of the body — read in one pass over its bytes. Returns
+/// the feedback and the offset of the next line; `None` for any other
+/// line, which [`parse_line`] then reads. Nineteen digits stay below
+/// 10¹⁹ < `u64::MAX`, so the sums cannot overflow; a 20-digit field is
+/// left to `parse_line`.
+fn scan_canonical_line(body: &[u8], at: usize) -> Option<(Feedback, usize)> {
+    let (time, at) = scan_field(body, at)?;
+    let (server, at) = scan_field(body, at)?;
+    let (client, at) = scan_field(body, at)?;
+    let good = match body.get(at)? {
+        b'+' | b'1' => true,
+        b'-' | b'0' => false,
+        _ => return None,
+    };
+    let next = match body.get(at + 1) {
+        None => at + 1,
+        Some(b'\n') => at + 2,
+        Some(_) => return None,
+    };
+    Some((
+        Feedback::new(
             time,
             ServerId::new(server),
             ClientId::new(client),
-            rating,
-        ));
+            Rating::from_good(good),
+        ),
+        next,
+    ))
+}
+
+/// One canonical field at `at`: 1–19 ASCII digits and the comma after
+/// them. Returns the value and the offset past the comma.
+fn scan_field(body: &[u8], at: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    for (len, &byte) in body.get(at..)?.iter().enumerate().take(20) {
+        match byte {
+            b'0'..=b'9' if len < 19 => value = value * 10 + u64::from(byte - b'0'),
+            b',' if len > 0 => return Some((value, at + len + 1)),
+            _ => return None,
+        }
     }
-    Ok(feedbacks)
+    None
+}
+
+/// The general path, which defines the line format: `Ok(None)` for a
+/// blank or `#` line, the feedback for a record, or why the record is
+/// bad. Fields are trimmed of Unicode whitespace and parsed as `u64`,
+/// so padding, a leading `+` and 20-digit values read here.
+fn parse_line(raw: &str) -> Result<Option<Feedback>, &'static str> {
+    let line = raw.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut fields = line.split(',');
+    let time = fields
+        .next()
+        .and_then(|f| f.trim().parse::<u64>().ok())
+        .ok_or("bad time field")?;
+    let server = fields
+        .next()
+        .and_then(|f| f.trim().parse::<u64>().ok())
+        .ok_or("bad server field")?;
+    let client = fields
+        .next()
+        .and_then(|f| f.trim().parse::<u64>().ok())
+        .ok_or("bad client field")?;
+    let rating = match fields.next().map(str::trim) {
+        Some("+") | Some("1") => Rating::from_good(true),
+        Some("-") | Some("0") => Rating::from_good(false),
+        _ => return Err("bad rating field (want + - 1 0)"),
+    };
+    if fields.next().is_some() {
+        return Err("trailing fields");
+    }
+    Ok(Some(Feedback::new(
+        time,
+        ServerId::new(server),
+        ClientId::new(client),
+        rating,
+    )))
 }
 
 /// Renders one feedback in the ingest line format (the inverse of
@@ -487,6 +563,203 @@ mod tests {
         assert_eq!(parse_feedback_body(b"\xff\xfe").unwrap_err().line, 0);
     }
 
+    fn fb(time: u64, server: u64, client: u64, good: bool) -> Feedback {
+        Feedback::new(
+            time,
+            ServerId::new(server),
+            ClientId::new(client),
+            Rating::from_good(good),
+        )
+    }
+
+    type Parsed = Result<Vec<Feedback>, ParseError>;
+
+    fn bad(line: usize, reason: &'static str) -> Parsed {
+        Err(ParseError { line, reason })
+    }
+
+    /// The body parser with the fast path taken out: every line of
+    /// [`str::lines`] through `parse_line`, as bodies were read before
+    /// the scanner existed.
+    fn parse_body_by_str(body: &[u8]) -> Parsed {
+        let text = std::str::from_utf8(body).map_err(|_| ParseError {
+            line: 0,
+            reason: "body is not UTF-8",
+        })?;
+        let mut feedbacks = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let parsed = parse_line(raw).map_err(|reason| ParseError {
+                line: idx + 1,
+                reason,
+            })?;
+            feedbacks.extend(parsed);
+        }
+        Ok(feedbacks)
+    }
+
+    /// The scanner on one line: what it reads when it takes the whole
+    /// line, and `None` when it declines.
+    fn scan(line: &[u8]) -> Option<Feedback> {
+        scan_canonical_line(line, 0)
+            .filter(|&(_, next)| next == line.len())
+            .map(|(feedback, _)| feedback)
+    }
+
+    /// Lines off the renderer's shape, each with the result the `str`
+    /// parser gave before the scanner existed, and whether the scanner
+    /// takes it (it must decline all but the canonical ones).
+    #[test]
+    fn off_shape_lines_keep_their_results() {
+        let cases: [(&[u8], Parsed); 16] = [
+            (
+                b"1,2,3,+\r\n4,5,6,-\r\n",
+                Ok(vec![fb(1, 2, 3, true), fb(4, 5, 6, false)]),
+            ),
+            (b"1,2,3,+\r", Ok(vec![fb(1, 2, 3, true)])),
+            (
+                b"+5,1,2,+\n007,010,0,0\n",
+                Ok(vec![fb(5, 1, 2, true), fb(7, 10, 0, false)]),
+            ),
+            (
+                b"18446744073709551615,1,2,+\n",
+                Ok(vec![fb(u64::MAX, 1, 2, true)]),
+            ),
+            (b"18446744073709551616,1,2,+\n", bad(1, "bad time field")),
+            (b"99999999999999999999,1,2,+\n", bad(1, "bad time field")),
+            (b"1,18446744073709551616,2,+\n", bad(1, "bad server field")),
+            (b"  1 , 2 ,\t3 , +  \n", Ok(vec![fb(1, 2, 3, true)])),
+            (
+                "\u{a0}1\u{a0},2,3\u{a0},-\u{a0}\n".as_bytes(),
+                Ok(vec![fb(1, 2, 3, false)]),
+            ),
+            (
+                "# commentaire séparé ✓\n1,2,3,+\n".as_bytes(),
+                Ok(vec![fb(1, 2, 3, true)]),
+            ),
+            (b"1,,3,+\n", bad(1, "bad server field")),
+            (b"1,2,3,+,\n", bad(1, "trailing fields")),
+            (b"1,2,3,\n", bad(1, "bad rating field (want + - 1 0)")),
+            (b",2,3,+\n", bad(1, "bad time field")),
+            (b"1,2,3,++\n", bad(1, "bad rating field (want + - 1 0)")),
+            (b"1,2,3,+ \n", Ok(vec![fb(1, 2, 3, true)])),
+        ];
+        for (body, want) in cases {
+            let shown = String::from_utf8_lossy(body);
+            assert_eq!(parse_feedback_body(body), want, "{shown:?}");
+            assert_eq!(parse_body_by_str(body), want, "{shown:?}");
+        }
+        // Which lines the scanner takes: only the canonical shape.
+        for line in [
+            &b"1,2,3,+"[..],
+            b"007,010,0,0",
+            b"9999999999999999999,0,0,-",
+        ] {
+            assert!(scan(line).is_some(), "{line:?}");
+        }
+        for line in [
+            &b"1,2,3,+\r"[..],
+            b"+5,1,2,+",
+            b"18446744073709551615,1,2,+",
+            b"99999999999999999999,1,2,+",
+            b" 1,2,3,+",
+            b"1,2,3,+ ",
+            b"1,,3,+",
+            b"1,2,3,+,",
+            b"1,2,3,",
+            b"1,2,3,++",
+            b"# 1,2,3,+",
+            b"",
+        ] {
+            assert!(scan(line).is_none(), "{line:?}");
+        }
+    }
+
+    /// A feedback field of any magnitude: uniform in its digit count,
+    /// not its value, so short and 19- and 20-digit numbers all occur.
+    fn magnitude() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..64).prop_map(|(raw, shift)| raw >> shift)
+    }
+
+    /// A line that is mostly the ingest format's own bytes, so the
+    /// scanner sees near misses as well as noise.
+    fn near_line() -> impl Strategy<Value = Vec<u8>> {
+        const ALPHABET: &[u8] = b"0123456789,,,,+-\r \t#";
+        vec((any::<bool>(), any::<u8>()), 0..48).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(raw, b)| {
+                    if raw {
+                        b
+                    } else {
+                        ALPHABET[usize::from(b) % ALPHABET.len()]
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Whenever the scanner takes a line, the `str` parser reads the
+        /// same feedback from it; and a body of such lines — arbitrary,
+        /// near misses, or rendered lines cut, flipped or grown — parses
+        /// to exactly what the `str` parser alone returns, error for
+        /// error.
+        #[test]
+        fn canonical_line_scan_survives_hostile_bytes(
+            rendered in (magnitude(), magnitude(), magnitude(), any::<bool>()),
+            mangle in (0u8..4, any::<usize>(), any::<u8>()),
+            near in near_line(),
+            raw in vec(any::<u8>(), 0..48),
+        ) {
+            let (time, server, client, good) = rendered;
+            let mut line = String::new();
+            render_feedback_line(&mut line, &fb(time, server, client, good));
+            let mut cut = line.into_bytes();
+            let (kind, at, byte) = mangle;
+            match kind {
+                0 => cut.truncate(at % (cut.len() + 1)),
+                1 => {
+                    let at = at % cut.len();
+                    cut[at] ^= byte.max(1);
+                }
+                2 => cut.insert(at % (cut.len() + 1), byte),
+                _ => {}
+            }
+            for bytes in [&cut[..], &near[..], &raw[..]] {
+                if let Some((feedback, next)) = scan_canonical_line(bytes, 0) {
+                    let line = &bytes[..next];
+                    let text = std::str::from_utf8(line.strip_suffix(b"\n").unwrap_or(line));
+                    prop_assert!(text.is_ok(), "scanner took non-UTF-8 {:?}", line);
+                    prop_assert_eq!(parse_line(text.unwrap_or_default()), Ok(Some(feedback)));
+                }
+                prop_assert_eq!(parse_feedback_body(bytes), parse_body_by_str(bytes));
+            }
+            let body = [&cut[..], b"\n", &near[..], b"\r\n", &raw[..]].concat();
+            prop_assert_eq!(parse_feedback_body(&body), parse_body_by_str(&body));
+        }
+
+        /// Every line the renderer writes takes the fast path when its
+        /// fields are below 10^19, which the scanner reads without
+        /// overflow; a field of 20 digits reads the same through the
+        /// `str` parser.
+        #[test]
+        fn rendered_lines_take_the_fast_path(
+            rendered in (magnitude(), magnitude(), magnitude(), any::<bool>()),
+        ) {
+            let (time, server, client, good) = rendered;
+            let feedback = fb(time, server, client, good);
+            let mut line = String::new();
+            render_feedback_line(&mut line, &feedback);
+            let scanned = scan_canonical_line(line.as_bytes(), 0);
+            if [time, server, client].iter().all(|&v| v < 10_000_000_000_000_000_000) {
+                prop_assert_eq!(scanned, Some((feedback, line.len())));
+            } else {
+                prop_assert_eq!(scanned, None);
+                prop_assert_eq!(parse_line(line.trim_end()), Ok(Some(feedback)));
+            }
+        }
+    }
+
     proptest! {
         /// A rendered body parses back to the feedbacks it was rendered
         /// from; cut, flipped or grown anywhere, it parses, or its error
@@ -523,6 +796,7 @@ mod tests {
                 }
                 _ => bytes.insert(at % (bytes.len() + 1), byte),
             }
+            prop_assert_eq!(parse_feedback_body(&bytes), parse_body_by_str(&bytes));
             let lines = bytes.split(|&b| b == b'\n').count();
             if let Err(e) = parse_feedback_body(&bytes) {
                 prop_assert!(e.line <= lines, "line {} of {lines}: {}", e.line, e.reason);

@@ -7,7 +7,9 @@
 //!
 //! 1. cross-checks the *exact* accepted/shed accounting three ways:
 //!    client-observed response bodies, `ServiceStats`, and the
-//!    `/metrics` Prometheus exposition must all agree;
+//!    `/metrics` Prometheus exposition must all agree, and the
+//!    exposition must count no 5xx response during the load and no
+//!    protocol reject at all;
 //! 2. writes the report to `experiments/out/bench_edge.json` (ignored by
 //!    git) and holds the run to its SLO: accepted throughput and assess
 //!    p99;
@@ -32,7 +34,8 @@ const MIN_INGEST_PER_SEC: f64 = 100_000.0;
 const MAX_ASSESS_P99_MS: f64 = 25.0;
 
 /// Sums every `name{…} value` sample of one metric in a Prometheus
-/// exposition (the service publishes per-shard series).
+/// exposition (the service publishes per-shard series). `name` is a
+/// prefix, so `family{label="5` sums the series whose label starts so.
 fn prom_sum(text: &str, name: &str) -> u64 {
     text.lines()
         .filter(|l| l.starts_with(name) && !l.starts_with('#'))
@@ -95,6 +98,15 @@ fn main() {
         boot.elapsed().as_secs_f64(),
         health.status,
     );
+    // The warming probe above may have been answered 503 by design; the
+    // load must add no 5xx to what the edge counted before it.
+    let errors_5xx = |exposition: &str| prom_sum(exposition, "hp_edge_responses_total{status=\"5");
+    let before_5xx = errors_5xx(
+        &probe
+            .get("/metrics")
+            .expect("/metrics before the load")
+            .body,
+    );
 
     let load = LoadConfig {
         addr,
@@ -151,6 +163,18 @@ fn main() {
         fail(&format!(
             "/metrics mismatch: ingested {prom_ingested} vs {}, shed {prom_shed} vs {}",
             outcome.feedbacks_accepted, outcome.feedbacks_shed
+        ));
+    }
+    let load_5xx = errors_5xx(&exposition) - before_5xx;
+    if load_5xx > 0 {
+        fail(&format!(
+            "{load_5xx} responses with a 5xx status during the soak"
+        ));
+    }
+    let protocol_rejects = prom_sum(&exposition, "hp_edge_protocol_rejects_total");
+    if protocol_rejects > 0 {
+        fail(&format!(
+            "{protocol_rejects} requests refused by a protocol defense"
         ));
     }
     let prom_degraded = prom_sum(&exposition, "hp_degraded_answers_total");
