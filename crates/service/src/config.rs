@@ -86,9 +86,10 @@ pub enum Durability {
     /// than serve from a torn state.
     #[default]
     Ephemeral,
-    /// On-disk write-ahead journal, one file per shard.
+    /// On-disk write-ahead journal, one per shard.
     Durable {
-        /// Directory for the `shard-<i>.hpj` journal files.
+        /// Directory for the `shard-<i>.hpj` journal files (and the
+        /// sealed `shard-<i>-<base>.hpj` segments of compacting ones).
         dir: PathBuf,
         /// When appended records are fsynced.
         fsync: FsyncPolicy,
@@ -110,10 +111,11 @@ pub struct SnapshotPolicy {
     /// checkpoints; explicit [`crate::ReputationService::checkpoint`]
     /// calls and the drain-time checkpoint still run).
     pub interval_records: u64,
-    /// Truncate the journal up to the older retained snapshot's offset
-    /// after each checkpoint. Keeps disk usage O(interval) instead of
-    /// O(history); full-journal replay is then no longer possible, but a
-    /// corrupted newest snapshot still leaves the older one and its tail.
+    /// Roll the journal into a sealed segment at each checkpoint and
+    /// delete the segments below the older retained snapshot's offset.
+    /// Keeps disk usage O(interval) instead of O(history); full-journal
+    /// replay is then no longer possible, but a corrupted newest
+    /// snapshot still leaves the older one and its tail.
     pub compact_journal: bool,
 }
 

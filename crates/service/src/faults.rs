@@ -24,7 +24,10 @@
 //!   driving the deadline/degraded-answer path;
 //! * **a failed journal append**: the Nth append on a chosen shard writes
 //!   half its frames and fails as a full disk would, once — the typed
-//!   refusal path of a durable shard.
+//!   refusal path of a durable shard;
+//! * **a held log-force**: a checkpoint's writer waits at a
+//!   [`CheckpointGate`] before its fsyncs until the test opens it — the
+//!   stall the worker must keep acknowledging through.
 //!
 //! The chaos suites (`tests/chaos.rs`, `tests/recovery.rs`) assert that
 //! under every plan the recovered service's verdicts stay bit-identical
@@ -35,8 +38,7 @@
 use hp_core::Feedback;
 #[cfg(feature = "fault-injection")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "fault-injection")]
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Where a mid-apply panic leaves the record's server state.
@@ -79,7 +81,60 @@ pub struct FaultPlan {
     /// The journal append `(shard, nth)` (1-based; one per group commit)
     /// writes half its frames, then fails with `StorageFull`, once.
     pub append_failure: Option<(usize, u64)>,
+    /// Every checkpoint's writer waits at this gate, on every shard,
+    /// before the fsyncs of its log-force, until the gate is opened.
+    pub checkpoint_gate: Option<CheckpointGate>,
 }
+
+/// A gate shut until [`CheckpointGate::open`]: a checkpoint's writer
+/// waits at it (see [`FaultPlan::checkpoint_gate`]). Clones share the
+/// gate; two gates are equal when they are the same gate.
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointGate(Arc<(Mutex<GateState>, Condvar)>);
+
+#[derive(Debug, Default)]
+struct GateState {
+    open: bool,
+    reached: bool,
+}
+
+impl CheckpointGate {
+    /// Opens the gate for good, releasing every writer waiting at it.
+    pub fn open(&self) {
+        self.update(|state| state.open = true);
+    }
+
+    /// Waits until a writer has reached the gate, for at most `bound`;
+    /// returns whether one has.
+    pub fn wait_reached(&self, bound: Duration) -> bool {
+        let (lock, cv) = &*self.0;
+        let state = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let waited = cv.wait_timeout_while(state, bound, |state| !state.reached);
+        waited.unwrap_or_else(|e| e.into_inner()).0.reached
+    }
+
+    /// Marks the gate reached, then waits until it is open.
+    fn pass(&self) {
+        self.update(|state| state.reached = true);
+        let (lock, cv) = &*self.0;
+        let state = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _open = cv.wait_while(state, |state| !state.open);
+    }
+
+    fn update(&self, change: impl FnOnce(&mut GateState)) {
+        let (lock, cv) = &*self.0;
+        change(&mut lock.lock().unwrap_or_else(|e| e.into_inner()));
+        cv.notify_all();
+    }
+}
+
+impl PartialEq for CheckpointGate {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for CheckpointGate {}
 
 impl FaultPlan {
     /// Plan that panics `shard` on its `nth` journaled ingest (1-based).
@@ -136,6 +191,13 @@ impl FaultPlan {
     #[must_use]
     pub fn with_append_failure(mut self, shard: usize, nth: u64) -> Self {
         self.append_failure = Some((shard, nth));
+        self
+    }
+
+    /// Plan whose checkpoint writers wait at `gate` before their fsyncs.
+    #[must_use]
+    pub fn with_checkpoint_gate(mut self, gate: CheckpointGate) -> Self {
+        self.checkpoint_gate = Some(gate);
         self
     }
 }
@@ -308,6 +370,20 @@ impl ShardFaults {
             }
         }
         false
+    }
+
+    /// Called by a checkpoint's writer before the fsyncs of its
+    /// log-force; waits at the plan's gate while it is shut.
+    #[inline]
+    pub fn before_log_sync(&self) {
+        #[cfg(feature = "fault-injection")]
+        if let Some(gate) = self
+            .inner
+            .as_ref()
+            .and_then(|rt| rt.plan.checkpoint_gate.as_ref())
+        {
+            gate.pass();
+        }
     }
 
     /// Called before an assessment command is served; sleeps per the

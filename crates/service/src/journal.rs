@@ -11,7 +11,8 @@
 //!
 //! # On-disk format
 //!
-//! A journal file is a fixed header followed by framed records:
+//! A journal is a run of files, each a fixed header followed by framed
+//! records:
 //!
 //! ```text
 //! header v1: magic "HPJL" | version=1 u32 LE | shard u32 LE | shards u32 LE
@@ -24,16 +25,32 @@
 //! The header, the record frame, the torn-tail scan, the error and the
 //! durable create are [`hp_store::durable`]'s, and the payload is the
 //! feedback record of [`hp_store::persist`]; this module owns the
-//! versions and the trusted-offset arithmetic.
+//! versions, the segment chain and the trusted-offset arithmetic.
 //!
-//! A fresh journal is always v1. The v2 header exists only for
-//! *compacted* journals ([`FileJournal::compact_to`]): once a snapshot
-//! durably covers a prefix of the sequence, the covered records are
-//! dropped and `base_records` remembers how many — record indexes stay
-//! *absolute* across compactions, so quarantine bookkeeping and snapshot
-//! manifests never shift meaning. A compacted journal can only be folded
-//! on top of a snapshot; replaying it from zero is an explicit error at
-//! the recovery layer, never a silently wrong state.
+//! Appends go to the *live* file, `dir/shard-<i>.hpj`. A fresh journal's
+//! live file is v1. When a checkpoint compacts, its log-force *rolls* the
+//! journal ([`FileJournal::force`]): the live file is renamed, whole, to
+//! the sealed segment `shard-<i>-<base:016x>.hpj` — `base` being the
+//! absolute index of its first record — and a fresh live file starts
+//! with a v2 header whose `base_records` is the record count at the roll.
+//! The new header is written to the live file's temp, then the live file
+//! is renamed to its segment name and the temp to the live name, so a
+//! crash between the two renames leaves the segments and no live file,
+//! and the next open recreates the live file at the last segment's end.
+//! Once a snapshot durably covers a prefix of the sequence, compaction
+//! ([`compact`]) deletes the sealed segments that end at or below it:
+//! whole files, no copy. Record indexes stay *absolute* — quarantine
+//! bookkeeping and snapshot manifests never shift meaning — and a
+//! journal whose head is gone can only be folded on top of a snapshot;
+//! replaying it from zero is an explicit error at the recovery layer,
+//! never a silently wrong state.
+//!
+//! A reader walks the segments in base order, then the live file, and
+//! returns the records as one sequence: each segment must end exactly
+//! where the next file begins and hold no torn record, or the read is an
+//! [`Error::Corrupt`]. A segment wholly below a trusted offset is skipped
+//! unread, by its name (its length is still checked against the range
+//! its neighbours' names give it).
 //!
 //! The shard index and shard count are part of the header because journal
 //! contents are partitioned by the service's shard hash: replaying a
@@ -41,22 +58,25 @@
 //! the wrong workers. Opening a journal whose header disagrees with the
 //! running topology is an explicit [`Error::Corrupt`].
 //!
-//! Recovery tolerates exactly one failure shape at the tail — a torn final
-//! record from a crash mid-write (short frame, short payload, or checksum
-//! mismatch). The torn bytes are truncated and reported; corruption
-//! *before* the tail is indistinguishable from a torn tail only if every
-//! later record is also discarded, which is what truncation does.
+//! Recovery tolerates exactly one failure shape at the tail of the last
+//! file — a torn final record from a crash mid-write (short frame, short
+//! payload, or checksum mismatch). The torn bytes are truncated and
+//! reported; corruption *before* the tail is indistinguishable from a
+//! torn tail only if every later record is also discarded, which is what
+//! truncation does.
 
 use hp_core::Feedback;
 use hp_store::durable::{self, publish, Error, Put, Reader};
 use hp_store::persist::{decode_feedback, encode_feedback, FEEDBACK_LEN};
-use std::fs::{File, OpenOptions};
+use parking_lot::Mutex;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"HPJL";
 const VERSION: u32 = 1;
-/// Header version of a compacted journal (carries `base_records`).
+/// Header version of a file whose first record is past 0 (carries
+/// `base_records`).
 const VERSION_COMPACTED: u32 = 2;
 const HEADER_LEN: u64 = 16;
 const HEADER_LEN_COMPACTED: u64 = 24;
@@ -81,20 +101,21 @@ pub enum FsyncPolicy {
 pub struct Recovered {
     /// Every intact record scanned, in append order.
     pub feedbacks: Vec<Feedback>,
-    /// Bytes discarded from a torn tail (`0` for a clean journal).
+    /// Bytes discarded from a torn tail of the last file (`0` for a
+    /// clean journal).
     pub torn_bytes: u64,
-    /// Where and why the scan stopped short of the end of the file
+    /// Where and why the scan stopped short of the end of the last file
     /// (`None` for a clean journal).
     pub torn: Option<Error>,
     /// Absolute index of `feedbacks[0]` in the full durable sequence:
-    /// the compaction base plus any records deliberately skipped by
-    /// [`read_journal_from`].
+    /// the first retained record plus any records deliberately skipped
+    /// by [`read_journal_from`].
     pub first_record: u64,
-    /// Records compacted out of the file (the v2 header base; `0` for a
-    /// v1 journal).
+    /// Records compacted out of the journal: the absolute index of the
+    /// first retained record (`0` while nothing was compacted).
     pub base_records: u64,
-    /// Bytes of file header preceding the first frame (16 for v1, 24
-    /// for a compacted v2 journal).
+    /// Bytes of file header preceding the first frame of the last file
+    /// (16 for v1, 24 for v2).
     pub header_bytes: u64,
 }
 
@@ -111,7 +132,8 @@ pub struct AppendInfo {
     pub sync_ns: u64,
 }
 
-/// The v1 header, or the v2 header of a journal compacted to `base`.
+/// The v1 header, or the v2 header of a file whose first record is
+/// `base`.
 fn header(shard: u32, shards: u32, base: Option<u64>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN_COMPACTED as usize);
     out.put_header(&MAGIC, base.map_or(VERSION, |_| VERSION_COMPACTED), shard);
@@ -126,43 +148,52 @@ fn header(shard: u32, shards: u32, base: Option<u64>) -> Vec<u8> {
     out
 }
 
-/// Reads a journal file: header check, then every intact record; a torn
-/// tail (short frame/payload or checksum mismatch) ends the scan and is
-/// reported in [`Recovered::torn_bytes`] and [`Recovered::torn`] without
-/// being treated as an error. The file is not modified.
-///
-/// # Errors
-///
-/// [`Error::Io`] on read failure; [`Error::Corrupt`] if the file is not
-/// a journal or its header names another shard topology than `expect`
-/// (pass `None` to skip the topology check).
-pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered, Error> {
-    read_journal_from(path, expect, 0)
+/// The path of the sealed segment of the journal whose live file is
+/// `live` that starts at absolute record `base`:
+/// `<stem>-<base:016x>.<extension>` beside it.
+fn segment_path(live: &Path, base: u64) -> PathBuf {
+    let (prefix, suffix) = segment_affixes(live);
+    live.with_file_name(durable::numbered(&prefix, base, &suffix))
 }
 
-/// [`read_journal`], starting the scan at absolute record `from_records`
-/// instead of the top of the file — the snapshot-boot path, which only
-/// needs the journal *tail* past what a snapshot already covers and must
-/// not pay a CRC scan over the covered prefix.
-///
-/// The skipped prefix is trusted blind: whoever supplies `from_records`
-/// (the snapshot manifest) vouches that the first `from_records` records
-/// were durably written. An offset the file cannot honor — before the
-/// compaction base, past the end of the file, or past any offset a `u64`
-/// can address — falls back to the compaction base (a full in-file
-/// scan), and [`Recovered::first_record`] reports where the scan actually
-/// started, so a caller handing in a stale manifest offset sees the
-/// disagreement instead of a silently wrong tail. Errors as for
-/// [`read_journal`].
-pub fn read_journal_from(
-    path: &Path,
-    expect: Option<(u32, u32)>,
-    from_records: u64,
-) -> Result<Recovered, Error> {
+/// The `(prefix, suffix)` a segment name of `live` puts around its base.
+fn segment_affixes(live: &Path) -> (String, String) {
+    let name = live.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    match name.rsplit_once('.') {
+        Some((stem, ext)) => (format!("{stem}-"), format!(".{ext}")),
+        None => (format!("{name}-"), String::new()),
+    }
+}
+
+/// The bases of the sealed segments beside `live`, ascending: one scan
+/// of its directory.
+fn segment_bases(live: &Path) -> io::Result<Vec<u64>> {
+    let dir = live.parent().filter(|d| !d.as_os_str().is_empty());
+    let (prefix, suffix) = segment_affixes(live);
+    let mut bases: Vec<u64> =
+        durable::scan_numbered(dir.unwrap_or(Path::new(".")), &prefix, &suffix)?
+            .into_iter()
+            .map(|(base, _)| base)
+            .collect();
+    bases.sort_unstable();
+    Ok(bases)
+}
+
+/// One journal file opened and its header read.
+struct Head {
+    file: File,
+    len: u64,
+    base: u64,
+    header_bytes: u64,
+}
+
+/// Opens the journal file `path` and checks its header against `expect`
+/// (`(shard, shards)`, or `None` for no topology check).
+fn open_head(path: &Path, expect: Option<(u32, u32)>) -> Result<Head, Error> {
     let mut file = File::open(path)?;
-    let file_len = file.metadata()?.len();
+    let len = file.metadata()?.len();
     let mut head = [0u8; HEADER_LEN_COMPACTED as usize];
-    let head_len = file_len.min(HEADER_LEN_COMPACTED) as usize;
+    let head_len = len.min(HEADER_LEN_COMPACTED) as usize;
     file.read_exact(&mut head[..head_len])?;
     let mut r = Reader::new(path, &head[..head_len], 0);
     let version = r.header(&MAGIC, &[VERSION, VERSION_COMPACTED], expect.map(|e| e.0))?;
@@ -170,44 +201,234 @@ pub fn read_journal_from(
     if expect.is_some_and(|(_, expected)| expected != shards) {
         return Err(r.corrupt("journal of another shard count"));
     }
-    let base_records = match version {
+    let base = match version {
         VERSION => 0,
         _ => r.u64("truncated header")?,
     };
-    if base_records.checked_add(file_len).is_none() {
+    if base.checked_add(len).is_none() {
         return Err(r.corrupt("compaction base past any record count"));
     }
-    let header_bytes = r.offset();
+    Ok(Head {
+        file,
+        len,
+        base,
+        header_bytes: r.offset(),
+    })
+}
 
-    // Seek past the trusted prefix without reading it, so a snapshot
-    // boot pays I/O proportional to the journal *tail*, not the whole
-    // file.
-    let skip = from_records.saturating_sub(base_records);
-    let (skip, start) = skip
+/// Reads the records of `head`'s file from its `skip`-th on, stopping at
+/// the first torn or failing frame; returns the scan's stop and the bytes
+/// left unread.
+fn scan_file(
+    path: &Path,
+    head: &mut Head,
+    skip: u64,
+    feedbacks: &mut Vec<Feedback>,
+) -> Result<(Option<Error>, u64), Error> {
+    let start = skip
         .checked_mul(RECORD_LEN)
-        .and_then(|bytes| bytes.checked_add(header_bytes))
-        .filter(|&start| start <= file_len)
-        .map_or((0, header_bytes), |start| (skip, start));
-    file.seek(SeekFrom::Start(start))?;
-    let mut data = Vec::with_capacity((file_len - start) as usize);
-    file.read_to_end(&mut data)?;
+        .and_then(|bytes| bytes.checked_add(head.header_bytes))
+        .filter(|&start| start <= head.len)
+        .ok_or_else(|| Error::corrupt(path, head.len, "journal segment shorter than its range"))?;
+    head.file.seek(SeekFrom::Start(start))?;
+    let mut data = Vec::with_capacity((head.len - start) as usize);
+    head.file.read_to_end(&mut data)?;
     let mut records = Reader::new(path, &data, start);
-    let mut feedbacks = Vec::new();
     let torn = records.scan_frames(|payload| {
         feedbacks.push(decode_feedback(payload).ok_or("checksummed but undecodable record")?);
         Ok(())
     });
-    Ok(Recovered {
-        feedbacks,
-        torn_bytes: records.remaining() as u64,
-        torn,
-        first_record: base_records + skip,
-        base_records,
-        header_bytes,
-    })
+    Ok((torn, records.remaining() as u64))
 }
 
-/// An append-only file journal for one shard.
+/// Why a segment's records do not run up to where the next file begins.
+const GAP: &str = "journal segment does not end where the next file begins";
+
+/// The header bytes of a journal file whose first record is `base`: a
+/// roll only ever seals a file holding records, so a segment named past
+/// 0 starts with a v2 header, and the one named 0 is the journal's first
+/// file, v1.
+fn header_len(base: u64) -> u64 {
+    if base == 0 {
+        HEADER_LEN
+    } else {
+        HEADER_LEN_COMPACTED
+    }
+}
+
+/// Opens the sealed segment of `live` named `base` and checks its header,
+/// whose base must be its name.
+fn open_segment(live: &Path, base: u64, expect: Option<(u32, u32)>) -> Result<Head, Error> {
+    let path = segment_path(live, base);
+    let head = open_head(&path, expect)?;
+    if head.base != base {
+        return Err(Error::corrupt(
+            &path,
+            16,
+            "journal segment base disagrees with its name",
+        ));
+    }
+    Ok(head)
+}
+
+/// Reads the journal whose live file is `live` and whose sealed segments
+/// start at `bases` (ascending) from absolute record `from_records`; see
+/// [`read_journal_from`]. Also returns the path and header of the last
+/// file: the live one, or the last segment when a crash between a roll's
+/// renames left no live file.
+fn read_segments(
+    live: &Path,
+    bases: &[u64],
+    expect: Option<(u32, u32)>,
+    from_records: u64,
+) -> Result<(Recovered, PathBuf, Head), Error> {
+    let (sealed, tail_path, mut tail) = match bases.split_last() {
+        Some((&last, sealed)) if !live.exists() => (
+            sealed,
+            segment_path(live, last),
+            open_segment(live, last, expect)?,
+        ),
+        _ => (bases, live.to_path_buf(), open_head(live, expect)?),
+    };
+    if let Some(&last) = sealed.last().filter(|&&last| last >= tail.base) {
+        let path = segment_path(live, last);
+        return Err(Error::corrupt(
+            &path,
+            0,
+            "journal segment past the live file",
+        ));
+    }
+    let first = sealed.first().copied().unwrap_or(tail.base);
+    // An offset the files cannot honour — before the first retained
+    // record, past the end of the last file, or past any offset a `u64`
+    // can address — falls back to a scan of everything retained.
+    let honoured = from_records >= first
+        && (from_records <= tail.base
+            || (from_records - tail.base)
+                .checked_mul(RECORD_LEN)
+                .is_some_and(|bytes| bytes <= tail.len - tail.header_bytes));
+    let from = if honoured { from_records } else { first };
+
+    let mut feedbacks = Vec::new();
+    for (i, &base) in sealed.iter().enumerate() {
+        let end = sealed.get(i + 1).copied().unwrap_or(tail.base);
+        let path = segment_path(live, base);
+        if from >= end {
+            // Skipped unread; its length must still fit its range.
+            let len = fs::metadata(&path)?.len();
+            let expected = (end - base).checked_mul(RECORD_LEN);
+            if expected.map(|bytes| bytes + header_len(base)) != Some(len) {
+                return Err(Error::corrupt(&path, len, GAP));
+            }
+            continue;
+        }
+        let mut head = open_segment(live, base, expect)?;
+        let skip = from.saturating_sub(base);
+        let before = feedbacks.len() as u64;
+        if let (Some(torn), _) = scan_file(&path, &mut head, skip, &mut feedbacks)? {
+            return Err(torn);
+        }
+        if base + skip + (feedbacks.len() as u64 - before) != end {
+            return Err(Error::corrupt(&path, head.len, GAP));
+        }
+    }
+    let skip = from.saturating_sub(tail.base);
+    let (torn, torn_bytes) = scan_file(&tail_path, &mut tail, skip, &mut feedbacks)?;
+    let recovered = Recovered {
+        feedbacks,
+        torn_bytes,
+        torn,
+        first_record: from,
+        base_records: first,
+        header_bytes: tail.header_bytes,
+    };
+    Ok((recovered, tail_path, tail))
+}
+
+/// Reads a journal: its live file `path` and the sealed segments beside
+/// it, header checks, then every intact record; a torn tail of the last
+/// file (short frame/payload or checksum mismatch) ends the scan and is
+/// reported in [`Recovered::torn_bytes`] and [`Recovered::torn`] without
+/// being treated as an error. No file is modified.
+///
+/// # Errors
+///
+/// [`Error::Io`] on read failure; [`Error::Corrupt`] if a file is not a
+/// journal, its header names another shard topology than `expect` (pass
+/// `None` to skip the topology check), or the segments do not join into
+/// one sequence (a gap, an overlap, or a torn segment before the last
+/// file).
+pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered, Error> {
+    read_journal_from(path, expect, 0)
+}
+
+/// [`read_journal`], starting the scan at absolute record `from_records`
+/// instead of the first retained record — the snapshot-boot path, which
+/// only needs the journal *tail* past what a snapshot already covers and
+/// must not pay a CRC scan over the covered prefix.
+///
+/// The skipped prefix is trusted blind: whoever supplies `from_records`
+/// (the snapshot manifest) vouches that the first `from_records` records
+/// were durably written. An offset the journal cannot honor — before the
+/// first retained record, past the end of the last file, or past any
+/// offset a `u64` can address — falls back to the first retained record
+/// (a full scan), and [`Recovered::first_record`] reports where the scan
+/// actually started, so a caller handing in a stale manifest offset sees
+/// the disagreement instead of a silently wrong tail. Errors as for
+/// [`read_journal`].
+pub fn read_journal_from(
+    path: &Path,
+    expect: Option<(u32, u32)>,
+    from_records: u64,
+) -> Result<Recovered, Error> {
+    let bases = segment_bases(path)?;
+    Ok(read_segments(path, &bases, expect, from_records)?.0)
+}
+
+/// A sealed segment the journal retains.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    /// Absolute index of its first record (its name).
+    base: u64,
+    /// Absolute index one past its last record: where the next file
+    /// begins.
+    end: u64,
+    /// Whether an fsync has covered its bytes and its name.
+    synced: bool,
+}
+
+/// What a log-force leaves to make durable before a snapshot may cover
+/// [`LogForce::records`]: the sealed segments no fsync has covered yet,
+/// and the live file while it holds covered records that none has.
+/// [`LogForce::sync`] does the fsyncs, without the journal's lock.
+#[derive(Debug)]
+pub struct LogForce {
+    /// Absolute record count the force covers.
+    pub records: u64,
+    sealed: Vec<PathBuf>,
+    live: Option<File>,
+}
+
+impl LogForce {
+    /// Fsyncs what the force left: each unsynced segment, then the live
+    /// file, then (after any segment) their directory, which makes the
+    /// rolls' renames durable.
+    pub fn sync(&self) -> Result<(), Error> {
+        for path in &self.sealed {
+            File::open(path)?.sync_all()?;
+        }
+        if let Some(live) = &self.live {
+            live.sync_all()?;
+        }
+        if let Some(path) = self.sealed.last() {
+            durable::fsync_dir(path)?;
+        }
+        Ok(())
+    }
+}
+
+/// An append-only journal for one shard: a live file and the sealed
+/// segments a checkpoint rolled it into.
 ///
 /// Opening recovers existing records (truncating a torn tail in place) and
 /// positions the writer at the end; [`FileJournal::append_batch`] frames
@@ -219,23 +440,28 @@ pub struct FileJournal {
     policy: FsyncPolicy,
     shard: u32,
     shards: u32,
-    /// Absolute record count: compaction base + records in the file.
+    /// Absolute record count: first retained record + records retained.
     records: u64,
-    /// Records compacted out of the file (v2 header base).
-    base_records: u64,
-    /// Header bytes before the first frame in the current file.
+    /// Absolute index of the live file's first record (its header base).
+    live_base: u64,
+    /// Header bytes before the first frame of the live file.
     header_bytes: u64,
+    /// The sealed segments retained, oldest first.
+    sealed: Vec<Segment>,
+    /// Whether the live file may hold bytes no fsync has covered.
+    dirty: bool,
     /// Set by [`FileJournal::fail_next_append`]: the next append writes
     /// half its frames, then fails as a full disk would.
     fail_next: bool,
-    /// A failed append could not cut the file back, so its tail may hold
-    /// frames of a refused batch: nothing more is appended until a reopen
-    /// recovers the file.
+    /// A failed append could not cut the file back, or a failed roll
+    /// could not put the live file back: nothing more is appended until
+    /// a reopen recovers the files.
     torn: bool,
 }
 
 impl FileJournal {
-    /// Opens (or creates) the journal for `shard` of `shards` at `path`.
+    /// Opens (or creates) the journal for `shard` of `shards` whose live
+    /// file is `path`.
     ///
     /// Returns the journal positioned for appends plus everything
     /// recovered from disk; a torn tail is truncated so the next append
@@ -253,10 +479,11 @@ impl FileJournal {
     /// `trusted_records` records (absolute) are assumed intact and not
     /// CRC-scanned, so a snapshot boot pays O(journal tail) instead of
     /// O(journal). The torn-tail truncation still happens — only the
-    /// scan's starting point moves. An offset the file cannot honor
+    /// scan's starting point moves. An offset the journal cannot honor
     /// degrades to a full scan (see [`read_journal_from`]). A fresh
-    /// journal's header is published durably; the temp of a compaction
-    /// a crash interrupted is deleted.
+    /// journal's header is published durably, as is the live file a
+    /// crash inside a roll left missing; the temp of an interrupted roll
+    /// is deleted. The directory is scanned once.
     pub fn open_from(
         path: &Path,
         shard: u32,
@@ -265,13 +492,36 @@ impl FileJournal {
         trusted_records: u64,
     ) -> Result<(Self, Recovered), Error> {
         durable::remove([durable::temp_path(path)])?;
-        if !path.exists() {
+        let bases = segment_bases(path)?;
+        if bases.is_empty() && !path.exists() {
             publish(path, |file| file.write_all(&header(shard, shards, None)))?;
         }
-        let recovered = read_journal_from(path, Some((shard, shards)), trusted_records)?;
+        let (recovered, tail_path, tail) =
+            read_segments(path, &bases, Some((shard, shards)), trusted_records)?;
         // Cut the torn tail so appends resume on a frame boundary.
-        let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(file.metadata()?.len() - recovered.torn_bytes)?;
+        let mut file = OpenOptions::new().append(true).open(&tail_path)?;
+        file.set_len(tail.len - recovered.torn_bytes)?;
+        let records = recovered.first_record + recovered.feedbacks.len() as u64;
+        let (mut live_base, mut header_bytes) = (tail.base, recovered.header_bytes);
+        if tail_path != path {
+            // A crash between a roll's renames: start the live file at
+            // the last segment's end.
+            publish(path, |file| {
+                file.write_all(&header(shard, shards, Some(records)))
+            })?;
+            file = OpenOptions::new().append(true).open(path)?;
+            (live_base, header_bytes) = (records, HEADER_LEN_COMPACTED);
+        }
+        let ends = bases.iter().skip(1).copied().chain([live_base]);
+        let sealed = bases
+            .iter()
+            .zip(ends)
+            .map(|(&base, end)| Segment {
+                base,
+                end,
+                synced: false,
+            })
+            .collect();
         Ok((
             FileJournal {
                 path: path.to_path_buf(),
@@ -279,9 +529,11 @@ impl FileJournal {
                 policy,
                 shard,
                 shards,
-                records: recovered.first_record + recovered.feedbacks.len() as u64,
-                base_records: recovered.base_records,
-                header_bytes: recovered.header_bytes,
+                records,
+                live_base,
+                header_bytes,
+                sealed,
+                dirty: true,
                 fail_next: false,
                 torn: false,
             },
@@ -306,11 +558,7 @@ impl FileJournal {
         &mut self,
         batches: &[B],
     ) -> Result<AppendInfo, Error> {
-        if self.torn {
-            return Err(Error::Io(io::Error::other(
-                "a failed append left the tail torn; reopen to recover",
-            )));
-        }
+        self.refuse_if_torn()?;
         let records: usize = batches.iter().map(|b| b.as_ref().len()).sum();
         let mut frames = Vec::with_capacity(records * RECORD_LEN as usize);
         for feedback in batches.iter().flat_map(AsRef::as_ref) {
@@ -322,7 +570,7 @@ impl FileJournal {
             ..AppendInfo::default()
         };
         if let Err(e) = self.write_and_sync(&frames, &mut info) {
-            let len = self.header_bytes + (self.records - self.base_records) * RECORD_LEN;
+            let len = self.header_bytes + (self.records - self.live_base) * RECORD_LEN;
             self.torn = self.file.set_len(len).is_err();
             return Err(e.into());
         }
@@ -330,7 +578,17 @@ impl FileJournal {
         Ok(info)
     }
 
+    fn refuse_if_torn(&self) -> Result<(), Error> {
+        if self.torn {
+            return Err(Error::Io(io::Error::other(
+                "a failed append or roll left the journal torn; reopen to recover",
+            )));
+        }
+        Ok(())
+    }
+
     fn write_and_sync(&mut self, frames: &[u8], info: &mut AppendInfo) -> io::Result<()> {
+        self.dirty = true;
         if std::mem::take(&mut self.fail_next) {
             self.file.write_all(&frames[..frames.len() / 2])?;
             return Err(io::ErrorKind::StorageFull.into());
@@ -339,6 +597,7 @@ impl FileJournal {
         if self.policy == FsyncPolicy::EveryBatch {
             let t0 = std::time::Instant::now();
             self.file.sync_all()?;
+            self.dirty = false;
             info.synced = true;
             info.sync_ns = t0.elapsed().as_nanos() as u64;
         }
@@ -351,9 +610,11 @@ impl FileJournal {
         self.fail_next = true;
     }
 
-    /// Fsyncs, regardless of policy.
+    /// Fsyncs the live file, regardless of policy.
     pub fn sync(&mut self) -> Result<(), Error> {
-        Ok(self.file.sync_all()?)
+        self.file.sync_all()?;
+        self.dirty = false;
+        Ok(())
     }
 
     /// Absolute record count: records appended plus recovered since
@@ -362,38 +623,118 @@ impl FileJournal {
         self.records
     }
 
-    /// Records compacted out of the file (`0` until the first
-    /// [`FileJournal::compact_to`]).
+    /// Records compacted out of the journal: the absolute index of the
+    /// first retained record (`0` until the first [`compact`] deletes a
+    /// segment).
     pub fn base_records(&self) -> u64 {
-        self.base_records
+        self.sealed.first().map_or(self.live_base, |s| s.base)
     }
 
-    /// Drops every record before absolute index `upto` by publishing
-    /// (see [`durable::publish`]) a copy of the file with a v2 header
-    /// whose base is `upto`. Callers must only pass an `upto` that a
-    /// durable snapshot covers — after this, the journal alone can no
-    /// longer rebuild the full sequence. Returns the number of records
-    /// dropped (`0` when `upto` is at or below the current base); on an
-    /// [`Error::Io`] before the rename the original journal is untouched.
-    pub fn compact_to(&mut self, upto: u64) -> Result<u64, Error> {
-        self.sync()?;
-        let upto = upto.min(self.records);
-        if upto <= self.base_records {
-            return Ok(0);
+    /// The log-force of a checkpoint covering every record so far:
+    /// [`LogForce::records`] is [`FileJournal::records`], and
+    /// [`LogForce::sync`] makes them durable. With `roll`, the live file
+    /// is sealed first, so the fsyncs fall on files no append touches;
+    /// without, the force holds a handle on the live file. The force also
+    /// carries every segment an earlier force left unsynced.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when the roll fails; a failed roll puts the live
+    /// file back, so no record is lost.
+    pub fn force(&mut self, roll: bool) -> Result<LogForce, Error> {
+        if roll {
+            self.roll()?;
         }
-        let dropped = upto - self.base_records;
-        let mut tail = Vec::new();
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(self.header_bytes + dropped * RECORD_LEN))?;
-        file.read_to_end(&mut tail)?;
-        publish(&self.path, |file| {
-            file.write_all(&header(self.shard, self.shards, Some(upto)))?;
-            file.write_all(&tail)
-        })?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.base_records = upto;
+        let live = if self.dirty && self.records > self.live_base {
+            Some(self.file.try_clone()?)
+        } else {
+            None
+        };
+        let sealed = self
+            .sealed
+            .iter()
+            .filter(|s| !s.synced)
+            .map(|s| segment_path(&self.path, s.base))
+            .collect();
+        Ok(LogForce {
+            records: self.records,
+            sealed,
+            live,
+        })
+    }
+
+    /// Records that `force`'s [`LogForce::sync`] succeeded: the segments
+    /// it covered are durable.
+    pub fn forced(&mut self, force: &LogForce) {
+        for segment in self.sealed.iter_mut().filter(|s| s.end <= force.records) {
+            segment.synced = true;
+        }
+    }
+
+    /// Seals the live file as the segment that starts at its base and
+    /// starts a fresh live file at [`FileJournal::records`]: the new v2
+    /// header goes to the live file's temp, then the live file is renamed
+    /// to its segment name and the temp to the live name. Under
+    /// [`FsyncPolicy::EveryBatch`] the new header and both renames are
+    /// durable before it returns. A live file holding no record is left
+    /// as it is.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`]; before the first rename nothing changed, and after
+    /// it the sealed file is renamed back (failing that, every later
+    /// append is refused until a reopen recreates the live file).
+    fn roll(&mut self) -> Result<(), Error> {
+        self.refuse_if_torn()?;
+        if self.records == self.live_base {
+            return Ok(());
+        }
+        let every_batch = self.policy == FsyncPolicy::EveryBatch;
+        let was_synced = !self.dirty;
+        let tmp = durable::temp_path(&self.path);
+        let sealed = segment_path(&self.path, self.live_base);
+        let staged = OpenOptions::new()
+            .create_new(true)
+            .append(true)
+            .open(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&header(self.shard, self.shards, Some(self.records)))?;
+                if every_batch {
+                    file.sync_all()?;
+                }
+                fs::rename(&self.path, &sealed)?;
+                Ok(file)
+            });
+        let segment = Segment {
+            base: self.live_base,
+            end: self.records,
+            synced: false,
+        };
+        let file = match staged.and_then(|file| fs::rename(&tmp, &self.path).map(|()| file)) {
+            Ok(file) => file,
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                if !self.path.exists() && fs::rename(&sealed, &self.path).is_err() {
+                    // The records live on in the segment, which reads
+                    // replay as the last file until a reopen recreates
+                    // the live file at its end.
+                    self.sealed.push(segment);
+                    self.torn = true;
+                }
+                return Err(e.into());
+            }
+        };
+        self.sealed.push(segment);
+        self.file = file;
+        self.live_base = self.records;
         self.header_bytes = HEADER_LEN_COMPACTED;
-        Ok(dropped)
+        self.dirty = !every_batch;
+        if every_batch {
+            durable::fsync_dir(&self.path)?;
+            let segment = self.sealed.last_mut().expect("just sealed");
+            segment.synced = was_synced;
+        }
+        Ok(())
     }
 
     /// Re-reads the durable sequence starting at absolute record
@@ -401,20 +742,50 @@ impl FileJournal {
     /// the absolute index of `feedbacks[0]` — the offset actually
     /// honored. `start > from_records` means the journal begins past the
     /// requested point (compacted away); `start < from_records` means
-    /// the request overshot the file and the scan fell back to the
+    /// the request overshot the journal and the scan fell back to the
     /// earliest retained record. Callers must check `start` before
     /// folding the tail onto anything.
     pub fn replay_from(&mut self, from_records: u64) -> Result<(u64, Vec<Feedback>), Error> {
         self.sync()?;
-        let recovered = read_journal_from(&self.path, None, from_records)?;
+        let bases: Vec<u64> = self.sealed.iter().map(|s| s.base).collect();
+        let (recovered, ..) = read_segments(&self.path, &bases, None, from_records)?;
         Ok((recovered.first_record, recovered.feedbacks))
     }
+}
+
+/// Compacts `journal` to `floor`: deletes, oldest first, the sealed
+/// segments that end at or below it — whole files, each deletion made
+/// durable — and returns the records dropped. The lock is held only to
+/// read and update the segment list, never across the deletions. Callers
+/// must only pass a `floor` that a durable snapshot covers: after this,
+/// the journal alone can no longer rebuild the full sequence.
+///
+/// # Errors
+///
+/// [`Error::Io`] when a deletion fails; the segments deleted before it
+/// stay deleted, and the rest stay in the journal.
+pub fn compact(journal: &Mutex<FileJournal>, floor: u64) -> Result<u64, Error> {
+    let doomed: Vec<(u64, u64, PathBuf)> = {
+        let journal = journal.lock();
+        let below = journal.sealed.iter().take_while(|s| s.end <= floor);
+        below
+            .map(|s| (s.base, s.end, segment_path(&journal.path, s.base)))
+            .collect()
+    };
+    let mut dropped = 0;
+    for (base, end, path) in doomed {
+        durable::remove([path])?;
+        journal.lock().sealed.retain(|s| s.base != base);
+        dropped += end - base;
+    }
+    Ok(dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hp_core::{ClientId, Rating, ServerId};
+    use parking_lot::Mutex;
     use proptest::prelude::*;
 
     fn feedback(t: u64, good: bool) -> Feedback {
@@ -572,15 +943,18 @@ mod tests {
         let batch: Vec<Feedback> = (0..50).map(|t| feedback(t, t % 3 != 0)).collect();
         {
             let (mut journal, _) = FileJournal::open(&path, 0, 2, FsyncPolicy::Never).unwrap();
-            journal.append_batch(&batch).unwrap();
-            assert_eq!(journal.compact_to(30).unwrap(), 30);
-            assert_eq!(journal.base_records(), 30);
-            assert_eq!(journal.records(), 50, "absolute count is unchanged");
-            // Appends continue on the compacted file.
-            journal.append_batch(&[feedback(50, true)]).unwrap();
-            journal.sync().unwrap();
-            // Compacting below the base is a no-op.
-            assert_eq!(journal.compact_to(10).unwrap(), 0);
+            journal.append_batch(&batch[..30]).unwrap();
+            journal.roll().unwrap();
+            journal.append_batch(&batch[30..]).unwrap();
+            let journal = Mutex::new(journal);
+            assert_eq!(compact(&journal, 30).unwrap(), 30);
+            assert_eq!(journal.lock().base_records(), 30);
+            assert_eq!(journal.lock().records(), 50, "absolute count is unchanged");
+            // Appends continue on the live file.
+            journal.lock().append_batch(&[feedback(50, true)]).unwrap();
+            journal.lock().sync().unwrap();
+            // Compacting below the first retained record is a no-op.
+            assert_eq!(compact(&journal, 10).unwrap(), 0);
         }
         let recovered = read_journal(&path, Some((0, 2))).unwrap();
         assert_eq!(recovered.base_records, 30);
@@ -592,7 +966,11 @@ mod tests {
         assert_eq!(journal.records(), 51);
         assert_eq!(journal.base_records(), 30);
         assert_eq!(recovered.feedbacks.len(), 21);
-        assert!(!path.with_extension("hpj.compact").exists());
+        assert!(!durable::temp_path(&path).exists());
+        assert!(
+            !segment_path(&path, 0).exists(),
+            "the sealed segment is gone"
+        );
         drop(journal);
         let _ = std::fs::remove_file(&path);
     }
@@ -637,9 +1015,11 @@ mod tests {
     }
 
     /// Length and FNV-1a of a v1 journal after a fixed append and of the
-    /// v2 file `compact_to` leaves, as computed at PR 25's parent, before
-    /// the journal was ported onto `hp_store::durable`: the port must not
-    /// move a byte on disk.
+    /// v2 live file a roll at 29 leaves once its sealed segment is deleted,
+    /// as computed at PR 25's parent — before the journal was ported onto
+    /// `hp_store::durable`, and when a compaction still copied the tail
+    /// into a v2 file: neither the port nor the roll may move a byte on
+    /// disk.
     #[test]
     fn journal_bytes_are_pinned() {
         let path = temp_path("pinned");
@@ -660,9 +1040,17 @@ mod tests {
         journal.sync().unwrap();
         let v1 = std::fs::read(&path).unwrap();
         assert_eq!((v1.len(), fnv1a(&v1)), (1_237, 0x0e5f_9a60_9d49_ee5e), "v1");
-        assert_eq!(journal.compact_to(29).unwrap(), 29);
-        journal.append_batch(&batch[..2]).unwrap();
-        journal.sync().unwrap();
+        drop(journal);
+        std::fs::remove_file(&path).unwrap();
+
+        let (mut journal, _) = FileJournal::open(&path, 1, 4, FsyncPolicy::Never).unwrap();
+        journal.append_batch(&batch[..29]).unwrap();
+        journal.roll().unwrap();
+        journal.append_batch(&batch[29..]).unwrap();
+        let journal = Mutex::new(journal);
+        assert_eq!(compact(&journal, 29).unwrap(), 29);
+        journal.lock().append_batch(&batch[..2]).unwrap();
+        journal.lock().sync().unwrap();
         let v2 = std::fs::read(&path).unwrap();
         assert_eq!((v2.len(), fnv1a(&v2)), (354, 0x5ea9_ac38_1fd6_07f5), "v2");
         drop(journal);
@@ -695,8 +1083,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// 40 records as a fresh (v1) journal, and the same compacted to 17
-    /// (v2): the files `read_journal_from_survives_hostile_bytes` mangles.
+    /// 40 records as a fresh (v1) journal, and the live file of the same
+    /// rolled at 17 once the sealed segment is deleted (v2): the files
+    /// `read_journal_from_survives_hostile_bytes` mangles.
     fn genuine() -> &'static [(Vec<u8>, Vec<Feedback>); 2] {
         static GENUINE: std::sync::OnceLock<[(Vec<u8>, Vec<Feedback>); 2]> =
             std::sync::OnceLock::new();
@@ -707,7 +1096,13 @@ mod tests {
             let (mut journal, _) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never).unwrap();
             journal.append_batch(&batch).unwrap();
             let v1 = std::fs::read(&path).unwrap();
-            journal.compact_to(17).unwrap();
+            drop(journal);
+            std::fs::remove_file(&path).unwrap();
+            let (mut journal, _) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never).unwrap();
+            journal.append_batch(&batch[..17]).unwrap();
+            journal.roll().unwrap();
+            journal.append_batch(&batch[17..]).unwrap();
+            compact(&Mutex::new(journal), 17).unwrap();
             let v2 = std::fs::read(&path).unwrap();
             let _ = std::fs::remove_file(&path);
             [(v1, batch.clone()), (v2, batch[17..].to_vec())]
@@ -792,14 +1187,247 @@ mod tests {
         let path = temp_path("replay-from");
         let _ = std::fs::remove_file(&path);
         let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
-        journal.append_batch(&batch).unwrap();
+        journal.append_batch(&batch[..20]).unwrap();
+        journal.roll().unwrap();
+        journal.append_batch(&batch[20..]).unwrap();
+        // Across the sealed segment and the live file.
         assert_eq!(journal.replay_from(10).unwrap(), (10, batch[10..].to_vec()));
-        journal.compact_to(20).unwrap();
+        let journal = Mutex::new(journal);
+        compact(&journal, 20).unwrap();
         // Tail past the base replays; a from-zero request now starts at
         // the base, which recovery treats as "snapshot required".
-        assert_eq!(journal.replay_from(25).unwrap(), (25, batch[25..].to_vec()));
-        assert_eq!(journal.replay_from(0).unwrap(), (20, batch[20..].to_vec()));
+        let replay = |from| journal.lock().replay_from(from).unwrap();
+        assert_eq!(replay(25), (25, batch[25..].to_vec()));
+        assert_eq!(replay(0), (20, batch[20..].to_vec()));
         drop(journal);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A fresh scratch directory per call, for journals with segments.
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = temp_path(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The segments must join into one sequence: a gap left by a deleted
+    /// middle segment and a torn segment before the live file are typed
+    /// corruptions, whether the reader scans them or skips them by name.
+    #[test]
+    fn a_gap_or_a_torn_segment_is_corrupt() {
+        let dir = temp_dir("gap");
+        let path = dir.join("shard-0.hpj");
+        let batch: Vec<Feedback> = (0..30).map(|t| feedback(t, true)).collect();
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+        for part in batch.chunks(10) {
+            journal.append_batch(part).unwrap();
+            journal.roll().unwrap();
+        }
+        drop(journal);
+        let corrupt = |from| {
+            matches!(
+                read_journal_from(&path, None, from),
+                Err(Error::Corrupt { .. })
+            )
+        };
+        let middle = segment_path(&path, 10);
+        let bytes = std::fs::read(&middle).unwrap();
+        std::fs::write(&middle, &bytes[..bytes.len() - 5]).unwrap();
+        assert!(corrupt(0) && corrupt(15), "a torn middle segment, scanned");
+        assert!(corrupt(25) && corrupt(30), "a torn middle segment, skipped");
+        std::fs::remove_file(&middle).unwrap();
+        assert!(corrupt(0) && corrupt(25), "a gap between segments");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One step of the model test: append `n` records, checkpoint (a roll,
+    /// then compaction down to the older of the two newest checkpoints),
+    /// reopen, or crash right after a roll's first or second rename.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Append(u64),
+        Checkpoint,
+        Reopen,
+        Crash { renames: u8 },
+    }
+
+    fn step((kind, n): (u8, u64)) -> Step {
+        match kind {
+            0 | 1 => Step::Append(n),
+            2 => Step::Checkpoint,
+            3 => Step::Reopen,
+            _ => Step::Crash {
+                renames: 1 + (n % 2) as u8,
+            },
+        }
+    }
+
+    proptest! {
+        /// Whatever runs of appends, checkpoints, reopens and crashes
+        /// inside a roll a journal goes through, `read_journal` returns
+        /// exactly the model's records from the compaction floor on, at
+        /// their absolute indexes — and so do a trusted read at any offset
+        /// and the open journal's `replay_from`.
+        #[test]
+        fn rolled_and_compacted_journal_matches_its_model(
+            steps in proptest::collection::vec((0u8..5, 1u64..9), 1..24),
+            from in 0u64..80,
+        ) {
+            let dir = temp_dir("model");
+            let path = dir.join("shard-0.hpj");
+            let open = || FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap().0;
+            let mut journal = Mutex::new(open());
+            let (mut model, mut checkpoints, mut floor) = (Vec::new(), Vec::new(), 0);
+            let check = |journal: Option<&Mutex<FileJournal>>, model: &[Feedback], floor: u64| {
+                let recovered = read_journal(&path, Some((0, 1))).unwrap();
+                assert_eq!(recovered.first_record, floor);
+                assert_eq!(recovered.base_records, floor);
+                assert_eq!(&recovered.feedbacks[..], &model[floor as usize..]);
+                assert_eq!(recovered.torn_bytes, 0);
+                let start = if (floor..=model.len() as u64).contains(&from) { from } else { floor };
+                let tail = read_journal_from(&path, None, from).unwrap();
+                assert_eq!((tail.first_record, &tail.feedbacks[..]), (start, &model[start as usize..]));
+                if let Some(journal) = journal {
+                    let mut journal = journal.lock();
+                    assert_eq!((journal.records(), journal.base_records()), (model.len() as u64, floor));
+                    assert_eq!(journal.replay_from(from).unwrap(), (start, model[start as usize..].to_vec()));
+                }
+            };
+            for s in steps.into_iter().map(step) {
+                match s {
+                    Step::Append(n) => {
+                        let at = model.len() as u64;
+                        let batch: Vec<Feedback> = (at..at + n).map(|t| feedback(t, t % 4 != 0)).collect();
+                        journal.lock().append_batch(&batch).unwrap();
+                        model.extend(batch);
+                    }
+                    Step::Checkpoint => {
+                        let force = journal.lock().force(true).unwrap();
+                        force.sync().unwrap();
+                        journal.lock().forced(&force);
+                        checkpoints.push(force.records);
+                        if checkpoints.len() > 2 {
+                            checkpoints.remove(0);
+                        }
+                        if checkpoints.len() == 2 {
+                            compact(&journal, checkpoints[0]).unwrap();
+                            floor = floor.max(checkpoints[0]);
+                        }
+                    }
+                    Step::Reopen => {
+                        drop(journal);
+                        journal = Mutex::new(open());
+                    }
+                    Step::Crash { renames } => {
+                        let sealed = {
+                            let mut journal = journal.lock();
+                            let live_holds_records = journal.records() > journal.live_base;
+                            journal.roll().unwrap();
+                            live_holds_records
+                        };
+                        drop(journal);
+                        if renames == 1 && sealed {
+                            // Put the fresh header back in the temp: the
+                            // state right after the first rename.
+                            std::fs::rename(&path, durable::temp_path(&path)).unwrap();
+                        }
+                        check(None, &model, floor);
+                        journal = Mutex::new(open());
+                    }
+                }
+                check(Some(&journal), &model, floor);
+            }
+            drop(journal);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Two sealed segments and a live file — records `[0, 12)` (v1),
+    /// `[12, 25)` and `[25, 40)` (v2) — as `(name, bytes)`, and the 40
+    /// records: what `segmented_journal_survives_hostile_bytes` mangles.
+    #[allow(clippy::type_complexity)]
+    fn segmented() -> &'static ([(String, Vec<u8>); 3], Vec<Feedback>) {
+        static SEGMENTED: std::sync::OnceLock<([(String, Vec<u8>); 3], Vec<Feedback>)> =
+            std::sync::OnceLock::new();
+        SEGMENTED.get_or_init(|| {
+            let dir = temp_dir("segmented");
+            let path = dir.join("shard-1.hpj");
+            let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, t % 3 != 0)).collect();
+            let (mut journal, _) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never).unwrap();
+            journal.append_batch(&batch[..12]).unwrap();
+            journal.roll().unwrap();
+            journal.append_batch(&batch[12..25]).unwrap();
+            journal.roll().unwrap();
+            journal.append_batch(&batch[25..]).unwrap();
+            drop(journal);
+            let files = [segment_path(&path, 0), segment_path(&path, 12), path].map(|file| {
+                let name = file.file_name().unwrap().to_str().unwrap().to_string();
+                (name, std::fs::read(&file).unwrap())
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+            (files, batch)
+        })
+    }
+
+    proptest! {
+        /// Whatever happened to one file of a segmented journal — cut
+        /// anywhere, a byte flipped, or a header `u64` overwritten (a v2
+        /// base, or v1's shard fields) — and whatever trusted offset a
+        /// manifest hands in, the read is a typed corruption or a run of
+        /// the records that were written, at the absolute index they were
+        /// written under; untouched segments and an untouched live file
+        /// read to the end with nothing torn; and `open_from` then leaves
+        /// the journal reading the same records with nothing torn.
+        #[test]
+        fn segmented_journal_survives_hostile_bytes(
+            target in 0usize..3,
+            mangle in (0u8..4, any::<usize>(), hostile()),
+            from in hostile(),
+            check in any::<bool>(),
+        ) {
+            let (files, records) = segmented();
+            let dir = temp_dir("hostile-segments");
+            let (kind, at, value) = mangle;
+            for (i, (name, bytes)) in files.iter().enumerate() {
+                let mut bytes = bytes.clone();
+                if i == target {
+                    match kind {
+                        0 => bytes.truncate(at % (bytes.len() + 1)),
+                        1 => {
+                            let at = at % bytes.len();
+                            bytes[at] ^= (value as u8).max(1);
+                        }
+                        2 => {
+                            let at = if i == 0 { 8 } else { 16 };
+                            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                        }
+                        _ => {}
+                    }
+                }
+                std::fs::write(dir.join(name), &bytes).unwrap();
+            }
+            let path = dir.join(&files[2].0);
+            let expect = check.then_some((1, 2));
+            match read_journal_from(&path, expect, from) {
+                Err(e) => prop_assert!(matches!(e, Error::Corrupt { .. }), "{e}"),
+                Ok(rec) => {
+                    let first = rec.first_record as usize;
+                    let written = records.get(first..first + rec.feedbacks.len());
+                    prop_assert_eq!(Some(&rec.feedbacks[..]), written);
+                    prop_assert_eq!(rec.torn.is_some(), rec.torn_bytes > 0);
+                    if target != 2 || kind == 3 {
+                        prop_assert_eq!((first + rec.feedbacks.len(), rec.torn_bytes), (40, 0));
+                    }
+                    if let Ok((journal, opened)) = FileJournal::open_from(&path, 1, 2, FsyncPolicy::Never, from) {
+                        prop_assert_eq!(journal.records(), opened.first_record + opened.feedbacks.len() as u64);
+                        drop(journal);
+                        let reread = read_journal_from(&path, None, from).unwrap();
+                        prop_assert_eq!((reread.feedbacks, reread.torn_bytes), (opened.feedbacks, 0));
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

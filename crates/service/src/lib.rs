@@ -68,7 +68,7 @@ pub use config::{
     Durability, IngestPolicy, ServiceConfig, SnapshotPolicy, TieringPolicy, TrustModel,
 };
 #[cfg(feature = "fault-injection")]
-pub use faults::{FaultPlan, TearPoint};
+pub use faults::{CheckpointGate, FaultPlan, TearPoint};
 pub use journal::FsyncPolicy;
 pub use metrics::ServiceStats;
 pub use obs::{AssessmentTrace, MetricsRegistry, TracedAssessment};

@@ -13,7 +13,8 @@
 //! acknowledged batch is a journaled one and a queue holds at most one
 //! command per waiting caller. A checkpoint an apply makes due is written
 //! on a scoped thread while the worker goes on acknowledging, so its
-//! fsyncs do not stall the callers.
+//! fsyncs do not stall the callers: the worker's part is the log-force,
+//! which with compaction on rolls the journal into a sealed segment.
 //!
 //! Fault tolerance (see [`crate::supervisor`]):
 //!
@@ -38,7 +39,7 @@
 
 use crate::config::{SnapshotPolicy, TieringPolicy, TrustModel};
 use crate::faults::ShardFaults;
-use crate::journal::FileJournal;
+use crate::journal::{FileJournal, LogForce};
 use crate::obs::{LatencyPath, MetricsRegistry, ShardMetric, ShardMetrics};
 use crate::snapshot::{BootProgress, SnapshotStore};
 use crate::state::{ServerState, TrustState};
@@ -843,11 +844,11 @@ fn checkpoint_acknowledging(
     backlog: &mut Backlog,
     ctx: &ShardContext,
 ) {
-    let Some(journal_records) = force_log(ctx) else {
+    let Some(force) = force_log(ctx) else {
         return;
     };
     std::thread::scope(|scope| {
-        let writer = scope.spawn(|| write_checkpoint(states, journal_records, ctx));
+        let writer = scope.spawn(|| write_checkpoint(states, &force, ctx));
         while carry.is_none() && !writer.is_finished() {
             match rx.recv_timeout(CHECKPOINT_POLL) {
                 Ok(Command::Ingest {
@@ -1100,39 +1101,48 @@ pub(crate) fn take_checkpoint(
     states: &HashMap<ServerId, ServerState>,
     ctx: &ShardContext,
 ) -> Option<CheckpointInfo> {
-    let journal_records = force_log(ctx)?;
-    write_checkpoint(states, journal_records, ctx)
+    let force = force_log(ctx)?;
+    write_checkpoint(states, &force, ctx)
 }
 
-/// Log-force before checkpoint: the snapshot claims to cover journal
-/// offset N, so every record up to N must be durable *first* — otherwise
-/// a crash right after the snapshot could leave a snapshot that covers
-/// records the journal lost. Returns N, the journal's record count; the
-/// state must be the fold of exactly those records. `None` without
-/// snapshots (which are validated to need a durable journal) or when the
-/// sync fails.
-fn force_log(ctx: &ShardContext) -> Option<u64> {
-    ctx.snapshots.as_ref()?;
+/// The log-force before a checkpoint, on the worker: the snapshot will
+/// claim to cover journal offset N, the journal's record count now, and
+/// the state must be the fold of exactly those records. With compaction
+/// on, the live journal file is rolled into a sealed segment (two
+/// renames, no copy, no fsync under `FsyncPolicy::Never`), so the
+/// fsyncs that make the N records durable fall on a file no append
+/// touches; either way they are left to [`write_checkpoint`], off the
+/// worker. `None` without snapshots (which are validated to need a
+/// durable journal) or when the roll fails.
+fn force_log(ctx: &ShardContext) -> Option<LogForce> {
+    let snaps = ctx.snapshots.as_ref()?;
     let mut journal = ctx.journal.as_ref()?.lock();
-    if journal.sync().is_err() {
-        ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
-        return None;
-    }
-    Some(journal.records())
+    let force = journal.force(snaps.policy.compact_journal);
+    force
+        .map_err(|_| ctx.metrics().add(ShardMetric::SnapshotFailures, 1))
+        .ok()
 }
 
-/// Writes the snapshot of `states`, the fold of the first
-/// `journal_records` records, then compacts the journal if the policy
-/// allows.
+/// Makes the records `force` covers durable — a snapshot that covers
+/// records the journal could still lose would outlive them after a crash
+/// — then writes the snapshot of `states`, their fold, and compacts the
+/// journal if the policy allows: the sealed segments below the oldest
+/// retained snapshot are deleted, whole, without the journal's lock.
 fn write_checkpoint(
     states: &HashMap<ServerId, ServerState>,
-    journal_records: u64,
+    force: &LogForce,
     ctx: &ShardContext,
 ) -> Option<CheckpointInfo> {
     let snaps = ctx.snapshots.as_ref()?;
     let journal = ctx.journal.as_ref()?;
+    ctx.faults.before_log_sync();
+    if force.sync().is_err() {
+        ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
+        return None;
+    }
+    journal.lock().forced(force);
     let mut store = snaps.store.lock();
-    match store.write(states, journal_records) {
+    match store.write(states, force.records) {
         Ok(info) => {
             let compacted = if snaps.policy.compact_journal {
                 // Only up to the *oldest* retained snapshot, and only
@@ -1140,7 +1150,7 @@ fn write_checkpoint(
                 // chain keeps a replayable tail.
                 store
                     .compact_floor()
-                    .and_then(|floor| journal.lock().compact_to(floor).ok())
+                    .and_then(|floor| crate::journal::compact(journal, floor).ok())
                     .unwrap_or(0)
             } else {
                 0

@@ -22,8 +22,8 @@ use hp_service::journal::read_journal;
 use hp_service::obs::{LatencyPath, ShardMetric};
 use hp_service::replay::OfflineReference;
 use hp_service::{
-    Durability, FaultPlan, FsyncPolicy, IngestPolicy, ReputationService, ServiceConfig,
-    SnapshotPolicy, TearPoint,
+    CheckpointGate, Durability, FaultPlan, FsyncPolicy, IngestPolicy, ReputationService,
+    ServiceConfig, SnapshotPolicy, TearPoint,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -355,4 +355,63 @@ fn checkpoints_taken_while_acknowledging_recover_exactly() {
     assert_eq!(rebooted.stats().tracked_feedbacks, 4_800);
     drop(rebooted);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's log-force never holds up an ack. With the checkpoint's
+/// writer held at a gate before its fsyncs — with compaction on, after
+/// the worker rolled the journal; with it off, holding the live file —
+/// the worker goes on journaling and acknowledging ingests. Once the
+/// gate opens, a reboot serves every acked record, bit for bit.
+#[test]
+fn acks_flow_while_a_log_force_is_held() {
+    for compact_journal in [false, true] {
+        let dir = temp_dir("held-log-force");
+        let gate = CheckpointGate::default();
+        let config = fast_config()
+            .with_durability(Durability::Durable {
+                dir: dir.clone(),
+                fsync: FsyncPolicy::Never,
+            })
+            .with_snapshots(SnapshotPolicy {
+                interval_records: 100,
+                compact_journal,
+            })
+            .with_fault_plan(FaultPlan::default().with_checkpoint_gate(gate.clone()));
+        let service = ReputationService::new(config.clone()).unwrap();
+        // Applying these makes the first checkpoint due.
+        let mut acked = batch(0, 0, 100);
+        service.ingest_batch(acked.clone()).unwrap();
+        assert!(
+            gate.wait_reached(Duration::from_secs(30)),
+            "the checkpoint's writer reached the gate"
+        );
+        for i in 1..=12 {
+            let records = batch(i % 3, 100 * i, 25);
+            let outcome = service.ingest_batch(records.clone()).unwrap();
+            assert_eq!(outcome.accepted, records.len(), "acked behind a held fsync");
+            acked.extend(records);
+        }
+        gate.open();
+        drop(service);
+
+        let reference = OfflineReference::from_config(&config).expect("reference builds");
+        let rebooted = ReputationService::new(config).unwrap();
+        for server in 0..3 {
+            let mut history = TransactionHistory::new();
+            for f in acked.iter().filter(|f| f.server.value() == server) {
+                history.push(*f);
+            }
+            let online = rebooted.assess(ServerId::new(server)).unwrap();
+            assert_eq!(*online, reference.assess(&history).unwrap());
+        }
+        let stats = rebooted.stats();
+        assert_eq!(
+            stats.tracked_feedbacks,
+            acked.len(),
+            "compact={compact_journal}"
+        );
+        assert_eq!(stats.failed_shards, 0);
+        drop(rebooted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -417,6 +417,59 @@ mod snapshots {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The same law with compaction on: each checkpoint rolls the
+    /// journal into a sealed segment and deletes the segments below the
+    /// older retained snapshot, so the journal's head is gone, and a
+    /// restart still folds exactly the records past the snapshot's offset
+    /// (`hp_replayed_records_total` = journal records − snapshot offset).
+    #[test]
+    fn compacting_restart_replays_only_the_journal_tail_past_the_snapshot() {
+        let dir = temp_dir("snap-tail-compact");
+        let server = ServerId::new(5);
+        let feedbacks = restamp(&workload::honest_history(600, 0.9, 0x7A11), server);
+        let config = snapshot_config(&dir, true);
+        {
+            let service = ReputationService::new(config.clone()).unwrap();
+            service.ingest_batch(feedbacks[..200].to_vec()).unwrap();
+            service.checkpoint().unwrap();
+            service.ingest_batch(feedbacks[200..400].to_vec()).unwrap();
+            service.shutdown(); // the final checkpoint covers 400 records
+        }
+        let path = dir.join("shard-0.hpj");
+        let head = read_journal(&path, Some((0, 1))).unwrap();
+        assert_eq!(
+            (head.first_record, head.feedbacks.len()),
+            (200, 200),
+            "compaction deleted the head below the older snapshot"
+        );
+        // What a process killed after journaling 200 more leaves behind.
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::EveryBatch).unwrap();
+        journal.append_batch(&feedbacks[400..]).unwrap();
+        drop(journal);
+
+        let progress = Arc::new(BootProgress::new());
+        let service =
+            ReputationService::new_with_progress(config.clone(), Some(Arc::clone(&progress)))
+                .unwrap();
+        let online = service.assess(server).expect("assess after restart");
+        assert_eq!(*online, offline_verdict(&config, feedbacks));
+        let stats = service.stats();
+        assert_eq!((stats.journal_records, stats.snapshot_fallbacks), (600, 0));
+        let replayed = service
+            .metrics()
+            .snapshot()
+            .total(hp_service::obs::ShardMetric::ReplayedRecords);
+        assert_eq!(
+            replayed,
+            stats.journal_records - 400,
+            "the tail, nothing more"
+        );
+        let status = progress.status();
+        assert_eq!((status.replayed_records, status.snapshots_loaded), (600, 1));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Manifest destroyed (garbage or deleted) and a stray `.tmp` from a
     /// killed writer left behind: the directory scan still finds the
     /// real snapshots and recovery stays bit-identical.

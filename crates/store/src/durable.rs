@@ -7,7 +7,7 @@
 //! [`Reader::sealed`]) that every file not made of frames is; one bounded
 //! [`Reader`] and one [`Error`]; one numbered-file scan
 //! ([`scan_numbered`]); and one durable create and delete ([`publish`],
-//! [`remove`]).
+//! [`remove`]), with the directory fsync both end in ([`fsync_dir`]).
 
 use std::fmt;
 use std::fs::{self, File};
@@ -422,7 +422,7 @@ pub fn remove(files: impl IntoIterator<Item = PathBuf>) -> io::Result<()> {
 /// Fsyncs the directory holding `file` (the current directory for a bare
 /// name), which is what makes a rename or removal inside it durable on
 /// linux; harmless elsewhere.
-fn fsync_dir(file: &Path) -> io::Result<()> {
+pub fn fsync_dir(file: &Path) -> io::Result<()> {
     let dir = file.parent().filter(|dir| !dir.as_os_str().is_empty());
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
