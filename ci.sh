@@ -14,10 +14,18 @@ QUICK=0
 # test or run, they write no tracked file and no unignored one.
 TREE_BEFORE="$(git status --porcelain)"
 
+# Every stage ends by printing its wall time.
+T0=$SECONDS
+took() {
+    echo "    $1: $((SECONDS - T0)) s"
+    T0=$SECONDS
+}
+
 # Every file the workspace builds, the vendored stand-ins included
 # (benchmark/ is a workspace of its own and is not reached).
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+took "fmt stage"
 
 echo "==> cargo build --release (offline, workspace)"
 if [ "$QUICK" -eq 0 ]; then
@@ -25,12 +33,13 @@ if [ "$QUICK" -eq 0 ]; then
 else
     echo "    (skipped: --quick)"
 fi
+took "release build stage"
 
 echo "==> cargo test -q (offline, workspace)"
 cargo test --offline --workspace -q
+took "workspace test stage"
 
 echo "==> fault-injection stage: hp-service with the feature off + hostile-bytes properties"
-FAULT_T0=$SECONDS
 # The workspace run above already built hp-service with fault-injection
 # (hp-edge's dev-dependency turns it on) and ran its chaos suite; this
 # run tests the configuration that ships, with the feature off.
@@ -40,27 +49,29 @@ cargo test --offline -p hp-service -q
 # at 10^5 hostile inputs each; tier-1 runs the same properties at the
 # default 256.
 PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service -p hp-edge --lib survives_hostile
-echo "    fault-injection stage: $((SECONDS - FAULT_T0)) s"
+took "fault-injection stage"
 
 echo "==> calibration lane kernel vs the sort-and-bisect reference (release, PROPTEST_CASES=10000)"
 # Both kernel properties, bit for bit against the reference: the
 # partial-lane-group one takes its case count from PROPTEST_CASES; the
 # 70-trial one names its own 64 (an explicit `with_cases`, which proptest
 # lets win over the variable).
-KERNEL_T0=$SECONDS
 PROPTEST_CASES=10000 cargo test --offline --release -q -p hp-stats --lib kernel_matches
-echo "    kernel stage: $((SECONDS - KERNEL_T0)) s"
+took "kernel stage"
 
 echo "==> cargo clippy -D warnings (offline, workspace, all targets)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+took "clippy stage"
 
 echo "==> cargo clippy -D warnings (service without fault-injection)"
 cargo clippy --offline -p hp-service --all-targets -- -D warnings
+took "service clippy stage"
 
 # Doc comments link to public names; a PR that deletes or renames one
 # breaks the link and nothing else notices.
 echo "==> cargo doc -D warnings (offline, workspace, no deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+took "doc stage"
 
 # The example holds the replay (`run_replay`), so its closing
 # `mismatches == 0` assertion is the replay's gate: every online verdict
@@ -74,6 +85,7 @@ if [ "$QUICK" -eq 0 ]; then
 else
     echo "    (skipped: --quick)"
 fi
+took "observability smoke stage"
 
 echo "==> figures gate (Figs. 3-8 --fast, byte-compared with experiments/baselines/fast)"
 # A --fast run is deterministic, so any byte that moves is a changed
@@ -93,6 +105,7 @@ done
 diff -r experiments/baselines/fast "$FIG_OUT" \
     || { echo "a --fast figure CSV differs from experiments/baselines/fast"; exit 1; }
 echo "    $(ls "$FIG_OUT" | wc -l) CSVs byte-identical to the committed baselines"
+took "figures stage"
 
 echo "==> kill-9 soak x3 (SIGKILL hp-edge mid-ingest, restart on the same dir, verify bit-identical)"
 if [ "$QUICK" -eq 0 ]; then
@@ -105,6 +118,7 @@ if [ "$QUICK" -eq 0 ]; then
 else
     echo "    (skipped: --quick)"
 fi
+took "kill-9 soak stage"
 
 echo "==> edge soak + SLO gate (hp-edge + hp-load over real sockets, writes the untracked experiments/out/bench_edge.json)"
 if [ "$QUICK" -eq 0 ]; then
@@ -117,6 +131,7 @@ if [ "$QUICK" -eq 0 ]; then
 else
     echo "    (skipped: --quick)"
 fi
+took "edge soak stage"
 
 echo "==> repo benchmark crate (benchmark/: BENCHMARK.json contract + --quick smoke)"
 if [ "$QUICK" -eq 0 ]; then
@@ -135,6 +150,7 @@ if [ "$QUICK" -eq 0 ]; then
 else
     echo "    (skipped: --quick)"
 fi
+took "benchmark crate stage"
 
 echo "==> working tree unchanged by the run"
 TREE_AFTER="$(git status --porcelain)"
@@ -143,5 +159,6 @@ if [ "$TREE_AFTER" != "$TREE_BEFORE" ]; then
     diff <(echo "$TREE_BEFORE") <(echo "$TREE_AFTER") || true
     exit 1
 fi
+took "tree check stage"
 
 echo "==> OK"

@@ -117,8 +117,8 @@ fn main() {
                     ..tiering.unwrap_or_default()
                 });
             }
-            // Spill the coldest servers' histories to mmap-backed
-            // segments once resident history bytes exceed N per shard.
+            // Spill the coldest servers' histories to segment files
+            // once resident history bytes exceed N per shard.
             "--spill-budget-bytes" => {
                 let budget: u64 = value().parse().unwrap_or_else(|_| usage());
                 tiering = Some(TieringPolicy {

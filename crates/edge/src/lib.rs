@@ -59,7 +59,8 @@
 
 #![warn(missing_docs)]
 // `signals` registers a SIGTERM handler through the raw C `signal`
-// symbol (the crate is std-only); that module is the only unsafe code.
+// symbol (the crate is std-only); that module is the only unsafe code
+// of the workspace outside its tests.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod config;

@@ -146,9 +146,10 @@ pub struct TieringPolicy {
     pub horizon: usize,
     /// Per-shard budget for hot-tier (full-resolution suffix) resident
     /// bytes. When the hot tier exceeds it at an ingest-batch boundary,
-    /// the coldest servers' histories are spilled to mmap-backed segment
-    /// files and faulted back on access. `None` disables spilling;
-    /// compaction alone still bounds per-server residency.
+    /// the coldest servers' histories are spilled to segment files and
+    /// faulted back on access, one positioned read of the record each.
+    /// `None` disables spilling; compaction alone still bounds
+    /// per-server residency.
     pub spill_budget_bytes: Option<u64>,
 }
 

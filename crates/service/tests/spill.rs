@@ -1,5 +1,6 @@
-//! Tiered-storage integration: eviction to cold mmap-backed segments,
-//! fault-in on access, restart-after-spill, and corrupt-segment recovery.
+//! Tiered-storage integration: eviction to cold segment files, fault-in
+//! on access, restart-after-spill, corrupt-segment recovery, a segment
+//! damaged under a running service, and a failed spill.
 //!
 //! The invariants under test:
 //!
@@ -13,9 +14,16 @@
 //!   reference is faulted and checksum-verified before a snapshot is
 //!   accepted) and the boot falls back to journal replay — degraded
 //!   recovery time, never a wrong or missing history.
+//! * A segment damaged while the service runs is a typed error on the
+//!   next fault: the shard restarts and rebuilds from its journal, and
+//!   no call answers a wrong verdict.
+//! * A spill that cannot write its segment is counted in
+//!   `hp_tier_spill_failures_total` and leaves the histories hot; the
+//!   next batch spills them.
 
 use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId};
+use hp_service::obs::ShardMetric;
 use hp_service::{
     Durability, FsyncPolicy, ReputationService, ServiceConfig, SnapshotPolicy, TieringPolicy,
 };
@@ -236,5 +244,104 @@ fn corrupt_segment_rejects_snapshot_and_replays_journal() {
         );
     }
     revived.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that `tiered` and `control` give every one of `servers` the
+/// same verdict, bit for bit.
+fn assert_verdicts_match(tiered: &ReputationService, control: &ReputationService, servers: u64) {
+    for s in 0..servers {
+        let server = ServerId::new(s);
+        let a = tiered.assess(server).unwrap();
+        let b = control.assess(server).unwrap();
+        assert_eq!(*a, *b, "server {s}: tiered verdict diverged from control");
+    }
+}
+
+#[test]
+fn a_segment_truncated_under_a_running_service_restarts_the_shard() {
+    const SERVERS: u64 = 256;
+    let dir = tmp_dir("truncated-live");
+    let tiered = ReputationService::new(tiered_config(dir.clone())).unwrap();
+    let control = ReputationService::new(control_config()).unwrap();
+    let batch = feedbacks(SERVERS, 150, 0);
+    tiered.ingest_batch(batch.clone()).unwrap();
+    control.ingest_batch(batch).unwrap();
+    // A stats round trip waits out the batch's tiering pass.
+    assert_eq!(tiered.stats().tier_evictions, SERVERS);
+    let segment = dir.join("shard-0.segments").join("seg-0000000000000000");
+    let len = std::fs::metadata(&segment).unwrap().len();
+    assert!(len > 3 * 4096, "the first segment spans pages ({len} B)");
+
+    // One fault reads the segment, then it loses all but its header.
+    let first = tiered.assess(ServerId::new(0)).unwrap();
+    assert_eq!(*first, *control.assess(ServerId::new(0)).unwrap());
+    assert_eq!(tiered.stats().tier_faults, 1);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&segment)
+        .unwrap()
+        .set_len(20)
+        .unwrap();
+
+    // Newest record first: the segment holds the victims coldest first,
+    // so the first faults ask for bytes past its first page.
+    for s in (0..SERVERS).rev() {
+        let server = ServerId::new(s);
+        if let Ok(verdict) = tiered.assess(server) {
+            let truth = control.assess(server).unwrap();
+            assert_eq!(*verdict, *truth, "server {s}: a wrong verdict");
+        }
+    }
+    let stats = tiered.stats();
+    assert!(
+        stats.shard_restarts >= 1,
+        "the failed fault restarts the shard"
+    );
+    assert_eq!(stats.failed_shards, 0);
+    // The rebuilt shard spilled its journal's fold to a new segment.
+    assert_verdicts_match(&tiered, &control, SERVERS);
+
+    tiered.shutdown();
+    control.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_spill_is_counted_and_the_next_batch_spills() {
+    const SERVERS: u64 = 8;
+    let dir = tmp_dir("spill-failure");
+    let tiered = ReputationService::new(tiered_config(dir.clone())).unwrap();
+    let control = ReputationService::new(control_config()).unwrap();
+    let failures = |service: &ReputationService| {
+        service.stats().per_shard[0].get(ShardMetric::TierSpillFailures)
+    };
+    // A directory where the next segment's temp goes: its create fails.
+    let blocker = dir
+        .join("shard-0.segments")
+        .join("seg-0000000000000000.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+
+    let batch = feedbacks(SERVERS, 150, 0);
+    tiered.ingest_batch(batch.clone()).unwrap();
+    control.ingest_batch(batch).unwrap();
+    assert_eq!(failures(&tiered), 1);
+    assert_eq!(
+        tiered.stats().tier_evictions,
+        0,
+        "nothing left the hot tier"
+    );
+    assert_verdicts_match(&tiered, &control, SERVERS);
+
+    std::fs::remove_dir(&blocker).unwrap();
+    let batch = feedbacks(SERVERS, 150, 150);
+    tiered.ingest_batch(batch.clone()).unwrap();
+    control.ingest_batch(batch).unwrap();
+    assert!(tiered.stats().tier_evictions > 0, "the next batch spills");
+    assert_eq!(failures(&tiered), 1);
+    assert_verdicts_match(&tiered, &control, SERVERS);
+
+    tiered.shutdown();
+    control.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

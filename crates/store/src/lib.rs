@@ -21,10 +21,11 @@
 //!
 //! Feedback logs are checkpointed to and replayed from one sealed file
 //! via [`persist`], whose 25-byte record is also the service journal's
-//! payload. Evicted histories spill to [`segment`] files; [`durable`]
-//! holds the record-format rules every on-disk format of the workspace
-//! shares: header, CRC frame, sealed body, bounded reader, the one
-//! corruption error, and the durable create and delete.
+//! payload. Evicted histories spill to [`segment`] files and are read
+//! back one record at a time by a positioned read; [`durable`] holds the
+//! record-format rules every on-disk format of the workspace shares:
+//! header, CRC frame, sealed body, bounded reader, the one corruption
+//! error, and the durable create and delete.
 //!
 //! ## Example
 //!
@@ -42,11 +43,7 @@
 //! assert_eq!(history.p_hat(), Some(0.5));
 //! ```
 
-// `deny` instead of `forbid`: the cold-segment spill module scopes an
-// `allow(unsafe_code)` around its raw mmap syscalls (the workspace is
-// dependency-free by policy, so no libc/memmap crate). Everything else
-// in the crate still refuses unsafe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod durable;

@@ -1,13 +1,14 @@
 //! Cold-history segment files: durable spill targets for evicted
-//! server histories, read back through `mmap`.
+//! server histories, read back one record at a time.
 //!
 //! The online service keeps hot servers' tiered histories resident and
 //! evicts cold ones to disk. A *segment* is a write-once file holding a
 //! batch of evicted payloads, published through [`durable::publish`]
-//! like every other record file. Once sealed a segment is immutable —
-//! faulting a payload back never writes — so reads can go through a
-//! shared read-only memory map and cost one page fault per cold page
-//! instead of a buffered-read copy.
+//! like every other record file. Once sealed a segment is immutable, and
+//! faulting a payload back never writes: a fault opens the segment file,
+//! checks its header and makes one positioned read of the record (about
+//! 4 µs for a short history on a 2-vCPU machine,
+//! `hp-store.segment_fault_us`). No map or handle is kept between faults.
 //!
 //! ```text
 //! segment file (seg-<seq:016x>):
@@ -18,22 +19,26 @@
 //!
 //! The header and the `len | crc | payload` frame after each `server`
 //! are [`durable`]'s; so are the name scan and the error. Every fault
-//! revalidates the record frame *and* the payload CRC, so a torn or
-//! corrupted segment surfaces as a typed [`Error::Corrupt`] — never as
-//! silently wrong history bytes. Reclamation is coarse: once a
-//! checkpoint no longer references any record in segments below a
-//! sequence floor, [`ColdStore::remove_below`] deletes those files whole.
+//! revalidates the header, the record frame *and* the payload CRC, and
+//! refuses a reference the file is too short to hold before it allocates,
+//! so a torn, truncated or corrupted segment surfaces as a typed
+//! [`Error::Corrupt`] — never as silently wrong history bytes, and never
+//! as a signal, even when the file is damaged after an earlier fault read
+//! it. Reclamation is coarse: once a checkpoint no longer references any
+//! record in segments below a sequence floor, [`ColdStore::remove_below`]
+//! deletes those files whole.
 
 use crate::durable::{self, numbered, publish, Error, Put, Reader};
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{self, Write};
+use std::fs::{self, File};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"HPSG";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 20;
+/// `server u64 | len u32 | crc u32` before each payload.
+const RECORD_HEAD_LEN: usize = 16;
 const PREFIX: &str = "seg-";
 
 /// A durable pointer to one spilled payload inside a sealed segment.
@@ -54,25 +59,19 @@ pub struct SegmentRef {
     pub crc: u32,
 }
 
-/// The cold tier: a directory of sealed segment files plus the open
-/// memory maps over them.
+/// The cold tier: a directory of sealed segment files and the size of
+/// each.
 ///
 /// One instance per shard; the shard id is stamped into every segment
-/// header and revalidated on open, so segments can never be wired to the
-/// wrong shard after an operator move.
+/// header and revalidated on every fault, so segments can never be wired
+/// to the wrong shard after an operator move.
 #[derive(Debug)]
 pub struct ColdStore {
     dir: PathBuf,
     shard: u32,
     next_seq: u64,
-    /// Live segments: sequence → (file size, lazily opened map).
-    segments: BTreeMap<u64, SegmentSlot>,
-}
-
-#[derive(Debug)]
-struct SegmentSlot {
-    size: u64,
-    map: Option<Arc<mapped::Mapped>>,
+    /// Live segments: sequence → file size.
+    segments: BTreeMap<u64, u64>,
 }
 
 impl ColdStore {
@@ -89,8 +88,7 @@ impl ColdStore {
         fs::create_dir_all(dir)?;
         let mut segments = BTreeMap::new();
         for (seq, name) in durable::scan_numbered(dir, PREFIX, "")? {
-            let size = fs::metadata(dir.join(name))?.len();
-            segments.insert(seq, SegmentSlot { size, map: None });
+            segments.insert(seq, fs::metadata(dir.join(name))?.len());
         }
         Ok(ColdStore {
             dir: dir.to_path_buf(),
@@ -105,7 +103,7 @@ impl ColdStore {
 
     /// Total bytes of sealed segment files on disk.
     pub fn spilled_bytes(&self) -> u64 {
-        self.segments.values().map(|s| s.size).sum()
+        self.segments.values().sum()
     }
 
     /// Number of live (not yet reclaimed) segments.
@@ -128,7 +126,11 @@ impl ColdStore {
     pub fn write_segment(&mut self, records: &[(u64, Vec<u8>)]) -> io::Result<Vec<SegmentRef>> {
         let seq = self.next_seq;
         let mut body = Vec::with_capacity(
-            HEADER_LEN + records.iter().map(|(_, p)| 16 + p.len()).sum::<usize>(),
+            HEADER_LEN
+                + records
+                    .iter()
+                    .map(|(_, p)| RECORD_HEAD_LEN + p.len())
+                    .sum::<usize>(),
         );
         body.put_header(MAGIC, VERSION, self.shard);
         body.put_u64(seq);
@@ -148,50 +150,62 @@ impl ColdStore {
             .collect();
         publish(&self.path(seq), |file| file.write_all(&body))?;
         self.next_seq = seq + 1;
-        self.segments.insert(
-            seq,
-            SegmentSlot {
-                size: body.len() as u64,
-                map: None,
-            },
-        );
+        self.segments.insert(seq, body.len() as u64);
         Ok(refs)
     }
 
-    /// Faults one spilled payload back from its segment, revalidating
-    /// the frame against `server` and the reference, and the payload
-    /// against its CRC.
+    /// Faults one spilled payload back from its segment: opens the file,
+    /// checks its header, and reads the record with one positioned read,
+    /// revalidating the frame against `server` and the reference, and the
+    /// payload against its CRC.
     ///
     /// # Errors
     ///
-    /// [`Error::Corrupt`] on any mismatch (torn write, bit rot, an
-    /// offset or length past the file, a reclaimed or unknown segment);
-    /// [`Error::Io`] on map failure.
-    pub fn fault(&mut self, server: u64, r: &SegmentRef) -> Result<Vec<u8>, Error> {
+    /// [`Error::Corrupt`] on any mismatch (torn write, bit rot, a file
+    /// truncated since it was written, an offset or length past the
+    /// file, a reclaimed or unknown segment); [`Error::Io`] when the file
+    /// cannot be opened or read.
+    pub fn fault(&self, server: u64, r: &SegmentRef) -> Result<Vec<u8>, Error> {
         let path = self.path(r.seq);
-        let map = self.map_segment(r.seq, &path)?;
-        // `map_segment` checked the header; records follow it.
-        let record = usize::try_from(r.offset)
-            .ok()
-            .filter(|&at| at >= HEADER_LEN);
-        let record = record.and_then(|at| map.as_slice().get(at..));
-        let record =
-            record.ok_or_else(|| Error::corrupt(&path, r.offset, "record offset out of range"))?;
-        let mut record = Reader::new(&path, record, r.offset);
-        if record.u64("torn record")? != server {
-            return Err(record.corrupt("record belongs to another server"));
+        if !self.segments.contains_key(&r.seq) {
+            return Err(Error::corrupt(
+                &path,
+                0,
+                "segment unknown or already reclaimed",
+            ));
         }
-        let (payload, crc) = record.frame()?;
+        let mut file = File::open(&path)?;
+        let mut head = [0; HEADER_LEN];
+        read_exact(&mut file, &path, 0, &mut head, "truncated header")?;
+        let mut header = Reader::new(&path, &head, 0);
+        header.header(MAGIC, &[VERSION], Some(self.shard))?;
+        if header.u64("truncated header")? != r.seq {
+            return Err(header.corrupt("header sequence does not match the file name"));
+        }
+        // The whole record must lie inside the file before a byte of it
+        // is allocated: a reference may come from a damaged snapshot.
+        let size = file.metadata()?.len();
+        r.offset
+            .checked_add(RECORD_HEAD_LEN as u64 + u64::from(r.len))
+            .filter(|&end| r.offset >= HEADER_LEN as u64 && end <= size)
+            .ok_or_else(|| Error::corrupt(&path, r.offset, "record out of range"))?;
+        let mut record = vec![0; RECORD_HEAD_LEN + r.len as usize];
+        read_exact(&mut file, &path, r.offset, &mut record, "torn record")?;
+        let mut reader = Reader::new(&path, &record, r.offset);
+        if reader.u64("torn record")? != server {
+            return Err(reader.corrupt("record belongs to another server"));
+        }
+        let (payload, crc) = reader.frame()?;
         if (payload.len(), crc) != (r.len as usize, r.crc) {
-            return Err(record.corrupt("frame does not match its reference"));
+            return Err(reader.corrupt("frame does not match its reference"));
         }
-        Ok(payload.to_vec())
+        record.drain(..RECORD_HEAD_LEN);
+        Ok(record)
     }
 
-    /// Deletes every segment with sequence `< floor` (and drops its
-    /// map) through [`durable::remove`]. Returns the bytes reclaimed.
-    /// Called at checkpoint once no retained snapshot references those
-    /// segments.
+    /// Deletes every segment with sequence `< floor` through
+    /// [`durable::remove`]. Returns the bytes reclaimed. Called at
+    /// checkpoint once no retained snapshot references those segments.
     ///
     /// # Errors
     ///
@@ -201,11 +215,11 @@ impl ColdStore {
         let doomed = std::mem::replace(&mut self.segments, live);
         let removed = durable::remove(doomed.keys().map(|&seq| self.path(seq)));
         let mut freed = 0;
-        for (seq, slot) in doomed {
+        for (seq, size) in doomed {
             if removed.is_err() && self.path(seq).exists() {
-                self.segments.insert(seq, slot);
+                self.segments.insert(seq, size);
             } else {
-                freed += slot.size;
+                freed += size;
             }
         }
         removed.map(|()| freed)
@@ -214,200 +228,22 @@ impl ColdStore {
     fn path(&self, seq: u64) -> PathBuf {
         self.dir.join(numbered(PREFIX, seq, ""))
     }
-
-    fn map_segment(&mut self, seq: u64, path: &Path) -> Result<Arc<mapped::Mapped>, Error> {
-        let Some(slot) = self.segments.get_mut(&seq) else {
-            return Err(Error::corrupt(
-                path,
-                0,
-                "segment unknown or already reclaimed",
-            ));
-        };
-        if let Some(map) = &slot.map {
-            return Ok(Arc::clone(map));
-        }
-        let map = Arc::new(mapped::Mapped::open(path)?);
-        let mut header = Reader::new(path, map.as_slice(), 0);
-        header.header(MAGIC, &[VERSION], Some(self.shard))?;
-        if header.u64("truncated header")? != seq {
-            return Err(header.corrupt("header sequence does not match the file name"));
-        }
-        slot.map = Some(Arc::clone(&map));
-        Ok(map)
-    }
 }
 
-/// Read-only file mapping. On linux this is a real `mmap` through raw
-/// syscalls (the workspace is dependency-free by policy), so faulting a
-/// cold record costs page faults, not a full-file read; elsewhere it
-/// degrades to reading the file into memory.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-#[allow(unsafe_code)]
-mod mapped {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-
-    const PROT_READ: usize = 1;
-    const MAP_PRIVATE: usize = 2;
-
-    /// An immutable `mmap` of a whole file.
-    #[derive(Debug)]
-    pub struct Mapped {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // The mapping is read-only and never mutated after construction.
-    unsafe impl Send for Mapped {}
-    unsafe impl Sync for Mapped {}
-
-    impl Mapped {
-        pub fn open(path: &Path) -> io::Result<Mapped> {
-            let file = File::open(path)?;
-            let len = usize::try_from(file.metadata()?.len())
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
-            if len == 0 {
-                // mmap(len=0) is EINVAL; an empty file maps to an empty slice.
-                return Ok(Mapped {
-                    ptr: std::ptr::NonNull::<u8>::dangling().as_ptr(),
-                    len: 0,
-                });
-            }
-            let ret = unsafe { sys_mmap(len, file.as_raw_fd()) };
-            if (-4095..0).contains(&ret) {
-                return Err(io::Error::from_raw_os_error(-ret as i32));
-            }
-            Ok(Mapped {
-                ptr: ret as *const u8,
-                len,
-            })
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            if self.len == 0 {
-                return &[];
-            }
-            // Safety: the mapping is PROT_READ, MAP_PRIVATE, spans
-            // exactly `len` bytes, and lives until Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapped {
-        fn drop(&mut self) {
-            if self.len > 0 {
-                // Safety: `ptr/len` came from a successful mmap and are
-                // unmapped exactly once.
-                unsafe { sys_munmap(self.ptr, self.len) };
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") 9isize => ret, // __NR_mmap
-                in("rdi") 0usize,
-                in("rsi") len,
-                in("rdx") PROT_READ,
-                in("r10") MAP_PRIVATE,
-                in("r8") fd as isize,
-                in("r9") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") 11isize => ret, // __NR_munmap
-                in("rdi") ptr,
-                in("rsi") len,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack)
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                inlateout("x0") 0usize => ret, // addr -> return value
-                in("x1") len,
-                in("x2") PROT_READ,
-                in("x3") MAP_PRIVATE,
-                in("x4") fd as isize,
-                in("x5") 0usize,
-                in("x8") 222usize, // __NR_mmap
-                options(nostack)
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) -> isize {
-        let ret: isize;
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                inlateout("x0") ptr => ret,
-                in("x1") len,
-                in("x8") 215usize, // __NR_munmap
-                options(nostack)
-            );
-        }
-        ret
-    }
-}
-
-/// Portable fallback: reads the whole file (no mmap syscall available
-/// without a libc dependency off linux).
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
-mod mapped {
-    use std::io;
-    use std::path::Path;
-
-    /// A file's contents, read eagerly.
-    #[derive(Debug)]
-    pub struct Mapped {
-        bytes: Vec<u8>,
-    }
-
-    impl Mapped {
-        pub fn open(path: &Path) -> io::Result<Mapped> {
-            Ok(Mapped {
-                bytes: std::fs::read(path)?,
-            })
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            &self.bytes
-        }
-    }
+/// Reads `buf.len()` bytes of `file` from offset `at`; a file that ends
+/// first is an [`Error::Corrupt`] for `reason`, not an I/O error.
+fn read_exact(
+    file: &mut File,
+    path: &Path,
+    at: u64,
+    buf: &mut [u8],
+    reason: &'static str,
+) -> Result<(), Error> {
+    file.seek(SeekFrom::Start(at))?;
+    file.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => Error::corrupt(path, at, reason),
+        _ => Error::Io(e),
+    })
 }
 
 #[cfg(test)]
@@ -479,7 +315,7 @@ mod tests {
         // prevents, but defense in depth for disk-level damage).
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 20]).unwrap();
-        let mut reopened = ColdStore::open(&dir, 0).unwrap();
+        let reopened = ColdStore::open(&dir, 0).unwrap();
         assert!(matches!(
             reopened.fault(5, &refs[0]),
             Err(Error::Corrupt { .. })
@@ -490,7 +326,7 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         fs::write(&path, &flipped).unwrap();
-        let mut reopened = ColdStore::open(&dir, 0).unwrap();
+        let reopened = ColdStore::open(&dir, 0).unwrap();
         let err = reopened.fault(5, &refs[0]).unwrap_err();
         assert!(err.to_string().contains("crc"), "{err}");
 
@@ -498,7 +334,15 @@ mod tests {
         let mut bad_magic = full.clone();
         bad_magic[0] ^= 0xff;
         fs::write(&path, &bad_magic).unwrap();
-        let mut reopened = ColdStore::open(&dir, 0).unwrap();
+        let reopened = ColdStore::open(&dir, 0).unwrap();
+        assert!(matches!(
+            reopened.fault(5, &refs[0]),
+            Err(Error::Corrupt { .. })
+        ));
+
+        // An empty file (a segment lost all its bytes) has no header.
+        fs::write(&path, b"").unwrap();
+        let reopened = ColdStore::open(&dir, 0).unwrap();
         assert!(matches!(
             reopened.fault(5, &refs[0]),
             Err(Error::Corrupt { .. })
@@ -513,7 +357,7 @@ mod tests {
             let mut store = ColdStore::open(&dir, 1).unwrap();
             store.write_segment(&[(5, payload(9, 30))]).unwrap()
         };
-        let mut other = ColdStore::open(&dir, 2).unwrap();
+        let other = ColdStore::open(&dir, 2).unwrap();
         let err = other.fault(5, &refs[0]).unwrap_err();
         assert!(err.to_string().contains("shard"), "{err}");
         fs::remove_dir_all(&dir).ok();
@@ -537,6 +381,46 @@ mod tests {
         assert!(matches!(store.fault(2, &r1[0]), Err(Error::Corrupt { .. })));
         assert_eq!(store.fault(3, &r2[0]).unwrap(), payload(3, 100));
         assert!(!dir.join("seg-0000000000000000").exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fault reads the file as it is now, not as an earlier fault saw
+    /// it: a segment truncated or flipped under a live store is a typed
+    /// corruption on the next fault, with no reopen in between.
+    #[test]
+    fn a_segment_damaged_after_its_first_fault_is_a_typed_error() {
+        let dir = scratch("damaged-live");
+        let mut store = ColdStore::open(&dir, 0).unwrap();
+        let refs = store
+            .write_segment(&[(1, payload(1, 5000)), (2, payload(2, 3000))])
+            .unwrap();
+        assert!(
+            refs[1].offset > 4096,
+            "the second record starts past the first page"
+        );
+        let path = dir.join("seg-0000000000000000");
+        let full = fs::read(&path).unwrap();
+
+        assert_eq!(store.fault(1, &refs[0]).unwrap(), payload(1, 5000));
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(HEADER_LEN as u64)
+            .unwrap();
+        for (server, r) in [(2, &refs[1]), (1, &refs[0])] {
+            let err = store.fault(server, r).unwrap_err();
+            assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        }
+
+        fs::write(&path, &full).unwrap();
+        assert_eq!(store.fault(2, &refs[1]).unwrap(), payload(2, 3000));
+        let mut flipped = full.clone();
+        flipped[refs[1].offset as usize + RECORD_HEAD_LEN + 7] ^= 0x01;
+        fs::write(&path, &flipped).unwrap();
+        let err = store.fault(2, &refs[1]).unwrap_err();
+        assert!(err.to_string().contains("crc"), "{err}");
+        assert_eq!(store.fault(1, &refs[0]).unwrap(), payload(1, 5000));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -731,16 +615,5 @@ mod tests {
             }
             fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn mapped_handles_empty_files() {
-        let dir = scratch("empty");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty-file");
-        fs::write(&path, b"").unwrap();
-        let map = mapped::Mapped::open(&path).unwrap();
-        assert!(map.as_slice().is_empty());
-        fs::remove_dir_all(&dir).ok();
     }
 }
