@@ -310,7 +310,10 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), RecvError> {
     ))
 }
 
-/// Writes one response with the standard edge headers.
+/// Writes one response with the standard edge headers. Returns the
+/// instant stamped just before the write that sends its last byte (the
+/// body's, or the head's when the body is empty): the client cannot have
+/// read the whole response before it.
 ///
 /// # Errors
 ///
@@ -322,7 +325,7 @@ pub fn write_response(
     content_type: &str,
     keep_alive: bool,
     extra_headers: &[(&str, String)],
-) -> io::Result<()> {
+) -> io::Result<Instant> {
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         reason(status),
@@ -336,9 +339,14 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    let mut last_write = Instant::now();
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    if !body.is_empty() {
+        last_write = Instant::now();
+        stream.write_all(body)?;
+    }
+    stream.flush()?;
+    Ok(last_write)
 }
 
 /// Canonical reason phrases for the statuses the edge emits.

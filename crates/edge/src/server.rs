@@ -685,22 +685,24 @@ fn serve_connection(conn: (TcpStream, Instant), shared: &Shared) {
             Vec::new()
         };
         let write_start = Instant::now();
-        let ok = write_reply(&mut stream, shared, &reply, keep_alive, &extra);
-        let status = reply.status;
-        obs.finish(shared, status, write_start, Instant::now());
-        if !ok || !keep_alive {
+        let written = write_reply(&mut stream, shared, &reply, keep_alive, &extra);
+        let write_end = written.unwrap_or_else(Instant::now);
+        obs.finish(shared, reply.status, write_start, write_end);
+        if written.is_none() || !keep_alive {
             return;
         }
     }
 }
 
+/// Writes `reply`; `None` when the client is gone, else the instant
+/// just before the write that sends its last byte.
 fn write_reply(
     stream: &mut TcpStream,
     shared: &Shared,
     reply: &Reply,
     keep_alive: bool,
     extra_headers: &[(&str, String)],
-) -> bool {
+) -> Option<Instant> {
     shared.metrics.record_response(reply.status);
     http::write_response(
         stream,
@@ -710,7 +712,7 @@ fn write_reply(
         keep_alive,
         extra_headers,
     )
-    .is_ok()
+    .ok()
 }
 
 /// Dispatches one parsed request.

@@ -782,8 +782,9 @@ impl ReputationService {
         self.obs.render_prometheus()
     }
 
-    /// Renders the current latency quantiles and totals as a JSON object
-    /// (the bench harness's machine-readable snapshot).
+    /// Renders the current latency quantiles and totals as a JSON object,
+    /// a machine-readable snapshot (the `online_service` example checks
+    /// its path histograms and percentiles).
     pub fn metrics_json(&self) -> String {
         self.sample_gauges();
         self.obs.render_json()
@@ -854,6 +855,11 @@ impl ReputationService {
     /// and the calibration cache is persisted alongside — so a SIGKILL
     /// right after a checkpoint loses neither verdict state nor
     /// calibration warmth.
+    ///
+    /// Each shard writes its snapshot as a due checkpoint does: it goes
+    /// on journaling and acknowledging ingest while the snapshot is
+    /// written, and answers once the write is done. An ingest acked
+    /// meanwhile is in the journal tail, not in this snapshot.
     ///
     /// Requires [`ServiceConfig::with_snapshots`]; without it the shard
     /// side is a no-op and only the calibration cache is written. Shard

@@ -11,10 +11,13 @@
 //! write (and at most one fsync), replies to each caller, and only then
 //! applies them in order. A caller waits for that reply, so an
 //! acknowledged batch is a journaled one and a queue holds at most one
-//! command per waiting caller. A checkpoint an apply makes due is written
-//! on a scoped thread while the worker goes on acknowledging, so its
-//! fsyncs do not stall the callers: the worker's part is the log-force,
-//! which with compaction on rolls the journal into a sealed segment.
+//! command per waiting caller. Every checkpoint — due after an apply,
+//! asked for by [`Command::Checkpoint`], at the end of a drain or after a
+//! respawn — is written on a scoped thread by one routine, [`checkpoint`].
+//! The worker's part is the log-force, which with compaction on rolls the
+//! journal into a sealed segment. A due or asked-for checkpoint goes on
+//! acknowledging ingest meanwhile, so its fsyncs do not stall the
+//! callers.
 //!
 //! Fault tolerance (see [`crate::supervisor`]):
 //!
@@ -570,98 +573,33 @@ pub(crate) fn worker_loop(
     carry: &mut Option<Command>,
     ctx: &ShardContext,
 ) {
-    while let Some(command) = carry.take().or_else(|| next_command(rx, ctx)) {
-        if handle_command(command, rx, carry, states, inflight, ctx) == Flow::Stop {
+    let mut worker = Worker {
+        rx,
+        carry,
+        inflight,
+        members: Vec::new(),
+        touched: Vec::new(),
+        ctx,
+    };
+    while let Some(command) = worker.next() {
+        if worker.handle(command, states) == Flow::Stop {
             // Graceful shutdown: serve everything already queued, then
             // flush. Commands arriving after the drain observes an empty
             // queue are dropped (their senders see a closed channel).
-            while let Some(command) = carry.take().or_else(|| rx.try_recv().ok()) {
-                let _ = handle_command(command, rx, carry, states, inflight, ctx);
+            while let Some(command) = worker.carry.take().or_else(|| rx.try_recv().ok()) {
+                let _ = worker.handle(command, states);
             }
             break;
         }
     }
     // Final checkpoint on graceful exit: the next boot starts from here
-    // with an empty journal tail. A failed write leaves the previous
-    // snapshot + tail path intact.
-    if ctx.snapshots.is_some() {
-        let _ = take_checkpoint(states, ctx);
-    }
+    // with an empty journal tail. It waits for its writer instead of
+    // acknowledging: nothing would apply what arrived after the drain. A
+    // failed write leaves the previous snapshot + tail path intact.
+    let _ = checkpoint(states, None, ctx);
     if let Some(journal) = &ctx.journal {
         let _ = journal.lock().sync();
     }
-}
-
-/// Waits for the next command. The worker is idle from finding its queue
-/// empty until it has claimed whatever wakes it (see [`handle_command`]).
-fn next_command(rx: &Receiver<Command>, ctx: &ShardContext) -> Option<Command> {
-    if let Ok(command) = rx.try_recv() {
-        return Some(command);
-    }
-    ctx.set_idle(true);
-    rx.recv().ok()
-}
-
-fn handle_command(
-    command: Command,
-    rx: &Receiver<Command>,
-    carry: &mut Option<Command>,
-    states: &mut HashMap<ServerId, ServerState>,
-    inflight: &mut InFlight,
-    ctx: &ShardContext,
-) -> Flow {
-    let busy_t0 = Instant::now();
-    if !matches!(command, Command::Ingest { .. }) {
-        ctx.set_idle(false);
-    }
-    let flow = match command {
-        Command::Ingest {
-            batch,
-            enqueued_at,
-            ack,
-        } => {
-            let group = Group::claim(batch, enqueued_at, ack, rx, carry, ctx);
-            ctx.set_idle(false);
-            group.commit(rx, carry, states, inflight, ctx);
-            Flow::Continue
-        }
-        Command::Assess {
-            servers,
-            reply,
-            enqueued_at,
-            trace,
-        } => {
-            let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
-            ctx.metrics().queue_wait.record_ns(queue_wait_ns);
-            ctx.faults.before_reply();
-            let answers = servers
-                .into_iter()
-                .map(|server| assess_one(states, server, ctx, queue_wait_ns, trace))
-                .collect();
-            let _ = reply.send(answers);
-            Flow::Continue
-        }
-        Command::Occupancy { reply } => {
-            // Publish the tier sums before replying: the reply is the
-            // barrier `stats()` reads the gauges behind, and without
-            // tiering nothing else ever publishes them.
-            publish_tier_bytes(ctx, tier_bytes(states));
-            let occupancy = ShardOccupancy {
-                servers: states.len(),
-                feedbacks: states.values().map(|s| s.len() as usize).sum(),
-            };
-            let _ = reply.send(occupancy);
-            Flow::Continue
-        }
-        Command::Checkpoint { reply } => {
-            let _ = reply.send(take_checkpoint(states, ctx));
-            Flow::Continue
-        }
-        Command::Shutdown => Flow::Stop,
-    };
-    let busy_ns = busy_t0.elapsed().as_nanos() as u64;
-    ctx.metrics().busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-    flow
 }
 
 /// One caller's share of a group commit.
@@ -671,64 +609,125 @@ struct Member {
     len: u64,
 }
 
-/// The run of ingest commands a group commit took: their batches in
-/// queue order, one per member.
-struct Group {
-    batches: Vec<Vec<Feedback>>,
+/// A worker for one run of [`worker_loop`]: its queue, the command a
+/// group commit dequeued behind its ingest run, and the ingest it has
+/// acknowledged and not yet applied — the members to time once applied
+/// and the servers their batches touch. (The records themselves are in
+/// [`InFlight`].)
+pub(crate) struct Worker<'a> {
+    rx: &'a Receiver<Command>,
+    carry: &'a mut Option<Command>,
+    inflight: &'a mut InFlight,
     members: Vec<Member>,
+    touched: Vec<ServerId>,
+    ctx: &'a ShardContext,
 }
 
-impl Group {
+impl Worker<'_> {
+    /// The carried command, else the queue's next. The worker is idle
+    /// from finding its queue empty until it has claimed whatever wakes
+    /// it (see [`Worker::handle`]).
+    fn next(&mut self) -> Option<Command> {
+        if let Some(command) = self.carry.take().or_else(|| self.rx.try_recv().ok()) {
+            return Some(command);
+        }
+        self.ctx.set_idle(true);
+        self.rx.recv().ok()
+    }
+
+    fn handle(&mut self, command: Command, states: &mut HashMap<ServerId, ServerState>) -> Flow {
+        let ctx = self.ctx;
+        let busy_t0 = Instant::now();
+        if !matches!(command, Command::Ingest { .. }) {
+            ctx.set_idle(false);
+        }
+        let flow = match command {
+            Command::Ingest {
+                batch,
+                enqueued_at,
+                ack,
+            } => {
+                self.acknowledge(batch, enqueued_at, ack);
+                self.settle(states);
+                Flow::Continue
+            }
+            Command::Assess {
+                servers,
+                reply,
+                enqueued_at,
+                trace,
+            } => {
+                let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
+                ctx.metrics().queue_wait.record_ns(queue_wait_ns);
+                ctx.faults.before_reply();
+                let answers = servers
+                    .into_iter()
+                    .map(|server| assess_one(states, server, ctx, queue_wait_ns, trace))
+                    .collect();
+                let _ = reply.send(answers);
+                Flow::Continue
+            }
+            Command::Occupancy { reply } => {
+                // Publish the tier sums before replying: the reply is the
+                // barrier `stats()` reads the gauges behind, and without
+                // tiering nothing else ever publishes them.
+                publish_tier_bytes(ctx, tier_bytes(states));
+                let occupancy = ShardOccupancy {
+                    servers: states.len(),
+                    feedbacks: states.values().map(|s| s.len() as usize).sum(),
+                };
+                let _ = reply.send(occupancy);
+                Flow::Continue
+            }
+            Command::Checkpoint { reply } => {
+                let _ = reply.send(checkpoint(states, Some(self), ctx));
+                self.settle(states);
+                Flow::Continue
+            }
+            Command::Shutdown => Flow::Stop,
+        };
+        let busy_ns = busy_t0.elapsed().as_nanos() as u64;
+        ctx.metrics().busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
+        flow
+    }
+
     /// Claims the run of ingest commands at the head of the queue, the
     /// dequeued one first, up to the first command of another kind —
-    /// which goes to `carry`, served next, so the queue stays FIFO. A
-    /// command its caller has already shed is dropped unread.
-    fn claim(
-        batch: Vec<Feedback>,
-        enqueued_at: Instant,
-        ack: Ack,
-        rx: &Receiver<Command>,
-        carry: &mut Option<Command>,
-        ctx: &ShardContext,
-    ) -> Group {
-        let mut group = Group {
-            batches: Vec::new(),
-            members: Vec::new(),
-        };
+    /// which goes to `carry`, served next, so the queue stays FIFO — then
+    /// journals the run with one append and replies to every member: its
+    /// batches join what `inflight` owes, its members what
+    /// [`Worker::settle`] applies. A command its caller has already shed
+    /// is dropped unread. A refused append is replied to every member
+    /// instead, and nothing of the run is kept.
+    fn acknowledge(&mut self, batch: Vec<Feedback>, enqueued_at: Instant, ack: Ack) {
+        let ctx = self.ctx;
+        let (mut batches, mut members) = (Vec::new(), Vec::new());
         let mut next = Some((batch, enqueued_at, ack));
         while let Some((batch, enqueued_at, ack)) = next.take() {
             if ack.take() {
                 let queue_wait_ns = enqueued_at.elapsed().as_nanos() as u64;
                 ctx.metrics().queue_wait.record_ns(queue_wait_ns);
-                group.members.push(Member {
+                members.push(Member {
                     ack,
                     enqueued_at,
                     len: batch.len() as u64,
                 });
-                group.batches.push(batch);
+                batches.push(batch);
             }
-            next = match rx.try_recv() {
+            next = match self.rx.try_recv() {
                 Ok(Command::Ingest {
                     batch,
                     enqueued_at,
                     ack,
                 }) => Some((batch, enqueued_at, ack)),
                 Ok(other) => {
-                    *carry = Some(other);
+                    *self.carry = Some(other);
                     None
                 }
                 Err(_) => None,
             };
         }
-        group
-    }
-
-    /// Journals the group with one append and replies to every member;
-    /// its batches join what `inflight` owes, its members the `backlog`.
-    /// A refused append is replied to every member instead, and nothing
-    /// of the group is kept.
-    fn acknowledge(self, inflight: &mut InFlight, backlog: &mut Backlog, ctx: &ShardContext) {
-        let Group { batches, members } = self;
+        ctx.set_idle(false);
         if members.is_empty() {
             return;
         }
@@ -738,64 +737,40 @@ impl Group {
             }
             return;
         }
-        backlog
-            .touched
+        self.touched
             .extend(batches.iter().flatten().map(|f| f.server));
         // From here the records are the supervisor's: whatever happens
         // to this worker, `inflight` says which ones the state still
         // owes. So the replies can go before the apply.
-        inflight.begin(batches);
+        self.inflight.begin(batches);
         for member in &members {
             member.ack.send(Ok(()));
         }
         for _ in &members {
             ctx.faults.after_journal();
         }
-        backlog.members.extend(members);
+        self.members.extend(members);
     }
 
-    /// Acknowledges the group, then applies it. When the apply makes a
+    /// Applies what the worker has acknowledged. When the apply makes a
     /// checkpoint due, the ingest commands that arrive while it is
     /// written are acknowledged meanwhile and applied after it.
-    fn commit(
-        self,
-        rx: &Receiver<Command>,
-        carry: &mut Option<Command>,
-        states: &mut HashMap<ServerId, ServerState>,
-        inflight: &mut InFlight,
-        ctx: &ShardContext,
-    ) {
-        let mut backlog = Backlog::default();
-        self.acknowledge(inflight, &mut backlog, ctx);
-        while !backlog.members.is_empty() {
-            backlog.apply(states, inflight, ctx);
+    fn settle(&mut self, states: &mut HashMap<ServerId, ServerState>) {
+        let ctx = self.ctx;
+        while !self.members.is_empty() {
+            self.apply(states);
             if checkpoint_due(ctx) {
-                checkpoint_acknowledging(rx, carry, states, inflight, &mut backlog, ctx);
+                checkpoint(states, Some(self), ctx);
             }
         }
     }
-}
 
-/// Ingest the worker has acknowledged and not yet applied: the members
-/// to time once applied and the servers their batches touch. (The
-/// records themselves are in [`InFlight`].)
-#[derive(Default)]
-struct Backlog {
-    members: Vec<Member>,
-    touched: Vec<ServerId>,
-}
-
-impl Backlog {
     /// Applies everything `inflight` owes and tiers the servers it
-    /// touched, leaving the backlog empty.
-    fn apply(
-        &mut self,
-        states: &mut HashMap<ServerId, ServerState>,
-        inflight: &mut InFlight,
-        ctx: &ShardContext,
-    ) {
-        inflight.apply_rest(states, ctx, |_| true);
-        inflight.finish();
+    /// touched; nothing acknowledged is left unapplied.
+    fn apply(&mut self, states: &mut HashMap<ServerId, ServerState>) {
+        let ctx = self.ctx;
+        self.inflight.apply_rest(states, ctx, |_| true);
+        self.inflight.finish();
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
         touched.dedup();
@@ -820,9 +795,9 @@ impl Backlog {
         // apply captures the compacted/spilled form (snapshots shrink
         // with compaction, and segment references are covered by the
         // snapshot that might reclaim their predecessors).
-        inflight.folding = true;
+        self.inflight.folding = true;
         maybe_tier(states, &touched, ctx);
-        inflight.folding = false;
+        self.inflight.folding = false;
     }
 }
 
@@ -830,39 +805,41 @@ impl Backlog {
 /// is done.
 const CHECKPOINT_POLL: Duration = Duration::from_millis(1);
 
-/// Takes a checkpoint without stalling the callers: after the log-force,
-/// the snapshot of the state as it stands is written on a scoped thread —
-/// the worker leaves the state alone meanwhile — while the worker
-/// journals and acknowledges the ingest commands that arrive, into the
-/// `backlog` applied after it. A command of another kind ends the
-/// acknowledging; it is served after the backlog, in queue order.
-fn checkpoint_acknowledging(
-    rx: &Receiver<Command>,
-    carry: &mut Option<Command>,
+/// Takes a checkpoint. Every trigger calls this one routine: an apply
+/// that makes one due, [`Command::Checkpoint`], the end of a drain and a
+/// supervisor respawn. After the log-force, the snapshot of the state as
+/// it stands is written on a scoped thread — the worker leaves the state
+/// alone meanwhile. Given the `worker`, it journals and acknowledges the
+/// ingest commands that arrive while the writer runs, for
+/// [`Worker::settle`] to apply after it; a command of another kind ends
+/// the acknowledging and is served after them, in queue order. Without
+/// one, it waits for the writer. `None` when no snapshot was written.
+pub(crate) fn checkpoint(
     states: &HashMap<ServerId, ServerState>,
-    inflight: &mut InFlight,
-    backlog: &mut Backlog,
+    worker: Option<&mut Worker<'_>>,
     ctx: &ShardContext,
-) {
-    let Some(force) = force_log(ctx) else {
-        return;
-    };
+) -> Option<CheckpointInfo> {
+    let force = force_log(ctx)?;
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| write_checkpoint(states, &force, ctx));
-        while carry.is_none() && !writer.is_finished() {
-            match rx.recv_timeout(CHECKPOINT_POLL) {
-                Ok(Command::Ingest {
-                    batch,
-                    enqueued_at,
-                    ack,
-                }) => Group::claim(batch, enqueued_at, ack, rx, carry, ctx)
-                    .acknowledge(inflight, backlog, ctx),
-                Ok(other) => *carry = Some(other),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+        if let Some(worker) = worker {
+            while worker.carry.is_none() && !writer.is_finished() {
+                match worker.rx.recv_timeout(CHECKPOINT_POLL) {
+                    Ok(Command::Ingest {
+                        batch,
+                        enqueued_at,
+                        ack,
+                    }) => worker.acknowledge(batch, enqueued_at, ack),
+                    Ok(other) => *worker.carry = Some(other),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
             }
         }
-    });
+        writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// Appends a group's batches to the shard's journal, if it has one: one
@@ -1094,17 +1071,6 @@ fn checkpoint_due(ctx: &ShardContext) -> bool {
     interval > 0 && records.saturating_sub(last) >= interval
 }
 
-/// Writes one snapshot covering the journal as of now, then compacts the
-/// journal if the policy allows. Failures are counted, never panicked:
-/// a shard that cannot snapshot still has its journal.
-pub(crate) fn take_checkpoint(
-    states: &HashMap<ServerId, ServerState>,
-    ctx: &ShardContext,
-) -> Option<CheckpointInfo> {
-    let force = force_log(ctx)?;
-    write_checkpoint(states, &force, ctx)
-}
-
 /// The log-force before a checkpoint, on the worker: the snapshot will
 /// claim to cover journal offset N, the journal's record count now, and
 /// the state must be the fold of exactly those records. With compaction
@@ -1128,6 +1094,8 @@ fn force_log(ctx: &ShardContext) -> Option<LogForce> {
 /// — then writes the snapshot of `states`, their fold, and compacts the
 /// journal if the policy allows: the sealed segments below the oldest
 /// retained snapshot are deleted, whole, without the journal's lock.
+/// Failures are counted, never panicked: a shard that cannot snapshot
+/// still has its journal.
 fn write_checkpoint(
     states: &HashMap<ServerId, ServerState>,
     force: &LogForce,
@@ -1143,7 +1111,7 @@ fn write_checkpoint(
     journal.lock().forced(force);
     let mut store = snaps.store.lock();
     match store.write(states, force.records) {
-        Ok(info) => {
+        Ok(bytes) => {
             let compacted = if snaps.policy.compact_journal {
                 // Only up to the *oldest* retained snapshot, and only
                 // with >= 2 retained: every candidate in the fallback
@@ -1156,7 +1124,7 @@ fn write_checkpoint(
                 0
             };
             ctx.metrics().add(ShardMetric::SnapshotsWritten, 1);
-            ctx.metrics().add(ShardMetric::SnapshotBytes, info.bytes);
+            ctx.metrics().add(ShardMetric::SnapshotBytes, bytes);
             // Reclaim cold segments nothing references any more: every
             // live segment reference is covered by the snapshot just
             // written (tiering runs before checkpointing), so segments
@@ -1170,8 +1138,8 @@ fn write_checkpoint(
                 }
             }
             Some(CheckpointInfo {
-                journal_records: info.journal_records,
-                bytes: info.bytes,
+                journal_records: force.records,
+                bytes,
                 compacted,
             })
         }

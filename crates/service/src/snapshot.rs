@@ -152,15 +152,6 @@ pub(crate) struct LoadedSnapshot {
     pub seq: u64,
 }
 
-/// What a completed checkpoint wrote.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SnapshotInfo {
-    /// Serialized size in bytes.
-    pub bytes: u64,
-    /// Absolute journal record count it covers.
-    pub journal_records: u64,
-}
-
 /// Per-shard snapshot directory manager.
 ///
 /// Owns the manifest and the retention of `RETAIN` snapshots; `write` is the only
@@ -254,12 +245,13 @@ impl SnapshotStore {
     /// Serializes `states` covering the journal up to `journal_records`
     /// and makes it durable: publish the snapshot, then the manifest,
     /// then delete what retention dropped. Old files are removed only
-    /// *after* the new manifest no longer names them.
+    /// *after* the new manifest no longer names them. Returns the
+    /// snapshot's size in bytes.
     pub fn write(
         &mut self,
         states: &HashMap<ServerId, ServerState>,
         journal_records: u64,
-    ) -> Result<SnapshotInfo, Error> {
+    ) -> Result<u64, Error> {
         let seq = self.next_seq;
         let (bytes, min_seg) = encode(self.shard, self.shards, seq, journal_records, states);
         publish(&self.path(seq), |file| file.write_all(&bytes))?;
@@ -275,10 +267,7 @@ impl SnapshotStore {
         let evicted = self.entries.split_off(RETAIN.min(self.entries.len()));
         self.write_manifest()?;
         let _ = durable::remove(evicted.iter().map(|e| self.path(e.seq)));
-        Ok(SnapshotInfo {
-            bytes: bytes.len() as u64,
-            journal_records,
-        })
+        Ok(bytes.len() as u64)
     }
 
     /// Reads and fully validates one candidate. Any failed check

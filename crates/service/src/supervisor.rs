@@ -47,7 +47,7 @@
 
 use crate::obs::ShardMetric;
 use crate::shard::{
-    take_checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight, ShardContext,
+    checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight, ShardContext,
     ShardHandle,
 };
 use crate::snapshot::ManifestEntry;
@@ -151,9 +151,7 @@ fn supervise(rx: &Receiver<Command>, ctx: &ShardContext) {
         // Checkpoint the freshly rebuilt state: the next crash (or
         // process restart) then recovers from here instead of re-folding
         // this replay again.
-        if ctx.snapshots.is_some() {
-            let _ = take_checkpoint(&states, ctx);
-        }
+        let _ = checkpoint(&states, None, ctx);
     }
 }
 

@@ -415,3 +415,135 @@ fn acks_flow_while_a_log_force_is_held() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Ingests `records` on another thread and waits at most `ACK_BOUND` for
+/// the ack: a stalled ack fails the test instead of hanging it.
+fn ingest_within_bound(service: &Arc<ReputationService>, records: &[Feedback]) {
+    const ACK_BOUND: Duration = Duration::from_secs(10);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (service, records) = (Arc::clone(service), records.to_vec());
+    let len = records.len();
+    std::thread::spawn(move || {
+        let _ = tx.send(service.ingest_batch(records).unwrap().accepted);
+    });
+    assert_eq!(
+        rx.recv_timeout(ACK_BOUND),
+        Ok(len),
+        "an ingest is acked within {ACK_BOUND:?} while a checkpoint is written"
+    );
+}
+
+/// Calls `service.checkpoint()` on another thread and returns once its
+/// writer waits at `gate`.
+fn checkpoint_held_at(
+    service: &Arc<ReputationService>,
+    gate: &CheckpointGate,
+) -> std::thread::JoinHandle<usize> {
+    let service = Arc::clone(service);
+    let checkpoint = std::thread::spawn(move || service.checkpoint().unwrap().shards_snapshotted);
+    assert!(
+        gate.wait_reached(Duration::from_secs(30)),
+        "the checkpoint's writer reached the gate"
+    );
+    checkpoint
+}
+
+/// An explicit checkpoint acknowledges as a due one does. With its
+/// writer held at the gate — with compaction on and off, no checkpoint
+/// ever due — twelve ingests are each acked, the checkpoint answers once
+/// the gate opens, and a reboot serves every acked record, bit for bit.
+#[test]
+fn an_explicit_checkpoint_never_stalls_an_ack() {
+    for compact_journal in [false, true] {
+        let dir = temp_dir("explicit-checkpoint");
+        let gate = CheckpointGate::default();
+        let config = fast_config()
+            .with_durability(Durability::Durable {
+                dir: dir.clone(),
+                fsync: FsyncPolicy::Never,
+            })
+            .with_snapshots(SnapshotPolicy {
+                interval_records: 0,
+                compact_journal,
+            })
+            .with_fault_plan(FaultPlan::default().with_checkpoint_gate(gate.clone()));
+        let service = Arc::new(ReputationService::new(config.clone()).unwrap());
+        let mut acked = batch(0, 0, 100);
+        service.ingest_batch(acked.clone()).unwrap();
+        let checkpoint = checkpoint_held_at(&service, &gate);
+        for i in 1..=12 {
+            let records = batch(i % 3, 100 * i, 25);
+            ingest_within_bound(&service, &records);
+            acked.extend(records);
+        }
+        gate.open();
+        assert_eq!(checkpoint.join().unwrap(), 1, "compact={compact_journal}");
+        drop(service);
+
+        let reference = OfflineReference::from_config(&config).expect("reference builds");
+        let rebooted = ReputationService::new(config).unwrap();
+        for server in 0..3 {
+            let mut history = TransactionHistory::new();
+            for f in acked.iter().filter(|f| f.server.value() == server) {
+                history.push(*f);
+            }
+            let online = rebooted.assess(ServerId::new(server)).unwrap();
+            assert_eq!(*online, reference.assess(&history).unwrap());
+        }
+        let stats = rebooted.stats();
+        assert_eq!(stats.tracked_feedbacks, acked.len());
+        assert_eq!(stats.failed_shards, 0);
+        drop(rebooted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Read-your-writes across an explicit checkpoint: a batch acked while
+/// the checkpoint's writer is held, then an assessment queued behind the
+/// checkpoint. The assessment is served after that batch is applied.
+#[test]
+fn an_assess_behind_an_explicit_checkpoint_reads_what_it_acknowledged() {
+    let dir = temp_dir("explicit-checkpoint-ryw");
+    let gate = CheckpointGate::default();
+    let config = fast_config()
+        .with_durability(Durability::Durable {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+        })
+        .with_snapshots(SnapshotPolicy {
+            interval_records: 1_000_000,
+            compact_journal: true,
+        })
+        .with_fault_plan(FaultPlan::default().with_checkpoint_gate(gate.clone()));
+    let service = Arc::new(ReputationService::new(config.clone()).unwrap());
+    let before = batch(7, 0, 100);
+    service.ingest_batch(before.clone()).unwrap();
+    let checkpoint = checkpoint_held_at(&service, &gate);
+    let during = batch(7, 100, 60);
+    ingest_within_bound(&service, &during);
+    let assess = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || service.assess(ServerId::new(7)).unwrap())
+    };
+    std::thread::sleep(Duration::from_millis(100)); // queued behind the checkpoint
+    gate.open();
+    assert_eq!(checkpoint.join().unwrap(), 1);
+
+    let reference = OfflineReference::from_config(&config).expect("reference builds");
+    let offline = |records: &[Feedback]| {
+        let mut history = TransactionHistory::new();
+        for f in records {
+            history.push(*f);
+        }
+        reference.assess(&history).unwrap()
+    };
+    let acked = [before.as_slice(), during.as_slice()].concat();
+    assert_ne!(
+        offline(&before),
+        offline(&acked),
+        "the batch moves the verdict"
+    );
+    assert_eq!(*assess.join().unwrap(), offline(&acked));
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
