@@ -171,18 +171,64 @@ fn parse_line(raw: &str) -> Result<Option<Feedback>, &'static str> {
     )))
 }
 
+/// The longest line [`render_feedback_line`] writes: three 20-digit
+/// fields, three commas, the rating and the newline.
+const LINE_MAX: usize = 3 * 20 + 3 + 2;
+
+/// `"00010203…99"`: the two ASCII digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
 /// Renders one feedback in the ingest line format (the inverse of
-/// [`parse_feedback_body`]); used by the load generator.
+/// [`parse_feedback_body`]): `time,server,client,r\n` with each field in
+/// decimal, no padding, and `r` `+` or `-` — the exact shape the ingest
+/// scanner reads. Used by every load generator (`hp-load`, `edge-soak`,
+/// the repo benchmark), so it is on the clock of
+/// `hp-load.gen_ns_per_feedback`: the line is written right to left
+/// into a stack buffer, two digits at a time, and appended in one copy,
+/// without `core::fmt`. The bytes are those of
+/// `writeln!(out, "{},{},{},{}", time, server, client, r)`.
 pub fn render_feedback_line(out: &mut String, feedback: &Feedback) {
-    use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "{},{},{},{}",
-        feedback.time,
-        feedback.server.value(),
+    let mut line = [0u8; LINE_MAX];
+    let mut at = LINE_MAX - 2;
+    line[at] = if feedback.is_good() { b'+' } else { b'-' };
+    line[at + 1] = b'\n';
+    // Each field, last first, with the comma that follows it.
+    for field in [
         feedback.client.value(),
-        if feedback.is_good() { '+' } else { '-' }
-    );
+        feedback.server.value(),
+        feedback.time,
+    ] {
+        at -= 1;
+        line[at] = b',';
+        at = put_decimal_before(&mut line, at, field);
+    }
+    out.push_str(std::str::from_utf8(&line[at..]).expect("a rendered line is ASCII"));
+}
+
+/// Writes `value` in decimal so that it ends just before `end`; returns
+/// where it starts.
+fn put_decimal_before(line: &mut [u8; LINE_MAX], end: usize, mut value: u64) -> usize {
+    let mut at = end;
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        at -= 2;
+        line[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = value as usize * 2;
+        at -= 2;
+        line[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        line[at] = b'0' + value as u8;
+    }
+    at
 }
 
 /// `{"accepted":N,"shed":M}`
@@ -603,6 +649,75 @@ mod tests {
         scan_canonical_line(line, 0)
             .filter(|&(_, next)| next == line.len())
             .map(|(feedback, _)| feedback)
+    }
+
+    /// The renderer as lines were written before it wrote its own
+    /// digits: through `core::fmt`.
+    fn render_by_fmt(feedback: &Feedback) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{},{},{},{}",
+            feedback.time,
+            feedback.server.value(),
+            feedback.client.value(),
+            if feedback.is_good() { '+' } else { '-' }
+        );
+        out
+    }
+
+    /// The digit counts' edges, in every field, write what `core::fmt`
+    /// writes; the line is appended after what the buffer held.
+    #[test]
+    fn rendered_lines_pin_the_digit_edges() {
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            u64::MAX,
+        ];
+        for &time in &edges {
+            for &server in &edges {
+                for &client in &edges {
+                    for good in [true, false] {
+                        let feedback = fb(time, server, client, good);
+                        let mut out = String::from("x\n");
+                        render_feedback_line(&mut out, &feedback);
+                        assert_eq!(out, format!("x\n{}", render_by_fmt(&feedback)));
+                    }
+                }
+            }
+        }
+        let mut widest = String::new();
+        render_feedback_line(&mut widest, &fb(u64::MAX, u64::MAX, u64::MAX, false));
+        assert_eq!(
+            widest,
+            "18446744073709551615,18446744073709551615,18446744073709551615,-\n"
+        );
+        assert_eq!(widest.len(), LINE_MAX);
+    }
+
+    proptest! {
+        /// Every feedback renders to the bytes `core::fmt` writes for it,
+        /// over arbitrary fields and fields of every digit count.
+        #[test]
+        fn rendered_lines_match_the_fmt_form(
+            fields in (any::<u64>(), any::<u64>(), any::<u64>()),
+            sized in (magnitude(), magnitude(), magnitude()),
+            good in any::<bool>(),
+        ) {
+            for (time, server, client) in [fields, sized] {
+                let feedback = fb(time, server, client, good);
+                let mut out = String::new();
+                render_feedback_line(&mut out, &feedback);
+                prop_assert_eq!(out, render_by_fmt(&feedback));
+            }
+        }
     }
 
     /// Lines off the renderer's shape, each with the result the `str`

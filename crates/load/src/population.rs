@@ -177,7 +177,10 @@ impl FeedbackStream {
         out.reserve(n);
         for _ in 0..n {
             let idx = self.next_idx;
-            self.next_idx = (self.next_idx + 1) % self.servers.len();
+            self.next_idx += 1;
+            if self.next_idx == self.servers.len() {
+                self.next_idx = 0;
+            }
             let server = self.servers[idx];
             let t = self.clocks[idx];
             self.clocks[idx] += 1;

@@ -234,8 +234,6 @@ pub(crate) enum Command {
 /// What one completed checkpoint did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CheckpointInfo {
-    /// Absolute journal record count the snapshot covers.
-    pub journal_records: u64,
     /// Serialized snapshot size in bytes.
     pub bytes: u64,
     /// Journal records dropped by the accompanying compaction (0 when
@@ -432,6 +430,14 @@ pub(crate) struct Mark {
 }
 
 impl Mark {
+    /// The mark of a record about to change `server`'s resident `state`.
+    fn before(server: ServerId, state: &ServerState) -> Mark {
+        Mark {
+            server,
+            prior: Some(state.mark().expect("resident after ensure_hot")),
+        }
+    }
+
     /// Puts the marked server back as the mark found it (removing it if
     /// the record created it). False when its state cannot honor the
     /// mark.
@@ -499,6 +505,12 @@ impl InFlight {
 
     /// Applies `pending[applied..]` and then each queued batch, in order;
     /// a record whose ordinal `admit` turns down is skipped for good.
+    ///
+    /// A run of consecutive records for one server looks its state up
+    /// once, on the run's first admitted record; every record of the run
+    /// still writes its own mark first and counts as applied on its own,
+    /// so a panic names the exact record. Nothing evicts a state inside
+    /// a run: tiering runs after the apply.
     pub(crate) fn apply_rest(
         &mut self,
         states: &mut HashMap<ServerId, ServerState>,
@@ -506,12 +518,28 @@ impl InFlight {
         mut admit: impl FnMut(u64) -> bool,
     ) {
         loop {
-            while let Some(&feedback) = self.pending.get(self.applied) {
-                if admit(self.next_index()) {
-                    apply_feedback(states, feedback, ctx, &mut self.mark);
-                    self.mark = None;
+            while let Some(&Feedback { server, .. }) = self.pending.get(self.applied) {
+                let mut run: Option<&mut ServerState> = None;
+                while let Some(&feedback) = self
+                    .pending
+                    .get(self.applied)
+                    .filter(|feedback| feedback.server == server)
+                {
+                    if admit(self.next_index()) {
+                        let state = match run.take() {
+                            Some(state) => {
+                                self.mark = Some(Mark::before(server, state));
+                                state
+                            }
+                            None => enter_run(states, server, ctx, &mut self.mark),
+                        };
+                        ctx.faults.before_apply(&feedback);
+                        state.ingest(feedback, &ctx.faults);
+                        self.mark = None;
+                        run = Some(state);
+                    }
+                    self.applied += 1;
                 }
-                self.applied += 1;
             }
             let Some(next) = self.queued.pop_front() else {
                 return;
@@ -737,8 +765,12 @@ impl Worker<'_> {
             }
             return;
         }
-        self.touched
-            .extend(batches.iter().flatten().map(|f| f.server));
+        // One entry a run of one server's records, not one a record.
+        for feedback in batches.iter().flatten() {
+            if self.touched.last() != Some(&feedback.server) {
+                self.touched.push(feedback.server);
+            }
+        }
         // From here the records are the supervisor's: whatever happens
         // to this worker, `inflight` says which ones the state still
         // owes. So the replies can go before the apply.
@@ -1137,11 +1169,7 @@ fn write_checkpoint(
                     let _ = cold.lock().remove_below(floor);
                 }
             }
-            Some(CheckpointInfo {
-                journal_records: force.records,
-                bytes,
-                compacted,
-            })
+            Some(CheckpointInfo { bytes, compacted })
         }
         Err(_) => {
             ctx.metrics().add(ShardMetric::SnapshotFailures, 1);
@@ -1150,25 +1178,21 @@ fn write_checkpoint(
     }
 }
 
-/// Applies one feedback to its server's state (creating it on first
-/// sight, faulting it back in when spilled), writing `mark` before the
-/// state changes. Shared by the live ingest path and every replay so all
-/// are the same fold.
-pub(crate) fn apply_feedback(
-    states: &mut HashMap<ServerId, ServerState>,
-    feedback: Feedback,
+/// Looks `server`'s state up for a run of its records (creating it on
+/// first sight, faulting it back in when spilled), writing the mark of
+/// the run's first record before anything changes. Shared by the live
+/// ingest path and every replay so all are the same fold.
+pub(crate) fn enter_run<'a>(
+    states: &'a mut HashMap<ServerId, ServerState>,
+    server: ServerId,
     ctx: &ShardContext,
     mark: &mut Option<Mark>,
-) {
-    let server = feedback.server;
-    let state = match states.entry(server) {
+) -> &'a mut ServerState {
+    match states.entry(server) {
         std::collections::hash_map::Entry::Occupied(e) => {
             let state = e.into_mut();
             ensure_hot(server, state, ctx);
-            *mark = Some(Mark {
-                server,
-                prior: Some(state.mark().expect("resident after ensure_hot")),
-            });
+            *mark = Some(Mark::before(server, state));
             state
         }
         std::collections::hash_map::Entry::Vacant(e) => {
@@ -1180,9 +1204,7 @@ pub(crate) fn apply_feedback(
             // cannot fail here.
             e.insert(ServerState::new(ctx.model).expect("validated trust model"))
         }
-    };
-    ctx.faults.before_apply(&feedback);
-    state.ingest(feedback, &ctx.faults);
+    }
 }
 
 fn assess_one(

@@ -380,7 +380,7 @@ impl Quarantine {
 mod tests {
     use super::*;
     use crate::obs::MetricsRegistry;
-    use crate::shard::apply_feedback;
+    use crate::shard::enter_run;
     use hp_core::{ClientId, Feedback, Rating};
 
     /// 40 records interleaving two servers, some issuers repeating.
@@ -432,7 +432,8 @@ mod tests {
         }));
         assert!(crashed.is_err());
         assert_eq!(inflight.owed(), 23);
-        apply_feedback(&mut states, batch()[17], &ctx, &mut inflight.mark);
+        let record = batch()[17];
+        enter_run(&mut states, record.server, &ctx, &mut inflight.mark).ingest(record, &ctx.faults);
         assert_ne!(fingerprint(&states), fingerprint(&expected));
 
         let mut quarantine = Quarantine::default();

@@ -172,6 +172,21 @@ fn tiered_config() -> ServiceConfig {
         })
 }
 
+/// The batches of [`two_servers`]' records in two layouts: interleaved
+/// `chunk` records at a time, where every run of one server's records is
+/// one record long, and server-major, each server's whole history in one
+/// batch, where a record torn part-way sits inside a long run.
+fn both_layouts(
+    mixed: &[Feedback],
+    per_server: &[Vec<Feedback>; 2],
+    chunk: usize,
+) -> [Vec<Vec<Feedback>>; 2] {
+    [
+        mixed.chunks(chunk).map(<[Feedback]>::to_vec).collect(),
+        per_server.to_vec(),
+    ]
+}
+
 #[test]
 fn mid_apply_crash_rolls_one_record_back_and_loses_nothing() {
     for base in [fast_config(), tiered_config()] {
@@ -182,20 +197,22 @@ fn mid_apply_crash_rolls_one_record_back_and_loses_nothing() {
             torn.time,
             TearPoint::AfterHistoryPush,
         ));
-        let service = ReputationService::new(config.clone()).unwrap();
-        for chunk in mixed.chunks(150) {
-            service.ingest_batch(chunk.to_vec()).unwrap();
+        for batches in both_layouts(&mixed, &per_server, 150) {
+            let service = ReputationService::new(config.clone()).unwrap();
+            for batch in batches {
+                service.ingest_batch(batch).unwrap();
+            }
+            // Every accepted record is in the verdict.
+            assert_verdicts_match_offline(&service, &config, &per_server);
+            let stats = service.stats();
+            assert_eq!(stats.shard_restarts, 1);
+            assert_eq!(stats.quarantined_records, 0);
+            assert_eq!(stats.failed_shards, 0);
+            assert_eq!(
+                stats.tracked_feedbacks, 1200,
+                "nothing lost, nothing doubled"
+            );
         }
-        // Every accepted record is in the verdict.
-        assert_verdicts_match_offline(&service, &config, &per_server);
-        let stats = service.stats();
-        assert_eq!(stats.shard_restarts, 1);
-        assert_eq!(stats.quarantined_records, 0);
-        assert_eq!(stats.failed_shards, 0);
-        assert_eq!(
-            stats.tracked_feedbacks, 1200,
-            "nothing lost, nothing doubled"
-        );
     }
 }
 
@@ -208,25 +225,27 @@ fn persistent_mid_apply_crash_is_quarantined() {
             .with_mid_apply_panic(torn.server.value(), torn.time, TearPoint::AfterHistoryPush)
             .persistently(),
     );
-    let service = ReputationService::new(config.clone()).unwrap();
-    for chunk in mixed.chunks(100) {
-        service.ingest_batch(chunk.to_vec()).unwrap();
-    }
-    let survivors = per_server.map(|history| {
+    let survivors = per_server.clone().map(|history| {
         history
             .into_iter()
             .filter(|f| *f != torn)
             .collect::<Vec<Feedback>>()
     });
-    assert_verdicts_match_offline(&service, &config, &survivors);
-    let stats = service.stats();
-    assert_eq!(stats.quarantined_records, 1);
-    assert_eq!(
-        stats.shard_restarts, 1,
-        "one live crash, then the refold retries"
-    );
-    assert_eq!(stats.failed_shards, 0);
-    assert_eq!(stats.tracked_feedbacks, 799);
+    for batches in both_layouts(&mixed, &per_server, 100) {
+        let service = ReputationService::new(config.clone()).unwrap();
+        for batch in batches {
+            service.ingest_batch(batch).unwrap();
+        }
+        assert_verdicts_match_offline(&service, &config, &survivors);
+        let stats = service.stats();
+        assert_eq!(stats.quarantined_records, 1);
+        assert_eq!(
+            stats.shard_restarts, 1,
+            "one live crash, then the refold retries"
+        );
+        assert_eq!(stats.failed_shards, 0);
+        assert_eq!(stats.tracked_feedbacks, 799);
+    }
 }
 
 #[test]
