@@ -44,8 +44,8 @@ echo "==> fault-injection stage: hp-service with the feature off + hostile-bytes
 # (hp-edge's dev-dependency turns it on) and ran its chaos suite; this
 # run tests the configuration that ships, with the feature off.
 cargo test --offline -p hp-service -q
-# The decoder properties (journal, segment fault, snapshot, manifest,
-# hpcal, feedback log, the bounded reader, the ingest body, the HTTP head)
+# The decoder properties (journal, segment fault, snapshot, hpcal,
+# feedback log, the bounded reader, the ingest body, the HTTP head)
 # at 10^5 hostile inputs each; tier-1 runs the same properties at the
 # default 256.
 PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service -p hp-edge --lib survives_hostile

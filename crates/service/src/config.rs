@@ -111,11 +111,12 @@ pub struct SnapshotPolicy {
     /// checkpoints; explicit [`crate::ReputationService::checkpoint`]
     /// calls and the drain-time checkpoint still run).
     pub interval_records: u64,
-    /// Roll the journal into a sealed segment at each checkpoint and
-    /// delete the segments below the older retained snapshot's offset.
-    /// Keeps disk usage O(interval) instead of O(history); full-journal
-    /// replay is then no longer possible, but a corrupted newest
-    /// snapshot still leaves the older one and its tail.
+    /// Delete, at each checkpoint, the sealed journal segments below the
+    /// older retained snapshot's offset (every checkpoint rolls the
+    /// journal into a sealed segment either way; without this, every
+    /// record is kept). Keeps disk usage O(interval) instead of
+    /// O(history); full-journal replay is then no longer possible, but a
+    /// corrupted newest snapshot still leaves the older one and its tail.
     pub compact_journal: bool,
 }
 

@@ -25,11 +25,11 @@
 //! The header, the record frame, the torn-tail scan, the error and the
 //! durable create are [`hp_store::durable`]'s, and the payload is the
 //! feedback record of [`hp_store::persist`]; this module owns the
-//! versions, the segment chain and the trusted-offset arithmetic.
+//! versions and the segment chain.
 //!
 //! Appends go to the *live* file, `dir/shard-<i>.hpj`. A fresh journal's
-//! live file is v1. When a checkpoint compacts, its log-force *rolls* the
-//! journal ([`FileJournal::force`]): the live file is renamed, whole, to
+//! live file is v1. Every checkpoint's log-force *rolls* the journal
+//! ([`FileJournal::force`]): the live file is renamed, whole, to
 //! the sealed segment `shard-<i>-<base:016x>.hpj` — `base` being the
 //! absolute index of its first record — and a fresh live file starts
 //! with a v2 header whose `base_records` is the record count at the roll.
@@ -39,8 +39,9 @@
 //! and the next open recreates the live file at the last segment's end.
 //! Once a snapshot durably covers a prefix of the sequence, compaction
 //! ([`compact`]) deletes the sealed segments that end at or below it:
-//! whole files, no copy. Record indexes stay *absolute* — quarantine
-//! bookkeeping and snapshot manifests never shift meaning — and a
+//! whole files, no copy. Without compaction every record stays, as
+//! sealed segments. Record indexes stay *absolute* — quarantine
+//! bookkeeping and snapshot offsets never shift meaning — and a
 //! journal whose head is gone can only be folded on top of a snapshot;
 //! replaying it from zero is an explicit error at the recovery layer,
 //! never a silently wrong state.
@@ -48,9 +49,11 @@
 //! A reader walks the segments in base order, then the live file, and
 //! returns the records as one sequence: each segment must end exactly
 //! where the next file begins and hold no torn record, or the read is an
-//! [`Error::Corrupt`]. A segment wholly below a trusted offset is skipped
-//! unread, by its name (its length is still checked against the range
-//! its neighbours' names give it).
+//! [`Error::Corrupt`]. A segment wholly below the record a read starts
+//! at is skipped unread, by its name (its length is still checked
+//! against the range its neighbours' names give it). Opening the journal
+//! starts at its last file, so it CRC-scans only the records since the
+//! last checkpoint; a replay CRC-checks every record it folds.
 //!
 //! The shard index and shard count are part of the header because journal
 //! contents are partitioned by the service's shard hash: replaying a
@@ -108,8 +111,8 @@ pub struct Recovered {
     /// (`None` for a clean journal).
     pub torn: Option<Error>,
     /// Absolute index of `feedbacks[0]` in the full durable sequence:
-    /// the first retained record plus any records deliberately skipped
-    /// by [`read_journal_from`].
+    /// where the read started — the first retained record for
+    /// [`read_journal`], the last file's first for [`FileJournal::open`].
     pub first_record: u64,
     /// Records compacted out of the journal: the absolute index of the
     /// first retained record (`0` while nothing was compacted).
@@ -272,15 +275,16 @@ fn open_segment(live: &Path, base: u64, expect: Option<(u32, u32)>) -> Result<He
 }
 
 /// Reads the journal whose live file is `live` and whose sealed segments
-/// start at `bases` (ascending) from absolute record `from_records`; see
-/// [`read_journal_from`]. Also returns the path and header of the last
-/// file: the live one, or the last segment when a crash between a roll's
+/// start at `bases` (ascending) from absolute record `from`, or from the
+/// first record of the last file when `from` is `None`; errors as for
+/// [`read_journal`]. Also returns the path and header of the last file:
+/// the live one, or the last segment when a crash between a roll's
 /// renames left no live file.
 fn read_segments(
     live: &Path,
     bases: &[u64],
     expect: Option<(u32, u32)>,
-    from_records: u64,
+    from: Option<u64>,
 ) -> Result<(Recovered, PathBuf, Head), Error> {
     let (sealed, tail_path, mut tail) = match bases.split_last() {
         Some((&last, sealed)) if !live.exists() => (
@@ -299,6 +303,7 @@ fn read_segments(
         ));
     }
     let first = sealed.first().copied().unwrap_or(tail.base);
+    let from_records = from.unwrap_or(tail.base);
     // An offset the files cannot honour — before the first retained
     // record, past the end of the last file, or past any offset a `u64`
     // can address — falls back to a scan of everything retained.
@@ -359,30 +364,8 @@ fn read_segments(
 /// one sequence (a gap, an overlap, or a torn segment before the last
 /// file).
 pub fn read_journal(path: &Path, expect: Option<(u32, u32)>) -> Result<Recovered, Error> {
-    read_journal_from(path, expect, 0)
-}
-
-/// [`read_journal`], starting the scan at absolute record `from_records`
-/// instead of the first retained record — the snapshot-boot path, which
-/// only needs the journal *tail* past what a snapshot already covers and
-/// must not pay a CRC scan over the covered prefix.
-///
-/// The skipped prefix is trusted blind: whoever supplies `from_records`
-/// (the snapshot manifest) vouches that the first `from_records` records
-/// were durably written. An offset the journal cannot honor — before the
-/// first retained record, past the end of the last file, or past any
-/// offset a `u64` can address — falls back to the first retained record
-/// (a full scan), and [`Recovered::first_record`] reports where the scan
-/// actually started, so a caller handing in a stale manifest offset sees
-/// the disagreement instead of a silently wrong tail. Errors as for
-/// [`read_journal`].
-pub fn read_journal_from(
-    path: &Path,
-    expect: Option<(u32, u32)>,
-    from_records: u64,
-) -> Result<Recovered, Error> {
     let bases = segment_bases(path)?;
-    Ok(read_segments(path, &bases, expect, from_records)?.0)
+    Ok(read_segments(path, &bases, expect, Some(0))?.0)
 }
 
 /// A sealed segment the journal retains.
@@ -398,27 +381,21 @@ struct Segment {
 }
 
 /// What a log-force leaves to make durable before a snapshot may cover
-/// [`LogForce::records`]: the sealed segments no fsync has covered yet,
-/// and the live file while it holds covered records that none has.
+/// [`LogForce::records`]: the sealed segments no fsync has covered yet.
 /// [`LogForce::sync`] does the fsyncs, without the journal's lock.
 #[derive(Debug)]
 pub struct LogForce {
     /// Absolute record count the force covers.
     pub records: u64,
     sealed: Vec<PathBuf>,
-    live: Option<File>,
 }
 
 impl LogForce {
-    /// Fsyncs what the force left: each unsynced segment, then the live
-    /// file, then (after any segment) their directory, which makes the
-    /// rolls' renames durable.
+    /// Fsyncs each unsynced segment, then (after any) their directory,
+    /// which makes the rolls' renames durable.
     pub fn sync(&self) -> Result<(), Error> {
         for path in &self.sealed {
             File::open(path)?.sync_all()?;
-        }
-        if let Some(live) = &self.live {
-            live.sync_all()?;
         }
         if let Some(path) = self.sealed.last() {
             durable::fsync_dir(path)?;
@@ -463,33 +440,22 @@ impl FileJournal {
     /// Opens (or creates) the journal for `shard` of `shards` whose live
     /// file is `path`.
     ///
-    /// Returns the journal positioned for appends plus everything
-    /// recovered from disk; a torn tail is truncated so the next append
-    /// starts on a clean record boundary. Errors as for [`read_journal`].
+    /// Returns the journal positioned for appends plus the records of its
+    /// last file — the live one, or the last segment when a crash inside
+    /// a roll left no live file — the only file the open CRC-scans. Every
+    /// checkpoint rolls the journal, so that file holds the records since
+    /// the last one; earlier segments are checked by name and length, and
+    /// [`FileJournal::replay_from`] CRC-checks every record a fold reads.
+    /// A torn tail is truncated so the next append starts on a clean
+    /// record boundary. A fresh journal's header is published durably, as
+    /// is the live file a crash inside a roll left missing; the temp of
+    /// an interrupted roll is deleted. The directory is scanned once.
+    /// Errors as for [`read_journal`].
     pub fn open(
         path: &Path,
         shard: u32,
         shards: u32,
         policy: FsyncPolicy,
-    ) -> Result<(Self, Recovered), Error> {
-        Self::open_from(path, shard, shards, policy, 0)
-    }
-
-    /// [`FileJournal::open`] with a trusted prefix: the first
-    /// `trusted_records` records (absolute) are assumed intact and not
-    /// CRC-scanned, so a snapshot boot pays O(journal tail) instead of
-    /// O(journal). The torn-tail truncation still happens — only the
-    /// scan's starting point moves. An offset the journal cannot honor
-    /// degrades to a full scan (see [`read_journal_from`]). A fresh
-    /// journal's header is published durably, as is the live file a
-    /// crash inside a roll left missing; the temp of an interrupted roll
-    /// is deleted. The directory is scanned once.
-    pub fn open_from(
-        path: &Path,
-        shard: u32,
-        shards: u32,
-        policy: FsyncPolicy,
-        trusted_records: u64,
     ) -> Result<(Self, Recovered), Error> {
         durable::remove([durable::temp_path(path)])?;
         let bases = segment_bases(path)?;
@@ -497,7 +463,7 @@ impl FileJournal {
             publish(path, |file| file.write_all(&header(shard, shards, None)))?;
         }
         let (recovered, tail_path, tail) =
-            read_segments(path, &bases, Some((shard, shards)), trusted_records)?;
+            read_segments(path, &bases, Some((shard, shards)), None)?;
         // Cut the torn tail so appends resume on a frame boundary.
         let mut file = OpenOptions::new().append(true).open(&tail_path)?;
         file.set_len(tail.len - recovered.torn_bytes)?;
@@ -632,24 +598,17 @@ impl FileJournal {
 
     /// The log-force of a checkpoint covering every record so far:
     /// [`LogForce::records`] is [`FileJournal::records`], and
-    /// [`LogForce::sync`] makes them durable. With `roll`, the live file
-    /// is sealed first, so the fsyncs fall on files no append touches;
-    /// without, the force holds a handle on the live file. The force also
-    /// carries every segment an earlier force left unsynced.
+    /// [`LogForce::sync`] makes them durable. The live file is sealed
+    /// first (two renames, no copy), so the fsyncs fall on files no
+    /// append touches. The force also carries every segment an earlier
+    /// force left unsynced.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] when the roll fails; a failed roll puts the live
     /// file back, so no record is lost.
-    pub fn force(&mut self, roll: bool) -> Result<LogForce, Error> {
-        if roll {
-            self.roll()?;
-        }
-        let live = if self.dirty && self.records > self.live_base {
-            Some(self.file.try_clone()?)
-        } else {
-            None
-        };
+    pub fn force(&mut self) -> Result<LogForce, Error> {
+        self.roll()?;
         let sealed = self
             .sealed
             .iter()
@@ -659,7 +618,6 @@ impl FileJournal {
         Ok(LogForce {
             records: self.records,
             sealed,
-            live,
         })
     }
 
@@ -748,7 +706,7 @@ impl FileJournal {
     pub fn replay_from(&mut self, from_records: u64) -> Result<(u64, Vec<Feedback>), Error> {
         self.sync()?;
         let bases: Vec<u64> = self.sealed.iter().map(|s| s.base).collect();
-        let (recovered, ..) = read_segments(&self.path, &bases, None, from_records)?;
+        let (recovered, ..) = read_segments(&self.path, &bases, None, Some(from_records))?;
         Ok((recovered.first_record, recovered.feedbacks))
     }
 }
@@ -975,9 +933,20 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// [`read_journal`] from absolute record `from` on instead of the
+    /// first retained record: what a replay reads.
+    fn read_journal_from(
+        path: &Path,
+        expect: Option<(u32, u32)>,
+        from: u64,
+    ) -> Result<Recovered, Error> {
+        let bases = segment_bases(path)?;
+        Ok(read_segments(path, &bases, expect, Some(from))?.0)
+    }
+
     #[test]
-    fn trusted_offset_scan_returns_only_the_tail() {
-        let path = temp_path("trusted");
+    fn a_read_from_an_offset_returns_only_the_tail() {
+        let path = temp_path("from-offset");
         let _ = std::fs::remove_file(&path);
         let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, true)).collect();
         {
@@ -989,23 +958,54 @@ mod tests {
         assert_eq!(recovered.first_record, 25);
         assert_eq!(recovered.feedbacks, batch[25..].to_vec());
 
-        // An overshooting offset (stale manifest) degrades to a full scan.
+        // An overshooting offset degrades to a full scan.
         let recovered = read_journal_from(&path, Some((0, 1)), 900).unwrap();
         assert_eq!(recovered.first_record, 0);
         assert_eq!(recovered.feedbacks.len(), 40);
+        let _ = std::fs::remove_file(&path);
+    }
 
-        // Trusted open truncates a torn tail without scanning the prefix.
+    /// The open CRC-scans the live file alone: a flipped record in a
+    /// sealed segment is left to the reads that fold it, a torn live tail
+    /// is cut, and a sealed segment of the wrong length is a gap.
+    #[test]
+    fn open_scans_only_the_live_file() {
+        let dir = temp_dir("open-live");
+        let path = dir.join("shard-0.hpj");
+        let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, true)).collect();
+        {
+            let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+            journal.append_batch(&batch[..25]).unwrap();
+            journal.force().unwrap().sync().unwrap();
+            journal.append_batch(&batch[25..]).unwrap();
+        }
+        let sealed = segment_path(&path, 0);
+        let mut bytes = std::fs::read(&sealed).unwrap();
+        bytes[HEADER_LEN as usize + FRAME_LEN] ^= 0x10;
+        std::fs::write(&sealed, &bytes).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         let file = OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(full - 3).unwrap();
         drop(file);
-        let (journal, recovered) =
-            FileJournal::open_from(&path, 0, 1, FsyncPolicy::Never, 25).unwrap();
+
+        let (mut journal, recovered) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
         assert_eq!(recovered.first_record, 25);
         assert_eq!(recovered.feedbacks, batch[25..39].to_vec());
-        assert_eq!(journal.records(), 39);
+        assert_eq!(recovered.torn_bytes, RECORD_LEN - 3);
+        assert_eq!((journal.records(), journal.base_records()), (39, 0));
+        assert_eq!(
+            journal.replay_from(25).unwrap(),
+            (25, batch[25..39].to_vec())
+        );
+        assert!(matches!(journal.replay_from(0), Err(Error::Corrupt { .. })));
         drop(journal);
-        let _ = std::fs::remove_file(&path);
+
+        std::fs::write(&sealed, &bytes[..bytes.len() - 1]).unwrap();
+        assert!(matches!(
+            FileJournal::open(&path, 0, 1, FsyncPolicy::Never),
+            Err(Error::Corrupt { reason: GAP, .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -1057,29 +1057,24 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A manifest whose seal holds can carry any offset. One whose
-    /// product with `RECORD_LEN` wraps (here to 10 mod 2⁶⁴) used to pass
-    /// the bounds check, start the scan mid-record and cut the file to 26
-    /// bytes — 0 of 40 records left (a panic in debug). It falls back to
-    /// a full scan, as an overshooting offset always did.
+    /// A read offset whose product with `RECORD_LEN` wraps (here to 10
+    /// mod 2⁶⁴) used to pass the bounds check, start the scan mid-record
+    /// and, when an open trusted it, cut the file to 26 bytes — 0 of 40
+    /// records left (a panic in debug). It falls back to a full scan, as
+    /// an overshooting offset always did.
     #[test]
-    fn a_trusted_offset_that_wraps_leaves_the_journal_whole() {
-        let trusted = 11_179_844_893_157_304_010u64;
-        assert_eq!(trusted.wrapping_mul(RECORD_LEN), 10);
+    fn an_offset_that_wraps_reads_the_journal_whole() {
+        let from = 11_179_844_893_157_304_010u64;
+        assert_eq!(from.wrapping_mul(RECORD_LEN), 10);
         let path = temp_path("wrapping");
         let _ = std::fs::remove_file(&path);
         let batch: Vec<Feedback> = (0..40).map(|t| feedback(t, t % 3 != 0)).collect();
-        {
-            let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
-            journal.append_batch(&batch).unwrap();
-        }
-        let len = std::fs::metadata(&path).unwrap().len();
-        let (journal, recovered) =
-            FileJournal::open_from(&path, 0, 1, FsyncPolicy::Never, trusted).unwrap();
-        assert_eq!((recovered.first_record, journal.records()), (0, 40));
+        let (mut journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+        journal.append_batch(&batch).unwrap();
+        let read = read_journal_from(&path, Some((0, 1)), from).unwrap();
+        assert_eq!((read.first_record, read.feedbacks), (0, batch.clone()));
+        assert_eq!(journal.replay_from(from).unwrap(), (0, batch));
         drop(journal);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
-        assert_eq!(read_journal(&path, Some((0, 1))).unwrap().feedbacks, batch);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1122,11 +1117,11 @@ mod tests {
     proptest! {
         /// Whatever happened to a journal — cut after any record or
         /// anywhere, a byte flipped, any u32 or u64 overwritten (header
-        /// fields, the v2 base and frame lengths included) — and whatever
-        /// trusted offset a manifest hands in, `read_journal_from` returns
-        /// a typed corruption or a run of the records that were written,
-        /// at the index they were written under, with the rest of the file
-        /// counted torn; and `open_from` then cuts exactly that tail.
+        /// fields, the v2 base and frame lengths included) — and from
+        /// whatever offset it is read, `read_journal_from` returns a typed
+        /// corruption or a run of the records that were written, at the
+        /// index they were written under, with the rest of the file
+        /// counted torn; and `open` then cuts exactly the torn tail.
         #[test]
         fn read_journal_from_survives_hostile_bytes(
             file in (0usize..2, 0usize..41, any::<bool>()),
@@ -1168,10 +1163,10 @@ mod tests {
                     let intact = rec.header_bytes + (index + rec.feedbacks.len()) as u64 * RECORD_LEN;
                     prop_assert_eq!(intact + rec.torn_bytes, bytes.len() as u64);
                     prop_assert_eq!(rec.torn.is_some(), rec.torn_bytes > 0);
-                    if let Ok((journal, opened)) = FileJournal::open_from(&path, 1, 2, FsyncPolicy::Never, from) {
+                    if let Ok((journal, opened)) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never) {
                         prop_assert_eq!(journal.records(), opened.first_record + opened.feedbacks.len() as u64);
                         drop(journal);
-                        let reread = read_journal_from(&path, None, from).unwrap();
+                        let reread = read_journal_from(&path, None, opened.first_record).unwrap();
                         prop_assert_eq!((reread.feedbacks, reread.torn_bytes), (opened.feedbacks, 0));
                         prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes.len() as u64 - opened.torn_bytes);
                     }
@@ -1267,7 +1262,7 @@ mod tests {
         /// Whatever runs of appends, checkpoints, reopens and crashes
         /// inside a roll a journal goes through, `read_journal` returns
         /// exactly the model's records from the compaction floor on, at
-        /// their absolute indexes — and so do a trusted read at any offset
+        /// their absolute indexes — and so do a read from any offset
         /// and the open journal's `replay_from`.
         #[test]
         fn rolled_and_compacted_journal_matches_its_model(
@@ -1303,7 +1298,7 @@ mod tests {
                         model.extend(batch);
                     }
                     Step::Checkpoint => {
-                        let force = journal.lock().force(true).unwrap();
+                        let force = journal.lock().force().unwrap();
                         force.sync().unwrap();
                         journal.lock().forced(&force);
                         checkpoints.push(force.records);
@@ -1373,12 +1368,12 @@ mod tests {
     proptest! {
         /// Whatever happened to one file of a segmented journal — cut
         /// anywhere, a byte flipped, or a header `u64` overwritten (a v2
-        /// base, or v1's shard fields) — and whatever trusted offset a
-        /// manifest hands in, the read is a typed corruption or a run of
-        /// the records that were written, at the absolute index they were
-        /// written under; untouched segments and an untouched live file
-        /// read to the end with nothing torn; and `open_from` then leaves
-        /// the journal reading the same records with nothing torn.
+        /// base, or v1's shard fields) — and from whatever offset it is
+        /// read, the read is a typed corruption or a run of the records
+        /// that were written, at the absolute index they were written
+        /// under; untouched segments and an untouched live file read to
+        /// the end with nothing torn; and `open` then leaves the journal
+        /// reading the same records from its last file with nothing torn.
         #[test]
         fn segmented_journal_survives_hostile_bytes(
             target in 0usize..3,
@@ -1419,10 +1414,10 @@ mod tests {
                     if target != 2 || kind == 3 {
                         prop_assert_eq!((first + rec.feedbacks.len(), rec.torn_bytes), (40, 0));
                     }
-                    if let Ok((journal, opened)) = FileJournal::open_from(&path, 1, 2, FsyncPolicy::Never, from) {
+                    if let Ok((journal, opened)) = FileJournal::open(&path, 1, 2, FsyncPolicy::Never) {
                         prop_assert_eq!(journal.records(), opened.first_record + opened.feedbacks.len() as u64);
                         drop(journal);
-                        let reread = read_journal_from(&path, None, from).unwrap();
+                        let reread = read_journal_from(&path, None, opened.first_record).unwrap();
                         prop_assert_eq!((reread.feedbacks, reread.torn_bytes), (opened.feedbacks, 0));
                     }
                 }

@@ -366,15 +366,8 @@ impl ReputationService {
                 effective_test.clone(),
                 Arc::clone(&calibrator),
             )?;
-            // Open the snapshot store *before* the journal: the newest
-            // manifest-recorded snapshot offset lets the journal open
-            // skip CRC-scanning the prefix that snapshot already covers.
             let snapshots = open_snapshots(&config, shard)?;
-            let trusted = snapshots
-                .as_ref()
-                .and_then(|s| s.store.lock().newest_offset())
-                .unwrap_or(0);
-            let journal = open_journal(&config, shard, trusted, obs.shard(shard))?;
+            let journal = open_journal(&config, shard, obs.shard(shard))?;
             if let (Some(boot), Some(journal)) = (&progress, &journal) {
                 boot.add_journal_records(journal.records());
             }
@@ -953,12 +946,9 @@ fn open_tiering(
 
 /// Opens (and recovers) the journal for one shard of a durable service,
 /// crediting torn bytes to the shard's metric block; an ephemeral service has none.
-/// `trusted` is an absolute record offset known durable (from the
-/// snapshot manifest); the open skips CRC-scanning that prefix.
 fn open_journal(
     config: &ServiceConfig,
     shard: usize,
-    trusted: u64,
     metrics: &ShardMetrics,
 ) -> Result<Option<FileJournal>, ServiceError> {
     match config.durability() {
@@ -968,20 +958,16 @@ fn open_journal(
                 reason: format!("create {}: {e}", dir.display()),
             })?;
             let path = dir.join(format!("shard-{shard}.hpj"));
-            let (journal, recovered) = FileJournal::open_from(
-                &path,
-                shard as u32,
-                config.shards() as u32,
-                *fsync,
-                trusted,
-            )
-            .map_err(|e| ServiceError::Journal {
-                reason: format!("open {}: {e}", path.display()),
-            })?;
+            let (journal, recovered) =
+                FileJournal::open(&path, shard as u32, config.shards() as u32, *fsync).map_err(
+                    |e| ServiceError::Journal {
+                        reason: format!("open {}: {e}", path.display()),
+                    },
+                )?;
             // Recovered records count toward journal_records/_bytes so the
             // stats describe the durable sequence, not just this process's
-            // appends. `records()` is absolute: it includes the trusted
-            // prefix that the open did not re-scan and any compacted base.
+            // appends. `records()` is absolute: it includes the segments
+            // the open did not re-scan and any compacted base.
             let recovered_bytes = journal.records() * crate::journal::RECORD_LEN;
             metrics.add(ShardMetric::JournalRecords, journal.records());
             metrics.add(ShardMetric::JournalBytes, recovered_bytes);

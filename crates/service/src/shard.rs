@@ -27,10 +27,10 @@
 //!   be rebuilt by replay; an append that fails is refused to its callers
 //!   and neither acknowledged nor applied;
 //! * every ingest batch is moved into the supervisor's [`InFlight`]
-//!   buffer before it is acknowledged, and each record writes a [`Mark`]
-//!   before it touches its server, so an ephemeral shard — whose
-//!   per-server state is the only copy — can roll one record back after a
-//!   crash and apply the rest;
+//!   buffer before it is acknowledged, and on an ephemeral shard — whose
+//!   per-server state is the only copy — each record writes a [`Mark`]
+//!   before it touches its server, so the shard can roll one record back
+//!   after a crash and apply the rest;
 //! * each assessment the worker computes is *published* to a shared map
 //!   readable without the worker thread, which is what lets the front end
 //!   answer a typed degraded assessment when the worker is saturated or
@@ -474,7 +474,8 @@ pub(crate) struct InFlight {
     /// Leading records of `pending` fully applied.
     applied: usize,
     /// Pre-image of the server `pending[applied]` is being applied to;
-    /// `None` while no record is part-way.
+    /// `None` while no record is part-way, and always on a durable shard,
+    /// which rebuilds from its journal instead of rolling back.
     pub(crate) mark: Option<Mark>,
     /// Set while a tiering pass folds histories — the one mutation of an
     /// ephemeral shard's state that is not an append, so the one a panic
@@ -508,9 +509,9 @@ impl InFlight {
     ///
     /// A run of consecutive records for one server looks its state up
     /// once, on the run's first admitted record; every record of the run
-    /// still writes its own mark first and counts as applied on its own,
-    /// so a panic names the exact record. Nothing evicts a state inside
-    /// a run: tiering runs after the apply.
+    /// still counts as applied on its own, so a panic names the exact
+    /// record, and on an ephemeral shard writes its own mark first.
+    /// Nothing evicts a state inside a run: tiering runs after the apply.
     pub(crate) fn apply_rest(
         &mut self,
         states: &mut HashMap<ServerId, ServerState>,
@@ -528,7 +529,9 @@ impl InFlight {
                     if admit(self.next_index()) {
                         let state = match run.take() {
                             Some(state) => {
-                                self.mark = Some(Mark::before(server, state));
+                                if ctx.journal.is_none() {
+                                    self.mark = Some(Mark::before(server, state));
+                                }
                                 state
                             }
                             None => enter_run(states, server, ctx, &mut self.mark),
@@ -1092,7 +1095,7 @@ pub(crate) fn validate_spilled_refs(
 }
 
 /// Whether `interval_records` records have been journalled past the
-/// newest snapshot, so an automatic checkpoint is due.
+/// newest snapshot written or loaded, so an automatic checkpoint is due.
 fn checkpoint_due(ctx: &ShardContext) -> bool {
     let (Some(snaps), Some(journal)) = (&ctx.snapshots, &ctx.journal) else {
         return false;
@@ -1105,17 +1108,15 @@ fn checkpoint_due(ctx: &ShardContext) -> bool {
 
 /// The log-force before a checkpoint, on the worker: the snapshot will
 /// claim to cover journal offset N, the journal's record count now, and
-/// the state must be the fold of exactly those records. With compaction
-/// on, the live journal file is rolled into a sealed segment (two
-/// renames, no copy, no fsync under `FsyncPolicy::Never`), so the
-/// fsyncs that make the N records durable fall on a file no append
-/// touches; either way they are left to [`write_checkpoint`], off the
-/// worker. `None` without snapshots (which are validated to need a
-/// durable journal) or when the roll fails.
+/// the state must be the fold of exactly those records. The live journal
+/// file is rolled into a sealed segment (two renames, no copy, no fsync
+/// under `FsyncPolicy::Never`), so the fsyncs that make the N records
+/// durable fall on a file no append touches; they are left to
+/// [`write_checkpoint`], off the worker. `None` without snapshots (which
+/// are validated to need a durable journal) or when the roll fails.
 fn force_log(ctx: &ShardContext) -> Option<LogForce> {
-    let snaps = ctx.snapshots.as_ref()?;
-    let mut journal = ctx.journal.as_ref()?.lock();
-    let force = journal.force(snaps.policy.compact_journal);
+    ctx.snapshots.as_ref()?;
+    let force = ctx.journal.as_ref()?.lock().force();
     force
         .map_err(|_| ctx.metrics().add(ShardMetric::SnapshotFailures, 1))
         .ok()
@@ -1161,9 +1162,9 @@ fn write_checkpoint(
             // live segment reference is covered by the snapshot just
             // written (tiering runs before checkpointing), so segments
             // below the oldest retained snapshot's floor are dead. No
-            // floor is known while any retained snapshot was found by the
-            // directory scan rather than the manifest (its `min_seg` is
-            // unknown) — reclamation simply waits it out.
+            // floor is known while a retained snapshot was found by name
+            // and not loaded (its `min_seg` is unknown) — reclamation
+            // waits until it rotates out.
             if let Some(tiering) = &ctx.tiering {
                 if let (Some(cold), Some(floor)) = (&tiering.cold, store.segment_floor()) {
                     let _ = cold.lock().remove_below(floor);
@@ -1180,26 +1181,32 @@ fn write_checkpoint(
 
 /// Looks `server`'s state up for a run of its records (creating it on
 /// first sight, faulting it back in when spilled), writing the mark of
-/// the run's first record before anything changes. Shared by the live
-/// ingest path and every replay so all are the same fold.
+/// the run's first record before anything changes on an ephemeral shard
+/// (a durable one rebuilds from its journal and needs none). Shared by
+/// the live ingest path and every replay so all are the same fold.
 pub(crate) fn enter_run<'a>(
     states: &'a mut HashMap<ServerId, ServerState>,
     server: ServerId,
     ctx: &ShardContext,
     mark: &mut Option<Mark>,
 ) -> &'a mut ServerState {
+    let marks = ctx.journal.is_none();
     match states.entry(server) {
         std::collections::hash_map::Entry::Occupied(e) => {
             let state = e.into_mut();
             ensure_hot(server, state, ctx);
-            *mark = Some(Mark::before(server, state));
+            if marks {
+                *mark = Some(Mark::before(server, state));
+            }
             state
         }
         std::collections::hash_map::Entry::Vacant(e) => {
-            *mark = Some(Mark {
-                server,
-                prior: None,
-            });
+            if marks {
+                *mark = Some(Mark {
+                    server,
+                    prior: None,
+                });
+            }
             // The model was validated at service start, so construction
             // cannot fail here.
             e.insert(ServerState::new(ctx.model).expect("validated trust model"))

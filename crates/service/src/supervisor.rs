@@ -50,7 +50,7 @@ use crate::shard::{
     checkpoint, tier_all, validate_spilled_refs, worker_loop, Command, InFlight, ShardContext,
     ShardHandle,
 };
-use crate::snapshot::ManifestEntry;
+use crate::snapshot::SnapshotEntry;
 use crate::state::ServerState;
 use crossbeam::channel::{self, Receiver};
 use hp_core::ServerId;
@@ -222,7 +222,7 @@ fn rebuild(
 fn recover_from_snapshot(
     ctx: &ShardContext,
     quarantine: &mut Quarantine,
-    entry: &ManifestEntry,
+    entry: &SnapshotEntry,
 ) -> Option<HashMap<ServerId, ServerState>> {
     let snaps = ctx.snapshots.as_ref()?;
     let loaded = snaps.store.lock().load(entry, ctx.model).ok()?;
@@ -480,6 +480,45 @@ mod tests {
         ));
         assert_eq!(fingerprint(&states), fingerprint(&expected));
         assert_eq!((inflight.next_index(), inflight.owed()), (40, 0));
+    }
+
+    /// A durable shard rebuilds from its journal after a panic, so its
+    /// fold writes no mark: a fold torn part-way through record 17 leaves
+    /// none standing, where an ephemeral shard's leaves record 17's.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_durable_fold_leaves_no_mark() {
+        use crate::faults::{FaultPlan, ShardFaults, TearPoint};
+        use crate::journal::{FileJournal, FsyncPolicy};
+        let record = batch()[17];
+        let plan = FaultPlan::default().with_mid_apply_panic(
+            record.server.value(),
+            record.time,
+            TearPoint::AfterHistoryPush,
+        );
+        let context = || ShardContext {
+            faults: ShardFaults::new(Some(&plan), 0),
+            ..ShardContext::ephemeral(Arc::new(MetricsRegistry::new(1)))
+        };
+        let path = std::env::temp_dir().join(format!("hp-mark-{}.hpj", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (journal, _) = FileJournal::open(&path, 0, 1, FsyncPolicy::Never).unwrap();
+        let durable = ShardContext {
+            journal: Some(parking_lot::Mutex::new(journal)),
+            ..context()
+        };
+        for (ctx, marked) in [(&context(), true), (&durable, false)] {
+            let mut states = HashMap::new();
+            let mut inflight = InFlight::replaying(batch(), 0);
+            let torn = catch_unwind(AssertUnwindSafe(|| {
+                inflight.apply_rest(&mut states, ctx, |_| true)
+            }));
+            assert!(torn.is_err());
+            assert_eq!(inflight.next_index(), 17);
+            assert_eq!(inflight.mark.is_some(), marked, "marked={marked}");
+        }
+        drop(durable);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

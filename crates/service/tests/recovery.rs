@@ -10,7 +10,7 @@ use hp_core::testing::BehaviorTestConfig;
 use hp_core::{ClientId, Feedback, Rating, ServerId, TransactionHistory};
 use hp_service::journal::{read_journal, FileJournal, FsyncPolicy};
 use hp_service::replay::{restamp, OfflineReference};
-use hp_service::{Durability, ReputationService, ServiceConfig, SnapshotPolicy};
+use hp_service::{Durability, ReputationService, ServiceConfig, SnapshotPolicy, TieringPolicy};
 use hp_sim::workload;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -272,7 +272,7 @@ proptest! {
 
 /// Snapshot recovery properties: a snapshot is an *accelerator*, never a
 /// second source of truth. Whatever happens to the snapshot files (torn
-/// write, flipped byte, garbage manifest), recovery walks the fallback
+/// write, flipped byte, a stray temp), recovery walks the fallback
 /// chain — older snapshot, then full journal replay — and lands on the
 /// same bit-identical state; when the journal has been compacted past
 /// the last valid snapshot, the shard fails loudly instead of answering
@@ -470,39 +470,120 @@ mod snapshots {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Manifest destroyed (garbage or deleted) and a stray `.tmp` from a
-    /// killed writer left behind: the directory scan still finds the
-    /// real snapshots and recovery stays bit-identical.
+    /// A manifest an older build left beside its snapshots — here
+    /// garbage — and a stray `.tmp` from a writer killed mid-snapshot: the
+    /// boot finds the snapshots by name, deletes both leftovers, and
+    /// recovery stays bit-identical.
     #[test]
-    fn garbage_or_missing_manifest_degrades_to_directory_scan() {
-        for wreck in ["garbage", "deleted"] {
-            let dir = temp_dir("snap-manifest");
-            let server = ServerId::new(7);
-            let feedbacks = restamp(&workload::honest_history(450, 0.88, 0xACE), server);
-            let config = snapshot_config(&dir, false);
-            {
-                let service = ReputationService::new(config.clone()).unwrap();
-                service.ingest_batch(feedbacks[..300].to_vec()).unwrap();
-                service.checkpoint().unwrap();
-                service.ingest_batch(feedbacks[300..].to_vec()).unwrap();
-                service.shutdown();
-            }
-            let manifest = dir.join("shard-0.manifest");
-            match wreck {
-                "garbage" => std::fs::write(&manifest, b"\x00\xffnot a manifest\n").unwrap(),
-                _ => std::fs::remove_file(&manifest).unwrap(),
-            }
-            // A torn temp file from a writer killed mid-snapshot must be
-            // ignored by the scan.
-            std::fs::write(dir.join("shard-0-00000000000000aa.hps.tmp"), b"torn").unwrap();
-
+    fn a_leftover_manifest_and_a_stray_temp_are_removed() {
+        let dir = temp_dir("snap-manifest");
+        let server = ServerId::new(7);
+        let feedbacks = restamp(&workload::honest_history(450, 0.88, 0xACE), server);
+        let config = snapshot_config(&dir, false);
+        {
             let service = ReputationService::new(config.clone()).unwrap();
-            let online = service.assess(server).expect("assess after restart");
-            assert_eq!(*online, offline_verdict(&config, feedbacks.clone()));
-            assert_eq!(service.stats().failed_shards, 0, "wreck={wreck}");
-            drop(service);
+            service.ingest_batch(feedbacks[..300].to_vec()).unwrap();
+            service.checkpoint().unwrap();
+            service.ingest_batch(feedbacks[300..].to_vec()).unwrap();
+            service.shutdown();
+        }
+        let manifest = dir.join("shard-0.manifest");
+        std::fs::write(&manifest, b"\x00\xffnot a manifest\n").unwrap();
+        let stray = dir.join("shard-0-00000000000000aa.hps.tmp");
+        std::fs::write(&stray, b"torn").unwrap();
+
+        let service = ReputationService::new(config.clone()).unwrap();
+        let online = service.assess(server).expect("assess after restart");
+        assert_eq!(*online, offline_verdict(&config, feedbacks));
+        let stats = service.stats();
+        assert_eq!((stats.failed_shards, stats.snapshot_fallbacks), (0, 0));
+        assert!(!manifest.exists(), "the manifest is deleted");
+        assert!(!stray.exists(), "the temp is deleted");
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Disk stays bounded across restarts. A boot loads the newest
+    /// snapshot, which makes its offset and cold-segment floor known, so
+    /// the one checkpoint each run ends with (at shutdown) compacts the
+    /// journal and reclaims cold segments. Without compaction the journal
+    /// keeps every record, one sealed segment a checkpoint, and the cold
+    /// tier is reclaimed all the same.
+    #[test]
+    fn restarts_keep_journal_and_cold_segments_bounded() {
+        const RUN: usize = 300;
+        const BATCH: usize = 60;
+        for compact in [true, false] {
+            let dir = temp_dir("snap-bounded");
+            let feedbacks = synth_feedbacks(6 * RUN, 0xB0B);
+            let config = snapshot_config(&dir, compact).with_tiering(TieringPolicy {
+                horizon: 128,
+                spill_budget_bytes: Some(0),
+            });
+            let files = |dir: &Path, keep: &dyn Fn(&str) -> bool| {
+                std::fs::read_dir(dir)
+                    .unwrap()
+                    .filter(|e| keep(e.as_ref().unwrap().file_name().to_str().unwrap()))
+                    .count()
+            };
+            // A boot, then five restarts, each run ending in a checkpoint.
+            for run in 0..6 {
+                let service = ReputationService::new(config.clone()).unwrap();
+                for chunk in feedbacks[run * RUN..(run + 1) * RUN].chunks(BATCH) {
+                    service.ingest_batch(chunk.to_vec()).unwrap();
+                }
+                let stats = service.stats();
+                assert_eq!((stats.failed_shards, stats.snapshot_fallbacks), (0, 0));
+                service.shutdown();
+                let sealed = files(&dir, &|name| {
+                    name.starts_with("shard-0-") && name.ends_with(".hpj")
+                });
+                let cold = files(&dir.join("shard-0.segments"), &|_| true);
+                let context = format!("compact={compact}, run {run}: {sealed} sealed, {cold} cold");
+                if compact {
+                    assert_eq!(sealed, 1, "{context}");
+                } else {
+                    assert_eq!(sealed, run + 1, "{context}");
+                    let journal = read_journal(&dir.join("shard-0.hpj"), Some((0, 1))).unwrap();
+                    assert_eq!(journal.feedbacks, feedbacks[..(run + 1) * RUN], "{context}");
+                }
+                // A run spills one segment a batch, and the two retained
+                // snapshots reference at most the last two runs' segments.
+                assert!(cold <= 2 * RUN / BATCH, "{context}");
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// After a snapshot boot the automatic checkpoint counts from the
+    /// loaded snapshot's offset: it comes `interval_records` past it, not
+    /// at the boot's first apply.
+    #[test]
+    fn a_snapshot_boot_checkpoints_an_interval_past_the_loaded_offset() {
+        let dir = temp_dir("snap-interval");
+        let server = ServerId::new(2);
+        let feedbacks = restamp(&workload::honest_history(400, 0.9, 0x1DE), server);
+        let config = snapshot_config(&dir, true).with_snapshots(SnapshotPolicy {
+            interval_records: 100,
+            compact_journal: true,
+        });
+        {
+            let service = ReputationService::new(config.clone()).unwrap();
+            service.ingest_batch(feedbacks[..250].to_vec()).unwrap();
+            service.shutdown(); // the newest snapshot covers 250 records
+        }
+        let service = ReputationService::new(config.clone()).unwrap();
+        let written = |service: &ReputationService| service.stats().snapshots_written;
+        service.ingest_batch(feedbacks[250..349].to_vec()).unwrap();
+        assert_eq!(written(&service), 0, "99 records past the loaded offset");
+        service.ingest_batch(feedbacks[349..350].to_vec()).unwrap();
+        assert_eq!(written(&service), 1, "100 records past it");
+        service.ingest_batch(feedbacks[350..].to_vec()).unwrap();
+        assert_eq!(written(&service), 1, "50 past the new one");
+        let online = service.assess(server).expect("assess after restart");
+        assert_eq!(*online, offline_verdict(&config, feedbacks));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Every snapshot corrupted *and* the journal compacted past them:
