@@ -45,7 +45,7 @@ echo "==> fault-injection stage: hp-service with the feature off + hostile-bytes
 # run tests the configuration that ships, with the feature off.
 cargo test --offline -p hp-service -q
 # The decoder properties (journal, segment fault, snapshot, hpcal,
-# feedback log, the bounded reader, the ingest body, the HTTP head)
+# the bounded reader, the ingest body, the HTTP head)
 # at 10^5 hostile inputs each; tier-1 runs the same properties at the
 # default 256.
 PROPTEST_CASES=100000 cargo test --offline --release -q -p hp-store -p hp-service -p hp-edge --lib survives_hostile
@@ -91,17 +91,15 @@ echo "==> figures gate (Figs. 3-8 --fast, byte-compared with experiments/baselin
 # A --fast run is deterministic, so any byte that moves is a changed
 # distance, threshold or verdict somewhere in phase 1 or the simulator.
 # Fig. 9 is a stopwatch and stays out. Regenerate the baselines, when a
-# change is meant to move them, with the loop below and
+# change is meant to move them, with the call below and
 # `--out experiments/baselines/fast`.
 FIG_OUT="$(mktemp -d)"
 trap 'rm -rf "$FIG_OUT"' EXIT
 FIG_PROFILE="--release"
 [ "$QUICK" -eq 1 ] && FIG_PROFILE=""
-for fig in fig3 fig4 fig5 fig6 fig7 fig8; do
-    # shellcheck disable=SC2086  # the profile flag is empty or one word
-    cargo run --offline --quiet $FIG_PROFILE -p hp-experiments --bin "$fig" -- \
-        --fast --out "$FIG_OUT" >/dev/null
-done
+# shellcheck disable=SC2086  # the profile flag is empty or one word
+cargo run --offline --quiet $FIG_PROFILE -p hp-experiments -- \
+    fig3 fig4 fig5 fig6 fig7 fig8 --fast --out "$FIG_OUT" >/dev/null
 diff -r experiments/baselines/fast "$FIG_OUT" \
     || { echo "a --fast figure CSV differs from experiments/baselines/fast"; exit 1; }
 echo "    $(ls "$FIG_OUT" | wc -l) CSVs byte-identical to the committed baselines"
@@ -140,7 +138,7 @@ if [ "$QUICK" -eq 0 ]; then
     # would otherwise surface only when the benchmark runs. Cargo
     # rewrites benchmark/Cargo.lock, which is stale (it still lists
     # hp-sim, serde and serde_derive) and which only a change to the
-    # benchmark may regenerate (ROADMAP item 1(e)): the checked-in bytes
+    # benchmark may regenerate (ROADMAP, "(d) Lock file"): the checked-in bytes
     # are put back.
     LOCK_COPY="$(mktemp)"
     cp benchmark/Cargo.lock "$LOCK_COPY"

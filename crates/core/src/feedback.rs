@@ -5,8 +5,8 @@ use std::fmt;
 
 /// A client's one-dimensional rating of a transaction.
 ///
-/// The paper restricts ratings to `{positive, negative}`; multi-valued
-/// feedback is handled by [`crate::testing::MultiValueBehaviorTest`].
+/// The paper restricts ratings to `{positive, negative}`, and so does this
+/// crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rating {
     /// The transaction was satisfactory ("good transaction").

@@ -374,10 +374,6 @@ impl HistoryView for TransactionHistory {
         Some(column)
     }
 
-    fn time(&self, i: usize) -> Option<u64> {
-        self.feedbacks.get(i).map(|f| f.time)
-    }
-
     fn server(&self) -> Option<ServerId> {
         TransactionHistory::server(self)
     }

@@ -198,7 +198,7 @@ impl TieredColumn {
 /// * after a fold, any window or rate query that reaches into the folded
 ///   prefix — a typed [`StatsError::HorizonExceeded`] — and any *batch*
 ///   trust function that reads [`HistoryView::outcome`] across it
-///   ([`crate::trust::WeightedTrust`], [`crate::trust::DecayTrust`]) — a
+///   ([`crate::trust::WeightedTrust`]) — a
 ///   panic, by [`TieredColumn::count_range`]'s contract. The service
 ///   computes those with [`crate::trust::incremental`], one update per
 ///   feedback.
@@ -585,12 +585,6 @@ impl HistoryView for TieredHistory {
     }
 
     fn reordered_column(&self) -> Option<Arc<PrefixSums>> {
-        None
-    }
-
-    fn time(&self, _i: usize) -> Option<u64> {
-        // Tiered histories never keep timestamps (the online service
-        // drops them; index order still defines recency).
         None
     }
 

@@ -161,12 +161,6 @@ pub trait HistoryView {
     /// issuers.
     fn reordered_column(&self) -> Option<Arc<PrefixSums>>;
 
-    /// The timestamp of transaction `i`, if this representation keeps
-    /// timestamps. Callers needing real time semantics (e.g.
-    /// [`crate::trust::DecayTrust`]) fall back to the transaction index
-    /// when `None`.
-    fn time(&self, i: usize) -> Option<u64>;
-
     /// The server this history belongs to: `None` when empty or when
     /// feedback for several servers was mixed in.
     fn server(&self) -> Option<ServerId>;

@@ -19,7 +19,7 @@
 //!      fueled reputations.
 //! 2. **Trust functions** ([`trust`]): classical reputation aggregation —
 //!    [`trust::AverageTrust`], [`trust::WeightedTrust`] (the λ-EWMA used in
-//!    the paper's evaluation), plus beta, time-decay and windowed baselines.
+//!    the paper's evaluation), plus the beta reputation baseline.
 //!
 //! [`TwoPhaseAssessor`] glues the phases together: only histories that pass
 //! the behavior test are handed to the trust function.

@@ -18,22 +18,18 @@
 //! and pass it to the `with_calibrator` constructors when running several
 //! schemes side by side.
 
-mod categorized;
 mod collusion;
 mod config;
 mod engine;
 mod multi;
-mod multivalue;
 mod report;
 mod single;
 
-pub use categorized::{CategorizedReport, CategorizedTest, Category};
 pub use collusion::{CollusionResilientTest, CollusionTestDepth};
 pub use config::{
     BehaviorTestConfig, BehaviorTestConfigBuilder, Correction, SuffixSchedule, WindowAlignment,
 };
 pub use multi::{MultiBehaviorTest, MultiTestMode};
-pub use multivalue::{MultiValueBehaviorTest, MultiValueReport};
 pub use report::{
     CollusionReport, MultiReport, MultiSummary, SuffixReport, SupporterBaseStats, TestOutcome,
     TestReport, WindowTestReport,

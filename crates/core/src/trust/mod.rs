@@ -10,12 +10,7 @@
 //!   Liang & Shi often the most cost-effective choice),
 //! * [`WeightedTrust`] — the λ-EWMA of Fan, Tan & Whinston used as the
 //!   paper's second baseline (`R_t = λ·f_t + (1-λ)·R_{t-1}`),
-//! * [`BetaTrust`] — the beta reputation system of Ismail & Jøsang,
-//! * [`DecayTrust`] — exponential time-decay weights,
-//! * [`WindowedAverageTrust`] — average over the most recent `l`
-//!   transactions only,
-//! * [`global::GlobalTrust`] — an EigenRep/EigenTrust-style transitive
-//!   trust baseline over the whole rating graph.
+//! * [`BetaTrust`] — the beta reputation system of Ismail & Jøsang.
 //!
 //! The [`incremental`] module provides O(1)-per-transaction streaming
 //! evaluators for the two baselines, which the simulator's strategic
@@ -23,18 +18,12 @@
 
 mod average;
 mod beta;
-mod decay;
-pub mod global;
 pub mod incremental;
 mod weighted;
-mod windowed;
 
 pub use average::AverageTrust;
 pub use beta::BetaTrust;
-pub use decay::DecayTrust;
-pub use global::{GlobalTrust, GlobalTrustConfig, RatingGraph};
 pub use weighted::WeightedTrust;
-pub use windowed::WindowedAverageTrust;
 
 use crate::error::CoreError;
 use crate::history::HistoryView;

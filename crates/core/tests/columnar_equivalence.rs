@@ -18,9 +18,7 @@ use hp_core::testing::{
     BehaviorTestConfig, CollusionResilientTest, MultiBehaviorTest, MultiTestMode,
     SingleBehaviorTest,
 };
-use hp_core::trust::{
-    AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust, WindowedAverageTrust,
-};
+use hp_core::trust::{AverageTrust, BetaTrust, TrustFunction, WeightedTrust};
 use hp_core::{
     ClientId, CoreError, Feedback, HistoryView, Rating, ServerId, TieredHistory,
     TransactionHistory, TwoPhaseAssessor,
@@ -77,7 +75,6 @@ proptest! {
         prop_assert_eq!(HistoryView::server(&rows), HistoryView::server(&cols));
         for i in 0..rows.len() {
             prop_assert_eq!(rows.outcome(i), cols.outcome(i));
-            prop_assert_eq!(cols.time(i), None);
         }
         let n = rows.len();
         prop_assert_eq!(rows.count_range(n / 3, n), cols.count_range(n / 3, n));
@@ -122,33 +119,8 @@ proptest! {
         prop_assert_eq!(average.trust(&rows), average.trust(&cols));
         let weighted = WeightedTrust::new(0.6).unwrap();
         prop_assert_eq!(weighted.trust(&rows), weighted.trust(&cols));
-        // The columns have no clock but the transaction index; rows timed
-        // by their index must decay identically.
-        let decay = DecayTrust::new(25.0).unwrap();
-        let indexed: TransactionHistory = stream
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| Feedback { time: i as u64, ..f })
-            .collect();
-        prop_assert_eq!(decay.trust(&indexed), decay.trust(&cols));
-        // Rows alone read their real, gapped times.
-        let now = stream.last().map_or(0, |f| f.time);
-        let weight =
-            |f: &Feedback| (-((now - f.time) as f64) / 25.0 * std::f64::consts::LN_2).exp();
-        let (mut good, mut all) = (0.0, 0.0);
-        for f in &stream {
-            all += weight(f);
-            if f.is_good() {
-                good += weight(f);
-            }
-        }
-        if !stream.is_empty() {
-            prop_assert_eq!(decay.trust(&rows).value(), good / all);
-        }
         let beta = BetaTrust::new(1.0, 1.0).unwrap();
         prop_assert_eq!(beta.trust(&rows), beta.trust(&cols));
-        let windowed = WindowedAverageTrust::new(40).unwrap();
-        prop_assert_eq!(windowed.trust(&rows), windowed.trust(&cols));
     }
 
     /// `BitColumn::window_counts` answers exactly like the prefix-sum

@@ -1,6 +1,7 @@
 //! One module per paper figure. Every module exposes
-//! `run(mode) -> Result<Vec<Table>, CoreError>` so the binaries stay thin
-//! and the integration tests can drive fast variants.
+//! `run(mode) -> Result<Vec<Table>, CoreError>`; [`FIGURES`] names each,
+//! so the one binary stays thin and the integration tests can drive fast
+//! variants.
 
 pub mod ablation;
 pub mod attack_cost;
@@ -10,34 +11,38 @@ pub mod distance_threshold;
 pub mod performance;
 pub mod welfare;
 
+use crate::sweep::RunMode;
 use crate::table::Table;
-use std::path::PathBuf;
+use attack_cost::TrustKind;
+use hp_core::CoreError;
+use std::path::Path;
 
-/// Output directory for CSV artifacts: the value after `--out` on the
-/// command line, `experiments/out` when the flag is absent.
+/// How a figure is regenerated: its tables at the given run size.
+pub type Figure = fn(RunMode) -> Result<Vec<Table>, CoreError>;
+
+/// Every figure the harness regenerates, by name, in the order `all` runs
+/// them.
+pub const FIGURES: [(&str, Figure); 9] = [
+    ("fig3", |mode| attack_cost::run(mode, TrustKind::Average)),
+    ("fig4", |mode| attack_cost::run(mode, TrustKind::Weighted)),
+    ("fig5", |mode| collusion_cost::run(mode, TrustKind::Average)),
+    ("fig6", |mode| {
+        collusion_cost::run(mode, TrustKind::Weighted)
+    }),
+    ("fig7", detection::run),
+    ("fig8", distance_threshold::run),
+    ("fig9", performance::run),
+    ("ablation", ablation::run),
+    ("welfare", welfare::run),
+];
+
+/// Prints tables and writes each as CSV under `dir`: `{slug}.csv` for
+/// one table, `{slug}_{i}.csv` for several.
 ///
 /// # Errors
 ///
-/// `--out` as the last argument, with no directory after it.
-pub fn out_dir() -> std::io::Result<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            return args.next().map(PathBuf::from).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "--out needs a directory")
-            });
-        }
-    }
-    Ok(PathBuf::from("experiments/out"))
-}
-
-/// Prints tables and writes each as CSV under [`out_dir`].
-///
-/// # Errors
-///
-/// Propagates [`out_dir`]'s and I/O failures from CSV writing.
-pub fn emit(slug: &str, tables: &[Table]) -> std::io::Result<()> {
-    let dir = out_dir()?;
+/// Propagates I/O failures from CSV writing.
+pub fn emit(dir: &Path, slug: &str, tables: &[Table]) -> std::io::Result<()> {
     for (i, table) in tables.iter().enumerate() {
         println!("{table}");
         let name = if tables.len() == 1 {

@@ -1,8 +1,8 @@
 //! # hp-experiments — the paper's evaluation, regenerated
 //!
-//! One module (and one binary) per figure of §5:
+//! One module per figure of §5, and one binary that runs them by name:
 //!
-//! | Binary | Paper figure | What it sweeps |
+//! | Name | Paper figure | What it sweeps |
 //! |--------|--------------|----------------|
 //! | `fig3` | Fig. 3 | attacker cost vs prep size, average trust function |
 //! | `fig4` | Fig. 4 | attacker cost vs prep size, weighted trust function |
@@ -14,9 +14,10 @@
 //! | `ablation` | — | distance metric / correction / suffix-schedule ablations |
 //! | `welfare` | — | marketplace-level client harm with and without screening |
 //!
-//! Run everything with `cargo run --release -p hp-experiments --bin all`.
-//! Each binary accepts `--fast` for a smoke-test-sized run (also used by
-//! the integration tests) and writes a CSV next to its stdout table, under
+//! Run everything with `cargo run --release -p hp-experiments`, or name
+//! figures: `cargo run --release -p hp-experiments -- fig3 fig7`. The
+//! binary accepts `--fast` for a smoke-test-sized run (also used by the
+//! integration tests) and writes a CSV next to each stdout table, under
 //! `experiments/out` or the directory given after `--out`. A `--fast` run
 //! is deterministic: `ci.sh` compares the CSVs of Figs. 3–8 byte for byte
 //! with `experiments/baselines/fast/`.

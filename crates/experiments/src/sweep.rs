@@ -15,15 +15,6 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Parses process arguments: any `--fast` selects [`RunMode::Fast`].
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--fast") {
-            RunMode::Fast
-        } else {
-            RunMode::Full
-        }
-    }
-
     /// Replications per sweep point.
     pub fn replications(self) -> usize {
         match self {

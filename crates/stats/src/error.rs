@@ -28,11 +28,6 @@ pub enum StatsError {
         /// The maximum allowed value.
         max: u64,
     },
-    /// A probability vector did not sum to 1 (within tolerance).
-    UnnormalizedProbabilities {
-        /// The actual sum of the vector.
-        sum: f64,
-    },
     /// An empty input was given where at least one element is required.
     EmptyInput {
         /// Human-readable description of the input.
@@ -68,9 +63,6 @@ impl fmt::Display for StatsError {
             }
             StatsError::OutOfSupport { value, max } => {
                 write!(f, "value {value} outside support [0, {max}]")
-            }
-            StatsError::UnnormalizedProbabilities { sum } => {
-                write!(f, "probability vector sums to {sum}, expected 1")
             }
             StatsError::EmptyInput { what } => {
                 write!(f, "empty input: {what} requires at least one element")
@@ -110,7 +102,6 @@ mod tests {
                 "window size",
             ),
             (StatsError::OutOfSupport { value: 11, max: 10 }, "11"),
-            (StatsError::UnnormalizedProbabilities { sum: 0.8 }, "0.8"),
             (StatsError::EmptyInput { what: "samples" }, "samples"),
             (StatsError::InvalidLevel { value: 0.0 }, "0"),
             (

@@ -13,7 +13,7 @@
 //!   estimated from the same data that is being tested,
 //! * the streaming [`PrefixSums`] that make the paper's O(n)
 //!   multi-testing optimization possible,
-//! * quantiles and the χ² goodness-of-fit comparator ([`chisq`]).
+//! * empirical quantiles.
 //!
 //! Everything is deterministic given a seed; see [`rng`].
 //!
@@ -38,7 +38,6 @@ pub mod bernoulli;
 pub mod beta_dist;
 pub mod binomial;
 pub mod calibration;
-pub mod chisq;
 pub mod distance;
 pub mod empirical;
 pub mod error;
@@ -55,7 +54,6 @@ pub use calibration::{
     thread_calibration_nanos, CalibrationConfig, CalibrationEntry, CalibrationRow,
     CalibrationStats, ThresholdCalibrator, ThresholdProvenance, ThresholdView,
 };
-pub use chisq::ChiSquared;
 pub use distance::DistanceKind;
 pub use empirical::Histogram;
 pub use error::StatsError;

@@ -19,9 +19,8 @@
 //! [`ShardedStore`] holds one `MemoryStore` and decides by its ring and
 //! failed nodes which servers are retrievable.
 //!
-//! Feedback logs are checkpointed to and replayed from one sealed file
-//! via [`persist`], whose 25-byte record is also the service journal's
-//! payload. Evicted histories spill to [`segment`] files and are read
+//! [`persist`] holds the 25-byte feedback record the service journal
+//! frames. Evicted histories spill to [`segment`] files and are read
 //! back one record at a time by a positioned read; [`durable`] holds the
 //! record-format rules every on-disk format of the workspace shares:
 //! header, CRC frame, sealed body, bounded reader, the one corruption
@@ -57,7 +56,6 @@ mod store;
 
 pub use memory::MemoryStore;
 pub use partial::PartialStore;
-pub use persist::{load_feedback, save_feedback};
 pub use ring::{HashRing, NodeId};
 pub use segment::{ColdStore, SegmentRef};
 pub use sharded::{ShardedStore, ShardedStoreConfig};

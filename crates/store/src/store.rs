@@ -16,16 +16,6 @@ pub trait FeedbackStore {
     /// transaction order. An unknown server yields an empty history.
     fn history_of(&self, server: ServerId) -> TransactionHistory;
 
-    /// The most recent `limit` feedbacks of `server`, in transaction order.
-    ///
-    /// The default materializes the full history; implementations with a
-    /// cheaper recent-window path should override this.
-    fn recent_of(&self, server: ServerId, limit: usize) -> TransactionHistory {
-        let full = self.history_of(server);
-        let skip = full.len().saturating_sub(limit);
-        full.iter().skip(skip).copied().collect()
-    }
-
     /// Total number of feedback records currently retrievable.
     fn len(&self) -> usize;
 
@@ -42,34 +32,6 @@ pub trait FeedbackStore {
 mod tests {
     use super::*;
     use crate::MemoryStore;
-    use hp_core::{ClientId, Rating};
-
-    #[test]
-    fn default_recent_of_takes_suffix() {
-        let mut store = MemoryStore::new();
-        let server = ServerId::new(1);
-        for t in 0..10u64 {
-            store.append(Feedback::new(
-                t,
-                server,
-                ClientId::new(0),
-                Rating::from_good(t >= 5),
-            ));
-        }
-        let recent = store.recent_of(server, 4);
-        assert_eq!(recent.len(), 4);
-        assert_eq!(recent.good_count(), 4, "last 4 are all good");
-        assert_eq!(recent.get(0).unwrap().time, 6);
-    }
-
-    #[test]
-    fn recent_of_with_larger_limit_returns_all() {
-        let mut store = MemoryStore::new();
-        let server = ServerId::new(1);
-        store.append(Feedback::new(0, server, ClientId::new(0), Rating::Positive));
-        let recent = store.recent_of(server, 100);
-        assert_eq!(recent.len(), 1);
-    }
 
     #[test]
     fn is_empty_default() {

@@ -19,7 +19,7 @@
 //!    ([`testing::MultiBehaviorTest`], with the paper's O(n) optimization)
 //!    and issuer-reordered ([`testing::CollusionResilientTest`]).
 //! 2. **Phase 2 — trust functions** ([`trust`]): average, λ-weighted,
-//!    beta, time-decay, windowed.
+//!    beta.
 //!
 //! The workspace also ships the evaluation substrate: a statistics crate
 //! ([`stats`]), feedback stores ([`store`]: central, sharded/P2P, partial
@@ -74,9 +74,7 @@ pub mod prelude {
         BehaviorTest, BehaviorTestConfig, CollusionResilientTest, MultiBehaviorTest,
         SingleBehaviorTest, TestOutcome,
     };
-    pub use hp_core::trust::{
-        AverageTrust, BetaTrust, DecayTrust, TrustFunction, WeightedTrust, WindowedAverageTrust,
-    };
+    pub use hp_core::trust::{AverageTrust, BetaTrust, TrustFunction, WeightedTrust};
     pub use hp_core::twophase::{Assessment, ShortHistoryPolicy, TwoPhaseAssessor};
     pub use hp_core::{
         ClientId, CoreError, Feedback, Rating, ServerId, TransactionHistory, TrustValue,

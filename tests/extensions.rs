@@ -1,132 +1,15 @@
-//! Integration tests for the beyond-the-figures extensions: multinomial
-//! feedback, categorized testing, global trust, persistence, and the
-//! welfare loop.
+//! The welfare loop end to end: the one automated check of
+//! [`honest_players::sim::ecosystem::run_marketplace`], which the
+//! `welfare` figure plots.
 
 use honest_players::prelude::*;
 use honest_players::sim::ecosystem::{run_marketplace, EcosystemConfig};
-use honest_players::sim::workload;
-use honest_players::store::{load_feedback, save_feedback, MemoryStore};
-use honest_players::testing::{CategorizedTest, MultiValueBehaviorTest};
-use honest_players::trust::{GlobalTrust, GlobalTrustConfig, RatingGraph};
-use rand::RngExt;
 
 fn fast_config() -> BehaviorTestConfig {
     BehaviorTestConfig::builder()
         .calibration_trials(400)
         .build()
         .unwrap()
-}
-
-#[test]
-fn multivalue_testing_catches_neutral_band_degradation() {
-    // An attacker that never goes "negative" — it quietly degrades
-    // service into the neutral band. The binary view (positive vs rest)
-    // shifts too, but the three-valued test localizes the shift.
-    let test = MultiValueBehaviorTest::new(fast_config(), 3).unwrap();
-    let mut rng = hp_stats::seeded_rng(3);
-    let mut ratings: Vec<usize> = (0..600)
-        .map(|_| {
-            let u: f64 = rng.random();
-            if u < 0.9 {
-                0
-            } else if u < 0.97 {
-                1
-            } else {
-                2
-            }
-        })
-        .collect();
-    // Degradation phase: positive→neutral swap, negatives unchanged.
-    ratings.extend((0..200).map(|_| {
-        let u: f64 = rng.random();
-        if u < 0.3 {
-            0
-        } else if u < 0.97 {
-            1
-        } else {
-            2
-        }
-    }));
-    let report = test.evaluate(&ratings).unwrap();
-    assert_eq!(report.outcome, TestOutcome::Suspicious);
-    // The negative band stayed honest throughout.
-    assert_ne!(report.categories[2].outcome, TestOutcome::Suspicious);
-}
-
-#[test]
-fn categorized_testing_tolerates_regional_quality_gaps() {
-    let inner = SingleBehaviorTest::new(fast_config()).unwrap();
-    let test = CategorizedTest::new(inner, |fb: &Feedback| (fb.client.value() >> 32) as u32);
-    let mut rng = hp_stats::seeded_rng(5);
-    let mut h = TransactionHistory::new();
-    // Traffic arrives in blocks (think day/night): 20 transactions from
-    // region 0 (p = 0.98), then 20 from region 1 (p = 0.6), repeated.
-    // Block structure matters: per-transaction random mixing would make
-    // the pooled stream i.i.d. again.
-    for t in 0..1600u64 {
-        let region = (t / 20) % 2;
-        let p = if region == 0 { 0.98 } else { 0.6 };
-        h.push(Feedback::new(
-            t,
-            ServerId::new(1),
-            ClientId::new((region << 32) | t),
-            Rating::from_good(rng.random::<f64>() < p),
-        ));
-    }
-    let report = test.evaluate(&h).unwrap();
-    assert_ne!(report.outcome, TestOutcome::Suspicious);
-    // The pooled single test over the mixture, in contrast, sees a
-    // bimodal window-count distribution and objects.
-    let pooled = SingleBehaviorTest::new(fast_config()).unwrap();
-    assert_eq!(
-        pooled.evaluate(&h).unwrap().outcome(),
-        TestOutcome::Suspicious,
-        "the pooled mixture is exactly the false alert the §4 extension avoids"
-    );
-}
-
-#[test]
-fn global_trust_ranks_organic_reputation_over_cliques() {
-    let mut graph = RatingGraph::new();
-    // Organic star: 30 distinct raters, a few transactions each.
-    for i in 0..30u64 {
-        graph.record(ServerId::new(100 + i), ServerId::new(1), true);
-        graph.record(ServerId::new(100 + i), ServerId::new(1), true);
-    }
-    // Clique: two ids praising each other thousands of times.
-    for _ in 0..3000 {
-        graph.record(ServerId::new(7), ServerId::new(8), true);
-        graph.record(ServerId::new(8), ServerId::new(7), true);
-    }
-    let gt = GlobalTrust::compute(&graph, GlobalTrustConfig::default()).unwrap();
-    assert!(
-        gt.score(ServerId::new(1)) > gt.score(ServerId::new(8)),
-        "organic reputation must outrank the clique: {:?}",
-        gt.ranking().into_iter().take(3).collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn persisted_logs_reproduce_identical_assessments() {
-    let mut store = MemoryStore::new();
-    let server = ServerId::new(4);
-    for fb in workload::hibernating_history(600, 0.95, 30, 9).iter() {
-        store.append(Feedback::new(fb.time, server, fb.client, fb.rating));
-    }
-    let dir = std::env::temp_dir().join("hp-extensions-test");
-    let path = dir.join("log.csv");
-    save_feedback(&store, &path).unwrap();
-
-    let mut restored = MemoryStore::new();
-    load_feedback(&mut restored, &path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-
-    let test = MultiBehaviorTest::new(fast_config()).unwrap();
-    assert_eq!(
-        test.evaluate(&store.history_of(server)).unwrap(),
-        test.evaluate(&restored.history_of(server)).unwrap(),
-        "assessment must be reproducible from the checkpoint"
-    );
 }
 
 #[test]
@@ -146,25 +29,4 @@ fn marketplace_screening_improves_welfare_end_to_end() {
         screened.attacker_harm,
         unscreened.attacker_harm
     );
-}
-
-#[test]
-fn chi_square_comparator_agrees_on_extremes() {
-    use honest_players::stats::chisq::chi_square_gof_test;
-    use honest_players::stats::Binomial;
-    // Honest window counts accepted, metronome rejected — with p *known*,
-    // matching the §6 discussion of classical hypothesis testing.
-    let model = Binomial::new(10, 0.9).unwrap();
-    let honest = workload::honest_history(1000, 0.9, 2);
-    let mut counts = vec![0u64; 11];
-    for c in honest.window_counts(0, 1000, 10).unwrap() {
-        counts[c as usize] += 1;
-    }
-    let (_, p_honest) = chi_square_gof_test(&counts, &model.pmf_table()).unwrap();
-    assert!(p_honest > 0.01, "honest p-value {p_honest}");
-
-    let mut metronome = vec![0u64; 11];
-    metronome[9] = 100;
-    let (_, p_attack) = chi_square_gof_test(&metronome, &model.pmf_table()).unwrap();
-    assert!(p_attack < 1e-9);
 }

@@ -147,7 +147,6 @@ proptest! {
             Box::new(AverageTrust::default()),
             Box::new(WeightedTrust::new(0.5).unwrap()),
             Box::new(BetaTrust::default()),
-            Box::new(DecayTrust::new(25.0).unwrap()),
         ];
         for f in &functions {
             let t = f.trust(&h).value();

@@ -108,20 +108,3 @@ fn sharded_and_central_agree_bit_for_bit() {
         assert_eq!(a, b, "server {s}");
     }
 }
-
-#[test]
-fn recent_of_supports_windowed_trust() {
-    let mut store = MemoryStore::new();
-    populate(&mut store);
-    let recent = store.recent_of(ServerId::new(8), 40);
-    assert_eq!(recent.len(), 40);
-    // Server 8 is the hibernator: its recent window is the attack spree.
-    assert_eq!(recent.good_count(), 0);
-    let windowed = WindowedAverageTrust::new(40).unwrap();
-    let full = store.history_of(ServerId::new(8));
-    assert_eq!(
-        windowed.trust(&full).value(),
-        recent.p_hat().unwrap(),
-        "windowed trust over the full history equals the average of recent_of"
-    );
-}
